@@ -709,12 +709,11 @@ func BenchmarkFig13_VirusScan_WithWrap_HiStar(b *testing.B) { virusScanBench(b, 
 // The kernel runs syscalls with no global lock — the object table is sharded
 // and objects carry their own RW locks — so a mixed read-heavy workload
 // issued from 8 concurrent threads should scale with GOMAXPROCS instead of
-// flatlining.  The _SingleShard variant forces the whole table through one
-// shard lock (the pre-sharding shape) for comparison.
+// flatlining.
 // ---------------------------------------------------------------------------
 
-func benchSyscallParallel(b *testing.B, shards int) {
-	k := kernel.New(kernel.Config{Seed: 7, ObjectTableShards: shards})
+func BenchmarkSyscallParallel(b *testing.B) {
+	k := kernel.New(kernel.Config{Seed: 7})
 	boot, err := k.BootThread(label.New(label.L1), label.New(label.L2), "bench boot")
 	if err != nil {
 		b.Fatal(err)
@@ -805,9 +804,6 @@ func benchSyscallParallel(b *testing.B, shards int) {
 		b.ReportMetric(100*float64(l1.Hits)/float64(l1.Hits+l1.Misses), "L1-hit-%")
 	}
 }
-
-func BenchmarkSyscallParallel(b *testing.B)             { benchSyscallParallel(b, 0) }
-func BenchmarkSyscallParallel_SingleShard(b *testing.B) { benchSyscallParallel(b, 1) }
 
 // BenchmarkSyscallSerial is the same mixed workload from a single thread,
 // for the per-op baseline.
@@ -997,32 +993,6 @@ func BenchmarkSyscallRingSerial(b *testing.B) { benchSyscallRing(b, false) }
 // ---------------------------------------------------------------------------
 // Ablations (DESIGN.md Section 5).
 // ---------------------------------------------------------------------------
-
-// BenchmarkAblation_LabelCache measures the immutable-label comparison cache
-// (Section 4's kernel optimization) by hammering a label-check-heavy path
-// (segment reads) with the cache on and off.
-func ablationLabelCache(b *testing.B, disable bool) {
-	sys, err := unixlib.Boot(unixlib.BootOptions{KernelConfig: kernel.Config{Seed: 5, DisableLabelCache: disable}})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p, err := sys.NewInitProcess("bench")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := p.WriteFile("/tmp/x", []byte("payload"), label.Label{}); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := p.ReadFile("/tmp/x"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkAblation_LabelCache_On(b *testing.B)  { ablationLabelCache(b, false) }
-func BenchmarkAblation_LabelCache_Off(b *testing.B) { ablationLabelCache(b, true) }
 
 // BenchmarkAblation_NetdFastpath compares the gate-call receive path against
 // the shared-memory/futex fast path (the Section 5.7 optimization).

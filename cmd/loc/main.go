@@ -2,6 +2,10 @@
 // lines of Go in each subsystem of this reproduction and groups them into
 // the paper's trusted-kernel components versus the untrusted user-level
 // library and applications, printing a table alongside the paper's numbers.
+//
+// It is also the budget gate for the trusted base: the paper's argument is a
+// *small* kernel, so the trusted subsystems' total is held under
+// trustedBudget and the command exits non-zero when it is exceeded.
 package main
 
 import (
@@ -29,9 +33,23 @@ var groups = map[string]string{
 	"internal/vpn":      "application: VPN isolation",
 	"internal/webd":     "application: web services",
 	"internal/baseline": "evaluation: Linux/OpenBSD baseline model",
+	"bench":             "evaluation: benchmark harness",
+	"cmd":               "tools: loc, wrap",
+	"examples":          "examples",
 }
 
-func countLines(dir string, includeTests bool) (code, tests int) {
+// trusted lists the subsystems that make up the trusted computing base (the
+// paper's kernel); trustedBudget caps their combined non-blank, non-test
+// lines.  Raising the constant is the visible, reviewable act of growing the
+// trusted base.
+var trusted = map[string]bool{
+	"internal/label": true, "internal/kernel": true, "internal/btree": true,
+	"internal/wal": true, "internal/store": true,
+}
+
+const trustedBudget = 11220
+
+func countLines(dir string) (code, tests int) {
 	filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
 		if err != nil || info.IsDir() || !strings.HasSuffix(path, ".go") {
 			return nil
@@ -73,12 +91,21 @@ func main() {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	var totalCode, totalTests int
+	var totalCode, totalTests, trustedCode int
 	for _, dir := range keys {
-		code, tests := countLines(filepath.Join(root, dir), true)
+		code, tests := countLines(filepath.Join(root, dir))
 		totalCode += code
 		totalTests += tests
+		if trusted[dir] {
+			trustedCode += code
+		}
 		fmt.Printf("%-48s %10d %10d\n", groups[dir]+" ("+dir+")", code, tests)
 	}
 	fmt.Printf("%-48s %10d %10d\n", "TOTAL", totalCode, totalTests)
+	fmt.Printf("\ntrusted base (the \"trusted kernel\" rows): %d code LoC, budget %d\n", trustedCode, trustedBudget)
+	if trustedCode > trustedBudget {
+		fmt.Fprintf(os.Stderr, "loc: trusted base is %d lines over its budget of %d; shrink it or raise trustedBudget in cmd/loc\n",
+			trustedCode-trustedBudget, trustedBudget)
+		os.Exit(1)
+	}
 }

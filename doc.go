@@ -19,7 +19,7 @@
 // The single-level store (internal/store) makes labels first-class durable
 // state: every SyncObject log record carries the object's contents and
 // canonical label in one atomic commit (see the internal/wal package
-// comment for the versioned record format), checkpoints are copy-on-write
+// comment for the record format), checkpoints are copy-on-write
 // so a torn write can never corrupt the referenced snapshot, and a
 // fingerprint-keyed B+-tree index answers "every object tainted by
 // category c" scans — Store.ObjectsWithLabel, surfaced in the kernel as
@@ -77,14 +77,14 @@
 // snapshots are mirrored as refcounted store bundles: captured extents are
 // pinned against the segment cleaner and the deferred-free path, bundles
 // survive crashes via a WAL record and live in the metadata snapshot
-// (format v4) from the next checkpoint, and a rotted shared extent
+// from the next checkpoint, and a rotted shared extent
 // quarantines every clone with a typed error rather than propagating
 // silently.  unixlib.BakeGolden/SpawnFromGolden package the pattern as
 // golden-image spawning, and webd's session cache uses it to clone each
-// cold-login user's sandbox from a 64 MiB golden image in microseconds
-// instead of rebuilding it (examples/goldenspawn; the acceptance floors —
-// clone ≥50x faster than a scratch build, bytes copied ≤1% of bytes
-// shared — are asserted in CI and recorded in BENCH_10.json).
+// cold-login user's sandbox from a golden image in microseconds instead of
+// rebuilding it (examples/goldenspawn; the acceptance floors — clone ≥50x
+// faster than a from-scratch build, bytes copied ≤1% of bytes shared — are
+// asserted by internal/kernel's golden-image test).
 //
 // The user-level Unix library (internal/unixlib) carries no big locks
 // either: program and user tables are read-mostly RWMutexes, PIDs are
@@ -94,7 +94,8 @@
 // multi-process workloads actually exploit the concurrent kernel and store
 // beneath them.
 //
-// The root package holds only the benchmark harness (bench_test.go); the
-// implementation lives under internal/ and the runnable entry points under
-// cmd/ and examples/.
+// The root package holds only the Figure 12/13 row benchmarks
+// (bench_test.go); the repository's benchmark is the bench/ program
+// (go run ./bench, declared in BENCHMARK.json), the implementation lives
+// under internal/ and the runnable entry points under cmd/ and examples/.
 package histar

@@ -169,17 +169,6 @@ func TestConcurrentSyscallStress(t *testing.T) {
 	}
 }
 
-// TestConcurrentSyscallStressSingleShard runs the same workload with the
-// whole object table behind one shard lock, covering the ablation
-// configuration the scaling benchmarks compare against.
-func TestConcurrentSyscallStressSingleShard(t *testing.T) {
-	iters := 100
-	if testing.Short() {
-		iters = 25
-	}
-	runConcurrentStress(t, Config{Seed: 12, ObjectTableShards: 1}, 4, iters)
-}
-
 // TestConcurrentLabelEnforcement churns a thread's label while other
 // threads hammer observation checks, verifying that the per-thread L1 in
 // front of the comparison cache never leaks a stale verdict: the secret

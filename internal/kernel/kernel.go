@@ -116,27 +116,17 @@ type Config struct {
 	// Seed keys the object-ID and category generators so simulations are
 	// reproducible.
 	Seed uint64
-	// DisableLabelCache turns off memoization of label comparisons between
-	// immutable labels (the Section 4 optimization); used by the ablation
-	// benchmarks.
-	DisableLabelCache bool
-	// LabelCacheEntries bounds the label comparison cache (0 picks the
-	// default of 65536).  Workloads with very large live category
-	// populations — the many-user web harness — size this up so steady-state
-	// comparisons stay cached instead of churning through evictions.
-	LabelCacheEntries int
-	// RootQuota is the quota of the root container; 0 means infinite.
-	RootQuota uint64
-	// ObjectTableShards overrides the number of object-table shards (rounded
-	// down to a power of two).  0 picks the default; 1 forces the whole
-	// table through a single shard lock, used by the scaling ablation
-	// benchmarks.
-	ObjectTableShards int
 }
 
-// defaultObjShards keeps shard-lock collisions negligible at any realistic
-// GOMAXPROCS while staying cheap to iterate for ObjectCount.
-const defaultObjShards = 64
+const (
+	// objShards (a power of two, so shard selection is a mask) keeps
+	// shard-lock collisions negligible at any realistic GOMAXPROCS while
+	// staying cheap to iterate for ObjectCount.
+	objShards = 64
+	// labelCacheEntries bounds the cache memoizing comparisons between
+	// immutable labels (the Section 4 optimization).
+	labelCacheEntries = 65536
+)
 
 // objShard is one shard of the object table.
 type objShard struct {
@@ -148,15 +138,13 @@ type objShard struct {
 // Kernel is a single simulated HiStar machine: an object table rooted at the
 // root container plus the generators and caches the kernel maintains.
 type Kernel struct {
-	shards    []objShard
-	shardMask uint64
-	rootID    ID
+	shards [objShards]objShard
+	rootID ID
 
 	ids  *label.Allocator
 	cats *label.Allocator
 
-	labelCache    *label.Cache
-	useLabelCache bool
+	labelCache *label.Cache
 
 	futexes [futexShardCount]futexShard
 
@@ -172,11 +160,6 @@ type Kernel struct {
 	netMu      sync.Mutex
 	netDevices []ID
 
-	// integMu guards the storage-integrity source the boot environment may
-	// attach (see SetIntegritySource).
-	integMu         sync.Mutex
-	integritySource func() StorageIntegrity
-
 	// snapMu guards the container-snapshot registry and the optional
 	// persistence sink; snap tallies snapshot/clone activity (snapshot.go).
 	snapMu    sync.Mutex
@@ -186,23 +169,13 @@ type Kernel struct {
 }
 
 // New boots a kernel: it creates the object table and the root container.
-// The root container is labeled {1} and has an infinite quota unless
-// cfg.RootQuota says otherwise.
+// The root container is labeled {1} and has an infinite quota.
 func New(cfg Config) *Kernel {
-	nShards := cfg.ObjectTableShards
-	if nShards <= 0 {
-		nShards = defaultObjShards
-	}
-	// Round down to a power of two so shard selection is a mask.
-	nShards = 1 << (bits.Len(uint(nShards)) - 1)
 	k := &Kernel{
-		shards:        make([]objShard, nShards),
-		shardMask:     uint64(nShards - 1),
-		ids:           label.NewAllocator(cfg.Seed ^ 0x9e3779b97f4a7c15),
-		cats:          label.NewAllocator(cfg.Seed),
-		labelCache:    label.NewCache(cfg.LabelCacheEntries),
-		useLabelCache: !cfg.DisableLabelCache,
-		snapshots:     make(map[uint64]*Snapshot),
+		ids:        label.NewAllocator(cfg.Seed ^ 0x9e3779b97f4a7c15),
+		cats:       label.NewAllocator(cfg.Seed),
+		labelCache: label.NewCache(labelCacheEntries),
+		snapshots:  make(map[uint64]*Snapshot),
 	}
 	for i := range k.shards {
 		k.shards[i].m = make(map[ID]object)
@@ -210,16 +183,12 @@ func New(cfg Config) *Kernel {
 	for i := range k.futexes {
 		k.futexes[i].m = make(map[futexKey]*futexQueue)
 	}
-	rootQuota := cfg.RootQuota
-	if rootQuota == 0 {
-		rootQuota = QuotaInfinite
-	}
 	root := &container{
 		header: header{
 			id:      k.newID(),
 			objType: ObjContainer,
 			lbl:     label.New(label.L1),
-			quota:   rootQuota,
+			quota:   QuotaInfinite,
 			descrip: "root container",
 			refs:    1, // the root container is always referenced
 		},
@@ -248,10 +217,10 @@ func (k *Kernel) newID() ID { return ID(k.ids.Alloc()) }
 
 // shardFor picks the table shard for an object ID.  IDs come from an
 // encrypted counter, so they are already uniformly distributed; the multiply
-// spreads them further in the single-shard-adjacent configurations.
+// spreads them further.
 func (k *Kernel) shardFor(id ID) *objShard {
 	h := uint64(id) * 0x9e3779b97f4a7c15
-	return &k.shards[(h>>48)&k.shardMask]
+	return &k.shards[(h>>48)&(objShards-1)]
 }
 
 // insert adds a fully constructed object to the table.  It may be called
@@ -386,43 +355,23 @@ func verifyLinkedBrief(cont *container, id ID) error {
 // Label checks (cache + per-thread L1).
 // ---------------------------------------------------------------------------
 
-// leq applies the ⊑ check, through the comparison cache when enabled.
-func (k *Kernel) leq(a, b label.Label) bool {
-	if k.useLabelCache {
-		return k.labelCache.Leq(a, b)
-	}
-	return a.Leq(b)
-}
+// leq applies the ⊑ check through the comparison cache.
+func (k *Kernel) leq(a, b label.Label) bool { return k.labelCache.Leq(a, b) }
 
-// leqRaised applies aᴶ ⊑ bᴶ; the cached path keys on the precomputed raised
+// leqRaised applies aᴶ ⊑ bᴶ; the cache keys on the precomputed raised
 // fingerprints so neither superscript-J form is materialized on a hit.
-func (k *Kernel) leqRaised(a, b label.Label) bool {
-	if k.useLabelCache {
-		return k.labelCache.LeqRaised(a, b)
-	}
-	return a.RaiseJ().Leq(b.RaiseJ())
-}
+func (k *Kernel) leqRaised(a, b label.Label) bool { return k.labelCache.LeqRaised(a, b) }
 
-func (k *Kernel) canObserve(thr, obj label.Label) bool {
-	if k.useLabelCache {
-		return k.labelCache.CanObserve(thr, obj)
-	}
-	return label.CanObserve(thr, obj)
-}
+func (k *Kernel) canObserve(thr, obj label.Label) bool { return k.labelCache.CanObserve(thr, obj) }
 
-func (k *Kernel) canModify(thr, obj label.Label) bool {
-	if k.useLabelCache {
-		return k.labelCache.CanModify(thr, obj)
-	}
-	return label.CanModify(thr, obj)
-}
+func (k *Kernel) canModify(thr, obj label.Label) bool { return k.labelCache.CanModify(thr, obj) }
 
 // canObserveT is canObserve through the invoking thread's L1: a tiny
 // direct-mapped array of atomics in front of the sharded comparison cache,
 // so the hottest check on the syscall path acquires no mutex at all.  thr is
 // the snapshot of t's label taken at syscall entry.
 func (k *Kernel) canObserveT(t *thread, thr, obj label.Label) bool {
-	if !k.useLabelCache || t == nil {
+	if t == nil {
 		return k.canObserve(thr, obj)
 	}
 	mix := l1Mix(thr.RaisedFingerprint(), obj.Fingerprint())
@@ -459,58 +408,6 @@ func l1Mix(thrRaised, obj label.Fingerprint) uint64 {
 // LabelCacheStats returns hit/miss/eviction counts of the immutable-label
 // comparison cache, totalled and per shard.
 func (k *Kernel) LabelCacheStats() label.CacheStats { return k.labelCache.Stats() }
-
-// StorageIntegrity is the persistent storage layer's corruption accounting
-// as surfaced through kernel stats: detections, quarantines, scrub
-// progress, and whether the last mount had to take a recovery fallback.
-// The kernel itself is storage-agnostic; the boot environment attaches a
-// source when a single-level store is present (the same pattern as the
-// ring's Syncer hook).
-type StorageIntegrity struct {
-	CorruptionsDetected uint64
-	QuarantineEvents    uint64
-	QuarantinedNow      int
-	ScrubPasses         uint64
-	ScrubBytesVerified  uint64
-	DegradedMount       bool
-
-	// Checkpoint-liveness accounting (the incremental checkpoint protocol):
-	// SealStallTotalNs/SealStallMaxNs measure the brief exclusive seal —
-	// the only moment a checkpoint stops the world — and the byte counters
-	// decompose checkpoint write amplification: BytesHome is sealed object
-	// data written to home segments, BytesCleaned what the segment cleaner
-	// copied, MetaBytesWritten the serialized snapshots.  The Segs* trio
-	// counts data-region segments allocated, compacted, and freed.
-	Checkpoints      uint64
-	SealStallTotalNs int64
-	SealStallMaxNs   int64
-	BytesHome        uint64
-	BytesCleaned     uint64
-	MetaBytesWritten uint64
-	SegsAllocated    uint64
-	SegsCleaned      uint64
-	SegsFreed        uint64
-}
-
-// SetIntegritySource attaches the storage layer's integrity-snapshot
-// provider; call before the kernel is shared between threads.
-func (k *Kernel) SetIntegritySource(src func() StorageIntegrity) {
-	k.integMu.Lock()
-	k.integritySource = src
-	k.integMu.Unlock()
-}
-
-// StorageIntegrityStats reports the attached storage layer's corruption
-// accounting; ok is false when no persistent store is attached.
-func (k *Kernel) StorageIntegrityStats() (st StorageIntegrity, ok bool) {
-	k.integMu.Lock()
-	src := k.integritySource
-	k.integMu.Unlock()
-	if src == nil {
-		return StorageIntegrity{}, false
-	}
-	return src(), true
-}
 
 // ---------------------------------------------------------------------------
 // Syscall entry.

@@ -54,8 +54,8 @@ type ClonePair struct {
 
 // SnapshotSink is the persistence hook for container snapshots, implemented
 // by the boot environment over the single-level store's bundle layer (the
-// same pattern as the ring's Syncer and SetIntegritySource).  The kernel
-// itself stays storage-agnostic.
+// same pattern as the ring's Syncer).  The kernel itself stays
+// storage-agnostic.
 type SnapshotSink interface {
 	// Record persists the captured segments as a refcounted bundle and
 	// returns the store-side lineage.

@@ -78,22 +78,21 @@ func BenchmarkRecovery(b *testing.B) {
 // Store scaling: parallel SyncObject throughput over the sharded cache and
 // the group committer.  Eight workers over disjoint id ranges hammer
 // Put+SyncObject; the sharded store batches their log commits (assert: WAL
-// commits per sync < 1) while the _SingleShard variant forces the
-// pre-sharding shape for the ablation.  BenchmarkSyncSerial is the same op
-// pair from one goroutine, for the per-op baseline.
+// commits per sync < 1).  BenchmarkSyncSerial is the same op pair from one
+// goroutine, for the per-op baseline.
 // ---------------------------------------------------------------------------
 
-func benchSyncParallel(b *testing.B, shards int) {
+func BenchmarkSyncParallel(b *testing.B) {
 	d := disk.New(disk.Params{Sectors: 1 << 19, WriteCache: true}, &vclock.Clock{})
-	s, err := Format(d, Options{LogSize: 64 << 20, Shards: shards})
+	s, err := Format(d, Options{LogSize: 64 << 20})
 	if err != nil {
 		b.Fatal(err)
 	}
 	payload := make([]byte, 1024)
 	// Exactly 8 worker goroutines regardless of GOMAXPROCS, sharing b.N ops
-	// through one counter, so the sharded-vs-single-shard ratio is measured
-	// at the same concurrency level on every host (the kernel's parallel
-	// syscall benchmark uses the same shape).
+	// through one counter, so the result is measured at the same
+	// concurrency level on every host (the kernel's parallel syscall
+	// benchmark uses the same shape).
 	const nWorkers = 8
 	var (
 		wg sync.WaitGroup
@@ -128,9 +127,6 @@ func benchSyncParallel(b *testing.B, shards int) {
 		b.ReportMetric(float64(gs.Records)/float64(gs.Batches), "recs/batch")
 	}
 }
-
-func BenchmarkSyncParallel(b *testing.B)             { benchSyncParallel(b, 0) }
-func BenchmarkSyncParallel_SingleShard(b *testing.B) { benchSyncParallel(b, 1) }
 
 func BenchmarkSyncSerial(b *testing.B) {
 	s, _ := benchStore(b)

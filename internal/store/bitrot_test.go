@@ -50,7 +50,7 @@ func rotLabel(cat uint64) label.Label {
 
 // populateGenerations drives the store through the full lifecycle the
 // fallback ladder depends on: a first checkpointed generation, a second
-// generation synced then checkpointed (retained behind the log's rotation
+// generation synced then checkpointed (retained behind the log's epoch
 // marker), and a tail of syncs in the current log generation.  Every
 // mutation is synced, so recovery on any rung must reproduce the returned
 // contents exactly.
@@ -359,6 +359,9 @@ func TestBitRotDataExtentQuarantinesOnlyThatObject(t *testing.T) {
 	if err := s2.SyncObject(victim); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("SyncObject(victim) = %v; want ErrQuarantined", err)
 	}
+	if errs := s2.SyncObjects([]uint64{victim}); !errors.Is(errs[0], ErrQuarantined) {
+		t.Fatalf("SyncObjects([victim]) = %v; want ErrQuarantined like SyncObject", errs[0])
+	}
 	// A rewrite replaces the damaged contents and lifts the quarantine.
 	if err := s2.Put(victim, []byte("rewritten")); err != nil {
 		t.Fatal(err)
@@ -439,8 +442,8 @@ func TestScrubCleanStoreFindsNothing(t *testing.T) {
 	if st.MetaAreasChecked != 2 || st.MetaAreasOK != 2 {
 		t.Fatalf("meta areas checked/OK = %d/%d, want 2/2", st.MetaAreasChecked, st.MetaAreasOK)
 	}
-	if st.ObjectsChecked != len(want) || st.ObjectsUnverifiable != 0 {
-		t.Fatalf("objects checked = %d (unverifiable %d), want %d", st.ObjectsChecked, st.ObjectsUnverifiable, len(want))
+	if st.ObjectsChecked != len(want) {
+		t.Fatalf("objects checked = %d, want %d", st.ObjectsChecked, len(want))
 	}
 	if st.BytesVerified == 0 {
 		t.Fatal("scrub verified zero bytes")
@@ -499,125 +502,137 @@ func TestScrubDetectsRotAndQuarantines(t *testing.T) {
 	}
 }
 
-// TestLegacyImageOpensAndUpgradesTransparently hand-crafts a pre-checksum
-// (version-0) on-disk image — single-copy superblock, flat unsectioned
-// metadata, version-2 log header — and proves it mounts read-correct,
-// reports itself unverifiable to the scrubber, and is transparently
-// rewritten in the current checksummed format by the next checkpoint.
-func TestLegacyImageOpensAndUpgradesTransparently(t *testing.T) {
-	d := disk.New(disk.Params{Sectors: 1 << 14, WriteCache: true}, &vclock.Clock{})
-	const (
-		logSize  = int64(rotLogSize)
-		metaSize = int64(rotMetaSize)
-		legacyID = uint64(7)
-	)
-	dataStart := logOffset + logSize + 2*metaSize
-	contents := []byte("legacy object contents")
-	lbl := rotLabel(3)
-
-	// Flat legacy metadata: (id, off, size) triples, free list, labels,
-	// fingerprint index — no header, no checksums.
-	var meta []byte
-	meta = appendU64(meta, 1)
-	meta = appendU64(meta, legacyID)
-	meta = appendU64(meta, uint64(dataStart))
-	meta = appendU64(meta, uint64(len(contents)))
-	meta = appendU64(meta, 1)
-	meta = appendU64(meta, uint64(dataStart+extentAlign))
-	meta = appendU64(meta, uint64(d.Size()-(dataStart+extentAlign)))
-	meta = appendU64(meta, 1)
-	meta = appendU64(meta, legacyID)
-	meta = lbl.AppendBinary(meta)
-	meta = appendU64(meta, 1)
-	meta = appendU64(meta, uint64(lbl.Fingerprint()))
-	meta = appendU64(meta, legacyID)
-
-	// Legacy superblock: five fields, zero tail, no backup copy.
-	sb := make([]byte, superblockSize)
-	binary.LittleEndian.PutUint64(sb[0:], superMagic)
-	binary.LittleEndian.PutUint64(sb[8:], 0)
-	binary.LittleEndian.PutUint64(sb[16:], uint64(len(meta)))
-	binary.LittleEndian.PutUint64(sb[24:], uint64(logSize))
-	binary.LittleEndian.PutUint64(sb[32:], uint64(metaSize))
-
-	// Version-2 log header: sealed empty, pre-checksum format.
-	walHdr := make([]byte, 16)
-	binary.LittleEndian.PutUint32(walHdr[0:], 0x48574c4f) // "HWLO"
-	walHdr[4] = 2
-
-	for _, w := range []struct {
-		off int64
-		b   []byte
-	}{{0, sb}, {logOffset, walHdr}, {logOffset + logSize, meta}, {dataStart, contents}} {
-		if _, err := d.WriteAt(w.b, w.off); err != nil {
-			t.Fatal(err)
+// restampSuperblockCopy rewrites the version field of the superblock copy at
+// off and re-seals its CRC, the way code speaking that version would have
+// written it.  zeroTail instead zeroes everything from the version field on
+// (version, epoch, CRC): the shape of a copy from before copies were
+// checksummed.
+func restampSuperblockCopy(t *testing.T, d disk.Device, off int64, version uint64, zeroTail bool) {
+	t.Helper()
+	b := make([]byte, sbCopySize)
+	if _, err := d.ReadAt(b, off); err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(b[sbVersionOff:], version)
+	binary.LittleEndian.PutUint32(b[sbCRCOff:], crc32c(b[:sbCRCOff]))
+	if zeroTail {
+		for i := sbVersionOff; i < sbCopySize; i++ {
+			b[i] = 0
 		}
 	}
-	if err := d.Flush(); err != nil {
+	if _, err := d.WriteAt(b, off); err != nil {
 		t.Fatal(err)
 	}
+}
 
-	s, err := Open(d, Options{})
-	if err != nil {
+// restampMetaArea rewrites the metadata area at areaOff as a well-formed
+// area of an older version: the trailing sections that version did not have
+// are cut off, the section count and payload length adjusted, and the header
+// CRC re-sealed.
+func restampMetaArea(t *testing.T, d disk.Device, areaOff int64, version uint64, keepSecs int) {
+	t.Helper()
+	end := findSection(t, d, areaOff, uint64(keepSecs))
+	hdr := make([]byte, metaHeaderSize)
+	if _, err := d.ReadAt(hdr, areaOff); err != nil {
 		t.Fatal(err)
 	}
-	if !s.RecoveryReport().LegacyImage {
-		t.Fatalf("legacy image not recognized: %+v", s.RecoveryReport())
-	}
-	if got, err := s.Get(legacyID); err != nil || string(got) != string(contents) {
-		t.Fatalf("legacy object = %q, %v", got, err)
-	}
-	if got, ok := s.Label(legacyID); !ok || !got.Equal(lbl) {
-		t.Fatalf("legacy label = %v, %v", got, ok)
-	}
-	st, err := s.Scrub()
-	if err != nil {
+	binary.LittleEndian.PutUint64(hdr[mhVersionOff:], version)
+	binary.LittleEndian.PutUint64(hdr[mhPayloadOff:], uint64(end.Off+end.Len-areaOff-metaHeaderSize))
+	binary.LittleEndian.PutUint64(hdr[mhSectionsOff:], uint64(keepSecs))
+	binary.LittleEndian.PutUint32(hdr[mhCRCOff:], crc32c(hdr[:mhCRCOff]))
+	if _, err := d.WriteAt(hdr, areaOff); err != nil {
 		t.Fatal(err)
 	}
-	if st.SuperblockCopiesOK != 1 || st.ObjectsUnverifiable != 1 || st.CorruptionsFound != 0 {
-		t.Fatalf("scrub of legacy image: %+v", st)
-	}
+}
 
-	// The upgrade: one checkpoint rewrites the superblock (now dual-copy)
-	// and metadata (now checksummed and sectioned) — and its CRC-backfill
-	// pass reads and checksums the clean migrated extent, so the image
-	// converges to fully verifiable without the object ever being dirtied.
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
+// TestOtherFormatVersionsRefusedNotLoaded: this code reads exactly one
+// version of each structure.  A superblock copy or metadata area that is
+// intact — valid checksums throughout — but stamped with any other version
+// is refused as corruption and handled by the ordinary ladder; nothing is
+// ever loaded unverified.
+func TestOtherFormatVersionsRefusedNotLoaded(t *testing.T) {
+	superblocks := []struct {
+		name     string
+		version  uint64
+		zeroTail bool
+	}{
+		{"v0", 0, false}, {"v1", 1, false}, {"v3", 3, false},
+		{"v0-unchecksummed", 0, true},
 	}
-	st, err = s.Scrub()
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range superblocks {
+		t.Run("superblock-"+tc.name, func(t *testing.T) {
+			s, fd := rotStore(t)
+			want := populateGenerations(t, s)
+			// One copy so stamped: the other carries the mount.
+			restampSuperblockCopy(t, fd, superblockOffset, tc.version, tc.zeroTail)
+			s2, err := Open(fd, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !s2.RecoveryReport().SuperblockFallback {
+				t.Fatalf("expected superblock fallback, got %+v", s2.RecoveryReport())
+			}
+			checkAll(t, s2, want)
+			// Both so stamped: refused.
+			restampSuperblockCopy(t, fd, superblockOffset+sbBackupOff, tc.version, tc.zeroTail)
+			if _, err := Open(fd, Options{}); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("open with both superblock copies stamped %s = %v; want ErrCorrupt", tc.name, err)
+			}
+		})
 	}
-	if st.SuperblockCopiesOK != 2 || st.MetaAreasOK != 1 || st.ObjectsUnverifiable != 0 || st.ObjectsChecked != 1 {
-		t.Fatalf("scrub after upgrade checkpoint: %+v", st)
+	metas := []struct {
+		name     string
+		version  uint64
+		keepSecs int
+	}{
+		{"v2", 2, secIndex}, {"v3", 3, secSegs},
 	}
-	s2, err := Open(d, Options{})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range metas {
+		t.Run("metadata-"+tc.name, func(t *testing.T) {
+			s, fd := rotStore(t)
+			want := populateGenerations(t, s)
+			restampMetaArea(t, fd, s.metaAreaOff(s.metaWhich), tc.version, tc.keepSecs)
+			s2, err := Open(fd, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !s2.RecoveryReport().MetaFallback {
+				t.Fatalf("expected metadata fallback, got %+v", s2.RecoveryReport())
+			}
+			checkAll(t, s2, want)
+			restampMetaArea(t, fd, s.metaAreaOff(1-s.metaWhich), tc.version, tc.keepSecs)
+			if _, err := Open(fd, Options{}); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("open with both metadata areas stamped %s = %v; want ErrCorrupt", tc.name, err)
+			}
+		})
 	}
-	if s2.RecoveryReport().LegacyImage || s2.RecoveryReport().Degraded() {
-		t.Fatalf("upgraded image still legacy/degraded: %+v", s2.RecoveryReport())
-	}
-	if got, err := s2.Get(legacyID); err != nil || string(got) != string(contents) {
-		t.Fatalf("object after upgrade = %q, %v", got, err)
-	}
-	if got, ok := s2.Label(legacyID); !ok || !got.Equal(lbl) {
-		t.Fatalf("label after upgrade = %v, %v", got, ok)
-	}
-	// Rewriting the object relocates it with a recorded contents CRC; from
-	// then on every read and scrub verifies it.
-	if err := s2.PutLabeled(legacyID, lbl, contents); err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	st, err = s2.Scrub()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.ObjectsChecked != 1 || st.ObjectsUnverifiable != 0 || st.CorruptionsFound != 0 {
-		t.Fatalf("scrub after object rewrite: %+v", st)
-	}
+	// An object-map entry whose CRC field lacks the valid bit, inside a
+	// section whose own checksum is intact, would have to be read
+	// unverified: the area is refused instead.
+	t.Run("objmap-entry-without-crc", func(t *testing.T) {
+		s, fd := rotStore(t)
+		want := populateGenerations(t, s)
+		sec := findSection(t, fd, s.metaAreaOff(s.metaWhich), secObjMap)
+		body := make([]byte, sec.Len)
+		if _, err := fd.ReadAt(body, sec.Off); err != nil {
+			t.Fatal(err)
+		}
+		// [count] then (id, off, size, crcField) quads: clear the first
+		// entry's CRC field and re-seal the section header's checksum.
+		binary.LittleEndian.PutUint64(body[8+24:], 0)
+		if _, err := fd.WriteAt(body, sec.Off); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fd.WriteAt(appendU64(nil, uint64(crc32c(body))), sec.Off-8); err != nil {
+			t.Fatal(err)
+		}
+		s2, err := Open(fd, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !s2.RecoveryReport().MetaFallback {
+			t.Fatalf("expected metadata fallback, got %+v", s2.RecoveryReport())
+		}
+		checkAll(t, s2, want)
+	})
 }

@@ -20,7 +20,7 @@ package store
 // must be committed homes), registers the bundle, then appends and commits
 // a WAL bundle record carrying the serialized bundle, so the bundle
 // survives a crash immediately; from the next checkpoint on it also lives
-// in the metadata snapshot's bundle section (format v4).  Each clone
+// in the metadata snapshot's bundle section.  Each clone
 // appends a small self-contained WAL clone record (lineage, source ID,
 // extent, CRC) plus the clone's label; replay re-aliases the extent, and a
 // clone record whose bundle cannot be resolved quarantines the destination
@@ -64,12 +64,11 @@ var (
 // BundleObject is one captured object: the committed home extent it pins
 // and the canonical label it carried at capture time.
 type BundleObject struct {
-	ID     uint64
-	Off    int64
-	Size   int64
-	CRC    uint32
-	HasCRC bool
-	Label  []byte // canonical label.AppendBinary bytes, nil if unlabeled
+	ID    uint64
+	Off   int64
+	Size  int64
+	CRC   uint32
+	Label []byte // canonical label.AppendBinary bytes, nil if unlabeled
 }
 
 // Bundle is a registered snapshot bundle.  Objects is immutable after
@@ -120,11 +119,7 @@ func bundleLineage(name string, objs []BundleObject) uint64 {
 		h.Write(b[:])
 		binary.LittleEndian.PutUint64(b[:], uint64(o.Size))
 		h.Write(b[:])
-		crcField := uint64(0)
-		if o.HasCRC {
-			crcField = objCRCValid | uint64(o.CRC)
-		}
-		binary.LittleEndian.PutUint64(b[:], crcField)
+		binary.LittleEndian.PutUint64(b[:], objCRCValid|uint64(o.CRC))
 		h.Write(b[:])
 		h.Write(o.Label)
 	}
@@ -196,13 +191,13 @@ func (s *Store) captureBundle(name string, ids []uint64) (uint64, error) {
 		s.metaMu.RLock()
 		off, ok := s.objMap.Get(btree.K1(id))
 		size := s.objSizes[id]
-		crc, hasCRC := s.objCRCs[id]
+		crc := s.objCRCs[id]
 		s.metaMu.RUnlock()
 		if !ok {
 			return 0, fmt.Errorf("%w: object %d has no committed home", ErrNoSuchObject, id)
 		}
 		objs = append(objs, BundleObject{
-			ID: id, Off: int64(off), Size: size, CRC: crc, HasCRC: hasCRC, Label: lblBytes,
+			ID: id, Off: int64(off), Size: size, CRC: crc, Label: lblBytes,
 		})
 	}
 	lineage := bundleLineage(name, objs)
@@ -315,11 +310,7 @@ func (s *Store) cloneObjectLocked(lineage, srcID, dstID uint64, lblBytes []byte)
 	}
 	s.objMap.Put(btree.K1(dstID), uint64(bo.Off))
 	s.objSizes[dstID] = bo.Size
-	if bo.HasCRC {
-		s.objCRCs[dstID] = bo.CRC
-	} else {
-		delete(s.objCRCs, dstID)
-	}
+	s.objCRCs[dstID] = bo.CRC
 	s.metaMu.Unlock()
 	s.allocMu.Lock()
 	s.pinExtentLocked(bo.Off)
@@ -507,11 +498,7 @@ func encodeCloneBody(lineage, srcID uint64, bo *BundleObject) []byte {
 	buf = appendU64(buf, srcID)
 	buf = appendU64(buf, uint64(bo.Off))
 	buf = appendU64(buf, uint64(bo.Size))
-	crcField := uint64(0)
-	if bo.HasCRC {
-		crcField = objCRCValid | uint64(bo.CRC)
-	}
-	buf = appendU64(buf, crcField)
+	buf = appendU64(buf, objCRCValid|uint64(bo.CRC))
 	return buf
 }
 
@@ -528,11 +515,7 @@ func encodeBundleBody(b *Bundle) []byte {
 		buf = appendU64(buf, o.ID)
 		buf = appendU64(buf, uint64(o.Off))
 		buf = appendU64(buf, uint64(o.Size))
-		crcField := uint64(0)
-		if o.HasCRC {
-			crcField = objCRCValid | uint64(o.CRC)
-		}
-		buf = appendU64(buf, crcField)
+		buf = appendU64(buf, objCRCValid|uint64(o.CRC))
 		buf = appendU64(buf, uint64(len(o.Label)))
 		buf = append(buf, o.Label...)
 	}
@@ -578,6 +561,10 @@ func decodeBundleBody(lineage uint64, buf []byte, area string, areaOff int64) (*
 		if err != nil {
 			return nil, err
 		}
+		if crcField&objCRCValid == 0 {
+			return nil, &CorruptError{Area: area, Offset: areaOff,
+				Detail: fmt.Sprintf("bundle object %d captured without a contents checksum", id)}
+		}
 		lblLen, err := r.u64()
 		if err != nil {
 			return nil, err
@@ -592,7 +579,7 @@ func decodeBundleBody(lineage uint64, buf []byte, area string, areaOff int64) (*
 		r.buf = r.buf[lblLen:]
 		b.Objects = append(b.Objects, BundleObject{
 			ID: id, Off: int64(off), Size: int64(size),
-			CRC: uint32(crcField), HasCRC: crcField&objCRCValid != 0, Label: lbl,
+			CRC: uint32(crcField), Label: lbl,
 		})
 	}
 	return b, nil
@@ -617,7 +604,7 @@ func (s *Store) replayBundleRecord(r wal.Record) error {
 // (single-threaded).  A clone already present in the loaded snapshot is
 // skipped; a clone whose bundle cannot be resolved — possible only after a
 // deep metadata fallback — is quarantined rather than silently aliased.
-func (s *Store) replayCloneRecord(r wal.Record, legacy bool) {
+func (s *Store) replayCloneRecord(r wal.Record) {
 	if len(r.Data) != cloneBodySize {
 		s.noteCorruption(fmt.Errorf("%w: clone record for object %d has %d-byte payload", ErrCorrupt, r.ObjectID, len(r.Data)))
 		return
@@ -635,6 +622,11 @@ func (s *Store) replayCloneRecord(r wal.Record, legacy bool) {
 		// or a later rewrite); the record is stale.
 		return
 	}
+	if crcField&objCRCValid == 0 {
+		s.noteCorruption(fmt.Errorf("%w: clone record for object %d carries no contents checksum", ErrCorrupt, dst))
+		s.quarantine(dst, e, "clone record carries no contents checksum")
+		return
+	}
 	b := s.bundles[lineage]
 	if b == nil || b.object(srcID) == nil || b.object(srcID).Off != off {
 		s.noteCorruption(fmt.Errorf("%w: clone record for object %d references unresolvable bundle %#x", ErrCorrupt, dst, lineage))
@@ -643,19 +635,16 @@ func (s *Store) replayCloneRecord(r wal.Record, legacy bool) {
 	}
 	s.objMap.Put(btree.K1(dst), uint64(off))
 	s.objSizes[dst] = size
-	if crcField&objCRCValid != 0 {
-		s.objCRCs[dst] = uint32(crcField)
-	}
+	s.objCRCs[dst] = uint32(crcField)
 	e.dead, e.quar, e.cached, e.dirty = false, false, false, false
-	switch {
-	case len(r.Label) > 0:
+	if len(r.Label) > 0 {
 		lbl, rest, derr := s.decodeLabel(r.Label)
 		if derr == nil && len(rest) == 0 {
 			s.setLabel(sh, dst, e, lbl)
 		} else {
 			s.noteCorruption(fmt.Errorf("%w: replaying label of clone %d: %v", ErrCorrupt, dst, derr))
 		}
-	case !legacy:
+	} else {
 		s.clearLabel(sh, dst, e)
 	}
 }

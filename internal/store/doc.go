@@ -16,28 +16,30 @@
 //     "HIST", referenced metadata area (0 or 1), snapshot byte length, log
 //     region size, metadata area size, format version (2), checkpoint
 //     epoch.
-//   - Metadata area header (48 bytes): magic "HMET", version (3), checkpoint
+//   - Metadata area header (48 bytes): magic "HMET", version (4), checkpoint
 //     epoch, payload length, section count, CRC32C over the header's first
 //     40 bytes.
 //   - Metadata sections: each framed [tag u64][length u64][CRC32C u64]
 //     [payload], the CRC covering the payload.  Tags: 1 object map, 2 free
 //     extents, 3 labels, 4 fingerprint index, 5 segment table (base, size,
 //     used triples for the append-only data segments; per-segment live
-//     counts are derived from the object map at open).  Verification
-//     requires every tag exactly once, in-bounds lengths, and no trailing
-//     bytes, so a flipped tag or length never silently reassigns bytes
-//     between sections.  A version-2 area (four sections, no segment
-//     table) still verifies and loads: its objects all live in dedicated
-//     extents, and the next checkpoint writes a five-section version-3
-//     image — the upgrade needs no migration pass.
+//     counts are derived from the object map at open), 6 snapshot-bundle
+//     table.  Verification requires every tag exactly once, in-bounds
+//     lengths, and no trailing bytes, so a flipped tag or length never
+//     silently reassigns bytes between sections.
 //   - Object extents: the object-map entry records a CRC32C of the
 //     object's contents, computed when the checkpoint writes it to its
 //     home (segment or dedicated extent) and verified on every uncached
-//     read and every scrub pass.  A zero CRC field marks an object
-//     migrated from a legacy image; the next checkpoint's backfill pass
-//     reads, checksums, and records such extents (without rewriting them),
-//     so a migrated image converges to fully verifiable.
-//   - Write-ahead log: per-record and header CRCs (package wal).
+//     read and every scrub pass.  Bit 32 of the entry's CRC field flags
+//     the checksum present; every entry written has it, and a decoded
+//     entry (object map or bundle) without it is corruption.
+//   - Write-ahead log: per-record and header CRCs, header version 4
+//     (package wal).
+//
+// Each structure has exactly one version.  A superblock copy or metadata
+// area that verifies but names any other version is a CorruptError, which
+// the ladder below treats like any other damage; a log header that does is
+// wal.ErrVersion, and Open refuses the mount with the log region untouched.
 //
 // # Checkpoint write schedule
 //
@@ -51,10 +53,10 @@
 //     append-only segments (or dedicated extents) — never over live data;
 //     appends land beyond each segment's committed high-water mark, and
 //     extents vacated by relocation, deletion, or the segment cleaner are
-//     queued on a deferred-free list.  Then backfill missing contents
-//     CRCs, run the cleaner, and only after every data write has issued
-//     return the deferred extents to the allocator — so the epoch-E-1
-//     snapshot's extents are never reused before epoch E commits.
+//     queued on a deferred-free list.  Then run the cleaner, and only
+//     after every data write has issued return the deferred extents to
+//     the allocator — so the epoch-E-1 snapshot's extents are never reused
+//     before epoch E commits.
 //  3. Serialize the metadata (object map and allocator state read under
 //     their locks; labels from the seal-time capture) into the area the
 //     superblock does NOT reference, flush, then rewrite both superblock
@@ -113,12 +115,11 @@
 // it would destroy the only, albeit damaged, copy).  A quarantine verdict
 // is lifted by anything that replaces the damaged extent as the object's
 // authority: a new Put, a Delete, a logged copy replayed at open, or the
-// checkpoint relocation of a sealed dirty entry.  Because scrub now runs
+// checkpoint relocation of a sealed dirty entry.  Because scrub runs
 // concurrently with checkpoint bodies, a scrub mismatch is re-validated
 // against the live object map before the verdict — an extent the
 // checkpoint has already superseded is stale, not damaged.  Detection and
-// quarantine events are counted in IntegrityStats and surfaced through
-// kernel stats and histar-bench's integrity section.
+// quarantine events are counted in IntegrityStats.
 //
 // The bit-rot harness in bitrot_test.go injects odd-weight flips into each
 // structure above — including objects packed inside sealed segments — and

@@ -224,13 +224,28 @@ func (s *Store) syncOnce(id uint64) (uint64, error) {
 		return 0, ErrClosed
 	}
 	seal := s.sealSeq.Load()
+	t, err := s.sealSync(id)
+	if t == nil {
+		return seal, err
+	}
+	return seal, s.awaitSync(t)
+}
+
+// sealSync seals one object's current state into a log record and enqueues
+// it with the committer; the caller holds ckptMu in read mode.  A nil ticket
+// means there is nothing to await: with a nil error the on-disk copy is
+// already current, otherwise the error says why the object cannot be synced
+// through the log (errRetryCheckpoint when a checkpoint must provide the
+// durability instead).
+func (s *Store) sealSync(id uint64) (*syncTicket, error) {
 	s.c.objectSyncs.Add(1)
 	e := s.shardOf(id).lookup(id)
 	if e == nil {
 		// Nothing in memory and not deleted: the on-disk copy is current.
-		return seal, nil
+		return nil, nil
 	}
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	var rec wal.Record
 	switch {
 	case e.dead:
@@ -240,32 +255,32 @@ func (s *Store) syncOnce(id uint64) (uint64, error) {
 		if e.hasLbl {
 			rec.Label = e.lbl.AppendBinary(nil)
 		}
+	case e.quar:
+		// No resident copy and the home extent is damaged: the store
+		// cannot promise this object is durable.
+		return nil, &QuarantineError{ID: id, Detail: "cannot sync: home extent failed verification"}
 	default:
-		if e.quar {
-			// No resident copy and the home extent is damaged: the store
-			// cannot promise this object is durable.
-			e.mu.Unlock()
-			return seal, &QuarantineError{ID: id, Detail: "cannot sync: home extent failed verification"}
-		}
-		e.mu.Unlock()
-		return seal, nil
+		return nil, nil
 	}
 	if s.l.TooLarge(rec) {
 		// The record can never be logged (it exceeds the log region or the
 		// format's label-length field); a checkpoint provides the same
 		// durability — contents, label, and index — in one sweep.
-		e.mu.Unlock()
-		return seal, errRetryCheckpoint
+		return nil, errRetryCheckpoint
 	}
 	// Enqueue under the entry lock: per-object log order = seal order.
-	t := s.comm.enqueue(rec)
-	e.mu.Unlock()
+	return s.comm.enqueue(rec), nil
+}
+
+// awaitSync waits for a sealed record's batch commit and accounts for the
+// bytes it logged.
+func (s *Store) awaitSync(t *syncTicket) error {
 	err := s.awaitCommit(t)
 	if err == nil {
-		s.c.bytesLogged.Add(uint64(len(rec.Data)))
-		s.c.labelBytesLogged.Add(uint64(len(rec.Label)))
+		s.c.bytesLogged.Add(uint64(len(t.rec.Data)))
+		s.c.labelBytesLogged.Add(uint64(len(t.rec.Label)))
 	}
-	return seal, err
+	return err
 }
 
 // SyncObjects durably records the current contents of many objects at once:
@@ -308,55 +323,17 @@ func (s *Store) syncGroupOnce(ids []uint64, errs []error) (uint64, bool) {
 		}
 		return seal, false
 	}
-	type slot struct {
-		i int
-		t *syncTicket
-	}
-	slots := make([]slot, 0, len(ids))
-	needCkpt := false
+	tickets := make([]*syncTicket, len(ids))
 	for i, id := range ids {
-		s.c.objectSyncs.Add(1)
-		e := s.shardOf(id).lookup(id)
-		if e == nil {
-			// Nothing in memory and not deleted: the on-disk copy is current.
-			continue
-		}
-		e.mu.Lock()
-		var rec wal.Record
-		switch {
-		case e.dead:
-			rec = wal.Record{ObjectID: id, Delete: true}
-		case e.cached:
-			rec = wal.Record{ObjectID: id, Data: e.data}
-			if e.hasLbl {
-				rec.Label = e.lbl.AppendBinary(nil)
-			}
-		default:
-			e.mu.Unlock()
-			continue
-		}
-		if s.l.TooLarge(rec) {
-			e.mu.Unlock()
-			errs[i] = errRetryCheckpoint
-			needCkpt = true
-			continue
-		}
-		// Enqueue under the entry lock: per-object log order = seal order.
-		t := s.comm.enqueue(rec)
-		e.mu.Unlock()
-		slots = append(slots, slot{i, t})
+		tickets[i], errs[i] = s.sealSync(id)
 	}
-	for _, sl := range slots {
-		err := s.awaitCommit(sl.t)
-		switch {
-		case err == nil:
-			s.c.bytesLogged.Add(uint64(len(sl.t.rec.Data)))
-			s.c.labelBytesLogged.Add(uint64(len(sl.t.rec.Label)))
-		case errors.Is(err, errRetryCheckpoint):
-			errs[sl.i] = errRetryCheckpoint
+	needCkpt := false
+	for i, t := range tickets {
+		if t != nil {
+			errs[i] = s.awaitSync(t)
+		}
+		if errors.Is(errs[i], errRetryCheckpoint) {
 			needCkpt = true
-		default:
-			errs[sl.i] = err
 		}
 	}
 	return seal, needCkpt

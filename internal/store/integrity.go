@@ -6,8 +6,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"histar/internal/wal"
 )
 
 // Integrity errors.  Every corruption the store detects — superblock,
@@ -61,10 +59,6 @@ func (e *QuarantineError) Is(target error) bool {
 // RecoveryReport records which rungs of the degradation ladder Open had to
 // take to mount the store.  A clean open reports all-false.
 type RecoveryReport struct {
-	// LegacyImage: the image predates the checksummed v2 format; it was
-	// loaded without verification and will be rewritten in v2 form by the
-	// next checkpoint.
-	LegacyImage bool
 	// SuperblockFallback: the primary superblock copy failed its checks and
 	// the backup copy at offset 512 was used.
 	SuperblockFallback bool
@@ -106,8 +100,7 @@ type integrityCounters struct {
 	lastScrub ScrubStats
 }
 
-// IntegrityStats is the corruption-accounting snapshot surfaced through
-// kernel stats and histar-bench.
+// IntegrityStats is the store's corruption-accounting snapshot.
 type IntegrityStats struct {
 	// CorruptionsDetected counts every checksum or structural failure the
 	// store has detected (at open, on access, or during scrubs).
@@ -184,26 +177,4 @@ func (s *Store) quarantine(id uint64, e *objEntry, detail string) *QuarantineErr
 func (s *Store) noteCorruption(err error) error {
 	s.integ.corruptions.Add(1)
 	return err
-}
-
-// walReplayStart returns the index into recs where replay begins: the first
-// record after the epoch marker of the snapshot actually loaded.  That rule
-// subsumes the fallback case — a metadata fallback loads the previous
-// snapshot, whose marker (and generation) ReclaimBefore retains, so replay
-// naturally covers everything the lost snapshot held plus what followed,
-// with zero committed-sync loss.  When the loaded epoch has no marker
-// (fresh format, or a legacy log whose markers carry no epoch), replay
-// starts at the legacy marker if one exists, else at the beginning — for a
-// fallback mount, always at the beginning.
-func (s *Store) walReplayStart(l *wal.Log) int {
-	if idx, ok := l.ReplayStart(s.metaEpoch); ok {
-		return idx
-	}
-	if s.report.MetaFallback {
-		return 0
-	}
-	if idx, ok := l.ReplayStart(0); ok {
-		return idx
-	}
-	return 0
 }

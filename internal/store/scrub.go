@@ -9,8 +9,7 @@ import (
 // ScrubStats is the result of one scrub pass.
 type ScrubStats struct {
 	// SuperblockCopiesOK counts the superblock copies (of 2) that passed
-	// verification; legacy images have only a primary, so 1 is healthy
-	// there.
+	// verification.
 	SuperblockCopiesOK int
 	// MetaAreasChecked / MetaAreasOK cover the referenced metadata area
 	// and, when it holds a committed older snapshot, the alternate one.
@@ -21,13 +20,10 @@ type ScrubStats struct {
 	// labels at open).
 	IndexCorrupt bool
 	// ObjectsChecked counts home extents verified against their recorded
-	// contents CRC; ObjectsUnverifiable counts extents with no recorded CRC
-	// (objects migrated from a legacy image, unverifiable until the next
-	// checkpoint's CRC-backfill pass reads and checksums them);
-	// ObjectsQuarantined counts extents newly quarantined by this pass.
-	ObjectsChecked      int
-	ObjectsUnverifiable int
-	ObjectsQuarantined  int
+	// contents CRC; ObjectsQuarantined counts extents newly quarantined by
+	// this pass.
+	ObjectsChecked     int
+	ObjectsQuarantined int
 	// CorruptionsFound is every verification failure this pass detected
 	// (superblock copies, metadata areas, index section, object extents).
 	CorruptionsFound int
@@ -40,11 +36,10 @@ type ScrubStats struct {
 // scrubTarget is one home extent to verify, captured from the object map
 // under metaMu so the walk itself runs lock-free.
 type scrubTarget struct {
-	id     uint64
-	off    int64
-	size   int64
-	crc    uint32
-	hasCRC bool
+	id   uint64
+	off  int64
+	size int64
+	crc  uint32
 }
 
 // scrubChunk bounds how many object extents are verified per ckptMu read
@@ -124,7 +119,7 @@ func (s *Store) scrubSuperblock(st *ScrubStats) {
 		s.integ.corruptions.Add(1)
 		return
 	}
-	primary, perr := parseSuperblockCopy(raw[:sbCopySize], superblockOffset)
+	_, perr := parseSuperblockCopy(raw[:sbCopySize], superblockOffset)
 	_, berr := parseSuperblockCopy(raw[sbBackupOff:], superblockOffset+sbBackupOff)
 	st.BytesVerified += 2 * sbCopySize
 	if perr == nil {
@@ -135,9 +130,7 @@ func (s *Store) scrubSuperblock(st *ScrubStats) {
 	}
 	if berr == nil {
 		st.SuperblockCopiesOK++
-	} else if !(perr == nil && primary.version == 0) {
-		// A legacy image legitimately has no backup copy; anything else
-		// means the backup rotted.
+	} else {
 		st.CorruptionsFound++
 		s.integ.corruptions.Add(1)
 	}
@@ -145,14 +138,10 @@ func (s *Store) scrubSuperblock(st *ScrubStats) {
 
 // scrubMetaAreas verifies the referenced metadata area and, when it holds a
 // committed (strictly older epoch) snapshot, the alternate one — the copy a
-// future fallback would depend on.  On a legacy image there is nothing
-// checksummed to verify.  The caller holds sbMu, which keeps metaWhich and
-// metaEpoch stable (the checkpoint body updates them under sbMu) and
-// excludes an in-progress area rewrite.
+// future fallback would depend on.  The caller holds sbMu, which keeps
+// metaWhich and metaEpoch stable (the checkpoint body updates them under
+// sbMu) and excludes an in-progress area rewrite.
 func (s *Store) scrubMetaAreas(st *ScrubStats) {
-	if s.report.LegacyImage && s.metaEpoch == 0 {
-		return
-	}
 	areaLen := func(secs [numSecs + 1][]byte) int64 {
 		n := int64(metaHeaderSize)
 		for _, sec := range secs {
@@ -205,9 +194,8 @@ func (s *Store) scrubTargets() []scrubTarget {
 	targets := make([]scrubTarget, 0, s.objMap.Len())
 	s.objMap.Scan(func(k btree.Key, v uint64) bool {
 		id := k[0]
-		crc, hasCRC := s.objCRCs[id]
 		targets = append(targets, scrubTarget{
-			id: id, off: int64(v), size: s.objSizes[id], crc: crc, hasCRC: hasCRC,
+			id: id, off: int64(v), size: s.objSizes[id], crc: s.objCRCs[id],
 		})
 		return true
 	})
@@ -217,10 +205,6 @@ func (s *Store) scrubTargets() []scrubTarget {
 // scrubOneObject verifies one captured home extent; the caller holds ckptMu
 // in read mode.
 func (s *Store) scrubOneObject(t scrubTarget, st *ScrubStats) {
-	if !t.hasCRC {
-		st.ObjectsUnverifiable++
-		return
-	}
 	buf := make([]byte, t.size)
 	if t.size > 0 {
 		if _, err := s.d.ReadAt(buf, t.off); err != nil {
@@ -235,14 +219,14 @@ func (s *Store) scrubOneObject(t scrubTarget, st *ScrubStats) {
 		return
 	}
 	// The extent disagrees with the CRC captured at walk start — but the
-	// checkpoint body may have relocated the object (or backfilled a new
-	// CRC) since then, making this target stale rather than damaged.  Only
-	// a mismatch the live object map still vouches for is a real verdict.
+	// checkpoint body may have relocated the object since then, making this
+	// target stale rather than damaged.  Only a mismatch the live object map
+	// still vouches for is a real verdict.
 	s.metaMu.RLock()
 	cur, ok := s.objMap.Get(btree.K1(t.id))
-	crcNow, hasNow := s.objCRCs[t.id]
+	crcNow := s.objCRCs[t.id]
 	s.metaMu.RUnlock()
-	if !ok || int64(cur) != t.off || !hasNow || crcNow != t.crc {
+	if !ok || int64(cur) != t.off || crcNow != t.crc {
 		return
 	}
 	st.CorruptionsFound++

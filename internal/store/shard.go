@@ -2,7 +2,6 @@ package store
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"histar/internal/btree"
 	"histar/internal/label"
@@ -45,16 +44,11 @@ type storeShard struct {
 	mu         sync.RWMutex
 	objs       map[uint64]*objEntry
 	labelIndex *btree.Tree
-	// ops counts shard selections, for the occupancy/contention stats the
-	// benchmarks print.
-	ops atomic.Uint64
-	_   [32]byte // keep adjacent shards off one cache line
+	_          [40]byte // keep adjacent shards off one cache line
 }
 
 func (s *Store) shardOf(id uint64) *storeShard {
-	sh := &s.shards[id&s.shardMask]
-	sh.ops.Add(1)
-	return sh
+	return &s.shards[id&(storeShards-1)]
 }
 
 // lookup returns the entry for id, or nil.  Entry pointers stay valid while
@@ -124,32 +118,4 @@ func (s *Store) clearLabel(sh *storeShard, id uint64, e *objEntry) {
 	sh.labelIndex.Delete(btree.K2(uint64(e.lbl.Fingerprint()), id))
 	sh.mu.Unlock()
 	e.lbl, e.hasLbl = label.Label{}, false
-}
-
-// ShardStat describes one shard of the object cache.
-type ShardStat struct {
-	// Objects is the number of resident entries, Labeled the number with a
-	// recorded label, and Ops the cumulative shard selections — together the
-	// occupancy/contention picture the benchmarks print.
-	Objects int
-	Labeled int
-	Ops     uint64
-}
-
-// ShardStats returns a per-shard snapshot of the object cache.
-func (s *Store) ShardStats() []ShardStat {
-	s.ckptMu.RLock()
-	defer s.ckptMu.RUnlock()
-	out := make([]ShardStat, len(s.shards))
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.RLock()
-		out[i] = ShardStat{
-			Objects: len(sh.objs),
-			Labeled: sh.labelIndex.Len(),
-			Ops:     sh.ops.Load(),
-		}
-		sh.mu.RUnlock()
-	}
-	return out
 }

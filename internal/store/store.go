@@ -33,12 +33,12 @@
 // (currently 4), checkpoint epoch, payload length, section count, and a
 // CRC32C over the header itself — followed by tagged sections, each framed
 // as [tag u64] [length u64] [CRC32C u64] [payload]: the object map (id,
-// extent offset, size, contents-CRC quads — the contents CRC is what
-// read-time and scrub verification of home extents check against, zero
-// meaning "migrated from a legacy image, unverifiable until the checkpoint
-// CRC-backfill pass reads and checksums it"); the free-extent list
-// (offset, size); object labels (id, canonical label.AppendBinary bytes);
-// the label fingerprint index (fingerprint, id); the segment table
+// extent offset, size, contents-CRC quads — the contents CRC, flagged by
+// bit 32 of its field, is what read-time and scrub verification of home
+// extents check against; an entry without the flag is corruption); the
+// free-extent list (offset, size); object labels (id, canonical
+// label.AppendBinary bytes); the label fingerprint index (fingerprint, id);
+// the segment table
 // (base, size, used triples describing the append-only data segments —
 // per-segment live counts are derived from the object map at open); and
 // the bundle table ([count], then per bundle [lineage][bodyLen][body],
@@ -48,16 +48,11 @@
 // flush, then rewrite both superblock copies with the bumped epoch, so a
 // crash mid-checkpoint always leaves one intact, referenced snapshot.
 //
-// Version-2 images (the same framing with four sections and no segment
-// table) and version-3 images (five sections, no bundle table) open
-// transparently; the next checkpoint writes a six-section version-4 image.
-// Images from before version 2 (a single bare superblock copy and an
-// unchecksummed flat metadata image) also still open: they are detected by
-// the all-zero version/epoch tail, loaded without verification, and
-// rewritten in current form by the next checkpoint.  See doc.go for the
-// full integrity reference: the degradation ladder Open walks when
-// verification fails, and the quarantine semantics for damaged object
-// extents.
+// A superblock copy or metadata header that verifies but names any other
+// version is refused as corruption — nothing is ever loaded unverified.
+// See doc.go for the full integrity reference: the degradation ladder Open
+// walks when verification fails, and the quarantine semantics for damaged
+// object extents.
 //
 // # Snapshot bundles and O(metadata) clones
 //
@@ -125,9 +120,9 @@
 //     log.  Seal duration is proportional to the number of entries, with no
 //     disk I/O except the marker append.
 //   - BODY, concurrent with everything: relocates the sealed entries into
-//     segments, backfills missing contents CRCs, runs the segment cleaner,
-//     and writes the metadata snapshot for the sealed epoch while reads,
-//     Puts, and SyncObject group commits proceed under ckptMu read mode.
+//     segments, runs the segment cleaner, and writes the metadata snapshot
+//     for the sealed epoch while reads, Puts, and SyncObject group commits
+//     proceed under ckptMu read mode.
 //     Bodies of different checkpoints are serialized by ckptRun.
 //   - FINISH: reclaims write-ahead log generations older than the previous
 //     epoch (the previous generation is retained so a torn metadata area
@@ -153,12 +148,12 @@
 //     Contents are copy-on-write: e.data is replaced, never mutated in
 //     place, so a sealed log record or a sealed checkpoint capture may
 //     alias it after the entry lock is released.
-//  3. The entry table is sharded by object-ID bits (Options.Shards; 1
-//     forces the single-shard ablation).  Each shard's RWMutex guards its
-//     id→entry map and its slice of the label fingerprint index.  Shard
-//     locks nest inside entry locks (label-index updates) and are never
-//     held while acquiring an entry lock — entry pointers are fetched under
-//     the shard read lock, which is released before the entry is locked.
+//  3. The entry table is sharded by object-ID bits.  Each shard's RWMutex
+//     guards its id→entry map and its slice of the label fingerprint
+//     index.  Shard locks nest inside entry locks (label-index updates) and
+//     are never held while acquiring an entry lock — entry pointers are
+//     fetched under the shard read lock, which is released before the entry
+//     is locked.
 //  4. sbMu fences superblock and metadata-area device I/O: the checkpoint
 //     body holds it across the snapshot write + superblock flip, and scrub
 //     holds it while verifying those same regions, so scrub never reads a
@@ -190,7 +185,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -280,9 +274,6 @@ type Stats struct {
 	SegsAllocated uint64
 	SegsCleaned   uint64
 	SegsFreed     uint64
-	// CRCBackfills counts clean legacy-image extents that gained a contents
-	// CRC during a checkpoint's backfill pass.
-	CRCBackfills uint64
 }
 
 type counters struct {
@@ -295,7 +286,7 @@ type counters struct {
 	sealStallTotalNs, sealStallMaxNs atomic.Int64
 	bytesCleaned, metaBytesWritten   atomic.Uint64
 	segsAllocated, segsCleaned       atomic.Uint64
-	segsFreed, crcBackfills          atomic.Uint64
+	segsFreed                        atomic.Uint64
 
 	bundleSnapshots, objectClones atomic.Uint64
 	cloneBytesShared              atomic.Uint64
@@ -335,8 +326,7 @@ type Store struct {
 
 	// shards hold the in-memory object entries and the label index,
 	// partitioned by object-ID bits.
-	shards    []storeShard
-	shardMask uint64
+	shards [storeShards]storeShard
 
 	// metaMu guards the object map, size table, and content-CRC table.
 	metaMu   sync.RWMutex
@@ -344,12 +334,11 @@ type Store struct {
 	objSizes map[uint64]int64
 	// objCRCs holds the CRC32C of each object's home-extent contents,
 	// recorded when the checkpoint writes the extent and verified whenever
-	// it is read back.  Objects loaded from legacy (pre-CRC) images are
-	// absent until their next relocation and read unverified.
+	// it is read back.  Every mapped object has an entry.
 	objCRCs map[uint64]uint32
 	// bundles is the snapshot-bundle table, lineage ID → bundle (see
 	// bundle.go); registered bundles pin their extents via extRefs and are
-	// persisted in the metadata snapshot's bundle section (format v4).
+	// persisted in the metadata snapshot's bundle section.
 	bundles map[uint64]*Bundle
 
 	// allocMu guards the free-extent trees, the segment table, and the
@@ -416,11 +405,6 @@ type Options struct {
 	// areas (default 16 MB).  Format records it in the superblock; Open
 	// reads it back, so the option only matters when formatting.
 	MetaAreaSize int64
-	// Shards is the store-shards knob: the number of object-cache shards
-	// (rounded down to a power of two).  0 picks the default; 1 forces the
-	// whole cache through a single shard lock, used by the scaling ablation
-	// benchmarks.  Runtime-only: not persisted in the superblock.
-	Shards int
 	// GroupCommitBytes bounds the encoded size of one group-commit batch
 	// (default 1 MB); a batch always admits at least one record.
 	GroupCommitBytes int64
@@ -439,19 +423,12 @@ type Options struct {
 // copy granularity.
 const defaultSegmentSize = 1 << 20
 
-// defaultStoreShards keeps shard-lock collisions negligible at any
-// realistic GOMAXPROCS while staying cheap to iterate for stats.
-const defaultStoreShards = 32
+// storeShards (a power of two) keeps shard-lock collisions negligible at
+// any realistic GOMAXPROCS while staying cheap to iterate for stats.
+const storeShards = 32
 
 // newStore builds the in-memory skeleton shared by Format and Open.
 func newStore(d disk.Device, opts Options) *Store {
-	nShards := defaultStoreShards
-	if opts.Shards > 0 {
-		nShards = 1 << bits.Len(uint(opts.Shards)) >> 1 // round down to a power of two
-		if nShards < 1 {
-			nShards = 1
-		}
-	}
 	segSize := opts.SegmentSize
 	if segSize <= 0 {
 		segSize = defaultSegmentSize
@@ -472,9 +449,6 @@ func newStore(d disk.Device, opts Options) *Store {
 		segs:     make(map[int64]*segment),
 		segBases: &btree.Tree{},
 		segSize:  alignUp(segSize),
-
-		shards:    make([]storeShard, nShards),
-		shardMask: uint64(nShards - 1),
 	}
 	for i := range s.shards {
 		s.shards[i].objs = make(map[uint64]*objEntry)
@@ -552,13 +526,15 @@ func Open(d disk.Device, opts Options) (*Store, error) {
 	}
 	// Re-apply committed log records on top of the checkpointed state.  Open
 	// is single-threaded (the store is not yet published), so entries are
-	// written directly.  Normally only the current checkpoint generation
-	// (records after the last rotation marker) replays; after a metadata
-	// fallback the retained previous generation replays too, which is
-	// exactly what makes the older snapshot catch up with zero
-	// committed-sync loss.
-	legacy := s.l.RecoveredLegacy()
-	for _, r := range recs[s.walReplayStart(s.l):] {
+	// written directly.  Replay begins after the epoch marker of the snapshot
+	// actually loaded, which subsumes the fallback case: a metadata fallback
+	// loads the previous snapshot, whose marker (and generation)
+	// ReclaimBefore retains, so replay covers everything the lost snapshot
+	// held plus what followed — zero committed-sync loss.  When the loaded
+	// epoch has no marker (fresh format, or a degraded pass that truncated
+	// the log), replay starts at the beginning, a superset.
+	start, _ := s.l.ReplayStart(s.metaEpoch)
+	for _, r := range recs[start:] {
 		if r.Mark {
 			continue
 		}
@@ -571,7 +547,7 @@ func Open(d disk.Device, opts Options) (*Store, error) {
 			continue
 		}
 		if r.Clone {
-			s.replayCloneRecord(r, legacy)
+			s.replayCloneRecord(r)
 			continue
 		}
 		sh := s.shardOf(r.ObjectID)
@@ -588,8 +564,7 @@ func Open(d disk.Device, opts Options) (*Store, error) {
 		// flag, or the next SyncObject would log a spurious deletion.
 		e.dead = false
 		e.quar = false
-		switch {
-		case len(r.Label) > 0:
+		if len(r.Label) > 0 {
 			lbl, rest, derr := s.decodeLabel(r.Label)
 			if derr != nil || len(rest) != 0 {
 				return nil, s.noteCorruption(fmt.Errorf("%w: replaying label of object %d: %v", ErrCorrupt, r.ObjectID, derr))
@@ -597,12 +572,10 @@ func Open(d disk.Device, opts Options) (*Store, error) {
 			// Fingerprints were recomputed once by the decode; the index
 			// entry is rebuilt here so replayed taints are queryable.
 			s.setLabel(sh, r.ObjectID, e, lbl)
-		case !legacy:
+		} else {
 			// A label-less record asserts the object was unlabeled when it
 			// was synced (it may have been deleted and re-created since a
 			// checkpoint recorded a label, with no tombstone ever logged).
-			// Migrated version-1 records are exempt: they predate labels in
-			// the log, so the snapshot's label is the best information.
 			s.clearLabel(sh, r.ObjectID, e)
 		}
 	}
@@ -642,7 +615,6 @@ func (s *Store) Stats() Stats {
 		SegsAllocated:    s.c.segsAllocated.Load(),
 		SegsCleaned:      s.c.segsCleaned.Load(),
 		SegsFreed:        s.c.segsFreed.Load(),
-		CRCBackfills:     s.c.crcBackfills.Load(),
 	}
 	// Entry locks first, metaMu second: the entry→metaMu order matches
 	// Get's readHome path, so a pending metaMu writer can never wedge
@@ -785,14 +757,13 @@ func (s *Store) Get(id uint64) ([]byte, error) {
 }
 
 // readHome reads an object's contents from its home extent, verifying them
-// against the checkpoint-recorded CRC when one exists (objects from legacy
-// pre-CRC images read unverified until their next relocation).  A mismatch
+// against the checkpoint-recorded CRC.  A mismatch
 // is reported as a CorruptError; callers quarantine the object.
 func (s *Store) readHome(id uint64) ([]byte, error) {
 	s.metaMu.RLock()
 	off, ok := s.objMap.Get(btree.K1(id))
 	size := s.objSizes[id]
-	crc, hasCRC := s.objCRCs[id]
+	crc := s.objCRCs[id]
 	s.metaMu.RUnlock()
 	if !ok {
 		return nil, ErrNoSuchObject
@@ -803,14 +774,12 @@ func (s *Store) readHome(id uint64) ([]byte, error) {
 			return nil, err
 		}
 	}
-	if hasCRC {
-		if got := crc32c(buf); got != crc {
-			return nil, s.noteCorruption(&CorruptError{
-				Area:   "object",
-				Offset: int64(off),
-				Detail: fmt.Sprintf("object %d contents checksum mismatch: got %#x, want %#x", id, got, crc),
-			})
-		}
+	if got := crc32c(buf); got != crc {
+		return nil, s.noteCorruption(&CorruptError{
+			Area:   "object",
+			Offset: int64(off),
+			Detail: fmt.Sprintf("object %d contents checksum mismatch: got %#x, want %#x", id, got, crc),
+		})
 	}
 	return buf, nil
 }

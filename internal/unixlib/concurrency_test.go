@@ -10,7 +10,9 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"histar/internal/label"
 )
@@ -284,4 +286,97 @@ func TestConcurrentMountTables(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestPipePingPongNoLostWakeup bounces a message between two goroutines over
+// a pair of pipes.  Every round trip has each side publish and wake while
+// its peer is between its emptiness check and its futex wait; a pipe that
+// waits on a word only the waiter itself changes loses such a wake-up and
+// hangs within a few thousand rounds on two cores.  It then closes a pipe
+// whose reader is already blocked: the close alone must wake it with EOF.
+func TestPipePingPongNoLostWakeup(t *testing.T) {
+	rounds := 200000
+	if testing.Short() {
+		rounds = 20000
+	}
+	sys := bootSys(t)
+	p, err := sys.NewInitProcess("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r1, w1, err := p.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r2, w2, err := p.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Echo server: pipe 1 → pipe 2 until pipe 1 reports EOF.
+	echoDone := make(chan error, 1)
+	go func() {
+		buf := make([]byte, 8)
+		for {
+			n, err := p.Read(r1, buf)
+			if err != nil || n == 0 {
+				echoDone <- err
+				return
+			}
+			if _, err := p.Write(w2, buf[:n]); err != nil {
+				echoDone <- err
+				return
+			}
+		}
+	}()
+	var done atomic.Int64
+	clientDone := make(chan error, 1)
+	go func() {
+		msg := []byte("8bytes!!")
+		buf := make([]byte, 8)
+		for i := 0; i < rounds; i++ {
+			if _, err := p.Write(w1, msg); err != nil {
+				clientDone <- err
+				return
+			}
+			if n, err := p.Read(r2, buf); err != nil || !bytes.Equal(buf[:n], msg) {
+				clientDone <- fmt.Errorf("round %d: read %q, %v", i, buf[:n], err)
+				return
+			}
+			done.Add(1)
+		}
+		clientDone <- nil
+	}()
+	// A deadline on progress rather than on the whole run, so a slow host
+	// (or -race) is not mistaken for a hang.
+	const stall = 20 * time.Second
+	tick := time.NewTicker(stall)
+	defer tick.Stop()
+	for last, running := int64(-1), true; running; {
+		select {
+		case err := <-clientDone:
+			if err != nil {
+				t.Fatal(err)
+			}
+			running = false
+		case <-tick.C:
+			if n := done.Load(); n == last {
+				t.Fatalf("ping-pong stuck after %d of %d round trips: a wake-up was lost", n, rounds)
+			} else {
+				last = n
+			}
+		}
+	}
+	// The echo server is now blocked (or about to block) reading the empty
+	// pipe 1; closing its write end is the only event that can wake it.
+	if err := p.Close(w1); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-echoDone:
+		if err != nil {
+			t.Fatalf("echo server: %v", err)
+		}
+	case <-time.After(stall):
+		t.Fatal("reader blocked on an empty pipe was not woken by the close of its write end")
+	}
 }

@@ -155,13 +155,20 @@ func (p *Process) getFD(num int) (*FD, error) {
 // else is library convention.
 // ---------------------------------------------------------------------------
 
-// Pipe buffer segment layout.
+// Pipe buffer segment layout.  Each end owns one 8-byte word: the count of
+// bytes it has consumed (read end) or produced (write end) in the low seven
+// bytes, and its closed flag in the top byte.  The two parts are stored by
+// separate SegmentWrites, so a close never clobbers a concurrent position
+// update or the reverse.  A blocked reader futex-waits on the write end's
+// word and a blocked writer on the read end's — the word the *peer* changes,
+// whether by publishing, consuming or closing — so a change that lands
+// between the emptiness (or fullness) check and the wait makes the wait
+// return at once instead of being lost.
 const (
-	pipeMutexOff   = 0
-	pipeRdPosOff   = 8
-	pipeWrPosOff   = 16
-	pipeRdClosed   = 24
-	pipeWrClosed   = 32
+	pipeRdWordOff  = 8
+	pipeWrWordOff  = 16
+	pipeClosedByte = 7 // byte of an end's word holding its closed flag
+	pipePosMask    = 1<<(8*pipeClosedByte) - 1
 	pipeDataOff    = 64
 	pipeBufferSize = 64 * 1024
 )
@@ -200,37 +207,35 @@ func (p *Process) pipeWord(pipe *Pipe, off uint64) (uint64, error) {
 	return binary.LittleEndian.Uint64(buf), nil
 }
 
-func (p *Process) pipeSetWord(pipe *Pipe, off uint64, v uint64) error {
+// pipeSetPos stores the position part of an end's word, leaving its closed
+// flag alone.
+func (p *Process) pipeSetPos(pipe *Pipe, off uint64, pos uint64) error {
 	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], v)
-	return mapKernelErr(p.TC.SegmentWrite(pipe.Seg, int(off), buf[:]))
+	binary.LittleEndian.PutUint64(buf[:], pos)
+	return mapKernelErr(p.TC.SegmentWrite(pipe.Seg, int(off), buf[:pipeClosedByte]))
 }
 
 // pipeWrite appends data to the pipe, blocking while the buffer is full.
 func (p *Process) pipeWrite(pipe *Pipe, data []byte) (int, error) {
 	written := 0
 	for written < len(data) {
-		rd, err := p.pipeWord(pipe, pipeRdPosOff)
+		rdWord, err := p.pipeWord(pipe, pipeRdWordOff)
 		if err != nil {
 			return written, err
 		}
-		wr, err := p.pipeWord(pipe, pipeWrPosOff)
+		wrWord, err := p.pipeWord(pipe, pipeWrWordOff)
 		if err != nil {
 			return written, err
 		}
-		rdClosed, err := p.pipeWord(pipe, pipeRdClosed)
-		if err != nil {
-			return written, err
-		}
-		if rdClosed != 0 {
+		if rdWord > pipePosMask {
 			return written, ErrPipeClosed
 		}
-		used := wr - rd
-		space := uint64(pipeBufferSize) - used
+		wr := wrWord & pipePosMask
+		space := uint64(pipeBufferSize) - (wr - rdWord)
 		if space == 0 {
-			// Wait for the reader to drain; it wakes us via the write-pos
-			// futex address after consuming.
-			if err := p.TC.FutexWait(pipe.Seg, pipeWrPosOff, wr); err != nil {
+			// Wait for the reader to drain (or close): either changes its
+			// word from the value the fullness check was made against.
+			if err := p.TC.FutexWait(pipe.Seg, pipeRdWordOff, rdWord); err != nil {
 				return written, mapKernelErr(err)
 			}
 			continue
@@ -245,12 +250,12 @@ func (p *Process) pipeWrite(pipe *Pipe, data []byte) (int, error) {
 				return written, mapKernelErr(err)
 			}
 		}
-		if err := p.pipeSetWord(pipe, pipeWrPosOff, wr+n); err != nil {
+		if err := p.pipeSetPos(pipe, pipeWrWordOff, wr+n); err != nil {
 			return written, err
 		}
 		written += int(n)
 		// Wake a blocked reader.
-		if _, err := p.TC.FutexWake(pipe.Seg, pipeRdPosOff, 1); err != nil {
+		if _, err := p.TC.FutexWake(pipe.Seg, pipeWrWordOff, 1); err != nil {
 			return written, mapKernelErr(err)
 		}
 	}
@@ -261,23 +266,22 @@ func (p *Process) pipeWrite(pipe *Pipe, data []byte) (int, error) {
 // the write end is closed.
 func (p *Process) pipeRead(pipe *Pipe, buf []byte) (int, error) {
 	for {
-		rd, err := p.pipeWord(pipe, pipeRdPosOff)
+		rdWord, err := p.pipeWord(pipe, pipeRdWordOff)
 		if err != nil {
 			return 0, err
 		}
-		wr, err := p.pipeWord(pipe, pipeWrPosOff)
+		wrWord, err := p.pipeWord(pipe, pipeWrWordOff)
 		if err != nil {
 			return 0, err
 		}
+		rd, wr := rdWord&pipePosMask, wrWord&pipePosMask
 		if rd == wr {
-			wrClosed, err := p.pipeWord(pipe, pipeWrClosed)
-			if err != nil {
-				return 0, err
-			}
-			if wrClosed != 0 {
+			if wrWord > pipePosMask {
 				return 0, nil // EOF
 			}
-			if err := p.TC.FutexWait(pipe.Seg, pipeRdPosOff, rd); err != nil {
+			// Wait for the writer to publish (or close): either changes its
+			// word from the value the emptiness check was made against.
+			if err := p.TC.FutexWait(pipe.Seg, pipeWrWordOff, wrWord); err != nil {
 				return 0, mapKernelErr(err)
 			}
 			continue
@@ -294,28 +298,27 @@ func (p *Process) pipeRead(pipe *Pipe, buf []byte) (int, error) {
 			}
 			buf[i] = b[0]
 		}
-		if err := p.pipeSetWord(pipe, pipeRdPosOff, rd+n); err != nil {
+		if err := p.pipeSetPos(pipe, pipeRdWordOff, rd+n); err != nil {
 			return 0, err
 		}
 		// Wake a blocked writer.
-		if _, err := p.TC.FutexWake(pipe.Seg, pipeWrPosOff, 1); err != nil {
+		if _, err := p.TC.FutexWake(pipe.Seg, pipeRdWordOff, 1); err != nil {
 			return int(n), mapKernelErr(err)
 		}
 		return int(n), nil
 	}
 }
 
-// closePipeEnd records that one end of the pipe is closed and wakes waiters.
+// closePipeEnd records that one end of the pipe is closed and wakes the
+// peers blocked on that end's word.
 func (p *Process) closePipeEnd(fd *FD) error {
-	off := uint64(pipeRdClosed)
-	wake := uint64(pipeWrPosOff)
+	word := uint64(pipeRdWordOff)
 	if fd.WriteEnd {
-		off = pipeWrClosed
-		wake = pipeRdPosOff
+		word = pipeWrWordOff
 	}
-	if err := p.pipeSetWord(fd.Pipe, off, 1); err != nil {
-		return err
+	if err := p.TC.SegmentWrite(fd.Pipe.Seg, int(word+pipeClosedByte), []byte{1}); err != nil {
+		return mapKernelErr(err)
 	}
-	_, err := p.TC.FutexWake(fd.Pipe.Seg, wake, 16)
+	_, err := p.TC.FutexWake(fd.Pipe.Seg, word, 16)
 	return mapKernelErr(err)
 }

@@ -16,9 +16,7 @@ import (
 // user's categories.  SpawnFromGolden clones it for a real user in
 // O(metadata): the kernel remaps the template categories to the user's own
 // and shares every data byte copy-on-write, so spawning a 64 MiB sandbox
-// costs a subtree walk instead of a 64 MiB build.  BuildSandboxScratch is
-// the from-scratch baseline the fast-path replaces (and what the load
-// harness compares against).
+// costs a subtree walk instead of a 64 MiB build.
 //
 // When the system booted with a persistent store, snapshots are recorded as
 // refcounted store bundles (see Boot's SnapshotSink wiring): the segment
@@ -178,19 +176,4 @@ func (sys *System) SpawnFromGolden(tc *kernel.ThreadCall, img *GoldenImage, dst 
 		return kernel.CloneResult{}, fmt.Errorf("spawning from golden image %q: %w", img.Name, err)
 	}
 	return res, nil
-}
-
-// BuildSandboxScratch is the baseline SpawnFromGolden replaces: build an
-// equivalent sandbox under dst from scratch, creating and writing every
-// segment byte.  Returns the sandbox root container.
-func (sys *System) BuildSandboxScratch(tc *kernel.ThreadCall, dst kernel.ID, owner *User, nbytes int) (kernel.ID, error) {
-	sandbox, err := tc.ContainerCreate(dst, sandboxLabel(owner), "scratch sandbox", 0, kernel.QuotaInfinite)
-	if err != nil {
-		return kernel.NilID, err
-	}
-	if err := populateSandbox(tc, sandbox, owner, nbytes); err != nil {
-		_ = tc.Unref(dst, sandbox)
-		return kernel.NilID, err
-	}
-	return sandbox, nil
 }

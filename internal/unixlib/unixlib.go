@@ -102,29 +102,6 @@ func Boot(opts BootOptions) (*System, error) {
 		sys.dirSegs[i].m = make(map[kernel.ID]kernel.ID)
 	}
 	if st := opts.Persist; st != nil {
-		// Surface the store's corruption accounting through kernel stats,
-		// keeping the kernel itself storage-agnostic.
-		k.SetIntegritySource(func() kernel.StorageIntegrity {
-			is := st.IntegrityStats()
-			ss := st.Stats()
-			return kernel.StorageIntegrity{
-				CorruptionsDetected: is.CorruptionsDetected,
-				QuarantineEvents:    is.QuarantineEvents,
-				QuarantinedNow:      is.QuarantinedNow,
-				ScrubPasses:         is.ScrubPasses,
-				ScrubBytesVerified:  is.ScrubBytesVerified,
-				DegradedMount:       is.Recovery.Degraded(),
-				Checkpoints:         ss.Checkpoints,
-				SealStallTotalNs:    ss.SealStallTotalNs,
-				SealStallMaxNs:      ss.SealStallMaxNs,
-				BytesHome:           ss.BytesHome,
-				BytesCleaned:        ss.BytesCleaned,
-				MetaBytesWritten:    ss.MetaBytesWritten,
-				SegsAllocated:       ss.SegsAllocated,
-				SegsCleaned:         ss.SegsCleaned,
-				SegsFreed:           ss.SegsFreed,
-			}
-		})
 		// Container snapshots persist as refcounted store bundles; clones
 		// validate the bundle and record extent-sharing aliases.  The kernel
 		// stays storage-agnostic behind the sink interface.

@@ -530,11 +530,7 @@ func TestCorruptExtentSurfacesAsEIO(t *testing.T) {
 	if data, err := p.ReadFile("/tmp/bystander"); err != nil || string(data) != "healthy" {
 		t.Fatalf("bystander read = %q, %v", data, err)
 	}
-	ks, ok := sys.Kern.StorageIntegrityStats()
-	if !ok {
-		t.Fatal("kernel has no integrity source despite an attached store")
-	}
-	if ks.QuarantinedNow != 1 || ks.CorruptionsDetected == 0 {
-		t.Fatalf("kernel integrity stats = %+v", ks)
+	if is := sys.Persist.IntegrityStats(); is.QuarantinedNow != 1 || is.CorruptionsDetected == 0 {
+		t.Fatalf("store integrity stats = %+v", is)
 	}
 }

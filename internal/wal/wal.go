@@ -8,11 +8,11 @@
 // # On-disk format
 //
 // The log occupies a fixed region of the disk.  It starts with a 32-byte
-// version-4 header:
+// header:
 //
 //	off  size  field
 //	0    4     magic "HWLO" (0x48574c4f, little endian)
-//	4    1     format version (4; 3, 2 and 0 identify older formats)
+//	4    1     format version (4)
 //	5    3     reserved (zero)
 //	8    8     committed length: bytes of records after the header,
 //	           including any reclaimed (dead) prefix
@@ -51,7 +51,7 @@
 // A generation marker (bit 2, no data, no label) closes a checkpoint
 // generation.  The store's incremental checkpoint seals one with AppendMark,
 // reusing the object-ID field to carry the epoch of the metadata snapshot
-// the marker opens; Rotate's legacy markers carry epoch 0.  Records before
+// the marker opens.  Records before
 // the last marker for the mounted snapshot's epoch belong to previous
 // generations and are retained only so the store can fall back to its older
 // metadata snapshot and replay them forward if the newer snapshot is
@@ -62,20 +62,14 @@
 // prefix, so a torn compaction can never damage records the header still
 // references.
 //
-// Version-3 logs had the same record format but no start offset; version-2
-// logs had a 16-byte header with no CRC; version-1 records additionally had
-// no label length or label bytes and packed the delete flag at offset 12
-// with the CRC at 13.  Recover still decodes all three and transparently
-// rewrites them in version-4 format.
-//
 // Commit appends the encoded records, then updates the header's committed
 // length and flushes; the header update is what makes the batch durable.
 // Recovery trusts only the committed prefix, verifies every record's CRC,
 // and — per the contract FuzzRecover enforces — never panics on arbitrary
 // log bytes: damage yields ErrCorrupt along with every record before the
 // damage, and the log is resealed to that valid prefix so later commits
-// append after it.  A version byte naming a future format (with an intact
-// header CRC) is refused with ErrVersion and the region left untouched;
+// append after it.  Any other version byte under an intact header CRC is
+// refused with ErrVersion and the region left untouched;
 // records that could never commit at all are rejected at Append time with
 // ErrTooLarge.
 package wal
@@ -101,9 +95,9 @@ type Record struct {
 	// covered by the record CRC; the store decodes it on replay.
 	Label  []byte
 	Delete bool
-	// Mark identifies a generation marker written by Rotate: not an object
-	// update at all, just the boundary between checkpoint generations.
-	// Replay loops must skip marker records.
+	// Mark identifies a generation marker written by AppendMark: not an
+	// object update at all, just the boundary between checkpoint generations
+	// (ObjectID carries the epoch).  Replay loops must skip marker records.
 	Mark bool
 	// Clone marks a clone-alias record: Data is the store's description of
 	// the committed extent the object aliases (not object contents), and
@@ -129,19 +123,18 @@ var (
 	// ErrCorrupt is returned when recovery encounters a damaged record; all
 	// records before the damage are still returned.
 	ErrCorrupt = errors.New("wal: corrupt record")
-	// ErrVersion is returned when recovery meets a log written by an
-	// unknown (newer) format version; the region is left untouched so the
-	// newer code can still mount it.
+	// ErrVersion is returned when recovery meets a log whose header is
+	// intact but names a format version other than the one this code writes;
+	// the region is left untouched so the code that wrote it can still
+	// mount it.
 	ErrVersion = errors.New("wal: unsupported log format version")
 )
 
 const (
-	recHeaderV1Size = 8 + 4 + 1 + 4     // id, length, delete flag, crc
-	recHeaderSize   = 8 + 4 + 2 + 1 + 4 // id, data len, label len, flags, crc
-	logHeaderV2Size = 16                // v1/v2: magic + version + committed length
-	logHeaderSize   = 32                // v3: adds header CRC; v4: adds start offset
-	logMagic        = 0x48574c4f        // "HWLO"
-	logVersion      = 4
+	recHeaderSize = 8 + 4 + 2 + 1 + 4 // id, data len, label len, flags, crc
+	logHeaderSize = 32
+	logMagic      = 0x48574c4f // "HWLO"
+	logVersion    = 4
 
 	flagDelete   = 1 << 0
 	flagHasLabel = 1 << 1
@@ -173,21 +166,6 @@ type Log struct {
 	batchRecords uint64
 	batchBytes   uint64
 	maxBatch     int
-
-	// recoveredLegacy records that Recover migrated a version-1 log, whose
-	// records carry no label information (as opposed to a version-2 record
-	// without a label, which asserts the object had none).
-	recoveredLegacy bool
-
-	// markOff is the byte offset (relative to the body start) just past the
-	// last generation marker in the committed prefix; 0 when none.  Records
-	// before it belong to the previous checkpoint generation.
-	markOff int64
-	// markIdx is the index into the slice the last Recover returned of the
-	// first record after the last generation marker (0 when none).
-	markIdx int
-	// rotations counts Rotate calls that retained a previous generation.
-	rotations uint64
 
 	// reclaimOff is the body offset where the live records begin (the
 	// header's start-offset field): everything before it has been reclaimed
@@ -388,57 +366,9 @@ func (l *Log) truncateLocked() error {
 		return err
 	}
 	l.tail = logHeaderSize
-	l.markOff = 0
 	l.reclaimOff = 0
 	l.markOffs = nil
 	l.applies++
-	return nil
-}
-
-// Rotate seals the current checkpoint generation instead of discarding it:
-// the records committed since the previous rotation are kept (shifted to the
-// front of the region) and closed with a generation marker, so that if the
-// metadata snapshot the caller just wrote later fails its checksums, the
-// store can fall back to the older snapshot and replay this generation
-// forward — zero committed-sync loss.  Normal recovery replays only records
-// after the marker (see RecoveredAfterMark).
-//
-// The shuffle is crash-safe: the header is zeroed (and flushed) before any
-// record bytes move, so a crash mid-rotation recovers as an empty log — safe
-// because the checkpoint that precedes Rotate already made every sealed
-// record's state durable.  When the retained generation would occupy more
-// than half the region (starving future commits), or when it is empty,
-// Rotate degrades to a plain truncate.
-func (l *Log) Rotate() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	genLen := l.tail - logHeaderSize - l.markOff
-	marker := encodeRecords([]Record{{Mark: true}})
-	if genLen <= 0 || genLen+int64(len(marker)) > l.size/2 {
-		return l.truncateLocked()
-	}
-	gen := make([]byte, genLen)
-	if _, err := l.d.ReadAt(gen, l.start+logHeaderSize+l.markOff); err != nil {
-		return err
-	}
-	// Invalidate before moving bytes: a torn shuffle must never be read back
-	// as a valid committed prefix.
-	if err := l.writeHeader(0, 0); err != nil {
-		return err
-	}
-	body := append(gen, marker...)
-	if _, err := l.d.WriteAt(body, l.start+logHeaderSize); err != nil {
-		return err
-	}
-	if err := l.writeHeader(int64(len(body)), 0); err != nil {
-		return err
-	}
-	l.tail = logHeaderSize + int64(len(body))
-	l.markOff = int64(len(body))
-	l.reclaimOff = 0
-	l.markOffs = map[uint64]int64{0: genLen}
-	l.applies++
-	l.rotations++
 	return nil
 }
 
@@ -462,7 +392,6 @@ func (l *Log) AppendMark(epoch uint64) error {
 		l.markOffs = make(map[uint64]int64)
 	}
 	l.markOffs[epoch] = markStart
-	l.markOff = markStart + recHeaderSize
 	return nil
 }
 
@@ -520,11 +449,6 @@ func (l *Log) compactLocked() error {
 	shift := l.reclaimOff
 	l.reclaimOff = 0
 	l.tail -= shift
-	if l.markOff >= shift {
-		l.markOff -= shift
-	} else {
-		l.markOff = 0
-	}
 	for e := range l.markOffs {
 		l.markOffs[e] -= shift
 	}
@@ -557,23 +481,11 @@ func (l *Log) ReplayStart(epoch uint64) (int, bool) {
 	return idx, ok
 }
 
-// RecoveredAfterMark returns the index into the slice the last Recover
-// returned of the first record after the last generation marker — the start
-// of the current checkpoint generation.  Normal recovery replays from here;
-// the metadata-fallback path replays everything.
-func (l *Log) RecoveredAfterMark() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.markIdx
-}
-
 // Recover reads the committed records back from the log region (after a
 // crash or restart).  Records damaged mid-write are detected by checksum;
 // everything before the damage is returned along with ErrCorrupt, and the
 // log is resealed to that valid prefix so subsequent commits extend it
-// rather than the damaged tail.  A version-1 log (written before records
-// carried labels) is decoded with the legacy layout and rewritten in the
-// current format.
+// rather than the damaged tail.
 func (l *Log) Recover() ([]Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -596,85 +508,42 @@ func (l *Log) Recover() ([]Record, error) {
 	if got := binary.LittleEndian.Uint32(hdr[0:]); got != logMagic {
 		// Non-zero but wrong magic is damage, not a fresh region — reseal
 		// empty and say so rather than silently dropping the log.
-		l.resetRecoveredState()
-		if err := l.writeHeader(0, 0); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("%w: bad log magic at offset %d: got %#x, want %#x", ErrCorrupt, l.start, got, logMagic)
+		return nil, l.resealEmpty("bad log magic at offset %d: got %#x, want %#x", l.start, got, logMagic)
 	}
-	version := hdr[4]
-	bodyOff := int64(logHeaderSize)
-	switch version {
-	case 0, 2:
-		// Pre-CRC header layouts: the body starts right after 16 bytes.
-		bodyOff = logHeaderV2Size
-	default:
-		// Version 3 and anything newer carry a header CRC at the same
-		// offset; verify it before trusting any header field.  A mismatch on
-		// an unknown version byte means rot, not a future format.
-		want := binary.LittleEndian.Uint32(hdr[16:])
-		if got := crc32.Checksum(hdr[:16], castagnoli); got != want {
-			l.resetRecoveredState()
-			if err := l.writeHeader(0, 0); err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("%w: log header checksum mismatch at offset %d: got %#x, want %#x", ErrCorrupt, l.start, got, want)
-		}
-		if version != logVersion && version != 3 {
-			// A genuine future format: refuse the mount without touching the
-			// region, so the newer code that wrote it can still recover.
-			return nil, fmt.Errorf("%w %d", ErrVersion, version)
-		}
+	// Verify the header CRC before trusting any header field, the version
+	// byte included: a mismatch means rot, whatever version it spells.
+	want := binary.LittleEndian.Uint32(hdr[16:])
+	if got := crc32.Checksum(hdr[:16], castagnoli); got != want {
+		return nil, l.resealEmpty("log header checksum mismatch at offset %d: got %#x, want %#x", l.start, got, want)
+	}
+	if version := hdr[4]; version != logVersion {
+		// An intact header for a format this code does not speak: refuse the
+		// mount without touching the region, so the code that wrote it can
+		// still recover.
+		return nil, fmt.Errorf("%w %d", ErrVersion, version)
 	}
 	committed := int64(binary.LittleEndian.Uint64(hdr[8:]))
-	if committed < 0 || committed > l.size-bodyOff {
-		l.resetRecoveredState()
-		if err := l.writeHeader(0, 0); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("%w: committed length %d out of range", ErrCorrupt, committed)
+	if committed < 0 || committed > l.size-logHeaderSize {
+		return nil, l.resealEmpty("committed length %d out of range", committed)
 	}
-	var startOff int64
-	if version == logVersion {
-		// The start offset (and its CRC) exists only in the current layout;
-		// older versions implicitly start at 0.
-		want := binary.LittleEndian.Uint32(hdr[28:])
-		if got := crc32.Checksum(hdr[20:28], castagnoli); got != want {
-			l.resetRecoveredState()
-			if err := l.writeHeader(0, 0); err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("%w: log start-offset checksum mismatch at offset %d: got %#x, want %#x", ErrCorrupt, l.start, got, want)
-		}
-		startOff = int64(binary.LittleEndian.Uint64(hdr[20:]))
-		if startOff < 0 || startOff > committed {
-			l.resetRecoveredState()
-			if err := l.writeHeader(0, 0); err != nil {
-				return nil, err
-			}
-			return nil, fmt.Errorf("%w: start offset %d out of range (committed %d)", ErrCorrupt, startOff, committed)
-		}
+	want = binary.LittleEndian.Uint32(hdr[28:])
+	if got := crc32.Checksum(hdr[20:28], castagnoli); got != want {
+		return nil, l.resealEmpty("log start-offset checksum mismatch at offset %d: got %#x, want %#x", l.start, got, want)
+	}
+	startOff := int64(binary.LittleEndian.Uint64(hdr[20:]))
+	if startOff < 0 || startOff > committed {
+		return nil, l.resealEmpty("start offset %d out of range (committed %d)", startOff, committed)
 	}
 	body := make([]byte, committed-startOff)
 	if len(body) > 0 {
-		if _, err := l.d.ReadAt(body, l.start+bodyOff+startOff); err != nil {
+		if _, err := l.d.ReadAt(body, l.start+logHeaderSize+startOff); err != nil {
 			return nil, err
 		}
 	}
-	var (
-		recs []Record
-		good int64
-		err  error
-	)
-	if version == 0 {
-		recs, good, err = decodeRecordsV1(body)
-		l.recoveredLegacy = true
-	} else {
-		recs, good, err = decodeRecords(body)
-	}
-	if version != logVersion || good != committed-startOff {
-		// Format migration or damaged tail: rewrite the valid prefix in the
-		// current format and reseal the header to it.
+	recs, good, err := decodeRecords(body)
+	if good != committed-startOff {
+		// Damaged tail: rewrite the valid prefix at the front of the region
+		// and reseal the header to it.
 		if werr := l.rewrite(recs); werr != nil {
 			return recs, werr
 		}
@@ -686,22 +555,31 @@ func (l *Log) Recover() ([]Record, error) {
 	return recs, err
 }
 
+// resealEmpty reseals a region whose header failed a check as an empty log
+// — never silently: the returned error wraps ErrCorrupt with the reason.
+// The caller holds l.mu.
+func (l *Log) resealEmpty(format string, args ...interface{}) error {
+	l.resetRecoveredState()
+	if err := l.writeHeader(0, 0); err != nil {
+		return err
+	}
+	return fmt.Errorf("%w: "+format, append([]interface{}{ErrCorrupt}, args...)...)
+}
+
 // resetRecoveredState clears every field derived from a recovered log body,
 // leaving the log logically empty; the caller holds l.mu.
 func (l *Log) resetRecoveredState() {
 	l.tail = logHeaderSize
-	l.markIdx, l.markOff = 0, 0
 	l.reclaimOff = 0
 	l.markOffs = nil
 	l.markIdxs = nil
 }
 
 // setMarkBoundary records where generation markers sit in the recovered
-// records — the legacy last-marker index/offset plus the per-epoch maps —
-// with body offsets counted from base (the reclaimed start offset the
-// records were decoded after); the caller holds l.mu.
+// records (the per-epoch offset and index maps), with body offsets counted
+// from base (the reclaimed start offset the records were decoded after); the
+// caller holds l.mu.
 func (l *Log) setMarkBoundary(recs []Record, base int64) {
-	l.markIdx, l.markOff = 0, 0
 	l.markOffs = make(map[uint64]int64)
 	l.markIdxs = make(map[uint64]int)
 	off := base
@@ -709,19 +587,17 @@ func (l *Log) setMarkBoundary(recs []Record, base int64) {
 		if r.Mark {
 			l.markOffs[r.ObjectID] = off
 			l.markIdxs[r.ObjectID] = i + 1
-			l.markIdx = i + 1
-			l.markOff = off + encodedSize(r)
 		}
 		off += encodedSize(r)
 	}
 }
 
-// rewrite replaces the committed log contents with recs encoded in the
-// current format; the caller holds l.mu.
+// rewrite replaces the committed log contents with recs; the caller holds
+// l.mu.
 func (l *Log) rewrite(recs []Record) error {
 	buf := encodeRecords(recs)
 	if logHeaderSize+int64(len(buf)) > l.size {
-		return fmt.Errorf("wal: migrated log (%d bytes) exceeds the region", len(buf))
+		return fmt.Errorf("wal: resealed log (%d bytes) exceeds the region", len(buf))
 	}
 	if len(buf) > 0 {
 		if _, err := l.d.WriteAt(buf, l.start+logHeaderSize); err != nil {
@@ -735,15 +611,6 @@ func (l *Log) rewrite(recs []Record) error {
 	l.reclaimOff = 0
 	l.setMarkBoundary(recs, 0)
 	return nil
-}
-
-// RecoveredLegacy reports whether the last Recover migrated a version-1 log.
-// Label-less records from such a log say nothing about the object's label;
-// a label-less version-2 record asserts the object carried none.
-func (l *Log) RecoveredLegacy() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.recoveredLegacy
 }
 
 // Stats describes cumulative log activity.
@@ -766,9 +633,6 @@ type Stats struct {
 	// BatchBytes counts the encoded bytes appended through AppendBatch, so
 	// bytes-per-flush is BatchBytes/Commits when all traffic is batched.
 	BatchBytes uint64
-	// Rotations counts Rotate calls that retained a previous checkpoint
-	// generation behind a marker (a plain truncate counts only in Applies).
-	Rotations uint64
 	// Reclaims counts ReclaimBefore calls that advanced the start offset;
 	// Compactions counts the physical dead-prefix compactions that followed
 	// (here or opportunistically inside a would-be-full Commit).
@@ -788,7 +652,6 @@ func (l *Log) Stats() Stats {
 		BatchRecords: l.batchRecords,
 		MaxBatch:     l.maxBatch,
 		BatchBytes:   l.batchBytes,
-		Rotations:    l.rotations,
 		Reclaims:     l.reclaims,
 		Compactions:  l.compactions,
 	}
@@ -832,7 +695,7 @@ func encodeRecords(recs []Record) []byte {
 	return buf
 }
 
-// decodeRecords decodes version-2 records, returning the records decoded,
+// decodeRecords decodes records, returning the records decoded,
 // the number of bytes consumed by them, and ErrCorrupt if damage stopped the
 // decode early.
 func decodeRecords(buf []byte) ([]Record, int64, error) {
@@ -893,35 +756,6 @@ func decodeRecords(buf []byte) ([]Record, int64, error) {
 		out = append(out, r)
 		buf = buf[recHeaderSize+nl+nd:]
 		consumed += recHeaderSize + int64(nl) + int64(nd)
-	}
-	return out, consumed, nil
-}
-
-// decodeRecordsV1 decodes the legacy label-less record layout.
-func decodeRecordsV1(buf []byte) ([]Record, int64, error) {
-	var out []Record
-	var consumed int64
-	for len(buf) > 0 {
-		if len(buf) < recHeaderV1Size {
-			return out, consumed, ErrCorrupt
-		}
-		id := binary.LittleEndian.Uint64(buf[0:])
-		n := int(binary.LittleEndian.Uint32(buf[8:]))
-		del := buf[12] == 1
-		wantCRC := binary.LittleEndian.Uint32(buf[13:])
-		if n < 0 || len(buf) < recHeaderV1Size+n {
-			return out, consumed, ErrCorrupt
-		}
-		data := buf[recHeaderV1Size : recHeaderV1Size+n]
-		crc := crc32.NewIEEE()
-		crc.Write(buf[:13])
-		crc.Write(data)
-		if crc.Sum32() != wantCRC {
-			return out, consumed, ErrCorrupt
-		}
-		out = append(out, Record{ObjectID: id, Data: append([]byte(nil), data...), Delete: del})
-		buf = buf[recHeaderV1Size+n:]
-		consumed += recHeaderV1Size + int64(n)
 	}
 	return out, consumed, nil
 }

@@ -215,65 +215,6 @@ func TestLabelRecordsRoundTrip(t *testing.T) {
 	}
 }
 
-// writeV1Log hand-crafts a legacy (version-1, label-less) log image on d.
-func writeV1Log(t *testing.T, d *disk.Disk, recs []Record) {
-	t.Helper()
-	var body []byte
-	for _, r := range recs {
-		hdr := make([]byte, 17)
-		binary.LittleEndian.PutUint64(hdr[0:], r.ObjectID)
-		binary.LittleEndian.PutUint32(hdr[8:], uint32(len(r.Data)))
-		if r.Delete {
-			hdr[12] = 1
-		}
-		crc := crc32.ChecksumIEEE(append(hdr[:13:13], r.Data...))
-		binary.LittleEndian.PutUint32(hdr[13:], crc)
-		body = append(body, hdr...)
-		body = append(body, r.Data...)
-	}
-	var hdr [16]byte
-	binary.LittleEndian.PutUint64(hdr[0:], 0x48574c4f) // v1 wrote the magic as a u64: version byte reads 0
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(len(body)))
-	if _, err := d.WriteAt(hdr[:], 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.WriteAt(body, 16); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestV1LogMigratesToCurrentFormat(t *testing.T) {
-	d := disk.New(disk.Params{Sectors: 1 << 15}, &vclock.Clock{})
-	want := []Record{
-		{ObjectID: 1, Data: []byte("legacy one")},
-		{ObjectID: 2, Delete: true},
-		{ObjectID: 3, Data: []byte("legacy three")},
-	}
-	writeV1Log(t, d, want)
-
-	l := Open(d, 0, 1<<20)
-	recs, err := l.Recover()
-	if err != nil {
-		t.Fatalf("recovering v1 log: %v", err)
-	}
-	if len(recs) != 3 || !bytes.Equal(recs[0].Data, want[0].Data) || !recs[1].Delete {
-		t.Fatalf("recovered %+v", recs)
-	}
-	// The log was rewritten in the current format: appending labeled records
-	// and recovering again decodes everything uniformly as version 2.
-	l.Append(Record{ObjectID: 4, Data: []byte("new"), Label: []byte{2, 1, 9, 0, 0, 0, 0, 0, 0, 0, 3}})
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err = Open(d, 0, 1<<20).Recover()
-	if err != nil {
-		t.Fatalf("recovery after migration: %v", err)
-	}
-	if len(recs) != 4 || recs[3].ObjectID != 4 || recs[3].Label == nil {
-		t.Errorf("post-migration recovery = %+v", recs)
-	}
-}
-
 func TestRecoverFreshRegion(t *testing.T) {
 	d := disk.New(disk.Params{Sectors: 1 << 12}, &vclock.Clock{})
 	l := Open(d, 0, 1<<16)
@@ -352,15 +293,16 @@ func TestOversizeRecordRejectedAtAppend(t *testing.T) {
 }
 
 func TestUnsupportedVersionRefusedWithoutErasure(t *testing.T) {
-	l, d := testLog(t, 1<<16)
-	if err := l.Append(Record{ObjectID: 1, Data: []byte("future records")}); err != nil {
+	const region = 1 << 16
+	l, d := testLog(t, region)
+	if err := l.Append(Record{ObjectID: 1, Data: []byte("other format's records")}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	// Pretend a newer format wrote this log: bump the version byte and fix
-	// up the header CRC the way the newer code would have.
+	// Pretend another format wrote this log: restamp the version byte and
+	// fix up the header CRC the way that code would have.
 	setVersion := func(v byte) {
 		hdr := make([]byte, logHeaderSize)
 		if _, err := d.ReadAt(hdr, 0); err != nil {
@@ -372,35 +314,51 @@ func TestUnsupportedVersionRefusedWithoutErasure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	setVersion(9)
-	if _, err := Open(d, 0, 1<<16).Recover(); !errors.Is(err, ErrVersion) {
-		t.Fatalf("future version: err=%v, want ErrVersion", err)
+	image := func() []byte {
+		img := make([]byte, region)
+		if _, err := d.ReadAt(img, 0); err != nil {
+			t.Fatal(err)
+		}
+		return img
 	}
-	// The region was left byte-for-byte intact: restoring the version byte
-	// recovers the records.
+	// Every version but the current one — the retired 0, 2 and 3 as much
+	// as a future 9 — is refused, and the refusal writes nothing.
+	for _, v := range []byte{0, 2, 3, 9} {
+		setVersion(v)
+		before := image()
+		if recs, err := Open(d, 0, region).Recover(); !errors.Is(err, ErrVersion) || len(recs) != 0 {
+			t.Fatalf("version %d: %d records, err=%v, want ErrVersion", v, len(recs), err)
+		}
+		if !bytes.Equal(before, image()) {
+			t.Fatalf("version %d: refusal modified the region", v)
+		}
+	}
+	// Restoring the version byte recovers the records.
 	setVersion(logVersion)
-	recs, err := Open(d, 0, 1<<16).Recover()
-	if err != nil || len(recs) != 1 || string(recs[0].Data) != "future records" {
+	recs, err := Open(d, 0, region).Recover()
+	if err != nil || len(recs) != 1 || string(recs[0].Data) != "other format's records" {
 		t.Fatalf("after restoring version: %+v, %v", recs, err)
 	}
 }
 
 func TestFlippedVersionByteIsCorruptionNotFutureFormat(t *testing.T) {
 	// A bare version-byte flip (without a matching header CRC) is bit rot,
-	// not a future format: the log must report ErrCorrupt rather than refuse
-	// the mount as ErrVersion.
-	l, d := testLog(t, 1<<16)
-	if err := l.Append(Record{ObjectID: 1, Data: []byte("x")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := d.WriteAt([]byte{9}, 4); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Open(d, 0, 1<<16).Recover(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("flipped version byte: err=%v, want ErrCorrupt", err)
+	// not another format: the log must report ErrCorrupt rather than refuse
+	// the mount as ErrVersion — whatever the rotted byte happens to spell.
+	for _, v := range []byte{0, 2, 3, 9} {
+		l, d := testLog(t, 1<<16)
+		if err := l.Append(Record{ObjectID: 1, Data: []byte("x")}); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.WriteAt([]byte{v}, 4); err != nil {
+			t.Fatal(err)
+		}
+		if recs, err := Open(d, 0, 1<<16).Recover(); !errors.Is(err, ErrCorrupt) || len(recs) != 0 {
+			t.Fatalf("version byte rotted to %d: %d records, err=%v, want ErrCorrupt", v, len(recs), err)
+		}
 	}
 }
 
@@ -423,118 +381,6 @@ func TestDamagedMagicIsCorruptionNotFresh(t *testing.T) {
 	recs, err = Open(d, 0, 1<<16).Recover()
 	if err != nil || len(recs) != 0 {
 		t.Fatalf("after reseal: %d recs, %v", len(recs), err)
-	}
-}
-
-func TestRotateRetainsOneGenerationBehindMarker(t *testing.T) {
-	l, d := testLog(t, 1<<16)
-	put := func(id uint64, data string) {
-		t.Helper()
-		if err := l.Append(Record{ObjectID: id, Data: []byte(data)}); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Commit(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	put(1, "gen one")
-	put(2, "gen one too")
-	if err := l.Rotate(); err != nil {
-		t.Fatal(err)
-	}
-	put(3, "gen two")
-
-	l2 := Open(d, 0, 1<<16)
-	recs, err := l2.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Full replay sees gen one, the marker, then gen two, in order.
-	var ids []uint64
-	marks := 0
-	for _, r := range recs {
-		if r.Mark {
-			marks++
-			continue
-		}
-		ids = append(ids, r.ObjectID)
-	}
-	if marks != 1 || len(ids) != 3 || ids[0] != 1 || ids[1] != 2 || ids[2] != 3 {
-		t.Fatalf("recovered ids=%v marks=%d", ids, marks)
-	}
-	// Normal recovery replays only the current generation.
-	cur := recs[l2.RecoveredAfterMark():]
-	if len(cur) != 1 || cur[0].ObjectID != 3 {
-		t.Fatalf("current generation = %+v", cur)
-	}
-
-	// A second rotation drops gen one: only gen two survives the marker.
-	if err := l2.Rotate(); err != nil {
-		t.Fatal(err)
-	}
-	l3 := Open(d, 0, 1<<16)
-	recs, err = l3.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ids = ids[:0]
-	for _, r := range recs {
-		if !r.Mark {
-			ids = append(ids, r.ObjectID)
-		}
-	}
-	if len(ids) != 1 || ids[0] != 3 {
-		t.Fatalf("after second rotation ids=%v", ids)
-	}
-	if l3.RecoveredAfterMark() != len(recs) {
-		t.Fatalf("current generation should be empty, boundary=%d of %d", l3.RecoveredAfterMark(), len(recs))
-	}
-	if l2.Stats().Rotations != 1 {
-		t.Fatalf("rotations = %d", l2.Stats().Rotations)
-	}
-}
-
-func TestRotateEmptyGenerationTruncates(t *testing.T) {
-	l, d := testLog(t, 1<<16)
-	if err := l.Append(Record{ObjectID: 1, Data: []byte("z")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Rotate(); err != nil {
-		t.Fatal(err)
-	}
-	// Nothing committed since: the second rotation degrades to a truncate.
-	if err := l.Rotate(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := Open(d, 0, 1<<16).Recover()
-	if err != nil || len(recs) != 0 {
-		t.Fatalf("log should be empty after rotating an empty generation: %d recs, %v", len(recs), err)
-	}
-}
-
-func TestRotateOversizeGenerationTruncates(t *testing.T) {
-	// A generation bigger than half the region is not retained — the log
-	// must stay usable for new commits.
-	l, d := testLog(t, 1<<12)
-	big := make([]byte, 3<<10)
-	if err := l.Append(Record{ObjectID: 1, Data: big[:1200]}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Append(Record{ObjectID: 2, Data: big[:1200]}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Rotate(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := Open(d, 0, 1<<12).Recover()
-	if err != nil || len(recs) != 0 {
-		t.Fatalf("oversize generation should truncate: %d recs, %v", len(recs), err)
 	}
 }
 

@@ -39,10 +39,9 @@ type session struct {
 	// lane's own base label plus ur⋆/uw⋆.  Precomputed once so steady-state
 	// gate calls do no label construction.
 	reqLabel label.Label
-	// sandbox is the root of the user's per-session sandbox (golden-image
-	// clone or scratch build), linked in the worker's process container so
-	// teardown reclaims it with the worker.  NilID when no sandbox is
-	// configured.
+	// sandbox is the root of the user's per-session sandbox (a golden-image
+	// clone), linked in the worker's process container so teardown reclaims
+	// it with the worker.  NilID when no golden image is configured.
 	sandbox kernel.ID
 
 	// ready is closed once cold creation finishes; initErr records its
@@ -70,9 +69,8 @@ type SessionStats struct {
 	// Logouts explicit invalidations.
 	Evictions, IdleEvictions, Logouts uint64
 	// GoldenSpawns counts cold logins whose sandbox came from a golden-image
-	// clone; ScratchSpawns counts sandboxes built from scratch (the
-	// baseline).
-	GoldenSpawns, ScratchSpawns uint64
+	// clone.
+	GoldenSpawns uint64
 	// Live is the current number of cached sessions.
 	Live int
 }
@@ -89,7 +87,7 @@ type sessionCache struct {
 
 	hits, misses, coldLogins, badPasswords atomic.Uint64
 	evictions, idleEvictions, logouts      atomic.Uint64
-	goldenSpawns, scratchSpawns            atomic.Uint64
+	goldenSpawns                           atomic.Uint64
 }
 
 func newSessionCache(srv *Server, max int, idle time.Duration) *sessionCache {
@@ -194,8 +192,8 @@ func (c *sessionCache) establish(sess *session, password string) error {
 	srv := c.srv
 	// Per-user sandbox: cloned from the golden image in O(metadata) (all
 	// read-only data — programs, dirsegs, scanner DB — shared COW until
-	// first write), or built from scratch as the baseline.  Either way it
-	// lives in the worker's process container, so worker exit reclaims it.
+	// first write).  It lives in the worker's process container, so worker
+	// exit reclaims it.
 	if g := srv.cfg.Golden; g != nil {
 		res, err := srv.sys.SpawnFromGolden(tc, g, worker.ProcCt, u)
 		if err != nil {
@@ -204,14 +202,6 @@ func (c *sessionCache) establish(sess *session, password string) error {
 		}
 		sess.sandbox = res.Root
 		c.goldenSpawns.Add(1)
-	} else if n := srv.cfg.SandboxBytes; n > 0 {
-		sb, err := srv.sys.BuildSandboxScratch(tc, worker.ProcCt, u, n)
-		if err != nil {
-			worker.ExitQuietly()
-			return err
-		}
-		sess.sandbox = sb
-		c.scratchSpawns.Add(1)
 	}
 	// Reply segment {ur3, uw0, 1}: response bytes are tainted with the
 	// user's secrecy the moment they are written, so even a demultiplexer
@@ -347,7 +337,6 @@ func (c *sessionCache) stats() SessionStats {
 		IdleEvictions: c.idleEvictions.Load(),
 		Logouts:       c.logouts.Load(),
 		GoldenSpawns:  c.goldenSpawns.Load(),
-		ScratchSpawns: c.scratchSpawns.Load(),
 		Live:          live,
 	}
 }

@@ -206,52 +206,3 @@ func TestConcurrentCrossUserIsolation(t *testing.T) {
 		t.Error(e)
 	}
 }
-
-func TestRunLoadSmoke(t *testing.T) {
-	rep, err := RunLoad(LoadConfig{
-		Users:       8,
-		Requests:    80,
-		Concurrency: 4,
-		LogoutEvery: 40,
-		Server:      Config{MaxSessions: 6, Lanes: 2, MaxBatch: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors != 0 {
-		t.Errorf("load errors = %d, want 0", rep.Errors)
-	}
-	if rep.RPS <= 0 || rep.P50Micros <= 0 {
-		t.Errorf("degenerate report: %+v", rep)
-	}
-	if rep.Sessions.Hits == 0 || rep.Sessions.ColdLogins == 0 {
-		t.Errorf("expected both warm and cold traffic: %+v", rep.Sessions)
-	}
-	if rep.RingGateCalls == 0 {
-		t.Error("no gate calls went through the ring")
-	}
-	if rep.WireBytes == 0 || rep.SimWireMillis <= 0 {
-		t.Error("wire accounting missing")
-	}
-}
-
-func TestRunLoadBaselineSmoke(t *testing.T) {
-	rep, err := RunLoad(LoadConfig{
-		Users:       4,
-		Requests:    12,
-		Concurrency: 2,
-		Server:      Config{DisableSessionCache: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Errors != 0 {
-		t.Errorf("load errors = %d, want 0", rep.Errors)
-	}
-	if !rep.Baseline {
-		t.Error("report not marked baseline")
-	}
-	if rep.Sessions.Hits != 0 {
-		t.Errorf("baseline used the session cache: %+v", rep.Sessions)
-	}
-}

@@ -65,19 +65,12 @@ type Config struct {
 	// MaxBatch caps how many requests one lane submits per ring Wait
 	// (default 16).
 	MaxBatch int
-	// DisableSessionCache makes every request pay a fresh process + full
-	// login (the pre-session-cache behavior); the load harness's baseline.
-	DisableSessionCache bool
 	// Golden, when set, makes the cold-login path spawn the user's sandbox
 	// by cloning this golden image (O(metadata): template categories are
 	// remapped to the user's, all data is shared copy-on-write).  The
 	// sandbox lives in the worker's process container, so session teardown
 	// reclaims it with the worker.
 	Golden *unixlib.GoldenImage
-	// SandboxBytes, when Golden is nil, makes the cold-login path build an
-	// equivalent sandbox from scratch (creating and writing every byte) —
-	// the baseline golden spawns replace.  0 builds no sandbox.
-	SandboxBytes int
 }
 
 func (c Config) withDefaults() Config {
@@ -128,7 +121,7 @@ func New(sys *unixlib.System, authSvc *auth.Service, app Handler) *Server {
 
 // NewWithConfig builds a server around an authentication service and an
 // application handler.  The demultiplexer process and its lanes start
-// lazily, on the first request that uses the session cache.
+// lazily, on the first request.
 func NewWithConfig(sys *unixlib.System, authSvc *auth.Service, app Handler, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -197,13 +190,10 @@ func (s *Server) start() error {
 }
 
 // Serve authenticates the request and runs the application handler in the
-// user's worker, returning the response.  With the session cache enabled the
+// user's worker, returning the response.  The
 // warm path is: verifier check, enqueue to a lane, one batched gate call,
 // one chained reply read.
 func (s *Server) Serve(req Request) (string, error) {
-	if s.cfg.DisableSessionCache {
-		return s.serveUncached(req)
-	}
 	if err := s.start(); err != nil {
 		return "", err
 	}
@@ -228,25 +218,6 @@ func (s *Server) Serve(req Request) (string, error) {
 		return "HTTP/1.0 200 OK\r\n\r\n" + p.body, nil
 	}
 	return "", errors.New("webd: session kept disappearing")
-}
-
-// serveUncached is the original per-request path: a fresh worker process and
-// a full gate login for every request.  Kept as the load harness's baseline
-// and the fallback when the cache is disabled.
-func (s *Server) serveUncached(req Request) (string, error) {
-	worker, err := s.sys.NewInitProcess("")
-	if err != nil {
-		return "", err
-	}
-	defer worker.ExitQuietly()
-	if err := s.auth.Login(worker, req.User, req.Password); err != nil {
-		return "", fmt.Errorf("%w: %v", ErrUnauthorized, err)
-	}
-	body, err := s.app(worker, req.User, req.Path)
-	if err != nil {
-		return "", err
-	}
-	return "HTTP/1.0 200 OK\r\n\r\n" + body, nil
 }
 
 // laneLoop drains batches of pendings and drives them through the lane's
