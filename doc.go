@@ -21,7 +21,8 @@
 // canonical label in one atomic commit (see the internal/wal package
 // comment for the record format), checkpoints are copy-on-write
 // so a torn write can never corrupt the referenced snapshot, and a
-// fingerprint-keyed B+-tree index answers "every object tainted by
+// fingerprint-keyed B+-tree index — in memory only, rebuilt from the
+// persisted labels at every open — answers "every object tainted by
 // category c" scans — Store.ObjectsWithLabel, surfaced in the kernel as
 // container_find_labeled — without deserializing a single label.  The store
 // runs concurrently under the same discipline as the kernel: the object

@@ -48,9 +48,6 @@ func (k *Kernel) DeviceCreate(d ID, lbl label.Label, mac [6]byte, descrip string
 	k.insert(dev)
 	cont.link(dev.id)
 	cont.mu.Unlock()
-	k.netMu.Lock()
-	k.netDevices = append(k.netDevices, dev.id)
-	k.netMu.Unlock()
 	return dev.id, nil
 }
 
@@ -95,15 +92,6 @@ func (k *Kernel) DeviceInject(dev ID, pkt []byte) error {
 	default:
 	}
 	return nil
-}
-
-// Devices returns the IDs of all network devices (bootstrap plumbing).
-func (k *Kernel) Devices() []ID {
-	k.netMu.Lock()
-	defer k.netMu.Unlock()
-	out := make([]ID, len(k.netDevices))
-	copy(out, k.netDevices)
-	return out
 }
 
 // DeviceMAC returns the device's MAC address.  The invoking thread must be

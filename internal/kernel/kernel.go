@@ -156,10 +156,6 @@ type Kernel struct {
 	// retired L1 counters of deallocated threads, folded in at teardown.
 	retired l1Retired
 
-	// netMu guards the bootstrap device list.
-	netMu      sync.Mutex
-	netDevices []ID
-
 	// snapMu guards the container-snapshot registry and the optional
 	// persistence sink; snap tallies snapshot/clone activity (snapshot.go).
 	snapMu    sync.Mutex

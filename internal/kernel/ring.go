@@ -185,9 +185,6 @@ func (r *Ring) Submit(entries ...RingEntry) int {
 	return len(entries)
 }
 
-// Pending reports how many submitted entries have not yet been executed.
-func (r *Ring) Pending() int { return len(r.pending) }
-
 // ringUnit is one chain of entries: a maximal run of Chain-linked entries
 // (an unchained entry is a unit of one).  Chained entries are consecutive
 // submissions, so a unit is the contiguous range entries[start:end]; next is
@@ -635,19 +632,4 @@ func (k *Kernel) RingStats() RingStats {
 		SyncEntries: k.ring.syncEntries.Load(),
 		GateCalls:   k.ring.gateCalls.Load(),
 	}
-}
-
-// ResetRingStats zeroes the ring counters (benchmark plumbing).
-func (k *Kernel) ResetRingStats() {
-	c := &k.ring
-	c.submits.Store(0)
-	c.entries.Store(0)
-	c.waits.Store(0)
-	c.runs.Store(0)
-	c.coalesced.Store(0)
-	c.chained.Store(0)
-	c.skipped.Store(0)
-	c.syncGroups.Store(0)
-	c.syncEntries.Store(0)
-	c.gateCalls.Store(0)
 }

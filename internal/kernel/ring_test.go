@@ -324,7 +324,7 @@ func TestRingSyncGroups(t *testing.T) {
 func TestRingCountsAndCoalescing(t *testing.T) {
 	env := newRingEnv(t, 2, 64)
 	env.k.ResetSyscallCounts()
-	env.k.ResetRingStats()
+	before := env.k.RingStats()
 	ring := env.tc.NewRing()
 	ring.Submit(
 		RingEntry{Op: OpSegmentRead, Seg: env.segs[0], Off: 0, Len: 8},
@@ -349,12 +349,12 @@ func TestRingCountsAndCoalescing(t *testing.T) {
 		t.Errorf("per-entry counts = %v", counts)
 	}
 	st := env.k.RingStats()
-	if st.Waits != 1 || st.Entries != 4 {
-		t.Errorf("RingStats waits/entries = %d/%d, want 1/4", st.Waits, st.Entries)
+	if waits, entries := st.Waits-before.Waits, st.Entries-before.Entries; waits != 1 || entries != 4 {
+		t.Errorf("RingStats waits/entries = %d/%d, want 1/4", waits, entries)
 	}
 	// Three same-target entries + one other: two lock runs, two coalesced.
-	if st.Runs != 2 || st.Coalesced != 2 {
-		t.Errorf("RingStats runs/coalesced = %d/%d, want 2/2", st.Runs, st.Coalesced)
+	if runs, coalesced := st.Runs-before.Runs, st.Coalesced-before.Coalesced; runs != 2 || coalesced != 2 {
+		t.Errorf("RingStats runs/coalesced = %d/%d, want 2/2", runs, coalesced)
 	}
 }
 

@@ -195,17 +195,6 @@ func (k *Kernel) Snapshots() []SnapshotInfo {
 	return out
 }
 
-// SnapshotByLineage returns the registered snapshot with the given lineage.
-func (k *Kernel) SnapshotByLineage(lineage uint64) (SnapshotInfo, bool) {
-	k.snapMu.Lock()
-	defer k.snapMu.Unlock()
-	s, ok := k.snapshots[lineage]
-	if !ok {
-		return SnapshotInfo{}, false
-	}
-	return s.info(), true
-}
-
 func (s *Snapshot) info() SnapshotInfo {
 	return SnapshotInfo{
 		Lineage:      s.lineage,

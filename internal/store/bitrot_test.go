@@ -5,7 +5,7 @@ package store
 // and sections, object extents, write-ahead log) and the tests assert the
 // right rung of the degradation ladder fires — detection everywhere, backup
 // superblock fallback, previous-snapshot-plus-retained-log fallback with
-// zero committed-sync loss, index rebuild, and per-object quarantine.
+// zero committed-sync loss, and per-object quarantine.
 //
 // Injections use odd bit counts: CRC32C's generator polynomial has a factor
 // of x+1, so every odd-weight error burst inside one checksummed span is
@@ -17,9 +17,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sort"
 	"testing"
 
-	"histar/internal/btree"
 	"histar/internal/disk"
 	"histar/internal/label"
 	"histar/internal/vclock"
@@ -268,42 +268,6 @@ func TestBitRotBothMetaAreasRefused(t *testing.T) {
 	}
 }
 
-// TestBitRotIndexSectionRebuiltNotFatal is acceptance criterion (c): rot
-// confined to the fingerprint-index section neither fails the mount nor
-// forces a snapshot fallback — the index is rebuilt from the label section.
-func TestBitRotIndexSectionRebuiltNotFatal(t *testing.T) {
-	s, fd := rotStore(t)
-	want := populateGenerations(t, s)
-	idx := findSection(t, fd, s.metaAreaOff(s.metaWhich), secIndex)
-	if err := fd.RotBits(idx, 3, 99); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(fd, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := s2.RecoveryReport()
-	if !rep.IndexRebuilt || rep.MetaFallback || rep.SuperblockFallback {
-		t.Fatalf("expected only an index rebuild, got %+v", rep)
-	}
-	checkAll(t, s2, want)
-	if err := s2.VerifyLabelIndex(); err != nil {
-		t.Fatalf("rebuilt index inconsistent: %v", err)
-	}
-	for id, v := range want {
-		ids := s2.ObjectsWithLabel(rotLabel(id % 7).Fingerprint())
-		found := false
-		for _, got := range ids {
-			if got == id {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("object %d (%q) missing from rebuilt index", id, v)
-		}
-	}
-}
-
 // TestBitRotDataExtentQuarantinesOnlyThatObject is acceptance criterion
 // (d): rot in one object's home extent quarantines exactly that object with
 // a typed error while every other object keeps serving.
@@ -318,12 +282,11 @@ func TestBitRotDataExtentQuarantinesOnlyThatObject(t *testing.T) {
 		t.Fatal(err)
 	}
 	const victim = uint64(13)
-	off, ok := s2.objMap.Get(btree.K1(victim))
+	h, ok := s2.lookupHome(victim)
 	if !ok {
 		t.Fatal("victim has no home extent")
 	}
-	size := s2.objSizes[victim]
-	if err := fd.RotBits(disk.Region{Off: int64(off), Len: size}, 1, 5); err != nil {
+	if err := fd.RotBits(disk.Region{Off: h.off, Len: h.size}, 1, 5); err != nil {
 		t.Fatal(err)
 	}
 	_, gerr := s2.Get(victim)
@@ -433,7 +396,7 @@ func TestScrubCleanStoreFindsNothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.CorruptionsFound != 0 || st.ObjectsQuarantined != 0 || st.IndexCorrupt {
+	if st.CorruptionsFound != 0 || st.ObjectsQuarantined != 0 {
 		t.Fatalf("clean scrub found damage: %+v", st)
 	}
 	if st.SuperblockCopiesOK != 2 {
@@ -467,8 +430,8 @@ func TestScrubDetectsRotAndQuarantines(t *testing.T) {
 		t.Fatal(err)
 	}
 	const victim = uint64(4)
-	off, _ := s2.objMap.Get(btree.K1(victim))
-	if err := fd.RotBits(disk.Region{Off: int64(off), Len: s2.objSizes[victim]}, 1, 3); err != nil {
+	h, _ := s2.lookupHome(victim)
+	if err := fd.RotBits(disk.Region{Off: h.off, Len: h.size}, 1, 3); err != nil {
 		t.Fatal(err)
 	}
 	st, err := s2.Scrub()
@@ -526,21 +489,55 @@ func restampSuperblockCopy(t *testing.T, d disk.Device, off int64, version uint6
 }
 
 // restampMetaArea rewrites the metadata area at areaOff as a well-formed
-// area of an older version: the trailing sections that version did not have
-// are cut off, the section count and payload length adjusted, and the header
-// CRC re-sealed.
+// area of an older version, the way code speaking that version would have
+// written it: sections 1..keepSecs, the header's version, section count and
+// payload length to match, every CRC valid.  Versions up to 4 persisted the
+// label fingerprint index as section 4 — (fingerprint, id) pairs in
+// ascending order — which is rebuilt here from the area's own label section.
 func restampMetaArea(t *testing.T, d disk.Device, areaOff int64, version uint64, keepSecs int) {
 	t.Helper()
-	end := findSection(t, d, areaOff, uint64(keepSecs))
-	hdr := make([]byte, metaHeaderSize)
-	if _, err := d.ReadAt(hdr, areaOff); err != nil {
+	section := func(tag uint64) []byte {
+		reg := findSection(t, d, areaOff, tag)
+		body := make([]byte, reg.Len)
+		if _, err := d.ReadAt(body, reg.Off); err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	labels := section(secLabels)
+	var pairs [][2]uint64
+	for n, rest := binary.LittleEndian.Uint64(labels), labels[8:]; n > 0; n-- {
+		id := binary.LittleEndian.Uint64(rest)
+		lbl, tail, err := label.DecodeBinary(rest[8:])
+		if err != nil {
+			t.Fatal(err)
+		}
+		pairs, rest = append(pairs, [2]uint64{uint64(lbl.Fingerprint()), id}), tail
+	}
+	sort.Slice(pairs, func(i, j int) bool {
+		return pairs[i][0] < pairs[j][0] || pairs[i][0] == pairs[j][0] && pairs[i][1] < pairs[j][1]
+	})
+	index := appendU64(nil, uint64(len(pairs)))
+	for _, p := range pairs {
+		index = appendU64(appendU64(index, p[0]), p[1])
+	}
+	area := make([]byte, metaHeaderSize)
+	for tag := uint64(1); tag <= uint64(keepSecs); tag++ {
+		body := index
+		if tag != 4 {
+			body = section(tag)
+		}
+		area = appendU64(appendU64(appendU64(area, tag), uint64(len(body))), uint64(crc32c(body)))
+		area = append(area, body...)
+	}
+	if _, err := d.ReadAt(area[:metaHeaderSize], areaOff); err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint64(hdr[mhVersionOff:], version)
-	binary.LittleEndian.PutUint64(hdr[mhPayloadOff:], uint64(end.Off+end.Len-areaOff-metaHeaderSize))
-	binary.LittleEndian.PutUint64(hdr[mhSectionsOff:], uint64(keepSecs))
-	binary.LittleEndian.PutUint32(hdr[mhCRCOff:], crc32c(hdr[:mhCRCOff]))
-	if _, err := d.WriteAt(hdr, areaOff); err != nil {
+	binary.LittleEndian.PutUint64(area[mhVersionOff:], version)
+	binary.LittleEndian.PutUint64(area[mhPayloadOff:], uint64(len(area)-metaHeaderSize))
+	binary.LittleEndian.PutUint64(area[mhSectionsOff:], uint64(keepSecs))
+	binary.LittleEndian.PutUint32(area[mhCRCOff:], crc32c(area[:mhCRCOff]))
+	if _, err := d.WriteAt(area, areaOff); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -585,7 +582,7 @@ func TestOtherFormatVersionsRefusedNotLoaded(t *testing.T) {
 		version  uint64
 		keepSecs int
 	}{
-		{"v2", 2, secIndex}, {"v3", 3, secSegs},
+		{"v2", 2, 4}, {"v3", 3, 5}, {"v4", 4, 6},
 	}
 	for _, tc := range metas {
 		t.Run("metadata-"+tc.name, func(t *testing.T) {

@@ -17,23 +17,29 @@ package store
 // the cleaner skips such segments entirely rather than copying them out.
 //
 // Durability: SnapshotBundle runs a checkpoint first (the captured extents
-// must be committed homes), registers the bundle, then appends and commits
-// a WAL bundle record carrying the serialized bundle, so the bundle
-// survives a crash immediately; from the next checkpoint on it also lives
-// in the metadata snapshot's bundle section.  Each clone
-// appends a small self-contained WAL clone record (lineage, source ID,
-// extent, CRC) plus the clone's label; replay re-aliases the extent, and a
-// clone record whose bundle cannot be resolved quarantines the destination
-// — a typed error, never silent bad bytes.  DeleteBundle needs no record
-// of its own: it unregisters, releases the pins, and checkpoints, and the
-// checkpoint's metadata flip is what makes the deletion durable (a
-// fallback mount may resurrect the bundle along with the rest of the older
-// snapshot, which is consistent by construction).
+// must be committed homes), registers the bundle, then logs a WAL bundle
+// record carrying the serialized bundle, so the bundle survives a crash
+// immediately; from the next checkpoint on it also lives in the metadata
+// snapshot's bundle section.  Each clone logs a small self-contained WAL
+// clone record (lineage, source ID, home record) plus the clone's label.
+// Both kinds of record ride the group committer exactly as sync records do
+// (logged, in groupcommit.go): enqueued, committed in a batch, acknowledged
+// by a ticket, and — when the log has no room or the record could never fit
+// — made durable by a checkpoint instead, which persists the registered
+// bundle and the installed alias in the metadata snapshot.  Replay
+// re-aliases the extent, and a clone record whose bundle cannot be resolved
+// quarantines the destination — a typed error, never silent bad bytes.
+// DeleteBundle needs no record of its own: it unregisters, releases the
+// pins, and checkpoints, and the checkpoint's metadata flip is what makes
+// the deletion durable (a fallback mount may resurrect the bundle along
+// with the rest of the older snapshot, which is consistent by
+// construction).
 //
-// Rot: when any read path detects a contents-CRC mismatch on an extent,
-// the damage is propagated to every referent — each aliasing object is
-// quarantined and each bundle entry over that extent is marked rotted, so
-// further clones of it fail with a QuarantineError.
+// Rot: when any read path — Get, scrub, the cleaner — detects a
+// contents-CRC mismatch on an extent, condemn (home.go) passes the verdict
+// on every referent: each aliasing object is quarantined and each bundle
+// entry over that extent is marked rotted, so further clones of it fail
+// with a QuarantineError.
 
 import (
 	"encoding/binary"
@@ -42,7 +48,6 @@ import (
 	"hash/fnv"
 	"sort"
 
-	"histar/internal/btree"
 	"histar/internal/label"
 	"histar/internal/wal"
 )
@@ -84,6 +89,9 @@ type Bundle struct {
 
 	rotted map[uint64]bool // bundle object IDs whose shared extent rotted
 }
+
+// home returns the committed home record the bundle object pins.
+func (o *BundleObject) home() home { return home{off: o.Off, size: o.Size, crc: o.CRC} }
 
 func (b *Bundle) object(id uint64) *BundleObject {
 	for i := range b.Objects {
@@ -139,25 +147,27 @@ func (s *Store) SnapshotBundle(name string, ids []uint64) (uint64, error) {
 	if err := s.Checkpoint(); err != nil {
 		return 0, err
 	}
-	lineage, err := s.captureBundle(name, ids)
+	return s.captureBundle(name, ids)
+}
+
+// captureBundle is SnapshotBundle after its checkpoint: register the bundle
+// and log its record.
+func (s *Store) captureBundle(name string, ids []uint64) (uint64, error) {
+	var lineage uint64
+	err := s.logged(func() (t *syncTicket, err error) {
+		lineage, t, err = s.sealBundle(name, ids)
+		return t, err
+	})
 	if err != nil {
-		if errors.Is(err, wal.ErrFull) {
-			// No log room for the bundle record: a checkpoint persists the
-			// registered bundle in the metadata snapshot instead.
-			return lineage, s.Checkpoint()
-		}
 		return 0, err
 	}
 	return lineage, nil
 }
 
-// captureBundle is SnapshotBundle's body under the checkpoint gate.
-func (s *Store) captureBundle(name string, ids []uint64) (uint64, error) {
-	s.ckptMu.RLock()
-	defer s.ckptMu.RUnlock()
-	if s.closed {
-		return 0, ErrClosed
-	}
+// sealBundle registers the bundle and enqueues its WAL record; the caller
+// holds ckptMu in read mode.  A nil ticket with a nil error means the bundle
+// was already registered.
+func (s *Store) sealBundle(name string, ids []uint64) (uint64, *syncTicket, error) {
 	sorted := append([]uint64(nil), ids...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	objs := make([]BundleObject, 0, len(sorted))
@@ -168,44 +178,38 @@ func (s *Store) captureBundle(name string, ids []uint64) (uint64, error) {
 		}
 		last = id
 		// Entry state first (entry lock), extent second (metaMu) — the same
-		// order Get's readHome path uses.
+		// order Get's page-in path uses.
 		var lblBytes []byte
 		if e := s.shardOf(id).lookup(id); e != nil {
 			e.mu.Lock()
 			switch {
 			case e.quar:
 				e.mu.Unlock()
-				return 0, &QuarantineError{ID: id, Detail: "cannot bundle a quarantined object"}
+				return 0, nil, &QuarantineError{ID: id, Detail: "cannot bundle a quarantined object"}
 			case e.dead:
 				e.mu.Unlock()
-				return 0, fmt.Errorf("%w: object %d", ErrNoSuchObject, id)
+				return 0, nil, fmt.Errorf("%w: object %d", ErrNoSuchObject, id)
 			case e.dirty || e.ckpt:
 				e.mu.Unlock()
-				return 0, fmt.Errorf("%w: object %d", ErrNotCommitted, id)
+				return 0, nil, fmt.Errorf("%w: object %d", ErrNotCommitted, id)
 			}
 			if e.hasLbl {
 				lblBytes = e.lbl.AppendBinary(nil)
 			}
 			e.mu.Unlock()
 		}
-		s.metaMu.RLock()
-		off, ok := s.objMap.Get(btree.K1(id))
-		size := s.objSizes[id]
-		crc := s.objCRCs[id]
-		s.metaMu.RUnlock()
+		h, ok := s.lookupHome(id)
 		if !ok {
-			return 0, fmt.Errorf("%w: object %d has no committed home", ErrNoSuchObject, id)
+			return 0, nil, fmt.Errorf("%w: object %d has no committed home", ErrNoSuchObject, id)
 		}
-		objs = append(objs, BundleObject{
-			ID: id, Off: int64(off), Size: size, CRC: crc, Label: lblBytes,
-		})
+		objs = append(objs, BundleObject{ID: id, Off: h.off, Size: h.size, CRC: h.crc, Label: lblBytes})
 	}
 	lineage := bundleLineage(name, objs)
 	b := &Bundle{Lineage: lineage, Name: name, Objects: objs}
 	s.metaMu.Lock()
 	if _, exists := s.bundles[lineage]; exists {
 		s.metaMu.Unlock()
-		return lineage, nil
+		return lineage, nil, nil
 	}
 	b.Epoch = s.metaEpoch
 	s.bundles[lineage] = b
@@ -216,25 +220,8 @@ func (s *Store) captureBundle(name string, ids []uint64) (uint64, error) {
 	}
 	s.allocMu.Unlock()
 	s.c.bundleSnapshots.Add(1)
-	rec := wal.Record{ObjectID: lineage, Data: encodeBundleBody(b), Bundle: true}
-	if err := s.l.Append(rec); err == nil {
-		err = s.l.Commit()
-		if err == nil {
-			return lineage, nil
-		}
-		if errors.Is(err, wal.ErrFull) {
-			// The record stays pending; the caller's checkpoint fallback
-			// persists the bundle, and a later commit of the record replays
-			// idempotently.
-			return lineage, err
-		}
-		return lineage, err
-	} else if errors.Is(err, wal.ErrTooLarge) {
-		// A bundle too large for any log: persist via checkpoint only.
-		return lineage, wal.ErrFull
-	} else {
-		return lineage, err
-	}
+	t, err := s.submit(wal.Record{ObjectID: lineage, Data: encodeBundleBody(b), Bundle: true})
+	return lineage, t, err
 }
 
 // pinExtentLocked adds one reference to an extent; the caller holds allocMu.
@@ -263,54 +250,43 @@ func (s *Store) CloneObjectLabeled(lineage, srcID, dstID uint64, lbl label.Label
 }
 
 func (s *Store) cloneObject(lineage, srcID, dstID uint64, lblBytes []byte) error {
-	err := s.cloneObjectLocked(lineage, srcID, dstID, lblBytes)
-	if errors.Is(err, wal.ErrFull) {
-		// The alias is installed in memory; a checkpoint persists it in the
-		// object map when the log has no room for the clone record.
-		return s.Checkpoint()
-	}
-	return err
+	return s.logged(func() (*syncTicket, error) { return s.sealClone(lineage, srcID, dstID, lblBytes) })
 }
 
-func (s *Store) cloneObjectLocked(lineage, srcID, dstID uint64, lblBytes []byte) error {
-	s.ckptMu.RLock()
-	defer s.ckptMu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
+// sealClone installs the alias and enqueues its WAL clone record; the caller
+// holds ckptMu in read mode.
+func (s *Store) sealClone(lineage, srcID, dstID uint64, lblBytes []byte) (*syncTicket, error) {
 	sh := s.shardOf(dstID)
 	e := sh.getOrCreate(dstID)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.cached || e.dirty {
-		return fmt.Errorf("%w: object %d", ErrCloneExists, dstID)
+		return nil, fmt.Errorf("%w: object %d", ErrCloneExists, dstID)
 	}
 	s.metaMu.Lock()
 	b := s.bundles[lineage]
 	if b == nil {
 		s.metaMu.Unlock()
-		return fmt.Errorf("%w: lineage %#x", ErrNoSuchBundle, lineage)
+		return nil, fmt.Errorf("%w: lineage %#x", ErrNoSuchBundle, lineage)
 	}
 	bo := b.object(srcID)
 	if bo == nil {
 		s.metaMu.Unlock()
-		return fmt.Errorf("%w: object %d not captured by bundle %q", ErrNoSuchObject, srcID, b.Name)
+		return nil, fmt.Errorf("%w: object %d not captured by bundle %q", ErrNoSuchObject, srcID, b.Name)
 	}
 	if b.rotted[srcID] {
 		s.metaMu.Unlock()
-		return &QuarantineError{ID: srcID,
+		return nil, &QuarantineError{ID: srcID,
 			Detail: fmt.Sprintf("bundle %q extent at offset %d failed verification; refusing to clone", b.Name, bo.Off)}
 	}
-	if _, ok := s.objMap.Get(btree.K1(dstID)); ok {
+	if _, ok := s.homeOf(dstID); ok {
 		s.metaMu.Unlock()
-		return fmt.Errorf("%w: object %d", ErrCloneExists, dstID)
+		return nil, fmt.Errorf("%w: object %d", ErrCloneExists, dstID)
 	}
 	if lblBytes == nil {
 		lblBytes = bo.Label
 	}
-	s.objMap.Put(btree.K1(dstID), uint64(bo.Off))
-	s.objSizes[dstID] = bo.Size
-	s.objCRCs[dstID] = bo.CRC
+	s.setHome(dstID, bo.home())
 	s.metaMu.Unlock()
 	s.allocMu.Lock()
 	s.pinExtentLocked(bo.Off)
@@ -326,18 +302,14 @@ func (s *Store) cloneObjectLocked(lineage, srcID, dstID uint64, lblBytes []byte)
 	}
 	s.c.objectClones.Add(1)
 	s.c.cloneBytesShared.Add(uint64(bo.Size))
-	// The clone record is appended under the entry lock (like group-commit
-	// seals), so replay order for dstID matches operation order.
-	rec := wal.Record{
+	// The clone record is enqueued under the entry lock (like every sealed
+	// record), so replay order for dstID matches operation order.
+	return s.submit(wal.Record{
 		ObjectID: dstID,
-		Data:     encodeCloneBody(lineage, srcID, bo),
-		Label:    append([]byte(nil), lblBytes...),
+		Data:     encodeCloneBody(lineage, srcID, bo.home()),
+		Label:    lblBytes,
 		Clone:    true,
-	}
-	if err := s.l.Append(rec); err != nil {
-		return err
-	}
-	return s.l.Commit()
+	})
 }
 
 // DeleteBundle unregisters a bundle and releases its extent pins, then
@@ -440,202 +412,50 @@ func (s *Store) bundleRetentionFloor(finishEpoch uint64) uint64 {
 	return floor
 }
 
-// propagateExtentRot spreads a contents-CRC failure at extent off to every
-// referent: aliasing objects (other than skip, which the caller already
-// handled) are quarantined, and bundle entries over the extent are marked
-// rotted so clones of them fail typed.  Called with no locks held.
-func (s *Store) propagateExtentRot(off int64, skip uint64) {
-	var ids []uint64
-	s.metaMu.Lock()
-	s.objMap.Scan(func(k btree.Key, v uint64) bool {
-		if int64(v) == off && k[0] != skip {
-			ids = append(ids, k[0])
-		}
-		return true
-	})
-	for _, b := range s.bundles {
-		for i := range b.Objects {
-			if b.Objects[i].Off == off {
-				if b.rotted == nil {
-					b.rotted = make(map[uint64]bool)
-				}
-				b.rotted[b.Objects[i].ID] = true
-			}
-		}
-	}
-	s.metaMu.Unlock()
-	for _, id := range ids {
-		e := s.shardOf(id).getOrCreate(id)
-		e.mu.Lock()
-		// A resident or rewritten copy supersedes the damaged extent.
-		if !e.cached && !e.dirty && !e.dead {
-			s.quarantine(id, e, fmt.Sprintf("shares rotted extent at offset %d", off))
-		}
-		e.mu.Unlock()
-	}
-}
-
-// homeOffset returns the object's committed home-extent offset.
-func (s *Store) homeOffset(id uint64) (int64, bool) {
-	s.metaMu.RLock()
-	off, ok := s.objMap.Get(btree.K1(id))
-	s.metaMu.RUnlock()
-	return int64(off), ok
-}
-
-// ---------------------------------------------------------------------------
-// Serialization: WAL records and the metadata bundle section share one body
-// codec.
-// ---------------------------------------------------------------------------
-
-// cloneBodySize is the fixed payload of a WAL clone record: lineage,
-// source ID, extent offset, extent size, CRC field.
-const cloneBodySize = 40
-
-func encodeCloneBody(lineage, srcID uint64, bo *BundleObject) []byte {
-	buf := make([]byte, 0, cloneBodySize)
-	buf = appendU64(buf, lineage)
-	buf = appendU64(buf, srcID)
-	buf = appendU64(buf, uint64(bo.Off))
-	buf = appendU64(buf, uint64(bo.Size))
-	buf = appendU64(buf, objCRCValid|uint64(bo.CRC))
-	return buf
-}
-
-// encodeBundleBody serializes one bundle (without its lineage, which rides
-// in the WAL record's object-ID field or the section's per-bundle prefix).
-func encodeBundleBody(b *Bundle) []byte {
-	var buf []byte
-	buf = appendU64(buf, uint64(len(b.Name)))
-	buf = append(buf, b.Name...)
-	buf = appendU64(buf, b.Epoch)
-	buf = appendU64(buf, uint64(len(b.Objects)))
-	for i := range b.Objects {
-		o := &b.Objects[i]
-		buf = appendU64(buf, o.ID)
-		buf = appendU64(buf, uint64(o.Off))
-		buf = appendU64(buf, uint64(o.Size))
-		buf = appendU64(buf, objCRCValid|uint64(o.CRC))
-		buf = appendU64(buf, uint64(len(o.Label)))
-		buf = append(buf, o.Label...)
-	}
-	return buf
-}
-
-// decodeBundleBody is encodeBundleBody's inverse; structural violations
-// come back as CorruptError.
-func decodeBundleBody(lineage uint64, buf []byte, area string, areaOff int64) (*Bundle, error) {
-	r := &sectionReader{buf: buf, off: areaOff, area: area}
-	nameLen, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	if nameLen > uint64(len(r.buf)) {
-		return nil, &CorruptError{Area: area, Offset: areaOff, Detail: "bundle name overruns payload"}
-	}
-	name := string(r.buf[:nameLen])
-	r.buf = r.buf[nameLen:]
-	epoch, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	n, err := r.u64()
-	if err != nil {
-		return nil, err
-	}
-	b := &Bundle{Lineage: lineage, Name: name, Epoch: epoch}
-	for i := uint64(0); i < n; i++ {
-		id, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		off, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		size, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		crcField, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		if crcField&objCRCValid == 0 {
-			return nil, &CorruptError{Area: area, Offset: areaOff,
-				Detail: fmt.Sprintf("bundle object %d captured without a contents checksum", id)}
-		}
-		lblLen, err := r.u64()
-		if err != nil {
-			return nil, err
-		}
-		if lblLen > uint64(len(r.buf)) {
-			return nil, &CorruptError{Area: area, Offset: areaOff, Detail: "bundle label overruns payload"}
-		}
-		var lbl []byte
-		if lblLen > 0 {
-			lbl = append([]byte(nil), r.buf[:lblLen]...)
-		}
-		r.buf = r.buf[lblLen:]
-		b.Objects = append(b.Objects, BundleObject{
-			ID: id, Off: int64(off), Size: int64(size),
-			CRC: uint32(crcField), Label: lbl,
-		})
-	}
-	return b, nil
-}
-
 // replayBundleRecord re-registers a bundle from a WAL record during Open
 // (single-threaded); extent pins and segment live counts are rebuilt once
-// by the recomputeSegLive pass that follows replay.
-func (s *Store) replayBundleRecord(r wal.Record) error {
-	if _, exists := s.bundles[r.ObjectID]; exists {
-		return nil // already in the loaded snapshot
+// by the recomputeSegLive pass that follows replay.  A damaged payload
+// degrades the mount (clones of the lost bundle quarantine) rather than
+// refusing it.
+func (s *Store) replayBundleRecord(rec wal.Record) {
+	if _, exists := s.bundles[rec.ObjectID]; exists {
+		return // already in the loaded snapshot
 	}
-	b, err := decodeBundleBody(r.ObjectID, r.Data, "wal", logOffset)
-	if err != nil {
-		return s.noteCorruption(fmt.Errorf("%w: replaying bundle %#x: %v", ErrCorrupt, r.ObjectID, err))
+	r := &sectionReader{buf: rec.Data, off: logOffset, area: "wal"}
+	b := decodeBundleBody(rec.ObjectID, r)
+	if r.err != nil {
+		s.noteCorruption(fmt.Errorf("%w: replaying bundle %#x: %v", ErrCorrupt, rec.ObjectID, r.err))
+		return
 	}
-	s.bundles[r.ObjectID] = b
-	return nil
+	s.bundles[rec.ObjectID] = b
 }
 
 // replayCloneRecord re-applies a clone alias from a WAL record during Open
 // (single-threaded).  A clone already present in the loaded snapshot is
-// skipped; a clone whose bundle cannot be resolved — possible only after a
-// deep metadata fallback — is quarantined rather than silently aliased.
+// skipped; a clone whose record does not decode, or whose bundle cannot be
+// resolved — possible only after a deep metadata fallback — is quarantined
+// rather than silently aliased.
 func (s *Store) replayCloneRecord(r wal.Record) {
-	if len(r.Data) != cloneBodySize {
-		s.noteCorruption(fmt.Errorf("%w: clone record for object %d has %d-byte payload", ErrCorrupt, r.ObjectID, len(r.Data)))
-		return
-	}
-	lineage := binary.LittleEndian.Uint64(r.Data[0:])
-	srcID := binary.LittleEndian.Uint64(r.Data[8:])
-	off := int64(binary.LittleEndian.Uint64(r.Data[16:]))
-	size := int64(binary.LittleEndian.Uint64(r.Data[24:]))
-	crcField := binary.LittleEndian.Uint64(r.Data[32:])
 	dst := r.ObjectID
 	sh := s.shardOf(dst)
 	e := sh.getOrCreate(dst)
-	if _, ok := s.objMap.Get(btree.K1(dst)); ok {
+	if _, ok := s.homeOf(dst); ok {
 		// The loaded snapshot already placed this object (the clone itself,
 		// or a later rewrite); the record is stale.
 		return
 	}
-	if crcField&objCRCValid == 0 {
-		s.noteCorruption(fmt.Errorf("%w: clone record for object %d carries no contents checksum", ErrCorrupt, dst))
-		s.quarantine(dst, e, "clone record carries no contents checksum")
+	lineage, srcID, h, err := decodeCloneBody(r.Data)
+	if err == nil {
+		if b := s.bundles[lineage]; b == nil || b.object(srcID) == nil || b.object(srcID).Off != h.off {
+			err = fmt.Errorf("source bundle %#x lost by metadata fallback", lineage)
+		}
+	}
+	if err != nil {
+		s.noteCorruption(fmt.Errorf("%w: replaying clone record for object %d: %v", ErrCorrupt, dst, err))
+		s.quarantine(e)
 		return
 	}
-	b := s.bundles[lineage]
-	if b == nil || b.object(srcID) == nil || b.object(srcID).Off != off {
-		s.noteCorruption(fmt.Errorf("%w: clone record for object %d references unresolvable bundle %#x", ErrCorrupt, dst, lineage))
-		s.quarantine(dst, e, "clone source bundle lost by metadata fallback")
-		return
-	}
-	s.objMap.Put(btree.K1(dst), uint64(off))
-	s.objSizes[dst] = size
-	s.objCRCs[dst] = uint32(crcField)
+	s.setHome(dst, h)
 	e.dead, e.quar, e.cached, e.dirty = false, false, false, false
 	if len(r.Label) > 0 {
 		lbl, rest, derr := s.decodeLabel(r.Label)
@@ -647,55 +467,6 @@ func (s *Store) replayCloneRecord(r wal.Record) {
 	} else {
 		s.clearLabel(sh, dst, e)
 	}
-}
-
-// encodeBundlesSection serializes the bundle table for the metadata
-// snapshot: [count] then per bundle [lineage][bodyLen][body].
-func (s *Store) encodeBundlesSection() []byte {
-	s.metaMu.RLock()
-	lineages := make([]uint64, 0, len(s.bundles))
-	for l := range s.bundles {
-		lineages = append(lineages, l)
-	}
-	sort.Slice(lineages, func(i, j int) bool { return lineages[i] < lineages[j] })
-	var buf []byte
-	buf = appendU64(buf, uint64(len(lineages)))
-	for _, l := range lineages {
-		body := encodeBundleBody(s.bundles[l])
-		buf = appendU64(buf, l)
-		buf = appendU64(buf, uint64(len(body)))
-		buf = append(buf, body...)
-	}
-	s.metaMu.RUnlock()
-	return buf
-}
-
-func (s *Store) decodeBundlesSection(buf []byte, areaOff int64) error {
-	r := &sectionReader{buf: buf, off: areaOff, area: "metadata"}
-	n, err := r.u64()
-	if err != nil {
-		return err
-	}
-	for i := uint64(0); i < n; i++ {
-		lineage, err := r.u64()
-		if err != nil {
-			return err
-		}
-		bodyLen, err := r.u64()
-		if err != nil {
-			return err
-		}
-		if bodyLen > uint64(len(r.buf)) {
-			return &CorruptError{Area: "metadata", Offset: areaOff, Detail: "bundle body overruns section"}
-		}
-		b, derr := decodeBundleBody(lineage, r.buf[:bodyLen], "metadata", areaOff)
-		if derr != nil {
-			return derr
-		}
-		r.buf = r.buf[bodyLen:]
-		s.bundles[lineage] = b
-	}
-	return nil
 }
 
 // BundleStats is the bundle/clone accounting snapshot.

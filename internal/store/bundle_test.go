@@ -10,10 +10,12 @@ import (
 	"errors"
 	"fmt"
 	"testing"
+	"time"
 
 	"histar/internal/btree"
 	"histar/internal/disk"
 	"histar/internal/label"
+	"histar/internal/vclock"
 )
 
 func bundlePayload(id uint64, n int) []byte {
@@ -59,10 +61,10 @@ func TestBundleSnapshotCloneBasic(t *testing.T) {
 		}
 	}
 	// The clone and its source alias one extent.
-	srcOff, _ := s.homeOffset(1)
-	dstOff, _ := s.homeOffset(101)
-	if srcOff != dstOff {
-		t.Fatalf("clone extent %d != source extent %d", dstOff, srcOff)
+	src, _ := s.lookupHome(1)
+	dst, _ := s.lookupHome(101)
+	if src != dst {
+		t.Fatalf("clone home %+v != source home %+v", dst, src)
 	}
 	st := s.BundleStats()
 	if st.Bundles != 1 || st.BundleObjects != 4 || st.PinnedBytes != 4*2048 {
@@ -88,7 +90,7 @@ func TestBundleSnapshotCloneBasic(t *testing.T) {
 	if got, err := s.Get(1); err != nil || !bytes.Equal(got, want[1]) {
 		t.Fatalf("source changed by clone rewrite: %d bytes, %v", len(got), err)
 	}
-	if newOff, _ := s.homeOffset(101); newOff == srcOff {
+	if moved, _ := s.lookupHome(101); moved.off == src.off {
 		t.Fatal("rewritten clone still aliases the shared extent")
 	}
 }
@@ -337,6 +339,91 @@ func TestBundleSurvivesCrashViaWAL(t *testing.T) {
 	}
 }
 
+// TestCloneRecordRidesTheCommitter: a clone record reaches the log the way a
+// sync record does — enqueued with the committer, acknowledged by its batch's
+// commit — so no other batch's DropPending can discard it after the call has
+// returned.  With the committer held the clone blocks on a ticket; once
+// released it is durable across a crash, whether its batch commits to the log
+// or (small-log) is dropped whole and falls back to a checkpoint.
+func TestCloneRecordRidesTheCommitter(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		logSize int64
+		crowd   int // bytes synced beside the clone; with the small log the batch cannot fit
+	}{{"log", 1 << 20, 0}, {"small-log-checkpoint-fallback", 64 << 10, 40 << 10}} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := disk.New(disk.Params{Sectors: 1 << 18, WriteCache: true}, &vclock.Clock{})
+			s, err := Format(d, Options{LogSize: tc.logSize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := bundlePayload(1, 4096)
+			if err := s.PutLabeled(1, rotLabel(1), data); err != nil {
+				t.Fatal(err)
+			}
+			lineage, err := s.SnapshotBundle("held", []uint64{1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.crowd > 0 {
+				if err := s.Put(50, bundlePayload(50, tc.crowd)); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.SyncObject(50); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Put(51, bundlePayload(51, tc.crowd)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			over := label.New(label.L1, label.P(label.Category(9), label.L0))
+			s.holdGroupCommit()
+			done := make(chan error, 2)
+			go func() { done <- s.CloneObjectLabeled(lineage, 1, 2, over) }()
+			queued := 1
+			if tc.crowd > 0 {
+				go func() { done <- s.SyncObject(51) }()
+				queued = 2
+			}
+			for deadline := time.Now().Add(10 * time.Second); s.groupQueueLen() < queued; {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d of %d records queued: the clone record bypassed the committer", s.groupQueueLen(), queued)
+				}
+				time.Sleep(100 * time.Microsecond)
+			}
+			select {
+			case err := <-done:
+				t.Fatalf("an operation returned (%v) while the committer was held", err)
+			default:
+			}
+			ckpts := s.Stats().Checkpoints
+			s.releaseGroupCommit()
+			for i := 0; i < queued; i++ {
+				if err := <-done; err != nil {
+					t.Fatal(err)
+				}
+			}
+			if fellBack := s.Stats().Checkpoints > ckpts; fellBack != (tc.crowd > 0) {
+				t.Fatalf("checkpoint fallback taken = %v, want %v", fellBack, tc.crowd > 0)
+			}
+			d.Crash()
+			s2, err := Open(d, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := s2.Get(2); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("acknowledged clone after crash = %d bytes, %v", len(got), err)
+			}
+			if lbl, has := s2.Label(2); !has || !lbl.Equal(over) {
+				t.Fatalf("acknowledged clone's label after crash = %v, %v", lbl, has)
+			}
+			if err := s2.VerifyLabelIndex(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestBundlePersistsInMetadataSnapshot: from the first checkpoint after
 // capture the bundle lives in the v4 metadata section, so it survives
 // remounts whose WAL generations have long been reclaimed.
@@ -580,6 +667,25 @@ func TestCrashDuringBundleOpsEveryPoint(t *testing.T) {
 // clones quarantines every referent with typed errors, refuses further
 // clones, fails bundle validation — and never serves the bad bytes.
 func TestBitRotSharedExtentQuarantinesEveryClone(t *testing.T) {
+	// Whichever read path touches the rotted extent first — a Get through a
+	// clone, or a scrub pass — the verdict must reach every referent.
+	t.Run("first-touch-get", func(t *testing.T) {
+		testSharedExtentRot(t, func(s *Store) {
+			if _, err := s.Get(11); !errors.Is(err, ErrQuarantined) || !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("Get(clone) over rotted extent = %v", err)
+			}
+		})
+	})
+	t.Run("first-touch-scrub", func(t *testing.T) {
+		testSharedExtentRot(t, func(s *Store) {
+			if st, err := s.Scrub(); err != nil || st.ObjectsQuarantined != 4 {
+				t.Fatalf("scrub over rotted shared extent = %+v, %v; want 4 objects quarantined", st, err)
+			}
+		})
+	})
+}
+
+func testSharedExtentRot(t *testing.T, firstTouch func(*Store)) {
 	s, fd := rotStore(t)
 	data := bundlePayload(1, 8192)
 	if err := s.PutLabeled(1, rotLabel(1), data); err != nil {
@@ -614,12 +720,10 @@ func TestBitRotSharedExtentQuarantinesEveryClone(t *testing.T) {
 	if err := fd.RotBits(disk.Region{Off: int64(off), Len: int64(len(data))}, 1, 21); err != nil {
 		t.Fatal(err)
 	}
-	// First touch is through a CLONE: detection must propagate to the
-	// source, the sibling clones, and the bundle entry.
-	if _, err := s2.Get(11); !errors.Is(err, ErrQuarantined) || !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("Get(clone) over rotted extent = %v", err)
-	}
-	for _, id := range []uint64{1, 12, 13} {
+	// Detection must propagate to the source, every clone, and the bundle
+	// entry.
+	firstTouch(s2)
+	for _, id := range []uint64{1, 11, 12, 13} {
 		gerr := func() error { _, err := s2.Get(id); return err }()
 		if !errors.Is(gerr, ErrQuarantined) {
 			t.Fatalf("referent %d of rotted extent = %v; want ErrQuarantined", id, gerr)

@@ -598,3 +598,89 @@ func TestCrashRecoveryEveryPoint(t *testing.T) {
 		}
 	}
 }
+
+// TestAcknowledgedDeleteIsDurable is the directed reproduction of the lost
+// tombstone TestCrashRecoveryConcurrentEveryPoint used to hit by chance at
+// GOMAXPROCS ≥ 2: a SyncObject of a deleted object may be acknowledged
+// without a log record only when no committed snapshot and no replayable
+// record still holds the object.  Two single-threaded windows where the
+// deleted object's entry used to be pruned from memory too early:
+//
+//   - failed-checkpoint: a checkpoint body vacates the object's home in
+//     memory and then dies at every one of its write boundaries in turn; the
+//     retried checkpoint's seal found "dead, no home" and pruned the entry,
+//     and the sync that followed was acknowledged with no I/O at all.
+//   - open-body: the object exists on disk only as a log record; the seal
+//     pruned its dead entry at once, and a sync acknowledged while the body
+//     was still open was lost by a crash before the snapshot committed.
+func TestAcknowledgedDeleteIsDurable(t *testing.T) {
+	data := []byte("deleted, synced, and must stay deleted")
+	mustGone := func(t *testing.T, dev disk.Device, what string) {
+		t.Helper()
+		s2, err := Open(dev, crashOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := s2.Get(0); !errors.Is(err, ErrNoSuchObject) {
+			t.Fatalf("%s: SyncObject acknowledged the delete, yet the object recovered as %q, %v", what, got, err)
+		}
+	}
+	t.Run("failed-checkpoint", func(t *testing.T) {
+		prepare := func() (*Store, *disk.FaultDisk) {
+			s, fd := newCrashRig(t)
+			if err := s.Put(0, data); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Delete(0); err != nil {
+				t.Fatal(err)
+			}
+			fd.Arm(-1, disk.FaultOmit) // restart the byte count at the checkpoint under test
+			return s, fd
+		}
+		s, fd := prepare()
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		for _, pt := range crashPoints(fd.WriteBounds()) {
+			s, fd := prepare()
+			fd.Arm(pt, disk.FaultOmit)
+			first, retry := s.Checkpoint(), s.Checkpoint()
+			if err := s.SyncObject(0); err == nil {
+				mustGone(t, fd.Inner(), fmt.Sprintf("omit@%d (checkpoint: %v, retry: %v)", pt, first, retry))
+			}
+		}
+	})
+	t.Run("open-body", func(t *testing.T) {
+		s, fd := newCrashRig(t)
+		if err := s.Put(0, data); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SyncObject(0); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Delete(0); err != nil {
+			t.Fatal(err)
+		}
+		entered, release := make(chan struct{}), make(chan struct{})
+		s.ckptGate = func() {
+			close(entered)
+			<-release
+		}
+		ckptDone := make(chan error, 1)
+		go func() { ckptDone <- s.Checkpoint() }()
+		<-entered
+		if err := s.SyncObject(0); err != nil {
+			t.Fatal(err)
+		}
+		// Power fails before the open body writes anything.
+		fd.Arm(0, disk.FaultOmit)
+		close(release)
+		if err := <-ckptDone; !errors.Is(err, disk.ErrFault) {
+			t.Fatalf("checkpoint on a dead device = %v", err)
+		}
+		mustGone(t, fd.Inner(), "crash with the body open")
+	})
+}

@@ -16,17 +16,18 @@
 //     "HIST", referenced metadata area (0 or 1), snapshot byte length, log
 //     region size, metadata area size, format version (2), checkpoint
 //     epoch.
-//   - Metadata area header (48 bytes): magic "HMET", version (4), checkpoint
-//     epoch, payload length, section count, CRC32C over the header's first
-//     40 bytes.
+//   - Metadata area header (48 bytes): magic "HMET", version (5), checkpoint
+//     epoch, payload length, section count (5), CRC32C over the header's
+//     first 40 bytes.
 //   - Metadata sections: each framed [tag u64][length u64][CRC32C u64]
 //     [payload], the CRC covering the payload.  Tags: 1 object map, 2 free
-//     extents, 3 labels, 4 fingerprint index, 5 segment table (base, size,
-//     used triples for the append-only data segments; per-segment live
-//     counts are derived from the object map at open), 6 snapshot-bundle
-//     table.  Verification requires every tag exactly once, in-bounds
+//     extents, 3 labels, 5 segment table (base, size, used triples for the
+//     append-only data segments), 6 snapshot-bundle table; tag 4 is retired.
+//     Verification requires each of the five tags exactly once, in-bounds
 //     lengths, and no trailing bytes, so a flipped tag or length never
-//     silently reassigns bytes between sections.
+//     silently reassigns bytes between sections.  Nothing derivable is
+//     stored: the label fingerprint index, the extent refcounts and the
+//     per-segment live counts are rebuilt from these sections at open.
 //   - Object extents: the object-map entry records a CRC32C of the
 //     object's contents, computed when the checkpoint writes it to its
 //     home (segment or dedicated extent) and verified on every uncached
@@ -83,19 +84,16 @@
 //     epoch's marker.
 //  2. SuperblockFallback: the primary copy fails, the backup at offset 512
 //     verifies and is used.  Nothing else changes.
-//  3. IndexRebuilt: only the fingerprint-index section fails its CRC; the
-//     index is rebuilt from the (intact) label section instead of failing
-//     the mount.
-//  4. MetaFallback: the referenced area fails; the alternate area is
+//  3. MetaFallback: the referenced area fails; the alternate area is
 //     accepted only if it verifies at a strictly older epoch (an equal or
 //     newer epoch would mean an uncommitted checkpoint).  The write-ahead
 //     log is then replayed from the older epoch's retained marker (or in
 //     full) — FINISH keeps the previous generation, and a checkpoint's
 //     freed extents rejoin the allocator only after its snapshot commits,
 //     so falling back one snapshot loses no committed sync.
-//  5. WALDamaged: a damaged log record or header truncates replay to the
+//  4. WALDamaged: a damaged log record or header truncates replay to the
 //     valid prefix; the log is resealed past it.
-//  6. Refusal: both superblock copies, or both metadata areas, are
+//  5. Refusal: both superblock copies, or both metadata areas, are
 //     damaged.  Open returns an error wrapping ErrCorrupt rather than
 //     guessing.
 //
@@ -107,19 +105,24 @@
 //
 // A home extent whose contents fail CRC verification — on an uncached Get,
 // during a scrub, or when the segment cleaner tries to copy it out —
-// quarantines exactly that object: accesses return a QuarantineError
-// (errors.Is-matching both ErrQuarantined and ErrCorrupt), SyncObject
-// refuses to log the damaged bytes, and the ID stays enumerable via
-// QuarantinedObjects.  The rest of the store serves normally (the cleaner
-// additionally leaves the damaged object's whole segment in place — moving
-// it would destroy the only, albeit damaged, copy).  A quarantine verdict
-// is lifted by anything that replaces the damaged extent as the object's
-// authority: a new Put, a Delete, a logged copy replayed at open, or the
-// checkpoint relocation of a sealed dirty entry.  Because scrub runs
-// concurrently with checkpoint bodies, a scrub mismatch is re-validated
-// against the live object map before the verdict — an extent the
-// checkpoint has already superseded is stale, not damaged.  Detection and
-// quarantine events are counted in IntegrityStats.
+// reaches one verdict (condemn, in home.go), which quarantines exactly the
+// objects whose home is that extent — one object, or a bundle's source and
+// every clone still aliasing it — and marks the bundle entries over it
+// rotted: accesses return a QuarantineError (errors.Is-matching both
+// ErrQuarantined and ErrCorrupt), SyncObject refuses to log the damaged
+// bytes, further clones and ValidateBundle refuse, and the ID stays
+// enumerable via QuarantinedObjects.  The rest of the store serves normally
+// (the cleaner additionally leaves the damaged object's whole segment in
+// place — moving it would destroy the only, albeit damaged, copy).  A
+// quarantine verdict is lifted by anything that replaces the damaged extent
+// as the object's authority: a new Put, a Delete, a logged copy replayed at
+// open, or the checkpoint relocation of a sealed dirty entry — and is never
+// passed on an object whose dirty, dead or checkpoint-sealed in-memory state
+// already supersedes the extent.  Because scrub runs concurrently with
+// checkpoint bodies, a scrub mismatch is re-validated against the live home
+// table before the verdict — an extent the checkpoint has already
+// superseded is stale, not damaged.  Detection and quarantine events are
+// counted in IntegrityStats.
 //
 // The bit-rot harness in bitrot_test.go injects odd-weight flips into each
 // structure above — including objects packed inside sealed segments — and

@@ -2,7 +2,9 @@ package store
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -15,7 +17,7 @@ import (
 // log header and records, metadata header and sections, segment packing,
 // bundle and clone records — so a change that alters any of them must
 // change this constant, visibly.
-const formatImageSHA256 = "5fed496c1cfa3167536414d08f868d4e842621e658ae5ece723f2ce57d7cb8d1"
+const formatImageSHA256 = "060850353774ff1f9af94ae210155bdae873206efc4756af7a1461733017a36e"
 
 // formatImageWorkload drives one seeded, single-threaded pass over every
 // structure the store writes: plain and labelled puts, deletes, per-object
@@ -96,5 +98,85 @@ func TestOnDiskFormatUnchanged(t *testing.T) {
 	}
 	if s2.RecoveryReport().Degraded() {
 		t.Fatalf("reopen of the format image degraded: %+v", s2.RecoveryReport())
+	}
+}
+
+// TestDecodersRefuseDamagedPayloads drives every decoder that reads through
+// the sticky sectionReader — the five metadata sections, the bundle body and
+// the clone body — with its own encoder's output and two damaged variants:
+// cut short in the middle of a field, and with a count or length field that
+// claims more than the payload holds (an absurd count must also return at
+// once rather than loop).  The intact payload decodes; each damaged one
+// comes back as a CorruptError, never a panic or a half-reported success.
+func TestDecodersRefuseDamagedPayloads(t *testing.T) {
+	src, fd := rotStore(t)
+	populateGenerations(t, src)
+	lineage, err := src.SnapshotBundle("codec", []uint64{1, 2, 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	section := func(tag uint64) []byte {
+		reg := findSection(t, fd, src.metaAreaOff(src.metaWhich), tag)
+		body := make([]byte, reg.Len)
+		if _, err := fd.ReadAt(body, reg.Off); err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	// overrun returns p with the u64 at off replaced by v.
+	overrun := func(p []byte, off int, v uint64) []byte {
+		q := append([]byte(nil), p...)
+		binary.LittleEndian.PutUint64(q[off:], v)
+		return q
+	}
+	bundleBody := encodeBundleBody(src.bundles[lineage])
+	cloneBody := encodeCloneBody(lineage, 1, home{off: 8192, size: 10, crc: 7})
+	cases := []struct {
+		name    string
+		payload []byte
+		lenOff  int // offset of a count or length field to inflate
+		decode  func(*Store, *sectionReader)
+	}{
+		{"objmap", section(secObjMap), 0, (*Store).decodeObjMapSection},
+		{"free", section(secFree), 0, (*Store).decodeFreeSection},
+		{"labels", section(secLabels), 0, (*Store).decodeLabelSection},
+		{"segments", section(secSegs), 0, (*Store).decodeSegsSection},
+		{"bundles", section(secBundles), 0, (*Store).decodeBundlesSection},
+		{"bundles-body-length", section(secBundles), 16, (*Store).decodeBundlesSection},
+		{"bundle-body", bundleBody, 0, func(_ *Store, r *sectionReader) { decodeBundleBody(lineage, r) }},
+		{"bundle-body-object-count", bundleBody, 8 + len("codec") + 8, func(_ *Store, r *sectionReader) { decodeBundleBody(lineage, r) }},
+		{"clone-body", cloneBody, -1, func(_ *Store, r *sectionReader) {
+			if _, _, _, err := decodeCloneBody(r.buf); err != nil {
+				r.err = err
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(payload []byte) error {
+				r := &sectionReader{buf: payload, area: "metadata"}
+				tc.decode(newStore(nil, Options{}), r)
+				return r.err
+			}
+			if err := run(tc.payload); err != nil {
+				t.Fatalf("intact payload refused: %v", err)
+			}
+			damaged := map[string][]byte{"truncated-mid-field": tc.payload[:len(tc.payload)-3]}
+			if tc.lenOff >= 0 {
+				damaged["overrunning-length"] = overrun(tc.payload, tc.lenOff, binary.LittleEndian.Uint64(tc.payload[tc.lenOff:])+1)
+				damaged["absurd-length"] = overrun(tc.payload, tc.lenOff, ^uint64(0))
+			} else {
+				damaged["overlong"] = append(append([]byte(nil), tc.payload...), 0)
+			}
+			for name, payload := range damaged {
+				var ce *CorruptError
+				if err := run(payload); !errors.As(err, &ce) {
+					t.Errorf("%s: decode = %v; want a CorruptError", name, err)
+				}
+			}
+		})
 	}
 }

@@ -1,13 +1,15 @@
 package store
 
-// Group commit (the concurrent fast path for per-object sync): SyncObject
-// seals one write-ahead log record from the object's current state, enqueues
-// it with the committer, and waits on a commit ticket.  The first syncer to
-// find the committer idle becomes the leader: it drains the queue in bounded
-// batches, each batch one wal.AppendBatch plus one Commit (a single
-// sequential write and flush), and resolves every ticket in the batch.
-// Followers just wait; their latency is bounded by at most one in-flight
-// batch ahead of theirs, and batch size is bounded by
+// Group commit is the one way into the write-ahead log for every record the
+// store writes except the seal's epoch marker: SyncObject seals a record
+// from the object's current state, CloneObject one describing the alias it
+// installed, SnapshotBundle one carrying the bundle it registered; each
+// enqueues it with the committer and waits on a commit ticket.  The first
+// syncer to find the committer idle becomes the leader: it drains the queue
+// in bounded batches, each batch one wal.AppendBatch plus one Commit (a
+// single sequential write and flush), and resolves every ticket in the
+// batch.  Followers just wait; their latency is bounded by at most one
+// in-flight batch ahead of theirs, and batch size is bounded by
 // Options.GroupCommitBytes/GroupCommitRecords.
 //
 // Crash-consistency invariants:
@@ -19,6 +21,10 @@ package store
 //     so no checkpoint SEAL can intervene between sealing a state and
 //     committing it — a record in the log is never older than the epoch
 //     marker before it, so replay on the matching snapshot never regresses.
+//   - The log's pending buffer has two writers only: the committer leader
+//     (under ckptMu read mode) and the seal's AppendMark (under ckptMu write
+//     mode), so a batch's DropPending can never discard a record that is not
+//     its own.
 //   - When a batch cannot commit (log full, or a record that could never
 //     fit), the sealed records are dropped from the log's pending buffer and
 //     every affected syncer falls back to a checkpoint: the checkpoint makes
@@ -94,6 +100,45 @@ func (c *committer) enqueue(rec wal.Record) *syncTicket {
 	c.queue = append(c.queue, t)
 	c.mu.Unlock()
 	return t
+}
+
+// submit hands one sealed record to the committer.  Called with the entry
+// lock of the object the record describes held (a bundle record describes
+// none), and ckptMu in read mode.
+func (s *Store) submit(rec wal.Record) (*syncTicket, error) {
+	if s.l.TooLarge(rec) {
+		// The record can never be logged (it exceeds the log region or the
+		// format's label-length field); a checkpoint provides the same
+		// durability — contents, label, home table and bundles — in one sweep.
+		return nil, errRetryCheckpoint
+	}
+	return s.comm.enqueue(rec), nil
+}
+
+// logged runs seal — which installs an operation's in-memory state and
+// submits its record — under the checkpoint gate, waits for the record's
+// batch to commit, and when the record cannot go through the log provides
+// the same durability by a checkpoint.  It holds ckptMu in read mode from
+// before the seal to ticket resolution, so no checkpoint SEAL can slip
+// between sealing a state and committing it, and the sealSeq value read
+// first is older than any seal that captures that state.  A nil ticket
+// means seal left nothing to await.
+func (s *Store) logged(seal func() (*syncTicket, error)) error {
+	s.ckptMu.RLock()
+	if s.closed {
+		s.ckptMu.RUnlock()
+		return ErrClosed
+	}
+	seq := s.sealSeq.Load()
+	t, err := seal()
+	if t != nil {
+		err = s.awaitCommit(t)
+	}
+	s.ckptMu.RUnlock()
+	if errors.Is(err, errRetryCheckpoint) {
+		return s.checkpointSince(seq)
+	}
+	return err
 }
 
 // takeBatch pops the next bounded batch off the queue; the caller holds
@@ -182,6 +227,10 @@ func (s *Store) commitBatch(batch []*syncTicket) error {
 	}
 	err := s.l.Commit()
 	if err == nil {
+		for _, r := range recs {
+			s.c.bytesLogged.Add(uint64(len(r.Data)))
+			s.c.labelBytesLogged.Add(uint64(len(r.Label)))
+		}
 		return nil
 	}
 	// The batch did not commit (or its durability is unknown).  Drop it from
@@ -206,29 +255,7 @@ func (s *Store) commitBatch(batch []*syncTicket) error {
 // is why the paper's synchronous unlink phase is so much slower on HiStar
 // than Linux.
 func (s *Store) SyncObject(id uint64) error {
-	seal, err := s.syncOnce(id)
-	if errors.Is(err, errRetryCheckpoint) {
-		return s.checkpointSince(seal)
-	}
-	return err
-}
-
-// syncOnce seals and group-commits one record.  It returns the checkpoint
-// seal sequence observed at record-seal time (while holding ckptMu in read
-// mode, so no checkpoint SEAL can slip between the read and the enqueue —
-// any later seal captures this record's state).
-func (s *Store) syncOnce(id uint64) (uint64, error) {
-	s.ckptMu.RLock()
-	defer s.ckptMu.RUnlock()
-	if s.closed {
-		return 0, ErrClosed
-	}
-	seal := s.sealSeq.Load()
-	t, err := s.sealSync(id)
-	if t == nil {
-		return seal, err
-	}
-	return seal, s.awaitSync(t)
+	return s.logged(func() (*syncTicket, error) { return s.sealSync(id) })
 }
 
 // sealSync seals one object's current state into a log record and enqueues
@@ -262,25 +289,8 @@ func (s *Store) sealSync(id uint64) (*syncTicket, error) {
 	default:
 		return nil, nil
 	}
-	if s.l.TooLarge(rec) {
-		// The record can never be logged (it exceeds the log region or the
-		// format's label-length field); a checkpoint provides the same
-		// durability — contents, label, and index — in one sweep.
-		return nil, errRetryCheckpoint
-	}
-	// Enqueue under the entry lock: per-object log order = seal order.
-	return s.comm.enqueue(rec), nil
-}
-
-// awaitSync waits for a sealed record's batch commit and accounts for the
-// bytes it logged.
-func (s *Store) awaitSync(t *syncTicket) error {
-	err := s.awaitCommit(t)
-	if err == nil {
-		s.c.bytesLogged.Add(uint64(len(t.rec.Data)))
-		s.c.labelBytesLogged.Add(uint64(len(t.rec.Label)))
-	}
-	return err
+	// Submitted under the entry lock: per-object log order = seal order.
+	return s.submit(rec)
 }
 
 // SyncObjects durably records the current contents of many objects at once:
@@ -309,7 +319,7 @@ func (s *Store) SyncObjects(ids []uint64) []error {
 }
 
 // syncGroupOnce is SyncObjects' log phase: seal and enqueue every record,
-// then await all tickets.  Like syncOnce it holds ckptMu in read mode from
+// then await all tickets.  Like logged it holds ckptMu in read mode from
 // first seal to last ticket resolution, so no checkpoint can slip between
 // sealing a state and committing it.  It reports whether any id must fall
 // back to a checkpoint.
@@ -330,7 +340,7 @@ func (s *Store) syncGroupOnce(ids []uint64, errs []error) (uint64, bool) {
 	needCkpt := false
 	for i, t := range tickets {
 		if t != nil {
-			errs[i] = s.awaitSync(t)
+			errs[i] = s.awaitCommit(t)
 		}
 		if errors.Is(errs[i], errRetryCheckpoint) {
 			needCkpt = true

@@ -9,7 +9,7 @@ import (
 )
 
 // Integrity errors.  Every corruption the store detects — superblock,
-// metadata area, fingerprint index, object extent, or write-ahead log — is
+// metadata area, object extent, or write-ahead log — is
 // reported through an error that errors.Is-matches ErrCorrupt; no decode
 // path returns a bare fmt.Errorf or panics on damaged bytes.
 var (
@@ -25,8 +25,8 @@ var (
 // CorruptError describes where corruption was detected.  It matches
 // ErrCorrupt under errors.Is.
 type CorruptError struct {
-	// Area names the damaged structure: "superblock", "metadata",
-	// "metadata/index", "object", or "wal".
+	// Area names the damaged structure: "superblock", "metadata", "object",
+	// or "wal".
 	Area string
 	// Offset is the byte offset on the device where the damage was detected.
 	Offset int64
@@ -69,9 +69,6 @@ type RecoveryReport struct {
 	// MetaEpoch is the checkpoint epoch of the metadata snapshot actually
 	// loaded.
 	MetaEpoch uint64
-	// IndexRebuilt: the fingerprint-index section alone was corrupt and was
-	// rebuilt from the (intact) label section instead of failing the mount.
-	IndexRebuilt bool
 	// WALDamaged: the write-ahead log had a damaged record or header; the
 	// valid prefix was replayed and the log resealed.
 	WALDamaged bool
@@ -82,7 +79,7 @@ type RecoveryReport struct {
 
 // Degraded reports whether any fallback rung fired.
 func (r RecoveryReport) Degraded() bool {
-	return r.SuperblockFallback || r.MetaFallback || r.IndexRebuilt || r.WALDamaged
+	return r.SuperblockFallback || r.MetaFallback || r.WALDamaged
 }
 
 // RecoveryReport returns what the mounting Open had to do; immutable after
@@ -164,12 +161,11 @@ func (s *Store) quarantinedLocked() []uint64 {
 
 // quarantine marks an entry damaged and counts the event; caller holds the
 // entry's lock.
-func (s *Store) quarantine(id uint64, e *objEntry, detail string) *QuarantineError {
+func (s *Store) quarantine(e *objEntry) {
 	if !e.quar {
 		e.quar = true
 		s.integ.quarantines.Add(1)
 	}
-	return &QuarantineError{ID: id, Detail: detail}
 }
 
 // noteCorruption counts a detected corruption and returns err unchanged, so

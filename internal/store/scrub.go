@@ -1,9 +1,8 @@
 package store
 
 import (
+	"errors"
 	"time"
-
-	"histar/internal/btree"
 )
 
 // ScrubStats is the result of one scrub pass.
@@ -15,31 +14,18 @@ type ScrubStats struct {
 	// and, when it holds a committed older snapshot, the alternate one.
 	MetaAreasChecked int
 	MetaAreasOK      int
-	// IndexCorrupt reports that only the fingerprint-index section of a
-	// checked area failed — recoverable damage (the index is rebuilt from
-	// labels at open).
-	IndexCorrupt bool
 	// ObjectsChecked counts home extents verified against their recorded
 	// contents CRC; ObjectsQuarantined counts extents newly quarantined by
 	// this pass.
 	ObjectsChecked     int
 	ObjectsQuarantined int
 	// CorruptionsFound is every verification failure this pass detected
-	// (superblock copies, metadata areas, index section, object extents).
+	// (superblock copies, metadata areas, object extents).
 	CorruptionsFound int
 	// BytesVerified is the volume of data read and checksummed.
 	BytesVerified int64
 	// Duration is the wall-clock cost of the pass.
 	Duration time.Duration
-}
-
-// scrubTarget is one home extent to verify, captured from the object map
-// under metaMu so the walk itself runs lock-free.
-type scrubTarget struct {
-	id   uint64
-	off  int64
-	size int64
-	crc  uint32
 }
 
 // scrubChunk bounds how many object extents are verified per ckptMu read
@@ -142,61 +128,34 @@ func (s *Store) scrubSuperblock(st *ScrubStats) {
 // metaWhich and metaEpoch stable (the checkpoint body updates them under
 // sbMu) and excludes an in-progress area rewrite.
 func (s *Store) scrubMetaAreas(st *ScrubStats) {
-	areaLen := func(secs [numSecs + 1][]byte) int64 {
-		n := int64(metaHeaderSize)
-		for _, sec := range secs {
-			if sec != nil {
-				n += 24 + int64(len(sec))
-			}
-		}
-		return n
-	}
 	// Referenced area: must verify at the current epoch.
-	secs, epoch, indexErr, err := s.verifyMetaArea(s.metaWhich)
 	st.MetaAreasChecked++
-	switch {
-	case err != nil:
+	if img, err := s.verifyMetaArea(s.metaWhich); err != nil || img.epoch != s.metaEpoch {
 		st.CorruptionsFound++
 		s.integ.corruptions.Add(1)
-	case epoch != s.metaEpoch:
-		st.CorruptionsFound++
-		s.integ.corruptions.Add(1)
-	default:
+	} else {
 		st.MetaAreasOK++
-		st.BytesVerified += areaLen(secs)
-		if indexErr != nil {
-			st.IndexCorrupt = true
-			st.CorruptionsFound++
-			s.integ.corruptions.Add(1)
-		}
+		st.BytesVerified += img.length
 	}
 	// Alternate area: only meaningful once it holds a committed older
 	// snapshot (epoch strictly below the superblock's).  An unparseable
 	// header is indistinguishable from "never written", so it is skipped
 	// rather than counted.
-	altSecs, altEpoch, altIndexErr, altErr := s.verifyMetaArea(1 - s.metaWhich)
-	if altErr == nil && altEpoch < s.metaEpoch {
+	if alt, err := s.verifyMetaArea(1 - s.metaWhich); err == nil && alt.epoch < s.metaEpoch {
 		st.MetaAreasChecked++
 		st.MetaAreasOK++
-		st.BytesVerified += areaLen(altSecs)
-		if altIndexErr != nil {
-			st.IndexCorrupt = true
-			st.CorruptionsFound++
-			s.integ.corruptions.Add(1)
-		}
+		st.BytesVerified += alt.length
 	}
 }
 
-// scrubTargets captures every mapped home extent under metaMu.
-func (s *Store) scrubTargets() []scrubTarget {
+// scrubTargets captures every home under metaMu, so the walk itself runs
+// lock-free.
+func (s *Store) scrubTargets() []homedObject {
 	s.metaMu.RLock()
 	defer s.metaMu.RUnlock()
-	targets := make([]scrubTarget, 0, s.objMap.Len())
-	s.objMap.Scan(func(k btree.Key, v uint64) bool {
-		id := k[0]
-		targets = append(targets, scrubTarget{
-			id: id, off: int64(v), size: s.objSizes[id], crc: s.objCRCs[id],
-		})
+	targets := make([]homedObject, 0, s.objMap.Len())
+	s.scanHomes(func(id uint64, h home) bool {
+		targets = append(targets, homedObject{id, h})
 		return true
 	})
 	return targets
@@ -204,43 +163,25 @@ func (s *Store) scrubTargets() []scrubTarget {
 
 // scrubOneObject verifies one captured home extent; the caller holds ckptMu
 // in read mode.
-func (s *Store) scrubOneObject(t scrubTarget, st *ScrubStats) {
-	buf := make([]byte, t.size)
-	if t.size > 0 {
-		if _, err := s.d.ReadAt(buf, t.off); err != nil {
-			st.CorruptionsFound++
-			s.integ.corruptions.Add(1)
-			return
-		}
+func (s *Store) scrubOneObject(t homedObject, st *ScrubStats) {
+	_, err := s.readVerified(t.home)
+	if err != nil && !errors.Is(err, ErrCorrupt) {
+		st.CorruptionsFound++
+		s.integ.corruptions.Add(1)
+		return
 	}
 	st.ObjectsChecked++
 	st.BytesVerified += t.size
-	if crc32c(buf) == t.crc {
+	if err == nil {
 		return
 	}
-	// The extent disagrees with the CRC captured at walk start — but the
+	// The extent disagrees with the record captured at walk start — but the
 	// checkpoint body may have relocated the object since then, making this
-	// target stale rather than damaged.  Only a mismatch the live object map
+	// target stale rather than damaged.  Only a mismatch the live home table
 	// still vouches for is a real verdict.
-	s.metaMu.RLock()
-	cur, ok := s.objMap.Get(btree.K1(t.id))
-	crcNow := s.objCRCs[t.id]
-	s.metaMu.RUnlock()
-	if !ok || int64(cur) != t.off || crcNow != t.crc {
+	if cur, ok := s.lookupHome(t.id); !ok || cur != t.home {
 		return
 	}
 	st.CorruptionsFound++
-	s.integ.corruptions.Add(1)
-	e := s.shardOf(t.id).getOrCreate(t.id)
-	e.mu.Lock()
-	// Skip the verdict if the on-disk copy is already superseded: a dirty,
-	// dead, or checkpoint-sealed entry's in-memory state replaces this
-	// extent at the next relocation.
-	if !e.dirty && !e.dead && !e.ckpt {
-		if !e.quar {
-			st.ObjectsQuarantined++
-		}
-		s.quarantine(t.id, e, "home extent failed scrub verification")
-	}
-	e.mu.Unlock()
+	st.ObjectsQuarantined += s.condemn(t.off)
 }

@@ -1,6 +1,8 @@
 package store
 
 import (
+	"errors"
+
 	"histar/internal/btree"
 )
 
@@ -147,11 +149,8 @@ func (s *Store) recomputeSegLive() {
 		size int64
 	}
 	refs := make(map[int64]ref, s.objMap.Len())
-	s.objMap.Scan(func(k btree.Key, v uint64) bool {
-		r := refs[int64(v)]
-		r.n++
-		r.size = s.objSizes[k[0]]
-		refs[int64(v)] = r
+	s.scanHomes(func(_ uint64, h home) bool {
+		refs[h.off] = ref{n: refs[h.off].n + 1, size: h.size}
 		return true
 	})
 	for _, b := range s.bundles {
@@ -195,7 +194,7 @@ func (s *Store) recomputeSegLive() {
 // copying, and segments with at least half their written bytes dead have
 // their live objects appended to the open segment so the whole extent can
 // be reclaimed.  A live object that fails its contents CRC on the way out
-// is quarantined and its segment left in place (moving would destroy the
+// is condemned and its segment left in place (moving would destroy the
 // only — damaged — copy).
 func (s *Store) cleanSegments() error {
 	// Segments holding bundle-pinned extents are immovable: a bundle records
@@ -241,23 +240,14 @@ func (s *Store) cleanSegments() error {
 		return nil
 	}
 	sortSegs(victims)
-	// One object-map scan collects every victim's live objects (ascending
+	// One home-table scan collects every victim's live objects (ascending
 	// id, the deterministic order the segment writer needs).
-	type liveObj struct {
-		id   uint64
-		off  int64
-		size int64
-		crc  uint32
-	}
-	byVictim := make(map[int64][]liveObj, len(victims))
+	byVictim := make(map[int64][]homedObject, len(victims))
 	s.metaMu.RLock()
-	s.objMap.Scan(func(k btree.Key, v uint64) bool {
-		off := int64(v)
+	s.scanHomes(func(id uint64, h home) bool {
 		for _, seg := range victims {
-			if off >= seg.base && off < seg.base+seg.size {
-				byVictim[seg.base] = append(byVictim[seg.base], liveObj{
-					id: k[0], off: off, size: s.objSizes[k[0]], crc: s.objCRCs[k[0]],
-				})
+			if h.off >= seg.base && h.off < seg.base+seg.size {
+				byVictim[seg.base] = append(byVictim[seg.base], homedObject{id, h})
 				break
 			}
 		}
@@ -267,23 +257,11 @@ func (s *Store) cleanSegments() error {
 	for _, seg := range victims {
 		damaged := false
 		for _, o := range byVictim[seg.base] {
-			buf := make([]byte, o.size)
-			if o.size > 0 {
-				if _, err := s.d.ReadAt(buf, o.off); err != nil {
-					damaged = true
-					break
+			buf, err := s.readVerified(o.home)
+			if err != nil {
+				if errors.Is(err, ErrCorrupt) {
+					s.condemn(o.off)
 				}
-			}
-			if crc32c(buf) != o.crc {
-				s.noteCorruption(&CorruptError{Area: "object", Offset: o.off,
-					Detail: "contents checksum mismatch found by the segment cleaner"})
-				e := s.shardOf(o.id).getOrCreate(o.id)
-				e.mu.Lock()
-				if !e.dirty && !e.dead && !e.ckpt {
-					s.quarantine(o.id, e, "home extent failed verification during segment clean")
-				}
-				e.mu.Unlock()
-				s.propagateExtentRot(o.off, o.id)
 				damaged = true
 				break
 			}
@@ -292,8 +270,8 @@ func (s *Store) cleanSegments() error {
 				return err
 			}
 			s.metaMu.Lock()
-			if cur, ok := s.objMap.Get(btree.K1(o.id)); ok && int64(cur) == o.off {
-				s.objMap.Put(btree.K1(o.id), uint64(newOff))
+			if cur, ok := s.homeOf(o.id); ok && cur.off == o.off {
+				s.setHome(o.id, home{off: newOff, size: o.size, crc: o.crc})
 				s.vacateExtent(o.off, o.size)
 			}
 			s.metaMu.Unlock()

@@ -19,8 +19,16 @@ type objEntry struct {
 	cached bool // contents resident (the "page cache")
 	dirty  bool // modified since the last checkpoint seal
 	dead   bool // deleted since the last checkpoint seal
-	lbl    label.Label
-	hasLbl bool
+	// deadSealed marks a dead entry a checkpoint seal has captured.  Only a
+	// later seal that still finds the mark drops the entry from its shard:
+	// Delete clears it, and so does restoreSealed when the capturing
+	// checkpoint fails, so by then a committed snapshot no longer holds the
+	// object.  Until then SyncObject finds the entry and logs the tombstone,
+	// rather than taking the object's absence from memory for its absence
+	// from disk.
+	deadSealed bool
+	lbl        label.Label
+	hasLbl     bool
 	// quar marks an object whose home-extent contents failed checksum
 	// verification: accesses that would read the damaged extent return
 	// ErrQuarantined instead of corrupt bytes, until a Put/Delete replaces

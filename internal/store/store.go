@@ -4,11 +4,12 @@
 // The layout follows the paper's description, inspired by XFS: a B+-tree
 // maps object IDs to their location on disk, two more B+-trees maintain the
 // free-extent list (indexed by size, for allocation, and by location, for
-// coalescing), and a per-shard fourth B+-tree keys object IDs by their
-// label's fingerprint so "every object tainted by category c" scans never
-// touch a serialized label.  Write-ahead logging provides atomicity and
-// crash consistency, and disk space allocation is delayed until an object is
-// written to disk, making it easier to allocate contiguous extents.
+// coalescing), and a per-shard fourth B+-tree, kept in memory only, keys
+// object IDs by their label's fingerprint so "every object tainted by
+// category c" scans never touch a serialized label.  Write-ahead logging
+// provides atomicity and crash consistency, and disk space allocation is
+// delayed until an object is written to disk, making it easier to allocate
+// contiguous extents.
 //
 // # On-disk layout
 //
@@ -30,23 +31,24 @@
 // both do), so a single rotted sector never loses the root of the store.
 //
 // Each metadata area starts with a 48-byte header — magic "HMET", version
-// (currently 4), checkpoint epoch, payload length, section count, and a
-// CRC32C over the header itself — followed by tagged sections, each framed
-// as [tag u64] [length u64] [CRC32C u64] [payload]: the object map (id,
-// extent offset, size, contents-CRC quads — the contents CRC, flagged by
-// bit 32 of its field, is what read-time and scrub verification of home
-// extents check against; an entry without the flag is corruption); the
-// free-extent list (offset, size); object labels (id, canonical
-// label.AppendBinary bytes); the label fingerprint index (fingerprint, id);
-// the segment table
-// (base, size, used triples describing the append-only data segments —
-// per-segment live counts are derived from the object map at open); and
-// the bundle table ([count], then per bundle [lineage][bodyLen][body],
-// where the body is the bundle name, capture epoch, and per-object
-// id/offset/size/CRC/label records — see bundle.go for the codec).
-// Checkpoints serialize into the area the superblock does NOT reference,
-// flush, then rewrite both superblock copies with the bumped epoch, so a
-// crash mid-checkpoint always leaves one intact, referenced snapshot.
+// (currently 5), checkpoint epoch, payload length, section count, and a
+// CRC32C over the header itself — followed by five tagged sections, each
+// framed as [tag u64] [length u64] [CRC32C u64] [payload]: the object map
+// (id plus home record — extent offset, size, contents CRC; the CRC, flagged
+// by bit 32 of its field, is what every read of a home extent verifies
+// against, and an entry without the flag is corruption); the free-extent
+// list (offset, size); object labels (id, canonical label.AppendBinary
+// bytes); the segment table (base, size, used triples describing the
+// append-only data segments); and the bundle table ([count], then per
+// bundle [lineage][bodyLen][body], where the body is the bundle name,
+// capture epoch, and per-object id/home record/label entries).  Only
+// primary facts are stored: the fingerprint index, the extent refcounts and
+// the per-segment live counts are derived from these sections at open.
+// format.go holds every one of these layouts and is the only file that
+// reads or writes them.  Checkpoints serialize into the area the superblock
+// does NOT reference, flush, then rewrite both superblock copies with the
+// bumped epoch, so a crash mid-checkpoint always leaves one intact,
+// referenced snapshot.
 //
 // A superblock copy or metadata header that verifies but names any other
 // version is refused as corruption — nothing is ever loaded unverified.
@@ -71,14 +73,14 @@
 // path can reclaim bytes reachable from a live bundle or clone — and
 // segments holding bundle-pinned extents are immovable (bundles record
 // extents by offset), so the cleaner skips them outright.  Durability:
-// the bundle rides a WAL record committed before SnapshotBundle returns
-// and enters the metadata snapshot at the next checkpoint; checkpoint
-// finish retains every WAL generation back to the oldest live bundle's
-// capture epoch until two committed snapshots contain that bundle.  A
-// contents-CRC failure on a shared extent propagates to every referent:
-// aliasing objects are quarantined and the bundle entries marked rotted,
-// so later clones fail with a typed QuarantineError instead of silently
-// fanning damaged bytes out.
+// the bundle rides a WAL record group-committed before SnapshotBundle
+// returns and enters the metadata snapshot at the next checkpoint;
+// checkpoint finish retains every WAL generation back to the oldest live
+// bundle's capture epoch until two committed snapshots contain that bundle.  A
+// contents-CRC failure on a shared extent, whichever read path finds it,
+// falls on every referent: aliasing objects are quarantined and the bundle
+// entries marked rotted, so later clones fail with a typed QuarantineError
+// instead of silently fanning damaged bytes out.
 //
 // # Data region: segments
 //
@@ -111,7 +113,7 @@
 //
 // # Incremental checkpoints
 //
-// Checkpoint is no longer a stop-the-world pause.  The protocol has three
+// Checkpoint is not a stop-the-world pause.  The protocol has three
 // phases (see checkpoint.go for the full invariant catalogue):
 //
 //   - SEAL, the only exclusive moment: a brief ckptMu write hold that
@@ -158,28 +160,31 @@
 //     body holds it across the snapshot write + superblock flip, and scrub
 //     holds it while verifying those same regions, so scrub never reads a
 //     torn in-progress image.
-//  5. metaMu (RWMutex) guards the object map, size table, and content-CRC
-//     table: Get's home-location reads take it shared, checkpoint
+//  5. metaMu (RWMutex) guards the home table — the object map and each
+//     object's home record, reached only through the accessors in home.go —
+//     and the bundle table: Get's home lookups take it shared, checkpoint
 //     relocation takes it exclusively per object — never across device
 //     I/O, which is staged outside the lock.
 //  6. allocMu guards the free-extent trees, the segment table, and the
 //     deferred-free list.  Reads never touch it, so lookups never contend
 //     with allocation.
 //  7. The committer's queue mutex (see groupcommit.go) is a leaf below the
-//     entry locks: records are sealed and enqueued under the entry lock so
-//     per-object log order matches seal order.
+//     entry locks: records — syncs, clones and bundles alike — are sealed
+//     and enqueued under the entry lock so per-object log order matches
+//     seal order.
 //
 // Under ckptMu held exclusively (the seal; Format and Open are
 // single-threaded) entry locks are not required: entries are read and
 // written directly.
 //
-// Recovery (Open) loads the snapshot the superblock references, replays the
-// committed write-ahead log from that snapshot's epoch marker on top of it
-// — restoring each logged object's label and recomputing its fingerprints
-// exactly once — and rebuilds the fingerprint index entries for replayed
-// labels.  The crash-injection harness in this package's tests replays
-// every write-boundary crash point of randomized workloads — concurrent
-// ones included — to check exactly this path.
+// Recovery (Open, in open.go) loads the snapshot the superblock references
+// — rebuilding the fingerprint index from the label section as it decodes —
+// and replays the committed write-ahead log from that snapshot's epoch
+// marker on top of it, restoring each logged object's label, recomputing
+// its fingerprints exactly once and indexing it.  The crash-injection
+// harness in this package's tests replays every write-boundary crash point
+// of randomized workloads — concurrent ones included — to check exactly
+// this path.
 package store
 
 import (
@@ -208,8 +213,6 @@ const (
 	// superblock, so a crash mid-checkpoint always leaves one intact copy.
 	defaultMetaAreaSize = 16 << 20
 
-	superMagic = 0x48495354 // "HIST"
-
 	// extentAlign is the allocation granularity.  HiStar's allocator does
 	// not cluster small objects the way ext3's block groups do, which is the
 	// effect behind the uncached small-file read gap in Figure 12; aligning
@@ -234,8 +237,8 @@ type Stats struct {
 	LogApplications uint64
 	BytesLogged     uint64
 	BytesHome       uint64
-	// LabelBytesLogged counts canonical label bytes appended to the
-	// write-ahead log by SyncObject.
+	// LabelBytesLogged counts canonical label bytes committed to the
+	// write-ahead log.
 	LabelBytesLogged uint64
 	// LabelDecodes counts label.DecodeBinary calls made by the store (on
 	// snapshot load and log replay).  Index queries must not move it: the
@@ -254,7 +257,7 @@ type Stats struct {
 	DirtyObjects int
 	LiveObjects  int
 	// LabeledObjects and IndexEntries snapshot the label map and the
-	// fingerprint index; they are always equal unless the index is corrupt.
+	// fingerprint index; they are always equal.
 	LabeledObjects int
 	IndexEntries   int
 	// SealStallTotalNs and SealStallMaxNs measure the only exclusive moment
@@ -292,11 +295,6 @@ type counters struct {
 	cloneBytesShared              atomic.Uint64
 }
 
-type extent struct {
-	off  int64
-	size int64
-}
-
 // Store is a single-level store on a simulated disk.  It is safe for
 // concurrent use; see the package comment for the locking discipline.
 type Store struct {
@@ -328,14 +326,10 @@ type Store struct {
 	// partitioned by object-ID bits.
 	shards [storeShards]storeShard
 
-	// metaMu guards the object map, size table, and content-CRC table.
-	metaMu   sync.RWMutex
-	objMap   *btree.Tree // object ID → extent offset
-	objSizes map[uint64]int64
-	// objCRCs holds the CRC32C of each object's home-extent contents,
-	// recorded when the checkpoint writes the extent and verified whenever
-	// it is read back.  Every mapped object has an entry.
-	objCRCs map[uint64]uint32
+	// metaMu guards the home table (see home.go) and the bundle table.
+	metaMu sync.RWMutex
+	objMap *btree.Tree     // object ID → extent offset, the paper's object map
+	homes  map[uint64]home // object ID → home record; same key set as objMap
 	// bundles is the snapshot-bundle table, lineage ID → bundle (see
 	// bundle.go); registered bundles pin their extents via extRefs and are
 	// persisted in the metadata snapshot's bundle section.
@@ -433,27 +427,8 @@ func newStore(d disk.Device, opts Options) *Store {
 	if segSize <= 0 {
 		segSize = defaultSegmentSize
 	}
-	s := &Store{
-		d:        d,
-		logSize:  opts.LogSize,
-		metaSize: opts.MetaAreaSize,
-		objMap:   &btree.Tree{},
-		objSizes: make(map[uint64]int64),
-		objCRCs:  make(map[uint64]uint32),
-		bundles:  make(map[uint64]*Bundle),
-
-		freeBySize: &btree.Tree{},
-		freeByOff:  &btree.Tree{},
-		extRefs:    make(map[int64]int64),
-
-		segs:     make(map[int64]*segment),
-		segBases: &btree.Tree{},
-		segSize:  alignUp(segSize),
-	}
-	for i := range s.shards {
-		s.shards[i].objs = make(map[uint64]*objEntry)
-		s.shards[i].labelIndex = &btree.Tree{}
-	}
+	s := &Store{d: d, logSize: opts.LogSize, metaSize: opts.MetaAreaSize, segSize: alignUp(segSize)}
+	s.resetTables()
 	s.comm.maxBytes = opts.GroupCommitBytes
 	if s.comm.maxBytes <= 0 {
 		s.comm.maxBytes = 1 << 20
@@ -488,102 +463,22 @@ func Format(d disk.Device, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// Open mounts an existing store from d, replaying the write-ahead log if the
-// system crashed before the log was applied.  This is the "bootup restores
-// the entire system state from the most recent on-disk snapshot" path:
-// snapshot metadata (including object labels and the fingerprint index) is
-// loaded first, then committed log records — each carrying an object's
-// contents and canonical label — are re-applied on top, so a synced object
-// always comes back with the taint it was synced with.
-//
-// Every structure is checksum-verified on the way in, and failures walk a
-// degradation ladder instead of failing the mount (see RecoveryReport): a
-// damaged primary superblock copy falls back to the backup copy; a damaged
-// referenced metadata area falls back to the alternate (previous-checkpoint)
-// area plus a replay of the retained write-ahead log generation, losing no
-// committed sync; a damaged fingerprint-index section alone is rebuilt from
-// the label section; a damaged log yields its valid prefix.  Only when both
-// superblock copies or both metadata areas are corrupt does Open refuse,
-// with an error matching ErrCorrupt.
-func Open(d disk.Device, opts Options) (*Store, error) {
-	if opts.LogSize == 0 {
-		opts.LogSize = defaultLogSize
+// resetTables (re)initializes every table a metadata image decodes into, so
+// a fallback area decodes into a clean store after a failed first attempt.
+func (s *Store) resetTables() {
+	s.objMap = &btree.Tree{}
+	s.homes = make(map[uint64]home)
+	s.bundles = make(map[uint64]*Bundle)
+	s.freeBySize = &btree.Tree{}
+	s.freeByOff = &btree.Tree{}
+	s.extRefs = make(map[int64]int64)
+	s.segs = make(map[int64]*segment)
+	s.segBases = &btree.Tree{}
+	s.openSegBase = 0
+	for i := range s.shards {
+		s.shards[i].objs = make(map[uint64]*objEntry)
+		s.shards[i].labelIndex = &btree.Tree{}
 	}
-	s := newStore(d, opts)
-	if err := s.readSuperblock(); err != nil {
-		return nil, err
-	}
-	s.l = wal.Open(d, logOffset, s.logSize)
-	recs, err := s.l.Recover()
-	if err != nil {
-		if !errors.Is(err, wal.ErrCorrupt) {
-			return nil, err
-		}
-		// Damaged record or header: the valid prefix was recovered and the
-		// log resealed.  Mount degraded rather than refusing.
-		s.report.WALDamaged = true
-		s.noteCorruption(err)
-	}
-	// Re-apply committed log records on top of the checkpointed state.  Open
-	// is single-threaded (the store is not yet published), so entries are
-	// written directly.  Replay begins after the epoch marker of the snapshot
-	// actually loaded, which subsumes the fallback case: a metadata fallback
-	// loads the previous snapshot, whose marker (and generation)
-	// ReclaimBefore retains, so replay covers everything the lost snapshot
-	// held plus what followed — zero committed-sync loss.  When the loaded
-	// epoch has no marker (fresh format, or a degraded pass that truncated
-	// the log), replay starts at the beginning, a superset.
-	start, _ := s.l.ReplayStart(s.metaEpoch)
-	for _, r := range recs[start:] {
-		if r.Mark {
-			continue
-		}
-		s.report.WALRecordsReplayed++
-		if r.Bundle {
-			// A snapshot bundle committed after the loaded snapshot's seal;
-			// a damaged payload degrades the mount (clones of the lost bundle
-			// quarantine) rather than refusing it.
-			_ = s.replayBundleRecord(r)
-			continue
-		}
-		if r.Clone {
-			s.replayCloneRecord(r)
-			continue
-		}
-		sh := s.shardOf(r.ObjectID)
-		e := sh.getOrCreate(r.ObjectID)
-		if r.Delete {
-			e.data, e.cached, e.dirty, e.dead = nil, false, false, true
-			e.quar = false
-			s.clearLabel(sh, r.ObjectID, e)
-			continue
-		}
-		e.data = append([]byte(nil), r.Data...)
-		e.cached, e.dirty = true, true
-		// A logged re-create after a logged tombstone must clear the dead
-		// flag, or the next SyncObject would log a spurious deletion.
-		e.dead = false
-		e.quar = false
-		if len(r.Label) > 0 {
-			lbl, rest, derr := s.decodeLabel(r.Label)
-			if derr != nil || len(rest) != 0 {
-				return nil, s.noteCorruption(fmt.Errorf("%w: replaying label of object %d: %v", ErrCorrupt, r.ObjectID, derr))
-			}
-			// Fingerprints were recomputed once by the decode; the index
-			// entry is rebuilt here so replayed taints are queryable.
-			s.setLabel(sh, r.ObjectID, e, lbl)
-		} else {
-			// A label-less record asserts the object was unlabeled when it
-			// was synced (it may have been deleted and re-created since a
-			// checkpoint recorded a label, with no tombstone ever logged).
-			s.clearLabel(sh, r.ObjectID, e)
-		}
-	}
-	// Replayed bundle and clone records introduced references the loaded
-	// snapshot's derived state does not reflect: rebuild the extent
-	// refcounts and segment live totals once over the final tables.
-	s.recomputeSegLive()
-	return s, nil
 }
 
 // Disk returns the underlying device.
@@ -617,7 +512,7 @@ func (s *Store) Stats() Stats {
 		SegsFreed:        s.c.segsFreed.Load(),
 	}
 	// Entry locks first, metaMu second: the entry→metaMu order matches
-	// Get's readHome path, so a pending metaMu writer can never wedge
+	// Get's page-in path, so a pending metaMu writer can never wedge
 	// between the two.
 	var dirtyIDs []uint64
 	for si := range s.shards {
@@ -637,7 +532,7 @@ func (s *Store) Stats() Stats {
 	s.metaMu.RLock()
 	st.LiveObjects = s.objMap.Len()
 	for _, id := range dirtyIDs {
-		if _, ok := s.objMap.Get(btree.K1(id)); !ok {
+		if _, ok := s.homeOf(id); !ok {
 			st.LiveObjects++
 		}
 	}
@@ -690,98 +585,50 @@ func (s *Store) Get(id uint64) ([]byte, error) {
 	sh := s.shardOf(id)
 	e := sh.lookup(id)
 	if e == nil {
-		// No in-memory state at all: the home location is authoritative.
-		buf, err := s.readHome(id)
-		if err != nil {
-			if errors.Is(err, ErrCorrupt) {
-				e = sh.getOrCreate(id)
-				e.mu.Lock()
-				qerr := s.quarantine(id, e, err.Error())
-				e.mu.Unlock()
-				// Damage on a shared extent damages every referent: clones
-				// and bundle entries over it must never serve these bytes.
-				if off, ok := s.homeOffset(id); ok {
-					s.propagateExtentRot(off, id)
-				}
-				return nil, qerr
-			}
-			return nil, err
+		// No in-memory state at all: the object exists only if it has a
+		// committed home.
+		if _, ok := s.lookupHome(id); !ok {
+			return nil, ErrNoSuchObject
 		}
 		e = sh.getOrCreate(id)
-		e.mu.Lock()
-		switch {
-		case e.cached: // raced with a Put: its contents are newer
-			buf = append([]byte(nil), e.data...)
-		case e.dead:
-			e.mu.Unlock()
-			return nil, ErrNoSuchObject
-		default:
-			e.data = append([]byte(nil), buf...)
-			e.cached = true
-		}
-		e.mu.Unlock()
-		return buf, nil
 	}
+	buf, h, err := s.pageIn(id, e)
+	var rot *CorruptError
+	if errors.As(err, &rot) {
+		// The verdict falls on every referent of the extent, this object
+		// included; condemn takes their entry locks one at a time.
+		s.condemn(h.off)
+		return nil, &QuarantineError{ID: id, Detail: rot.Error()}
+	}
+	return buf, err
+}
+
+// pageIn returns a copy of the object's contents, reading and verifying the
+// home extent (whose record it also returns) when they are not resident.
+// The entry lock is held across the read so concurrent misses do one disk
+// read.
+func (s *Store) pageIn(id uint64, e *objEntry) ([]byte, home, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.cached {
-		return append([]byte(nil), e.data...), nil
+	switch {
+	case e.cached:
+		return append([]byte(nil), e.data...), home{}, nil
+	case e.dead:
+		return nil, home{}, ErrNoSuchObject
+	case e.quar:
+		return nil, home{}, &QuarantineError{ID: id, Detail: "home extent failed verification"}
 	}
-	if e.dead {
-		return nil, ErrNoSuchObject
+	h, ok := s.lookupHome(id)
+	if !ok {
+		return nil, h, ErrNoSuchObject
 	}
-	if e.quar {
-		return nil, &QuarantineError{ID: id, Detail: "home extent failed verification"}
-	}
-	// Entry holds only a label (or was evicted): page the contents in while
-	// holding the entry lock so concurrent misses do one disk read.
-	buf, err := s.readHome(id)
+	buf, err := s.readVerified(h)
 	if err != nil {
-		if errors.Is(err, ErrCorrupt) {
-			qerr := s.quarantine(id, e, err.Error())
-			off, hasOff := s.homeOffset(id)
-			// Propagation locks sibling entries one at a time; drop this
-			// entry's lock around it (the deferred unlock needs it back).
-			e.mu.Unlock()
-			if hasOff {
-				s.propagateExtentRot(off, id)
-			}
-			e.mu.Lock()
-			return nil, qerr
-		}
-		return nil, err
+		return nil, h, err
 	}
 	e.data = append([]byte(nil), buf...)
 	e.cached = true
-	return buf, nil
-}
-
-// readHome reads an object's contents from its home extent, verifying them
-// against the checkpoint-recorded CRC.  A mismatch
-// is reported as a CorruptError; callers quarantine the object.
-func (s *Store) readHome(id uint64) ([]byte, error) {
-	s.metaMu.RLock()
-	off, ok := s.objMap.Get(btree.K1(id))
-	size := s.objSizes[id]
-	crc := s.objCRCs[id]
-	s.metaMu.RUnlock()
-	if !ok {
-		return nil, ErrNoSuchObject
-	}
-	buf := make([]byte, size)
-	if size > 0 {
-		if _, err := s.d.ReadAt(buf, int64(off)); err != nil {
-			return nil, err
-		}
-	}
-	if got := crc32c(buf); got != crc {
-		return nil, s.noteCorruption(&CorruptError{
-			Area:   "object",
-			Offset: int64(off),
-			Detail: fmt.Sprintf("object %d contents checksum mismatch: got %#x, want %#x", id, got, crc),
-		})
-	}
-	return buf, nil
+	return buf, h, nil
 }
 
 // PutLabeled is Put plus recording the object's information-flow label.
@@ -821,13 +668,6 @@ func (s *Store) SetLabel(id uint64, lbl label.Label) error {
 	s.setLabel(sh, id, e, lbl)
 	e.mu.Unlock()
 	return nil
-}
-
-// decodeLabel is the store's only route to label deserialization; it feeds
-// the LabelDecodes counter the index tests assert against.
-func (s *Store) decodeLabel(src []byte) (label.Label, []byte, error) {
-	s.c.labelDecodes.Add(1)
-	return label.DecodeBinary(src)
 }
 
 // Label returns the stored label of an object, if one was recorded.
@@ -958,7 +798,7 @@ func (s *Store) Delete(id uint64) error {
 	sh := s.shardOf(id)
 	e := sh.getOrCreate(id)
 	e.mu.Lock()
-	e.data, e.cached, e.dirty, e.dead = nil, false, false, true
+	e.data, e.cached, e.dirty, e.dead, e.deadSealed = nil, false, false, true, false
 	e.quar = false // deletion disposes of the damaged extent
 	s.clearLabel(sh, id, e)
 	e.mu.Unlock()

@@ -61,9 +61,6 @@ type Process struct {
 	handlers map[int]func(sig int)
 }
 
-// Sys returns the owning System.
-func (p *Process) Sys() *System { return p.sys }
-
 // Cwd returns the current working directory path.
 func (p *Process) Cwd() string {
 	p.mu.Lock()
@@ -521,13 +518,6 @@ func (p *Process) Exit(status int) {
 
 // ExitQuietly is Exit(0) for helper processes whose status nobody collects.
 func (p *Process) ExitQuietly() { p.Exit(0) }
-
-// Exited reports whether the process has exited.
-func (p *Process) Exited() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.exited
-}
 
 // Wait blocks until child exits and returns its exit status, by reading the
 // child's exit status segment and sleeping on its futex.

@@ -213,17 +213,6 @@ func (sys *System) LookupUser(name string) (*User, bool) {
 	return u, ok
 }
 
-// Users returns the registered user names.
-func (sys *System) Users() []string {
-	sys.userMu.RLock()
-	defer sys.userMu.RUnlock()
-	out := make([]string, 0, len(sys.users))
-	for n := range sys.users {
-		out = append(out, n)
-	}
-	return out
-}
-
 func (sys *System) allocPID() int {
 	return int(sys.nextPID.Add(1))
 }
