@@ -22,9 +22,11 @@
 // comment for the record format), checkpoints are copy-on-write
 // so a torn write can never corrupt the referenced snapshot, and a
 // fingerprint-keyed B+-tree index — in memory only, rebuilt from the
-// persisted labels at every open — answers "every object tainted by
-// category c" scans — Store.ObjectsWithLabel, surfaced in the kernel as
-// container_find_labeled — without deserializing a single label.  The store
+// persisted labels at every open — answers "every object labeled exactly
+// like L" scans (Store.ObjectsWithLabel) without deserializing a single
+// label.  The kernel's container_find_labeled asks the same question of one
+// container by comparing its entries' precomputed fingerprints; it never
+// touches the store.  The store
 // runs concurrently under the same discipline as the kernel: the object
 // cache, label map, and fingerprint index are sharded by object-ID bits,
 // each cached object carries its own entry lock and dirty state, the

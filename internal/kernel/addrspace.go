@@ -7,7 +7,7 @@ import (
 // PageSize is the simulated page size.
 const PageSize = 4096
 
-// Mapping is the externally visible form of an address-space entry:
+// Mapping is one entry of an address space:
 // VA → 〈segment container entry, offset, npages, flags〉.
 type Mapping struct {
 	VA     uint64
@@ -27,94 +27,50 @@ func (tc *ThreadCall) AddressSpaceCreate(d ID, l label.Label, descrip string) (I
 	if !label.ValidObjectLabel(l) {
 		return NilID, ErrInvalid
 	}
-	cont, err := tc.k.lookupContainer(d)
+	cont, err := tc.k.admit(&ctx, d, Mask(ObjAddressSpace))
 	if err != nil {
 		return NilID, err
-	}
-	if cont.avoidTypes.Has(ObjAddressSpace) {
-		return NilID, ErrAvoidType
-	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, cont.lbl) {
-		return NilID, ErrLabel
 	}
 	if !label.CanAllocate(ctx.lbl, ctx.clearance, l) {
 		return NilID, ErrLabel
 	}
-	const quota = 64 * 1024
-	a := &addressSpace{
-		header: header{
-			id:      tc.k.newID(),
-			objType: ObjAddressSpace,
-			lbl:     label.Intern(l),
-			quota:   quota,
-			descrip: truncDescrip(descrip),
-			refs:    1,
-		},
-	}
-	a.usage = a.footprint()
-	cont.mu.Lock()
-	defer cont.mu.Unlock()
-	if !liveLocked(cont) {
-		return NilID, ErrNoSuchObject
-	}
-	if cont.immutable {
-		return NilID, ErrImmutable
-	}
-	if err := tc.k.charge(cont, quota); err != nil {
-		return NilID, err
-	}
-	tc.k.insert(a)
-	cont.link(a.id)
-	return a.id, nil
+	return tc.k.create(cont, &addressSpace{header: tc.k.newHeader(ObjAddressSpace, l, 64*1024, descrip)})
 }
 
-// resolveAS resolves ce to its container and address space with no locks
-// held.
-func (tc *ThreadCall) resolveAS(ctx tctx, ce CEnt) (*container, *addressSpace, error) {
-	cont, obj, err := tc.k.peek(ctx, ce)
+// openAS is the shared front of the calls that change an address space: the
+// invoking thread must be able to modify it (LT ⊑ LA ⊑ LTᴶ) and it must not
+// be immutable.  It returns with the lock set held and the version bumped.
+func (tc *ThreadCall) openAS(sc syscallID, ce CEnt) (*addressSpace, lockSet, error) {
+	ctx, err := tc.enter(sc)
 	if err != nil {
-		return nil, nil, err
+		return nil, lockSet{}, err
 	}
-	a, ok := obj.(*addressSpace)
-	if !ok {
-		return nil, nil, ErrWrongType
+	a, ls, err := open[*addressSpace](tc.k, &ctx, ce, accModify, true)
+	if err != nil {
+		return nil, lockSet{}, err
 	}
-	return cont, a, nil
+	if a.immutable {
+		ls.unlock()
+		return nil, lockSet{}, ErrImmutable
+	}
+	a.bump()
+	return a, ls, nil
 }
 
 // AddressSpaceSet replaces the mappings of the address space named by ce.
-// The invoking thread must be able to modify the address space
-// (LT ⊑ LA ⊑ LTᴶ).
 func (tc *ThreadCall) AddressSpaceSet(ce CEnt, maps []Mapping) error {
-	ctx, err := tc.enter(scASSet)
+	a, ls, err := tc.openAS(scASSet, ce)
 	if err != nil {
 		return err
 	}
-	cont, a, err := tc.resolveAS(ctx, ce)
-	if err != nil {
-		return err
-	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, a.lbl) {
-		return ErrLabel
-	}
-	ls := lockOrdered(objLock{cont, false}, objLock{a, true})
 	defer ls.unlock()
-	if err := verifyEntryLive(cont, a); err != nil {
-		return err
-	}
-	if a.immutable {
-		return ErrImmutable
-	}
 	a.mappings = a.mappings[:0]
 	for _, m := range maps {
 		if m.VA%PageSize != 0 {
 			return ErrInvalid
 		}
-		a.mappings = append(a.mappings, mapping{
-			VA: m.VA, Seg: m.Seg, Offset: m.Offset, NPages: m.NPages, Flags: m.Flags,
-		})
+		a.mappings = append(a.mappings, m)
 	}
-	a.bump()
 	return nil
 }
 
@@ -125,79 +81,38 @@ func (tc *ThreadCall) AddressSpaceGet(ce CEnt) ([]Mapping, error) {
 	if err != nil {
 		return nil, err
 	}
-	cont, a, err := tc.resolveAS(ctx, ce)
+	a, ls, err := open[*addressSpace](tc.k, &ctx, ce, accObserve, false)
 	if err != nil {
 		return nil, err
 	}
-	if !tc.k.canObserveT(ctx.t, ctx.lbl, a.lbl) {
-		return nil, ErrLabel
-	}
-	ls := lockOrdered(objLock{cont, false}, objLock{a, false})
 	defer ls.unlock()
-	if err := verifyEntryLive(cont, a); err != nil {
-		return nil, err
-	}
-	out := make([]Mapping, 0, len(a.mappings))
-	for _, m := range a.mappings {
-		out = append(out, Mapping{VA: m.VA, Seg: m.Seg, Offset: m.Offset, NPages: m.NPages, Flags: m.Flags})
-	}
-	return out, nil
+	return append(make([]Mapping, 0, len(a.mappings)), a.mappings...), nil
 }
 
 // AddressSpaceAddMapping appends one mapping without replacing the rest.
 func (tc *ThreadCall) AddressSpaceAddMapping(ce CEnt, m Mapping) error {
-	ctx, err := tc.enter(scASAddMapping)
+	a, ls, err := tc.openAS(scASAddMapping, ce)
 	if err != nil {
 		return err
 	}
-	cont, a, err := tc.resolveAS(ctx, ce)
-	if err != nil {
-		return err
-	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, a.lbl) {
-		return ErrLabel
-	}
+	defer ls.unlock()
 	if m.VA%PageSize != 0 {
 		return ErrInvalid
 	}
-	ls := lockOrdered(objLock{cont, false}, objLock{a, true})
-	defer ls.unlock()
-	if err := verifyEntryLive(cont, a); err != nil {
-		return err
-	}
-	if a.immutable {
-		return ErrImmutable
-	}
-	a.mappings = append(a.mappings, mapping{VA: m.VA, Seg: m.Seg, Offset: m.Offset, NPages: m.NPages, Flags: m.Flags})
-	a.bump()
+	a.mappings = append(a.mappings, m)
 	return nil
 }
 
 // AddressSpaceRemoveMapping removes the mapping that starts at va.
 func (tc *ThreadCall) AddressSpaceRemoveMapping(ce CEnt, va uint64) error {
-	ctx, err := tc.enter(scASRemoveMapping)
+	a, ls, err := tc.openAS(scASRemoveMapping, ce)
 	if err != nil {
 		return err
 	}
-	cont, a, err := tc.resolveAS(ctx, ce)
-	if err != nil {
-		return err
-	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, a.lbl) {
-		return ErrLabel
-	}
-	ls := lockOrdered(objLock{cont, false}, objLock{a, true})
 	defer ls.unlock()
-	if err := verifyEntryLive(cont, a); err != nil {
-		return err
-	}
-	if a.immutable {
-		return ErrImmutable
-	}
 	for i, m := range a.mappings {
 		if m.VA == va {
 			a.mappings = append(a.mappings[:i], a.mappings[i+1:]...)
-			a.bump()
 			return nil
 		}
 	}
@@ -208,26 +123,12 @@ func (tc *ThreadCall) AddressSpaceRemoveMapping(ce CEnt, va uint64) error {
 // space, invoked when a memory access fails its checks.  By default a fault
 // kills the process (the user-level library's choice).
 func (tc *ThreadCall) SetFaultHandler(ce CEnt, h func(va uint64, write bool, err error)) error {
-	ctx, err := tc.enter(scASSetFaultHandler)
+	a, ls, err := tc.openAS(scASSetFaultHandler, ce)
 	if err != nil {
 		return err
-	}
-	cont, a, err := tc.resolveAS(ctx, ce)
-	if err != nil {
-		return err
-	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, a.lbl) {
-		return ErrLabel
-	}
-	ls := lockOrdered(objLock{cont, false}, objLock{a, true})
-	defer ls.unlock()
-	if err := verifyEntryLive(cont, a); err != nil {
-		return err
-	}
-	if a.immutable {
-		return ErrImmutable
 	}
 	a.faultHandler = h
+	ls.unlock()
 	return nil
 }
 
@@ -240,10 +141,7 @@ func (tc *ThreadCall) MemRead(va uint64, n int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n < 0 {
-		return nil, ErrInvalid
-	}
-	seg, off, err := tc.pageFault(ctx, va, n, false)
+	seg, off, err := tc.pageFault(ctx, va, false)
 	if err != nil {
 		return nil, err
 	}
@@ -252,20 +150,7 @@ func (tc *ThreadCall) MemRead(va uint64, n int) ([]byte, error) {
 	if !liveLocked(seg) {
 		return nil, ErrNoSuchObject
 	}
-	if off < 0 { // int overflow from a huge mapping offset
-		return nil, ErrInvalid
-	}
-	// Clamp without computing off+n, which could overflow int.
-	if off > len(seg.data) {
-		off = len(seg.data)
-	}
-	end := len(seg.data)
-	if n < end-off {
-		end = off + n
-	}
-	out := make([]byte, end-off)
-	copy(out, seg.data[off:end])
-	return out, nil
+	return seg.read(off, n)
 }
 
 // MemWrite simulates a store through the invoking thread's address space;
@@ -276,7 +161,7 @@ func (tc *ThreadCall) MemWrite(va uint64, data []byte) error {
 	if err != nil {
 		return err
 	}
-	seg, off, err := tc.pageFault(ctx, va, len(data), true)
+	seg, off, err := tc.pageFault(ctx, va, true)
 	if err != nil {
 		return err
 	}
@@ -285,65 +170,39 @@ func (tc *ThreadCall) MemWrite(va uint64, data []byte) error {
 	if !liveLocked(seg) {
 		return ErrNoSuchObject
 	}
-	if seg.immutable {
-		// Rechecked under the write lock; the fault handler (if any) was
-		// already notified by pageFault when the flag was set earlier.
-		return ErrImmutable
-	}
-	end := off + len(data)
-	if end < off || off < 0 { // int overflow from a huge mapping offset
-		return ErrQuota
-	}
-	if end > len(seg.data) {
-		if uint64(end)+128 > seg.quota {
-			return ErrQuota
-		}
-		grown := make([]byte, end)
-		copy(grown, seg.data)
-		seg.data = grown
-	}
-	copy(seg.data[off:], data)
-	seg.usage = seg.footprint()
-	seg.bump()
-	return nil
+	return seg.write(tc.k, off, data)
 }
 
 // pageFault resolves a virtual address through the thread's address space,
 // applying the label checks of Section 3.4.  It returns the backing segment
-// and the byte offset within it; the caller locks the segment to touch its
-// data.  On failure the address space's user-mode fault handler, if any, is
-// notified (outside the error return so callers still see the error); the
-// handler runs with no kernel locks held, so it may issue system calls.
-func (tc *ThreadCall) pageFault(ctx tctx, va uint64, n int, write bool) (*segment, int, error) {
-	seg, off, err := tc.pageFaultInner(ctx, va, n, write)
+// and the byte offset within it (negative if a huge mapping offset overflows
+// int, which the segment's bounds check then refuses); the caller locks the
+// segment to touch its data.  On failure the address space's user-mode fault
+// handler, if any, is notified (outside the error return so callers still
+// see the error); the handler runs with no kernel locks held, so it may issue
+// system calls.
+func (tc *ThreadCall) pageFault(ctx tctx, va uint64, write bool) (*segment, int, error) {
+	seg, off, err := tc.pageFaultInner(ctx, va, write)
 	if err != nil {
-		if ctx.as.Object != NilID {
-			if aso, lerr := tc.k.lookup(ctx.as.Object); lerr == nil {
-				if as, ok := aso.(*addressSpace); ok {
-					as.mu.RLock()
-					h := as.faultHandler
-					as.mu.RUnlock()
-					if h != nil {
-						h(va, write, err)
-					}
-				}
+		if as, lerr := lookupAs[*addressSpace](tc.k, ctx.as.Object); lerr == nil {
+			as.mu.RLock()
+			h := as.faultHandler
+			as.mu.RUnlock()
+			if h != nil {
+				h(va, write, err)
 			}
 		}
 	}
 	return seg, off, err
 }
 
-func (tc *ThreadCall) pageFaultInner(ctx tctx, va uint64, n int, write bool) (*segment, int, error) {
+func (tc *ThreadCall) pageFaultInner(ctx tctx, va uint64, write bool) (*segment, int, error) {
 	if ctx.as.Object == NilID {
 		return nil, 0, ErrNoMapping
 	}
-	aso, err := tc.k.lookup(ctx.as.Object)
+	as, err := lookupAs[*addressSpace](tc.k, ctx.as.Object)
 	if err != nil {
 		return nil, 0, err
-	}
-	as, ok := aso.(*addressSpace)
-	if !ok {
-		return nil, 0, ErrWrongType
 	}
 	// The thread must be able to use its address space at all.
 	if !tc.k.canObserveT(ctx.t, ctx.lbl, as.lbl) {
@@ -351,7 +210,7 @@ func (tc *ThreadCall) pageFaultInner(ctx tctx, va uint64, n int, write bool) (*s
 	}
 	// Find the covering mapping and copy it out; the syscall linearizes at
 	// this point, so a concurrent remapping simply lands before or after it.
-	var m mapping
+	var m Mapping
 	found := false
 	as.mu.RLock()
 	for _, cand := range as.mappings {
@@ -365,49 +224,32 @@ func (tc *ThreadCall) pageFaultInner(ctx tctx, va uint64, n int, write bool) (*s
 	if !found {
 		return nil, 0, ErrNoMapping
 	}
-	if write && m.Flags&MapWrite == 0 {
-		return nil, 0, ErrAccess
+	need, acc := MapRead, accObserve
+	if write {
+		need, acc = MapWrite, accModify
 	}
-	if !write && m.Flags&MapRead == 0 {
+	if m.Flags&need == 0 {
 		return nil, 0, ErrAccess
 	}
 	// Thread-local segment mapping: always accessible to its owner.
 	if m.Flags&MapThreadLocal != 0 {
 		return ctx.t.localSegment, int(va - m.VA), nil
 	}
-	// Page-fault label checks: read container and segment, plus modify
-	// for writes.  Container and segment labels are immutable.
-	cont, err := tc.k.lookupContainer(m.Seg.Container)
+	// Page-fault label checks: read the mapping's container and segment, plus
+	// modify the segment for a store — the same resolve a direct call makes.
+	_, seg, err := resolve[*segment](tc.k, &ctx, m.Seg, acc)
 	if err != nil {
 		return nil, 0, err
-	}
-	if !tc.k.canObserveT(ctx.t, ctx.lbl, cont.lbl) {
-		return nil, 0, ErrLabel
-	}
-	if err := verifyLinkedBrief(cont, m.Seg.Object); err != nil {
-		return nil, 0, err
-	}
-	so, err := tc.k.lookup(m.Seg.Object)
-	if err != nil {
-		return nil, 0, err
-	}
-	seg, ok := so.(*segment)
-	if !ok {
-		return nil, 0, ErrWrongType
-	}
-	if !tc.k.canObserveT(ctx.t, ctx.lbl, seg.lbl) {
-		return nil, 0, ErrLabel
 	}
 	if write {
+		// Reported here so the fault handler hears of it; the store itself
+		// re-checks under the segment's write lock.
 		seg.mu.RLock()
 		immutable := seg.immutable
 		seg.mu.RUnlock()
 		if immutable {
 			return nil, 0, ErrImmutable
 		}
-		if !tc.k.leq(ctx.lbl, seg.lbl) {
-			return nil, 0, ErrLabel
-		}
 	}
-	return seg, int(uint64(va-m.VA) + m.Offset), nil
+	return seg, int(va - m.VA + m.Offset), nil
 }

@@ -18,54 +18,27 @@ func (tc *ThreadCall) ContainerCreate(d ID, l label.Label, descrip string, avoid
 	if !label.ValidObjectLabel(l) {
 		return NilID, ErrInvalid
 	}
-	parent, err := tc.k.lookupContainer(d)
+	parent, err := tc.k.admit(&ctx, d, Mask(ObjContainer))
 	if err != nil {
 		return NilID, err
-	}
-	if parent.avoidTypes.Has(ObjContainer) {
-		return NilID, ErrAvoidType
-	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, parent.lbl) {
-		return NilID, ErrLabel
-	}
-	if !label.CanAllocate(ctx.lbl, ctx.clearance, l) {
-		return NilID, ErrLabel
 	}
 	// A container less tainted than its parent pre-authorizes a small
 	// information flow (Section 3.2); the allocation rules already require
 	// the creating thread to own every category where LD(c) < LD'(c), which
-	// CanAllocate+canModify enforce, so no extra check is needed here.
+	// CanAllocate and admit's can-modify enforce, so no extra check is
+	// needed here.
+	if !label.CanAllocate(ctx.lbl, ctx.clearance, l) {
+		return NilID, ErrLabel
+	}
 	if quota == 0 {
 		quota = 1 << 20
 	}
-	nc := &container{
-		header: header{
-			id:      tc.k.newID(),
-			objType: ObjContainer,
-			lbl:     label.Intern(l),
-			quota:   quota,
-			descrip: truncDescrip(descrip),
-			refs:    1,
-		},
+	return tc.k.create(parent, &container{
+		header:     tc.k.newHeader(ObjContainer, l, quota, descrip),
 		parent:     d,
 		entries:    make(map[ID]bool),
 		avoidTypes: parent.avoidTypes | avoidTypes,
-	}
-	nc.usage = nc.footprint()
-	parent.mu.Lock()
-	defer parent.mu.Unlock()
-	if !liveLocked(parent) {
-		return NilID, ErrNoSuchObject
-	}
-	if parent.immutable {
-		return NilID, ErrImmutable
-	}
-	if err := tc.k.charge(parent, quota); err != nil {
-		return NilID, err
-	}
-	tc.k.insert(nc)
-	parent.link(nc.id)
-	return nc.id, nil
+	})
 }
 
 // ContainerGetParent returns the parent container of the container named by
@@ -75,13 +48,9 @@ func (tc *ThreadCall) ContainerGetParent(ce CEnt) (ID, error) {
 	if err != nil {
 		return NilID, err
 	}
-	_, obj, err := tc.k.peek(ctx, ce)
+	_, c, err := resolve[*container](tc.k, &ctx, ce, accNone)
 	if err != nil {
 		return NilID, err
-	}
-	c, ok := obj.(*container)
-	if !ok {
-		return NilID, ErrNotContainer
 	}
 	// parent is immutable after creation; no lock on c needed.
 	if c.parent == NilID {
@@ -90,26 +59,15 @@ func (tc *ThreadCall) ContainerGetParent(ce CEnt) (ID, error) {
 	return c.parent, nil
 }
 
-// containerEntries resolves ce as an observable container and snapshots its
-// entry list under the standard resolve-lock-verify protocol; shared by
-// ContainerList and ContainerFindLabeled so the protocol lives in one place.
+// containerEntries snapshots the entry list of the container named by ce,
+// which the thread must be able to observe; shared by ContainerList and
+// ContainerFindLabeled.
 func (tc *ThreadCall) containerEntries(ctx tctx, ce CEnt) ([]ID, error) {
-	cont, obj, err := tc.k.peek(ctx, ce)
+	c, ls, err := open[*container](tc.k, &ctx, ce, accObserve, false)
 	if err != nil {
 		return nil, err
 	}
-	c, ok := obj.(*container)
-	if !ok {
-		return nil, ErrNotContainer
-	}
-	if !tc.k.canObserveT(ctx.t, ctx.lbl, c.lbl) {
-		return nil, ErrLabel
-	}
-	ls := lockOrdered(objLock{cont, false}, objLock{c, false})
 	defer ls.unlock()
-	if err := verifyEntryLive(cont, c); err != nil {
-		return nil, err
-	}
 	return c.list(), nil
 }
 
@@ -124,10 +82,10 @@ func (tc *ThreadCall) ContainerList(ce CEnt) ([]ID, error) {
 }
 
 // ContainerFindLabeled returns the object IDs hard-linked into the container
-// named by ce whose information-flow label has fingerprint fp — the kernel
-// face of the store's fingerprint-keyed label index: "every object tainted
-// exactly like L" without materializing or comparing a single label, since
-// fingerprints are precomputed at label construction.  The invoking thread
+// named by ce whose information-flow label has fingerprint fp: "every object
+// here tainted exactly like L" by scanning the container's entries, without
+// materializing or comparing a single label, since fingerprints are
+// precomputed at label construction.  The invoking thread
 // must be able to observe the container; entries whose labels the thread
 // cannot observe are silently skipped, so the result reveals no more than a
 // ContainerList followed by per-object stats would.
@@ -174,14 +132,11 @@ func (tc *ThreadCall) Link(d ID, src CEnt) error {
 	if err != nil {
 		return err
 	}
-	dest, err := tc.k.lookupContainer(d)
+	dest, err := tc.k.admit(&ctx, d, 0) // the type is known only once src resolves
 	if err != nil {
 		return err
 	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, dest.lbl) {
-		return ErrLabel
-	}
-	srcCont, obj, err := tc.k.peek(ctx, src)
+	srcCont, obj, err := resolve[object](tc.k, &ctx, src, accNone)
 	if err != nil {
 		return err
 	}
@@ -201,11 +156,8 @@ func (tc *ThreadCall) Link(d ID, src CEnt) error {
 	if dest.immutable {
 		return ErrImmutable
 	}
-	if err := srcCont.verifyLinked(h.id); err != nil {
+	if err := verifyEntryLive(srcCont, obj); err != nil {
 		return err
-	}
-	if !liveLocked(obj) {
-		return ErrNoSuchObject
 	}
 	// Non-thread labels are immutable, but thread labels are not; read under
 	// the object's lock either way.
@@ -229,7 +181,8 @@ func (tc *ThreadCall) Link(d ID, src CEnt) error {
 }
 
 // Unref removes the hard link to object o from container d.  The invoking
-// thread must be able to write d.  When the last reference to an object is
+// thread must be able to write d, and d must not be immutable: its entry list
+// is exactly what that flag freezes.  When the last reference to an object is
 // removed the object is deallocated; unreferencing a container recursively
 // deallocates the subtree rooted at it.
 func (tc *ThreadCall) Unref(d ID, o ID) error {
@@ -237,54 +190,38 @@ func (tc *ThreadCall) Unref(d ID, o ID) error {
 	if err != nil {
 		return err
 	}
-	cont, err := tc.k.lookupContainer(d)
+	cont, err := tc.k.admit(&ctx, d, 0)
 	if err != nil {
 		return err
-	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, cont.lbl) {
-		return ErrLabel
 	}
 	if o == tc.k.rootID {
 		return ErrRootContainer
 	}
-	obj, lookupErr := tc.k.lookup(o)
-	if lookupErr != nil {
-		// The target is already gone; just clear the stale link, if any.
-		cont.mu.Lock()
-		defer cont.mu.Unlock()
-		if !liveLocked(cont) {
-			return ErrNoSuchObject
-		}
-		if !cont.entries[o] {
-			return ErrNoSuchObject
-		}
-		cont.unlink(o)
-		return nil
+	// If the target is already gone only the stale link, if any, is cleared,
+	// and cont is the only object to lock.
+	obj, _ := tc.k.lookup(o)
+	locks := [2]objLock{{cont, true}, {obj, true}}
+	n := 2
+	if obj == nil {
+		n = 1
 	}
 	var orphans []ID
-	ls := lockOrdered(objLock{cont, true}, objLock{obj, true})
-	if !liveLocked(cont) {
-		ls.unlock()
-		return ErrNoSuchObject
-	}
-	if !cont.entries[o] {
-		ls.unlock()
-		return ErrNoSuchObject
-	}
-	cont.unlink(o)
-	if liveLocked(obj) {
-		h := obj.hdr()
-		tc.k.refund(cont, h.quota)
-		h.refs--
-		if h.refs <= 0 {
-			orphans = tc.k.deallocLocked(obj)
-		}
+	ls := lockOrdered(locks[:n]...)
+	switch {
+	case !liveLocked(cont) || !cont.entries[o]:
+		err = ErrNoSuchObject
+	case cont.immutable:
+		err = ErrImmutable
+	case obj == nil || !liveLocked(obj):
+		cont.unlink(o)
+	default:
+		orphans = tc.k.unlinkLocked(cont, obj)
 	}
 	ls.unlock()
 	// Tear the subtree down with no locks held; releaseRefs locks one
 	// object at a time.
 	tc.k.releaseRefs(orphans)
-	return nil
+	return err
 }
 
 // QuotaMove moves n bytes of quota from container d to object o contained in
@@ -293,6 +230,14 @@ func (tc *ThreadCall) Unref(d ID, o ID) error {
 // (LT ⊑ LO ⊑ CT).  When n is negative the call can fail if o has fewer than
 // |n| spare bytes, which conveys information about o, so the thread must
 // additionally be able to observe o (LO ⊑ LTᴶ).
+//
+// An immutable d may still move quota.  The flag freezes what d's observers
+// can see of d itself — its entry list and metadata, which is why Link, Unref
+// and every creator refuse it — while quota is d's private ledger with the
+// objects it holds, and those stay as mutable as their own flags say: a file
+// in a sealed directory must still be able to grow, and refusing the move
+// would turn a per-object flag into a recursive freeze the paper does not
+// give it.
 func (tc *ThreadCall) QuotaMove(d ID, o ID, n int64) error {
 	ctx, err := tc.enter(scQuotaMove)
 	if err != nil {
@@ -352,30 +297,23 @@ func (tc *ThreadCall) QuotaMove(d ID, o ID, n int64) error {
 // a thread, its label.  Thread labels are mutable, so reading another
 // thread's label additionally requires LT′ᴶ ⊑ LTᴶ.
 func (tc *ThreadCall) ObjectStat(ce CEnt) (Stat, error) {
-	ctx, err := tc.enter(scObjectStat)
-	if err != nil {
-		return Stat{}, err
-	}
-	cont, obj, err := tc.k.peek(ctx, ce)
-	if err != nil {
-		return Stat{}, err
-	}
-	ls := lockOrdered(objLock{cont, false}, objLock{obj, false})
-	defer ls.unlock()
-	if err := verifyEntryLive(cont, obj); err != nil {
-		return Stat{}, err
-	}
-	return tc.objectStatLocked(ctx, obj)
+	e, c := RingEntry{Op: OpObjectStat, Seg: ce}, RingCompletion{}
+	err := tc.call(&e, &c)
+	return c.Stat, err
 }
 
 // objectStatLocked is ObjectStat's body once the object's lock is held (any
-// mode) and liveness is verified; the ring executes it under a shared lock
-// acquisition for a coalesced run of entries.
-func (tc *ThreadCall) objectStatLocked(ctx tctx, obj object) (Stat, error) {
+// mode) and liveness is verified.
+func (k *Kernel) objectStatLocked(ctx *tctx, obj object, st *Stat) error {
 	h := obj.hdr()
-	st := Stat{
+	// Thread labels are not immutable; expose them only when LT'ᴶ ⊑ LTᴶ.
+	if h.objType == ObjThread && !k.leqRaised(h.lbl, ctx.lbl) {
+		return ErrLabel
+	}
+	*st = Stat{
 		ID:         h.id,
 		Type:       h.objType,
+		Label:      h.lbl,
 		Quota:      h.quota,
 		Usage:      obj.footprint(),
 		FixedQuota: h.fixedQuota,
@@ -383,68 +321,56 @@ func (tc *ThreadCall) objectStatLocked(ctx tctx, obj object) (Stat, error) {
 		Descrip:    h.descrip,
 		Metadata:   h.metadata,
 	}
-	if th, ok := obj.(*thread); ok {
-		// Thread labels are not immutable; expose them only when
-		// LT'ᴶ ⊑ LTᴶ.
-		if tc.k.leqRaised(th.lbl, ctx.lbl) {
-			st.Label = th.lbl
-		} else {
-			return Stat{}, ErrLabel
-		}
-	} else {
-		st.Label = h.lbl
+	return nil
+}
+
+// openHeader is the shared front of the three header-flag calls below: enter,
+// open the entry for writing, and check under its lock (a thread's label is
+// mutable) that the invoking thread may modify it.  It returns the header
+// with its version already bumped and the lock set still held.
+func (tc *ThreadCall) openHeader(sc syscallID, ce CEnt, refuseImmutable bool) (*header, lockSet, error) {
+	ctx, err := tc.enter(sc)
+	if err != nil {
+		return nil, lockSet{}, err
 	}
-	return st, nil
+	obj, ls, err := open[object](tc.k, &ctx, ce, accNone, true)
+	if err != nil {
+		return nil, lockSet{}, err
+	}
+	h := obj.hdr()
+	if refuseImmutable && h.immutable {
+		err = ErrImmutable
+	} else if !tc.k.canModifyT(ctx.t, ctx.lbl, effectiveLabel(obj)) {
+		err = ErrLabel
+	}
+	if err != nil {
+		ls.unlock()
+		return nil, lockSet{}, err
+	}
+	h.bump()
+	return h, ls, nil
 }
 
 // ObjectSetMetadata overwrites the 64 bytes of user-defined metadata on an
 // object the thread can modify.
 func (tc *ThreadCall) ObjectSetMetadata(ce CEnt, md [MetadataSize]byte) error {
-	ctx, err := tc.enter(scObjectSetMetadata)
+	h, ls, err := tc.openHeader(scObjectSetMetadata, ce, true)
 	if err != nil {
 		return err
-	}
-	cont, obj, err := tc.k.peek(ctx, ce)
-	if err != nil {
-		return err
-	}
-	ls := lockOrdered(objLock{cont, false}, objLock{obj, true})
-	defer ls.unlock()
-	if err := verifyEntryLive(cont, obj); err != nil {
-		return err
-	}
-	h := obj.hdr()
-	if h.immutable {
-		return ErrImmutable
-	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, effectiveLabel(obj)) {
-		return ErrLabel
 	}
 	h.metadata = md
-	h.bump()
+	ls.unlock()
 	return nil
 }
 
 // ObjectSetImmutable irrevocably marks the object read-only.
 func (tc *ThreadCall) ObjectSetImmutable(ce CEnt) error {
-	ctx, err := tc.enter(scObjectSetImmutable)
+	h, ls, err := tc.openHeader(scObjectSetImmutable, ce, false)
 	if err != nil {
 		return err
 	}
-	cont, obj, err := tc.k.peek(ctx, ce)
-	if err != nil {
-		return err
-	}
-	ls := lockOrdered(objLock{cont, false}, objLock{obj, true})
-	defer ls.unlock()
-	if err := verifyEntryLive(cont, obj); err != nil {
-		return err
-	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, effectiveLabel(obj)) {
-		return ErrLabel
-	}
-	obj.hdr().immutable = true
-	obj.hdr().bump()
+	h.immutable = true
+	ls.unlock()
 	return nil
 }
 
@@ -452,24 +378,12 @@ func (tc *ThreadCall) ObjectSetImmutable(ce CEnt) error {
 // set before the object can be hard linked into additional containers and
 // can never be cleared.
 func (tc *ThreadCall) ObjectSetFixedQuota(ce CEnt) error {
-	ctx, err := tc.enter(scObjectSetFixedQuota)
+	h, ls, err := tc.openHeader(scObjectSetFixedQuota, ce, false)
 	if err != nil {
 		return err
 	}
-	cont, obj, err := tc.k.peek(ctx, ce)
-	if err != nil {
-		return err
-	}
-	ls := lockOrdered(objLock{cont, false}, objLock{obj, true})
-	defer ls.unlock()
-	if err := verifyEntryLive(cont, obj); err != nil {
-		return err
-	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, effectiveLabel(obj)) {
-		return ErrLabel
-	}
-	obj.hdr().fixedQuota = true
-	obj.hdr().bump()
+	h.fixedQuota = true
+	ls.unlock()
 	return nil
 }
 

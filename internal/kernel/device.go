@@ -16,51 +16,26 @@ import (
 // bootstrap operation: the real kernel discovers devices at boot and the
 // administrator's startup code labels them (typically {nr3, nw0, i2, 1}).
 func (k *Kernel) DeviceCreate(d ID, lbl label.Label, mac [6]byte, descrip string) (ID, error) {
-	cont, err := k.lookupContainer(d)
+	cont, err := k.admit(nil, d, Mask(ObjDevice))
 	if err != nil {
 		return NilID, err
 	}
 	if !label.ValidObjectLabel(lbl) {
 		return NilID, ErrInvalid
 	}
-	dev := &device{
-		header: header{
-			id:      k.newID(),
-			objType: ObjDevice,
-			lbl:     label.Intern(lbl),
-			quota:   64 * 1024,
-			descrip: truncDescrip(descrip),
-			refs:    1,
-		},
+	return k.create(cont, &device{
+		header: k.newHeader(ObjDevice, lbl, 64*1024, descrip),
 		mac:    mac,
 		waitCh: make(chan struct{}, 1),
-	}
-	dev.usage = dev.footprint()
-	cont.mu.Lock()
-	if !liveLocked(cont) {
-		cont.mu.Unlock()
-		return NilID, ErrNoSuchObject
-	}
-	if err := k.charge(cont, dev.quota); err != nil {
-		cont.mu.Unlock()
-		return NilID, err
-	}
-	k.insert(dev)
-	cont.link(dev.id)
-	cont.mu.Unlock()
-	return dev.id, nil
+	})
 }
 
 // SetDeviceTransmitHook wires the device's transmit path to the simulated
 // network; pkt slices passed to the hook are owned by the callee.
 func (k *Kernel) SetDeviceTransmitHook(dev ID, hook func(pkt []byte)) error {
-	o, err := k.lookup(dev)
+	d, err := lookupAs[*device](k, dev)
 	if err != nil {
 		return err
-	}
-	d, ok := o.(*device)
-	if !ok {
-		return ErrWrongType
 	}
 	d.mu.Lock()
 	d.txNotify = hook
@@ -71,13 +46,9 @@ func (k *Kernel) SetDeviceTransmitHook(dev ID, hook func(pkt []byte)) error {
 // DeviceInject delivers an inbound frame to the device, as if it arrived
 // from the wire.  Called by the network simulation.
 func (k *Kernel) DeviceInject(dev ID, pkt []byte) error {
-	o, err := k.lookup(dev)
+	d, err := lookupAs[*device](k, dev)
 	if err != nil {
 		return err
-	}
-	d, ok := o.(*device)
-	if !ok {
-		return ErrWrongType
 	}
 	d.mu.Lock()
 	if !liveLocked(d) {
@@ -101,7 +72,7 @@ func (tc *ThreadCall) DeviceMAC(ce CEnt) ([6]byte, error) {
 	if err != nil {
 		return [6]byte{}, err
 	}
-	_, d, err := tc.deviceForRead(ctx, ce)
+	_, d, err := resolve[*device](tc.k, &ctx, ce, accObserve)
 	if err != nil {
 		return [6]byte{}, err
 	}
@@ -118,20 +89,12 @@ func (tc *ThreadCall) DeviceTransmit(ce CEnt, pkt []byte) error {
 	if err != nil {
 		return err
 	}
-	cont, d, err := tc.deviceForWrite(ctx, ce)
+	d, ls, err := open[*device](tc.k, &ctx, ce, accModify, false)
 	if err != nil {
 		return err
 	}
-	ls := lockOrdered(objLock{cont, false}, objLock{d, false})
-	verr := cont.verifyLinked(d.id)
-	if verr == nil && !liveLocked(d) {
-		verr = ErrNoSuchObject
-	}
 	hook := d.txNotify
 	ls.unlock()
-	if verr != nil {
-		return verr
-	}
 	frame := append([]byte(nil), pkt...)
 	if hook != nil {
 		hook(frame)
@@ -147,15 +110,11 @@ func (tc *ThreadCall) DeviceReceive(ce CEnt) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	cont, d, err := tc.deviceForRead(ctx, ce)
+	d, ls, err := open[*device](tc.k, &ctx, ce, accObserve, true)
 	if err != nil {
 		return nil, false, err
 	}
-	ls := lockOrdered(objLock{cont, false}, objLock{d, true})
 	defer ls.unlock()
-	if err := verifyEntryLive(cont, d); err != nil {
-		return nil, false, err
-	}
 	if len(d.rxQueue) == 0 {
 		return nil, false, nil
 	}
@@ -173,7 +132,7 @@ func (tc *ThreadCall) DeviceWait(ce CEnt) error {
 		if err != nil {
 			return err
 		}
-		_, d, err := tc.deviceForRead(ctx, ce)
+		_, d, err := resolve[*device](tc.k, &ctx, ce, accObserve)
 		if err != nil {
 			return err
 		}
@@ -190,36 +149,4 @@ func (tc *ThreadCall) DeviceWait(ce CEnt) error {
 		d.mu.RUnlock()
 		<-ch
 	}
-}
-
-// deviceForRead resolves ce to a device the invoking thread may observe;
-// device labels are immutable, so no locks are held.
-func (tc *ThreadCall) deviceForRead(ctx tctx, ce CEnt) (*container, *device, error) {
-	cont, obj, err := tc.k.peek(ctx, ce)
-	if err != nil {
-		return nil, nil, err
-	}
-	d, ok := obj.(*device)
-	if !ok {
-		return nil, nil, ErrWrongType
-	}
-	if !tc.k.canObserveT(ctx.t, ctx.lbl, d.lbl) {
-		return nil, nil, ErrLabel
-	}
-	return cont, d, nil
-}
-
-func (tc *ThreadCall) deviceForWrite(ctx tctx, ce CEnt) (*container, *device, error) {
-	cont, obj, err := tc.k.peek(ctx, ce)
-	if err != nil {
-		return nil, nil, err
-	}
-	d, ok := obj.(*device)
-	if !ok {
-		return nil, nil, ErrWrongType
-	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, d.lbl) {
-		return nil, nil, ErrLabel
-	}
-	return cont, d, nil
 }

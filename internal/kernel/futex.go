@@ -1,9 +1,6 @@
 package kernel
 
-import (
-	"encoding/binary"
-	"sync"
-)
+import "sync"
 
 // IPC support in the HiStar kernel, aside from shared memory and gates, is
 // limited to a memory-based futex synchronization primitive (Section 4.1).
@@ -49,30 +46,13 @@ func (tc *ThreadCall) FutexWait(seg CEnt, offset uint64, expected uint64) error 
 	if err != nil {
 		return err
 	}
-	cont, s, err := tc.resolveSegment(ctx, seg)
+	s, ls, err := open[*segment](tc.k, &ctx, seg, accObserve, false)
 	if err != nil {
 		return err
 	}
-	if err := tc.checkSegmentRead(ctx, s); err != nil {
-		return err
-	}
-	ls := lockOrdered(objLock{cont, false}, objLock{s, false})
-	if err := cont.verifyLinked(s.id); err != nil {
+	if cur, err := s.word(offset); err != nil || cur != expected {
 		ls.unlock()
 		return err
-	}
-	if !liveLocked(s) {
-		ls.unlock()
-		return ErrNoSuchObject
-	}
-	if uint64(len(s.data)) < 8 || offset > uint64(len(s.data))-8 {
-		ls.unlock()
-		return ErrInvalid
-	}
-	cur := binary.LittleEndian.Uint64(s.data[offset:])
-	if cur != expected {
-		ls.unlock()
-		return nil
 	}
 	// Enqueue while still holding the segment's read lock: any writer that
 	// changes the word needs the write lock, so its subsequent FutexWake is
@@ -102,24 +82,14 @@ func (tc *ThreadCall) FutexWake(seg CEnt, offset uint64, n int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	cont, s, err := tc.resolveSegment(ctx, seg)
+	s, ls, err := open[*segment](tc.k, &ctx, seg, accModify, false)
 	if err != nil {
 		return 0, err
 	}
-	if err := tc.checkSegmentWrite(ctx, s); err != nil {
-		return 0, err
-	}
-	ls := lockOrdered(objLock{cont, false}, objLock{s, false})
-	err = cont.verifyLinked(s.id)
-	if err == nil && !liveLocked(s) {
-		err = ErrNoSuchObject
-	}
-	if err == nil && s.immutable {
-		err = ErrImmutable
-	}
+	immutable := s.immutable
 	ls.unlock()
-	if err != nil {
-		return 0, err
+	if immutable {
+		return 0, ErrImmutable
 	}
 	key := futexKey{seg: s.id, offset: offset}
 	fs := tc.k.futexShardFor(key)

@@ -39,15 +39,9 @@ func (tc *ThreadCall) GateCreate(d ID, spec GateSpec) (ID, error) {
 	if !label.ValidThreadLabel(spec.Label) {
 		return NilID, ErrInvalid
 	}
-	cont, err := tc.k.lookupContainer(d)
+	cont, err := tc.k.admit(&ctx, d, Mask(ObjGate))
 	if err != nil {
 		return NilID, err
-	}
-	if cont.avoidTypes.Has(ObjGate) {
-		return NilID, ErrAvoidType
-	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, cont.lbl) {
-		return NilID, ErrLabel
 	}
 	// The creator cannot mint privilege it does not have (LT′ ⊑ LG) and the
 	// gate's label and clearance are bounded by the creator's clearance
@@ -62,40 +56,16 @@ func (tc *ThreadCall) GateCreate(d ID, spec GateSpec) (ID, error) {
 		!tc.k.leq(spec.Clearance, ctx.clearance) {
 		return NilID, ErrLabel
 	}
-	const quota = 8 * 1024
-	g := &gate{
-		header: header{
-			id:      tc.k.newID(),
-			objType: ObjGate,
-			// The externally visible object label strips ownership so that
-			// possession of the gate's container entry does not reveal what
-			// the gate can untaint.
-			lbl:     label.Intern(spec.Label.LowerStar()),
-			quota:   quota,
-			descrip: truncDescrip(spec.Descrip),
-			refs:    1,
-		},
+	// The externally visible object label strips ownership so that possession
+	// of the gate's container entry does not reveal what the gate can untaint.
+	return tc.k.create(cont, &gate{
+		header:       tc.k.newHeader(ObjGate, spec.Label.LowerStar(), 8*1024, spec.Descrip),
 		gateLabel:    label.Intern(spec.Label),
 		clearance:    label.Intern(spec.Clearance),
 		addressSpace: spec.AddressSpace,
 		entry:        spec.Entry,
 		closureArgs:  append([]byte(nil), spec.Closure...),
-	}
-	g.usage = g.footprint()
-	cont.mu.Lock()
-	defer cont.mu.Unlock()
-	if !liveLocked(cont) {
-		return NilID, ErrNoSuchObject
-	}
-	if cont.immutable {
-		return NilID, ErrImmutable
-	}
-	if err := tc.k.charge(cont, quota); err != nil {
-		return NilID, err
-	}
-	tc.k.insert(g)
-	cont.link(g.id)
-	return g.id, nil
+	})
 }
 
 // GateRequest bundles the labels a thread supplies when invoking a gate.
@@ -127,7 +97,7 @@ func (tc *ThreadCall) GateEnter(ce CEnt, req GateRequest) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, err := tc.resolveGate(ctx, ce)
+	_, g, err := resolve[*gate](tc.k, &ctx, ce, accNone)
 	if err != nil {
 		return nil, err
 	}
@@ -135,20 +105,6 @@ func (tc *ThreadCall) GateEnter(ce CEnt, req GateRequest) ([]byte, error) {
 		return nil, err
 	}
 	return tc.gateDispatch(g, req), nil
-}
-
-// resolveGate resolves a container entry to a live gate without taking any
-// object locks (peek's container read lock excepted).
-func (tc *ThreadCall) resolveGate(ctx tctx, ce CEnt) (*gate, error) {
-	_, obj, err := tc.k.peek(ctx, ce)
-	if err != nil {
-		return nil, err
-	}
-	g, ok := obj.(*gate)
-	if !ok {
-		return nil, ErrWrongType
-	}
-	return g, nil
 }
 
 // gateEnterTransfer performs the label checks of Section 3.5 and, if they
@@ -245,13 +201,9 @@ func (tc *ThreadCall) GateStat(ce CEnt) (GateStat, error) {
 	if err != nil {
 		return GateStat{}, err
 	}
-	_, obj, err := tc.k.peek(ctx, ce)
+	_, g, err := resolve[*gate](tc.k, &ctx, ce, accNone)
 	if err != nil {
 		return GateStat{}, err
-	}
-	g, ok := obj.(*gate)
-	if !ok {
-		return GateStat{}, ErrWrongType
 	}
 	return GateStat{ID: g.id, Label: g.lbl, Clearance: g.clearance, Descrip: g.descrip}, nil
 }

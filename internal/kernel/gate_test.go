@@ -52,6 +52,63 @@ func TestGateEnterZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestSyscallAllocBudget pins the heap allocations of the hot single-object
+// calls at the values measured before they came to share one open/execOp
+// path, so a helper that starts to allocate (an escaping entry, a boxed
+// completion, a closure) shows up here rather than in web_warm or unix_build.
+func TestSyscallAllocBudget(t *testing.T) {
+	k, tc := boot(t)
+	root := k.RootContainer()
+	seg, err := tc.SegmentCreate(root, label.New(label.L1), "budget", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ce := CEnt{root, seg}
+	payload := []byte("sixteen byte msg")
+	ring := tc.NewRing()
+	pair := []RingEntry{
+		{Op: OpSegmentWrite, Seg: ce, Data: payload},
+		{Op: OpSegmentRead, Seg: ce, Len: len(payload)},
+	}
+	for _, c := range []struct {
+		name string
+		want float64
+		call func() error
+	}{
+		{"SegmentWrite", 0, func() error { return tc.SegmentWrite(ce, 0, payload) }},
+		{"SegmentLen", 0, func() error { _, err := tc.SegmentLen(ce); return err }},
+		{"ObjectStat", 0, func() error { _, err := tc.ObjectStat(ce); return err }},
+		{"SegmentRead", 1, func() error { _, err := tc.SegmentRead(ce, 0, 16); return err }},
+		{"ring write+read per Wait", 1, func() error {
+			ring.Submit(pair...)
+			comps, err := ring.Wait(2)
+			if err == nil {
+				err = errors.Join(comps[0].Err, comps[1].Err)
+			}
+			return err
+		}},
+		{"SegmentCreate+Unref", 6, func() error {
+			id, err := tc.SegmentCreate(root, label.New(label.L1), "churn", 64)
+			if err != nil {
+				return err
+			}
+			return tc.Unref(root, id)
+		}},
+	} {
+		if err := c.call(); err != nil { // warm caches and ring scratch
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		got := testing.AllocsPerRun(100, func() {
+			if err := c.call(); err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+		})
+		if got != c.want {
+			t.Errorf("%s allocates %.1f times per call, want %.0f", c.name, got, c.want)
+		}
+	}
+}
+
 func TestGateEnterClosureNotCopied(t *testing.T) {
 	k, tc := boot(t)
 	root := k.RootContainer()

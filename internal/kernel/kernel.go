@@ -31,13 +31,23 @@
 //     clearance, address space, liveness) under the thread's read lock and
 //     releases it; all subsequent checks use the snapshot, so a syscall's
 //     label checks are evaluated against the thread's label as of syscall
-//     entry, exactly as in the real kernel.
+//     entry, exactly as in the real kernel.  thread.snapshot is the only
+//     builder of that snapshot (enter calls it; the ring re-calls it after
+//     a gate transfer).
 //  2. Object resolution (shard map lookups and label checks against
 //     *immutable* object labels) happens with no object locks held.
+//     resolve names an existing entry 〈D,O〉 (peek, the type assertion and
+//     the observe/modify rule); admit names the container an allocation
+//     goes into (lookup, avoid-types, can-modify).  No syscall spells
+//     either sequence out itself.
 //  3. The objects a syscall touches are then locked together in ascending
 //     object-ID order — read locks for observation, write locks for
 //     mutation — and container membership and object liveness are
-//     re-verified under those locks before any mutation.
+//     re-verified under those locks before any mutation.  open (resolve,
+//     lockOrdered, verifyEntryLive) does this for every single-entry
+//     syscall and for a ring run; publish (live, immutable, charge, insert,
+//     link) is the only way a new object enters the table, run under the
+//     lock set of whichever creator called it.
 //  4. Shard locks are only ever acquired with either no object locks held
 //     (lookup) or nested inside object locks (insert on create, delete on
 //     deallocate); an object lock is never acquired while a shard lock is
@@ -56,7 +66,7 @@
 //
 // Besides direct calls, a thread may batch system calls through a Ring
 // (ring.go): Submit queues entries, Wait snapshots the thread once, executes
-// every entry through the same resolve/check/lockOrdered paths, and returns
+// every entry through the same open and execOp a direct call uses, and returns
 // per-entry completions in submission order.  Chains (the Chain flag) fix
 // intra-chain order with skip-on-error; independent chains may be reordered
 // by target object ID so same-object entries share one lock acquisition.  A
@@ -165,7 +175,8 @@ type Kernel struct {
 }
 
 // New boots a kernel: it creates the object table and the root container.
-// The root container is labeled {1} and has an infinite quota.
+// The root container is labeled {1}, has an infinite quota, and keeps its
+// header's one reference for good (Unref refuses it).
 func New(cfg Config) *Kernel {
 	k := &Kernel{
 		ids:        label.NewAllocator(cfg.Seed ^ 0x9e3779b97f4a7c15),
@@ -180,18 +191,10 @@ func New(cfg Config) *Kernel {
 		k.futexes[i].m = make(map[futexKey]*futexQueue)
 	}
 	root := &container{
-		header: header{
-			id:      k.newID(),
-			objType: ObjContainer,
-			lbl:     label.New(label.L1),
-			quota:   QuotaInfinite,
-			descrip: "root container",
-			refs:    1, // the root container is always referenced
-		},
+		header:  k.newHeader(ObjContainer, label.New(label.L1), QuotaInfinite, "root container"),
 		parent:  NilID,
 		entries: make(map[ID]bool),
 	}
-	root.usage = root.footprint()
 	k.insert(root)
 	k.rootID = root.id
 	return k
@@ -219,12 +222,16 @@ func (k *Kernel) shardFor(id ID) *objShard {
 	return &k.shards[(h>>48)&(objShards-1)]
 }
 
-// insert adds a fully constructed object to the table.  It may be called
-// with object locks held (shard locks nest inside object locks).
+// insert adds a fully constructed, still unreachable object to the table; its
+// usage starts at its own footprint, on top of anything its builder charged
+// to it (a cloned container arrives carrying its children's quotas).  It may
+// be called with object locks held (shard locks nest inside object locks).
 func (k *Kernel) insert(o object) {
-	s := k.shardFor(o.hdr().id)
+	h := o.hdr()
+	h.usage += o.footprint()
+	s := k.shardFor(h.id)
 	s.mu.Lock()
-	s.m[o.hdr().id] = o
+	s.m[h.id] = o
 	s.mu.Unlock()
 }
 
@@ -250,17 +257,30 @@ func (k *Kernel) lookup(id ID) (object, error) {
 	return o, nil
 }
 
-func (k *Kernel) lookupContainer(id ID) (*container, error) {
+// as asserts that o is a T, reporting ErrNotContainer when a container was
+// wanted and ErrWrongType for any other mismatch.
+func as[T object](o object) (T, error) {
+	v, ok := o.(T)
+	if !ok {
+		if _, wantContainer := object(v).(*container); wantContainer {
+			return v, ErrNotContainer
+		}
+		return v, ErrWrongType
+	}
+	return v, nil
+}
+
+// lookupAs is lookup plus the type assertion.
+func lookupAs[T object](k *Kernel, id ID) (T, error) {
 	o, err := k.lookup(id)
 	if err != nil {
-		return nil, err
+		var zero T
+		return zero, err
 	}
-	c, ok := o.(*container)
-	if !ok {
-		return nil, ErrNotContainer
-	}
-	return c, nil
+	return as[T](o)
 }
+
+func (k *Kernel) lookupContainer(id ID) (*container, error) { return lookupAs[*container](k, id) }
 
 // ---------------------------------------------------------------------------
 // Ordered object locking.
@@ -272,11 +292,12 @@ type objLock struct {
 	write bool
 }
 
-// lockSet is the fixed-size set of object locks a syscall holds; it lives
-// on the caller's stack so the hot path performs no allocation.
+// lockSet is the fixed-size set of object locks a syscall holds, by header;
+// it lives on the caller's stack so the hot path performs no allocation.
 type lockSet struct {
-	objs [4]objLock
-	n    int
+	hdrs  [4]*header
+	write [4]bool
+	n     int
 }
 
 // lockOrdered acquires the given objects' locks in ascending object-ID
@@ -284,27 +305,28 @@ type lockSet struct {
 // Every multi-object syscall goes through it, which is what keeps the
 // kernel deadlock-free; release with unlock.
 func lockOrdered(locks ...objLock) lockSet {
-	// Insertion sort: syscalls lock at most four objects.
-	for i := 1; i < len(locks); i++ {
-		for j := i; j > 0 && locks[j].o.hdr().id < locks[j-1].o.hdr().id; j-- {
-			locks[j], locks[j-1] = locks[j-1], locks[j]
-		}
-	}
-	// Dedup into the fixed array; write mode wins.
 	var ls lockSet
+	// Insertion sort with dedup: syscalls lock at most four objects.
 	for _, l := range locks {
-		if ls.n > 0 && ls.objs[ls.n-1].o == l.o {
-			ls.objs[ls.n-1].write = ls.objs[ls.n-1].write || l.write
+		h := l.o.hdr()
+		i := ls.n
+		for i > 0 && ls.hdrs[i-1].id > h.id {
+			i--
+		}
+		if i > 0 && ls.hdrs[i-1] == h {
+			ls.write[i-1] = ls.write[i-1] || l.write
 			continue
 		}
-		ls.objs[ls.n] = l
+		copy(ls.hdrs[i+1:], ls.hdrs[i:ls.n])
+		copy(ls.write[i+1:], ls.write[i:ls.n])
+		ls.hdrs[i], ls.write[i] = h, l.write
 		ls.n++
 	}
 	for i := 0; i < ls.n; i++ {
-		if ls.objs[i].write {
-			ls.objs[i].o.hdr().mu.Lock()
+		if ls.write[i] {
+			ls.hdrs[i].mu.Lock()
 		} else {
-			ls.objs[i].o.hdr().mu.RLock()
+			ls.hdrs[i].mu.RLock()
 		}
 	}
 	return ls
@@ -313,10 +335,10 @@ func lockOrdered(locks ...objLock) lockSet {
 // unlock releases the set's locks in reverse acquisition order.
 func (ls *lockSet) unlock() {
 	for i := ls.n - 1; i >= 0; i-- {
-		if ls.objs[i].write {
-			ls.objs[i].o.hdr().mu.Unlock()
+		if ls.write[i] {
+			ls.hdrs[i].mu.Unlock()
 		} else {
-			ls.objs[i].o.hdr().mu.RUnlock()
+			ls.hdrs[i].mu.RUnlock()
 		}
 	}
 }
@@ -335,16 +357,6 @@ func verifyEntryLive(cont *container, obj object) error {
 		return ErrNoSuchObject
 	}
 	return nil
-}
-
-// verifyLinkedBrief checks membership under a transient read lock on cont,
-// for syscalls that only need the link to have existed at resolution time
-// and take no further locks on the pair.
-func verifyLinkedBrief(cont *container, id ID) error {
-	cont.mu.RLock()
-	err := cont.verifyLinked(id)
-	cont.mu.RUnlock()
-	return err
 }
 
 // ---------------------------------------------------------------------------
@@ -432,12 +444,8 @@ type ThreadCall struct {
 // the hardware; in this simulation the caller that created the thread is
 // trusted to hand the context only to that thread's code.
 func (k *Kernel) ThreadCall(tid ID) (*ThreadCall, error) {
-	o, err := k.lookup(tid)
-	if err != nil {
+	if _, err := lookupAs[*thread](k, tid); err != nil {
 		return nil, err
-	}
-	if _, ok := o.(*thread); !ok {
-		return nil, ErrWrongType
 	}
 	return &ThreadCall{k: k, tid: tid}, nil
 }
@@ -448,37 +456,39 @@ func (tc *ThreadCall) Kernel() *Kernel { return tc.k }
 // ID returns the invoking thread's object ID.
 func (tc *ThreadCall) ID() ID { return tc.tid }
 
+// snapshot fills ctx with the thread's label, clearance and address space,
+// read under its read lock (rule 1 of the locking discipline), and reports
+// whether the thread is halted.
+func (t *thread) snapshot(ctx *tctx) (halted bool) {
+	t.mu.RLock()
+	ctx.t = t
+	ctx.lbl = t.lbl
+	ctx.clearance = t.clearance
+	ctx.as = t.addressSpace
+	halted = t.halted
+	t.mu.RUnlock()
+	return halted
+}
+
 // enter snapshots the invoking thread at syscall entry and records the call
 // in the statistics.  It fails with ErrHalted if the thread is halted or
 // deallocated.
-func (tc *ThreadCall) enter(sc syscallID) (tctx, error) {
-	o, err := tc.k.lookup(tc.tid)
-	if err != nil {
+func (tc *ThreadCall) enter(sc syscallID) (ctx tctx, err error) {
+	t, err := lookupAs[*thread](tc.k, tc.tid)
+	if err == ErrWrongType {
+		return ctx, err
+	}
+	if err != nil || t.snapshot(&ctx) {
 		return tctx{}, ErrHalted
 	}
-	t, ok := o.(*thread)
-	if !ok {
-		return tctx{}, ErrWrongType
-	}
-	t.mu.RLock()
-	if t.halted {
-		t.mu.RUnlock()
-		return tctx{}, ErrHalted
-	}
-	ctx := tctx{t: t, lbl: t.lbl, clearance: t.clearance, as: t.addressSpace}
-	t.mu.RUnlock()
 	tc.k.count(sc, t)
 	return ctx, nil
 }
 
 // SyscallsIssued returns how many system calls this thread has issued.
 func (tc *ThreadCall) SyscallsIssued() uint64 {
-	o, err := tc.k.lookup(tc.tid)
+	t, err := lookupAs[*thread](tc.k, tc.tid)
 	if err != nil {
-		return 0
-	}
-	t, ok := o.(*thread)
-	if !ok {
 		return 0
 	}
 	return t.syscallCount.Load()
@@ -497,7 +507,7 @@ func (tc *ThreadCall) SyscallsIssued() uint64 {
 // error that would reveal the object's existence.  Membership is mutable,
 // so syscalls re-verify it with verifyLinked once they hold their locks;
 // peek itself returns with no locks held.
-func (k *Kernel) peek(ctx tctx, ce CEnt) (*container, object, error) {
+func (k *Kernel) peek(ctx *tctx, ce CEnt) (*container, object, error) {
 	cont, err := k.lookupContainer(ce.Container)
 	if err != nil {
 		return nil, nil, err
@@ -536,9 +546,154 @@ func (c *container) verifyLinked(id ID) error {
 	return nil
 }
 
+// access is the label rule resolve applies to the object an entry names.
+type access uint8
+
+const (
+	// accNone applies no rule beyond peek's (the thread can read the naming
+	// container): for calls that reveal only what a container listing would,
+	// or that must check a mutable thread label under the object's lock.
+	accNone access = iota
+	// accObserve requires LO ⊑ LTᴶ.
+	accObserve
+	// accModify requires LT ⊑ LO ⊑ LTᴶ.
+	accModify
+)
+
+// resolve is step 2 of the locking discipline for a call that names an
+// existing entry: peek, the type assertion, then the label rule against the
+// object's label — in that order, so an unlinked object is ErrNoSuchObject
+// before any type or label error.  Every type resolved with a rule has an
+// immutable label (thread entries are resolved with accNone and checked under
+// their lock), so no object lock is taken.
+func resolve[T object](k *Kernel, ctx *tctx, ce CEnt, acc access) (*container, T, error) {
+	var zero T
+	cont, obj, err := k.peek(ctx, ce)
+	if err != nil {
+		return nil, zero, err
+	}
+	v, err := as[T](obj)
+	if err != nil {
+		return nil, zero, err
+	}
+	if acc != accNone {
+		lbl := obj.hdr().lbl
+		if acc == accModify && !k.leq(ctx.lbl, lbl) || !k.canObserveT(ctx.t, ctx.lbl, lbl) {
+			return nil, zero, ErrLabel
+		}
+	}
+	return cont, v, nil
+}
+
+// open is resolve followed by step 3: the naming container (read) and the
+// object (write if asked) are locked in ID order and the link and the object's
+// liveness re-verified.  On success the caller owns the returned lock set.
+func open[T object](k *Kernel, ctx *tctx, ce CEnt, acc access, write bool) (T, lockSet, error) {
+	cont, v, err := resolve[T](k, ctx, ce, acc)
+	if err != nil {
+		return v, lockSet{}, err
+	}
+	ls := lockOrdered(objLock{cont, false}, objLock{v, write})
+	if err := verifyEntryLive(cont, v); err != nil {
+		ls.unlock()
+		var zero T
+		return zero, lockSet{}, err
+	}
+	return v, ls, nil
+}
+
 // ---------------------------------------------------------------------------
-// Bootstrap: creating the first thread.
+// Allocation: admit, build, publish.
 // ---------------------------------------------------------------------------
+
+// admit is the first step of every call that links something into container
+// d: d must exist, must not forbid any of the types about to be linked (zero
+// when the call only unlinks, or learns the type later), and the thread must
+// be able to write it (LT ⊑ LD ⊑ LTᴶ; container labels are immutable).  The
+// nil ctx is the kernel's own bootstrap code (BootThread, DeviceCreate),
+// which no label constrains.  No locks are held on return; publish re-checks
+// what can change.
+func (k *Kernel) admit(ctx *tctx, d ID, types TypeMask) (*container, error) {
+	cont, err := k.lookupContainer(d)
+	if err != nil {
+		return nil, err
+	}
+	if cont.avoidTypes&types != 0 {
+		return nil, ErrAvoidType
+	}
+	if ctx != nil && !k.canModifyT(ctx.t, ctx.lbl, cont.lbl) {
+		return nil, ErrLabel
+	}
+	return cont, nil
+}
+
+// newHeader builds the header of a new object with one reference: the link
+// publish is about to add.
+func (k *Kernel) newHeader(typ ObjectType, l label.Label, quota uint64, descrip string) header {
+	if len(descrip) > DescripSize {
+		descrip = descrip[:DescripSize]
+	}
+	return header{
+		id:      k.newID(),
+		objType: typ,
+		lbl:     label.Intern(l),
+		quota:   quota,
+		descrip: descrip,
+		refs:    1,
+	}
+}
+
+// publish makes o — and the unpublished subtree below it, for a clone —
+// visible: cont must still be live and mutable and is charged o's quota, then
+// every object enters the table and o is linked.  The caller holds cont's
+// write lock; nothing is changed on error.
+func (k *Kernel) publish(cont *container, o object, subtree ...object) error {
+	if !liveLocked(cont) {
+		return ErrNoSuchObject
+	}
+	if cont.immutable {
+		return ErrImmutable
+	}
+	if err := k.charge(cont, o.hdr().quota); err != nil {
+		return err
+	}
+	for _, n := range subtree {
+		k.insert(n)
+	}
+	k.insert(o)
+	cont.link(o.hdr().id)
+	return nil
+}
+
+// create publishes one new object into cont under cont's write lock alone.
+func (k *Kernel) create(cont *container, o object) (ID, error) {
+	cont.mu.Lock()
+	defer cont.mu.Unlock()
+	if err := k.publish(cont, o); err != nil {
+		return NilID, err
+	}
+	return o.hdr().id, nil
+}
+
+// newThread builds an unpublished thread and its one-page thread-local
+// segment, which follows the thread's label with ownership stripped.
+func (k *Kernel) newThread(lbl, clearance label.Label, as CEnt, quota uint64, descrip string) *thread {
+	if quota == 0 {
+		quota = 1 << 20
+	}
+	t := &thread{
+		header:       k.newHeader(ObjThread, lbl, quota, descrip),
+		clearance:    label.Intern(clearance),
+		addressSpace: as,
+		alertCh:      make(chan struct{}, 1),
+	}
+	t.localSegment = &segment{
+		header: k.newHeader(ObjSegment, lbl.LowerStar(), localSegmentSize, "thread-local segment"),
+		data:   make([]byte, localSegmentSize),
+	}
+	t.localSegment.refs = 0 // reachable only through its thread, never linked
+	return t
+}
 
 // BootThread creates the initial thread directly in the root container with
 // the given label and clearance.  It bypasses the usual "creator must be a
@@ -551,56 +706,19 @@ func (k *Kernel) BootThread(lbl, clearance label.Label, descrip string) (*Thread
 	if !lbl.Leq(clearance) {
 		return nil, ErrLabel
 	}
-	root, err := k.lookupContainer(k.rootID)
+	root, err := k.admit(nil, k.rootID, Mask(ObjThread))
 	if err != nil {
 		return nil, err
 	}
-	t := &thread{
-		header: header{
-			id:      k.newID(),
-			objType: ObjThread,
-			lbl:     label.Intern(lbl),
-			quota:   1 << 20,
-			descrip: truncDescrip(descrip),
-			refs:    1,
-		},
-		clearance: label.Intern(clearance),
-		alertCh:   make(chan struct{}, 1),
-	}
-	t.localSegment = &segment{
-		header: header{
-			id:      k.newID(),
-			objType: ObjSegment,
-			lbl:     label.Intern(lbl.LowerStar()),
-			quota:   localSegmentSize,
-			descrip: "thread-local segment",
-		},
-		data:             make([]byte, localSegmentSize),
-		threadLocalOwner: t.id,
-	}
-	t.usage = t.footprint()
-	root.mu.Lock()
-	defer root.mu.Unlock()
-	if !liveLocked(root) {
-		return nil, ErrNoSuchObject
-	}
-	if err := k.charge(root, t.quota); err != nil {
+	tid, err := k.create(root, k.newThread(lbl, clearance, CEnt{}, 0, descrip))
+	if err != nil {
 		return nil, err
 	}
-	k.insert(t)
-	root.link(t.id)
-	return &ThreadCall{k: k, tid: t.id}, nil
+	return &ThreadCall{k: k, tid: tid}, nil
 }
 
 // localSegmentSize is one page, as in the paper.
 const localSegmentSize = 4096
-
-func truncDescrip(s string) string {
-	if len(s) > DescripSize {
-		return s[:DescripSize]
-	}
-	return s
-}
 
 // charge charges q bytes of quota to container c, failing if the container's
 // quota would be exceeded.  The caller holds c's write lock.
@@ -662,6 +780,21 @@ func (k *Kernel) deallocLocked(o object) []ID {
 	}
 	k.remove(h.id)
 	return children
+}
+
+// unlinkLocked removes cont's link to the live object o, refunds the quota
+// the link charged and drops the reference, deallocating o if it was the
+// last.  The caller holds both write locks, has checked that cont links o,
+// and passes the returned children to releaseRefs after unlocking.
+func (k *Kernel) unlinkLocked(cont *container, o object) []ID {
+	h := o.hdr()
+	cont.unlink(h.id)
+	k.refund(cont, h.quota)
+	h.refs--
+	if h.refs > 0 {
+		return nil
+	}
+	return k.deallocLocked(o)
 }
 
 // releaseRefs drops one reference from each object in ids, deallocating any
@@ -730,20 +863,11 @@ func (k *Kernel) Describe(id ID) (string, error) {
 		h.id, h.objType, h.descrip, h.lbl.Format(k.cats), h.quota, h.usage, h.refs), nil
 }
 
-// ThreadL1Stat describes one live thread's per-thread label-cache L1.
-type ThreadL1Stat struct {
-	ID      ID
-	Descrip string
-	Hits    uint64
-	Misses  uint64
-}
-
-// L1Stats aggregates the per-thread canObserve L1 counters: totals across
-// live and deallocated threads, plus the live per-thread breakdown.
+// L1Stats totals the per-thread canObserve L1 counters across live and
+// deallocated threads.
 type L1Stats struct {
-	Hits    uint64
-	Misses  uint64
-	Threads []ThreadL1Stat
+	Hits   uint64
+	Misses uint64
 }
 
 // l1Retired accumulates L1 counters of threads that have been deallocated.
@@ -752,26 +876,17 @@ type l1Retired struct {
 	misses paddedUint64
 }
 
-// LabelL1Stats returns the per-thread L1 hit/miss statistics.
+// LabelL1Stats returns the per-thread L1 hit/miss totals.
 func (k *Kernel) LabelL1Stats() L1Stats {
 	st := L1Stats{Hits: k.retired.hits.Load(), Misses: k.retired.misses.Load()}
 	for i := range k.shards {
 		s := &k.shards[i]
 		s.mu.RLock()
 		for _, o := range s.m {
-			t, ok := o.(*thread)
-			if !ok || t.dead.Load() {
-				continue
+			if t, ok := o.(*thread); ok && !t.dead.Load() {
+				st.Hits += t.l1Hits.Load()
+				st.Misses += t.l1Misses.Load()
 			}
-			ts := ThreadL1Stat{
-				ID:      t.id,
-				Descrip: t.descrip,
-				Hits:    t.l1Hits.Load(),
-				Misses:  t.l1Misses.Load(),
-			}
-			st.Hits += ts.Hits
-			st.Misses += ts.Misses
-			st.Threads = append(st.Threads, ts)
 		}
 		s.mu.RUnlock()
 	}

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
 	"histar/internal/label"
@@ -531,6 +532,44 @@ func TestBoundsOverflowRejected(t *testing.T) {
 	if err := tc.SegmentWrite(ce, maxInt-4, []byte("overflow")); !errors.Is(err, ErrQuota) {
 		t.Errorf("SegmentWrite(maxInt-4): err=%v, want ErrQuota", err)
 	}
+	// The thread-local page never grows, so there the same offsets are
+	// simply out of range.
+	if err := tc.LocalSegmentWrite(maxInt, []byte("x")); !errors.Is(err, ErrInvalid) {
+		t.Errorf("LocalSegmentWrite(maxInt): err=%v, want ErrInvalid", err)
+	}
+	if _, err := tc.LocalSegmentRead(maxInt, 1); !errors.Is(err, ErrInvalid) {
+		t.Errorf("LocalSegmentRead(maxInt, 1): err=%v, want ErrInvalid", err)
+	}
+	if _, err := tc.LocalSegmentRead(1, maxInt); !errors.Is(err, ErrInvalid) {
+		t.Errorf("LocalSegmentRead(1, maxInt): err=%v, want ErrInvalid", err)
+	}
+	// Loads and stores through mappings whose segment offset is huge: one
+	// that overflows int outright, one that overflows only once the access
+	// length is added.
+	as, err := tc.AddressSpaceCreate(root, label.New(label.L1), "huge offsets")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.AddressSpaceSet(CEnt{root, as}, []Mapping{
+		{VA: 0x10000, Seg: ce, Offset: 1 << 63, NPages: 1, Flags: MapRead | MapWrite},
+		{VA: 0x20000, Seg: ce, Offset: uint64(maxInt - 4), NPages: 1, Flags: MapRead | MapWrite},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.SelfSetAddressSpace(CEnt{root, as}); err != nil {
+		t.Fatal(err)
+	}
+	for _, va := range []uint64{0x10000, 0x20000} {
+		if _, err := tc.MemRead(va, 8); !errors.Is(err, ErrInvalid) {
+			t.Errorf("MemRead(%#x) through a huge mapping offset: err=%v, want ErrInvalid", va, err)
+		}
+	}
+	if err := tc.MemWrite(0x10000, []byte("overflow")); !errors.Is(err, ErrInvalid) {
+		t.Errorf("MemWrite through mapping offset 1<<63: err=%v, want ErrInvalid", err)
+	}
+	if err := tc.MemWrite(0x20000, []byte("overflow")); !errors.Is(err, ErrQuota) {
+		t.Errorf("MemWrite through mapping offset maxInt-4: err=%v, want ErrQuota", err)
+	}
 }
 
 func TestSyscallCounting(t *testing.T) {
@@ -626,4 +665,177 @@ func TestContainerFindLabeled(t *testing.T) {
 	if n := k.SyscallCounts()["container_find_labeled"]; n == 0 {
 		t.Error("container_find_labeled not counted")
 	}
+}
+
+// TestAdmissionSameVerdictEveryCreator puts one container in each state that
+// must refuse a new link and checks that every call that links into it — the
+// seven creators and Link — and Unref, which edits the same entry list, give
+// the same answer.  Cells that cannot arise for a row are skipped: bootstrap
+// DeviceCreate runs as no thread, and Unref adds nothing that a type mask,
+// a quota or a clearance could refuse.  Link reports its Lsrc ⊑ CT rule as
+// ErrClearance where the creators' allocation rule says ErrLabel.
+func TestAdmissionSameVerdictEveryCreator(t *testing.T) {
+	const allTypes = TypeMask(1<<numObjectTypes - 1)
+	cols := []struct {
+		name string
+		want error
+	}{
+		{"immutable container", ErrImmutable},
+		{"avoid-type set", ErrAvoidType},
+		{"dead container", ErrNoSuchObject},
+		{"quota exhausted", ErrQuota},
+		{"thread cannot write the container", ErrLabel},
+		{"label above clearance", ErrLabel},
+	}
+	type cell struct {
+		k       *Kernel
+		root, d ID
+		l       label.Label // label for whatever the call creates
+		obj     ID          // what prep made, if anything
+	}
+	mkSeg := func(boot *ThreadCall, c *cell, in ID) ID {
+		id, err := boot.SegmentCreate(in, c.l, "existing", 8)
+		if err != nil {
+			t.Fatalf("prep SegmentCreate: %v", err)
+		}
+		if err := boot.ObjectSetFixedQuota(CEnt{in, id}); err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	rows := []struct {
+		name string
+		prep func(boot *ThreadCall, c *cell) ID // as the boot thread, before the container changes state
+		call func(tc *ThreadCall, c *cell) error
+		skip string // space-separated column names that do not apply
+		want map[string]error
+	}{
+		{name: "ContainerCreate", call: func(tc *ThreadCall, c *cell) error {
+			_, err := tc.ContainerCreate(c.d, c.l, "new", 0, 4096)
+			return err
+		}},
+		{name: "SegmentCreate", call: func(tc *ThreadCall, c *cell) error {
+			_, err := tc.SegmentCreate(c.d, c.l, "new", 8)
+			return err
+		}},
+		{name: "SegmentCopy",
+			prep: func(boot *ThreadCall, c *cell) ID {
+				id, err := boot.SegmentCreate(c.root, label.New(label.L1), "source", 8)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return id
+			},
+			call: func(tc *ThreadCall, c *cell) error {
+				_, err := tc.SegmentCopy(CEnt{c.root, c.obj}, c.d, c.l, "new")
+				return err
+			}},
+		{name: "ThreadCreate", call: func(tc *ThreadCall, c *cell) error {
+			_, err := tc.ThreadCreate(c.d, ThreadSpec{Label: c.l, Clearance: c.l.Join(label.New(label.L2)), Quota: 4096})
+			return err
+		}},
+		{name: "GateCreate", call: func(tc *ThreadCall, c *cell) error {
+			_, err := tc.GateCreate(c.d, GateSpec{Label: c.l, Clearance: label.New(label.L2),
+				Entry: func(*GateCallCtx) []byte { return nil }})
+			return err
+		}},
+		{name: "AddressSpaceCreate", call: func(tc *ThreadCall, c *cell) error {
+			_, err := tc.AddressSpaceCreate(c.d, c.l, "new")
+			return err
+		}},
+		{name: "DeviceCreate", skip: "thread cannot write the container, label above clearance",
+			call: func(_ *ThreadCall, c *cell) error {
+				_, err := c.k.DeviceCreate(c.d, c.l, [6]byte{2}, "new")
+				return err
+			}},
+		{name: "Link", want: map[string]error{"label above clearance": ErrClearance},
+			prep: func(boot *ThreadCall, c *cell) ID { return mkSeg(boot, c, c.root) },
+			call: func(tc *ThreadCall, c *cell) error { return tc.Link(c.d, CEnt{c.root, c.obj}) }},
+		{name: "Unref", skip: "avoid-type set, quota exhausted, label above clearance",
+			prep: func(boot *ThreadCall, c *cell) ID { return mkSeg(boot, c, c.d) },
+			call: func(tc *ThreadCall, c *cell) error { return tc.Unref(c.d, c.obj) }},
+		{name: "Unref (stale link)", skip: "avoid-type set, quota exhausted, label above clearance",
+			prep: func(_ *ThreadCall, c *cell) ID {
+				d, err := c.k.lookupContainer(c.d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				d.mu.Lock()
+				d.link(ID(0xdead)) // a link whose object is already gone
+				d.mu.Unlock()
+				return ID(0xdead)
+			},
+			call: func(tc *ThreadCall, c *cell) error { return tc.Unref(c.d, c.obj) }},
+	}
+	for _, col := range cols {
+		for _, row := range rows {
+			if strings.Contains(row.skip, col.name) {
+				continue
+			}
+			t.Run(row.name+"/"+col.name, func(t *testing.T) {
+				k, boot := boot(t)
+				c := &cell{k: k, root: k.RootContainer(), l: label.New(label.L1)}
+				cat, err := boot.CategoryCreate()
+				if err != nil {
+					t.Fatal(err)
+				}
+				actor := boot
+				dLabel, quota, avoid := label.New(label.L1), uint64(1<<22), TypeMask(0)
+				switch col.name {
+				case "avoid-type set":
+					avoid = allTypes
+				case "quota exhausted":
+					quota = 1024
+				case "thread cannot write the container":
+					dLabel = label.New(label.L1, label.P(cat, label.L0))
+					actor = spawnWorker(t, k, boot, "outsider")
+				case "label above clearance":
+					c.l = label.New(label.L1, label.P(cat, label.L3))
+					actor = spawnWorker(t, k, boot, "outsider")
+				}
+				if c.d, err = boot.ContainerCreate(c.root, dLabel, "target", avoid, quota); err != nil {
+					t.Fatal(err)
+				}
+				if row.prep != nil {
+					c.obj = row.prep(boot, c)
+				}
+				switch col.name {
+				case "immutable container":
+					err = boot.ObjectSetImmutable(CEnt{c.root, c.d})
+				case "dead container":
+					err = boot.Unref(c.root, c.d)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				want := col.want
+				if w, ok := row.want[col.name]; ok {
+					want = w
+				}
+				if err := row.call(actor, c); !errors.Is(err, want) {
+					t.Errorf("err = %v, want %v", err, want)
+				}
+			})
+		}
+	}
+
+	// The decision recorded on QuotaMove: an immutable container's quota
+	// ledger still moves, both ways, while its entry list is frozen.
+	t.Run("QuotaMove/immutable container", func(t *testing.T) {
+		k, tc := boot(t)
+		root := k.RootContainer()
+		d, _ := tc.ContainerCreate(root, label.New(label.L1), "sealed", 0, 1<<20)
+		seg, _ := tc.SegmentCreate(d, label.New(label.L1), "grows", 8)
+		if err := tc.ObjectSetImmutable(CEnt{root, d}); err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int64{64 << 10, -(32 << 10)} {
+			if err := tc.QuotaMove(d, seg, n); err != nil {
+				t.Errorf("QuotaMove(%d) in an immutable container: %v", n, err)
+			}
+		}
+		if err := tc.SegmentWrite(CEnt{d, seg}, 0, make([]byte, 40<<10)); err != nil {
+			t.Errorf("file in a sealed directory could not grow into moved quota: %v", err)
+		}
+	})
 }

@@ -140,12 +140,9 @@ type object interface {
 type segment struct {
 	header
 	data []byte
-	// threadLocalOwner, if nonzero, marks this as a thread-local segment
-	// writable only by that thread.
-	threadLocalOwner ID
 	// frozen marks data as shared copy-on-write with a container snapshot
 	// or a clone of one: the slice must not be mutated in place, so the
-	// first mutation copies it and clears the flag (see breakCOWLocked).
+	// first mutation copies it and clears the flag (see reshape).
 	// Guarded by the segment's lock like data.
 	frozen bool
 }
@@ -227,15 +224,6 @@ type thread struct {
 func (t *thread) hdr() *header      { return &t.header }
 func (t *thread) footprint() uint64 { return 512 + uint64(len(t.localSegment.data)) }
 
-// mapping is one entry of an address space: VA → 〈segment, offset, npages, flags〉.
-type mapping struct {
-	VA     uint64
-	Seg    CEnt
-	Offset uint64
-	NPages uint64
-	Flags  MapFlags
-}
-
 // MapFlags are the access-permission bits of an address-space mapping.
 type MapFlags uint8
 
@@ -252,7 +240,7 @@ const (
 // addressSpace maps virtual addresses to segments.
 type addressSpace struct {
 	header
-	mappings []mapping
+	mappings []Mapping
 	// faultHandler, if set, is invoked (at user level) when a memory access
 	// fails its checks.
 	faultHandler func(va uint64, write bool, err error)

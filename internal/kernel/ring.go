@@ -362,12 +362,6 @@ func sortUnits(units []ringUnit, entries []RingEntry) {
 	})
 }
 
-// opWrites reports whether the op mutates its target (and so needs the
-// object's write lock).
-func opWrites(op RingOp) bool {
-	return op == OpSegmentWrite || op == OpSegmentResize
-}
-
 // standalone reports whether the op always executes as its own run, outside
 // the same-target coalescing that shares one lock acquisition.
 func standalone(op RingOp) bool {
@@ -397,27 +391,19 @@ func scFor(op RingOp) syscallID {
 }
 
 // execRun executes one maximal run of same-target entries under a single
-// resolve + lockOrdered + liveness verification.  Per-entry label checks
-// still happen individually (against immutable labels, so holding the lock
-// is irrelevant to them), and a failing entry fails only its own chain.
+// open: one resolve, one lockOrdered acquisition, one liveness verification.
+// Per-entry label checks still happen individually in execOp (against
+// immutable labels, so holding the lock is irrelevant to them), and a failing
+// entry fails only its own chain.
 func (r *Ring) execRun(ctx tctx, entries []RingEntry, units []ringUnit, run []planItem, comps []RingCompletion) {
 	k := r.tc.k
-	ce := entries[run[0].i].Seg
-	cont, obj, resolveErr := k.peek(ctx, ce)
-	var seg *segment
-	var liveErr error
-	if resolveErr == nil {
-		write := false
-		for _, it := range run {
-			if opWrites(entries[it.i].Op) {
-				write = true
-				break
-			}
-		}
-		ls := lockOrdered(objLock{cont, false}, objLock{obj, write})
+	write := false
+	for _, it := range run {
+		write = write || opWrites(entries[it.i].Op)
+	}
+	obj, ls, openErr := open[object](k, &ctx, entries[run[0].i].Seg, accNone, write)
+	if openErr == nil {
 		defer ls.unlock()
-		liveErr = verifyEntryLive(cont, obj)
-		seg, _ = obj.(*segment)
 	}
 	for _, it := range run {
 		if units[it.u].failed {
@@ -427,44 +413,9 @@ func (r *Ring) execRun(ctx tctx, entries []RingEntry, units []ringUnit, run []pl
 		}
 		e := &entries[it.i]
 		k.count(scFor(e.Op), ctx.t)
-		err := resolveErr
+		err := openErr
 		if err == nil {
-			err = liveErr
-		}
-		if err == nil {
-			switch e.Op {
-			case OpObjectStat:
-				comps[it.i].Stat, err = r.tc.objectStatLocked(ctx, obj)
-			case OpSegmentRead:
-				if seg == nil {
-					err = ErrWrongType
-				} else if err = r.tc.checkSegmentRead(ctx, seg); err == nil {
-					comps[it.i].Val, err = segReadLocked(seg, e.Off, e.Len)
-					comps[it.i].N = len(comps[it.i].Val)
-				}
-			case OpSegmentLen:
-				if seg == nil {
-					err = ErrWrongType
-				} else if err = r.tc.checkSegmentRead(ctx, seg); err == nil {
-					comps[it.i].N = len(seg.data)
-				}
-			case OpSegmentWrite:
-				if seg == nil {
-					err = ErrWrongType
-				} else if err = r.tc.checkSegmentWrite(ctx, seg); err == nil {
-					if err = segWriteLocked(k, seg, e.Off, e.Data); err == nil {
-						comps[it.i].N = len(e.Data)
-					}
-				}
-			case OpSegmentResize:
-				if seg == nil {
-					err = ErrWrongType
-				} else if err = r.tc.checkSegmentWrite(ctx, seg); err == nil {
-					err = segResizeLocked(k, seg, e.Len)
-				}
-			default:
-				err = ErrInvalid
-			}
+			err = k.execOp(&ctx, obj, e, &comps[it.i])
 		}
 		if err != nil {
 			comps[it.i].Err = err
@@ -489,7 +440,7 @@ func (r *Ring) execGateEnter(ctx *tctx, entries []RingEntry, units []ringUnit, i
 	if e.Gate != nil {
 		req = *e.Gate
 	}
-	g, err := r.tc.resolveGate(*ctx, e.Seg)
+	_, g, err := resolve[*gate](k, ctx, e.Seg, accNone)
 	if err == nil {
 		err = r.tc.gateEnterTransfer(ctx.t, g, req)
 	}
@@ -500,10 +451,7 @@ func (r *Ring) execGateEnter(ctx *tctx, entries []RingEntry, units []ringUnit, i
 	}
 	comps[it.i].Val = r.tc.gateDispatch(g, req)
 	comps[it.i].N = len(comps[it.i].Val)
-	t := ctx.t
-	t.mu.RLock()
-	*ctx = tctx{t: t, lbl: t.lbl, clearance: t.clearance, as: t.addressSpace}
-	t.mu.RUnlock()
+	ctx.t.snapshot(ctx)
 }
 
 // execSnapClone executes one OpSnapshot or OpClone entry as its own run.

@@ -145,29 +145,207 @@ func modelExec(entries []RingEntry, segs map[ID][]byte, quota map[ID]uint64, poi
 	return comps, state
 }
 
-// TestRingPropertyVsSequential drives random batches through the ring and
-// checks every completion and every final segment state against the
-// sequential reference model.
+// propEnv is one kernel of the three-path property test: nSegs segments —
+// created plain, or cloned from a golden snapshot so they start frozen —
+// each also mapped at mapVA(i) in the boot thread's address space.
+type propEnv struct {
+	k       *Kernel
+	tc      *ThreadCall
+	as      CEnt
+	lineage uint64 // 0: plain segments
+	golden  []ID
+	segs    []CEnt
+}
+
+const propSegs, propSegSize = 4, 256
+
+func mapVA(i int) uint64 { return uint64(i+1) << 24 }
+
+func newPropEnv(t *testing.T, cloned bool) *propEnv {
+	t.Helper()
+	k, tc := boot(t)
+	root := k.RootContainer()
+	env := &propEnv{k: k, tc: tc}
+	as, err := tc.AddressSpaceCreate(root, label.New(label.L1), "prop as")
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.as = CEnt{root, as}
+	if err := tc.SelfSetAddressSpace(env.as); err != nil {
+		t.Fatal(err)
+	}
+	if cloned {
+		golden, err := tc.ContainerCreate(root, label.New(label.L1), "prop golden", 0, QuotaInfinite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < propSegs; i++ {
+			id, err := tc.SegmentCreate(golden, label.New(label.L1), "golden seg", propSegSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.SegmentWrite(CEnt{golden, id}, 0, bytes.Repeat([]byte{byte(0xA0 + i)}, propSegSize)); err != nil {
+				t.Fatal(err)
+			}
+			env.golden = append(env.golden, id)
+		}
+		info, err := tc.ContainerSnapshot(CEnt{root, golden}, "prop golden")
+		if err != nil {
+			t.Fatal(err)
+		}
+		env.lineage = info.Lineage
+	}
+	env.fresh(t)
+	return env
+}
+
+// fresh gives the environment a new set of segments (for a cloned one, a new
+// clone: frozen, sharing the golden bytes) and maps them.
+func (env *propEnv) fresh(t *testing.T) {
+	t.Helper()
+	root := env.k.RootContainer()
+	env.segs = env.segs[:0]
+	if env.lineage == 0 {
+		for i := 0; i < propSegs; i++ {
+			id, err := env.tc.SegmentCreate(root, label.New(label.L1), "prop seg", propSegSize)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env.segs = append(env.segs, CEnt{root, id})
+		}
+	} else {
+		res, err := env.tc.ContainerClone(env.lineage, root, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, old := range env.golden {
+			env.segs = append(env.segs, CEnt{res.Root, res.IDMap[old]})
+		}
+	}
+	maps := make([]Mapping, len(env.segs))
+	for i, ce := range env.segs {
+		maps[i] = Mapping{VA: mapVA(i), Seg: ce, NPages: 1, Flags: MapRead | MapWrite}
+	}
+	if err := env.tc.AddressSpaceSet(env.as, maps); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// replay executes entries one at a time in submission order with the ring's
+// chain-skip rule, each through exec, and returns what a ring would have
+// completed.  OpSync has no direct or memory form; its verdict is the
+// Syncer's, which the caller supplies.
+func replay(entries []RingEntry, syncErr func(CEnt) error, exec func(e RingEntry, c *RingCompletion) error) []RingCompletion {
+	comps := make([]RingCompletion, len(entries))
+	failed := false
+	for i, e := range entries {
+		comps[i].Index = i
+		if i == 0 || !e.Chain {
+			failed = false
+		}
+		if failed {
+			comps[i].Err = ErrSkipped
+			continue
+		}
+		if e.Op == OpSync {
+			comps[i].Err = syncErr(e.Seg)
+		} else {
+			comps[i].Err = exec(e, &comps[i])
+		}
+		failed = comps[i].Err != nil
+	}
+	return comps
+}
+
+// directExec is one entry as the direct system call of the same name.
+func (env *propEnv) directExec(e RingEntry, c *RingCompletion) (err error) {
+	switch e.Op {
+	case OpSegmentRead:
+		c.Val, err = env.tc.SegmentRead(e.Seg, e.Off, e.Len)
+		c.N = len(c.Val)
+	case OpSegmentLen:
+		c.N, err = env.tc.SegmentLen(e.Seg)
+	case OpSegmentWrite:
+		if err = env.tc.SegmentWrite(e.Seg, e.Off, e.Data); err == nil {
+			c.N = len(e.Data)
+		}
+	case OpSegmentResize:
+		err = env.tc.SegmentResize(e.Seg, e.Len)
+	}
+	return err
+}
+
+// memExec is one entry as a load or store through the segment's mapping.
+// What an address cannot express — a length query, a resize, an offset below
+// the mapping — goes through the direct call, so the state stays in step.
+func (env *propEnv) memExec(e RingEntry, c *RingCompletion) (err error) {
+	idx := -1
+	for i, ce := range env.segs {
+		if ce == e.Seg {
+			idx = i
+		}
+	}
+	switch {
+	case e.Off < 0 || idx < 0:
+		return env.directExec(e, c)
+	case e.Op == OpSegmentRead:
+		c.Val, err = env.tc.MemRead(mapVA(idx)+uint64(e.Off), e.Len)
+		c.N = len(c.Val)
+	case e.Op == OpSegmentWrite:
+		if err = env.tc.MemWrite(mapVA(idx)+uint64(e.Off), e.Data); err == nil {
+			c.N = len(e.Data)
+		}
+	default:
+		return env.directExec(e, c)
+	}
+	return err
+}
+
+// TestRingPropertyVsSequential drives the same random batches down three
+// paths — a ring batch, direct system calls, and loads/stores through a
+// mapping — on three identically built kernels, once over plain segments and
+// once over frozen clones of a golden image, and checks every completion,
+// every final segment state and the COW counters of all three against the
+// sequential reference model: the same allow/deny verdict and the same
+// post-state on every path.
 func TestRingPropertyVsSequential(t *testing.T) {
-	const nSegs, segSize = 4, 256
-	env := newRingEnv(t, nSegs, segSize)
+	for _, v := range []struct {
+		name   string
+		cloned bool
+	}{{"plain", false}, {"cloned", true}} {
+		t.Run(v.name, func(t *testing.T) { ringPropertyVsSequential(t, v.cloned) })
+	}
+}
+
+func ringPropertyVsSequential(t *testing.T, cloned bool) {
+	const nSegs, segSize = propSegs, propSegSize
+	paths := []string{"ring", "direct", "mem"}
+	var envs [3]*propEnv
+	for i := range envs {
+		envs[i] = newPropEnv(t, cloned)
+	}
 	rng := rand.New(rand.NewSource(42))
 
-	poisonID := uint64(env.segs[1].Object)
 	poisonErr := errors.New("poisoned sync")
-	rs := &recordingSyncer{poison: map[uint64]error{poisonID: poisonErr}}
-	ring := env.tc.NewRing()
+	rs := &recordingSyncer{}
+	ring := envs[0].tc.NewRing()
 	ring.SetSyncer(rs)
 
-	quota := make(map[ID]uint64)
-	for _, ce := range env.segs {
-		quota[ce.Object] = uint64(segSize) + segmentSlack
-	}
-
 	for round := 0; round < 200; round++ {
+		if round%8 == 0 && round > 0 {
+			// New segments now and then, so a cloned run keeps meeting frozen
+			// arrays rather than only the ones its first writes made private.
+			for _, env := range envs {
+				env.fresh(t)
+			}
+		}
+		env := envs[0]
+		rs.poison = map[uint64]error{uint64(env.segs[1].Object): poisonErr}
+		quota := make(map[ID]uint64)
 		// Current kernel state becomes the model's initial state.
 		segs := make(map[ID][]byte, nSegs)
 		for _, ce := range env.segs {
+			quota[ce.Object] = uint64(segSize) + segmentSlack
 			buf, err := env.tc.SegmentRead(ce, 0, 1<<20)
 			if err != nil {
 				t.Fatalf("round %d: snapshot read: %v", round, err)
@@ -217,38 +395,68 @@ func TestRingPropertyVsSequential(t *testing.T) {
 		}
 
 		wantComps, wantState := modelExec(entries, segs, quota, rs.poison)
+		var got [3][]RingCompletion
 		ring.Submit(entries...)
-		gotComps, err := ring.Wait(n)
-		if err != nil {
+		var err error
+		if got[0], err = ring.Wait(n); err != nil {
 			t.Fatalf("round %d: Wait: %v", round, err)
 		}
-		if len(gotComps) != len(wantComps) {
-			t.Fatalf("round %d: %d completions, want %d", round, len(gotComps), len(wantComps))
-		}
-		for i := range gotComps {
-			got, want := gotComps[i], wantComps[i]
-			if got.Index != i {
-				t.Fatalf("round %d entry %d: completion index %d", round, i, got.Index)
-			}
-			if !errors.Is(got.Err, want.Err) {
-				t.Fatalf("round %d entry %d (%v): err=%v, model err=%v", round, i, entries[i].Op, got.Err, want.Err)
-			}
-			if want.Err == nil && got.Err == nil {
-				if !bytes.Equal(got.Val, want.Val) || got.N != want.N {
-					t.Fatalf("round %d entry %d (%v): result N=%d Val=%q, model N=%d Val=%q",
-						round, i, entries[i].Op, got.N, got.Val, want.N, want.Val)
+		for p := 1; p < 3; p++ {
+			// The same entries aimed at this kernel's own segments.
+			mine := append([]RingEntry(nil), entries...)
+			for i := range mine {
+				for s, ce := range env.segs {
+					if ce == entries[i].Seg {
+						mine[i].Seg = envs[p].segs[s]
+					}
 				}
 			}
-		}
-		for _, ce := range env.segs {
-			buf, err := env.tc.SegmentRead(ce, 0, 1<<20)
-			if err != nil {
-				t.Fatalf("round %d: final read: %v", round, err)
+			exec := envs[p].directExec
+			if paths[p] == "mem" {
+				exec = envs[p].memExec
 			}
-			if !bytes.Equal(buf, wantState[ce.Object]) {
-				t.Fatalf("round %d: segment %d state diverged from model", round, ce.Object)
+			got[p] = replay(mine, func(ce CEnt) error {
+				if ce == envs[p].segs[1] {
+					return poisonErr
+				}
+				return nil
+			}, exec)
+		}
+		for p, gotComps := range got {
+			if len(gotComps) != len(wantComps) {
+				t.Fatalf("round %d %s: %d completions, want %d", round, paths[p], len(gotComps), len(wantComps))
+			}
+			for i := range gotComps {
+				got, want := gotComps[i], wantComps[i]
+				if got.Index != i {
+					t.Fatalf("round %d %s entry %d: completion index %d", round, paths[p], i, got.Index)
+				}
+				if !errors.Is(got.Err, want.Err) {
+					t.Fatalf("round %d %s entry %d (%v): err=%v, model err=%v", round, paths[p], i, entries[i].Op, got.Err, want.Err)
+				}
+				if want.Err == nil && got.Err == nil {
+					if !bytes.Equal(got.Val, want.Val) || got.N != want.N {
+						t.Fatalf("round %d %s entry %d (%v): result N=%d Val=%q, model N=%d Val=%q",
+							round, paths[p], i, entries[i].Op, got.N, got.Val, want.N, want.Val)
+					}
+				}
+			}
+			for s, ce := range envs[p].segs {
+				buf, err := envs[p].tc.SegmentRead(ce, 0, 1<<20)
+				if err != nil {
+					t.Fatalf("round %d %s: final read: %v", round, paths[p], err)
+				}
+				if !bytes.Equal(buf, wantState[env.segs[s].Object]) {
+					t.Fatalf("round %d %s: segment %d state diverged from model", round, paths[p], s)
+				}
+			}
+			if a, b := envs[0].k.SnapshotStats(), envs[p].k.SnapshotStats(); a != b {
+				t.Fatalf("round %d: COW counters diverged: ring %+v, %s %+v", round, a, paths[p], b)
 			}
 		}
+	}
+	if st := envs[0].k.SnapshotStats(); cloned && st.CowBreaks == 0 {
+		t.Error("the cloned run broke no COW: it never wrote a frozen segment")
 	}
 }
 

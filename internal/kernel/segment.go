@@ -1,6 +1,9 @@
 package kernel
 
 import (
+	"encoding/binary"
+	"math"
+
 	"histar/internal/label"
 )
 
@@ -15,52 +18,20 @@ func (tc *ThreadCall) SegmentCreate(d ID, l label.Label, descrip string, nbytes 
 	if err != nil {
 		return NilID, err
 	}
-	if nbytes < 0 {
+	if nbytes < 0 || !label.ValidObjectLabel(l) {
 		return NilID, ErrInvalid
 	}
-	if !label.ValidObjectLabel(l) {
-		return NilID, ErrInvalid
-	}
-	cont, err := tc.k.lookupContainer(d)
+	cont, err := tc.k.admit(&ctx, d, Mask(ObjSegment))
 	if err != nil {
 		return NilID, err
-	}
-	if cont.avoidTypes.Has(ObjSegment) {
-		return NilID, ErrAvoidType
-	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, cont.lbl) {
-		return NilID, ErrLabel
 	}
 	if !label.CanAllocate(ctx.lbl, ctx.clearance, l) {
 		return NilID, ErrLabel
 	}
-	quota := uint64(nbytes) + segmentSlack
-	s := &segment{
-		header: header{
-			id:      tc.k.newID(),
-			objType: ObjSegment,
-			lbl:     label.Intern(l),
-			quota:   quota,
-			descrip: truncDescrip(descrip),
-			refs:    1,
-		},
-		data: make([]byte, nbytes),
-	}
-	s.usage = s.footprint()
-	cont.mu.Lock()
-	defer cont.mu.Unlock()
-	if !liveLocked(cont) {
-		return NilID, ErrNoSuchObject
-	}
-	if cont.immutable {
-		return NilID, ErrImmutable
-	}
-	if err := tc.k.charge(cont, quota); err != nil {
-		return NilID, err
-	}
-	tc.k.insert(s)
-	cont.link(s.id)
-	return s.id, nil
+	return tc.k.create(cont, &segment{
+		header: tc.k.newHeader(ObjSegment, l, uint64(nbytes)+segmentSlack, descrip),
+		data:   make([]byte, nbytes),
+	})
 }
 
 // SegmentCopy creates a copy of the segment named by src in container d with
@@ -77,268 +48,237 @@ func (tc *ThreadCall) SegmentCopy(src CEnt, d ID, l label.Label, descrip string)
 	if !label.ValidObjectLabel(l) {
 		return NilID, ErrInvalid
 	}
-	srcCont, obj, err := tc.k.peek(ctx, src)
+	srcCont, seg, err := resolve[*segment](tc.k, &ctx, src, accObserve)
 	if err != nil {
 		return NilID, err
 	}
-	seg, ok := obj.(*segment)
-	if !ok {
-		return NilID, ErrWrongType
-	}
-	if !tc.k.canObserveT(ctx.t, ctx.lbl, seg.lbl) {
-		return NilID, ErrLabel
-	}
-	cont, err := tc.k.lookupContainer(d)
+	cont, err := tc.k.admit(&ctx, d, Mask(ObjSegment))
 	if err != nil {
 		return NilID, err
-	}
-	if cont.avoidTypes.Has(ObjSegment) {
-		return NilID, ErrAvoidType
-	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, cont.lbl) {
-		return NilID, ErrLabel
 	}
 	if !label.CanAllocate(ctx.lbl, ctx.clearance, l) {
 		return NilID, ErrLabel
 	}
 	ls := lockOrdered(objLock{srcCont, false}, objLock{seg, false}, objLock{cont, true})
 	defer ls.unlock()
-	if !liveLocked(cont) {
-		return NilID, ErrNoSuchObject
-	}
-	if cont.immutable {
-		return NilID, ErrImmutable
-	}
 	if err := verifyEntryLive(srcCont, seg); err != nil {
 		return NilID, err
 	}
-	quota := uint64(len(seg.data)) + segmentSlack
-	if err := tc.k.charge(cont, quota); err != nil {
+	data, _ := seg.read(0, math.MaxInt)
+	ns := &segment{
+		header: tc.k.newHeader(ObjSegment, l, uint64(len(data))+segmentSlack, descrip),
+		data:   data,
+	}
+	if err := tc.k.publish(cont, ns); err != nil {
 		return NilID, err
 	}
-	ns := &segment{
-		header: header{
-			id:      tc.k.newID(),
-			objType: ObjSegment,
-			lbl:     label.Intern(l),
-			quota:   quota,
-			descrip: truncDescrip(descrip),
-			refs:    1,
-		},
-		data: append([]byte(nil), seg.data...),
-	}
-	ns.usage = ns.footprint()
-	tc.k.insert(ns)
-	cont.link(ns.id)
 	return ns.id, nil
 }
 
-// resolveSegment resolves ce to its container and segment with no locks
-// held; membership and liveness still need verification under locks.
-func (tc *ThreadCall) resolveSegment(ctx tctx, ce CEnt) (*container, *segment, error) {
-	cont, obj, err := tc.k.peek(ctx, ce)
-	if err != nil {
-		return nil, nil, err
-	}
-	seg, ok := obj.(*segment)
-	if !ok {
-		return nil, nil, ErrWrongType
-	}
-	return cont, seg, nil
-}
+// ---------------------------------------------------------------------------
+// Segment bytes.  Everything below runs with the segment's lock held (write
+// mode for anything that mutates) and is the only code that indexes or
+// replaces segment.data: the direct syscalls, ring entries, compare-and-swap,
+// the futex word read, loads and stores through a mapping, and the
+// thread-local segment calls all come through here, so a bounds, quota,
+// immutability or copy-on-write rule cannot be missing from one of them.
+// ---------------------------------------------------------------------------
 
-// checkSegmentRead applies the observation rules to a resolved segment: the
-// owning thread may always read its thread-local segment, anyone else needs
-// LO ⊑ LTᴶ.  Segment labels are immutable, so no lock is required.
-func (tc *ThreadCall) checkSegmentRead(ctx tctx, seg *segment) error {
-	if seg.threadLocalOwner != NilID && seg.threadLocalOwner == ctx.t.id {
-		return nil
+// clamp bounds the n bytes at off to the segment: off must lie inside it (or
+// at its end) and the range is cut at the end, without ever computing off+n,
+// which could overflow int.
+func (s *segment) clamp(off, n int) (end int, err error) {
+	if off < 0 || n < 0 || off > len(s.data) {
+		return 0, ErrInvalid
 	}
-	if !tc.k.canObserveT(ctx.t, ctx.lbl, seg.lbl) {
-		return ErrLabel
-	}
-	return nil
-}
-
-// checkSegmentWrite applies the modification rules (immutability is checked
-// separately, under the segment's lock).
-func (tc *ThreadCall) checkSegmentWrite(ctx tctx, seg *segment) error {
-	if seg.threadLocalOwner != NilID {
-		if seg.threadLocalOwner == ctx.t.id {
-			return nil
-		}
-		return ErrLabel
-	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, seg.lbl) {
-		return ErrLabel
-	}
-	return nil
-}
-
-// segReadLocked is SegmentRead's body once the segment's lock is held (any
-// mode) and liveness is verified; the ring executes it under a shared lock
-// acquisition for a coalesced run of entries.
-func segReadLocked(seg *segment, off, n int) ([]byte, error) {
-	if off < 0 || n < 0 || off > len(seg.data) {
-		return nil, ErrInvalid
-	}
-	// Clamp without computing off+n, which could overflow int.
-	end := len(seg.data)
+	end = len(s.data)
 	if n < end-off {
 		end = off + n
 	}
+	return end, nil
+}
+
+// read copies out up to n bytes at off.
+func (s *segment) read(off, n int) ([]byte, error) {
+	end, err := s.clamp(off, n)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]byte, end-off)
-	copy(out, seg.data[off:end])
+	copy(out, s.data[off:end])
 	return out, nil
 }
 
-// SegmentRead reads n bytes at offset off from the segment named by ce.
-func (tc *ThreadCall) SegmentRead(ce CEnt, off, n int) ([]byte, error) {
-	ctx, err := tc.enter(scSegmentRead)
-	if err != nil {
-		return nil, err
+// word loads the 8-byte little-endian word at off (futex and compare-and-swap
+// addresses), which must lie wholly inside the segment.
+func (s *segment) word(off uint64) (uint64, error) {
+	if off > math.MaxInt {
+		return 0, ErrInvalid
 	}
-	cont, seg, err := tc.resolveSegment(ctx, ce)
-	if err != nil {
-		return nil, err
+	if end, err := s.clamp(int(off), 8); err != nil || end-int(off) != 8 {
+		return 0, ErrInvalid
 	}
-	if err := tc.checkSegmentRead(ctx, seg); err != nil {
-		return nil, err
-	}
-	ls := lockOrdered(objLock{cont, false}, objLock{seg, false})
-	defer ls.unlock()
-	if err := verifyEntryLive(cont, seg); err != nil {
-		return nil, err
-	}
-	return segReadLocked(seg, off, n)
+	return binary.LittleEndian.Uint64(s.data[off:]), nil
 }
 
-// SegmentWrite writes data at offset off in the segment named by ce,
-// extending the segment if necessary (subject to its quota).
-func (tc *ThreadCall) SegmentWrite(ce CEnt, off int, data []byte) error {
-	ctx, err := tc.enter(scSegmentWrite)
-	if err != nil {
-		return err
-	}
-	cont, seg, err := tc.resolveSegment(ctx, ce)
-	if err != nil {
-		return err
-	}
-	if err := tc.checkSegmentWrite(ctx, seg); err != nil {
-		return err
-	}
-	ls := lockOrdered(objLock{cont, false}, objLock{seg, true})
-	defer ls.unlock()
-	if err := verifyEntryLive(cont, seg); err != nil {
-		return err
-	}
-	return segWriteLocked(tc.k, seg, off, data)
-}
-
-// breakCOWLocked gives the segment a private copy of its data before the
-// first mutation after a snapshot or clone froze the slice; the caller holds
-// the segment's write lock.  This is the only place snapshot-shared bytes are
-// ever duplicated, so the kernel-wide copied-bytes counter lives here.
-func (s *segment) breakCOWLocked(k *Kernel) {
-	if !s.frozen {
-		return
-	}
-	s.data = append([]byte(nil), s.data...)
-	s.noteCOWBreakLocked(k)
-}
-
-// noteCOWBreakLocked clears the frozen flag and accounts the bytes that were
-// (or are about to be) copied out of the shared array; growth paths that
-// already allocate a fresh array call it instead of breakCOWLocked so the
-// data is not copied twice.
-func (s *segment) noteCOWBreakLocked(k *Kernel) {
-	if !s.frozen {
-		return
-	}
-	s.frozen = false
-	if k != nil {
-		k.snap.cowBreaks.Add(1)
-		k.snap.copiedBytes.Add(uint64(len(s.data)))
-	}
-}
-
-// segWriteLocked is SegmentWrite's body once the segment's write lock is held
-// and liveness is verified.
-func segWriteLocked(k *Kernel, seg *segment, off int, data []byte) error {
-	if seg.immutable {
-		return ErrImmutable
-	}
-	if off < 0 {
-		return ErrInvalid
-	}
-	end := off + len(data)
-	if end < off { // int overflow; no quota could ever cover it
-		return ErrQuota
-	}
-	if end > len(seg.data) {
-		if uint64(end)+128 > seg.quota {
-			return ErrQuota
-		}
-		seg.noteCOWBreakLocked(k)
-		grown := make([]byte, end)
-		copy(grown, seg.data)
-		seg.data = grown
-	} else {
-		seg.breakCOWLocked(k)
-	}
-	copy(seg.data[off:], data)
-	seg.usage = seg.footprint()
-	seg.bump()
-	return nil
-}
-
-// SegmentResize sets the segment's length to n bytes.  A file's length is
-// defined to be its segment's length (Section 5.1).
-func (tc *ThreadCall) SegmentResize(ce CEnt, n int) error {
-	ctx, err := tc.enter(scSegmentResize)
-	if err != nil {
-		return err
-	}
-	cont, seg, err := tc.resolveSegment(ctx, ce)
-	if err != nil {
-		return err
-	}
-	if err := tc.checkSegmentWrite(ctx, seg); err != nil {
-		return err
-	}
-	ls := lockOrdered(objLock{cont, false}, objLock{seg, true})
-	defer ls.unlock()
-	if err := verifyEntryLive(cont, seg); err != nil {
-		return err
-	}
-	return segResizeLocked(tc.k, seg, n)
-}
-
-// segResizeLocked is SegmentResize's body once the segment's write lock is
-// held and liveness is verified.
-func segResizeLocked(k *Kernel, seg *segment, n int) error {
-	if seg.immutable {
+// reshape is the gate every mutation passes: it refuses an immutable segment
+// and a length the quota does not cover, makes the array private if it is
+// shared with a snapshot or clone and touch says bytes below the current
+// length are about to change, leaves the segment n bytes long, and accounts
+// the change.  This is the only place snapshot-shared bytes are duplicated,
+// so the kernel-wide COW counters live here.  Growth always moves to a fresh
+// zeroed array (and so breaks COW with that one copy); truncation keeps
+// sharing a frozen array, since shrinking changes no byte.
+func (s *segment) reshape(k *Kernel, n int, touch bool) error {
+	if s.immutable {
 		return ErrImmutable
 	}
 	if n < 0 {
 		return ErrInvalid
 	}
-	if uint64(n)+128 > seg.quota {
+	fresh := n > len(s.data)
+	if fresh && uint64(n)+128 > s.quota {
 		return ErrQuota
 	}
-	if n <= len(seg.data) {
-		// Truncation keeps sharing the frozen array: shrinking mutates no
-		// byte, and any later in-place write still breaks the COW first.
-		seg.data = seg.data[:n]
-	} else {
-		seg.noteCOWBreakLocked(k)
-		grown := make([]byte, n)
-		copy(grown, seg.data)
-		seg.data = grown
+	if s.frozen && (fresh || touch) {
+		s.frozen = false
+		k.snap.cowBreaks.Add(1)
+		k.snap.copiedBytes.Add(uint64(len(s.data)))
+		fresh = true
 	}
-	seg.usage = seg.footprint()
-	seg.bump()
+	if fresh {
+		data := make([]byte, max(n, len(s.data)))
+		copy(data, s.data)
+		s.data = data
+	}
+	s.data = s.data[:n]
+	s.usage = s.footprint()
+	s.bump()
 	return nil
+}
+
+// write stores data at off, extending the segment if necessary.
+func (s *segment) write(k *Kernel, off int, data []byte) error {
+	end := off + len(data)
+	switch {
+	case s.immutable:
+		return ErrImmutable // ahead of the argument errors, as resize orders them
+	case off < 0:
+		return ErrInvalid
+	case end < off: // int overflow; no quota could ever cover it
+		return ErrQuota
+	}
+	if err := s.reshape(k, max(end, len(s.data)), true); err != nil {
+		return err
+	}
+	copy(s.data[off:], data)
+	return nil
+}
+
+// compareSwap replaces the word at off with next if it equals old.  A failed
+// comparison writes nothing, so it does not break copy-on-write either.
+func (s *segment) compareSwap(k *Kernel, off, old, next uint64) (bool, error) {
+	if s.immutable {
+		return false, ErrImmutable
+	}
+	cur, err := s.word(off)
+	if err != nil || cur != old {
+		return false, err
+	}
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], next)
+	return true, s.write(k, int(off), b[:])
+}
+
+// ---------------------------------------------------------------------------
+// The coalescable calls: segment read, write, resize and length, and object
+// stat.  Each is one RingEntry whether it arrives alone (the methods below)
+// or in a ring batch (Ring.execRun): both open the entry and hand it to
+// execOp, the only statement of these calls' label rules and bodies.
+// ---------------------------------------------------------------------------
+
+// opWrites reports whether the op mutates its target (and so needs the
+// object's write lock).
+func opWrites(op RingOp) bool {
+	return op == OpSegmentWrite || op == OpSegmentResize
+}
+
+// execOp executes one coalescable entry against its opened target (locked in
+// the mode opWrites asks for, link and liveness verified), filling c.  The
+// label rule is applied here, per entry, against the segment's immutable
+// label: observe for the two reads, modify for the two writes; stat checks
+// only what objectStatLocked does.
+func (k *Kernel) execOp(ctx *tctx, obj object, e *RingEntry, c *RingCompletion) (err error) {
+	if e.Op == OpObjectStat {
+		return k.objectStatLocked(ctx, obj, &c.Stat)
+	}
+	seg, ok := obj.(*segment)
+	if !ok {
+		return ErrWrongType
+	}
+	if opWrites(e.Op) && !k.leq(ctx.lbl, seg.lbl) || !k.canObserveT(ctx.t, ctx.lbl, seg.lbl) {
+		return ErrLabel
+	}
+	switch e.Op {
+	case OpSegmentRead:
+		c.Val, err = seg.read(e.Off, e.Len)
+		c.N = len(c.Val)
+	case OpSegmentLen:
+		c.N = len(seg.data)
+	case OpSegmentWrite:
+		if err = seg.write(k, e.Off, e.Data); err == nil {
+			c.N = len(e.Data)
+		}
+	case OpSegmentResize:
+		err = seg.reshape(k, e.Len, false)
+	default:
+		err = ErrInvalid
+	}
+	return err
+}
+
+// call executes one coalescable entry as a direct system call.  Entry and
+// completion are the caller's locals, passed by pointer so that a call moves
+// neither.
+func (tc *ThreadCall) call(e *RingEntry, c *RingCompletion) error {
+	ctx, err := tc.enter(scFor(e.Op))
+	if err != nil {
+		return err
+	}
+	obj, ls, err := open[object](tc.k, &ctx, e.Seg, accNone, opWrites(e.Op))
+	if err != nil {
+		return err
+	}
+	defer ls.unlock()
+	return tc.k.execOp(&ctx, obj, e, c)
+}
+
+// SegmentRead reads n bytes at offset off from the segment named by ce.
+func (tc *ThreadCall) SegmentRead(ce CEnt, off, n int) ([]byte, error) {
+	e, c := RingEntry{Op: OpSegmentRead, Seg: ce, Off: off, Len: n}, RingCompletion{}
+	err := tc.call(&e, &c)
+	return c.Val, err
+}
+
+// SegmentWrite writes data at offset off in the segment named by ce,
+// extending the segment if necessary (subject to its quota).
+func (tc *ThreadCall) SegmentWrite(ce CEnt, off int, data []byte) error {
+	e, c := RingEntry{Op: OpSegmentWrite, Seg: ce, Off: off, Data: data}, RingCompletion{}
+	return tc.call(&e, &c)
+}
+
+// SegmentResize sets the segment's length to n bytes.  A file's length is
+// defined to be its segment's length (Section 5.1).
+func (tc *ThreadCall) SegmentResize(ce CEnt, n int) error {
+	e, c := RingEntry{Op: OpSegmentResize, Seg: ce, Len: n}, RingCompletion{}
+	return tc.call(&e, &c)
+}
+
+// SegmentLen returns the length of the segment named by ce.
+func (tc *ThreadCall) SegmentLen(ce CEnt) (int, error) {
+	e, c := RingEntry{Op: OpSegmentLen, Seg: ce}, RingCompletion{}
+	err := tc.call(&e, &c)
+	return c.N, err
 }
 
 // SegmentCompareSwap atomically replaces the 8-byte word at offset off with
@@ -352,67 +292,10 @@ func (tc *ThreadCall) SegmentCompareSwap(ce CEnt, off uint64, old, next uint64) 
 	if err != nil {
 		return false, err
 	}
-	cont, seg, err := tc.resolveSegment(ctx, ce)
+	seg, ls, err := open[*segment](tc.k, &ctx, ce, accModify, true)
 	if err != nil {
 		return false, err
 	}
-	if err := tc.checkSegmentWrite(ctx, seg); err != nil {
-		return false, err
-	}
-	ls := lockOrdered(objLock{cont, false}, objLock{seg, true})
 	defer ls.unlock()
-	if err := verifyEntryLive(cont, seg); err != nil {
-		return false, err
-	}
-	if seg.immutable {
-		return false, ErrImmutable
-	}
-	if uint64(len(seg.data)) < 8 || off > uint64(len(seg.data))-8 {
-		return false, ErrInvalid
-	}
-	cur := littleEndianU64(seg.data[off:])
-	if cur != old {
-		return false, nil
-	}
-	seg.breakCOWLocked(tc.k)
-	putLittleEndianU64(seg.data[off:], next)
-	seg.bump()
-	return true, nil
-}
-
-func littleEndianU64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func putLittleEndianU64(b []byte, v uint64) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
-}
-
-// SegmentLen returns the length of the segment named by ce.
-func (tc *ThreadCall) SegmentLen(ce CEnt) (int, error) {
-	ctx, err := tc.enter(scSegmentLen)
-	if err != nil {
-		return 0, err
-	}
-	cont, seg, err := tc.resolveSegment(ctx, ce)
-	if err != nil {
-		return 0, err
-	}
-	if err := tc.checkSegmentRead(ctx, seg); err != nil {
-		return 0, err
-	}
-	ls := lockOrdered(objLock{cont, false}, objLock{seg, false})
-	defer ls.unlock()
-	if err := verifyEntryLive(cont, seg); err != nil {
-		return 0, err
-	}
-	return len(seg.data), nil
+	return seg.compareSwap(tc.k, off, old, next)
 }

@@ -101,7 +101,7 @@ type snapObject struct {
 	entry     GateEntry
 	closure   []byte
 
-	mappings []mapping // address space
+	mappings []Mapping // address space
 }
 
 // Snapshot is one registered container snapshot.
@@ -111,7 +111,8 @@ type Snapshot struct {
 	name         string
 	root         ID
 	objs         map[ID]*snapObject
-	order        []ID // walk order, root first (parents before children)
+	order        []ID     // walk order, root first (parents before children)
+	types        TypeMask // every captured object type, for the clone's admission
 	bytes        uint64
 }
 
@@ -182,17 +183,6 @@ func (k *Kernel) SnapshotStats() SnapshotStats {
 		CowBreaks:   k.snap.cowBreaks.Load(),
 		Registered:  n,
 	}
-}
-
-// Snapshots lists the registered snapshots.
-func (k *Kernel) Snapshots() []SnapshotInfo {
-	k.snapMu.Lock()
-	defer k.snapMu.Unlock()
-	out := make([]SnapshotInfo, 0, len(k.snapshots))
-	for _, s := range k.snapshots {
-		out = append(out, s.info())
-	}
-	return out
 }
 
 func (s *Snapshot) info() SnapshotInfo {
@@ -280,13 +270,9 @@ func (tc *ThreadCall) ContainerSnapshot(ce CEnt, name string) (SnapshotInfo, err
 // ring's OpSnapshot dispatch calls it with the batch's thread snapshot.
 func (tc *ThreadCall) containerSnapshotCtx(ctx tctx, ce CEnt, name string) (SnapshotInfo, error) {
 	k := tc.k
-	_, obj, err := k.peek(ctx, ce)
+	_, root, err := resolve[*container](k, &ctx, ce, accNone)
 	if err != nil {
 		return SnapshotInfo{}, err
-	}
-	root, ok := obj.(*container)
-	if !ok {
-		return SnapshotInfo{}, ErrNotContainer
 	}
 
 	// Walk the subtree breadth-first, locking ONE object at a time (read
@@ -298,6 +284,7 @@ func (tc *ThreadCall) containerSnapshotCtx(ctx tctx, ce CEnt, name string) (Snap
 	// is atomic under its own lock.
 	objs := make(map[ID]*snapObject)
 	var order []ID
+	var types TypeMask
 	var bytes uint64
 	queue := []ID{root.id}
 	for len(queue) > 0 {
@@ -346,7 +333,7 @@ func (tc *ThreadCall) containerSnapshotCtx(ctx tctx, ce CEnt, name string) (Snap
 				so.entry = v.entry
 				so.closure = v.closureArgs
 			case *addressSpace:
-				so.mappings = append([]mapping(nil), v.mappings...)
+				so.mappings = append([]Mapping(nil), v.mappings...)
 			}
 		}
 		if isSeg {
@@ -368,6 +355,7 @@ func (tc *ThreadCall) containerSnapshotCtx(ctx tctx, ce CEnt, name string) (Snap
 		}
 		objs[id] = so
 		order = append(order, id)
+		types |= Mask(so.typ)
 		bytes += uint64(len(so.data))
 		queue = append(queue, so.children...)
 	}
@@ -377,6 +365,7 @@ func (tc *ThreadCall) containerSnapshotCtx(ctx tctx, ce CEnt, name string) (Snap
 		root:  root.id,
 		objs:  objs,
 		order: order,
+		types: types,
 		bytes: bytes,
 	}
 	snap.lineage = snapLineage(name, order, objs)
@@ -474,12 +463,9 @@ func (tc *ThreadCall) containerCloneCtx(ctx tctx, lineage uint64, dst ID, remap 
 			return CloneResult{}, fmt.Errorf("%w: snapshot %#x failed bundle validation: %w", ErrCorrupt, lineage, err)
 		}
 	}
-	dest, err := k.lookupContainer(dst)
+	dest, err := k.admit(&ctx, dst, snap.types)
 	if err != nil {
 		return CloneResult{}, err
-	}
-	if !k.canModifyT(ctx.t, ctx.lbl, dest.lbl) {
-		return CloneResult{}, ErrLabel
 	}
 
 	// Phase 1, no locks: allocate fresh IDs and validate every rewritten
@@ -501,9 +487,6 @@ func (tc *ThreadCall) containerCloneCtx(ctx tctx, lineage uint64, dst ID, remap 
 	for _, id := range snap.order {
 		so := snap.objs[id]
 		nl := remapLabel(so.lbl, remap)
-		if dest.avoidTypes.Has(so.typ) {
-			return CloneResult{}, ErrAvoidType
-		}
 		if !label.CanAllocate(ctx.lbl, ctx.clearance, nl) {
 			return CloneResult{}, ErrLabel
 		}
@@ -542,7 +525,6 @@ func (tc *ThreadCall) containerCloneCtx(ctx tctx, lineage uint64, dst ID, remap 
 	refCount[snap.root]++ // the link dest will hold
 	var built []object
 	var shared uint64
-	rootQuota := snap.objs[snap.root].quota
 	for _, id := range snap.order {
 		so := snap.objs[id]
 		var o object
@@ -599,30 +581,19 @@ func (tc *ThreadCall) containerCloneCtx(ctx tctx, lineage uint64, dst ID, remap 
 		h.descrip = so.descrip
 		h.metadata = so.metadata
 		h.refs = refCount[id]
-		h.usage = o.footprint() + childQuota
+		h.usage = childQuota // insert adds the object's own footprint
 		built = append(built, o)
 	}
 
 	// Phase 3: publish under the destination container's lock — the only
-	// multi-object-visible step, and the only lock the clone holds.
+	// multi-object-visible step, and the only lock the clone holds.  Walk
+	// order puts the root first.
 	dest.mu.Lock()
-	if !liveLocked(dest) {
-		dest.mu.Unlock()
-		return CloneResult{}, ErrNoSuchObject
-	}
-	if dest.immutable {
-		dest.mu.Unlock()
-		return CloneResult{}, ErrImmutable
-	}
-	if err := k.charge(dest, rootQuota); err != nil {
-		dest.mu.Unlock()
+	err = k.publish(dest, built[0], built[1:]...)
+	dest.mu.Unlock()
+	if err != nil {
 		return CloneResult{}, err
 	}
-	for _, o := range built {
-		k.insert(o)
-	}
-	dest.link(idMap[snap.root])
-	dest.mu.Unlock()
 
 	// Phase 4: store-side aliases, no kernel locks held.  A sink failure
 	// rolls the published clone back so callers never see a half-durable
@@ -636,7 +607,7 @@ func (tc *ThreadCall) containerCloneCtx(ctx tctx, lineage uint64, dst ID, remap 
 			}
 		}
 		if err := sink.Clone(snap.storeLineage, pairs); err != nil {
-			tc.unlinkClone(dest, idMap[snap.root], rootQuota)
+			tc.unlinkClone(dest, idMap[snap.root])
 			return CloneResult{}, fmt.Errorf("kernel: recording clone aliases: %w", err)
 		}
 	}
@@ -652,9 +623,9 @@ func (tc *ThreadCall) containerCloneCtx(ctx tctx, lineage uint64, dst ID, remap 
 }
 
 // unlinkClone tears down a just-published clone after a sink failure: unlink
-// the root from dest, refund its quota, and drain the subtree one object at
-// a time (the standard deallocation shape).
-func (tc *ThreadCall) unlinkClone(dest *container, root ID, quota uint64) {
+// the root from dest and drain the subtree one object at a time (the standard
+// deallocation shape).
+func (tc *ThreadCall) unlinkClone(dest *container, root ID) {
 	k := tc.k
 	o, err := k.lookup(root)
 	if err != nil {
@@ -663,13 +634,7 @@ func (tc *ThreadCall) unlinkClone(dest *container, root ID, quota uint64) {
 	var orphans []ID
 	ls := lockOrdered(objLock{dest, true}, objLock{o, true})
 	if liveLocked(dest) && dest.entries[root] {
-		dest.unlink(root)
-		k.refund(dest, quota)
-		h := o.hdr()
-		h.refs--
-		if h.refs <= 0 {
-			orphans = k.deallocLocked(o)
-		}
+		orphans = k.unlinkLocked(dest, o)
 	}
 	ls.unlock()
 	k.releaseRefs(orphans)

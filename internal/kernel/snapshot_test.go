@@ -144,6 +144,96 @@ func TestSnapshotCloneBasic(t *testing.T) {
 	}
 }
 
+// TestMemWriteBreaksCOW stores through a mapping of one clone's segment: the
+// store must land in that clone's private copy, never in the frozen array it
+// shares with the golden master and its sibling clones.
+func TestMemWriteBreaksCOW(t *testing.T) {
+	k, tc := boot(t)
+	root := k.RootContainer()
+	sandbox, segs := buildSandbox(t, tc, root, label.New(label.L1), 1, PageSize)
+	info, err := tc.ContainerSnapshot(CEnt{root, sandbox}, "mapped")
+	if err != nil {
+		t.Fatalf("ContainerSnapshot: %v", err)
+	}
+	var clones [2]CEnt
+	for i := range clones {
+		res, err := tc.ContainerClone(info.Lineage, root, nil)
+		if err != nil {
+			t.Fatalf("ContainerClone %d: %v", i, err)
+		}
+		clones[i] = CEnt{res.Root, res.IDMap[segs[0]]}
+	}
+	golden, err := tc.SegmentRead(CEnt{sandbox, segs[0]}, 0, PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	as, err := tc.AddressSpaceCreate(root, label.New(label.L1), "clone A's view")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.AddressSpaceSet(CEnt{root, as}, []Mapping{
+		{VA: 0x10000, Seg: clones[0], NPages: 2, Flags: MapRead | MapWrite},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.SelfSetAddressSpace(CEnt{root, as}); err != nil {
+		t.Fatal(err)
+	}
+
+	// An in-place store, then one that grows the segment past its frozen end.
+	for i, store := range []struct {
+		va   uint64
+		data string
+	}{{0x10000 + 8, "LEAKED bytes"}, {0x10000 + PageSize - 4, "grown past the end"}} {
+		before := k.SnapshotStats()
+		if err := tc.MemWrite(store.va, []byte(store.data)); err != nil {
+			t.Fatalf("MemWrite %d: %v", i, err)
+		}
+		got, err := tc.MemRead(store.va, len(store.data))
+		if err != nil || string(got) != store.data {
+			t.Fatalf("MemRead %d back = %q, %v", i, got, err)
+		}
+		for name, ce := range map[string]CEnt{"master": {sandbox, segs[0]}, "clone B": clones[1]} {
+			if got, err := tc.SegmentRead(ce, 0, 2*PageSize); err != nil || !bytes.Equal(got, golden) {
+				t.Errorf("store %d through clone A's mapping reached %s (%d bytes, err %v)", i, name, len(got), err)
+			}
+		}
+		after := k.SnapshotStats()
+		// Only the first store copies: it leaves clone A with a private array.
+		wantBreaks, wantCopied := before.CowBreaks, before.CopiedBytes
+		if i == 0 {
+			wantBreaks, wantCopied = wantBreaks+1, wantCopied+PageSize
+		}
+		if after.CowBreaks != wantBreaks || after.CopiedBytes != wantCopied {
+			t.Errorf("store %d: CowBreaks %d → %d, CopiedBytes %d → %d; want %d and %d",
+				i, before.CowBreaks, after.CowBreaks, before.CopiedBytes, after.CopiedBytes, wantBreaks, wantCopied)
+		}
+	}
+
+	// The growth path alone must break COW too: a fresh clone, first store
+	// past the end.
+	if err := tc.AddressSpaceSet(CEnt{root, as}, []Mapping{
+		{VA: 0x10000, Seg: clones[1], NPages: 2, Flags: MapRead | MapWrite},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	before := k.SnapshotStats()
+	if err := tc.MemWrite(0x10000+PageSize, []byte("tail")); err != nil {
+		t.Fatalf("growing MemWrite: %v", err)
+	}
+	if after := k.SnapshotStats(); after.CowBreaks != before.CowBreaks+1 || after.CopiedBytes != before.CopiedBytes+PageSize {
+		t.Errorf("growing store: CowBreaks %d → %d, CopiedBytes %d → %d; want +1 and +%d",
+			before.CowBreaks, after.CowBreaks, before.CopiedBytes, after.CopiedBytes, PageSize)
+	}
+	if err := tc.SegmentWrite(clones[1], 0, []byte("private now")); err != nil {
+		t.Fatal(err)
+	}
+	if got, _ := tc.SegmentRead(CEnt{sandbox, segs[0]}, 0, PageSize); !bytes.Equal(got, golden) {
+		t.Error("a write after the growing store reached the master: frozen flag not cleared with a private array")
+	}
+}
+
 func TestSnapshotCategoryRemapAndThreadSkip(t *testing.T) {
 	k, tc := boot(t)
 	root := k.RootContainer()

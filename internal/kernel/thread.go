@@ -119,16 +119,8 @@ func (tc *ThreadCall) SelfSetAddressSpace(as CEnt) error {
 	if err != nil {
 		return err
 	}
-	_, obj, err := tc.k.peek(ctx, as)
-	if err != nil {
+	if _, _, err := resolve[*addressSpace](tc.k, &ctx, as, accObserve); err != nil {
 		return err
-	}
-	a, ok := obj.(*addressSpace)
-	if !ok {
-		return ErrWrongType
-	}
-	if !tc.k.canObserveT(ctx.t, ctx.lbl, a.lbl) {
-		return ErrLabel
 	}
 	t := ctx.t
 	t.mu.Lock()
@@ -167,63 +159,15 @@ func (tc *ThreadCall) ThreadCreate(d ID, spec ThreadSpec) (ID, error) {
 	if !label.ValidThreadLabel(spec.Label) || !label.ValidClearance(spec.Clearance) {
 		return NilID, ErrInvalid
 	}
-	cont, err := tc.k.lookupContainer(d)
+	cont, err := tc.k.admit(&ctx, d, Mask(ObjThread))
 	if err != nil {
 		return NilID, err
-	}
-	if cont.avoidTypes.Has(ObjThread) {
-		return NilID, ErrAvoidType
-	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, cont.lbl) {
-		return NilID, ErrLabel
 	}
 	// LT ⊑ LT' ⊑ CT' ⊑ CT.
 	if !tc.k.leq(ctx.lbl, spec.Label) || !tc.k.leq(spec.Label, spec.Clearance) || !tc.k.leq(spec.Clearance, ctx.clearance) {
 		return NilID, ErrLabel
 	}
-	quota := spec.Quota
-	if quota == 0 {
-		quota = 1 << 20
-	}
-	nt := &thread{
-		header: header{
-			id:      tc.k.newID(),
-			objType: ObjThread,
-			lbl:     label.Intern(spec.Label),
-			quota:   quota,
-			descrip: truncDescrip(spec.Descrip),
-			refs:    1,
-		},
-		clearance:    label.Intern(spec.Clearance),
-		addressSpace: spec.AddressSpace,
-		alertCh:      make(chan struct{}, 1),
-	}
-	nt.localSegment = &segment{
-		header: header{
-			id:      tc.k.newID(),
-			objType: ObjSegment,
-			lbl:     label.Intern(spec.Label.LowerStar()),
-			quota:   localSegmentSize,
-			descrip: "thread-local segment",
-		},
-		data:             make([]byte, localSegmentSize),
-		threadLocalOwner: nt.id,
-	}
-	nt.usage = nt.footprint()
-	cont.mu.Lock()
-	defer cont.mu.Unlock()
-	if !liveLocked(cont) {
-		return NilID, ErrNoSuchObject
-	}
-	if cont.immutable {
-		return NilID, ErrImmutable
-	}
-	if err := tc.k.charge(cont, quota); err != nil {
-		return NilID, err
-	}
-	tc.k.insert(nt)
-	cont.link(nt.id)
-	return nt.id, nil
+	return tc.k.create(cont, tc.k.newThread(spec.Label, spec.Clearance, spec.AddressSpace, spec.Quota, spec.Descrip))
 }
 
 // ThreadHalt halts the invoking thread.  Further system calls through its
@@ -243,12 +187,8 @@ func (tc *ThreadCall) ThreadHalt() error {
 
 // Halted reports whether the thread has been halted (or deallocated).
 func (tc *ThreadCall) Halted() bool {
-	o, err := tc.k.lookup(tc.tid)
+	t, err := lookupAs[*thread](tc.k, tc.tid)
 	if err != nil {
-		return true
-	}
-	t, ok := o.(*thread)
-	if !ok {
 		return true
 	}
 	t.mu.RLock()
@@ -266,60 +206,46 @@ func (tc *ThreadCall) ThreadAlert(target CEnt, code uint64) error {
 	if err != nil {
 		return err
 	}
-	cont, obj, err := tc.k.peek(ctx, target)
+	victim, ls, err := open[*thread](tc.k, &ctx, target, accNone, true)
 	if err != nil {
 		return err
 	}
-	victim, ok := obj.(*thread)
-	if !ok {
-		return ErrWrongType
+	if err = tc.alertLocked(ctx, victim); err == nil {
+		victim.alertQueue = append(victim.alertQueue, code)
 	}
-	ls := lockOrdered(objLock{cont, false}, objLock{victim, true})
-	if err := cont.verifyLinked(victim.id); err != nil {
-		ls.unlock()
+	ls.unlock()
+	if err != nil {
 		return err
 	}
-	if !liveLocked(victim) {
-		ls.unlock()
-		return ErrNoSuchObject
+	// Non-blocking notify.
+	select {
+	case victim.alertCh <- struct{}{}:
+	default:
 	}
-	// Observe the target thread (its label is read under its lock).
+	return nil
+}
+
+// alertLocked applies ThreadAlert's label rule with the target's lock held,
+// which is what makes its label and address space readable.
+func (tc *ThreadCall) alertLocked(ctx tctx, victim *thread) error {
 	if !tc.k.canObserve(ctx.lbl, victim.lbl) {
-		ls.unlock()
 		return ErrLabel
 	}
-	// Write the target's address space.
-	if victim.addressSpace.Object != NilID {
-		aso, err := tc.k.lookup(victim.addressSpace.Object)
-		if err != nil {
-			ls.unlock()
-			return err
-		}
-		as, ok := aso.(*addressSpace)
-		if !ok {
-			ls.unlock()
-			return ErrWrongType
-		}
-		// Address-space labels are immutable; no lock on it needed.
-		if !tc.k.canModifyT(ctx.t, ctx.lbl, as.lbl) {
-			ls.unlock()
-			return ErrLabel
-		}
-	} else {
+	if victim.addressSpace.Object == NilID {
 		// No address space: fall back to requiring write permission on the
 		// thread object itself.
 		if !tc.k.canModify(ctx.lbl, victim.lbl) {
-			ls.unlock()
 			return ErrLabel
 		}
+		return nil
 	}
-	victim.alertQueue = append(victim.alertQueue, code)
-	ch := victim.alertCh
-	ls.unlock()
-	// Non-blocking notify.
-	select {
-	case ch <- struct{}{}:
-	default:
+	// Address-space labels are immutable; no lock on it needed.
+	as, err := lookupAs[*addressSpace](tc.k, victim.addressSpace.Object)
+	if err != nil {
+		return err
+	}
+	if !tc.k.canModifyT(ctx.t, ctx.lbl, as.lbl) {
+		return ErrLabel
 	}
 	return nil
 }
@@ -345,13 +271,12 @@ func (tc *ThreadCall) AlertPoll() (uint64, bool, error) {
 // returns its code.
 func (tc *ThreadCall) AlertWait() (uint64, error) {
 	for {
-		o, err := tc.k.lookup(tc.tid)
+		t, err := lookupAs[*thread](tc.k, tc.tid)
+		if err == ErrWrongType {
+			return 0, err
+		}
 		if err != nil {
 			return 0, ErrHalted
-		}
-		t, ok := o.(*thread)
-		if !ok {
-			return 0, ErrWrongType
 		}
 		t.mu.Lock()
 		if t.halted {
@@ -372,7 +297,7 @@ func (tc *ThreadCall) AlertWait() (uint64, error) {
 
 // LocalSegmentWrite writes into the invoking thread's one-page thread-local
 // segment, which is always writable by the current thread regardless of its
-// label.
+// label.  The page never grows: the range must lie wholly inside it.
 func (tc *ThreadCall) LocalSegmentWrite(off int, data []byte) error {
 	ctx, err := tc.enter(scLocalSegmentWrite)
 	if err != nil {
@@ -381,14 +306,14 @@ func (tc *ThreadCall) LocalSegmentWrite(off int, data []byte) error {
 	seg := ctx.t.localSegment
 	seg.mu.Lock()
 	defer seg.mu.Unlock()
-	if off < 0 || off+len(data) > len(seg.data) {
+	if end, err := seg.clamp(off, len(data)); err != nil || end-off != len(data) {
 		return ErrInvalid
 	}
-	copy(seg.data[off:], data)
-	return nil
+	return seg.write(tc.k, off, data)
 }
 
-// LocalSegmentRead reads from the invoking thread's thread-local segment.
+// LocalSegmentRead reads from the invoking thread's thread-local segment; the
+// range must lie wholly inside it.
 func (tc *ThreadCall) LocalSegmentRead(off, n int) ([]byte, error) {
 	ctx, err := tc.enter(scLocalSegmentRead)
 	if err != nil {
@@ -397,12 +322,10 @@ func (tc *ThreadCall) LocalSegmentRead(off, n int) ([]byte, error) {
 	seg := ctx.t.localSegment
 	seg.mu.RLock()
 	defer seg.mu.RUnlock()
-	if off < 0 || n < 0 || off+n > len(seg.data) {
+	if end, err := seg.clamp(off, n); err != nil || end-off != n {
 		return nil, ErrInvalid
 	}
-	out := make([]byte, n)
-	copy(out, seg.data[off:off+n])
-	return out, nil
+	return seg.read(off, n)
 }
 
 // GrantOwnership is a convenience used by trusted bootstrap and test code to
@@ -419,13 +342,9 @@ func (tc *ThreadCall) GrantOwnership(target ID, c label.Category) error {
 	if !ctx.lbl.Owns(c) {
 		return ErrLabel
 	}
-	o, err := tc.k.lookup(target)
+	vt, err := lookupAs[*thread](tc.k, target)
 	if err != nil {
 		return err
-	}
-	vt, ok := o.(*thread)
-	if !ok {
-		return ErrWrongType
 	}
 	vt.mu.Lock()
 	defer vt.mu.Unlock()
