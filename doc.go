@@ -95,7 +95,16 @@
 // tables are self-synchronizing, and each file descriptor owns a seek lock
 // shared across the processes that share the descriptor segment — so
 // multi-process workloads actually exploit the concurrent kernel and store
-// beneath them.
+// beneath them.  Process creation is history-independent: whoever builds a
+// process (a parent, the bootstrap thread, webd's launcher) allocates its pr
+// and pw, builds it, and sheds both categories before returning, so a
+// creator's label — and with it the cost of every later label operation — is
+// the same after a million children as after one, and a parent cannot read a
+// child it has finished building (see the lifetime protocol in
+// internal/unixlib/process.go).  The same rule shapes the applications: webd
+// launches workers from its demultiplexer's main thread and reaps every one
+// it tears down, and an auth login's session objects live in a container the
+// client supplies and die with the attempt.
 //
 // The root package holds only the Figure 12/13 row benchmarks
 // (bench_test.go); the repository's benchmark is the bench/ program

@@ -7,6 +7,17 @@
 // a compromised authentication service can learn is limited to the stored
 // password hash plus the single success/failure bit per attempt.
 //
+// The login client supplies the session container, as in the paper's
+// protocol: Login creates it inside the client's own process container and
+// hands it to the setup gate, which creates the retry segment, check gate and
+// grant gate there.  The client therefore pays for its login attempt and owns
+// its lifetime — Login unlinks the container on every exit, and whatever is
+// left goes when the client does — while the daemon's process container holds
+// one setup gate however many logins it has served, and the setup gate's
+// label carries the user's categories and nothing else.  A client that
+// deletes a session object early only fails its own login: the check gate
+// names the retry segment by object ID and refuses when it cannot read it.
+//
 // One simplification relative to the paper: the check-gate invocation here
 // retains the login client's ownership of the password category pir instead
 // of running tainted pir3 and recovering privilege through a separately
@@ -189,36 +200,37 @@ type sessionState struct {
 func (svc *userAuthService) createSetupGate(s *Service) error {
 	tc := svc.proc.TC
 	u := svc.user
-	// The gate carries the user's categories (that is what it ultimately
-	// grants) and the daemon's own process categories, because the session
-	// objects it creates live in the daemon's process container.
-	gateLbl := label.New(label.L1,
-		label.P(u.Ur, label.Star), label.P(u.Uw, label.Star),
-		label.P(svc.proc.Pr, label.Star), label.P(svc.proc.Pw, label.Star))
+	// The gate carries the user's categories — that is what it ultimately
+	// grants — and nothing else: the session objects it creates live in the
+	// caller's session container, which the calling thread can write.
+	gateLbl := label.New(label.L1, label.P(u.Ur, label.Star), label.P(u.Uw, label.Star))
 	gid, err := tc.GateCreate(svc.proc.ProcCt, kernel.GateSpec{
 		Label:     gateLbl,
 		Clearance: label.New(label.L2),
 		Descrip:   "auth setup gate: " + u.Name,
 		Entry: func(call *kernel.GateCallCtx) []byte {
 			s.Log.Append("setup attempt for " + u.Name)
+			pir, sessCt, ok := decodeSetupArgs(call.Args)
+			if !ok {
+				return []byte("ERR bad setup arguments")
+			}
 			x, err := call.TC.CategoryCreateNamed("x")
 			if err != nil {
 				return []byte("ERR " + err.Error())
 			}
-			pir := decodeCategory(call.Args)
 			sess := &sessionState{x: x}
 			// Retry-count segment: {pir3, uw0, 1} — written under the user's
 			// integrity category, readable only under the password taint.
 			retryLbl := label.New(label.L1, label.P(pir, label.L3), label.P(u.Uw, label.L0))
-			retrySeg, err := call.TC.SegmentCreate(svc.proc.ProcCt, retryLbl, "retry count", 8)
+			retrySeg, err := call.TC.SegmentCreate(sessCt, retryLbl, "retry count", 8)
 			if err != nil {
 				return []byte("ERR " + err.Error())
 			}
-			sess.retrySeg = kernel.CEnt{Container: svc.proc.ProcCt, Object: retrySeg}
+			sess.retrySeg = kernel.CEnt{Container: sessCt, Object: retrySeg}
 			// Check gate: owns uw (to update the retry count) and x (to keep
 			// or withhold the session proof); clearance admits pir-tainted
 			// callers.
-			checkID, err := call.TC.GateCreate(svc.proc.ProcCt, kernel.GateSpec{
+			checkID, err := call.TC.GateCreate(sessCt, kernel.GateSpec{
 				Label:     label.New(label.L1, label.P(u.Uw, label.Star), label.P(x, label.Star)),
 				Clearance: label.New(label.L2, label.P(pir, label.L3)),
 				Descrip:   "auth check gate: " + u.Name,
@@ -227,11 +239,11 @@ func (svc *userAuthService) createSetupGate(s *Service) error {
 			if err != nil {
 				return []byte("ERR " + err.Error())
 			}
-			sess.checkGate = kernel.CEnt{Container: svc.proc.ProcCt, Object: checkID}
+			sess.checkGate = kernel.CEnt{Container: sessCt, Object: checkID}
 			// Grant gate: clearance {x0, 2} so only x owners may call; grants
 			// ur/uw and logs the success (which the pir-tainted check gate
 			// could not do itself).
-			grantID, err := call.TC.GateCreate(svc.proc.ProcCt, kernel.GateSpec{
+			grantID, err := call.TC.GateCreate(sessCt, kernel.GateSpec{
 				Label:     label.New(label.L1, label.P(u.Ur, label.Star), label.P(u.Uw, label.Star)),
 				Clearance: label.New(label.L2, label.P(x, label.L0)),
 				Descrip:   "auth grant gate: " + u.Name,
@@ -243,7 +255,7 @@ func (svc *userAuthService) createSetupGate(s *Service) error {
 			if err != nil {
 				return []byte("ERR " + err.Error())
 			}
-			sess.grantGate = kernel.CEnt{Container: svc.proc.ProcCt, Object: grantID}
+			sess.grantGate = kernel.CEnt{Container: sessCt, Object: grantID}
 			return encodeSession(sess)
 		},
 	})
@@ -294,9 +306,9 @@ func (svc *userAuthService) checkEntry(s *Service, sess *sessionState) kernel.Ga
 	}
 }
 
-// The session reply and the pir argument use a fixed binary layout instead
-// of formatted decimal: the old fmt round-trip was re-parsed on every login
-// and showed up in the cold-path profile.
+// The session reply and the setup arguments use a fixed binary layout
+// instead of formatted decimal: the old fmt round-trip was re-parsed on every
+// login and showed up in the cold-path profile.
 
 // sessionMagic distinguishes a binary session reply from an "ERR ..." text
 // reply on the shared gate result channel.
@@ -334,22 +346,30 @@ func decodeSession(b []byte) (*sessionState, error) {
 	}, nil
 }
 
-func encodeCategory(c label.Category) []byte {
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(c))
+// The setup gate's arguments: the password category pir and the client's
+// session container.
+func encodeSetupArgs(pir label.Category, sessCt kernel.ID) []byte {
+	var b [16]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(pir))
+	binary.LittleEndian.PutUint64(b[8:], uint64(sessCt))
 	return b[:]
 }
 
-func decodeCategory(b []byte) label.Category {
-	if len(b) != 8 {
-		return 0
+func decodeSetupArgs(b []byte) (pir label.Category, sessCt kernel.ID, ok bool) {
+	if len(b) != 16 {
+		return 0, kernel.NilID, false
 	}
-	return label.Category(binary.LittleEndian.Uint64(b))
+	return label.Category(binary.LittleEndian.Uint64(b)), kernel.ID(binary.LittleEndian.Uint64(b[8:])), true
 }
 
 // Login authenticates client as username with the given password.  On
-// success the client's thread gains ownership of the user's ur and uw and
-// the process is associated with the account; on failure it gains nothing.
+// success the client's thread gains ownership of the user's ur and uw (and
+// clearance ur3/uw3) and the process is associated with the account; on
+// failure it gains nothing.  Either way that is the whole difference: the
+// password category pir, the session category x and the session container
+// are gone from the client's label, clearance and process container when
+// Login returns.  (x is not kept: it proves to the grant gate that the check
+// passed, and has no use once ur and uw are held.)
 func (s *Service) Login(client *unixlib.Process, username, password string) error {
 	s.mu.Lock()
 	svc := s.users[username]
@@ -357,31 +377,51 @@ func (s *Service) Login(client *unixlib.Process, username, password string) erro
 	if svc == nil {
 		return ErrNoSuchUser
 	}
-	setup := svc.setup
-	tc := client.TC
+	tc, u := client.TC, svc.user
+	lbl0, err := tc.SelfLabel()
+	if err != nil {
+		return err
+	}
+	clr0, err := tc.SelfClearance()
+	if err != nil {
+		return err
+	}
+	// The session container, labeled like the process container it sits in.
+	// The default quota is ample for one 8-byte segment and two gates.
+	sessCt, err := tc.ContainerCreate(client.ProcCt, label.New(label.L1, label.P(client.Pw, label.L0)), "auth session", 0, 0)
+	if err != nil {
+		return err
+	}
+	granted := false
+	defer func() {
+		_ = tc.Unref(client.ProcCt, sessCt)
+		lbl, clr := lbl0, clr0
+		if granted {
+			// Owning ur/uw, the client may raise its clearance in them so it
+			// can allocate objects (file descriptors, files) at the user's
+			// labels.
+			lbl = lbl.With(u.Ur, label.Star).With(u.Uw, label.Star)
+			clr = clr.With(u.Ur, label.L3).With(u.Uw, label.L3)
+		}
+		_ = tc.SelfSetLabel(lbl)
+		_ = tc.SelfSetClearance(clr)
+	}()
 	// pir protects the password during the check.
 	pir, err := tc.CategoryCreateNamed("pir")
 	if err != nil {
 		return err
 	}
-	origLbl, _ := tc.SelfLabel()
-	origClr, _ := tc.SelfClearance()
+	lbl := lbl0.With(pir, label.Star)
+	clr := clr0.With(pir, label.L3)
 
-	// Step 2: invoke the setup gate, which creates the session objects.  The
-	// requested label carries the daemon's process categories (the session
-	// objects are created in the daemon's process container) alongside the
-	// user categories the gate itself provides.
-	out, err := tc.GateEnter(setup, kernel.GateRequest{
-		Label: origLbl.With(svc.user.Ur, label.Star).With(svc.user.Uw, label.Star).
-			With(svc.proc.Pr, label.Star).With(svc.proc.Pw, label.Star),
-		Clearance: origClr.With(pir, label.L3),
-		Verify:    origLbl,
-		Args:      encodeCategory(pir),
+	// Step 2: invoke the setup gate, which creates the session objects in
+	// sessCt with the user categories the gate itself provides.
+	out, err := tc.GateEnter(svc.setup, kernel.GateRequest{
+		Label:     lbl.With(u.Ur, label.Star).With(u.Uw, label.Star),
+		Clearance: clr,
+		Verify:    lbl,
+		Args:      encodeSetupArgs(pir, sessCt),
 	})
-	// Drop the structurally acquired privileges: nothing has been proven yet.
-	cur, _ := tc.SelfLabel()
-	_ = tc.SelfSetLabel(cur.With(svc.user.Ur, label.L1).With(svc.user.Uw, label.L1).
-		With(svc.proc.Pr, label.L1).With(svc.proc.Pw, label.L1))
 	if err != nil {
 		return err
 	}
@@ -392,15 +432,20 @@ func (s *Service) Login(client *unixlib.Process, username, password string) erro
 	if err != nil {
 		return err
 	}
+	// Drop the structurally acquired privileges: nothing has been proven yet.
+	// What stays is x, which the setup gate allocated on this thread.
+	lbl = lbl.With(sess.x, label.Star)
+	clr = clr.With(sess.x, label.L3)
+	if err := tc.SelfSetLabel(lbl); err != nil {
+		return err
+	}
 
 	// Step 3: the password check.  The check gate's label carries uw⋆ and
 	// x⋆; its entry decides whether the thread keeps x.
-	lbl2, _ := tc.SelfLabel()
-	clr2, _ := tc.SelfClearance()
 	checkOut, err := tc.GateEnter(sess.checkGate, kernel.GateRequest{
-		Label:     lbl2.With(svc.user.Uw, label.Star).With(sess.x, label.Star),
-		Clearance: clr2.With(pir, label.L3),
-		Verify:    lbl2.With(pir, label.Star),
+		Label:     lbl.With(u.Uw, label.Star),
+		Clearance: clr,
+		Verify:    lbl,
 		Args:      []byte(password),
 	})
 	if err != nil {
@@ -418,12 +463,10 @@ func (s *Service) Login(client *unixlib.Process, username, password string) erro
 
 	// Step 4: the grant gate ({x0, 2} clearance: only x owners) hands over
 	// ur and uw durably and logs the success.
-	lbl3, _ := tc.SelfLabel()
-	clr3, _ := tc.SelfClearance()
 	grantOut, err := tc.GateEnter(sess.grantGate, kernel.GateRequest{
-		Label:     lbl3.With(svc.user.Ur, label.Star).With(svc.user.Uw, label.Star),
-		Clearance: clr3,
-		Verify:    lbl3,
+		Label:     lbl.With(u.Ur, label.Star).With(u.Uw, label.Star),
+		Clearance: clr,
+		Verify:    lbl,
 	})
 	if err != nil {
 		return err
@@ -431,11 +474,8 @@ func (s *Service) Login(client *unixlib.Process, username, password string) erro
 	if string(grantOut) != "GRANTED" {
 		return ErrBadPassword
 	}
-	// Owning ur/uw, the client may now raise its clearance in them so it can
-	// allocate objects (file descriptors, files) at the user's labels.
-	finalClr, _ := tc.SelfClearance()
-	_ = tc.SelfSetClearance(finalClr.With(svc.user.Ur, label.L3).With(svc.user.Uw, label.L3))
-	client.User = svc.user
+	granted = true
+	client.User = u
 	return nil
 }
 

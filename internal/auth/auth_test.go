@@ -239,3 +239,76 @@ func BenchmarkLoginSessionHit(b *testing.B) {
 		}
 	}
 }
+
+// TestLoginFailureLeavesLabelUnchanged: "on failure it gains nothing" is
+// literally true of the client's label, clearance and process container, for
+// every way a login can fail; and a success adds ur⋆/uw⋆ (clearance ur3/uw3)
+// and nothing else — not the password category, not the session category x
+// (whose only use is to get past the grant gate), not the session container.
+func TestLoginFailureLeavesLabelUnchanged(t *testing.T) {
+	sys, svc := bootAuth(t)
+	u, err := svc.Register("frank", "right")
+	if err != nil {
+		t.Fatal(err)
+	}
+	client, err := sys.NewInitProcess("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := func() (lbl, clr label.Label, entries int) {
+		t.Helper()
+		lbl, err := client.TC.SelfLabel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		clr, err = client.TC.SelfClearance()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids, err := client.TC.ContainerList(kernel.CEnt{Container: sys.Kern.RootContainer(), Object: client.ProcCt})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return lbl, clr, len(ids)
+	}
+	lbl0, clr0, entries0 := state()
+	objs0 := sys.Kern.ObjectCount()
+	for i := 0; i < 2*MaxRetries; i++ {
+		if err := svc.Login(client, "frank", "wrong"); !errors.Is(err, ErrBadPassword) {
+			t.Fatalf("attempt %d: %v, want ErrBadPassword", i, err)
+		}
+		if lbl, clr, entries := state(); !lbl.Equal(lbl0) || !clr.Equal(clr0) || entries != entries0 {
+			t.Fatalf("attempt %d: label %v clearance %v entries %d, want %v, %v and %d", i, lbl, clr, entries, lbl0, clr0, entries0)
+		}
+	}
+	if err := svc.Login(client, "nobody", "x"); !errors.Is(err, ErrNoSuchUser) {
+		t.Fatalf("unknown user: %v", err)
+	}
+	if got := sys.Kern.ObjectCount(); got != objs0 {
+		t.Errorf("failed logins changed the object count from %d to %d", objs0, got)
+	}
+	if err := svc.Login(client, "frank", "right"); err != nil {
+		t.Fatal(err)
+	}
+	lbl, clr, entries := state()
+	wantLbl := lbl0.With(u.Ur, label.Star).With(u.Uw, label.Star)
+	wantClr := clr0.With(u.Ur, label.L3).With(u.Uw, label.L3)
+	if !lbl.Equal(wantLbl) || !clr.Equal(wantClr) || entries != entries0 {
+		t.Errorf("after success: label %v clearance %v entries %d, want %v, %v and %d", lbl, clr, entries, wantLbl, wantClr, entries0)
+	}
+	if got := sys.Kern.ObjectCount(); got != objs0 {
+		t.Errorf("a successful login changed the object count from %d to %d", objs0, got)
+	}
+	// The daemon's process container holds its setup gate and nothing per
+	// login, and the setup gate names no process category.
+	svc.mu.Lock()
+	daemon := svc.users["frank"]
+	svc.mu.Unlock()
+	st, err := daemon.proc.TC.ObjectStat(daemon.setup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := label.New(label.L1, label.P(u.Ur, label.Star), label.P(u.Uw, label.Star)); !st.Label.Equal(want) {
+		t.Errorf("setup gate label %v, want %v", st.Label, want)
+	}
+}

@@ -15,6 +15,38 @@ import (
 // segment) and an internal container holds the address space and private
 // segments.  All of it is built by this untrusted library with only the
 // invoking user's privileges.
+//
+// The lifetime protocol, which every way of making a process follows:
+//
+//  1. allocate: the creator's thread allocates pr and pw, so for the moment
+//     it owns them (label pr⋆/pw⋆, clearance pr3/pw3);
+//  2. build: with that ownership it creates the containers, exit segment,
+//     address space, signal gate and memory segments at their {pr3, pw0, 1}
+//     and {pw0, 1} labels (Fork also copies its image and links its
+//     descriptors into the child here);
+//  3. start thread: it creates the child's main thread with pr⋆/pw⋆, which
+//     the kernel allows only a thread that owns them to hand over (the
+//     program starts running on it once step 4 is done);
+//  4. shed: it returns its own label and clearance to their defaults in pr
+//     and pw.  From here on the creator is a stranger to the child: it cannot
+//     read the internal container or write the process container, and its
+//     label is what it was before step 1, so creating process i costs what
+//     creating process 1 cost;
+//  5. wait: it sleeps on the exit segment, which {pw0, 1} leaves readable;
+//  6. reap: once the child's thread has halted it unrefs the process
+//     container from the root container, which needs no privilege over the
+//     child.
+//
+// Kill is the one later step that needs the child's categories; it gets them
+// back through the signal gate for the length of the call.
+//
+// Steps 1–4 read and rewrite the creator's label, and the kernel validates
+// self_set_label against the label as it is at that instant: a shed that
+// raced another goroutine's allocation on the same thread would silently
+// strip that goroutine's fresh stars.  One kernel thread is one sequence of
+// calls, so each creator runs the steps under one lock: a Process under its
+// own, and the bootstrap thread — which AddUser also grows — under
+// System.initMu.
 
 // Exit-status segment layout: word 0 is 1 once the process has exited, word
 // 1 is the exit status.  Waiters block on a futex at offset 0.
@@ -59,6 +91,11 @@ type Process struct {
 	mounts   *MountTable
 	sigMu    sync.Mutex
 	handlers map[int]func(sig int)
+	// halted is closed when Exit has made its last system call.
+	halted chan struct{}
+	// labelMu serialises the sequences that grow TC's label and shrink it
+	// again: creating a child (allocate … shed) and Kill.
+	labelMu sync.Mutex
 }
 
 // Cwd returns the current working directory path.
@@ -118,21 +155,19 @@ func (sys *System) NewInitProcess(userName string) (*Process, error) {
 			}
 		}
 	}
-	return sys.newProcess(sys.initTC, u, "/", nil)
+	return sys.create(&sys.initMu, sys.initTC, u, "/", nil, nil, nil)
 }
 
-// newProcess builds the kernel objects of Figure 6 on behalf of creator,
-// running with user u's privileges.
-func (sys *System) newProcess(creator *kernel.ThreadCall, u *User, cwd string, mounts *MountTable) (*Process, error) {
-	return sys.newProcessExtra(creator, u, cwd, mounts, nil)
-}
-
-// newProcessExtra additionally taints the new process in the given
-// categories (both its thread label and every process object), which is how
-// wrap launches the virus scanner tainted v3 (Section 6.1) and how tainted
-// gate-call forking builds its child (Section 5.5).  A tainted process gets
-// no user privileges.
-func (sys *System) newProcessExtra(creator *kernel.ThreadCall, u *User, cwd string, mounts *MountTable, taint []label.Pair) (*Process, error) {
+// create runs steps 1–4 of the lifetime protocol on creator, under the
+// creator's lock mu: it allocates pr and pw, builds the process for user u
+// (tainted, and stripped of u's privileges, when taint is non-nil), lets
+// finish do whatever else needs the new categories, and sheds them from
+// creator whatever the outcome.  A process that could not be finished is
+// unlinked again, so a failed creation leaves neither objects nor categories
+// behind.
+func (sys *System) create(mu *sync.Mutex, creator *kernel.ThreadCall, u *User, cwd string, mounts *MountTable, taint []label.Pair, finish func(child *Process) error) (*Process, error) {
+	mu.Lock()
+	defer mu.Unlock()
 	pr, err := creator.CategoryCreateNamed("pr")
 	if err != nil {
 		return nil, mapKernelErr(err)
@@ -141,6 +176,62 @@ func (sys *System) newProcessExtra(creator *kernel.ThreadCall, u *User, cwd stri
 	if err != nil {
 		return nil, mapKernelErr(err)
 	}
+	if mounts == nil {
+		mounts = NewMountTable()
+	}
+	if len(taint) > 0 {
+		u = nil
+	}
+	p := &Process{
+		sys:      sys,
+		PID:      sys.allocPID(),
+		Pr:       pr,
+		Pw:       pw,
+		User:     u,
+		fds:      make(map[int]*FD),
+		cwd:      cleanPath(cwd),
+		mounts:   mounts,
+		handlers: make(map[int]func(int)),
+		halted:   make(chan struct{}),
+	}
+	err = p.build(creator, taint)
+	if err == nil && finish != nil {
+		err = finish(p)
+	}
+	if serr := shed(creator, pr, pw); err == nil {
+		err = serr
+	}
+	if err != nil {
+		if p.ProcCt != kernel.NilID {
+			_ = creator.Unref(sys.Kern.RootContainer(), p.ProcCt)
+		}
+		return nil, err
+	}
+	return p, nil
+}
+
+// shed returns tc's label and clearance to their defaults in pr and pw.
+func shed(tc *kernel.ThreadCall, pr, pw label.Category) error {
+	lbl, err := tc.SelfLabel()
+	if err != nil {
+		return mapKernelErr(err)
+	}
+	if err := tc.SelfSetLabel(lbl.Without(pr).Without(pw)); err != nil {
+		return mapKernelErr(err)
+	}
+	clr, err := tc.SelfClearance()
+	if err != nil {
+		return mapKernelErr(err)
+	}
+	return mapKernelErr(tc.SelfSetClearance(clr.Without(pr).Without(pw)))
+}
+
+// build creates the kernel objects of Figure 6 for p on behalf of creator,
+// which owns p.Pr and p.Pw.  taint additionally taints the process in the
+// given categories (both its thread label and every process object), which
+// is how wrap launches the virus scanner tainted v3 (Section 6.1).
+func (p *Process) build(creator *kernel.ThreadCall, taint []label.Pair) error {
+	sys, pr, pw, u := p.sys, p.Pr, p.Pw, p.User
 	withTaint := func(l label.Label) label.Label {
 		for _, t := range taint {
 			l = l.With(t.Category, t.Level)
@@ -152,29 +243,33 @@ func (sys *System) newProcessExtra(creator *kernel.ThreadCall, u *User, cwd stri
 	procLbl := withTaint(label.New(label.L1, label.P(pw, label.L0)))
 	procCt, err := creator.ContainerCreate(sys.Kern.RootContainer(), procLbl, "process container", 0, kernel.QuotaInfinite)
 	if err != nil {
-		return nil, mapKernelErr(err)
+		return mapKernelErr(err)
 	}
+	p.ProcCt = procCt
 	// Internal container: {pr3, pw0, 1} — private to the process.
 	intLbl := withTaint(label.New(label.L1, label.P(pr, label.L3), label.P(pw, label.L0)))
 	intCt, err := creator.ContainerCreate(procCt, intLbl, "internal container", 0, kernel.QuotaInfinite)
 	if err != nil {
-		return nil, mapKernelErr(err)
+		return mapKernelErr(err)
 	}
+	p.IntCt = intCt
 	// Exit status segment: {pw0, 1} (+ taint).
 	exitSeg, err := creator.SegmentCreate(procCt, procLbl, "exit status", exitSegSize)
 	if err != nil {
-		return nil, mapKernelErr(err)
+		return mapKernelErr(err)
 	}
+	p.ExitSeg = kernel.CEnt{Container: procCt, Object: exitSeg}
 	// Address space: {pr3, pw0, 1} (+ taint).
 	as, err := creator.AddressSpaceCreate(intCt, intLbl, "process AS")
 	if err != nil {
-		return nil, mapKernelErr(err)
+		return mapKernelErr(err)
 	}
+	p.AS = kernel.CEnt{Container: intCt, Object: as}
 	// Thread label: the process categories plus the user's privileges (for
 	// an untainted process) or the taint levels (for a tainted one).
 	thrLbl := label.New(label.L1, label.P(pr, label.Star), label.P(pw, label.Star))
 	thrClr := label.New(label.L2, label.P(pr, label.L3), label.P(pw, label.L3))
-	if u != nil && len(taint) == 0 {
+	if u != nil {
 		thrLbl = thrLbl.With(u.Ur, label.Star).With(u.Uw, label.Star)
 		thrClr = thrClr.With(u.Ur, label.L3).With(u.Uw, label.L3)
 	}
@@ -186,53 +281,27 @@ func (sys *System) newProcessExtra(creator *kernel.ThreadCall, u *User, cwd stri
 		}
 		thrClr = thrClr.With(t.Category, lvl)
 	}
-	if u != nil && len(taint) > 0 {
-		u = nil
-	}
 	// The creator must own pr/pw (it allocated them) and the user categories
 	// (init or login does); thread creation enforces LT ⊑ LT'.
 	tid, err := creator.ThreadCreate(procCt, kernel.ThreadSpec{
 		Label:        thrLbl,
 		Clearance:    thrClr,
-		AddressSpace: kernel.CEnt{Container: intCt, Object: as},
+		AddressSpace: p.AS,
 		Descrip:      "process main thread",
 	})
 	if err != nil {
-		return nil, mapKernelErr(err)
+		return mapKernelErr(err)
 	}
-	tc, err := sys.Kern.ThreadCall(tid)
-	if err != nil {
-		return nil, mapKernelErr(err)
-	}
-	if mounts == nil {
-		mounts = NewMountTable()
-	}
-	p := &Process{
-		sys:      sys,
-		PID:      sys.allocPID(),
-		TC:       tc,
-		Pr:       pr,
-		Pw:       pw,
-		ProcCt:   procCt,
-		IntCt:    intCt,
-		AS:       kernel.CEnt{Container: intCt, Object: as},
-		ExitSeg:  kernel.CEnt{Container: procCt, Object: exitSeg},
-		User:     u,
-		fds:      make(map[int]*FD),
-		cwd:      cleanPath(cwd),
-		mounts:   mounts,
-		handlers: make(map[int]func(int)),
+	if p.TC, err = sys.Kern.ThreadCall(tid); err != nil {
+		return mapKernelErr(err)
 	}
 	if err := p.createSignalGate(creator); err != nil {
-		return nil, err
+		return err
 	}
 	// Conventional stack, heap and text segments inside the internal
 	// container, mapped into the address space (they carry no file contents
 	// in this simulation but reproduce the object and syscall structure).
-	if err := p.setupMemorySegments(creator, intLbl); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return p.setupMemorySegments(creator, intLbl)
 }
 
 // NewThread creates an additional thread in the process, sharing its address
@@ -339,6 +408,17 @@ func (p *Process) setupMemorySegments(creator *kernel.ThreadCall, lbl label.Labe
 	}))
 }
 
+// child creates a process on p's main thread that inherits p's user, working
+// directory and a copy of its mount table.
+func (p *Process) child(taint []label.Pair, finish func(child *Process) error) (*Process, error) {
+	return p.sys.create(&p.labelMu, p.TC, p.User, p.Cwd(), p.mounts.Clone(), taint, finish)
+}
+
+// NewChild builds a child process of p that runs no program of its own: the
+// caller drives it through its TC or Run (webd's workers are driven by gate
+// entries) and reaps it with Wait.  It is Spawn without the program.
+func (p *Process) NewChild() (*Process, error) { return p.child(nil, nil) }
+
 // Spawn starts the registered program at path in a freshly built process,
 // without the intermediate fork: the more efficient primitive the
 // lower-level kernel interface makes possible (Section 7.1).  The returned
@@ -348,7 +428,7 @@ func (p *Process) Spawn(path string, args []string) (*Process, error) {
 	if !ok {
 		return nil, ErrNoProgram
 	}
-	child, err := p.sys.newProcess(p.TC, p.User, p.Cwd(), p.mounts.Clone())
+	child, err := p.NewChild()
 	if err != nil {
 		return nil, err
 	}
@@ -369,7 +449,7 @@ func (p *Process) SpawnTainted(path string, args []string, taint []label.Pair) (
 	if !ok {
 		return nil, ErrNoProgram
 	}
-	child, err := p.sys.newProcessExtra(p.TC, p.User, p.Cwd(), p.mounts.Clone(), taint)
+	child, err := p.child(taint, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -383,16 +463,18 @@ func (p *Process) SpawnTainted(path string, args []string, taint []label.Pair) (
 // microbenchmark measures.  The child is returned in a not-yet-running
 // state; call Exec on it (or Run) to give it code.
 func (p *Process) Fork() (*Process, error) {
-	child, err := p.sys.newProcess(p.TC, p.User, p.Cwd(), p.mounts.Clone())
-	if err != nil {
-		return nil, err
-	}
-	// Copy the parent's memory segments into the child's internal container
-	// and rebuild the child's mappings, as the library's fork does by
-	// copying the address space object and its segments.
+	return p.child(nil, p.copyInto)
+}
+
+// copyInto is the part of Fork that needs the child's categories: it copies
+// the parent's memory segments into the child's internal container and
+// rebuilds the child's mappings, as the library's fork does by copying the
+// address space object and its segments, then duplicates the descriptor
+// table.
+func (p *Process) copyInto(child *Process) error {
 	maps, err := p.TC.AddressSpaceGet(p.AS)
 	if err != nil {
-		return nil, mapKernelErr(err)
+		return mapKernelErr(err)
 	}
 	intLbl := label.New(label.L1, label.P(child.Pr, label.L3), label.P(child.Pw, label.L0))
 	var newMaps []kernel.Mapping
@@ -403,18 +485,18 @@ func (p *Process) Fork() (*Process, error) {
 		}
 		cp, err := p.TC.SegmentCopy(m.Seg, child.IntCt, intLbl, "fork copy")
 		if err != nil {
-			return nil, mapKernelErr(err)
+			return mapKernelErr(err)
 		}
 		m.Seg = kernel.CEnt{Container: child.IntCt, Object: cp}
 		newMaps = append(newMaps, m)
 	}
 	if err := p.TC.AddressSpaceSet(child.AS, newMaps); err != nil {
-		return nil, mapKernelErr(err)
+		return mapKernelErr(err)
 	}
-	// Duplicate the descriptor table: the child holds hard links to the
-	// shared descriptor segments so they survive either process exiting.
+	// The child holds hard links to the shared descriptor segments so they
+	// survive either process exiting.
 	p.shareFDs(child, true)
-	return child, nil
+	return nil
 }
 
 // shareFDs makes the parent's descriptors visible in the child.  When link
@@ -514,27 +596,36 @@ func (p *Process) Exit(status int) {
 	_ = p.TC.SegmentWrite(p.ExitSeg, 0, buf[:])
 	_, _ = p.TC.FutexWake(p.ExitSeg, exitFlagOff, 64)
 	_ = p.TC.ThreadHalt()
+	close(p.halted)
 }
 
 // ExitQuietly is Exit(0) for helper processes whose status nobody collects.
 func (p *Process) ExitQuietly() { p.Exit(0) }
 
-// Wait blocks until child exits and returns its exit status, by reading the
-// child's exit status segment and sleeping on its futex.
+// Wait blocks until child exits and returns its exit status: it sleeps on the
+// exit status segment's futex (which returns at once when the flag is already
+// set), reads the status, and reaps the child by dropping its process
+// container.  None of it needs the child's categories.
+//
+// The reap waits for the child's main thread to have halted.  On hardware
+// the halt is the thread's last instruction; here the child's program is a
+// goroutine that may still be between the wake and the halt when the waiter
+// sees the flag, and a container dropped under it would make the number of
+// calls a wait costs depend on who won that race.  This way a wait is the
+// same three calls, and an exit the same three, whatever the timing.
 func (p *Process) Wait(child *Process) (int, error) {
 	for {
+		if err := p.TC.FutexWait(child.ExitSeg, exitFlagOff, 0); err != nil {
+			return 0, mapKernelErr(err)
+		}
 		buf, err := p.TC.SegmentRead(child.ExitSeg, 0, exitSegSize)
 		if err != nil {
 			return 0, mapKernelErr(err)
 		}
 		if binary.LittleEndian.Uint64(buf[exitFlagOff:]) == 1 {
-			status := int(binary.LittleEndian.Uint64(buf[exitStatusOff:]))
-			// Reap: drop the child's process container.
+			<-child.halted
 			_ = p.TC.Unref(p.sys.Kern.RootContainer(), child.ProcCt)
-			return status, nil
-		}
-		if err := p.TC.FutexWait(child.ExitSeg, exitFlagOff, 0); err != nil {
-			return 0, mapKernelErr(err)
+			return int(binary.LittleEndian.Uint64(buf[exitStatusOff:])), nil
 		}
 	}
 }
@@ -564,6 +655,8 @@ func (p *Process) Signal(sig int, handler func(sig int)) {
 // write the target's address space) and drops it again before returning, as
 // the library's gate-call convention does with a return gate.
 func (p *Process) Kill(target *Process, sig int) error {
+	p.labelMu.Lock()
+	defer p.labelMu.Unlock()
 	lbl, err := p.TC.SelfLabel()
 	if err != nil {
 		return mapKernelErr(err)

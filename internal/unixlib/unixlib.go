@@ -49,12 +49,13 @@ type System struct {
 
 	userMu sync.RWMutex
 	users  map[string]*User
-	// addUserMu serializes whole AddUser calls: account creation mints
-	// categories and a labeled home directory before the name is registered,
-	// and two racing creators must not each mint their own — the loser's
-	// home-directory label would not match the winner's registered
-	// categories.  userMu alone only protects the map.
-	addUserMu sync.Mutex
+	// initMu makes the bootstrap thread one sequence of calls wherever its
+	// label changes: whole AddUser calls (account creation mints categories
+	// and a labeled home directory before the name is registered, and two
+	// racing creators must not each mint their own — userMu alone only
+	// protects the map) and NewInitProcess's allocate … shed (see the
+	// lifetime protocol in process.go).
+	initMu sync.Mutex
 
 	nextPID atomic.Int64
 
@@ -65,9 +66,10 @@ type System struct {
 	// just resolves to a kernel lookup failure, as the uncached path would.
 	dirSegs [dirSegShards]dirSegShard
 
-	// initTC is the bootstrap thread that owns all users' categories; the
-	// authentication service (package auth) takes over this role in the full
-	// login flow.
+	// initTC is the bootstrap thread that owns all users' categories — and
+	// nothing else: it sheds each process's categories as it finishes building
+	// it.  The authentication service (package auth) takes over this role in
+	// the full login flow.
 	initTC *kernel.ThreadCall
 }
 
@@ -170,8 +172,8 @@ func (sys *System) LookupProgram(path string) (Program, bool) {
 // AddUser creates a user account: a fresh ur/uw category pair and a home
 // directory /home/<name> labeled {ur3, uw0, 1}.
 func (sys *System) AddUser(name string) (*User, error) {
-	sys.addUserMu.Lock()
-	defer sys.addUserMu.Unlock()
+	sys.initMu.Lock()
+	defer sys.initMu.Unlock()
 	sys.userMu.RLock()
 	_, exists := sys.users[name]
 	sys.userMu.RUnlock()

@@ -174,17 +174,37 @@ func (c *sessionCache) release(sess *session) {
 	sess.mu.Unlock()
 }
 
-// establish runs the cold path: a fresh unprivileged worker, a full gate
-// login, then the session's serve gate and reply segment, all created with
-// the worker's own (now user-held) privileges.
+// establish runs the cold path: the launcher builds a fresh unprivileged
+// worker, and setup logs it in and gives it a reply segment and a serve gate.
+// A worker that setup could not finish is discarded, so a rejected login
+// costs the server nothing it keeps.
 func (c *sessionCache) establish(sess *session, password string) error {
-	worker, err := c.srv.sys.NewInitProcess("")
+	worker, err := c.srv.demux.NewChild()
 	if err != nil {
 		return err
 	}
 	c.coldLogins.Add(1)
+	if err := c.setup(sess, worker, password); err != nil {
+		c.discard(worker)
+		return err
+	}
+	return nil
+}
+
+// discard is the one way a worker leaves, whether its session was evicted,
+// logged out, closed or never established: the worker exits and the launcher
+// reaps it, which unlinks its process container and with it the sandbox
+// clone, the reply segment and the serve gate.
+func (c *sessionCache) discard(worker *unixlib.Process) {
+	worker.ExitQuietly()
+	_, _ = c.srv.demux.Wait(worker)
+}
+
+// setup runs the full gate login on worker, then creates the session's
+// sandbox, reply segment and serve gate with the worker's own (now
+// user-held) privileges.
+func (c *sessionCache) setup(sess *session, worker *unixlib.Process, password string) error {
 	if err := c.srv.auth.Login(worker, sess.user, password); err != nil {
-		worker.ExitQuietly()
 		c.badPasswords.Add(1)
 		return fmt.Errorf("%w: %v", ErrUnauthorized, err)
 	}
@@ -192,12 +212,11 @@ func (c *sessionCache) establish(sess *session, password string) error {
 	srv := c.srv
 	// Per-user sandbox: cloned from the golden image in O(metadata) (all
 	// read-only data — programs, dirsegs, scanner DB — shared COW until
-	// first write).  It lives in the worker's process container, so worker
-	// exit reclaims it.
+	// first write).  It lives in the worker's process container, so reaping
+	// the worker reclaims it.
 	if g := srv.cfg.Golden; g != nil {
 		res, err := srv.sys.SpawnFromGolden(tc, g, worker.ProcCt, u)
 		if err != nil {
-			worker.ExitQuietly()
 			return err
 		}
 		sess.sandbox = res.Root
@@ -209,7 +228,6 @@ func (c *sessionCache) establish(sess *session, password string) error {
 	replyLbl := label.New(label.L1, label.P(u.Ur, label.L3), label.P(u.Uw, label.L0))
 	rid, err := tc.SegmentCreate(worker.ProcCt, replyLbl, "webd reply "+sess.user, replySegSize)
 	if err != nil {
-		worker.ExitQuietly()
 		return err
 	}
 	reply := kernel.CEnt{Container: worker.ProcCt, Object: rid}
@@ -230,7 +248,6 @@ func (c *sessionCache) establish(sess *session, password string) error {
 		},
 	})
 	if err != nil {
-		worker.ExitQuietly()
 		return err
 	}
 	sess.worker = worker
@@ -277,7 +294,7 @@ func (c *sessionCache) remove(sess *session) {
 	c.mu.Unlock()
 }
 
-// teardown kills a detached session's worker.  It waits for cold creation to
+// teardown discards a detached session's worker.  It waits for cold creation to
 // finish (creators never block on other sessions, so this terminates) and
 // for any in-flight request to drain (the client holds sess.mu across its
 // request).
@@ -287,7 +304,7 @@ func (c *sessionCache) teardown(v *session) {
 	if !v.dead {
 		v.dead = true
 		if v.worker != nil {
-			v.worker.ExitQuietly()
+			c.discard(v.worker)
 		}
 	}
 	v.mu.Unlock()

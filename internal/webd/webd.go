@@ -11,7 +11,15 @@
 //     keeps one authenticated worker process per recently seen user.  A cold
 //     request pays for process creation and the full gate login protocol; a
 //     warm request re-checks the credential against the stored verifier and
-//     reuses the worker.
+//     reuses the worker.  Workers are children of the demultiplexer process,
+//     whose main thread is the launcher: it builds each worker and sheds the
+//     worker's categories before the login starts, so the bootstrap thread —
+//     owner of every user's ur⋆/uw⋆ — is never on the request path and a
+//     cold login costs the same after a million sessions as after one.
+//     Every worker leaves through one discard step (sessionCache.discard):
+//     it exits and the launcher reaps it, which reclaims its process
+//     container, sandbox clone, reply segment and serve gate whether the
+//     session was evicted, logged out, closed or never got past its login.
 //
 //   - Each cached worker exposes a serve gate (label {ur⋆, uw⋆, 1}) whose
 //     entry runs the application handler and writes the response into a
@@ -163,7 +171,13 @@ type lane struct {
 	clr  label.Label
 }
 
-// start creates the demultiplexer process and its lane threads.
+// start creates the demultiplexer process and its lane threads.  The
+// process's main thread, idle once the lanes exist, is the launcher: it
+// already has the label a launcher wants ({pr⋆, pw⋆, 1} and no user's
+// categories), the lanes are kernel threads of their own and so never see
+// the worker categories it holds while building one, and a second process
+// would add a process's worth of objects to isolate it from nothing it can
+// reach.
 func (s *Server) start() error {
 	s.startOnce.Do(func() {
 		demux, err := s.sys.NewInitProcess("")
@@ -300,6 +314,7 @@ func (s *Server) Close() {
 	s.sessions.close()
 	if s.demux != nil {
 		s.demux.ExitQuietly()
+		_ = s.sys.InitThread().Unref(s.sys.Kern.RootContainer(), s.demux.ProcCt)
 	}
 }
 
