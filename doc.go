@@ -73,16 +73,15 @@
 // Container snapshots make sandbox creation O(metadata): the kernel
 // captures a container subtree as an immutable snapshot (segment buffers
 // frozen for copy-on-write) under a deterministic lineage ID, and
-// ContainerClone — also available ring-natively as OpSnapshot/OpClone —
-// materializes it with fresh object IDs, intra-subtree references
-// rewritten, and per-user categories remapped in every label, sharing all
-// segment data COW until first write.  With a persistent store attached,
-// snapshots are mirrored as refcounted store bundles: captured extents are
-// pinned against the segment cleaner and the deferred-free path, bundles
-// survive crashes via a WAL record and live in the metadata snapshot
-// from the next checkpoint, and a rotted shared extent
-// quarantines every clone with a typed error rather than propagating
-// silently.  unixlib.BakeGolden/SpawnFromGolden package the pattern as
+// ContainerClone materializes it with fresh object IDs, intra-subtree
+// references rewritten, and per-user categories remapped in every label,
+// sharing all segment data COW until first write.  With a persistent store
+// attached, snapshots are mirrored as refcounted store bundles: captured
+// extents are pinned against the segment cleaner and the deferred-free
+// path, bundles survive crashes via a WAL record and live in the metadata
+// snapshot from the next checkpoint, and a rotted shared extent quarantines
+// every clone with a typed error rather than propagating silently.
+// unixlib.BakeGolden/SpawnFromGolden package the pattern as
 // golden-image spawning, and webd's session cache uses it to clone each
 // cold-login user's sandbox from a golden image in microseconds instead of
 // rebuilding it (examples/goldenspawn; the acceptance floors — clone ≥50x
@@ -105,6 +104,18 @@
 // launches workers from its demultiplexer's main thread and reaps every one
 // it tears down, and an auth login's session objects live in a container the
 // client supplies and die with the attempt.
+//
+// The library states each of its three recurring jobs once.  A directory
+// changes only through editDir (internal/unixlib/dirseg.go: take the mutex
+// word, one read of the segment, write the entries back, release mutex,
+// generation and busy flag with one write, mirror), which create, mkdir,
+// unlink and both kinds of rename are closures over.  A file's bytes move
+// through readAt and writeAt (page in, read; write with the quota retry,
+// mtime, mirror).  And internal/unixlib/persist.go is the only file that
+// calls the single-level store: label at create, mirror, fsync (one file
+// synced directly, several as one ring sync group, a directory as a
+// checkpoint), delete, page-in and evict — the seam a kernel that owns the
+// store replaces.
 //
 // The root package holds only the Figure 12/13 row benchmarks
 // (bench_test.go); the repository's benchmark is the bench/ program

@@ -82,8 +82,7 @@
 // ContainerSnapshot captures a container subtree — containers, segments,
 // gates, address spaces — as an immutable in-kernel snapshot under a
 // deterministic lineage ID, freezing every captured segment's buffer for
-// copy-on-write (snapshot.go); OpSnapshot/OpClone make both operations
-// ring-native so spawns batch.  ContainerClone materializes a snapshot
+// copy-on-write (snapshot.go).  ContainerClone materializes a snapshot
 // under a destination container in O(metadata) with these ID-remap rules:
 // every captured object gets a fresh object ID; intra-subtree references
 // (container links, gate entry objects, address-space segment mappings)

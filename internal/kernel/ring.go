@@ -1,11 +1,8 @@
 package kernel
 
 import (
-	"encoding/binary"
 	"sort"
 	"sync/atomic"
-
-	"histar/internal/label"
 )
 
 // Syscall ring: io_uring-style batched submission with a single completion
@@ -105,16 +102,6 @@ const (
 	// On success the invoking thread runs under the requested label and
 	// clearance for the rest of the batch (and after Wait returns).
 	OpGateEnter
-	// OpSnapshot captures the container Seg's subtree as a snapshot named by
-	// the entry's Snap.Name (container_snapshot); the completion's Val is the
-	// snapshot's lineage as 8 little-endian bytes and N the object count.
-	OpSnapshot
-	// OpClone materializes the snapshot Snap.Lineage under the container
-	// Snap.Dst with category remap Snap.Remap (container_clone); the
-	// completion's Val is the clone's root ID as 8 little-endian bytes and N
-	// the object count.  Seg is ignored for ordering purposes — like gate
-	// entries, snapshot and clone ops are always their own run.
-	OpClone
 )
 
 // RingEntry is one submitted operation.
@@ -127,23 +114,9 @@ type RingEntry struct {
 	// Gate is the gate-call request for OpGateEnter entries (nil is treated
 	// as the zero request, which the label checks reject).
 	Gate *GateRequest
-	// Snap is the request for OpSnapshot and OpClone entries.
-	Snap *SnapRequest
 	// Chain makes this entry depend on its predecessor in submission order:
 	// it is skipped (ErrSkipped) if the predecessor failed or was skipped.
 	Chain bool
-}
-
-// SnapRequest is the request payload of OpSnapshot and OpClone entries.
-type SnapRequest struct {
-	// Name names the snapshot (OpSnapshot).
-	Name string
-	// Lineage selects the snapshot to clone, Dst the container the clone is
-	// linked into, and Remap the category rewrite applied to every cloned
-	// label (OpClone).
-	Lineage uint64
-	Dst     ID
-	Remap   map[label.Category]label.Category
 }
 
 // RingCompletion is one entry's result.  Completions are returned in
@@ -280,17 +253,12 @@ func (r *Ring) Wait(minComplete int) ([]RingCompletion, error) {
 			}
 		}
 		for j := 0; j < len(plan); {
-			if op := entries[plan[j].i].Op; standalone(op) {
-				// Gate, snapshot, and clone entries are their own run: each
-				// takes its own locks one object at a time, so none may share
-				// a coalesced acquisition.  A successful gate entry
-				// additionally refreshes the batch snapshot for everything
-				// that follows.
-				if op == OpGateEnter {
-					r.execGateEnter(&ctx, entries, units, plan[j], comps)
-				} else {
-					r.execSnapClone(&ctx, entries, units, plan[j], comps)
-				}
+			if standalone(entries[plan[j].i].Op) {
+				// A gate entry is its own run: the transfer takes the thread
+				// and thread-local segment locks itself, so it may not share
+				// a coalesced acquisition, and a successful one refreshes the
+				// batch snapshot for everything that follows.
+				r.execGateEnter(&ctx, entries, units, plan[j], comps)
 				r.nRuns++
 				j++
 				continue
@@ -363,10 +331,8 @@ func sortUnits(units []ringUnit, entries []RingEntry) {
 }
 
 // standalone reports whether the op always executes as its own run, outside
-// the same-target coalescing that shares one lock acquisition.
-func standalone(op RingOp) bool {
-	return op == OpGateEnter || op == OpSnapshot || op == OpClone
-}
+// the same-target coalescing that shares one lock acquisition: a gate entry.
+func standalone(op RingOp) bool { return op == OpGateEnter }
 
 // scFor maps a ring op to the per-syscall counter it records.
 func scFor(op RingOp) syscallID {
@@ -381,10 +347,6 @@ func scFor(op RingOp) syscallID {
 		return scSegmentLen
 	case OpObjectStat:
 		return scObjectStat
-	case OpSnapshot:
-		return scContainerSnapshot
-	case OpClone:
-		return scContainerClone
 	default:
 		return scRingSync
 	}
@@ -454,67 +416,38 @@ func (r *Ring) execGateEnter(ctx *tctx, entries []RingEntry, units []ringUnit, i
 	ctx.t.snapshot(ctx)
 }
 
-// execSnapClone executes one OpSnapshot or OpClone entry as its own run.
-// The syscall bodies lock one object at a time (plus the destination
-// container for a clone's publish step), so like gate entries they never
-// share a coalesced acquisition.
-func (r *Ring) execSnapClone(ctx *tctx, entries []RingEntry, units []ringUnit, it planItem, comps []RingCompletion) {
-	e := &entries[it.i]
-	r.tc.k.count(scFor(e.Op), ctx.t)
-	var req SnapRequest
-	if e.Snap != nil {
-		req = *e.Snap
-	}
-	var err error
-	switch e.Op {
-	case OpSnapshot:
-		var info SnapshotInfo
-		info, err = r.tc.containerSnapshotCtx(*ctx, e.Seg, req.Name)
-		if err == nil {
-			buf := make([]byte, 8)
-			binary.LittleEndian.PutUint64(buf, info.Lineage)
-			comps[it.i].Val = buf
-			comps[it.i].N = info.Objects
-		}
-	case OpClone:
-		var res CloneResult
-		res, err = r.tc.containerCloneCtx(*ctx, req.Lineage, req.Dst, req.Remap)
-		if err == nil {
-			buf := make([]byte, 8)
-			binary.LittleEndian.PutUint64(buf, uint64(res.Root))
-			comps[it.i].Val = buf
-			comps[it.i].N = res.Objects
-		}
-	}
-	if err != nil {
-		comps[it.i].Err = err
-		units[it.u].failed = true
-	}
-}
-
 // dispatchSyncs sends one pass's deferred OpSync entries to the Syncer as a
 // single group — the pre-formed batch the store's group committer commits
-// with one log append and one flush per bounded batch.
+// with one log append and one flush per bounded batch.  Each entry is
+// resolved first like every other op (the thread can read 〈D〉 and D links O):
+// one that fails completes with peek's error, fails its chain and never
+// reaches the Syncer, so a thread can neither have an object it cannot name
+// synced nor learn from the Syncer's answer what state that object is in.
 func (r *Ring) dispatchSyncs(ctx tctx, entries []RingEntry, units []ringUnit, syncs []syncRef, comps []RingCompletion) {
 	k := r.tc.k
-	ids := make([]uint64, len(syncs))
-	for j, sr := range syncs {
-		ids[j] = uint64(entries[sr.i].Seg.Object)
+	ids := make([]uint64, 0, len(syncs))
+	group := syncs[:0]
+	for _, sr := range syncs {
 		k.count(scRingSync, ctx.t)
+		if _, _, err := k.peek(&ctx, entries[sr.i].Seg); err != nil {
+			comps[sr.i].Err = err
+			units[sr.u].failed = true
+			continue
+		}
+		ids = append(ids, uint64(entries[sr.i].Seg.Object))
+		group = append(group, sr)
+	}
+	if len(group) == 0 {
+		return
 	}
 	r.nSyncGroups++
-	r.nSyncEntries += uint64(len(syncs))
+	r.nSyncEntries += uint64(len(group))
 	var errs []error
-	if r.syncer == nil {
-		errs = make([]error, len(ids))
-		for j := range errs {
-			errs[j] = ErrInvalid
-		}
-	} else {
+	if r.syncer != nil {
 		errs = r.syncer.SyncObjects(ids)
 	}
-	for j, sr := range syncs {
-		var err error
+	for j, sr := range group {
+		err := ErrInvalid // no Syncer attached, or no answer for this entry
 		if j < len(errs) {
 			err = errs[j]
 		}

@@ -526,6 +526,70 @@ func TestRingSyncGroups(t *testing.T) {
 	}
 }
 
+// TestRingSyncResolvesItsEntry checks that an OpSync entry is resolved like
+// every other op before it joins the group: an entry naming an object through
+// a container the thread cannot read, or through one that does not link it,
+// completes with the resolution error, fails its chain and never reaches the
+// Syncer — whose answer would otherwise tell the thread whether an object it
+// cannot name is, say, quarantined — while a good entry in the same batch
+// still syncs.
+func TestRingSyncResolvesItsEntry(t *testing.T) {
+	env := newRingEnv(t, 2, 64)
+	root := env.k.RootContainer()
+	// A container only the category's owner can read, holding one segment.
+	c, err := env.tc.CategoryCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	secretLbl := label.New(label.L1, label.P(c, label.L3))
+	secretCt, err := env.tc.ContainerCreate(root, secretLbl, "secret", 0, QuotaInfinite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secretSeg, err := env.tc.SegmentCreate(secretCt, secretLbl, "secret seg", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tid, err := env.tc.ThreadCreate(root, ThreadSpec{Label: label.New(label.L1), Clearance: label.New(label.L2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outsider, err := env.k.ThreadCall(tid)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	rs := &recordingSyncer{poison: map[uint64]error{uint64(secretSeg): errors.New("quarantined")}}
+	ring := outsider.NewRing()
+	ring.SetSyncer(rs)
+	ring.Submit(
+		RingEntry{Op: OpSync, Seg: CEnt{secretCt, secretSeg}},      // unreadable container
+		RingEntry{Op: OpSegmentLen, Seg: env.segs[0], Chain: true}, // skipped with it
+		RingEntry{Op: OpSync, Seg: CEnt{root, secretSeg}},          // root does not link it
+		RingEntry{Op: OpSync, Seg: env.segs[1]},                    // good
+		RingEntry{Op: OpSegmentLen, Seg: env.segs[1], Chain: true}, // runs after its sync
+	)
+	comps, err := ring.Wait(5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !errors.Is(comps[0].Err, ErrLabel) || !errors.Is(comps[1].Err, ErrSkipped) {
+		t.Errorf("sync through an unreadable container = (%v, %v), want (ErrLabel, ErrSkipped)", comps[0].Err, comps[1].Err)
+	}
+	if !errors.Is(comps[2].Err, ErrNoSuchObject) {
+		t.Errorf("sync of an unlinked object = %v, want ErrNoSuchObject", comps[2].Err)
+	}
+	if comps[3].Err != nil || comps[4].Err != nil || comps[4].N != 64 {
+		t.Errorf("good sync chain = (%v, %v, len %d), want (nil, nil, 64)", comps[3].Err, comps[4].Err, comps[4].N)
+	}
+	if len(rs.groups) != 1 || len(rs.groups[0]) != 1 || rs.groups[0][0] != uint64(env.segs[1].Object) {
+		t.Errorf("syncer saw groups %v, want exactly [[%d]]", rs.groups, env.segs[1].Object)
+	}
+	if st := env.k.RingStats(); st.SyncGroups != 1 || st.SyncEntries != 1 {
+		t.Errorf("RingStats sync groups/entries = %d/%d, want 1/1", st.SyncGroups, st.SyncEntries)
+	}
+}
+
 // TestRingCountsAndCoalescing checks the accounting satellite: one
 // ring_submit per Wait, per-entry counts in the normal per-syscall counters,
 // and a same-target batch coalescing to a single lock run.

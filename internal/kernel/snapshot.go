@@ -263,12 +263,6 @@ func (tc *ThreadCall) ContainerSnapshot(ce CEnt, name string) (SnapshotInfo, err
 	if err != nil {
 		return SnapshotInfo{}, err
 	}
-	return tc.containerSnapshotCtx(ctx, ce, name)
-}
-
-// containerSnapshotCtx is ContainerSnapshot's body after syscall entry; the
-// ring's OpSnapshot dispatch calls it with the batch's thread snapshot.
-func (tc *ThreadCall) containerSnapshotCtx(ctx tctx, ce CEnt, name string) (SnapshotInfo, error) {
 	k := tc.k
 	_, root, err := resolve[*container](k, &ctx, ce, accNone)
 	if err != nil {
@@ -441,12 +435,6 @@ func (tc *ThreadCall) ContainerClone(lineage uint64, dst ID, remap map[label.Cat
 	if err != nil {
 		return CloneResult{}, err
 	}
-	return tc.containerCloneCtx(ctx, lineage, dst, remap)
-}
-
-// containerCloneCtx is ContainerClone's body after syscall entry; the ring's
-// OpClone dispatch calls it with the batch's thread snapshot.
-func (tc *ThreadCall) containerCloneCtx(ctx tctx, lineage uint64, dst ID, remap map[label.Category]label.Category) (CloneResult, error) {
 	k := tc.k
 	k.snapMu.Lock()
 	snap, ok := k.snapshots[lineage]

@@ -2,7 +2,6 @@ package kernel
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -15,9 +14,9 @@ import (
 // Snapshot/clone tests: structural fidelity and ID remapping, COW sharing
 // semantics and accounting, category remap on clone, label enforcement on
 // both capture and materialization, sink validation (rot refuses to clone,
-// typed), sink-failure rollback, ring-native OpSnapshot/OpClone, and the
-// golden-image acceptance test (≥64 MiB shared, clone ≥50× faster than a
-// from-scratch build, bytes copied ≤1% of bytes shared).
+// typed), sink-failure rollback, and the golden-image acceptance test (≥64 MiB
+// shared, clone ≥50× faster than a from-scratch build, bytes copied ≤1% of
+// bytes shared).
 
 // buildSandbox creates a container under parent holding nSegs segments of
 // segSize deterministic bytes each plus one sub-container with one more
@@ -389,61 +388,6 @@ func (tc *ThreadCall) mustList(t *testing.T, ct ID) []ID {
 		t.Fatalf("ContainerList: %v", err)
 	}
 	return ents
-}
-
-func TestRingSnapshotClone(t *testing.T) {
-	k, tc := boot(t)
-	root := k.RootContainer()
-	sandbox, segs := buildSandbox(t, tc, root, label.New(label.L1), 2, 256)
-
-	ring := tc.NewRing()
-	ring.Submit(RingEntry{Op: OpSnapshot, Seg: CEnt{root, sandbox}, Snap: &SnapRequest{Name: "ring"}})
-	comps, err := ring.Wait(0)
-	if err != nil {
-		t.Fatalf("Wait(snapshot): %v", err)
-	}
-	if comps[0].Err != nil {
-		t.Fatalf("OpSnapshot: %v", comps[0].Err)
-	}
-	lineage := binary.LittleEndian.Uint64(comps[0].Val)
-	if comps[0].N != 5 { // 2 containers + 3 segments
-		t.Errorf("OpSnapshot N = %d, want 5 objects", comps[0].N)
-	}
-
-	// Batch several clones in one Wait — the golden-spawn batching path.
-	const nClones = 4
-	for i := 0; i < nClones; i++ {
-		ring.Submit(RingEntry{Op: OpClone, Snap: &SnapRequest{Lineage: lineage, Dst: root}})
-	}
-	comps, err = ring.Wait(0)
-	if err != nil {
-		t.Fatalf("Wait(clones): %v", err)
-	}
-	roots := make(map[uint64]bool)
-	for i := 0; i < nClones; i++ {
-		if comps[i].Err != nil {
-			t.Fatalf("OpClone %d: %v", i, comps[i].Err)
-		}
-		r := binary.LittleEndian.Uint64(comps[i].Val)
-		if roots[r] {
-			t.Errorf("duplicate clone root %d", r)
-		}
-		roots[r] = true
-	}
-	// Each clone root is a live container linked under root.
-	for r := range roots {
-		stat, err := tc.ObjectStat(CEnt{root, ID(r)})
-		if err != nil {
-			t.Fatalf("ObjectStat clone root: %v", err)
-		}
-		if stat.Type != ObjContainer {
-			t.Errorf("clone root type = %v, want container", stat.Type)
-		}
-	}
-	if sc := k.SyscallCounts(); sc["container_clone"] < nClones || sc["container_snapshot"] < 1 {
-		t.Errorf("syscall counts missing snapshot/clone entries: %v", sc)
-	}
-	_ = segs
 }
 
 // TestGoldenImageAcceptance is the issue's acceptance criterion: cloning a

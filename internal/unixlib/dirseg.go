@@ -3,6 +3,7 @@ package unixlib
 import (
 	"encoding/binary"
 	"errors"
+	"runtime"
 
 	"histar/internal/kernel"
 )
@@ -20,6 +21,20 @@ import (
 //	offset 16: busy flag
 //	offset 24: entry count
 //	offset 32: entries — {u16 name length, name bytes, u64 object ID, u8 type}
+//
+// The edit protocol, which editDir is the only code to run:
+//
+//  1. lock: compare-and-swap the mutex word 0 → 1 (sleeping on its futex while
+//     someone else holds it), then set busy — a thread that cannot write the
+//     directory fails here;
+//  2. one read of the whole segment: the header words and the entries;
+//  3. write the new entries back under the header just read (mutex 1, busy 1,
+//     the old generation), so a reader that overlaps the write still sees busy;
+//  4. unlock with ONE write of the first three words — mutex 0, generation + 1,
+//     busy 0 — so a lock-free reader never sees a released mutex beside a stale
+//     generation or a set busy flag, then wake one waiter.  An edit that
+//     changed nothing releases with the generation it found;
+//  5. mirror the segment into the store (persist.go).
 const (
 	dsMutexOff = 0
 	dsGenOff   = 8
@@ -100,7 +115,7 @@ func (sys *System) dirSegCE(tc *kernel.ThreadCall, dir kernel.ID) (kernel.CEnt, 
 	return kernel.CEnt{Container: dir, Object: segID}, nil
 }
 
-// lockDir acquires the directory mutex.  Threads that cannot write the
+// lockDir is step 1 of the edit protocol.  Threads that cannot write the
 // directory segment get ErrPermission from the underlying write, exactly as
 // the paper describes ("users that cannot write a directory cannot acquire
 // the mutex").
@@ -116,10 +131,7 @@ func (sys *System) lockDir(tc *kernel.ThreadCall, seg kernel.CEnt) error {
 			// Mark busy for lock-free readers.
 			var busy [8]byte
 			binary.LittleEndian.PutUint64(busy[:], 1)
-			if err := tc.SegmentWrite(seg, dsBusyOff, busy[:]); err != nil {
-				return mapKernelErr(err)
-			}
-			return nil
+			return mapKernelErr(tc.SegmentWrite(seg, dsBusyOff, busy[:]))
 		}
 		// Locked by someone else: wait on the futex.
 		if err := tc.FutexWait(seg, dsMutexOff, 1); err != nil {
@@ -128,42 +140,83 @@ func (sys *System) lockDir(tc *kernel.ThreadCall, seg kernel.CEnt) error {
 	}
 }
 
-// unlockDir releases the directory mutex, bumping the generation number.
-func (sys *System) unlockDir(tc *kernel.ThreadCall, seg kernel.CEnt) error {
-	genBytes, err := tc.SegmentRead(seg, dsGenOff, 8)
-	if err != nil {
+// unlockDir is step 4: old is the segment as the edit read it under the lock
+// (the busy write left it at least a header long), and bump says whether the
+// entries may have changed since.
+func (sys *System) unlockDir(tc *kernel.ThreadCall, seg kernel.CEnt, old []byte, bump bool) error {
+	gen := binary.LittleEndian.Uint64(old[dsGenOff:])
+	if bump {
+		gen++
+	}
+	var rel [dsCountOff]byte // mutex 0, generation, busy 0
+	binary.LittleEndian.PutUint64(rel[dsGenOff:], gen)
+	if err := tc.SegmentWrite(seg, 0, rel[:]); err != nil {
 		return mapKernelErr(err)
 	}
-	gen := binary.LittleEndian.Uint64(genBytes) + 1
-	var buf [8]byte
-	binary.LittleEndian.PutUint64(buf[:], gen)
-	if err := tc.SegmentWrite(seg, dsGenOff, buf[:]); err != nil {
-		return mapKernelErr(err)
-	}
-	var zero [8]byte
-	if err := tc.SegmentWrite(seg, dsBusyOff, zero[:]); err != nil {
-		return mapKernelErr(err)
-	}
-	if err := tc.SegmentWrite(seg, dsMutexOff, zero[:]); err != nil {
-		return mapKernelErr(err)
-	}
-	_, err = tc.FutexWake(seg, dsMutexOff, 1)
+	_, err := tc.FutexWake(seg, dsMutexOff, 1)
 	return mapKernelErr(err)
 }
 
-// maxSegRead asks a ring read for "the rest of the segment": SegmentRead
-// clamps to the segment's length, so no separate SegmentLen call is needed.
+// editDir is the one way to change a directory: it runs the edit protocol
+// above around edit, which is handed the directory's entries and returns the
+// entries to store.  When edit fails nothing is written and its error is
+// returned; it runs with the directory mutex held, so it may create or
+// unreference the objects the entries name but must not edit dir again.
+func (sys *System) editDir(tc *kernel.ThreadCall, dir kernel.ID, edit func([]DirEntry) ([]DirEntry, error)) error {
+	seg, err := sys.dirSegCE(tc, dir)
+	if err != nil {
+		return err
+	}
+	if err := sys.lockDir(tc, seg); err != nil {
+		return err
+	}
+	old, err := tc.SegmentRead(seg, 0, maxSegRead)
+	if err != nil {
+		// A thread that could write the busy flag can read the segment, so
+		// the segment (or the thread) has died since: there is no lock left
+		// to release, and no generation was read to release it with.
+		return mapKernelErr(err)
+	}
+	entries, err := edit(decodeDirEntries(old))
+	wrote := err == nil
+	if wrote {
+		buf := encodeDirEntries(entries)
+		copy(buf[:dsCountOff], old)
+		if err = sys.segResize(tc, seg, len(buf)); err == nil {
+			err = sys.segWrite(tc, seg, 0, buf)
+		}
+	}
+	if uerr := sys.unlockDir(tc, seg, old, wrote); err == nil {
+		err = uerr
+	}
+	if wrote {
+		sys.mirror(tc, seg)
+	}
+	return err
+}
+
+// findEntry returns the index of name in entries, or -1.
+func findEntry(entries []DirEntry, name string) int {
+	for i := range entries {
+		if entries[i].Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
+// maxSegRead asks a read for "the rest of the segment": SegmentRead clamps to
+// the segment's length, so no separate SegmentLen call is needed.
 const maxSegRead = int(^uint(0) >> 1)
 
-// readDirEntries returns a consistent snapshot of a directory's entries.
-// Writers hold the mutex; readers without write permission retry until the
-// generation number is stable and the busy flag clear.
+// readDirEntries returns a consistent snapshot of a directory's entries
+// without taking its mutex, which a reader may not be able to write: it
+// retries until the generation number is stable and the busy flag clear.
 //
 // The three reads of one attempt (generation+busy, whole segment, generation
 // again) go through the syscall ring as a single chained batch: one kernel
 // entry and — because same-target entries coalesce — one lock round-trip on
-// the directory segment, where the direct path paid four syscalls
-// (read, len, read, read).  The generation/busy protocol is kept even though
+// the directory segment.  The generation/busy protocol is kept even though
 // a coalesced batch reads atomically under the segment's lock: a writer
 // holding the user-level directory mutex updates the segment across several
 // syscalls, so a batch can still observe a mid-update (busy) state.
@@ -191,45 +244,16 @@ func (sys *System) readDirEntries(tc *kernel.ThreadCall, seg kernel.CEnt) ([]Dir
 		genBefore := binary.LittleEndian.Uint64(before[:8])
 		busy := binary.LittleEndian.Uint64(before[8:16])
 		genAfter := binary.LittleEndian.Uint64(after)
-		if busy == 0 && genBefore == genAfter {
+		// Stable — or a writer died holding the mutex, and this is as good a
+		// listing as there will be.
+		if busy == 0 && genBefore == genAfter || attempt > 10000 {
 			return decodeDirEntries(buf), nil
 		}
-		if attempt > 10000 {
-			return decodeDirEntries(buf), nil
-		}
+		// A live writer needs the processor to finish: without the yield a
+		// reader on the writer's core spins its 10,000 attempts away inside
+		// one scheduler quantum and returns the torn listing above.
+		runtime.Gosched()
 	}
-}
-
-// readDirEntriesLocked reads the directory's entries without the
-// generation/busy consistency protocol; callers holding the directory mutex
-// use it (a writer would otherwise spin on its own busy flag).
-func (sys *System) readDirEntriesLocked(tc *kernel.ThreadCall, seg kernel.CEnt) ([]DirEntry, error) {
-	n, err := tc.SegmentLen(seg)
-	if err != nil {
-		return nil, mapKernelErr(err)
-	}
-	buf, err := tc.SegmentRead(seg, 0, n)
-	if err != nil {
-		return nil, mapKernelErr(err)
-	}
-	return decodeDirEntries(buf), nil
-}
-
-// writeDirEntries replaces the directory's entries; the caller must hold the
-// directory mutex.
-func (sys *System) writeDirEntries(tc *kernel.ThreadCall, seg kernel.CEnt, entries []DirEntry) error {
-	buf := encodeDirEntries(entries)
-	// Preserve the mutex/generation/busy words at the front.
-	head, err := tc.SegmentRead(seg, 0, dsDataOff)
-	if err != nil {
-		return mapKernelErr(err)
-	}
-	copy(buf[:dsDataOff], head)
-	binary.LittleEndian.PutUint64(buf[dsCountOff:], uint64(len(entries)))
-	if err := sys.segResize(tc, seg, len(buf)); err != nil {
-		return err
-	}
-	return sys.segWrite(tc, seg, 0, buf)
 }
 
 // mapKernelErr translates kernel errors into the library's errno-style

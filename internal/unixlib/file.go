@@ -40,14 +40,32 @@ func (p *Process) withThreadTaint(l label.Label) label.Label {
 	return l
 }
 
+// lookup resolves path — relative to the working directory, through the
+// mount table — to the directory holding its last component, that
+// component's name and, when the name is bound, its entry.
+func (p *Process) lookup(path string) (dir kernel.ID, leaf string, entry *DirEntry, err error) {
+	return p.sys.resolve(p.TC, p.sys.RootDir, p.abs(path), p.mounts)
+}
+
+// existing is lookup for a path that must name something.
+func (p *Process) existing(path string) (kernel.ID, DirEntry, error) {
+	dir, _, entry, err := p.lookup(path)
+	if err == nil && entry == nil {
+		err = ErrNotExist
+	}
+	if err != nil {
+		return kernel.NilID, DirEntry{}, err
+	}
+	return dir, *entry, nil
+}
+
 // Create creates a file with the given label and opens it for reading and
 // writing.  Pass the zero label to use the process default.
 func (p *Process) Create(path string, lbl label.Label) (int, error) {
 	if lbl.IsZero() {
 		lbl = p.DefaultFileLabel()
 	}
-	abs := p.abs(path)
-	dir, leaf, entry, err := p.sys.resolve(p.TC, p.sys.RootDir, abs, p.mounts)
+	dir, leaf, entry, err := p.lookup(path)
 	if err != nil {
 		return -1, err
 	}
@@ -58,23 +76,19 @@ func (p *Process) Create(path string, lbl label.Label) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	return p.openEntry(abs, dir, DirEntry{Name: leaf, ID: file, Type: kernel.ObjSegment}, ORead|OWrite)
+	return p.openEntry(path, dir, DirEntry{Name: leaf, ID: file, Type: kernel.ObjSegment}, ORead|OWrite)
 }
 
 // Open opens an existing file or directory.
 func (p *Process) Open(path string, flags uint64) (int, error) {
-	abs := p.abs(path)
-	dir, _, entry, err := p.sys.resolve(p.TC, p.sys.RootDir, abs, p.mounts)
+	dir, entry, err := p.existing(path)
 	if err != nil {
 		return -1, err
-	}
-	if entry == nil {
-		return -1, ErrNotExist
 	}
 	if flags == 0 {
 		flags = ORead
 	}
-	return p.openEntry(abs, dir, *entry, flags)
+	return p.openEntry(path, dir, entry, flags)
 }
 
 func (p *Process) openEntry(path string, dir kernel.ID, entry DirEntry, flags uint64) (int, error) {
@@ -82,7 +96,7 @@ func (p *Process) openEntry(path string, dir kernel.ID, entry DirEntry, flags ui
 	if err != nil {
 		return -1, err
 	}
-	fd := &FD{Seg: fdSeg, Path: path}
+	fd := &FD{Seg: fdSeg, Path: p.abs(path)}
 	if entry.Type == kernel.ObjContainer {
 		fd.Dir = entry.ID
 	} else {
@@ -109,6 +123,38 @@ func (p *Process) Close(num int) error {
 	return nil
 }
 
+// file returns the file segment a descriptor does positional I/O on.
+func (fd *FD) file() (kernel.CEnt, error) {
+	switch {
+	case fd.Pipe != nil:
+		return kernel.CEnt{}, ErrInvalid // no offsets in a pipe, as for Seek
+	case fd.File.Object == kernel.NilID:
+		return kernel.CEnt{}, ErrIsDir
+	}
+	return fd.File, nil
+}
+
+// readAt is the one body that reads a file's bytes: page the whole segment
+// in (Section 7.1), then read up to n bytes at off.
+func (p *Process) readAt(file kernel.CEnt, off int64, n int) ([]byte, error) {
+	if err := p.sys.pageInFile(file); err != nil {
+		return nil, mapKernelErr(err)
+	}
+	data, err := p.TC.SegmentRead(file, int(off), n)
+	return data, mapKernelErr(err)
+}
+
+// writeAt is the one body that writes a file's bytes: the write itself
+// (growing the quota when it must), the modification time, the mirror.
+func (p *Process) writeAt(file kernel.CEnt, off int64, data []byte) error {
+	if err := p.sys.segWrite(p.TC, file, int(off), data); err != nil {
+		return err
+	}
+	p.touchMtime(file)
+	p.sys.mirror(p.TC, file)
+	return nil
+}
+
 // Read reads from the descriptor at its current seek position.  The
 // descriptor's shared seek lock makes the read-position update atomic even
 // when related processes share the descriptor across fork.
@@ -120,8 +166,9 @@ func (p *Process) Read(num int, buf []byte) (int, error) {
 	if fd.Pipe != nil {
 		return p.pipeRead(fd.Pipe, buf)
 	}
-	if fd.File.Object == kernel.NilID {
-		return 0, ErrIsDir
+	file, err := fd.file()
+	if err != nil {
+		return 0, err
 	}
 	fd.seekMu.Lock()
 	defer fd.seekMu.Unlock()
@@ -129,18 +176,12 @@ func (p *Process) Read(num int, buf []byte) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := p.sys.pageInFile(fd.File); err != nil {
-		return 0, mapKernelErr(err)
-	}
-	data, err := p.TC.SegmentRead(fd.File, int(pos), len(buf))
+	data, err := p.readAt(file, pos, len(buf))
 	if err != nil {
-		return 0, mapKernelErr(err)
+		return 0, err
 	}
 	copy(buf, data)
-	if err := p.fdSetSeek(fd, pos+int64(len(data))); err != nil {
-		return len(data), err
-	}
-	return len(data), nil
+	return len(data), p.fdSetSeek(fd, pos+int64(len(data)))
 }
 
 // Pread reads at an explicit offset without moving the seek position.
@@ -149,18 +190,12 @@ func (p *Process) Pread(num int, buf []byte, off int64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if fd.File.Object == kernel.NilID {
-		return 0, ErrIsDir
-	}
-	if err := p.sys.pageInFile(fd.File); err != nil {
-		return 0, mapKernelErr(err)
-	}
-	data, err := p.TC.SegmentRead(fd.File, int(off), len(buf))
+	file, err := fd.file()
 	if err != nil {
-		return 0, mapKernelErr(err)
+		return 0, err
 	}
-	copy(buf, data)
-	return len(data), nil
+	data, err := p.readAt(file, off, len(buf))
+	return copy(buf, data), err
 }
 
 // Write writes at the descriptor's current seek position (or the end, with
@@ -173,8 +208,9 @@ func (p *Process) Write(num int, data []byte) (int, error) {
 	if fd.Pipe != nil {
 		return p.pipeWrite(fd.Pipe, data)
 	}
-	if fd.File.Object == kernel.NilID {
-		return 0, ErrIsDir
+	file, err := fd.file()
+	if err != nil {
+		return 0, err
 	}
 	fd.seekMu.Lock()
 	defer fd.seekMu.Unlock()
@@ -184,7 +220,7 @@ func (p *Process) Write(num int, data []byte) (int, error) {
 	}
 	var pos int64
 	if flags&OAppend != 0 {
-		n, err := p.TC.SegmentLen(fd.File)
+		n, err := p.TC.SegmentLen(file)
 		if err != nil {
 			return 0, mapKernelErr(err)
 		}
@@ -195,15 +231,10 @@ func (p *Process) Write(num int, data []byte) (int, error) {
 			return 0, err
 		}
 	}
-	if err := p.sys.segWrite(p.TC, fd.File, int(pos), data); err != nil {
+	if err := p.writeAt(file, pos, data); err != nil {
 		return 0, err
 	}
-	p.touchMtime(fd.File)
-	p.sys.persistFileAsync(p.TC, fd.File)
-	if err := p.fdSetSeek(fd, pos+int64(len(data))); err != nil {
-		return len(data), err
-	}
-	return len(data), nil
+	return len(data), p.fdSetSeek(fd, pos+int64(len(data)))
 }
 
 // Pwrite writes at an explicit offset without moving the seek position.
@@ -212,14 +243,13 @@ func (p *Process) Pwrite(num int, data []byte, off int64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if fd.File.Object == kernel.NilID {
-		return 0, ErrIsDir
-	}
-	if err := p.sys.segWrite(p.TC, fd.File, int(off), data); err != nil {
+	file, err := fd.file()
+	if err != nil {
 		return 0, err
 	}
-	p.touchMtime(fd.File)
-	p.sys.persistFileAsync(p.TC, fd.File)
+	if err := p.writeAt(file, off, data); err != nil {
+		return 0, err
+	}
 	return len(data), nil
 }
 
@@ -281,15 +311,11 @@ type FileInfo struct {
 
 // Stat returns metadata about a path.
 func (p *Process) Stat(path string) (FileInfo, error) {
-	abs := p.abs(path)
-	dir, leaf, entry, err := p.sys.resolve(p.TC, p.sys.RootDir, abs, p.mounts)
+	dir, entry, err := p.existing(path)
 	if err != nil {
 		return FileInfo{}, err
 	}
-	if entry == nil {
-		return FileInfo{}, ErrNotExist
-	}
-	fi := FileInfo{Name: leaf, ID: entry.ID, IsDir: entry.Type == kernel.ObjContainer}
+	fi := FileInfo{Name: entry.Name, ID: entry.ID, IsDir: entry.Type == kernel.ObjContainer}
 	var ce kernel.CEnt
 	if fi.IsDir {
 		ce = kernel.Self(entry.ID)
@@ -326,8 +352,7 @@ func (p *Process) Mkdir(path string, lbl label.Label) error {
 	if lbl.IsZero() {
 		lbl = p.DefaultFileLabel()
 	}
-	abs := p.abs(path)
-	dir, leaf, entry, err := p.sys.resolve(p.TC, p.sys.RootDir, abs, p.mounts)
+	dir, leaf, entry, err := p.lookup(path)
 	if err != nil {
 		return err
 	}
@@ -340,13 +365,9 @@ func (p *Process) Mkdir(path string, lbl label.Label) error {
 
 // ReadDir lists a directory.
 func (p *Process) ReadDir(path string) ([]DirEntry, error) {
-	abs := p.abs(path)
-	_, _, entry, err := p.sys.resolve(p.TC, p.sys.RootDir, abs, p.mounts)
+	_, entry, err := p.existing(path)
 	if err != nil {
 		return nil, err
-	}
-	if entry == nil {
-		return nil, ErrNotExist
 	}
 	if entry.Type != kernel.ObjContainer {
 		return nil, ErrNotDir
@@ -360,79 +381,63 @@ func (p *Process) ReadDir(path string) ([]DirEntry, error) {
 
 // Unlink removes a file or (empty) directory.
 func (p *Process) Unlink(path string) error {
-	abs := p.abs(path)
-	dir, leaf, entry, err := p.sys.resolve(p.TC, p.sys.RootDir, abs, p.mounts)
+	dir, entry, err := p.existing(path)
 	if err != nil {
 		return err
 	}
-	if entry == nil {
-		return ErrNotExist
-	}
 	if entry.Type == kernel.ObjContainer {
-		children, err := p.ReadDir(abs)
+		children, err := p.ReadDir(path)
 		if err == nil && len(children) > 0 {
 			return ErrNotEmpty
 		}
 	}
-	if _, err := p.sys.removeEntry(p.TC, dir, leaf); err != nil {
+	if err := p.sys.removeEntry(p.TC, dir, entry.Name); err != nil {
 		return err
 	}
-	if err := p.TC.Unref(dir, entry.ID); err != nil {
-		return mapKernelErr(err)
-	}
-	p.sys.persistDelete(entry.ID)
-	return nil
+	return p.sys.dropObject(p.TC, dir, entry)
 }
 
-// Rename renames a file within a directory, or moves it between directories.
-// The within-directory case is atomic under the directory mutex.
+// Rename renames a file within a directory, or moves it between directories,
+// replacing whatever held the new name.  The within-directory case is one
+// directory edit, so it is atomic under the directory mutex (Section 5.1's
+// atomic rename example).
 func (p *Process) Rename(oldPath, newPath string) error {
-	oldAbs, newAbs := p.abs(oldPath), p.abs(newPath)
-	oldDir, oldLeaf, oldEntry, err := p.sys.resolve(p.TC, p.sys.RootDir, oldAbs, p.mounts)
+	oldDir, oldEntry, err := p.existing(oldPath)
 	if err != nil {
 		return err
 	}
-	if oldEntry == nil {
-		return ErrNotExist
-	}
-	newDir, newLeaf, _, err := p.sys.resolve(p.TC, p.sys.RootDir, newAbs, p.mounts)
+	newDir, newLeaf, _, err := p.lookup(newPath)
 	if err != nil {
 		return err
 	}
 	if oldDir == newDir {
-		return p.sys.renameEntry(p.TC, oldDir, oldLeaf, newLeaf)
+		return p.sys.editDir(p.TC, oldDir, func(entries []DirEntry) ([]DirEntry, error) {
+			entries, src, err := takeEntry(entries, oldEntry.Name)
+			if err != nil {
+				return nil, err
+			}
+			src.Name = newLeaf
+			return p.sys.bindEntry(p.TC, oldDir, entries, src), nil
+		})
 	}
-	// Cross-directory: link into the new directory, then remove the old
-	// name.  The object must have a fixed quota to be multiply linked.
+	// Cross-directory: link into the new directory and bind the name there,
+	// then remove the old name and the old link.  The object must have a
+	// fixed quota to be multiply linked.
 	ce := kernel.CEnt{Container: oldDir, Object: oldEntry.ID}
 	_ = p.TC.ObjectSetFixedQuota(ce)
 	if err := p.TC.Link(newDir, ce); err != nil && err != kernel.ErrExists {
 		return mapKernelErr(err)
 	}
-	seg, err := p.sys.dirSegCE(p.TC, newDir)
+	err = p.sys.editDir(p.TC, newDir, func(entries []DirEntry) ([]DirEntry, error) {
+		return p.sys.bindEntry(p.TC, newDir, entries, DirEntry{Name: newLeaf, ID: oldEntry.ID, Type: oldEntry.Type}), nil
+	})
 	if err != nil {
 		return err
 	}
-	if err := p.sys.lockDir(p.TC, seg); err != nil {
-		return err
-	}
-	entries, err := p.sys.readDirEntriesLocked(p.TC, seg)
-	if err != nil {
-		p.sys.unlockDir(p.TC, seg)
-		return err
-	}
-	entries = append(entries, DirEntry{Name: newLeaf, ID: oldEntry.ID, Type: oldEntry.Type})
-	if err := p.sys.writeDirEntries(p.TC, seg, entries); err != nil {
-		p.sys.unlockDir(p.TC, seg)
-		return err
-	}
-	p.sys.unlockDir(p.TC, seg)
-	if _, err := p.sys.removeEntry(p.TC, oldDir, oldLeaf); err != nil {
+	if err := p.sys.removeEntry(p.TC, oldDir, oldEntry.Name); err != nil {
 		return err
 	}
 	_ = p.TC.Unref(oldDir, oldEntry.ID)
-	p.sys.persistDirectory(p.TC, oldDir)
-	p.sys.persistDirectory(p.TC, newDir)
 	return nil
 }
 
@@ -447,18 +452,7 @@ func (p *Process) ReadFile(path string) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.sys.pageInFile(f.File); err != nil {
-		return nil, mapKernelErr(err)
-	}
-	n, err := p.TC.SegmentLen(f.File)
-	if err != nil {
-		return nil, mapKernelErr(err)
-	}
-	data, err := p.TC.SegmentRead(f.File, 0, n)
-	if err != nil {
-		return nil, mapKernelErr(err)
-	}
-	return data, nil
+	return p.readAt(f.File, 0, maxSegRead)
 }
 
 // WriteFile is a convenience that creates (or truncates) a file and writes
@@ -484,35 +478,26 @@ func (p *Process) WriteFile(path string, data []byte, lbl label.Label) error {
 }
 
 // Fsync makes a file durable: the file's segment is synchronously appended
-// to the single-level store's write-ahead log.
+// to the single-level store's write-ahead log (a directory: see syncFiles).
 func (p *Process) Fsync(num int) error {
 	fd, err := p.getFD(num)
 	if err != nil {
 		return err
 	}
-	if fd.File.Object == kernel.NilID {
-		// fsync of a directory checkpoints the entire system state
-		// (Section 7.1's explanation for the synchronous unlink numbers).
-		return p.sys.SyncWholeSystem()
-	}
-	return p.sys.persistFileSync(p.TC, fd.File)
+	return p.sys.syncFiles(p.TC, fd.File)
 }
 
-// FsyncPath is Fsync by path: files sync their own segment, directories
-// checkpoint the whole system.
+// FsyncPath is Fsync by path.
 func (p *Process) FsyncPath(path string) error {
-	abs := p.abs(path)
-	dir, _, entry, err := p.sys.resolve(p.TC, p.sys.RootDir, abs, p.mounts)
+	dir, entry, err := p.existing(path)
 	if err != nil {
 		return err
 	}
-	if entry == nil {
-		return ErrNotExist
-	}
+	target := kernel.CEnt{Container: dir, Object: entry.ID}
 	if entry.Type == kernel.ObjContainer {
-		return p.sys.SyncWholeSystem()
+		target = kernel.CEnt{} // no file segment, as in a directory's descriptor
 	}
-	return p.sys.persistFileSync(p.TC, kernel.CEnt{Container: dir, Object: entry.ID})
+	return p.sys.syncFiles(p.TC, target)
 }
 
 // GroupSync checkpoints the entire system state once — the new consistency

@@ -40,69 +40,42 @@ func (sys *System) mkDirContainer(tc *kernel.ThreadCall, parent kernel.ID, name 
 	return dir, nil
 }
 
+// addEntry binds name in dir to the object create makes, and fails with
+// ErrExist — before anything is created — when the name is taken.
+func (sys *System) addEntry(tc *kernel.ThreadCall, dir kernel.ID, name string, typ kernel.ObjectType, create func() (kernel.ID, error)) (kernel.ID, error) {
+	var id kernel.ID
+	err := sys.editDir(tc, dir, func(entries []DirEntry) ([]DirEntry, error) {
+		if findEntry(entries, name) >= 0 {
+			return nil, ErrExist
+		}
+		var err error
+		if id, err = create(); err != nil {
+			return nil, err
+		}
+		return append(entries, DirEntry{Name: name, ID: id, Type: typ}), nil
+	})
+	return id, err
+}
+
 // mkdirIn creates a named subdirectory inside dir and records it in dir's
 // directory segment.
 func (sys *System) mkdirIn(tc *kernel.ThreadCall, dir kernel.ID, name string, lbl label.Label) (kernel.ID, error) {
-	seg, err := sys.dirSegCE(tc, dir)
-	if err != nil {
-		return kernel.NilID, err
-	}
-	if err := sys.lockDir(tc, seg); err != nil {
-		return kernel.NilID, err
-	}
-	defer sys.unlockDir(tc, seg)
-	entries, err := sys.readDirEntriesLocked(tc, seg)
-	if err != nil {
-		return kernel.NilID, err
-	}
-	for _, e := range entries {
-		if e.Name == name {
-			return kernel.NilID, ErrExist
-		}
-	}
-	child, err := sys.mkDirContainer(tc, dir, name, lbl)
-	if err != nil {
-		return kernel.NilID, err
-	}
-	entries = append(entries, DirEntry{Name: name, ID: child, Type: kernel.ObjContainer})
-	if err := sys.writeDirEntries(tc, seg, entries); err != nil {
-		return kernel.NilID, err
-	}
-	sys.persistDirectory(tc, dir)
-	return child, nil
+	return sys.addEntry(tc, dir, name, kernel.ObjContainer, func() (kernel.ID, error) {
+		return sys.mkDirContainer(tc, dir, name, lbl)
+	})
 }
 
 // createFileIn creates a file segment named name inside dir with the given
 // label.
 func (sys *System) createFileIn(tc *kernel.ThreadCall, dir kernel.ID, name string, lbl label.Label) (kernel.ID, error) {
-	seg, err := sys.dirSegCE(tc, dir)
-	if err != nil {
-		return kernel.NilID, err
-	}
-	if err := sys.lockDir(tc, seg); err != nil {
-		return kernel.NilID, err
-	}
-	defer sys.unlockDir(tc, seg)
-	entries, err := sys.readDirEntriesLocked(tc, seg)
-	if err != nil {
-		return kernel.NilID, err
-	}
-	for _, e := range entries {
-		if e.Name == name {
-			return kernel.NilID, ErrExist
+	return sys.addEntry(tc, dir, name, kernel.ObjSegment, func() (kernel.ID, error) {
+		file, err := tc.SegmentCreate(dir, lbl, "file:"+truncName(name), 0)
+		if err != nil {
+			return kernel.NilID, mapKernelErr(err)
 		}
-	}
-	file, err := tc.SegmentCreate(dir, lbl, "file:"+truncName(name), 0)
-	if err != nil {
-		return kernel.NilID, mapKernelErr(err)
-	}
-	sys.persistLabel(file, lbl)
-	entries = append(entries, DirEntry{Name: name, ID: file, Type: kernel.ObjSegment})
-	if err := sys.writeDirEntries(tc, seg, entries); err != nil {
-		return kernel.NilID, err
-	}
-	sys.persistDirectory(tc, dir)
-	return file, nil
+		sys.persistLabel(file, lbl)
+		return file, nil
+	})
 }
 
 func truncName(s string) string {
@@ -122,83 +95,62 @@ func (sys *System) lookupEntry(tc *kernel.ThreadCall, dir kernel.ID, name string
 	if err != nil {
 		return DirEntry{}, err
 	}
-	for _, e := range entries {
-		if e.Name == name {
-			return e, nil
-		}
+	if i := findEntry(entries, name); i >= 0 {
+		return entries[i], nil
 	}
 	return DirEntry{}, ErrNotExist
+}
+
+// takeEntry is the edit step that removes name from entries and returns what
+// it was bound to.
+func takeEntry(entries []DirEntry, name string) ([]DirEntry, DirEntry, error) {
+	i := findEntry(entries, name)
+	if i < 0 {
+		return nil, DirEntry{}, ErrNotExist
+	}
+	e := entries[i]
+	return append(entries[:i], entries[i+1:]...), e, nil
 }
 
 // removeEntry removes a name binding from a directory (the object itself is
 // unreferenced by the caller).
-func (sys *System) removeEntry(tc *kernel.ThreadCall, dir kernel.ID, name string) (DirEntry, error) {
-	seg, err := sys.dirSegCE(tc, dir)
-	if err != nil {
-		return DirEntry{}, err
-	}
-	if err := sys.lockDir(tc, seg); err != nil {
-		return DirEntry{}, err
-	}
-	defer sys.unlockDir(tc, seg)
-	entries, err := sys.readDirEntriesLocked(tc, seg)
-	if err != nil {
-		return DirEntry{}, err
-	}
-	for i, e := range entries {
-		if e.Name == name {
-			entries = append(entries[:i], entries[i+1:]...)
-			if err := sys.writeDirEntries(tc, seg, entries); err != nil {
-				return DirEntry{}, err
-			}
-			sys.persistDirectory(tc, dir)
-			return e, nil
-		}
-	}
-	return DirEntry{}, ErrNotExist
+func (sys *System) removeEntry(tc *kernel.ThreadCall, dir kernel.ID, name string) error {
+	return sys.editDir(tc, dir, func(entries []DirEntry) ([]DirEntry, error) {
+		entries, _, err := takeEntry(entries, name)
+		return entries, err
+	})
 }
 
-// renameEntry atomically renames oldName to newName within a single
-// directory by holding the directory mutex across the update (Section 5.1's
-// atomic rename example).
-func (sys *System) renameEntry(tc *kernel.ThreadCall, dir kernel.ID, oldName, newName string) error {
-	seg, err := sys.dirSegCE(tc, dir)
-	if err != nil {
-		return err
+// bindEntry is the edit step that binds e.Name to e's object, replacing —
+// and dropping from dir — whatever else held the name (Unix rename
+// semantics).  e's object must already be linked in dir.
+func (sys *System) bindEntry(tc *kernel.ThreadCall, dir kernel.ID, entries []DirEntry, e DirEntry) []DirEntry {
+	i := findEntry(entries, e.Name)
+	if i < 0 {
+		return append(entries, e)
 	}
-	if err := sys.lockDir(tc, seg); err != nil {
-		return err
+	if victim := entries[i]; victim.ID != e.ID {
+		_ = sys.dropObject(tc, dir, victim)
 	}
-	defer sys.unlockDir(tc, seg)
-	entries, err := sys.readDirEntriesLocked(tc, seg)
-	if err != nil {
-		return err
-	}
-	var src *DirEntry
-	dstIdx := -1
-	for i := range entries {
-		if entries[i].Name == oldName {
-			src = &entries[i]
+	entries[i] = e
+	return entries
+}
+
+// dropObject removes dir's reference to the object a directory entry named
+// and deletes what the store mirrored for it: the segment of a file, the
+// directory segment of a directory (looked up first — once the container is
+// gone nothing names it).
+func (sys *System) dropObject(tc *kernel.ThreadCall, dir kernel.ID, e DirEntry) error {
+	mirrored := e.ID
+	if e.Type == kernel.ObjContainer {
+		if seg, err := sys.dirSegCE(tc, e.ID); err == nil {
+			mirrored = seg.Object
 		}
-		if entries[i].Name == newName {
-			dstIdx = i
-		}
 	}
-	if src == nil {
-		return ErrNotExist
+	if err := tc.Unref(dir, e.ID); err != nil {
+		return mapKernelErr(err)
 	}
-	src.Name = newName
-	if dstIdx >= 0 {
-		// Replace the existing target (Unix rename semantics).
-		victim := entries[dstIdx]
-		entries = append(entries[:dstIdx], entries[dstIdx+1:]...)
-		_ = tc.Unref(dir, victim.ID)
-		sys.persistDelete(victim.ID)
-	}
-	if err := sys.writeDirEntries(tc, seg, entries); err != nil {
-		return err
-	}
-	sys.persistDirectory(tc, dir)
+	sys.persistDelete(mirrored)
 	return nil
 }
 
@@ -224,32 +176,27 @@ func (sys *System) resolve(tc *kernel.ThreadCall, rootDir kernel.ID, path string
 			}
 		}
 	}
+	// cleanPath left no empty or "." component: every part names an entry.
 	parts := strings.Split(strings.Trim(rest, "/"), "/")
-	for i, part := range parts {
-		if part == "" || part == "." {
-			continue
-		}
-		last := i == len(parts)-1
-		e, lerr := sys.lookupEntry(tc, cur, part)
-		if last {
-			if lerr != nil {
-				if errors.Is(lerr, ErrNotExist) {
-					return cur, part, nil, nil
-				}
-				return kernel.NilID, "", nil, lerr
-			}
-			ecopy := e
-			return cur, part, &ecopy, nil
-		}
-		if lerr != nil {
-			return kernel.NilID, "", nil, lerr
+	leaf = parts[len(parts)-1]
+	for _, part := range parts[:len(parts)-1] {
+		e, err := sys.lookupEntry(tc, cur, part)
+		if err != nil {
+			return kernel.NilID, "", nil, err
 		}
 		if e.Type != kernel.ObjContainer {
 			return kernel.NilID, "", nil, ErrNotDir
 		}
 		cur = e.ID
 	}
-	return cur, ".", &DirEntry{Name: ".", ID: cur, Type: kernel.ObjContainer}, nil
+	e, err := sys.lookupEntry(tc, cur, leaf)
+	if errors.Is(err, ErrNotExist) {
+		return cur, leaf, nil, nil
+	}
+	if err != nil {
+		return kernel.NilID, "", nil, err
+	}
+	return cur, leaf, &e, nil
 }
 
 func cleanPath(p string) string {
@@ -346,29 +293,26 @@ func (m *MountTable) match(path string) (kernel.ID, string, bool) {
 	return bestID, strings.TrimPrefix(path, best), true
 }
 
-// segWrite writes data to a segment, growing its quota through quota_move
-// when necessary (the library's automatic quota management).
-func (sys *System) segWrite(tc *kernel.ThreadCall, seg kernel.CEnt, off int, data []byte) error {
-	err := tc.SegmentWrite(seg, off, data)
+// withQuota is the library's automatic quota management: it runs op, and
+// when op fails for want of quota it moves in enough for the segment to be n
+// bytes long (with room to grow) through quota_move and runs op again.
+func (sys *System) withQuota(tc *kernel.ThreadCall, seg kernel.CEnt, n int, op func() error) error {
+	err := op()
 	if errors.Is(err, kernel.ErrQuota) {
-		need := int64(off+len(data))*2 + 64*1024
-		if qerr := tc.QuotaMove(seg.Container, seg.Object, need); qerr != nil {
+		if qerr := tc.QuotaMove(seg.Container, seg.Object, int64(n)*2+64*1024); qerr != nil {
 			return mapKernelErr(qerr)
 		}
-		err = tc.SegmentWrite(seg, off, data)
+		err = op()
 	}
 	return mapKernelErr(err)
 }
 
+// segWrite writes data to a segment, growing its quota when necessary.
+func (sys *System) segWrite(tc *kernel.ThreadCall, seg kernel.CEnt, off int, data []byte) error {
+	return sys.withQuota(tc, seg, off+len(data), func() error { return tc.SegmentWrite(seg, off, data) })
+}
+
 // segResize resizes a segment, growing its quota when necessary.
 func (sys *System) segResize(tc *kernel.ThreadCall, seg kernel.CEnt, n int) error {
-	err := tc.SegmentResize(seg, n)
-	if errors.Is(err, kernel.ErrQuota) {
-		need := int64(n)*2 + 64*1024
-		if qerr := tc.QuotaMove(seg.Container, seg.Object, need); qerr != nil {
-			return mapKernelErr(qerr)
-		}
-		err = tc.SegmentResize(seg, n)
-	}
-	return mapKernelErr(err)
+	return sys.withQuota(tc, seg, n, func() error { return tc.SegmentResize(seg, n) })
 }

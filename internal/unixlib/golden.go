@@ -5,7 +5,6 @@ import (
 
 	"histar/internal/kernel"
 	"histar/internal/label"
-	"histar/internal/store"
 )
 
 // Golden-image spawn: the O(metadata) sandbox fast-path.
@@ -23,42 +22,6 @@ import (
 // cleaner never reclaims extents a golden image still pins, and every clone
 // validates the bundle first, so a rotted shared extent fails the spawn with
 // a typed error instead of silently fanning bad bytes out to every sandbox.
-
-// snapshotSink bridges kernel container snapshots to the store's bundle
-// layer: captured segments become store objects pinned by a refcounted
-// bundle, clones become extent-sharing aliases, and validation goes to the
-// bundle's CRC walk.  Attached by Boot when a persistent store is present.
-type snapshotSink struct {
-	st *store.Store
-}
-
-func (s snapshotSink) Record(name string, objs []kernel.SnapshotObjectData) (uint64, error) {
-	ids := make([]uint64, 0, len(objs))
-	for _, o := range objs {
-		if err := s.st.PutLabeled(o.ID, o.Label, o.Data); err != nil {
-			return 0, err
-		}
-		ids = append(ids, o.ID)
-	}
-	return s.st.SnapshotBundle(name, ids)
-}
-
-func (s snapshotSink) Validate(storeLineage uint64) error {
-	return s.st.ValidateBundle(storeLineage)
-}
-
-func (s snapshotSink) Clone(storeLineage uint64, pairs []kernel.ClonePair) error {
-	for _, p := range pairs {
-		if err := s.st.CloneObjectLabeled(storeLineage, p.SrcID, p.DstID, p.Label); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (s snapshotSink) Drop(storeLineage uint64) error {
-	return s.st.DeleteBundle(storeLineage)
-}
 
 // GoldenImage describes one baked sandbox image.
 type GoldenImage struct {

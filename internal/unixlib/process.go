@@ -107,11 +107,10 @@ func (p *Process) Cwd() string {
 
 // Chdir changes the working directory.
 func (p *Process) Chdir(path string) error {
-	dir, _, entry, err := p.sys.resolve(p.TC, p.sys.RootDir, p.abs(path), p.mounts)
+	_, _, entry, err := p.lookup(path)
 	if err != nil {
 		return err
 	}
-	_ = dir
 	if entry == nil || entry.Type != kernel.ObjContainer {
 		return ErrNotDir
 	}
@@ -532,7 +531,7 @@ func (p *Process) shareFDs(child *Process, link bool) {
 // (317 syscalls on the paper's measurement; likewise much more expensive
 // than Spawn here).
 func (p *Process) Exec(path string, args []string) error {
-	prog, ok := p.sys.LookupProgram(p.sys.execPath(p, path)) // resolve via cwd
+	prog, ok := p.sys.LookupProgram(p.abs(path)) // resolve via cwd
 	if !ok {
 		return ErrNoProgram
 	}
@@ -555,10 +554,6 @@ func (p *Process) Exec(path string, args []string) error {
 	}
 	go p.run(prog, args)
 	return nil
-}
-
-func (sys *System) execPath(p *Process, path string) string {
-	return p.abs(path)
 }
 
 // Run executes fn as the body of this process on the calling goroutine and

@@ -6,15 +6,11 @@ import (
 	"histar/internal/kernel"
 )
 
-// Ring-driven multi-FD I/O: the second unixlib hot path converted to the
-// kernel's batched submission interface.  A server flushing many dirty files
-// used to pay, per file, a write syscall, a length syscall, a read-back
-// syscall, and — the expensive part — one write-ahead-log flush for the
-// fsync.  Here all files' kernel work goes through one ring batch (writes
-// and read-backs coalesce to one lock round-trip per file) and all fsyncs
-// are dispatched to the store as a single SyncObjects group, which the group
-// committer turns into dense log batches: one flush per
-// GroupCommitRecords-sized batch instead of one per file.
+// Ring-driven multi-FD I/O, for a server flushing many dirty files: call by
+// call it would pay, per file, a write syscall, a read-back syscall, and — the
+// expensive part — one write-ahead-log flush for the fsync.  Here all files'
+// writes go through one ring batch (same-file writes coalesce to one lock
+// round-trip) and syncFiles mirrors and commits them as one group.
 
 // WriteOp is one positional write of a writev/fsync fan-out.
 type WriteOp struct {
@@ -29,83 +25,49 @@ type WriteOp struct {
 // submission order); the first error is returned after all ops have been
 // attempted, matching the per-call loop it replaces.
 func (p *Process) PwritevFsync(ops []WriteOp) (int, error) {
-	if len(ops) == 0 {
-		return 0, nil
-	}
-	// Resolve descriptors and collect the distinct target files in
-	// first-appearance order.
-	files := make([]kernel.CEnt, 0, len(ops))
+	// Resolve descriptors, collect the distinct target files in
+	// first-appearance order, and queue every write on one ring batch.
+	var files []kernel.CEnt
 	seen := make(map[kernel.ID]bool, len(ops))
-	targets := make([]kernel.CEnt, len(ops))
+	targets := make([]kernel.CEnt, len(ops)) // zero where the op did not resolve
 	var firstErr error
+	r := p.TC.NewRing()
 	for i, op := range ops {
 		fd, err := p.getFD(op.FD)
+		if err == nil {
+			targets[i], err = fd.file()
+		}
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		if fd.File.Object == kernel.NilID {
-			if firstErr == nil {
-				firstErr = ErrIsDir
-			}
-			continue
-		}
-		targets[i] = fd.File
-		if !seen[fd.File.Object] {
-			seen[fd.File.Object] = true
-			files = append(files, fd.File)
-		}
-	}
-
-	// One ring batch: every write, plus one whole-segment read-back per file
-	// for the persistence mirror.  Same-object entries execute in submission
-	// order, so each file's read-back sees all its writes.
-	r := p.TC.NewRing()
-	writeIdx := make([]int, len(ops)) // op -> completion index, -1 if unresolved
-	for i := range writeIdx {
-		writeIdx[i] = -1
-	}
-	n := 0
-	for i, op := range ops {
-		if targets[i].Object == kernel.NilID {
-			continue
+		if !seen[targets[i].Object] {
+			seen[targets[i].Object] = true
+			files = append(files, targets[i])
 		}
 		r.Submit(kernel.RingEntry{
 			Op: kernel.OpSegmentWrite, Seg: targets[i], Off: int(op.Off), Data: op.Data,
 		})
-		writeIdx[i] = n
-		n++
 	}
-	readIdx := make(map[kernel.ID]int, len(files))
-	if p.sys.Persist != nil {
-		for _, f := range files {
-			r.Submit(kernel.RingEntry{Op: kernel.OpSegmentRead, Seg: f, Off: 0, Len: maxSegRead})
-			readIdx[f.Object] = n
-			n++
-		}
-	}
-	comps, err := r.Wait(n)
+	comps, err := r.Wait(0) // any count: a Wait completes every pending entry
 	if err != nil {
 		return 0, mapKernelErr(err)
 	}
 
-	// Settle the writes.  A quota failure falls back to the library's
-	// quota_move retry path, so ring submission keeps Pwrite's semantics for
-	// files that outgrow their slack; a fallback write invalidates the ring
-	// read-back (it ran before the retry), so those files re-mirror through
-	// persistFileAsync below.
-	total := 0
-	stale := make(map[kernel.ID]bool)
+	// Settle the writes.  A quota failure falls back to writeAt and its
+	// quota_move retry, so ring submission keeps Pwrite's semantics for files
+	// that outgrow their slack.
+	total, ci := 0, 0
 	for i, op := range ops {
-		if writeIdx[i] < 0 {
+		if targets[i].Object == kernel.NilID {
 			continue
 		}
-		werr := comps[writeIdx[i]].Err
+		werr := comps[ci].Err
+		ci++
 		if errors.Is(werr, kernel.ErrQuota) {
-			werr = p.sys.segWrite(p.TC, targets[i], int(op.Off), op.Data)
-			stale[targets[i].Object] = true
+			werr = p.writeAt(targets[i], op.Off, op.Data)
 		} else {
 			werr = mapKernelErr(werr)
 		}
@@ -120,32 +82,16 @@ func (p *Process) PwritevFsync(ops []WriteOp) (int, error) {
 	for _, f := range files {
 		p.touchMtime(f)
 	}
-	if p.sys.Persist == nil {
-		return total, firstErr
-	}
-	for _, f := range files {
-		if ci, ok := readIdx[f.Object]; ok && !stale[f.Object] && comps[ci].Err == nil {
-			_ = p.sys.Persist.Put(uint64(f.Object), comps[ci].Val)
-		} else {
-			p.sys.persistFileAsync(p.TC, f)
-		}
-	}
-
-	// One sync batch: the ring hands every file to the store as a single
-	// pre-formed group — at most ⌈files/GroupCommitRecords⌉ log flushes.
-	if err := p.sys.ringSyncFiles(p.TC, files); err != nil && firstErr == nil {
+	if err := p.sys.syncFiles(p.TC, files...); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return total, firstErr
 }
 
 // FsyncMany is fsync over many descriptors at once: every file is mirrored
-// into the store (whole-segment ring reads, one batch) and committed as one
-// group sync.  fsync of a directory keeps its Checkpoint semantics.
+// into the store and committed as one group sync.
 func (p *Process) FsyncMany(nums []int) error {
-	var files []kernel.CEnt
-	seen := make(map[kernel.ID]bool, len(nums))
-	checkpoint := false
+	targets := make([]kernel.CEnt, 0, len(nums))
 	var firstErr error
 	for _, num := range nums {
 		fd, err := p.getFD(num)
@@ -155,65 +101,10 @@ func (p *Process) FsyncMany(nums []int) error {
 			}
 			continue
 		}
-		if fd.File.Object == kernel.NilID {
-			checkpoint = true
-			continue
-		}
-		if !seen[fd.File.Object] {
-			seen[fd.File.Object] = true
-			files = append(files, fd.File)
-		}
+		targets = append(targets, fd.File)
 	}
-	if p.sys.Persist == nil {
-		return firstErr
-	}
-	if len(files) > 0 {
-		r := p.TC.NewRing()
-		for _, f := range files {
-			r.Submit(kernel.RingEntry{Op: kernel.OpSegmentRead, Seg: f, Off: 0, Len: maxSegRead})
-		}
-		comps, err := r.Wait(len(files))
-		if err != nil {
-			return mapKernelErr(err)
-		}
-		for i, f := range files {
-			if comps[i].Err == nil {
-				_ = p.sys.Persist.Put(uint64(f.Object), comps[i].Val)
-			}
-		}
-		if err := p.sys.ringSyncFiles(p.TC, files); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if checkpoint {
-		// A directory among the descriptors checkpoints the whole system,
-		// after the per-file syncs so it also covers them.
-		if err := p.sys.SyncWholeSystem(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+	if err := p.sys.syncFiles(p.TC, targets...); err != nil && firstErr == nil {
+		firstErr = err
 	}
 	return firstErr
-}
-
-// ringSyncFiles commits the files' mirrored states durably through one ring
-// sync batch: a single SyncObjects group for the store's committer.
-func (sys *System) ringSyncFiles(tc *kernel.ThreadCall, files []kernel.CEnt) error {
-	if sys.Persist == nil || len(files) == 0 {
-		return nil
-	}
-	r := tc.NewRing()
-	r.SetSyncer(sys.Persist)
-	for _, f := range files {
-		r.Submit(kernel.RingEntry{Op: kernel.OpSync, Seg: f})
-	}
-	comps, err := r.Wait(len(files))
-	if err != nil {
-		return mapKernelErr(err)
-	}
-	for i := range comps {
-		if comps[i].Err != nil {
-			return mapKernelErr(comps[i].Err)
-		}
-	}
-	return nil
 }

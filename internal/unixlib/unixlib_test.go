@@ -286,6 +286,10 @@ func TestPipes(t *testing.T) {
 	if err != nil || n != 0 {
 		t.Errorf("read after writer close = %d, %v", n, err)
 	}
+	// A pipe has no offsets: positional I/O is invalid, as Seek is.
+	if _, err := p.Pread(r, buf, 0); !errors.Is(err, ErrInvalid) {
+		t.Errorf("Pread on a pipe: %v, want ErrInvalid", err)
+	}
 	// Writing to a pipe whose reader is closed fails.
 	r2, w2, _ := p.Pipe()
 	p.Close(r2)

@@ -328,17 +328,6 @@ func ProfileApp(worker *unixlib.Process, user, path string) (string, error) {
 	case strings.HasPrefix(path, "/profile/set/"):
 		value := strings.TrimPrefix(path, "/profile/set/")
 		if err := worker.WriteFile(profile, []byte(value), label.Label{}); err != nil {
-			if err == unixlib.ErrExist {
-				fd, oerr := worker.Open(profile, unixlib.OWrite)
-				if oerr != nil {
-					return "", oerr
-				}
-				defer worker.Close(fd)
-				if _, werr := worker.Write(fd, []byte(value)); werr != nil {
-					return "", werr
-				}
-				return "updated", nil
-			}
 			return "", err
 		}
 		return "stored", nil
