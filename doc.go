@@ -19,7 +19,7 @@
 // The single-level store (internal/store) makes labels first-class durable
 // state: every SyncObject log record carries the object's contents and
 // canonical label in one atomic commit (see the internal/wal package
-// comment for the record format), checkpoints are copy-on-write
+// comment for the frame and record format), checkpoints are copy-on-write
 // so a torn write can never corrupt the referenced snapshot, and a
 // fingerprint-keyed B+-tree index — in memory only, rebuilt from the
 // persisted labels at every open — answers "every object labeled exactly
@@ -34,8 +34,9 @@
 // store-wide RWMutex serves only as the stop-the-world checkpoint gate.
 // Concurrent SyncObject calls flow through a leader/follower group
 // committer — sealed records batch into one wal.AppendBatch plus a single
-// Commit and flush, with every syncer waiting on a commit ticket — so
-// many fsyncs share one log write (see the internal/store package comment
+// Commit, which is one frame written at the log's tail and one flush, with
+// every syncer waiting on a commit ticket — so many fsyncs share one log
+// write and none of them seeks (see the internal/store package comment
 // for the locking discipline and the group-commit protocol's
 // crash-consistency invariants).  A crash-injection harness (disk.FaultDisk
 // plus the recovery tests in internal/store) replays every write-boundary

@@ -3,7 +3,9 @@
 // sustained bandwidth).  Reads and writes move data in an in-memory sector
 // array and charge simulated time to a vclock.Clock, modelling seek and
 // rotational latency for discontiguous accesses, pure transfer time for
-// sequential ones, a volatile write cache, and firmware read look-ahead.
+// sequential ones, a volatile write cache whose flush is a barrier (the write
+// that follows it at the same place waits out a revolution), and firmware
+// read look-ahead.
 //
 // The single-level store (package store), the write-ahead log (package wal),
 // and the Linux-like baseline file system (package baseline) all run on this
@@ -37,7 +39,8 @@ type Params struct {
 	BandwidthBytesPerSec float64
 	// WriteCache enables the volatile write cache: cached writes cost only
 	// transfer time and become durable (and billed for positioning) at the
-	// next Flush.
+	// next Flush.  That Flush is a barrier: a write that then continues
+	// exactly where it ended waits a full revolution (2 × RotationalLatency).
 	WriteCache bool
 	// ReadAhead enables firmware read look-ahead: after a read, the
 	// following ReadAhead bytes are considered prefetched and a subsequent
@@ -81,7 +84,11 @@ type Disk struct {
 	clock  *vclock.Clock
 	data   []byte
 
-	headPos    int64 // byte offset the head is positioned after the last op
+	headPos int64 // byte offset the head is positioned after the last op
+	// barrier is set by a Flush that destaged something and cleared by the
+	// next access: the host waited for the platter, so a write that starts
+	// exactly at headPos has just missed its sector.
+	barrier    bool
 	prefetchLo int64 // [lo, hi) window considered prefetched
 	prefetchHi int64
 	dirty      map[int64][]byte // write-cache contents keyed by byte offset
@@ -152,7 +159,16 @@ const skipThreshold = 2 << 20
 // position charges positioning cost for an access at off, honouring
 // sequentiality, short forward skips, and the prefetch window for reads.
 func (d *Disk) position(off int64, n int64, isRead bool) {
+	afterFlush := d.barrier
+	d.barrier = false
 	if off == d.headPos {
+		if afterFlush && !isRead {
+			// Sequential, but across a flush barrier: by the time the host
+			// has seen the flush complete and sent this write, the sector
+			// after the last one written has gone by, and the platter must
+			// come round again — a full revolution, no seek.
+			d.charge(2 * d.params.RotationalLatency)
+		}
 		return // sequential: no positioning cost
 	}
 	if isRead && d.params.ReadAhead > 0 && off >= d.prefetchLo && off+n <= d.prefetchHi {
@@ -255,8 +271,8 @@ func (d *Disk) invalidatePrefetch(off, n int64) {
 }
 
 // Flush makes all cached writes durable, charging positioning costs for each
-// discontiguous run.  It is a no-op when the write cache is disabled or
-// empty.
+// discontiguous run, and leaves a barrier behind (see position).  It is a
+// no-op when the write cache is disabled or empty.
 func (d *Disk) Flush() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -307,6 +323,7 @@ func (d *Disk) Flush() error {
 	}
 	d.dirty = make(map[int64][]byte)
 	d.dirtyBytes = 0
+	d.barrier = true
 	return partial
 }
 
@@ -322,7 +339,7 @@ func (d *Disk) FailNextFlush(err error) {
 // bytes of the cache (ascending offset order, whole sectors) and then return
 // err with the remaining cached writes dropped — power failing in the middle
 // of a cache destage.  The group-commit crash tests use it to tear a batch's
-// flush between the log body and the header (or inside either).
+// frame at any sector of its flush.
 func (d *Disk) FailFlushAfter(n int64, err error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -338,7 +355,7 @@ func (d *Disk) Crash() {
 	d.dirty = make(map[int64][]byte)
 	d.dirtyBytes = 0
 	d.prefetchLo, d.prefetchHi = 0, 0
-	d.headPos = 0
+	d.headPos, d.barrier = 0, false
 }
 
 // SetReadAhead enables or disables the firmware look-ahead window at run

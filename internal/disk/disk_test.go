@@ -96,6 +96,69 @@ func TestWriteCacheDefersPositioningCost(t *testing.T) {
 	}
 }
 
+func TestWriteAfterFlushWaitsARevolution(t *testing.T) {
+	// A flush is a barrier: the host sees it complete before sending the
+	// next write, and by then the sector after the last one written has gone
+	// by.  A write that continues exactly there costs a full revolution (no
+	// seek); writes destaged together still stream, and a write elsewhere
+	// pays its own positioning, not the revolution on top.
+	p := Params{SeekTime: 8 * time.Millisecond, RotationalLatency: 4 * time.Millisecond, WriteCache: true}
+	buf := make([]byte, 4096)
+	rev := 2 * p.RotationalLatency
+
+	d, clk := testDisk(p)
+	d.WriteAt(buf, 0)
+	d.Flush()
+	for i := int64(1); i <= 10; i++ {
+		before := clk.Now()
+		d.WriteAt(buf, i*4096)
+		d.Flush()
+		if got, want := clk.Now()-before, rev+d.transferTime(4096); got != want {
+			t.Fatalf("write+flush %d at the tail cost %v, want one revolution plus transfer = %v", i, got, want)
+		}
+	}
+	if s := d.Stats(); s.Seeks != 0 {
+		t.Errorf("tail writes counted %d seeks, want 0", s.Seeks)
+	}
+
+	// Two adjacent writes under one flush: one revolution, not two.
+	before := clk.Now()
+	d.WriteAt(buf, 11*4096)
+	d.WriteAt(buf, 12*4096)
+	d.Flush()
+	if got, want := clk.Now()-before, rev+2*d.transferTime(4096); got != want {
+		t.Errorf("two writes under one flush cost %v, want %v", got, want)
+	}
+
+	// A read in between takes the barrier with it.
+	d.ReadAt(buf, 13*4096)
+	before = clk.Now()
+	d.WriteAt(buf, 14*4096)
+	d.Flush()
+	if got, want := clk.Now()-before, d.transferTime(4096); got != want {
+		t.Errorf("write after an intervening read cost %v, want transfer only = %v", got, want)
+	}
+
+	// Elsewhere: a seek, and no revolution on top of it.
+	before = clk.Now()
+	d.WriteAt(buf, 16<<20)
+	d.Flush()
+	if got, want := clk.Now()-before, p.SeekTime+p.RotationalLatency+d.transferTime(4096); got != want {
+		t.Errorf("write elsewhere after a flush cost %v, want %v", got, want)
+	}
+
+	// With the cache off there is no flush to wait for: sequential
+	// write-through still streams.
+	wt, clkWT := testDisk(Params{SeekTime: p.SeekTime, RotationalLatency: p.RotationalLatency})
+	for i := int64(0); i < 10; i++ {
+		wt.WriteAt(buf, i*4096)
+		wt.Flush()
+	}
+	if got, want := clkWT.Now(), 10*wt.transferTime(4096); got != want {
+		t.Errorf("write-through sequential writes cost %v, want %v", got, want)
+	}
+}
+
 func TestReadServesCachedWrites(t *testing.T) {
 	d, _ := testDisk(Params{WriteCache: true})
 	d.WriteAt([]byte("cached!!"), 1024)

@@ -14,6 +14,7 @@ package store
 // multiset always leaves an odd — hence nonzero and detectable — net flip).
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -23,6 +24,7 @@ import (
 	"histar/internal/disk"
 	"histar/internal/label"
 	"histar/internal/vclock"
+	"histar/internal/wal"
 )
 
 const (
@@ -349,17 +351,14 @@ func TestBitRotWALTailReplaysValidPrefix(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Locate the committed tail from the on-disk log header and damage the
-	// last record.
-	hdr := make([]byte, 16)
-	if _, err := fd.ReadAt(hdr, logOffset); err != nil {
-		t.Fatal(err)
+	// The log records no committed length: the tail is where the log's own
+	// walk ends.  Its last 32 bytes are the third frame's trailing
+	// descriptor; damage the end of the record under it.
+	live := s.l.LiveBytes()
+	if live < 3*(96+19) {
+		t.Fatalf("log holds %d bytes, expected three frames", live)
 	}
-	committed := int64(binary.LittleEndian.Uint64(hdr[8:]))
-	if committed < 32 {
-		t.Fatalf("committed = %d, expected three records", committed)
-	}
-	tail := disk.Region{Off: logOffset + 32 + committed - 16, Len: 16}
+	tail := disk.Region{Off: logOffset + 32 + live - 32 - 16, Len: 16}
 	if err := fd.RotBits(tail, 1, 11); err != nil {
 		t.Fatal(err)
 	}
@@ -603,6 +602,36 @@ func TestOtherFormatVersionsRefusedNotLoaded(t *testing.T) {
 			}
 		})
 	}
+	// The log has one version too, but no second copy to fall back on: an
+	// intact header stamped with the retired format 4 refuses the mount, and
+	// the refusal leaves the region as it found it.
+	t.Run("wal-v4", func(t *testing.T) {
+		s, fd := rotStore(t)
+		populateGenerations(t, s)
+		hdr := make([]byte, 32)
+		if _, err := fd.ReadAt(hdr, logOffset); err != nil {
+			t.Fatal(err)
+		}
+		hdr[4] = 4
+		binary.LittleEndian.PutUint32(hdr[16:], crc32c(hdr[:16]))
+		if _, err := fd.WriteAt(hdr, logOffset); err != nil {
+			t.Fatal(err)
+		}
+		region := func() []byte {
+			b := make([]byte, rotLogSize)
+			if _, err := fd.ReadAt(b, logOffset); err != nil {
+				t.Fatal(err)
+			}
+			return b
+		}
+		before := region()
+		if _, err := Open(fd, Options{}); !errors.Is(err, wal.ErrVersion) {
+			t.Fatalf("open with the log stamped v4 = %v; want wal.ErrVersion", err)
+		}
+		if !bytes.Equal(before, region()) {
+			t.Fatal("refusing a v4 log modified the log region")
+		}
+	})
 	// An object-map entry whose CRC field lacks the valid bit, inside a
 	// section whose own checksum is intact, would have to be read
 	// unverified: the area is refused instead.

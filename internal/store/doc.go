@@ -34,8 +34,8 @@
 //     read and every scrub pass.  Bit 32 of the entry's CRC field flags
 //     the checksum present; every entry written has it, and a decoded
 //     entry (object map or bundle) without it is corruption.
-//   - Write-ahead log: per-record and header CRCs, header version 4
-//     (package wal).
+//   - Write-ahead log: header, frame-descriptor, frame-payload and
+//     per-record CRCs, header version 5 (package wal).
 //
 // Each structure has exactly one version.  A superblock copy or metadata
 // area that verifies but names any other version is a CorruptError, which
@@ -91,8 +91,9 @@
 //     full) — FINISH keeps the previous generation, and a checkpoint's
 //     freed extents rejoin the allocator only after its snapshot commits,
 //     so falling back one snapshot loses no committed sync.
-//  4. WALDamaged: a damaged log record or header truncates replay to the
-//     valid prefix; the log is resealed past it.
+//  4. WALDamaged: a rotted log frame or header truncates replay to the
+//     valid prefix; the log is resealed to it.  (A commit is one frame, one
+//     flush: a frame the crash tore was never acknowledged, and no rung fires.)
 //  5. Refusal: both superblock copies, or both metadata areas, are
 //     damaged.  Open returns an error wrapping ErrCorrupt rather than
 //     guessing.

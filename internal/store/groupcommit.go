@@ -6,8 +6,8 @@ package store
 // installed, SnapshotBundle one carrying the bundle it registered; each
 // enqueues it with the committer and waits on a commit ticket.  The first
 // syncer to find the committer idle becomes the leader: it drains the queue
-// in bounded batches, each batch one wal.AppendBatch plus one Commit (a
-// single sequential write and flush), and resolves every ticket in the
+// in bounded batches, each batch one wal.AppendBatch plus one Commit (one
+// frame at the log's tail, one flush), and resolves every ticket in the
 // batch.  Followers just wait; their latency is bounded by at most one
 // in-flight batch ahead of theirs, and batch size is bounded by
 // Options.GroupCommitBytes/GroupCommitRecords.
@@ -211,8 +211,8 @@ func (s *Store) drainLocked() {
 	}
 }
 
-// commitBatch appends and commits one batch: the single sequential write
-// plus flush that many syncers share.
+// commitBatch appends and commits one batch: the one frame and one flush
+// that many syncers share.
 func (s *Store) commitBatch(batch []*syncTicket) error {
 	recs := make([]wal.Record, len(batch))
 	for i, t := range batch {

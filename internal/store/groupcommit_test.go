@@ -211,11 +211,11 @@ func midBatchRig(t *testing.T, ids []uint64, oldData, newData []byte, lbl label.
 }
 
 // TestGroupCommitCrashMidBatch arms a fault at every write boundary (and
-// torn midpoint) of a multi-record batch commit — including the gap between
-// the batch body write and the header update — and checks batch atomicity:
-// recovery sees either every ticket-holder's prior committed state or every
-// holder's new state, never a mix, because the whole batch becomes durable
-// at one header flip.
+// torn midpoint) of a multi-record batch commit — one frame, one write — and
+// checks batch atomicity: recovery sees either every ticket-holder's prior
+// committed state or every holder's new state, never a mix, because the
+// frame's trailing descriptor is the commit point: a frame torn short of it
+// is not part of the log.
 func TestGroupCommitCrashMidBatch(t *testing.T) {
 	ids := []uint64{3, 9, 17, 25, 33, 41}
 	oldData := bytes.Repeat([]byte("o"), 900)
@@ -301,13 +301,13 @@ func TestGroupCommitCrashMidBatch(t *testing.T) {
 }
 
 // TestGroupCommitPartialDestage tears the *destage* of a batch commit: on a
-// write-cached disk the commit's flush destages the log header before the
-// body (ascending offsets), so a partial destage can persist a committed
-// length that points into unwritten or half-written records.  Recovery must
-// reseal the log to its valid prefix; every ticket holder — all of whom were
-// told the sync failed — must come back in either its prior committed state
-// or its sealed new state, and the store must keep working (and keep its
-// durability promises) after the reseal.
+// write-cached disk the commit's flush destages the batch's frame in
+// ascending offsets, so power can fail with any whole-sector prefix of it on
+// the platter.  A torn, never-acknowledged batch is not damage: recovery
+// ends the log before it and reports nothing; every ticket holder — all of
+// whom were told the sync failed — must come back in either its prior
+// committed state or its sealed new state, and the store must keep working
+// (and keep its durability promises) afterwards.
 func TestGroupCommitPartialDestage(t *testing.T) {
 	ids := []uint64{2, 7, 11, 19}
 	oldData := bytes.Repeat([]byte("p"), 700)
@@ -353,6 +353,9 @@ func TestGroupCommitPartialDestage(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: recovery: %v", point, err)
 		}
+		if rep, n := s2.RecoveryReport(), s2.IntegrityStats().CorruptionsDetected; rep.WALDamaged || n != 0 {
+			t.Fatalf("%s: a torn, never-acknowledged batch reported as damage: %+v, %d corruptions", point, rep, n)
+		}
 		for _, id := range ids {
 			got, err := s2.Get(id)
 			if err != nil {
@@ -368,8 +371,8 @@ func TestGroupCommitPartialDestage(t *testing.T) {
 		if err := s2.VerifyLabelIndex(); err != nil {
 			t.Fatalf("%s: %v", point, err)
 		}
-		// The log was resealed to a valid prefix: the next sync commits after
-		// it and survives a clean crash.
+		// The log ends before the torn frame: the next sync commits over it
+		// and survives a clean crash.
 		final := bytes.Repeat([]byte("r"), 300)
 		if err := s2.Put(ids[0], final); err != nil {
 			t.Fatal(err)

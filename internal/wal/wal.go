@@ -5,29 +5,43 @@
 // — so recovery does not depend on the physical layout chosen later by the
 // extent allocator.
 //
-// # On-disk format
+// # On-disk format (version 5)
 //
 // The log occupies a fixed region of the disk.  It starts with a 32-byte
-// header:
+// header, written by New, Truncate, ReclaimBefore, a compaction and a reseal
+// — never by a commit:
 //
 //	off  size  field
 //	0    4     magic "HWLO" (0x48574c4f, little endian)
-//	4    1     format version (4)
+//	4    1     format version (5)
 //	5    3     reserved (zero)
-//	8    8     committed length: bytes of records after the header,
-//	           including any reclaimed (dead) prefix
+//	8    8     generation: 64 random bits; only frames stamped with them
+//	           belong to this log
 //	16   4     CRC-32C of header bytes 0..15
-//	20   8     start offset: bytes after the header where the live records
-//	           begin (records before it were reclaimed by an epoch
-//	           checkpoint and are no longer replayed)
+//	20   8     start offset: bytes after the header where the first live
+//	           frame begins (those before it were reclaimed)
 //	28   4     CRC-32C of header bytes 20..27
 //
-// The header CRCs make silent bit rot in the magic, version, committed
-// length, or start offset detectable: an all-zero header is a fresh region,
-// anything else that fails its checks is ErrCorrupt — never silently
-// treated as empty.
+// An all-zero header is a fresh region; anything else that fails its checks
+// is ErrCorrupt — never silently treated as empty — and any other version
+// byte under an intact header CRC is refused with ErrVersion, the region
+// left untouched.
 //
-// Committed records follow back to back.  A record is:
+// Frames follow back to back.  A commit is one frame, written at the tail
+// with one write and one flush: a 32-byte descriptor, the same descriptor
+// again, the batch's records back to back (the payload), and the descriptor
+// a third time — the last bytes down, the commit point.  A descriptor is:
+//
+//	off  size  field
+//	0    4     magic "HWFR" (0x48574652, little endian)
+//	4    8     generation of the header this frame was written under
+//	12   4     offset of this frame, in bytes after the header
+//	16   4     payload length
+//	20   4     record count
+//	24   4     CRC-32C of the payload
+//	28   4     CRC-32C of descriptor bytes 0..27
+//
+// and a record is:
 //
 //	off  size  field
 //	0    8     object ID
@@ -39,46 +53,53 @@
 //	15   4     CRC-32 (IEEE) of bytes 0..15 plus the label and data bytes
 //	19   ...   canonical serialized label (label.AppendBinary), then data
 //
-// A clone record (bit 3) does not carry the object's contents: its data is a
-// small store-defined payload describing which committed extent the new
-// object aliases (the store's snapshot-bundle clone path), and its label is
-// the clone's own label.  A bundle record (bit 4) carries a store-defined
-// serialization of a whole snapshot bundle in its data, keyed by the bundle's
-// lineage ID in the object-ID field.  The log treats both payloads as opaque
-// bytes under the record CRC; clone/bundle records cannot combine with each
-// other or with tombstones or markers.
+// Clone and bundle records carry store-defined payloads (see Record), opaque
+// to the log; they cannot combine with each other, tombstones or markers.
 //
 // A generation marker (bit 2, no data, no label) closes a checkpoint
-// generation.  The store's incremental checkpoint seals one with AppendMark,
-// reusing the object-ID field to carry the epoch of the metadata snapshot
-// the marker opens.  Records before
-// the last marker for the mounted snapshot's epoch belong to previous
-// generations and are retained only so the store can fall back to its older
-// metadata snapshot and replay them forward if the newer snapshot is
-// corrupt on disk (see ReplayStart).  ReclaimBefore drops generations the
-// fallback can no longer need by advancing the start offset — a single
-// crash-atomic header write, no record bytes move — and compacts the region
-// physically only when the live suffix fits entirely inside the dead
-// prefix, so a torn compaction can never damage records the header still
-// references.
+// generation: the store seals one with AppendMark, the object-ID field
+// carrying the epoch of the metadata snapshot the marker opens, and replays
+// from the marker of the snapshot it mounts (see ReplayStart).  ReclaimBefore
+// drops the frames before a marker's by advancing the start offset to it —
+// one crash-atomic header write, no frame moves — and compacts the region
+// only when the live suffix fits the dead prefix.  A compaction (which
+// re-stamps the frames it moves), a Truncate and a reseal each open a new
+// header generation (see adopt): nothing written under an earlier one, or
+// under this one at another offset, is taken for a frame again, nor are
+// record contents left lying past the tail, whoever wrote them — a
+// generation cannot be guessed.
 //
-// Commit appends the encoded records, then updates the header's committed
-// length and flushes; the header update is what makes the batch durable.
-// Recovery trusts only the committed prefix, verifies every record's CRC,
-// and — per the contract FuzzRecover enforces — never panics on arbitrary
-// log bytes: damage yields ErrCorrupt along with every record before the
-// damage, and the log is resealed to that valid prefix so later commits
-// append after it.  Any other version byte under an intact header CRC is
-// refused with ErrVersion and the region left untouched;
-// records that could never commit at all are rejected at Append time with
-// ErrTooLarge.
+// # Recovery
+//
+// Recover reads the header and walks frames forward from the start offset,
+// in bounded sequential reads, until neither leading descriptor verifies for
+// this generation at this offset.  A frame with a leading descriptor that
+// does verify gets one of three verdicts:
+//
+//	payload     trailing descriptor  verdict
+//	checks out  (not consulted)      verified: its records replay
+//	fails       equals the leading   rotted — it was written whole and has decayed:
+//	                                 ErrCorrupt, with the records before the damage;
+//	                                 the log is resealed to them, a new generation
+//	fails       anything else        torn by a crash, never acknowledged: the end of
+//	                                 the log, no error
+//
+// Where the walk ends Recover reads once more.  A descriptor of this
+// generation for a frame at or after that point means acknowledged frames lie
+// behind leading descriptors that rotted (the twins share a sector): rotted,
+// as above.  Otherwise this is the end of the log, no error — which is also
+// what a last frame that lost payload and trailer together looks like.
+// Recover never panics on arbitrary log bytes (FuzzRecover holds it to that).
 package wal
 
 import (
+	"crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
+	"slices"
 	"sync"
 
 	"histar/internal/disk"
@@ -91,13 +112,12 @@ type Record struct {
 	ObjectID uint64
 	Data     []byte
 	// Label is the object's canonical serialized label (label.AppendBinary),
-	// or nil for an unlabeled object.  The log treats it as opaque bytes
-	// covered by the record CRC; the store decodes it on replay.
+	// or nil for an unlabeled object: opaque bytes under the record CRC.
 	Label  []byte
 	Delete bool
-	// Mark identifies a generation marker written by AppendMark: not an
-	// object update at all, just the boundary between checkpoint generations
-	// (ObjectID carries the epoch).  Replay loops must skip marker records.
+	// Mark identifies a generation marker written by AppendMark: no object
+	// update, just the boundary between checkpoint generations (ObjectID
+	// carries the epoch).  Replay loops must skip marker records.
 	Mark bool
 	// Clone marks a clone-alias record: Data is the store's description of
 	// the committed extent the object aliases (not object contents), and
@@ -108,25 +128,21 @@ type Record struct {
 	Bundle bool
 }
 
-// Errors returned by the log.
 var (
 	// ErrFull is returned when a commit would overflow the log region; the
-	// buffered records stay pending, so the caller can apply (checkpoint),
-	// truncate, and simply Commit again — re-appending would duplicate them.
+	// records stay pending, so the caller can checkpoint, truncate and Commit
+	// again — re-appending would duplicate them.
 	ErrFull = errors.New("wal: log region full")
-	// ErrTooLarge is returned by Append for a record that could never
-	// commit: it would not fit even in an empty log region, or its label
-	// exceeds the record format's 16-bit label-length field.  The record is
-	// not buffered — no truncation could help — and the caller must fall
-	// back to a checkpoint for its durability.
+	// ErrTooLarge is returned by AppendBatch for a record that could never
+	// commit: it would not fit an empty log region, or its label overflows
+	// the 16-bit length field.  Nothing is buffered; a checkpoint must
+	// provide the durability.
 	ErrTooLarge = errors.New("wal: record exceeds log capacity")
-	// ErrCorrupt is returned when recovery encounters a damaged record; all
-	// records before the damage are still returned.
+	// ErrCorrupt is returned when recovery meets damage; all records before
+	// it are still returned.
 	ErrCorrupt = errors.New("wal: corrupt record")
-	// ErrVersion is returned when recovery meets a log whose header is
-	// intact but names a format version other than the one this code writes;
-	// the region is left untouched so the code that wrote it can still
-	// mount it.
+	// ErrVersion is returned when recovery meets an intact header naming a
+	// format version this code does not write; the region is left untouched.
 	ErrVersion = errors.New("wal: unsupported log format version")
 )
 
@@ -134,7 +150,11 @@ const (
 	recHeaderSize = 8 + 4 + 2 + 1 + 4 // id, data len, label len, flags, crc
 	logHeaderSize = 32
 	logMagic      = 0x48574c4f // "HWLO"
-	logVersion    = 4
+	logVersion    = 5
+	descSize      = 32
+	frameMagic    = 0x48574652 // "HWFR"
+	frameOverhead = 3 * descSize
+	readChunk     = 256 << 10 // bounds one recovery read; a longer frame takes several
 
 	flagDelete   = 1 << 0
 	flagHasLabel = 1 << 1
@@ -143,180 +163,215 @@ const (
 	flagBundle   = 1 << 4
 )
 
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+var (
+	le         = binary.LittleEndian
+	castagnoli = crc32.MakeTable(crc32.Castagnoli)
+)
 
-// Log is a redo log occupying a fixed region of the disk.  It is safe for
-// concurrent use.
+func crc32c(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
+
+// Log is a redo log over a fixed region of the disk, safe for concurrent use.
 type Log struct {
 	mu    sync.Mutex
 	d     disk.Device
 	start int64
 	size  int64
 
-	pending  []Record // appended but not yet committed
-	tail     int64    // next write offset within the region (after header)
-	commits  uint64
-	applies  uint64
-	appended uint64
+	// pending is the next frame under construction: room for the two leading
+	// descriptors, then the npending uncommitted records, encoded as on disk.
+	pending  []byte
+	npending int
+	gen      uint64 // the header's generation
+	tail     int64  // body offset (bytes after the header) of the next frame
+	stats    Stats
 
-	// Batch counters: AppendBatch calls, records appended through them,
-	// their encoded bytes, and the largest single batch — the group-commit
-	// tests assert commits stay below syncs using these.
-	batches      uint64
-	batchRecords uint64
-	batchBytes   uint64
-	maxBatch     int
-
-	// reclaimOff is the body offset where the live records begin (the
-	// header's start-offset field): everything before it has been reclaimed
-	// by ReclaimBefore but not yet physically compacted away.
+	// reclaimOff is the body offset where the live frames begin (the
+	// header's start offset): what lies before it is reclaimed, not yet compacted.
 	reclaimOff int64
 	// markOffs maps a marker epoch (its object-ID field) to the body offset
-	// where the LAST marker carrying that epoch starts.  ReclaimBefore uses
-	// it to find the reclaim boundary; AppendMark and Recover maintain it.
+	// of the frame holding the LAST marker carrying it: where ReclaimBefore cuts.
 	markOffs map[uint64]int64
-	// markIdxs maps a marker epoch to the index into the slice the last
-	// Recover returned of the first record after the last marker carrying
-	// that epoch (see ReplayStart).  Unlike markOffs it is only meaningful
+	// markIdxs maps a marker epoch to ReplayStart's answer for it, good only
 	// until the recovered slice goes stale.
 	markIdxs map[uint64]int
-	// reclaims counts ReclaimBefore calls that advanced the start offset;
-	// compactions counts physical compactions of the dead prefix.
-	reclaims    uint64
-	compactions uint64
 }
 
 // New creates a log over the region [start, start+size) of d and writes a
 // fresh header.  Any previous log contents are discarded.
 func New(d disk.Device, start, size int64) (*Log, error) {
-	l := &Log{d: d, start: start, size: size, tail: logHeaderSize}
-	if err := l.writeHeader(0, 0); err != nil {
+	l := Open(d, start, size)
+	if err := l.restart(); err != nil {
 		return nil, err
 	}
 	return l, nil
 }
 
-// Open attaches to an existing log region without erasing it; use Recover to
-// read back committed records after a crash.
+// Open attaches to an existing log region without erasing it; Recover reads
+// back its committed records and must run before anything is appended.
 func Open(d disk.Device, start, size int64) *Log {
-	return &Log{d: d, start: start, size: size, tail: logHeaderSize}
+	return &Log{d: d, start: start, size: size, pending: make([]byte, 2*descSize),
+		markOffs: make(map[uint64]int64), markIdxs: make(map[uint64]int)}
 }
 
-func (l *Log) writeHeader(committedBytes, startOff int64) error {
-	var hdr [logHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:], logMagic)
-	hdr[4] = logVersion
-	binary.LittleEndian.PutUint64(hdr[8:], uint64(committedBytes))
-	binary.LittleEndian.PutUint32(hdr[16:], crc32.Checksum(hdr[:16], castagnoli))
-	binary.LittleEndian.PutUint64(hdr[20:], uint64(startOff))
-	binary.LittleEndian.PutUint32(hdr[28:], crc32.Checksum(hdr[20:28], castagnoli))
-	if _, err := l.d.WriteAt(hdr[:], l.start); err != nil {
+// newGeneration draws a generation: 64 random bits, so that nothing already
+// in the region names it — no earlier frame, and no record contents, which
+// untrusted code writes and a Truncate leaves lying past the tail.
+func newGeneration() uint64 {
+	var b [8]byte
+	rand.Read(b[:]) // cannot fail: crypto/rand stops the program instead
+	return le.Uint64(b[:])
+}
+
+// capacity is the room for frames; offsets and lengths are 32 bits, so 4 GiB at most.
+func (l *Log) capacity() int64 { return min(l.size, math.MaxUint32) - logHeaderSize }
+
+// pos maps a body offset to a device offset.
+func (l *Log) pos(off int64) int64 { return l.start + logHeaderSize + off }
+
+// writeThrough writes b at device offset at and flushes.
+func (l *Log) writeThrough(b []byte, at int64) error {
+	if _, err := l.d.WriteAt(b, at); err != nil {
 		return err
 	}
 	return l.d.Flush()
 }
 
-// Append buffers a record for the next Commit.  A record that could never
-// commit (see ErrTooLarge) is rejected here, before it enters the shared
-// pending set, so it can neither wedge the log nor be silently lost by a
-// concurrent caller's commit.
-func (l *Log) Append(r Record) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.tooLarge(r) {
-		return ErrTooLarge
+// adopt makes frames, stamped gen for body offset at onwards, the whole log
+// (none: an empty log).  It writes them where the caller has made sure the
+// on-disk header references nothing, then the header that names them, and
+// only when that has succeeded adopts them in memory: a crash leaves the old
+// log or the new, and no commit is ever stamped with a generation the
+// platter may not hold.  The caller holds l.mu and brings the marker maps along.
+func (l *Log) adopt(gen uint64, frames []byte, at int64) error {
+	if len(frames) > 0 {
+		if err := l.writeThrough(frames, l.pos(at)); err != nil {
+			return err
+		}
 	}
-	l.appendLocked(r)
+	if err := l.writeHeader(gen, at); err != nil {
+		// Which header the platter holds is now unknown; nothing more is
+		// acknowledged (the log reads as full) until one is written.
+		l.tail = l.capacity()
+		return err
+	}
+	l.gen, l.tail, l.reclaimOff = gen, at+int64(len(frames)), at
 	return nil
 }
 
-// AppendBatch buffers a whole batch of records for the next Commit, as one
-// all-or-nothing operation: if any record could never commit (see
-// ErrTooLarge), none of the batch is buffered.  One AppendBatch plus one
-// Commit is the group-commit fast path — many syncers' records become
-// durable with a single sequential write and flush.
+// writeHeader writes the header for generation gen with its first frame at
+// body offset start, and changes nothing in memory.
+func (l *Log) writeHeader(gen uint64, start int64) error {
+	var hdr [logHeaderSize]byte
+	le.PutUint32(hdr[0:], logMagic)
+	hdr[4] = logVersion
+	le.PutUint64(hdr[8:], gen)
+	le.PutUint32(hdr[16:], crc32c(hdr[:16]))
+	le.PutUint64(hdr[20:], uint64(start))
+	le.PutUint32(hdr[28:], crc32c(hdr[20:28]))
+	return l.writeThrough(hdr[:], l.start)
+}
+
+// restart opens an empty log under a new generation; the caller holds l.mu.
+func (l *Log) restart() error {
+	if err := l.adopt(newGeneration(), nil, 0); err != nil {
+		return err
+	}
+	clear(l.markOffs)
+	clear(l.markIdxs)
+	return nil
+}
+
+// AppendBatch buffers a whole batch of records for the next Commit, all or
+// nothing: if any record could never commit (see ErrTooLarge), none of the
+// batch enters the shared pending set.  One AppendBatch plus one Commit is
+// the group-commit fast path: many syncers' records, one write and flush.
 func (l *Log) AppendBatch(recs []Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	var bytes int64
 	for _, r := range recs {
-		if l.tooLarge(r) {
+		if l.TooLarge(r) {
 			return ErrTooLarge
 		}
+		bytes += r.EncodedSize()
 	}
+	// One allocation sized for the whole frame, trailer included.
+	l.pending = slices.Grow(l.pending, int(bytes)+descSize)
 	for _, r := range recs {
 		l.appendLocked(r)
-		l.batchBytes += uint64(r.EncodedSize())
 	}
-	l.batches++
-	l.batchRecords += uint64(len(recs))
-	if len(recs) > l.maxBatch {
-		l.maxBatch = len(recs)
-	}
+	l.stats.BatchRecords += uint64(len(recs))
+	l.stats.BatchBytes += uint64(bytes)
+	l.stats.MaxBatch = max(l.stats.MaxBatch, len(recs))
 	return nil
 }
 
 // DropPending discards all buffered (uncommitted) records.  The group
-// committer uses it when a full log forces the checkpoint fallback: the
-// checkpoint makes a state at least as new as every sealed record durable,
-// so committing the stale records afterwards could only regress objects.
+// committer uses it when a full log forces the checkpoint fallback: that
+// makes a state at least as new as every sealed record durable, so
+// committing the stale records afterwards could only regress objects.
 func (l *Log) DropPending() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.pending = l.pending[:0]
+	l.dropLocked()
 }
+
+func (l *Log) dropLocked() { l.pending, l.npending = l.pending[:2*descSize], 0 }
 
 // TooLarge reports whether r could never commit even in an empty log region
-// (the ErrTooLarge criterion), letting callers pre-check before sealing a
-// record into a shared batch.
+// (the ErrTooLarge criterion), so callers can check before sealing a record
+// into a shared batch.  It reads nothing that changes: no lock.
 func (l *Log) TooLarge(r Record) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.tooLarge(r)
+	return r.EncodedSize()+frameOverhead > l.capacity() || len(r.Label) > 0xffff
 }
 
-func (l *Log) tooLarge(r Record) bool {
-	return encodedSize(r) > l.size-logHeaderSize || len(r.Label) > 0xffff
-}
-
-// appendLocked buffers one pre-validated record; the caller holds l.mu.
+// appendLocked encodes one pre-validated record onto the pending frame, the
+// only copy of its bytes made before the device's; the caller holds l.mu.
 func (l *Log) appendLocked(r Record) {
-	r.Data = append([]byte(nil), r.Data...)
-	r.Label = append([]byte(nil), r.Label...)
-	l.pending = append(l.pending, r)
-	l.appended++
+	var hdr [recHeaderSize]byte
+	le.PutUint64(hdr[0:], r.ObjectID)
+	le.PutUint32(hdr[8:], uint32(len(r.Data)))
+	le.PutUint16(hdr[12:], uint16(len(r.Label)))
+	if r.Delete {
+		hdr[14] |= flagDelete
+	}
+	if len(r.Label) > 0 {
+		hdr[14] |= flagHasLabel
+	}
+	if r.Mark {
+		hdr[14] |= flagMark
+	}
+	if r.Clone {
+		hdr[14] |= flagClone
+	}
+	if r.Bundle {
+		hdr[14] |= flagBundle
+	}
+	at := len(l.pending)
+	l.pending = append(l.pending, hdr[:]...)
+	l.pending = append(l.pending, r.Label...)
+	l.pending = append(l.pending, r.Data...)
+	rec := l.pending[at:]
+	le.PutUint32(rec[15:], recordCRC(rec))
+	l.npending++
+	l.stats.Appended++
 }
 
-// encodedSize returns the on-disk size of one record.
-func encodedSize(r Record) int64 {
-	return recHeaderSize + int64(len(r.Label)) + int64(len(r.Data))
+// recordCRC is a record's checksum: over its header up to the CRC field, then label and data.
+func recordCRC(rec []byte) uint32 {
+	return crc32.Update(crc32.ChecksumIEEE(rec[:15]), crc32.IEEETable, rec[recHeaderSize:])
 }
 
 // EncodedSize returns the record's on-disk size, letting callers bound the
 // byte size of a group-commit batch before appending it.
-func (r Record) EncodedSize() int64 { return encodedSize(r) }
-
-// PendingBytes returns the encoded size of buffered (uncommitted) records.
-func (l *Log) PendingBytes() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var n int64
-	for _, r := range l.pending {
-		n += encodedSize(r)
-	}
-	return n
+func (r Record) EncodedSize() int64 {
+	return recHeaderSize + int64(len(r.Label)) + int64(len(r.Data))
 }
 
-// CommittedBytes returns how much of the log region holds committed records.
-func (l *Log) CommittedBytes() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.tail - logHeaderSize
-}
-
-// Commit durably appends all buffered records to the log: a sequential write
-// into the log region followed by a header update and flush.  After Commit
-// returns nil, the records will survive a crash and be returned by Recover.
-// On ErrFull the records stay pending for a retry after a truncate.
+// Commit durably appends all buffered records to the log as one frame: one
+// sequential write at the tail and one flush, the header untouched.  Once it
+// returns nil the records survive a crash and Recover returns them.  On
+// ErrFull they stay pending for a retry after a truncate.
 func (l *Log) Commit() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -324,33 +379,84 @@ func (l *Log) Commit() error {
 }
 
 func (l *Log) commitLocked() error {
-	if len(l.pending) == 0 {
+	if l.npending == 0 {
 		return nil
 	}
-	buf := encodeRecords(l.pending)
-	if l.tail+int64(len(buf)) > l.size {
+	n := int64(len(l.pending)) + descSize
+	if l.tail+n > l.capacity() {
 		// A reclaimed-but-uncompacted prefix may be holding the space this
 		// commit needs; compact it away before giving up.
 		if err := l.compactLocked(); err != nil {
 			return err
 		}
-		if l.tail+int64(len(buf)) > l.size {
-			return ErrFull
+	}
+	if l.tail+n > l.capacity() {
+		return ErrFull
+	}
+	if err := l.writeThrough(l.frame(l.gen, l.tail), l.pos(l.tail)); err != nil {
+		return err
+	}
+	// The tail moves only now: a frame whose flush failed is never
+	// acknowledged, and the next one is written over it.
+	l.tail += n
+	l.dropLocked()
+	l.stats.Commits++
+	return nil
+}
+
+// frame completes the pending frame for generation gen at body offset off
+// and returns it; pending still holds it, less the trailer, for a retry.
+func (l *Log) frame(gen uint64, off int64) []byte {
+	f := append(l.pending, l.pending[:descSize]...) // room for the trailer
+	l.pending = f[:len(l.pending)]
+	payload := l.pending[2*descSize:]
+	d := descriptor{gen: gen, off: off, n: int64(len(payload)), count: l.npending, check: crc32c(payload)}
+	d.stamp(f)
+	return f
+}
+
+// descriptor is what a frame says about itself.
+type descriptor struct {
+	gen   uint64 // generation of the header it was written under
+	off   int64  // body offset of the frame
+	n     int64  // payload length
+	count int    // records in the payload
+	check uint32 // CRC-32C of the payload
+}
+
+// stamp writes d as all three descriptors of the frame at the front of b.
+func (d descriptor) stamp(b []byte) {
+	h := b[:descSize]
+	le.PutUint32(h[0:], frameMagic)
+	le.PutUint64(h[4:], d.gen)
+	le.PutUint32(h[12:], uint32(d.off))
+	le.PutUint32(h[16:], uint32(d.n))
+	le.PutUint32(h[20:], uint32(d.count))
+	le.PutUint32(h[24:], d.check)
+	le.PutUint32(h[28:], crc32c(h[:28]))
+	copy(b[descSize:], h)
+	copy(b[2*descSize+d.n:], h)
+}
+
+// parse decodes the descriptor at the front of h, if an intact one is there.
+func parse(h []byte) (d descriptor, ok bool) {
+	if le.Uint32(h[0:]) != frameMagic || le.Uint32(h[28:]) != crc32c(h[:28]) {
+		return d, false
+	}
+	d.gen, d.off, d.n = le.Uint64(h[4:]), int64(le.Uint32(h[12:])), int64(le.Uint32(h[16:]))
+	d.count, d.check = int(le.Uint32(h[20:])), le.Uint32(h[24:])
+	return d, true
+}
+
+// leading returns whichever of the two leading descriptors in b is intact
+// and names a frame of generation gen at body offset off.
+func leading(b []byte, gen uint64, off int64) (descriptor, bool) {
+	for _, h := range [][]byte{b[:descSize], b[descSize : 2*descSize]} {
+		if d, ok := parse(h); ok && d.gen == gen && d.off == off {
+			return d, true
 		}
 	}
-	if _, err := l.d.WriteAt(buf, l.start+l.tail); err != nil {
-		return err
-	}
-	newTail := l.tail + int64(len(buf))
-	// Header update makes the newly appended records part of the committed
-	// prefix; the flush inside writeHeader orders both.
-	if err := l.writeHeader(newTail-logHeaderSize, l.reclaimOff); err != nil {
-		return err
-	}
-	l.tail = newTail
-	l.pending = l.pending[:0]
-	l.commits++
-	return nil
+	return descriptor{}, false
 }
 
 // Truncate discards the committed log contents, typically after the caller
@@ -358,122 +464,105 @@ func (l *Log) commitLocked() error {
 func (l *Log) Truncate() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.truncateLocked()
-}
-
-func (l *Log) truncateLocked() error {
-	if err := l.writeHeader(0, 0); err != nil {
-		return err
-	}
-	l.tail = logHeaderSize
-	l.reclaimOff = 0
-	l.markOffs = nil
-	l.applies++
-	return nil
+	return l.restart()
 }
 
 // AppendMark durably appends a generation marker carrying epoch in its
-// object-ID field, committing it (and any pending records) in one batch.
+// object-ID field, committing it (and any pending records) in one frame.
 // The store's incremental checkpoint calls it at seal time: records before
 // this marker belong to generations the snapshot named by epoch subsumes.
-// On ErrFull the marker is dropped from the pending set (unlike data
-// records, a marker is trivially re-created on retry) so a later group
-// commit cannot smuggle in a stale seal boundary.
+// On an error the marker is dropped from the pending set (it is trivially
+// re-created) so a later group commit cannot smuggle in a stale boundary.
 func (l *Log) AppendMark(epoch uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	at := len(l.pending)
 	l.appendLocked(Record{ObjectID: epoch, Mark: true})
+	n := int64(len(l.pending)) + descSize
 	if err := l.commitLocked(); err != nil {
-		l.pending = l.pending[:len(l.pending)-1]
+		l.pending, l.npending = l.pending[:at], l.npending-1
 		return err
 	}
-	markStart := l.tail - logHeaderSize - recHeaderSize
-	if l.markOffs == nil {
-		l.markOffs = make(map[uint64]int64)
-	}
-	l.markOffs[epoch] = markStart
+	l.markOffs[epoch] = l.tail - n
 	return nil
 }
 
-// ReclaimBefore drops every record before the last generation marker
-// carrying epoch: a single crash-atomic header write advances the start
-// offset to the marker (the marker itself is retained so recovery can still
-// find the generation boundary), then the region is physically compacted if
-// the live suffix fits inside the dead prefix.  When no marker for epoch is
-// known the log is left untouched apart from a compaction attempt — never
-// guess a reclaim boundary.
+// ReclaimBefore drops every frame before the one holding the last
+// generation marker carrying epoch: a single crash-atomic header write
+// advances the start offset to that frame (the marker itself is retained so
+// recovery can still find the generation boundary), then the region is
+// compacted if the live suffix fits inside the dead prefix.  With no marker
+// for epoch known only the compaction is tried — never guess a boundary.
 func (l *Log) ReclaimBefore(epoch uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	off, ok := l.markOffs[epoch]
 	if ok && off > l.reclaimOff {
+		if err := l.writeHeader(l.gen, off); err != nil {
+			return err
+		}
 		l.reclaimOff = off
 		for e, o := range l.markOffs {
 			if o < off {
 				delete(l.markOffs, e)
 			}
 		}
-		if err := l.writeHeader(l.tail-logHeaderSize, l.reclaimOff); err != nil {
-			return err
-		}
-		l.reclaims++
+		l.stats.Reclaims++
 	}
 	return l.compactLocked()
 }
 
-// compactLocked physically removes the reclaimed dead prefix by copying the
-// live suffix to the front of the region, but only when the two do not
-// overlap: the copy then lands entirely inside bytes the on-disk header no
-// longer references, so a crash at any point leaves the old header's view
-// intact and the final header write switches over atomically.  The caller
-// holds l.mu.
+// compactLocked removes the reclaimed dead prefix by copying the live frames
+// to the front of the region, re-stamped for their new offsets under a new
+// generation, but only when the two do not overlap: the copy then lands in
+// bytes the on-disk header no longer references (see adopt).  Holds l.mu.
 func (l *Log) compactLocked() error {
-	live := l.tail - logHeaderSize - l.reclaimOff
+	live := l.tail - l.reclaimOff
 	if l.reclaimOff == 0 || live > l.reclaimOff {
 		return nil
 	}
-	if live > 0 {
-		buf := make([]byte, live)
-		if _, err := l.d.ReadAt(buf, l.start+logHeaderSize+l.reclaimOff); err != nil {
-			return err
-		}
-		if _, err := l.d.WriteAt(buf, l.start+logHeaderSize); err != nil {
-			return err
-		}
-		// Barrier: the copied records must be on the platter before the
-		// header points at them.
-		if err := l.d.Flush(); err != nil {
-			return err
-		}
-	}
-	shift := l.reclaimOff
-	l.reclaimOff = 0
-	l.tail -= shift
-	for e := range l.markOffs {
-		l.markOffs[e] -= shift
-	}
-	if err := l.writeHeader(l.tail-logHeaderSize, 0); err != nil {
+	buf, err := l.read(l.reclaimOff, live)
+	if err != nil {
 		return err
 	}
-	l.compactions++
+	gen := newGeneration()
+	for p := int64(0); p < live; {
+		if live-p < frameOverhead {
+			return nil
+		}
+		d, ok := leading(buf[p:], l.gen, l.reclaimOff+p)
+		if !ok || d.n > live-p-frameOverhead {
+			return nil // rot in the live frames: leave them for Recover to judge
+		}
+		d.gen, d.off = gen, p
+		d.stamp(buf[p:])
+		p += frameOverhead + d.n
+	}
+	moved := l.reclaimOff
+	if err := l.adopt(gen, buf, 0); err != nil {
+		return err
+	}
+	for e := range l.markOffs {
+		l.markOffs[e] -= moved
+	}
+	l.stats.Compactions++
 	return nil
 }
 
-// LiveBytes returns the committed bytes recovery would actually replay —
-// the region length minus any reclaimed dead prefix.  The store uses it to
-// decide when retaining a fallback generation would starve future commits.
+// LiveBytes returns the committed bytes recovery would replay — the frames
+// written less any reclaimed dead prefix — so the store can tell when
+// retaining a fallback generation would starve future commits.
 func (l *Log) LiveBytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.tail - logHeaderSize - l.reclaimOff
+	return l.tail - l.reclaimOff
 }
 
 // ReplayStart returns the index into the slice the last Recover returned of
 // the first record after the last generation marker carrying epoch, and
 // whether such a marker exists.  Normal recovery replays from the marker of
-// the snapshot it mounted; the metadata-fallback path uses the older
-// snapshot's epoch, whose generation ReclaimBefore retains for exactly this
-// purpose.
+// the snapshot it mounted; the metadata-fallback path from the older
+// snapshot's, whose generation ReclaimBefore retains for this purpose.
 func (l *Log) ReplayStart(epoch uint64) (int, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -481,11 +570,20 @@ func (l *Log) ReplayStart(epoch uint64) (int, bool) {
 	return idx, ok
 }
 
+// read returns the n bytes at body offset off, in device reads of at most readChunk each.
+func (l *Log) read(off, n int64) ([]byte, error) {
+	buf := make([]byte, n)
+	for p := int64(0); p < n; p += readChunk {
+		if _, err := l.d.ReadAt(buf[p:min(p+readChunk, n)], l.pos(off+p)); err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
+}
+
 // Recover reads the committed records back from the log region (after a
-// crash or restart).  Records damaged mid-write are detected by checksum;
-// everything before the damage is returned along with ErrCorrupt, and the
-// log is resealed to that valid prefix so subsequent commits extend it
-// rather than the damaged tail.
+// crash or restart), judging each frame by the package comment's table.
+// When it reports rot it has resealed the log to the records it returns.
 func (l *Log) Recover() ([]Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -493,252 +591,158 @@ func (l *Log) Recover() ([]Record, error) {
 	if _, err := l.d.ReadAt(hdr[:], l.start); err != nil {
 		return nil, err
 	}
-	allZero := true
-	for _, b := range hdr {
-		if b != 0 {
-			allZero = false
+	startOff := int64(le.Uint64(hdr[20:]))
+	switch {
+	case hdr == [logHeaderSize]byte{}:
+		// Fresh region.  Commits do not write the header: it goes down now.
+		return nil, l.restart()
+	case le.Uint32(hdr[0:]) != logMagic:
+		// Non-zero but wrong magic is damage, not a fresh region: the log
+		// is resealed empty, and not silently.
+		return l.reseal(nil, 0, "bad magic in the log header")
+	case crc32c(hdr[:16]) != le.Uint32(hdr[16:]):
+		// Checked before trusting any header field, the version byte
+		// included: a mismatch means rot, whatever version it spells.
+		return l.reseal(nil, 0, "log header checksum mismatch")
+	case hdr[4] != logVersion:
+		// An intact header for a format this code does not speak: leave the
+		// region untouched, so the code that wrote it can still recover.
+		return nil, fmt.Errorf("%w %d", ErrVersion, hdr[4])
+	case crc32c(hdr[20:28]) != le.Uint32(hdr[28:]), startOff < 0 || startOff > l.capacity():
+		return l.reseal(nil, 0, "bad start offset in the log header")
+	}
+	l.gen, l.tail, l.reclaimOff = le.Uint64(hdr[8:]), startOff, startOff
+	clear(l.markOffs)
+	clear(l.markIdxs)
+	var recs []Record
+	for l.tail+frameOverhead <= l.capacity() {
+		lead, err := l.read(l.tail, 2*descSize)
+		if err != nil {
+			return recs, err
+		}
+		d, ok := leading(lead, l.gen, l.tail)
+		if !ok || d.n > l.capacity()-l.tail-frameOverhead {
 			break
 		}
-	}
-	if allZero {
-		// Fresh region: nothing ever logged.
-		l.resetRecoveredState()
-		return nil, nil
-	}
-	if got := binary.LittleEndian.Uint32(hdr[0:]); got != logMagic {
-		// Non-zero but wrong magic is damage, not a fresh region — reseal
-		// empty and say so rather than silently dropping the log.
-		return nil, l.resealEmpty("bad log magic at offset %d: got %#x, want %#x", l.start, got, logMagic)
-	}
-	// Verify the header CRC before trusting any header field, the version
-	// byte included: a mismatch means rot, whatever version it spells.
-	want := binary.LittleEndian.Uint32(hdr[16:])
-	if got := crc32.Checksum(hdr[:16], castagnoli); got != want {
-		return nil, l.resealEmpty("log header checksum mismatch at offset %d: got %#x, want %#x", l.start, got, want)
-	}
-	if version := hdr[4]; version != logVersion {
-		// An intact header for a format this code does not speak: refuse the
-		// mount without touching the region, so the code that wrote it can
-		// still recover.
-		return nil, fmt.Errorf("%w %d", ErrVersion, version)
-	}
-	committed := int64(binary.LittleEndian.Uint64(hdr[8:]))
-	if committed < 0 || committed > l.size-logHeaderSize {
-		return nil, l.resealEmpty("committed length %d out of range", committed)
-	}
-	want = binary.LittleEndian.Uint32(hdr[28:])
-	if got := crc32.Checksum(hdr[20:28], castagnoli); got != want {
-		return nil, l.resealEmpty("log start-offset checksum mismatch at offset %d: got %#x, want %#x", l.start, got, want)
-	}
-	startOff := int64(binary.LittleEndian.Uint64(hdr[20:]))
-	if startOff < 0 || startOff > committed {
-		return nil, l.resealEmpty("start offset %d out of range (committed %d)", startOff, committed)
-	}
-	body := make([]byte, committed-startOff)
-	if len(body) > 0 {
-		if _, err := l.d.ReadAt(body, l.start+logHeaderSize+startOff); err != nil {
-			return nil, err
+		body, err := l.read(l.tail+2*descSize, d.n+descSize)
+		if err != nil {
+			return recs, err
 		}
-	}
-	recs, good, err := decodeRecords(body)
-	if good != committed-startOff {
-		// Damaged tail: rewrite the valid prefix at the front of the region
-		// and reseal the header to it.
-		if werr := l.rewrite(recs); werr != nil {
-			return recs, werr
+		frs, derr := decodeRecords(body[:d.n])
+		if derr != nil || len(frs) != d.count || crc32c(body[:d.n]) != d.check {
+			if t, ok := parse(body[d.n:]); !ok || t != d {
+				break // torn, never acknowledged: the log ends before it
+			}
+			what := fmt.Sprintf("frame at log offset %d rotted after record %d of %d", l.tail, len(frs), d.count)
+			return l.reseal(append(recs, frs...), l.tail+frameOverhead+d.n, what)
 		}
+		for i, r := range frs {
+			if r.Mark {
+				l.markOffs[r.ObjectID] = l.tail
+				l.markIdxs[r.ObjectID] = len(recs) + i + 1
+			}
+		}
+		recs = append(recs, frs...)
+		l.tail += frameOverhead + d.n
+	}
+	// The walk ended without complaint; look one read further for frames
+	// that rotted leading descriptors at the tail would be hiding.
+	ahead, err := l.read(l.tail, min(readChunk, l.capacity()-l.tail))
+	if err != nil {
 		return recs, err
 	}
-	l.tail = logHeaderSize + committed
-	l.reclaimOff = startOff
-	l.setMarkBoundary(recs, startOff)
-	return recs, err
-}
-
-// resealEmpty reseals a region whose header failed a check as an empty log
-// — never silently: the returned error wraps ErrCorrupt with the reason.
-// The caller holds l.mu.
-func (l *Log) resealEmpty(format string, args ...interface{}) error {
-	l.resetRecoveredState()
-	if err := l.writeHeader(0, 0); err != nil {
-		return err
+	for p := 2 * descSize; p+descSize <= len(ahead); p++ {
+		if d, ok := parse(ahead[p:]); ok && d.gen == l.gen && d.off >= l.tail {
+			what := fmt.Sprintf("frame at log offset %d lost its leading descriptors", l.tail)
+			return l.reseal(recs, l.tail+int64(p+descSize), what)
+		}
 	}
-	return fmt.Errorf("%w: "+format, append([]interface{}{ErrCorrupt}, args...)...)
+	return recs, nil
 }
 
-// resetRecoveredState clears every field derived from a recovered log body,
-// leaving the log logically empty; the caller holds l.mu.
-func (l *Log) resetRecoveredState() {
-	l.tail = logHeaderSize
-	l.reclaimOff = 0
-	l.markOffs = nil
-	l.markIdxs = nil
-}
-
-// setMarkBoundary records where generation markers sit in the recovered
-// records (the per-epoch offset and index maps), with body offsets counted
-// from base (the reclaimed start offset the records were decoded after); the
-// caller holds l.mu.
-func (l *Log) setMarkBoundary(recs []Record, base int64) {
-	l.markOffs = make(map[uint64]int64)
-	l.markIdxs = make(map[uint64]int)
-	off := base
+// reseal makes recs — what Recover could read before the rot that what
+// describes — the log's contents, as one frame under a new generation, and
+// returns them with ErrCorrupt.  The frame goes where running this recovery
+// again would read nothing: the dead prefix if it fits there, otherwise from
+// end on (see adopt).  When it fits nowhere the region is left as it is, to
+// be judged the same way again, and the log reads as full, so that nothing
+// is appended behind the rot before a Truncate.  The caller holds l.mu.
+func (l *Log) reseal(recs []Record, end int64, what string) ([]Record, error) {
+	clear(l.markOffs)
+	clear(l.markIdxs)
 	for i, r := range recs {
+		l.appendLocked(r)
 		if r.Mark {
-			l.markOffs[r.ObjectID] = off
 			l.markIdxs[r.ObjectID] = i + 1
 		}
-		off += encodedSize(r)
 	}
-}
-
-// rewrite replaces the committed log contents with recs; the caller holds
-// l.mu.
-func (l *Log) rewrite(recs []Record) error {
-	buf := encodeRecords(recs)
-	if logHeaderSize+int64(len(buf)) > l.size {
-		return fmt.Errorf("wal: resealed log (%d bytes) exceeds the region", len(buf))
+	defer l.dropLocked()
+	at := end
+	if n := int64(len(l.pending)) + descSize; n <= l.reclaimOff {
+		at = 0
+	} else if at+n > l.capacity() {
+		l.tail, l.reclaimOff = l.capacity(), 0
+		return recs, fmt.Errorf("%w: %s", ErrCorrupt, what)
 	}
-	if len(buf) > 0 {
-		if _, err := l.d.WriteAt(buf, l.start+logHeaderSize); err != nil {
-			return err
-		}
+	gen := newGeneration()
+	if err := l.adopt(gen, l.frame(gen, at), at); err != nil {
+		return recs, err
 	}
-	if err := l.writeHeader(int64(len(buf)), 0); err != nil {
-		return err
+	for e := range l.markIdxs {
+		l.markOffs[e] = at
 	}
-	l.tail = logHeaderSize + int64(len(buf))
-	l.reclaimOff = 0
-	l.setMarkBoundary(recs, 0)
-	return nil
+	return recs, fmt.Errorf("%w: %s", ErrCorrupt, what)
 }
 
 // Stats describes cumulative log activity.
 type Stats struct {
-	// Commits counts successful Commit calls (each one header update+flush).
-	Commits uint64
-	// Applies counts Truncate calls (the log being applied to home locations).
-	Applies uint64
-	// Appended counts records buffered via Append and AppendBatch.
-	Appended uint64
-	// Batches counts accepted AppendBatch calls and BatchRecords the records
-	// appended through them; MaxBatch is the largest single batch.  These
-	// count at the append layer — a batch whose Commit later fails is still
-	// counted here (the store's committer stats count only committed
-	// batches).  Appended ≫ Commits with Batches > 0 is group commit
-	// working.
-	Batches      uint64
+	Commits  uint64 // successful commits (each one frame write + flush)
+	Appended uint64 // records buffered via AppendBatch and AppendMark
+	// BatchRecords counts the records appended through AppendBatch and
+	// MaxBatch is the largest single batch — at the append layer: a batch
+	// whose Commit later fails is still counted.  Appended ≫ Commits is
+	// group commit working.
 	BatchRecords uint64
 	MaxBatch     int
-	// BatchBytes counts the encoded bytes appended through AppendBatch, so
-	// bytes-per-flush is BatchBytes/Commits when all traffic is batched.
-	BatchBytes uint64
-	// Reclaims counts ReclaimBefore calls that advanced the start offset;
-	// Compactions counts the physical dead-prefix compactions that followed
-	// (here or opportunistically inside a would-be-full Commit).
-	Reclaims    uint64
-	Compactions uint64
+	BatchBytes   uint64 // encoded bytes appended through AppendBatch
+	Reclaims     uint64 // ReclaimBefore calls that advanced the start offset
+	Compactions  uint64 // dead-prefix compactions (there or in a would-be-full Commit)
 }
 
-// Stats returns cumulative commit, apply (truncate), append and batch counts.
+// Stats returns the cumulative counts.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return Stats{
-		Commits:      l.commits,
-		Applies:      l.applies,
-		Appended:     l.appended,
-		Batches:      l.batches,
-		BatchRecords: l.batchRecords,
-		MaxBatch:     l.maxBatch,
-		BatchBytes:   l.batchBytes,
-		Reclaims:     l.reclaims,
-		Compactions:  l.compactions,
-	}
+	return l.stats
 }
 
-func encodeRecords(recs []Record) []byte {
-	var total int64
-	for _, r := range recs {
-		total += encodedSize(r)
-	}
-	buf := make([]byte, 0, total)
-	for _, r := range recs {
-		var hdr [recHeaderSize]byte
-		binary.LittleEndian.PutUint64(hdr[0:], r.ObjectID)
-		binary.LittleEndian.PutUint32(hdr[8:], uint32(len(r.Data)))
-		binary.LittleEndian.PutUint16(hdr[12:], uint16(len(r.Label)))
-		if r.Delete {
-			hdr[14] |= flagDelete
-		}
-		if len(r.Label) > 0 {
-			hdr[14] |= flagHasLabel
-		}
-		if r.Mark {
-			hdr[14] |= flagMark
-		}
-		if r.Clone {
-			hdr[14] |= flagClone
-		}
-		if r.Bundle {
-			hdr[14] |= flagBundle
-		}
-		crc := crc32.NewIEEE()
-		crc.Write(hdr[:15])
-		crc.Write(r.Label)
-		crc.Write(r.Data)
-		binary.LittleEndian.PutUint32(hdr[15:], crc.Sum32())
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, r.Label...)
-		buf = append(buf, r.Data...)
-	}
-	return buf
-}
-
-// decodeRecords decodes records, returning the records decoded,
-// the number of bytes consumed by them, and ErrCorrupt if damage stopped the
-// decode early.
-func decodeRecords(buf []byte) ([]Record, int64, error) {
+// decodeRecords decodes a frame's payload, returning the records decoded
+// (Data and Label alias buf) and ErrCorrupt if damage stopped it early.
+func decodeRecords(buf []byte) ([]Record, error) {
 	var out []Record
-	var consumed int64
 	for len(buf) > 0 {
 		if len(buf) < recHeaderSize {
-			return out, consumed, ErrCorrupt
+			return out, ErrCorrupt
 		}
-		id := binary.LittleEndian.Uint64(buf[0:])
-		nd := int(binary.LittleEndian.Uint32(buf[8:]))
-		nl := int(binary.LittleEndian.Uint16(buf[12:]))
+		id := le.Uint64(buf[0:])
+		nd := int(le.Uint32(buf[8:]))
+		nl := int(le.Uint16(buf[12:]))
 		flags := buf[14]
-		wantCRC := binary.LittleEndian.Uint32(buf[15:])
-		if flags&^byte(flagDelete|flagHasLabel|flagMark|flagClone|flagBundle) != 0 {
-			return out, consumed, ErrCorrupt
-		}
-		if (flags&flagHasLabel != 0) != (nl > 0) {
-			return out, consumed, ErrCorrupt
-		}
-		if flags&flagMark != 0 && (flags != flagMark || nd != 0 || nl != 0) {
+		switch {
+		case flags&^byte(flagDelete|flagHasLabel|flagMark|flagClone|flagBundle) != 0,
+			(flags&flagHasLabel != 0) != (nl > 0),
 			// A generation marker carries nothing but the flag.
-			return out, consumed, ErrCorrupt
-		}
-		if flags&flagClone != 0 && flags&(flagDelete|flagMark|flagBundle) != 0 {
+			flags&flagMark != 0 && (flags != flagMark || nd != 0 || nl != 0),
 			// A clone alias is neither a tombstone, a marker, nor a bundle.
-			return out, consumed, ErrCorrupt
-		}
-		if flags&flagBundle != 0 && flags&^byte(flagBundle) != 0 {
+			flags&flagClone != 0 && flags&(flagDelete|flagMark|flagBundle) != 0,
 			// Bundle metadata carries only its payload: no label, no other flag.
-			return out, consumed, ErrCorrupt
+			flags&flagBundle != 0 && flags != flagBundle,
+			nd < 0 || len(buf) < recHeaderSize+nl+nd:
+			return out, ErrCorrupt
 		}
-		if nd < 0 || len(buf) < recHeaderSize+nl+nd {
-			return out, consumed, ErrCorrupt
-		}
-		lbl := buf[recHeaderSize : recHeaderSize+nl]
-		data := buf[recHeaderSize+nl : recHeaderSize+nl+nd]
-		crc := crc32.NewIEEE()
-		crc.Write(buf[:15])
-		crc.Write(lbl)
-		crc.Write(data)
-		if crc.Sum32() != wantCRC {
-			return out, consumed, ErrCorrupt
+		rec := buf[:recHeaderSize+nl+nd]
+		if recordCRC(rec) != le.Uint32(rec[15:]) {
+			return out, ErrCorrupt
 		}
 		r := Record{
 			ObjectID: id,
@@ -748,14 +752,13 @@ func decodeRecords(buf []byte) ([]Record, int64, error) {
 			Bundle:   flags&flagBundle != 0,
 		}
 		if nd > 0 {
-			r.Data = append([]byte(nil), data...)
+			r.Data = rec[recHeaderSize+nl:]
 		}
 		if nl > 0 {
-			r.Label = append([]byte(nil), lbl...)
+			r.Label = rec[recHeaderSize : recHeaderSize+nl]
 		}
 		out = append(out, r)
-		buf = buf[recHeaderSize+nl+nd:]
-		consumed += recHeaderSize + int64(nl) + int64(nd)
+		buf = buf[len(rec):]
 	}
-	return out, consumed, nil
+	return out, nil
 }
