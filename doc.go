@@ -65,9 +65,9 @@
 // check — the sort is stable, so same-object submission order is preserved
 // and a write-then-read needs no Chain flag — while still locking
 // {container, object} in ascending-ID order, adding no new lock-order edges.
-// All OpSync entries in a batch reach the store as one pre-formed
-// SyncObjects group, which the group committer turns into dense log batches:
-// ⌈N/GroupCommitRecords⌉ flushes for N syncs instead of N.  The Unix
+// All OpSync entries in a batch are pushed to the store and committed as one
+// pre-formed SyncObjects group, which the group committer turns into dense
+// log batches: ⌈N/GroupCommitRecords⌉ flushes for N syncs instead of N.  The Unix
 // library's readdir scan and its multi-file writev/fsync fan-out
 // (Process.PwritevFsync, Process.FsyncMany) are built on the ring.
 //
@@ -77,11 +77,12 @@
 // ContainerClone materializes it with fresh object IDs, intra-subtree
 // references rewritten, and per-user categories remapped in every label,
 // sharing all segment data COW until first write.  With a persistent store
-// attached, snapshots are mirrored as refcounted store bundles: captured
+// attached, the kernel records snapshots in it as refcounted bundles: captured
 // extents are pinned against the segment cleaner and the deferred-free
 // path, bundles survive crashes via a WAL record and live in the metadata
-// snapshot from the next checkpoint, and a rotted shared extent quarantines
-// every clone with a typed error rather than propagating silently.
+// snapshot from the next checkpoint, a rotted shared extent quarantines
+// every clone with a typed error rather than propagating silently, and a
+// clone's aliases die with its segments.
 // unixlib.BakeGolden/SpawnFromGolden package the pattern as
 // golden-image spawning, and webd's session cache uses it to clone each
 // cold-login user's sandbox from a golden image in microseconds instead of
@@ -106,17 +107,33 @@
 // it tears down, and an auth login's session objects live in a container the
 // client supplies and die with the attempt.
 //
-// The library states each of its three recurring jobs once.  A directory
-// changes only through editDir (internal/unixlib/dirseg.go: take the mutex
-// word, one read of the segment, write the entries back, release mutex,
-// generation and busy flag with one write, mirror), which create, mkdir,
-// unlink and both kinds of rename are closures over.  A file's bytes move
-// through readAt and writeAt (page in, read; write with the quota retry,
-// mtime, mirror).  And internal/unixlib/persist.go is the only file that
-// calls the single-level store: label at create, mirror, fsync (one file
-// synced directly, several as one ring sync group, a directory as a
-// checkpoint), delete, page-in and evict — the seam a kernel that owns the
-// store replaces.
+// The library states each of its recurring jobs once.  A directory changes
+// only through editDir (internal/unixlib/dirseg.go: take the mutex word, one
+// read of the segment, write the entries back, release mutex, generation and
+// busy flag with one write), which create, mkdir, unlink and both kinds of
+// rename are closures over.  A file's bytes move through readAt and writeAt
+// (read; write with the quota retry, mtime).
+//
+// There is one persistence path, and it is the kernel's (Sections 3 and 4:
+// the single-level store is the kernel's own, and a sync is a system call).
+// kernel.Pager (internal/kernel/pager.go) is the one interface through which
+// bytes and sync requests leave for the store; Kernel.SetPager attaches
+// *store.Store to it at boot, and nothing but the kernel calls it.  What a
+// thread may ask, each behind the ordinary resolve-and-label check:
+// SegmentPersist marks a segment it can modify persistent (the library does
+// so where it creates a file's or a directory's segment); OpSync — fsync, a
+// ring of one entry per file — pushes each target it can modify and commits
+// the group through the write-ahead log; Sync — group sync, and fsync of a
+// directory — pushes every dirty segment and checkpoints; a read of a clean
+// persistent segment pages it in first, and damage comes back as ErrCorrupt
+// (EIO).  What the kernel decides alone: the one gate every mutation of a
+// segment passes (direct call, ring entry, compare-and-swap, store through a
+// mapping) marks it dirty, and the one place an object dies tells the store
+// to delete it.  A push copies the bytes under that segment's lock and no
+// other segment's; the group commit, the checkpoint and the delete run with
+// no kernel lock held; the lock order is kernel → store only.  The library
+// names the store in Boot alone, and keeps of it the one function
+// EvictFileCache needs.
 //
 // The root package holds only the Figure 12/13 row benchmarks
 // (bench_test.go); the repository's benchmark is the bench/ program

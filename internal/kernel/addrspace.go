@@ -150,7 +150,7 @@ func (tc *ThreadCall) MemRead(va uint64, n int) ([]byte, error) {
 	if !liveLocked(seg) {
 		return nil, ErrNoSuchObject
 	}
-	return seg.read(off, n)
+	return seg.read(tc.k, off, n)
 }
 
 // MemWrite simulates a store through the invoking thread's address space;

@@ -54,7 +54,12 @@
 //     held.
 //  5. Futex-table shard locks nest inside object locks and never the other
 //     way around.  The label cache, interning table, and allocators are
-//     self-synchronized leaves.
+//     self-synchronized leaves, and so is doomedMu.
+//  6. The pager (the store: its locks lie below the kernel's and it never
+//     calls back) is called with at most one segment's lock held — with the
+//     naming container's shared lock, under open — for a push or a read's
+//     page-in, and otherwise (group commit, checkpoint, bundle calls) with
+//     none; Delete waits until a teardown has released its locks.
 //
 // Recursive deallocation (unreferencing a container subtree) never holds two
 // tree levels' locks at once: an object that drops to zero references is
@@ -70,10 +75,10 @@
 // per-entry completions in submission order.  Chains (the Chain flag) fix
 // intra-chain order with skip-on-error; independent chains may be reordered
 // by target object ID so same-object entries share one lock acquisition.  A
-// run holds at most one lockOrdered set at a time and OpSync dispatch takes
-// no object locks, so the ring introduces no new lock-order edges.  Wait
-// records one ring_submit syscall per batch and each entry records its own
-// syscall (OpSync as ring_sync), so batched and direct traffic stay
+// run — or an OpSync's push — holds at most one lockOrdered set at a time and
+// the group commit none, so the ring introduces no new lock-order edges.
+// Wait records one ring_submit syscall per batch and each entry records its
+// own syscall (OpSync as ring_sync), so batched and direct traffic stay
 // distinguishable in SyscallCounts; RingStats aggregates depth, coalescing,
 // and sync-group fan-in.
 //
@@ -94,10 +99,11 @@
 // clone can never mint authority its creator could not hold.  Segment data
 // is never copied at clone time: clone and master share the frozen buffer
 // until either side's first write breaks COW for that segment alone.  When
-// a persistent store is attached, a SnapshotSink mirrors snapshots as
-// refcounted store bundles and validates lineage (CRC walk) before every
-// clone, so restoring from a rotted image fails typed instead of fanning
-// bad bytes into every sandbox.  The golden-spawn flow end to end:
+// a store is attached (Pager, pager.go), snapshots are recorded in it as
+// refcounted bundles and clones as aliases that die with their segments, and
+// lineage is validated (CRC walk) before every clone, so restoring from a
+// rotted image fails typed instead of fanning bad bytes into every sandbox.
+// The golden-spawn flow end to end:
 // unixlib.BakeGolden builds and snapshots a template sandbox once;
 // webd's session cache, on a cold login, issues one ContainerClone into
 // the worker's process container (sharing all read-only data COW) instead
@@ -165,12 +171,17 @@ type Kernel struct {
 	// retired L1 counters of deallocated threads, folded in at teardown.
 	retired l1Retired
 
-	// snapMu guards the container-snapshot registry and the optional
-	// persistence sink; snap tallies snapshot/clone activity (snapshot.go).
+	// snapMu guards the container-snapshot registry; snap tallies
+	// snapshot/clone activity (snapshot.go).
 	snapMu    sync.Mutex
 	snapshots map[uint64]*Snapshot
-	snapSink  SnapshotSink
 	snap      snapCounters
+
+	// pager is the store, if one is attached (pager.go); doomed, behind the
+	// leaf doomedMu, the dead persistent segments it has yet to be told of.
+	pager    Pager
+	doomedMu sync.Mutex
+	doomed   []uint64
 }
 
 // New boots a kernel: it creates the object table and the root container.
@@ -774,8 +785,15 @@ func (k *Kernel) deallocLocked(o object) []ID {
 		v.halted = true
 		k.retired.hits.Add(v.l1Hits.Load())
 		k.retired.misses.Add(v.l1Misses.Load())
-	case *device:
-		// nothing extra
+	case *segment:
+		if v.persistent {
+			// Clean for good: a Sync must push nothing after the Delete that
+			// releaseRefs sends once the teardown's locks are released.
+			v.dirty = false
+			k.doomedMu.Lock()
+			k.doomed = append(k.doomed, uint64(v.id))
+			k.doomedMu.Unlock()
+		}
 	}
 	k.remove(h.id)
 	return children
@@ -799,7 +817,8 @@ func (k *Kernel) unlinkLocked(cont *container, o object) []ID {
 // releaseRefs drops one reference from each object in ids, deallocating any
 // that reach zero and queueing their children in turn.  It locks exactly one
 // object at a time, so it is deadlock-free regardless of tree shape, and
-// must be called with no object locks held.
+// must be called with no object locks held — which also makes it the place
+// the pager learns of the persistent segments a teardown killed.
 func (k *Kernel) releaseRefs(ids []ID) {
 	work := ids
 	for len(work) > 0 {
@@ -821,6 +840,17 @@ func (k *Kernel) releaseRefs(ids []ID) {
 		}
 		h.mu.Unlock()
 	}
+	if k.pager == nil {
+		return
+	}
+	k.doomedMu.Lock()
+	doomed := k.doomed
+	k.doomed = nil
+	k.doomedMu.Unlock()
+	for _, id := range doomed {
+		// A store that refuses is closed: there is nothing left to delete from.
+		_ = k.pager.Delete(id)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -831,17 +861,25 @@ func (k *Kernel) releaseRefs(ids []ID) {
 // resource-exhaustion experiments).
 func (k *Kernel) ObjectCount() int {
 	n := 0
+	k.each(func(o object) {
+		if !o.hdr().dead.Load() {
+			n++
+		}
+	})
+	return n
+}
+
+// each calls fn on every object in the table, one shard's read lock held at
+// a time: fn must take no object lock (rule 4).
+func (k *Kernel) each(fn func(object)) {
 	for i := range k.shards {
 		s := &k.shards[i]
 		s.mu.RLock()
 		for _, o := range s.m {
-			if !o.hdr().dead.Load() {
-				n++
-			}
+			fn(o)
 		}
 		s.mu.RUnlock()
 	}
-	return n
 }
 
 // Describe returns a debugging one-liner for an object, without any label
@@ -878,16 +916,11 @@ type l1Retired struct {
 // LabelL1Stats returns the per-thread L1 hit/miss totals.
 func (k *Kernel) LabelL1Stats() L1Stats {
 	st := L1Stats{Hits: k.retired.hits.Load(), Misses: k.retired.misses.Load()}
-	for i := range k.shards {
-		s := &k.shards[i]
-		s.mu.RLock()
-		for _, o := range s.m {
-			if t, ok := o.(*thread); ok && !t.dead.Load() {
-				st.Hits += t.l1Hits.Load()
-				st.Misses += t.l1Misses.Load()
-			}
+	k.each(func(o object) {
+		if t, ok := o.(*thread); ok && !t.dead.Load() {
+			st.Hits += t.l1Hits.Load()
+			st.Misses += t.l1Misses.Load()
 		}
-		s.mu.RUnlock()
-	}
+	})
 	return st
 }

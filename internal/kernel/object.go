@@ -145,6 +145,10 @@ type segment struct {
 	// first mutation copies it and clears the flag (see reshape).
 	// Guarded by the segment's lock like data.
 	frozen bool
+	// persistent says the bytes are a store object (SegmentPersist, or a
+	// clone aliasing a bundle); dirty, that the pager has not seen them since
+	// they last changed (pager.go).  Both are guarded by the segment's lock.
+	persistent, dirty bool
 }
 
 func (s *segment) hdr() *header      { return &s.header }

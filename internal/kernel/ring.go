@@ -43,7 +43,7 @@ import (
 // edges to the discipline in the package comment.
 //
 // OpSync entries are the payoff: all syncs that become runnable in one pass
-// are dispatched to the attached Syncer as a single SyncObjects group, which
+// are pushed to the pager and committed as a single SyncObjects group, which
 // the store turns into dense write-ahead-log batches — one flush per batch
 // instead of one per object.  Entries chained after a sync resume once the
 // group resolves, so read-after-sync sequences still work.
@@ -61,8 +61,7 @@ import (
 // run.  The canonical use is a demultiplexer batching many
 // gate-call+reply-read chains (one chain per session) in a single Wait.
 type Ring struct {
-	tc     *ThreadCall
-	syncer Syncer
+	tc *ThreadCall
 
 	pending []RingEntry
 
@@ -70,7 +69,7 @@ type Ring struct {
 	// nothing beyond the data it reads.
 	units []ringUnit
 	plan  []planItem
-	syncs []syncRef
+	syncs []planItem
 	comps []RingCompletion
 
 	// Tallies accumulated locally and flushed into the kernel-wide ring
@@ -95,7 +94,8 @@ const (
 	OpSegmentLen
 	// OpObjectStat stats the object Seg (any type).
 	OpObjectStat
-	// OpSync durably records object Seg.Object through the attached Syncer.
+	// OpSync is fsync: it makes segment Seg, which the thread must be able to
+	// modify, durable through the kernel's pager.
 	OpSync
 	// OpGateEnter invokes the gate Seg with the request in the entry's Gate
 	// field; the completion's Val carries the entry point's result bytes.
@@ -129,20 +129,8 @@ type RingCompletion struct {
 	Err   error
 }
 
-// Syncer is the ring's durability hook: the store's group committer.  It is
-// an interface so the kernel stays independent of the store package; the
-// Unix library attaches the concrete *store.Store.
-type Syncer interface {
-	// SyncObjects durably records the objects' current states, returning one
-	// error slot per id (nil = durable).
-	SyncObjects(ids []uint64) []error
-}
-
 // NewRing creates an empty ring bound to the invoking thread.
 func (tc *ThreadCall) NewRing() *Ring { return &Ring{tc: tc} }
-
-// SetSyncer attaches the durability hook OpSync entries dispatch to.
-func (r *Ring) SetSyncer(s Syncer) { r.syncer = s }
 
 // Submit queues entries for the next Wait and returns the number queued.
 // Submission tallies reach RingStats when the next Wait flushes them.
@@ -168,14 +156,10 @@ type ringUnit struct {
 	failed           bool
 }
 
-// planItem is one executable (non-sync) entry scheduled for the current
-// pass: u indexes the ring's unit buffer, i the entry.
+// planItem is one entry scheduled for the current pass — executable, or an
+// OpSync deferred to the pass's group dispatch: u indexes the ring's unit
+// buffer, i the entry.
 type planItem struct {
-	u, i int
-}
-
-// syncRef is one OpSync entry deferred to the current pass's group dispatch.
-type syncRef struct {
 	u, i int
 }
 
@@ -290,7 +274,7 @@ func (r *Ring) Wait(minComplete int) ([]RingCompletion, error) {
 				r.nSkipped++
 				continue
 			}
-			syncs = append(syncs, syncRef{ui, i})
+			syncs = append(syncs, planItem{ui, i})
 		}
 		if len(syncs) > 0 {
 			r.dispatchSyncs(ctx, entries, units, syncs, comps)
@@ -416,20 +400,26 @@ func (r *Ring) execGateEnter(ctx *tctx, entries []RingEntry, units []ringUnit, i
 	ctx.t.snapshot(ctx)
 }
 
-// dispatchSyncs sends one pass's deferred OpSync entries to the Syncer as a
-// single group — the pre-formed batch the store's group committer commits
-// with one log append and one flush per bounded batch.  Each entry is
-// resolved first like every other op (the thread can read 〈D〉 and D links O):
-// one that fails completes with peek's error, fails its chain and never
-// reaches the Syncer, so a thread can neither have an object it cannot name
-// synced nor learn from the Syncer's answer what state that object is in.
-func (r *Ring) dispatchSyncs(ctx tctx, entries []RingEntry, units []ringUnit, syncs []syncRef, comps []RingCompletion) {
+// dispatchSyncs is one pass's deferred OpSync entries.  Each is opened like
+// every other op — the thread must be able to modify the segment — and
+// pushed: one that fails completes with the resolve or label error, fails its
+// chain and never reaches the pager, so a thread can neither have an object it
+// cannot name or modify synced nor learn from the pager's answer what state it
+// is in.  The rest are committed, with no kernel lock held, as the single
+// group the store's committer turns into one log append and one flush per
+// bounded batch.
+func (r *Ring) dispatchSyncs(ctx tctx, entries []RingEntry, units []ringUnit, syncs []planItem, comps []RingCompletion) {
 	k := r.tc.k
 	ids := make([]uint64, 0, len(syncs))
 	group := syncs[:0]
 	for _, sr := range syncs {
 		k.count(scRingSync, ctx.t)
-		if _, _, err := k.peek(&ctx, entries[sr.i].Seg); err != nil {
+		seg, ls, err := open[*segment](k, &ctx, entries[sr.i].Seg, accModify, true)
+		if err == nil {
+			err = k.push(seg)
+			ls.unlock()
+		}
+		if err != nil {
 			comps[sr.i].Err = err
 			units[sr.u].failed = true
 			continue
@@ -443,11 +433,11 @@ func (r *Ring) dispatchSyncs(ctx tctx, entries []RingEntry, units []ringUnit, sy
 	r.nSyncGroups++
 	r.nSyncEntries += uint64(len(group))
 	var errs []error
-	if r.syncer != nil {
-		errs = r.syncer.SyncObjects(ids)
+	if k.pager != nil {
+		errs = k.pager.SyncObjects(ids)
 	}
 	for j, sr := range group {
-		err := ErrInvalid // no Syncer attached, or no answer for this entry
+		err := ErrInvalid // no pager attached, or no answer for this entry
 		if j < len(errs) {
 			err = errs[j]
 		}
@@ -491,7 +481,7 @@ type RingStats struct {
 	// entries skipped by chain error propagation.
 	Chained uint64
 	Skipped uint64
-	// SyncGroups and SyncEntries count group dispatches to the Syncer and
+	// SyncGroups and SyncEntries count group dispatches to the pager and
 	// the OpSync entries they carried.
 	SyncGroups  uint64
 	SyncEntries uint64

@@ -14,7 +14,7 @@ import (
 // Ring tests: a randomized property test against a sequential reference
 // model (including chain-flag skip semantics and error propagation), a
 // deterministic chain-semantics test, sync-group dispatch through a fake
-// Syncer, stats accounting, and a -race stress test of many threads
+// pager (pager_test.go), stats accounting, and a -race stress test of many threads
 // submitting overlapping-object batches.
 
 // ringTestEnv is a booted kernel with a few segments to batch against.
@@ -38,31 +38,13 @@ func newRingEnv(t *testing.T, nSegs, segSize int) *ringTestEnv {
 	return env
 }
 
-// recordingSyncer implements Syncer, recording each dispatched group and
-// failing the ids in poison.
-type recordingSyncer struct {
-	mu     sync.Mutex
-	groups [][]uint64
-	poison map[uint64]error
-}
-
-func (rs *recordingSyncer) SyncObjects(ids []uint64) []error {
-	rs.mu.Lock()
-	defer rs.mu.Unlock()
-	rs.groups = append(rs.groups, append([]uint64(nil), ids...))
-	errs := make([]error, len(ids))
-	for i, id := range ids {
-		errs[i] = rs.poison[id]
-	}
-	return errs
-}
-
 // modelExec executes a batch sequentially, in submission order, against
 // plain byte slices — the reference semantics the ring must match.  Because
 // each entry touches only its own target and the ring preserves per-object
 // and intra-chain submission order, reordering across objects is
 // unobservable and sequential execution is the specification.
-func modelExec(entries []RingEntry, segs map[ID][]byte, quota map[ID]uint64, poison map[uint64]error) ([]RingCompletion, map[ID][]byte) {
+func modelExec(entries []RingEntry, segs map[ID][]byte, quota map[ID]uint64, poison map[uint64]error) ([]RingCompletion, map[ID][]byte, map[ID]bool) {
+	synced := make(map[ID]bool) // targets of an OpSync that ran: pushed, whatever the commit answered
 	state := make(map[ID][]byte, len(segs))
 	for id, b := range segs {
 		state[id] = append([]byte(nil), b...)
@@ -134,6 +116,7 @@ func modelExec(entries []RingEntry, segs map[ID][]byte, quota map[ID]uint64, poi
 					state[e.Seg.Object] = grown
 				}
 			case OpSync:
+				synced[e.Seg.Object] = true
 				err = poison[uint64(e.Seg.Object)]
 			}
 		}
@@ -142,15 +125,18 @@ func modelExec(entries []RingEntry, segs map[ID][]byte, quota map[ID]uint64, poi
 			failed = true
 		}
 	}
-	return comps, state
+	return comps, state, synced
 }
 
 // propEnv is one kernel of the three-path property test: nSegs segments —
 // created plain, or cloned from a golden snapshot so they start frozen —
-// each also mapped at mapVA(i) in the boot thread's address space.
+// each also mapped at mapVA(i) in the boot thread's address space, and all
+// persistent on the kernel's own fake pager (a clone is from birth; a plain
+// segment is marked).
 type propEnv struct {
 	k       *Kernel
 	tc      *ThreadCall
+	pager   *fakePager
 	as      CEnt
 	lineage uint64 // 0: plain segments
 	golden  []ID
@@ -165,7 +151,8 @@ func newPropEnv(t *testing.T, cloned bool) *propEnv {
 	t.Helper()
 	k, tc := boot(t)
 	root := k.RootContainer()
-	env := &propEnv{k: k, tc: tc}
+	env := &propEnv{k: k, tc: tc, pager: newFakePager()}
+	k.SetPager(env.pager)
 	as, err := tc.AddressSpaceCreate(root, label.New(label.L1), "prop as")
 	if err != nil {
 		t.Fatal(err)
@@ -211,6 +198,9 @@ func (env *propEnv) fresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if err := env.tc.SegmentPersist(CEnt{root, id}); err != nil {
+				t.Fatal(err)
+			}
 			env.segs = append(env.segs, CEnt{root, id})
 		}
 	} else {
@@ -233,10 +223,13 @@ func (env *propEnv) fresh(t *testing.T) {
 
 // replay executes entries one at a time in submission order with the ring's
 // chain-skip rule, each through exec, and returns what a ring would have
-// completed.  OpSync has no direct or memory form; its verdict is the
-// Syncer's, which the caller supplies.
-func replay(entries []RingEntry, syncErr func(CEnt) error, exec func(e RingEntry, c *RingCompletion) error) []RingCompletion {
+// completed.  OpSync has no direct or memory form: each one that is not
+// skipped goes through sync — a ring of that one entry — and, as in the ring's
+// own pass order, after every other entry of the batch (the generator never
+// chains anything behind a sync, so deferring one changes no verdict).
+func replay(entries []RingEntry, sync func(CEnt) error, exec func(e RingEntry, c *RingCompletion) error) []RingCompletion {
 	comps := make([]RingCompletion, len(entries))
+	var syncs []int
 	failed := false
 	for i, e := range entries {
 		comps[i].Index = i
@@ -248,13 +241,27 @@ func replay(entries []RingEntry, syncErr func(CEnt) error, exec func(e RingEntry
 			continue
 		}
 		if e.Op == OpSync {
-			comps[i].Err = syncErr(e.Seg)
-		} else {
-			comps[i].Err = exec(e, &comps[i])
+			syncs = append(syncs, i)
+			continue
 		}
+		comps[i].Err = exec(e, &comps[i])
 		failed = comps[i].Err != nil
 	}
+	for _, i := range syncs {
+		comps[i].Err = sync(entries[i].Seg)
+	}
 	return comps
+}
+
+// syncOne is an fsync of one segment: a ring of one OpSync entry.
+func (env *propEnv) syncOne(ce CEnt) error {
+	r := env.tc.NewRing()
+	r.Submit(RingEntry{Op: OpSync, Seg: ce})
+	comps, err := r.Wait(1)
+	if err != nil {
+		return err
+	}
+	return comps[0].Err
 }
 
 // directExec is one entry as the direct system call of the same name.
@@ -307,7 +314,8 @@ func (env *propEnv) memExec(e RingEntry, c *RingCompletion) (err error) {
 // once over frozen clones of a golden image, and checks every completion,
 // every final segment state and the COW counters of all three against the
 // sequential reference model: the same allow/deny verdict and the same
-// post-state on every path.
+// post-state on every path — and, for every OpSync that ran, the same bytes in
+// the pager, from the same number of pushes.
 func TestRingPropertyVsSequential(t *testing.T) {
 	for _, v := range []struct {
 		name   string
@@ -327,9 +335,7 @@ func ringPropertyVsSequential(t *testing.T, cloned bool) {
 	rng := rand.New(rand.NewSource(42))
 
 	poisonErr := errors.New("poisoned sync")
-	rs := &recordingSyncer{}
 	ring := envs[0].tc.NewRing()
-	ring.SetSyncer(rs)
 
 	for round := 0; round < 200; round++ {
 		if round%8 == 0 && round > 0 {
@@ -340,7 +346,9 @@ func ringPropertyVsSequential(t *testing.T, cloned bool) {
 			}
 		}
 		env := envs[0]
-		rs.poison = map[uint64]error{uint64(env.segs[1].Object): poisonErr}
+		for _, e := range envs {
+			e.pager.poison = map[uint64]error{uint64(e.segs[1].Object): poisonErr}
+		}
 		quota := make(map[ID]uint64)
 		// Current kernel state becomes the model's initial state.
 		segs := make(map[ID][]byte, nSegs)
@@ -394,7 +402,7 @@ func ringPropertyVsSequential(t *testing.T, cloned bool) {
 			entries[i] = e
 		}
 
-		wantComps, wantState := modelExec(entries, segs, quota, rs.poison)
+		wantComps, wantState, synced := modelExec(entries, segs, quota, env.pager.poison)
 		var got [3][]RingCompletion
 		ring.Submit(entries...)
 		var err error
@@ -415,12 +423,7 @@ func ringPropertyVsSequential(t *testing.T, cloned bool) {
 			if paths[p] == "mem" {
 				exec = envs[p].memExec
 			}
-			got[p] = replay(mine, func(ce CEnt) error {
-				if ce == envs[p].segs[1] {
-					return poisonErr
-				}
-				return nil
-			}, exec)
+			got[p] = replay(mine, envs[p].syncOne, exec)
 		}
 		for p, gotComps := range got {
 			if len(gotComps) != len(wantComps) {
@@ -453,10 +456,21 @@ func ringPropertyVsSequential(t *testing.T, cloned bool) {
 			if a, b := envs[0].k.SnapshotStats(), envs[p].k.SnapshotStats(); a != b {
 				t.Fatalf("round %d: COW counters diverged: ring %+v, %s %+v", round, a, paths[p], b)
 			}
+			for s, ce := range envs[p].segs {
+				if id := env.segs[s].Object; synced[id] && !bytes.Equal(envs[p].pager.data[uint64(ce.Object)], wantState[id]) {
+					t.Fatalf("round %d %s: segment %d was synced, but the pager does not hold its bytes", round, paths[p], s)
+				}
+			}
+			if a, b := envs[0].pager.puts, envs[p].pager.puts; a != b {
+				t.Fatalf("round %d: the ring has pushed %d times, %s %d", round, a, paths[p], b)
+			}
 		}
 	}
 	if st := envs[0].k.SnapshotStats(); cloned && st.CowBreaks == 0 {
 		t.Error("the cloned run broke no COW: it never wrote a frozen segment")
+	}
+	if envs[0].pager.puts == 0 {
+		t.Error("no OpSync ever pushed a segment")
 	}
 }
 
@@ -494,13 +508,14 @@ func TestRingChainSkip(t *testing.T) {
 }
 
 // TestRingSyncGroups checks that every OpSync runnable in one pass reaches
-// the Syncer as a single group, and that entries chained after a failed sync
+// the pager as a single group, and that entries chained after a failed sync
 // are skipped.
 func TestRingSyncGroups(t *testing.T) {
 	env := newRingEnv(t, 3, 64)
-	rs := &recordingSyncer{poison: map[uint64]error{uint64(env.segs[2].Object): errors.New("bad disk")}}
+	rs := newFakePager()
+	rs.poison = map[uint64]error{uint64(env.segs[2].Object): errors.New("bad disk")}
+	env.k.SetPager(rs)
 	ring := env.tc.NewRing()
-	ring.SetSyncer(rs)
 	ring.Submit(
 		RingEntry{Op: OpSync, Seg: env.segs[0]},
 		RingEntry{Op: OpSync, Seg: env.segs[1]},
@@ -518,7 +533,7 @@ func TestRingSyncGroups(t *testing.T) {
 		t.Errorf("poisoned sync chain = (%v, %v), want (error, ErrSkipped)", comps[2].Err, comps[3].Err)
 	}
 	if len(rs.groups) != 1 || len(rs.groups[0]) != 3 {
-		t.Fatalf("syncer saw groups %v, want one group of 3", rs.groups)
+		t.Fatalf("pager saw groups %v, want one group of 3", rs.groups)
 	}
 	st := env.k.RingStats()
 	if st.SyncGroups != 1 || st.SyncEntries != 3 {
@@ -530,7 +545,7 @@ func TestRingSyncGroups(t *testing.T) {
 // every other op before it joins the group: an entry naming an object through
 // a container the thread cannot read, or through one that does not link it,
 // completes with the resolution error, fails its chain and never reaches the
-// Syncer — whose answer would otherwise tell the thread whether an object it
+// pager — whose answer would otherwise tell the thread whether an object it
 // cannot name is, say, quarantined — while a good entry in the same batch
 // still syncs.
 func TestRingSyncResolvesItsEntry(t *testing.T) {
@@ -559,9 +574,10 @@ func TestRingSyncResolvesItsEntry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rs := &recordingSyncer{poison: map[uint64]error{uint64(secretSeg): errors.New("quarantined")}}
+	rs := newFakePager()
+	rs.poison = map[uint64]error{uint64(secretSeg): errors.New("quarantined")}
+	env.k.SetPager(rs)
 	ring := outsider.NewRing()
-	ring.SetSyncer(rs)
 	ring.Submit(
 		RingEntry{Op: OpSync, Seg: CEnt{secretCt, secretSeg}},      // unreadable container
 		RingEntry{Op: OpSegmentLen, Seg: env.segs[0], Chain: true}, // skipped with it
@@ -583,7 +599,7 @@ func TestRingSyncResolvesItsEntry(t *testing.T) {
 		t.Errorf("good sync chain = (%v, %v, len %d), want (nil, nil, 64)", comps[3].Err, comps[4].Err, comps[4].N)
 	}
 	if len(rs.groups) != 1 || len(rs.groups[0]) != 1 || rs.groups[0][0] != uint64(env.segs[1].Object) {
-		t.Errorf("syncer saw groups %v, want exactly [[%d]]", rs.groups, env.segs[1].Object)
+		t.Errorf("pager saw groups %v, want exactly [[%d]]", rs.groups, env.segs[1].Object)
 	}
 	if st := env.k.RingStats(); st.SyncGroups != 1 || st.SyncEntries != 1 {
 		t.Errorf("RingStats sync groups/entries = %d/%d, want 1/1", st.SyncGroups, st.SyncEntries)
@@ -632,11 +648,11 @@ func TestRingCountsAndCoalescing(t *testing.T) {
 
 // TestRingConcurrentOverlap is the -race stress: many threads submit
 // batches over overlapping objects, mixing chained writes, reads, resizes,
-// and syncs through a shared Syncer.
+// and syncs through the kernel's pager.
 func TestRingConcurrentOverlap(t *testing.T) {
 	const nWorkers, nBatches = 8, 60
 	env := newRingEnv(t, 4, 256)
-	rs := &recordingSyncer{}
+	env.k.SetPager(newFakePager())
 	var wg sync.WaitGroup
 	errCh := make(chan error, nWorkers)
 	for w := 0; w < nWorkers; w++ {
@@ -646,7 +662,6 @@ func TestRingConcurrentOverlap(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			ring := tc.NewRing()
-			ring.SetSyncer(rs)
 			for b := 0; b < nBatches; b++ {
 				n := 1 + rng.Intn(8)
 				for i := 0; i < n; i++ {

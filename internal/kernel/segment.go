@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 
 	"histar/internal/label"
@@ -64,7 +65,10 @@ func (tc *ThreadCall) SegmentCopy(src CEnt, d ID, l label.Label, descrip string)
 	if err := verifyEntryLive(srcCont, seg); err != nil {
 		return NilID, err
 	}
-	data, _ := seg.read(0, math.MaxInt)
+	data, err := seg.read(tc.k, 0, math.MaxInt)
+	if err != nil {
+		return NilID, err
+	}
 	ns := &segment{
 		header: tc.k.newHeader(ObjSegment, l, uint64(len(data))+segmentSlack, descrip),
 		data:   data,
@@ -98,11 +102,17 @@ func (s *segment) clamp(off, n int) (end int, err error) {
 	return end, nil
 }
 
-// read copies out up to n bytes at off.
-func (s *segment) read(off, n int) ([]byte, error) {
+// read copies out up to n bytes at off.  A clean persistent segment is paged
+// in first, whole (Section 7.1); a dirty one's only copy is the kernel's.
+func (s *segment) read(k *Kernel, off, n int) ([]byte, error) {
 	end, err := s.clamp(off, n)
 	if err != nil {
 		return nil, err
+	}
+	if s.persistent && !s.dirty {
+		if err := k.pager.PageIn(uint64(s.id)); err != nil {
+			return nil, fmt.Errorf("%w: paging in object %d: %v", ErrCorrupt, s.id, err)
+		}
 	}
 	out := make([]byte, end-off)
 	copy(out, s.data[off:end])
@@ -125,10 +135,12 @@ func (s *segment) word(off uint64) (uint64, error) {
 // and a length the quota does not cover, makes the array private if it is
 // shared with a snapshot or clone and touch says bytes below the current
 // length are about to change, leaves the segment n bytes long, and accounts
-// the change.  This is the only place snapshot-shared bytes are duplicated,
-// so the kernel-wide COW counters live here.  Growth always moves to a fresh
-// zeroed array (and so breaks COW with that one copy); truncation keeps
-// sharing a frozen array, since shrinking changes no byte.
+// the change — and marks a persistent segment dirty, so no path to a
+// segment's bytes can change them behind the pager's back.  This is the only
+// place snapshot-shared bytes are duplicated, so the kernel-wide COW counters
+// live here.  Growth always moves to a fresh zeroed array (and so breaks COW
+// with that one copy); truncation keeps sharing a frozen array, since
+// shrinking changes no byte.
 func (s *segment) reshape(k *Kernel, n int, touch bool) error {
 	if s.immutable {
 		return ErrImmutable
@@ -140,6 +152,7 @@ func (s *segment) reshape(k *Kernel, n int, touch bool) error {
 	if fresh && uint64(n)+128 > s.quota {
 		return ErrQuota
 	}
+	s.dirty = s.persistent
 	if s.frozen && (fresh || touch) {
 		s.frozen = false
 		k.snap.cowBreaks.Add(1)
@@ -221,7 +234,7 @@ func (k *Kernel) execOp(ctx *tctx, obj object, e *RingEntry, c *RingCompletion) 
 	}
 	switch e.Op {
 	case OpSegmentRead:
-		c.Val, err = seg.read(e.Off, e.Len)
+		c.Val, err = seg.read(k, e.Off, e.Len)
 		c.N = len(c.Val)
 	case OpSegmentLen:
 		c.N = len(seg.data)

@@ -26,57 +26,16 @@ import (
 // destination container, so spawning a sandbox is O(metadata) regardless of
 // how many bytes the image carries.
 //
-// When the boot environment attaches a SnapshotSink (the single-level
-// store's bundle layer), snapshots are persisted as refcounted bundles and
-// clones as store-side aliases, and every clone first validates the bundle's
-// lineage — a clone of a bundle whose shared extent has rotted fails with a
-// typed error instead of silently sharing bad bytes.
+// When a Pager is attached (pager.go), snapshots are persisted as refcounted
+// store bundles and clones as store-side aliases (a cloned segment is
+// persistent from birth: its alias dies with it), and every clone first
+// validates the bundle's lineage — a clone of a bundle whose shared extent has
+// rotted fails with a typed error instead of silently sharing bad bytes.
 //
 // Threads and devices are skipped by the walk: a snapshot is a passive image
 // (programs, file data, directory segments), and golden images are baked
 // quiescent.  Thread-local segments never appear in containers, so they are
 // never captured.
-
-// SnapshotObjectData is one captured segment handed to the SnapshotSink:
-// the object's kernel ID, its (frozen, shared) contents, and its label.
-type SnapshotObjectData struct {
-	ID    uint64
-	Data  []byte
-	Label label.Label
-}
-
-// ClonePair maps one snapshotted segment to its clone for the sink's alias
-// records, together with the label the clone was given.
-type ClonePair struct {
-	SrcID, DstID uint64
-	Label        label.Label
-}
-
-// SnapshotSink is the persistence hook for container snapshots, implemented
-// by the boot environment over the single-level store's bundle layer (the
-// same pattern as the ring's Syncer).  The kernel itself stays
-// storage-agnostic.
-type SnapshotSink interface {
-	// Record persists the captured segments as a refcounted bundle and
-	// returns the store-side lineage.
-	Record(name string, objs []SnapshotObjectData) (uint64, error)
-	// Validate checks that every extent the bundle pins still verifies;
-	// a rotted bundle returns the store's typed corruption error.
-	Validate(storeLineage uint64) error
-	// Clone records store-side aliases for a clone's segments, sharing the
-	// bundle's extents without copying.
-	Clone(storeLineage uint64, pairs []ClonePair) error
-	// Drop releases the bundle's pins when the snapshot is deleted.
-	Drop(storeLineage uint64) error
-}
-
-// SetSnapshotSink attaches the snapshot persistence hook; call before the
-// kernel is shared between threads.
-func (k *Kernel) SetSnapshotSink(sink SnapshotSink) {
-	k.snapMu.Lock()
-	k.snapSink = sink
-	k.snapMu.Unlock()
-}
 
 // snapObject is one captured object image.  Everything is immutable after
 // capture; data aliases the frozen source slice.
@@ -107,7 +66,7 @@ type snapObject struct {
 // Snapshot is one registered container snapshot.
 type Snapshot struct {
 	lineage      uint64
-	storeLineage uint64 // 0 when no sink is attached
+	storeLineage uint64 // 0 when no pager is attached
 	name         string
 	root         ID
 	objs         map[ID]*snapObject
@@ -205,13 +164,12 @@ func (k *Kernel) DropSnapshot(lineage uint64) error {
 	if ok {
 		delete(k.snapshots, lineage)
 	}
-	sink := k.snapSink
 	k.snapMu.Unlock()
 	if !ok {
 		return ErrNotFound
 	}
-	if sink != nil && s.storeLineage != 0 {
-		return sink.Drop(s.storeLineage)
+	if s.storeLineage != 0 {
+		return k.pager.DeleteBundle(s.storeLineage)
 	}
 	return nil
 }
@@ -256,8 +214,8 @@ func snapLineage(name string, order []ID, objs map[ID]*snapObject) uint64 {
 // into a registered snapshot (container_snapshot).  The invoking thread must
 // be able to observe every captured object; threads and devices in the
 // subtree are skipped.  Segment data is shared COW from this moment on.
-// When a persistence sink is attached, the captured segments are recorded as
-// a store bundle and the snapshot is durable across remounts of the store.
+// When a pager is attached, the captured segments are recorded as a store
+// bundle and the snapshot is durable across remounts of the store.
 func (tc *ThreadCall) ContainerSnapshot(ce CEnt, name string) (SnapshotInfo, error) {
 	ctx, err := tc.enter(scContainerSnapshot)
 	if err != nil {
@@ -371,22 +329,24 @@ func (tc *ThreadCall) ContainerSnapshot(ce CEnt, name string) (SnapshotInfo, err
 		k.snapMu.Unlock()
 		return info, nil
 	}
-	sink := k.snapSink
 	k.snapMu.Unlock()
 
-	if sink != nil {
-		var sobjs []SnapshotObjectData
+	if k.pager != nil {
+		// No kernel lock is held: the bytes pushed are the frozen arrays the
+		// walk captured, which nothing mutates.
+		var ids []uint64
 		for _, id := range order {
-			o := objs[id]
-			if o.typ == ObjSegment {
-				sobjs = append(sobjs, SnapshotObjectData{ID: uint64(id), Data: o.data, Label: o.lbl})
+			if o := objs[id]; o.typ == ObjSegment && err == nil {
+				ids = append(ids, uint64(id))
+				err = k.pager.PutLabeled(uint64(id), o.lbl, o.data)
 			}
 		}
-		sl, err := sink.Record(name, sobjs)
+		if err == nil {
+			snap.storeLineage, err = k.pager.SnapshotBundle(name, ids)
+		}
 		if err != nil {
 			return SnapshotInfo{}, fmt.Errorf("kernel: persisting snapshot bundle: %w", err)
 		}
-		snap.storeLineage = sl
 	}
 
 	k.snapMu.Lock()
@@ -426,10 +386,10 @@ func remapLabel(l label.Label, remap map[label.Category]label.Category) label.La
 // fresh ID; labels are rewritten through remap (template-user categories →
 // this clone's user), and the invoking thread must be able to allocate at
 // every rewritten label and to write dst.  Cloned segments share the
-// snapshot's data COW — the call copies no segment bytes.  With a
-// persistence sink attached the bundle's lineage is validated first (a
-// rotted shared extent fails the clone with the store's typed error) and the
-// clone's segments are recorded as store-side aliases.
+// snapshot's data COW — the call copies no segment bytes.  With a pager
+// attached the bundle's lineage is validated first (a rotted shared extent
+// fails the clone with the store's typed error) and the clone's segments are
+// recorded as store-side aliases.
 func (tc *ThreadCall) ContainerClone(lineage uint64, dst ID, remap map[label.Category]label.Category) (CloneResult, error) {
 	ctx, err := tc.enter(scContainerClone)
 	if err != nil {
@@ -438,16 +398,16 @@ func (tc *ThreadCall) ContainerClone(lineage uint64, dst ID, remap map[label.Cat
 	k := tc.k
 	k.snapMu.Lock()
 	snap, ok := k.snapshots[lineage]
-	sink := k.snapSink
 	k.snapMu.Unlock()
 	if !ok {
 		return CloneResult{}, ErrNotFound
 	}
-	if sink != nil && snap.storeLineage != 0 {
+	aliased := snap.storeLineage != 0 // recorded through the pager, so is the clone
+	if aliased {
 		// Never silently share rotted bytes: a bundle whose extents fail
 		// verification refuses to clone.  The store's typed error
 		// (ErrQuarantined / ErrCorrupt) is preserved in the chain.
-		if err := sink.Validate(snap.storeLineage); err != nil {
+		if err := k.pager.ValidateBundle(snap.storeLineage); err != nil {
 			return CloneResult{}, fmt.Errorf("%w: snapshot %#x failed bundle validation: %w", ErrCorrupt, lineage, err)
 		}
 	}
@@ -538,7 +498,7 @@ func (tc *ThreadCall) ContainerClone(lineage uint64, dst ID, remap map[label.Cat
 			}
 			o = nc
 		case ObjSegment:
-			ns := &segment{data: so.data, frozen: true}
+			ns := &segment{data: so.data, frozen: true, persistent: aliased}
 			shared += uint64(len(so.data))
 			o = ns
 		case ObjGate:
@@ -583,18 +543,15 @@ func (tc *ThreadCall) ContainerClone(lineage uint64, dst ID, remap map[label.Cat
 		return CloneResult{}, err
 	}
 
-	// Phase 4: store-side aliases, no kernel locks held.  A sink failure
-	// rolls the published clone back so callers never see a half-durable
-	// sandbox.
-	if sink != nil && snap.storeLineage != 0 {
-		var pairs []ClonePair
-		for _, id := range snap.order {
-			so := snap.objs[id]
-			if so.typ == ObjSegment {
-				pairs = append(pairs, ClonePair{SrcID: uint64(id), DstID: uint64(idMap[id]), Label: labels[id]})
-			}
+	// Phase 4: store-side aliases, no kernel locks held.  A pager failure
+	// rolls the published clone back — which also deletes the aliases already
+	// recorded, its segments being persistent — so callers never see a
+	// half-durable sandbox.
+	for _, id := range snap.order {
+		if !aliased || snap.objs[id].typ != ObjSegment {
+			continue
 		}
-		if err := sink.Clone(snap.storeLineage, pairs); err != nil {
+		if err := k.pager.CloneObjectLabeled(snap.storeLineage, uint64(id), uint64(idMap[id]), labels[id]); err != nil {
 			tc.unlinkClone(dest, idMap[snap.root])
 			return CloneResult{}, fmt.Errorf("kernel: recording clone aliases: %w", err)
 		}
@@ -610,7 +567,7 @@ func (tc *ThreadCall) ContainerClone(lineage uint64, dst ID, remap map[label.Cat
 	}, nil
 }
 
-// unlinkClone tears down a just-published clone after a sink failure: unlink
+// unlinkClone tears down a just-published clone after a pager failure: unlink
 // the root from dest and drain the subtree one object at a time (the standard
 // deallocation shape).
 func (tc *ThreadCall) unlinkClone(dest *container, root ID) {

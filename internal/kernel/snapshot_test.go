@@ -313,33 +313,13 @@ func TestSnapshotCloneLabelEnforcement(t *testing.T) {
 	}
 }
 
-// fakeSink scripts the persistence hook so sink interaction is testable
-// without a store.
-type fakeSink struct {
-	recorded    int
-	cloned      int
-	validateErr error
-	cloneErr    error
-}
-
-func (f *fakeSink) Record(name string, objs []SnapshotObjectData) (uint64, error) {
-	f.recorded += len(objs)
-	return 777, nil
-}
-func (f *fakeSink) Validate(sl uint64) error { return f.validateErr }
-func (f *fakeSink) Clone(sl uint64, pairs []ClonePair) error {
-	if f.cloneErr != nil {
-		return f.cloneErr
-	}
-	f.cloned += len(pairs)
-	return nil
-}
-func (f *fakeSink) Drop(sl uint64) error { return nil }
-
-func TestSnapshotSinkValidationAndRollback(t *testing.T) {
+// TestPagerValidationAndRollback drives snapshot and clone through the fake
+// pager (pager_test.go): what is recorded, the validation gate, and the
+// rollback of a clone whose aliases cannot be recorded.
+func TestPagerValidationAndRollback(t *testing.T) {
 	k, tc := boot(t)
-	sink := &fakeSink{}
-	k.SetSnapshotSink(sink)
+	sink := newFakePager()
+	k.SetPager(sink)
 	root := k.RootContainer()
 	sandbox, _ := buildSandbox(t, tc, root, label.New(label.L1), 2, 128)
 
@@ -347,18 +327,18 @@ func TestSnapshotSinkValidationAndRollback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ContainerSnapshot: %v", err)
 	}
-	if sink.recorded != 3 {
-		t.Errorf("sink recorded %d segments, want 3", sink.recorded)
+	if sink.recorded != 3 || sink.puts != 3 {
+		t.Errorf("pager recorded %d segments from %d pushes, want 3 and 3", sink.recorded, sink.puts)
 	}
 	if info.StoreLineage != 777 {
 		t.Errorf("store lineage = %d, want 777", info.StoreLineage)
 	}
 
 	if _, err := tc.ContainerClone(info.Lineage, root, nil); err != nil {
-		t.Fatalf("clone with healthy sink: %v", err)
+		t.Fatalf("clone with healthy pager: %v", err)
 	}
 	if sink.cloned != 3 {
-		t.Errorf("sink cloned %d segments, want 3", sink.cloned)
+		t.Errorf("pager cloned %d segments, want 3", sink.cloned)
 	}
 
 	// A rotted bundle must refuse to clone with a typed error — never
@@ -369,14 +349,18 @@ func TestSnapshotSinkValidationAndRollback(t *testing.T) {
 	}
 	sink.validateErr = nil
 
-	// A sink failure during alias recording rolls the published clone back.
+	// A pager failure during alias recording rolls the published clone back,
+	// and the pager hears of every segment the rollback killed.
 	sink.cloneErr = errors.New("store full")
 	before := len(tc.mustList(t, root))
 	if _, err := tc.ContainerClone(info.Lineage, root, nil); err == nil {
-		t.Fatal("clone with failing sink unexpectedly succeeded")
+		t.Fatal("clone with failing pager unexpectedly succeeded")
 	}
 	if after := len(tc.mustList(t, root)); after != before {
 		t.Errorf("root has %d entries after failed clone, want %d (rollback)", after, before)
+	}
+	if len(sink.gone) != 3 {
+		t.Errorf("the rollback deleted %d store objects, want the clone's 3 segments", len(sink.gone))
 	}
 }
 

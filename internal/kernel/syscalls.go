@@ -67,6 +67,8 @@ const (
 	scRingSync
 	scContainerSnapshot
 	scContainerClone
+	scSegmentPersist
+	scSync
 
 	numSyscalls
 )
@@ -126,6 +128,8 @@ var syscallNames = [numSyscalls]string{
 	scRingSync:             "ring_sync",
 	scContainerSnapshot:    "container_snapshot",
 	scContainerClone:       "container_clone",
+	scSegmentPersist:       "segment_persist",
+	scSync:                 "sync",
 }
 
 // counterStripes is the number of stripes per counter; threads hash onto

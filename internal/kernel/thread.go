@@ -325,7 +325,7 @@ func (tc *ThreadCall) LocalSegmentRead(off, n int) ([]byte, error) {
 	if end, err := seg.clamp(off, n); err != nil || end-off != n {
 		return nil, ErrInvalid
 	}
-	return seg.read(off, n)
+	return seg.read(tc.k, off, n)
 }
 
 // GrantOwnership is a convenience used by trusted bootstrap and test code to

@@ -66,8 +66,8 @@ func BenchmarkRecovery(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if s2.LabelCount() != n {
-					b.Fatalf("recovered %d labels, want %d", s2.LabelCount(), n)
+				if got := s2.Stats().LabeledObjects; got != n {
+					b.Fatalf("recovered %d labels, want %d", got, n)
 				}
 			}
 		})

@@ -102,18 +102,6 @@ func (b *Bundle) object(id uint64) *BundleObject {
 	return nil
 }
 
-// BundleInfo is the externally visible summary of a registered bundle.
-type BundleInfo struct {
-	Lineage uint64
-	Name    string
-	Epoch   uint64
-	Objects int
-	// Bytes is the total size of the pinned extents.
-	Bytes int64
-	// Rotted counts bundle objects whose shared extent failed verification.
-	Rotted int
-}
-
 // bundleLineage derives the deterministic lineage ID: an FNV-1a hash over
 // the bundle name and every captured object's identity, size, and contents
 // CRC.  Offsets are deliberately excluded so lineage identifies content,
@@ -234,28 +222,18 @@ func (s *Store) pinExtentLocked(off int64) {
 	}
 }
 
-// CloneObject creates object dstID as an O(metadata) clone of srcID out of
-// the bundle named by lineage: the clone aliases the source's committed
-// extent (no data is read or written) and inherits the bundle's recorded
-// label.  The clone is made durable by a small WAL clone record; its first
-// rewrite gives it a private extent through the normal checkpoint path.
-func (s *Store) CloneObject(lineage, srcID, dstID uint64) error {
-	return s.cloneObject(lineage, srcID, dstID, nil)
-}
-
-// CloneObjectLabeled is CloneObject with the clone's label overridden —
-// the hook the kernel's category-remapping clone path uses.
+// CloneObjectLabeled creates object dstID as an O(metadata) clone of srcID
+// out of the bundle named by lineage, under the label lbl (the captured one,
+// rewritten by the kernel's category remap): the clone aliases the source's
+// committed extent — no data is read or written — and is made durable by a
+// small WAL clone record; its first rewrite gives it a private extent.
 func (s *Store) CloneObjectLabeled(lineage, srcID, dstID uint64, lbl label.Label) error {
-	return s.cloneObject(lineage, srcID, dstID, lbl.AppendBinary(nil))
-}
-
-func (s *Store) cloneObject(lineage, srcID, dstID uint64, lblBytes []byte) error {
-	return s.logged(func() (*syncTicket, error) { return s.sealClone(lineage, srcID, dstID, lblBytes) })
+	return s.logged(func() (*syncTicket, error) { return s.sealClone(lineage, srcID, dstID, lbl) })
 }
 
 // sealClone installs the alias and enqueues its WAL clone record; the caller
 // holds ckptMu in read mode.
-func (s *Store) sealClone(lineage, srcID, dstID uint64, lblBytes []byte) (*syncTicket, error) {
+func (s *Store) sealClone(lineage, srcID, dstID uint64, lbl label.Label) (*syncTicket, error) {
 	sh := s.shardOf(dstID)
 	e := sh.getOrCreate(dstID)
 	e.mu.Lock()
@@ -283,23 +261,13 @@ func (s *Store) sealClone(lineage, srcID, dstID uint64, lblBytes []byte) (*syncT
 		s.metaMu.Unlock()
 		return nil, fmt.Errorf("%w: object %d", ErrCloneExists, dstID)
 	}
-	if lblBytes == nil {
-		lblBytes = bo.Label
-	}
 	s.setHome(dstID, bo.home())
 	s.metaMu.Unlock()
 	s.allocMu.Lock()
 	s.pinExtentLocked(bo.Off)
 	s.allocMu.Unlock()
 	e.dead, e.quar = false, false
-	if len(lblBytes) > 0 {
-		lbl, rest, derr := s.decodeLabel(lblBytes)
-		if derr == nil && len(rest) == 0 {
-			s.setLabel(sh, dstID, e, lbl)
-		}
-	} else {
-		s.clearLabel(sh, dstID, e)
-	}
+	s.setLabel(sh, dstID, e, lbl)
 	s.c.objectClones.Add(1)
 	s.c.cloneBytesShared.Add(uint64(bo.Size))
 	// The clone record is enqueued under the entry lock (like every sealed
@@ -307,7 +275,7 @@ func (s *Store) sealClone(lineage, srcID, dstID uint64, lblBytes []byte) (*syncT
 	return s.submit(wal.Record{
 		ObjectID: dstID,
 		Data:     encodeCloneBody(lineage, srcID, bo.home()),
-		Label:    lblBytes,
+		Label:    lbl.AppendBinary(nil),
 		Clone:    true,
 	})
 }
@@ -336,43 +304,6 @@ func (s *Store) DeleteBundle(lineage uint64) error {
 	}
 	s.ckptMu.RUnlock()
 	return s.Checkpoint()
-}
-
-// Bundles returns a summary of every registered bundle, ascending by
-// lineage ID.
-func (s *Store) Bundles() []BundleInfo {
-	s.ckptMu.RLock()
-	defer s.ckptMu.RUnlock()
-	s.metaMu.RLock()
-	out := make([]BundleInfo, 0, len(s.bundles))
-	for _, b := range s.bundles {
-		out = append(out, s.bundleInfoLocked(b))
-	}
-	s.metaMu.RUnlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Lineage < out[j].Lineage })
-	return out
-}
-
-// BundleByLineage returns the summary of one bundle.
-func (s *Store) BundleByLineage(lineage uint64) (BundleInfo, bool) {
-	s.ckptMu.RLock()
-	defer s.ckptMu.RUnlock()
-	s.metaMu.RLock()
-	defer s.metaMu.RUnlock()
-	b, ok := s.bundles[lineage]
-	if !ok {
-		return BundleInfo{}, false
-	}
-	return s.bundleInfoLocked(b), true
-}
-
-func (s *Store) bundleInfoLocked(b *Bundle) BundleInfo {
-	info := BundleInfo{Lineage: b.Lineage, Name: b.Name, Epoch: b.Epoch,
-		Objects: len(b.Objects), Rotted: len(b.rotted)}
-	for i := range b.Objects {
-		info.Bytes += b.Objects[i].Size
-	}
-	return info
 }
 
 // ValidateBundle checks a lineage ID at restore time: the bundle must be
@@ -479,7 +410,7 @@ type BundleStats struct {
 	// SharedExtents is the number of extents currently referenced more than
 	// once (clone aliases plus bundle pins).
 	SharedExtents int
-	// Snapshots and Clones count SnapshotBundle and CloneObject calls that
+	// Snapshots and Clones count SnapshotBundle and CloneObjectLabeled calls that
 	// succeeded; CloneBytesShared is the total size of extents aliased by
 	// clones (bytes NOT copied thanks to sharing).
 	Snapshots        uint64

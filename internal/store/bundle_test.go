@@ -42,13 +42,12 @@ func TestBundleSnapshotCloneBasic(t *testing.T) {
 	if lineage == 0 {
 		t.Fatal("lineage 0 is reserved")
 	}
-	info, ok := s.BundleByLineage(lineage)
-	if !ok || info.Objects != 4 || info.Bytes != 4*2048 || info.Rotted != 0 {
-		t.Fatalf("BundleByLineage = %+v, %v", info, ok)
+	if st := s.BundleStats(); st.Bundles != 1 || st.BundleObjects != 4 || st.PinnedBytes != 4*2048 || s.ValidateBundle(lineage) != nil {
+		t.Fatalf("BundleStats = %+v, ValidateBundle = %v", st, s.ValidateBundle(lineage))
 	}
 	// Clone every object; contents and labels come along by reference.
 	for i := uint64(1); i <= 4; i++ {
-		if err := s.CloneObject(lineage, i, 100+i); err != nil {
+		if err := s.CloneObjectLabeled(lineage, i, 100+i, rotLabel(i)); err != nil {
 			t.Fatal(err)
 		}
 		got, err := s.Get(100 + i)
@@ -115,7 +114,7 @@ func TestBundleLineageDeterministicAndIdempotent(t *testing.T) {
 	if l1 != l2 {
 		t.Fatalf("idempotent recapture: %#x != %#x", l1, l2)
 	}
-	if n := len(s.Bundles()); n != 1 {
+	if n := s.BundleStats().Bundles; n != 1 {
 		t.Fatalf("%d bundles registered, want 1", n)
 	}
 	// A different name is a different lineage; so is different content.
@@ -159,27 +158,27 @@ func TestBundleCaptureRejections(t *testing.T) {
 		t.Fatalf("capture of dirty object = %v", err)
 	}
 	// Unknown lineage and unknown source object for clones.
-	if err := s.CloneObject(777, 1, 50); !errors.Is(err, ErrNoSuchBundle) {
+	if err := s.CloneObjectLabeled(777, 1, 50, label.New(label.L1)); !errors.Is(err, ErrNoSuchBundle) {
 		t.Fatalf("clone from unknown lineage = %v", err)
 	}
 	lineage, err := s.SnapshotBundle("b", []uint64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CloneObject(lineage, 2, 50); !errors.Is(err, ErrNoSuchObject) {
+	if err := s.CloneObjectLabeled(lineage, 2, 50, label.New(label.L1)); !errors.Is(err, ErrNoSuchObject) {
 		t.Fatalf("clone of uncaptured object = %v", err)
 	}
 	// Occupied destination.
 	if err := s.Put(50, []byte("here first")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CloneObject(lineage, 1, 50); !errors.Is(err, ErrCloneExists) {
+	if err := s.CloneObjectLabeled(lineage, 1, 50, label.New(label.L1)); !errors.Is(err, ErrCloneExists) {
 		t.Fatalf("clone onto occupied id = %v", err)
 	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CloneObject(lineage, 1, 50); !errors.Is(err, ErrCloneExists) {
+	if err := s.CloneObjectLabeled(lineage, 1, 50, label.New(label.L1)); !errors.Is(err, ErrCloneExists) {
 		t.Fatalf("clone onto committed id = %v", err)
 	}
 }
@@ -250,7 +249,7 @@ func TestBundlePinsBlockReclaimUntilDelete(t *testing.T) {
 	}
 	freeWhilePinned := s.FreeBytes()
 	for i := uint64(1); i <= n; i++ {
-		if err := s.CloneObject(lineage, i, 100+i); err != nil {
+		if err := s.CloneObjectLabeled(lineage, i, 100+i, label.New(label.L1)); err != nil {
 			t.Fatalf("clone of deleted source %d: %v", i, err)
 		}
 		got, err := s.Get(100 + i)
@@ -279,7 +278,7 @@ func TestBundlePinsBlockReclaimUntilDelete(t *testing.T) {
 	if err := s.ValidateBundle(lineage); !errors.Is(err, ErrNoSuchBundle) {
 		t.Errorf("ValidateBundle after delete = %v", err)
 	}
-	if err := s.CloneObject(lineage, 1, 200); !errors.Is(err, ErrNoSuchBundle) {
+	if err := s.CloneObjectLabeled(lineage, 1, 200, label.New(label.L1)); !errors.Is(err, ErrNoSuchBundle) {
 		t.Errorf("clone after delete = %v", err)
 	}
 }
@@ -296,7 +295,7 @@ func TestBundleSurvivesCrashViaWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.CloneObject(lineage, 1, 2); err != nil {
+	if err := s.CloneObjectLabeled(lineage, 1, 2, rotLabel(1)); err != nil {
 		t.Fatal(err)
 	}
 	over := label.New(label.L1, label.P(label.Category(9), label.L0))
@@ -450,11 +449,10 @@ func TestBundlePersistsInMetadataSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, ok := s2.BundleByLineage(lineage)
-	if !ok || info.Name != "persistent" || info.Objects != 1 {
-		t.Fatalf("bundle after checkpointed remount = %+v, %v", info, ok)
+	if b := s2.bundles[lineage]; b == nil || b.Name != "persistent" || len(b.Objects) != 1 {
+		t.Fatalf("bundle after checkpointed remount = %+v", b)
 	}
-	if err := s2.CloneObject(lineage, 1, 5); err != nil {
+	if err := s2.CloneObjectLabeled(lineage, 1, 5, label.New(label.L1)); err != nil {
 		t.Fatal(err)
 	}
 	if got, err := s2.Get(5); err != nil || !bytes.Equal(got, bundlePayload(1, 1024)) {
@@ -474,8 +472,7 @@ func TestBundleRetentionFloor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info, _ := s.BundleByLineage(lineage)
-	e := info.Epoch
+	e := s.bundles[lineage].Epoch
 	// The capture generation must be retained until two later snapshots
 	// committed (finishing epoch E+2), and released after.
 	if got := s.bundleRetentionFloor(e + 1); got != e {
@@ -536,7 +533,7 @@ func runBundleWorkload(t *testing.T, s *Store, bm *bundleCrashModel) bool {
 	bm.lineage, bm.bundleDurable = lineage, true
 	bm.m.commitAll() // SnapshotBundle checkpointed
 	for i := uint64(1); i <= 3; i++ {
-		if fault(s.CloneObject(lineage, i, 100+i)) {
+		if fault(s.CloneObjectLabeled(lineage, i, 100+i, rotLabel(i))) {
 			return true
 		}
 		bm.m.push(100+i, src(i))
@@ -567,7 +564,7 @@ func runBundleWorkload(t *testing.T, s *Store, bm *bundleCrashModel) bool {
 		bm.m.commitAll()
 	}
 	// A clone of a deleted source: only the bundle pin keeps these bytes.
-	if fault(s.CloneObject(lineage, 4, 104)) {
+	if fault(s.CloneObjectLabeled(lineage, 4, 104, rotLabel(4))) {
 		return true
 	}
 	bm.m.push(104, src(4))
@@ -589,7 +586,7 @@ func verifyBundleRecovery(t *testing.T, dev disk.Device, bm *bundleCrashModel, p
 	if bm.lineage == 0 {
 		return // crashed before the clean pass could even learn the lineage
 	}
-	_, present := s.BundleByLineage(bm.lineage)
+	present := !errors.Is(s.ValidateBundle(bm.lineage), ErrNoSuchBundle)
 	if bm.bundleDurable && !present {
 		t.Errorf("%s: committed bundle %#x lost", point, bm.lineage)
 		return
@@ -603,7 +600,7 @@ func verifyBundleRecovery(t *testing.T, dev disk.Device, bm *bundleCrashModel, p
 	}
 	// Object 6 is never deleted or rewritten by the workload, so a fresh
 	// clone of it must reproduce the captured bytes exactly.
-	if err := s.CloneObject(bm.lineage, 6, 900); err != nil {
+	if err := s.CloneObjectLabeled(bm.lineage, 6, 900, rotLabel(6)); err != nil {
 		t.Errorf("%s: clone from recovered bundle: %v", point, err)
 		return
 	}
@@ -700,7 +697,7 @@ func testSharedExtentRot(t *testing.T, firstTouch func(*Store)) {
 	}
 	clones := []uint64{11, 12, 13}
 	for _, dst := range clones {
-		if err := s.CloneObject(lineage, 1, dst); err != nil {
+		if err := s.CloneObjectLabeled(lineage, 1, dst, rotLabel(1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -734,7 +731,7 @@ func testSharedExtentRot(t *testing.T, firstTouch func(*Store)) {
 		}
 	}
 	// Further clones of the rotted entry refuse, typed.
-	if err := s2.CloneObject(lineage, 1, 14); !errors.Is(err, ErrQuarantined) {
+	if err := s2.CloneObjectLabeled(lineage, 1, 14, rotLabel(1)); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("clone of rotted bundle entry = %v", err)
 	}
 	if _, err := s2.Get(14); !errors.Is(err, ErrNoSuchObject) {
@@ -744,11 +741,11 @@ func testSharedExtentRot(t *testing.T, firstTouch func(*Store)) {
 	if err := s2.ValidateBundle(lineage); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("ValidateBundle over rotted extent = %v", err)
 	}
-	if info, _ := s2.BundleByLineage(lineage); info.Rotted != 1 {
-		t.Fatalf("bundle rot accounting = %+v", info)
+	if rotted := s2.bundles[lineage].rotted; len(rotted) != 1 {
+		t.Fatalf("bundle rot accounting = %v", rotted)
 	}
 	// The undamaged bundle entry keeps cloning.
-	if err := s2.CloneObject(lineage, 2, 22); err != nil {
+	if err := s2.CloneObjectLabeled(lineage, 2, 22, rotLabel(2)); err != nil {
 		t.Fatalf("clone of undamaged entry: %v", err)
 	}
 	if got, err := s2.Get(22); err != nil || !bytes.Equal(got, bundlePayload(2, 512)) {

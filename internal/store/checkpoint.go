@@ -66,7 +66,7 @@ type sealedEntry struct {
 // sealedLabel is one (id, label) pair captured at seal time; the metadata
 // label section is serialized from this capture, not from the live tables,
 // so the snapshot is consistent with the sealed object map even while
-// concurrent SetLabel calls proceed.
+// concurrent PutLabeled calls proceed.
 type sealedLabel struct {
 	id  uint64
 	lbl label.Label

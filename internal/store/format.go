@@ -218,7 +218,7 @@ func (r *sectionReader) home() home {
 // read under their own locks — by the time the body serializes, it has
 // finished mutating them, and no concurrent operation does — while the
 // label section comes from the seal-time capture, so the snapshot is
-// consistent with the sealed epoch even as concurrent SetLabel calls
+// consistent with the sealed epoch even as concurrent PutLabeled calls
 // proceed.  The bundle section reads the live table under metaMu: bundles
 // registered after the seal simply appear one snapshot early, which replay
 // tolerates (re-registration is idempotent).  Everything derivable from

@@ -58,7 +58,7 @@ func formatImageWorkload(t *testing.T, s *Store) {
 
 	lineage, err := s.SnapshotBundle("golden", []uint64{3, 4, 5, 6})
 	must(err)
-	must(s.CloneObject(lineage, 3, 100))
+	must(s.CloneObjectLabeled(lineage, 3, 100, rotLabel(3)))
 	must(s.CloneObjectLabeled(lineage, 4, 101, rotLabel(6)))
 	for id := uint64(20); id <= 30; id++ {
 		must(s.PutLabeled(id, rotLabel(id%7), payload()))

@@ -2,7 +2,7 @@ package store
 
 // Group commit is the one way into the write-ahead log for every record the
 // store writes except the seal's epoch marker: SyncObject seals a record
-// from the object's current state, CloneObject one describing the alias it
+// from the object's current state, CloneObjectLabeled one describing the alias it
 // installed, SnapshotBundle one carrying the bundle it registered; each
 // enqueues it with the committer and waits on a commit ticket.  The first
 // syncer to find the committer idle becomes the leader: it drains the queue
@@ -251,9 +251,9 @@ func (s *Store) commitBatch(batch []*syncTicket) error {
 // resurrect the object with a stale or missing label.  When the record
 // cannot go through the log (the log is full, or the record could never
 // fit), the same durability is provided by a whole-system checkpoint.
-// Directory-level fsync in the Unix library uses Checkpoint directly, which
-// is why the paper's synchronous unlink phase is so much slower on HiStar
-// than Linux.
+// Directory-level fsync (the kernel's Sync) is a Checkpoint, which is why
+// the paper's synchronous unlink phase is so much slower on HiStar than
+// Linux.
 func (s *Store) SyncObject(id uint64) error {
 	return s.logged(func() (*syncTicket, error) { return s.sealSync(id) })
 }

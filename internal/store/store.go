@@ -63,7 +63,7 @@
 // registered under a deterministic lineage ID (an FNV-1a hash of the
 // bundle name and each object's identity/size/CRC/label — content, not
 // physical layout, so recapturing identical content is idempotent).
-// CloneObject materializes a bundle member under a fresh object ID in
+// CloneObjectLabeled materializes a bundle member under a fresh object ID in
 // O(metadata): the clone's object-map entry aliases the captured extent,
 // and the first rewrite relocates it through the ordinary dirty path
 // (copy-on-write at checkpoint granularity).  The refcount invariants:
@@ -346,7 +346,7 @@ type Store struct {
 	// retains them for the next attempt instead of leaking the space.
 	deferredFree []extent
 	// extRefs counts references to shared home extents — object-map aliases
-	// created by CloneObject plus bundle pins.  An absent entry means the
+	// created by CloneObjectLabeled plus bundle pins.  An absent entry means the
 	// ordinary single owner; vacateExtent decrements before freeing, so a
 	// shared extent is reclaimed only when its last referent lets go.
 	// Rebuilt from the object map and bundle table at Open.
@@ -548,22 +548,31 @@ func (s *Store) WALStats() wal.Stats { return s.l.Stats() }
 // Put stores (or replaces) the contents of an object in memory.  Nothing is
 // written to disk until SyncObject or a checkpoint, mirroring HiStar's
 // delayed allocation.
-func (s *Store) Put(id uint64, data []byte) error {
+func (s *Store) Put(id uint64, data []byte) error { return s.put(id, data, nil) }
+
+// PutLabeled is Put plus recording the object's information-flow label.
+// Labels are serialized in their canonical sorted form (into every SyncObject
+// log record, and into the metadata snapshot at checkpoint) and their
+// fingerprints are recomputed exactly once on load, so a restored system
+// resumes with warm comparison-cache keys.  Contents and label are installed
+// under one entry-lock hold, so a concurrent SyncObject can never seal the
+// new contents with the old (or no) label — the same atomicity the log
+// record format provides on disk.
+func (s *Store) PutLabeled(id uint64, lbl label.Label, data []byte) error {
+	return s.put(id, data, &lbl)
+}
+
+// put installs new contents and, when lbl is not nil, the label.
+func (s *Store) put(id uint64, data []byte, lbl *label.Label) error {
 	s.ckptMu.RLock()
 	defer s.ckptMu.RUnlock()
 	if s.closed {
 		return ErrClosed
 	}
-	e := s.shardOf(id).getOrCreate(id)
+	sh := s.shardOf(id)
+	e := sh.getOrCreate(id)
 	e.mu.Lock()
-	s.putEntry(e, data)
-	e.mu.Unlock()
-	return nil
-}
-
-// putEntry installs new contents; the caller holds ckptMu in read mode and
-// the entry lock.
-func (s *Store) putEntry(e *objEntry, data []byte) {
+	defer e.mu.Unlock()
 	// Copy-on-write: replace, never mutate, so sealed log records may alias
 	// the old slice.
 	e.data = append([]byte(nil), data...)
@@ -571,11 +580,30 @@ func (s *Store) putEntry(e *objEntry, data []byte) {
 	// New contents supersede a damaged home extent: lift the quarantine.
 	e.quar = false
 	s.c.puts.Add(1)
+	if lbl != nil {
+		s.setLabel(sh, id, e, *lbl)
+	}
+	return nil
 }
 
 // Get returns the contents of an object, reading it from disk if it is not
 // cached.
-func (s *Store) Get(id uint64) ([]byte, error) {
+func (s *Store) Get(id uint64) ([]byte, error) { return s.get(id, true) }
+
+// PageIn makes the object's contents resident, paying the home extent's read
+// when they are not (Section 7.1: whole-object paging).  It fails only for
+// damage: the kernel goes on to read its own bytes, so an object the store
+// does not hold is no error, but a home extent that fails verification is
+// one a real kernel would refuse to page in.
+func (s *Store) PageIn(id uint64) error {
+	if _, err := s.get(id, false); errors.Is(err, ErrCorrupt) {
+		return err
+	}
+	return nil
+}
+
+// get is Get, or with want false PageIn: resident contents are not copied out.
+func (s *Store) get(id uint64, want bool) ([]byte, error) {
 	s.ckptMu.RLock()
 	defer s.ckptMu.RUnlock()
 	if s.closed {
@@ -592,7 +620,7 @@ func (s *Store) Get(id uint64) ([]byte, error) {
 		}
 		e = sh.getOrCreate(id)
 	}
-	buf, h, err := s.pageIn(id, e)
+	buf, h, err := s.pageIn(id, e, want)
 	var rot *CorruptError
 	if errors.As(err, &rot) {
 		// The verdict falls on every referent of the extent, this object
@@ -603,14 +631,16 @@ func (s *Store) Get(id uint64) ([]byte, error) {
 	return buf, err
 }
 
-// pageIn returns a copy of the object's contents, reading and verifying the
-// home extent (whose record it also returns) when they are not resident.
-// The entry lock is held across the read so concurrent misses do one disk
-// read.
-func (s *Store) pageIn(id uint64, e *objEntry) ([]byte, home, error) {
+// pageIn returns a copy of the object's contents (nil for resident contents
+// the caller does not want), reading and verifying the home extent (whose
+// record it also returns) when they are not resident.  The entry lock is
+// held across the read so concurrent misses do one disk read.
+func (s *Store) pageIn(id uint64, e *objEntry, want bool) ([]byte, home, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	switch {
+	case e.cached && !want:
+		return nil, home{}, nil
 	case e.cached:
 		return append([]byte(nil), e.data...), home{}, nil
 	case e.dead:
@@ -631,45 +661,6 @@ func (s *Store) pageIn(id uint64, e *objEntry) ([]byte, home, error) {
 	return buf, h, nil
 }
 
-// PutLabeled is Put plus recording the object's information-flow label.
-// Labels are serialized in their canonical sorted form (into every SyncObject
-// log record, and into the metadata snapshot at checkpoint) and their
-// fingerprints are recomputed exactly once on load, so a restored system
-// resumes with warm comparison-cache keys.  Contents and label are installed
-// under one entry-lock hold, so a concurrent SyncObject can never seal the
-// new contents with the old (or no) label — the same atomicity the log
-// record format provides on disk.
-func (s *Store) PutLabeled(id uint64, lbl label.Label, data []byte) error {
-	s.ckptMu.RLock()
-	defer s.ckptMu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	sh := s.shardOf(id)
-	e := sh.getOrCreate(id)
-	e.mu.Lock()
-	s.putEntry(e, data)
-	s.setLabel(sh, id, e, lbl)
-	e.mu.Unlock()
-	return nil
-}
-
-// SetLabel records (or replaces) the label of an object without touching its
-// contents.
-func (s *Store) SetLabel(id uint64, lbl label.Label) error {
-	s.ckptMu.RLock()
-	defer s.ckptMu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	sh := s.shardOf(id)
-	e := sh.getOrCreate(id)
-	e.mu.Lock()
-	s.setLabel(sh, id, e, lbl)
-	e.mu.Unlock()
-	return nil
-}
-
 // Label returns the stored label of an object, if one was recorded.
 func (s *Store) Label(id uint64) (label.Label, bool) {
 	s.ckptMu.RLock()
@@ -681,20 +672,6 @@ func (s *Store) Label(id uint64) (label.Label, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return e.lbl, e.hasLbl
-}
-
-// LabelCount returns how many objects have a recorded label.
-func (s *Store) LabelCount() int {
-	s.ckptMu.RLock()
-	defer s.ckptMu.RUnlock()
-	n := 0
-	for si := range s.shards {
-		sh := &s.shards[si]
-		sh.mu.RLock()
-		n += sh.labelIndex.Len()
-		sh.mu.RUnlock()
-	}
-	return n
 }
 
 // ObjectsWithLabel returns, in ascending order, the IDs of every object
@@ -753,19 +730,6 @@ func (s *Store) VerifyLabelIndex() error {
 		}
 	}
 	return nil
-}
-
-// Cached reports whether the object's contents are resident in memory.
-func (s *Store) Cached(id uint64) bool {
-	s.ckptMu.RLock()
-	defer s.ckptMu.RUnlock()
-	e := s.shardOf(id).lookup(id)
-	if e == nil {
-		return false
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.cached
 }
 
 // EvictCache drops all clean objects from the in-memory cache, forcing

@@ -165,19 +165,24 @@ func TestEvictCacheForcesDiskReads(t *testing.T) {
 	}
 	s.Checkpoint()
 	s.EvictCache()
-	if s.Cached(3) {
-		t.Error("object should have been evicted")
-	}
 	readsBefore := d.Stats().Reads
+	if err := s.PageIn(4); err != nil || d.Stats().Reads == readsBefore {
+		t.Errorf("PageIn of an evicted object: %v; it should have hit the disk", err)
+	}
+	readsBefore = d.Stats().Reads
 	got, err := s.Get(3)
 	if err != nil || !bytes.Equal(got, payload) {
 		t.Fatalf("Get after evict: %v", err)
 	}
 	if d.Stats().Reads == readsBefore {
-		t.Error("uncached Get should have hit the disk")
+		t.Error("uncached Get should have hit the disk: object 3 should have been evicted")
 	}
-	if !s.Cached(3) {
-		t.Error("Get should repopulate the cache")
+	readsBefore = d.Stats().Reads
+	if err := s.PageIn(3); err != nil || s.PageIn(4) != nil || s.PageIn(999) != nil {
+		t.Errorf("PageIn of resident and of unknown objects: %v; only damage is an error", err)
+	}
+	if d.Stats().Reads != readsBefore {
+		t.Error("Get and PageIn should repopulate the cache")
 	}
 }
 
@@ -319,7 +324,7 @@ func TestLabelPersistence(t *testing.T) {
 	if err := s.Put(3, []byte("unlabeled")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetLabel(3, user); err != nil {
+	if err := s.PutLabeled(3, user, []byte("unlabeled")); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := s.Label(1); !ok || !got.Equal(taint) {
@@ -335,8 +340,8 @@ func TestLabelPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.LabelCount() != 3 {
-		t.Fatalf("LabelCount = %d, want 3", r.LabelCount())
+	if n := r.Stats().LabeledObjects; n != 3 {
+		t.Fatalf("LabeledObjects = %d, want 3", n)
 	}
 	for id, want := range map[uint64]label.Label{1: taint, 2: plain, 3: user} {
 		got, ok := r.Label(id)
@@ -368,8 +373,8 @@ func TestLabelDroppedWithDelete(t *testing.T) {
 	if _, ok := s.Label(7); ok {
 		t.Error("label should be dropped with the object")
 	}
-	if s.LabelCount() != 0 {
-		t.Errorf("LabelCount = %d, want 0", s.LabelCount())
+	if n := s.Stats().LabeledObjects; n != 0 {
+		t.Errorf("LabeledObjects = %d, want 0", n)
 	}
 }
 
@@ -464,7 +469,7 @@ func TestSetLabelMovesIndexEntry(t *testing.T) {
 	if err := s.PutLabeled(3, a, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SetLabel(3, b); err != nil {
+	if err := s.PutLabeled(3, b, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
 	if ids := s.ObjectsWithLabel(a.Fingerprint()); len(ids) != 0 {

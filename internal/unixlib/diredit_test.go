@@ -18,9 +18,19 @@ import (
 // compare-and-swap, busy, read, resize, write, the one-write unlock, wake —
 // plus what the edit creates; resolving one path component is one ring batch
 // of three reads (4 calls), opening a descriptor is 3, and asking for the
-// default label is 1.
+// default label is 1.  With a store the edit itself costs the same 7 (the
+// kernel carries the directory segment to the store, at the next sync); what
+// is added is the one call that marks a new file's or directory's segment
+// persistent.
 func TestDirEditSyscallBudget(t *testing.T) {
-	sys := bootSys(t)
+	t.Run("no store", func(t *testing.T) { dirEditSyscallBudget(t, bootSys(t), 0) })
+	t.Run("store", func(t *testing.T) {
+		sys, _, _ := bootSysPersist(t)
+		dirEditSyscallBudget(t, sys, 1)
+	})
+}
+
+func dirEditSyscallBudget(t *testing.T, sys *System, persist uint64) {
 	p, err := sys.NewInitProcess("alice")
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +57,7 @@ func TestDirEditSyscallBudget(t *testing.T) {
 		want uint64
 		call func() error
 	}{
-		{"Create", deflt + resolve + edit + 1 + openFD, func() (err error) { // + the file segment
+		{"Create", deflt + resolve + edit + 1 + persist + openFD, func() (err error) { // + the file segment
 			fd, err = p.Create("/tmp/a/f", label.Label{})
 			return err
 		}},
@@ -61,7 +71,7 @@ func TestDirEditSyscallBudget(t *testing.T) {
 		{"Rename across directories", 2*resolve + 2 + edit + edit + 1, func() error { return p.Rename("/tmp/a/g", "/tmp/b/g") }},
 		{"Unlink", resolve + edit + 1, func() error { return p.Unlink("/tmp/b/g") }}, // + unref
 		// + container, directory segment, metadata.
-		{"Mkdir", deflt + resolve + edit + 3, func() error { return p.Mkdir("/tmp/a/d", label.Label{}) }},
+		{"Mkdir", deflt + resolve + edit + 3 + persist, func() error { return p.Mkdir("/tmp/a/d", label.Label{}) }},
 	} {
 		before := p.TC.SyscallsIssued()
 		if err := c.call(); err != nil {
@@ -136,8 +146,8 @@ func TestUnlinkDirectoryDeletesItsStoreObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// An edit of /tmp/d mirrors its segment; /tmp's own is mirrored first, so
-	// that it is already counted in live.
+	// /tmp's own directory segment reaches the store first, so that it is
+	// already counted in live.
 	if err := p.WriteFile("/tmp/warm", []byte("w"), label.Label{}); err != nil {
 		t.Fatal(err)
 	}

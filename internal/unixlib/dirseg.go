@@ -33,8 +33,10 @@ import (
 //  4. unlock with ONE write of the first three words — mutex 0, generation + 1,
 //     busy 0 — so a lock-free reader never sees a released mutex beside a stale
 //     generation or a set busy flag, then wake one waiter.  An edit that
-//     changed nothing releases with the generation it found;
-//  5. mirror the segment into the store (persist.go).
+//     changed nothing releases with the generation it found.
+//
+// A directory segment is persistent (markPersistent, at creation), so the
+// kernel carries every edit to the store at the next sync: nothing here does.
 const (
 	dsMutexOff = 0
 	dsGenOff   = 8
@@ -188,9 +190,6 @@ func (sys *System) editDir(tc *kernel.ThreadCall, dir kernel.ID, edit func([]Dir
 	}
 	if uerr := sys.unlockDir(tc, seg, old, wrote); err == nil {
 		err = uerr
-	}
-	if wrote {
-		sys.mirror(tc, seg)
 	}
 	return err
 }

@@ -134,24 +134,21 @@ func (fd *FD) file() (kernel.CEnt, error) {
 	return fd.File, nil
 }
 
-// readAt is the one body that reads a file's bytes: page the whole segment
-// in (Section 7.1), then read up to n bytes at off.
+// readAt is the one body that reads a file's bytes: up to n bytes at off.
+// The kernel pages the whole segment in first (Section 7.1), and a home
+// extent the store finds damaged comes back as ErrIO.
 func (p *Process) readAt(file kernel.CEnt, off int64, n int) ([]byte, error) {
-	if err := p.sys.pageInFile(file); err != nil {
-		return nil, mapKernelErr(err)
-	}
 	data, err := p.TC.SegmentRead(file, int(off), n)
 	return data, mapKernelErr(err)
 }
 
 // writeAt is the one body that writes a file's bytes: the write itself
-// (growing the quota when it must), the modification time, the mirror.
+// (growing the quota when it must) and the modification time.
 func (p *Process) writeAt(file kernel.CEnt, off int64, data []byte) error {
 	if err := p.sys.segWrite(p.TC, file, int(off), data); err != nil {
 		return err
 	}
 	p.touchMtime(file)
-	p.sys.mirror(p.TC, file)
 	return nil
 }
 
@@ -394,7 +391,7 @@ func (p *Process) Unlink(path string) error {
 	if err := p.sys.removeEntry(p.TC, dir, entry.Name); err != nil {
 		return err
 	}
-	return p.sys.dropObject(p.TC, dir, entry)
+	return mapKernelErr(p.TC.Unref(dir, entry.ID))
 }
 
 // Rename renames a file within a directory, or moves it between directories,
@@ -484,7 +481,7 @@ func (p *Process) Fsync(num int) error {
 	if err != nil {
 		return err
 	}
-	return p.sys.syncFiles(p.TC, fd.File)
+	return p.syncFiles(fd.File)
 }
 
 // FsyncPath is Fsync by path.
@@ -497,12 +494,12 @@ func (p *Process) FsyncPath(path string) error {
 	if entry.Type == kernel.ObjContainer {
 		target = kernel.CEnt{} // no file segment, as in a directory's descriptor
 	}
-	return p.sys.syncFiles(p.TC, target)
+	return p.syncFiles(target)
 }
 
 // GroupSync checkpoints the entire system state once — the new consistency
 // choice the single-level store makes possible (Section 7.1): the
 // application either runs to completion or appears never to have started.
 func (p *Process) GroupSync() error {
-	return p.sys.SyncWholeSystem()
+	return p.syncFiles(kernel.CEnt{})
 }

@@ -31,7 +31,7 @@ func (sys *System) mkDirContainer(tc *kernel.ThreadCall, parent kernel.ID, name 
 	if err != nil {
 		return kernel.NilID, mapKernelErr(err)
 	}
-	sys.persistLabel(seg, lbl)
+	sys.markPersistent(tc, kernel.CEnt{Container: dir, Object: seg})
 	var md [kernel.MetadataSize]byte
 	binary.LittleEndian.PutUint64(md[:8], uint64(seg))
 	if err := tc.ObjectSetMetadata(kernel.Self(dir), md); err != nil {
@@ -73,9 +73,20 @@ func (sys *System) createFileIn(tc *kernel.ThreadCall, dir kernel.ID, name strin
 		if err != nil {
 			return kernel.NilID, mapKernelErr(err)
 		}
-		sys.persistLabel(file, lbl)
+		sys.markPersistent(tc, kernel.CEnt{Container: dir, Object: file})
 		return file, nil
 	})
+}
+
+// markPersistent asks the kernel, where a file's or directory's segment was
+// just created, to page it to the store from now on: the whole of what the
+// library says about persistence besides fsync.  A creator that cannot modify
+// what it made (a label allocated above its own) could not have written it
+// either, so the refusal is dropped and the segment stays unpaged.
+func (sys *System) markPersistent(tc *kernel.ThreadCall, seg kernel.CEnt) {
+	if sys.evictCache != nil {
+		_ = tc.SegmentPersist(seg)
+	}
 }
 
 func truncName(s string) string {
@@ -123,35 +134,18 @@ func (sys *System) removeEntry(tc *kernel.ThreadCall, dir kernel.ID, name string
 
 // bindEntry is the edit step that binds e.Name to e's object, replacing —
 // and dropping from dir — whatever else held the name (Unix rename
-// semantics).  e's object must already be linked in dir.
+// semantics; what the store held for the victim dies with its last link, in
+// the kernel).  e's object must already be linked in dir.
 func (sys *System) bindEntry(tc *kernel.ThreadCall, dir kernel.ID, entries []DirEntry, e DirEntry) []DirEntry {
 	i := findEntry(entries, e.Name)
 	if i < 0 {
 		return append(entries, e)
 	}
 	if victim := entries[i]; victim.ID != e.ID {
-		_ = sys.dropObject(tc, dir, victim)
+		_ = tc.Unref(dir, victim.ID)
 	}
 	entries[i] = e
 	return entries
-}
-
-// dropObject removes dir's reference to the object a directory entry named
-// and deletes what the store mirrored for it: the segment of a file, the
-// directory segment of a directory (looked up first — once the container is
-// gone nothing names it).
-func (sys *System) dropObject(tc *kernel.ThreadCall, dir kernel.ID, e DirEntry) error {
-	mirrored := e.ID
-	if e.Type == kernel.ObjContainer {
-		if seg, err := sys.dirSegCE(tc, e.ID); err == nil {
-			mirrored = seg.Object
-		}
-	}
-	if err := tc.Unref(dir, e.ID); err != nil {
-		return mapKernelErr(err)
-	}
-	sys.persistDelete(mirrored)
-	return nil
 }
 
 // resolve walks an absolute or cwd-relative path to its final component.  It

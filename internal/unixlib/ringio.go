@@ -7,10 +7,48 @@ import (
 )
 
 // Ring-driven multi-FD I/O, for a server flushing many dirty files: call by
-// call it would pay, per file, a write syscall, a read-back syscall, and — the
-// expensive part — one write-ahead-log flush for the fsync.  Here all files'
-// writes go through one ring batch (same-file writes coalesce to one lock
-// round-trip) and syncFiles mirrors and commits them as one group.
+// call it would pay, per file, a write syscall and — the expensive part — one
+// write-ahead-log flush for the fsync.  Here all files' writes go through one
+// ring batch (same-file writes coalesce to one lock round-trip) and
+// syncFiles commits them as one group.
+
+// syncFiles is the one fsync body, and states Section 7.1's two consistency
+// choices once.  Every distinct target that names a file segment becomes one
+// OpSync entry of a single ring batch — of length one for one file — which the
+// kernel pushes and commits through the write-ahead log as one group: at most
+// ⌈files/GroupCommitRecords⌉ log flushes instead of one per file.  A target
+// that names no file segment is what a directory's descriptor holds, and
+// fsync of a directory checkpoints the entire system state (Section 7.1's
+// explanation for the synchronous unlink numbers) — after the file syncs, so
+// it covers them too.  On a machine without a store there is nothing to do.
+func (p *Process) syncFiles(targets ...kernel.CEnt) error {
+	if p.sys.evictCache == nil {
+		return nil
+	}
+	r := p.TC.NewRing()
+	checkpoint := false
+	seen := make(map[kernel.ID]bool, len(targets))
+	for _, t := range targets {
+		switch {
+		case t.Object == kernel.NilID:
+			checkpoint = true
+		case !seen[t.Object]:
+			seen[t.Object] = true
+			r.Submit(kernel.RingEntry{Op: kernel.OpSync, Seg: t})
+		}
+	}
+	comps, err := r.Wait(0) // any count: a Wait completes every pending entry
+	err = mapKernelErr(err)
+	for i := 0; err == nil && i < len(comps); i++ {
+		err = mapKernelErr(comps[i].Err)
+	}
+	if checkpoint {
+		if cerr := mapKernelErr(p.TC.Sync()); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
 
 // WriteOp is one positional write of a writev/fsync fan-out.
 type WriteOp struct {
@@ -19,8 +57,8 @@ type WriteOp struct {
 	Data []byte
 }
 
-// PwritevFsync applies every write, persists each touched file, and makes
-// them all durable with one group sync.  It returns the total bytes written.
+// PwritevFsync applies every write and makes every touched file durable with
+// one group sync.  It returns the total bytes written.
 // Writes to the same file apply in op order (the ring keeps same-object
 // submission order); the first error is returned after all ops have been
 // attempted, matching the per-call loop it replaces.
@@ -82,14 +120,14 @@ func (p *Process) PwritevFsync(ops []WriteOp) (int, error) {
 	for _, f := range files {
 		p.touchMtime(f)
 	}
-	if err := p.sys.syncFiles(p.TC, files...); err != nil && firstErr == nil {
+	if err := p.syncFiles(files...); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return total, firstErr
 }
 
-// FsyncMany is fsync over many descriptors at once: every file is mirrored
-// into the store and committed as one group sync.
+// FsyncMany is fsync over many descriptors at once: every file is committed
+// in one group sync.
 func (p *Process) FsyncMany(nums []int) error {
 	targets := make([]kernel.CEnt, 0, len(nums))
 	var firstErr error
@@ -103,7 +141,7 @@ func (p *Process) FsyncMany(nums []int) error {
 		}
 		targets = append(targets, fd.File)
 	}
-	if err := p.sys.syncFiles(p.TC, targets...); err != nil && firstErr == nil {
+	if err := p.syncFiles(targets...); err != nil && firstErr == nil {
 		firstErr = err
 	}
 	return firstErr

@@ -90,6 +90,11 @@ func TestPwritevFsyncFansOutAndGroupCommits(t *testing.T) {
 			t.Errorf("file %d contents = %d bytes, want %d (mismatch at %d)",
 				i, len(got), len(want[fd]), firstDiff(got, want[fd]))
 		}
+		// The ring's writes reached the store by the fan-out's own sync.
+		f, _ := p.getFD(fd)
+		if synced, err := st.Get(uint64(f.File.Object)); err != nil || !bytes.Equal(synced, want[fd]) {
+			t.Errorf("store contents of file %d = %d bytes, %v; want the %d written", i, len(synced), err, len(want[fd]))
+		}
 	}
 	rs := sys.Kern.RingStats()
 	if rs.SyncGroups == 0 || rs.SyncEntries < nFiles {

@@ -5,6 +5,15 @@
 // privilege: it corresponds to the ~10,000-line library the paper layers
 // under uClibc.  A vulnerability in this code compromises only the threads
 // that trigger it, never the kernel's information-flow guarantees.
+//
+// Persistence is the kernel's: Boot hands BootOptions.Persist to
+// Kernel.SetPager and the library never calls the store.  What it may ask is
+// what any thread may — mark a segment it can modify persistent where it
+// creates one (markPersistent, fs.go), fsync it as a ring of OpSync entries,
+// sync the whole system (syncFiles, ringio.go) — each call checked by the
+// kernel against the calling thread's label; which bytes changed, what to
+// page in before a read and what to delete when an object dies the kernel
+// knows for itself.
 package unixlib
 
 import (
@@ -30,16 +39,20 @@ type User struct {
 	Uw   label.Category // write privilege
 }
 
-// System is one booted HiStar machine with its Unix environment: the kernel,
-// the optional single-level-store persistence bridge, the root directory,
+// System is one booted HiStar machine with its Unix environment: the kernel
+// (which owns the single-level store, if there is one), the root directory,
 // registered programs, and user accounts.  There is no system-wide lock:
 // the program and user tables are read-mostly behind their own RWMutexes,
 // PIDs come from an atomic counter, and directory-segment lookups hit a
 // sharded cache, so concurrent processes contend only on the kernel objects
 // they actually share.
 type System struct {
-	Kern    *kernel.Kernel
-	Persist *store.Store
+	Kern *kernel.Kernel
+	// evictCache drops the store's clean cached contents (EvictFileCache).
+	// It is all the library keeps of the store Boot hands to the kernel, and
+	// nil on a machine booted without one, where nothing is marked
+	// persistent and a sync is a no-op.
+	evictCache func()
 
 	// RootDir is the container serving as the file system root "/".
 	RootDir kernel.ID
@@ -83,8 +96,9 @@ type dirSegShard struct {
 
 // BootOptions configure Boot.
 type BootOptions struct {
-	// Persist attaches a single-level store; file and directory segments are
-	// mirrored into it so fsync and checkpoint have their paper semantics.
+	// Persist attaches a single-level store to the kernel, which pages file
+	// and directory segments to it, so fsync and checkpoint have their paper
+	// semantics.
 	Persist *store.Store
 	// KernelConfig is passed through to kernel.New.
 	KernelConfig kernel.Config
@@ -96,7 +110,6 @@ func Boot(opts BootOptions) (*System, error) {
 	k := kernel.New(opts.KernelConfig)
 	sys := &System{
 		Kern:     k,
-		Persist:  opts.Persist,
 		programs: make(map[string]Program),
 		users:    make(map[string]*User),
 	}
@@ -104,10 +117,8 @@ func Boot(opts BootOptions) (*System, error) {
 		sys.dirSegs[i].m = make(map[kernel.ID]kernel.ID)
 	}
 	if st := opts.Persist; st != nil {
-		// Container snapshots persist as refcounted store bundles; clones
-		// validate the bundle and record extent-sharing aliases.  The kernel
-		// stays storage-agnostic behind the sink interface.
-		k.SetSnapshotSink(snapshotSink{st})
+		k.SetPager(st)
+		sys.evictCache = st.EvictCache
 	}
 	tc, err := k.BootThread(label.New(label.L1), label.New(label.L2), "unixlib init")
 	if err != nil {
@@ -133,6 +144,14 @@ func Boot(opts BootOptions) (*System, error) {
 // the trusted setup code in examples and tests (the role the machine
 // administrator's console plays on a real system).
 func (sys *System) InitThread() *kernel.ThreadCall { return sys.initTC }
+
+// EvictFileCache drops clean objects from the store's cache so subsequent
+// reads hit the simulated disk (benchmark plumbing for the uncached phases).
+func (sys *System) EvictFileCache() {
+	if sys.evictCache != nil {
+		sys.evictCache()
+	}
+}
 
 // RegisterProgram makes a program available under the given path, creating
 // the corresponding file in the file system (its contents are the program

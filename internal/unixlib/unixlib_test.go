@@ -452,12 +452,23 @@ func TestFsyncAndGroupSyncDurability(t *testing.T) {
 	if err != nil || string(data) != "must survive" {
 		t.Errorf("synced file after crash: %q, %v", data, err)
 	}
+	// What was never synced never left the kernel.
+	vol, err := p.Stat("/tmp/volatile.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st2.Get(uint64(vol.ID)); !errors.Is(err, store.ErrNoSuchObject) {
+		t.Errorf("unsynced file after crash: %v, want ErrNoSuchObject", err)
+	}
 	// Group sync makes everything durable at once.
 	if err := p.GroupSync(); err != nil {
 		t.Fatal(err)
 	}
 	if st.Stats().Checkpoints == 0 {
 		t.Error("group sync should checkpoint the store")
+	}
+	if data, err := crashAndReopen(t, st).Get(uint64(vol.ID)); err != nil || string(data) != "may vanish" {
+		t.Errorf("group-synced file after crash: %q, %v", data, err)
 	}
 }
 
@@ -510,7 +521,7 @@ func TestCorruptExtentSurfacesAsEIO(t *testing.T) {
 	}
 	// Whole-system sync writes home extents (with contents CRCs); evicting
 	// the cache forces the next read to page in from disk.
-	if err := sys.SyncWholeSystem(); err != nil {
+	if err := p.GroupSync(); err != nil {
 		t.Fatal(err)
 	}
 	sys.EvictFileCache()
@@ -534,7 +545,7 @@ func TestCorruptExtentSurfacesAsEIO(t *testing.T) {
 	if data, err := p.ReadFile("/tmp/bystander"); err != nil || string(data) != "healthy" {
 		t.Fatalf("bystander read = %q, %v", data, err)
 	}
-	if is := sys.Persist.IntegrityStats(); is.QuarantinedNow != 1 || is.CorruptionsDetected == 0 {
+	if is := st.IntegrityStats(); is.QuarantinedNow != 1 || is.CorruptionsDetected == 0 {
 		t.Fatalf("store integrity stats = %+v", is)
 	}
 }
