@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"histar/internal/disk"
+	"histar/internal/kernel"
 	"histar/internal/label"
 	"histar/internal/store"
 )
@@ -15,8 +16,9 @@ import (
 // TestDirEditSyscallBudget pins what the directory calls cost in kernel
 // calls, so a re-read or re-write of a word the caller already holds fails
 // here rather than in a benchmark.  One directory edit is 7 calls —
-// compare-and-swap, busy, read, resize, write, the one-write unlock, wake —
-// plus what the edit creates; resolving one path component is one ring batch
+// compare-and-swap, busy, read, resize, the write of the bytes that changed,
+// the one-write unlock that carries the count, wake — plus what the edit
+// creates; resolving one path component is one ring batch
 // of three reads (4 calls), opening a descriptor is 3, and asking for the
 // default label is 1.  With a store the edit itself costs the same 7 (the
 // kernel carries the directory segment to the store, at the next sync); what
@@ -72,6 +74,8 @@ func dirEditSyscallBudget(t *testing.T, sys *System, persist uint64) {
 		{"Unlink", resolve + edit + 1, func() error { return p.Unlink("/tmp/b/g") }}, // + unref
 		// + container, directory segment, metadata.
 		{"Mkdir", deflt + resolve + edit + 3 + persist, func() error { return p.Mkdir("/tmp/a/d", label.Label{}) }},
+		// + the new directory's segment ID (its first use), its count word; unref.
+		{"Unlink empty directory", resolve + 2 + edit + 1, func() error { return p.Unlink("/tmp/a/d") }},
 	} {
 		before := p.TC.SyscallsIssued()
 		if err := c.call(); err != nil {
@@ -203,7 +207,10 @@ func TestUnlinkDirectoryDeletesItsStoreObject(t *testing.T) {
 // (so it cannot take the mutex) lists it while the owner creates and unlinks,
 // and every listing must be a state the directory really was in while the
 // listing ran — distinct names from the expected set, exactly as many as
-// that state held, never a torn mix of two states.
+// that state held, never a torn mix of two states.  A second reader resolves
+// names all the while: one bound before the edits began and never touched,
+// whose entry every removal ahead of it moves, must never be missed, and one
+// never bound must never be found.
 func TestReadDirConsistentDuringEdits(t *testing.T) {
 	sys := bootSys(t)
 	owner, err := sys.NewInitProcess("alice")
@@ -232,15 +239,48 @@ func TestReadDirConsistentDuringEdits(t *testing.T) {
 	for n := 0; n < names; n++ {
 		index[name(n)] = n
 	}
+	// The first four names exist from the start, ahead of the name that stays.
 	states := make([]uint8, edits+1)
+	states[0] = 0b1111
+	for n := 0; n < 4; n++ {
+		if err := owner.WriteFile("/tmp/shared/"+name(n), nil, label.New(label.L1)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := owner.WriteFile("/tmp/shared/stays", nil, label.New(label.L1)); err != nil {
+		t.Fatal(err)
+	}
+	stays, err := owner.Stat("/tmp/shared/stays")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < edits; i++ {
 		states[i+1] = states[i] ^ 1<<((i*5)%names)
 	}
 	// The directory is in state k for some started ≥ k ≥ finished.
 	var started, finished atomic.Int64
 	var wg sync.WaitGroup
-	wg.Add(1)
-	defer wg.Wait() // also when a listing fails: the owner must not outlive the test
+	wg.Add(2)
+	defer wg.Wait() // also when a listing fails: nobody must outlive the test
+	resolver, err := sys.NewInitProcess("carol")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go func() {
+		defer wg.Done()
+		lookups := 0
+		for ; finished.Load() < edits && !t.Failed(); lookups++ {
+			if fi, err := resolver.Stat("/tmp/shared/stays"); err != nil || fi.ID != stays.ID {
+				t.Errorf("lookup %d of the name that stays = %v, %v; want object %v", lookups, fi.ID, err, stays.ID)
+				return
+			}
+			if fi, err := resolver.Stat("/tmp/shared/never"); !errors.Is(err, ErrNotExist) {
+				t.Errorf("lookup %d of a name never bound = %v, %v; want ErrNotExist", lookups, fi.ID, err)
+				return
+			}
+		}
+		t.Logf("%d lookups of each name", lookups)
+	}()
 	go func() {
 		defer wg.Done()
 		for i := 0; i < edits; i++ {
@@ -273,12 +313,20 @@ func TestReadDirConsistentDuringEdits(t *testing.T) {
 			t.Fatalf("listing %d: %v", listings, err)
 		}
 		var got uint8
+		stayed := 0
 		for _, e := range entries {
+			if e == (DirEntry{Name: "stays", ID: stays.ID, Type: kernel.ObjSegment}) {
+				stayed++
+				continue
+			}
 			n, ok := index[e.Name]
 			if !ok || got&(1<<n) != 0 {
 				t.Fatalf("listing %d: unexpected or repeated name %q in %v", listings, e.Name, entries)
 			}
 			got |= 1 << n
+		}
+		if stayed != 1 {
+			t.Fatalf("listing %d binds the name that stays %d times: %v", listings, stayed, entries)
 		}
 		match := false
 		for k := lo; k <= hi && !match; k++ {

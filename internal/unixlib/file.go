@@ -369,11 +369,8 @@ func (p *Process) ReadDir(path string) ([]DirEntry, error) {
 	if entry.Type != kernel.ObjContainer {
 		return nil, ErrNotDir
 	}
-	seg, err := p.sys.dirSegCE(p.TC, entry.ID)
-	if err != nil {
-		return nil, err
-	}
-	return p.sys.readDirEntries(p.TC, seg)
+	buf, err := p.sys.readDir(p.TC, p.TC.NewRing(), entry.ID)
+	return decodeDirEntries(buf), err
 }
 
 // Unlink removes a file or (empty) directory.
@@ -383,8 +380,17 @@ func (p *Process) Unlink(path string) error {
 		return err
 	}
 	if entry.Type == kernel.ObjContainer {
-		children, err := p.ReadDir(path)
-		if err == nil && len(children) > 0 {
+		// The count word of the directory just resolved says whether it is
+		// empty; one whose count cannot be read is not removed on a guess.
+		seg, err := p.sys.dirSegCE(p.TC, entry.ID)
+		if err != nil {
+			return err
+		}
+		count, err := p.TC.SegmentRead(seg, dsCountOff, 8)
+		if err != nil {
+			return mapKernelErr(err)
+		}
+		if len(count) < 8 || binary.LittleEndian.Uint64(count) != 0 {
 			return ErrNotEmpty
 		}
 	}
@@ -408,13 +414,13 @@ func (p *Process) Rename(oldPath, newPath string) error {
 		return err
 	}
 	if oldDir == newDir {
-		return p.sys.editDir(p.TC, oldDir, func(entries []DirEntry) ([]DirEntry, error) {
-			entries, src, err := takeEntry(entries, oldEntry.Name)
-			if err != nil {
-				return nil, err
+		return p.sys.editDir(p.TC, oldDir, func(d *dirEdit) error {
+			src, err := d.take(oldEntry.Name)
+			if err == nil {
+				src.Name = newLeaf
+				p.sys.bindEntry(p.TC, oldDir, d, src)
 			}
-			src.Name = newLeaf
-			return p.sys.bindEntry(p.TC, oldDir, entries, src), nil
+			return err
 		})
 	}
 	// Cross-directory: link into the new directory and bind the name there,
@@ -425,8 +431,9 @@ func (p *Process) Rename(oldPath, newPath string) error {
 	if err := p.TC.Link(newDir, ce); err != nil && err != kernel.ErrExists {
 		return mapKernelErr(err)
 	}
-	err = p.sys.editDir(p.TC, newDir, func(entries []DirEntry) ([]DirEntry, error) {
-		return p.sys.bindEntry(p.TC, newDir, entries, DirEntry{Name: newLeaf, ID: oldEntry.ID, Type: oldEntry.Type}), nil
+	err = p.sys.editDir(p.TC, newDir, func(d *dirEdit) error {
+		p.sys.bindEntry(p.TC, newDir, d, DirEntry{Name: newLeaf, ID: oldEntry.ID, Type: oldEntry.Type})
+		return nil
 	})
 	if err != nil {
 		return err

@@ -44,15 +44,15 @@ func (sys *System) mkDirContainer(tc *kernel.ThreadCall, parent kernel.ID, name 
 // ErrExist — before anything is created — when the name is taken.
 func (sys *System) addEntry(tc *kernel.ThreadCall, dir kernel.ID, name string, typ kernel.ObjectType, create func() (kernel.ID, error)) (kernel.ID, error) {
 	var id kernel.ID
-	err := sys.editDir(tc, dir, func(entries []DirEntry) ([]DirEntry, error) {
-		if findEntry(entries, name) >= 0 {
-			return nil, ErrExist
+	err := sys.editDir(tc, dir, func(d *dirEdit) error {
+		if d.find(name) >= 0 {
+			return ErrExist
 		}
 		var err error
-		if id, err = create(); err != nil {
-			return nil, err
+		if id, err = create(); err == nil {
+			d.add(DirEntry{Name: name, ID: id, Type: typ})
 		}
-		return append(entries, DirEntry{Name: name, ID: id, Type: typ}), nil
+		return err
 	})
 	return id, err
 }
@@ -96,39 +96,26 @@ func truncName(s string) string {
 	return s
 }
 
-// lookupEntry finds a name in a directory.
-func (sys *System) lookupEntry(tc *kernel.ThreadCall, dir kernel.ID, name string) (DirEntry, error) {
-	seg, err := sys.dirSegCE(tc, dir)
+// lookupEntry finds name in a snapshot of dir's bytes, where it lies: what it
+// allocates does not depend on how many entries the directory holds.
+func (sys *System) lookupEntry(tc *kernel.ThreadCall, r *kernel.Ring, dir kernel.ID, name string) (DirEntry, error) {
+	buf, err := sys.readDir(tc, r, dir)
 	if err != nil {
 		return DirEntry{}, err
 	}
-	entries, err := sys.readDirEntries(tc, seg)
-	if err != nil {
-		return DirEntry{}, err
+	at, _, _ := scanDir(buf, name, false)
+	if at < 0 {
+		return DirEntry{}, ErrNotExist
 	}
-	if i := findEntry(entries, name); i >= 0 {
-		return entries[i], nil
-	}
-	return DirEntry{}, ErrNotExist
-}
-
-// takeEntry is the edit step that removes name from entries and returns what
-// it was bound to.
-func takeEntry(entries []DirEntry, name string) ([]DirEntry, DirEntry, error) {
-	i := findEntry(entries, name)
-	if i < 0 {
-		return nil, DirEntry{}, ErrNotExist
-	}
-	e := entries[i]
-	return append(entries[:i], entries[i+1:]...), e, nil
+	return entryOf(buf, at, name), nil
 }
 
 // removeEntry removes a name binding from a directory (the object itself is
 // unreferenced by the caller).
 func (sys *System) removeEntry(tc *kernel.ThreadCall, dir kernel.ID, name string) error {
-	return sys.editDir(tc, dir, func(entries []DirEntry) ([]DirEntry, error) {
-		entries, _, err := takeEntry(entries, name)
-		return entries, err
+	return sys.editDir(tc, dir, func(d *dirEdit) error {
+		_, err := d.take(name)
+		return err
 	})
 }
 
@@ -136,16 +123,10 @@ func (sys *System) removeEntry(tc *kernel.ThreadCall, dir kernel.ID, name string
 // and dropping from dir — whatever else held the name (Unix rename
 // semantics; what the store held for the victim dies with its last link, in
 // the kernel).  e's object must already be linked in dir.
-func (sys *System) bindEntry(tc *kernel.ThreadCall, dir kernel.ID, entries []DirEntry, e DirEntry) []DirEntry {
-	i := findEntry(entries, e.Name)
-	if i < 0 {
-		return append(entries, e)
+func (sys *System) bindEntry(tc *kernel.ThreadCall, dir kernel.ID, d *dirEdit, e DirEntry) {
+	if victim := d.bind(e); victim != kernel.NilID && victim != e.ID {
+		_ = tc.Unref(dir, victim)
 	}
-	if victim := entries[i]; victim.ID != e.ID {
-		_ = tc.Unref(dir, victim.ID)
-	}
-	entries[i] = e
-	return entries
 }
 
 // resolve walks an absolute or cwd-relative path to its final component.  It
@@ -154,43 +135,34 @@ func (sys *System) bindEntry(tc *kernel.ThreadCall, dir kernel.ID, entries []Dir
 // non-nil, overlays mounted containers on path prefixes (Section 5.1's
 // per-process mount table, in the style of Plan 9).
 func (sys *System) resolve(tc *kernel.ThreadCall, rootDir kernel.ID, path string, mounts *MountTable) (dir kernel.ID, leaf string, entry *DirEntry, err error) {
-	clean := cleanPath(path)
-	if clean == "/" {
-		return rootDir, ".", &DirEntry{Name: ".", ID: rootDir, Type: kernel.ObjContainer}, nil
-	}
-	// Longest-prefix mount match.
-	cur := rootDir
-	rest := clean
-	if mounts != nil {
-		if target, remainder, ok := mounts.match(clean); ok {
-			cur = target
-			rest = remainder
-			if rest == "" || rest == "/" {
-				return cur, ".", &DirEntry{Name: ".", ID: cur, Type: kernel.ObjContainer}, nil
-			}
+	cur, rest := rootDir, cleanPath(path)
+	if mounts != nil && rest != "/" { // longest-prefix mount match
+		if target, remainder, ok := mounts.match(rest); ok {
+			cur, rest = target, remainder
 		}
+	}
+	if rest = strings.Trim(rest, "/"); rest == "" {
+		return cur, ".", &DirEntry{Name: ".", ID: cur, Type: kernel.ObjContainer}, nil
 	}
 	// cleanPath left no empty or "." component: every part names an entry.
-	parts := strings.Split(strings.Trim(rest, "/"), "/")
-	leaf = parts[len(parts)-1]
-	for _, part := range parts[:len(parts)-1] {
-		e, err := sys.lookupEntry(tc, cur, part)
-		if err != nil {
+	r := tc.NewRing() // one for the walk: each lookup's batch reuses its queues
+	for {
+		var more bool
+		leaf, rest, more = strings.Cut(rest, "/")
+		e, err := sys.lookupEntry(tc, r, cur, leaf)
+		switch {
+		case !more && errors.Is(err, ErrNotExist):
+			return cur, leaf, nil, nil
+		case err != nil:
 			return kernel.NilID, "", nil, err
-		}
-		if e.Type != kernel.ObjContainer {
+		case !more:
+			found := e // only the leaf's entry escapes
+			return cur, leaf, &found, nil
+		case e.Type != kernel.ObjContainer:
 			return kernel.NilID, "", nil, ErrNotDir
 		}
 		cur = e.ID
 	}
-	e, err := sys.lookupEntry(tc, cur, leaf)
-	if errors.Is(err, ErrNotExist) {
-		return cur, leaf, nil, nil
-	}
-	if err != nil {
-		return kernel.NilID, "", nil, err
-	}
-	return cur, leaf, &e, nil
 }
 
 func cleanPath(p string) string {

@@ -12,7 +12,7 @@ import (
 	"histar/internal/vclock"
 )
 
-func bootSys(t *testing.T) *System {
+func bootSys(t testing.TB) *System {
 	t.Helper()
 	sys, err := Boot(BootOptions{KernelConfig: kernel.Config{Seed: 1}})
 	if err != nil {
