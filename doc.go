@@ -9,8 +9,8 @@
 // The label algebra (internal/label) keeps every label in an immutable
 // canonical form — a slice of category/level pairs sorted by category, with
 // the 64-bit fingerprint (and the fingerprint of the raised superscript-J
-// form) computed once at construction — so the ⊑/⊔/⊓ operations are
-// allocation-free linear merges, access-check caching is a pair of stored
+// form) computed once at construction — so ⊑ and ⊔ are linear merges (⊑
+// allocation-free), access-check caching is a pair of stored
 // field reads, and hot labels are interned down to one shared
 // pointer-comparable instance.  The kernel's comparison cache is sharded by
 // fingerprint bits with per-shard eviction, and the single-level store
@@ -19,25 +19,18 @@
 // The single-level store (internal/store) makes labels first-class durable
 // state: every SyncObject log record carries the object's contents and
 // canonical label in one atomic commit (see the internal/wal package
-// comment for the frame and record format), checkpoints are copy-on-write
-// so a torn write can never corrupt the referenced snapshot, and a
-// fingerprint-keyed B+-tree index — in memory only, rebuilt from the
-// persisted labels at every open — answers "every object labeled exactly
-// like L" scans (Store.ObjectsWithLabel) without deserializing a single
-// label.  The kernel's container_find_labeled asks the same question of one
-// container by comparing its entries' precomputed fingerprints; it never
-// touches the store.  The store
-// runs concurrently under the same discipline as the kernel: the object
-// cache, label map, and fingerprint index are sharded by object-ID bits,
-// each cached object carries its own entry lock and dirty state, the
-// allocator and metadata trees sit behind narrow locks of their own, and a
-// store-wide RWMutex serves only as the stop-the-world checkpoint gate.
-// Concurrent SyncObject calls flow through a leader/follower group
-// committer — sealed records batch into one wal.AppendBatch plus a single
-// Commit, which is one frame written at the log's tail and one flush, with
-// every syncer waiting on a commit ticket — so many fsyncs share one log
-// write and none of them seeks (see the internal/store package comment
-// for the locking discipline and the group-commit protocol's
+// comment for the frame and record format), and checkpoints are
+// copy-on-write so a torn write can never corrupt the referenced snapshot.
+// The store runs concurrently under the same discipline as the kernel: the
+// object cache and label map are sharded by object-ID bits, each cached
+// object carries its own entry lock and dirty state, the allocator and
+// metadata trees sit behind narrow locks of their own, and a store-wide
+// RWMutex serves only as the stop-the-world checkpoint gate.  Concurrent
+// SyncObject calls flow through a leader/follower group committer — sealed
+// records batch into one wal.Commit, which is one frame written at the log's
+// tail and one flush, with every syncer waiting on a commit ticket — so many
+// fsyncs share one log write and none of them seeks (see the internal/store
+// package comment for the locking discipline and the group-commit protocol's
 // crash-consistency invariants).  A crash-injection harness (disk.FaultDisk
 // plus the recovery tests in internal/store) replays every write-boundary
 // crash point of randomized workloads — serial and concurrent, including
@@ -73,12 +66,12 @@
 //
 // Container snapshots make sandbox creation O(metadata): the kernel
 // captures a container subtree as an immutable snapshot (segment buffers
-// frozen for copy-on-write) under a deterministic lineage ID, and
-// ContainerClone materializes it with fresh object IDs, intra-subtree
+// frozen for copy-on-write) under a deterministic lineage ID that covers
+// contents, and ContainerClone materializes it with fresh object IDs, intra-subtree
 // references rewritten, and per-user categories remapped in every label,
 // sharing all segment data COW until first write.  With a persistent store
-// attached, the kernel records snapshots in it as refcounted bundles: captured
-// extents are pinned against the segment cleaner and the deferred-free
+// attached, the kernel records snapshots in it as refcounted bundles named by
+// that same lineage: captured extents are pinned against the segment cleaner and the deferred-free
 // path, bundles survive crashes via a WAL record and live in the metadata
 // snapshot from the next checkpoint, a rotted shared extent quarantines
 // every clone with a typed error rather than propagating silently, and a

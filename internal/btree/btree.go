@@ -6,30 +6,7 @@
 // significantly simplifies their implementation", as the paper notes.
 package btree
 
-import (
-	"encoding/binary"
-	"fmt"
-	"hash/crc32"
-)
-
-var checksumTable = crc32.MakeTable(crc32.Castagnoli)
-
-// Checksum returns a CRC32C over the tree's key/value stream in key order.
-// Two trees holding the same mapping produce the same checksum regardless of
-// insertion history, so a scrubber can cheaply compare an index rebuilt from
-// source data against the one that was loaded from disk.
-func (t *Tree) Checksum() uint32 {
-	h := crc32.New(checksumTable)
-	var buf [24]byte
-	t.Scan(func(k Key, v uint64) bool {
-		binary.LittleEndian.PutUint64(buf[0:], k[0])
-		binary.LittleEndian.PutUint64(buf[8:], k[1])
-		binary.LittleEndian.PutUint64(buf[16:], v)
-		h.Write(buf[:])
-		return true
-	})
-	return h.Sum32()
-}
+import "fmt"
 
 // Key is a fixed-size 128-bit key compared lexicographically.
 type Key [2]uint64
@@ -295,11 +272,6 @@ func (t *Tree) Floor(k Key) (Key, uint64, bool) {
 	return best, bestVal, ok
 }
 
-// Min returns the smallest key and its value.
-func (t *Tree) Min() (Key, uint64, bool) {
-	return t.Ceiling(Key{})
-}
-
 // Scan visits every key/value pair in ascending order until fn returns
 // false.
 func (t *Tree) Scan(fn func(Key, uint64) bool) {
@@ -319,73 +291,3 @@ func (t *Tree) Scan(fn func(Key, uint64) bool) {
 		n = n.next
 	}
 }
-
-// Range visits keys in [lo, hi) in ascending order until fn returns false.
-func (t *Tree) Range(lo, hi Key, fn func(Key, uint64) bool) {
-	if t.root == nil {
-		return
-	}
-	n := t.root
-	for !n.leaf {
-		n = n.children[childIndex(n.keys, lo)]
-	}
-	i, _ := leafIndex(n.keys, lo)
-	for n != nil {
-		for ; i < len(n.keys); i++ {
-			if !n.keys[i].Less(hi) {
-				return
-			}
-			if !fn(n.keys[i], n.vals[i]) {
-				return
-			}
-		}
-		n = n.next
-		i = 0
-	}
-}
-
-// ScanPrefix visits, in ascending order, every key whose first component
-// equals a, until fn returns false.  The store's fingerprint-keyed label
-// index uses it to enumerate all objects carrying a given label fingerprint:
-// unlike Range it needs no exclusive upper bound, so a == MaxUint64 (a
-// perfectly good fingerprint) works without overflow.
-func (t *Tree) ScanPrefix(a uint64, fn func(Key, uint64) bool) {
-	if t.root == nil {
-		return
-	}
-	lo := Key{a, 0}
-	n := t.root
-	for !n.leaf {
-		n = n.children[childIndex(n.keys, lo)]
-	}
-	i, _ := leafIndex(n.keys, lo)
-	for n != nil {
-		for ; i < len(n.keys); i++ {
-			if n.keys[i][0] != a {
-				return
-			}
-			if !fn(n.keys[i], n.vals[i]) {
-				return
-			}
-		}
-		n = n.next
-		i = 0
-	}
-}
-
-// depth returns the height of the tree (for tests asserting balance).
-func (t *Tree) depth() int {
-	d := 0
-	n := t.root
-	for n != nil {
-		d++
-		if n.leaf {
-			break
-		}
-		n = n.children[0]
-	}
-	return d
-}
-
-// Depth exposes the tree height for tests and statistics.
-func (t *Tree) Depth() int { return t.depth() }

@@ -34,6 +34,9 @@ func setupAS(t *testing.T, k *Kernel, tc *ThreadCall, segLabel label.Label, flag
 	if err := tc.SelfSetAddressSpace(CEnt{root, as}); err != nil {
 		t.Fatal(err)
 	}
+	if got, err := tc.SelfAddressSpace(); err != nil || got != (CEnt{root, as}) {
+		t.Fatalf("SelfAddressSpace = %v, %v after switching to %v", got, err, CEnt{root, as})
+	}
 	return as, seg
 }
 

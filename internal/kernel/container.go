@@ -59,18 +59,6 @@ func (tc *ThreadCall) ContainerGetParent(ce CEnt) (ID, error) {
 	return c.parent, nil
 }
 
-// containerEntries snapshots the entry list of the container named by ce,
-// which the thread must be able to observe; shared by ContainerList and
-// ContainerFindLabeled.
-func (tc *ThreadCall) containerEntries(ctx tctx, ce CEnt) ([]ID, error) {
-	c, ls, err := open[*container](tc.k, &ctx, ce, accObserve, false)
-	if err != nil {
-		return nil, err
-	}
-	defer ls.unlock()
-	return c.list(), nil
-}
-
 // ContainerList returns the object IDs hard-linked into the container named
 // by ce.  The invoking thread must be able to observe the container.
 func (tc *ThreadCall) ContainerList(ce CEnt) ([]ID, error) {
@@ -78,48 +66,12 @@ func (tc *ThreadCall) ContainerList(ce CEnt) ([]ID, error) {
 	if err != nil {
 		return nil, err
 	}
-	return tc.containerEntries(ctx, ce)
-}
-
-// ContainerFindLabeled returns the object IDs hard-linked into the container
-// named by ce whose information-flow label has fingerprint fp: "every object
-// here tainted exactly like L" by scanning the container's entries, without
-// materializing or comparing a single label, since fingerprints are
-// precomputed at label construction.  The invoking thread
-// must be able to observe the container; entries whose labels the thread
-// cannot observe are silently skipped, so the result reveals no more than a
-// ContainerList followed by per-object stats would.
-func (tc *ThreadCall) ContainerFindLabeled(ce CEnt, fp label.Fingerprint) ([]ID, error) {
-	ctx, err := tc.enter(scContainerFindLabeled)
+	c, ls, err := open[*container](tc.k, &ctx, ce, accObserve, false)
 	if err != nil {
 		return nil, err
 	}
-	ids, err := tc.containerEntries(ctx, ce)
-	if err != nil {
-		return nil, err
-	}
-	var out []ID
-	for _, id := range ids {
-		o, err := tc.k.lookup(id)
-		if err != nil {
-			continue // unlinked or deallocated since the snapshot
-		}
-		// One object at a time, read lock only: thread labels are mutable
-		// (replaced wholesale under the header lock), so the read must be
-		// under the lock; no second object lock is ever held.
-		h := o.hdr()
-		h.mu.RLock()
-		lbl := h.lbl
-		h.mu.RUnlock()
-		if lbl.Fingerprint() != fp {
-			continue
-		}
-		if !tc.k.canObserveT(ctx.t, ctx.lbl, lbl) {
-			continue
-		}
-		out = append(out, id)
-	}
-	return out, nil
+	defer ls.unlock()
+	return c.list(), nil
 }
 
 // Link adds a hard link to the object named by src into container d.  The

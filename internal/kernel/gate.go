@@ -186,24 +186,3 @@ func (tc *ThreadCall) gateDispatch(g *gate, req GateRequest) []byte {
 	gateCtxPool.Put(call)
 	return result
 }
-
-// GateStat describes a gate's externally visible state.
-type GateStat struct {
-	ID        ID
-	Label     label.Label // ownership stripped
-	Clearance label.Label
-	Descrip   string
-}
-
-// GateStat returns the externally visible state of the gate named by ce.
-func (tc *ThreadCall) GateStat(ce CEnt) (GateStat, error) {
-	ctx, err := tc.enter(scGateStat)
-	if err != nil {
-		return GateStat{}, err
-	}
-	_, g, err := resolve[*gate](tc.k, &ctx, ce, accNone)
-	if err != nil {
-		return GateStat{}, err
-	}
-	return GateStat{ID: g.id, Label: g.lbl, Clearance: g.clearance, Descrip: g.descrip}, nil
-}

@@ -119,7 +119,6 @@
 package kernel
 
 import (
-	"fmt"
 	"math/bits"
 	"sync"
 
@@ -459,9 +458,6 @@ func (k *Kernel) ThreadCall(tid ID) (*ThreadCall, error) {
 	}
 	return &ThreadCall{k: k, tid: tid}, nil
 }
-
-// Kernel returns the kernel this syscall context belongs to.
-func (tc *ThreadCall) Kernel() *Kernel { return tc.k }
 
 // ID returns the invoking thread's object ID.
 func (tc *ThreadCall) ID() ID { return tc.tid }
@@ -880,24 +876,6 @@ func (k *Kernel) each(fn func(object)) {
 		}
 		s.mu.RUnlock()
 	}
-}
-
-// Describe returns a debugging one-liner for an object, without any label
-// checks; intended for tests and the administrative tooling that runs with
-// write permission on the root container.
-func (k *Kernel) Describe(id ID) (string, error) {
-	o, err := k.lookup(id)
-	if err != nil {
-		return "", err
-	}
-	h := o.hdr()
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	if h.dead.Load() {
-		return "", ErrNoSuchObject
-	}
-	return fmt.Sprintf("%s %s %q label=%s quota=%d usage=%d refs=%d",
-		h.id, h.objType, h.descrip, h.lbl.Format(k.cats), h.quota, h.usage, h.refs), nil
 }
 
 // L1Stats totals the per-thread canObserve L1 counters across live and

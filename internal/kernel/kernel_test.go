@@ -49,8 +49,7 @@ func TestBootThreadRejectsBadLabels(t *testing.T) {
 	if _, err := k.BootThread(label.New(label.L3), label.New(label.L2), "bad"); err == nil {
 		t.Error("label above clearance should be rejected")
 	}
-	// Star default.
-	if _, err := k.BootThread(label.New(label.L1).WithDefault(label.L1), label.New(label.L2), "ok"); err != nil {
+	if _, err := k.BootThread(label.New(label.L1), label.New(label.L2), "ok"); err != nil {
 		t.Errorf("valid boot thread rejected: %v", err)
 	}
 }
@@ -128,6 +127,50 @@ func TestSelfSetClearance(t *testing.T) {
 	bad := label.New(label.L2).With(label.Category(7777), label.L1)
 	if err := tc.SelfSetClearance(bad); err == nil {
 		t.Error("clearance below label must fail")
+	}
+}
+
+// TestSelfSetLabelRules holds the two self_set calls to the paper's rules,
+// case by case: LT ⊑ l ⊑ CT for the label, LT ⊑ c ⊑ CT ⊔ LTᴶ for the
+// clearance.  Each case boots a thread at (lbl, clr) and asks for next.
+func TestSelfSetLabelRules(t *testing.T) {
+	c := label.Category(11)
+	plain, two := label.New(label.L1), label.New(label.L2)
+	owner := label.New(label.L1, label.P(c, label.Star))
+	at := func(lv label.Level, def label.Level) label.Label { return label.New(def, label.P(c, lv)) }
+	for _, tc := range []struct {
+		what           string
+		clearance      bool // the call is SelfSetClearance
+		lbl, clr, next label.Label
+		want           error
+	}{
+		{"raise to c2, within clearance", false, plain, two, at(label.L2, label.L1), nil},
+		{"raise to c3 exceeds the default clearance {2}", false, plain, two, at(label.L3, label.L1), ErrLabel},
+		{"lowering a label without ownership", false, at(label.L2, label.L1), two, plain, ErrLabel},
+		{"an owner raises clearance in its category", true, owner, two, at(label.L3, label.L2), nil},
+		{"a non-owner may not raise clearance beyond CT ⊔ LTᴶ", true, plain, two, at(label.L3, label.L2), ErrLabel},
+		{"lowering clearance to the label", true, plain, two, plain, nil},
+		{"clearance below the label", true, at(label.L2, label.L1), two, plain, ErrLabel},
+	} {
+		th, err := New(Config{Seed: 1}).BootThread(tc.lbl, tc.clr, tc.what)
+		if err != nil {
+			t.Fatalf("%s: boot: %v", tc.what, err)
+		}
+		call, get := th.SelfSetLabel, th.SelfLabel
+		if tc.clearance {
+			call, get = th.SelfSetClearance, th.SelfClearance
+		}
+		before, _ := get()
+		if err := call(tc.next); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err=%v, want %v", tc.what, err, tc.want)
+		}
+		want := before
+		if tc.want == nil {
+			want = tc.next
+		}
+		if after, _ := get(); !after.Equal(want) {
+			t.Errorf("%s: ended at %v, want %v", tc.what, after, want)
+		}
 	}
 }
 
@@ -411,7 +454,7 @@ func TestUnrefAndRecursiveDealloc(t *testing.T) {
 	}
 	// All are gone.
 	for _, id := range []ID{dir, seg, sub, seg2} {
-		if _, err := k.Describe(id); !errors.Is(err, ErrNoSuchObject) {
+		if _, err := k.lookup(id); !errors.Is(err, ErrNoSuchObject) {
 			t.Errorf("object %v should be deallocated, err=%v", id, err)
 		}
 	}
@@ -589,81 +632,6 @@ func TestSyscallCounting(t *testing.T) {
 	}
 	if tc.SyscallsIssued() < 2 {
 		t.Errorf("per-thread syscall count = %d", tc.SyscallsIssued())
-	}
-}
-
-func TestContainerFindLabeled(t *testing.T) {
-	k, tc := boot(t)
-	root := k.RootContainer()
-	cat, err := tc.CategoryCreate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	taint := label.New(label.L1, label.P(cat, label.L3))
-	plain := label.New(label.L1)
-
-	var tainted []ID
-	for i := 0; i < 3; i++ {
-		id, err := tc.SegmentCreate(root, taint, "tainted seg", 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tainted = append(tainted, id)
-	}
-	if _, err := tc.SegmentCreate(root, plain, "plain seg", 64); err != nil {
-		t.Fatal(err)
-	}
-
-	got, err := tc.ContainerFindLabeled(Self(root), taint.Fingerprint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(tainted) {
-		t.Fatalf("found %d tainted objects, want %d (%v)", len(got), len(tainted), got)
-	}
-	want := make(map[ID]bool)
-	for _, id := range tainted {
-		want[id] = true
-	}
-	for _, id := range got {
-		if !want[id] {
-			t.Errorf("unexpected object %v in tainted scan", id)
-		}
-	}
-
-	// The plain fingerprint matches the root container, boot thread, and the
-	// plain segment, but never the tainted ones.
-	got, err = tc.ContainerFindLabeled(Self(root), plain.Fingerprint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range got {
-		if want[id] {
-			t.Errorf("tainted object %v matched the plain fingerprint", id)
-		}
-	}
-
-	// A thread that cannot observe the taint category must not see the
-	// tainted entries in its scan results.
-	low, err := tc.ThreadCreate(root, ThreadSpec{Label: label.New(label.L1), Clearance: label.New(label.L2), Descrip: "low thread"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ltc, err := k.ThreadCall(low)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = ltc.ContainerFindLabeled(Self(root), taint.Fingerprint())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Errorf("unprivileged thread saw %d tainted objects", len(got))
-	}
-
-	// Syscall accounting.
-	if n := k.SyscallCounts()["container_find_labeled"]; n == 0 {
-		t.Error("container_find_labeled not counted")
 	}
 }
 

@@ -6,7 +6,8 @@ import "histar/internal/label"
 // 4: the store is the kernel's own, and a sync is a system call).  Only the
 // kernel calls it: behind resolve's label rule where a thread asked
 // (SegmentPersist, OpSync, a read's page-in, snapshot and clone), on objects
-// of its own choosing otherwise (Delete at deallocation, Sync's drain).
+// of its own choosing otherwise (Delete at deallocation, Sync's drain).  One
+// function, push, hands bytes to it.
 // *store.Store satisfies it as it stands; tests substitute a fake.  The lock
 // rule is number 6 of the package comment; the store never calls back.
 type Pager interface {
@@ -19,10 +20,11 @@ type Pager interface {
 	// PageIn makes the object's contents resident; it fails only for damage.
 	PageIn(id uint64) error
 	Delete(id uint64) error
-	// SnapshotBundle pins the objects' committed extents under a lineage,
-	// ValidateBundle fails typed once one has rotted, CloneObjectLabeled
+	// SnapshotBundle pins the objects' committed extents under the lineage
+	// the kernel gave the snapshot (a lineage already pinned is left as it
+	// is), ValidateBundle fails typed once one has rotted, CloneObjectLabeled
 	// aliases a member under a fresh id and label, DeleteBundle unpins.
-	SnapshotBundle(name string, ids []uint64) (uint64, error)
+	SnapshotBundle(lineage uint64, name string, ids []uint64) error
 	ValidateBundle(lineage uint64) error
 	CloneObjectLabeled(lineage, srcID, dstID uint64, lbl label.Label) error
 	DeleteBundle(lineage uint64) error

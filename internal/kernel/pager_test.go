@@ -12,7 +12,7 @@ import (
 // fakePager scripts the kernel's one seam to the store, so everything the
 // kernel asks of a store is testable without one: it keeps what was pushed,
 // records each sync group, fails the ids in poison, and plays the bundle
-// layer with a fixed lineage and scripted failures.
+// layer with scripted failures.
 type fakePager struct {
 	mu     sync.Mutex
 	data   map[uint64][]byte // last pushed bytes, by object
@@ -26,7 +26,8 @@ type fakePager struct {
 	pageInErr   error
 	checkpoints int
 
-	recorded    int // objects captured by SnapshotBundle
+	recorded    int    // objects captured by SnapshotBundle
+	lineage     uint64 // the last lineage it was given
 	cloned      int
 	validateErr error
 	cloneErr    error
@@ -77,9 +78,10 @@ func (f *fakePager) Checkpoint() error {
 	return nil
 }
 
-func (f *fakePager) SnapshotBundle(name string, ids []uint64) (uint64, error) {
+func (f *fakePager) SnapshotBundle(lineage uint64, name string, ids []uint64) error {
 	f.recorded += len(ids)
-	return 777, nil
+	f.lineage = lineage
+	return nil
 }
 
 func (f *fakePager) ValidateBundle(lineage uint64) error { return f.validateErr }

@@ -26,11 +26,12 @@ import (
 // destination container, so spawning a sandbox is O(metadata) regardless of
 // how many bytes the image carries.
 //
-// When a Pager is attached (pager.go), snapshots are persisted as refcounted
-// store bundles and clones as store-side aliases (a cloned segment is
+// When a Pager is attached (pager.go), a snapshot's segments become persistent
+// where they stand and are pinned as a refcounted store bundle under the
+// snapshot's own lineage, clones are store-side aliases (a cloned segment is
 // persistent from birth: its alias dies with it), and every clone first
-// validates the bundle's lineage — a clone of a bundle whose shared extent has
-// rotted fails with a typed error instead of silently sharing bad bytes.
+// validates the bundle — a clone of a bundle whose shared extent has rotted
+// fails with a typed error instead of silently sharing bad bytes.
 //
 // Threads and devices are skipped by the walk: a snapshot is a passive image
 // (programs, file data, directory segments), and golden images are baked
@@ -42,6 +43,7 @@ import (
 type snapObject struct {
 	id         ID
 	typ        ObjectType
+	version    uint64 // header.version at capture: what the lineage knows of contents
 	lbl        label.Label
 	quota      uint64
 	fixedQuota bool
@@ -65,23 +67,21 @@ type snapObject struct {
 
 // Snapshot is one registered container snapshot.
 type Snapshot struct {
-	lineage      uint64
-	storeLineage uint64 // 0 when no pager is attached
-	name         string
-	root         ID
-	objs         map[ID]*snapObject
-	order        []ID     // walk order, root first (parents before children)
-	types        TypeMask // every captured object type, for the clone's admission
-	bytes        uint64
+	lineage uint64
+	name    string
+	root    ID
+	objs    map[ID]*snapObject
+	order   []ID     // walk order, root first (parents before children)
+	types   TypeMask // every captured object type, for the clone's admission
+	bytes   uint64
 }
 
 // SnapshotInfo is a snapshot's externally visible description.
 type SnapshotInfo struct {
-	// Lineage identifies the snapshot; clones name it.
+	// Lineage identifies the snapshot, and its bundle in the store when a
+	// pager is attached; clones name it.
 	Lineage uint64
-	// StoreLineage is the persisted bundle's lineage (0 if none).
-	StoreLineage uint64
-	Name         string
+	Name    string
 	// Root is the ID the snapshotted subtree's root container had.
 	Root ID
 	// Objects counts captured objects; Bytes their total segment data.
@@ -146,12 +146,11 @@ func (k *Kernel) SnapshotStats() SnapshotStats {
 
 func (s *Snapshot) info() SnapshotInfo {
 	return SnapshotInfo{
-		Lineage:      s.lineage,
-		StoreLineage: s.storeLineage,
-		Name:         s.name,
-		Root:         s.root,
-		Objects:      len(s.order),
-		Bytes:        s.bytes,
+		Lineage: s.lineage,
+		Name:    s.name,
+		Root:    s.root,
+		Objects: len(s.order),
+		Bytes:   s.bytes,
 	}
 }
 
@@ -160,24 +159,25 @@ func (s *Snapshot) info() SnapshotInfo {
 // their store aliases keep the shared extents referenced.
 func (k *Kernel) DropSnapshot(lineage uint64) error {
 	k.snapMu.Lock()
-	s, ok := k.snapshots[lineage]
-	if ok {
-		delete(k.snapshots, lineage)
-	}
+	_, ok := k.snapshots[lineage]
+	delete(k.snapshots, lineage)
 	k.snapMu.Unlock()
 	if !ok {
 		return ErrNotFound
 	}
-	if s.storeLineage != 0 {
-		return k.pager.DeleteBundle(s.storeLineage)
+	if k.pager != nil {
+		return k.pager.DeleteBundle(lineage)
 	}
 	return nil
 }
 
 // snapLineage hashes a snapshot's identity-relevant state (FNV-1a): the
-// name, the walk order, and each object's type, size, and label.  Object IDs
-// are included, so re-snapshotting the same subtree yields the same lineage
-// while snapshots of distinct subtrees never collide in practice.
+// name, the walk order (which covers the links), and each object's type,
+// size, label and version — every change to a segment's bytes, an address
+// space's mappings or an object's metadata bumps the version, so a rewrite
+// of the same length is a different snapshot.  Object IDs are included, so
+// re-snapshotting an unchanged subtree yields the same lineage while
+// snapshots of distinct subtrees never collide in practice.
 func snapLineage(name string, order []ID, objs map[ID]*snapObject) uint64 {
 	const (
 		offset = 14695981039346656037
@@ -199,6 +199,7 @@ func snapLineage(name string, order []ID, objs map[ID]*snapObject) uint64 {
 		mix(uint64(o.id))
 		mix(uint64(o.typ))
 		mix(uint64(len(o.data)))
+		mix(o.version)
 		for _, b := range o.lbl.AppendBinary(nil) {
 			h ^= uint64(b)
 			h *= prime
@@ -214,8 +215,9 @@ func snapLineage(name string, order []ID, objs map[ID]*snapObject) uint64 {
 // into a registered snapshot (container_snapshot).  The invoking thread must
 // be able to observe every captured object; threads and devices in the
 // subtree are skipped.  Segment data is shared COW from this moment on.
-// When a pager is attached, the captured segments are recorded as a store
-// bundle and the snapshot is durable across remounts of the store.
+// When a pager is attached, the captured segments become persistent, are
+// pushed as they are captured and are pinned as a store bundle named by the
+// snapshot's lineage.
 func (tc *ThreadCall) ContainerSnapshot(ce CEnt, name string) (SnapshotInfo, error) {
 	ctx, err := tc.enter(scContainerSnapshot)
 	if err != nil {
@@ -228,7 +230,8 @@ func (tc *ThreadCall) ContainerSnapshot(ce CEnt, name string) (SnapshotInfo, err
 	}
 
 	// Walk the subtree breadth-first, locking ONE object at a time (read
-	// locks for metadata, a write lock on segments to set the frozen flag),
+	// locks for metadata, a write lock on segments to set the frozen flag
+	// and push the frozen bytes to the pager),
 	// so the walk adds no multi-object lock acquisitions to the discipline.
 	// The subtree must be quiescent for a perfectly consistent image — the
 	// golden-image workflow bakes images before any clone runs — but the
@@ -256,6 +259,12 @@ func (tc *ThreadCall) ContainerSnapshot(ce CEnt, name string) (SnapshotInfo, err
 		if h.objType == ObjThread || h.objType == ObjDevice {
 			continue
 		}
+		// Labels of non-thread objects are immutable; the check needs no
+		// lock and failing it fails the snapshot — a subtree image with
+		// holes would clone incompletely and silently.
+		if !k.canObserveT(ctx.t, ctx.lbl, h.lbl) {
+			return SnapshotInfo{}, ErrLabel
+		}
 		so := &snapObject{id: id, typ: h.objType}
 		seg, isSeg := o.(*segment)
 		if isSeg {
@@ -265,6 +274,7 @@ func (tc *ThreadCall) ContainerSnapshot(ce CEnt, name string) (SnapshotInfo, err
 		}
 		live := !h.dead.Load()
 		if live {
+			so.version = h.version
 			so.lbl = h.lbl
 			so.quota = h.quota
 			so.fixedQuota = h.fixedQuota
@@ -278,6 +288,15 @@ func (tc *ThreadCall) ContainerSnapshot(ce CEnt, name string) (SnapshotInfo, err
 			case *segment:
 				seg.frozen = true
 				so.data = seg.data
+				if k.pager != nil {
+					// A store object from now on, like any persistent
+					// segment: the bundle pins what this push hands over,
+					// and the object dies with the segment.
+					if !seg.persistent {
+						seg.persistent, seg.dirty = true, true
+					}
+					err = k.push(seg)
+				}
 			case *gate:
 				so.gateLabel = v.gateLabel
 				so.gateClr = v.clearance
@@ -293,17 +312,14 @@ func (tc *ThreadCall) ContainerSnapshot(ce CEnt, name string) (SnapshotInfo, err
 		} else {
 			h.mu.RUnlock()
 		}
+		if err != nil {
+			return SnapshotInfo{}, fmt.Errorf("kernel: persisting snapshot bundle: %w", err)
+		}
 		if !live {
 			if id == root.id {
 				return SnapshotInfo{}, ErrNoSuchObject
 			}
 			continue
-		}
-		// Labels of non-thread objects are immutable; the check needs no
-		// lock and failing it fails the snapshot — a subtree image with
-		// holes would clone incompletely and silently.
-		if !k.canObserveT(ctx.t, ctx.lbl, so.lbl) {
-			return SnapshotInfo{}, ErrLabel
 		}
 		objs[id] = so
 		order = append(order, id)
@@ -332,19 +348,13 @@ func (tc *ThreadCall) ContainerSnapshot(ce CEnt, name string) (SnapshotInfo, err
 	k.snapMu.Unlock()
 
 	if k.pager != nil {
-		// No kernel lock is held: the bytes pushed are the frozen arrays the
-		// walk captured, which nothing mutates.
 		var ids []uint64
 		for _, id := range order {
-			if o := objs[id]; o.typ == ObjSegment && err == nil {
+			if objs[id].typ == ObjSegment {
 				ids = append(ids, uint64(id))
-				err = k.pager.PutLabeled(uint64(id), o.lbl, o.data)
 			}
 		}
-		if err == nil {
-			snap.storeLineage, err = k.pager.SnapshotBundle(name, ids)
-		}
-		if err != nil {
+		if err := k.pager.SnapshotBundle(snap.lineage, name, ids); err != nil {
 			return SnapshotInfo{}, fmt.Errorf("kernel: persisting snapshot bundle: %w", err)
 		}
 	}
@@ -402,12 +412,12 @@ func (tc *ThreadCall) ContainerClone(lineage uint64, dst ID, remap map[label.Cat
 	if !ok {
 		return CloneResult{}, ErrNotFound
 	}
-	aliased := snap.storeLineage != 0 // recorded through the pager, so is the clone
+	aliased := k.pager != nil // the snapshot is a bundle in the store, so the clone is aliases of it
 	if aliased {
 		// Never silently share rotted bytes: a bundle whose extents fail
 		// verification refuses to clone.  The store's typed error
 		// (ErrQuarantined / ErrCorrupt) is preserved in the chain.
-		if err := k.pager.ValidateBundle(snap.storeLineage); err != nil {
+		if err := k.pager.ValidateBundle(lineage); err != nil {
 			return CloneResult{}, fmt.Errorf("%w: snapshot %#x failed bundle validation: %w", ErrCorrupt, lineage, err)
 		}
 	}
@@ -551,7 +561,7 @@ func (tc *ThreadCall) ContainerClone(lineage uint64, dst ID, remap map[label.Cat
 		if !aliased || snap.objs[id].typ != ObjSegment {
 			continue
 		}
-		if err := k.pager.CloneObjectLabeled(snap.storeLineage, uint64(id), uint64(idMap[id]), labels[id]); err != nil {
+		if err := k.pager.CloneObjectLabeled(lineage, uint64(id), uint64(idMap[id]), labels[id]); err != nil {
 			tc.unlinkClone(dest, idMap[snap.root])
 			return CloneResult{}, fmt.Errorf("kernel: recording clone aliases: %w", err)
 		}

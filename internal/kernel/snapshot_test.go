@@ -330,8 +330,8 @@ func TestPagerValidationAndRollback(t *testing.T) {
 	if sink.recorded != 3 || sink.puts != 3 {
 		t.Errorf("pager recorded %d segments from %d pushes, want 3 and 3", sink.recorded, sink.puts)
 	}
-	if info.StoreLineage != 777 {
-		t.Errorf("store lineage = %d, want 777", info.StoreLineage)
+	if sink.lineage != info.Lineage {
+		t.Errorf("the bundle is named %#x, the snapshot %#x: want one lineage", sink.lineage, info.Lineage)
 	}
 
 	if _, err := tc.ContainerClone(info.Lineage, root, nil); err != nil {
@@ -361,6 +361,19 @@ func TestPagerValidationAndRollback(t *testing.T) {
 	}
 	if len(sink.gone) != 3 {
 		t.Errorf("the rollback deleted %d store objects, want the clone's 3 segments", len(sink.gone))
+	}
+
+	// The master's segments became persistent at capture, so their store
+	// objects die with them like anyone else's; an unchanged recapture pushes
+	// nothing more.
+	if _, err := tc.ContainerSnapshot(CEnt{root, sandbox}, "sinked"); err != nil || sink.puts != 3 {
+		t.Errorf("recapture: %v, %d pushes in all, want 3", err, sink.puts)
+	}
+	if err := tc.Unref(root, sandbox); err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.gone) != 6 {
+		t.Errorf("the pager heard of %d deaths, want 6 once the master's 3 segments are gone", len(sink.gone))
 	}
 }
 
@@ -483,6 +496,41 @@ func TestSnapshotIdempotentRecapture(t *testing.T) {
 	}
 	if err := k.DropSnapshot(a.Lineage); !errors.Is(err, ErrNotFound) {
 		t.Errorf("double drop: err=%v, want ErrNotFound", err)
+	}
+}
+
+// TestSnapshotRecaptureSeesRewrite: a write that leaves every length as it was
+// is still a different snapshot, and a clone of the recapture reads the new
+// bytes, not the first capture's.
+func TestSnapshotRecaptureSeesRewrite(t *testing.T) {
+	k, tc := boot(t)
+	root := k.RootContainer()
+	sandbox, segs := buildSandbox(t, tc, root, label.New(label.L1), 1, 64)
+	a, err := tc.ContainerSnapshot(CEnt{root, sandbox}, "same")
+	if err != nil {
+		t.Fatalf("snapshot 1: %v", err)
+	}
+	rewrite := bytes.Repeat([]byte{0x5a}, 64)
+	if err := tc.SegmentWrite(CEnt{sandbox, segs[0]}, 0, rewrite); err != nil {
+		t.Fatal(err)
+	}
+	b, err := tc.ContainerSnapshot(CEnt{root, sandbox}, "same")
+	if err != nil {
+		t.Fatalf("snapshot 2: %v", err)
+	}
+	if a.Lineage == b.Lineage {
+		t.Errorf("a same-length rewrite kept the lineage %#x", a.Lineage)
+	}
+	if st := k.SnapshotStats(); st.Registered != 2 {
+		t.Errorf("registered = %d, want 2", st.Registered)
+	}
+	res, err := tc.ContainerClone(b.Lineage, root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := tc.SegmentRead(CEnt{res.IDMap[sandbox], res.IDMap[segs[0]]}, 0, 64)
+	if err != nil || !bytes.Equal(got, rewrite) {
+		t.Errorf("clone of the recapture reads % x, %v; want the rewritten bytes", got[:4], err)
 	}
 }
 

@@ -17,7 +17,6 @@ const (
 	scContainerCreate syscallID = iota
 	scContainerGetParent
 	scContainerList
-	scContainerFindLabeled
 	scContainerLink
 	scContainerUnref
 	scQuotaMove
@@ -50,7 +49,6 @@ const (
 	scFutexWake
 	scGateCreate
 	scGateEnter
-	scGateStat
 	scASCreate
 	scASSet
 	scASGet
@@ -75,61 +73,59 @@ const (
 
 // syscallNames maps counter indexes to the names the statistics report.
 var syscallNames = [numSyscalls]string{
-	scContainerCreate:      "container_create",
-	scContainerGetParent:   "container_get_parent",
-	scContainerList:        "container_list",
-	scContainerFindLabeled: "container_find_labeled",
-	scContainerLink:        "container_link",
-	scContainerUnref:       "container_unref",
-	scQuotaMove:            "quota_move",
-	scObjectStat:           "object_stat",
-	scObjectSetMetadata:    "object_set_metadata",
-	scObjectSetImmutable:   "object_set_immutable",
-	scObjectSetFixedQuota:  "object_set_fixed_quota",
-	scCategoryCreate:       "category_create",
-	scSelfGetLabel:         "self_get_label",
-	scSelfGetClearance:     "self_get_clearance",
-	scSelfSetLabel:         "self_set_label",
-	scSelfSetClearance:     "self_set_clearance",
-	scSelfGetAS:            "self_get_as",
-	scSelfSetAS:            "self_set_as",
-	scThreadCreate:         "thread_create",
-	scThreadHalt:           "thread_halt",
-	scThreadAlert:          "thread_alert",
-	scAlertPoll:            "alert_poll",
-	scGrantOwnership:       "grant_ownership",
-	scLocalSegmentWrite:    "local_segment_write",
-	scLocalSegmentRead:     "local_segment_read",
-	scSegmentCreate:        "segment_create",
-	scSegmentCopy:          "segment_copy",
-	scSegmentRead:          "segment_read",
-	scSegmentWrite:         "segment_write",
-	scSegmentResize:        "segment_resize",
-	scSegmentCAS:           "segment_cas",
-	scSegmentLen:           "segment_len",
-	scFutexWait:            "futex_wait",
-	scFutexWake:            "futex_wake",
-	scGateCreate:           "gate_create",
-	scGateEnter:            "gate_enter",
-	scGateStat:             "gate_stat",
-	scASCreate:             "as_create",
-	scASSet:                "as_set",
-	scASGet:                "as_get",
-	scASAddMapping:         "as_add_mapping",
-	scASRemoveMapping:      "as_remove_mapping",
-	scASSetFaultHandler:    "as_set_fault_handler",
-	scMemRead:              "mem_read",
-	scMemWrite:             "mem_write",
-	scNetMACAddr:           "net_macaddr",
-	scNetTx:                "net_tx",
-	scNetRx:                "net_rx",
-	scNetWait:              "net_wait",
-	scRingSubmit:           "ring_submit",
-	scRingSync:             "ring_sync",
-	scContainerSnapshot:    "container_snapshot",
-	scContainerClone:       "container_clone",
-	scSegmentPersist:       "segment_persist",
-	scSync:                 "sync",
+	scContainerCreate:     "container_create",
+	scContainerGetParent:  "container_get_parent",
+	scContainerList:       "container_list",
+	scContainerLink:       "container_link",
+	scContainerUnref:      "container_unref",
+	scQuotaMove:           "quota_move",
+	scObjectStat:          "object_stat",
+	scObjectSetMetadata:   "object_set_metadata",
+	scObjectSetImmutable:  "object_set_immutable",
+	scObjectSetFixedQuota: "object_set_fixed_quota",
+	scCategoryCreate:      "category_create",
+	scSelfGetLabel:        "self_get_label",
+	scSelfGetClearance:    "self_get_clearance",
+	scSelfSetLabel:        "self_set_label",
+	scSelfSetClearance:    "self_set_clearance",
+	scSelfGetAS:           "self_get_as",
+	scSelfSetAS:           "self_set_as",
+	scThreadCreate:        "thread_create",
+	scThreadHalt:          "thread_halt",
+	scThreadAlert:         "thread_alert",
+	scAlertPoll:           "alert_poll",
+	scGrantOwnership:      "grant_ownership",
+	scLocalSegmentWrite:   "local_segment_write",
+	scLocalSegmentRead:    "local_segment_read",
+	scSegmentCreate:       "segment_create",
+	scSegmentCopy:         "segment_copy",
+	scSegmentRead:         "segment_read",
+	scSegmentWrite:        "segment_write",
+	scSegmentResize:       "segment_resize",
+	scSegmentCAS:          "segment_cas",
+	scSegmentLen:          "segment_len",
+	scFutexWait:           "futex_wait",
+	scFutexWake:           "futex_wake",
+	scGateCreate:          "gate_create",
+	scGateEnter:           "gate_enter",
+	scASCreate:            "as_create",
+	scASSet:               "as_set",
+	scASGet:               "as_get",
+	scASAddMapping:        "as_add_mapping",
+	scASRemoveMapping:     "as_remove_mapping",
+	scASSetFaultHandler:   "as_set_fault_handler",
+	scMemRead:             "mem_read",
+	scMemWrite:            "mem_write",
+	scNetMACAddr:          "net_macaddr",
+	scNetTx:               "net_tx",
+	scNetRx:               "net_rx",
+	scNetWait:             "net_wait",
+	scRingSubmit:          "ring_submit",
+	scRingSync:            "ring_sync",
+	scContainerSnapshot:   "container_snapshot",
+	scContainerClone:      "container_clone",
+	scSegmentPersist:      "segment_persist",
+	scSync:                "sync",
 }
 
 // counterStripes is the number of stripes per counter; threads hash onto

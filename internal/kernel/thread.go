@@ -185,17 +185,6 @@ func (tc *ThreadCall) ThreadHalt() error {
 	return nil
 }
 
-// Halted reports whether the thread has been halted (or deallocated).
-func (tc *ThreadCall) Halted() bool {
-	t, err := lookupAs[*thread](tc.k, tc.tid)
-	if err != nil {
-		return true
-	}
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.halted
-}
-
 // ThreadAlert sends an alert (HiStar's low-level signal) to the thread named
 // by target.  The invoking thread must be able to write the target thread's
 // address space (LT ⊑ LA ⊑ LTᴶ) and to observe the target (Ltarget ⊑ LTᴶ).

@@ -163,7 +163,7 @@ func TestInternTableBounded(t *testing.T) {
 			t.Fatalf("Intern changed the label at i=%d", i)
 		}
 	}
-	if n := InternedCount(); n > maxInternedLabels {
+	if n := InternStatsSnapshot().Count; n > maxInternedLabels {
 		t.Errorf("intern table exceeded bound: %d > %d", n, maxInternedLabels)
 	}
 }

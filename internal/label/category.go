@@ -66,16 +66,6 @@ func (a *Allocator) Alloc() Category {
 	return a.encrypt(a.counter)
 }
 
-// AllocNamed allocates a category and records a human-readable name for it,
-// used only when formatting labels for humans (wrap, tests, examples).
-func (a *Allocator) AllocNamed(name string) Category {
-	c := a.Alloc()
-	a.mu.Lock()
-	a.names[c] = name
-	a.mu.Unlock()
-	return c
-}
-
 // SetName records or replaces the display name of a category.
 func (a *Allocator) SetName(c Category, name string) {
 	a.mu.Lock()
@@ -89,15 +79,6 @@ func (a *Allocator) CategoryName(c Category) (string, bool) {
 	defer a.mu.Unlock()
 	s, ok := a.names[c]
 	return s, ok
-}
-
-// Allocated returns how many categories have been handed out.  It exists for
-// tests and statistics; the whole point of the encrypted counter is that
-// other threads cannot learn this.
-func (a *Allocator) Allocated() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.counter
 }
 
 // encrypt applies a 4-round unbalanced Feistel permutation over the 61-bit

@@ -119,19 +119,6 @@ func Intern(l Label) Label {
 	return l
 }
 
-// InternedCount returns the number of distinct labels in the interning
-// table (statistics and tests).
-func InternedCount() int {
-	total := 0
-	for i := range internTable {
-		s := &internTable[i]
-		s.mu.RLock()
-		total += s.count
-		s.mu.RUnlock()
-	}
-	return total
-}
-
 // InternStats describes the interning table's occupancy and churn.
 type InternStats struct {
 	Count     int    // live interned labels across all shards

@@ -22,17 +22,16 @@
 // superscript-J form Lᴶ) is precomputed alongside it, so the cached access
 // checks never hash, sort, or even materialize Lᴶ on a cache hit.
 //
-// Because the representation is canonical, Leq, Join and Meet are
-// linear-time merges over the two sorted slices: Leq allocates nothing, and
-// Join/Meet allocate only the single output slice.
+// Because the representation is canonical, Leq and Join are linear-time
+// merges over the two sorted slices: Leq allocates nothing, and Join
+// allocates only the single output slice.
 //
-// The package provides the ⊑ partial order (Leq), the lattice join ⊔ (Join)
-// and meet ⊓ (Meet), the superscript-J and superscript-⋆ operators that
-// shift ownership between its low and high readings, and the derived access
-// checks used throughout the kernel (CanObserve, CanModify, CanAllocate,
-// CanRaiseLabelTo, CanSetClearanceTo).  Hot labels can additionally be
-// interned (Intern) so that equal labels share one canonical backing array
-// and compare by pointer; see intern.go.
+// The package provides the ⊑ partial order (Leq), the lattice join ⊔ (Join),
+// the superscript-J and superscript-⋆ operators that shift ownership between
+// its low and high readings, and the derived access checks used throughout
+// the kernel (CanObserve, CanModify, CanAllocate).  Hot labels can
+// additionally be interned (Intern) so that equal labels share one canonical
+// backing array and compare by pointer; see intern.go.
 package label
 
 import (
@@ -83,36 +82,15 @@ func (l Level) Valid() bool { return l <= HiStar }
 // Numeric reports whether l is one of the four numeric levels 0..3.
 func (l Level) Numeric() bool { return l >= L0 && l <= L3 }
 
-// LevelFromInt converts the paper's numeric levels 0..3 into a Level.
-func LevelFromInt(n int) (Level, error) {
-	if n < 0 || n > 3 {
-		return 0, fmt.Errorf("label: numeric level %d out of range [0,3]", n)
-	}
-	return Level(n + 1), nil
-}
-
-// Int returns the paper-facing integer for a numeric level, or -1 for Star
-// and 4 for HiStar (their positions in the total order).
-func (l Level) Int() int {
-	switch l {
-	case Star:
-		return -1
-	case HiStar:
-		return 4
-	default:
-		return int(l) - 1
-	}
-}
-
 // Label is an immutable mapping from categories to levels with a default
 // level for all unlisted categories.  The explicit pairs are stored in
 // canonical form (sorted by category, levels differing from the default) and
 // the fingerprints of the label and of its superscript-J form are computed
 // once at construction.  The zero value denotes the empty ⋆-default label
-// and is used by callers as a "use the default label" sentinel; use New or
-// Parse to build meaningful labels.  Labels are value types: operations
-// return new labels and never mutate their receivers, so a Label may be
-// shared freely between goroutines.
+// and is used by callers as a "use the default label" sentinel; use New to
+// build meaningful labels.  Labels are value types: operations return new
+// labels and never mutate their receivers, so a Label may be shared freely
+// between goroutines.
 type Label struct {
 	def   Level
 	pairs []Pair // canonical: ascending category, no level == def
@@ -273,26 +251,6 @@ func (l Label) Without(c Category) Label {
 	return newCanonical(l.def, out)
 }
 
-// WithDefault returns a copy of l whose default level is def.  Categories
-// previously at the old default remain at the old default (they become
-// explicit entries), so the label denotes the same function except for
-// categories never mentioned.
-func (l Label) WithDefault(def Level) Label {
-	if !def.Valid() || def == HiStar {
-		panic(fmt.Sprintf("label: invalid default level %v", def))
-	}
-	if def == l.def {
-		return l
-	}
-	out := make([]Pair, 0, len(l.pairs))
-	for _, p := range l.pairs {
-		if p.Level != def {
-			out = append(out, p)
-		}
-	}
-	return newCanonical(def, out)
-}
-
 // Equal reports whether two labels denote the same function.  Because the
 // representation is canonical, this is a default-level comparison plus a
 // pairwise slice comparison; interned labels short-circuit via Same.
@@ -321,20 +279,6 @@ func Same(l, m Label) bool {
 	return len(l.pairs) == 0 || &l.pairs[0] == &m.pairs[0]
 }
 
-// HasStar reports whether the label maps any category to ⋆ (ownership).
-// Only thread and gate labels may contain ⋆; the kernel enforces this.
-func (l Label) HasStar() bool {
-	if l.def == Star {
-		return true
-	}
-	for _, p := range l.pairs {
-		if p.Level == Star {
-			return true
-		}
-	}
-	return false
-}
-
 // hasLevel reports whether any explicit entry carries level lv.
 func (l Label) hasLevel(lv Level) bool {
 	for _, p := range l.pairs {
@@ -347,17 +291,6 @@ func (l Label) hasLevel(lv Level) bool {
 
 // Owns reports whether the label maps category c to ⋆.
 func (l Label) Owns(c Category) bool { return l.Get(c) == Star }
-
-// Owned returns the categories the label owns (maps to ⋆), sorted.
-func (l Label) Owned() []Category {
-	var out []Category
-	for _, p := range l.pairs {
-		if p.Level == Star {
-			out = append(out, p.Category)
-		}
-	}
-	return out
-}
 
 // RaiseJ returns the superscript-J form Lᴶ: every ⋆ becomes J.  Used when
 // the owning thread is reading, so ownership is treated as high.  Labels
@@ -452,17 +385,9 @@ func (l Label) Leq(m Label) bool {
 }
 
 // Join returns the least upper bound l ⊔ m: pointwise maximum of levels.
-// It is a linear merge allocating only the output slice.
-func (l Label) Join(m Label) Label { return l.merge(m, maxLevel) }
-
-// Meet returns the greatest lower bound l ⊓ m: pointwise minimum of levels.
-// It is a linear merge allocating only the output slice.
-func (l Label) Meet(m Label) Label { return l.merge(m, minLevel) }
-
-// merge computes the pointwise combination of l and m under op (max for
-// join, min for meet) as one pass over the two sorted slices.
-func (l Label) merge(m Label, op func(Level, Level) Level) Label {
-	def := op(l.def, m.def)
+// It is one pass over the two sorted slices, allocating only the output.
+func (l Label) Join(m Label) Label {
+	def := maxLevel(l.def, m.def)
 	lp, mp := l.pairs, m.pairs
 	out := make([]Pair, 0, len(lp)+len(mp))
 	emit := func(c Category, lv Level) {
@@ -474,35 +399,28 @@ func (l Label) merge(m Label, op func(Level, Level) Level) Label {
 	for i < len(lp) && j < len(mp) {
 		switch {
 		case lp[i].Category < mp[j].Category:
-			emit(lp[i].Category, op(lp[i].Level, m.def))
+			emit(lp[i].Category, maxLevel(lp[i].Level, m.def))
 			i++
 		case lp[i].Category > mp[j].Category:
-			emit(mp[j].Category, op(l.def, mp[j].Level))
+			emit(mp[j].Category, maxLevel(l.def, mp[j].Level))
 			j++
 		default:
-			emit(lp[i].Category, op(lp[i].Level, mp[j].Level))
+			emit(lp[i].Category, maxLevel(lp[i].Level, mp[j].Level))
 			i++
 			j++
 		}
 	}
 	for ; i < len(lp); i++ {
-		emit(lp[i].Category, op(lp[i].Level, m.def))
+		emit(lp[i].Category, maxLevel(lp[i].Level, m.def))
 	}
 	for ; j < len(mp); j++ {
-		emit(mp[j].Category, op(l.def, mp[j].Level))
+		emit(mp[j].Category, maxLevel(l.def, mp[j].Level))
 	}
 	return newCanonical(def, out)
 }
 
 func maxLevel(a, b Level) Level {
 	if a > b {
-		return a
-	}
-	return b
-}
-
-func minLevel(a, b Level) Level {
-	if a < b {
 		return a
 	}
 	return b
@@ -558,25 +476,6 @@ func CanModify(thread, obj Label) bool {
 // may create an object with label obj: thread ⊑ obj ⊑ clr.
 func CanAllocate(thread, clr, obj Label) bool {
 	return thread.Leq(obj) && obj.Leq(clr)
-}
-
-// CanRaiseLabelTo reports whether a thread with label cur and clearance clr
-// may change its own label to next: cur ⊑ next ⊑ clr (self_set_label).
-func CanRaiseLabelTo(cur, clr, next Label) bool {
-	return cur.Leq(next) && next.Leq(clr)
-}
-
-// CanSetClearanceTo reports whether a thread with label cur and clearance
-// clr may change its clearance to next: cur ⊑ next ⊑ (clr ⊔ curᴶ)
-// (self_set_clearance).
-func CanSetClearanceTo(cur, clr, next Label) bool {
-	return cur.Leq(next) && next.Leq(clr.Join(cur.RaiseJ()))
-}
-
-// MinObserveLabel returns the lowest label a thread labeled cur must raise
-// itself to in order to observe an object labeled obj: (curᴶ ⊔ obj)⋆.
-func MinObserveLabel(cur, obj Label) Label {
-	return cur.RaiseJ().Join(obj).LowerStar()
 }
 
 // gateMinLevel is the pointwise level of the gate-entry minimum label

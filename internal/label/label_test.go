@@ -27,24 +27,6 @@ func TestLevelString(t *testing.T) {
 	}
 }
 
-func TestLevelFromInt(t *testing.T) {
-	for n := 0; n <= 3; n++ {
-		lv, err := LevelFromInt(n)
-		if err != nil {
-			t.Fatalf("LevelFromInt(%d): %v", n, err)
-		}
-		if lv.Int() != n {
-			t.Errorf("LevelFromInt(%d).Int() = %d", n, lv.Int())
-		}
-	}
-	if _, err := LevelFromInt(4); err == nil {
-		t.Error("LevelFromInt(4) should fail")
-	}
-	if _, err := LevelFromInt(-1); err == nil {
-		t.Error("LevelFromInt(-1) should fail")
-	}
-}
-
 func TestNewElidesDefaultEntries(t *testing.T) {
 	c := catN(7)
 	l := New(L1, P(c, L1))
@@ -87,23 +69,6 @@ func TestWithWithout(t *testing.T) {
 	l4 := l2.With(c, L1)
 	if l4.NumExplicit() != 0 {
 		t.Error("With(default) should elide the entry")
-	}
-}
-
-func TestWithDefault(t *testing.T) {
-	c := catN(3)
-	l := New(L1, P(c, L3))
-	m := l.WithDefault(L2)
-	if m.Default() != L2 {
-		t.Errorf("default = %v", m.Default())
-	}
-	if m.Get(c) != L3 {
-		t.Errorf("explicit entry lost: %v", m.Get(c))
-	}
-	// A category at the old default stays at... the new default, since it was
-	// never explicit.  Document the behaviour.
-	if m.Get(catN(1000)) != L2 {
-		t.Errorf("unlisted category should follow the new default")
 	}
 }
 
@@ -180,10 +145,6 @@ func TestJoinMeet(t *testing.T) {
 	if j.Get(a) != L3 || j.Get(b) != L1 || j.Default() != L1 {
 		t.Errorf("join wrong: %v", j)
 	}
-	m := l1.Meet(l2)
-	if m.Get(a) != L1 || m.Get(b) != L0 || m.Default() != L1 {
-		t.Errorf("meet wrong: %v", m)
-	}
 }
 
 func TestJoinWithDifferentDefaults(t *testing.T) {
@@ -196,13 +157,6 @@ func TestJoinWithDifferentDefaults(t *testing.T) {
 	}
 	if j.Get(a) != L2 {
 		t.Errorf("join(a) = %v, want 2 (max(0, default 2))", j.Get(a))
-	}
-	m := l1.Meet(l2)
-	if m.Default() != L1 {
-		t.Errorf("meet default = %v, want 1", m.Default())
-	}
-	if m.Get(a) != L0 {
-		t.Errorf("meet(a) = %v, want 0", m.Get(a))
 	}
 }
 
@@ -224,16 +178,6 @@ func TestOwnership(t *testing.T) {
 	l := New(L1, P(a, Star), P(b, L3))
 	if !l.Owns(a) || l.Owns(b) {
 		t.Error("Owns wrong")
-	}
-	if !l.HasStar() {
-		t.Error("HasStar should be true")
-	}
-	owned := l.Owned()
-	if len(owned) != 1 || owned[0] != a {
-		t.Errorf("Owned = %v", owned)
-	}
-	if New(L1).HasStar() {
-		t.Error("plain label should not have star")
 	}
 }
 
@@ -309,42 +253,16 @@ func TestCanAllocateAndClearance(t *testing.T) {
 	}
 }
 
-func TestSelfSetLabelRules(t *testing.T) {
-	c := catN(11)
-	lt := New(L1)
-	ct := New(L2)
-	// Raising to {c2, 1} is allowed (within clearance).
-	if !CanRaiseLabelTo(lt, ct, New(L1, P(c, L2))) {
-		t.Error("raise to c2 should be allowed")
-	}
-	// Raising to {c3, 1} exceeds the default clearance {2}.
-	if CanRaiseLabelTo(lt, ct, New(L1, P(c, L3))) {
-		t.Error("raise to c3 should exceed clearance")
-	}
-	// Lowering the label is never allowed without ownership.
-	if CanRaiseLabelTo(New(L1, P(c, L2)), ct, New(L1)) {
-		t.Error("lowering a label must fail")
-	}
-	// A thread owning c may raise clearance in c.
-	owner := New(L1, P(c, Star))
-	if !CanSetClearanceTo(owner, New(L2), New(L2, P(c, L3))) {
-		t.Error("owner should be able to raise clearance in its category")
-	}
-	// A non-owner may not raise clearance beyond CT ⊔ LTᴶ.
-	if CanSetClearanceTo(lt, New(L2), New(L2, P(c, L3))) {
-		t.Error("non-owner must not raise clearance")
-	}
-	// Lowering clearance (not below label) is allowed.
-	if !CanSetClearanceTo(lt, New(L2), New(L1)) {
-		t.Error("lowering clearance to label should be allowed")
-	}
-}
+// minObserveLabel is the paper's (curᴶ ⊔ obj)⋆ — the lowest label a thread
+// labeled cur must raise itself to before it can observe obj — written out
+// from the primitives a library composes it from.
+func minObserveLabel(cur, obj Label) Label { return cur.RaiseJ().Join(obj).LowerStar() }
 
 func TestMinObserveLabel(t *testing.T) {
 	c := catN(12)
 	cur := New(L1)
 	obj := New(L1, P(c, L3))
-	min := MinObserveLabel(cur, obj)
+	min := minObserveLabel(cur, obj)
 	if !cur.Leq(min) {
 		t.Error("LT ⊑ L'T must hold")
 	}
@@ -353,13 +271,13 @@ func TestMinObserveLabel(t *testing.T) {
 	}
 	// It should be exactly {c3, 1}.
 	if !min.Equal(New(L1, P(c, L3))) {
-		t.Errorf("MinObserveLabel = %v, want {c3,1}", min)
+		t.Errorf("minObserveLabel = %v, want {c3,1}", min)
 	}
 	// An owner's star is preserved (via J and back).
 	owner := New(L1, P(c, Star))
-	m2 := MinObserveLabel(owner, obj)
+	m2 := minObserveLabel(owner, obj)
 	if !m2.Owns(c) {
-		t.Errorf("owner must keep ownership after MinObserveLabel, got %v", m2)
+		t.Errorf("owner must keep ownership after minObserveLabel, got %v", m2)
 	}
 }
 
@@ -393,7 +311,8 @@ func TestStringAndFormat(t *testing.T) {
 		t.Logf("String() = %q", got)
 	}
 	alloc := NewAllocator(1)
-	named := alloc.AllocNamed("br")
+	named := alloc.Alloc()
+	alloc.SetName(named, "br")
 	l2 := New(L1, P(named, Star))
 	s := l2.Format(alloc)
 	if want := "{br*, 1}"; s != want {
@@ -433,12 +352,12 @@ func TestReadWithoutUntaintLevels(t *testing.T) {
 	obj2 := New(L1, P(c, L2))
 	obj3 := New(L1, P(c, L3))
 
-	need2 := MinObserveLabel(thread, obj2)
-	if !CanRaiseLabelTo(thread, clearance, need2) {
+	need2 := minObserveLabel(thread, obj2)
+	if !thread.Leq(need2) || !need2.Leq(clearance) {
 		t.Error("thread should be able to taint itself to read a level-2 object")
 	}
-	need3 := MinObserveLabel(thread, obj3)
-	if CanRaiseLabelTo(thread, clearance, need3) {
+	need3 := minObserveLabel(thread, obj3)
+	if thread.Leq(need3) && need3.Leq(clearance) {
 		t.Error("default clearance must block tainting to level 3")
 	}
 }

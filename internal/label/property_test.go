@@ -97,28 +97,6 @@ func TestPropJoinIsLeast(t *testing.T) {
 	}
 }
 
-func TestPropMeetIsLowerBound(t *testing.T) {
-	f := func(a, b quickLabel) bool {
-		m := a.L.Meet(b.L)
-		return m.Leq(a.L) && m.Leq(b.L)
-	}
-	if err := quick.Check(f, quickCfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropMeetIsGreatest(t *testing.T) {
-	f := func(a, b, c quickLabel) bool {
-		if c.L.Leq(a.L) && c.L.Leq(b.L) {
-			return c.L.Leq(a.L.Meet(b.L))
-		}
-		return true
-	}
-	if err := quick.Check(f, quickCfg); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPropJoinCommutativeAssociativeIdempotent(t *testing.T) {
 	comm := func(a, b quickLabel) bool {
 		return a.L.Join(b.L).Equal(b.L.Join(a.L))
@@ -131,30 +109,6 @@ func TestPropJoinCommutativeAssociativeIdempotent(t *testing.T) {
 		if err := quick.Check(f, quickCfg); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
-	}
-}
-
-func TestPropMeetCommutativeAssociativeIdempotent(t *testing.T) {
-	comm := func(a, b quickLabel) bool {
-		return a.L.Meet(b.L).Equal(b.L.Meet(a.L))
-	}
-	assoc := func(a, b, c quickLabel) bool {
-		return a.L.Meet(b.L).Meet(c.L).Equal(a.L.Meet(b.L.Meet(c.L)))
-	}
-	idem := func(a quickLabel) bool { return a.L.Meet(a.L).Equal(a.L) }
-	for name, f := range map[string]interface{}{"comm": comm, "assoc": assoc, "idem": idem} {
-		if err := quick.Check(f, quickCfg); err != nil {
-			t.Errorf("%s: %v", name, err)
-		}
-	}
-}
-
-func TestPropAbsorption(t *testing.T) {
-	f := func(a, b quickLabel) bool {
-		return a.L.Join(a.L.Meet(b.L)).Equal(a.L) && a.L.Meet(a.L.Join(b.L)).Equal(a.L)
-	}
-	if err := quick.Check(f, quickCfg); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -178,7 +132,7 @@ func TestPropRaiseJLowerStarRoundTrip(t *testing.T) {
 
 func TestPropMinObserveLabelIsSufficientAndMinimal(t *testing.T) {
 	f := func(ta quickThreadLabel, ob quickLabel) bool {
-		min := MinObserveLabel(ta.L, ob.L)
+		min := minObserveLabel(ta.L, ob.L)
 		if !ta.L.Leq(min) {
 			return false
 		}
@@ -322,8 +276,7 @@ func TestRefModelLeqAgrees(t *testing.T) {
 func TestRefModelJoinMeetAgree(t *testing.T) {
 	f := func(a, b quickThreadLabel) bool {
 		join := refCombine(refFrom(a.L), refFrom(b.L), maxLevel).toLabel()
-		meet := refCombine(refFrom(a.L), refFrom(b.L), minLevel).toLabel()
-		return a.L.Join(b.L).Equal(join) && a.L.Meet(b.L).Equal(meet)
+		return a.L.Join(b.L).Equal(join)
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
 		t.Error(err)
@@ -366,7 +319,7 @@ func TestRefModelParseRoundTrip(t *testing.T) {
 
 func TestPropCanonicalSortedNoDefault(t *testing.T) {
 	f := func(a, b quickThreadLabel) bool {
-		for _, l := range []Label{a.L.Join(b.L), a.L.Meet(b.L), a.L.RaiseJ(), a.L.LowerStar()} {
+		for _, l := range []Label{a.L.Join(b.L), a.L.RaiseJ(), a.L.LowerStar()} {
 			pairs := l.Pairs()
 			for i, p := range pairs {
 				if p.Level == l.Default() {
@@ -386,7 +339,7 @@ func TestPropCanonicalSortedNoDefault(t *testing.T) {
 
 func TestPropStoredFingerprintMatchesRecomputed(t *testing.T) {
 	f := func(a, b quickThreadLabel) bool {
-		for _, l := range []Label{a.L, a.L.Join(b.L), a.L.Meet(b.L), a.L.With(Category(3), L3)} {
+		for _, l := range []Label{a.L, a.L.Join(b.L), a.L.With(Category(3), L3)} {
 			if l.Fingerprint() != fingerprintCanonical(l.Default(), l.Pairs(), levelIdentity) {
 				return false
 			}

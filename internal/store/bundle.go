@@ -2,11 +2,11 @@ package store
 
 // Snapshot bundles: a bundle captures a set of committed objects — their
 // home extents, contents CRCs, and canonical labels — *by reference* into
-// the append-only data region, under a deterministic lineage ID.  Cloning
-// an object out of a bundle is O(metadata): the clone's object-map entry
-// simply aliases the source extent, and the first rewrite of the clone goes
-// through the ordinary dirty/relocate path, giving it a private home extent
-// (copy-on-write at checkpoint granularity).
+// the append-only data region, under the lineage ID the kernel gave the
+// snapshot it persists.  Cloning an object out of a bundle is O(metadata):
+// the clone's object-map entry simply aliases the source extent, and the
+// first rewrite of the clone goes through the ordinary dirty/relocate path,
+// giving it a private home extent (copy-on-write at checkpoint granularity).
 //
 // Sharing is tracked by extRefs, a refcount over extents with more than one
 // referent (object-map entries plus bundle pins; an absent entry means the
@@ -42,10 +42,8 @@ package store
 // with a QuarantineError.
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
 
 	"histar/internal/label"
@@ -102,60 +100,29 @@ func (b *Bundle) object(id uint64) *BundleObject {
 	return nil
 }
 
-// bundleLineage derives the deterministic lineage ID: an FNV-1a hash over
-// the bundle name and every captured object's identity, size, and contents
-// CRC.  Offsets are deliberately excluded so lineage identifies content,
-// not physical layout.
-func bundleLineage(name string, objs []BundleObject) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	var b [8]byte
-	for _, o := range objs {
-		binary.LittleEndian.PutUint64(b[:], o.ID)
-		h.Write(b[:])
-		binary.LittleEndian.PutUint64(b[:], uint64(o.Size))
-		h.Write(b[:])
-		binary.LittleEndian.PutUint64(b[:], objCRCValid|uint64(o.CRC))
-		h.Write(b[:])
-		h.Write(o.Label)
-	}
-	v := h.Sum64()
-	if v == 0 {
-		v = 1 // 0 is reserved for "no bundle"
-	}
-	return v
-}
-
-// SnapshotBundle captures the given objects as a named immutable bundle and
-// returns its lineage ID.  It checkpoints first so every object has a
+// SnapshotBundle captures the given objects as a named immutable bundle
+// under lineage, the caller's identifier for the snapshot (the kernel's hash
+// of what it captured).  It checkpoints first so every object has a
 // committed home extent, pins those extents against reclamation, and makes
-// the bundle durable with a WAL bundle record.  Capturing the same content
-// under the same name is idempotent and returns the same lineage.
-func (s *Store) SnapshotBundle(name string, ids []uint64) (uint64, error) {
+// the bundle durable with a WAL bundle record.  A lineage already registered
+// is left as it is.
+func (s *Store) SnapshotBundle(lineage uint64, name string, ids []uint64) error {
 	if err := s.Checkpoint(); err != nil {
-		return 0, err
+		return err
 	}
-	return s.captureBundle(name, ids)
+	return s.captureBundle(lineage, name, ids)
 }
 
 // captureBundle is SnapshotBundle after its checkpoint: register the bundle
 // and log its record.
-func (s *Store) captureBundle(name string, ids []uint64) (uint64, error) {
-	var lineage uint64
-	err := s.logged(func() (t *syncTicket, err error) {
-		lineage, t, err = s.sealBundle(name, ids)
-		return t, err
-	})
-	if err != nil {
-		return 0, err
-	}
-	return lineage, nil
+func (s *Store) captureBundle(lineage uint64, name string, ids []uint64) error {
+	return s.logged(1, func(int) (*syncTicket, error) { return s.sealBundle(lineage, name, ids) })[0]
 }
 
 // sealBundle registers the bundle and enqueues its WAL record; the caller
 // holds ckptMu in read mode.  A nil ticket with a nil error means the bundle
 // was already registered.
-func (s *Store) sealBundle(name string, ids []uint64) (uint64, *syncTicket, error) {
+func (s *Store) sealBundle(lineage uint64, name string, ids []uint64) (*syncTicket, error) {
 	sorted := append([]uint64(nil), ids...)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	objs := make([]BundleObject, 0, len(sorted))
@@ -173,13 +140,13 @@ func (s *Store) sealBundle(name string, ids []uint64) (uint64, *syncTicket, erro
 			switch {
 			case e.quar:
 				e.mu.Unlock()
-				return 0, nil, &QuarantineError{ID: id, Detail: "cannot bundle a quarantined object"}
+				return nil, &QuarantineError{ID: id, Detail: "cannot bundle a quarantined object"}
 			case e.dead:
 				e.mu.Unlock()
-				return 0, nil, fmt.Errorf("%w: object %d", ErrNoSuchObject, id)
+				return nil, fmt.Errorf("%w: object %d", ErrNoSuchObject, id)
 			case e.dirty || e.ckpt:
 				e.mu.Unlock()
-				return 0, nil, fmt.Errorf("%w: object %d", ErrNotCommitted, id)
+				return nil, fmt.Errorf("%w: object %d", ErrNotCommitted, id)
 			}
 			if e.hasLbl {
 				lblBytes = e.lbl.AppendBinary(nil)
@@ -188,16 +155,15 @@ func (s *Store) sealBundle(name string, ids []uint64) (uint64, *syncTicket, erro
 		}
 		h, ok := s.lookupHome(id)
 		if !ok {
-			return 0, nil, fmt.Errorf("%w: object %d has no committed home", ErrNoSuchObject, id)
+			return nil, fmt.Errorf("%w: object %d has no committed home", ErrNoSuchObject, id)
 		}
 		objs = append(objs, BundleObject{ID: id, Off: h.off, Size: h.size, CRC: h.crc, Label: lblBytes})
 	}
-	lineage := bundleLineage(name, objs)
 	b := &Bundle{Lineage: lineage, Name: name, Objects: objs}
 	s.metaMu.Lock()
 	if _, exists := s.bundles[lineage]; exists {
 		s.metaMu.Unlock()
-		return lineage, nil, nil
+		return nil, nil
 	}
 	b.Epoch = s.metaEpoch
 	s.bundles[lineage] = b
@@ -207,9 +173,7 @@ func (s *Store) sealBundle(name string, ids []uint64) (uint64, *syncTicket, erro
 		s.pinExtentLocked(b.Objects[i].Off)
 	}
 	s.allocMu.Unlock()
-	s.c.bundleSnapshots.Add(1)
-	t, err := s.submit(wal.Record{ObjectID: lineage, Data: encodeBundleBody(b), Bundle: true})
-	return lineage, t, err
+	return s.submit(wal.Record{ObjectID: lineage, Data: encodeBundleBody(b), Bundle: true})
 }
 
 // pinExtentLocked adds one reference to an extent; the caller holds allocMu.
@@ -228,14 +192,13 @@ func (s *Store) pinExtentLocked(off int64) {
 // committed extent — no data is read or written — and is made durable by a
 // small WAL clone record; its first rewrite gives it a private extent.
 func (s *Store) CloneObjectLabeled(lineage, srcID, dstID uint64, lbl label.Label) error {
-	return s.logged(func() (*syncTicket, error) { return s.sealClone(lineage, srcID, dstID, lbl) })
+	return s.logged(1, func(int) (*syncTicket, error) { return s.sealClone(lineage, srcID, dstID, lbl) })[0]
 }
 
 // sealClone installs the alias and enqueues its WAL clone record; the caller
 // holds ckptMu in read mode.
 func (s *Store) sealClone(lineage, srcID, dstID uint64, lbl label.Label) (*syncTicket, error) {
-	sh := s.shardOf(dstID)
-	e := sh.getOrCreate(dstID)
+	e := s.shardOf(dstID).getOrCreate(dstID)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.cached || e.dirty {
@@ -267,9 +230,7 @@ func (s *Store) sealClone(lineage, srcID, dstID uint64, lbl label.Label) (*syncT
 	s.pinExtentLocked(bo.Off)
 	s.allocMu.Unlock()
 	e.dead, e.quar = false, false
-	s.setLabel(sh, dstID, e, lbl)
-	s.c.objectClones.Add(1)
-	s.c.cloneBytesShared.Add(uint64(bo.Size))
+	e.lbl, e.hasLbl = lbl, true
 	// The clone record is enqueued under the entry lock (like every sealed
 	// record), so replay order for dstID matches operation order.
 	return s.submit(wal.Record{
@@ -368,8 +329,7 @@ func (s *Store) replayBundleRecord(rec wal.Record) {
 // rather than silently aliased.
 func (s *Store) replayCloneRecord(r wal.Record) {
 	dst := r.ObjectID
-	sh := s.shardOf(dst)
-	e := sh.getOrCreate(dst)
+	e := s.shardOf(dst).getOrCreate(dst)
 	if _, ok := s.homeOf(dst); ok {
 		// The loaded snapshot already placed this object (the clone itself,
 		// or a later rewrite); the record is stale.
@@ -388,56 +348,11 @@ func (s *Store) replayCloneRecord(r wal.Record) {
 	}
 	s.setHome(dst, h)
 	e.dead, e.quar, e.cached, e.dirty = false, false, false, false
-	if len(r.Label) > 0 {
-		lbl, rest, derr := s.decodeLabel(r.Label)
-		if derr == nil && len(rest) == 0 {
-			s.setLabel(sh, dst, e, lbl)
-		} else {
-			s.noteCorruption(fmt.Errorf("%w: replaying label of clone %d: %v", ErrCorrupt, dst, derr))
-		}
+	if len(r.Label) == 0 {
+		e.lbl, e.hasLbl = label.Label{}, false
+	} else if lbl, rest, derr := label.DecodeBinary(r.Label); derr == nil && len(rest) == 0 {
+		e.lbl, e.hasLbl = lbl, true
 	} else {
-		s.clearLabel(sh, dst, e)
+		s.noteCorruption(fmt.Errorf("%w: replaying label of clone %d: %v", ErrCorrupt, dst, derr))
 	}
-}
-
-// BundleStats is the bundle/clone accounting snapshot.
-type BundleStats struct {
-	// Bundles and BundleObjects describe the registered bundle table;
-	// PinnedBytes is the total size of bundle-pinned extents.
-	Bundles       int
-	BundleObjects int
-	PinnedBytes   int64
-	// SharedExtents is the number of extents currently referenced more than
-	// once (clone aliases plus bundle pins).
-	SharedExtents int
-	// Snapshots and Clones count SnapshotBundle and CloneObjectLabeled calls that
-	// succeeded; CloneBytesShared is the total size of extents aliased by
-	// clones (bytes NOT copied thanks to sharing).
-	Snapshots        uint64
-	Clones           uint64
-	CloneBytesShared uint64
-}
-
-// BundleStats returns bundle and clone accounting.
-func (s *Store) BundleStats() BundleStats {
-	s.ckptMu.RLock()
-	defer s.ckptMu.RUnlock()
-	st := BundleStats{
-		Snapshots:        s.c.bundleSnapshots.Load(),
-		Clones:           s.c.objectClones.Load(),
-		CloneBytesShared: s.c.cloneBytesShared.Load(),
-	}
-	s.metaMu.RLock()
-	st.Bundles = len(s.bundles)
-	for _, b := range s.bundles {
-		st.BundleObjects += len(b.Objects)
-		for i := range b.Objects {
-			st.PinnedBytes += b.Objects[i].Size
-		}
-	}
-	s.metaMu.RUnlock()
-	s.allocMu.Lock()
-	st.SharedExtents = len(s.extRefs)
-	s.allocMu.Unlock()
-	return st
 }

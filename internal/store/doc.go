@@ -26,8 +26,8 @@
 //     Verification requires each of the five tags exactly once, in-bounds
 //     lengths, and no trailing bytes, so a flipped tag or length never
 //     silently reassigns bytes between sections.  Nothing derivable is
-//     stored: the label fingerprint index, the extent refcounts and the
-//     per-segment live counts are rebuilt from these sections at open.
+//     stored: the extent refcounts and the per-segment live counts are
+//     rebuilt from these sections at open.
 //   - Object extents: the object-map entry records a CRC32C of the
 //     object's contents, computed when the checkpoint writes it to its
 //     home (segment or dedicated extent) and verified on every uncached

@@ -63,8 +63,7 @@ const (
 	// Section tags.  Each section is [tag u64][len u64][crc u64: low 32
 	// bits CRC32C of the payload][payload], and an image holds each tag
 	// exactly once.  Tag 4 is retired, never to be reused: metadata version
-	// 4 persisted the label fingerprint index under it, which is derived
-	// data (Open rebuilds it from the label section).
+	// 4 persisted an index derived from the label section under it.
 	secObjMap  = 1
 	secFree    = 2
 	secLabels  = 3
@@ -138,13 +137,6 @@ func parseSuperblockCopy(b []byte, off int64) (superblockInfo, error) {
 			Detail: fmt.Sprintf("metadata area selector %d out of range", info.which)}
 	}
 	return info, nil
-}
-
-// decodeLabel is the store's only route to label deserialization; it feeds
-// the LabelDecodes counter the index tests assert against.
-func (s *Store) decodeLabel(src []byte) (label.Label, []byte, error) {
-	s.c.labelDecodes.Add(1)
-	return label.DecodeBinary(src)
 }
 
 // appendU64 is the codecs' little-endian primitive.
@@ -222,8 +214,8 @@ func (r *sectionReader) home() home {
 // proceed.  The bundle section reads the live table under metaMu: bundles
 // registered after the seal simply appear one snapshot early, which replay
 // tolerates (re-registration is idempotent).  Everything derivable from
-// these five — the fingerprint index, extent refcounts, per-segment live
-// counts — is rebuilt at Open, not stored.
+// these five — extent refcounts, per-segment live counts — is rebuilt at
+// Open, not stored.
 func (s *Store) encodeMetadata(epoch uint64, labels []sealedLabel) []byte {
 	// Object map: (id, home record) entries, ascending id; then the bundle
 	// table: [count], then per bundle [lineage][bodyLen][body].
@@ -369,23 +361,20 @@ func (s *Store) decodeFreeSection(r *sectionReader) {
 	}
 }
 
-// decodeLabelSection restores every recorded label through setLabel, which
-// is what rebuilds the fingerprint index: fingerprints are recomputed exactly
-// once, by the decode.
 func (s *Store) decodeLabelSection(r *sectionReader) {
 	for n := r.u64(); n > 0; n-- {
 		id := r.u64()
 		if r.err != nil {
 			return
 		}
-		lbl, rest, err := s.decodeLabel(r.buf)
+		lbl, rest, err := label.DecodeBinary(r.buf)
 		if err != nil {
 			r.fail("label of object %d does not decode: %v", id, err)
 			return
 		}
 		r.buf = rest
-		sh := s.shardOf(id)
-		s.setLabel(sh, id, sh.getOrCreate(id), lbl)
+		e := s.shardOf(id).getOrCreate(id)
+		e.lbl, e.hasLbl = lbl, true
 	}
 }
 

@@ -6,9 +6,8 @@ package store
 // installed, SnapshotBundle one carrying the bundle it registered; each
 // enqueues it with the committer and waits on a commit ticket.  The first
 // syncer to find the committer idle becomes the leader: it drains the queue
-// in bounded batches, each batch one wal.AppendBatch plus one Commit (one
-// frame at the log's tail, one flush), and resolves every ticket in the
-// batch.  Followers just wait; their latency is bounded by at most one
+// in bounded batches, each batch one wal.Commit (one frame at the log's tail,
+// one flush), and resolves every ticket in the batch.  Followers just wait; their latency is bounded by at most one
 // in-flight batch ahead of theirs, and batch size is bounded by
 // Options.GroupCommitBytes/GroupCommitRecords.
 //
@@ -17,20 +16,15 @@ package store
 //   - A record is sealed and enqueued while holding the object's entry lock,
 //     so for one object, log order equals seal order: replay can never
 //     regress an object to an earlier sealed state.
-//   - SyncObject holds ckptMu in read mode from seal to ticket resolution,
-//     so no checkpoint SEAL can intervene between sealing a state and
-//     committing it — a record in the log is never older than the epoch
+//   - logged holds ckptMu in read mode from first seal to last ticket
+//     resolution, so no checkpoint SEAL can intervene between sealing a state
+//     and committing it — a record in the log is never older than the epoch
 //     marker before it, so replay on the matching snapshot never regresses.
-//   - The log's pending buffer has two writers only: the committer leader
-//     (under ckptMu read mode) and the seal's AppendMark (under ckptMu write
-//     mode), so a batch's DropPending can never discard a record that is not
-//     its own.
 //   - When a batch cannot commit (log full, or a record that could never
-//     fit), the sealed records are dropped from the log's pending buffer and
-//     every affected syncer falls back to a checkpoint: the checkpoint makes
-//     a state at least as new as each sealed record durable, which satisfies
-//     the sync contract, and dropping the records keeps a later commit from
-//     regressing objects below the checkpoint.  The sealSeq/completedSeal
+//     fit), the log keeps none of it and every affected syncer falls back to
+//     a checkpoint: the checkpoint makes a state at least as new as each
+//     sealed record durable, which satisfies the sync contract, and no later
+//     commit can regress objects below the checkpoint.  The sealSeq/completedSeal
 //     pair lets the fallback syncers share one checkpoint instead of each
 //     running their own: a syncer records sealSeq while still under ckptMu
 //     read mode, and any checkpoint sealed strictly after that (its body
@@ -115,30 +109,49 @@ func (s *Store) submit(rec wal.Record) (*syncTicket, error) {
 	return s.comm.enqueue(rec), nil
 }
 
-// logged runs seal — which installs an operation's in-memory state and
-// submits its record — under the checkpoint gate, waits for the record's
-// batch to commit, and when the record cannot go through the log provides
-// the same durability by a checkpoint.  It holds ckptMu in read mode from
-// before the seal to ticket resolution, so no checkpoint SEAL can slip
-// between sealing a state and committing it, and the sealSeq value read
-// first is older than any seal that captures that state.  A nil ticket
-// means seal left nothing to await.
-func (s *Store) logged(seal func() (*syncTicket, error)) error {
+// logged is the one body of every logged operation.  It runs seal n times —
+// each call installs an operation's in-memory state and submits its record —
+// under the checkpoint gate, then waits for every record's batch to commit,
+// and gives the operations that cannot go through the log the same durability
+// by one shared checkpoint; the result has one error slot per seal.  Every
+// record is enqueued BEFORE any ticket is awaited, so the leader's takeBatch
+// sees the whole group and forms full batches even with no concurrent syncers.
+// ckptMu is held in read mode from the first seal to the last ticket
+// resolution, so no checkpoint SEAL can slip between sealing a state and
+// committing it, and the sealSeq value read first is older than any seal that
+// captures those states.  A nil ticket means seal left nothing to await.
+func (s *Store) logged(n int, seal func(i int) (*syncTicket, error)) []error {
+	errs := make([]error, n)
 	s.ckptMu.RLock()
 	if s.closed {
 		s.ckptMu.RUnlock()
-		return ErrClosed
+		for i := range errs {
+			errs[i] = ErrClosed
+		}
+		return errs
 	}
 	seq := s.sealSeq.Load()
-	t, err := seal()
-	if t != nil {
-		err = s.awaitCommit(t)
+	tickets := make([]*syncTicket, n)
+	for i := range tickets {
+		tickets[i], errs[i] = seal(i)
+	}
+	retry := false
+	for i, t := range tickets {
+		if t != nil {
+			errs[i] = s.awaitCommit(t)
+		}
+		retry = retry || errors.Is(errs[i], errRetryCheckpoint)
 	}
 	s.ckptMu.RUnlock()
-	if errors.Is(err, errRetryCheckpoint) {
-		return s.checkpointSince(seq)
+	if retry {
+		ckErr := s.checkpointSince(seq)
+		for i := range errs {
+			if errors.Is(errs[i], errRetryCheckpoint) {
+				errs[i] = ckErr
+			}
+		}
 	}
-	return err
+	return errs
 }
 
 // takeBatch pops the next bounded batch off the queue; the caller holds
@@ -211,37 +224,29 @@ func (s *Store) drainLocked() {
 	}
 }
 
-// commitBatch appends and commits one batch: the one frame and one flush
-// that many syncers share.
+// commitBatch commits one batch: the one frame and one flush that many
+// syncers share.  A batch that did not commit is in the log nowhere, so no
+// later commit — potentially after a checkpoint made newer states durable —
+// can regress its objects: each syncer is told to retry or fail.
 func (s *Store) commitBatch(batch []*syncTicket) error {
 	recs := make([]wal.Record, len(batch))
 	for i, t := range batch {
 		recs[i] = t.rec
 	}
-	if err := s.l.AppendBatch(recs); err != nil {
-		if errors.Is(err, wal.ErrTooLarge) {
-			// Pre-checked at seal time; only a shrunken log could get here.
-			return errRetryCheckpoint
-		}
-		return err
-	}
-	err := s.l.Commit()
-	if err == nil {
-		for _, r := range recs {
-			s.c.bytesLogged.Add(uint64(len(r.Data)))
-			s.c.labelBytesLogged.Add(uint64(len(r.Label)))
-		}
-		return nil
-	}
-	// The batch did not commit (or its durability is unknown).  Drop it from
-	// the log's pending buffer: each syncer is told to retry or fail, and a
-	// later commit of these records — potentially after a checkpoint made
-	// newer states durable — could regress objects.
-	s.l.DropPending()
-	if errors.Is(err, wal.ErrFull) {
+	err := s.l.Commit(recs)
+	if errors.Is(err, wal.ErrFull) || errors.Is(err, wal.ErrTooLarge) {
+		// ErrTooLarge is pre-checked at seal time; only a shrunken log could
+		// answer it here.
 		return errRetryCheckpoint
 	}
-	return err
+	if err != nil {
+		return err
+	}
+	for _, r := range recs {
+		s.c.bytesLogged.Add(uint64(len(r.Data)))
+		s.c.labelBytesLogged.Add(uint64(len(r.Label)))
+	}
+	return nil
 }
 
 // SyncObject durably records the current contents of one object — and, in
@@ -254,9 +259,7 @@ func (s *Store) commitBatch(batch []*syncTicket) error {
 // Directory-level fsync (the kernel's Sync) is a Checkpoint, which is why
 // the paper's synchronous unlink phase is so much slower on HiStar than
 // Linux.
-func (s *Store) SyncObject(id uint64) error {
-	return s.logged(func() (*syncTicket, error) { return s.sealSync(id) })
-}
+func (s *Store) SyncObject(id uint64) error { return s.SyncObjects([]uint64{id})[0] }
 
 // sealSync seals one object's current state into a log record and enqueues
 // it with the committer; the caller holds ckptMu in read mode.  A nil ticket
@@ -295,58 +298,11 @@ func (s *Store) sealSync(id uint64) (*syncTicket, error) {
 
 // SyncObjects durably records the current contents of many objects at once:
 // the batched form of SyncObject that the kernel's syscall ring dispatches.
-// Every record is sealed under its entry lock and enqueued with the
-// committer BEFORE any ticket is awaited, so the leader's takeBatch sees the
-// whole group and forms full batches even with no concurrent syncers — N
-// syncs cost at most ⌈N/GroupCommitRecords⌉ log flushes instead of N.  The
-// returned slice has one error slot per id (nil = durable); ids that cannot
-// go through the log share a single checkpoint fallback.
+// N syncs cost at most ⌈N/GroupCommitRecords⌉ log flushes instead of N (see
+// logged).  The returned slice has one error slot per id (nil = durable); ids
+// that cannot go through the log share a single checkpoint fallback.
 func (s *Store) SyncObjects(ids []uint64) []error {
-	errs := make([]error, len(ids))
-	if len(ids) == 0 {
-		return errs
-	}
-	seal, needCkpt := s.syncGroupOnce(ids, errs)
-	if needCkpt {
-		ckErr := s.checkpointSince(seal)
-		for i := range errs {
-			if errors.Is(errs[i], errRetryCheckpoint) {
-				errs[i] = ckErr
-			}
-		}
-	}
-	return errs
-}
-
-// syncGroupOnce is SyncObjects' log phase: seal and enqueue every record,
-// then await all tickets.  Like logged it holds ckptMu in read mode from
-// first seal to last ticket resolution, so no checkpoint can slip between
-// sealing a state and committing it.  It reports whether any id must fall
-// back to a checkpoint.
-func (s *Store) syncGroupOnce(ids []uint64, errs []error) (uint64, bool) {
-	s.ckptMu.RLock()
-	defer s.ckptMu.RUnlock()
-	seal := s.sealSeq.Load()
-	if s.closed {
-		for i := range errs {
-			errs[i] = ErrClosed
-		}
-		return seal, false
-	}
-	tickets := make([]*syncTicket, len(ids))
-	for i, id := range ids {
-		tickets[i], errs[i] = s.sealSync(id)
-	}
-	needCkpt := false
-	for i, t := range tickets {
-		if t != nil {
-			errs[i] = s.awaitCommit(t)
-		}
-		if errors.Is(errs[i], errRetryCheckpoint) {
-			needCkpt = true
-		}
-	}
-	return seal, needCkpt
+	return s.logged(len(ids), func(i int) (*syncTicket, error) { return s.sealSync(ids[i]) })
 }
 
 // checkpointSince provides a sync's checkpoint fallback: if a checkpoint

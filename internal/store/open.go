@@ -5,14 +5,14 @@ import (
 	"fmt"
 
 	"histar/internal/disk"
+	"histar/internal/label"
 	"histar/internal/wal"
 )
 
 // Open mounts an existing store from d, replaying the write-ahead log if the
 // system crashed before the log was applied.  This is the "bootup restores
 // the entire system state from the most recent on-disk snapshot" path:
-// snapshot metadata is loaded first (the label fingerprint index is rebuilt
-// from the decoded labels as they load), then committed log records — each
+// snapshot metadata is loaded first, then committed log records — each
 // carrying an object's contents and canonical label — are re-applied on top,
 // so a synced object always comes back with the taint it was synced with.
 //
@@ -66,12 +66,15 @@ func Open(d disk.Device, opts Options) (*Store, error) {
 			s.replayCloneRecord(r)
 			continue
 		}
-		sh := s.shardOf(r.ObjectID)
-		e := sh.getOrCreate(r.ObjectID)
+		e := s.shardOf(r.ObjectID).getOrCreate(r.ObjectID)
+		// The record's label, or none, replaces whatever a checkpoint
+		// recorded: a tombstone drops it, and a label-less record asserts the
+		// object was unlabeled when it was synced (it may have been deleted
+		// and re-created since, with no tombstone ever logged).
+		e.lbl, e.hasLbl = label.Label{}, false
 		if r.Delete {
 			e.data, e.cached, e.dirty, e.dead = nil, false, false, true
 			e.quar = false
-			s.clearLabel(sh, r.ObjectID, e)
 			continue
 		}
 		e.data = append([]byte(nil), r.Data...)
@@ -81,18 +84,11 @@ func Open(d disk.Device, opts Options) (*Store, error) {
 		e.dead = false
 		e.quar = false
 		if len(r.Label) > 0 {
-			lbl, rest, derr := s.decodeLabel(r.Label)
+			lbl, rest, derr := label.DecodeBinary(r.Label)
 			if derr != nil || len(rest) != 0 {
 				return nil, s.noteCorruption(fmt.Errorf("%w: replaying label of object %d: %v", ErrCorrupt, r.ObjectID, derr))
 			}
-			// Fingerprints were recomputed once by the decode; the index
-			// entry is rebuilt here so replayed taints are queryable.
-			s.setLabel(sh, r.ObjectID, e, lbl)
-		} else {
-			// A label-less record asserts the object was unlabeled when it
-			// was synced (it may have been deleted and re-created since a
-			// checkpoint recorded a label, with no tombstone ever logged).
-			s.clearLabel(sh, r.ObjectID, e)
+			e.lbl, e.hasLbl = lbl, true
 		}
 	}
 	// Replayed bundle and clone records introduced references the loaded

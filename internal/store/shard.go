@@ -3,7 +3,6 @@ package store
 import (
 	"sync"
 
-	"histar/internal/btree"
 	"histar/internal/label"
 )
 
@@ -44,15 +43,12 @@ type objEntry struct {
 }
 
 // storeShard is one shard of the object-entry table, selected by object-ID
-// bits.  mu guards the id→entry map and this shard's slice of the label
-// fingerprint index ((fingerprint, id) pairs whose id belongs to the shard).
-// mu is never held while an entry lock is acquired; entry locks may nest a
-// shard lock inside them (label-index updates).
+// bits.  mu guards the id→entry map and is never held while an entry lock is
+// acquired.
 type storeShard struct {
-	mu         sync.RWMutex
-	objs       map[uint64]*objEntry
-	labelIndex *btree.Tree
-	_          [40]byte // keep adjacent shards off one cache line
+	mu   sync.RWMutex
+	objs map[uint64]*objEntry
+	_    [48]byte // keep adjacent shards off one cache line
 }
 
 func (s *Store) shardOf(id uint64) *storeShard {
@@ -91,8 +87,7 @@ type shardEntry struct {
 }
 
 // snapshot copies the shard's (id, entry) pairs under the shard read lock so
-// callers can lock entries afterwards without holding mu (which would invert
-// the entry→shard lock order).
+// callers can lock entries afterwards without holding mu.
 func (sh *storeShard) snapshot() []shardEntry {
 	sh.mu.RLock()
 	out := make([]shardEntry, 0, len(sh.objs))
@@ -101,29 +96,4 @@ func (sh *storeShard) snapshot() []shardEntry {
 	}
 	sh.mu.RUnlock()
 	return out
-}
-
-// setLabel records a label and keeps the shard's fingerprint-index slice in
-// step.  The caller holds e.mu (or ckptMu exclusively / single-threaded
-// init); the shard lock is taken inside, per the lock order.
-func (s *Store) setLabel(sh *storeShard, id uint64, e *objEntry, lbl label.Label) {
-	sh.mu.Lock()
-	if e.hasLbl {
-		sh.labelIndex.Delete(btree.K2(uint64(e.lbl.Fingerprint()), id))
-	}
-	sh.labelIndex.Put(btree.K2(uint64(lbl.Fingerprint()), id), 0)
-	sh.mu.Unlock()
-	e.lbl, e.hasLbl = lbl, true
-}
-
-// clearLabel drops an object's label and its index entry; locking as for
-// setLabel.
-func (s *Store) clearLabel(sh *storeShard, id uint64, e *objEntry) {
-	if !e.hasLbl {
-		return
-	}
-	sh.mu.Lock()
-	sh.labelIndex.Delete(btree.K2(uint64(e.lbl.Fingerprint()), id))
-	sh.mu.Unlock()
-	e.lbl, e.hasLbl = label.Label{}, false
 }

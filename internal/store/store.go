@@ -4,12 +4,9 @@
 // The layout follows the paper's description, inspired by XFS: a B+-tree
 // maps object IDs to their location on disk, two more B+-trees maintain the
 // free-extent list (indexed by size, for allocation, and by location, for
-// coalescing), and a per-shard fourth B+-tree, kept in memory only, keys
-// object IDs by their label's fingerprint so "every object tainted by
-// category c" scans never touch a serialized label.  Write-ahead logging
-// provides atomicity and crash consistency, and disk space allocation is
-// delayed until an object is written to disk, making it easier to allocate
-// contiguous extents.
+// coalescing).  Write-ahead logging provides atomicity and crash consistency,
+// and disk space allocation is delayed until an object is written to disk,
+// making it easier to allocate contiguous extents.
 //
 // # On-disk layout
 //
@@ -42,8 +39,8 @@
 // append-only data segments); and the bundle table ([count], then per
 // bundle [lineage][bodyLen][body], where the body is the bundle name,
 // capture epoch, and per-object id/home record/label entries).  Only
-// primary facts are stored: the fingerprint index, the extent refcounts and
-// the per-segment live counts are derived from these sections at open.
+// primary facts are stored: the extent refcounts and the per-segment live
+// counts are derived from these sections at open.
 // format.go holds every one of these layouts and is the only file that
 // reads or writes them.  Checkpoints serialize into the area the superblock
 // does NOT reference, flush, then rewrite both superblock copies with the
@@ -60,9 +57,9 @@
 //
 // A snapshot bundle (bundle.go) captures a set of committed objects by
 // reference: their home extents, contents CRCs, and canonical labels,
-// registered under a deterministic lineage ID (an FNV-1a hash of the
-// bundle name and each object's identity/size/CRC/label — content, not
-// physical layout, so recapturing identical content is idempotent).
+// registered under the lineage ID the kernel gave the snapshot it is
+// persisting — the kernel's hash of what it captured is the one name a
+// snapshot has, and registering a lineage twice is idempotent.
 // CloneObjectLabeled materializes a bundle member under a fresh object ID in
 // O(metadata): the clone's object-map entry aliases the captured extent,
 // and the first rewrite relocates it through the ordinary dirty path
@@ -151,11 +148,9 @@
 //     place, so a sealed log record or a sealed checkpoint capture may
 //     alias it after the entry lock is released.
 //  3. The entry table is sharded by object-ID bits.  Each shard's RWMutex
-//     guards its id→entry map and its slice of the label fingerprint
-//     index.  Shard locks nest inside entry locks (label-index updates) and
-//     are never held while acquiring an entry lock — entry pointers are
-//     fetched under the shard read lock, which is released before the entry
-//     is locked.
+//     guards its id→entry map and is never held while acquiring an entry
+//     lock — entry pointers are fetched under the shard read lock, which is
+//     released before the entry is locked.
 //  4. sbMu fences superblock and metadata-area device I/O: the checkpoint
 //     body holds it across the snapshot write + superblock flip, and scrub
 //     holds it while verifying those same regions, so scrub never reads a
@@ -178,10 +173,8 @@
 // written directly.
 //
 // Recovery (Open, in open.go) loads the snapshot the superblock references
-// — rebuilding the fingerprint index from the label section as it decodes —
 // and replays the committed write-ahead log from that snapshot's epoch
-// marker on top of it, restoring each logged object's label, recomputing
-// its fingerprints exactly once and indexing it.  The crash-injection
+// marker on top of it, restoring each logged object's label.  The crash-injection
 // harness in this package's tests replays every write-boundary crash point
 // of randomized workloads — concurrent ones included — to check exactly
 // this path.
@@ -189,8 +182,6 @@ package store
 
 import (
 	"errors"
-	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -240,26 +231,8 @@ type Stats struct {
 	// LabelBytesLogged counts canonical label bytes committed to the
 	// write-ahead log.
 	LabelBytesLogged uint64
-	// LabelDecodes counts label.DecodeBinary calls made by the store (on
-	// snapshot load and log replay).  Index queries must not move it: the
-	// tests assert ObjectsWithLabel answers taint scans from fingerprints
-	// alone.
-	LabelDecodes uint64
-	// IndexQueries counts ObjectsWithLabel calls.
-	IndexQueries uint64
-	// WALCommits counts write-ahead log commits; with group commit active it
-	// stays below ObjectSyncs (many syncs per flush).  GroupBatches counts
-	// the batches the committer successfully committed (the committer is the
-	// single source of truth for batching stats; see GroupCommitStats for
-	// the full histogram).
-	WALCommits   uint64
-	GroupBatches uint64
-	DirtyObjects int
-	LiveObjects  int
-	// LabeledObjects and IndexEntries snapshot the label map and the
-	// fingerprint index; they are always equal.
-	LabeledObjects int
-	IndexEntries   int
+	DirtyObjects     int
+	LiveObjects      int
 	// SealStallTotalNs and SealStallMaxNs measure the only exclusive moment
 	// an incremental checkpoint has: the ckptMu write hold of the seal.
 	// This is the store's "stop-the-world" budget — everything else in a
@@ -283,16 +256,12 @@ type counters struct {
 	puts, gets, deletes, objectSyncs atomic.Uint64
 	checkpoints, logApplications     atomic.Uint64
 	bytesLogged, bytesHome           atomic.Uint64
-	labelBytesLogged, labelDecodes   atomic.Uint64
-	indexQueries                     atomic.Uint64
+	labelBytesLogged                 atomic.Uint64
 
 	sealStallTotalNs, sealStallMaxNs atomic.Int64
 	bytesCleaned, metaBytesWritten   atomic.Uint64
 	segsAllocated, segsCleaned       atomic.Uint64
 	segsFreed                        atomic.Uint64
-
-	bundleSnapshots, objectClones atomic.Uint64
-	cloneBytesShared              atomic.Uint64
 }
 
 // Store is a single-level store on a simulated disk.  It is safe for
@@ -322,8 +291,7 @@ type Store struct {
 	sealSeq       atomic.Uint64
 	completedSeal atomic.Uint64
 
-	// shards hold the in-memory object entries and the label index,
-	// partitioned by object-ID bits.
+	// shards hold the in-memory object entries, partitioned by object-ID bits.
 	shards [storeShards]storeShard
 
 	// metaMu guards the home table (see home.go) and the bundle table.
@@ -477,7 +445,6 @@ func (s *Store) resetTables() {
 	s.openSegBase = 0
 	for i := range s.shards {
 		s.shards[i].objs = make(map[uint64]*objEntry)
-		s.shards[i].labelIndex = &btree.Tree{}
 	}
 }
 
@@ -488,7 +455,6 @@ func (s *Store) Disk() disk.Device { return s.d }
 func (s *Store) Stats() Stats {
 	s.ckptMu.RLock()
 	defer s.ckptMu.RUnlock()
-	ws := s.l.Stats()
 	st := Stats{
 		Puts:             s.c.puts.Load(),
 		Gets:             s.c.gets.Load(),
@@ -499,10 +465,6 @@ func (s *Store) Stats() Stats {
 		BytesLogged:      s.c.bytesLogged.Load(),
 		BytesHome:        s.c.bytesHome.Load(),
 		LabelBytesLogged: s.c.labelBytesLogged.Load(),
-		LabelDecodes:     s.c.labelDecodes.Load(),
-		IndexQueries:     s.c.indexQueries.Load(),
-		WALCommits:       ws.Commits,
-		GroupBatches:     s.GroupCommitStats().Batches,
 		SealStallTotalNs: s.c.sealStallTotalNs.Load(),
 		SealStallMaxNs:   s.c.sealStallMaxNs.Load(),
 		BytesCleaned:     s.c.bytesCleaned.Load(),
@@ -516,17 +478,13 @@ func (s *Store) Stats() Stats {
 	// between the two.
 	var dirtyIDs []uint64
 	for si := range s.shards {
-		sh := &s.shards[si]
-		for _, e := range sh.snapshot() {
+		for _, e := range s.shards[si].snapshot() {
 			e.entry.mu.Lock()
 			if e.entry.dirty {
 				dirtyIDs = append(dirtyIDs, e.id)
 			}
 			e.entry.mu.Unlock()
 		}
-		sh.mu.RLock()
-		st.IndexEntries += sh.labelIndex.Len()
-		sh.mu.RUnlock()
 	}
 	st.DirtyObjects = len(dirtyIDs)
 	s.metaMu.RLock()
@@ -537,12 +495,10 @@ func (s *Store) Stats() Stats {
 		}
 	}
 	s.metaMu.RUnlock()
-	st.LabeledObjects = st.IndexEntries
 	return st
 }
 
-// WALStats returns the write-ahead log's cumulative counters (commit,
-// truncate, append, and group-commit batch counts).
+// WALStats returns the write-ahead log's cumulative counters.
 func (s *Store) WALStats() wal.Stats { return s.l.Stats() }
 
 // Put stores (or replaces) the contents of an object in memory.  Nothing is
@@ -569,8 +525,7 @@ func (s *Store) put(id uint64, data []byte, lbl *label.Label) error {
 	if s.closed {
 		return ErrClosed
 	}
-	sh := s.shardOf(id)
-	e := sh.getOrCreate(id)
+	e := s.shardOf(id).getOrCreate(id)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	// Copy-on-write: replace, never mutate, so sealed log records may alias
@@ -581,7 +536,7 @@ func (s *Store) put(id uint64, data []byte, lbl *label.Label) error {
 	e.quar = false
 	s.c.puts.Add(1)
 	if lbl != nil {
-		s.setLabel(sh, id, e, *lbl)
+		e.lbl, e.hasLbl = *lbl, true
 	}
 	return nil
 }
@@ -674,64 +629,6 @@ func (s *Store) Label(id uint64) (label.Label, bool) {
 	return e.lbl, e.hasLbl
 }
 
-// ObjectsWithLabel returns, in ascending order, the IDs of every object
-// whose label has the given fingerprint — the "all objects tainted by
-// category c" scan.  It is answered entirely from the fingerprint-keyed
-// label index slices (one per shard, merged and sorted): no label is
-// deserialized or even compared, which the LabelDecodes stat makes
-// checkable.
-func (s *Store) ObjectsWithLabel(fp label.Fingerprint) []uint64 {
-	s.ckptMu.RLock()
-	defer s.ckptMu.RUnlock()
-	s.c.indexQueries.Add(1)
-	var out []uint64
-	for si := range s.shards {
-		sh := &s.shards[si]
-		sh.mu.RLock()
-		sh.labelIndex.ScanPrefix(uint64(fp), func(k btree.Key, _ uint64) bool {
-			out = append(out, k[1])
-			return true
-		})
-		sh.mu.RUnlock()
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// VerifyLabelIndex checks that the fingerprint index and the label map
-// mirror each other exactly; the recovery tests run it after every replayed
-// crash.
-func (s *Store) VerifyLabelIndex() error {
-	s.ckptMu.RLock()
-	defer s.ckptMu.RUnlock()
-	for si := range s.shards {
-		sh := &s.shards[si]
-		labeled := 0
-		for _, se := range sh.snapshot() {
-			se.entry.mu.Lock()
-			hasLbl, fp := se.entry.hasLbl, se.entry.lbl.Fingerprint()
-			se.entry.mu.Unlock()
-			if !hasLbl {
-				continue
-			}
-			labeled++
-			sh.mu.RLock()
-			_, ok := sh.labelIndex.Get(btree.K2(uint64(fp), se.id))
-			sh.mu.RUnlock()
-			if !ok {
-				return fmt.Errorf("store: label index missing object %d (fingerprint %x)", se.id, uint64(fp))
-			}
-		}
-		sh.mu.RLock()
-		n := sh.labelIndex.Len()
-		sh.mu.RUnlock()
-		if n != labeled {
-			return fmt.Errorf("store: shard %d label index has %d entries for %d labels", si, n, labeled)
-		}
-	}
-	return nil
-}
-
 // EvictCache drops all clean objects from the in-memory cache, forcing
 // subsequent Gets to hit the disk (used by the uncached read benchmarks).
 // Labels stay resident: only contents are evicted.
@@ -759,12 +656,11 @@ func (s *Store) Delete(id uint64) error {
 		return ErrClosed
 	}
 	s.c.deletes.Add(1)
-	sh := s.shardOf(id)
-	e := sh.getOrCreate(id)
+	e := s.shardOf(id).getOrCreate(id)
 	e.mu.Lock()
 	e.data, e.cached, e.dirty, e.dead, e.deadSealed = nil, false, false, true, false
 	e.quar = false // deletion disposes of the damaged extent
-	s.clearLabel(sh, id, e)
+	e.lbl, e.hasLbl = label.Label{}, false
 	e.mu.Unlock()
 	return nil
 }

@@ -340,9 +340,6 @@ func TestLabelPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := r.Stats().LabeledObjects; n != 3 {
-		t.Fatalf("LabeledObjects = %d, want 3", n)
-	}
 	for id, want := range map[uint64]label.Label{1: taint, 2: plain, 3: user} {
 		got, ok := r.Label(id)
 		if !ok || !got.Equal(want) {
@@ -373,9 +370,6 @@ func TestLabelDroppedWithDelete(t *testing.T) {
 	if _, ok := s.Label(7); ok {
 		t.Error("label should be dropped with the object")
 	}
-	if n := s.Stats().LabeledObjects; n != 0 {
-		t.Errorf("LabeledObjects = %d, want 0", n)
-	}
 }
 
 func TestSyncObjectPersistsLabelAcrossCrash(t *testing.T) {
@@ -402,90 +396,9 @@ func TestSyncObjectPersistsLabelAcrossCrash(t *testing.T) {
 	if got.Fingerprint() != taint.Fingerprint() {
 		t.Error("fingerprint not rebuilt on replay")
 	}
-	if ids := s2.ObjectsWithLabel(taint.Fingerprint()); len(ids) != 1 || ids[0] != 9 {
-		t.Errorf("index after crash = %v", ids)
-	}
-	if err := s2.VerifyLabelIndex(); err != nil {
-		t.Error(err)
-	}
 	data, err := s2.Get(9)
 	if err != nil || string(data) != "secret" {
 		t.Fatalf("contents after crash: %q, %v", data, err)
-	}
-}
-
-func TestObjectsWithLabelUsesIndexOnly(t *testing.T) {
-	s, d := testStore(t)
-	taint := label.New(label.L1, label.P(label.Category(7), label.L3))
-	plain := label.New(label.L1)
-	for i := uint64(0); i < 50; i++ {
-		lbl := plain
-		if i%5 == 0 {
-			lbl = taint
-		}
-		if err := s.PutLabeled(i, lbl, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(d, Options{LogSize: 1 << 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	decodesBefore := s2.Stats().LabelDecodes
-	ids := s2.ObjectsWithLabel(taint.Fingerprint())
-	if len(ids) != 10 {
-		t.Fatalf("tainted scan found %d objects, want 10", len(ids))
-	}
-	for i, id := range ids {
-		if id%5 != 0 {
-			t.Errorf("id %d not tainted", id)
-		}
-		if i > 0 && ids[i-1] >= id {
-			t.Error("ids not ascending")
-		}
-	}
-	st := s2.Stats()
-	if st.LabelDecodes != decodesBefore {
-		t.Errorf("taint scan deserialized labels: %d -> %d decodes", decodesBefore, st.LabelDecodes)
-	}
-	if st.IndexQueries == 0 {
-		t.Error("IndexQueries not counted")
-	}
-	if st.IndexEntries != st.LabeledObjects || st.IndexEntries != 50 {
-		t.Errorf("index entries = %d, labeled = %d", st.IndexEntries, st.LabeledObjects)
-	}
-	if err := s2.VerifyLabelIndex(); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestSetLabelMovesIndexEntry(t *testing.T) {
-	s, _ := testStore(t)
-	a := label.New(label.L1, label.P(label.Category(1), label.L3))
-	b := label.New(label.L1, label.P(label.Category(2), label.L3))
-	if err := s.PutLabeled(3, a, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.PutLabeled(3, b, []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	if ids := s.ObjectsWithLabel(a.Fingerprint()); len(ids) != 0 {
-		t.Errorf("old fingerprint still indexed: %v", ids)
-	}
-	if ids := s.ObjectsWithLabel(b.Fingerprint()); len(ids) != 1 || ids[0] != 3 {
-		t.Errorf("new fingerprint not indexed: %v", ids)
-	}
-	if err := s.Delete(3); err != nil {
-		t.Fatal(err)
-	}
-	if ids := s.ObjectsWithLabel(b.Fingerprint()); len(ids) != 0 {
-		t.Errorf("deleted object still indexed: %v", ids)
-	}
-	if err := s.VerifyLabelIndex(); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -552,12 +465,6 @@ func TestSyncObjectLogFullFallbackIsDurable(t *testing.T) {
 		if lbl, ok := s2.Label(i); !ok || !lbl.Equal(taint) {
 			t.Fatalf("label %d after crash: %v, %v", i, lbl, ok)
 		}
-	}
-	if ids := s2.ObjectsWithLabel(taint.Fingerprint()); len(ids) != 20 {
-		t.Errorf("index after crash holds %d objects, want 20", len(ids))
-	}
-	if err := s2.VerifyLabelIndex(); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -669,11 +576,5 @@ func TestSyncAfterUnlabeledRecreateClearsCheckpointedLabel(t *testing.T) {
 	}
 	if lbl, ok := s2.Label(5); ok {
 		t.Errorf("stale checkpointed label resurrected: %v", lbl)
-	}
-	if ids := s2.ObjectsWithLabel(taint.Fingerprint()); len(ids) != 0 {
-		t.Errorf("stale index entry: %v", ids)
-	}
-	if err := s2.VerifyLabelIndex(); err != nil {
-		t.Error(err)
 	}
 }

@@ -98,6 +98,87 @@ func TestStoreObjectsDieWithTheirSegments(t *testing.T) {
 	}
 }
 
+// TestGoldenMasterStoreObjectsDieWithTheirSegments: a snapshot makes the
+// master's segments persistent, so once the snapshot is dropped and the
+// master unreferenced their store objects go like anyone else's — while a
+// sandbox cloned before the drop keeps reading what it shared.
+func TestGoldenMasterStoreObjectsDieWithTheirSegments(t *testing.T) {
+	sys, st, _ := bootSysPersist(t)
+	tc := sys.InitThread()
+	root := sys.Kern.RootContainer()
+	pub := label.New(label.L1)
+	if err := tc.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	before := st.Stats().LiveObjects
+	var master []kernel.ID
+	img, err := sys.BakeGolden("img", nil, func(tc *kernel.ThreadCall, sandbox kernel.ID) error {
+		for i := 0; i < 3; i++ {
+			id, err := tc.SegmentCreate(sandbox, pub, "blob", 4096)
+			if err != nil {
+				return err
+			}
+			master = append(master, id)
+			if err := tc.SegmentWrite(kernel.CEnt{Container: sandbox, Object: id}, 0, bytes.Repeat([]byte{byte('a' + i)}, 4096)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch, err := tc.ContainerCreate(root, pub, "scratch", 0, kernel.QuotaInfinite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.SpawnFromGolden(tc, img, scratch, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Stats().LiveObjects; got != before+6 {
+		t.Fatalf("live store objects with master and clone = %d, want %d", got, before+6)
+	}
+
+	if err := sys.Kern.DropSnapshot(img.Lineage); err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.Unref(root, img.Root); err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range master {
+		if _, err := st.Get(uint64(id)); !errors.Is(err, store.ErrNoSuchObject) {
+			t.Errorf("master segment %d after the drop and the unref: %v, want ErrNoSuchObject", id, err)
+		}
+	}
+	if got := st.Stats().LiveObjects; got != before+3 {
+		t.Errorf("live store objects = %d, want %d: what there was before the bake and the live clone", got, before+3)
+	}
+	st.EvictCache()
+	for i, id := range master {
+		ce := kernel.CEnt{Container: res.Root, Object: res.IDMap[id]}
+		want := bytes.Repeat([]byte{byte('a' + i)}, 4096)
+		if got, err := tc.SegmentRead(ce, 0, 4096); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("clone of blob %d reads %.4q, %v", i, got, err)
+		}
+		if got, err := st.Get(uint64(ce.Object)); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("clone of blob %d in the store: %.4q, %v", i, got, err)
+		}
+	}
+	if err := tc.Unref(root, scratch); err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Stats().LiveObjects; got != before {
+		t.Errorf("live store objects after the clone's teardown = %d, want %d as before the bake", got, before)
+	}
+}
+
 // TestMappedAndRingWritesReachACheckpoint: the kernel marks a segment dirty
 // at the one gate every mutation passes, so a store through a mapping and a
 // bare ring write — neither of which comes through the library's writeAt —

@@ -33,10 +33,7 @@ func validImage(tb testing.TB, commits ...[]Record) []byte {
 		tb.Fatal(err)
 	}
 	for _, recs := range commits {
-		for _, r := range recs {
-			add(l, r)
-		}
-		if err := l.Commit(); err != nil {
+		if err := l.Commit(recs); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -86,16 +83,14 @@ func FuzzRecover(f *testing.F) {
 		f.Fatal(err)
 	}
 	for id := uint64(1); id <= 8; id++ {
-		add(l, Record{ObjectID: id, Data: bytes.Repeat([]byte("s"), 200)})
-		if err := l.Commit(); err != nil {
+		if err := l.Commit([]Record{{ObjectID: id, Data: bytes.Repeat([]byte("s"), 200)}}); err != nil {
 			f.Fatal(err)
 		}
 	}
 	if err := l.Truncate(); err != nil {
 		f.Fatal(err)
 	}
-	add(l, Record{ObjectID: 9, Data: bytes.Repeat([]byte("n"), 200)})
-	if err := l.Commit(); err != nil {
+	if err := l.Commit([]Record{{ObjectID: 9, Data: bytes.Repeat([]byte("n"), 200)}}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(regionImage(f, d))

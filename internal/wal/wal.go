@@ -27,10 +27,12 @@
 // byte under an intact header CRC is refused with ErrVersion, the region
 // left untouched.
 //
-// Frames follow back to back.  A commit is one frame, written at the tail
-// with one write and one flush: a 32-byte descriptor, the same descriptor
-// again, the batch's records back to back (the payload), and the descriptor
-// a third time — the last bytes down, the commit point.  A descriptor is:
+// Frames follow back to back.  A commit is one frame — Commit is handed the
+// whole batch, and the log holds no record before or after the call that is
+// not on the device — written at the tail with one write and one flush: a
+// 32-byte descriptor, the same descriptor again, the batch's records back to
+// back (the payload), and the descriptor a third time — the last bytes down,
+// the commit point.  A descriptor is:
 //
 //	off  size  field
 //	0    4     magic "HWFR" (0x48574652, little endian)
@@ -129,14 +131,13 @@ type Record struct {
 }
 
 var (
-	// ErrFull is returned when a commit would overflow the log region; the
-	// records stay pending, so the caller can checkpoint, truncate and Commit
-	// again — re-appending would duplicate them.
+	// ErrFull is returned when a commit would overflow the log region.
+	// Nothing was written and nothing is kept: the caller checkpoints and
+	// reclaims or truncates, which makes the records' states durable anyway.
 	ErrFull = errors.New("wal: log region full")
-	// ErrTooLarge is returned by AppendBatch for a record that could never
+	// ErrTooLarge is returned by Commit for a record that could never
 	// commit: it would not fit an empty log region, or its label overflows
-	// the 16-bit length field.  Nothing is buffered; a checkpoint must
-	// provide the durability.
+	// the 16-bit length field.  A checkpoint must provide the durability.
 	ErrTooLarge = errors.New("wal: record exceeds log capacity")
 	// ErrCorrupt is returned when recovery meets damage; all records before
 	// it are still returned.
@@ -177,13 +178,10 @@ type Log struct {
 	start int64
 	size  int64
 
-	// pending is the next frame under construction: room for the two leading
-	// descriptors, then the npending uncommitted records, encoded as on disk.
-	pending  []byte
-	npending int
-	gen      uint64 // the header's generation
-	tail     int64  // body offset (bytes after the header) of the next frame
-	stats    Stats
+	scratch []byte // the last frame written, kept for its capacity
+	gen     uint64 // the header's generation
+	tail    int64  // body offset (bytes after the header) of the next frame
+	stats   Stats
 
 	// reclaimOff is the body offset where the live frames begin (the
 	// header's start offset): what lies before it is reclaimed, not yet compacted.
@@ -209,7 +207,7 @@ func New(d disk.Device, start, size int64) (*Log, error) {
 // Open attaches to an existing log region without erasing it; Recover reads
 // back its committed records and must run before anything is appended.
 func Open(d disk.Device, start, size int64) *Log {
-	return &Log{d: d, start: start, size: size, pending: make([]byte, 2*descSize),
+	return &Log{d: d, start: start, size: size,
 		markOffs: make(map[uint64]int64), markIdxs: make(map[uint64]int)}
 }
 
@@ -281,43 +279,6 @@ func (l *Log) restart() error {
 	return nil
 }
 
-// AppendBatch buffers a whole batch of records for the next Commit, all or
-// nothing: if any record could never commit (see ErrTooLarge), none of the
-// batch enters the shared pending set.  One AppendBatch plus one Commit is
-// the group-commit fast path: many syncers' records, one write and flush.
-func (l *Log) AppendBatch(recs []Record) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var bytes int64
-	for _, r := range recs {
-		if l.TooLarge(r) {
-			return ErrTooLarge
-		}
-		bytes += r.EncodedSize()
-	}
-	// One allocation sized for the whole frame, trailer included.
-	l.pending = slices.Grow(l.pending, int(bytes)+descSize)
-	for _, r := range recs {
-		l.appendLocked(r)
-	}
-	l.stats.BatchRecords += uint64(len(recs))
-	l.stats.BatchBytes += uint64(bytes)
-	l.stats.MaxBatch = max(l.stats.MaxBatch, len(recs))
-	return nil
-}
-
-// DropPending discards all buffered (uncommitted) records.  The group
-// committer uses it when a full log forces the checkpoint fallback: that
-// makes a state at least as new as every sealed record durable, so
-// committing the stale records afterwards could only regress objects.
-func (l *Log) DropPending() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.dropLocked()
-}
-
-func (l *Log) dropLocked() { l.pending, l.npending = l.pending[:2*descSize], 0 }
-
 // TooLarge reports whether r could never commit even in an empty log region
 // (the ErrTooLarge criterion), so callers can check before sealing a record
 // into a shared batch.  It reads nothing that changes: no lock.
@@ -325,9 +286,8 @@ func (l *Log) TooLarge(r Record) bool {
 	return r.EncodedSize()+frameOverhead > l.capacity() || len(r.Label) > 0xffff
 }
 
-// appendLocked encodes one pre-validated record onto the pending frame, the
-// only copy of its bytes made before the device's; the caller holds l.mu.
-func (l *Log) appendLocked(r Record) {
+// appendRecord encodes r, as on disk, onto f.
+func appendRecord(f []byte, r Record) []byte {
 	var hdr [recHeaderSize]byte
 	le.PutUint64(hdr[0:], r.ObjectID)
 	le.PutUint32(hdr[8:], uint32(len(r.Data)))
@@ -347,14 +307,10 @@ func (l *Log) appendLocked(r Record) {
 	if r.Bundle {
 		hdr[14] |= flagBundle
 	}
-	at := len(l.pending)
-	l.pending = append(l.pending, hdr[:]...)
-	l.pending = append(l.pending, r.Label...)
-	l.pending = append(l.pending, r.Data...)
-	rec := l.pending[at:]
-	le.PutUint32(rec[15:], recordCRC(rec))
-	l.npending++
-	l.stats.Appended++
+	at := len(f)
+	f = append(append(append(f, hdr[:]...), r.Label...), r.Data...)
+	le.PutUint32(f[at+15:], recordCRC(f[at:]))
+	return f
 }
 
 // recordCRC is a record's checksum: over its header up to the CRC field, then label and data.
@@ -368,49 +324,72 @@ func (r Record) EncodedSize() int64 {
 	return recHeaderSize + int64(len(r.Label)) + int64(len(r.Data))
 }
 
-// Commit durably appends all buffered records to the log as one frame: one
-// sequential write at the tail and one flush, the header untouched.  Once it
-// returns nil the records survive a crash and Recover returns them.  On
-// ErrFull they stay pending for a retry after a truncate.
-func (l *Log) Commit() error {
+// Commit durably appends recs to the log as one frame: one sequential write
+// at the tail and one flush, the header untouched.  Once it returns nil the
+// records survive a crash and Recover returns them; on any error none of them
+// is in the log and the log keeps none (see ErrFull, ErrTooLarge).  This is
+// the group-commit fast path: many syncers' records, one write and flush.
+func (l *Log) Commit(recs []Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.commitLocked()
+	_, err := l.commitLocked(recs)
+	return err
 }
 
-func (l *Log) commitLocked() error {
-	if l.npending == 0 {
-		return nil
+// commitLocked is Commit with l.mu held; it also returns the body offset of
+// the frame it wrote.
+func (l *Log) commitLocked(recs []Record) (int64, error) {
+	if len(recs) == 0 {
+		return l.tail, nil
 	}
-	n := int64(len(l.pending)) + descSize
+	for _, r := range recs {
+		if l.TooLarge(r) {
+			return 0, ErrTooLarge
+		}
+	}
+	n := frameSize(recs)
 	if l.tail+n > l.capacity() {
 		// A reclaimed-but-uncompacted prefix may be holding the space this
 		// commit needs; compact it away before giving up.
 		if err := l.compactLocked(); err != nil {
-			return err
+			return 0, err
 		}
 	}
 	if l.tail+n > l.capacity() {
-		return ErrFull
+		return 0, ErrFull
 	}
-	if err := l.writeThrough(l.frame(l.gen, l.tail), l.pos(l.tail)); err != nil {
-		return err
+	at := l.tail
+	if err := l.writeThrough(l.frame(recs, l.gen, at), l.pos(at)); err != nil {
+		return 0, err
 	}
 	// The tail moves only now: a frame whose flush failed is never
 	// acknowledged, and the next one is written over it.
 	l.tail += n
-	l.dropLocked()
 	l.stats.Commits++
-	return nil
+	return at, nil
 }
 
-// frame completes the pending frame for generation gen at body offset off
-// and returns it; pending still holds it, less the trailer, for a retry.
-func (l *Log) frame(gen uint64, off int64) []byte {
-	f := append(l.pending, l.pending[:descSize]...) // room for the trailer
-	l.pending = f[:len(l.pending)]
-	payload := l.pending[2*descSize:]
-	d := descriptor{gen: gen, off: off, n: int64(len(payload)), count: l.npending, check: crc32c(payload)}
+// frameSize is the on-disk size of the frame holding recs.
+func frameSize(recs []Record) int64 {
+	n := int64(frameOverhead)
+	for _, r := range recs {
+		n += r.EncodedSize()
+	}
+	return n
+}
+
+// frame encodes recs as the frame of generation gen at body offset off, the
+// only copy of their bytes made before the device's, in a buffer the next
+// frame reuses; the caller holds l.mu.
+func (l *Log) frame(recs []Record, gen uint64, off int64) []byte {
+	f := slices.Grow(l.scratch[:0], int(frameSize(recs)))[:2*descSize]
+	for _, r := range recs {
+		f = appendRecord(f, r)
+	}
+	payload := f[2*descSize:]
+	f = f[:len(f)+descSize]
+	l.scratch = f
+	d := descriptor{gen: gen, off: off, n: int64(len(payload)), count: len(recs), check: crc32c(payload)}
 	d.stamp(f)
 	return f
 }
@@ -468,22 +447,17 @@ func (l *Log) Truncate() error {
 }
 
 // AppendMark durably appends a generation marker carrying epoch in its
-// object-ID field, committing it (and any pending records) in one frame.
-// The store's incremental checkpoint calls it at seal time: records before
-// this marker belong to generations the snapshot named by epoch subsumes.
-// On an error the marker is dropped from the pending set (it is trivially
-// re-created) so a later group commit cannot smuggle in a stale boundary.
+// object-ID field: a commit of that one record.  The store's incremental
+// checkpoint calls it at seal time: records before this marker belong to
+// generations the snapshot named by epoch subsumes.
 func (l *Log) AppendMark(epoch uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	at := len(l.pending)
-	l.appendLocked(Record{ObjectID: epoch, Mark: true})
-	n := int64(len(l.pending)) + descSize
-	if err := l.commitLocked(); err != nil {
-		l.pending, l.npending = l.pending[:at], l.npending-1
+	at, err := l.commitLocked([]Record{{ObjectID: epoch, Mark: true}})
+	if err != nil {
 		return err
 	}
-	l.markOffs[epoch] = l.tail - n
+	l.markOffs[epoch] = at
 	return nil
 }
 
@@ -671,21 +645,19 @@ func (l *Log) reseal(recs []Record, end int64, what string) ([]Record, error) {
 	clear(l.markOffs)
 	clear(l.markIdxs)
 	for i, r := range recs {
-		l.appendLocked(r)
 		if r.Mark {
 			l.markIdxs[r.ObjectID] = i + 1
 		}
 	}
-	defer l.dropLocked()
 	at := end
-	if n := int64(len(l.pending)) + descSize; n <= l.reclaimOff {
+	if n := frameSize(recs); n <= l.reclaimOff {
 		at = 0
 	} else if at+n > l.capacity() {
 		l.tail, l.reclaimOff = l.capacity(), 0
 		return recs, fmt.Errorf("%w: %s", ErrCorrupt, what)
 	}
 	gen := newGeneration()
-	if err := l.adopt(gen, l.frame(gen, at), at); err != nil {
+	if err := l.adopt(gen, l.frame(recs, gen, at), at); err != nil {
 		return recs, err
 	}
 	for e := range l.markIdxs {
@@ -696,17 +668,9 @@ func (l *Log) reseal(recs []Record, end int64, what string) ([]Record, error) {
 
 // Stats describes cumulative log activity.
 type Stats struct {
-	Commits  uint64 // successful commits (each one frame write + flush)
-	Appended uint64 // records buffered via AppendBatch and AppendMark
-	// BatchRecords counts the records appended through AppendBatch and
-	// MaxBatch is the largest single batch — at the append layer: a batch
-	// whose Commit later fails is still counted.  Appended ≫ Commits is
-	// group commit working.
-	BatchRecords uint64
-	MaxBatch     int
-	BatchBytes   uint64 // encoded bytes appended through AppendBatch
-	Reclaims     uint64 // ReclaimBefore calls that advanced the start offset
-	Compactions  uint64 // dead-prefix compactions (there or in a would-be-full Commit)
+	Commits     uint64 // successful commits (each one frame write + flush)
+	Reclaims    uint64 // ReclaimBefore calls that advanced the start offset
+	Compactions uint64 // dead-prefix compactions (there or in a would-be-full Commit)
 }
 
 // Stats returns the cumulative counts.

@@ -13,9 +13,6 @@ import (
 	"histar/internal/vclock"
 )
 
-// add buffers one record for the next Commit.
-func add(l *Log, r Record) error { return l.AppendBatch([]Record{r}) }
-
 func testLog(t *testing.T, size int64) (*Log, *disk.Disk) {
 	t.Helper()
 	d := disk.New(disk.Params{Sectors: 1 << 15}, &vclock.Clock{})
@@ -28,13 +25,13 @@ func testLog(t *testing.T, size int64) (*Log, *disk.Disk) {
 
 func TestCommitAndRecover(t *testing.T) {
 	l, d := testLog(t, 1<<20)
-	add(l, Record{ObjectID: 1, Data: []byte("object one")})
-	add(l, Record{ObjectID: 2, Data: []byte("object two")})
-	if err := l.Commit(); err != nil {
+	if err := l.Commit([]Record{
+		{ObjectID: 1, Data: []byte("object one")},
+		{ObjectID: 2, Data: []byte("object two")},
+	}); err != nil {
 		t.Fatal(err)
 	}
-	add(l, Record{ObjectID: 3, Delete: true})
-	if err := l.Commit(); err != nil {
+	if err := l.Commit([]Record{{ObjectID: 3, Delete: true}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -56,14 +53,15 @@ func TestCommitAndRecover(t *testing.T) {
 }
 
 func TestUncommittedRecordsAreNotRecovered(t *testing.T) {
-	l, d := testLog(t, 1<<20)
-	add(l, Record{ObjectID: 1, Data: []byte("committed")})
-	if err := l.Commit(); err != nil {
+	l, d := testLog(t, 4096)
+	if err := l.Commit([]Record{{ObjectID: 1, Data: make([]byte, 3000)}}); err != nil {
 		t.Fatal(err)
 	}
-	add(l, Record{ObjectID: 2, Data: []byte("lost")})
-	// No commit: a crash discards it.
-	recs, err := Open(d, 0, 1<<20).Recover()
+	// A commit the log refused wrote nothing: a crash finds only the first.
+	if err := l.Commit([]Record{{ObjectID: 2, Data: make([]byte, 2000)}}); !errors.Is(err, ErrFull) {
+		t.Fatalf("overflowing commit: err=%v", err)
+	}
+	recs, err := Open(d, 0, 4096).Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,8 +72,7 @@ func TestUncommittedRecordsAreNotRecovered(t *testing.T) {
 
 func TestTruncate(t *testing.T) {
 	l, d := testLog(t, 1<<20)
-	add(l, Record{ObjectID: 1, Data: make([]byte, 100)})
-	l.Commit()
+	l.Commit([]Record{{ObjectID: 1, Data: make([]byte, 100)}})
 	if l.LiveBytes() == 0 {
 		t.Fatal("expected live bytes")
 	}
@@ -94,28 +91,28 @@ func TestTruncate(t *testing.T) {
 func TestLogFull(t *testing.T) {
 	l, _ := testLog(t, 4096)
 	// A record that would fit an empty region but not the remaining space:
-	// recoverable, so Commit reports ErrFull and keeps it pending.
-	if err := add(l, Record{ObjectID: 1, Data: make([]byte, 2500)}); err != nil {
+	// Commit reports ErrFull, and keeps nothing to commit later.
+	if err := l.Commit([]Record{{ObjectID: 1, Data: make([]byte, 2500)}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := add(l, Record{ObjectID: 2, Data: make([]byte, 2500)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Commit(); !errors.Is(err, ErrFull) {
+	if err := l.Commit([]Record{{ObjectID: 2, Data: make([]byte, 2500)}}); !errors.Is(err, ErrFull) {
 		t.Errorf("commit into full log: err=%v", err)
 	}
-	// A record that could never fit is rejected at Append instead.
-	if err := add(l, Record{ObjectID: 3, Data: make([]byte, 8192)}); !errors.Is(err, ErrTooLarge) {
-		t.Errorf("append of oversize record: err=%v", err)
+	// A record that could never fit is ErrTooLarge instead.
+	if err := l.Commit([]Record{{ObjectID: 3, Data: make([]byte, 8192)}}); !errors.Is(err, ErrTooLarge) {
+		t.Errorf("commit of oversize record: err=%v", err)
+	}
+	if err := l.Truncate(); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Commit(nil); err != nil || l.LiveBytes() != 0 || l.Stats().Commits != 1 {
+		t.Errorf("a refused commit left something behind: err=%v, %d live bytes, %+v", err, l.LiveBytes(), l.Stats())
 	}
 }
 
 func TestEmptyCommitIsNoop(t *testing.T) {
 	l, _ := testLog(t, 1<<20)
-	if err := l.Commit(); err != nil {
+	if err := l.Commit(nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := l.Stats(); st.Commits != 0 {
@@ -125,9 +122,10 @@ func TestEmptyCommitIsNoop(t *testing.T) {
 
 func TestCorruptRecordDetected(t *testing.T) {
 	l, d := testLog(t, 1<<20)
-	add(l, Record{ObjectID: 7, Data: []byte("good record")})
-	add(l, Record{ObjectID: 8, Data: []byte("to be damaged")})
-	if err := l.Commit(); err != nil {
+	if err := l.Commit([]Record{
+		{ObjectID: 7, Data: []byte("good record")},
+		{ObjectID: 8, Data: []byte("to be damaged")},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	// Flip a byte inside the second record's data area.
@@ -146,9 +144,10 @@ func TestCorruptRecordDetected(t *testing.T) {
 
 func TestCorruptRecoverySealsValidPrefix(t *testing.T) {
 	l, d := testLog(t, 1<<20)
-	add(l, Record{ObjectID: 1, Data: []byte("keep me")})
-	add(l, Record{ObjectID: 2, Data: []byte("damage me")})
-	if err := l.Commit(); err != nil {
+	if err := l.Commit([]Record{
+		{ObjectID: 1, Data: []byte("keep me")},
+		{ObjectID: 2, Data: []byte("damage me")},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.WriteAt([]byte{0xff}, logHeaderSize+2*descSize+19+7+19+2); err != nil {
@@ -160,8 +159,7 @@ func TestCorruptRecoverySealsValidPrefix(t *testing.T) {
 	}
 	// The log was resealed to the valid prefix: new commits append after it
 	// and a fresh recovery sees prefix + new records with no error.
-	add(l2, Record{ObjectID: 3, Data: []byte("after reseal")})
-	if err := l2.Commit(); err != nil {
+	if err := l2.Commit([]Record{{ObjectID: 3, Data: []byte("after reseal")}}); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := Open(d, 0, 1<<20).Recover()
@@ -175,8 +173,7 @@ func TestCorruptRecoverySealsValidPrefix(t *testing.T) {
 
 func TestCorruptGenerationRejected(t *testing.T) {
 	l, d := testLog(t, 1<<16)
-	add(l, Record{ObjectID: 1, Data: []byte("x")})
-	if err := l.Commit(); err != nil {
+	if err := l.Commit([]Record{{ObjectID: 1, Data: []byte("x")}}); err != nil {
 		t.Fatal(err)
 	}
 	// Scribble over the header's generation field: the records are orphaned,
@@ -197,10 +194,11 @@ func TestCorruptGenerationRejected(t *testing.T) {
 func TestLabelRecordsRoundTrip(t *testing.T) {
 	l, d := testLog(t, 1<<20)
 	lblBytes := []byte{2, 1, 17, 0, 0, 0, 0, 0, 0, 0, 3} // canonical {17:3} at default 2
-	add(l, Record{ObjectID: 5, Data: []byte("tainted contents"), Label: lblBytes})
-	add(l, Record{ObjectID: 6, Data: []byte("plain contents")})
-	add(l, Record{ObjectID: 5, Delete: true})
-	if err := l.Commit(); err != nil {
+	if err := l.Commit([]Record{
+		{ObjectID: 5, Data: []byte("tainted contents"), Label: lblBytes},
+		{ObjectID: 6, Data: []byte("plain contents")},
+		{ObjectID: 5, Delete: true},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := Open(d, 0, 1<<20).Recover()
@@ -232,79 +230,45 @@ func TestRecoverFreshRegion(t *testing.T) {
 
 func TestGroupCommitBatchesManyRecords(t *testing.T) {
 	l, _ := testLog(t, 1<<22)
-	for i := 0; i < 1000; i++ {
-		add(l, Record{ObjectID: uint64(i), Data: make([]byte, 64)})
+	recs := make([]Record, 1000)
+	for i := range recs {
+		recs[i] = Record{ObjectID: uint64(i), Data: make([]byte, 64)}
 	}
-	if err := l.Commit(); err != nil {
+	if err := l.Commit(recs); err != nil {
 		t.Fatal(err)
 	}
-	if st := l.Stats(); st.Commits != 1 || st.Appended != 1000 {
-		t.Errorf("commits=%d appended=%d", st.Commits, st.Appended)
-	}
-}
-
-func TestErrFullKeepsRecordsPendingForRetry(t *testing.T) {
-	l, d := testLog(t, 4096)
-	// Fill most of the region, then overflow it.
-	add(l, Record{ObjectID: 1, Data: make([]byte, 3000)})
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	add(l, Record{ObjectID: 2, Data: make([]byte, 2000)})
-	if err := l.Commit(); !errors.Is(err, ErrFull) {
-		t.Fatalf("overflowing commit: err=%v", err)
-	}
-	// Truncate (as the store's checkpoint fallback does) and retry WITHOUT
-	// re-appending: the pending record commits exactly once.
-	if err := l.Truncate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := Open(d, 0, 4096).Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].ObjectID != 2 {
-		t.Fatalf("after retry: %+v", recs)
+	if st := l.Stats(); st.Commits != 1 {
+		t.Errorf("commits=%d", st.Commits)
 	}
 }
 
 func TestOversizeRecordRejectedAtAppend(t *testing.T) {
 	l, d := testLog(t, 4096)
-	// Never-committable records are refused before they enter the pending
-	// set, so they can neither wedge the log nor be lost by a concurrent
-	// caller's commit.
-	if err := add(l, Record{ObjectID: 1, Data: make([]byte, 64*1024)}); !errors.Is(err, ErrTooLarge) {
+	// Never-committable records are refused before anything is written, so
+	// they cannot wedge the log.
+	if err := l.Commit([]Record{{ObjectID: 1, Data: make([]byte, 64*1024)}}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversize data: err=%v, want ErrTooLarge", err)
 	}
-	if err := add(l, Record{ObjectID: 3, Label: make([]byte, 70000)}); !errors.Is(err, ErrTooLarge) {
+	if err := l.Commit([]Record{{ObjectID: 3, Label: make([]byte, 70000)}}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversize label: err=%v, want ErrTooLarge", err)
 	}
 	// The log is unaffected: small records commit cleanly.
-	if err := add(l, Record{ObjectID: 2, Data: []byte("fits")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Commit(); err != nil {
+	if err := l.Commit([]Record{{ObjectID: 2, Data: []byte("fits")}}); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := Open(d, 0, 4096).Recover()
 	if err != nil || len(recs) != 1 || recs[0].ObjectID != 2 {
 		t.Fatalf("recover: %+v, %v", recs, err)
 	}
-	if st := l.Stats(); st.Appended != 1 {
-		t.Errorf("rejected records counted as appended: %d", st.Appended)
+	if st := l.Stats(); st.Commits != 1 {
+		t.Errorf("rejected records counted as commits: %d", st.Commits)
 	}
 }
 
 func TestUnsupportedVersionRefusedWithoutErasure(t *testing.T) {
 	const region = 1 << 16
 	l, d := testLog(t, region)
-	if err := add(l, Record{ObjectID: 1, Data: []byte("other format's records")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Commit(); err != nil {
+	if err := l.Commit([]Record{{ObjectID: 1, Data: []byte("other format's records")}}); err != nil {
 		t.Fatal(err)
 	}
 	// Pretend another format wrote this log: restamp the version byte and
@@ -353,10 +317,7 @@ func TestFlippedVersionByteIsCorruptionNotFutureFormat(t *testing.T) {
 	// the mount as ErrVersion — whatever the rotted byte happens to spell.
 	for _, v := range []byte{0, 2, 3, 4, 9} {
 		l, d := testLog(t, 1<<16)
-		if err := add(l, Record{ObjectID: 1, Data: []byte("x")}); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Commit(); err != nil {
+		if err := l.Commit([]Record{{ObjectID: 1, Data: []byte("x")}}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := d.WriteAt([]byte{v}, 4); err != nil {
@@ -370,10 +331,7 @@ func TestFlippedVersionByteIsCorruptionNotFutureFormat(t *testing.T) {
 
 func TestDamagedMagicIsCorruptionNotFresh(t *testing.T) {
 	l, d := testLog(t, 1<<16)
-	if err := add(l, Record{ObjectID: 7, Data: []byte("y")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Commit(); err != nil {
+	if err := l.Commit([]Record{{ObjectID: 7, Data: []byte("y")}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.WriteAt([]byte{0xde}, 1); err != nil {
@@ -397,14 +355,11 @@ func TestAppendBatchCommitsAtomically(t *testing.T) {
 		{ObjectID: 2, Data: []byte("batched two"), Label: []byte{2, 0}},
 		{ObjectID: 3, Delete: true},
 	}
-	if err := l.AppendBatch(batch); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Commit(); err != nil {
+	if err := l.Commit(batch); err != nil {
 		t.Fatal(err)
 	}
 	st := l.Stats()
-	if st.Commits != 1 || st.BatchRecords != 3 || st.MaxBatch != 3 {
+	if st.Commits != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 	recs, err := Open(d, 0, 1<<20).Recover()
@@ -425,35 +380,11 @@ func TestAppendBatchRejectsWholeBatchOnOversizeRecord(t *testing.T) {
 		{ObjectID: 1, Data: []byte("fits")},
 		{ObjectID: 2, Data: make([]byte, 8192)}, // could never commit
 	}
-	if err := l.AppendBatch(batch); !errors.Is(err, ErrTooLarge) {
+	if err := l.Commit(batch); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversize batch: err=%v", err)
 	}
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if st := l.Stats(); st.Appended != 0 || st.BatchRecords != 0 || st.Commits != 0 {
-		t.Errorf("rejected batch counted, or left something to commit: %+v", st)
-	}
-}
-
-func TestDropPendingDiscardsUncommittedRecords(t *testing.T) {
-	l, d := testLog(t, 1<<20)
-	if err := add(l, Record{ObjectID: 1, Data: []byte("committed")}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.AppendBatch([]Record{{ObjectID: 2, Data: []byte("abandoned")}}); err != nil {
-		t.Fatal(err)
-	}
-	l.DropPending()
-	if err := l.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := Open(d, 0, 1<<20).Recover()
-	if err != nil || len(recs) != 1 || recs[0].ObjectID != 1 {
-		t.Fatalf("recover after drop: %+v, %v", recs, err)
+	if st := l.Stats(); st.Commits != 0 || l.LiveBytes() != 0 {
+		t.Errorf("rejected batch counted, or wrote something: %+v, %d live bytes", st, l.LiveBytes())
 	}
 }
 
@@ -487,10 +418,7 @@ func wantIDs(t *testing.T, what string, recs []Record, want ...uint64) {
 // commitOne commits one record whose frame is exactly frameLen bytes.
 func commitOne(t *testing.T, l *Log, id uint64, frameLen int) {
 	t.Helper()
-	if err := add(l, Record{ObjectID: id, Data: make([]byte, frameLen-frameOverhead-recHeaderSize)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Commit(); err != nil {
+	if err := l.Commit([]Record{{ObjectID: id, Data: make([]byte, frameLen-frameOverhead-recHeaderSize)}}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -571,11 +499,9 @@ func TestForgedFramesInStaleRecordsNeverReplay(t *testing.T) {
 	data := make([]byte, 40)
 	for i, guess := range []uint64{l.gen, l.gen + 1, l.gen + 2, 1, 2, 0} {
 		evil := Open(d, 0, region) // only an encoder here: it writes nothing
-		evil.appendLocked(Record{ObjectID: 666, Data: []byte("injected")})
-		data = append(data, evil.frame(guess, int64(dataStart+i*forgedLen))...)
+		data = append(data, evil.frame([]Record{{ObjectID: 666, Data: []byte("injected")}}, guess, int64(dataStart+i*forgedLen))...)
 	}
-	add(l, Record{ObjectID: 1, Data: data})
-	if err := l.Commit(); err != nil {
+	if err := l.Commit([]Record{{ObjectID: 1, Data: data}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
@@ -604,14 +530,10 @@ func TestFailedFlushFrameIsOverwritten(t *testing.T) {
 		}
 		commitOne(t, l, 1, 300)
 		a := []Record{{ObjectID: 10, Data: make([]byte, 600)}, {ObjectID: 11, Data: make([]byte, 600)}}
-		if err := l.AppendBatch(a); err != nil {
-			t.Fatal(err)
-		}
 		d.FailFlushAfter(frameOverhead+a[0].EncodedSize()+a[1].EncodedSize(), errFlush)
-		if err := l.Commit(); !errors.Is(err, errFlush) {
+		if err := l.Commit(a); !errors.Is(err, errFlush) {
 			t.Fatalf("%s: commit across a failed flush: %v", next, err)
 		}
-		l.DropPending()
 		want := []uint64{1}
 		switch next {
 		case "nothing":
@@ -652,11 +574,8 @@ func TestTornFrameIsAllOrNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		commitOne(t, l, 1, 300)
-		if err := l.AppendBatch(batch); err != nil {
-			t.Fatal(err)
-		}
 		d.FailFlushAfter(budget, errPower)
-		if err := l.Commit(); !errors.Is(err, errPower) {
+		if err := l.Commit(batch); !errors.Is(err, errPower) {
 			t.Fatalf("budget %d: commit across a torn flush: %v", budget, err)
 		}
 		d.Crash()
@@ -694,10 +613,7 @@ func TestCommitIsOneSequentialWrite(t *testing.T) {
 	}
 	before := d.Stats()
 	for i := 0; i < 1000; i++ {
-		if err := l.AppendBatch([]Record{{ObjectID: uint64(i), Data: make([]byte, 100)}}); err != nil {
-			t.Fatal(err)
-		}
-		if err := l.Commit(); err != nil {
+		if err := l.Commit([]Record{{ObjectID: uint64(i), Data: make([]byte, 100)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -710,6 +626,30 @@ func TestCommitIsOneSequentialWrite(t *testing.T) {
 	}
 	if w, f := d.Stats().Writes-after.Writes, d.Stats().Flushes-after.Flushes; w != 1 || f != 1 {
 		t.Fatalf("AppendMark cost %d writes, %d flushes; want 1, 1", w, f)
+	}
+}
+
+// nullDev takes every write and allocates nothing doing so.
+type nullDev struct{ size int64 }
+
+func (nullDev) ReadAt(p []byte, off int64) (int, error)  { return len(p), nil }
+func (nullDev) WriteAt(p []byte, off int64) (int, error) { return len(p), nil }
+func (nullDev) Flush() error                             { return nil }
+func (d nullDev) Size() int64                            { return d.size }
+
+// TestCommitAllocatesNothing: the log has no buffer between commits, only the
+// last frame's array, which the next frame reuses.
+func TestCommitAllocatesNothing(t *testing.T) {
+	l, err := New(nullDev{1 << 30}, 0, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := []Record{{ObjectID: 1, Data: make([]byte, 100)}, {ObjectID: 2, Data: make([]byte, 100), Label: []byte{1, 0}}}
+	if n := testing.AllocsPerRun(100, func() { l.Commit(recs) }); n != 0 {
+		t.Errorf("Commit allocates %v times in the steady state", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { l.AppendMark(3) }); n != 0 {
+		t.Errorf("AppendMark allocates %v times in the steady state", n)
 	}
 }
 
@@ -786,8 +726,7 @@ func TestFailedHeaderWriteLosesNothing(t *testing.T) {
 			if err := tc.op(l); !errors.Is(err, errFlaky) {
 				t.Fatalf("%s: operation across a failed flush: %v", what, err)
 			}
-			add(l, Record{ObjectID: 99, Data: make([]byte, 100)})
-			switch err := l.Commit(); {
+			switch err := l.Commit([]Record{{ObjectID: 99, Data: make([]byte, 100)}}); {
 			case tc.refuses && !errors.Is(err, ErrFull):
 				t.Fatalf("%s: commit with the header in doubt: %v, want ErrFull", what, err)
 			case !tc.refuses && err != nil:
@@ -814,7 +753,7 @@ func TestFailedHeaderWriteLosesNothing(t *testing.T) {
 		}
 	}
 	// Without a reboot in between: the retried Truncate lifts the refusal,
-	// and the records that were refused commit.
+	// and the records that were refused commit when handed over again.
 	d := disk.New(disk.Params{Sectors: 1 << 12, WriteCache: true}, &vclock.Clock{})
 	fd := &flaky{Disk: d, failAt: 2}
 	l, err := New(fd, 0, region)
@@ -824,14 +763,14 @@ func TestFailedHeaderWriteLosesNothing(t *testing.T) {
 	if err := l.Truncate(); !errors.Is(err, errFlaky) {
 		t.Fatal(err)
 	}
-	add(l, Record{ObjectID: 5, Data: []byte("kept pending")})
-	if err := l.Commit(); !errors.Is(err, ErrFull) {
+	refused := []Record{{ObjectID: 5, Data: []byte("refused once")}}
+	if err := l.Commit(refused); !errors.Is(err, ErrFull) {
 		t.Fatalf("commit with the header in doubt: %v, want ErrFull", err)
 	}
 	if err := l.Truncate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Commit(); err != nil {
+	if err := l.Commit(refused); err != nil {
 		t.Fatal(err)
 	}
 	d.Crash()
@@ -964,14 +903,14 @@ func TestResealWithoutRoomLeavesTheLogAlone(t *testing.T) {
 	if !bytes.Equal(img, after) {
 		t.Fatal("a reseal with no room wrote to the region")
 	}
-	add(l, Record{ObjectID: 9, Data: []byte("x")})
-	if err := l.Commit(); !errors.Is(err, ErrFull) {
+	refused := []Record{{ObjectID: 9, Data: []byte("x")}}
+	if err := l.Commit(refused); !errors.Is(err, ErrFull) {
 		t.Fatalf("commit behind unresealed rot: %v, want ErrFull", err)
 	}
 	if err := l.Truncate(); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Commit(); err != nil {
+	if err := l.Commit(refused); err != nil {
 		t.Fatal(err)
 	}
 	_, recs := recoverIDs(t, d, region)
