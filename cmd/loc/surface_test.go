@@ -32,7 +32,7 @@ var keep = map[string]string{
 	"kernel.ThreadCall.SelfAddressSpace":    "paper system call (self_get_as)",
 	"kernel.ThreadCall.SelfSetAddressSpace": "paper system call (self_set_as)",
 	"kernel.ThreadCall.SetFaultHandler":     "the user-level page-fault upcall of Section 3.4",
-	"kernel.Kernel.DropSnapshot":            "the only way a snapshot's bundle and pins are released",
+	"kernel.Kernel.DropSnapshot":            "the only way a snapshot's store objects are deleted",
 
 	// Operator integrity surface.
 	"store.Store.Scrub":              "integrity: the background checksum walk an operator schedules",

@@ -70,12 +70,15 @@
 // contents, and ContainerClone materializes it with fresh object IDs, intra-subtree
 // references rewritten, and per-user categories remapped in every label,
 // sharing all segment data COW until first write.  With a persistent store
-// attached, the kernel records snapshots in it as refcounted bundles named by
-// that same lineage: captured extents are pinned against the segment cleaner and the deferred-free
-// path, bundles survive crashes via a WAL record and live in the metadata
-// snapshot from the next checkpoint, a rotted shared extent quarantines
-// every clone with a typed error rather than propagating silently, and a
-// clone's aliases die with its segments.
+// attached a snapshot is store objects like any others: after a checkpoint
+// the kernel takes an alias of each captured segment under an id of the
+// snapshot's own (store.Alias: two object-map entries naming one refcounted
+// extent, durable through one small WAL record), a clone's segments are
+// aliases of those, and dropping a snapshot deletes them.  A shared extent is
+// kept from the segment cleaner and the deferred-free path until its last
+// referent goes, a rotted one quarantines every referent — so a clone of it
+// fails with a typed error rather than propagating silently — and a clone's
+// aliases die with its segments.
 // unixlib.BakeGolden/SpawnFromGolden package the pattern as
 // golden-image spawning, and webd's session cache uses it to clone each
 // cold-login user's sandbox from a golden image in microseconds instead of

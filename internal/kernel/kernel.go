@@ -58,8 +58,8 @@
 //  6. The pager (the store: its locks lie below the kernel's and it never
 //     calls back) is called with at most one segment's lock held — with the
 //     naming container's shared lock, under open — for a push or a read's
-//     page-in, and otherwise (group commit, checkpoint, bundle calls) with
-//     none; Delete waits until a teardown has released its locks.
+//     page-in, and otherwise (group commit, checkpoint, alias) with none;
+//     Delete waits until a teardown has released its locks.
 //
 // Recursive deallocation (unreferencing a container subtree) never holds two
 // tree levels' locks at once: an object that drops to zero references is
@@ -99,10 +99,10 @@
 // clone can never mint authority its creator could not hold.  Segment data
 // is never copied at clone time: clone and master share the frozen buffer
 // until either side's first write breaks COW for that segment alone.  When
-// a store is attached (Pager, pager.go), snapshots are recorded in it as
-// refcounted bundles and clones as aliases that die with their segments, and
-// lineage is validated (CRC walk) before every clone, so restoring from a
-// rotted image fails typed instead of fanning bad bytes into every sandbox.
+// a store is attached (Pager, pager.go), a snapshot holds an alias of each
+// captured segment's store object and a clone's segments are aliases of
+// those that die with them; the store refuses to alias rotted bytes, so
+// restoring from a damaged image fails typed instead of fanning them out.
 // The golden-spawn flow end to end:
 // unixlib.BakeGolden builds and snapshots a template sandbox once;
 // webd's session cache, on a cold login, issues one ContainerClone into

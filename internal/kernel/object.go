@@ -146,8 +146,8 @@ type segment struct {
 	// Guarded by the segment's lock like data.
 	frozen bool
 	// persistent says the bytes are a store object (SegmentPersist, or a
-	// clone aliasing a bundle); dirty, that the pager has not seen them since
-	// they last changed (pager.go).  Both are guarded by the segment's lock.
+	// clone's alias); dirty, that the pager has not seen them since they
+	// last changed (pager.go).  Both are guarded by the segment's lock.
 	persistent, dirty bool
 }
 

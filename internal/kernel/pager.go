@@ -20,14 +20,11 @@ type Pager interface {
 	// PageIn makes the object's contents resident; it fails only for damage.
 	PageIn(id uint64) error
 	Delete(id uint64) error
-	// SnapshotBundle pins the objects' committed extents under the lineage
-	// the kernel gave the snapshot (a lineage already pinned is left as it
-	// is), ValidateBundle fails typed once one has rotted, CloneObjectLabeled
-	// aliases a member under a fresh id and label, DeleteBundle unpins.
-	SnapshotBundle(lineage uint64, name string, ids []uint64) error
-	ValidateBundle(lineage uint64) error
-	CloneObjectLabeled(lineage, srcID, dstID uint64, lbl label.Label) error
-	DeleteBundle(lineage uint64) error
+	// Alias makes dst, an id nothing holds yet, an object sharing src's
+	// checkpointed bytes under lbl, durably and without copying; either is
+	// then rewritten or deleted without the other noticing.  It fails typed
+	// once the bytes have rotted.  Snapshots and clones use it (snapshot.go).
+	Alias(src, dst uint64, lbl label.Label) error
 }
 
 // SetPager attaches the store; call once, before the kernel is shared.

@@ -11,8 +11,8 @@ import (
 
 // fakePager scripts the kernel's one seam to the store, so everything the
 // kernel asks of a store is testable without one: it keeps what was pushed,
-// records each sync group, fails the ids in poison, and plays the bundle
-// layer with scripted failures.
+// records each sync group, fails the ids in poison, and aliases with
+// scripted failures.
 type fakePager struct {
 	mu     sync.Mutex
 	data   map[uint64][]byte // last pushed bytes, by object
@@ -26,11 +26,10 @@ type fakePager struct {
 	pageInErr   error
 	checkpoints int
 
-	recorded    int    // objects captured by SnapshotBundle
-	lineage     uint64 // the last lineage it was given
-	cloned      int
-	validateErr error
-	cloneErr    error
+	aliasSrcs []uint64 // the source of each Alias that succeeded, in order
+	aliasErr  error    // when set, Alias succeeds aliasOK more times and then fails with it
+	aliasOK   int
+	onAlias   func() // runs inside every Alias call, no fake lock held
 }
 
 func newFakePager() *fakePager {
@@ -78,26 +77,22 @@ func (f *fakePager) Checkpoint() error {
 	return nil
 }
 
-func (f *fakePager) SnapshotBundle(lineage uint64, name string, ids []uint64) error {
-	f.recorded += len(ids)
-	f.lineage = lineage
-	return nil
-}
-
-func (f *fakePager) ValidateBundle(lineage uint64) error { return f.validateErr }
-
-func (f *fakePager) CloneObjectLabeled(lineage, srcID, dstID uint64, lbl label.Label) error {
-	if f.cloneErr != nil {
-		return f.cloneErr
+func (f *fakePager) Alias(src, dst uint64, lbl label.Label) error {
+	if f.onAlias != nil {
+		f.onAlias()
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.data[dstID], f.labels[dstID] = f.data[srcID], lbl
-	f.cloned++
+	if f.aliasErr != nil {
+		if f.aliasOK == 0 {
+			return f.aliasErr
+		}
+		f.aliasOK--
+	}
+	f.data[dst], f.labels[dst] = f.data[src], lbl
+	f.aliasSrcs = append(f.aliasSrcs, src)
 	return nil
 }
-
-func (f *fakePager) DeleteBundle(lineage uint64) error { return nil }
 
 // TestPagerPushSyncDelete walks one segment through the whole seam: nothing
 // leaves the kernel before a sync, whatever path wrote the bytes; an OpSync

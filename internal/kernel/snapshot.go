@@ -27,11 +27,12 @@ import (
 // how many bytes the image carries.
 //
 // When a Pager is attached (pager.go), a snapshot's segments become persistent
-// where they stand and are pinned as a refcounted store bundle under the
-// snapshot's own lineage, clones are store-side aliases (a cloned segment is
-// persistent from birth: its alias dies with it), and every clone first
-// validates the bundle — a clone of a bundle whose shared extent has rotted
-// fails with a typed error instead of silently sharing bad bytes.
+// where they stand, the system is checkpointed, and the snapshot takes an
+// alias of each segment's store object under an id of its own — which is what
+// lets the master be rewritten or die.  A clone's segments are aliases of
+// those (persistent from birth: the alias dies with the segment), taken
+// before the clone is published; the store refuses to alias bytes that have
+// rotted, so a clone of a damaged image fails typed instead of sharing them.
 //
 // Threads and devices are skipped by the walk: a snapshot is a passive image
 // (programs, file data, directory segments), and golden images are baked
@@ -74,12 +75,14 @@ type Snapshot struct {
 	order   []ID     // walk order, root first (parents before children)
 	types   TypeMask // every captured object type, for the clone's admission
 	bytes   uint64
+	// held is the store objects the snapshot owns, with a pager: an alias of
+	// each captured segment's bytes under a fresh id, in walk order (hold).
+	held []ID
 }
 
 // SnapshotInfo is a snapshot's externally visible description.
 type SnapshotInfo struct {
-	// Lineage identifies the snapshot, and its bundle in the store when a
-	// pager is attached; clones name it.
+	// Lineage identifies the snapshot; clones name it.
 	Lineage uint64
 	Name    string
 	// Root is the ID the snapshotted subtree's root container had.
@@ -154,21 +157,45 @@ func (s *Snapshot) info() SnapshotInfo {
 	}
 }
 
-// DropSnapshot unregisters a snapshot and releases its store bundle.  Live
-// clones are unaffected: their frozen slices keep the shared data alive and
-// their store aliases keep the shared extents referenced.
+// DropSnapshot unregisters a snapshot and deletes the store objects it
+// holds.  Live clones are unaffected: their frozen slices keep the shared
+// data alive and their own store aliases keep the shared extents referenced.
 func (k *Kernel) DropSnapshot(lineage uint64) error {
 	k.snapMu.Lock()
-	_, ok := k.snapshots[lineage]
+	snap, ok := k.snapshots[lineage]
 	delete(k.snapshots, lineage)
 	k.snapMu.Unlock()
 	if !ok {
 		return ErrNotFound
 	}
-	if k.pager != nil {
-		return k.pager.DeleteBundle(lineage)
-	}
+	k.unalias(snap.held)
 	return nil
+}
+
+// hold gives a captured snapshot store objects of its own: an alias is of
+// checkpointed bytes, so the system is checkpointed first, then each segment
+// is aliased under a fresh id.  A failure leaves nothing behind.
+func (k *Kernel) hold(snap *Snapshot) error {
+	err := k.pager.Checkpoint()
+	for _, id := range snap.order {
+		if so := snap.objs[id]; so.typ == ObjSegment && err == nil {
+			snap.held = append(snap.held, k.newID())
+			err = k.pager.Alias(uint64(id), uint64(snap.held[len(snap.held)-1]), so.lbl)
+		}
+	}
+	if err != nil {
+		k.unalias(snap.held)
+	}
+	return err
+}
+
+// unalias deletes store objects no kernel object stands for (a snapshot's
+// hold, an unpublished clone's aliases).  A store that refuses is closed:
+// there is nothing left to delete from.
+func (k *Kernel) unalias(ids []ID) {
+	for _, id := range ids {
+		_ = k.pager.Delete(uint64(id))
+	}
 }
 
 // snapLineage hashes a snapshot's identity-relevant state (FNV-1a): the
@@ -215,9 +242,8 @@ func snapLineage(name string, order []ID, objs map[ID]*snapObject) uint64 {
 // into a registered snapshot (container_snapshot).  The invoking thread must
 // be able to observe every captured object; threads and devices in the
 // subtree are skipped.  Segment data is shared COW from this moment on.
-// When a pager is attached, the captured segments become persistent, are
-// pushed as they are captured and are pinned as a store bundle named by the
-// snapshot's lineage.
+// With a pager the captured segments become persistent, are pushed as they
+// are captured, and the snapshot then holds an alias of each (hold).
 func (tc *ThreadCall) ContainerSnapshot(ce CEnt, name string) (SnapshotInfo, error) {
 	ctx, err := tc.enter(scContainerSnapshot)
 	if err != nil {
@@ -290,8 +316,8 @@ func (tc *ThreadCall) ContainerSnapshot(ce CEnt, name string) (SnapshotInfo, err
 				so.data = seg.data
 				if k.pager != nil {
 					// A store object from now on, like any persistent
-					// segment: the bundle pins what this push hands over,
-					// and the object dies with the segment.
+					// segment: the snapshot aliases what this push hands
+					// over, and the object dies with the segment.
 					if !seg.persistent {
 						seg.persistent, seg.dirty = true, true
 					}
@@ -313,7 +339,7 @@ func (tc *ThreadCall) ContainerSnapshot(ce CEnt, name string) (SnapshotInfo, err
 			h.mu.RUnlock()
 		}
 		if err != nil {
-			return SnapshotInfo{}, fmt.Errorf("kernel: persisting snapshot bundle: %w", err)
+			return SnapshotInfo{}, fmt.Errorf("kernel: persisting snapshot %q: %w", name, err)
 		}
 		if !live {
 			if id == root.id {
@@ -348,25 +374,23 @@ func (tc *ThreadCall) ContainerSnapshot(ce CEnt, name string) (SnapshotInfo, err
 	k.snapMu.Unlock()
 
 	if k.pager != nil {
-		var ids []uint64
-		for _, id := range order {
-			if objs[id].typ == ObjSegment {
-				ids = append(ids, uint64(id))
-			}
-		}
-		if err := k.pager.SnapshotBundle(snap.lineage, name, ids); err != nil {
-			return SnapshotInfo{}, fmt.Errorf("kernel: persisting snapshot bundle: %w", err)
+		if err := k.hold(snap); err != nil {
+			return SnapshotInfo{}, fmt.Errorf("kernel: persisting snapshot %q: %w", name, err)
 		}
 	}
 
 	k.snapMu.Lock()
-	if existing, ok := k.snapshots[snap.lineage]; ok {
-		info := existing.info()
-		k.snapMu.Unlock()
-		return info, nil
+	existing, raced := k.snapshots[snap.lineage]
+	if !raced {
+		k.snapshots[snap.lineage] = snap
 	}
-	k.snapshots[snap.lineage] = snap
 	k.snapMu.Unlock()
+	if raced {
+		// An identical capture registered while this one was taking its
+		// hold: one snapshot, so this hold goes.
+		k.unalias(snap.held)
+		return existing.info(), nil
+	}
 	k.snap.snapshots.Add(1)
 	return snap.info(), nil
 }
@@ -397,9 +421,10 @@ func remapLabel(l label.Label, remap map[label.Category]label.Category) label.La
 // this clone's user), and the invoking thread must be able to allocate at
 // every rewritten label and to write dst.  Cloned segments share the
 // snapshot's data COW — the call copies no segment bytes.  With a pager
-// attached the bundle's lineage is validated first (a rotted shared extent
-// fails the clone with the store's typed error) and the clone's segments are
-// recorded as store-side aliases.
+// attached the clone's segments are aliases of the store objects the
+// snapshot holds, taken before anything is published; if the store will not
+// share them — the bytes have rotted, or it failed — the clone fails with
+// ErrCorrupt and the pager's typed error in the chain.
 func (tc *ThreadCall) ContainerClone(lineage uint64, dst ID, remap map[label.Category]label.Category) (CloneResult, error) {
 	ctx, err := tc.enter(scContainerClone)
 	if err != nil {
@@ -412,15 +437,7 @@ func (tc *ThreadCall) ContainerClone(lineage uint64, dst ID, remap map[label.Cat
 	if !ok {
 		return CloneResult{}, ErrNotFound
 	}
-	aliased := k.pager != nil // the snapshot is a bundle in the store, so the clone is aliases of it
-	if aliased {
-		// Never silently share rotted bytes: a bundle whose extents fail
-		// verification refuses to clone.  The store's typed error
-		// (ErrQuarantined / ErrCorrupt) is preserved in the chain.
-		if err := k.pager.ValidateBundle(lineage); err != nil {
-			return CloneResult{}, fmt.Errorf("%w: snapshot %#x failed bundle validation: %w", ErrCorrupt, lineage, err)
-		}
-	}
+	aliased := k.pager != nil // the snapshot holds store objects, so the clone's segments are aliases of them
 	dest, err := k.admit(&ctx, dst, snap.types)
 	if err != nil {
 		return CloneResult{}, err
@@ -543,28 +560,33 @@ func (tc *ThreadCall) ContainerClone(lineage uint64, dst ID, remap map[label.Cat
 		built = append(built, o)
 	}
 
-	// Phase 3: publish under the destination container's lock — the only
+	// Phase 3: store-side aliases, no kernel locks held, while the fresh ids
+	// are still unreachable: once a thread can name a cloned segment it can
+	// write and sync it, and a store object under that id would make the
+	// alias fail.  A failure here, or of the publish below, deletes the
+	// aliases asked for, so callers never see a half-durable sandbox.
+	var made []ID
+	for _, id := range snap.order {
+		if !aliased || snap.objs[id].typ != ObjSegment {
+			continue
+		}
+		src := snap.held[len(made)] // the hold on this, the len(made)'th captured segment
+		made = append(made, idMap[id])
+		if err := k.pager.Alias(uint64(src), uint64(idMap[id]), labels[id]); err != nil {
+			k.unalias(made)
+			return CloneResult{}, fmt.Errorf("%w: cloning snapshot %#x: %w", ErrCorrupt, lineage, err)
+		}
+	}
+
+	// Phase 4: publish under the destination container's lock — the only
 	// multi-object-visible step, and the only lock the clone holds.  Walk
 	// order puts the root first.
 	dest.mu.Lock()
 	err = k.publish(dest, built[0], built[1:]...)
 	dest.mu.Unlock()
 	if err != nil {
+		k.unalias(made)
 		return CloneResult{}, err
-	}
-
-	// Phase 4: store-side aliases, no kernel locks held.  A pager failure
-	// rolls the published clone back — which also deletes the aliases already
-	// recorded, its segments being persistent — so callers never see a
-	// half-durable sandbox.
-	for _, id := range snap.order {
-		if !aliased || snap.objs[id].typ != ObjSegment {
-			continue
-		}
-		if err := k.pager.CloneObjectLabeled(lineage, uint64(id), uint64(idMap[id]), labels[id]); err != nil {
-			tc.unlinkClone(dest, idMap[snap.root])
-			return CloneResult{}, fmt.Errorf("kernel: recording clone aliases: %w", err)
-		}
 	}
 
 	k.snap.clones.Add(1)
@@ -575,22 +597,4 @@ func (tc *ThreadCall) ContainerClone(lineage uint64, dst ID, remap map[label.Cat
 		SharedBytes: shared,
 		IDMap:       idMap,
 	}, nil
-}
-
-// unlinkClone tears down a just-published clone after a pager failure: unlink
-// the root from dest and drain the subtree one object at a time (the standard
-// deallocation shape).
-func (tc *ThreadCall) unlinkClone(dest *container, root ID) {
-	k := tc.k
-	o, err := k.lookup(root)
-	if err != nil {
-		return
-	}
-	var orphans []ID
-	ls := lockOrdered(objLock{dest, true}, objLock{o, true})
-	if liveLocked(dest) && dest.entries[root] {
-		orphans = k.unlinkLocked(dest, o)
-	}
-	ls.unlock()
-	k.releaseRefs(orphans)
 }

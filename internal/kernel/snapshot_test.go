@@ -314,66 +314,207 @@ func TestSnapshotCloneLabelEnforcement(t *testing.T) {
 }
 
 // TestPagerValidationAndRollback drives snapshot and clone through the fake
-// pager (pager_test.go): what is recorded, the validation gate, and the
-// rollback of a clone whose aliases cannot be recorded.
+// pager (pager_test.go): what a snapshot holds, what a clone aliases, the
+// refusal to share rotted bytes, and what a failed clone leaves behind.
 func TestPagerValidationAndRollback(t *testing.T) {
+	k, tc := boot(t)
+	sink := newFakePager()
+	k.SetPager(sink)
+	root := k.RootContainer()
+	sandbox, segs := buildSandbox(t, tc, root, label.New(label.L1), 2, 128)
+
+	info, err := tc.ContainerSnapshot(CEnt{root, sandbox}, "sinked")
+	if err != nil {
+		t.Fatalf("ContainerSnapshot: %v", err)
+	}
+	// The snapshot's hold: one checkpoint, then an alias of each master
+	// segment under an id that is no kernel object's.
+	if len(sink.aliasSrcs) != 3 || sink.puts != 3 || sink.checkpoints != 1 {
+		t.Fatalf("the snapshot took %d aliases after %d pushes and %d checkpoints, want 3, 3 and 1", len(sink.aliasSrcs), sink.puts, sink.checkpoints)
+	}
+	master := map[uint64]bool{}
+	for _, id := range segs {
+		master[uint64(id)] = true
+	}
+	for _, src := range sink.aliasSrcs {
+		if !master[src] {
+			t.Errorf("the snapshot aliased %d, not one of the master's segments %v", src, segs)
+		}
+	}
+	if len(sink.data) != 6 {
+		t.Errorf("the pager holds %d objects, want the master's 3 and the snapshot's 3", len(sink.data))
+	}
+
+	res, err := tc.ContainerClone(info.Lineage, root, nil)
+	if err != nil {
+		t.Fatalf("clone with healthy pager: %v", err)
+	}
+	// A clone aliases the snapshot's objects, never the master's: the master
+	// may have been rewritten since.
+	if len(sink.aliasSrcs) != 6 {
+		t.Fatalf("%d aliases after the clone, want 6", len(sink.aliasSrcs))
+	}
+	for _, src := range sink.aliasSrcs[3:] {
+		if master[src] {
+			t.Errorf("the clone aliased the master's segment %d", src)
+		}
+	}
+	for _, id := range segs {
+		if _, ok := sink.data[uint64(res.IDMap[id])]; !ok {
+			t.Errorf("the clone of segment %d has no store object under its id %d", id, res.IDMap[id])
+		}
+	}
+
+	// Rotted bytes must refuse to clone with a typed error — never silently
+	// shared — and nothing is published or left in the store.
+	before, held := len(tc.mustList(t, root)), len(sink.data)
+	sink.aliasErr = errors.New("extent crc mismatch")
+	if _, err := tc.ContainerClone(info.Lineage, root, nil); !errors.Is(err, ErrCorrupt) || !errors.Is(err, sink.aliasErr) {
+		t.Errorf("clone of rotted bytes: err=%v, want ErrCorrupt wrapping the pager's error", err)
+	}
+	// A failure part way deletes the aliases already made.
+	sink.aliasOK = 2
+	gone := len(sink.gone)
+	if _, err := tc.ContainerClone(info.Lineage, root, nil); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("clone failing at its third alias: %v", err)
+	}
+	if after := len(tc.mustList(t, root)); after != before || len(sink.data) != held {
+		t.Errorf("after two failed clones root has %d entries and the pager %d objects, want %d and %d", after, len(sink.data), before, held)
+	}
+	if len(sink.gone)-gone != 3 {
+		t.Errorf("the failed clone deleted %d store objects, want the 3 it asked for", len(sink.gone)-gone)
+	}
+	sink.aliasErr = nil
+
+	// So does a publish that fails after every alias was made.
+	tiny, err := tc.ContainerCreate(root, label.New(label.L1), "tiny", 0, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aliases := len(sink.aliasSrcs)
+	if _, err := tc.ContainerClone(info.Lineage, tiny, nil); !errors.Is(err, ErrQuota) {
+		t.Fatalf("clone into a container too small for it: %v, want ErrQuota", err)
+	}
+	if len(sink.aliasSrcs) != aliases+3 || len(sink.data) != held {
+		t.Errorf("the unpublished clone made %d aliases and left %d objects, want 3 and %d", len(sink.aliasSrcs)-aliases, len(sink.data), held)
+	}
+
+	// The master's segments became persistent at capture, so their store
+	// objects die with them like anyone else's; an unchanged recapture pushes
+	// and aliases nothing more.
+	aliases = len(sink.aliasSrcs)
+	if _, err := tc.ContainerSnapshot(CEnt{root, sandbox}, "sinked"); err != nil || sink.puts != 3 || len(sink.aliasSrcs) != aliases {
+		t.Errorf("recapture: %v, %d pushes and %d aliases in all, want 3 and %d", err, sink.puts, len(sink.aliasSrcs), aliases)
+	}
+	if err := tc.Unref(root, sandbox); err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.data) != held-3 {
+		t.Errorf("the pager holds %d objects once the master is gone, want %d", len(sink.data), held-3)
+	}
+	// The snapshot's hold outlives the master and goes with the snapshot.
+	if err := k.DropSnapshot(info.Lineage); err != nil {
+		t.Fatal(err)
+	}
+	if len(sink.data) != held-6 {
+		t.Errorf("the pager holds %d objects once the snapshot is dropped, want the live clone's %d", len(sink.data), held-6)
+	}
+}
+
+// TestCloneAliasesBeforeItPublishes: while the pager is being asked for a
+// clone's aliases nobody can reach the clone.  Published first, a thread
+// listing dst could write a cloned segment and sync it, and the alias, arriving
+// late at an id that now holds an object, would tear down a sandbox in use.
+func TestCloneAliasesBeforeItPublishes(t *testing.T) {
+	k, tc := boot(t)
+	sink := newFakePager()
+	k.SetPager(sink)
+	root := k.RootContainer()
+	sandbox, _ := buildSandbox(t, tc, root, label.New(label.L1), 2, 128)
+	info, err := tc.ContainerSnapshot(CEnt{root, sandbox}, "ordered")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst, err := tc.ContainerCreate(root, label.New(label.L1), "dst", 0, QuotaInfinite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls := 0
+	sink.onAlias = func() {
+		calls++
+		if ents := tc.mustList(t, dst); len(ents) != 0 {
+			t.Errorf("alias %d: dst already lists %v", calls, ents)
+		}
+	}
+	res, err := tc.ContainerClone(info.Lineage, dst, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ents := tc.mustList(t, dst); calls != 3 || len(ents) != 1 || ents[0] != res.Root {
+		t.Errorf("%d aliases, dst lists %v; want 3 and the clone root %d", calls, ents, res.Root)
+	}
+}
+
+// TestSnapshotHoldFailuresAndRaces: a capture that cannot finish its hold
+// leaves no alias behind, and identical captures racing each other leave one
+// snapshot holding one set.
+func TestSnapshotHoldFailuresAndRaces(t *testing.T) {
 	k, tc := boot(t)
 	sink := newFakePager()
 	k.SetPager(sink)
 	root := k.RootContainer()
 	sandbox, _ := buildSandbox(t, tc, root, label.New(label.L1), 2, 128)
 
-	info, err := tc.ContainerSnapshot(CEnt{root, sandbox}, "sinked")
+	// The store refuses the second alias (a writer dirtied the segment after
+	// the checkpoint, say): no snapshot, and the first alias is deleted.
+	sink.aliasErr, sink.aliasOK = errors.New("object has uncommitted state"), 1
+	if _, err := tc.ContainerSnapshot(CEnt{root, sandbox}, "raced"); !errors.Is(err, sink.aliasErr) {
+		t.Fatalf("capture whose hold fails: %v", err)
+	}
+	if st := k.SnapshotStats(); st.Registered != 0 || len(sink.data) != 3 {
+		t.Fatalf("%d snapshots registered, %d store objects; want 0 and the master's 3", st.Registered, len(sink.data))
+	}
+	sink.aliasErr = nil
+	// A capture refused for its label never reaches the pager.
+	other, err := k.BootThread(label.New(label.L1), label.New(label.L2), "outsider")
 	if err != nil {
-		t.Fatalf("ContainerSnapshot: %v", err)
-	}
-	if sink.recorded != 3 || sink.puts != 3 {
-		t.Errorf("pager recorded %d segments from %d pushes, want 3 and 3", sink.recorded, sink.puts)
-	}
-	if sink.lineage != info.Lineage {
-		t.Errorf("the bundle is named %#x, the snapshot %#x: want one lineage", sink.lineage, info.Lineage)
-	}
-
-	if _, err := tc.ContainerClone(info.Lineage, root, nil); err != nil {
-		t.Fatalf("clone with healthy pager: %v", err)
-	}
-	if sink.cloned != 3 {
-		t.Errorf("pager cloned %d segments, want 3", sink.cloned)
-	}
-
-	// A rotted bundle must refuse to clone with a typed error — never
-	// silently share bad bytes.
-	sink.validateErr = errors.New("extent crc mismatch")
-	if _, err := tc.ContainerClone(info.Lineage, root, nil); !errors.Is(err, ErrCorrupt) {
-		t.Errorf("clone of rotted bundle: err=%v, want ErrCorrupt", err)
-	}
-	sink.validateErr = nil
-
-	// A pager failure during alias recording rolls the published clone back,
-	// and the pager hears of every segment the rollback killed.
-	sink.cloneErr = errors.New("store full")
-	before := len(tc.mustList(t, root))
-	if _, err := tc.ContainerClone(info.Lineage, root, nil); err == nil {
-		t.Fatal("clone with failing pager unexpectedly succeeded")
-	}
-	if after := len(tc.mustList(t, root)); after != before {
-		t.Errorf("root has %d entries after failed clone, want %d (rollback)", after, before)
-	}
-	if len(sink.gone) != 3 {
-		t.Errorf("the rollback deleted %d store objects, want the clone's 3 segments", len(sink.gone))
-	}
-
-	// The master's segments became persistent at capture, so their store
-	// objects die with them like anyone else's; an unchanged recapture pushes
-	// nothing more.
-	if _, err := tc.ContainerSnapshot(CEnt{root, sandbox}, "sinked"); err != nil || sink.puts != 3 {
-		t.Errorf("recapture: %v, %d pushes in all, want 3", err, sink.puts)
-	}
-	if err := tc.Unref(root, sandbox); err != nil {
 		t.Fatal(err)
 	}
-	if len(sink.gone) != 6 {
-		t.Errorf("the pager heard of %d deaths, want 6 once the master's 3 segments are gone", len(sink.gone))
+	c, err := tc.CategoryCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	secret, _ := buildSandbox(t, tc, root, label.New(label.L1, label.P(c, label.L3)), 1, 64)
+	aliases := len(sink.aliasSrcs)
+	if _, err := other.ContainerSnapshot(CEnt{root, secret}, "steal"); !errors.Is(err, ErrLabel) || len(sink.aliasSrcs) != aliases {
+		t.Fatalf("outsider capture: %v, %d aliases", err, len(sink.aliasSrcs)-aliases)
+	}
+
+	const racers = 6
+	objects := len(sink.data)
+	var wg sync.WaitGroup
+	lineages := make([]uint64, racers)
+	for i := range lineages {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			info, err := tc.ContainerSnapshot(CEnt{root, sandbox}, "raced")
+			if err != nil {
+				t.Errorf("racer %d: %v", i, err)
+			}
+			lineages[i] = info.Lineage
+		}(i)
+	}
+	wg.Wait()
+	for _, l := range lineages {
+		if l != lineages[0] {
+			t.Fatalf("racing identical captures disagree on the lineage: %#x", lineages)
+		}
+	}
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	if st := k.SnapshotStats(); st.Registered != 1 || len(sink.data) != objects+3 {
+		t.Errorf("%d snapshots hold %d store objects, want 1 holding 3", st.Registered, len(sink.data)-objects)
 	}
 }
 

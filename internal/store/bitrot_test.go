@@ -489,11 +489,12 @@ func restampSuperblockCopy(t *testing.T, d disk.Device, off int64, version uint6
 
 // restampMetaArea rewrites the metadata area at areaOff as a well-formed
 // area of an older version, the way code speaking that version would have
-// written it: sections 1..keepSecs, the header's version, section count and
-// payload length to match, every CRC valid.  Versions up to 4 persisted the
-// label fingerprint index as section 4 — (fingerprint, id) pairs in
-// ascending order — which is rebuilt here from the area's own label section.
-func restampMetaArea(t *testing.T, d disk.Device, areaOff int64, version uint64, keepSecs int) {
+// written it: the sections tags names, the header's version, section count
+// and payload length to match, every CRC valid.  Versions up to 4 persisted
+// the label fingerprint index as section 4 — (fingerprint, id) pairs in
+// ascending order — which is rebuilt here from the area's own label section;
+// versions 3 to 5 a table of snapshot pins as section 6, empty here.
+func restampMetaArea(t *testing.T, d disk.Device, areaOff int64, version uint64, tags ...uint64) {
 	t.Helper()
 	section := func(tag uint64) []byte {
 		reg := findSection(t, d, areaOff, tag)
@@ -521,9 +522,14 @@ func restampMetaArea(t *testing.T, d disk.Device, areaOff int64, version uint64,
 		index = appendU64(appendU64(index, p[0]), p[1])
 	}
 	area := make([]byte, metaHeaderSize)
-	for tag := uint64(1); tag <= uint64(keepSecs); tag++ {
-		body := index
-		if tag != 4 {
+	for _, tag := range tags {
+		var body []byte
+		switch tag {
+		case 4:
+			body = index
+		case 6:
+			body = appendU64(nil, 0)
+		default:
 			body = section(tag)
 		}
 		area = appendU64(appendU64(appendU64(area, tag), uint64(len(body))), uint64(crc32c(body)))
@@ -534,7 +540,7 @@ func restampMetaArea(t *testing.T, d disk.Device, areaOff int64, version uint64,
 	}
 	binary.LittleEndian.PutUint64(area[mhVersionOff:], version)
 	binary.LittleEndian.PutUint64(area[mhPayloadOff:], uint64(len(area)-metaHeaderSize))
-	binary.LittleEndian.PutUint64(area[mhSectionsOff:], uint64(keepSecs))
+	binary.LittleEndian.PutUint64(area[mhSectionsOff:], uint64(len(tags)))
 	binary.LittleEndian.PutUint32(area[mhCRCOff:], crc32c(area[:mhCRCOff]))
 	if _, err := d.WriteAt(area, areaOff); err != nil {
 		t.Fatal(err)
@@ -577,17 +583,18 @@ func TestOtherFormatVersionsRefusedNotLoaded(t *testing.T) {
 		})
 	}
 	metas := []struct {
-		name     string
-		version  uint64
-		keepSecs int
+		name    string
+		version uint64
+		tags    []uint64
 	}{
-		{"v2", 2, 4}, {"v3", 3, 5}, {"v4", 4, 6},
+		{"v2", 2, []uint64{1, 2, 3, 4}}, {"v3", 3, []uint64{1, 2, 3, 4, 5}},
+		{"v4", 4, []uint64{1, 2, 3, 4, 5, 6}}, {"v5", 5, []uint64{1, 2, 3, 5, 6}},
 	}
 	for _, tc := range metas {
 		t.Run("metadata-"+tc.name, func(t *testing.T) {
 			s, fd := rotStore(t)
 			want := populateGenerations(t, s)
-			restampMetaArea(t, fd, s.metaAreaOff(s.metaWhich), tc.version, tc.keepSecs)
+			restampMetaArea(t, fd, s.metaAreaOff(s.metaWhich), tc.version, tc.tags...)
 			s2, err := Open(fd, Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -596,42 +603,44 @@ func TestOtherFormatVersionsRefusedNotLoaded(t *testing.T) {
 				t.Fatalf("expected metadata fallback, got %+v", s2.RecoveryReport())
 			}
 			checkAll(t, s2, want)
-			restampMetaArea(t, fd, s.metaAreaOff(1-s.metaWhich), tc.version, tc.keepSecs)
+			restampMetaArea(t, fd, s.metaAreaOff(1-s.metaWhich), tc.version, tc.tags...)
 			if _, err := Open(fd, Options{}); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("open with both metadata areas stamped %s = %v; want ErrCorrupt", tc.name, err)
 			}
 		})
 	}
 	// The log has one version too, but no second copy to fall back on: an
-	// intact header stamped with the retired format 4 refuses the mount, and
-	// the refusal leaves the region as it found it.
-	t.Run("wal-v4", func(t *testing.T) {
-		s, fd := rotStore(t)
-		populateGenerations(t, s)
-		hdr := make([]byte, 32)
-		if _, err := fd.ReadAt(hdr, logOffset); err != nil {
-			t.Fatal(err)
-		}
-		hdr[4] = 4
-		binary.LittleEndian.PutUint32(hdr[16:], crc32c(hdr[:16]))
-		if _, err := fd.WriteAt(hdr, logOffset); err != nil {
-			t.Fatal(err)
-		}
-		region := func() []byte {
-			b := make([]byte, rotLogSize)
-			if _, err := fd.ReadAt(b, logOffset); err != nil {
+	// intact header stamped with a retired format refuses the mount, and the
+	// refusal leaves the region as it found it.
+	for _, v := range []byte{4, 5} {
+		t.Run(fmt.Sprintf("wal-v%d", v), func(t *testing.T) {
+			s, fd := rotStore(t)
+			populateGenerations(t, s)
+			hdr := make([]byte, 32)
+			if _, err := fd.ReadAt(hdr, logOffset); err != nil {
 				t.Fatal(err)
 			}
-			return b
-		}
-		before := region()
-		if _, err := Open(fd, Options{}); !errors.Is(err, wal.ErrVersion) {
-			t.Fatalf("open with the log stamped v4 = %v; want wal.ErrVersion", err)
-		}
-		if !bytes.Equal(before, region()) {
-			t.Fatal("refusing a v4 log modified the log region")
-		}
-	})
+			hdr[4] = v
+			binary.LittleEndian.PutUint32(hdr[16:], crc32c(hdr[:16]))
+			if _, err := fd.WriteAt(hdr, logOffset); err != nil {
+				t.Fatal(err)
+			}
+			region := func() []byte {
+				b := make([]byte, rotLogSize)
+				if _, err := fd.ReadAt(b, logOffset); err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+			before := region()
+			if _, err := Open(fd, Options{}); !errors.Is(err, wal.ErrVersion) {
+				t.Fatalf("open with the log stamped v%d = %v; want wal.ErrVersion", v, err)
+			}
+			if !bytes.Equal(before, region()) {
+				t.Fatalf("refusing a v%d log modified the log region", v)
+			}
+		})
+	}
 	// An object-map entry whose CRC field lacks the valid bit, inside a
 	// section whose own checksum is intact, would have to be read
 	// unverified: the area is refused instead.

@@ -53,14 +53,12 @@ func (s *Store) Checkpoint() error {
 
 // sealedEntry is one entry captured by the seal: a dirty object whose
 // sealed contents must be written home, or a dead object whose extent must
-// be vacated.  done marks entries the body has finished with, so a failed
-// body re-dirties only what was actually lost.
+// be vacated.
 type sealedEntry struct {
 	id   uint64
 	e    *objEntry
 	data []byte // aliases the COW contents slice sealed for this epoch
 	dead bool
-	done bool
 }
 
 // sealedLabel is one (id, label) pair captured at seal time; the metadata
@@ -179,12 +177,7 @@ func (s *Store) sealCheckpoint() (*sealedState, error) {
 		// Make room by dropping the generation retained for metadata
 		// fallback (degraded: the fallback rung loses its replay tail, but
 		// the committed snapshot and the live generation stay intact).
-		// Generations a live bundle's record still needs are kept even here.
-		cut := s.metaEpoch
-		if floor := s.bundleRetentionFloor(ss.epoch); floor < cut {
-			cut = floor
-		}
-		_ = s.l.ReclaimBefore(cut)
+		_ = s.l.ReclaimBefore(s.metaEpoch)
 		if err := s.l.AppendMark(ss.epoch); err != nil {
 			if !errors.Is(err, wal.ErrFull) {
 				s.restoreSealed(ss)
@@ -198,23 +191,26 @@ func (s *Store) sealCheckpoint() (*sealedState, error) {
 }
 
 // restoreSealed undoes a seal whose checkpoint failed: sealed-dirty entries
-// the body had not yet relocated become dirty again, and sealed deletions
-// lose their deadSealed mark (even one the body already vacated in memory
-// is still in the committed snapshot), so no sealed state is lost and the
-// next checkpoint retries them.  Entries deleted or re-written concurrently
-// keep their newer state.
+// become dirty again — one the body already relocated too: its new home is
+// known only to the table in memory, so left clean it could be evicted and a
+// sync acknowledged with no I/O; the retry vacates that extent like any
+// superseded home — and sealed deletions lose their deadSealed mark (even
+// one the body already vacated in memory is still in the committed
+// snapshot), so no sealed state is lost and the next checkpoint retries
+// them.  Entries deleted or re-written concurrently keep their newer state.
 func (s *Store) restoreSealed(ss *sealedState) {
 	for i := range ss.entries {
 		se := &ss.entries[i]
-		if se.done && !se.dead {
-			continue
-		}
 		se.e.mu.Lock()
 		if se.dead {
 			se.e.deadSealed = false
 		} else {
 			se.e.ckpt = false
 			if !se.e.dead {
+				if !se.e.cached {
+					// Relocated, then evicted: the sealed slice is the copy.
+					se.e.data, se.e.cached = se.data, true
+				}
 				se.e.dirty = true
 			}
 		}
@@ -265,28 +261,13 @@ func (s *Store) checkpointBody(ss *sealedState) (err error) {
 			return err
 		}
 	} else {
-		// Bundle retention: a bundle captured at epoch E has its WAL record
-		// in generation E and enters the metadata snapshot at E+1, so that
-		// generation stays replayable until two committed snapshots contain
-		// the bundle — otherwise a metadata fallback could lose the bundle
-		// and orphan every clone of it.  Both reclaim points clamp to the
-		// floor.
-		floor := s.bundleRetentionFloor(ss.epoch)
 		if ss.epoch > 1 {
-			cut := ss.epoch - 1
-			if floor < cut {
-				cut = floor
-			}
-			if err := s.l.ReclaimBefore(cut); err != nil {
+			if err := s.l.ReclaimBefore(ss.epoch - 1); err != nil {
 				return err
 			}
 		}
 		if s.l.LiveBytes() > s.logSize/2 {
-			cut := ss.epoch
-			if floor < cut {
-				cut = floor
-			}
-			if err := s.l.ReclaimBefore(cut); err != nil {
+			if err := s.l.ReclaimBefore(ss.epoch); err != nil {
 				return err
 			}
 		}
@@ -313,7 +294,6 @@ func (s *Store) relocateSealed(ss *sealedState) error {
 				s.vacateExtent(old.off, old.size)
 			}
 			s.metaMu.Unlock()
-			se.done = true
 			continue
 		}
 		newOff, err := s.writeObjectHome(se.data)
@@ -334,7 +314,6 @@ func (s *Store) relocateSealed(ss *sealedState) error {
 		se.e.quar = false
 		se.e.mu.Unlock()
 		s.c.bytesHome.Add(uint64(len(se.data)))
-		se.done = true
 	}
 	return nil
 }

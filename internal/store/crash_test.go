@@ -1,7 +1,7 @@
 package store
 
 // Crash-injection recovery harness: a randomized workload of Put /
-// PutLabeled / Delete / SyncObject / Checkpoint runs on a write-through
+// PutLabeled / Delete / SyncObject / Alias / Checkpoint runs on a write-through
 // disk wrapped in a disk.FaultDisk, which kills the device at an injected
 // crash point (a byte offset into the write stream, torn or omitted at
 // sector granularity).  The surviving image is then reopened and checked
@@ -43,6 +43,7 @@ const (
 	opPutLabeled
 	opDelete
 	opSync
+	opAlias
 	opCheckpoint
 	numOpKinds
 )
@@ -50,6 +51,7 @@ const (
 type wlOp struct {
 	kind opKind
 	id   uint64
+	src  uint64 // opAlias: the object id becomes an alias of
 	data []byte
 	lbl  label.Label
 }
@@ -123,23 +125,80 @@ func genWorkload(r *rand.Rand, n int) []wlOp {
 // concurrent harness gives each worker a disjoint range so every object has
 // exactly one writer and its reference history stays exact.
 func genWorkloadIn(r *rand.Rand, n int, base uint64, span int) []wlOp {
+	// A crude picture of each id as the ops will leave it, so that most alias
+	// ops name a source the store takes (checkpointed since its last Put) and
+	// a destination it can (absent, any deletion checkpointed).  Another
+	// worker's checkpoint only makes the picture pessimistic.
+	type picture struct{ exists, dirty, home bool }
+	pic := make([]picture, span)
+	pick := func(ok func(picture) bool) uint64 {
+		var fit []int
+		for i, p := range pic {
+			if ok(p) {
+				fit = append(fit, i)
+			}
+		}
+		if len(fit) == 0 {
+			return base + uint64(r.Intn(span)) // let the store refuse it
+		}
+		return base + uint64(fit[r.Intn(len(fit))])
+	}
 	var ops []wlOp
 	for i := 0; i < n; i++ {
 		id := base + uint64(r.Intn(span))
+		p := &pic[id-base]
 		switch k := opKind(r.Intn(int(numOpKinds))); k {
 		case opPut:
 			ops = append(ops, wlOp{kind: opPut, id: id, data: randPayload(r)})
+			p.exists, p.dirty = true, true
 		case opPutLabeled:
 			ops = append(ops, wlOp{kind: opPutLabeled, id: id, data: randPayload(r), lbl: randLabel(r)})
+			p.exists, p.dirty = true, true
 		case opDelete:
 			ops = append(ops, wlOp{kind: opDelete, id: id})
+			p.exists, p.dirty = false, false
 		case opSync:
 			ops = append(ops, wlOp{kind: opSync, id: id})
+		case opAlias:
+			// Source and destination in the same range: the destination is
+			// then rewritten, synced and deleted like any other object, and
+			// aliased again — of an alias, often enough.
+			src := pick(func(p picture) bool { return p.exists && !p.dirty && p.home })
+			dst := pick(func(p picture) bool { return !p.exists && !p.home })
+			ops = append(ops, wlOp{kind: opAlias, id: dst, src: src, lbl: randLabel(r)})
+			if s, d := pic[src-base], &pic[dst-base]; s.exists && !s.dirty && s.home && !d.exists && !d.home {
+				*d = s
+			}
 		case opCheckpoint:
 			ops = append(ops, wlOp{kind: opCheckpoint})
+			for i := range pic {
+				pic[i].dirty, pic[i].home = false, pic[i].exists
+			}
 		}
 	}
 	return ops
+}
+
+// applyAlias runs one opAlias and keeps m in step.  Whether the store takes
+// it depends on state the model does not track (is the source clean, has the
+// destination's deletion been checkpointed), so the store's typed refusals
+// are results, not failures: they change nothing.  An alias it does take is
+// of the source's latest state — a clean source has no other — and is
+// committed on return; one the fault interrupted may have reached the log all
+// the same (a torn frame whose payload landed whole replays), so it is a
+// state the destination may be found in, not one it must.
+func applyAlias(s *Store, op wlOp, m *refModel) error {
+	err := s.Alias(op.src, op.id, op.lbl)
+	switch {
+	case errors.Is(err, ErrNotCommitted), errors.Is(err, ErrNoSuchObject), errors.Is(err, ErrCloneExists):
+		return nil
+	case err == nil, errors.Is(err, disk.ErrFault):
+		m.push(op.id, objState{exists: true, data: m.latest(op.src).data, lbl: op.lbl, hasLabel: true})
+		if err == nil {
+			m.commit(op.id)
+		}
+	}
+	return err
 }
 
 func randPayload(r *rand.Rand) []byte {
@@ -237,6 +296,10 @@ func runWorkload(t *testing.T, s *Store, ops []wlOp, m *refModel) bool {
 				m.commitAll()
 			}
 			m.commit(op.id)
+		case opAlias:
+			if faulted(applyAlias(s, op, m)) {
+				return true
+			}
 		case opCheckpoint:
 			if faulted(s.Checkpoint()) {
 				return true
@@ -380,6 +443,8 @@ func runWorkloadConcurrent(t *testing.T, s *Store, workers [][]wlOp, models []*r
 					if err = s.SyncObject(op.id); err == nil {
 						m.commit(op.id)
 					}
+				case opAlias:
+					err = applyAlias(s, op, m)
 				case opCheckpoint:
 					// A successful checkpoint made at least this worker's own
 					// latest states durable (its ops are sequential, so none
@@ -667,4 +732,47 @@ func TestAcknowledgedDeleteIsDurable(t *testing.T) {
 		}
 		mustGone(t, fd.Inner(), "crash with the body open")
 	})
+}
+
+// TestAcknowledgedPutSurvivesAFailedCheckpoint is the mirror image of the
+// failed-checkpoint window above, for an object that exists: a checkpoint
+// body writes the object to a new home, records that home in the table in
+// memory, and then dies at every one of its write boundaries in turn.  The
+// committed snapshot knows nothing of the new home, so the object must be
+// dirty again: left clean it could be evicted, and a SyncObject acknowledged
+// with no I/O at all for an object no committed snapshot or record holds.
+func TestAcknowledgedPutSurvivesAFailedCheckpoint(t *testing.T) {
+	data := []byte("put, synced, and must still be there")
+	prepare := func() (*Store, *disk.FaultDisk) {
+		s, fd := newCrashRig(t)
+		if err := s.Put(0, data); err != nil {
+			t.Fatal(err)
+		}
+		return s, fd
+	}
+	s, fd := prepare()
+	fd.Arm(-1, disk.FaultOmit)
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for _, evict := range []bool{true, false} {
+		for _, pt := range crashPoints(fd.WriteBounds()) {
+			s, fd := prepare()
+			fd.Arm(pt, disk.FaultOmit)
+			first := s.Checkpoint()
+			if evict {
+				s.EvictCache()
+			}
+			if err := s.SyncObject(0); err != nil {
+				continue // nothing was acknowledged
+			}
+			s2, err := Open(fd.Inner(), crashOpts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := s2.Get(0); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("omit@%d (checkpoint: %v, evicted: %v): SyncObject acknowledged the object, yet it recovered as %q, %v", pt, first, evict, got, err)
+			}
+		}
+	}
 }

@@ -16,14 +16,14 @@
 //     "HIST", referenced metadata area (0 or 1), snapshot byte length, log
 //     region size, metadata area size, format version (2), checkpoint
 //     epoch.
-//   - Metadata area header (48 bytes): magic "HMET", version (5), checkpoint
-//     epoch, payload length, section count (5), CRC32C over the header's
+//   - Metadata area header (48 bytes): magic "HMET", version (6), checkpoint
+//     epoch, payload length, section count (4), CRC32C over the header's
 //     first 40 bytes.
 //   - Metadata sections: each framed [tag u64][length u64][CRC32C u64]
 //     [payload], the CRC covering the payload.  Tags: 1 object map, 2 free
 //     extents, 3 labels, 5 segment table (base, size, used triples for the
-//     append-only data segments), 6 snapshot-bundle table; tag 4 is retired.
-//     Verification requires each of the five tags exactly once, in-bounds
+//     append-only data segments); tags 4 and 6 are retired.
+//     Verification requires each of the four tags exactly once, in-bounds
 //     lengths, and no trailing bytes, so a flipped tag or length never
 //     silently reassigns bytes between sections.  Nothing derivable is
 //     stored: the extent refcounts and the per-segment live counts are
@@ -33,9 +33,9 @@
 //     home (segment or dedicated extent) and verified on every uncached
 //     read and every scrub pass.  Bit 32 of the entry's CRC field flags
 //     the checksum present; every entry written has it, and a decoded
-//     entry (object map or bundle) without it is corruption.
+//     entry without it is corruption.
 //   - Write-ahead log: header, frame-descriptor, frame-payload and
-//     per-record CRCs, header version 5 (package wal).
+//     per-record CRCs, header version 6 (package wal).
 //
 // Each structure has exactly one version.  A superblock copy or metadata
 // area that verifies but names any other version is a CorruptError, which
@@ -107,12 +107,11 @@
 // A home extent whose contents fail CRC verification — on an uncached Get,
 // during a scrub, or when the segment cleaner tries to copy it out —
 // reaches one verdict (condemn, in home.go), which quarantines exactly the
-// objects whose home is that extent — one object, or a bundle's source and
-// every clone still aliasing it — and marks the bundle entries over it
-// rotted: accesses return a QuarantineError (errors.Is-matching both
-// ErrQuarantined and ErrCorrupt), SyncObject refuses to log the damaged
-// bytes, further clones and ValidateBundle refuse, and the ID stays
-// enumerable via QuarantinedObjects.  The rest of the store serves normally
+// objects whose home is that extent — one object, or every alias sharing it:
+// accesses return a QuarantineError (errors.Is-matching both ErrQuarantined
+// and ErrCorrupt), SyncObject refuses to log the damaged bytes, Alias refuses
+// to share them, and the ID stays enumerable via QuarantinedObjects.  The
+// rest of the store serves normally
 // (the cleaner additionally leaves the damaged object's whole segment in
 // place — moving it would destroy the only, albeit damaged, copy).  A
 // quarantine verdict is lifted by anything that replaces the damaged extent

@@ -2,8 +2,8 @@ package store
 
 // The on-disk format, all of it: every layout constant and every encoder and
 // decoder for the superblock copies, the metadata-area header, the section
-// framing, the five metadata sections, and the bundle and clone bodies that
-// ride in write-ahead log records.  (The log's own record framing belongs to
+// framing, the four metadata sections, and the alias body that rides in
+// write-ahead log records.  (The log's own record framing belongs to
 // package wal.)  No other file interprets or produces a persistent byte; see
 // the package comment and doc.go for the layouts in prose.
 //
@@ -16,7 +16,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"sort"
 
 	"histar/internal/btree"
 	"histar/internal/label"
@@ -51,7 +50,7 @@ const (
 // section stream.
 const (
 	metaMagic      = 0x484d4554 // "HMET"
-	metaVersion    = 5
+	metaVersion    = 6
 	metaHeaderSize = 48
 	mhMagicOff     = 0
 	mhVersionOff   = 8
@@ -62,14 +61,14 @@ const (
 
 	// Section tags.  Each section is [tag u64][len u64][crc u64: low 32
 	// bits CRC32C of the payload][payload], and an image holds each tag
-	// exactly once.  Tag 4 is retired, never to be reused: metadata version
-	// 4 persisted an index derived from the label section under it.
+	// exactly once.  Tags 4 and 6 are retired, never to be reused: metadata
+	// version 4 persisted an index derived from the label section under the
+	// one, version 5 a table of snapshot pins under the other.
 	secObjMap  = 1
 	secFree    = 2
 	secLabels  = 3
 	secSegs    = 5
-	secBundles = 6
-	numSecs    = 5
+	numSecs    = 4
 	secHdrSize = 24
 
 	// objCRCValid flags the CRC field of a home record as carrying a
@@ -77,13 +76,13 @@ const (
 	// without it is corruption.
 	objCRCValid = uint64(1) << 32
 
-	// cloneBodySize is the fixed payload of a WAL clone record: lineage,
-	// source ID, then the aliased home record.
-	cloneBodySize = 40
+	// aliasBodySize is the fixed payload of a WAL alias record: the aliased
+	// home record.
+	aliasBodySize = 24
 )
 
 func knownSection(tag uint64) bool {
-	return tag >= secObjMap && tag <= secBundles && tag != 4
+	return tag >= secObjMap && tag <= secSegs && tag != 4
 }
 
 // superblockInfo is one parsed superblock copy.
@@ -145,7 +144,7 @@ func appendU64(buf []byte, v uint64) []byte {
 }
 
 // appendHome writes one home record: offset, size, and the CRC field.  The
-// object map, bundle bodies and clone bodies all record a home this way.
+// object map and alias bodies both record a home this way.
 func appendHome(buf []byte, h home) []byte {
 	buf = appendU64(buf, uint64(h.off))
 	buf = appendU64(buf, uint64(h.size))
@@ -204,38 +203,23 @@ func (r *sectionReader) home() home {
 	return home{off: int64(off), size: int64(size), crc: uint32(crcField)}
 }
 
-// encodeMetadata serializes the metadata image: the header followed by five
+// encodeMetadata serializes the metadata image: the header followed by four
 // individually checksummed sections (object map, free list, labels, segment
-// table, snapshot-bundle table).  The object map and free/segment state are
-// read under their own locks — by the time the body serializes, it has
-// finished mutating them, and no concurrent operation does — while the
+// table).  The object map and free/segment state are read under their own
+// locks — by the time the body serializes, it has finished mutating them,
+// and no concurrent operation does (an alias waits the body out) — while the
 // label section comes from the seal-time capture, so the snapshot is
 // consistent with the sealed epoch even as concurrent PutLabeled calls
-// proceed.  The bundle section reads the live table under metaMu: bundles
-// registered after the seal simply appear one snapshot early, which replay
-// tolerates (re-registration is idempotent).  Everything derivable from
-// these five — extent refcounts, per-segment live counts — is rebuilt at
-// Open, not stored.
+// proceed.  Everything derivable from these four — extent refcounts,
+// per-segment live counts — is rebuilt at Open, not stored.
 func (s *Store) encodeMetadata(epoch uint64, labels []sealedLabel) []byte {
-	// Object map: (id, home record) entries, ascending id; then the bundle
-	// table: [count], then per bundle [lineage][bodyLen][body].
+	// Object map: (id, home record) entries, ascending id.
 	s.metaMu.RLock()
 	objs := appendU64(nil, uint64(s.objMap.Len()))
 	s.scanHomes(func(id uint64, h home) bool {
 		objs = appendHome(appendU64(objs, id), h)
 		return true
 	})
-	lineages := make([]uint64, 0, len(s.bundles))
-	for l := range s.bundles {
-		lineages = append(lineages, l)
-	}
-	sort.Slice(lineages, func(i, j int) bool { return lineages[i] < lineages[j] })
-	bundlesSec := appendU64(nil, uint64(len(lineages)))
-	for _, l := range lineages {
-		body := encodeBundleBody(s.bundles[l])
-		bundlesSec = appendU64(appendU64(bundlesSec, l), uint64(len(body)))
-		bundlesSec = append(bundlesSec, body...)
-	}
 	s.metaMu.RUnlock()
 	// Free list by offset, and the segment table (base, size, used), both
 	// under allocMu.
@@ -262,7 +246,7 @@ func (s *Store) encodeMetadata(epoch uint64, labels []sealedLabel) []byte {
 	for _, sec := range []struct {
 		tag  uint64
 		body []byte
-	}{{secObjMap, objs}, {secFree, free}, {secLabels, labelsSec}, {secSegs, segsSec}, {secBundles, bundlesSec}} {
+	}{{secObjMap, objs}, {secFree, free}, {secLabels, labelsSec}, {secSegs, segsSec}} {
 		payload = appendU64(payload, sec.tag)
 		payload = appendU64(payload, uint64(len(sec.body)))
 		payload = appendU64(payload, uint64(crc32c(sec.body)))
@@ -312,7 +296,7 @@ func parseMetaHeader(hdr []byte, areaOff, capacity int64) (epoch uint64, payload
 // trail the last section, so a flipped tag or length never silently
 // reassigns bytes between sections.  No payload is decoded here —
 // verification is complete before any byte is interpreted.
-func parseSections(payload []byte, base int64) (secs [secBundles + 1][]byte, err error) {
+func parseSections(payload []byte, base int64) (secs [secSegs + 1][]byte, err error) {
 	r := &sectionReader{buf: payload, area: "metadata"}
 	seen := 0
 	for ; len(r.buf) > 0 && r.err == nil; seen++ {
@@ -392,70 +376,18 @@ func (s *Store) decodeSegsSection(r *sectionReader) {
 	}
 }
 
-func (s *Store) decodeBundlesSection(r *sectionReader) {
-	for n := r.u64(); n > 0; n-- {
-		lineage := r.u64()
-		body := &sectionReader{buf: r.bytes(r.u64()), off: r.off, area: r.area}
-		if r.err != nil {
-			return
-		}
-		b := decodeBundleBody(lineage, body)
-		if r.err = body.err; r.err != nil {
-			return
-		}
-		s.bundles[lineage] = b
-	}
+// encodeAliasBody is the payload of a WAL alias record: the home the
+// destination shares.
+func encodeAliasBody(h home) []byte {
+	return appendHome(make([]byte, 0, aliasBodySize), h)
 }
 
-// encodeBundleBody serializes one bundle (without its lineage, which rides
-// in the WAL record's object-ID field or the section's per-bundle prefix):
-// name, capture epoch, then per object its id, home record and label.  WAL
-// bundle records and the metadata bundle section share this body.
-func encodeBundleBody(b *Bundle) []byte {
-	buf := appendU64(nil, uint64(len(b.Name)))
-	buf = append(buf, b.Name...)
-	buf = appendU64(buf, b.Epoch)
-	buf = appendU64(buf, uint64(len(b.Objects)))
-	for i := range b.Objects {
-		o := &b.Objects[i]
-		buf = appendHome(appendU64(buf, o.ID), o.home())
-		buf = appendU64(buf, uint64(len(o.Label)))
-		buf = append(buf, o.Label...)
-	}
-	return buf
-}
-
-// decodeBundleBody is encodeBundleBody's inverse; the caller checks r.err.
-func decodeBundleBody(lineage uint64, r *sectionReader) *Bundle {
-	b := &Bundle{Lineage: lineage, Name: string(r.bytes(r.u64())), Epoch: r.u64()}
-	for n := r.u64(); n > 0; n-- {
-		id, h := r.u64(), r.home()
-		lbl := r.bytes(r.u64())
-		if r.err != nil {
-			break
-		}
-		o := BundleObject{ID: id, Off: h.off, Size: h.size, CRC: h.crc}
-		if len(lbl) > 0 {
-			o.Label = append([]byte(nil), lbl...)
-		}
-		b.Objects = append(b.Objects, o)
-	}
-	return b
-}
-
-// encodeCloneBody is the payload of a WAL clone record: the bundle and
-// source object the clone came from, and the home it aliases.
-func encodeCloneBody(lineage, srcID uint64, h home) []byte {
-	buf := make([]byte, 0, cloneBodySize)
-	return appendHome(appendU64(appendU64(buf, lineage), srcID), h)
-}
-
-// decodeCloneBody is encodeCloneBody's inverse.
-func decodeCloneBody(data []byte) (lineage, srcID uint64, h home, err error) {
+// decodeAliasBody is encodeAliasBody's inverse.
+func decodeAliasBody(data []byte) (home, error) {
 	r := &sectionReader{buf: data, off: logOffset, area: "wal"}
-	if len(data) != cloneBodySize {
-		r.fail("clone record has a %d-byte payload, want %d", len(data), cloneBodySize)
+	if len(data) != aliasBodySize {
+		r.fail("alias record has a %d-byte payload, want %d", len(data), aliasBodySize)
 	}
-	lineage, srcID, h = r.u64(), r.u64(), r.home()
-	return lineage, srcID, h, r.err
+	h := r.home()
+	return h, r.err
 }

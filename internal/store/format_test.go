@@ -17,13 +17,13 @@ import (
 // formatImageSHA256 is the SHA-256 of the device image formatImageWorkload
 // leaves behind.  It pins every on-disk layout at once — superblock copies,
 // log header, frames and records, metadata header and sections, segment packing,
-// bundle and clone records — so a change that alters any of them must
-// change this constant, visibly.
-const formatImageSHA256 = "308337f38112eaf21a7b4a4814af01d7cad9f73e18c8773911d5acb7a759f87e"
+// alias records — so a change that alters any of them must change this
+// constant, visibly.
+const formatImageSHA256 = "e477d94166ffc75ec9228f261dda8d7a1c25cd878038e60a8e4d2c11b58f375c"
 
 // formatImageWorkload drives one seeded, single-threaded pass over every
 // structure the store writes: plain and labelled puts, deletes, per-object
-// and batched syncs, a snapshot bundle and a clone of it, two checkpoints,
+// and batched syncs, a snapshot's holds and clones of them, two checkpoints,
 // and a tail of log records after the last one.
 func formatImageWorkload(t *testing.T, s *Store) {
 	t.Helper()
@@ -56,12 +56,14 @@ func formatImageWorkload(t *testing.T, s *Store) {
 	must(s.SyncObject(9))
 	must(s.Checkpoint())
 
-	// The lineage the store's own hash gave this bundle when the image was
-	// recorded; the kernel names bundles now, and the bytes must not move.
-	const lineage = 0x87a30d42951a5bca
-	must(s.SnapshotBundle(lineage, "golden", []uint64{3, 4, 5, 6}))
-	must(s.CloneObjectLabeled(lineage, 3, 100, rotLabel(3)))
-	must(s.CloneObjectLabeled(lineage, 4, 101, rotLabel(6)))
+	// A snapshot the way the kernel takes one — a checkpoint, then a hold on
+	// each of four objects — and a clone of two of those.
+	must(s.Checkpoint())
+	for id := uint64(3); id <= 6; id++ {
+		must(s.Alias(id, 60+id, rotLabel(id%5)))
+	}
+	must(s.Alias(63, 100, rotLabel(3)))
+	must(s.Alias(64, 101, rotLabel(6)))
 	for id := uint64(20); id <= 30; id++ {
 		must(s.PutLabeled(id, rotLabel(id%7), payload()))
 	}
@@ -110,8 +112,8 @@ func TestOnDiskFormatUnchanged(t *testing.T) {
 }
 
 // TestDecodersRefuseDamagedPayloads drives every decoder that reads through
-// the sticky sectionReader — the five metadata sections, the bundle body and
-// the clone body — with its own encoder's output and two damaged variants:
+// the sticky sectionReader — the four metadata sections and the alias body
+// of a clone record — with its own encoder's output and two damaged variants:
 // cut short in the middle of a field, and with a count or length field that
 // claims more than the payload holds (an absurd count must also return at
 // once rather than loop).  The intact payload decodes; each damaged one
@@ -119,10 +121,6 @@ func TestOnDiskFormatUnchanged(t *testing.T) {
 func TestDecodersRefuseDamagedPayloads(t *testing.T) {
 	src, fd := rotStore(t)
 	populateGenerations(t, src)
-	lineage, err := snapshotBundle(src, "codec", []uint64{1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if err := src.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +138,7 @@ func TestDecodersRefuseDamagedPayloads(t *testing.T) {
 		binary.LittleEndian.PutUint64(q[off:], v)
 		return q
 	}
-	bundleBody := encodeBundleBody(src.bundles[lineage])
-	cloneBody := encodeCloneBody(lineage, 1, home{off: 8192, size: 10, crc: 7})
+	cloneBody := encodeAliasBody(home{off: 8192, size: 10, crc: 7})
 	cases := []struct {
 		name    string
 		payload []byte
@@ -152,12 +149,8 @@ func TestDecodersRefuseDamagedPayloads(t *testing.T) {
 		{"free", section(secFree), 0, (*Store).decodeFreeSection},
 		{"labels", section(secLabels), 0, (*Store).decodeLabelSection},
 		{"segments", section(secSegs), 0, (*Store).decodeSegsSection},
-		{"bundles", section(secBundles), 0, (*Store).decodeBundlesSection},
-		{"bundles-body-length", section(secBundles), 16, (*Store).decodeBundlesSection},
-		{"bundle-body", bundleBody, 0, func(_ *Store, r *sectionReader) { decodeBundleBody(lineage, r) }},
-		{"bundle-body-object-count", bundleBody, 8 + len("codec") + 8, func(_ *Store, r *sectionReader) { decodeBundleBody(lineage, r) }},
 		{"clone-body", cloneBody, -1, func(_ *Store, r *sectionReader) {
-			if _, _, _, err := decodeCloneBody(r.buf); err != nil {
+			if _, err := decodeAliasBody(r.buf); err != nil {
 				r.err = err
 			}
 		}},

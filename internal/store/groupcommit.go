@@ -2,12 +2,12 @@ package store
 
 // Group commit is the one way into the write-ahead log for every record the
 // store writes except the seal's epoch marker: SyncObject seals a record
-// from the object's current state, CloneObjectLabeled one describing the alias it
-// installed, SnapshotBundle one carrying the bundle it registered; each
-// enqueues it with the committer and waits on a commit ticket.  The first
-// syncer to find the committer idle becomes the leader: it drains the queue
-// in bounded batches, each batch one wal.Commit (one frame at the log's tail,
-// one flush), and resolves every ticket in the batch.  Followers just wait; their latency is bounded by at most one
+// from the object's current state, Alias one describing the alias it
+// installed; each enqueues it with the committer and waits on a commit
+// ticket.  The first syncer to find the committer idle becomes the leader:
+// it drains the queue in bounded batches, each batch one wal.Commit (one
+// frame at the log's tail, one flush), and resolves every ticket in the
+// batch.  Followers just wait; their latency is bounded by at most one
 // in-flight batch ahead of theirs, and batch size is bounded by
 // Options.GroupCommitBytes/GroupCommitRecords.
 //
@@ -97,13 +97,12 @@ func (c *committer) enqueue(rec wal.Record) *syncTicket {
 }
 
 // submit hands one sealed record to the committer.  Called with the entry
-// lock of the object the record describes held (a bundle record describes
-// none), and ckptMu in read mode.
+// lock of the object the record describes held, and ckptMu in read mode.
 func (s *Store) submit(rec wal.Record) (*syncTicket, error) {
 	if s.l.TooLarge(rec) {
 		// The record can never be logged (it exceeds the log region or the
 		// format's label-length field); a checkpoint provides the same
-		// durability — contents, label, home table and bundles — in one sweep.
+		// durability — contents, label and home table — in one sweep.
 		return nil, errRetryCheckpoint
 	}
 	return s.comm.enqueue(rec), nil

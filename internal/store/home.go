@@ -77,34 +77,23 @@ func (s *Store) readVerified(h home) ([]byte, error) {
 // condemn is the one verdict on a home extent whose contents failed
 // verification, whichever read path found it: the corruption is counted,
 // every object whose home is that extent — the one being read, and every
-// clone aliasing it — is quarantined, and every bundle entry over it is
-// marked rotted so further clones fail typed instead of fanning the damage
-// out.  An object whose in-memory state is dirty, dead or sealed into the
-// running checkpoint is left alone: that state replaces the extent at the
-// next relocation, so the damaged bytes are already superseded.  Called
-// with no entry lock, metaMu or allocMu held; returns how many objects it
-// newly quarantined.
+// alias sharing it — is quarantined, so a further alias of any of them fails
+// typed instead of fanning the damage out.  An object whose in-memory state
+// is dirty, dead or sealed into the running checkpoint is left alone: that
+// state replaces the extent at the next relocation, so the damaged bytes are
+// already superseded.  Called with no entry lock, metaMu or allocMu held;
+// returns how many objects it newly quarantined.
 func (s *Store) condemn(off int64) int {
 	s.integ.corruptions.Add(1)
 	var ids []uint64
-	s.metaMu.Lock()
+	s.metaMu.RLock()
 	s.scanHomes(func(id uint64, h home) bool {
 		if h.off == off {
 			ids = append(ids, id)
 		}
 		return true
 	})
-	for _, b := range s.bundles {
-		for i := range b.Objects {
-			if b.Objects[i].Off == off {
-				if b.rotted == nil {
-					b.rotted = make(map[uint64]bool)
-				}
-				b.rotted[b.Objects[i].ID] = true
-			}
-		}
-	}
-	s.metaMu.Unlock()
+	s.metaMu.RUnlock()
 	fresh := 0
 	for _, id := range ids {
 		e := s.shardOf(id).getOrCreate(id)

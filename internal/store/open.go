@@ -53,17 +53,21 @@ func Open(d disk.Device, opts Options) (*Store, error) {
 	// epoch has no marker (fresh format, or a degraded pass that truncated
 	// the log), replay starts at the beginning, a superset.
 	start, _ := s.l.ReplayStart(s.metaEpoch)
+	var extents map[int64]home // the loaded homes by offset, built for the first alias record
 	for _, r := range recs[start:] {
 		if r.Mark {
 			continue
 		}
 		s.report.WALRecordsReplayed++
-		if r.Bundle {
-			s.replayBundleRecord(r)
-			continue
-		}
 		if r.Clone {
-			s.replayCloneRecord(r)
+			if extents == nil {
+				extents = make(map[int64]home, s.objMap.Len())
+				s.scanHomes(func(_ uint64, h home) bool {
+					extents[h.off] = h
+					return true
+				})
+			}
+			s.replayAliasRecord(r, extents)
 			continue
 		}
 		e := s.shardOf(r.ObjectID).getOrCreate(r.ObjectID)
@@ -91,9 +95,9 @@ func Open(d disk.Device, opts Options) (*Store, error) {
 			e.lbl, e.hasLbl = lbl, true
 		}
 	}
-	// Replayed bundle and clone records introduced references the loaded
-	// snapshot's derived state does not reflect: rebuild the extent
-	// refcounts and segment live totals once over the final tables.
+	// Replayed alias records introduced references the loaded snapshot's
+	// derived state does not reflect: rebuild the extent refcounts and
+	// segment live totals once over the final table.
 	s.recomputeSegLive()
 	return s, nil
 }
@@ -183,7 +187,6 @@ func (s *Store) loadMetaArea(which int, sbEpoch uint64, fallback bool) error {
 	}{
 		{secObjMap, s.decodeObjMapSection}, {secFree, s.decodeFreeSection},
 		{secLabels, s.decodeLabelSection}, {secSegs, s.decodeSegsSection},
-		{secBundles, s.decodeBundlesSection},
 	} {
 		r := &sectionReader{buf: img.secs[sec.tag], off: areaOff, area: "metadata"}
 		if sec.decode(r); r.err != nil {
@@ -204,7 +207,7 @@ func (s *Store) metaAreaOff(which int) int64 {
 type metaImage struct {
 	epoch  uint64
 	length int64 // header plus section stream, in bytes
-	secs   [secBundles + 1][]byte
+	secs   [secSegs + 1][]byte
 }
 
 // verifyMetaArea reads area which and checks its header and every section

@@ -63,16 +63,15 @@ func (s *Store) dropSegLocked(base int64) {
 }
 
 // vacateExtent releases one reference to the home extent behind (off,
-// size).  A shared extent (clone aliases and/or bundle pins, tracked in
-// extRefs) just loses a reference — no byte is reclaimable while any
-// referent remains, which is what keeps the cleaner and the deferred-free
-// path off bundle-reachable data.  The sole (or last) referent's release
-// does the real work: space inside a segment decrements the segment's live
-// count — the extent itself is reclaimed when the segment empties (here) or
-// by the cleaner — while a dedicated extent joins the deferred-free list
-// directly.  Called by the checkpoint body (ckptRun serializes) and by
-// DeleteBundle (pin release); takes allocMu, so it may be called with
-// metaMu held (lock order metaMu → allocMu).
+// size).  A shared extent (aliases, counted in extRefs) just loses a
+// reference — no byte is reclaimable while any referent remains, which is
+// what keeps the cleaner and the deferred-free path off data an alias still
+// reads.  The sole (or last) referent's release does the real work: space
+// inside a segment decrements the segment's live count — the extent itself
+// is reclaimed when the segment empties (here) or by the cleaner — while a
+// dedicated extent joins the deferred-free list directly.  Called only by
+// the checkpoint body (ckptRun serializes); takes allocMu, so it may be
+// called with metaMu held (lock order metaMu → allocMu).
 func (s *Store) vacateExtent(off, size int64) {
 	s.allocMu.Lock()
 	defer s.allocMu.Unlock()
@@ -134,15 +133,15 @@ func (s *Store) segAppend(data []byte) (int64, error) {
 }
 
 // recomputeSegLive derives the loaded image's reference state: the extent
-// refcounts (extRefs — object-map aliases plus bundle pins; neither is
-// persisted directly) and each segment's live count, with every unique
-// extent counted exactly once no matter how many referents share it.  It
+// refcounts (extRefs — how many object-map entries name each extent; not
+// persisted) and each segment's live count, with every unique extent
+// counted exactly once no matter how many referents share it.  It
 // also reopens the most recently allocated partially filled segment —
 // provided its geometry matches the current SegmentSize — so appends
 // continue where the committed snapshot left off.  Appending beyond a
 // committed used mark is crash-safe: no referenced snapshot addresses those
 // bytes.  Runs during Open, single-threaded, and is idempotent: Open calls
-// it again after WAL replay, which may have added bundles and clones.
+// it again after WAL replay, which may have added aliases.
 func (s *Store) recomputeSegLive() {
 	type ref struct {
 		n    int64
@@ -153,17 +152,6 @@ func (s *Store) recomputeSegLive() {
 		refs[h.off] = ref{n: refs[h.off].n + 1, size: h.size}
 		return true
 	})
-	for _, b := range s.bundles {
-		for i := range b.Objects {
-			o := &b.Objects[i]
-			r := refs[o.Off]
-			r.n++
-			if r.size == 0 {
-				r.size = o.Size
-			}
-			refs[o.Off] = r
-		}
-	}
 	s.extRefs = make(map[int64]int64)
 	for off, r := range refs {
 		if r.n >= 2 {
@@ -196,33 +184,25 @@ func (s *Store) recomputeSegLive() {
 // be reclaimed.  A live object that fails its contents CRC on the way out
 // is condemned and its segment left in place (moving would destroy the
 // only — damaged — copy).
+//
+// A segment holding a shared extent (one in extRefs) is left where it is,
+// however dead the rest of it: objects move one at a time, so copying a
+// shared extent out would write its bytes once per referent and end the
+// sharing.  The rule is exact: an alias is installed only while no body is
+// open (see Alias), so during this pass extRefs can only shrink.  A shared
+// extent counts toward live, so such a segment never looks empty either;
+// when the sharing ends it is an ordinary segment again.
 func (s *Store) cleanSegments() error {
-	// Segments holding bundle-pinned extents are immovable: a bundle records
-	// its extents by offset, so copying them out would invalidate every
-	// future clone and replay of the bundle.  (A clone-shared extent with no
-	// bundle pin may still move — each alias is copied out separately and
-	// vacateExtent retires the share one reference at a time.)  Bundle
-	// extents always count toward live, so a pinned segment can never look
-	// empty; the skip below keeps both the free path and the copy-out path
-	// off it.
-	s.metaMu.RLock()
-	var pinnedOffs []int64
-	for _, b := range s.bundles {
-		for i := range b.Objects {
-			pinnedOffs = append(pinnedOffs, b.Objects[i].Off)
-		}
-	}
-	s.metaMu.RUnlock()
 	s.allocMu.Lock()
-	pinned := make(map[int64]bool)
-	for _, off := range pinnedOffs {
+	shared := make(map[int64]bool)
+	for off := range s.extRefs {
 		if seg := s.segContainingLocked(off); seg != nil {
-			pinned[seg.base] = true
+			shared[seg.base] = true
 		}
 	}
 	var victims []*segment
 	for base, seg := range s.segs {
-		if base == s.openSegBase || seg.used == 0 || pinned[base] {
+		if base == s.openSegBase || seg.used == 0 || shared[base] {
 			continue
 		}
 		if seg.live == 0 {

@@ -28,19 +28,18 @@
 // both do), so a single rotted sector never loses the root of the store.
 //
 // Each metadata area starts with a 48-byte header — magic "HMET", version
-// (currently 5), checkpoint epoch, payload length, section count, and a
-// CRC32C over the header itself — followed by five tagged sections, each
+// (currently 6), checkpoint epoch, payload length, section count, and a
+// CRC32C over the header itself — followed by four tagged sections, each
 // framed as [tag u64] [length u64] [CRC32C u64] [payload]: the object map
 // (id plus home record — extent offset, size, contents CRC; the CRC, flagged
 // by bit 32 of its field, is what every read of a home extent verifies
 // against, and an entry without the flag is corruption); the free-extent
 // list (offset, size); object labels (id, canonical label.AppendBinary
-// bytes); the segment table (base, size, used triples describing the
-// append-only data segments); and the bundle table ([count], then per
-// bundle [lineage][bodyLen][body], where the body is the bundle name,
-// capture epoch, and per-object id/home record/label entries).  Only
-// primary facts are stored: the extent refcounts and the per-segment live
-// counts are derived from these sections at open.
+// bytes); and the segment table (base, size, used triples describing the
+// append-only data segments).  Two entries of the object map may name one
+// extent: that is all an alias is on disk.  Only primary facts are stored:
+// the extent refcounts and the per-segment live counts are derived from
+// these sections at open.
 // format.go holds every one of these layouts and is the only file that
 // reads or writes them.  Checkpoints serialize into the area the superblock
 // does NOT reference, flush, then rewrite both superblock copies with the
@@ -53,31 +52,38 @@
 // walks when verification fails, and the quarantine semantics for damaged
 // object extents.
 //
-// # Snapshot bundles and O(metadata) clones
+// # Aliases
 //
-// A snapshot bundle (bundle.go) captures a set of committed objects by
-// reference: their home extents, contents CRCs, and canonical labels,
-// registered under the lineage ID the kernel gave the snapshot it is
-// persisting — the kernel's hash of what it captured is the one name a
-// snapshot has, and registering a lineage twice is idempotent.
-// CloneObjectLabeled materializes a bundle member under a fresh object ID in
-// O(metadata): the clone's object-map entry aliases the captured extent,
-// and the first rewrite relocates it through the ordinary dirty path
-// (copy-on-write at checkpoint granularity).  The refcount invariants:
-// extRefs counts referents per shared extent (object-map aliases plus
-// bundle pins; absent means one ordinary owner), vacateExtent decrements
-// before freeing, so neither the segment cleaner nor the deferred-free
-// path can reclaim bytes reachable from a live bundle or clone — and
-// segments holding bundle-pinned extents are immovable (bundles record
-// extents by offset), so the cleaner skips them outright.  Durability:
-// the bundle rides a WAL record group-committed before SnapshotBundle
-// returns and enters the metadata snapshot at the next checkpoint;
-// checkpoint finish retains every WAL generation back to the oldest live
-// bundle's capture epoch until two committed snapshots contain that bundle.  A
-// contents-CRC failure on a shared extent, whichever read path finds it,
-// falls on every referent: aliasing objects are quarantined and the bundle
-// entries marked rotted, so later clones fail with a typed QuarantineError
-// instead of silently fanning damaged bytes out.
+// Alias (alias.go) is the one way two object IDs share bytes: the
+// destination becomes an ordinary object whose home is the source's
+// committed extent, in O(metadata) — no data is read or written — and from
+// then on the two are peers: either may be rewritten (the ordinary
+// dirty/relocate path gives it a private extent: copy-on-write at checkpoint
+// granularity) or deleted, and the other keeps reading the shared bytes.  A
+// snapshot, to the store, is nothing more than aliases somebody holds on to;
+// a clone is an alias of one of those; dropping either is Delete.
+//
+// Sharing is tracked by extRefs, a refcount over extents with more than one
+// referent (an absent entry means the single ordinary owner).  vacateExtent
+// consults it first, so neither the deferred-free path nor the segment
+// cleaner can reclaim bytes while any referent lives, and the cleaner leaves
+// a segment holding a shared extent where it is rather than copy the extent
+// out once per referent (see cleanSegments).
+//
+// Durability: an alias is acknowledged once a small self-contained WAL
+// record — destination ID, home record, label — has committed.  It rides the
+// group committer exactly as a sync record does (logged, in groupcommit.go)
+// and, when the log has no room, is made durable by a checkpoint instead,
+// which persists the installed home in the object map.  A record only ever
+// names an extent the committed snapshot holds — an alias asked for while a
+// checkpoint body is open waits the body out — and replay re-aliases it; a
+// record whose extent the loaded snapshot does not hold quarantines the
+// destination: a typed error, never silent bad bytes.
+//
+// Rot: a contents-CRC failure on a shared extent, whichever read path finds
+// it, falls on every referent (condemn, in home.go): all are quarantined, so
+// later aliases of any of them fail with a typed QuarantineError instead of
+// silently fanning damaged bytes out.
 //
 // # Data region: segments
 //
@@ -156,17 +162,17 @@
 //     holds it while verifying those same regions, so scrub never reads a
 //     torn in-progress image.
 //  5. metaMu (RWMutex) guards the home table — the object map and each
-//     object's home record, reached only through the accessors in home.go —
-//     and the bundle table: Get's home lookups take it shared, checkpoint
-//     relocation takes it exclusively per object — never across device
-//     I/O, which is staged outside the lock.
+//     object's home record, reached only through the accessors in home.go:
+//     Get's home lookups take it shared, checkpoint relocation and Alias
+//     take it exclusively per object — never across device I/O, which is
+//     staged outside the lock.
 //  6. allocMu guards the free-extent trees, the segment table, and the
 //     deferred-free list.  Reads never touch it, so lookups never contend
 //     with allocation.
 //  7. The committer's queue mutex (see groupcommit.go) is a leaf below the
-//     entry locks: records — syncs, clones and bundles alike — are sealed
-//     and enqueued under the entry lock so per-object log order matches
-//     seal order.
+//     entry locks: records — syncs and aliases alike — are sealed and
+//     enqueued under the entry lock so per-object log order matches seal
+//     order.
 //
 // Under ckptMu held exclusively (the seal; Format and Open are
 // single-threaded) entry locks are not required: entries are read and
@@ -294,14 +300,10 @@ type Store struct {
 	// shards hold the in-memory object entries, partitioned by object-ID bits.
 	shards [storeShards]storeShard
 
-	// metaMu guards the home table (see home.go) and the bundle table.
+	// metaMu guards the home table (see home.go).
 	metaMu sync.RWMutex
 	objMap *btree.Tree     // object ID → extent offset, the paper's object map
 	homes  map[uint64]home // object ID → home record; same key set as objMap
-	// bundles is the snapshot-bundle table, lineage ID → bundle (see
-	// bundle.go); registered bundles pin their extents via extRefs and are
-	// persisted in the metadata snapshot's bundle section.
-	bundles map[uint64]*Bundle
 
 	// allocMu guards the free-extent trees, the segment table, and the
 	// deferred-free list.
@@ -313,11 +315,11 @@ type Store struct {
 	// has issued; kept on the store, not the stack, so a failed checkpoint
 	// retains them for the next attempt instead of leaking the space.
 	deferredFree []extent
-	// extRefs counts references to shared home extents — object-map aliases
-	// created by CloneObjectLabeled plus bundle pins.  An absent entry means the
-	// ordinary single owner; vacateExtent decrements before freeing, so a
-	// shared extent is reclaimed only when its last referent lets go.
-	// Rebuilt from the object map and bundle table at Open.
+	// extRefs counts the object-map entries naming each shared home extent
+	// (see Alias).  An absent entry means the ordinary single owner;
+	// vacateExtent decrements before freeing, so a shared extent is reclaimed
+	// only when its last referent lets go.  Rebuilt from the object map at
+	// Open.
 	extRefs map[int64]int64
 
 	// The append-only data segments (see segment.go): segs maps base offset
@@ -436,7 +438,6 @@ func Format(d disk.Device, opts Options) (*Store, error) {
 func (s *Store) resetTables() {
 	s.objMap = &btree.Tree{}
 	s.homes = make(map[uint64]home)
-	s.bundles = make(map[uint64]*Bundle)
 	s.freeBySize = &btree.Tree{}
 	s.freeByOff = &btree.Tree{}
 	s.extRefs = make(map[int64]int64)

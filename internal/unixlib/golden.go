@@ -17,12 +17,12 @@ import (
 // and shares every data byte copy-on-write, so spawning a 64 MiB sandbox
 // costs a subtree walk instead of a 64 MiB build.
 //
-// When the system booted with a persistent store, the kernel records
-// snapshots as refcounted store bundles: the segment cleaner never reclaims
-// extents a golden image still pins, every clone validates the bundle first,
-// so a rotted shared extent fails the spawn with a typed error instead of
-// silently fanning bad bytes out to every sandbox, and a sandbox's store
-// objects die with it.
+// When the system booted with a persistent store, a golden image holds
+// store objects of its own — aliases of the baked segments' extents — and a
+// spawn's segments are aliases of those: the store never reclaims an extent
+// a referent still reads and refuses to alias one it has found rotted, so a
+// damaged image fails the spawn with a typed error instead of fanning bad
+// bytes out to every sandbox, and a sandbox's store objects die with it.
 
 // GoldenImage describes one baked sandbox image.
 type GoldenImage struct {

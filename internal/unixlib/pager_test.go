@@ -110,7 +110,7 @@ func TestGoldenMasterStoreObjectsDieWithTheirSegments(t *testing.T) {
 	if err := tc.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	before := st.Stats().LiveObjects
+	before, free := st.Stats().LiveObjects, st.FreeBytes()
 	var master []kernel.ID
 	img, err := sys.BakeGolden("img", nil, func(tc *kernel.ThreadCall, sandbox kernel.ID) error {
 		for i := 0; i < 3; i++ {
@@ -136,8 +136,10 @@ func TestGoldenMasterStoreObjectsDieWithTheirSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Stats().LiveObjects; got != before+6 {
-		t.Fatalf("live store objects with master and clone = %d, want %d", got, before+6)
+	// Three apiece: the master's segments, the clone's, and the snapshot's
+	// hold — aliases under ids of its own, store objects like the rest.
+	if got := st.Stats().LiveObjects; got != before+9 {
+		t.Fatalf("live store objects with master, snapshot and clone = %d, want %d", got, before+9)
 	}
 
 	if err := sys.Kern.DropSnapshot(img.Lineage); err != nil {
@@ -176,6 +178,87 @@ func TestGoldenMasterStoreObjectsDieWithTheirSegments(t *testing.T) {
 	}
 	if got := st.Stats().LiveObjects; got != before {
 		t.Errorf("live store objects after the clone's teardown = %d, want %d as before the bake", got, before)
+	}
+	if got := st.FreeBytes(); got != free {
+		t.Errorf("free bytes after the clone's teardown = %d, want %d as before the bake", got, free)
+	}
+}
+
+// TestSpawnFromRottedGoldenFailsTyped: once the store has found a golden
+// image's shared bytes rotted, a spawn from it fails — with the kernel's
+// ErrCorrupt and the store's own typed error in one chain — and publishes
+// nothing; the image's undamaged siblings would still have spawned, but a
+// sandbox is all of its segments or none.
+func TestSpawnFromRottedGoldenFailsTyped(t *testing.T) {
+	sys, st, _ := bootSysPersist(t)
+	tc := sys.InitThread()
+	root := sys.Kern.RootContainer()
+	pub := label.New(label.L1)
+	marker := bytes.Repeat([]byte("golden-blob-to-rot/"), 200)
+	img, err := sys.BakeGolden("img", nil, func(tc *kernel.ThreadCall, sandbox kernel.ID) error {
+		for _, data := range [][]byte{marker, []byte("an undamaged sibling")} {
+			id, err := tc.SegmentCreate(sandbox, pub, "blob", len(data))
+			if err != nil {
+				return err
+			}
+			if err := tc.SegmentWrite(kernel.CEnt{Container: sandbox, Object: id}, 0, data); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	scratch, err := tc.ContainerCreate(root, pub, "scratch", 0, kernel.QuotaInfinite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.SpawnFromGolden(tc, img, scratch, nil); err != nil {
+		t.Fatalf("spawn from the healthy image: %v", err)
+	}
+	// Flip one bit of the blob where it lies on the device (one extent: the
+	// master, the snapshot's hold and the first sandbox all name it), and let
+	// a scrub find it.
+	d := st.Disk()
+	chunk := make([]byte, 1<<20+len(marker))
+	at := int64(-1)
+	for off := int64(0); off < d.Size() && at < 0; off += 1 << 20 {
+		n, _ := d.ReadAt(chunk[:min(int64(len(chunk)), d.Size()-off)], off)
+		if i := bytes.Index(chunk[:n], marker); i >= 0 {
+			at = off + int64(i)
+		}
+	}
+	if at < 0 {
+		t.Fatal("the blob is nowhere on the device")
+	}
+	if _, err := d.WriteAt([]byte{marker[7] ^ 0x10}, at+7); err != nil {
+		t.Fatal(err)
+	}
+	st.EvictCache()
+	if sc, err := st.Scrub(); err != nil || sc.ObjectsQuarantined != 3 {
+		t.Fatalf("scrub = %+v, %v; want the extent's three referents quarantined", sc, err)
+	}
+	second, err := tc.ContainerCreate(root, pub, "second", 0, kernel.QuotaInfinite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	live := st.Stats().LiveObjects
+	_, err = sys.SpawnFromGolden(tc, img, second, nil)
+	if !errors.Is(err, kernel.ErrCorrupt) || !errors.Is(err, store.ErrQuarantined) {
+		t.Fatalf("spawn from the rotted image: %v; want kernel.ErrCorrupt and store.ErrQuarantined", err)
+	}
+	if ents, err := tc.ContainerList(kernel.Self(second)); err != nil || len(ents) != 0 {
+		t.Errorf("the failed spawn published %v, %v", ents, err)
+	}
+	if err := tc.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Stats().LiveObjects; got != live {
+		t.Errorf("the failed spawn left %d store objects behind", got-live)
 	}
 }
 

@@ -5,7 +5,7 @@
 // — so recovery does not depend on the physical layout chosen later by the
 // extent allocator.
 //
-// # On-disk format (version 5)
+// # On-disk format (version 6)
 //
 // The log occupies a fixed region of the disk.  It starts with a 32-byte
 // header, written by New, Truncate, ReclaimBefore, a compaction and a reseal
@@ -13,7 +13,7 @@
 //
 //	off  size  field
 //	0    4     magic "HWLO" (0x48574c4f, little endian)
-//	4    1     format version (5)
+//	4    1     format version (6)
 //	5    3     reserved (zero)
 //	8    8     generation: 64 random bits; only frames stamped with them
 //	           belong to this log
@@ -50,13 +50,13 @@
 //	8    4     data length
 //	12   2     label length (0 when the object carries no label)
 //	14   1     flags: bit 0 = tombstone, bit 1 = label present,
-//	           bit 2 = generation marker, bit 3 = clone alias,
-//	           bit 4 = snapshot-bundle metadata
+//	           bit 2 = generation marker, bit 3 = clone alias
+//	           (bit 4 is retired: version 5 flagged a record kind with it)
 //	15   4     CRC-32 (IEEE) of bytes 0..15 plus the label and data bytes
 //	19   ...   canonical serialized label (label.AppendBinary), then data
 //
-// Clone and bundle records carry store-defined payloads (see Record), opaque
-// to the log; they cannot combine with each other, tombstones or markers.
+// A clone-alias record carries a store-defined payload (see Record), opaque
+// to the log; it cannot combine with a tombstone or a marker.
 //
 // A generation marker (bit 2, no data, no label) closes a checkpoint
 // generation: the store seals one with AppendMark, the object-ID field
@@ -125,9 +125,6 @@ type Record struct {
 	// the committed extent the object aliases (not object contents), and
 	// Label is the clone's label.
 	Clone bool
-	// Bundle marks a snapshot-bundle metadata record: ObjectID is the
-	// bundle's lineage ID and Data its serialized metadata.
-	Bundle bool
 }
 
 var (
@@ -151,7 +148,7 @@ const (
 	recHeaderSize = 8 + 4 + 2 + 1 + 4 // id, data len, label len, flags, crc
 	logHeaderSize = 32
 	logMagic      = 0x48574c4f // "HWLO"
-	logVersion    = 5
+	logVersion    = 6
 	descSize      = 32
 	frameMagic    = 0x48574652 // "HWFR"
 	frameOverhead = 3 * descSize
@@ -161,7 +158,6 @@ const (
 	flagHasLabel = 1 << 1
 	flagMark     = 1 << 2
 	flagClone    = 1 << 3
-	flagBundle   = 1 << 4
 )
 
 var (
@@ -303,9 +299,6 @@ func appendRecord(f []byte, r Record) []byte {
 	}
 	if r.Clone {
 		hdr[14] |= flagClone
-	}
-	if r.Bundle {
-		hdr[14] |= flagBundle
 	}
 	at := len(f)
 	f = append(append(append(f, hdr[:]...), r.Label...), r.Data...)
@@ -693,14 +686,12 @@ func decodeRecords(buf []byte) ([]Record, error) {
 		nl := int(le.Uint16(buf[12:]))
 		flags := buf[14]
 		switch {
-		case flags&^byte(flagDelete|flagHasLabel|flagMark|flagClone|flagBundle) != 0,
+		case flags&^byte(flagDelete|flagHasLabel|flagMark|flagClone) != 0,
 			(flags&flagHasLabel != 0) != (nl > 0),
 			// A generation marker carries nothing but the flag.
 			flags&flagMark != 0 && (flags != flagMark || nd != 0 || nl != 0),
-			// A clone alias is neither a tombstone, a marker, nor a bundle.
-			flags&flagClone != 0 && flags&(flagDelete|flagMark|flagBundle) != 0,
-			// Bundle metadata carries only its payload: no label, no other flag.
-			flags&flagBundle != 0 && flags != flagBundle,
+			// A clone alias is neither a tombstone nor a marker.
+			flags&flagClone != 0 && flags&(flagDelete|flagMark) != 0,
 			nd < 0 || len(buf) < recHeaderSize+nl+nd:
 			return out, ErrCorrupt
 		}
@@ -713,7 +704,6 @@ func decodeRecords(buf []byte) ([]Record, error) {
 			Delete:   flags&flagDelete != 0,
 			Mark:     flags&flagMark != 0,
 			Clone:    flags&flagClone != 0,
-			Bundle:   flags&flagBundle != 0,
 		}
 		if nd > 0 {
 			r.Data = rec[recHeaderSize+nl:]

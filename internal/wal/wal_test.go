@@ -291,9 +291,9 @@ func TestUnsupportedVersionRefusedWithoutErasure(t *testing.T) {
 		}
 		return img
 	}
-	// Every version but the current one — the retired 0, 2, 3 and 4 as much
-	// as a future 9 — is refused, and the refusal writes nothing.
-	for _, v := range []byte{0, 2, 3, 4, 9} {
+	// Every version but the current one — the retired 0, 2, 3, 4 and 5 as
+	// much as a future 9 — is refused, and the refusal writes nothing.
+	for _, v := range []byte{0, 2, 3, 4, 5, 9} {
 		setVersion(v)
 		before := image()
 		if recs, err := Open(d, 0, region).Recover(); !errors.Is(err, ErrVersion) || len(recs) != 0 {
