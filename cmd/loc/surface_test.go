@@ -32,7 +32,7 @@ var keep = map[string]string{
 	"kernel.ThreadCall.SelfAddressSpace":    "paper system call (self_get_as)",
 	"kernel.ThreadCall.SelfSetAddressSpace": "paper system call (self_set_as)",
 	"kernel.ThreadCall.SetFaultHandler":     "the user-level page-fault upcall of Section 3.4",
-	"kernel.Kernel.DropSnapshot":            "the only way a snapshot's store objects are deleted",
+	"kernel.Kernel.DropSnapshot":            "it deletes its images' store objects: the only way they go",
 
 	// Operator integrity surface.
 	"store.Store.Scrub":              "integrity: the background checksum walk an operator schedules",

@@ -65,16 +65,20 @@
 // (Process.PwritevFsync, Process.FsyncMany) are built on the ring.
 //
 // Container snapshots make sandbox creation O(metadata): the kernel
-// captures a container subtree as an immutable snapshot (segment buffers
-// frozen for copy-on-write) under a deterministic lineage ID that covers
-// contents, and ContainerClone materializes it with fresh object IDs, intra-subtree
-// references rewritten, and per-user categories remapped in every label,
-// sharing all segment data COW until first write.  With a persistent store
-// attached a snapshot is store objects like any others: after a checkpoint
-// the kernel takes an alias of each captured segment under an id of the
-// snapshot's own (store.Alias: two object-map entries naming one refcounted
-// extent, durable through one small WAL record), a clone's segments are
-// aliases of those, and dropping a snapshot deletes them.  A shared extent is
+// captures a container subtree as images — unpublished kernel objects under
+// ids of their own, segment buffers frozen for copy-on-write — registered
+// under a fresh snapshot ID (every capture is a new snapshot), and
+// ContainerClone copies the images the same way and publishes them with
+// fresh object IDs, intra-subtree references moved with them, and per-user
+// categories remapped in every label (a remap that would merge two of one
+// label's categories is refused), sharing all segment data COW until first
+// write.  With a persistent store attached a snapshot is store objects like
+// any others: after a checkpoint each segment image's id names an alias of
+// its master (store.Alias: two object-map entries naming one refcounted
+// extent, durable through one small WAL record each, a call's records
+// committed together — a bake is a checkpoint plus one commit, a spawn one
+// commit), a clone's segments are aliases of those, and dropping a snapshot
+// deletes them.  A shared extent is
 // kept from the segment cleaner and the deferred-free path until its last
 // referent goes, a rotted one quarantines every referent — so a clone of it
 // fails with a typed error rather than propagating silently — and a clone's

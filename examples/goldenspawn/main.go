@@ -43,8 +43,8 @@ func main() {
 		log.Fatal(err)
 	}
 	bake := time.Since(t0)
-	fmt.Printf("baked golden image %q: %d objects, %d MiB, lineage %#x (%v)\n",
-		img.Name, img.Objects, img.Bytes>>20, img.Lineage, bake.Round(time.Millisecond))
+	fmt.Printf("baked golden image %q: %d objects, %d MiB, snapshot %v (%v)\n",
+		img.Name, img.Objects, img.Bytes>>20, img.Snapshot, bake.Round(time.Millisecond))
 
 	spawns, err := tc.ContainerCreate(root, label.New(label.L1), "spawns", 0, kernel.QuotaInfinite)
 	if err != nil {

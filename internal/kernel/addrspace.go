@@ -39,7 +39,7 @@ func (tc *ThreadCall) AddressSpaceCreate(d ID, l label.Label, descrip string) (I
 
 // openAS is the shared front of the calls that change an address space: the
 // invoking thread must be able to modify it (LT ⊑ LA ⊑ LTᴶ) and it must not
-// be immutable.  It returns with the lock set held and the version bumped.
+// be immutable.  It returns with the lock set held.
 func (tc *ThreadCall) openAS(sc syscallID, ce CEnt) (*addressSpace, lockSet, error) {
 	ctx, err := tc.enter(sc)
 	if err != nil {
@@ -53,7 +53,6 @@ func (tc *ThreadCall) openAS(sc syscallID, ce CEnt) (*addressSpace, lockSet, err
 		ls.unlock()
 		return nil, lockSet{}, ErrImmutable
 	}
-	a.bump()
 	return a, ls, nil
 }
 

@@ -279,7 +279,7 @@ func (k *Kernel) objectStatLocked(ctx *tctx, obj object, st *Stat) error {
 // openHeader is the shared front of the three header-flag calls below: enter,
 // open the entry for writing, and check under its lock (a thread's label is
 // mutable) that the invoking thread may modify it.  It returns the header
-// with its version already bumped and the lock set still held.
+// with the lock set still held.
 func (tc *ThreadCall) openHeader(sc syscallID, ce CEnt, refuseImmutable bool) (*header, lockSet, error) {
 	ctx, err := tc.enter(sc)
 	if err != nil {
@@ -299,7 +299,6 @@ func (tc *ThreadCall) openHeader(sc syscallID, ce CEnt, refuseImmutable bool) (*
 		ls.unlock()
 		return nil, lockSet{}, err
 	}
-	h.bump()
 	return h, ls, nil
 }
 

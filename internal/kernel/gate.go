@@ -158,7 +158,6 @@ func (tc *ThreadCall) gateEnterTransfer(t *thread, g *gate, req GateRequest) err
 			t.addressSpace = g.addressSpace
 		}
 		t.localSegment.lbl = label.Intern(req.Label.LowerStar())
-		t.bump()
 		return nil
 	}()
 	ls.unlock()

@@ -85,24 +85,26 @@
 // # Container snapshot and clone (golden images)
 //
 // ContainerSnapshot captures a container subtree — containers, segments,
-// gates, address spaces — as an immutable in-kernel snapshot under a
-// deterministic lineage ID, freezing every captured segment's buffer for
-// copy-on-write (snapshot.go).  ContainerClone materializes a snapshot
-// under a destination container in O(metadata) with these ID-remap rules:
-// every captured object gets a fresh object ID; intra-subtree references
-// (container links, gate entry objects, address-space segment mappings)
-// are rewritten through the old→new map; references that leave the subtree
-// keep their original IDs; and a caller-supplied category remap rewrites
-// labels, clearances, and gate verify labels pair-by-pair — the
-// golden-image pattern maps a template user's ur/uw categories to the
-// spawning user's, with CanAllocate enforced per remapped label, so a
+// gates, address spaces — as images, unpublished kernel objects under ids of
+// their own, registered under a fresh snapshot ID, freezing every captured
+// segment's buffer for copy-on-write (snapshot.go).  ContainerClone copies
+// the images the same way and publishes the copies under a destination
+// container in O(metadata), with these ID-remap rules: every copied object
+// gets a fresh object ID; intra-subtree references (container links, gate
+// address spaces, address-space segment mappings) move with it; references
+// that leave the subtree keep their original IDs; and a caller-supplied
+// category remap rewrites labels, gate labels and gate clearances
+// pair-by-pair — the golden-image pattern maps a template user's ur/uw
+// categories to the spawning user's, with CanAllocate enforced per remapped
+// label and a remap that merges two of one label's categories refused, so a
 // clone can never mint authority its creator could not hold.  Segment data
 // is never copied at clone time: clone and master share the frozen buffer
 // until either side's first write breaks COW for that segment alone.  When
-// a store is attached (Pager, pager.go), a snapshot holds an alias of each
-// captured segment's store object and a clone's segments are aliases of
-// those that die with them; the store refuses to alias rotted bytes, so
-// restoring from a damaged image fails typed instead of fanning them out.
+// a store is attached (Pager, pager.go), each segment image's id names an
+// alias of its master's store object and a clone's segments are aliases of
+// those that die with them, each set made in one Alias call; the store
+// refuses to alias rotted bytes, so restoring from a damaged image fails
+// typed instead of fanning them out.
 // The golden-spawn flow end to end:
 // unixlib.BakeGolden builds and snapshots a template sandbox once;
 // webd's session cache, on a cold login, issues one ContainerClone into
@@ -173,7 +175,7 @@ type Kernel struct {
 	// snapMu guards the container-snapshot registry; snap tallies
 	// snapshot/clone activity (snapshot.go).
 	snapMu    sync.Mutex
-	snapshots map[uint64]*Snapshot
+	snapshots map[ID]*Snapshot
 	snap      snapCounters
 
 	// pager is the store, if one is attached (pager.go); doomed, behind the
@@ -191,7 +193,7 @@ func New(cfg Config) *Kernel {
 		ids:        label.NewAllocator(cfg.Seed ^ 0x9e3779b97f4a7c15),
 		cats:       label.NewAllocator(cfg.Seed),
 		labelCache: label.NewCache(labelCacheEntries),
-		snapshots:  make(map[uint64]*Snapshot),
+		snapshots:  make(map[ID]*Snapshot),
 	}
 	for i := range k.shards {
 		k.shards[i].m = make(map[ID]object)

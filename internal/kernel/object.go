@@ -121,12 +121,9 @@ type header struct {
 	immutable  bool
 	metadata   [MetadataSize]byte
 	refs       int // number of hard links from containers
-	version    uint64
 
 	dead atomic.Bool // deallocated; set under mu, read lock-free
 }
-
-func (h *header) bump() { h.version++ }
 
 // object is implemented by all six kernel object types.
 type object interface {

@@ -20,11 +20,12 @@ type Pager interface {
 	// PageIn makes the object's contents resident; it fails only for damage.
 	PageIn(id uint64) error
 	Delete(id uint64) error
-	// Alias makes dst, an id nothing holds yet, an object sharing src's
-	// checkpointed bytes under lbl, durably and without copying; either is
-	// then rewritten or deleted without the other noticing.  It fails typed
-	// once the bytes have rotted.  Snapshots and clones use it (snapshot.go).
-	Alias(src, dst uint64, lbl label.Label) error
+	// Alias makes each dst[i], an id nothing holds yet, an object sharing
+	// src[i]'s checkpointed bytes under lbls[i], durably and without copying,
+	// in one commit (one error slot per pair); either is then rewritten or
+	// deleted without the other noticing.  A pair fails typed once the bytes
+	// have rotted.  A capture and a clone make one call each (snapshot.go).
+	Alias(src, dst []uint64, lbls []label.Label) []error
 }
 
 // SetPager attaches the store; call once, before the kernel is shared.

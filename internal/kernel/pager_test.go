@@ -3,6 +3,7 @@ package kernel
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -26,10 +27,10 @@ type fakePager struct {
 	pageInErr   error
 	checkpoints int
 
-	aliasSrcs []uint64 // the source of each Alias that succeeded, in order
-	aliasErr  error    // when set, Alias succeeds aliasOK more times and then fails with it
+	aliasSrcs []uint64 // the source of each pair Alias made, in order
+	aliasErr  error    // when set, Alias makes aliasOK more pairs and then fails each with it
 	aliasOK   int
-	onAlias   func() // runs inside every Alias call, no fake lock held
+	onAlias   func() // runs once per pair inside every Alias call, no fake lock held
 }
 
 func newFakePager() *fakePager {
@@ -77,21 +78,34 @@ func (f *fakePager) Checkpoint() error {
 	return nil
 }
 
-func (f *fakePager) Alias(src, dst uint64, lbl label.Label) error {
+// Alias makes the pairs one at a time under one hold of the lock, as the
+// store does under one commit; like the store it refuses a source it does not
+// hold, and like the store it leaves deleting what it made to the caller.
+func (f *fakePager) Alias(src, dst []uint64, lbls []label.Label) []error {
 	if f.onAlias != nil {
-		f.onAlias()
+		for range dst {
+			f.onAlias()
+		}
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.aliasErr != nil {
-		if f.aliasOK == 0 {
-			return f.aliasErr
+	errs := make([]error, len(dst))
+	for i := range dst {
+		data, held := f.data[src[i]]
+		switch {
+		case !held:
+			errs[i] = fmt.Errorf("fake pager: no object %d to alias", src[i])
+		case f.aliasErr != nil && f.aliasOK == 0:
+			errs[i] = f.aliasErr
+		default:
+			if f.aliasErr != nil {
+				f.aliasOK--
+			}
+			f.data[dst[i]], f.labels[dst[i]] = data, lbls[i]
+			f.aliasSrcs = append(f.aliasSrcs, src[i])
 		}
-		f.aliasOK--
 	}
-	f.data[dst], f.labels[dst] = f.data[src], lbl
-	f.aliasSrcs = append(f.aliasSrcs, src)
-	return nil
+	return errs
 }
 
 // TestPagerPushSyncDelete walks one segment through the whole seam: nothing

@@ -134,13 +134,13 @@ func modelExec(entries []RingEntry, segs map[ID][]byte, quota map[ID]uint64, poi
 // persistent on the kernel's own fake pager (a clone is from birth; a plain
 // segment is marked).
 type propEnv struct {
-	k       *Kernel
-	tc      *ThreadCall
-	pager   *fakePager
-	as      CEnt
-	lineage uint64 // 0: plain segments
-	golden  []ID
-	segs    []CEnt
+	k      *Kernel
+	tc     *ThreadCall
+	pager  *fakePager
+	as     CEnt
+	snap   ID // 0: plain segments
+	golden []ID
+	segs   []CEnt
 }
 
 const propSegs, propSegSize = 4, 256
@@ -180,7 +180,7 @@ func newPropEnv(t *testing.T, cloned bool) *propEnv {
 		if err != nil {
 			t.Fatal(err)
 		}
-		env.lineage = info.Lineage
+		env.snap = info.ID
 	}
 	env.fresh(t)
 	return env
@@ -192,7 +192,7 @@ func (env *propEnv) fresh(t *testing.T) {
 	t.Helper()
 	root := env.k.RootContainer()
 	env.segs = env.segs[:0]
-	if env.lineage == 0 {
+	if env.snap == 0 {
 		for i := 0; i < propSegs; i++ {
 			id, err := env.tc.SegmentCreate(root, label.New(label.L1), "prop seg", propSegSize)
 			if err != nil {
@@ -204,7 +204,7 @@ func (env *propEnv) fresh(t *testing.T) {
 			env.segs = append(env.segs, CEnt{root, id})
 		}
 	} else {
-		res, err := env.tc.ContainerClone(env.lineage, root, nil)
+		res, err := env.tc.ContainerClone(env.snap, root, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

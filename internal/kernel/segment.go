@@ -166,7 +166,6 @@ func (s *segment) reshape(k *Kernel, n int, touch bool) error {
 	}
 	s.data = s.data[:n]
 	s.usage = s.footprint()
-	s.bump()
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 
@@ -9,82 +10,56 @@ import (
 
 // Container snapshot/clone: O(metadata) sandbox creation.
 //
-// ContainerSnapshot captures an immutable image of a container subtree —
-// containers, segments, gates, and address spaces, with their labels,
-// quotas, and metadata — identified by a lineage hash over the captured
-// state.  Segment contents are captured BY REFERENCE: the source segment's
-// data slice is frozen (copy-on-write) at capture time, so a snapshot of a
-// 64 MiB sandbox costs a subtree walk, not a 64 MiB copy.
+// ContainerSnapshot captures a container subtree — containers, segments,
+// gates, and address spaces, with their labels, quotas, and metadata — as
+// images: unpublished kernel objects under ids of their own, copied from the
+// live ones by dup and moved to fresh ids by renumber.  No table holds an
+// image and no container links one, so no thread can name or change it.
+// Segment contents are captured BY REFERENCE: the source segment's data slice
+// is frozen (copy-on-write) at capture time, so a snapshot of a 64 MiB
+// sandbox costs a subtree walk, not a 64 MiB copy.  Every capture is a new
+// snapshot, registered under an id of its own.
 //
 // ContainerClone materializes a snapshot as a fresh subtree under a
-// destination container: every object gets a fresh ID (internal references —
-// container entries, address-space mappings, gate address spaces — are
-// remapped), labels are rewritten through a caller-supplied category remap
-// (how a golden image baked with a template user's categories becomes one
-// user's private sandbox), and cloned segments share the frozen data slices
-// COW until first write.  The clone takes object locks only on the
-// destination container, so spawning a sandbox is O(metadata) regardless of
-// how many bytes the image carries.
+// destination container by the same dup and renumber over the images: every
+// object gets a fresh ID (internal references — container entries,
+// address-space mappings, gate address spaces — are moved with it), labels
+// are rewritten through a caller-supplied category remap (how a golden image
+// baked with a template user's categories becomes one user's private
+// sandbox), and cloned segments share the frozen data slices COW until first
+// write.  The clone takes object locks only on the destination container, so
+// spawning a sandbox is O(metadata) regardless of how many bytes the image
+// carries.
 //
 // When a Pager is attached (pager.go), a snapshot's segments become persistent
-// where they stand, the system is checkpointed, and the snapshot takes an
-// alias of each segment's store object under an id of its own — which is what
-// lets the master be rewritten or die.  A clone's segments are aliases of
-// those (persistent from birth: the alias dies with the segment), taken
-// before the clone is published; the store refuses to alias bytes that have
-// rotted, so a clone of a damaged image fails typed instead of sharing them.
+// where they stand, the system is checkpointed, and each segment image's id
+// names an alias of its master's store object, made in one Alias call — which
+// is what lets the master be rewritten or die.  A clone's segments are
+// aliases of the images' (persistent from birth: the alias dies with the
+// segment), made in one call before the clone is published; the store refuses
+// to alias bytes that have rotted, so a clone of a damaged image fails typed
+// instead of sharing them.
 //
 // Threads and devices are skipped by the walk: a snapshot is a passive image
 // (programs, file data, directory segments), and golden images are baked
 // quiescent.  Thread-local segments never appear in containers, so they are
 // never captured.
 
-// snapObject is one captured object image.  Everything is immutable after
-// capture; data aliases the frozen source slice.
-type snapObject struct {
-	id         ID
-	typ        ObjectType
-	version    uint64 // header.version at capture: what the lineage knows of contents
-	lbl        label.Label
-	quota      uint64
-	fixedQuota bool
-	immutable  bool
-	descrip    string
-	metadata   [MetadataSize]byte
-
-	children   []ID     // container: child IDs in insertion order
-	avoidTypes TypeMask // container
-
-	data []byte // segment: frozen, shared
-
-	gateLabel label.Label // gate
-	gateClr   label.Label
-	gateAS    CEnt
-	entry     GateEntry
-	closure   []byte
-
-	mappings []Mapping // address space
-}
-
 // Snapshot is one registered container snapshot.
 type Snapshot struct {
-	lineage uint64
-	name    string
-	root    ID
-	objs    map[ID]*snapObject
-	order   []ID     // walk order, root first (parents before children)
-	types   TypeMask // every captured object type, for the clone's admission
-	bytes   uint64
-	// held is the store objects the snapshot owns, with a pager: an alias of
-	// each captured segment's bytes under a fresh id, in walk order (hold).
-	held []ID
+	id    ID
+	name  string
+	imgs  []object // walk order, root first (parents before children)
+	from  []ID     // from[i] is the master object imgs[i] was copied from
+	types TypeMask // every captured object type, for the clone's admission
+	bytes uint64
 }
 
 // SnapshotInfo is a snapshot's externally visible description.
 type SnapshotInfo struct {
-	// Lineage identifies the snapshot; clones name it.
-	Lineage uint64
-	Name    string
+	// ID identifies the snapshot; clones name it.
+	ID   ID
+	Name string
 	// Root is the ID the snapshotted subtree's root container had.
 	Root ID
 	// Objects counts captured objects; Bytes their total segment data.
@@ -147,103 +122,166 @@ func (k *Kernel) SnapshotStats() SnapshotStats {
 	}
 }
 
-func (s *Snapshot) info() SnapshotInfo {
-	return SnapshotInfo{
-		Lineage: s.lineage,
-		Name:    s.name,
-		Root:    s.root,
-		Objects: len(s.order),
-		Bytes:   s.bytes,
-	}
-}
-
-// DropSnapshot unregisters a snapshot and deletes the store objects it
-// holds.  Live clones are unaffected: their frozen slices keep the shared
-// data alive and their own store aliases keep the shared extents referenced.
-func (k *Kernel) DropSnapshot(lineage uint64) error {
+// DropSnapshot unregisters a snapshot and deletes its images' store objects.
+// Live clones are unaffected: their frozen slices keep the shared data alive
+// and their own store aliases keep the shared extents referenced.
+func (k *Kernel) DropSnapshot(id ID) error {
 	k.snapMu.Lock()
-	snap, ok := k.snapshots[lineage]
-	delete(k.snapshots, lineage)
+	snap, ok := k.snapshots[id]
+	delete(k.snapshots, id)
 	k.snapMu.Unlock()
 	if !ok {
 		return ErrNotFound
 	}
-	k.unalias(snap.held)
+	ids, _ := segments(snap.imgs)
+	k.unalias(ids)
 	return nil
 }
 
-// hold gives a captured snapshot store objects of its own: an alias is of
-// checkpointed bytes, so the system is checkpointed first, then each segment
-// is aliased under a fresh id.  A failure leaves nothing behind.
-func (k *Kernel) hold(snap *Snapshot) error {
-	err := k.pager.Checkpoint()
-	for _, id := range snap.order {
-		if so := snap.objs[id]; so.typ == ObjSegment && err == nil {
-			snap.held = append(snap.held, k.newID())
-			err = k.pager.Alias(uint64(id), uint64(snap.held[len(snap.held)-1]), so.lbl)
+// dup copies o into a new object under o's id that no table holds and no
+// container links: the one per-type copy, made by a capture of a live object
+// (under its lock) and by a clone of an image (which nothing mutates).  A
+// segment's bytes are shared, frozen; links, parent and references still name
+// the old ids, and refs and usage are zero — renumber settles all of them.
+func dup(o object) object {
+	var n object
+	switch v := o.(type) {
+	case *container:
+		n = &container{parent: v.parent, order: v.list(), avoidTypes: v.avoidTypes}
+	case *segment:
+		n = &segment{data: v.data, frozen: true}
+	case *gate:
+		n = &gate{gateLabel: v.gateLabel, clearance: v.clearance, addressSpace: v.addressSpace,
+			entry: v.entry, closureArgs: v.closureArgs}
+	case *addressSpace:
+		n = &addressSpace{mappings: append([]Mapping(nil), v.mappings...)}
+	}
+	h := o.hdr()
+	*n.hdr() = header{id: h.id, objType: h.objType, descrip: h.descrip, lbl: h.lbl, quota: h.quota,
+		fixedQuota: h.fixedQuota, immutable: h.immutable, metadata: h.metadata}
+	return n
+}
+
+// renumber moves dup's copies of a subtree (root first) to fresh ids and
+// every reference among them — container links and parents, a gate's address
+// space, an address space's mappings — with them; a reference leaving the
+// subtree keeps its id, and a link to an object not copied (a thread, a
+// device, one unlinked mid-walk) is dropped.  Counting refs reproduces
+// hard-link structure: an object linked from two copied containers keeps two
+// links, and the root one more, for the link its new home will hold.  Each
+// container is charged its children's quotas, as their creation charged the
+// master, so quota accounting inside a clone matches a from-scratch build.
+func (k *Kernel) renumber(objs []object) {
+	ids := make(map[ID]ID, len(objs))
+	byID := make(map[ID]object, len(objs))
+	for _, o := range objs {
+		byID[o.hdr().id], ids[o.hdr().id] = o, k.newID()
+	}
+	move := func(ce CEnt) CEnt {
+		if n, ok := ids[ce.Container]; ok {
+			ce.Container = n
+		}
+		if n, ok := ids[ce.Object]; ok {
+			ce.Object = n
+		}
+		return ce
+	}
+	for _, o := range objs {
+		switch v := o.(type) {
+		case *container:
+			kids := v.order
+			v.entries, v.order = make(map[ID]bool, len(kids)), nil
+			for _, kid := range kids {
+				if c, ok := byID[kid]; ok {
+					v.link(ids[kid])
+					c.hdr().refs++
+					v.usage += c.hdr().quota // insert adds the object's own footprint
+				}
+			}
+			if p, ok := ids[v.parent]; ok {
+				v.parent = p
+			}
+		case *gate:
+			v.addressSpace = move(v.addressSpace)
+		case *addressSpace:
+			for i := range v.mappings {
+				v.mappings[i].Seg = move(v.mappings[i].Seg)
+			}
 		}
 	}
+	for _, o := range objs {
+		o.hdr().id = ids[o.hdr().id]
+	}
+	objs[0].hdr().refs++
+}
+
+// segments lists the ids and labels of the segments among objs, in order:
+// what the pager is asked to alias or delete.
+func segments(objs []object) (ids []uint64, lbls []label.Label) {
+	for _, o := range objs {
+		if h := o.hdr(); h.objType == ObjSegment {
+			ids, lbls = append(ids, uint64(h.id)), append(lbls, h.lbl)
+		}
+	}
+	return ids, lbls
+}
+
+// alias asks the pager, if there is one, for every pair in one call; any
+// failure deletes every dst of the call, so none is left half made.
+func (k *Kernel) alias(src, dst []uint64, lbls []label.Label) error {
+	if k.pager == nil {
+		return nil
+	}
+	err := errors.Join(k.pager.Alias(src, dst, lbls)...)
 	if err != nil {
-		k.unalias(snap.held)
+		k.unalias(dst)
 	}
 	return err
 }
 
 // unalias deletes store objects no kernel object stands for (a snapshot's
-// hold, an unpublished clone's aliases).  A store that refuses is closed:
+// images, an unpublished clone's aliases).  A store that refuses is closed:
 // there is nothing left to delete from.
-func (k *Kernel) unalias(ids []ID) {
+func (k *Kernel) unalias(ids []uint64) {
 	for _, id := range ids {
-		_ = k.pager.Delete(uint64(id))
+		if k.pager != nil {
+			_ = k.pager.Delete(id)
+		}
 	}
 }
 
-// snapLineage hashes a snapshot's identity-relevant state (FNV-1a): the
-// name, the walk order (which covers the links), and each object's type,
-// size, label and version — every change to a segment's bytes, an address
-// space's mappings or an object's metadata bumps the version, so a rewrite
-// of the same length is a different snapshot.  Object IDs are included, so
-// re-snapshotting an unchanged subtree yields the same lineage while
-// snapshots of distinct subtrees never collide in practice.
-func snapLineage(name string, order []ID, objs map[ID]*snapObject) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= prime
+// capture copies a live object under its own lock; nil means it has died.  A
+// segment is frozen first and, with a pager, made persistent and pushed: a
+// store object from now on, like any persistent segment, which the image
+// aliases and which dies with the segment.
+func (k *Kernel) capture(o object) (object, error) {
+	h := o.hdr()
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if !liveLocked(o) {
+		return nil, nil
+	}
+	if s, ok := o.(*segment); ok {
+		s.frozen = true
+		if k.pager != nil {
+			if !s.persistent {
+				s.persistent, s.dirty = true, true
+			}
+			if err := k.push(s); err != nil {
+				return nil, err
+			}
 		}
 	}
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= prime
-	}
-	for _, id := range order {
-		o := objs[id]
-		mix(uint64(o.id))
-		mix(uint64(o.typ))
-		mix(uint64(len(o.data)))
-		mix(o.version)
-		for _, b := range o.lbl.AppendBinary(nil) {
-			h ^= uint64(b)
-			h *= prime
-		}
-	}
-	if h == 0 {
-		h = 1
-	}
-	return h
+	return dup(o), nil
 }
 
 // ContainerSnapshot captures the subtree rooted at the container named by ce
-// into a registered snapshot (container_snapshot).  The invoking thread must
-// be able to observe every captured object; threads and devices in the
+// into a new registered snapshot (container_snapshot).  The invoking thread
+// must be able to observe every captured object; threads and devices in the
 // subtree are skipped.  Segment data is shared COW from this moment on.
-// With a pager the captured segments become persistent, are pushed as they
-// are captured, and the snapshot then holds an alias of each (hold).
+// With a pager the captured segments become persistent and are pushed as
+// they are captured; after a checkpoint, one Alias call gives every segment
+// image a store object.  A failure registers nothing and leaves no alias.
 func (tc *ThreadCall) ContainerSnapshot(ce CEnt, name string) (SnapshotInfo, error) {
 	ctx, err := tc.enter(scContainerSnapshot)
 	if err != nil {
@@ -255,33 +293,21 @@ func (tc *ThreadCall) ContainerSnapshot(ce CEnt, name string) (SnapshotInfo, err
 		return SnapshotInfo{}, err
 	}
 
-	// Walk the subtree breadth-first, locking ONE object at a time (read
-	// locks for metadata, a write lock on segments to set the frozen flag
-	// and push the frozen bytes to the pager),
-	// so the walk adds no multi-object lock acquisitions to the discipline.
-	// The subtree must be quiescent for a perfectly consistent image — the
+	// Walk the subtree breadth-first, locking ONE object at a time, so the
+	// walk adds no multi-object lock acquisitions to the discipline.  The
+	// subtree must be quiescent for a perfectly consistent image — the
 	// golden-image workflow bakes images before any clone runs — but the
 	// walk itself is safe against concurrent mutation: each object's capture
 	// is atomic under its own lock.
-	objs := make(map[ID]*snapObject)
-	var order []ID
-	var types TypeMask
-	var bytes uint64
-	queue := []ID{root.id}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		if _, seen := objs[id]; seen {
-			continue
-		}
-		o, err := k.lookup(id)
-		if err != nil {
-			if id == root.id {
-				return SnapshotInfo{}, err
-			}
-			continue // unlinked during the walk
+	snap := &Snapshot{id: k.newID(), name: name}
+	seen := make(map[ID]bool)
+	for queue := []ID{root.id}; len(queue) > 0; queue = queue[1:] {
+		o, err := k.lookup(queue[0])
+		if err != nil || seen[queue[0]] {
+			continue // unlinked during the walk, or captured already
 		}
 		h := o.hdr()
+		seen[h.id] = true
 		if h.objType == ObjThread || h.objType == ObjDevice {
 			continue
 		}
@@ -291,294 +317,153 @@ func (tc *ThreadCall) ContainerSnapshot(ce CEnt, name string) (SnapshotInfo, err
 		if !k.canObserveT(ctx.t, ctx.lbl, h.lbl) {
 			return SnapshotInfo{}, ErrLabel
 		}
-		so := &snapObject{id: id, typ: h.objType}
-		seg, isSeg := o.(*segment)
-		if isSeg {
-			h.mu.Lock()
-		} else {
-			h.mu.RLock()
-		}
-		live := !h.dead.Load()
-		if live {
-			so.version = h.version
-			so.lbl = h.lbl
-			so.quota = h.quota
-			so.fixedQuota = h.fixedQuota
-			so.immutable = h.immutable
-			so.descrip = h.descrip
-			so.metadata = h.metadata
-			switch v := o.(type) {
-			case *container:
-				so.children = v.list()
-				so.avoidTypes = v.avoidTypes
-			case *segment:
-				seg.frozen = true
-				so.data = seg.data
-				if k.pager != nil {
-					// A store object from now on, like any persistent
-					// segment: the snapshot aliases what this push hands
-					// over, and the object dies with the segment.
-					if !seg.persistent {
-						seg.persistent, seg.dirty = true, true
-					}
-					err = k.push(seg)
-				}
-			case *gate:
-				so.gateLabel = v.gateLabel
-				so.gateClr = v.clearance
-				so.gateAS = v.addressSpace
-				so.entry = v.entry
-				so.closure = v.closureArgs
-			case *addressSpace:
-				so.mappings = append([]Mapping(nil), v.mappings...)
-			}
-		}
-		if isSeg {
-			h.mu.Unlock()
-		} else {
-			h.mu.RUnlock()
-		}
+		img, err := k.capture(o)
 		if err != nil {
 			return SnapshotInfo{}, fmt.Errorf("kernel: persisting snapshot %q: %w", name, err)
 		}
-		if !live {
-			if id == root.id {
-				return SnapshotInfo{}, ErrNoSuchObject
-			}
+		if img == nil {
 			continue
 		}
-		objs[id] = so
-		order = append(order, id)
-		types |= Mask(so.typ)
-		bytes += uint64(len(so.data))
-		queue = append(queue, so.children...)
-	}
-
-	snap := &Snapshot{
-		name:  name,
-		root:  root.id,
-		objs:  objs,
-		order: order,
-		types: types,
-		bytes: bytes,
-	}
-	snap.lineage = snapLineage(name, order, objs)
-
-	k.snapMu.Lock()
-	if existing, ok := k.snapshots[snap.lineage]; ok {
-		// Identical re-capture (same subtree, same state): idempotent.
-		info := existing.info()
-		k.snapMu.Unlock()
-		return info, nil
-	}
-	k.snapMu.Unlock()
-
-	if k.pager != nil {
-		if err := k.hold(snap); err != nil {
-			return SnapshotInfo{}, fmt.Errorf("kernel: persisting snapshot %q: %w", name, err)
+		snap.imgs, snap.from = append(snap.imgs, img), append(snap.from, h.id)
+		snap.types |= Mask(h.objType)
+		switch v := img.(type) {
+		case *container:
+			queue = append(queue, v.order...)
+		case *segment:
+			snap.bytes += uint64(len(v.data))
 		}
 	}
+	if len(snap.imgs) == 0 {
+		return SnapshotInfo{}, ErrNoSuchObject // the root died before its capture
+	}
 
+	src, _ := segments(snap.imgs)
+	k.renumber(snap.imgs)
+	dst, lbls := segments(snap.imgs)
+	if k.pager != nil {
+		err = k.pager.Checkpoint()
+	}
+	if err == nil {
+		err = k.alias(src, dst, lbls)
+	}
+	if err != nil {
+		return SnapshotInfo{}, fmt.Errorf("kernel: persisting snapshot %q: %w", name, err)
+	}
 	k.snapMu.Lock()
-	existing, raced := k.snapshots[snap.lineage]
-	if !raced {
-		k.snapshots[snap.lineage] = snap
-	}
+	k.snapshots[snap.id] = snap
 	k.snapMu.Unlock()
-	if raced {
-		// An identical capture registered while this one was taking its
-		// hold: one snapshot, so this hold goes.
-		k.unalias(snap.held)
-		return existing.info(), nil
-	}
 	k.snap.snapshots.Add(1)
-	return snap.info(), nil
+	return SnapshotInfo{ID: snap.id, Name: name, Root: root.id, Objects: len(snap.imgs), Bytes: snap.bytes}, nil
 }
 
-// remapLabel rewrites a label's categories through remap.  Pairs() returns a
-// copy, so the source (possibly interned) label is never mutated.
-func remapLabel(l label.Label, remap map[label.Category]label.Category) label.Label {
+// remapLabel rewrites a label's categories through remap; ok is false when
+// two of the label's categories land on one, whose levels would merge into
+// whichever label.New keeps — {a3, b0} under {a→x, b→x} would become {x0}.
+// Pairs() returns a copy, so the source (possibly interned) label is never
+// mutated.
+func remapLabel(l label.Label, remap map[label.Category]label.Category) (label.Label, bool) {
 	if len(remap) == 0 || l.NumExplicit() == 0 {
-		return l
+		return l, true
 	}
 	pairs := l.Pairs()
-	changed := false
 	for i := range pairs {
 		if nc, ok := remap[pairs[i].Category]; ok {
 			pairs[i].Category = nc
-			changed = true
 		}
 	}
-	if !changed {
-		return l
-	}
-	return label.New(l.Default(), pairs...)
+	n := label.New(l.Default(), pairs...)
+	return n, n.NumExplicit() == len(pairs)
 }
 
-// ContainerClone materializes the snapshot with the given lineage as a fresh
-// subtree linked into container dst (container_clone).  Every object gets a
-// fresh ID; labels are rewritten through remap (template-user categories →
-// this clone's user), and the invoking thread must be able to allocate at
-// every rewritten label and to write dst.  Cloned segments share the
-// snapshot's data COW — the call copies no segment bytes.  With a pager
-// attached the clone's segments are aliases of the store objects the
-// snapshot holds, taken before anything is published; if the store will not
-// share them — the bytes have rotted, or it failed — the clone fails with
-// ErrCorrupt and the pager's typed error in the chain.
-func (tc *ThreadCall) ContainerClone(lineage uint64, dst ID, remap map[label.Category]label.Category) (CloneResult, error) {
+// relabel rewrites a cloned object's labels through remap and checks them as
+// creating the object would: the invoking thread must be able to allocate at
+// its label, and a gate's label and clearance must stay within the bounds
+// GateCreate enforces.  A remap that merges two of a label's categories is
+// ErrInvalid.
+func (k *Kernel) relabel(ctx *tctx, o object, remap map[label.Category]label.Category) error {
+	h := o.hdr()
+	lbl, ok := remapLabel(h.lbl, remap)
+	if !ok {
+		return ErrInvalid
+	}
+	if !label.CanAllocate(ctx.lbl, ctx.clearance, lbl) {
+		return ErrLabel
+	}
+	h.lbl = label.Intern(lbl)
+	g, isGate := o.(*gate)
+	if !isGate {
+		return nil
+	}
+	gl, ok := remapLabel(g.gateLabel, remap)
+	clr, ok2 := remapLabel(g.clearance, remap)
+	switch {
+	case !ok || !ok2:
+		return ErrInvalid
+	case !k.leq(ctx.lbl, gl) || !k.leq(gl.LowerStar(), ctx.clearance) || !k.leq(clr, ctx.clearance):
+		return ErrLabel
+	}
+	g.gateLabel, g.clearance = label.Intern(gl), label.Intern(clr)
+	return nil
+}
+
+// ContainerClone materializes snapshot id as a fresh subtree linked into
+// container dst (container_clone).  Every object gets a fresh ID; labels are
+// rewritten through remap (template-user categories → this clone's user),
+// and the invoking thread must be able to allocate at every rewritten label
+// and to write dst.  Cloned segments share the snapshot's data COW — the call
+// copies no segment bytes.  With a pager attached the clone's segments are
+// aliases of the images' store objects, made in one call before anything is
+// published; if the store will not share them — the bytes have rotted, or it
+// failed — the clone fails with ErrCorrupt and the pager's typed error in the
+// chain.
+func (tc *ThreadCall) ContainerClone(id ID, dst ID, remap map[label.Category]label.Category) (CloneResult, error) {
 	ctx, err := tc.enter(scContainerClone)
 	if err != nil {
 		return CloneResult{}, err
 	}
 	k := tc.k
 	k.snapMu.Lock()
-	snap, ok := k.snapshots[lineage]
+	snap, ok := k.snapshots[id]
 	k.snapMu.Unlock()
 	if !ok {
 		return CloneResult{}, ErrNotFound
 	}
-	aliased := k.pager != nil // the snapshot holds store objects, so the clone's segments are aliases of them
 	dest, err := k.admit(&ctx, dst, snap.types)
 	if err != nil {
 		return CloneResult{}, err
 	}
 
-	// Phase 1, no locks: allocate fresh IDs and validate every rewritten
-	// label against the invoking thread's privileges.
-	idMap := make(map[ID]ID, len(snap.order))
-	for _, id := range snap.order {
-		idMap[id] = k.newID()
+	// No locks: nothing mutates an image, and nothing can reach a copy
+	// until it is published.
+	built := make([]object, len(snap.imgs))
+	for i, img := range snap.imgs {
+		built[i] = dup(img)
 	}
-	remapCE := func(ce CEnt) CEnt {
-		if n, ok := idMap[ce.Container]; ok {
-			ce.Container = n
-		}
-		if n, ok := idMap[ce.Object]; ok {
-			ce.Object = n
-		}
-		return ce
-	}
-	labels := make(map[ID]label.Label, len(snap.order))
-	for _, id := range snap.order {
-		so := snap.objs[id]
-		nl := remapLabel(so.lbl, remap)
-		if !label.CanAllocate(ctx.lbl, ctx.clearance, nl) {
-			return CloneResult{}, ErrLabel
-		}
-		labels[id] = nl
-		if so.typ == ObjGate {
-			// Same bounds GateCreate enforces for the rewritten gate label.
-			gl := remapLabel(so.gateLabel, remap)
-			if !k.leq(ctx.lbl, gl) || !k.leq(gl.LowerStar(), ctx.clearance) ||
-				!k.leq(remapLabel(so.gateClr, remap), ctx.clearance) {
-				return CloneResult{}, ErrLabel
-			}
-		}
-	}
-
-	// Phase 2, still no locks: build the whole subtree as unpublished
-	// objects.  Nothing can reach them until they are inserted, so no
-	// object locks are needed; internal references go through idMap.
-	// refCount reproduces hard-link structure: an object linked from two
-	// snapshotted containers keeps two links in the clone.  parentOf maps
-	// each snapshotted container to its snapshotted parent (walk order puts
-	// parents first, so the first link wins, matching the walk).
-	refCount := make(map[ID]int, len(snap.order))
-	parentOf := make(map[ID]ID, len(snap.order))
-	for _, id := range snap.order {
-		so := snap.objs[id]
-		for _, child := range so.children {
-			if _, ok := idMap[child]; !ok {
-				continue
-			}
-			refCount[child]++
-			if _, ok := parentOf[child]; !ok {
-				parentOf[child] = id
-			}
-		}
-	}
-	refCount[snap.root]++ // the link dest will hold
-	var built []object
+	k.renumber(built)
+	built[0].(*container).parent = dst
 	var shared uint64
-	for _, id := range snap.order {
-		so := snap.objs[id]
-		var o object
-		var childQuota uint64
-		switch so.typ {
-		case ObjContainer:
-			nc := &container{entries: make(map[ID]bool), avoidTypes: so.avoidTypes}
-			if id == snap.root {
-				nc.parent = dst
-			} else {
-				nc.parent = idMap[parentOf[id]]
-			}
-			for _, child := range so.children {
-				nid, ok := idMap[child]
-				if !ok {
-					continue // skipped (thread/device) or unlinked mid-walk
-				}
-				nc.link(nid)
-				// Reproduce the charge the child's creation made against
-				// this container, so quota accounting inside the clone
-				// matches a from-scratch build.
-				childQuota += snap.objs[child].quota
-			}
-			o = nc
-		case ObjSegment:
-			ns := &segment{data: so.data, frozen: true, persistent: aliased}
-			shared += uint64(len(so.data))
-			o = ns
-		case ObjGate:
-			o = &gate{
-				gateLabel:    label.Intern(remapLabel(so.gateLabel, remap)),
-				clearance:    label.Intern(remapLabel(so.gateClr, remap)),
-				addressSpace: remapCE(so.gateAS),
-				entry:        so.entry,
-				closureArgs:  so.closure,
-			}
-		case ObjAddressSpace:
-			na := &addressSpace{}
-			for _, m := range so.mappings {
-				m.Seg = remapCE(m.Seg)
-				na.mappings = append(na.mappings, m)
-			}
-			o = na
-		default:
-			continue
+	for _, o := range built {
+		if err := k.relabel(&ctx, o, remap); err != nil {
+			return CloneResult{}, err
 		}
-		h := o.hdr()
-		h.id = idMap[id]
-		h.objType = so.typ
-		h.lbl = label.Intern(labels[id])
-		h.quota = so.quota
-		h.fixedQuota = so.fixedQuota
-		h.immutable = so.immutable
-		h.descrip = so.descrip
-		h.metadata = so.metadata
-		h.refs = refCount[id]
-		h.usage = childQuota // insert adds the object's own footprint
-		built = append(built, o)
-	}
-
-	// Phase 3: store-side aliases, no kernel locks held, while the fresh ids
-	// are still unreachable: once a thread can name a cloned segment it can
-	// write and sync it, and a store object under that id would make the
-	// alias fail.  A failure here, or of the publish below, deletes the
-	// aliases asked for, so callers never see a half-durable sandbox.
-	var made []ID
-	for _, id := range snap.order {
-		if !aliased || snap.objs[id].typ != ObjSegment {
-			continue
-		}
-		src := snap.held[len(made)] // the hold on this, the len(made)'th captured segment
-		made = append(made, idMap[id])
-		if err := k.pager.Alias(uint64(src), uint64(idMap[id]), labels[id]); err != nil {
-			k.unalias(made)
-			return CloneResult{}, fmt.Errorf("%w: cloning snapshot %#x: %w", ErrCorrupt, lineage, err)
+		if s, ok := o.(*segment); ok {
+			s.persistent = k.pager != nil
+			shared += uint64(len(s.data))
 		}
 	}
 
-	// Phase 4: publish under the destination container's lock — the only
+	// Store-side aliases, no kernel locks held, while the fresh ids are
+	// still unreachable: once a thread can name a cloned segment it can write
+	// and sync it, and a store object under that id would make the alias
+	// fail.  A failure here, or of the publish below, deletes the aliases
+	// asked for, so callers never see a half-durable sandbox.
+	src, _ := segments(snap.imgs)
+	made, lbls := segments(built)
+	if err := k.alias(src, made, lbls); err != nil {
+		return CloneResult{}, fmt.Errorf("%w: cloning snapshot %v: %w", ErrCorrupt, id, err)
+	}
+
+	// Publish under the destination container's lock — the only
 	// multi-object-visible step, and the only lock the clone holds.  Walk
 	// order puts the root first.
 	dest.mu.Lock()
@@ -591,8 +476,12 @@ func (tc *ThreadCall) ContainerClone(lineage uint64, dst ID, remap map[label.Cat
 
 	k.snap.clones.Add(1)
 	k.snap.sharedBytes.Add(shared)
+	idMap := make(map[ID]ID, len(built))
+	for i, o := range built {
+		idMap[snap.from[i]] = o.hdr().id
+	}
 	return CloneResult{
-		Root:        idMap[snap.root],
+		Root:        built[0].hdr().id,
 		Objects:     len(built),
 		SharedBytes: shared,
 		IDMap:       idMap,

@@ -78,7 +78,7 @@ func TestSnapshotCloneBasic(t *testing.T) {
 		t.Errorf("snapshot root = %v, want %v", info.Root, sandbox)
 	}
 
-	res, err := tc.ContainerClone(info.Lineage, root, nil)
+	res, err := tc.ContainerClone(info.ID, root, nil)
 	if err != nil {
 		t.Fatalf("ContainerClone: %v", err)
 	}
@@ -156,7 +156,7 @@ func TestMemWriteBreaksCOW(t *testing.T) {
 	}
 	var clones [2]CEnt
 	for i := range clones {
-		res, err := tc.ContainerClone(info.Lineage, root, nil)
+		res, err := tc.ContainerClone(info.ID, root, nil)
 		if err != nil {
 			t.Fatalf("ContainerClone %d: %v", i, err)
 		}
@@ -264,7 +264,7 @@ func TestSnapshotCategoryRemapAndThreadSkip(t *testing.T) {
 		t.Errorf("snapshot objects = %d, want 4 (thread must be skipped)", info.Objects)
 	}
 
-	res, err := tc.ContainerClone(info.Lineage, root,
+	res, err := tc.ContainerClone(info.ID, root,
 		map[label.Category]label.Category{cOld: cNew})
 	if err != nil {
 		t.Fatalf("ContainerClone: %v", err)
@@ -305,11 +305,168 @@ func TestSnapshotCloneLabelEnforcement(t *testing.T) {
 	if _, err := other.ContainerSnapshot(CEnt{root, sandbox}, "steal"); !errors.Is(err, ErrLabel) {
 		t.Errorf("outsider snapshot: err=%v, want ErrLabel", err)
 	}
-	if _, err := other.ContainerClone(info.Lineage, root, nil); !errors.Is(err, ErrLabel) {
+	if _, err := other.ContainerClone(info.ID, root, nil); !errors.Is(err, ErrLabel) {
 		t.Errorf("outsider clone: err=%v, want ErrLabel", err)
 	}
-	if _, err := other.ContainerClone(info.Lineage+1, root, nil); !errors.Is(err, ErrNotFound) {
-		t.Errorf("clone of unknown lineage: err=%v, want ErrNotFound", err)
+	if _, err := other.ContainerClone(info.ID+1, root, nil); !errors.Is(err, ErrNotFound) {
+		t.Errorf("clone of an unknown snapshot: err=%v, want ErrNotFound", err)
+	}
+}
+
+// TestCloneRefusesMergingRemap: a remap that sends two of one label's
+// categories to one category would merge their levels into whichever
+// label.New keeps — {a3, b0, 1} under {a→x, b→x} came out {x0, 1}, readable
+// by every thread — so the clone is refused with ErrInvalid before any alias
+// or publish, for an object label and a gate clearance alike.  A remap whose
+// sources never meet in one label stays legal.
+func TestCloneRefusesMergingRemap(t *testing.T) {
+	k, tc := boot(t)
+	sink := newFakePager()
+	k.SetPager(sink)
+	root := k.RootContainer()
+	var a, b, x label.Category
+	for _, c := range []*label.Category{&a, &b, &x} {
+		var err error
+		if *c, err = tc.CategoryCreate(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	merge := map[label.Category]label.Category{a: x, b: x}
+	pub := label.New(label.L1)
+	capture := func(build func(sandbox ID)) SnapshotInfo {
+		t.Helper()
+		sandbox, err := tc.ContainerCreate(root, pub, "remap sandbox", 0, QuotaInfinite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		build(sandbox)
+		info, err := tc.ContainerSnapshot(CEnt{root, sandbox}, "remap")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return info
+	}
+	segment := func(sandbox ID, lbl label.Label) ID {
+		t.Helper()
+		id, err := tc.SegmentCreate(sandbox, lbl, "secret", 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+
+	merged := capture(func(sandbox ID) { segment(sandbox, label.New(label.L1, label.P(a, label.L3), label.P(b, label.L0))) })
+	gated := capture(func(sandbox ID) {
+		if _, err := tc.GateCreate(sandbox, GateSpec{
+			Label:     pub,
+			Clearance: label.New(label.L2, label.P(a, label.L3), label.P(b, label.L0)),
+			Entry:     func(*GateCallCtx) []byte { return nil },
+		}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for _, info := range []SnapshotInfo{merged, gated} {
+		dst, err := tc.ContainerCreate(root, pub, "dst", 0, QuotaInfinite)
+		if err != nil {
+			t.Fatal(err)
+		}
+		aliases := len(sink.aliasSrcs)
+		if _, err := tc.ContainerClone(info.ID, dst, merge); !errors.Is(err, ErrInvalid) {
+			t.Errorf("clone merging a and b into x: %v, want ErrInvalid", err)
+		}
+		if ents := tc.mustList(t, dst); len(ents) != 0 || len(sink.aliasSrcs) != aliases {
+			t.Errorf("the refused clone published %v and made %d aliases", ents, len(sink.aliasSrcs)-aliases)
+		}
+	}
+
+	var sa, sb ID
+	apart := capture(func(sandbox ID) {
+		sa = segment(sandbox, label.New(label.L1, label.P(a, label.L3)))
+		sb = segment(sandbox, label.New(label.L1, label.P(b, label.L0)))
+	})
+	res, err := tc.ContainerClone(apart.ID, root, merge)
+	if err != nil {
+		t.Fatalf("clone whose merged categories never meet in one label: %v", err)
+	}
+	for seg, want := range map[ID]label.Label{sa: label.New(label.L1, label.P(x, label.L3)), sb: label.New(label.L1, label.P(x, label.L0))} {
+		if st, err := tc.ObjectStat(CEnt{res.Root, res.IDMap[seg]}); err != nil || !st.Label.Equal(want) {
+			t.Errorf("clone of segment %v labelled %v, %v; want %v", seg, st.Label, err, want)
+		}
+	}
+}
+
+// TestDropSnapshotRacesClones is a -race target: eight goroutines clone a
+// snapshot over and over, and once the first clone is done it is dropped
+// under the others.  Each clone either completes and reads the image's bytes
+// or fails with an error, and once every clone is unreferenced the pager
+// holds exactly the master's objects.
+func TestDropSnapshotRacesClones(t *testing.T) {
+	k, tc := boot(t)
+	sink := newFakePager()
+	k.SetPager(sink)
+	root := k.RootContainer()
+	sandbox, segs := buildSandbox(t, tc, root, label.New(label.L1), 2, 128)
+	info, err := tc.ContainerSnapshot(CEnt{root, sandbox}, "dropped")
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := segs[:2] // the third is nested a level down
+	want := make(map[ID][]byte, len(top))
+	for _, id := range top {
+		if want[id], err = tc.SegmentRead(CEnt{sandbox, id}, 0, 128); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const cloners = 8
+	var (
+		wg        sync.WaitGroup
+		mu        sync.Mutex
+		roots     []ID
+		first     sync.Once
+		firstDone = make(chan struct{})
+	)
+	for i := 0; i < cloners; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for {
+				res, err := tc.ContainerClone(info.ID, root, nil)
+				if err != nil {
+					return // dropped: ErrNotFound, or an alias of an image already gone
+				}
+				for _, id := range top {
+					if got, err := tc.SegmentRead(CEnt{res.Root, res.IDMap[id]}, 0, 128); err != nil || !bytes.Equal(got, want[id]) {
+						t.Errorf("cloner %d: clone of segment %v reads %.8x, %v", i, id, got, err)
+					}
+				}
+				mu.Lock()
+				roots = append(roots, res.Root)
+				mu.Unlock()
+				first.Do(func() { close(firstDone) })
+			}
+		}(i)
+	}
+	<-firstDone
+	if err := k.DropSnapshot(info.ID); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	for _, r := range roots {
+		if err := tc.Unref(root, r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	t.Logf("%d clones completed; each of the %d cloners then failed one", len(roots), cloners)
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	if len(sink.data) != len(segs) {
+		t.Errorf("the pager holds %d objects, want the master's %d", len(sink.data), len(segs))
+	}
+	for _, id := range segs {
+		if _, ok := sink.data[uint64(id)]; !ok {
+			t.Errorf("the master's segment %v has no store object", id)
+		}
 	}
 }
 
@@ -327,8 +484,8 @@ func TestPagerValidationAndRollback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ContainerSnapshot: %v", err)
 	}
-	// The snapshot's hold: one checkpoint, then an alias of each master
-	// segment under an id that is no kernel object's.
+	// The snapshot's images: one checkpoint, then an alias of each master
+	// segment under its image's id, which is no published object's.
 	if len(sink.aliasSrcs) != 3 || sink.puts != 3 || sink.checkpoints != 1 {
 		t.Fatalf("the snapshot took %d aliases after %d pushes and %d checkpoints, want 3, 3 and 1", len(sink.aliasSrcs), sink.puts, sink.checkpoints)
 	}
@@ -345,7 +502,7 @@ func TestPagerValidationAndRollback(t *testing.T) {
 		t.Errorf("the pager holds %d objects, want the master's 3 and the snapshot's 3", len(sink.data))
 	}
 
-	res, err := tc.ContainerClone(info.Lineage, root, nil)
+	res, err := tc.ContainerClone(info.ID, root, nil)
 	if err != nil {
 		t.Fatalf("clone with healthy pager: %v", err)
 	}
@@ -369,13 +526,13 @@ func TestPagerValidationAndRollback(t *testing.T) {
 	// shared — and nothing is published or left in the store.
 	before, held := len(tc.mustList(t, root)), len(sink.data)
 	sink.aliasErr = errors.New("extent crc mismatch")
-	if _, err := tc.ContainerClone(info.Lineage, root, nil); !errors.Is(err, ErrCorrupt) || !errors.Is(err, sink.aliasErr) {
+	if _, err := tc.ContainerClone(info.ID, root, nil); !errors.Is(err, ErrCorrupt) || !errors.Is(err, sink.aliasErr) {
 		t.Errorf("clone of rotted bytes: err=%v, want ErrCorrupt wrapping the pager's error", err)
 	}
 	// A failure part way deletes the aliases already made.
 	sink.aliasOK = 2
 	gone := len(sink.gone)
-	if _, err := tc.ContainerClone(info.Lineage, root, nil); !errors.Is(err, ErrCorrupt) {
+	if _, err := tc.ContainerClone(info.ID, root, nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("clone failing at its third alias: %v", err)
 	}
 	if after := len(tc.mustList(t, root)); after != before || len(sink.data) != held {
@@ -392,7 +549,7 @@ func TestPagerValidationAndRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 	aliases := len(sink.aliasSrcs)
-	if _, err := tc.ContainerClone(info.Lineage, tiny, nil); !errors.Is(err, ErrQuota) {
+	if _, err := tc.ContainerClone(info.ID, tiny, nil); !errors.Is(err, ErrQuota) {
 		t.Fatalf("clone into a container too small for it: %v, want ErrQuota", err)
 	}
 	if len(sink.aliasSrcs) != aliases+3 || len(sink.data) != held {
@@ -400,11 +557,15 @@ func TestPagerValidationAndRollback(t *testing.T) {
 	}
 
 	// The master's segments became persistent at capture, so their store
-	// objects die with them like anyone else's; an unchanged recapture pushes
-	// and aliases nothing more.
+	// objects die with them like anyone else's; an unchanged recapture is a
+	// new snapshot that pushes nothing more and aliases each segment again.
 	aliases = len(sink.aliasSrcs)
-	if _, err := tc.ContainerSnapshot(CEnt{root, sandbox}, "sinked"); err != nil || sink.puts != 3 || len(sink.aliasSrcs) != aliases {
-		t.Errorf("recapture: %v, %d pushes and %d aliases in all, want 3 and %d", err, sink.puts, len(sink.aliasSrcs), aliases)
+	re, err := tc.ContainerSnapshot(CEnt{root, sandbox}, "sinked")
+	if err != nil || sink.puts != 3 || len(sink.aliasSrcs) != aliases+3 {
+		t.Errorf("recapture: %v, %d pushes in all and %d new aliases, want 3 and 3", err, sink.puts, len(sink.aliasSrcs)-aliases)
+	}
+	if err := k.DropSnapshot(re.ID); err != nil || len(sink.data) != held {
+		t.Errorf("dropping the recapture: %v, the pager holds %d objects, want %d", err, len(sink.data), held)
 	}
 	if err := tc.Unref(root, sandbox); err != nil {
 		t.Fatal(err)
@@ -412,8 +573,8 @@ func TestPagerValidationAndRollback(t *testing.T) {
 	if len(sink.data) != held-3 {
 		t.Errorf("the pager holds %d objects once the master is gone, want %d", len(sink.data), held-3)
 	}
-	// The snapshot's hold outlives the master and goes with the snapshot.
-	if err := k.DropSnapshot(info.Lineage); err != nil {
+	// The images' store objects outlive the master and go with the snapshot.
+	if err := k.DropSnapshot(info.ID); err != nil {
 		t.Fatal(err)
 	}
 	if len(sink.data) != held-6 {
@@ -446,7 +607,7 @@ func TestCloneAliasesBeforeItPublishes(t *testing.T) {
 			t.Errorf("alias %d: dst already lists %v", calls, ents)
 		}
 	}
-	res, err := tc.ContainerClone(info.Lineage, dst, nil)
+	res, err := tc.ContainerClone(info.ID, dst, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,9 +616,9 @@ func TestCloneAliasesBeforeItPublishes(t *testing.T) {
 	}
 }
 
-// TestSnapshotHoldFailuresAndRaces: a capture that cannot finish its hold
-// leaves no alias behind, and identical captures racing each other leave one
-// snapshot holding one set.
+// TestSnapshotHoldFailuresAndRaces: a capture that cannot alias its images
+// leaves no alias behind, and identical captures racing each other register
+// one snapshot each, every one with its own images' store objects.
 func TestSnapshotHoldFailuresAndRaces(t *testing.T) {
 	k, tc := boot(t)
 	sink := newFakePager()
@@ -469,7 +630,7 @@ func TestSnapshotHoldFailuresAndRaces(t *testing.T) {
 	// the checkpoint, say): no snapshot, and the first alias is deleted.
 	sink.aliasErr, sink.aliasOK = errors.New("object has uncommitted state"), 1
 	if _, err := tc.ContainerSnapshot(CEnt{root, sandbox}, "raced"); !errors.Is(err, sink.aliasErr) {
-		t.Fatalf("capture whose hold fails: %v", err)
+		t.Fatalf("capture whose alias call fails: %v", err)
 	}
 	if st := k.SnapshotStats(); st.Registered != 0 || len(sink.data) != 3 {
 		t.Fatalf("%d snapshots registered, %d store objects; want 0 and the master's 3", st.Registered, len(sink.data))
@@ -493,28 +654,35 @@ func TestSnapshotHoldFailuresAndRaces(t *testing.T) {
 	const racers = 6
 	objects := len(sink.data)
 	var wg sync.WaitGroup
-	lineages := make([]uint64, racers)
-	for i := range lineages {
+	infos := make([]SnapshotInfo, racers)
+	for i := range infos {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			info, err := tc.ContainerSnapshot(CEnt{root, sandbox}, "raced")
-			if err != nil {
+			var err error
+			if infos[i], err = tc.ContainerSnapshot(CEnt{root, sandbox}, "raced"); err != nil {
 				t.Errorf("racer %d: %v", i, err)
 			}
-			lineages[i] = info.Lineage
 		}(i)
 	}
 	wg.Wait()
-	for _, l := range lineages {
-		if l != lineages[0] {
-			t.Fatalf("racing identical captures disagree on the lineage: %#x", lineages)
+	seen := map[ID]bool{}
+	for _, info := range infos {
+		if seen[info.ID] || info.Objects != 5 {
+			t.Errorf("racer's snapshot %v of %d objects: want six distinct snapshots of 5, three of them segments", info.ID, info.Objects)
+		}
+		seen[info.ID] = true
+	}
+	if st := k.SnapshotStats(); st.Registered != racers || len(sink.data) != objects+racers*3 {
+		t.Errorf("%d snapshots hold %d store objects, want %d holding 3 each", st.Registered, len(sink.data)-objects, racers)
+	}
+	for _, info := range infos {
+		if err := k.DropSnapshot(info.ID); err != nil {
+			t.Fatal(err)
 		}
 	}
-	sink.mu.Lock()
-	defer sink.mu.Unlock()
-	if st := k.SnapshotStats(); st.Registered != 1 || len(sink.data) != objects+3 {
-		t.Errorf("%d snapshots hold %d store objects, want 1 holding 3", st.Registered, len(sink.data)-objects)
+	if len(sink.data) != 3 {
+		t.Errorf("the pager holds %d objects once the racers' snapshots are dropped, want the master's 3", len(sink.data))
 	}
 }
 
@@ -585,7 +753,7 @@ func TestGoldenImageAcceptance(t *testing.T) {
 	var clone time.Duration
 	for i := 0; i < 5; i++ {
 		start := time.Now()
-		res, err := tc.ContainerClone(info.Lineage, root, nil)
+		res, err := tc.ContainerClone(info.ID, root, nil)
 		d := time.Since(start)
 		if err != nil {
 			t.Fatalf("ContainerClone: %v", err)
@@ -614,7 +782,9 @@ func TestGoldenImageAcceptance(t *testing.T) {
 		scratch, clone, float64(scratch)/float64(clone), st.SharedBytes>>20, st.CopiedBytes)
 }
 
-func TestSnapshotIdempotentRecapture(t *testing.T) {
+// TestSnapshotRecaptureIsANewSnapshot: capturing an unchanged subtree twice
+// registers two snapshots, each dropped on its own.
+func TestSnapshotRecaptureIsANewSnapshot(t *testing.T) {
 	k, tc := boot(t)
 	root := k.RootContainer()
 	sandbox, _ := buildSandbox(t, tc, root, label.New(label.L1), 1, 64)
@@ -626,17 +796,22 @@ func TestSnapshotIdempotentRecapture(t *testing.T) {
 	if err != nil {
 		t.Fatalf("snapshot 2: %v", err)
 	}
-	if a.Lineage != b.Lineage {
-		t.Errorf("re-capture changed lineage: %#x vs %#x", a.Lineage, b.Lineage)
+	if a.ID == b.ID {
+		t.Errorf("re-capture kept the id %v", a.ID)
 	}
-	if st := k.SnapshotStats(); st.Registered != 1 {
-		t.Errorf("registered = %d, want 1 (idempotent re-capture)", st.Registered)
+	if st := k.SnapshotStats(); st.Registered != 2 {
+		t.Errorf("registered = %d, want 2", st.Registered)
 	}
-	if err := k.DropSnapshot(a.Lineage); err != nil {
-		t.Fatalf("DropSnapshot: %v", err)
-	}
-	if err := k.DropSnapshot(a.Lineage); !errors.Is(err, ErrNotFound) {
-		t.Errorf("double drop: err=%v, want ErrNotFound", err)
+	for i, id := range []ID{a.ID, b.ID} {
+		if err := k.DropSnapshot(id); err != nil {
+			t.Fatalf("DropSnapshot %d: %v", i, err)
+		}
+		if st := k.SnapshotStats(); st.Registered != 1-i {
+			t.Errorf("registered after drop %d = %d, want %d", i, st.Registered, 1-i)
+		}
+		if err := k.DropSnapshot(id); !errors.Is(err, ErrNotFound) {
+			t.Errorf("double drop %d: err=%v, want ErrNotFound", i, err)
+		}
 	}
 }
 
@@ -659,13 +834,13 @@ func TestSnapshotRecaptureSeesRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatalf("snapshot 2: %v", err)
 	}
-	if a.Lineage == b.Lineage {
-		t.Errorf("a same-length rewrite kept the lineage %#x", a.Lineage)
+	if a.ID == b.ID {
+		t.Errorf("a same-length rewrite kept the id %v", a.ID)
 	}
 	if st := k.SnapshotStats(); st.Registered != 2 {
 		t.Errorf("registered = %d, want 2", st.Registered)
 	}
-	res, err := tc.ContainerClone(b.Lineage, root, nil)
+	res, err := tc.ContainerClone(b.ID, root, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -714,7 +889,7 @@ func TestSnapshotCloneConcurrentStress(t *testing.T) {
 					errCh <- err
 					return
 				}
-				res, err := tc.ContainerClone(info.Lineage, dest, nil)
+				res, err := tc.ContainerClone(info.ID, dest, nil)
 				if err != nil {
 					errCh <- err
 					return

@@ -18,7 +18,6 @@ func (tc *ThreadCall) CategoryCreate() (label.Category, error) {
 	t.mu.Lock()
 	t.lbl = label.Intern(t.lbl.With(c, label.Star))
 	t.clearance = label.Intern(t.clearance.With(c, label.L3))
-	t.bump()
 	t.mu.Unlock()
 	return c, nil
 }
@@ -74,7 +73,6 @@ func (tc *ThreadCall) SelfSetLabel(l label.Label) error {
 	}
 	t.lbl = label.Intern(l)
 	t.localSegment.lbl = label.Intern(l.LowerStar())
-	t.bump()
 	return nil
 }
 
@@ -97,7 +95,6 @@ func (tc *ThreadCall) SelfSetClearance(c label.Label) error {
 		return ErrLabel
 	}
 	t.clearance = label.Intern(c)
-	t.bump()
 	return nil
 }
 
@@ -125,7 +122,6 @@ func (tc *ThreadCall) SelfSetAddressSpace(as CEnt) error {
 	t := ctx.t
 	t.mu.Lock()
 	t.addressSpace = as
-	t.bump()
 	t.mu.Unlock()
 	return nil
 }
@@ -180,7 +176,6 @@ func (tc *ThreadCall) ThreadHalt() error {
 	t := ctx.t
 	t.mu.Lock()
 	t.halted = true
-	t.bump()
 	t.mu.Unlock()
 	return nil
 }
@@ -342,6 +337,5 @@ func (tc *ThreadCall) GrantOwnership(target ID, c label.Category) error {
 	}
 	vt.lbl = label.Intern(vt.lbl.With(c, label.Star))
 	vt.clearance = label.Intern(vt.clearance.With(c, label.L3))
-	vt.bump()
 	return nil
 }

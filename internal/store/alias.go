@@ -23,31 +23,36 @@ var (
 	ErrCloneExists = errors.New("store: clone destination already exists")
 )
 
-// Alias creates object dst as an O(metadata) copy of src under the label
-// lbl: dst's home is src's committed home extent, the share is counted in
-// extRefs, and the alias is durable when the call returns.  src must be
-// clean (ErrNotCommitted), present (ErrNoSuchObject) and undamaged
-// (QuarantineError); dst must not exist (ErrCloneExists).
+// Alias creates each object dst[i] as an O(metadata) copy of src[i] under the
+// label lbls[i]: its home is src[i]'s committed home extent, the share is
+// counted in extRefs, and every alias is durable — one record each, all
+// committed together — when the call returns, with one error slot per pair.
+// A source must be clean (ErrNotCommitted), present (ErrNoSuchObject) and
+// undamaged (QuarantineError); a destination must not exist (ErrCloneExists).
 //
 // An alias record only ever names an extent the committed snapshot already
 // holds: replay re-aliases by offset, and only the snapshot it replays onto
 // can vouch for what lies there.  The home table in memory runs ahead of the
 // committed one while a checkpoint body is open (it relocates, the cleaner
-// moves) and after a body failed, so in that state nothing is installed or
-// logged: the call takes logged's checkpoint fallback — which waits the open
-// body out — and seals again.  While it seals, ckptMu in read mode keeps the
-// next body from opening, so aliases and the cleaner never meet.
-func (s *Store) Alias(src, dst uint64, lbl label.Label) error {
+// moves) and after a body failed, so in that state — judged once, at the
+// first pair — nothing is installed or logged: the call takes logged's
+// checkpoint fallback, which waits the open body out, and seals again.
+// While it seals, ckptMu in read mode keeps the next body from opening, so
+// aliases and the cleaner never meet.
+func (s *Store) Alias(src, dst []uint64, lbls []label.Label) []error {
 	for {
-		settled := false
-		err := s.logged(1, func(int) (*syncTicket, error) {
-			if settled = s.sealSeq.Load() == s.completedSeal.Load(); !settled {
+		settled := len(dst) == 0
+		errs := s.logged(len(dst), func(i int) (*syncTicket, error) {
+			if i == 0 {
+				settled = s.sealSeq.Load() == s.completedSeal.Load()
+			}
+			if !settled {
 				return nil, errRetryCheckpoint
 			}
-			return s.sealAlias(src, dst, lbl)
-		})[0]
-		if settled || err != nil {
-			return err
+			return s.sealAlias(src[i], dst[i], lbls[i])
+		})
+		if settled || errs[0] != nil {
+			return errs
 		}
 	}
 }

@@ -38,9 +38,15 @@ func aliasPayload(id uint64, n int) []byte {
 	return b
 }
 
+// alias1 is an Alias call of one pair, for the tests that make them one at a
+// time.
+func alias1(s *Store, src, dst uint64, lbl label.Label) error {
+	return s.Alias([]uint64{src}, []uint64{dst}, []label.Label{lbl})[0]
+}
+
 func mustAlias(t *testing.T, s *Store, src, dst uint64, lbl label.Label) {
 	t.Helper()
-	if err := s.Alias(src, dst, lbl); err != nil {
+	if err := alias1(s, src, dst, lbl); err != nil {
 		t.Fatalf("Alias(%d, %d): %v", src, dst, err)
 	}
 }
@@ -114,6 +120,44 @@ func TestBundleSnapshotCloneBasic(t *testing.T) {
 	}
 }
 
+// TestAliasBatchIsOneCommit: one Alias call of many pairs is one WAL commit,
+// and each pair answers in its own slot: a refused pair fails typed while the
+// others of its call are made.
+func TestAliasBatchIsOneCommit(t *testing.T) {
+	s, _ := testStore(t)
+	for i := uint64(1); i <= 3; i++ {
+		if err := s.PutLabeled(i, rotLabel(i), aliasPayload(i, 512)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	commits := s.WALStats().Commits
+	lbls := []label.Label{rotLabel(4), rotLabel(5), rotLabel(6)}
+	if errs := s.Alias([]uint64{1, 2, 3}, []uint64{11, 12, 13}, lbls); errors.Join(errs...) != nil || len(errs) != 3 {
+		t.Fatalf("a batch of three aliases: %v", errs)
+	}
+	if got := s.WALStats().Commits - commits; got != 1 {
+		t.Errorf("a batch of three aliases took %d commits, want 1", got)
+	}
+	for i := uint64(1); i <= 3; i++ {
+		if got, err := s.Get(10 + i); err != nil || !bytes.Equal(got, aliasPayload(i, 512)) {
+			t.Errorf("alias %d = %d bytes, %v", 10+i, len(got), err)
+		}
+	}
+	errs := s.Alias([]uint64{1, 99}, []uint64{21, 22}, lbls[:2])
+	if errs[0] != nil || !errors.Is(errs[1], ErrNoSuchObject) {
+		t.Errorf("a batch with a missing source: %v, want nil and ErrNoSuchObject", errs)
+	}
+	if _, err := s.Get(21); err != nil {
+		t.Errorf("the good pair of a batch with a bad one: %v", err)
+	}
+	if errs := s.Alias(nil, nil, nil); len(errs) != 0 {
+		t.Errorf("an empty batch: %v", errs)
+	}
+}
+
 func TestBundleCaptureRejections(t *testing.T) {
 	s, _ := testStore(t)
 	pub := label.New(label.L1)
@@ -121,10 +165,10 @@ func TestBundleCaptureRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Missing source; a source that was never checkpointed.
-	if err := s.Alias(99, 50, pub); !errors.Is(err, ErrNoSuchObject) {
+	if err := alias1(s, 99, 50, pub); !errors.Is(err, ErrNoSuchObject) {
 		t.Fatalf("alias of a missing object = %v", err)
 	}
-	if err := s.Alias(1, 50, pub); !errors.Is(err, ErrNotCommitted) {
+	if err := alias1(s, 1, 50, pub); !errors.Is(err, ErrNotCommitted) {
 		t.Fatalf("alias of a never-checkpointed object = %v", err)
 	}
 	// Dirty source: what a writer racing the caller's checkpoint looks like.
@@ -134,7 +178,7 @@ func TestBundleCaptureRejections(t *testing.T) {
 	if err := s.Put(1, []byte("dirty again")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Alias(1, 50, pub); !errors.Is(err, ErrNotCommitted) {
+	if err := alias1(s, 1, 50, pub); !errors.Is(err, ErrNotCommitted) {
 		t.Fatalf("alias of a dirty object = %v", err)
 	}
 	if err := s.Checkpoint(); err != nil {
@@ -144,7 +188,7 @@ func TestBundleCaptureRejections(t *testing.T) {
 	if err := s.Put(50, []byte("here first")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Alias(1, 50, pub); !errors.Is(err, ErrCloneExists) {
+	if err := alias1(s, 1, 50, pub); !errors.Is(err, ErrCloneExists) {
 		t.Fatalf("alias onto an occupied id = %v", err)
 	}
 	if err := s.Checkpoint(); err != nil {
@@ -152,7 +196,7 @@ func TestBundleCaptureRejections(t *testing.T) {
 	}
 	s.EvictCache()
 	for _, dst := range []uint64{50, 1} {
-		if err := s.Alias(1, dst, pub); !errors.Is(err, ErrCloneExists) {
+		if err := alias1(s, 1, dst, pub); !errors.Is(err, ErrCloneExists) {
 			t.Fatalf("alias onto committed id %d = %v", dst, err)
 		}
 	}
@@ -161,7 +205,7 @@ func TestBundleCaptureRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	for round := 0; round < 2; round++ {
-		if err := s.Alias(1, 60, pub); !errors.Is(err, ErrNoSuchObject) {
+		if err := alias1(s, 1, 60, pub); !errors.Is(err, ErrNoSuchObject) {
 			t.Fatalf("alias of a deleted object (round %d) = %v", round, err)
 		}
 		if err := s.Checkpoint(); err != nil {
@@ -381,7 +425,7 @@ func TestCloneRecordRidesTheCommitter(t *testing.T) {
 			over := label.New(label.L1, label.P(label.Category(9), label.L0))
 			s.holdGroupCommit()
 			done := make(chan error, 2)
-			go func() { done <- s.Alias(1, 2, over) }()
+			go func() { done <- alias1(s, 1, 2, over) }()
 			queued := 1
 			if tc.crowd > 0 {
 				go func() { done <- s.SyncObject(51) }()
@@ -494,7 +538,7 @@ func TestAliasWaitsOutAnOpenBody(t *testing.T) {
 		go func() { ckptDone <- s.Checkpoint() }()
 		<-entered
 		aliasDone := make(chan error, 1)
-		go func() { aliasDone <- s.Alias(1, 2, rotLabel(2)) }()
+		go func() { aliasDone <- alias1(s, 1, 2, rotLabel(2)) }()
 		select {
 		case err := <-aliasDone:
 			t.Fatalf("Alias returned (%v) while a checkpoint body was open", err)
@@ -556,7 +600,7 @@ func TestAliasRecordWithoutAnchorQuarantines(t *testing.T) {
 	if _, err := s2.Get(2); !errors.As(err, &qe) || qe.ID != 2 || !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("alias whose extent no loaded object holds = %v; want a QuarantineError for object 2", err)
 	}
-	if err := s2.Alias(2, 3, rotLabel(3)); !errors.Is(err, ErrQuarantined) {
+	if err := alias1(s2, 2, 3, rotLabel(3)); !errors.Is(err, ErrQuarantined) {
 		t.Fatalf("alias of the quarantined destination = %v", err)
 	}
 }
@@ -661,7 +705,7 @@ func runAliasWorkload(t *testing.T, s *Store, m *refModel) bool {
 		return objState{exists: true, data: aliasPayload(i, 900+int(i)), lbl: rotLabel(i), hasLabel: true}
 	}
 	alias := func(from, to, of uint64) bool {
-		if fault(s.Alias(from, to, rotLabel(of))) {
+		if fault(alias1(s, from, to, rotLabel(of))) {
 			return true
 		}
 		m.push(to, src(of))
@@ -748,7 +792,7 @@ func verifyAliasRecovery(t *testing.T, dev disk.Device, m *refModel, point strin
 	if _, err := s.Get(56); errors.Is(err, ErrNoSuchObject) {
 		return // crashed before the hold on 6 was acknowledged
 	}
-	if err := s.Alias(56, 900, rotLabel(6)); err != nil {
+	if err := alias1(s, 56, 900, rotLabel(6)); err != nil {
 		t.Errorf("%s: alias of the recovered hold: %v", point, err)
 		return
 	}
@@ -880,7 +924,7 @@ func testSharedExtentRot(t *testing.T, firstTouch func(*Store)) {
 	}
 	// Further aliases of any referent refuse, typed, and leave nothing.
 	for _, src := range []uint64{51, 1, 12} {
-		if err := s2.Alias(src, 14, rotLabel(1)); !errors.Is(err, ErrQuarantined) || !errors.Is(err, ErrCorrupt) {
+		if err := alias1(s2, src, 14, rotLabel(1)); !errors.Is(err, ErrQuarantined) || !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("alias of rotted referent %d = %v", src, err)
 		}
 	}

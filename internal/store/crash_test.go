@@ -188,7 +188,7 @@ func genWorkloadIn(r *rand.Rand, n int, base uint64, span int) []wlOp {
 // the same (a torn frame whose payload landed whole replays), so it is a
 // state the destination may be found in, not one it must.
 func applyAlias(s *Store, op wlOp, m *refModel) error {
-	err := s.Alias(op.src, op.id, op.lbl)
+	err := alias1(s, op.src, op.id, op.lbl)
 	switch {
 	case errors.Is(err, ErrNotCommitted), errors.Is(err, ErrNoSuchObject), errors.Is(err, ErrCloneExists):
 		return nil

@@ -60,10 +60,10 @@ func formatImageWorkload(t *testing.T, s *Store) {
 	// each of four objects — and a clone of two of those.
 	must(s.Checkpoint())
 	for id := uint64(3); id <= 6; id++ {
-		must(s.Alias(id, 60+id, rotLabel(id%5)))
+		must(alias1(s, id, 60+id, rotLabel(id%5)))
 	}
-	must(s.Alias(63, 100, rotLabel(3)))
-	must(s.Alias(64, 101, rotLabel(6)))
+	must(alias1(s, 63, 100, rotLabel(3)))
+	must(alias1(s, 64, 101, rotLabel(6)))
 	for id := uint64(20); id <= 30; id++ {
 		must(s.PutLabeled(id, rotLabel(id%7), payload()))
 	}

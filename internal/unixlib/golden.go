@@ -17,19 +17,20 @@ import (
 // and shares every data byte copy-on-write, so spawning a 64 MiB sandbox
 // costs a subtree walk instead of a 64 MiB build.
 //
-// When the system booted with a persistent store, a golden image holds
-// store objects of its own — aliases of the baked segments' extents — and a
-// spawn's segments are aliases of those: the store never reclaims an extent
-// a referent still reads and refuses to alias one it has found rotted, so a
+// When the system booted with a persistent store, a golden image's segment
+// images are store objects of their own — aliases of the baked segments'
+// extents, made in one call at the bake — and a spawn's segments are aliases
+// of those, made in one call per spawn: the store never reclaims an extent a
+// referent still reads and refuses to alias one it has found rotted, so a
 // damaged image fails the spawn with a typed error instead of fanning bad
 // bytes out to every sandbox, and a sandbox's store objects die with it.
 
 // GoldenImage describes one baked sandbox image.
 type GoldenImage struct {
-	// Name is the label the image was baked under; Lineage identifies the
+	// Name is the label the image was baked under; Snapshot identifies the
 	// kernel snapshot clones name.
-	Name    string
-	Lineage uint64
+	Name     string
+	Snapshot kernel.ID
 	// Root is the baked template subtree's root container (still linked
 	// under the kernel root container; it is the master copy).
 	Root kernel.ID
@@ -105,7 +106,7 @@ func (sys *System) BakeGolden(name string, tmpl *User, build func(tc *kernel.Thr
 	}
 	return &GoldenImage{
 		Name:     name,
-		Lineage:  info.Lineage,
+		Snapshot: info.ID,
 		Root:     sandbox,
 		Template: tmpl,
 		Objects:  info.Objects,
@@ -135,7 +136,7 @@ func (sys *System) SpawnFromGolden(tc *kernel.ThreadCall, img *GoldenImage, dst 
 			img.Template.Uw: u.Uw,
 		}
 	}
-	res, err := tc.ContainerClone(img.Lineage, dst, remap)
+	res, err := tc.ContainerClone(img.Snapshot, dst, remap)
 	if err != nil {
 		return kernel.CloneResult{}, fmt.Errorf("spawning from golden image %q: %w", img.Name, err)
 	}

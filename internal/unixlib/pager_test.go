@@ -137,12 +137,13 @@ func TestGoldenMasterStoreObjectsDieWithTheirSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Three apiece: the master's segments, the clone's, and the snapshot's
-	// hold — aliases under ids of its own, store objects like the rest.
+	// segment images — aliases under ids of their own, store objects like
+	// the rest.
 	if got := st.Stats().LiveObjects; got != before+9 {
 		t.Fatalf("live store objects with master, snapshot and clone = %d, want %d", got, before+9)
 	}
 
-	if err := sys.Kern.DropSnapshot(img.Lineage); err != nil {
+	if err := sys.Kern.DropSnapshot(img.Snapshot); err != nil {
 		t.Fatal(err)
 	}
 	if err := tc.Unref(root, img.Root); err != nil {
@@ -184,6 +185,45 @@ func TestGoldenMasterStoreObjectsDieWithTheirSegments(t *testing.T) {
 	}
 }
 
+// TestGoldenBakeAndSpawnCommits: a bake is one checkpoint and one alias
+// commit for all of its segments, and a spawn one commit — not one per
+// segment, every commit a flush.
+func TestGoldenBakeAndSpawnCommits(t *testing.T) {
+	sys, st, _ := bootSysPersist(t)
+	tc := sys.InitThread()
+	root := sys.Kern.RootContainer()
+	pub := label.New(label.L1)
+	if err := tc.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	ckpts, commits := st.Stats().Checkpoints, st.WALStats().Commits
+	img, err := sys.BakeGolden("img", nil, func(tc *kernel.ThreadCall, sandbox kernel.ID) error {
+		for i := 0; i < 3; i++ {
+			id, err := tc.SegmentCreate(sandbox, pub, "blob", 4096)
+			if err != nil {
+				return err
+			}
+			if err := tc.SegmentWrite(kernel.CEnt{Container: sandbox, Object: id}, 0, bytes.Repeat([]byte{byte('a' + i)}, 4096)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, w := st.Stats().Checkpoints-ckpts, st.WALStats().Commits-commits; c != 1 || w != 2 {
+		t.Errorf("baking 3 segments: %d checkpoints and %d WAL commits, want 1 and 2 (the seal marker, one alias frame)", c, w)
+	}
+	commits = st.WALStats().Commits
+	if _, err := sys.SpawnFromGolden(tc, img, root, nil); err != nil {
+		t.Fatal(err)
+	}
+	if w := st.WALStats().Commits - commits; w != 1 {
+		t.Errorf("a spawn of 3 segments: %d WAL commits, want 1", w)
+	}
+}
+
 // TestSpawnFromRottedGoldenFailsTyped: once the store has found a golden
 // image's shared bytes rotted, a spawn from it fails — with the kernel's
 // ErrCorrupt and the store's own typed error in one chain — and publishes
@@ -218,7 +258,7 @@ func TestSpawnFromRottedGoldenFailsTyped(t *testing.T) {
 		t.Fatalf("spawn from the healthy image: %v", err)
 	}
 	// Flip one bit of the blob where it lies on the device (one extent: the
-	// master, the snapshot's hold and the first sandbox all name it), and let
+	// master, the snapshot's image and the first sandbox all name it), and let
 	// a scrub find it.
 	d := st.Disk()
 	chunk := make([]byte, 1<<20+len(marker))
