@@ -11,8 +11,8 @@
 // the 64-bit fingerprint (and the fingerprint of the raised superscript-J
 // form) computed once at construction — so ⊑ and ⊔ are linear merges (⊑
 // allocation-free), access-check caching is a pair of stored
-// field reads, and hot labels are interned down to one shared
-// pointer-comparable instance.  The kernel's comparison cache is sharded by
+// field reads, and hot labels are interned so that equal labels share one
+// backing array.  The kernel's comparison cache is sharded by
 // fingerprint bits with per-shard eviction, and the single-level store
 // persists labels in the same canonical serialized form.
 //
@@ -61,8 +61,8 @@
 // All OpSync entries in a batch are pushed to the store and committed as one
 // pre-formed SyncObjects group, which the group committer turns into dense
 // log batches: ⌈N/GroupCommitRecords⌉ flushes for N syncs instead of N.  The Unix
-// library's readdir scan and its multi-file writev/fsync fan-out
-// (Process.PwritevFsync, Process.FsyncMany) are built on the ring.
+// library's multi-file writev/fsync fan-out (Process.PwritevFsync,
+// Process.FsyncMany) is built on the ring.
 //
 // Container snapshots make sandbox creation O(metadata): the kernel
 // captures a container subtree as images — unpublished kernel objects under
@@ -109,10 +109,12 @@
 //
 // The library states each of its recurring jobs once.  A directory changes
 // only through editDir (internal/unixlib/dirseg.go: take the mutex word, one
-// read of the segment, write the entries back, release mutex, generation and
-// busy flag with one write), which create, mkdir, unlink and both kinds of
-// rename are closures over.  A file's bytes move through readAt and writeAt
-// (read; write with the quota retry, mtime).
+// read of the segment, write the entries back, release the mutex and publish
+// the count with one write, wake every sleeper), which create, mkdir, unlink
+// and both kinds of rename are closures over; a directory is read by readDir,
+// one read of the segment that is kept when its mutex word is clear and
+// otherwise repeated after a sleep on that word's futex.  A file's bytes move
+// through readAt and writeAt (read; write with the quota retry, mtime).
 //
 // There is one persistence path, and it is the kernel's (Sections 3 and 4:
 // the single-level store is the kernel's own, and a sync is a system call).

@@ -115,9 +115,9 @@
 // read locks, so they proceed in parallel across — and within — shards.
 // Mutating syscalls take write locks only on the objects they mutate.
 // Threads own a small lock-free L1 in front of the sharded label-comparison
-// cache (thread labels are interned and pointer-stable, and the L1 is keyed
-// by both labels' fingerprints, so entries self-invalidate when the thread's
-// label changes); a hot canObserve check touches no mutex at all.
+// cache (the L1 is keyed by both labels' fingerprints, not by pointers, so
+// entries self-invalidate when the thread's label changes, whatever array
+// backs it); a hot canObserve check touches no mutex at all.
 package kernel
 
 import (

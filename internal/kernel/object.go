@@ -292,8 +292,6 @@ func (g *gate) footprint() uint64 { return 256 + uint64(len(g.closureArgs)) }
 type device struct {
 	header
 	mac      [6]byte
-	txBufs   [][]byte
-	rxBufs   [][]byte
 	rxQueue  [][]byte
 	waitCh   chan struct{}
 	txNotify func(pkt []byte)

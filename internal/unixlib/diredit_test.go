@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"histar/internal/disk"
 	"histar/internal/kernel"
@@ -15,15 +16,14 @@ import (
 
 // TestDirEditSyscallBudget pins what the directory calls cost in kernel
 // calls, so a re-read or re-write of a word the caller already holds fails
-// here rather than in a benchmark.  One directory edit is 7 calls —
-// compare-and-swap, busy, read, resize, the write of the bytes that changed,
-// the one-write unlock that carries the count, wake — plus what the edit
-// creates; resolving one path component is one ring batch
-// of three reads (4 calls), opening a descriptor is 3, and asking for the
-// default label is 1.  With a store the edit itself costs the same 7 (the
-// kernel carries the directory segment to the store, at the next sync); what
-// is added is the one call that marks a new file's or directory's segment
-// persistent.
+// here rather than in a benchmark.  One directory edit is 6 calls —
+// compare-and-swap, read, resize, the write of the bytes that changed, the
+// one-write unlock that carries the count, wake — plus what the edit creates;
+// resolving one path component is one read of the directory's segment,
+// opening a descriptor is 3, and asking for the default label is 1.  With a
+// store the edit itself costs the same 6 (the kernel carries the directory
+// segment to the store, at the next sync); what is added is the one call that
+// marks a new file's or directory's segment persistent.
 func TestDirEditSyscallBudget(t *testing.T) {
 	t.Run("no store", func(t *testing.T) { dirEditSyscallBudget(t, bootSys(t), 0) })
 	t.Run("store", func(t *testing.T) {
@@ -48,10 +48,10 @@ func dirEditSyscallBudget(t *testing.T, sys *System, persist uint64) {
 		}
 	}
 	const (
-		edit    = 7
-		resolve = 3 * 4 // "/", "tmp", "a" or "b": one 3-read ring batch each
-		openFD  = 3     // the thread's label, descriptor segment create + write
-		deflt   = 1     // the thread's label, for the default file label
+		edit    = 6
+		resolve = 3 // "/", "tmp", "a" or "b": one read each
+		openFD  = 3 // the thread's label, descriptor segment create + write
+		deflt   = 1 // the thread's label, for the default file label
 	)
 	var fd int
 	for _, c := range []struct {
@@ -202,9 +202,9 @@ func TestUnlinkDirectoryDeletesItsStoreObject(t *testing.T) {
 	}
 }
 
-// TestReadDirConsistentDuringEdits exercises the generation protocol under
-// the one-write unlock: a reader that may read a directory but not write it
-// (so it cannot take the mutex) lists it while the owner creates and unlinks,
+// TestReadDirConsistentDuringEdits exercises the mutex word as a reader's
+// only check: a reader that may read a directory but not write it (so it
+// cannot take the mutex) lists it while the owner creates and unlinks,
 // and every listing must be a state the directory really was in while the
 // listing ran — distinct names from the expected set, exactly as many as
 // that state held, never a torn mix of two states.  A second reader resolves
@@ -340,4 +340,104 @@ func TestReadDirConsistentDuringEdits(t *testing.T) {
 		}
 	}
 	t.Logf("%d listings against %d edits", listings, edits)
+}
+
+// TestReadDirWaitsForHeldWriter: a reader that finds a writer holding the
+// directory's mutex sleeps until the unlock, however long the writer takes,
+// and then lists the state the edit left — never the bytes it read while the
+// writer held the directory.  A second writer queued behind the same mutex
+// must finish too: readers and writers sleep on one futex word, so an unlock
+// that woke only one sleeper could wake the reader and strand the writer.
+func TestReadDirWaitsForHeldWriter(t *testing.T) {
+	sys := bootSys(t)
+	var procs [3]*Process // the owner, a second process of hers, a reader
+	for i, user := range []string{"alice", "alice", "bob"} {
+		p, err := sys.NewInitProcess(user)
+		if err != nil {
+			t.Fatal(err)
+		}
+		procs[i] = p
+	}
+	owner, second, reader := procs[0], procs[1], procs[2]
+	// World-readable, writable only with alice's uw: bob may only observe it.
+	if err := owner.Mkdir("/tmp/shared", label.New(label.L1, label.P(owner.User.Uw, label.L0))); err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.WriteFile("/tmp/shared/a", nil, label.New(label.L1)); err != nil {
+		t.Fatal(err)
+	}
+	dir, err := owner.Stat("/tmp/shared")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A listing reads names only, so the added entries need no objects.
+	add := func(p *Process, name string, during func()) <-chan error {
+		done := make(chan error, 1)
+		go func() {
+			done <- sys.editDir(p.TC, dir.ID, func(d *dirEdit) error {
+				during()
+				d.add(DirEntry{Name: name, ID: kernel.ID(len(name)), Type: kernel.ObjSegment})
+				return nil
+			})
+		}()
+		return done
+	}
+	names := func(entries []DirEntry) (out []string) {
+		for _, e := range entries {
+			out = append(out, e.Name)
+		}
+		return out
+	}
+	held, release := make(chan struct{}), make(chan struct{})
+	var releaseOnce sync.Once
+	free := func() { releaseOnce.Do(func() { close(release) }) }
+	defer free() // also when the reader fails: the writer must not outlive the test
+	first := add(owner, "b", func() { close(held); <-release })
+	<-held
+
+	type listing struct {
+		entries []DirEntry
+		err     error
+	}
+	listed := make(chan listing, 1)
+	go func() {
+		entries, err := reader.ReadDir("/tmp/shared")
+		listed <- listing{entries, err}
+	}()
+	select {
+	case l := <-listed:
+		t.Fatalf("ReadDir returned %v (%v) while a writer held the directory", names(l.entries), l.err)
+	case <-time.After(300 * time.Millisecond):
+	}
+	// The queued writer's compare-and-swap fails and it enters the futex wait:
+	// two calls, after the reader's.
+	calls := second.TC.SyscallsIssued()
+	queued := add(second, "c", func() {})
+	for deadline := time.Now().Add(10 * time.Second); second.TC.SyscallsIssued() < calls+2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	free()
+
+	wait := func(what string, ch <-chan error) {
+		t.Helper()
+		select {
+		case err := <-ch:
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s never finished after the unlock", what)
+		}
+	}
+	wait("the writer that held the mutex", first)
+	wait("the writer queued behind it", queued)
+	select {
+	case l := <-listed:
+		got := fmt.Sprint(names(l.entries))
+		if l.err != nil || got != "[a b]" && got != "[a b c]" {
+			t.Errorf("ReadDir after the unlock = %s, %v; want the edit's state [a b], or [a b c] when the queued writer went first", got, l.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the reader never finished after the unlock")
+	}
 }

@@ -18,7 +18,7 @@ import (
 // encodeDirEntries is the reference encoder — what every edit wrote, whole,
 // before edits worked on the segment's bytes in place — kept as the oracle:
 // the count word and the entries of a directory with exactly these bindings.
-// The first three header words are left zero.
+// The mutex word is left zero, as an unlock leaves it.
 func encodeDirEntries(entries []DirEntry) []byte {
 	buf := make([]byte, dsDataOff)
 	binary.LittleEndian.PutUint64(buf[dsCountOff:], uint64(len(entries)))
@@ -207,7 +207,7 @@ func TestHostileDirectoryCount(t *testing.T) {
 	if raw, err := victim.TC.SegmentRead(seg, dsCountOff, 8); err != nil || binary.LittleEndian.Uint64(raw) != 2 {
 		t.Errorf("count word after the victim's create = %v, %v; want 2", raw, err)
 	}
-	if err := hostile.TC.SegmentResize(seg, dsGenOff); err != nil {
+	if err := hostile.TC.SegmentResize(seg, dsCountOff); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := victim.Stat("/tmp/real"); !errors.Is(err, ErrInvalid) {
@@ -259,9 +259,9 @@ func TestUnlinkDirectoryChecksItsCount(t *testing.T) {
 	if err := alice.Unlink("/tmp/d"); !errors.Is(err, ErrNotEmpty) {
 		t.Errorf("Unlink of a non-empty directory: %v, want ErrNotEmpty", err)
 	}
-	// Two names to resolve, then the one bounded read.
-	if got := alice.TC.SyscallsIssued() - before; got != 2*4+1 {
-		t.Errorf("refusing a non-empty directory issued %d kernel calls, want %d", got, 2*4+1)
+	// Two names to resolve, a read each, then the one bounded read.
+	if got := alice.TC.SyscallsIssued() - before; got != 2+1 {
+		t.Errorf("refusing a non-empty directory issued %d kernel calls, want %d", got, 2+1)
 	}
 	if _, err := alice.Stat("/tmp/d/f"); err != nil {
 		t.Errorf("file in the refused directory: %v", err)
@@ -346,7 +346,6 @@ func BenchmarkResolve(b *testing.B) {
 type modelDir struct {
 	id      kernel.ID
 	entries []DirEntry // in the order the segment holds them
-	gen     uint64     // edits that succeeded
 }
 
 func (d *modelDir) find(name string) int {
@@ -426,7 +425,6 @@ func (m *dirModel) create(dir, name string, mkdir bool) {
 		m.fatalf("Stat(%s) after creating it: %v", path, err)
 	}
 	d.entries = append(d.entries, DirEntry{Name: name, ID: fi.ID, Type: typ})
-	d.gen++
 	if mkdir {
 		m.dirs[path] = &modelDir{id: fi.ID}
 	}
@@ -446,7 +444,6 @@ func (m *dirModel) unlink(dir, name string) {
 	}
 	m.expect("Unlink of "+path, err, nil)
 	d.entries = append(d.entries[:i], d.entries[i+1:]...)
-	d.gen++
 	delete(m.dirs, path)
 }
 
@@ -470,10 +467,6 @@ func (m *dirModel) rename(srcDir, srcName, dstDir, dstName string) {
 	e.Name = dstName
 	moved := m.dirs[srcPath]
 	src.entries = append(src.entries[:i], src.entries[i+1:]...)
-	src.gen++
-	if dst != src {
-		dst.gen++
-	}
 	if displaced := dst.bind(e); displaced || moved != nil {
 		delete(m.dirs, dstPath) // the victim's subtree went with it
 	}
@@ -485,8 +478,8 @@ func (m *dirModel) rename(srcDir, srcName, dstDir, dstName string) {
 
 // check compares the directory at path with the model: its listing, in
 // order; its segment's bytes, which must be the reference encoder's for the
-// model's entries under a released header whose generation counts the edits;
-// and what every name of the pool resolves to.
+// model's entries under a released header — exactly {mutex 0, count}; and
+// what every name of the pool resolves to.
 func (m *dirModel) check(path string) {
 	d := m.dirs[path]
 	entries, err := m.p.ReadDir(path)
@@ -502,7 +495,6 @@ func (m *dirModel) check(path string) {
 		m.fatalf("reading the directory segment of %s: %v", path, err)
 	}
 	want := encodeDirEntries(d.entries)
-	binary.LittleEndian.PutUint64(want[dsGenOff:], d.gen)
 	if !bytes.Equal(raw, want) {
 		m.fatalf("segment of %s differs from the reference encoding of %v at byte %d (%d bytes, want %d)\n got header % x\nwant header % x",
 			path, d.entries, firstDiff(raw, want), len(raw), len(want), raw[:min(len(raw), dsDataOff)], want[:dsDataOff])

@@ -3,24 +3,24 @@ package unixlib
 import (
 	"encoding/binary"
 	"errors"
-	"runtime"
+	"math"
 
 	"histar/internal/kernel"
 )
 
 // Directory segments (Section 5.1): each directory container holds a special
 // segment mapping file names to object IDs.  Directory operations are
-// synchronized with a mutex word in the segment (built on the kernel futex),
-// and readers that cannot write the directory obtain a consistent view by
-// checking a generation number and busy flag before and after each read.
+// synchronized with a mutex word in the segment (built on the kernel futex).
+// The paper's readers, which read mapped memory that a writer changes under
+// them, also check a generation number and a busy flag before and after each
+// read; here a reader's read is one system call made under the segment's
+// lock, so the mutex word alone tells it whether an edit is under way.
 //
 // Layout of a directory segment:
 //
 //	offset  0: mutex word (futex; 0 = unlocked, 1 = locked)
-//	offset  8: generation number
-//	offset 16: busy flag
-//	offset 24: entry count
-//	offset 32: entries — {u16 name length, name bytes, u64 object ID, u8 type}
+//	offset  8: entry count
+//	offset 16: entries — {u16 name length, name bytes, u64 object ID, u8 type}
 //
 // Entries are read and changed where they lie.  The count word is whatever the
 // directory's last writer left, so it bounds a walk and never sizes an
@@ -28,34 +28,31 @@ import (
 //
 // The edit protocol, which editDir is the only code to run:
 //
-//  1. lock: compare-and-swap the mutex word 0 → 1 (sleeping on its futex while
-//     someone else holds it), then set busy — a thread that cannot write the
-//     directory fails here;
+//  1. lock: compare-and-swap the mutex word 0 → 1, sleeping on its futex while
+//     someone else holds it — a thread that cannot write the directory fails
+//     here;
 //  2. one read of the whole segment: the header words and the entries;
 //  3. resize to the entries' new length, then ONE write of the entry bytes
 //     that changed — an add's new entry at the tail, the entries after a
 //     removed one over it, the nine ID and type bytes of a name bound again —
-//     under the header step 1 left: busy, the old generation, the OLD count;
-//  4. unlock with ONE write of the four header words — mutex 0, generation + 1,
-//     busy 0, the new count — so a lock-free reader never sees a released
-//     mutex beside a stale generation, a set busy flag or a count its entries
-//     do not match, then wake one waiter.  An edit that changed nothing
-//     releases with the generation and count it found.
+//     under the held mutex and the OLD count;
+//  4. unlock with ONE write of both header words — mutex 0, the new count — so
+//     no reader sees a released mutex beside a count its entries do not
+//     match, then wake every waiter: readers and writers sleep on the same
+//     word, so waking one could wake a reader and strand a writer.  An edit
+//     that changed nothing releases with the count it found.
 //
-// A reader that gives up on a writer that died between two calls (readDir)
-// walks under the old count: the old entries, those cut short or zero-extended
-// by the resize, or the new ones (an added entry uncounted, a removed one gone
-// and the walk ending with the bytes) — no worse than a rewrite of the whole
-// directory dying after its resize, and never past the bytes that were read.
+// A reader (readDir) keeps a read of the whole segment only if the mutex word
+// in it is 0, and otherwise sleeps on the futex until the unlock.  So a writer
+// that halts holding the mutex stops the directory's readers, as it already
+// stops its writers; no path halts a thread mid-edit.
 //
 // A directory segment is persistent (markPersistent, at creation), so the
 // kernel carries every edit to the store at the next sync: nothing here does.
 const (
 	dsMutexOff = 0
-	dsGenOff   = 8
-	dsBusyOff  = 16
-	dsCountOff = 24
-	dsDataOff  = 32
+	dsCountOff = 8
+	dsDataOff  = 16
 	entryTail  = 9 // after an entry's name: u64 object ID, u8 type
 )
 
@@ -231,23 +228,19 @@ func (sys *System) editDir(tc *kernel.ThreadCall, dir kernel.ID, edit func(*dirE
 			return mapKernelErr(err)
 		}
 	}
-	if err := tc.SegmentWrite(seg, dsBusyOff, []byte{1, 0, 0, 0, 0, 0, 0, 0}); err != nil {
-		return mapKernelErr(err)
-	}
 	old, err := tc.SegmentRead(seg, 0, maxSegRead)
 	if err != nil {
-		// A thread that could write the busy flag can read the segment, so
-		// the segment (or the thread) has died since: there is no lock left
-		// to release, and no generation was read to release it with.
+		// A thread that could take the mutex can read the segment, so the
+		// segment (or the thread) has died since: there is no lock left to
+		// release.
 		return mapKernelErr(err)
 	}
-	if len(old) < dsDataOff { // the busy write left it only three words long
+	if len(old) < dsDataOff { // cut below its header: the mutex word alone
 		old = append(old, make([]byte, dsDataOff-len(old))...)
 	}
 	d := dirEdit{buf: old}
-	gen, count := binary.LittleEndian.Uint64(old[dsGenOff:]), d.count()
+	count := d.count()
 	if err = edit(&d); err == nil {
-		gen++ // the entries may change from here on, even if a step fails
 		if err = sys.segResize(tc, seg, len(d.buf)); err == nil {
 			err = sys.segWrite(tc, seg, d.lo, d.buf[d.lo:min(d.hi, len(d.buf))])
 		}
@@ -255,12 +248,11 @@ func (sys *System) editDir(tc *kernel.ThreadCall, dir kernel.ID, edit func(*dirE
 			count = d.count()
 		}
 	}
-	var rel [dsDataOff]byte // step 4: mutex 0, generation, busy 0, count
-	binary.LittleEndian.PutUint64(rel[dsGenOff:], gen)
+	var rel [dsDataOff]byte // step 4: mutex 0, count
 	binary.LittleEndian.PutUint64(rel[dsCountOff:], count)
 	uerr := tc.SegmentWrite(seg, 0, rel[:])
 	if uerr == nil {
-		_, uerr = tc.FutexWake(seg, dsMutexOff, 1)
+		_, uerr = tc.FutexWake(seg, dsMutexOff, math.MaxInt)
 	}
 	if err == nil {
 		err = mapKernelErr(uerr)
@@ -272,52 +264,32 @@ func (sys *System) editDir(tc *kernel.ThreadCall, dir kernel.ID, edit func(*dirE
 // the segment's length, so no separate SegmentLen call is needed.
 const maxSegRead = int(^uint(0) >> 1)
 
-// readDir returns a consistent snapshot of a directory's bytes without taking
-// its mutex, which a reader may not be able to write: it retries until the
-// generation number is stable and the busy flag clear.  r is the caller's
-// ring; a path walk hands the same one to every lookup.
-//
-// The three reads of one attempt (generation+busy, whole segment, generation
-// again) are one chained ring batch: one kernel entry and — because
-// same-target entries coalesce — one lock round-trip on the segment.  The
-// protocol is kept although such a batch reads atomically: a writer updates
-// the segment across several syscalls, so a batch can still see it mid-update.
-func (sys *System) readDir(tc *kernel.ThreadCall, r *kernel.Ring, dir kernel.ID) ([]byte, error) {
+// readDir returns a directory's bytes as they stand between two edits,
+// without taking its mutex, which a reader may not be able to write: one read
+// of the whole segment, kept when the mutex word in it is 0.  While a writer
+// holds the mutex the reader sleeps on its futex — the unlock wakes every
+// sleeper, and a wait on a word that has already changed returns at once —
+// and then reads again.  A segment cut below its header is ErrInvalid.
+func (sys *System) readDir(tc *kernel.ThreadCall, dir kernel.ID) ([]byte, error) {
 	seg, err := sys.dirSegCE(tc, dir)
 	if err != nil {
 		return nil, err
 	}
-	for attempt := 0; ; attempt++ {
-		r.Submit(
-			kernel.RingEntry{Op: kernel.OpSegmentRead, Seg: seg, Off: dsGenOff, Len: 16},
-			kernel.RingEntry{Op: kernel.OpSegmentRead, Seg: seg, Off: 0, Len: maxSegRead, Chain: true},
-			kernel.RingEntry{Op: kernel.OpSegmentRead, Seg: seg, Off: dsGenOff, Len: 8, Chain: true},
-		)
-		comps, err := r.Wait(3)
+	for {
+		buf, err := tc.SegmentRead(seg, 0, maxSegRead)
 		if err != nil {
 			return nil, mapKernelErr(err)
 		}
-		for i := range comps {
-			if comps[i].Err != nil {
-				return nil, mapKernelErr(comps[i].Err)
-			}
-		}
-		before, buf, after := comps[0].Val, comps[1].Val, comps[2].Val
-		if len(before) < 16 || len(after) < 8 {
+		if len(buf) < dsDataOff {
 			return nil, ErrInvalid
 		}
-		genBefore := binary.LittleEndian.Uint64(before[:8])
-		busy := binary.LittleEndian.Uint64(before[8:16])
-		genAfter := binary.LittleEndian.Uint64(after)
-		// Stable — or a writer died holding the mutex, and this is as good a
-		// listing as there will be.
-		if busy == 0 && genBefore == genAfter || attempt > 10000 {
+		held := binary.LittleEndian.Uint64(buf[dsMutexOff:])
+		if held == 0 {
 			return buf, nil
 		}
-		// A live writer needs the processor to finish: without the yield a
-		// reader on the writer's core spins its 10,000 attempts away inside
-		// one scheduler quantum and returns the torn listing above.
-		runtime.Gosched()
+		if err := tc.FutexWait(seg, dsMutexOff, held); err != nil {
+			return nil, mapKernelErr(err)
+		}
 	}
 }
 

@@ -199,12 +199,27 @@ func (p *Process) Pipe() (int, int, error) {
 	return r, w, nil
 }
 
-func (p *Process) pipeWord(pipe *Pipe, off uint64) (uint64, error) {
-	buf, err := p.TC.SegmentRead(pipe.Seg, int(off), 8)
+// pipeWords reads both ends' words in one call: the read end's, then the
+// write end's.
+func (p *Process) pipeWords(pipe *Pipe) (rdWord, wrWord uint64, err error) {
+	buf, err := p.TC.SegmentRead(pipe.Seg, pipeRdWordOff, 16)
 	if err != nil {
-		return 0, mapKernelErr(err)
+		return 0, 0, mapKernelErr(err)
 	}
-	return binary.LittleEndian.Uint64(buf), nil
+	if len(buf) < 16 {
+		return 0, 0, ErrInvalid
+	}
+	return binary.LittleEndian.Uint64(buf), binary.LittleEndian.Uint64(buf[8:]), nil
+}
+
+// pipeRuns calls move on the runs of the buffer that n bytes from position
+// pos occupy: at most two, split where the ring wraps.  n ≤ pipeBufferSize.
+func pipeRuns(pos, n uint64, move func(off, from, to int) error) error {
+	at, head := pos%pipeBufferSize, min(n, pipeBufferSize-pos%pipeBufferSize)
+	if err := move(pipeDataOff+int(at), 0, int(head)); err != nil || head == n {
+		return err
+	}
+	return move(pipeDataOff, int(head), int(n))
 }
 
 // pipeSetPos stores the position part of an end's word, leaving its closed
@@ -219,11 +234,7 @@ func (p *Process) pipeSetPos(pipe *Pipe, off uint64, pos uint64) error {
 func (p *Process) pipeWrite(pipe *Pipe, data []byte) (int, error) {
 	written := 0
 	for written < len(data) {
-		rdWord, err := p.pipeWord(pipe, pipeRdWordOff)
-		if err != nil {
-			return written, err
-		}
-		wrWord, err := p.pipeWord(pipe, pipeWrWordOff)
+		rdWord, wrWord, err := p.pipeWords(pipe)
 		if err != nil {
 			return written, err
 		}
@@ -240,15 +251,12 @@ func (p *Process) pipeWrite(pipe *Pipe, data []byte) (int, error) {
 			}
 			continue
 		}
-		n := uint64(len(data) - written)
-		if n > space {
-			n = space
-		}
-		for i := uint64(0); i < n; i++ {
-			pos := (wr + i) % pipeBufferSize
-			if err := p.TC.SegmentWrite(pipe.Seg, int(pipeDataOff+pos), data[written+int(i):written+int(i)+1]); err != nil {
-				return written, mapKernelErr(err)
-			}
+		n := min(uint64(len(data)-written), space)
+		run := data[written:]
+		if err := pipeRuns(wr, n, func(off, from, to int) error {
+			return mapKernelErr(p.TC.SegmentWrite(pipe.Seg, off, run[from:to]))
+		}); err != nil {
+			return written, err
 		}
 		if err := p.pipeSetPos(pipe, pipeWrWordOff, wr+n); err != nil {
 			return written, err
@@ -266,11 +274,7 @@ func (p *Process) pipeWrite(pipe *Pipe, data []byte) (int, error) {
 // the write end is closed.
 func (p *Process) pipeRead(pipe *Pipe, buf []byte) (int, error) {
 	for {
-		rdWord, err := p.pipeWord(pipe, pipeRdWordOff)
-		if err != nil {
-			return 0, err
-		}
-		wrWord, err := p.pipeWord(pipe, pipeWrWordOff)
+		rdWord, wrWord, err := p.pipeWords(pipe)
 		if err != nil {
 			return 0, err
 		}
@@ -286,17 +290,15 @@ func (p *Process) pipeRead(pipe *Pipe, buf []byte) (int, error) {
 			}
 			continue
 		}
-		n := wr - rd
-		if n > uint64(len(buf)) {
-			n = uint64(len(buf))
-		}
-		for i := uint64(0); i < n; i++ {
-			pos := (rd + i) % pipeBufferSize
-			b, err := p.TC.SegmentRead(pipe.Seg, int(pipeDataOff+pos), 1)
-			if err != nil {
-				return 0, mapKernelErr(err)
+		n := min(wr-rd, uint64(len(buf)))
+		if err := pipeRuns(rd, n, func(off, from, to int) error {
+			b, err := p.TC.SegmentRead(pipe.Seg, off, to-from)
+			if err == nil && copy(buf[from:to], b) < to-from {
+				err = ErrInvalid // the buffer was cut short under the pipe
 			}
-			buf[i] = b[0]
+			return mapKernelErr(err)
+		}); err != nil {
+			return 0, err
 		}
 		if err := p.pipeSetPos(pipe, pipeRdWordOff, rd+n); err != nil {
 			return 0, err

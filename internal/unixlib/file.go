@@ -20,8 +20,8 @@ func (p *Process) DefaultFileLabel() label.Label {
 	if p.User != nil {
 		l = l.With(p.User.Ur, label.L3).With(p.User.Uw, label.L0)
 	}
-	// Interning makes every file of the same user/taint share one canonical
-	// label, so kernel access checks hit the pointer-comparison fast path.
+	// Interning makes every file of the same user/taint share one label: equal
+	// labels share one backing array instead of holding a copy each.
 	return label.Intern(p.withThreadTaint(l))
 }
 
@@ -369,7 +369,7 @@ func (p *Process) ReadDir(path string) ([]DirEntry, error) {
 	if entry.Type != kernel.ObjContainer {
 		return nil, ErrNotDir
 	}
-	buf, err := p.sys.readDir(p.TC, p.TC.NewRing(), entry.ID)
+	buf, err := p.sys.readDir(p.TC, entry.ID)
 	return decodeDirEntries(buf), err
 }
 

@@ -98,8 +98,8 @@ func truncName(s string) string {
 
 // lookupEntry finds name in a snapshot of dir's bytes, where it lies: what it
 // allocates does not depend on how many entries the directory holds.
-func (sys *System) lookupEntry(tc *kernel.ThreadCall, r *kernel.Ring, dir kernel.ID, name string) (DirEntry, error) {
-	buf, err := sys.readDir(tc, r, dir)
+func (sys *System) lookupEntry(tc *kernel.ThreadCall, dir kernel.ID, name string) (DirEntry, error) {
+	buf, err := sys.readDir(tc, dir)
 	if err != nil {
 		return DirEntry{}, err
 	}
@@ -145,11 +145,10 @@ func (sys *System) resolve(tc *kernel.ThreadCall, rootDir kernel.ID, path string
 		return cur, ".", &DirEntry{Name: ".", ID: cur, Type: kernel.ObjContainer}, nil
 	}
 	// cleanPath left no empty or "." component: every part names an entry.
-	r := tc.NewRing() // one for the walk: each lookup's batch reuses its queues
 	for {
 		var more bool
 		leaf, rest, more = strings.Cut(rest, "/")
-		e, err := sys.lookupEntry(tc, r, cur, leaf)
+		e, err := sys.lookupEntry(tc, cur, leaf)
 		switch {
 		case !more && errors.Is(err, ErrNotExist):
 			return cur, leaf, nil, nil

@@ -298,6 +298,42 @@ func TestPipes(t *testing.T) {
 	}
 }
 
+// TestPipeMovesRunsNotBytes pins what a pipe transfer costs in kernel calls:
+// one read of both ends' words, the bytes in one call — two where the ring
+// wraps — the end's position and the wake.  That is 4 a side for an 8-byte
+// round trip and 5 a side for one that straddles the end of the buffer, whose
+// bytes must still come back in order.
+func TestPipeMovesRunsNotBytes(t *testing.T) {
+	sys := bootSys(t)
+	p, err := sys.NewInitProcess("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, w, err := p.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	roundTrip := func(msg []byte) uint64 {
+		t.Helper()
+		before := p.TC.SyscallsIssued()
+		if n, err := p.Write(w, msg); err != nil || n != len(msg) {
+			t.Fatalf("Write of %d bytes = %d, %v", len(msg), n, err)
+		}
+		buf := make([]byte, len(msg))
+		if n, err := p.Read(r, buf); err != nil || !bytes.Equal(buf[:n], msg) {
+			t.Fatalf("Read = %q, %v; want %q", buf[:n], err, msg)
+		}
+		return p.TC.SyscallsIssued() - before
+	}
+	if got := roundTrip([]byte("8 bytes!")); got != 2*4 {
+		t.Errorf("an 8-byte round trip issued %d kernel calls, want %d", got, 2*4)
+	}
+	roundTrip(make([]byte, pipeBufferSize-8-4)) // to 4 bytes short of the end
+	if got := roundTrip([]byte("wraps around")); got != 2*5 {
+		t.Errorf("a round trip across the end of the buffer issued %d kernel calls, want %d", got, 2*5)
+	}
+}
+
 func TestSpawnWaitExitStatus(t *testing.T) {
 	sys := bootSys(t)
 	err := sys.RegisterProgram("/bin/true", func(p *Process, args []string) int { return 0 })
