@@ -1,6 +1,9 @@
 package clamav
 
 import (
+	"encoding/binary"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -195,9 +198,82 @@ func TestUpdateDaemonCannotReadUserData(t *testing.T) {
 	}
 }
 
+// lockDir takes the mutex of the directory at path and never releases it, as
+// any thread that can write a directory can: the mutex is the first word of
+// the directory's segment, whose ID the directory container's metadata holds.
+func lockDir(p *unixlib.Process, path string) bool {
+	fi, err := p.Stat(path)
+	if err != nil {
+		return false
+	}
+	st, err := p.TC.ObjectStat(kernel.Self(fi.ID))
+	if err != nil {
+		return false
+	}
+	seg := kernel.CEnt{Container: fi.ID, Object: kernel.ID(binary.LittleEndian.Uint64(st.Metadata[:8]))}
+	ok, err := p.TC.SegmentCompareSwap(seg, 0, 0, 1)
+	return err == nil && ok
+}
+
+// wrapWithin runs Wrap and fails the test if it has not returned in 20 s.
+func wrapWithin(t *testing.T, bob *unixlib.Process, files []string, opts WrapOptions) (*WrapResult, error) {
+	t.Helper()
+	type result struct {
+		res *WrapResult
+		err error
+	}
+	done := make(chan result, 1)
+	go func() {
+		res, err := Wrap(bob, files, opts)
+		done <- result{res, err}
+	}()
+	select {
+	case r := <-done:
+		return r.res, r.err
+	case <-time.After(20 * time.Second):
+		t.Fatal("Wrap has not returned after 20 s")
+		return nil, nil
+	}
+}
+
+// TestWrapSurvivesScannerHoldingScratchMutex runs a scanner that writes its
+// report, takes its scratch directory's mutex for good and exits normally.
+// A reader of a directory sleeps while its mutex is held, so wrap must read
+// the report, and clean up, without reading the scratch directory.
+func TestWrapSurvivesScannerHoldingScratchMutex(t *testing.T) {
+	sys, bob := bootClam(t)
+	scratch := fmt.Sprintf("/tmp/wrap-%d", bob.PID)
+	locked := false
+	sys.RegisterProgram(ScannerProgram, func(p *unixlib.Process, args []string) int {
+		if err := p.WriteFile(args[len(args)-1], []byte("/home/bob/x: OK (0 bytes)\n"), label.Label{}); err != nil {
+			return 2
+		}
+		locked = lockDir(p, scratch)
+		return 0
+	})
+	res, err := wrapWithin(t, bob, []string{"/home/bob/x"}, WrapOptions{Timeout: 10 * time.Second})
+	if !locked {
+		t.Fatal("the scanner could not take its scratch directory's mutex")
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Report != "/home/bob/x: OK (0 bytes)\n" {
+		t.Errorf("report = %q", res.Report)
+	}
+	if _, err := bob.Stat(scratch); !errors.Is(err, unixlib.ErrNotExist) {
+		t.Errorf("Stat(scratch) after wrap = %v, want ErrNotExist", err)
+	}
+}
+
+// TestWrapTimeoutKillsScanner runs a scanner that takes its scratch
+// directory's mutex and never terminates: wrap must halt it at the deadline
+// and still clean up.
 func TestWrapTimeoutKillsScanner(t *testing.T) {
 	sys, bob := bootClam(t)
+	scratch := fmt.Sprintf("/tmp/wrap-%d", bob.PID)
 	sys.RegisterProgram(ScannerProgram, func(p *unixlib.Process, args []string) int {
+		lockDir(p, scratch)
 		// A scanner that never terminates (e.g. leaking via timing).
 		for i := 0; ; i++ {
 			time.Sleep(10 * time.Millisecond)
@@ -206,8 +282,32 @@ func TestWrapTimeoutKillsScanner(t *testing.T) {
 			}
 		}
 	})
-	_, err := Wrap(bob, []string{"/home/bob/nothing"}, WrapOptions{Timeout: 200 * time.Millisecond})
+	_, err := wrapWithin(t, bob, []string{"/home/bob/nothing"}, WrapOptions{Timeout: 200 * time.Millisecond})
 	if err != ErrScannerTimeout {
 		t.Errorf("expected timeout, got %v", err)
+	}
+	if _, err := bob.Stat(scratch); !errors.Is(err, unixlib.ErrNotExist) {
+		t.Errorf("Stat(scratch) after wrap = %v, want ErrNotExist", err)
+	}
+}
+
+// TestWrapReportOutgrowsFreshQuota has the scanner write a report larger than
+// a fresh file's quota: the report's quota comes from /tmp, which the
+// scanner cannot modify, so wrap must have moved the room in beforehand.
+func TestWrapReportOutgrowsFreshQuota(t *testing.T) {
+	sys, bob := bootClam(t)
+	big := strings.Repeat("/home/bob/x: OK (0 bytes)\n", 4096) // 104 KiB
+	sys.RegisterProgram(ScannerProgram, func(p *unixlib.Process, args []string) int {
+		if err := p.WriteFile(args[len(args)-1], []byte(big), label.Label{}); err != nil {
+			return 2
+		}
+		return 0
+	})
+	res, err := wrapWithin(t, bob, []string{"/home/bob/x"}, WrapOptions{Timeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ExitStatus != 0 || res.Report != big {
+		t.Errorf("exit status %d, report of %d bytes; want 0 and %d bytes", res.ExitStatus, len(res.Report), len(big))
 	}
 }

@@ -12,11 +12,11 @@ import (
 
 // Wrap is the paper's 110-line isolation program (Section 6.1).  It is the
 // only component with untainting privileges for the scanner's category v:
-// it allocates v, creates a private scratch directory writable at v3,
-// launches the scanner tainted v3 (and ur3, so the scanner can read — but
-// not modify or export — the user's files), waits for it, reads the report
-// back with its ownership of v, and returns the untainted result to the
-// caller.  As long as Wrap is correct, ClamAV cannot leak the contents of
+// it allocates v, creates a private scratch directory and a report file
+// writable at v3, launches the scanner tainted v3 (and ur3, so the scanner
+// can read — but not modify or export — the user's files), waits for it,
+// reads the report back with its ownership of v, and returns the untainted
+// result to the caller.  As long as Wrap is correct, ClamAV cannot leak the contents of
 // the files it scans, no matter how compromised it is.
 
 // ScannerProgram is the path wrap launches; register clamav.Scanner there.
@@ -27,7 +27,8 @@ type WrapOptions struct {
 	// Timeout bounds how long the scanner may run before wrap kills it,
 	// limiting how much it could leak over covert channels.
 	Timeout time.Duration
-	// KeepScratch leaves the private scratch directory in place (debugging).
+	// KeepScratch leaves the private scratch directory and the report file
+	// in place (debugging).
 	KeepScratch bool
 }
 
@@ -65,7 +66,7 @@ func Wrap(user *unixlib.Process, files []string, opts WrapOptions) (*WrapResult,
 	}
 
 	// Private scratch directory, writable at taint level 3 in v: the tainted
-	// scanner can write its report there and nowhere else.
+	// scanner's own /tmp.
 	scratch := fmt.Sprintf("/tmp/wrap-%d", user.PID)
 	scratchLabel := label.New(label.L1, label.P(v, label.L3))
 	if user.User != nil {
@@ -74,7 +75,21 @@ func Wrap(user *unixlib.Process, files []string, opts WrapOptions) (*WrapResult,
 	if err := user.Mkdir(scratch, scratchLabel); err != nil {
 		return nil, fmt.Errorf("wrap: creating scratch dir: %w", err)
 	}
-	reportPath := scratch + "/report"
+	if !opts.KeepScratch {
+		defer user.Unlink(scratch) // reads only its count: left if not empty
+	}
+	// The report is a file wrap makes beside the scratch directory, not in
+	// it, so wrap resolves no path through a directory the scanner can write:
+	// a writer of a directory can hold its mutex for good, and a reader of it
+	// sleeps while the mutex is held.  The scanner can write the report's
+	// bytes but, unable to change /tmp, neither its name nor its quota.
+	reportPath := scratch + ".report"
+	if err := makeReport(user, reportPath, scratchLabel); err != nil {
+		return nil, fmt.Errorf("wrap: creating report file: %w", err)
+	}
+	if !opts.KeepScratch {
+		defer user.Unlink(reportPath)
+	}
 
 	// Launch the scanner tainted v3.  It also gets ur3 so it can read the
 	// user's files; it gets no ownership of anything.
@@ -110,11 +125,32 @@ func Wrap(user *unixlib.Process, files []string, opts WrapOptions) (*WrapResult,
 			res.Infected = append(res.Infected, strings.SplitN(line, ":", 2)[0])
 		}
 	}
-	if !opts.KeepScratch {
-		_ = user.Unlink(reportPath)
-		_ = user.Unlink(scratch)
-	}
 	return res, nil
+}
+
+// reportRoom is the quota wrap moves into the report file: far more than the
+// line per scanned file a scanner writes.
+const reportRoom = 1 << 20
+
+// makeReport creates the empty report file at path, labeled lbl, and moves
+// reportRoom bytes of quota into it from /tmp, which holds it.
+func makeReport(user *unixlib.Process, path string, lbl label.Label) error {
+	fd, err := user.Create(path, lbl)
+	if err != nil {
+		return err
+	}
+	if err := user.Close(fd); err != nil {
+		return err
+	}
+	tmp, err := user.Stat("/tmp")
+	if err != nil {
+		return err
+	}
+	report, err := user.Stat(path)
+	if err != nil {
+		return err
+	}
+	return user.TC.QuotaMove(tmp.ID, report.ID, reportRoom)
 }
 
 // waitWithTimeout waits for child to exit, or halts it at the deadline.

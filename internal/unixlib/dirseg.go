@@ -44,8 +44,8 @@ import (
 //
 // A reader (readDir) keeps a read of the whole segment only if the mutex word
 // in it is 0, and otherwise sleeps on the futex until the unlock.  So a writer
-// that halts holding the mutex stops the directory's readers, as it already
-// stops its writers; no path halts a thread mid-edit.
+// halted mid-edit, or one that sets the word and leaves, stops readers as it
+// stops writers: trusted code must read no directory less trusted code writes.
 //
 // A directory segment is persistent (markPersistent, at creation), so the
 // kernel carries every edit to the store at the next sync: nothing here does.

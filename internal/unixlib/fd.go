@@ -200,20 +200,24 @@ func (p *Process) Pipe() (int, int, error) {
 }
 
 // pipeWords reads both ends' words in one call: the read end's, then the
-// write end's.
+// write end's.  Each end's holder writes its word, so a pair out of step — the
+// write end behind the read end or over a buffer ahead — is ErrInvalid.
 func (p *Process) pipeWords(pipe *Pipe) (rdWord, wrWord uint64, err error) {
 	buf, err := p.TC.SegmentRead(pipe.Seg, pipeRdWordOff, 16)
 	if err != nil {
 		return 0, 0, mapKernelErr(err)
 	}
-	if len(buf) < 16 {
+	if len(buf) == 16 {
+		rdWord, wrWord = binary.LittleEndian.Uint64(buf), binary.LittleEndian.Uint64(buf[8:])
+	}
+	if len(buf) < 16 || wrWord&pipePosMask-rdWord&pipePosMask > pipeBufferSize {
 		return 0, 0, ErrInvalid
 	}
-	return binary.LittleEndian.Uint64(buf), binary.LittleEndian.Uint64(buf[8:]), nil
+	return rdWord, wrWord, nil
 }
 
-// pipeRuns calls move on the runs of the buffer that n bytes from position
-// pos occupy: at most two, split where the ring wraps.  n ≤ pipeBufferSize.
+// pipeRuns calls move on the runs of the buffer that n ≤ pipeBufferSize bytes
+// from position pos occupy: at most two, split where the ring wraps.
 func pipeRuns(pos, n uint64, move func(off, from, to int) error) error {
 	at, head := pos%pipeBufferSize, min(n, pipeBufferSize-pos%pipeBufferSize)
 	if err := move(pipeDataOff+int(at), 0, int(head)); err != nil || head == n {

@@ -334,6 +334,50 @@ func TestPipeMovesRunsNotBytes(t *testing.T) {
 	}
 }
 
+// TestPipeRefusesPositionsOutOfStep has a peer store end positions no pipe
+// could reach: a read position ahead of the write position, then a write
+// position more than a buffer ahead of the read position.  Both sides must
+// fail with ErrInvalid and write nothing — in particular no run past the end
+// of the ring, which would grow the segment.
+func TestPipeRefusesPositionsOutOfStep(t *testing.T) {
+	sys := bootSys(t)
+	p, err := sys.NewInitProcess("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, w, err := p.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fd, err := p.getFD(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pipe := fd.Pipe
+	setPos := func(rd, wr uint64) {
+		t.Helper()
+		if err := p.pipeSetPos(pipe, pipeRdWordOff, rd); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.pipeSetPos(pipe, pipeWrWordOff, wr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Reader a whole buffer ahead, writer one byte short of the ring's end:
+	// a write trusting the words would put its second run past the end.
+	setPos(2*pipeBufferSize-1, pipeBufferSize-1)
+	if n, err := p.Write(w, make([]byte, 2*pipeBufferSize)); !errors.Is(err, ErrInvalid) || n != 0 {
+		t.Errorf("Write behind the read position = %d, %v; want 0, ErrInvalid", n, err)
+	}
+	if got, err := p.TC.SegmentLen(pipe.Seg); err != nil || got != pipeDataOff+pipeBufferSize {
+		t.Errorf("pipe segment is %d bytes (%v), want %d", got, err, pipeDataOff+pipeBufferSize)
+	}
+	setPos(0, 2*pipeBufferSize)
+	if n, err := p.Read(r, make([]byte, 8)); !errors.Is(err, ErrInvalid) || n != 0 {
+		t.Errorf("Read two buffers behind the write position = %d, %v; want 0, ErrInvalid", n, err)
+	}
+}
+
 func TestSpawnWaitExitStatus(t *testing.T) {
 	sys := bootSys(t)
 	err := sys.RegisterProgram("/bin/true", func(p *Process, args []string) int { return 0 })
