@@ -144,8 +144,10 @@ type segment struct {
 	frozen bool
 	// persistent says the bytes are a store object (SegmentPersist, or a
 	// clone's alias); dirty, that the pager has not seen them since they
-	// last changed (pager.go).  Both are guarded by the segment's lock.
+	// last changed, and [lo, hi) which of them did (pager.go).  All are
+	// guarded by the segment's lock.
 	persistent, dirty bool
+	lo, hi            int
 }
 
 func (s *segment) hdr() *header      { return &s.header }

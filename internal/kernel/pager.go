@@ -7,14 +7,15 @@ import "histar/internal/label"
 // kernel calls it: behind resolve's label rule where a thread asked
 // (SegmentPersist, OpSync, a read's page-in, snapshot and clone), on objects
 // of its own choosing otherwise (Delete at deallocation, Sync's drain).  One
-// function, push, hands bytes to it.
+// function, push, hands bytes to it, and the range of them that changed.
 // *store.Store satisfies it as it stands; tests substitute a fake.  The lock
 // rule is number 6 of the package comment; the store never calls back.
 type Pager interface {
 	// PutLabeled replaces the object's contents and label in the store's
-	// memory; SyncObjects makes the pushed states of a group durable (one
-	// error slot per id), Checkpoint every pushed state and deletion.
-	PutLabeled(id uint64, lbl label.Label, data []byte) error
+	// memory; every byte outside [lo, hi) is what the object's last push
+	// held there.  SyncObjects makes the pushed states of a group durable
+	// (one error slot per id), Checkpoint every pushed state and deletion.
+	PutLabeled(id uint64, lbl label.Label, data []byte, lo, hi int) error
 	SyncObjects(ids []uint64) []error
 	Checkpoint() error
 	// PageIn makes the object's contents resident; it fails only for damage.
@@ -35,7 +36,7 @@ func (k *Kernel) SetPager(p Pager) { k.pager = p }
 // SegmentPersist marks the segment named by ce, which the invoking thread
 // must be able to modify, persistent: its bytes are a store object from now
 // on — pushed by OpSync and Sync, paged in before a read, deleted when the
-// segment dies.  It starts out dirty; the mark itself moves no byte.
+// segment dies.  It starts out wholly dirty; the mark itself moves no byte.
 func (tc *ThreadCall) SegmentPersist(ce CEnt) error {
 	ctx, err := tc.enter(scSegmentPersist)
 	if err != nil {
@@ -48,22 +49,23 @@ func (tc *ThreadCall) SegmentPersist(ce CEnt) error {
 	if err != nil {
 		return err
 	}
-	seg.persistent, seg.dirty = true, true
+	seg.persist()
 	ls.unlock()
 	return nil
 }
 
-// push hands a dirty segment's bytes and label to the pager, which copies
-// them; the caller holds the segment's write lock, so no store slips between
-// the copy and the bit.  Only a persistent segment is ever dirty.
+// push hands a dirty segment's bytes, changed range and label to the pager,
+// which copies them; the caller holds the segment's write lock, so no store
+// slips between the copy and the bit.  Only a persistent segment is dirty.
 func (k *Kernel) push(s *segment) error {
 	if !s.dirty {
 		return nil
 	}
-	if err := k.pager.PutLabeled(uint64(s.id), s.lbl, s.data); err != nil {
+	n := len(s.data)
+	if err := k.pager.PutLabeled(uint64(s.id), s.lbl, s.data, min(s.lo, n), min(s.hi, n)); err != nil {
 		return err
 	}
-	s.dirty = false
+	s.dirty, s.lo, s.hi = false, 0, 0
 	return nil
 }
 

@@ -13,7 +13,10 @@ import (
 // fakePager scripts the kernel's one seam to the store, so everything the
 // kernel asks of a store is testable without one: it keeps what was pushed,
 // records each sync group, fails the ids in poison, and aliases with
-// scripted failures.
+// scripted failures.  It also holds every push to its range: a byte outside
+// it that differs from the object's previous push (or alias), or a partial
+// range with no previous push of that length, is a broken promise, noted in
+// outside.
 type fakePager struct {
 	mu     sync.Mutex
 	data   map[uint64][]byte // last pushed bytes, by object
@@ -22,6 +25,8 @@ type fakePager struct {
 	gone   []uint64 // Delete calls, in order
 	groups [][]uint64
 	poison map[uint64]error
+
+	outside []string // one line per push that broke its range's promise
 
 	pageIns     int
 	pageInErr   error
@@ -37,9 +42,21 @@ func newFakePager() *fakePager {
 	return &fakePager{data: make(map[uint64][]byte), labels: make(map[uint64]label.Label)}
 }
 
-func (f *fakePager) PutLabeled(id uint64, lbl label.Label, data []byte) error {
+func (f *fakePager) PutLabeled(id uint64, lbl label.Label, data []byte, lo, hi int) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	prev, ok := f.data[id]
+	switch {
+	case lo < 0 || hi > len(data):
+		f.outside = append(f.outside, fmt.Sprintf("object %d: range [%d, %d) of %d bytes", id, lo, hi, len(data)))
+	case !ok || len(prev) != len(data):
+		if lo != 0 || hi != len(data) {
+			f.outside = append(f.outside, fmt.Sprintf("object %d: range [%d, %d) of %d bytes, none pushed at that length", id, lo, hi, len(data)))
+		}
+	case lo >= hi && !bytes.Equal(prev, data),
+		lo < hi && !(bytes.Equal(prev[:lo], data[:lo]) && bytes.Equal(prev[hi:], data[hi:])):
+		f.outside = append(f.outside, fmt.Sprintf("object %d: bytes outside [%d, %d) changed", id, lo, hi))
+	}
 	f.data[id], f.labels[id] = append([]byte(nil), data...), lbl
 	f.puts++
 	return nil

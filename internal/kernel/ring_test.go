@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -315,7 +316,11 @@ func (env *propEnv) memExec(e RingEntry, c *RingCompletion) (err error) {
 // every final segment state and the COW counters of all three against the
 // sequential reference model: the same allow/deny verdict and the same
 // post-state on every path — and, for every OpSync that ran, the same bytes in
-// the pager, from the same number of pushes.
+// the pager, from the same number of pushes.  Every push on every path must
+// also keep its range's promise (fakePager.outside): a byte outside the range
+// is the byte the previous push held, whichever mutation came between — a
+// direct, ring or mapped write, a resize, a compare-and-swap, a thread-local
+// write, a copy-on-write break.
 func TestRingPropertyVsSequential(t *testing.T) {
 	for _, v := range []struct {
 		name   string
@@ -463,6 +468,28 @@ func ringPropertyVsSequential(t *testing.T, cloned bool) {
 			}
 			if a, b := envs[0].pager.puts, envs[p].pager.puts; a != b {
 				t.Fatalf("round %d: the ring has pushed %d times, %s %d", round, a, paths[p], b)
+			}
+		}
+		// What a batch cannot carry, the same on every path's kernel: a
+		// compare-and-swap, a write to the thread-local segment (never pushed,
+		// but through the same gate), then an fsync of the swapped segment.
+		s, off := rng.Intn(nSegs), 8*rng.Intn(segSize/8)
+		for p, e := range envs {
+			ce := e.segs[s]
+			if cur, err := e.tc.SegmentRead(ce, off, 8); err == nil && len(cur) == 8 {
+				old := binary.LittleEndian.Uint64(cur)
+				if ok, err := e.tc.SegmentCompareSwap(ce, uint64(off), old, ^old); err != nil || !ok {
+					t.Fatalf("round %d %s: compare-and-swap: %v, %v", round, paths[p], ok, err)
+				}
+			}
+			if err := e.tc.LocalSegmentWrite(0, []byte{byte(round)}); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.syncOne(ce); err != nil && !errors.Is(err, poisonErr) {
+				t.Fatalf("round %d %s: sync: %v", round, paths[p], err)
+			}
+			if len(e.pager.outside) > 0 {
+				t.Fatalf("round %d %s: a push broke its range's promise: %s", round, paths[p], e.pager.outside[0])
 			}
 		}
 	}

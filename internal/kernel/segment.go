@@ -133,15 +133,16 @@ func (s *segment) word(off uint64) (uint64, error) {
 
 // reshape is the gate every mutation passes: it refuses an immutable segment
 // and a length the quota does not cover, makes the array private if it is
-// shared with a snapshot or clone and touch says bytes below the current
-// length are about to change, leaves the segment n bytes long, and accounts
-// the change — and marks a persistent segment dirty, so no path to a
-// segment's bytes can change them behind the pager's back.  This is the only
-// place snapshot-shared bytes are duplicated, so the kernel-wide COW counters
-// live here.  Growth always moves to a fresh zeroed array (and so breaks COW
-// with that one copy); truncation keeps sharing a frozen array, since
-// shrinking changes no byte.
-func (s *segment) reshape(k *Kernel, n int, touch bool) error {
+// shared with a snapshot or clone and bytes [lo, hi) below the current length
+// are about to change, leaves the segment n bytes long, and accounts the
+// change — and marks a persistent segment dirty, widening its changed range
+// by [lo, hi), or to the whole segment when the length changes, so no path to
+// a segment's bytes can change them behind the pager's back.  This is the
+// only place snapshot-shared bytes are duplicated, so the kernel-wide COW
+// counters live here.  Growth always moves to a fresh zeroed array (and so
+// breaks COW with that one copy); truncation keeps sharing a frozen array,
+// since shrinking changes no byte.
+func (s *segment) reshape(k *Kernel, n, lo, hi int) error {
 	if s.immutable {
 		return ErrImmutable
 	}
@@ -152,8 +153,15 @@ func (s *segment) reshape(k *Kernel, n int, touch bool) error {
 	if fresh && uint64(n)+128 > s.quota {
 		return ErrQuota
 	}
-	s.dirty = s.persistent
-	if s.frozen && (fresh || touch) {
+	if s.dirty = s.persistent; s.dirty && n != len(s.data) {
+		s.lo, s.hi = 0, math.MaxInt
+	} else if s.dirty && lo < hi {
+		if s.lo >= s.hi {
+			s.lo, s.hi = lo, hi
+		}
+		s.lo, s.hi = min(s.lo, lo), max(s.hi, hi)
+	}
+	if s.frozen && (fresh || lo < hi) {
 		s.frozen = false
 		k.snap.cowBreaks.Add(1)
 		k.snap.copiedBytes.Add(uint64(len(s.data)))
@@ -169,6 +177,9 @@ func (s *segment) reshape(k *Kernel, n int, touch bool) error {
 	return nil
 }
 
+// persist marks the segment persistent and every byte of it changed.
+func (s *segment) persist() { s.persistent, s.dirty, s.lo, s.hi = true, true, 0, math.MaxInt }
+
 // write stores data at off, extending the segment if necessary.
 func (s *segment) write(k *Kernel, off int, data []byte) error {
 	end := off + len(data)
@@ -180,7 +191,7 @@ func (s *segment) write(k *Kernel, off int, data []byte) error {
 	case end < off: // int overflow; no quota could ever cover it
 		return ErrQuota
 	}
-	if err := s.reshape(k, max(end, len(s.data)), true); err != nil {
+	if err := s.reshape(k, max(end, len(s.data)), off, end); err != nil {
 		return err
 	}
 	copy(s.data[off:], data)
@@ -242,7 +253,7 @@ func (k *Kernel) execOp(ctx *tctx, obj object, e *RingEntry, c *RingCompletion) 
 			c.N = len(e.Data)
 		}
 	case OpSegmentResize:
-		err = seg.reshape(k, e.Len, false)
+		err = seg.reshape(k, e.Len, 0, 0)
 	default:
 		err = ErrInvalid
 	}

@@ -265,7 +265,7 @@ func (k *Kernel) capture(o object) (object, error) {
 		s.frozen = true
 		if k.pager != nil {
 			if !s.persistent {
-				s.persistent, s.dirty = true, true
+				s.persist()
 			}
 			if err := k.push(s); err != nil {
 				return nil, err

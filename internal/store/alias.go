@@ -102,7 +102,7 @@ func (s *Store) sealAlias(src, dst uint64, lbl label.Label) (*syncTicket, error)
 	e.lbl, e.hasLbl = lbl, true
 	// Enqueued under the entry lock (like every sealed record), so replay
 	// order for dst matches operation order.
-	return s.submit(wal.Record{ObjectID: dst, Data: encodeAliasBody(h), Label: lbl.AppendBinary(nil), Clone: true})
+	return s.submit(wal.Record{ObjectID: dst, Data: encodeAliasBody(h), Label: lbl.AppendBinary(nil), Clone: true}, 0)
 }
 
 // replayAliasRecord re-applies an alias from a WAL record during Open

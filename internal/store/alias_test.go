@@ -56,7 +56,7 @@ func TestBundleSnapshotCloneBasic(t *testing.T) {
 	want := make(map[uint64][]byte)
 	for i := uint64(1); i <= 4; i++ {
 		want[i] = aliasPayload(i, 2048)
-		if err := s.PutLabeled(i, rotLabel(i), want[i]); err != nil {
+		if err := s.PutLabeled(i, rotLabel(i), want[i], 0, whole); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -126,7 +126,7 @@ func TestBundleSnapshotCloneBasic(t *testing.T) {
 func TestAliasBatchIsOneCommit(t *testing.T) {
 	s, _ := testStore(t)
 	for i := uint64(1); i <= 3; i++ {
-		if err := s.PutLabeled(i, rotLabel(i), aliasPayload(i, 512)); err != nil {
+		if err := s.PutLabeled(i, rotLabel(i), aliasPayload(i, 512), 0, whole); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -223,7 +223,7 @@ func TestBundleCaptureRejections(t *testing.T) {
 
 func TestBundleCloneLabelOverride(t *testing.T) {
 	s, _ := testStore(t)
-	if err := s.PutLabeled(1, rotLabel(1), aliasPayload(1, 256)); err != nil {
+	if err := s.PutLabeled(1, rotLabel(1), aliasPayload(1, 256), 0, whole); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Checkpoint(); err != nil {
@@ -338,7 +338,7 @@ func TestBundlePinsBlockReclaimUntilDelete(t *testing.T) {
 func TestBundleSurvivesCrashViaWAL(t *testing.T) {
 	s, d := testStore(t)
 	data := aliasPayload(1, 4096)
-	if err := s.PutLabeled(1, rotLabel(1), data); err != nil {
+	if err := s.PutLabeled(1, rotLabel(1), data, 0, whole); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Checkpoint(); err != nil {
@@ -405,7 +405,7 @@ func TestCloneRecordRidesTheCommitter(t *testing.T) {
 				t.Fatal(err)
 			}
 			data := aliasPayload(1, 4096)
-			if err := s.PutLabeled(1, rotLabel(1), data); err != nil {
+			if err := s.PutLabeled(1, rotLabel(1), data, 0, whole); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.Checkpoint(); err != nil {
@@ -714,7 +714,7 @@ func runAliasWorkload(t *testing.T, s *Store, m *refModel) bool {
 	}
 	for i := uint64(1); i <= 6; i++ {
 		st := src(i)
-		if fault(s.PutLabeled(i, st.lbl, st.data)) {
+		if fault(s.PutLabeled(i, st.lbl, st.data, 0, whole)) {
 			return true
 		}
 		m.push(i, st)
@@ -876,10 +876,10 @@ func TestBitRotSharedExtentQuarantinesEveryClone(t *testing.T) {
 func testSharedExtentRot(t *testing.T, firstTouch func(*Store)) {
 	s, fd := rotStore(t)
 	data := aliasPayload(1, 8192)
-	if err := s.PutLabeled(1, rotLabel(1), data); err != nil {
+	if err := s.PutLabeled(1, rotLabel(1), data, 0, whole); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutLabeled(2, rotLabel(2), aliasPayload(2, 512)); err != nil {
+	if err := s.PutLabeled(2, rotLabel(2), aliasPayload(2, 512), 0, whole); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Checkpoint(); err != nil {

@@ -31,7 +31,7 @@ func BenchmarkSyncObjectLabeled(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := uint64(i % 512)
-		if err := s.PutLabeled(id, taint, payload); err != nil {
+		if err := s.PutLabeled(id, taint, payload, 0, whole); err != nil {
 			b.Fatal(err)
 		}
 		if err := s.SyncObject(id); err != nil {
@@ -53,7 +53,7 @@ func BenchmarkRecovery(b *testing.B) {
 			payload := make([]byte, 1024)
 			for i := 0; i < n; i++ {
 				lbl := label.New(label.L1, label.P(label.Category(uint64(i%16+1)), label.L3))
-				if err := s.PutLabeled(uint64(i), lbl, payload); err != nil {
+				if err := s.PutLabeled(uint64(i), lbl, payload, 0, whole); err != nil {
 					b.Fatal(err)
 				}
 				if err := s.SyncObject(uint64(i)); err != nil {

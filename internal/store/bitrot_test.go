@@ -57,11 +57,18 @@ func rotLabel(cat uint64) label.Label {
 // mutation is synced, so recovery on any rung must reproduce the returned
 // contents exactly.
 func populateGenerations(t *testing.T, s *Store) map[uint64]string {
+	return populateGenerationsWith(t, s, nil)
+}
+
+// populateGenerationsWith is populateGenerations calling more, when it is not
+// nil, at the end of the second generation (before the checkpoint that seals
+// it) and of the third, with the contents every acknowledgement promises.
+func populateGenerationsWith(t *testing.T, s *Store, more func(gen int, want map[uint64]string)) map[uint64]string {
 	t.Helper()
 	want := make(map[uint64]string)
 	put := func(id uint64, v string) {
 		t.Helper()
-		if err := s.PutLabeled(id, rotLabel(id%7), []byte(v)); err != nil {
+		if err := s.PutLabeled(id, rotLabel(id%7), []byte(v), 0, whole); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.SyncObject(id); err != nil {
@@ -79,13 +86,75 @@ func populateGenerations(t *testing.T, s *Store) map[uint64]string {
 		put(i, fmt.Sprintf("gen1-object-%d", i))
 	}
 	put(0, "gen1-overwrite-of-object-0")
+	if more != nil {
+		more(1, want)
+	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(20); i < 25; i++ {
 		put(i, fmt.Sprintf("gen2-object-%d", i))
 	}
+	if more != nil {
+		more(2, want)
+	}
 	return want
+}
+
+// rangeGenerations gives populateGenerationsWith range records on both sides
+// of the seal between generations 1 and 2, checking each sync's logged bytes:
+// in generation 1 objects 30 and 31 get a whole record and then a range, and
+// 30 a last push that no sync logs, which the checkpoint carries home; after
+// the seal each one's first sync is whole again and its next a range, and
+// object 32 starts out whole.
+func rangeGenerations(t *testing.T, s *Store) func(gen int, want map[uint64]string) {
+	cur := make(map[uint64][]byte)
+	return func(gen int, want map[uint64]string) {
+		t.Helper()
+		// put pushes b at off into id (all of a new object's 3000 bytes) and,
+		// when sync, syncs it and checks it logged all or only b.
+		put := func(id uint64, off int, b string, sync, whole bool) {
+			t.Helper()
+			lo, hi := off, off+len(b)
+			if cur[id] == nil {
+				cur[id], lo, hi = bytes.Repeat([]byte{byte('a' + id%26)}, 3000), 0, 3000
+			}
+			copy(cur[id][off:], b)
+			if err := s.PutLabeled(id, rotLabel(id%7), cur[id], lo, hi); err != nil {
+				t.Fatal(err)
+			}
+			if !sync {
+				return
+			}
+			logged := s.Stats().BytesLogged
+			if err := s.SyncObject(id); err != nil {
+				t.Fatal(err)
+			}
+			want[id] = string(cur[id])
+			n := uint64(8 + len(b))
+			if whole {
+				n = uint64(len(cur[id]))
+			}
+			if got := s.Stats().BytesLogged - logged; got != n {
+				t.Fatalf("generation %d, object %d: the sync logged %d bytes, want %d", gen, id, got, n)
+			}
+		}
+		switch gen {
+		case 1:
+			put(30, 0, "", true, true)
+			put(30, 100, "gen1 range of 30", true, false)
+			put(31, 0, "", true, true)
+			put(31, 500, "gen1 range of 31", true, false)
+			put(30, 1000, "pushed, never logged: the checkpoint carries it home", false, false)
+		case 2:
+			put(30, 2000, "gen2, after the seal", true, true)
+			put(30, 10, "gen2 range of 30", true, false)
+			put(31, 600, "gen2, after the seal", true, true)
+			put(31, 700, "gen2 range of 31", true, false)
+			put(32, 0, "", true, true)
+			put(32, 50, "gen2 range of 32", true, false)
+		}
+	}
 }
 
 func checkAll(t *testing.T, s *Store, want map[uint64]string) {
@@ -217,10 +286,11 @@ func TestBitRotBothSuperblockCopiesRefused(t *testing.T) {
 // TestBitRotMetaFallbackZeroCommittedSyncLoss is acceptance criterion (b):
 // when the referenced metadata area rots, Open falls back to the alternate
 // (previous-checkpoint) snapshot and replays the retained log generation
-// forward — every synced mutation from both generations survives.
+// forward — every synced mutation from both generations survives, range
+// records included (rangeGenerations), on both sides of the seal.
 func TestBitRotMetaFallbackZeroCommittedSyncLoss(t *testing.T) {
 	s, fd := rotStore(t)
-	want := populateGenerations(t, s)
+	want := populateGenerationsWith(t, s, rangeGenerations(t, s))
 	epoch := s.metaEpoch
 	areaOff := s.metaAreaOff(s.metaWhich)
 	if err := fd.RotBits(disk.Region{Off: areaOff, Len: mhCRCOff}, 3, 7); err != nil {
@@ -237,9 +307,9 @@ func TestBitRotMetaFallbackZeroCommittedSyncLoss(t *testing.T) {
 	if rep.MetaEpoch != epoch-1 {
 		t.Fatalf("fallback epoch = %d, want %d", rep.MetaEpoch, epoch-1)
 	}
-	// Retained generation (11 records) plus the current one (5 records).
-	if rep.WALRecordsReplayed != 16 {
-		t.Fatalf("replayed %d records, want 16", rep.WALRecordsReplayed)
+	// Retained generation (11 + 4 records) plus the current one (5 + 6).
+	if rep.WALRecordsReplayed != 26 {
+		t.Fatalf("replayed %d records, want 26", rep.WALRecordsReplayed)
 	}
 	checkAll(t, s2, want)
 	// The degraded mount must heal itself: the next checkpoint rewrites
@@ -612,7 +682,7 @@ func TestOtherFormatVersionsRefusedNotLoaded(t *testing.T) {
 	// The log has one version too, but no second copy to fall back on: an
 	// intact header stamped with a retired format refuses the mount, and the
 	// refusal leaves the region as it found it.
-	for _, v := range []byte{4, 5} {
+	for _, v := range []byte{4, 5, 6} {
 		t.Run(fmt.Sprintf("wal-v%d", v), func(t *testing.T) {
 			s, fd := rotStore(t)
 			populateGenerations(t, s)

@@ -126,6 +126,7 @@ func (s *Store) noteSealStall(start time.Time) {
 // a deterministic workload must produce a byte-deterministic image.
 func (s *Store) sealCheckpoint() (*sealedState, error) {
 	ss := &sealedState{epoch: s.metaEpoch + 1}
+	s.logGen.Add(1) // a range record never reaches back past a seal (see sealSync)
 	for si := range s.shards {
 		sh := &s.shards[si]
 		ids := make([]uint64, 0, len(sh.objs))

@@ -1,7 +1,8 @@
 package store
 
 // Crash-injection recovery harness: a randomized workload of Put /
-// PutLabeled / Delete / SyncObject / Alias / Checkpoint runs on a write-through
+// PutLabeled / Delete / SyncObject / Alias / Checkpoint, and partial
+// overwrites each followed by its SyncObject, runs on a write-through
 // disk wrapped in a disk.FaultDisk, which kills the device at an injected
 // crash point (a byte offset into the write stream, torn or omitted at
 // sector granularity).  The surviving image is then reopened and checked
@@ -45,6 +46,7 @@ const (
 	opSync
 	opAlias
 	opCheckpoint
+	opPatch
 	numOpKinds
 )
 
@@ -52,8 +54,21 @@ type wlOp struct {
 	kind opKind
 	id   uint64
 	src  uint64 // opAlias: the object id becomes an alias of
+	off  int    // opPatch: where data goes in the object's bytes
 	data []byte
 	lbl  label.Label
+}
+
+// patched is op's bytes laid over prev, and the range they changed, as the
+// kernel pushes a partial overwrite; an object that does not exist is
+// created whole.
+func patched(prev objState, op wlOp) (data []byte, lo, hi int) {
+	if !prev.exists || len(prev.data) == 0 {
+		return op.data, 0, len(op.data)
+	}
+	data = append([]byte(nil), prev.data...)
+	lo = op.off % len(data)
+	return data, lo, lo + copy(data[lo:], op.data)
 }
 
 // objState is one full state an object passed through: contents plus label.
@@ -174,6 +189,13 @@ func genWorkloadIn(r *rand.Rand, n int, base uint64, span int) []wlOp {
 			for i := range pic {
 				pic[i].dirty, pic[i].home = false, pic[i].exists
 			}
+		case opPatch:
+			// A partial overwrite and its fsync: a range record, when the
+			// store can build on a whole one.
+			data := randPayload(r)
+			ops = append(ops, wlOp{kind: opPatch, id: id, off: r.Intn(1500), data: data[:min(len(data), 64)], lbl: randLabel(r)},
+				wlOp{kind: opSync, id: id})
+			p.exists, p.dirty = true, true
 		}
 	}
 	return ops
@@ -268,10 +290,16 @@ func runWorkload(t *testing.T, s *Store, ops []wlOp, m *refModel) bool {
 			prev := m.latest(op.id)
 			m.push(op.id, objState{exists: true, data: op.data, lbl: prev.lbl, hasLabel: prev.exists && prev.hasLabel})
 		case opPutLabeled:
-			if faulted(s.PutLabeled(op.id, op.lbl, op.data)) {
+			if faulted(s.PutLabeled(op.id, op.lbl, op.data, 0, whole)) {
 				return true
 			}
 			m.push(op.id, objState{exists: true, data: op.data, lbl: op.lbl, hasLabel: true})
+		case opPatch:
+			data, lo, hi := patched(m.latest(op.id), op)
+			if faulted(s.PutLabeled(op.id, op.lbl, data, lo, hi)) {
+				return true
+			}
+			m.push(op.id, objState{exists: true, data: data, lbl: op.lbl, hasLabel: true})
 		case opDelete:
 			if faulted(s.Delete(op.id)) {
 				return true
@@ -432,8 +460,13 @@ func runWorkloadConcurrent(t *testing.T, s *Store, workers [][]wlOp, models []*r
 						m.push(op.id, objState{exists: true, data: op.data, lbl: prev.lbl, hasLabel: prev.exists && prev.hasLabel})
 					}
 				case opPutLabeled:
-					if err = s.PutLabeled(op.id, op.lbl, op.data); err == nil {
+					if err = s.PutLabeled(op.id, op.lbl, op.data, 0, whole); err == nil {
 						m.push(op.id, objState{exists: true, data: op.data, lbl: op.lbl, hasLabel: true})
+					}
+				case opPatch:
+					data, lo, hi := patched(m.latest(op.id), op)
+					if err = s.PutLabeled(op.id, op.lbl, data, lo, hi); err == nil {
+						m.push(op.id, objState{exists: true, data: data, lbl: op.lbl, hasLabel: true})
 					}
 				case opDelete:
 					if err = s.Delete(op.id); err == nil {

@@ -35,7 +35,8 @@
 //     the checksum present; every entry written has it, and a decoded
 //     entry without it is corruption.
 //   - Write-ahead log: header, frame-descriptor, frame-payload and
-//     per-record CRCs, header version 6 (package wal).
+//     per-record CRCs, header version 7 (package wal).  A range record is
+//     a u64 offset and the bytes there, laid over the object's last whole one.
 //
 // Each structure has exactly one version.  A superblock copy or metadata
 // area that verifies but names any other version is a CorruptError, which
@@ -90,7 +91,8 @@
 //     log is then replayed from the older epoch's retained marker (or in
 //     full) — FINISH keeps the previous generation, and a checkpoint's
 //     freed extents rejoin the allocator only after its snapshot commits,
-//     so falling back one snapshot loses no committed sync.
+//     so falling back one snapshot loses no committed sync, range records
+//     too: each one's whole record lies after the same seal marker.
 //  4. WALDamaged: a rotted log frame or header truncates replay to the
 //     valid prefix; the log is resealed to it.  (A commit is one frame, one
 //     flush: a frame the crash tore was never acknowledged, and no rung fires.)
@@ -113,7 +115,10 @@
 // to share them, and the ID stays enumerable via QuarantinedObjects.  The
 // rest of the store serves normally
 // (the cleaner additionally leaves the damaged object's whole segment in
-// place — moving it would destroy the only, albeit damaged, copy).  A
+// place — moving it would destroy the only, albeit damaged, copy).  A range
+// record whose whole record replay has not met (the store writes none)
+// quarantines its object the same way at Open, rather than lay its bytes
+// over a copy they were not written against.  A
 // quarantine verdict is lifted by anything that replaces the damaged extent
 // as the object's authority: a new Put, a Delete, a logged copy replayed at
 // open, or the checkpoint relocation of a sealed dirty entry — and is never

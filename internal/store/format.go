@@ -2,8 +2,8 @@ package store
 
 // The on-disk format, all of it: every layout constant and every encoder and
 // decoder for the superblock copies, the metadata-area header, the section
-// framing, the four metadata sections, and the alias body that rides in
-// write-ahead log records.  (The log's own record framing belongs to
+// framing, the four metadata sections, and the alias and range bodies that
+// ride in write-ahead log records.  (The log's own record framing belongs to
 // package wal.)  No other file interprets or produces a persistent byte; see
 // the package comment and doc.go for the layouts in prose.
 //
@@ -390,4 +390,21 @@ func decodeAliasBody(data []byte) (home, error) {
 	}
 	h := r.home()
 	return h, r.err
+}
+
+// encodeRangeBody is the payload of a WAL range record: the u64 offset of
+// the changed bytes, then the bytes.
+func encodeRangeBody(off int, b []byte) []byte {
+	return append(appendU64(make([]byte, 0, 8+len(b)), uint64(off)), b...)
+}
+
+// applyRangeBody lays a range record's bytes over dst, the object's replayed
+// contents, and reports whether they fit there; if not, dst is unchanged.
+func applyRangeBody(dst, data []byte) bool {
+	n := len(data) - 8
+	if n < 0 || n > len(dst) || binary.LittleEndian.Uint64(data) > uint64(len(dst)-n) {
+		return false
+	}
+	copy(dst[binary.LittleEndian.Uint64(data):], data[8:])
+	return true
 }

@@ -17,14 +17,14 @@ import (
 // formatImageSHA256 is the SHA-256 of the device image formatImageWorkload
 // leaves behind.  It pins every on-disk layout at once — superblock copies,
 // log header, frames and records, metadata header and sections, segment packing,
-// alias records — so a change that alters any of them must change this
-// constant, visibly.
-const formatImageSHA256 = "e477d94166ffc75ec9228f261dda8d7a1c25cd878038e60a8e4d2c11b58f375c"
+// alias and range records — so a change that alters any of them must change
+// this constant, visibly.
+const formatImageSHA256 = "098d6a774b7cc32ea161d27181c8e4ee556644a82ae239917520f6cf961b2640"
 
 // formatImageWorkload drives one seeded, single-threaded pass over every
 // structure the store writes: plain and labelled puts, deletes, per-object
 // and batched syncs, a snapshot's holds and clones of them, two checkpoints,
-// and a tail of log records after the last one.
+// and a tail of log records after the last one, a range record among them.
 func formatImageWorkload(t *testing.T, s *Store) {
 	t.Helper()
 	must := func(err error) {
@@ -41,7 +41,7 @@ func formatImageWorkload(t *testing.T, s *Store) {
 	}
 	for id := uint64(1); id <= 40; id++ {
 		if id%3 == 0 {
-			must(s.PutLabeled(id, rotLabel(id%5), payload()))
+			must(s.PutLabeled(id, rotLabel(id%5), payload(), 0, whole))
 		} else {
 			must(s.Put(id, payload()))
 		}
@@ -65,7 +65,7 @@ func formatImageWorkload(t *testing.T, s *Store) {
 	must(alias1(s, 63, 100, rotLabel(3)))
 	must(alias1(s, 64, 101, rotLabel(6)))
 	for id := uint64(20); id <= 30; id++ {
-		must(s.PutLabeled(id, rotLabel(id%7), payload()))
+		must(s.PutLabeled(id, rotLabel(id%7), payload(), 0, whole))
 	}
 	must(s.Put(100, payload())) // copy-on-write break of the clone
 	for _, err := range s.SyncObjects([]uint64{20, 21, 22, 100}) {
@@ -74,7 +74,11 @@ func formatImageWorkload(t *testing.T, s *Store) {
 	must(s.Delete(25))
 	must(s.Checkpoint())
 
-	must(s.PutLabeled(50, rotLabel(2), payload()))
+	fifty := append(payload(), make([]byte, 32)...)
+	must(s.PutLabeled(50, rotLabel(2), fifty, 0, whole))
+	must(s.SyncObject(50))
+	copy(fifty[8:], "range record")
+	must(s.PutLabeled(50, rotLabel(2), fifty, 8, 20))
 	must(s.SyncObject(50))
 	must(s.Delete(30))
 	must(s.SyncObject(30))

@@ -20,6 +20,8 @@ package store
 //     resolution, so no checkpoint SEAL can intervene between sealing a state
 //     and committing it — a record in the log is never older than the epoch
 //     marker before it, so replay on the matching snapshot never regresses.
+//   - A range record commits only in the log generation it was sealed in;
+//     one of an older generation takes the checkpoint fallback (sealSync).
 //   - When a batch cannot commit (log full, or a record that could never
 //     fit), the log keeps none of it and every affected syncer falls back to
 //     a checkpoint: the checkpoint makes a state at least as new as each
@@ -46,6 +48,7 @@ var errRetryCheckpoint = errors.New("store: sync falls back to a checkpoint")
 // syncTicket is one syncer's claim on a future batch commit.
 type syncTicket struct {
 	rec  wal.Record
+	base uint64 // the log generation a range record was sealed in; 0 for others
 	done chan struct{}
 	err  error
 }
@@ -88,8 +91,8 @@ func histBucket(n int) int {
 
 // enqueue registers a sealed record for the next batch.  Called with the
 // object's entry lock held, so per-object queue order matches seal order.
-func (c *committer) enqueue(rec wal.Record) *syncTicket {
-	t := &syncTicket{rec: rec, done: make(chan struct{})}
+func (c *committer) enqueue(rec wal.Record, base uint64) *syncTicket {
+	t := &syncTicket{rec: rec, base: base, done: make(chan struct{})}
 	c.mu.Lock()
 	c.queue = append(c.queue, t)
 	c.mu.Unlock()
@@ -98,14 +101,15 @@ func (c *committer) enqueue(rec wal.Record) *syncTicket {
 
 // submit hands one sealed record to the committer.  Called with the entry
 // lock of the object the record describes held, and ckptMu in read mode.
-func (s *Store) submit(rec wal.Record) (*syncTicket, error) {
+func (s *Store) submit(rec wal.Record, base uint64) (*syncTicket, error) {
 	if s.l.TooLarge(rec) {
 		// The record can never be logged (it exceeds the log region or the
 		// format's label-length field); a checkpoint provides the same
 		// durability — contents, label and home table — in one sweep.
+		s.logGen.Add(1)
 		return nil, errRetryCheckpoint
 	}
-	return s.comm.enqueue(rec), nil
+	return s.comm.enqueue(rec, base), nil
 }
 
 // logged is the one body of every logged operation.  It runs seal n times —
@@ -213,7 +217,9 @@ func (s *Store) drainLocked() {
 		c.mu.Unlock()
 		err := s.commitBatch(batch)
 		for _, bt := range batch {
-			bt.err = err
+			if bt.err == nil {
+				bt.err = err
+			}
 			close(bt.done)
 		}
 		c.mu.Lock()
@@ -223,16 +229,24 @@ func (s *Store) drainLocked() {
 	}
 }
 
-// commitBatch commits one batch: the one frame and one flush that many
-// syncers share.  A batch that did not commit is in the log nowhere, so no
-// later commit — potentially after a checkpoint made newer states durable —
-// can regress its objects: each syncer is told to retry or fail.
+// commitBatch commits one batch, less any range record of an older log
+// generation: the one frame and one flush that many syncers share.  A batch
+// that did not commit is in the log nowhere, so no later commit — potentially
+// after a checkpoint made newer states durable — can regress its objects:
+// each syncer is told to retry or fail, and the log generation ends.
 func (s *Store) commitBatch(batch []*syncTicket) error {
-	recs := make([]wal.Record, len(batch))
-	for i, t := range batch {
-		recs[i] = t.rec
+	recs := make([]wal.Record, 0, len(batch))
+	for _, t := range batch {
+		if t.base != 0 && t.base != s.logGen.Load() {
+			t.err = errRetryCheckpoint
+			continue
+		}
+		recs = append(recs, t.rec)
 	}
 	err := s.l.Commit(recs)
+	if err != nil {
+		s.logGen.Add(1)
+	}
 	if errors.Is(err, wal.ErrFull) || errors.Is(err, wal.ErrTooLarge) {
 		// ErrTooLarge is pre-checked at seal time; only a shrunken log could
 		// answer it here.
@@ -266,6 +280,12 @@ func (s *Store) SyncObject(id uint64) error { return s.SyncObjects([]uint64{id})
 // already current, otherwise the error says why the object cannot be synced
 // through the log (errRetryCheckpoint when a checkpoint must provide the
 // durability instead).
+//
+// The record holds only the bytes pushed since the object's last record (a
+// range record) when the length is unchanged and the last whole record was
+// sealed in the current log generation, which every checkpoint seal and every
+// record the log refuses ends; a range record commits in its own generation
+// only (commitBatch), so replay meets its base after the same seal marker.
 func (s *Store) sealSync(id uint64) (*syncTicket, error) {
 	s.c.objectSyncs.Add(1)
 	e := s.shardOf(id).lookup(id)
@@ -276,6 +296,7 @@ func (s *Store) sealSync(id uint64) (*syncTicket, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var rec wal.Record
+	var base uint64
 	switch {
 	case e.dead:
 		rec = wal.Record{ObjectID: id, Delete: true}
@@ -284,6 +305,12 @@ func (s *Store) sealSync(id uint64) (*syncTicket, error) {
 		if e.hasLbl {
 			rec.Label = e.lbl.AppendBinary(nil)
 		}
+		if gen := s.logGen.Load(); e.base != gen || e.lo <= 0 && e.hi >= len(e.data) {
+			e.base = gen
+		} else {
+			rec.Data, rec.Range, base = encodeRangeBody(e.lo, e.data[e.lo:max(e.lo, e.hi)]), true, gen
+		}
+		e.lo, e.hi = 0, 0
 	case e.quar:
 		// No resident copy and the home extent is damaged: the store
 		// cannot promise this object is durable.
@@ -292,7 +319,7 @@ func (s *Store) sealSync(id uint64) (*syncTicket, error) {
 		return nil, nil
 	}
 	// Submitted under the entry lock: per-object log order = seal order.
-	return s.submit(rec)
+	return s.submit(rec, base)
 }
 
 // SyncObjects durably records the current contents of many objects at once:

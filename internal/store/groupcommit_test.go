@@ -189,7 +189,7 @@ func midBatchRig(t *testing.T, ids []uint64, oldData, newData []byte, lbl label.
 		t.Fatal(err)
 	}
 	for _, id := range ids {
-		if err := s.PutLabeled(id, lbl, oldData); err != nil {
+		if err := s.PutLabeled(id, lbl, oldData, 0, whole); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -197,7 +197,7 @@ func midBatchRig(t *testing.T, ids []uint64, oldData, newData []byte, lbl label.
 		t.Fatal(err)
 	}
 	for _, id := range ids {
-		if err := s.PutLabeled(id, lbl, newData); err != nil {
+		if err := s.PutLabeled(id, lbl, newData, 0, whole); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -313,7 +313,7 @@ func TestGroupCommitPartialDestage(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, id := range ids {
-			if err := s.PutLabeled(id, lbl, oldData); err != nil {
+			if err := s.PutLabeled(id, lbl, oldData, 0, whole); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -321,7 +321,7 @@ func TestGroupCommitPartialDestage(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, id := range ids {
-			if err := s.PutLabeled(id, lbl, newData); err != nil {
+			if err := s.PutLabeled(id, lbl, newData, 0, whole); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -423,7 +423,7 @@ func TestConcurrentStoreStress(t *testing.T) {
 					final[id] = finalState{exists: true, data: data, lbl: st.lbl, hasLabel: st.exists && st.hasLabel}
 				case 3:
 					data, lbl := randPayload(r), randLabel(r)
-					if err := s.PutLabeled(id, lbl, data); err != nil {
+					if err := s.PutLabeled(id, lbl, data, 0, whole); err != nil {
 						t.Errorf("PutLabeled: %v", err)
 						return
 					}
@@ -572,7 +572,7 @@ func TestPutLabeledSealsContentsAndLabelAtomically(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 200; i++ {
-			if err := s.PutLabeled(1, lbl, []byte(fmt.Sprintf("rev %d", i))); err != nil {
+			if err := s.PutLabeled(1, lbl, []byte(fmt.Sprintf("rev %d", i)), 0, whole); err != nil {
 				t.Errorf("PutLabeled: %v", err)
 				return
 			}

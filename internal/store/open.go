@@ -81,7 +81,16 @@ func Open(d disk.Device, opts Options) (*Store, error) {
 			e.quar = false
 			continue
 		}
-		e.data = append([]byte(nil), r.Data...)
+		if !r.Range {
+			e.data = append([]byte(nil), r.Data...)
+		} else if !e.cached || !applyRangeBody(e.data, r.Data) {
+			// Only a replayed whole record makes contents resident here, and
+			// without one the log does not say what lies beside these bytes.
+			s.noteCorruption(fmt.Errorf("%w: range record for object %d has no replayed whole record to patch", ErrCorrupt, r.ObjectID))
+			e.data, e.cached, e.dirty, e.dead = nil, false, false, false
+			s.quarantine(e)
+			continue
+		}
 		e.cached, e.dirty = true, true
 		// A logged re-create after a logged tombstone must clear the dead
 		// flag, or the next SyncObject would log a spurious deletion.

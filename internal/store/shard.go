@@ -40,6 +40,9 @@ type objEntry struct {
 	// object by an extent the checkpoint is about to supersede.  Cleared by
 	// the body after relocation, or restored to dirty if the body fails.
 	ckpt bool
+
+	lo, hi int    // [lo, hi) changed since the last log record (empty: lo >= hi)
+	base   uint64 // the log generation of the last whole record
 }
 
 // storeShard is one shard of the object-entry table, selected by object-ID

@@ -109,7 +109,7 @@
 //     in one record, so a crash can never resurrect an object without its
 //     taint — to the write-ahead log through the group committer and waits
 //     for the batch commit: concurrent syncers share one sequential write
-//     plus flush.
+//     plus flush; it logs only the bytes that changed when it can (sealSync).
 //   - group sync: Checkpoint seals the dirty set, writes it to home
 //     segments, persists the metadata trees, and updates the superblock
 //     once.
@@ -297,6 +297,8 @@ type Store struct {
 	sealSeq       atomic.Uint64
 	completedSeal atomic.Uint64
 
+	logGen atomic.Uint64 // the log generation (see sealSync)
+
 	// shards hold the in-memory object entries, partitioned by object-ID bits.
 	shards [storeShards]storeShard
 
@@ -398,6 +400,7 @@ func newStore(d disk.Device, opts Options) *Store {
 		segSize = defaultSegmentSize
 	}
 	s := &Store{d: d, logSize: opts.LogSize, metaSize: opts.MetaAreaSize, segSize: alignUp(segSize)}
+	s.logGen.Store(1) // an entry's base 0 names no generation
 	s.resetTables()
 	s.comm.maxBytes = opts.GroupCommitBytes
 	if s.comm.maxBytes <= 0 {
@@ -505,9 +508,10 @@ func (s *Store) WALStats() wal.Stats { return s.l.Stats() }
 // Put stores (or replaces) the contents of an object in memory.  Nothing is
 // written to disk until SyncObject or a checkpoint, mirroring HiStar's
 // delayed allocation.
-func (s *Store) Put(id uint64, data []byte) error { return s.put(id, data, nil) }
+func (s *Store) Put(id uint64, data []byte) error { return s.put(id, data, nil, 0, len(data)) }
 
-// PutLabeled is Put plus recording the object's information-flow label.
+// PutLabeled is Put plus recording the object's information-flow label, and
+// the caller's word that only bytes [lo, hi) differ from its last put.
 // Labels are serialized in their canonical sorted form (into every SyncObject
 // log record, and into the metadata snapshot at checkpoint) and their
 // fingerprints are recomputed exactly once on load, so a restored system
@@ -515,12 +519,14 @@ func (s *Store) Put(id uint64, data []byte) error { return s.put(id, data, nil) 
 // under one entry-lock hold, so a concurrent SyncObject can never seal the
 // new contents with the old (or no) label — the same atomicity the log
 // record format provides on disk.
-func (s *Store) PutLabeled(id uint64, lbl label.Label, data []byte) error {
-	return s.put(id, data, &lbl)
+func (s *Store) PutLabeled(id uint64, lbl label.Label, data []byte, lo, hi int) error {
+	return s.put(id, data, &lbl, lo, hi)
 }
 
-// put installs new contents and, when lbl is not nil, the label.
-func (s *Store) put(id uint64, data []byte, lbl *label.Label) error {
+// put installs new contents and, when lbl is not nil, the label, and adds
+// [lo, hi) — all of it, when the length changed or nothing was resident — to
+// the bytes changed since the last log record.
+func (s *Store) put(id uint64, data []byte, lbl *label.Label, lo, hi int) error {
 	s.ckptMu.RLock()
 	defer s.ckptMu.RUnlock()
 	if s.closed {
@@ -529,6 +535,14 @@ func (s *Store) put(id uint64, data []byte, lbl *label.Label) error {
 	e := s.shardOf(id).getOrCreate(id)
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if !e.cached || len(data) != len(e.data) {
+		e.lo, e.hi = 0, len(data)
+	} else if lo, hi = max(lo, 0), min(hi, len(data)); lo < hi {
+		if e.lo >= e.hi {
+			e.lo, e.hi = lo, hi
+		}
+		e.lo, e.hi = min(e.lo, lo), max(e.hi, hi)
+	}
 	// Copy-on-write: replace, never mutate, so sealed log records may alias
 	// the old slice.
 	e.data = append([]byte(nil), data...)

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"histar/internal/disk"
 	"histar/internal/label"
 	"histar/internal/vclock"
 )
+
+// whole, as PutLabeled's end of range, says every byte may have changed.
+const whole = math.MaxInt
 
 func testStore(t *testing.T) (*Store, *disk.Disk) {
 	t.Helper()
@@ -315,16 +319,16 @@ func TestLabelPersistence(t *testing.T) {
 	plain := label.New(label.L1)
 	user := label.New(label.L1,
 		label.P(label.Category(3), label.L3), label.P(label.Category(9), label.L0))
-	if err := s.PutLabeled(1, taint, []byte("tainted file")); err != nil {
+	if err := s.PutLabeled(1, taint, []byte("tainted file"), 0, whole); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutLabeled(2, plain, []byte("public file")); err != nil {
+	if err := s.PutLabeled(2, plain, []byte("public file"), 0, whole); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Put(3, []byte("unlabeled")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutLabeled(3, user, []byte("unlabeled")); err != nil {
+	if err := s.PutLabeled(3, user, []byte("unlabeled"), 0, whole); err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := s.Label(1); !ok || !got.Equal(taint) {
@@ -361,7 +365,7 @@ func TestLabelPersistence(t *testing.T) {
 
 func TestLabelDroppedWithDelete(t *testing.T) {
 	s, _ := testStore(t)
-	if err := s.PutLabeled(7, label.New(label.L2), []byte("x")); err != nil {
+	if err := s.PutLabeled(7, label.New(label.L2), []byte("x"), 0, whole); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Delete(7); err != nil {
@@ -378,7 +382,7 @@ func TestSyncObjectPersistsLabelAcrossCrash(t *testing.T) {
 	// label at all.
 	s, d := testStore(t)
 	taint := label.New(label.L1, label.P(label.Category(42), label.L3))
-	if err := s.PutLabeled(9, taint, []byte("secret")); err != nil {
+	if err := s.PutLabeled(9, taint, []byte("secret"), 0, whole); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SyncObject(9); err != nil {
@@ -411,7 +415,7 @@ func TestOpenHonoursSuperblockGeometry(t *testing.T) {
 		t.Fatal(err)
 	}
 	lbl := label.New(label.L1, label.P(label.Category(5), label.L3))
-	if err := s.PutLabeled(1, lbl, []byte("geometry")); err != nil {
+	if err := s.PutLabeled(1, lbl, []byte("geometry"), 0, whole); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SyncObject(1); err != nil {
@@ -443,7 +447,7 @@ func TestSyncObjectLogFullFallbackIsDurable(t *testing.T) {
 	taint := label.New(label.L1, label.P(label.Category(3), label.L3))
 	payload := bytes.Repeat([]byte("z"), 8*1024)
 	for i := uint64(0); i < 20; i++ {
-		if err := s.PutLabeled(i, taint, payload); err != nil {
+		if err := s.PutLabeled(i, taint, payload, 0, whole); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.SyncObject(i); err != nil {
@@ -479,7 +483,7 @@ func TestSyncObjectOversizeRecordFallsBackToCheckpoint(t *testing.T) {
 	}
 	big := bytes.Repeat([]byte("x"), 64*1024)
 	taint := label.New(label.L1, label.P(label.Category(8), label.L3))
-	if err := s.PutLabeled(1, taint, big); err != nil {
+	if err := s.PutLabeled(1, taint, big, 0, whole); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.SyncObject(1); err != nil {
@@ -551,7 +555,7 @@ func TestSyncAfterUnlabeledRecreateClearsCheckpointedLabel(t *testing.T) {
 	// so replay must clear the checkpointed label rather than resurrect it.
 	s, d := testStore(t)
 	taint := label.New(label.L1, label.P(label.Category(6), label.L3))
-	if err := s.PutLabeled(5, taint, []byte("labeled")); err != nil {
+	if err := s.PutLabeled(5, taint, []byte("labeled"), 0, whole); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Checkpoint(); err != nil {

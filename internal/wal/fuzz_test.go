@@ -63,6 +63,14 @@ func FuzzRecover(f *testing.F) {
 		{ObjectID: 2, Data: []byte("labeled"), Label: []byte{2, 1, 17, 0, 0, 0, 0, 0, 0, 0, 3}},
 		{ObjectID: 3, Delete: true},
 	}))
+	// Range records (format 7): over a whole record in the same frame, in the
+	// next frame, and an empty one.
+	rng := func(off byte, b string) []byte { return append([]byte{off, 0, 0, 0, 0, 0, 0, 0}, b...) }
+	f.Add(validImage(f,
+		[]Record{{ObjectID: 8, Data: []byte("whole contents"), Label: []byte{2, 1, 17, 0, 0, 0, 0, 0, 0, 0, 3}},
+			{ObjectID: 8, Data: rng(6, "range"), Label: []byte{2, 1, 17, 0, 0, 0, 0, 0, 0, 0, 3}, Range: true}},
+		[]Record{{ObjectID: 8, Data: rng(0, "W"), Range: true}, {ObjectID: 8, Data: rng(3, ""), Range: true}},
+	))
 	// A corrupted generation and a region cut off inside the first frame.
 	img := validImage(f, []Record{{ObjectID: 4, Data: bytes.Repeat([]byte("x"), 100)}})
 	img[9] = 0x7f
@@ -139,7 +147,7 @@ func FuzzRecover(f *testing.F) {
 		}
 		for i := range recs {
 			a, b := recs[i], recs2[i]
-			if a.ObjectID != b.ObjectID || a.Delete != b.Delete ||
+			if a.ObjectID != b.ObjectID || a.Delete != b.Delete || a.Range != b.Range ||
 				!bytes.Equal(a.Data, b.Data) || !bytes.Equal(a.Label, b.Label) {
 				t.Fatalf("record %d changed across reseal: %+v -> %+v", i, a, b)
 			}

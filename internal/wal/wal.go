@@ -1,11 +1,11 @@
 // Package wal implements the write-ahead log the HiStar single-level store
 // uses for crash consistency (Section 4): synchronous updates are queued in
 // a sequential on-disk log and applied to their home locations in batches.
-// Records are logical — an object ID plus its new contents (or a tombstone)
-// — so recovery does not depend on the physical layout chosen later by the
-// extent allocator.
+// Records are logical — an object ID plus its new contents, the bytes of
+// them that changed, or a tombstone — so recovery does not depend on the
+// physical layout chosen later by the extent allocator.
 //
-// # On-disk format (version 6)
+// # On-disk format (version 7)
 //
 // The log occupies a fixed region of the disk.  It starts with a 32-byte
 // header, written by New, Truncate, ReclaimBefore, a compaction and a reseal
@@ -13,7 +13,7 @@
 //
 //	off  size  field
 //	0    4     magic "HWLO" (0x48574c4f, little endian)
-//	4    1     format version (6)
+//	4    1     format version (7)
 //	5    3     reserved (zero)
 //	8    8     generation: 64 random bits; only frames stamped with them
 //	           belong to this log
@@ -50,13 +50,15 @@
 //	8    4     data length
 //	12   2     label length (0 when the object carries no label)
 //	14   1     flags: bit 0 = tombstone, bit 1 = label present,
-//	           bit 2 = generation marker, bit 3 = clone alias
-//	           (bit 4 is retired: version 5 flagged a record kind with it)
+//	           bit 2 = generation marker, bit 3 = clone alias,
+//	           bit 5 = range (bit 4 is retired: version 5 flagged a
+//	           record kind with it)
 //	15   4     CRC-32 (IEEE) of bytes 0..15 plus the label and data bytes
 //	19   ...   canonical serialized label (label.AppendBinary), then data
 //
-// A clone-alias record carries a store-defined payload (see Record), opaque
-// to the log; it cannot combine with a tombstone or a marker.
+// Clone-alias and range records carry a store-defined payload (see Record),
+// opaque to the log; neither combines with a tombstone, a marker or the
+// other, and a range payload is at least 8 bytes (version 7 added it).
 //
 // A generation marker (bit 2, no data, no label) closes a checkpoint
 // generation: the store seals one with AppendMark, the object-ID field
@@ -125,6 +127,9 @@ type Record struct {
 	// the committed extent the object aliases (not object contents), and
 	// Label is the clone's label.
 	Clone bool
+	// Range marks a range record: Data is the store's offset and bytes to
+	// lay over the object's last whole record, not its contents.
+	Range bool
 }
 
 var (
@@ -148,7 +153,7 @@ const (
 	recHeaderSize = 8 + 4 + 2 + 1 + 4 // id, data len, label len, flags, crc
 	logHeaderSize = 32
 	logMagic      = 0x48574c4f // "HWLO"
-	logVersion    = 6
+	logVersion    = 7
 	descSize      = 32
 	frameMagic    = 0x48574652 // "HWFR"
 	frameOverhead = 3 * descSize
@@ -158,6 +163,7 @@ const (
 	flagHasLabel = 1 << 1
 	flagMark     = 1 << 2
 	flagClone    = 1 << 3
+	flagRange    = 1 << 5
 )
 
 var (
@@ -299,6 +305,9 @@ func appendRecord(f []byte, r Record) []byte {
 	}
 	if r.Clone {
 		hdr[14] |= flagClone
+	}
+	if r.Range {
+		hdr[14] |= flagRange
 	}
 	at := len(f)
 	f = append(append(append(f, hdr[:]...), r.Label...), r.Data...)
@@ -686,12 +695,14 @@ func decodeRecords(buf []byte) ([]Record, error) {
 		nl := int(le.Uint16(buf[12:]))
 		flags := buf[14]
 		switch {
-		case flags&^byte(flagDelete|flagHasLabel|flagMark|flagClone) != 0,
+		case flags&^byte(flagDelete|flagHasLabel|flagMark|flagClone|flagRange) != 0,
 			(flags&flagHasLabel != 0) != (nl > 0),
 			// A generation marker carries nothing but the flag.
 			flags&flagMark != 0 && (flags != flagMark || nd != 0 || nl != 0),
 			// A clone alias is neither a tombstone nor a marker.
 			flags&flagClone != 0 && flags&(flagDelete|flagMark) != 0,
+			// A range is none of the three, and holds at least its offset.
+			flags&flagRange != 0 && (flags&(flagDelete|flagMark|flagClone) != 0 || nd < 8),
 			nd < 0 || len(buf) < recHeaderSize+nl+nd:
 			return out, ErrCorrupt
 		}
@@ -704,6 +715,7 @@ func decodeRecords(buf []byte) ([]Record, error) {
 			Delete:   flags&flagDelete != 0,
 			Mark:     flags&flagMark != 0,
 			Clone:    flags&flagClone != 0,
+			Range:    flags&flagRange != 0,
 		}
 		if nd > 0 {
 			r.Data = rec[recHeaderSize+nl:]

@@ -219,6 +219,27 @@ func TestLabelRecordsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRangeRecordFlagRules: a range record comes back flagged as one, and
+// decodeRecords refuses the flag beside a tombstone, a marker or a clone,
+// and a range payload too short to hold its offset.
+func TestRangeRecordFlagRules(t *testing.T) {
+	body := []byte("\x03\x00\x00\x00\x00\x00\x00\x00new")
+	good := Record{ObjectID: 1, Data: body, Label: []byte{2, 1, 17, 0, 0, 0, 0, 0, 0, 0, 3}, Range: true}
+	if recs, err := decodeRecords(appendRecord(nil, good)); err != nil || len(recs) != 1 || !recs[0].Range || !bytes.Equal(recs[0].Data, body) {
+		t.Fatalf("range record decoded as %+v, %v", recs, err)
+	}
+	for name, r := range map[string]Record{
+		"tombstone":  {ObjectID: 1, Data: body, Range: true, Delete: true},
+		"marker":     {ObjectID: 1, Range: true, Mark: true},
+		"clone":      {ObjectID: 1, Data: body, Range: true, Clone: true},
+		"short body": {ObjectID: 1, Data: body[:7], Range: true},
+	} {
+		if recs, err := decodeRecords(appendRecord(nil, r)); !errors.Is(err, ErrCorrupt) || len(recs) != 0 {
+			t.Errorf("range with %s: %+v, %v; want ErrCorrupt", name, recs, err)
+		}
+	}
+}
+
 func TestRecoverFreshRegion(t *testing.T) {
 	d := disk.New(disk.Params{Sectors: 1 << 12}, &vclock.Clock{})
 	l := Open(d, 0, 1<<16)
@@ -291,9 +312,9 @@ func TestUnsupportedVersionRefusedWithoutErasure(t *testing.T) {
 		}
 		return img
 	}
-	// Every version but the current one — the retired 0, 2, 3, 4 and 5 as
+	// Every version but the current one — the retired 0, 2, 3, 4, 5 and 6 as
 	// much as a future 9 — is refused, and the refusal writes nothing.
-	for _, v := range []byte{0, 2, 3, 4, 5, 9} {
+	for _, v := range []byte{0, 2, 3, 4, 5, 6, 9} {
 		setVersion(v)
 		before := image()
 		if recs, err := Open(d, 0, region).Recover(); !errors.Is(err, ErrVersion) || len(recs) != 0 {
