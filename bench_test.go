@@ -846,9 +846,9 @@ func BenchmarkSyscallSerial(b *testing.B) {
 // Syscall ring: batched submission vs. the per-call loop.  Both variants run
 // the same ring-expressible read-heavy mix from 8 worker threads and claim
 // work in 16-op blocks; the Ring variant submits each block as one ring batch
-// (one thread snapshot per Wait, one lock round-trip per coalesced
-// same-object run), the Serial variant issues the identical block one
-// syscall at a time.  The ratio isolates the batching win.
+// (one thread snapshot per Wait, one lock round-trip per coalesced run of
+// adjacent same-object entries), the Serial variant issues the identical
+// block one syscall at a time.  The ratio isolates the batching win.
 // ---------------------------------------------------------------------------
 
 const ringBenchBatch = 16

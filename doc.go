@@ -53,16 +53,18 @@
 // under one thread snapshot per Wait.  Completions return in submission
 // order with per-entry errors; a Chain flag makes an entry depend on its
 // predecessor, with failure skipping the rest of the chain (ErrSkipped).
-// Execution reorders independent chains by target object so same-object
-// entries share a single resolve, lockOrdered acquisition, and liveness
-// check — the sort is stable, so same-object submission order is preserved
-// and a write-then-read needs no Chain flag — while still locking
-// {container, object} in ascending-ID order, adding no new lock-order edges.
-// All OpSync entries in a batch are pushed to the store and committed as one
-// pre-formed SyncObjects group, which the group committer turns into dense
-// log batches: ⌈N/GroupCommitRecords⌉ flushes for N syncs instead of N.  The Unix
-// library's multi-file writev/fsync fan-out (Process.PwritevFsync,
-// Process.FsyncMany) is built on the ring.
+// Execution follows submission order, so a batch gets the verdicts and the
+// state its entries would get as direct calls one after another, each
+// checked against the label the thread holds at that entry (a gate entry
+// changes it for the entries after it).  Adjacent entries on one target share
+// a single resolve, lockOrdered acquisition, and liveness check, still
+// locking {container, object} in ascending-ID order, adding no new
+// lock-order edges.  Each OpSync pushes its segment where it stands, and the
+// batch's syncs are committed as one pre-formed SyncObjects group (earlier
+// only when a chained entry needs a sync's outcome), which the group
+// committer turns into dense log batches: ⌈N/GroupCommitRecords⌉ flushes for
+// N syncs instead of N.  The Unix library's multi-file writev/fsync fan-out
+// (Process.PwritevFsync, Process.FsyncMany) is built on the ring.
 //
 // Container snapshots make sandbox creation O(metadata): the kernel
 // captures a container subtree as images — unpublished kernel objects under

@@ -71,12 +71,13 @@
 //
 // Besides direct calls, a thread may batch system calls through a Ring
 // (ring.go): Submit queues entries, Wait snapshots the thread once, executes
-// every entry through the same open and execOp a direct call uses, and returns
-// per-entry completions in submission order.  Chains (the Chain flag) fix
-// intra-chain order with skip-on-error; independent chains may be reordered
-// by target object ID so same-object entries share one lock acquisition.  A
-// run — or an OpSync's push — holds at most one lockOrdered set at a time and
-// the group commit none, so the ring introduces no new lock-order edges.
+// every entry in submission order through the same open and execOp a direct
+// call uses, and returns per-entry completions in that order — a batch gets
+// the verdicts its entries would get as direct calls.  A chained entry (the
+// Chain flag) is skipped when its predecessor failed; adjacent entries on one
+// target share one lock acquisition.  A run — or an OpSync's push — holds at
+// most one lockOrdered set at a time and the group commit none, so the ring
+// introduces no new lock-order edges.
 // Wait records one ring_submit syscall per batch and each entry records its
 // own syscall (OpSync as ring_sync), so batched and direct traffic stay
 // distinguishable in SyscallCounts; RingStats aggregates depth, coalescing,

@@ -13,10 +13,11 @@ import (
 )
 
 // Ring tests: a randomized property test against a sequential reference
-// model (including chain-flag skip semantics and error propagation), a
+// model (including chain-flag skip semantics, error propagation and label
+// denials), the cases where running out of submission order would show, a
 // deterministic chain-semantics test, sync-group dispatch through a fake
-// pager (pager_test.go), stats accounting, and a -race stress test of many threads
-// submitting overlapping-object batches.
+// pager (pager_test.go), stats accounting, and a -race stress test of many
+// threads submitting overlapping-object batches.
 
 // ringTestEnv is a booted kernel with a few segments to batch against.
 type ringTestEnv struct {
@@ -40,33 +41,31 @@ func newRingEnv(t *testing.T, nSegs, segSize int) *ringTestEnv {
 }
 
 // modelExec executes a batch sequentially, in submission order, against
-// plain byte slices — the reference semantics the ring must match.  Because
-// each entry touches only its own target and the ring preserves per-object
-// and intra-chain submission order, reordering across objects is
-// unobservable and sequential execution is the specification.
-func modelExec(entries []RingEntry, segs map[ID][]byte, quota map[ID]uint64, poison map[uint64]error) ([]RingCompletion, map[ID][]byte, map[ID]bool) {
-	synced := make(map[ID]bool) // targets of an OpSync that ran: pushed, whatever the commit answered
+// plain byte slices — the reference semantics the ring must match, since a
+// batch is its entries made as direct calls one after another.  The segments
+// in readOnly may be observed but not modified: a write, resize or sync of
+// one is ErrLabel.  It returns, for every segment an OpSync pushed (whatever
+// the commit answered), the bytes it held at its last such sync.
+func modelExec(entries []RingEntry, segs map[ID][]byte, quota map[ID]uint64, readOnly map[ID]bool, poison map[uint64]error) ([]RingCompletion, map[ID][]byte, map[ID][]byte) {
+	synced := make(map[ID][]byte)
 	state := make(map[ID][]byte, len(segs))
 	for id, b := range segs {
 		state[id] = append([]byte(nil), b...)
 	}
 	comps := make([]RingCompletion, len(entries))
-	failed := false // current chain failed
 	for i, e := range entries {
 		comps[i].Index = i
-		if i > 0 && e.Chain {
-			if failed {
-				comps[i].Err = ErrSkipped
-				continue
-			}
-		} else {
-			failed = false
+		if i > 0 && e.Chain && comps[i-1].Err != nil {
+			comps[i].Err = ErrSkipped
+			continue
 		}
 		data, ok := state[e.Seg.Object]
 		var err error
 		switch {
 		case !ok:
 			err = ErrNoSuchObject
+		case readOnly[e.Seg.Object] && (e.Op == OpSegmentWrite || e.Op == OpSegmentResize || e.Op == OpSync):
+			err = ErrLabel
 		default:
 			switch e.Op {
 			case OpSegmentRead:
@@ -117,21 +116,19 @@ func modelExec(entries []RingEntry, segs map[ID][]byte, quota map[ID]uint64, poi
 					state[e.Seg.Object] = grown
 				}
 			case OpSync:
-				synced[e.Seg.Object] = true
+				synced[e.Seg.Object] = append([]byte(nil), data...)
 				err = poison[uint64(e.Seg.Object)]
 			}
 		}
-		if err != nil {
-			comps[i].Err = err
-			failed = true
-		}
+		comps[i].Err = err
 	}
 	return comps, state, synced
 }
 
-// propEnv is one kernel of the three-path property test: nSegs segments —
-// created plain, or cloned from a golden snapshot so they start frozen —
-// each also mapped at mapVA(i) in the boot thread's address space, and all
+// propEnv is one kernel of the three-path property test: propSegs segments —
+// created plain, or cloned from a golden snapshot so they start frozen — and
+// after them one segment the boot thread may observe but not modify, each
+// mapped read-write at mapVA(i) in the boot thread's address space, and all
 // persistent on the kernel's own fake pager (a clone is from birth; a plain
 // segment is marked).
 type propEnv struct {
@@ -141,7 +138,8 @@ type propEnv struct {
 	as     CEnt
 	snap   ID // 0: plain segments
 	golden []ID
-	segs   []CEnt
+	ro     CEnt
+	segs   []CEnt // the writable segments, then ro
 }
 
 const propSegs, propSegSize = 4, 256
@@ -160,6 +158,27 @@ func newPropEnv(t *testing.T, cloned bool) *propEnv {
 	}
 	env.as = CEnt{root, as}
 	if err := tc.SelfSetAddressSpace(env.as); err != nil {
+		t.Fatal(err)
+	}
+	// The read-only segment: {w0, 1} is made, filled and marked persistent
+	// while the thread owns w, and then the thread gives w up.  Its mapping
+	// allows writes, so the memory path's refusal is the label check's.
+	w, err := tc.CategoryCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ro, err := tc.SegmentCreate(root, label.New(label.L1, label.P(w, label.L0)), "prop read-only", propSegSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.ro = CEnt{root, ro}
+	if err := tc.SegmentWrite(env.ro, 0, bytes.Repeat([]byte{0x5A}, propSegSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.SegmentPersist(env.ro); err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.SelfSetLabel(label.New(label.L1)); err != nil {
 		t.Fatal(err)
 	}
 	if cloned {
@@ -213,6 +232,7 @@ func (env *propEnv) fresh(t *testing.T) {
 			env.segs = append(env.segs, CEnt{res.Root, res.IDMap[old]})
 		}
 	}
+	env.segs = append(env.segs, env.ro)
 	maps := make([]Mapping, len(env.segs))
 	for i, ce := range env.segs {
 		maps[i] = Mapping{VA: mapVA(i), Seg: ce, NPages: 1, Flags: MapRead | MapWrite}
@@ -225,31 +245,19 @@ func (env *propEnv) fresh(t *testing.T) {
 // replay executes entries one at a time in submission order with the ring's
 // chain-skip rule, each through exec, and returns what a ring would have
 // completed.  OpSync has no direct or memory form: each one that is not
-// skipped goes through sync — a ring of that one entry — and, as in the ring's
-// own pass order, after every other entry of the batch (the generator never
-// chains anything behind a sync, so deferring one changes no verdict).
+// skipped goes through sync, a ring of that one entry.
 func replay(entries []RingEntry, sync func(CEnt) error, exec func(e RingEntry, c *RingCompletion) error) []RingCompletion {
 	comps := make([]RingCompletion, len(entries))
-	var syncs []int
-	failed := false
 	for i, e := range entries {
 		comps[i].Index = i
-		if i == 0 || !e.Chain {
-			failed = false
-		}
-		if failed {
+		switch {
+		case i > 0 && e.Chain && comps[i-1].Err != nil:
 			comps[i].Err = ErrSkipped
-			continue
+		case e.Op == OpSync:
+			comps[i].Err = sync(e.Seg)
+		default:
+			comps[i].Err = exec(e, &comps[i])
 		}
-		if e.Op == OpSync {
-			syncs = append(syncs, i)
-			continue
-		}
-		comps[i].Err = exec(e, &comps[i])
-		failed = comps[i].Err != nil
-	}
-	for _, i := range syncs {
-		comps[i].Err = sync(entries[i].Seg)
 	}
 	return comps
 }
@@ -315,8 +323,11 @@ func (env *propEnv) memExec(e RingEntry, c *RingCompletion) (err error) {
 // once over frozen clones of a golden image, and checks every completion,
 // every final segment state and the COW counters of all three against the
 // sequential reference model: the same allow/deny verdict and the same
-// post-state on every path — and, for every OpSync that ran, the same bytes in
-// the pager, from the same number of pushes.  Every push on every path must
+// post-state on every path — and, for every segment an OpSync pushed, the
+// bytes it held at its last sync in the pager, from the same number of
+// pushes.  Chains may cross objects and follow a sync, and some entries aim
+// at a segment the thread can observe but not modify, where every write,
+// resize and sync is ErrLabel.  Every push on every path must
 // also keep its range's promise (fakePager.outside): a byte outside the range
 // is the byte the previous push held, whichever mutation came between — a
 // direct, ring or mapped write, a resize, a compare-and-swap, a thread-local
@@ -341,6 +352,8 @@ func ringPropertyVsSequential(t *testing.T, cloned bool) {
 
 	poisonErr := errors.New("poisoned sync")
 	ring := envs[0].tc.NewRing()
+	readOnly := map[ID]bool{envs[0].ro.Object: true}
+	denied := 0
 
 	for round := 0; round < 200; round++ {
 		if round%8 == 0 && round > 0 {
@@ -356,7 +369,7 @@ func ringPropertyVsSequential(t *testing.T, cloned bool) {
 		}
 		quota := make(map[ID]uint64)
 		// Current kernel state becomes the model's initial state.
-		segs := make(map[ID][]byte, nSegs)
+		segs := make(map[ID][]byte, len(env.segs))
 		for _, ce := range env.segs {
 			quota[ce.Object] = uint64(segSize) + segmentSlack
 			buf, err := env.tc.SegmentRead(ce, 0, 1<<20)
@@ -369,20 +382,7 @@ func ringPropertyVsSequential(t *testing.T, cloned bool) {
 		n := 1 + rng.Intn(12)
 		entries := make([]RingEntry, n)
 		for i := range entries {
-			ce := env.segs[rng.Intn(nSegs)]
-			// The sequential model describes exactly the ring's ordering
-			// guarantee (see ring.go): intra-chain order plus submission
-			// order among same-keyed chains.  So generated chains stay on
-			// one object (a cross-object chain's later entries may legally
-			// reorder against other chains) and never continue past an
-			// OpSync (those entries execute in a later pass).  Cross-object
-			// and chain-after-sync semantics are pinned down by
-			// TestRingChainSkip and TestRingSyncGroups instead.
-			chain := i > 0 && entries[i-1].Op != OpSync && rng.Intn(3) == 0
-			if chain {
-				ce = entries[i-1].Seg
-			}
-			e := RingEntry{Seg: ce, Chain: chain}
+			e := RingEntry{Seg: env.segs[rng.Intn(len(env.segs))], Chain: i > 0 && rng.Intn(3) == 0}
 			switch rng.Intn(6) {
 			case 0:
 				e.Op = OpSegmentRead
@@ -407,7 +407,12 @@ func ringPropertyVsSequential(t *testing.T, cloned bool) {
 			entries[i] = e
 		}
 
-		wantComps, wantState, synced := modelExec(entries, segs, quota, env.pager.poison)
+		wantComps, wantState, synced := modelExec(entries, segs, quota, readOnly, env.pager.poison)
+		for _, c := range wantComps {
+			if errors.Is(c.Err, ErrLabel) {
+				denied++
+			}
+		}
 		var got [3][]RingCompletion
 		ring.Submit(entries...)
 		var err error
@@ -462,8 +467,8 @@ func ringPropertyVsSequential(t *testing.T, cloned bool) {
 				t.Fatalf("round %d: COW counters diverged: ring %+v, %s %+v", round, a, paths[p], b)
 			}
 			for s, ce := range envs[p].segs {
-				if id := env.segs[s].Object; synced[id] && !bytes.Equal(envs[p].pager.data[uint64(ce.Object)], wantState[id]) {
-					t.Fatalf("round %d %s: segment %d was synced, but the pager does not hold its bytes", round, paths[p], s)
+				if want, ok := synced[env.segs[s].Object]; ok && !bytes.Equal(envs[p].pager.data[uint64(ce.Object)], want) {
+					t.Fatalf("round %d %s: segment %d was synced, but the pager does not hold its bytes at that sync", round, paths[p], s)
 				}
 			}
 			if a, b := envs[0].pager.puts, envs[p].pager.puts; a != b {
@@ -499,6 +504,118 @@ func ringPropertyVsSequential(t *testing.T, cloned bool) {
 	if envs[0].pager.puts == 0 {
 		t.Error("no OpSync ever pushed a segment")
 	}
+	if denied == 0 {
+		t.Error("no entry was ever refused by the labels")
+	}
+}
+
+// TestRingRunsInSubmissionOrder pins the three ways a batch run out of order
+// would differ from its entries as direct calls: a sync checked against a
+// label a later gate entry grants, a read checked against one — whichever of
+// the two objects has the lower id — and a sync that pushes a write
+// submitted after it.
+func TestRingRunsInSubmissionOrder(t *testing.T) {
+	k, tc := boot(t)
+	root := k.RootContainer()
+	fp := newFakePager()
+	k.SetPager(fp)
+	u, err := tc.CategoryCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	uStar := label.New(label.L1, label.P(u, label.Star))
+	gateID, err := tc.GateCreate(root, GateSpec{
+		Label: uStar, Clearance: label.New(label.L2), Descrip: "grants u",
+		Entry: func(*GateCallCtx) []byte { return nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gate := CEnt{root, gateID}
+	enter := RingEntry{Op: OpGateEnter, Seg: gate, Gate: &GateRequest{
+		Label: uStar, Clearance: label.New(label.L2), Verify: label.New(label.L1),
+	}}
+
+	t.Run("sync before the gate entry", func(t *testing.T) {
+		s, err := tc.SegmentCreate(root, label.New(label.L1, label.P(u, label.L0)), "modifiable under u", 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.SegmentPersist(CEnt{root, s}); err != nil {
+			t.Fatal(err)
+		}
+		client := spawnWorker(t, k, tc, "client")
+		r := client.NewRing()
+		r.Submit(RingEntry{Op: OpSync, Seg: CEnt{root, s}}, enter)
+		comps, err := r.Wait(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !errors.Is(comps[0].Err, ErrLabel) || comps[1].Err != nil {
+			t.Errorf("[sync, gate entry] = (%v, %v), want (ErrLabel, nil)", comps[0].Err, comps[1].Err)
+		}
+		if fp.puts != 0 || len(fp.groups) != 0 {
+			t.Errorf("the pager saw %d pushes and groups %v, want none", fp.puts, fp.groups)
+		}
+	})
+
+	t.Run("read before the gate entry", func(t *testing.T) {
+		// Reply segments until one has an id below the gate's and one above.
+		var below, above ID
+		for i := 0; i < 64 && (below == NilID || above == NilID); i++ {
+			id, err := tc.SegmentCreate(root, label.New(label.L1, label.P(u, label.L3)), "observable under u", 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if id < gateID {
+				below = id
+			} else {
+				above = id
+			}
+		}
+		if below == NilID || above == NilID {
+			t.Fatal("no reply segment on one side of the gate's id")
+		}
+		for _, reply := range []ID{below, above} {
+			client := spawnWorker(t, k, tc, "client")
+			r := client.NewRing()
+			r.Submit(RingEntry{Op: OpSegmentRead, Seg: CEnt{root, reply}, Len: 16}, enter)
+			comps, err := r.Wait(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !errors.Is(comps[0].Err, ErrLabel) || comps[1].Err != nil {
+				t.Errorf("reply id %v, gate id %v: [read, gate entry] = (%v, %v), want (ErrLabel, nil)",
+					reply, gateID, comps[0].Err, comps[1].Err)
+			}
+		}
+	})
+
+	t.Run("sync before a write", func(t *testing.T) {
+		x, err := tc.SegmentCreate(root, label.New(label.L1), "x", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ce := CEnt{root, x}
+		if err := tc.SegmentPersist(ce); err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.SegmentWrite(ce, 0, []byte("before")); err != nil {
+			t.Fatal(err)
+		}
+		r := tc.NewRing()
+		r.Submit(RingEntry{Op: OpSync, Seg: ce}, RingEntry{Op: OpSegmentWrite, Seg: ce, Data: []byte("after!")})
+		comps, err := r.Wait(2)
+		if err != nil || comps[0].Err != nil || comps[1].Err != nil {
+			t.Fatalf("[sync, write]: %v, %v", err, comps)
+		}
+		if got := fp.data[uint64(x)]; string(got) != "before" {
+			t.Errorf("the pager holds %q, want the bytes from before the write", got)
+		}
+		if got, err := tc.SegmentRead(ce, 0, 6); err != nil || string(got) != "after!" {
+			t.Errorf("segment = %q, %v; want the write", got, err)
+		}
+	})
 }
 
 // TestRingChainSkip pins down chain semantics: an error skips every chained
@@ -534,9 +651,9 @@ func TestRingChainSkip(t *testing.T) {
 	}
 }
 
-// TestRingSyncGroups checks that every OpSync runnable in one pass reaches
-// the pager as a single group, and that entries chained after a failed sync
-// are skipped.
+// TestRingSyncGroups checks that the OpSyncs pushed before a chained entry
+// reach the pager as a single group, committed early so the entry chained
+// after a failed sync is skipped.
 func TestRingSyncGroups(t *testing.T) {
 	env := newRingEnv(t, 3, 64)
 	rs := newFakePager()

@@ -9,7 +9,7 @@ import (
 // Ring-driven multi-FD I/O, for a server flushing many dirty files: call by
 // call it would pay, per file, a write syscall and — the expensive part — one
 // write-ahead-log flush for the fsync.  Here all files' writes go through one
-// ring batch (same-file writes coalesce to one lock round-trip) and
+// ring batch (adjacent same-file writes coalesce to one lock round-trip) and
 // syncFiles commits them as one group.
 
 // syncFiles is the one fsync body, and states Section 7.1's two consistency
@@ -59,9 +59,9 @@ type WriteOp struct {
 
 // PwritevFsync applies every write and makes every touched file durable with
 // one group sync.  It returns the total bytes written.
-// Writes to the same file apply in op order (the ring keeps same-object
-// submission order); the first error is returned after all ops have been
-// attempted, matching the per-call loop it replaces.
+// Writes apply in op order (the ring runs a batch in submission order); the
+// first error is returned after all ops have been attempted, matching the
+// per-call loop it replaces.
 func (p *Process) PwritevFsync(ops []WriteOp) (int, error) {
 	// Resolve descriptors, collect the distinct target files in
 	// first-appearance order, and queue every write on one ring batch.
