@@ -25,10 +25,12 @@
 // object cache and label map are sharded by object-ID bits, each cached
 // object carries its own entry lock and dirty state, the allocator and
 // metadata trees sit behind narrow locks of their own, and a store-wide
-// RWMutex serves only as the stop-the-world checkpoint gate.  Concurrent
-// SyncObject calls flow through a leader/follower group committer — sealed
-// records batch into one wal.Commit, which is one frame written at the log's
-// tail and one flush, with every syncer waiting on a commit ticket — so many
+// RWMutex serves only as the checkpoint gate, held exclusively by nothing
+// but a checkpoint's seal, which raises the log epoch in memory and writes
+// nothing.  Concurrent SyncObject calls flow through a leader/follower group
+// committer — sealed records batch into one wal.Commit, which is one frame
+// written at the log's tail and one flush, stamped with the epoch, with
+// every syncer waiting on a commit ticket — so many
 // fsyncs share one log write and none of them seeks (see the internal/store
 // package comment for the locking discipline and the group-commit protocol's
 // crash-consistency invariants).  A crash-injection harness (disk.FaultDisk
@@ -62,7 +64,7 @@
 // lock-order edges.  Each OpSync pushes its segment where it stands, and the
 // batch's syncs are committed as one pre-formed SyncObjects group (earlier
 // only when a chained entry needs a sync's outcome), which the group
-// committer turns into dense log batches: ⌈N/GroupCommitRecords⌉ flushes for
+// committer turns into dense log batches: ⌈N/128⌉ flushes for
 // N syncs instead of N.  The Unix library's multi-file writev/fsync fan-out
 // (Process.PwritevFsync, Process.FsyncMany) is built on the ring.
 //

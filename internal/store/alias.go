@@ -44,7 +44,7 @@ func (s *Store) Alias(src, dst []uint64, lbls []label.Label) []error {
 		settled := len(dst) == 0
 		errs := s.logged(len(dst), func(i int) (*syncTicket, error) {
 			if i == 0 {
-				settled = s.sealSeq.Load() == s.completedSeal.Load()
+				settled = s.epoch.Load() == s.committedEpoch()
 			}
 			if !settled {
 				return nil, errRetryCheckpoint

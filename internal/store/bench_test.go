@@ -127,8 +127,8 @@ func BenchmarkSyncParallel(b *testing.B) {
 	if st.ObjectSyncs > 0 {
 		b.ReportMetric(float64(s.WALStats().Commits)/float64(st.ObjectSyncs), "commits/sync")
 	}
-	if gs := s.GroupCommitStats(); gs.Batches > 0 {
-		b.ReportMetric(float64(gs.Records)/float64(gs.Batches), "recs/batch")
+	if commits := s.WALStats().Commits; commits > 0 {
+		b.ReportMetric(float64(s.GroupCommitStats().Records)/float64(commits), "recs/batch")
 	}
 }
 

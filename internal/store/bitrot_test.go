@@ -52,8 +52,8 @@ func rotLabel(cat uint64) label.Label {
 
 // populateGenerations drives the store through the full lifecycle the
 // fallback ladder depends on: a first checkpointed generation, a second
-// generation synced then checkpointed (retained behind the log's epoch
-// marker), and a tail of syncs in the current log generation.  Every
+// generation synced then checkpointed (its log frames retained, in the
+// previous snapshot's epoch), and a tail of syncs in the current epoch.  Every
 // mutation is synced, so recovery on any rung must reproduce the returned
 // contents exactly.
 func populateGenerations(t *testing.T, s *Store) map[uint64]string {
@@ -422,13 +422,13 @@ func TestBitRotWALTailReplaysValidPrefix(t *testing.T) {
 		}
 	}
 	// The log records no committed length: the tail is where the log's own
-	// walk ends.  Its last 32 bytes are the third frame's trailing
+	// walk ends.  Its last 40 bytes are the third frame's trailing
 	// descriptor; damage the end of the record under it.
 	live := s.l.LiveBytes()
-	if live < 3*(96+19) {
+	if live < 3*(120+19) {
 		t.Fatalf("log holds %d bytes, expected three frames", live)
 	}
-	tail := disk.Region{Off: logOffset + 32 + live - 32 - 16, Len: 16}
+	tail := disk.Region{Off: logOffset + 32 + live - 40 - 16, Len: 16}
 	if err := fd.RotBits(tail, 1, 11); err != nil {
 		t.Fatal(err)
 	}

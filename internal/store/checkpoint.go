@@ -1,26 +1,24 @@
 package store
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"time"
 
 	"histar/internal/label"
-	"histar/internal/wal"
 )
 
 // Checkpoint persists a whole-system snapshot — every object dirtied since
 // the last seal written to a new home location, the metadata sections
 // rewritten, the superblock flipped — without stopping the world.  Only the
-// SEAL is exclusive, and it does no I/O beyond one log-marker append:
+// SEAL is exclusive, and it does no I/O at all:
 //
-//	SEAL    (ckptMu held exclusively, microseconds): capture the dirty and
-//	        dead entries and every recorded label, clear the dirty flags
-//	        (marking the entries ckpt so eviction and scrub leave them
-//	        alone), and append a generation marker stamped with the epoch
-//	        this checkpoint will commit.  Records synced after the seal land
-//	        after the marker, so replay boundaries equal seal boundaries.
+//	SEAL    (ckptMu held exclusively, microseconds): take a fresh epoch,
+//	        capture the dirty and dead entries and every recorded label, and
+//	        clear the dirty flags (marking the entries ckpt so eviction and
+//	        scrub leave them alone).  Records synced after the seal go into
+//	        log frames stamped with the new epoch, so replay boundaries
+//	        equal seal boundaries.
 //	BODY    (no store-wide lock; serialized by ckptRun): vacate deleted
 //	        objects' extents, stream the sealed contents into append-only
 //	        segments (dedicated extents for oversized objects), run the
@@ -28,9 +26,9 @@ import (
 //	        serialize the metadata sections against the sealed epoch, and
 //	        flip the superblock.  Reads, writes, and SyncObject group
 //	        commits all proceed concurrently.
-//	FINISH  reclaim log generations older than the previous snapshot's seal
-//	        marker (kept for the metadata-fallback ladder rung) and publish
-//	        completion.
+//	FINISH  reclaim log frames of epochs older than the previous committed
+//	        snapshot's (its own are kept for the metadata-fallback ladder
+//	        rung).
 //
 // Checkpoints remain copy-on-write: a sealed object is never written over
 // an extent the on-disk snapshot still references — segment appends only
@@ -40,11 +38,9 @@ import (
 // serialized.  Whichever superblock a crash leaves behind references only
 // intact data.
 //
-// If the log is so full that even the seal marker cannot be appended after
-// reclaiming the previous generation, the checkpoint degrades to a
-// stop-the-world pass: the body runs under the still-held exclusive ckptMu
-// and the log is truncated after the superblock flip.  Correctness is
-// unchanged; only concurrency is lost for that one pass.
+// Every seal attempt takes a fresh epoch, so a failed body burns its own:
+// records synced between it and the retry carry an epoch the retry's
+// snapshot is newer than, and never replay over it.
 func (s *Store) Checkpoint() error {
 	s.ckptRun.Lock()
 	defer s.ckptRun.Unlock()
@@ -76,8 +72,6 @@ type sealedState struct {
 	entries []sealedEntry // dirty and dead entries, ascending id per shard
 	labels  []sealedLabel // every recorded label, ascending id
 	epoch   uint64        // the snapshot epoch this checkpoint commits
-	seq     uint64        // sealSeq of this seal
-	world   bool          // no log room for the marker: stop-the-world pass
 }
 
 // checkpointRunLocked runs one seal→body→finish cycle; the caller holds
@@ -90,42 +84,29 @@ func (s *Store) checkpointRunLocked() error {
 		s.ckptMu.Unlock()
 		return ErrClosed
 	}
-	ss, err := s.sealCheckpoint()
-	if err != nil {
-		s.ckptMu.Unlock()
-		return err
-	}
-	if ss.world {
-		// Degraded stop-the-world pass: run the body under the still-held
-		// exclusive lock (see Checkpoint's comment).
-		defer s.noteSealStall(start)
-		defer s.ckptMu.Unlock()
-		return s.checkpointBody(ss)
-	}
+	ss := s.sealCheckpoint()
 	s.ckptMu.Unlock()
-	s.noteSealStall(start)
+	// The stall metrics; ckptRun serializes callers, so a plain load and
+	// store keep the maximum.
+	stall := time.Since(start).Nanoseconds()
+	s.c.sealStallTotalNs.Add(stall)
+	if stall > s.c.sealStallMaxNs.Load() {
+		s.c.sealStallMaxNs.Store(stall)
+	}
 	if gate := s.ckptGate; gate != nil {
 		gate()
 	}
 	return s.checkpointBody(ss)
 }
 
-// noteSealStall folds one seal's exclusive-hold duration into the stall
-// metrics.  ckptRun serializes callers, so plain load/store suffices.
-func (s *Store) noteSealStall(start time.Time) {
-	d := time.Since(start).Nanoseconds()
-	s.c.sealStallTotalNs.Add(d)
-	if d > s.c.sealStallMaxNs.Load() {
-		s.c.sealStallMaxNs.Store(d)
-	}
-}
-
 // sealCheckpoint is the SEAL phase; the caller holds ckptMu exclusively and
 // ckptRun.  The walk is in ascending ID order per shard, not map order:
 // relocation order determines segment packing and the free-tree shape, and
 // a deterministic workload must produce a byte-deterministic image.
-func (s *Store) sealCheckpoint() (*sealedState, error) {
-	ss := &sealedState{epoch: s.metaEpoch + 1}
+func (s *Store) sealCheckpoint() *sealedState {
+	// Syncs hold ckptMu in read mode from sealing a record to its commit, so
+	// every frame committed from here on carries the new epoch.
+	ss := &sealedState{epoch: s.epoch.Add(1)}
 	s.logGen.Add(1) // a range record never reaches back past a seal (see sealSync)
 	for si := range s.shards {
 		sh := &s.shards[si]
@@ -167,28 +148,7 @@ func (s *Store) sealCheckpoint() (*sealedState, error) {
 		}
 	}
 	sort.Slice(ss.labels, func(i, j int) bool { return ss.labels[i].id < ss.labels[j].id })
-	// The seal marker separates this checkpoint's generation from records
-	// synced afterwards.  It is appended while ckptMu is held exclusively,
-	// so no sync is mid-commit: log position order equals seal order.
-	if err := s.l.AppendMark(ss.epoch); err != nil {
-		if !errors.Is(err, wal.ErrFull) {
-			s.restoreSealed(ss)
-			return nil, err
-		}
-		// Make room by dropping the generation retained for metadata
-		// fallback (degraded: the fallback rung loses its replay tail, but
-		// the committed snapshot and the live generation stay intact).
-		_ = s.l.ReclaimBefore(s.metaEpoch)
-		if err := s.l.AppendMark(ss.epoch); err != nil {
-			if !errors.Is(err, wal.ErrFull) {
-				s.restoreSealed(ss)
-				return nil, err
-			}
-			ss.world = true
-		}
-	}
-	ss.seq = s.sealSeq.Add(1)
-	return ss, nil
+	return ss
 }
 
 // restoreSealed undoes a seal whose checkpoint failed: sealed-dirty entries
@@ -220,7 +180,7 @@ func (s *Store) restoreSealed(ss *sealedState) {
 }
 
 // checkpointBody is the BODY and FINISH of one checkpoint; the caller holds
-// ckptRun (and, on a degraded stop-the-world pass, ckptMu exclusively).
+// ckptRun.
 func (s *Store) checkpointBody(ss *sealedState) (err error) {
 	defer func() {
 		if err != nil {
@@ -241,41 +201,27 @@ func (s *Store) checkpointBody(ss *sealedState) (err error) {
 	}
 	s.deferredFree = nil
 	s.allocMu.Unlock()
+	prev := s.metaEpoch
 	if err := s.writeSnapshot(ss.epoch, ss.labels); err != nil {
 		return err
 	}
-	// FINISH: log retention.  The generation before the PREVIOUS snapshot's
-	// seal marker can no longer serve any replay; the previous generation
-	// itself is retained so that, should the snapshot written above rot on
-	// disk, Open can fall back to the previous snapshot and replay forward
-	// from its marker — zero committed-sync loss.  When even the retained
-	// generation would keep the log more than half full, it is sacrificed
-	// too (degraded, as at seal time).
-	if ss.world {
-		if err := s.l.Truncate(); err != nil {
+	// FINISH: log retention.  Frames older than the PREVIOUS snapshot's epoch
+	// can no longer serve any replay; that snapshot's own are retained so
+	// that, should the snapshot written above rot on disk, Open can fall back
+	// to the previous snapshot and replay forward from them — zero
+	// committed-sync loss.  When even those would keep the log more than half
+	// full, they are sacrificed too (degraded: the fallback rung loses its
+	// replay tail).
+	if err := s.l.ReclaimBefore(prev); err != nil {
+		return err
+	}
+	if s.l.LiveBytes() > s.logSize/2 {
+		if err := s.l.ReclaimBefore(ss.epoch); err != nil {
 			return err
-		}
-		// The truncated log trivially has room for the new generation's
-		// marker; a failure here only costs replay precision (a missing
-		// marker replays from the log start, which is a superset).
-		if err := s.l.AppendMark(ss.epoch); err != nil && !errors.Is(err, wal.ErrFull) {
-			return err
-		}
-	} else {
-		if ss.epoch > 1 {
-			if err := s.l.ReclaimBefore(ss.epoch - 1); err != nil {
-				return err
-			}
-		}
-		if s.l.LiveBytes() > s.logSize/2 {
-			if err := s.l.ReclaimBefore(ss.epoch); err != nil {
-				return err
-			}
 		}
 	}
 	s.c.logApplications.Add(1)
 	s.c.checkpoints.Add(1)
-	s.completedSeal.Store(ss.seq)
 	return nil
 }
 

@@ -1,8 +1,9 @@
 package store
 
 // Crash-injection recovery harness: a randomized workload of Put /
-// PutLabeled / Delete / SyncObject / Alias / Checkpoint, and partial
-// overwrites each followed by its SyncObject, runs on a write-through
+// PutLabeled / Delete / SyncObject / Alias / Checkpoint, partial overwrites
+// each followed by its SyncObject, and checkpoints whose body fails at a
+// barrier the machine survives, runs on a write-through
 // disk wrapped in a disk.FaultDisk, which kills the device at an injected
 // crash point (a byte offset into the write stream, torn or omitted at
 // sector granularity).  The surviving image is then reopened and checked
@@ -28,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -47,6 +49,7 @@ const (
 	opAlias
 	opCheckpoint
 	opPatch
+	opFailCheckpoint
 	numOpKinds
 )
 
@@ -196,6 +199,8 @@ func genWorkloadIn(r *rand.Rand, n int, base uint64, span int) []wlOp {
 			ops = append(ops, wlOp{kind: opPatch, id: id, off: r.Intn(1500), data: data[:min(len(data), 64)], lbl: randLabel(r)},
 				wlOp{kind: opSync, id: id})
 			p.exists, p.dirty = true, true
+		case opFailCheckpoint:
+			ops = append(ops, wlOp{kind: opFailCheckpoint})
 		}
 	}
 	return ops
@@ -208,9 +213,14 @@ func genWorkloadIn(r *rand.Rand, n int, base uint64, span int) []wlOp {
 // of the source's latest state — a clean source has no other — and is
 // committed on return; one the fault interrupted may have reached the log all
 // the same (a torn frame whose payload landed whole replays), so it is a
-// state the destination may be found in, not one it must.
+// state the destination may be found in, not one it must.  After a failed
+// checkpoint an alias first checkpoints, which makes every state durable.
 func applyAlias(s *Store, op wlOp, m *refModel) error {
+	q := epochNow(s)
 	err := alias1(s, op.src, op.id, op.lbl)
+	if s.committedEpoch() > q {
+		m.commitAll()
+	}
 	switch {
 	case errors.Is(err, ErrNotCommitted), errors.Is(err, ErrNoSuchObject), errors.Is(err, ErrCloneExists):
 		return nil
@@ -221,6 +231,35 @@ func applyAlias(s *Store, op wlOp, m *refModel) error {
 		}
 	}
 	return err
+}
+
+// errBarrier is the flush failure opFailCheckpoint injects.
+var errBarrier = errors.New("injected barrier failure")
+
+// failCheckpoint runs a checkpoint whose first flush fails with errBarrier —
+// the body's metadata barrier, since a seal writes nothing — and the machine
+// stays up: nothing commits, and the store carries on.
+func failCheckpoint(s *Store) error {
+	dev := s.d
+	if fd, ok := dev.(*disk.FaultDisk); ok {
+		dev = fd.Inner() // a store reopened after the crash has none
+	}
+	inner := dev.(*disk.Disk)
+	inner.FailNextFlush(errBarrier)
+	defer inner.FailNextFlush(nil) // not consumed when the crash point came first
+	return s.Checkpoint()
+}
+
+// epochNow reads the epoch under ckptMu the way a sync records it: with
+// incremental checkpoints, "a checkpoint completed during my op" is not
+// enough to mark everything durable (the completing body may belong to a
+// seal from before this worker's recent Puts).  Only a checkpoint SEALED
+// strictly after this point — observed as the committed epoch moving past
+// the value returned — captured every state pushed so far.
+func epochNow(s *Store) uint64 {
+	s.ckptMu.RLock()
+	defer s.ckptMu.RUnlock()
+	return s.epoch.Load()
 }
 
 func randPayload(r *rand.Rand) []byte {
@@ -306,20 +345,11 @@ func runWorkload(t *testing.T, s *Store, ops []wlOp, m *refModel) bool {
 			}
 			m.push(op.id, objState{exists: false})
 		case opSync:
-			// Record the seal sequence under ckptMu the way SyncObject itself
-			// does: with incremental checkpoints, "a checkpoint completed
-			// during my sync" is not enough to mark everything durable (the
-			// completing body may belong to a seal from before this worker's
-			// recent Puts).  Only a checkpoint SEALED strictly after this
-			// point — observed as completedSeal moving past q — captured
-			// every state pushed so far.
-			s.ckptMu.RLock()
-			q := s.sealSeq.Load()
-			s.ckptMu.RUnlock()
+			q := epochNow(s)
 			if faulted(s.SyncObject(op.id)) {
 				return true
 			}
-			if s.completedSeal.Load() > q {
+			if s.committedEpoch() > q {
 				// The log filled and SyncObject checkpointed everything.
 				m.commitAll()
 			}
@@ -333,6 +363,15 @@ func runWorkload(t *testing.T, s *Store, ops []wlOp, m *refModel) bool {
 				return true
 			}
 			m.commitAll()
+		case opFailCheckpoint:
+			// The failed attempt made nothing durable.
+			switch err := failCheckpoint(s); {
+			case errors.Is(err, errBarrier):
+			case faulted(err):
+				return true
+			default:
+				t.Fatal("a checkpoint committed across a failed barrier")
+			}
 		}
 	}
 	return false
@@ -478,11 +517,13 @@ func runWorkloadConcurrent(t *testing.T, s *Store, workers [][]wlOp, models []*r
 					}
 				case opAlias:
 					err = applyAlias(s, op, m)
-				case opCheckpoint:
+				case opCheckpoint, opFailCheckpoint:
 					// A successful checkpoint made at least this worker's own
 					// latest states durable (its ops are sequential, so none
 					// were in flight); other workers' objects are left to
-					// their own conservative marks.
+					// their own conservative marks.  A failed barrier could
+					// land on another worker's flush, so no checkpoint is made
+					// to fail here.
 					if err = s.Checkpoint(); err == nil {
 						m.commitAll()
 					}
@@ -616,8 +657,7 @@ func TestCrashRecoveryConcurrentEveryPoint(t *testing.T) {
 }
 
 // TestCrashRecoveryEveryPoint is the main harness entry: for several
-// workload seeds and both straddle modes, replay the workload with a fault
-// injected at every crash point and verify recovery each time.
+// workload seeds, run each workload through crashMatrix.
 func TestCrashRecoveryEveryPoint(t *testing.T) {
 	seeds := []int64{1, 2, 3}
 	opsPerSeed := 90
@@ -627,58 +667,115 @@ func TestCrashRecoveryEveryPoint(t *testing.T) {
 	}
 	for _, seed := range seeds {
 		ops := genWorkload(rand.New(rand.NewSource(seed)), opsPerSeed)
-
-		// Fault-free pass: learn the write boundaries (and make sure the
-		// workload itself is clean end to end).
-		s, fd := newCrashRig(t)
-		fd.Arm(-1, disk.FaultTorn)
-		m := newRefModel()
-		if runWorkload(t, s, ops, m) {
-			t.Fatal("fault-free pass crashed")
+		crashMatrix(t, fmt.Sprintf("seed %d", seed), ops, seed*1_000_000, 1, continueAfterRecovery)
+		if t.Failed() {
+			return
 		}
-		if err := s.Checkpoint(); err != nil {
-			t.Fatal(err)
-		}
-		m.commitAll()
-		verifyRecovery(t, fd.Inner(), m, fmt.Sprintf("seed %d clean", seed))
-		points := crashPoints(fd.WriteBounds())
+	}
+}
 
-		for _, mode := range []disk.FaultMode{disk.FaultTorn, disk.FaultOmit, disk.FaultFlip} {
-			for _, pt := range points {
-				s, fd := newCrashRig(t)
-				// Seeded flip: the corrupted byte and mask derive from the
-				// seed recorded in the point string, so any failure here is
-				// reproducible bit-for-bit.
-				flipSeed := seed*1_000_000 + pt
-				if mode == disk.FaultFlip {
-					fd.SetFlipSeed(flipSeed)
-				}
-				fd.Arm(pt, mode)
-				m := newRefModel()
-				crashed := runWorkload(t, s, ops, m)
-				if !crashed && fd.Tripped() {
-					t.Fatalf("seed %d %v@%d: fault tripped but no op reported it", seed, mode, pt)
-				}
-				point := fmt.Sprintf("seed %d %v@%d", seed, mode, pt)
-				if mode == disk.FaultFlip {
-					point = fmt.Sprintf("%s flipseed=%d", point, flipSeed)
-				}
-				rec := verifyRecovery(t, fd.Inner(), m, point)
-				if t.Failed() {
-					return // one failing crash point is enough detail
-				}
-				// Life goes on after the reboot: run more ops on the
-				// recovered store, checkpoint, and verify the final image
-				// exactly (this leg is what catches latent replay-state
-				// bugs, like a stale dead flag poisoning the next sync).
-				continueAfterRecovery(t, rec, m, seed*1_000_000+pt, point)
-				verifyRecovery(t, fd.Inner(), m, point+" post-continuation")
-				if t.Failed() {
-					return
-				}
+// crashMatrix replays ops with a fault injected at every crash point (every
+// stride-th, to thin a long schedule) of a fault-free pass, in each fault
+// mode, and verifies recovery each time.  Life then goes on after the
+// reboot: cont runs more ops on the recovered store, with contSeed, and the
+// final image is verified again (this leg is what catches latent replay-state
+// bugs, like a stale dead flag poisoning the next sync).
+func crashMatrix(t *testing.T, name string, ops []wlOp, seedBase int64, stride int,
+	cont func(t *testing.T, s *Store, m *refModel, contSeed int64, point string)) {
+	t.Helper()
+	// Fault-free pass: learn the write boundaries (and make sure the
+	// workload itself is clean end to end).
+	s, fd := newCrashRig(t)
+	fd.Arm(-1, disk.FaultTorn)
+	m := newRefModel()
+	if runWorkload(t, s, ops, m) {
+		t.Fatalf("%s: fault-free pass crashed", name)
+	}
+	verifyRecovery(t, fd.Inner(), m, name+" clean")
+	var points []int64
+	for i, pt := range crashPoints(fd.WriteBounds()) {
+		if i%stride == 0 {
+			points = append(points, pt)
+		}
+	}
+	for _, mode := range []disk.FaultMode{disk.FaultTorn, disk.FaultOmit, disk.FaultFlip} {
+		for _, pt := range points {
+			s, fd := newCrashRig(t)
+			// Seeded flip: the corrupted byte and mask derive from the seed
+			// recorded in the point string, so any failure here is
+			// reproducible bit-for-bit.
+			flipSeed := seedBase + pt
+			if mode == disk.FaultFlip {
+				fd.SetFlipSeed(flipSeed)
+			}
+			fd.Arm(pt, mode)
+			m := newRefModel()
+			crashed := runWorkload(t, s, ops, m)
+			if !crashed && fd.Tripped() {
+				t.Fatalf("%s %v@%d: fault tripped but no op reported it", name, mode, pt)
+			}
+			point := fmt.Sprintf("%s %v@%d", name, mode, pt)
+			if mode == disk.FaultFlip {
+				point = fmt.Sprintf("%s flipseed=%d", point, flipSeed)
+			}
+			rec := verifyRecovery(t, fd.Inner(), m, point)
+			if t.Failed() {
+				return // one failing crash point is enough detail
+			}
+			cont(t, rec, m, flipSeed, point)
+			verifyRecovery(t, fd.Inner(), m, point+" post-continuation")
+			if t.Failed() {
+				return
 			}
 		}
 	}
+}
+
+// failedCheckpointWorkload is the shape of a checkpoint whose body fails and
+// is retried: syncs between the failed attempt and the retry go into the log
+// in the failed attempt's epoch, beside older and newer states of the same
+// objects, and a second failed attempt leaves its own records in the log for
+// the reopen to find.
+func failedCheckpointWorkload() []wlOp {
+	r := rand.New(rand.NewSource(29))
+	put := func(id uint64) wlOp { return wlOp{kind: opPutLabeled, id: id, data: randPayload(r), lbl: randLabel(r)} }
+	sync := func(id uint64) wlOp { return wlOp{kind: opSync, id: id} }
+	fail := wlOp{kind: opFailCheckpoint}
+	ckpt := wlOp{kind: opCheckpoint}
+	return []wlOp{
+		put(1), put(2), put(3), put(4), sync(2), ckpt,
+		put(1), put(2), fail,
+		put(1), sync(1), put(1), // a synced state, then a newer one only the retry captures
+		put(3), sync(3), ckpt,
+		put(2), sync(2), fail, fail,
+		put(4), sync(4), put(1), sync(1), // records of the last failed attempt's epoch
+	}
+}
+
+// TestCrashRecoveryEpochsEveryPoint runs failedCheckpointWorkload through the
+// crash matrix.  At every crash point no object may come back below the
+// retry's snapshot: a record synced after a failed attempt carries that
+// attempt's epoch, older than the retry's, and never replays over it.  After
+// each reboot every object is overwritten and checkpointed, and power is cut
+// again: the first seal after Open must take an epoch above every recovered
+// record's, or a record synced before the reboot replays over its snapshot.
+func TestCrashRecoveryEpochsEveryPoint(t *testing.T) {
+	ops := failedCheckpointWorkload()
+	crashMatrix(t, "failed checkpoint", ops, 29_000_000, 1, func(t *testing.T, s *Store, m *refModel, contSeed int64, point string) {
+		var ids []uint64
+		for id := range m.history {
+			ids = append(ids, id)
+		}
+		slices.Sort(ids)
+		r := rand.New(rand.NewSource(contSeed))
+		var cont []wlOp
+		for _, id := range ids {
+			cont = append(cont, wlOp{kind: opPut, id: id, data: randPayload(r)})
+		}
+		if runWorkload(t, s, append(cont, wlOp{kind: opCheckpoint}), m) {
+			t.Fatalf("%s: continuation crashed with no fault armed", point)
+		}
+	})
 }
 
 // TestAcknowledgedDeleteIsDurable is the directed reproduction of the lost

@@ -35,7 +35,8 @@
 //     the checksum present; every entry written has it, and a decoded
 //     entry without it is corruption.
 //   - Write-ahead log: header, frame-descriptor, frame-payload and
-//     per-record CRCs, header version 7 (package wal).  A range record is
+//     per-record CRCs, header version 8 (package wal); each frame's
+//     descriptor carries the epoch it was committed in.  A range record is
 //     a u64 offset and the bytes there, laid over the object's last whole one.
 //
 // Each structure has exactly one version.  A superblock copy or metadata
@@ -48,9 +49,11 @@
 // An incremental checkpoint committing epoch E writes in this order, each
 // step leaving the previously referenced snapshot intact:
 //
-//  1. SEAL (brief ckptMu write hold): append the epoch-E marker record to
-//     the write-ahead log.  Records after the marker are exactly the syncs
-//     the epoch-E snapshot might miss.
+//  1. SEAL (brief ckptMu write hold): take epoch E, above every epoch the
+//     log holds, and capture the dirty set — in memory, no device I/O.  Log
+//     frames committed from then on carry E: exactly the syncs the epoch-E
+//     snapshot might miss.  A failed attempt burns its epoch; the retry
+//     takes the next.
 //  2. BODY (no ckptMu; serialized by ckptRun): write sealed objects into
 //     append-only segments (or dedicated extents) — never over live data;
 //     appends land beyond each segment's committed high-water mark, and
@@ -64,14 +67,15 @@
 //     superblock does NOT reference, flush, then rewrite both superblock
 //     copies referencing it at epoch E and flush again (all under sbMu, so
 //     a concurrent scrub never reads the areas mid-rewrite).
-//  4. FINISH: reclaim log records from before the epoch-E-1 marker.  The
-//     E-1 generation is retained so a later torn epoch-E area can fall
-//     back one snapshot and replay forward with zero committed-sync loss
-//     (when the retained generation would starve the log, it degrades to
-//     reclaiming up to E's own marker).
+//  4. FINISH: reclaim the log frames of epochs below the previous committed
+//     snapshot's, P.  P's frames are retained so a later torn epoch-E area
+//     can fall back one snapshot and replay forward with zero
+//     committed-sync loss (when they would starve the log, it degrades to
+//     reclaiming every frame below E).
 //
-// A crash before the superblock flip recovers at epoch E-1 plus full log
-// replay; after it, at epoch E plus replay of post-marker records.  Every
+// A crash before the superblock flip recovers at epoch P plus replay of
+// the records of epoch P or later; after it, at epoch E plus replay of the
+// records of epoch E or later.  Every
 // boundary in between is exercised by the crash matrices in crash_test.go
 // and incremental_test.go.
 //
@@ -81,18 +85,18 @@
 // copy remains.  From least to most degraded:
 //
 //  1. Clean: primary superblock copy verifies, the referenced metadata
-//     area verifies at the superblock's epoch, the log replays from that
-//     epoch's marker.
+//     area verifies at the superblock's epoch, the log replays that
+//     epoch's records and later ones.
 //  2. SuperblockFallback: the primary copy fails, the backup at offset 512
 //     verifies and is used.  Nothing else changes.
 //  3. MetaFallback: the referenced area fails; the alternate area is
 //     accepted only if it verifies at a strictly older epoch (an equal or
 //     newer epoch would mean an uncommitted checkpoint).  The write-ahead
-//     log is then replayed from the older epoch's retained marker (or in
-//     full) — FINISH keeps the previous generation, and a checkpoint's
-//     freed extents rejoin the allocator only after its snapshot commits,
-//     so falling back one snapshot loses no committed sync, range records
-//     too: each one's whole record lies after the same seal marker.
+//     log then replays the older epoch's records and later ones — FINISH
+//     keeps them, and a checkpoint's freed extents rejoin the allocator
+//     only after its snapshot commits, so falling back one snapshot loses no
+//     committed sync, range records too: each one's whole record was
+//     committed in the same epoch.
 //  4. WALDamaged: a rotted log frame or header truncates replay to the
 //     valid prefix; the log is resealed to it.  (A commit is one frame, one
 //     flush: a frame the crash tore was never acknowledged, and no rung fires.)

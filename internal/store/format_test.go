@@ -19,7 +19,7 @@ import (
 // log header, frames and records, metadata header and sections, segment packing,
 // alias and range records — so a change that alters any of them must change
 // this constant, visibly.
-const formatImageSHA256 = "098d6a774b7cc32ea161d27181c8e4ee556644a82ae239917520f6cf961b2640"
+const formatImageSHA256 = "d10d6e745e3f4e0a95c4b77e1ad7670c1343059ec57857d27f2f8455d446936c"
 
 // formatImageWorkload drives one seeded, single-threaded pass over every
 // structure the store writes: plain and labelled puts, deletes, per-object

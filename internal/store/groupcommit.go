@@ -1,15 +1,14 @@
 package store
 
 // Group commit is the one way into the write-ahead log for every record the
-// store writes except the seal's epoch marker: SyncObject seals a record
-// from the object's current state, Alias one describing the alias it
-// installed; each enqueues it with the committer and waits on a commit
-// ticket.  The first syncer to find the committer idle becomes the leader:
-// it drains the queue in bounded batches, each batch one wal.Commit (one
-// frame at the log's tail, one flush), and resolves every ticket in the
-// batch.  Followers just wait; their latency is bounded by at most one
-// in-flight batch ahead of theirs, and batch size is bounded by
-// Options.GroupCommitBytes/GroupCommitRecords.
+// store writes: SyncObject seals a record from the object's current state,
+// Alias one describing the alias it installed; each enqueues it with the
+// committer and waits on a commit ticket.  The first syncer to find the
+// committer idle becomes the leader: it drains the queue in bounded batches,
+// each batch one wal.Commit (one frame at the log's tail, one flush, stamped
+// with the current epoch), and resolves every ticket in the batch.  Followers
+// just wait; their latency is bounded by at most one in-flight batch ahead of
+// theirs, and batch size is bounded by groupCommitBytes/groupCommitRecords.
 //
 // Crash-consistency invariants:
 //
@@ -18,20 +17,19 @@ package store
 //     regress an object to an earlier sealed state.
 //   - logged holds ckptMu in read mode from first seal to last ticket
 //     resolution, so no checkpoint SEAL can intervene between sealing a state
-//     and committing it — a record in the log is never older than the epoch
-//     marker before it, so replay on the matching snapshot never regresses.
+//     and committing it — a record's frame carries the epoch of the last seal
+//     before the record, so replay on the matching snapshot never regresses.
 //   - A range record commits only in the log generation it was sealed in;
 //     one of an older generation takes the checkpoint fallback (sealSync).
 //   - When a batch cannot commit (log full, or a record that could never
 //     fit), the log keeps none of it and every affected syncer falls back to
 //     a checkpoint: the checkpoint makes a state at least as new as each
 //     sealed record durable, which satisfies the sync contract, and no later
-//     commit can regress objects below the checkpoint.  The sealSeq/completedSeal
-//     pair lets the fallback syncers share one checkpoint instead of each
-//     running their own: a syncer records sealSeq while still under ckptMu
-//     read mode, and any checkpoint sealed strictly after that (its body
-//     committed, so completedSeal exceeds the recorded value) covered the
-//     syncer's state.
+//     commit can regress objects below the checkpoint.  The epoch lets the
+//     fallback syncers share one checkpoint instead of each running their
+//     own: a syncer records it while still under ckptMu read mode, and any
+//     checkpoint sealed strictly after that (committed, so metaEpoch exceeds
+//     the recorded value) covered the syncer's state.
 
 import (
 	"errors"
@@ -62,31 +60,18 @@ type committer struct {
 	leaderBusy bool
 	// held pauses the committer (test hook): syncers enqueue and block until
 	// release, which drains the queue on the releasing goroutine.
-	held     bool
+	held bool
+	// maxBytes and maxRecs bound a batch: groupCommitBytes and
+	// groupCommitRecords, lowered by tests that want small batches.
 	maxBytes int64
 	maxRecs  int
 
 	// Batch statistics, guarded by mu and counted only for batches whose
 	// commit succeeded — the committer is the single source of truth for
 	// batching stats (wal.Stats counts at the append layer, which also sees
-	// batches whose commit later fails).  hist buckets batch sizes as
-	// 1, 2, 3–4, 5–8, 9–16, 17–32, 33–64, 65+.
-	batches      uint64
+	// batches whose commit later fails).
 	batchRecords uint64
 	maxBatch     int
-	hist         [groupHistBuckets]uint64
-}
-
-const groupHistBuckets = 8
-
-// histBucket maps a batch size to its histogram bucket.
-func histBucket(n int) int {
-	b := 0
-	for n > 1 && b < groupHistBuckets-1 {
-		n = (n + 1) / 2
-		b++
-	}
-	return b
 }
 
 // enqueue registers a sealed record for the next batch.  Called with the
@@ -121,7 +106,7 @@ func (s *Store) submit(rec wal.Record, base uint64) (*syncTicket, error) {
 // sees the whole group and forms full batches even with no concurrent syncers.
 // ckptMu is held in read mode from the first seal to the last ticket
 // resolution, so no checkpoint SEAL can slip between sealing a state and
-// committing it, and the sealSeq value read first is older than any seal that
+// committing it, and the epoch read first is older than any seal that
 // captures those states.  A nil ticket means seal left nothing to await.
 func (s *Store) logged(n int, seal func(i int) (*syncTicket, error)) []error {
 	errs := make([]error, n)
@@ -133,7 +118,7 @@ func (s *Store) logged(n int, seal func(i int) (*syncTicket, error)) []error {
 		}
 		return errs
 	}
-	seq := s.sealSeq.Load()
+	epoch := s.epoch.Load()
 	tickets := make([]*syncTicket, n)
 	for i := range tickets {
 		tickets[i], errs[i] = seal(i)
@@ -147,7 +132,7 @@ func (s *Store) logged(n int, seal func(i int) (*syncTicket, error)) []error {
 	}
 	s.ckptMu.RUnlock()
 	if retry {
-		ckErr := s.checkpointSince(seq)
+		ckErr := s.checkpointSince(epoch)
 		for i := range errs {
 			if errors.Is(errs[i], errRetryCheckpoint) {
 				errs[i] = ckErr
@@ -181,12 +166,8 @@ func (c *committer) takeBatch() []*syncTicket {
 // recordBatch folds one successfully committed batch into the statistics;
 // the caller holds c.mu.
 func (c *committer) recordBatch(n int) {
-	c.batches++
 	c.batchRecords += uint64(n)
-	if n > c.maxBatch {
-		c.maxBatch = n
-	}
-	c.hist[histBucket(n)]++
+	c.maxBatch = max(c.maxBatch, n)
 }
 
 // awaitCommit resolves t: the calling syncer becomes the leader if the
@@ -230,7 +211,9 @@ func (s *Store) drainLocked() {
 }
 
 // commitBatch commits one batch, less any range record of an older log
-// generation: the one frame and one flush that many syncers share.  A batch
+// generation: the one frame and one flush that many syncers share, stamped
+// with the epoch every record in it was sealed in (its syncers hold ckptMu in
+// read mode, so no seal has moved it since).  A batch
 // that did not commit is in the log nowhere, so no later commit — potentially
 // after a checkpoint made newer states durable — can regress its objects:
 // each syncer is told to retry or fail, and the log generation ends.
@@ -243,7 +226,7 @@ func (s *Store) commitBatch(batch []*syncTicket) error {
 		}
 		recs = append(recs, t.rec)
 	}
-	err := s.l.Commit(recs)
+	err := s.l.Commit(s.epoch.Load(), recs)
 	if err != nil {
 		s.logGen.Add(1)
 	}
@@ -285,7 +268,7 @@ func (s *Store) SyncObject(id uint64) error { return s.SyncObjects([]uint64{id})
 // range record) when the length is unchanged and the last whole record was
 // sealed in the current log generation, which every checkpoint seal and every
 // record the log refuses ends; a range record commits in its own generation
-// only (commitBatch), so replay meets its base after the same seal marker.
+// only (commitBatch), so replay meets its base in a frame of the same epoch.
 func (s *Store) sealSync(id uint64) (*syncTicket, error) {
 	s.c.objectSyncs.Add(1)
 	e := s.shardOf(id).lookup(id)
@@ -324,7 +307,7 @@ func (s *Store) sealSync(id uint64) (*syncTicket, error) {
 
 // SyncObjects durably records the current contents of many objects at once:
 // the batched form of SyncObject that the kernel's syscall ring dispatches.
-// N syncs cost at most ⌈N/GroupCommitRecords⌉ log flushes instead of N (see
+// N syncs cost at most ⌈N/groupCommitRecords⌉ log flushes instead of N (see
 // logged).  The returned slice has one error slot per id (nil = durable); ids
 // that cannot go through the log share a single checkpoint fallback.
 func (s *Store) SyncObjects(ids []uint64) []error {
@@ -332,23 +315,30 @@ func (s *Store) SyncObjects(ids []uint64) []error {
 }
 
 // checkpointSince provides a sync's checkpoint fallback: if a checkpoint
-// sealed strictly after the record was enqueued has already committed
-// (completedSeal moved past the sealSeq value the syncer recorded under
-// ckptMu read mode), that checkpoint captured and made durable a state at
-// least as new and nothing more is needed; otherwise run one.  The check is
-// repeated after acquiring ckptRun, so when a whole failed batch lands here
-// at once, the first ticket-holder checkpoints and the rest observe its
-// completion and return without running their own.
-func (s *Store) checkpointSince(seal uint64) error {
-	if s.completedSeal.Load() > seal {
+// sealed strictly after the record was enqueued has already committed (the
+// committed epoch passed the epoch the syncer recorded under ckptMu read
+// mode), that checkpoint captured and made durable a state at least as new
+// and nothing more is needed; otherwise run one.  The check is repeated after
+// acquiring ckptRun, so when a whole failed batch lands here at once, the
+// first ticket-holder checkpoints and the rest observe its completion and
+// return without running their own.
+func (s *Store) checkpointSince(epoch uint64) error {
+	if s.committedEpoch() > epoch {
 		return nil
 	}
 	s.ckptRun.Lock()
 	defer s.ckptRun.Unlock()
-	if s.completedSeal.Load() > seal {
+	if s.committedEpoch() > epoch {
 		return nil
 	}
 	return s.checkpointRunLocked()
+}
+
+// committedEpoch is the epoch of the snapshot the superblock references.
+func (s *Store) committedEpoch() uint64 {
+	s.metaMu.RLock()
+	defer s.metaMu.RUnlock()
+	return s.metaEpoch
 }
 
 // holdGroupCommit pauses the committer so a test can pile up concurrent
@@ -392,15 +382,11 @@ func (s *Store) groupQueueLen() int {
 	return n
 }
 
-// GroupCommitStats describes the committer's batching behaviour.
+// GroupCommitStats describes the committer's batching behaviour: the records
+// in committed batches, and the largest batch formed.
 type GroupCommitStats struct {
-	// Batches and Records count committed batches and the records in them;
-	// MaxBatch is the largest batch formed.
-	Batches  uint64
 	Records  uint64
 	MaxBatch int
-	// Hist buckets batch sizes: 1, 2, 3–4, 5–8, 9–16, 17–32, 33–64, 65+.
-	Hist [groupHistBuckets]uint64
 }
 
 // GroupCommitStats returns a snapshot of the committer's batch statistics.
@@ -408,10 +394,5 @@ func (s *Store) GroupCommitStats() GroupCommitStats {
 	c := &s.comm
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return GroupCommitStats{
-		Batches:  c.batches,
-		Records:  c.batchRecords,
-		MaxBatch: c.maxBatch,
-		Hist:     c.hist,
-	}
+	return GroupCommitStats{Records: c.batchRecords, MaxBatch: c.maxBatch}
 }

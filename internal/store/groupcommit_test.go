@@ -48,10 +48,11 @@ func launchHeldSyncs(t *testing.T, s *Store, ids []uint64) (*sync.WaitGroup, []e
 func TestGroupCommitBatchesConcurrentSyncs(t *testing.T) {
 	d := disk.New(disk.Params{Sectors: 1 << 18, WriteCache: true}, &vclock.Clock{})
 	const batchRecs = 8
-	s, err := Format(d, Options{LogSize: 8 << 20, GroupCommitRecords: batchRecs})
+	s, err := Format(d, Options{LogSize: 8 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.comm.maxRecs = batchRecs
 	const n = 32
 	payload := bytes.Repeat([]byte("g"), 512)
 	ids := make([]uint64, n)
@@ -100,10 +101,11 @@ func TestGroupCommitBatchesConcurrentSyncs(t *testing.T) {
 func TestSyncObjectsSingleThreadedBatching(t *testing.T) {
 	d := disk.New(disk.Params{Sectors: 1 << 18, WriteCache: true}, &vclock.Clock{})
 	const batchRecs = 8
-	s, err := Format(d, Options{LogSize: 8 << 20, GroupCommitRecords: batchRecs})
+	s, err := Format(d, Options{LogSize: 8 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.comm.maxRecs = batchRecs
 	const n = 40
 	payload := bytes.Repeat([]byte("r"), 256)
 	ids := make([]uint64, n)
@@ -153,10 +155,11 @@ func TestSyncObjectsSingleThreadedBatching(t *testing.T) {
 func TestGroupCommitByteBoundSplitsBatches(t *testing.T) {
 	d := disk.New(disk.Params{Sectors: 1 << 18, WriteCache: true}, &vclock.Clock{})
 	// Each record is ~2 KB; a 5 KB byte bound admits two records per batch.
-	s, err := Format(d, Options{LogSize: 8 << 20, GroupCommitBytes: 5 << 10})
+	s, err := Format(d, Options{LogSize: 8 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.comm.maxBytes = 5 << 10
 	payload := bytes.Repeat([]byte("b"), 2048)
 	ids := []uint64{1, 2, 3, 4, 5, 6}
 	for _, id := range ids {

@@ -109,6 +109,120 @@ func TestSyncAndReadProceedDuringCheckpointBody(t *testing.T) {
 	}
 }
 
+// TestCheckpointFullLogStaysConcurrent: a checkpoint over a log with no room
+// for one more frame — every byte of it records from the current generation,
+// so no reclaim could help — runs like any other.  Its seal writes nothing;
+// with the body held at ckptGate a Get and a SyncObject complete, a sync that
+// needs the log waits for a checkpoint and is acknowledged, the checkpoint
+// commits, and every acknowledged sync reads back after a crash.  A store
+// whose seal appends to the log finds no room there and runs the body
+// stop-the-world, under the exclusive lock a Get waits on.
+func TestCheckpointFullLogStaysConcurrent(t *testing.T) {
+	const logSize = 64 << 10
+	d := disk.New(disk.Params{Sectors: 1 << 16, WriteCache: true}, &vclock.Clock{})
+	opts := Options{LogSize: logSize, MetaAreaSize: 512 << 10, SegmentSize: 64 << 10}
+	s, err := Format(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Object 0 is checkpointed home and evicted: syncing it needs no record.
+	if err := s.Put(0, []byte("at home")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s.EvictCache()
+	want := map[uint64][]byte{0: []byte("at home")}
+	id := uint64(1)
+	sync1 := func(n int64) {
+		t.Helper()
+		data := bytes.Repeat([]byte{byte(id)}, int(n))
+		if err := s.Put(id, data); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SyncObject(id); err != nil {
+			t.Fatal(err)
+		}
+		want[id] = data
+		id++
+	}
+	room := func() int64 { return logSize - 32 - s.l.LiveBytes() }
+	// One small record measures a frame's overhead (record header included);
+	// the last record leaves one byte less than the smallest frame needs.
+	before := room()
+	sync1(100)
+	overhead := before - room() - 100
+	for room() > 2*(overhead+4096) {
+		sync1(4096)
+	}
+	sync1(room() - overhead - (overhead - 1))
+	if r := room(); r >= overhead {
+		t.Fatalf("log left with %d bytes of room; a frame needs %d", r, overhead)
+	}
+	if n := s.Stats().Checkpoints; n != 1 {
+		t.Fatalf("filling the log took %d checkpoints, want only the first", n)
+	}
+
+	entered, release := make(chan struct{}), make(chan struct{})
+	var atGate disk.Stats
+	var once sync.Once
+	s.ckptGate = func() {
+		once.Do(func() {
+			atGate = d.Stats()
+			close(entered)
+			<-release
+		})
+	}
+	sealStart := d.Stats()
+	ckptDone := make(chan error, 1)
+	go func() { ckptDone <- s.Checkpoint() }()
+	select {
+	case <-entered:
+	case err := <-ckptDone:
+		t.Fatalf("the checkpoint ended (%v) without reaching its body's gate: it ran stop-the-world", err)
+	case <-time.After(30 * time.Second):
+		t.Fatal("the checkpoint never reached its body")
+	}
+	if w, f := atGate.Writes-sealStart.Writes, atGate.Flushes-sealStart.Flushes; w != 0 || f != 0 {
+		t.Errorf("the seal issued %d device writes and %d flushes, want none", w, f)
+	}
+	withTimeout(t, 30*time.Second, "Get and SyncObject during the body", func() {
+		if got, err := s.Get(1); err != nil || !bytes.Equal(got, want[1]) {
+			t.Errorf("Get of a sealed object during the body = %d bytes, %v", len(got), err)
+		}
+		if err := s.SyncObject(0); err != nil {
+			t.Errorf("SyncObject of a checkpointed object during the body: %v", err)
+		}
+	})
+	// A record the full log cannot take: the sync waits for a checkpoint
+	// sealed after it, which needs the held body to finish first.
+	late := bytes.Repeat([]byte("late"), 100)
+	if err := s.Put(2, late); err != nil {
+		t.Fatal(err)
+	}
+	want[2] = late
+	lateDone := make(chan error, 1)
+	go func() { lateDone <- s.SyncObject(2) }()
+	close(release)
+	if err := <-ckptDone; err != nil {
+		t.Fatalf("checkpoint over a full log: %v", err)
+	}
+	if err := <-lateDone; err != nil {
+		t.Fatalf("sync after the full log: %v", err)
+	}
+	d.Crash()
+	s2, err := Open(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, data := range want {
+		if got, err := s2.Get(id); err != nil || !bytes.Equal(got, data) {
+			t.Errorf("after the crash, object %d = %d bytes, %v; want the %d acknowledged", id, len(got), err, len(data))
+		}
+	}
+}
+
 // TestScrubChunkingAllowsCheckpointAndSyncMidPass is the satellite-1
 // regression test: with a scrub pass paused between chunks (via the
 // scrubGate hook, which runs with no locks held), a full Checkpoint and a
@@ -330,61 +444,22 @@ func TestSegmentCleanerReclaimsAndPreservesData(t *testing.T) {
 // TestCrashMidSegmentCleanEveryPoint extends the crash matrix to the
 // cleaner's write schedule (satellite 4): the scripted workload makes the
 // second checkpoint free dead segments and copy live objects between
-// segments, the fault-free pass records every write boundary of that
-// schedule, and a fault is injected at each — including inside the
-// copy-out writes and the section rewrites that follow — with recovery
-// verified against the reference model every time.
+// segments, and crashMatrix injects a fault at each write boundary of that
+// schedule — including inside the copy-out writes and the section rewrites
+// that follow — with recovery verified against the reference model every
+// time.
 func TestCrashMidSegmentCleanEveryPoint(t *testing.T) {
 	ops := cleanerWorkload()
-
-	s, fd := newCrashRig(t)
-	fd.Arm(-1, disk.FaultTorn)
-	m := newRefModel()
-	if runWorkload(t, s, ops, m) {
-		t.Fatal("fault-free pass crashed")
+	s, _ := newCrashRig(t)
+	if runWorkload(t, s, ops, newRefModel()) {
+		t.Fatal("workload crashed with no fault armed")
 	}
 	if st := s.Stats(); st.SegsFreed == 0 && st.SegsCleaned == 0 {
 		t.Fatalf("workload did not exercise the segment cleaner: %+v", st)
 	}
-	verifyRecovery(t, fd.Inner(), m, "cleaner clean")
-	points := crashPoints(fd.WriteBounds())
+	stride := 1
 	if testing.Short() {
-		// Every third point still covers each phase of the schedule.
-		var sparse []int64
-		for i, pt := range points {
-			if i%3 == 0 {
-				sparse = append(sparse, pt)
-			}
-		}
-		points = sparse
+		stride = 3 // every third point still covers each phase of the schedule
 	}
-
-	for _, mode := range []disk.FaultMode{disk.FaultTorn, disk.FaultOmit, disk.FaultFlip} {
-		for _, pt := range points {
-			s, fd := newCrashRig(t)
-			flipSeed := 77_000_000 + pt
-			if mode == disk.FaultFlip {
-				fd.SetFlipSeed(flipSeed)
-			}
-			fd.Arm(pt, mode)
-			m := newRefModel()
-			crashed := runWorkload(t, s, ops, m)
-			if !crashed && fd.Tripped() {
-				t.Fatalf("cleaner %v@%d: fault tripped but no op reported it", mode, pt)
-			}
-			point := fmt.Sprintf("cleaner %v@%d", mode, pt)
-			if mode == disk.FaultFlip {
-				point = fmt.Sprintf("%s flipseed=%d", point, flipSeed)
-			}
-			rec := verifyRecovery(t, fd.Inner(), m, point)
-			if t.Failed() {
-				return // one failing crash point is enough detail
-			}
-			continueAfterRecovery(t, rec, m, flipSeed, point)
-			verifyRecovery(t, fd.Inner(), m, point+" post-continuation")
-			if t.Failed() {
-				return
-			}
-		}
-	}
+	crashMatrix(t, "cleaner", ops, 77_000_000, stride, continueAfterRecovery)
 }

@@ -20,7 +20,7 @@ import (
 // degradation ladder instead of failing the mount (see RecoveryReport): a
 // damaged primary superblock copy falls back to the backup copy; a damaged
 // referenced metadata area falls back to the alternate (previous-checkpoint)
-// area plus a replay of the retained write-ahead log generation, losing no
+// area plus a replay of the log frames FINISH retains for it, losing no
 // committed sync; a damaged log yields its valid prefix.  Only when both
 // superblock copies or both metadata areas are corrupt does Open refuse,
 // with an error matching ErrCorrupt.
@@ -45,17 +45,18 @@ func Open(d disk.Device, opts Options) (*Store, error) {
 	}
 	// Re-apply committed log records on top of the checkpointed state.  Open
 	// is single-threaded (the store is not yet published), so entries are
-	// written directly.  Replay begins after the epoch marker of the snapshot
-	// actually loaded, which subsumes the fallback case: a metadata fallback
-	// loads the previous snapshot, whose marker (and generation)
-	// ReclaimBefore retains, so replay covers everything the lost snapshot
-	// held plus what followed — zero committed-sync loss.  When the loaded
-	// epoch has no marker (fresh format, or a degraded pass that truncated
-	// the log), replay starts at the beginning, a superset.
-	start, _ := s.l.ReplayStart(s.metaEpoch)
+	// written directly.  Replay takes the records of the loaded snapshot's
+	// epoch or later — synced after its seal — which subsumes the fallback
+	// case: a metadata fallback loads the previous snapshot, an older epoch,
+	// whose records FINISH retains, so replay covers everything the lost
+	// snapshot held plus what followed — zero committed-sync loss.  The next
+	// seal takes an epoch above every recovered one, so no record synced
+	// before it is ever replayed over its snapshot.
+	top := s.metaEpoch
 	var extents map[int64]home // the loaded homes by offset, built for the first alias record
-	for _, r := range recs[start:] {
-		if r.Mark {
+	for _, r := range recs {
+		top = max(top, r.Epoch)
+		if r.Epoch < s.metaEpoch {
 			continue
 		}
 		s.report.WALRecordsReplayed++
@@ -108,6 +109,7 @@ func Open(d disk.Device, opts Options) (*Store, error) {
 	// derived state does not reflect: rebuild the extent refcounts and
 	// segment live totals once over the final table.
 	s.recomputeSegLive()
+	s.epoch.Store(top)
 	return s, nil
 }
 

@@ -160,8 +160,9 @@ func TestRangeRecordAfterFailedCommit(t *testing.T) {
 		readsBack(t, d, opts)
 	})
 	t.Run("queued-behind", func(t *testing.T) {
-		opts := Options{LogSize: 1 << 20, MetaAreaSize: 1 << 20, GroupCommitRecords: 1}
+		opts := Options{LogSize: 1 << 20, MetaAreaSize: 1 << 20}
 		s, d := setup(t, opts)
+		s.comm.maxRecs = 1
 		s.holdGroupCommit()
 		var wg sync.WaitGroup
 		errs := make([]error, 2)
@@ -245,7 +246,7 @@ func TestRangeRecordWithoutBaseQuarantines(t *testing.T) {
 	if err := s.SyncObject(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.l.Commit([]wal.Record{
+	if err := s.l.Commit(s.epoch.Load(), []wal.Record{
 		{ObjectID: 2, Range: true, Data: encodeRangeBody(0, []byte("X"))},
 		{ObjectID: 4, Range: true, Data: encodeRangeBody(0, nil)},
 		{ObjectID: 3, Data: []byte("short")},

@@ -119,23 +119,24 @@
 // Checkpoint is not a stop-the-world pause.  The protocol has three
 // phases (see checkpoint.go for the full invariant catalogue):
 //
-//   - SEAL, the only exclusive moment: a brief ckptMu write hold that
-//     captures the dirty set (clearing dirty, marking entries ckpt),
-//     captures every label, and appends an epoch marker to the write-ahead
-//     log.  Seal duration is proportional to the number of entries, with no
-//     disk I/O except the marker append.
+//   - SEAL, the only exclusive moment: a brief ckptMu write hold that takes
+//     a fresh epoch — the one later log frames are stamped with — captures
+//     the dirty set (clearing dirty, marking entries ckpt) and captures
+//     every label.  Seal duration is proportional to the number of entries,
+//     with no disk I/O at all.
 //   - BODY, concurrent with everything: relocates the sealed entries into
 //     segments, runs the segment cleaner, and writes the metadata snapshot
 //     for the sealed epoch while reads, Puts, and SyncObject group commits
 //     proceed under ckptMu read mode.
 //     Bodies of different checkpoints are serialized by ckptRun.
-//   - FINISH: reclaims write-ahead log generations older than the previous
-//     epoch (the previous generation is retained so a torn metadata area
-//     can fall back one snapshot with zero committed-sync loss).
+//   - FINISH: reclaims write-ahead log frames of epochs older than the
+//     previous committed snapshot's (its own are retained so a torn
+//     metadata area can fall back one snapshot with zero committed-sync
+//     loss).
 //
-// Log records appended after the seal marker carry state the sealed
-// snapshot may not include, and replay on top of it at Open; records from
-// before the marker are reclaimable once the snapshot commits.
+// Log records of the seal's epoch or later carry state the sealed snapshot
+// may not include, and replay on top of it at Open; records of older epochs
+// are reclaimable once the snapshot commits.
 //
 // # Locking discipline
 //
@@ -179,8 +180,8 @@
 // written directly.
 //
 // Recovery (Open, in open.go) loads the snapshot the superblock references
-// and replays the committed write-ahead log from that snapshot's epoch
-// marker on top of it, restoring each logged object's label.  The crash-injection
+// and replays the committed write-ahead log records of that snapshot's epoch
+// or later on top of it, restoring each logged object's label.  The crash-injection
 // harness in this package's tests replays every write-boundary crash point
 // of randomized workloads — concurrent ones included — to check exactly
 // this path.
@@ -289,13 +290,12 @@ type Store struct {
 	// concurrent Checkpoint calls could interleave their bodies.
 	ckptRun sync.Mutex
 
-	// sealSeq counts checkpoint SEALs and completedSeal the highest sealed
-	// sequence whose body has fully committed.  SyncObject's full-log
-	// fallback records sealSeq under ckptMu.R before syncing; the record is
-	// durably covered once completedSeal exceeds that value (a checkpoint
-	// sealed strictly after the record was enqueued has committed).
-	sealSeq       atomic.Uint64
-	completedSeal atomic.Uint64
+	// epoch is the last seal attempt's epoch, which every log frame
+	// committed since carries; each seal takes the next one.  A sync's
+	// checkpoint fallback records it under ckptMu.R; the record is durably
+	// covered once metaEpoch exceeds that value (a checkpoint sealed
+	// strictly after the record was enqueued has committed).
+	epoch atomic.Uint64
 
 	logGen atomic.Uint64 // the log generation (see sealSync)
 
@@ -342,10 +342,10 @@ type Store struct {
 
 	metaWhich int // which metadata area (0 or 1) the superblock references
 	// metaEpoch is the checkpoint epoch recorded in the current superblock
-	// and metadata-area headers; the next checkpoint writes metaEpoch+1.
-	// Written under metaMu by the checkpoint body (ckptRun-serialized);
-	// the seal may read it without metaMu because the previous body's
-	// release of ckptRun happens-before this run's acquisition.
+	// and metadata-area headers.  Written under metaMu by the checkpoint
+	// body (ckptRun-serialized); the body may read it without metaMu
+	// because the previous body's release of ckptRun happens-before this
+	// run's acquisition.
 	metaEpoch uint64
 
 	// Test hooks, set before the store is shared: scrubGate runs between
@@ -371,12 +371,6 @@ type Options struct {
 	// areas (default 16 MB).  Format records it in the superblock; Open
 	// reads it back, so the option only matters when formatting.
 	MetaAreaSize int64
-	// GroupCommitBytes bounds the encoded size of one group-commit batch
-	// (default 1 MB); a batch always admits at least one record.
-	GroupCommitBytes int64
-	// GroupCommitRecords bounds the number of records in one group-commit
-	// batch (default 128).
-	GroupCommitRecords int
 	// SegmentSize is the size of the append-only data segments checkpoint
 	// relocation packs small objects into (default 1 MB, rounded up to the
 	// extent alignment).  Runtime-only: each existing segment's geometry is
@@ -388,6 +382,13 @@ type Options struct {
 // defaultSegmentSize balances sequential checkpoint writes against cleaner
 // copy granularity.
 const defaultSegmentSize = 1 << 20
+
+// One group-commit batch holds at most groupCommitBytes of encoded records
+// (but always at least one record) and at most groupCommitRecords records.
+const (
+	groupCommitBytes   = 1 << 20
+	groupCommitRecords = 128
+)
 
 // storeShards (a power of two) keeps shard-lock collisions negligible at
 // any realistic GOMAXPROCS while staying cheap to iterate for stats.
@@ -402,14 +403,7 @@ func newStore(d disk.Device, opts Options) *Store {
 	s := &Store{d: d, logSize: opts.LogSize, metaSize: opts.MetaAreaSize, segSize: alignUp(segSize)}
 	s.logGen.Store(1) // an entry's base 0 names no generation
 	s.resetTables()
-	s.comm.maxBytes = opts.GroupCommitBytes
-	if s.comm.maxBytes <= 0 {
-		s.comm.maxBytes = 1 << 20
-	}
-	s.comm.maxRecs = opts.GroupCommitRecords
-	if s.comm.maxRecs <= 0 {
-		s.comm.maxRecs = 128
-	}
+	s.comm.maxBytes, s.comm.maxRecs = groupCommitBytes, groupCommitRecords
 	return s
 }
 
@@ -430,7 +424,7 @@ func Format(d disk.Device, opts Options) (*Store, error) {
 	s.l = l
 	dataStart := logOffset + opts.LogSize + 2*s.metaSize
 	s.addFree(extent{off: dataStart, size: d.Size() - dataStart})
-	if err := s.writeSnapshot(s.metaEpoch+1, nil); err != nil {
+	if err := s.writeSnapshot(s.epoch.Add(1), nil); err != nil {
 		return nil, err
 	}
 	return s, nil

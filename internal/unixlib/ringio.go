@@ -16,7 +16,7 @@ import (
 // choices once.  Every distinct target that names a file segment becomes one
 // OpSync entry of a single ring batch — of length one for one file — which the
 // kernel pushes and commits through the write-ahead log as one group: at most
-// ⌈files/GroupCommitRecords⌉ log flushes instead of one per file.  A target
+// ⌈files/128⌉ log flushes instead of one per file.  A target
 // that names no file segment is what a directory's descriptor holds, and
 // fsync of a directory checkpoints the entire system state (Section 7.1's
 // explanation for the synchronous unlink numbers) — after the file syncs, so

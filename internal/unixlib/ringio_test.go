@@ -12,12 +12,15 @@ import (
 	"histar/internal/vclock"
 )
 
-// bootSysGroup boots a persistent system with a small group-commit record
-// bound, so the ⌈N/batch⌉ commit math is visible with few files.
-func bootSysGroup(t *testing.T, batchRecs int) (*System, *store.Store) {
+// batchRecs is the store's group-commit record bound: the tests below sync
+// more files than that, so the ⌈N/batch⌉ commit math is visible.
+const batchRecs = 128
+
+// bootSysGroup boots a persistent system.
+func bootSysGroup(t *testing.T) (*System, *store.Store) {
 	t.Helper()
 	d := disk.New(disk.Params{Sectors: 1 << 18, WriteCache: true}, &vclock.Clock{})
-	st, err := store.Format(d, store.Options{LogSize: 8 << 20, GroupCommitRecords: batchRecs})
+	st, err := store.Format(d, store.Options{LogSize: 8 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,8 +32,8 @@ func bootSysGroup(t *testing.T, batchRecs int) (*System, *store.Store) {
 }
 
 func TestPwritevFsyncFansOutAndGroupCommits(t *testing.T) {
-	const batchRecs, nFiles = 4, 10
-	sys, st := bootSysGroup(t, batchRecs)
+	const nFiles = 2*batchRecs + 10
+	sys, st := bootSysGroup(t)
 	p, err := sys.NewInitProcess("root")
 	if err != nil {
 		t.Fatal(err)
@@ -116,8 +119,8 @@ func firstDiff(a, b []byte) int {
 }
 
 func TestFsyncManyGroupCommits(t *testing.T) {
-	const batchRecs, nFiles = 4, 12
-	sys, st := bootSysGroup(t, batchRecs)
+	const nFiles = 2*batchRecs + 12
+	sys, st := bootSysGroup(t)
 	p, err := sys.NewInitProcess("root")
 	if err != nil {
 		t.Fatal(err)

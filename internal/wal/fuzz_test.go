@@ -24,7 +24,7 @@ func logImage(data []byte) *disk.Disk {
 }
 
 // validImage returns the raw bytes of a log holding one committed frame per
-// element of commits.
+// element of commits, each in the epoch its first record names.
 func validImage(tb testing.TB, commits ...[]Record) []byte {
 	tb.Helper()
 	d := disk.New(disk.Params{Sectors: fuzzRegion / disk.SectorSize}, &vclock.Clock{})
@@ -33,7 +33,7 @@ func validImage(tb testing.TB, commits ...[]Record) []byte {
 		tb.Fatal(err)
 	}
 	for _, recs := range commits {
-		if err := l.Commit(recs); err != nil {
+		if err := l.Commit(recs[0].Epoch, recs); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -76,29 +76,30 @@ func FuzzRecover(f *testing.F) {
 	img[9] = 0x7f
 	f.Add(append([]byte(nil), img...))
 	f.Add(img[:40])
-	// Format 5's own cases.  A torn last frame: the second commit's last
-	// sector never arrived.
+	// Format 5's own cases, in two epochs (format 8).  A torn last frame: the
+	// second commit's last sector never arrived.
 	two := [][]Record{
-		{{ObjectID: 5, Data: bytes.Repeat([]byte("a"), 300)}},
-		{{ObjectID: 6, Data: bytes.Repeat([]byte("b"), 700)}, {ObjectID: 7, Delete: true}},
+		{{ObjectID: 5, Data: bytes.Repeat([]byte("a"), 300), Epoch: 1}},
+		{{ObjectID: 6, Data: bytes.Repeat([]byte("b"), 700), Epoch: 3}, {ObjectID: 7, Delete: true, Epoch: 3}},
 	}
 	img = validImage(f, two...)
 	f.Add(img[:2*disk.SectorSize])
-	// A stale-generation tail: a full log truncated, one shorter commit since.
+	// A stale-generation tail: a new log over a full one, one shorter commit
+	// since.
 	d := disk.New(disk.Params{Sectors: fuzzRegion / disk.SectorSize}, &vclock.Clock{})
 	l, err := New(d, 0, fuzzRegion)
 	if err != nil {
 		f.Fatal(err)
 	}
 	for id := uint64(1); id <= 8; id++ {
-		if err := l.Commit([]Record{{ObjectID: id, Data: bytes.Repeat([]byte("s"), 200)}}); err != nil {
+		if err := l.Commit(id, []Record{{ObjectID: id, Data: bytes.Repeat([]byte("s"), 200)}}); err != nil {
 			f.Fatal(err)
 		}
 	}
-	if err := l.Truncate(); err != nil {
+	if l, err = New(d, 0, fuzzRegion); err != nil {
 		f.Fatal(err)
 	}
-	if err := l.Commit([]Record{{ObjectID: 9, Data: bytes.Repeat([]byte("n"), 200)}}); err != nil {
+	if err := l.Commit(2, []Record{{ObjectID: 9, Data: bytes.Repeat([]byte("n"), 200)}}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(regionImage(f, d))
@@ -115,6 +116,16 @@ func FuzzRecover(f *testing.F) {
 	img = validImage(f, two...)
 	clear(img[logHeaderSize : logHeaderSize+2*descSize])
 	f.Add(img)
+	// A reclaimed prefix: the start offset at the first frame of epoch 3.
+	d = logImage(validImage(f, append(two, []Record{{ObjectID: 8, Data: []byte("after"), Epoch: 4}})...))
+	l = Open(d, 0, fuzzRegion)
+	if _, err := l.Recover(); err != nil {
+		f.Fatal(err)
+	}
+	if err := l.ReclaimBefore(3); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(regionImage(f, d))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > fuzzRegion {
@@ -147,7 +158,7 @@ func FuzzRecover(f *testing.F) {
 		}
 		for i := range recs {
 			a, b := recs[i], recs2[i]
-			if a.ObjectID != b.ObjectID || a.Delete != b.Delete || a.Range != b.Range ||
+			if a.ObjectID != b.ObjectID || a.Delete != b.Delete || a.Range != b.Range || a.Epoch != b.Epoch ||
 				!bytes.Equal(a.Data, b.Data) || !bytes.Equal(a.Label, b.Label) {
 				t.Fatalf("record %d changed across reseal: %+v -> %+v", i, a, b)
 			}
@@ -156,21 +167,24 @@ func FuzzRecover(f *testing.F) {
 }
 
 // TestRecoverCorruptionPrefixContract damages every byte position of a valid
-// three-commit log in turn — the header, all nine descriptors, every record
-// — then both leading descriptors of each frame at once, and then, on a log
-// whose frames span sectors, every whole sector; it asserts the documented
-// contract exactly: the records returned are always a prefix of what was
-// committed, and any shortfall is reported as ErrCorrupt.
+// three-commit, three-epoch log in turn — the header, all nine descriptors,
+// every record — then both leading descriptors of each frame at once, and
+// then, on a log whose frames span sectors, every whole sector; it asserts
+// the documented contract exactly: the records returned, epochs included, are
+// always a prefix of what was committed, and any shortfall is reported as
+// ErrCorrupt.  Two directed cases follow: the reseal after a rotted frame
+// keeps each salvaged record's epoch, and the resealed log refuses a commit
+// in an epoch lower than its last frame's.
 func TestRecoverCorruptionPrefixContract(t *testing.T) {
 	small := [][]Record{
-		{{ObjectID: 1, Data: []byte("first record")}},
-		{{ObjectID: 2, Data: []byte("second"), Label: []byte{2, 1, 5, 0, 0, 0, 0, 0, 0, 0, 3}}, {ObjectID: 3, Delete: true}},
-		{{ObjectID: 4, Mark: true}, {ObjectID: 5, Data: []byte("fifth, after a marker")}},
+		{{ObjectID: 1, Data: []byte("first record"), Epoch: 2}},
+		{{ObjectID: 2, Data: []byte("second"), Label: []byte{2, 1, 5, 0, 0, 0, 0, 0, 0, 0, 3}, Epoch: 4}, {ObjectID: 3, Delete: true, Epoch: 4}},
+		{{ObjectID: 4, Delete: true, Epoch: 5}, {ObjectID: 5, Data: []byte("fifth, in a later epoch"), Epoch: 5}},
 	}
 	big := [][]Record{
-		{{ObjectID: 1, Data: bytes.Repeat([]byte("a"), 700)}},
-		{{ObjectID: 2, Data: bytes.Repeat([]byte("b"), 900), Label: []byte{2, 1, 5, 0, 0, 0, 0, 0, 0, 0, 3}}, {ObjectID: 3, Delete: true}},
-		{{ObjectID: 4, Mark: true}, {ObjectID: 5, Data: bytes.Repeat([]byte("c"), 1100)}},
+		{{ObjectID: 1, Data: bytes.Repeat([]byte("a"), 700), Epoch: 2}},
+		{{ObjectID: 2, Data: bytes.Repeat([]byte("b"), 900), Label: []byte{2, 1, 5, 0, 0, 0, 0, 0, 0, 0, 3}, Epoch: 4}, {ObjectID: 3, Delete: true, Epoch: 4}},
+		{{ObjectID: 4, Delete: true, Epoch: 5}, {ObjectID: 5, Data: bytes.Repeat([]byte("c"), 1100), Epoch: 5}},
 	}
 	check := func(what string, commits [][]Record, damage func(img []byte)) {
 		t.Helper()
@@ -188,7 +202,7 @@ func TestRecoverCorruptionPrefixContract(t *testing.T) {
 			t.Fatalf("%s: more records than committed (%d)", what, len(recs))
 		}
 		for i, r := range recs {
-			if r.ObjectID != want[i].ObjectID || r.Delete != want[i].Delete || r.Mark != want[i].Mark ||
+			if r.ObjectID != want[i].ObjectID || r.Delete != want[i].Delete || r.Epoch != want[i].Epoch ||
 				!bytes.Equal(r.Data, want[i].Data) || !bytes.Equal(r.Label, want[i].Label) {
 				t.Fatalf("%s: record %d = %+v, want prefix of committed records", what, i, r)
 			}
@@ -234,5 +248,36 @@ func TestRecoverCorruptionPrefixContract(t *testing.T) {
 	// cannot tell from a write the crash tore, and is not asserted here.
 	for sec := 1; (sec+1)*disk.SectorSize < used; sec++ {
 		check(fmt.Sprintf("sector %d zeroed", sec), big, func(img []byte) { clear(img[sec*disk.SectorSize : (sec+1)*disk.SectorSize]) })
+	}
+
+	// The last frame's second record rots, after frames of epochs 2 and 4:
+	// the salvage — its first record too — is resealed one frame per epoch,
+	// and a second recovery reads it cleanly, every record in the epoch it
+	// was committed in.
+	starts, _ = frames(small)
+	img := validImage(t, small...)
+	img[starts[2]+2*descSize+recHeaderSize+3] ^= 0x20
+	d := logImage(img)
+	if recs, err := Open(d, 0, fuzzRegion).Recover(); !errors.Is(err, ErrCorrupt) || len(recs) != 4 {
+		t.Fatalf("rotted last frame: %d records, %v; want 4 and ErrCorrupt", len(recs), err)
+	}
+	l := Open(d, 0, fuzzRegion)
+	recs, err := l.Recover()
+	if err != nil {
+		t.Fatalf("recovery after the reseal: %v", err)
+	}
+	for i, want := range []uint64{2, 4, 4, 5} {
+		if len(recs) != 4 || recs[i].ObjectID != uint64(i+1) || recs[i].Epoch != want {
+			t.Fatalf("after the reseal: %+v; want objects 1 to 4 in epochs 2, 4, 4, 5", recs)
+		}
+	}
+	// Epochs never decrease in log order: a commit in epoch 4 after the
+	// frame of epoch 5 is refused, and writes nothing.
+	live := l.LiveBytes()
+	if err := l.Commit(4, []Record{{ObjectID: 9, Data: []byte("too old")}}); !errors.Is(err, ErrInvalid) || l.LiveBytes() != live {
+		t.Fatalf("commit in a lower epoch: %v, %d live bytes (was %d); want ErrInvalid and nothing written", err, l.LiveBytes(), live)
+	}
+	if err := l.Commit(5, []Record{{ObjectID: 9, Data: []byte("same epoch")}}); err != nil {
+		t.Fatal(err)
 	}
 }

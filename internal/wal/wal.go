@@ -5,15 +5,15 @@
 // them that changed, or a tombstone — so recovery does not depend on the
 // physical layout chosen later by the extent allocator.
 //
-// # On-disk format (version 7)
+// # On-disk format (version 8)
 //
 // The log occupies a fixed region of the disk.  It starts with a 32-byte
-// header, written by New, Truncate, ReclaimBefore, a compaction and a reseal
-// — never by a commit:
+// header, written by New, ReclaimBefore, a compaction and a reseal — never by
+// a commit:
 //
 //	off  size  field
 //	0    4     magic "HWLO" (0x48574c4f, little endian)
-//	4    1     format version (7)
+//	4    1     format version (8)
 //	5    3     reserved (zero)
 //	8    8     generation: 64 random bits; only frames stamped with them
 //	           belong to this log
@@ -30,18 +30,20 @@
 // Frames follow back to back.  A commit is one frame — Commit is handed the
 // whole batch, and the log holds no record before or after the call that is
 // not on the device — written at the tail with one write and one flush: a
-// 32-byte descriptor, the same descriptor again, the batch's records back to
+// 40-byte descriptor, the same descriptor again, the batch's records back to
 // back (the payload), and the descriptor a third time — the last bytes down,
 // the commit point.  A descriptor is:
 //
 //	off  size  field
 //	0    4     magic "HWFR" (0x48574652, little endian)
 //	4    8     generation of the header this frame was written under
-//	12   4     offset of this frame, in bytes after the header
-//	16   4     payload length
-//	20   4     record count
-//	24   4     CRC-32C of the payload
-//	28   4     CRC-32C of descriptor bytes 0..27
+//	12   8     epoch the caller committed the frame in; never lower than
+//	           the frame before it
+//	20   4     offset of this frame, in bytes after the header
+//	24   4     payload length
+//	28   4     record count
+//	32   4     CRC-32C of the payload
+//	36   4     CRC-32C of descriptor bytes 0..35
 //
 // and a record is:
 //
@@ -50,28 +52,25 @@
 //	8    4     data length
 //	12   2     label length (0 when the object carries no label)
 //	14   1     flags: bit 0 = tombstone, bit 1 = label present,
-//	           bit 2 = generation marker, bit 3 = clone alias,
-//	           bit 5 = range (bit 4 is retired: version 5 flagged a
-//	           record kind with it)
+//	           bit 3 = clone alias, bit 5 = range (bits 2 and 4 are
+//	           retired: earlier versions flagged record kinds with them)
 //	15   4     CRC-32 (IEEE) of bytes 0..15 plus the label and data bytes
 //	19   ...   canonical serialized label (label.AppendBinary), then data
 //
 // Clone-alias and range records carry a store-defined payload (see Record),
-// opaque to the log; neither combines with a tombstone, a marker or the
-// other, and a range payload is at least 8 bytes (version 7 added it).
+// opaque to the log; neither combines with a tombstone or the other, and a
+// range payload is at least 8 bytes.
 //
-// A generation marker (bit 2, no data, no label) closes a checkpoint
-// generation: the store seals one with AppendMark, the object-ID field
-// carrying the epoch of the metadata snapshot the marker opens, and replays
-// from the marker of the snapshot it mounts (see ReplayStart).  ReclaimBefore
-// drops the frames before a marker's by advancing the start offset to it —
-// one crash-atomic header write, no frame moves — and compacts the region
-// only when the live suffix fits the dead prefix.  A compaction (which
-// re-stamps the frames it moves), a Truncate and a reseal each open a new
-// header generation (see adopt): nothing written under an earlier one, or
-// under this one at another offset, is taken for a frame again, nor are
-// record contents left lying past the tail, whoever wrote them — a
-// generation cannot be guessed.
+// The epoch is the caller's: the store stamps each frame with the checkpoint
+// generation it was committed in, and Recover hands it back on every record
+// (Record.Epoch).  ReclaimBefore drops the frames of lower epochs by advancing
+// the start offset past them — one crash-atomic header write, no frame moves —
+// and compacts the region only when the live suffix fits the dead prefix.  A
+// compaction (which re-stamps the frames it moves, epochs kept), a New and a
+// reseal each open a new header generation (see adopt): nothing written under
+// an earlier one, or under this one at another offset, is taken for a frame
+// again, nor are record contents left lying past the tail, whoever wrote them
+// — a generation cannot be guessed.
 //
 // # Recovery
 //
@@ -119,10 +118,6 @@ type Record struct {
 	// or nil for an unlabeled object: opaque bytes under the record CRC.
 	Label  []byte
 	Delete bool
-	// Mark identifies a generation marker written by AppendMark: no object
-	// update, just the boundary between checkpoint generations (ObjectID
-	// carries the epoch).  Replay loops must skip marker records.
-	Mark bool
 	// Clone marks a clone-alias record: Data is the store's description of
 	// the committed extent the object aliases (not object contents), and
 	// Label is the clone's label.
@@ -130,12 +125,15 @@ type Record struct {
 	// Range marks a range record: Data is the store's offset and bytes to
 	// lay over the object's last whole record, not its contents.
 	Range bool
+	// Epoch is the epoch of the frame Recover read the record from; Commit
+	// stamps its own argument instead.
+	Epoch uint64
 }
 
 var (
 	// ErrFull is returned when a commit would overflow the log region.
 	// Nothing was written and nothing is kept: the caller checkpoints and
-	// reclaims or truncates, which makes the records' states durable anyway.
+	// reclaims, which makes the records' states durable anyway.
 	ErrFull = errors.New("wal: log region full")
 	// ErrTooLarge is returned by Commit for a record that could never
 	// commit: it would not fit an empty log region, or its label overflows
@@ -147,21 +145,23 @@ var (
 	// ErrVersion is returned when recovery meets an intact header naming a
 	// format version this code does not write; the region is left untouched.
 	ErrVersion = errors.New("wal: unsupported log format version")
+	// ErrInvalid is returned by Commit for an epoch lower than the last
+	// frame's: epochs never decrease in log order.
+	ErrInvalid = errors.New("wal: epoch lower than the last frame's")
 )
 
 const (
 	recHeaderSize = 8 + 4 + 2 + 1 + 4 // id, data len, label len, flags, crc
 	logHeaderSize = 32
 	logMagic      = 0x48574c4f // "HWLO"
-	logVersion    = 7
-	descSize      = 32
+	logVersion    = 8
+	descSize      = 40
 	frameMagic    = 0x48574652 // "HWFR"
 	frameOverhead = 3 * descSize
 	readChunk     = 256 << 10 // bounds one recovery read; a longer frame takes several
 
 	flagDelete   = 1 << 0
 	flagHasLabel = 1 << 1
-	flagMark     = 1 << 2
 	flagClone    = 1 << 3
 	flagRange    = 1 << 5
 )
@@ -188,12 +188,15 @@ type Log struct {
 	// reclaimOff is the body offset where the live frames begin (the
 	// header's start offset): what lies before it is reclaimed, not yet compacted.
 	reclaimOff int64
-	// markOffs maps a marker epoch (its object-ID field) to the body offset
-	// of the frame holding the LAST marker carrying it: where ReclaimBefore cuts.
-	markOffs map[uint64]int64
-	// markIdxs maps a marker epoch to ReplayStart's answer for it, good only
-	// until the recovered slice goes stale.
-	markIdxs map[uint64]int
+	// runs holds, for each run of live frames of one epoch, in log order, the
+	// epoch and the body offset of its first frame: where ReclaimBefore cuts.
+	runs []run
+}
+
+// run is where a run of frames of one epoch begins.
+type run struct {
+	epoch uint64
+	off   int64
 }
 
 // New creates a log over the region [start, start+size) of d and writes a
@@ -209,13 +212,12 @@ func New(d disk.Device, start, size int64) (*Log, error) {
 // Open attaches to an existing log region without erasing it; Recover reads
 // back its committed records and must run before anything is appended.
 func Open(d disk.Device, start, size int64) *Log {
-	return &Log{d: d, start: start, size: size,
-		markOffs: make(map[uint64]int64), markIdxs: make(map[uint64]int)}
+	return &Log{d: d, start: start, size: size}
 }
 
 // newGeneration draws a generation: 64 random bits, so that nothing already
 // in the region names it — no earlier frame, and no record contents, which
-// untrusted code writes and a Truncate leaves lying past the tail.
+// untrusted code writes and a New leaves lying past the tail.
 func newGeneration() uint64 {
 	var b [8]byte
 	rand.Read(b[:]) // cannot fail: crypto/rand stops the program instead
@@ -241,7 +243,7 @@ func (l *Log) writeThrough(b []byte, at int64) error {
 // on-disk header references nothing, then the header that names them, and
 // only when that has succeeded adopts them in memory: a crash leaves the old
 // log or the new, and no commit is ever stamped with a generation the
-// platter may not hold.  The caller holds l.mu and brings the marker maps along.
+// platter may not hold.  The caller holds l.mu and brings the runs along.
 func (l *Log) adopt(gen uint64, frames []byte, at int64) error {
 	if len(frames) > 0 {
 		if err := l.writeThrough(frames, l.pos(at)); err != nil {
@@ -273,12 +275,8 @@ func (l *Log) writeHeader(gen uint64, start int64) error {
 
 // restart opens an empty log under a new generation; the caller holds l.mu.
 func (l *Log) restart() error {
-	if err := l.adopt(newGeneration(), nil, 0); err != nil {
-		return err
-	}
-	clear(l.markOffs)
-	clear(l.markIdxs)
-	return nil
+	l.runs = l.runs[:0]
+	return l.adopt(newGeneration(), nil, 0)
 }
 
 // TooLarge reports whether r could never commit even in an empty log region
@@ -299,9 +297,6 @@ func appendRecord(f []byte, r Record) []byte {
 	}
 	if len(r.Label) > 0 {
 		hdr[14] |= flagHasLabel
-	}
-	if r.Mark {
-		hdr[14] |= flagMark
 	}
 	if r.Clone {
 		hdr[14] |= flagClone
@@ -326,27 +321,24 @@ func (r Record) EncodedSize() int64 {
 	return recHeaderSize + int64(len(r.Label)) + int64(len(r.Data))
 }
 
-// Commit durably appends recs to the log as one frame: one sequential write
-// at the tail and one flush, the header untouched.  Once it returns nil the
-// records survive a crash and Recover returns them; on any error none of them
-// is in the log and the log keeps none (see ErrFull, ErrTooLarge).  This is
-// the group-commit fast path: many syncers' records, one write and flush.
-func (l *Log) Commit(recs []Record) error {
+// Commit durably appends recs to the log as one frame stamped with epoch: one
+// sequential write at the tail and one flush, the header untouched.  Once it
+// returns nil the records survive a crash and Recover returns them; on any
+// error none of them is in the log and the log keeps none (see ErrFull,
+// ErrTooLarge, ErrInvalid).  This is the group-commit fast path: many
+// syncers' records, one write and flush.
+func (l *Log) Commit(epoch uint64, recs []Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	_, err := l.commitLocked(recs)
-	return err
-}
-
-// commitLocked is Commit with l.mu held; it also returns the body offset of
-// the frame it wrote.
-func (l *Log) commitLocked(recs []Record) (int64, error) {
 	if len(recs) == 0 {
-		return l.tail, nil
+		return nil
+	}
+	if n := len(l.runs); n > 0 && epoch < l.runs[n-1].epoch {
+		return ErrInvalid
 	}
 	for _, r := range recs {
 		if l.TooLarge(r) {
-			return 0, ErrTooLarge
+			return ErrTooLarge
 		}
 	}
 	n := frameSize(recs)
@@ -354,21 +346,31 @@ func (l *Log) commitLocked(recs []Record) (int64, error) {
 		// A reclaimed-but-uncompacted prefix may be holding the space this
 		// commit needs; compact it away before giving up.
 		if err := l.compactLocked(); err != nil {
-			return 0, err
+			return err
 		}
 	}
 	if l.tail+n > l.capacity() {
-		return 0, ErrFull
+		return ErrFull
 	}
 	at := l.tail
-	if err := l.writeThrough(l.frame(recs, l.gen, at), l.pos(at)); err != nil {
-		return 0, err
+	l.scratch = appendFrame(l.scratch[:0], recs, l.gen, epoch, at)
+	if err := l.writeThrough(l.scratch, l.pos(at)); err != nil {
+		return err
 	}
 	// The tail moves only now: a frame whose flush failed is never
 	// acknowledged, and the next one is written over it.
 	l.tail += n
+	l.noteFrame(epoch, at)
 	l.stats.Commits++
-	return at, nil
+	return nil
+}
+
+// noteFrame records that a frame of epoch begins at body offset off, the
+// tail's frame; the caller holds l.mu.
+func (l *Log) noteFrame(epoch uint64, off int64) {
+	if n := len(l.runs); n == 0 || l.runs[n-1].epoch != epoch {
+		l.runs = append(l.runs, run{epoch, off})
+	}
 }
 
 // frameSize is the on-disk size of the frame holding recs.
@@ -380,25 +382,26 @@ func frameSize(recs []Record) int64 {
 	return n
 }
 
-// frame encodes recs as the frame of generation gen at body offset off, the
-// only copy of their bytes made before the device's, in a buffer the next
-// frame reuses; the caller holds l.mu.
-func (l *Log) frame(recs []Record, gen uint64, off int64) []byte {
-	f := slices.Grow(l.scratch[:0], int(frameSize(recs)))[:2*descSize]
+// appendFrame encodes recs onto b as the frame of generation gen and epoch
+// at body offset off.  Commit's frame is the only copy of the records' bytes
+// made before the device's, in a buffer the next frame reuses.
+func appendFrame(b []byte, recs []Record, gen, epoch uint64, off int64) []byte {
+	at := len(b)
+	f := slices.Grow(b, int(frameSize(recs)))[:at+2*descSize]
 	for _, r := range recs {
 		f = appendRecord(f, r)
 	}
-	payload := f[2*descSize:]
+	payload := f[at+2*descSize:]
 	f = f[:len(f)+descSize]
-	l.scratch = f
-	d := descriptor{gen: gen, off: off, n: int64(len(payload)), count: len(recs), check: crc32c(payload)}
-	d.stamp(f)
+	d := descriptor{gen: gen, epoch: epoch, off: off, n: int64(len(payload)), count: len(recs), check: crc32c(payload)}
+	d.stamp(f[at:])
 	return f
 }
 
 // descriptor is what a frame says about itself.
 type descriptor struct {
 	gen   uint64 // generation of the header it was written under
+	epoch uint64 // the epoch it was committed in
 	off   int64  // body offset of the frame
 	n     int64  // payload length
 	count int    // records in the payload
@@ -410,22 +413,23 @@ func (d descriptor) stamp(b []byte) {
 	h := b[:descSize]
 	le.PutUint32(h[0:], frameMagic)
 	le.PutUint64(h[4:], d.gen)
-	le.PutUint32(h[12:], uint32(d.off))
-	le.PutUint32(h[16:], uint32(d.n))
-	le.PutUint32(h[20:], uint32(d.count))
-	le.PutUint32(h[24:], d.check)
-	le.PutUint32(h[28:], crc32c(h[:28]))
+	le.PutUint64(h[12:], d.epoch)
+	le.PutUint32(h[20:], uint32(d.off))
+	le.PutUint32(h[24:], uint32(d.n))
+	le.PutUint32(h[28:], uint32(d.count))
+	le.PutUint32(h[32:], d.check)
+	le.PutUint32(h[36:], crc32c(h[:36]))
 	copy(b[descSize:], h)
 	copy(b[2*descSize+d.n:], h)
 }
 
 // parse decodes the descriptor at the front of h, if an intact one is there.
 func parse(h []byte) (d descriptor, ok bool) {
-	if le.Uint32(h[0:]) != frameMagic || le.Uint32(h[28:]) != crc32c(h[:28]) {
+	if le.Uint32(h[0:]) != frameMagic || le.Uint32(h[36:]) != crc32c(h[:36]) {
 		return d, false
 	}
-	d.gen, d.off, d.n = le.Uint64(h[4:]), int64(le.Uint32(h[12:])), int64(le.Uint32(h[16:]))
-	d.count, d.check = int(le.Uint32(h[20:])), le.Uint32(h[24:])
+	d.gen, d.epoch, d.off = le.Uint64(h[4:]), le.Uint64(h[12:]), int64(le.Uint32(h[20:]))
+	d.n, d.count, d.check = int64(le.Uint32(h[24:])), int(le.Uint32(h[28:])), le.Uint32(h[32:])
 	return d, true
 }
 
@@ -440,49 +444,27 @@ func leading(b []byte, gen uint64, off int64) (descriptor, bool) {
 	return descriptor{}, false
 }
 
-// Truncate discards the committed log contents, typically after the caller
-// has applied them to their home locations and checkpointed its metadata.
-func (l *Log) Truncate() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.restart()
-}
-
-// AppendMark durably appends a generation marker carrying epoch in its
-// object-ID field: a commit of that one record.  The store's incremental
-// checkpoint calls it at seal time: records before this marker belong to
-// generations the snapshot named by epoch subsumes.
-func (l *Log) AppendMark(epoch uint64) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	at, err := l.commitLocked([]Record{{ObjectID: epoch, Mark: true}})
-	if err != nil {
-		return err
-	}
-	l.markOffs[epoch] = at
-	return nil
-}
-
-// ReclaimBefore drops every frame before the one holding the last
-// generation marker carrying epoch: a single crash-atomic header write
-// advances the start offset to that frame (the marker itself is retained so
-// recovery can still find the generation boundary), then the region is
-// compacted if the live suffix fits inside the dead prefix.  With no marker
-// for epoch known only the compaction is tried — never guess a boundary.
+// ReclaimBefore drops every frame of an epoch lower than epoch: a single
+// crash-atomic header write advances the start offset to the first frame of
+// epoch or higher (to the tail when there is none), then the region is
+// compacted if the live suffix fits inside the dead prefix.
 func (l *Log) ReclaimBefore(epoch uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	off, ok := l.markOffs[epoch]
-	if ok && off > l.reclaimOff {
+	i := 0
+	for i < len(l.runs) && l.runs[i].epoch < epoch {
+		i++
+	}
+	off := l.tail
+	if i < len(l.runs) {
+		off = l.runs[i].off
+	}
+	if off > l.reclaimOff {
 		if err := l.writeHeader(l.gen, off); err != nil {
 			return err
 		}
 		l.reclaimOff = off
-		for e, o := range l.markOffs {
-			if o < off {
-				delete(l.markOffs, e)
-			}
-		}
+		l.runs = slices.Delete(l.runs, 0, i)
 		l.stats.Reclaims++
 	}
 	return l.compactLocked()
@@ -518,8 +500,8 @@ func (l *Log) compactLocked() error {
 	if err := l.adopt(gen, buf, 0); err != nil {
 		return err
 	}
-	for e := range l.markOffs {
-		l.markOffs[e] -= moved
+	for i := range l.runs {
+		l.runs[i].off -= moved
 	}
 	l.stats.Compactions++
 	return nil
@@ -532,18 +514,6 @@ func (l *Log) LiveBytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.tail - l.reclaimOff
-}
-
-// ReplayStart returns the index into the slice the last Recover returned of
-// the first record after the last generation marker carrying epoch, and
-// whether such a marker exists.  Normal recovery replays from the marker of
-// the snapshot it mounted; the metadata-fallback path from the older
-// snapshot's, whose generation ReclaimBefore retains for this purpose.
-func (l *Log) ReplayStart(epoch uint64) (int, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	idx, ok := l.markIdxs[epoch]
-	return idx, ok
 }
 
 // read returns the n bytes at body offset off, in device reads of at most readChunk each.
@@ -588,8 +558,7 @@ func (l *Log) Recover() ([]Record, error) {
 		return l.reseal(nil, 0, "bad start offset in the log header")
 	}
 	l.gen, l.tail, l.reclaimOff = le.Uint64(hdr[8:]), startOff, startOff
-	clear(l.markOffs)
-	clear(l.markIdxs)
+	l.runs = l.runs[:0]
 	var recs []Record
 	for l.tail+frameOverhead <= l.capacity() {
 		lead, err := l.read(l.tail, 2*descSize)
@@ -604,7 +573,7 @@ func (l *Log) Recover() ([]Record, error) {
 		if err != nil {
 			return recs, err
 		}
-		frs, derr := decodeRecords(body[:d.n])
+		frs, derr := decodeRecords(body[:d.n], d.epoch)
 		if derr != nil || len(frs) != d.count || crc32c(body[:d.n]) != d.check {
 			if t, ok := parse(body[d.n:]); !ok || t != d {
 				break // torn, never acknowledged: the log ends before it
@@ -612,13 +581,8 @@ func (l *Log) Recover() ([]Record, error) {
 			what := fmt.Sprintf("frame at log offset %d rotted after record %d of %d", l.tail, len(frs), d.count)
 			return l.reseal(append(recs, frs...), l.tail+frameOverhead+d.n, what)
 		}
-		for i, r := range frs {
-			if r.Mark {
-				l.markOffs[r.ObjectID] = l.tail
-				l.markIdxs[r.ObjectID] = len(recs) + i + 1
-			}
-		}
 		recs = append(recs, frs...)
+		l.noteFrame(d.epoch, l.tail)
 		l.tail += frameOverhead + d.n
 	}
 	// The walk ended without complaint; look one read further for frames
@@ -637,34 +601,42 @@ func (l *Log) Recover() ([]Record, error) {
 }
 
 // reseal makes recs — what Recover could read before the rot that what
-// describes — the log's contents, as one frame under a new generation, and
-// returns them with ErrCorrupt.  The frame goes where running this recovery
-// again would read nothing: the dead prefix if it fits there, otherwise from
-// end on (see adopt).  When it fits nowhere the region is left as it is, to
-// be judged the same way again, and the log reads as full, so that nothing
-// is appended behind the rot before a Truncate.  The caller holds l.mu.
+// describes — the log's contents, one frame per run of records of one epoch,
+// under a new generation, and returns them with ErrCorrupt.  The frames go
+// where running this recovery again would read nothing: the dead prefix if
+// they fit there, otherwise from end on (see adopt).  When they fit nowhere
+// the region is left as it is, to be judged the same way again, and the log
+// reads as full, so that nothing is appended behind the rot before
+// ReclaimBefore cuts past it.  The caller holds l.mu.
 func (l *Log) reseal(recs []Record, end int64, what string) ([]Record, error) {
-	clear(l.markOffs)
-	clear(l.markIdxs)
-	for i, r := range recs {
-		if r.Mark {
-			l.markIdxs[r.ObjectID] = i + 1
+	var groups [][]Record // recs cut into runs of one epoch
+	n := int64(0)
+	for rest := recs; len(rest) > 0; {
+		k := 1
+		for k < len(rest) && rest[k].Epoch == rest[0].Epoch {
+			k++
 		}
+		groups, n, rest = append(groups, rest[:k]), n+frameSize(rest[:k]), rest[k:]
 	}
 	at := end
-	if n := frameSize(recs); n <= l.reclaimOff {
+	if n <= l.reclaimOff {
 		at = 0
 	} else if at+n > l.capacity() {
 		l.tail, l.reclaimOff = l.capacity(), 0
 		return recs, fmt.Errorf("%w: %s", ErrCorrupt, what)
 	}
 	gen := newGeneration()
-	if err := l.adopt(gen, l.frame(recs, gen, at), at); err != nil {
+	var frames []byte
+	var runs []run
+	for _, g := range groups {
+		off := at + int64(len(frames))
+		runs = append(runs, run{g[0].Epoch, off})
+		frames = appendFrame(frames, g, gen, g[0].Epoch, off)
+	}
+	if err := l.adopt(gen, frames, at); err != nil {
 		return recs, err
 	}
-	for e := range l.markIdxs {
-		l.markOffs[e] = at
-	}
+	l.runs = runs
 	return recs, fmt.Errorf("%w: %s", ErrCorrupt, what)
 }
 
@@ -682,9 +654,9 @@ func (l *Log) Stats() Stats {
 	return l.stats
 }
 
-// decodeRecords decodes a frame's payload, returning the records decoded
-// (Data and Label alias buf) and ErrCorrupt if damage stopped it early.
-func decodeRecords(buf []byte) ([]Record, error) {
+// decodeRecords decodes the payload of a frame of epoch, returning the records
+// decoded (Data and Label alias buf) and ErrCorrupt if damage stopped it early.
+func decodeRecords(buf []byte, epoch uint64) ([]Record, error) {
 	var out []Record
 	for len(buf) > 0 {
 		if len(buf) < recHeaderSize {
@@ -695,14 +667,12 @@ func decodeRecords(buf []byte) ([]Record, error) {
 		nl := int(le.Uint16(buf[12:]))
 		flags := buf[14]
 		switch {
-		case flags&^byte(flagDelete|flagHasLabel|flagMark|flagClone|flagRange) != 0,
+		case flags&^byte(flagDelete|flagHasLabel|flagClone|flagRange) != 0,
 			(flags&flagHasLabel != 0) != (nl > 0),
-			// A generation marker carries nothing but the flag.
-			flags&flagMark != 0 && (flags != flagMark || nd != 0 || nl != 0),
-			// A clone alias is neither a tombstone nor a marker.
-			flags&flagClone != 0 && flags&(flagDelete|flagMark) != 0,
-			// A range is none of the three, and holds at least its offset.
-			flags&flagRange != 0 && (flags&(flagDelete|flagMark|flagClone) != 0 || nd < 8),
+			// A clone alias is not a tombstone.
+			flags&flagClone != 0 && flags&flagDelete != 0,
+			// A range is neither, and holds at least its offset.
+			flags&flagRange != 0 && (flags&(flagDelete|flagClone) != 0 || nd < 8),
 			nd < 0 || len(buf) < recHeaderSize+nl+nd:
 			return out, ErrCorrupt
 		}
@@ -713,9 +683,9 @@ func decodeRecords(buf []byte) ([]Record, error) {
 		r := Record{
 			ObjectID: id,
 			Delete:   flags&flagDelete != 0,
-			Mark:     flags&flagMark != 0,
 			Clone:    flags&flagClone != 0,
 			Range:    flags&flagRange != 0,
+			Epoch:    epoch,
 		}
 		if nd > 0 {
 			r.Data = rec[recHeaderSize+nl:]

@@ -25,13 +25,13 @@ func testLog(t *testing.T, size int64) (*Log, *disk.Disk) {
 
 func TestCommitAndRecover(t *testing.T) {
 	l, d := testLog(t, 1<<20)
-	if err := l.Commit([]Record{
+	if err := l.Commit(0, []Record{
 		{ObjectID: 1, Data: []byte("object one")},
 		{ObjectID: 2, Data: []byte("object two")},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Commit([]Record{{ObjectID: 3, Delete: true}}); err != nil {
+	if err := l.Commit(0, []Record{{ObjectID: 3, Delete: true}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -54,11 +54,11 @@ func TestCommitAndRecover(t *testing.T) {
 
 func TestUncommittedRecordsAreNotRecovered(t *testing.T) {
 	l, d := testLog(t, 4096)
-	if err := l.Commit([]Record{{ObjectID: 1, Data: make([]byte, 3000)}}); err != nil {
+	if err := l.Commit(0, []Record{{ObjectID: 1, Data: make([]byte, 3000)}}); err != nil {
 		t.Fatal(err)
 	}
 	// A commit the log refused wrote nothing: a crash finds only the first.
-	if err := l.Commit([]Record{{ObjectID: 2, Data: make([]byte, 2000)}}); !errors.Is(err, ErrFull) {
+	if err := l.Commit(0, []Record{{ObjectID: 2, Data: make([]byte, 2000)}}); !errors.Is(err, ErrFull) {
 		t.Fatalf("overflowing commit: err=%v", err)
 	}
 	recs, err := Open(d, 0, 4096).Recover()
@@ -70,49 +70,29 @@ func TestUncommittedRecordsAreNotRecovered(t *testing.T) {
 	}
 }
 
-func TestTruncate(t *testing.T) {
-	l, d := testLog(t, 1<<20)
-	l.Commit([]Record{{ObjectID: 1, Data: make([]byte, 100)}})
-	if l.LiveBytes() == 0 {
-		t.Fatal("expected live bytes")
-	}
-	if err := l.Truncate(); err != nil {
-		t.Fatal(err)
-	}
-	if l.LiveBytes() != 0 {
-		t.Error("truncate should reset live bytes")
-	}
-	recs, err := Open(d, 0, 1<<20).Recover()
-	if err != nil || len(recs) != 0 {
-		t.Errorf("recover after truncate: %d records, %v", len(recs), err)
-	}
-}
-
 func TestLogFull(t *testing.T) {
 	l, _ := testLog(t, 4096)
 	// A record that would fit an empty region but not the remaining space:
 	// Commit reports ErrFull, and keeps nothing to commit later.
-	if err := l.Commit([]Record{{ObjectID: 1, Data: make([]byte, 2500)}}); err != nil {
+	if err := l.Commit(0, []Record{{ObjectID: 1, Data: make([]byte, 2500)}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Commit([]Record{{ObjectID: 2, Data: make([]byte, 2500)}}); !errors.Is(err, ErrFull) {
+	first := l.LiveBytes()
+	if err := l.Commit(0, []Record{{ObjectID: 2, Data: make([]byte, 2500)}}); !errors.Is(err, ErrFull) {
 		t.Errorf("commit into full log: err=%v", err)
 	}
 	// A record that could never fit is ErrTooLarge instead.
-	if err := l.Commit([]Record{{ObjectID: 3, Data: make([]byte, 8192)}}); !errors.Is(err, ErrTooLarge) {
+	if err := l.Commit(0, []Record{{ObjectID: 3, Data: make([]byte, 8192)}}); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("commit of oversize record: err=%v", err)
 	}
-	if err := l.Truncate(); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Commit(nil); err != nil || l.LiveBytes() != 0 || l.Stats().Commits != 1 {
-		t.Errorf("a refused commit left something behind: err=%v, %d live bytes, %+v", err, l.LiveBytes(), l.Stats())
+	if err := l.Commit(0, nil); err != nil || l.LiveBytes() != first || l.Stats().Commits != 1 {
+		t.Errorf("a refused commit left something behind: err=%v, %d live bytes (want %d), %+v", err, l.LiveBytes(), first, l.Stats())
 	}
 }
 
 func TestEmptyCommitIsNoop(t *testing.T) {
 	l, _ := testLog(t, 1<<20)
-	if err := l.Commit(nil); err != nil {
+	if err := l.Commit(0, nil); err != nil {
 		t.Fatal(err)
 	}
 	if st := l.Stats(); st.Commits != 0 {
@@ -122,7 +102,7 @@ func TestEmptyCommitIsNoop(t *testing.T) {
 
 func TestCorruptRecordDetected(t *testing.T) {
 	l, d := testLog(t, 1<<20)
-	if err := l.Commit([]Record{
+	if err := l.Commit(0, []Record{
 		{ObjectID: 7, Data: []byte("good record")},
 		{ObjectID: 8, Data: []byte("to be damaged")},
 	}); err != nil {
@@ -144,7 +124,7 @@ func TestCorruptRecordDetected(t *testing.T) {
 
 func TestCorruptRecoverySealsValidPrefix(t *testing.T) {
 	l, d := testLog(t, 1<<20)
-	if err := l.Commit([]Record{
+	if err := l.Commit(0, []Record{
 		{ObjectID: 1, Data: []byte("keep me")},
 		{ObjectID: 2, Data: []byte("damage me")},
 	}); err != nil {
@@ -159,7 +139,7 @@ func TestCorruptRecoverySealsValidPrefix(t *testing.T) {
 	}
 	// The log was resealed to the valid prefix: new commits append after it
 	// and a fresh recovery sees prefix + new records with no error.
-	if err := l2.Commit([]Record{{ObjectID: 3, Data: []byte("after reseal")}}); err != nil {
+	if err := l2.Commit(0, []Record{{ObjectID: 3, Data: []byte("after reseal")}}); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := Open(d, 0, 1<<20).Recover()
@@ -173,7 +153,7 @@ func TestCorruptRecoverySealsValidPrefix(t *testing.T) {
 
 func TestCorruptGenerationRejected(t *testing.T) {
 	l, d := testLog(t, 1<<16)
-	if err := l.Commit([]Record{{ObjectID: 1, Data: []byte("x")}}); err != nil {
+	if err := l.Commit(0, []Record{{ObjectID: 1, Data: []byte("x")}}); err != nil {
 		t.Fatal(err)
 	}
 	// Scribble over the header's generation field: the records are orphaned,
@@ -194,7 +174,7 @@ func TestCorruptGenerationRejected(t *testing.T) {
 func TestLabelRecordsRoundTrip(t *testing.T) {
 	l, d := testLog(t, 1<<20)
 	lblBytes := []byte{2, 1, 17, 0, 0, 0, 0, 0, 0, 0, 3} // canonical {17:3} at default 2
-	if err := l.Commit([]Record{
+	if err := l.Commit(0, []Record{
 		{ObjectID: 5, Data: []byte("tainted contents"), Label: lblBytes},
 		{ObjectID: 6, Data: []byte("plain contents")},
 		{ObjectID: 5, Delete: true},
@@ -219,23 +199,31 @@ func TestLabelRecordsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRangeRecordFlagRules: a range record comes back flagged as one, and
-// decodeRecords refuses the flag beside a tombstone, a marker or a clone,
-// and a range payload too short to hold its offset.
+// TestRangeRecordFlagRules: a range record comes back flagged as one, with
+// its frame's epoch, and decodeRecords refuses the flag beside a tombstone or
+// a clone, a range payload too short to hold its offset, and the retired
+// flag bits under an intact record CRC.
 func TestRangeRecordFlagRules(t *testing.T) {
 	body := []byte("\x03\x00\x00\x00\x00\x00\x00\x00new")
 	good := Record{ObjectID: 1, Data: body, Label: []byte{2, 1, 17, 0, 0, 0, 0, 0, 0, 0, 3}, Range: true}
-	if recs, err := decodeRecords(appendRecord(nil, good)); err != nil || len(recs) != 1 || !recs[0].Range || !bytes.Equal(recs[0].Data, body) {
+	if recs, err := decodeRecords(appendRecord(nil, good), 9); err != nil || len(recs) != 1 || !recs[0].Range || !bytes.Equal(recs[0].Data, body) || recs[0].Epoch != 9 {
 		t.Fatalf("range record decoded as %+v, %v", recs, err)
 	}
 	for name, r := range map[string]Record{
 		"tombstone":  {ObjectID: 1, Data: body, Range: true, Delete: true},
-		"marker":     {ObjectID: 1, Range: true, Mark: true},
 		"clone":      {ObjectID: 1, Data: body, Range: true, Clone: true},
 		"short body": {ObjectID: 1, Data: body[:7], Range: true},
 	} {
-		if recs, err := decodeRecords(appendRecord(nil, r)); !errors.Is(err, ErrCorrupt) || len(recs) != 0 {
+		if recs, err := decodeRecords(appendRecord(nil, r), 0); !errors.Is(err, ErrCorrupt) || len(recs) != 0 {
 			t.Errorf("range with %s: %+v, %v; want ErrCorrupt", name, recs, err)
+		}
+	}
+	for _, bit := range []byte{1 << 2, 1 << 4} {
+		rec := appendRecord(nil, Record{ObjectID: 1})
+		rec[14] |= bit
+		binary.LittleEndian.PutUint32(rec[15:], recordCRC(rec))
+		if recs, err := decodeRecords(rec, 0); !errors.Is(err, ErrCorrupt) || len(recs) != 0 {
+			t.Errorf("retired flag %#x: %+v, %v; want ErrCorrupt", bit, recs, err)
 		}
 	}
 }
@@ -255,7 +243,7 @@ func TestGroupCommitBatchesManyRecords(t *testing.T) {
 	for i := range recs {
 		recs[i] = Record{ObjectID: uint64(i), Data: make([]byte, 64)}
 	}
-	if err := l.Commit(recs); err != nil {
+	if err := l.Commit(0, recs); err != nil {
 		t.Fatal(err)
 	}
 	if st := l.Stats(); st.Commits != 1 {
@@ -267,14 +255,14 @@ func TestOversizeRecordRejectedAtAppend(t *testing.T) {
 	l, d := testLog(t, 4096)
 	// Never-committable records are refused before anything is written, so
 	// they cannot wedge the log.
-	if err := l.Commit([]Record{{ObjectID: 1, Data: make([]byte, 64*1024)}}); !errors.Is(err, ErrTooLarge) {
+	if err := l.Commit(0, []Record{{ObjectID: 1, Data: make([]byte, 64*1024)}}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversize data: err=%v, want ErrTooLarge", err)
 	}
-	if err := l.Commit([]Record{{ObjectID: 3, Label: make([]byte, 70000)}}); !errors.Is(err, ErrTooLarge) {
+	if err := l.Commit(0, []Record{{ObjectID: 3, Label: make([]byte, 70000)}}); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversize label: err=%v, want ErrTooLarge", err)
 	}
 	// The log is unaffected: small records commit cleanly.
-	if err := l.Commit([]Record{{ObjectID: 2, Data: []byte("fits")}}); err != nil {
+	if err := l.Commit(0, []Record{{ObjectID: 2, Data: []byte("fits")}}); err != nil {
 		t.Fatal(err)
 	}
 	recs, err := Open(d, 0, 4096).Recover()
@@ -289,7 +277,7 @@ func TestOversizeRecordRejectedAtAppend(t *testing.T) {
 func TestUnsupportedVersionRefusedWithoutErasure(t *testing.T) {
 	const region = 1 << 16
 	l, d := testLog(t, region)
-	if err := l.Commit([]Record{{ObjectID: 1, Data: []byte("other format's records")}}); err != nil {
+	if err := l.Commit(0, []Record{{ObjectID: 1, Data: []byte("other format's records")}}); err != nil {
 		t.Fatal(err)
 	}
 	// Pretend another format wrote this log: restamp the version byte and
@@ -338,7 +326,7 @@ func TestFlippedVersionByteIsCorruptionNotFutureFormat(t *testing.T) {
 	// the mount as ErrVersion — whatever the rotted byte happens to spell.
 	for _, v := range []byte{0, 2, 3, 4, 9} {
 		l, d := testLog(t, 1<<16)
-		if err := l.Commit([]Record{{ObjectID: 1, Data: []byte("x")}}); err != nil {
+		if err := l.Commit(0, []Record{{ObjectID: 1, Data: []byte("x")}}); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := d.WriteAt([]byte{v}, 4); err != nil {
@@ -352,7 +340,7 @@ func TestFlippedVersionByteIsCorruptionNotFutureFormat(t *testing.T) {
 
 func TestDamagedMagicIsCorruptionNotFresh(t *testing.T) {
 	l, d := testLog(t, 1<<16)
-	if err := l.Commit([]Record{{ObjectID: 7, Data: []byte("y")}}); err != nil {
+	if err := l.Commit(0, []Record{{ObjectID: 7, Data: []byte("y")}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.WriteAt([]byte{0xde}, 1); err != nil {
@@ -376,7 +364,7 @@ func TestAppendBatchCommitsAtomically(t *testing.T) {
 		{ObjectID: 2, Data: []byte("batched two"), Label: []byte{2, 0}},
 		{ObjectID: 3, Delete: true},
 	}
-	if err := l.Commit(batch); err != nil {
+	if err := l.Commit(0, batch); err != nil {
 		t.Fatal(err)
 	}
 	st := l.Stats()
@@ -401,7 +389,7 @@ func TestAppendBatchRejectsWholeBatchOnOversizeRecord(t *testing.T) {
 		{ObjectID: 1, Data: []byte("fits")},
 		{ObjectID: 2, Data: make([]byte, 8192)}, // could never commit
 	}
-	if err := l.Commit(batch); !errors.Is(err, ErrTooLarge) {
+	if err := l.Commit(0, batch); !errors.Is(err, ErrTooLarge) {
 		t.Fatalf("oversize batch: err=%v", err)
 	}
 	if st := l.Stats(); st.Commits != 0 || l.LiveBytes() != 0 {
@@ -422,44 +410,48 @@ func recoverIDs(t *testing.T, d *disk.Disk, size int64) (*Log, []Record) {
 	return l, recs
 }
 
-// wantIDs checks the non-marker records' object IDs, in order.
+// wantIDs checks the records' object IDs, in order.
 func wantIDs(t *testing.T, what string, recs []Record, want ...uint64) {
 	t.Helper()
 	var got []uint64
 	for _, r := range recs {
-		if !r.Mark {
-			got = append(got, r.ObjectID)
-		}
+		got = append(got, r.ObjectID)
 	}
 	if !slices.Equal(got, want) {
 		t.Fatalf("%s: recovered objects %v, want %v", what, got, want)
 	}
 }
 
-// commitOne commits one record whose frame is exactly frameLen bytes.
+// commitOne commits one record whose frame is exactly frameLen bytes, in epoch 0.
 func commitOne(t *testing.T, l *Log, id uint64, frameLen int) {
 	t.Helper()
-	if err := l.Commit([]Record{{ObjectID: id, Data: make([]byte, frameLen-frameOverhead-recHeaderSize)}}); err != nil {
+	commitAt(t, l, 0, id, frameLen)
+}
+
+// commitAt is commitOne in epoch.
+func commitAt(t *testing.T, l *Log, epoch, id uint64, frameLen int) {
+	t.Helper()
+	if err := l.Commit(epoch, []Record{{ObjectID: id, Data: make([]byte, frameLen-frameOverhead-recHeaderSize)}}); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestStaleGenerationNeverReplays lines new frames up exactly on the
-// boundaries of frames a Truncate or a compaction left behind — the stale
-// bytes verify in every respect but their generation — and checks that
-// recovery stops where the new log ends.
+// boundaries of frames a new log over the region (truncating it) or a
+// compaction left behind — the stale bytes verify in every respect but their
+// generation — and checks that recovery stops where the new log ends.
 func TestStaleGenerationNeverReplays(t *testing.T) {
 	const (
 		region   = 1 << 16
-		markLen  = frameOverhead + recHeaderSize // 115: a marker's frame
-		frameLen = 10 * markLen                  // so every boundary is a multiple of markLen
+		frameLen = 1150
 	)
 	t.Run("truncate", func(t *testing.T) {
 		l, d := testLog(t, region)
 		for id := uint64(1); id <= 20; id++ {
 			commitOne(t, l, id, frameLen)
 		}
-		if err := l.Truncate(); err != nil {
+		l, err := New(d, 0, region)
+		if err != nil {
 			t.Fatal(err)
 		}
 		commitOne(t, l, 99, frameLen) // ends where stale frame 2 begins
@@ -469,48 +461,38 @@ func TestStaleGenerationNeverReplays(t *testing.T) {
 	t.Run("reclaim-and-compact", func(t *testing.T) {
 		l, d := testLog(t, region)
 		for id := uint64(1); id <= 20; id++ {
-			commitOne(t, l, id, frameLen)
+			commitAt(t, l, 6, id, frameLen)
 		}
-		if err := l.AppendMark(7); err != nil {
-			t.Fatal(err)
-		}
-		commitOne(t, l, 21, frameLen)
-		commitOne(t, l, 22, frameLen)
+		commitAt(t, l, 7, 21, frameLen)
+		commitAt(t, l, 7, 22, frameLen)
 		if err := l.ReclaimBefore(7); err != nil {
 			t.Fatal(err)
 		}
 		if st := l.Stats(); st.Reclaims != 1 || st.Compactions != 1 {
 			t.Fatalf("expected one reclaim and one compaction: %+v", st)
 		}
-		// The moved frames come back from their new offsets.
-		l2, recs := recoverIDs(t, d, region)
+		// The moved frames come back from their new offsets, epochs kept.
+		_, recs := recoverIDs(t, d, region)
 		wantIDs(t, "after compaction", recs, 21, 22)
-		if start, ok := l2.ReplayStart(7); !ok || start != 1 {
-			t.Fatalf("ReplayStart(7) = %d, %v after compaction", start, ok)
+		if recs[0].Epoch != 7 || recs[1].Epoch != 7 {
+			t.Fatalf("epochs after compaction: %d, %d; want 7, 7", recs[0].Epoch, recs[1].Epoch)
 		}
-		// Nine more markers bring the tail to 3×frameLen, where frame 4 of
-		// the old generation still lies.
-		for i := 0; i < 9; i++ {
-			if err := l.AppendMark(8); err != nil {
-				t.Fatal(err)
-			}
-		}
+		// One more frame brings the tail to 3×frameLen, where frame 4 of the
+		// old generation still lies.
+		commitAt(t, l, 8, 23, frameLen)
 		if l.LiveBytes() != 3*frameLen {
 			t.Fatalf("tail at %d, want %d", l.LiveBytes(), 3*frameLen)
 		}
 		_, recs = recoverIDs(t, d, region)
-		wantIDs(t, "after compaction and markers", recs, 21, 22)
-		if len(recs) != 12 {
-			t.Fatalf("recovered %d records, want 12 (2 objects, 10 markers)", len(recs))
-		}
+		wantIDs(t, "after compaction and a commit", recs, 21, 22, 23)
 	})
 }
 
 // TestForgedFramesInStaleRecordsNeverReplay: record contents are written by
-// untrusted code, and after a Truncate they lie past the tail.  Here a record
+// untrusted code, and after a New over the region they lie past the tail.  Here a record
 // is filled with well-formed frames, each addressed to the offset it lies at
 // and stamped with every generation a guesser could derive from the current
-// one; the log is truncated and a frame committed that ends exactly where a
+// one; a new log is made and a frame committed that ends exactly where a
 // forged one begins.  Generations are random, so none of them replays.
 func TestForgedFramesInStaleRecordsNeverReplay(t *testing.T) {
 	const region = 1 << 16
@@ -519,14 +501,14 @@ func TestForgedFramesInStaleRecordsNeverReplay(t *testing.T) {
 	const dataStart = 2*descSize + recHeaderSize + 40 // body offset of the first forged frame, after some padding
 	data := make([]byte, 40)
 	for i, guess := range []uint64{l.gen, l.gen + 1, l.gen + 2, 1, 2, 0} {
-		evil := Open(d, 0, region) // only an encoder here: it writes nothing
-		data = append(data, evil.frame([]Record{{ObjectID: 666, Data: []byte("injected")}}, guess, int64(dataStart+i*forgedLen))...)
+		data = appendFrame(data, []Record{{ObjectID: 666, Data: []byte("injected")}}, guess, 0, int64(dataStart+i*forgedLen))
 	}
-	if err := l.Commit([]Record{{ObjectID: 1, Data: data}}); err != nil {
+	if err := l.Commit(0, []Record{{ObjectID: 1, Data: data}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if err := l.Truncate(); err != nil {
+		l, err := New(d, 0, region)
+		if err != nil {
 			t.Fatal(err)
 		}
 		commitOne(t, l, 2, dataStart+i*forgedLen) // the tail now lies on forged frame i
@@ -539,11 +521,12 @@ func TestForgedFramesInStaleRecordsNeverReplay(t *testing.T) {
 // TestFailedFlushFrameIsOverwritten: a frame that reached the platter whole
 // while its flush reported failure was never acknowledged, and the store
 // drops it.  The tail did not move, so the next frame — shorter, or a bare
-// marker — lands on its first descriptor and it never replays.
+// tombstone of a later epoch — lands on its first descriptor and it never
+// replays.
 func TestFailedFlushFrameIsOverwritten(t *testing.T) {
 	const region = 1 << 16
 	errFlush := errors.New("flush failed")
-	for _, next := range []string{"nothing", "shorter-frame", "marker"} {
+	for _, next := range []string{"nothing", "shorter-frame", "tombstone"} {
 		d := disk.New(disk.Params{Sectors: 1 << 12, WriteCache: true}, &vclock.Clock{})
 		l, err := New(d, 0, region)
 		if err != nil {
@@ -552,7 +535,7 @@ func TestFailedFlushFrameIsOverwritten(t *testing.T) {
 		commitOne(t, l, 1, 300)
 		a := []Record{{ObjectID: 10, Data: make([]byte, 600)}, {ObjectID: 11, Data: make([]byte, 600)}}
 		d.FailFlushAfter(frameOverhead+a[0].EncodedSize()+a[1].EncodedSize(), errFlush)
-		if err := l.Commit(a); !errors.Is(err, errFlush) {
+		if err := l.Commit(0, a); !errors.Is(err, errFlush) {
 			t.Fatalf("%s: commit across a failed flush: %v", next, err)
 		}
 		want := []uint64{1}
@@ -563,10 +546,11 @@ func TestFailedFlushFrameIsOverwritten(t *testing.T) {
 		case "shorter-frame":
 			commitOne(t, l, 20, 200)
 			want = []uint64{1, 20}
-		case "marker":
-			if err := l.AppendMark(5); err != nil {
+		case "tombstone":
+			if err := l.Commit(5, []Record{{ObjectID: 30, Delete: true}}); err != nil {
 				t.Fatal(err)
 			}
+			want = []uint64{1, 30}
 		}
 		d.Crash()
 		_, recs := recoverIDs(t, d, region)
@@ -596,7 +580,7 @@ func TestTornFrameIsAllOrNothing(t *testing.T) {
 		}
 		commitOne(t, l, 1, 300)
 		d.FailFlushAfter(budget, errPower)
-		if err := l.Commit(batch); !errors.Is(err, errPower) {
+		if err := l.Commit(0, batch); !errors.Is(err, errPower) {
 			t.Fatalf("budget %d: commit across a torn flush: %v", budget, err)
 		}
 		d.Crash()
@@ -634,19 +618,13 @@ func TestCommitIsOneSequentialWrite(t *testing.T) {
 	}
 	before := d.Stats()
 	for i := 0; i < 1000; i++ {
-		if err := l.Commit([]Record{{ObjectID: uint64(i), Data: make([]byte, 100)}}); err != nil {
+		if err := l.Commit(0, []Record{{ObjectID: uint64(i), Data: make([]byte, 100)}}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	after := d.Stats()
 	if w, f, s := after.Writes-before.Writes, after.Flushes-before.Flushes, after.Seeks-before.Seeks; w != 1000 || f != 1000 || s > 1 {
 		t.Fatalf("1000 commits cost %d writes, %d flushes, %d seeks; want 1000, 1000, at most 1", w, f, s)
-	}
-	if err := l.AppendMark(3); err != nil {
-		t.Fatal(err)
-	}
-	if w, f := d.Stats().Writes-after.Writes, d.Stats().Flushes-after.Flushes; w != 1 || f != 1 {
-		t.Fatalf("AppendMark cost %d writes, %d flushes; want 1, 1", w, f)
 	}
 }
 
@@ -666,11 +644,8 @@ func TestCommitAllocatesNothing(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := []Record{{ObjectID: 1, Data: make([]byte, 100)}, {ObjectID: 2, Data: make([]byte, 100), Label: []byte{1, 0}}}
-	if n := testing.AllocsPerRun(100, func() { l.Commit(recs) }); n != 0 {
+	if n := testing.AllocsPerRun(100, func() { l.Commit(0, recs) }); n != 0 {
 		t.Errorf("Commit allocates %v times in the steady state", n)
-	}
-	if n := testing.AllocsPerRun(100, func() { l.AppendMark(3) }); n != 0 {
-		t.Errorf("AppendMark allocates %v times in the steady state", n)
 	}
 }
 
@@ -695,7 +670,7 @@ func (f *flaky) Flush() error {
 }
 
 // TestFailedHeaderWriteLosesNothing: a commit never rewrites the header, so
-// nothing heals a header write that failed.  Whichever one does — Truncate's,
+// nothing heals a header write that failed.  Whichever one does —
 // ReclaimBefore's, or either barrier of a compaction — and whether the disk
 // dropped the write or made it durable before reporting the failure, what is
 // acknowledged afterwards must be found after a crash.  Where the header on
@@ -703,21 +678,32 @@ func (f *flaky) Flush() error {
 // until a header is written.
 func TestFailedHeaderWriteLosesNothing(t *testing.T) {
 	const region = 1 << 16
-	reclaim := func(l *Log) error { return l.ReclaimBefore(7) }
 	old := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
+	// build commits the old frames in epoch 6 and live ones in epoch 7.
+	build := func(fd *flaky, live int) *Log {
+		l, err := New(fd, 0, region)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range old {
+			commitAt(t, l, 6, id, 300)
+		}
+		for i := 0; i < live; i++ {
+			commitAt(t, l, 7, uint64(21+i), 300)
+		}
+		return l
+	}
 	for _, tc := range []struct {
 		name    string
-		live    int // 300-byte frames after the marker: more than 8 and nothing compacts
+		live    int // 300-byte frames of epoch 7: more than 8 and nothing compacts
 		failAt  int
-		op      func(l *Log) error
 		refuses bool // the header is in doubt: no commit until the retry
 		// The earlier frames recovery still returns, by what became of the write.
 		dropped, written []uint64
 	}{
-		{"truncate", 1, 1, (*Log).Truncate, true, old, nil},
-		{"reclaim-header", 9, 1, reclaim, false, old, nil},
-		{"compaction-frames", 2, 2, reclaim, false, nil, nil},
-		{"compaction-header", 2, 3, reclaim, true, nil, nil},
+		{"reclaim-header", 9, 1, false, old, nil},
+		{"compaction-frames", 2, 2, false, nil, nil},
+		{"compaction-header", 2, 3, true, nil, nil},
 	} {
 		for _, budget := range []int64{0, region} {
 			what, before := tc.name+"/dropped", tc.dropped
@@ -726,28 +712,16 @@ func TestFailedHeaderWriteLosesNothing(t *testing.T) {
 			}
 			d := disk.New(disk.Params{Sectors: 1 << 12, WriteCache: true}, &vclock.Clock{})
 			fd := &flaky{Disk: d, budget: budget}
-			l, err := New(fd, 0, region)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, id := range old {
-				commitOne(t, l, id, 300)
-			}
-			if err := l.AppendMark(7); err != nil {
-				t.Fatal(err)
-			}
+			l := build(fd, tc.live)
 			want := slices.Clone(before)
 			for i := 0; i < tc.live; i++ {
-				commitOne(t, l, uint64(21+i), 300)
-				if tc.name != "truncate" || budget == 0 {
-					want = append(want, uint64(21+i))
-				}
+				want = append(want, uint64(21+i))
 			}
 			fd.failAt = tc.failAt
-			if err := tc.op(l); !errors.Is(err, errFlaky) {
-				t.Fatalf("%s: operation across a failed flush: %v", what, err)
+			if err := l.ReclaimBefore(7); !errors.Is(err, errFlaky) {
+				t.Fatalf("%s: reclaim across a failed flush: %v", what, err)
 			}
-			switch err := l.Commit([]Record{{ObjectID: 99, Data: make([]byte, 100)}}); {
+			switch err := l.Commit(7, []Record{{ObjectID: 99, Data: make([]byte, 100)}}); {
 			case tc.refuses && !errors.Is(err, ErrFull):
 				t.Fatalf("%s: commit with the header in doubt: %v, want ErrFull", what, err)
 			case !tc.refuses && err != nil:
@@ -759,51 +733,47 @@ func TestFailedHeaderWriteLosesNothing(t *testing.T) {
 			l2, recs := recoverIDs(t, d, region)
 			wantIDs(t, what+": after the failure, a commit and a crash", recs, want...)
 			// And the operation works when retried.
-			if err := tc.op(l2); err != nil {
+			if err := l2.ReclaimBefore(7); err != nil {
 				t.Fatalf("%s: retry: %v", what, err)
 			}
-			if tc.name == "truncate" {
-				want = nil
-			} else {
-				want = want[slices.Index(want, 21):]
-			}
-			commitOne(t, l2, 100, 200)
+			want = want[slices.Index(want, 21):]
+			commitAt(t, l2, 7, 100, 200)
 			d.Crash()
 			_, recs = recoverIDs(t, d, region)
 			wantIDs(t, what+": after the retry", recs, append(want, 100)...)
 		}
 	}
-	// Without a reboot in between: the retried Truncate lifts the refusal,
-	// and the records that were refused commit when handed over again.
+	// Without a reboot in between: a reclaim past every frame — the store's
+	// next checkpoint makes one — writes a header the log can be sure of, and
+	// the records that were refused commit when handed over again.
 	d := disk.New(disk.Params{Sectors: 1 << 12, WriteCache: true}, &vclock.Clock{})
-	fd := &flaky{Disk: d, failAt: 2}
-	l, err := New(fd, 0, region)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Truncate(); !errors.Is(err, errFlaky) {
+	fd := &flaky{Disk: d}
+	l := build(fd, 2)
+	fd.failAt = 3
+	if err := l.ReclaimBefore(7); !errors.Is(err, errFlaky) {
 		t.Fatal(err)
 	}
 	refused := []Record{{ObjectID: 5, Data: []byte("refused once")}}
-	if err := l.Commit(refused); !errors.Is(err, ErrFull) {
+	if err := l.Commit(8, refused); !errors.Is(err, ErrFull) {
 		t.Fatalf("commit with the header in doubt: %v, want ErrFull", err)
 	}
-	if err := l.Truncate(); err != nil {
+	if err := l.ReclaimBefore(8); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Commit(refused); err != nil {
+	if err := l.Commit(8, refused); err != nil {
 		t.Fatal(err)
 	}
 	d.Crash()
 	_, recs := recoverIDs(t, d, region)
-	wantIDs(t, "after the retried truncate", recs, 5)
+	wantIDs(t, "after the reclaim past every frame", recs, 5)
 }
 
 // TestResealIsCrashSafe cuts the power at every sector the reseal after rot
 // writes — the salvaged frame, then the header that adopts it — and reboots:
 // the second recovery returns what the first did, either cleanly (the
 // reseal had completed) or with ErrCorrupt again (the old log, judged the
-// same way), and never fewer records without saying so.
+// same way), and never fewer records without saying so.  The salvage is one
+// frame per epoch, so every record keeps the epoch it was committed in.
 func TestResealIsCrashSafe(t *testing.T) {
 	const region = 1 << 14
 	const frameLen = 700
@@ -814,13 +784,10 @@ func TestResealIsCrashSafe(t *testing.T) {
 			t.Fatal(err)
 		}
 		for id := uint64(1); id <= 4; id++ {
-			commitOne(t, l, id, frameLen)
-		}
-		if err := l.AppendMark(7); err != nil {
-			t.Fatal(err)
+			commitAt(t, l, 6, id, frameLen)
 		}
 		for id := uint64(5); id <= 10; id++ {
-			commitOne(t, l, id, frameLen)
+			commitAt(t, l, 7, id, frameLen)
 		}
 		if reclaim {
 			if err := l.ReclaimBefore(7); err != nil {
@@ -832,9 +799,8 @@ func TestResealIsCrashSafe(t *testing.T) {
 		}
 		return d
 	}
-	const markLen = frameOverhead + recHeaderSize
-	frame := func(i int64) int64 { // device offset of the i-th 700-byte frame after the marker
-		return logHeaderSize + 4*frameLen + markLen + i*frameLen
+	frame := func(i int64) int64 { // device offset of the i-th 700-byte frame of epoch 7
+		return logHeaderSize + 4*frameLen + i*frameLen
 	}
 	for _, tc := range []struct {
 		name    string
@@ -885,10 +851,16 @@ func TestResealIsCrashSafe(t *testing.T) {
 					wantIDs(t, what+", second recovery", recs, tc.want...)
 					l3, recs := recoverIDs(t, d, region)
 					wantIDs(t, what+", third recovery", recs, tc.want...)
-					if start, ok := l3.ReplayStart(7); !ok || (tc.reclaim && start != 1) || (!tc.reclaim && start != 5) {
-						t.Fatalf("%s: ReplayStart(7) = %d, %v", what, start, ok)
+					for _, r := range recs {
+						want := uint64(6)
+						if r.ObjectID >= 5 {
+							want = 7
+						}
+						if r.Epoch != want {
+							t.Fatalf("%s: object %d recovered in epoch %d, want %d", what, r.ObjectID, r.Epoch, want)
+						}
 					}
-					commitOne(t, l3, 50, 200)
+					commitAt(t, l3, 7, 50, 200)
 					_, recs = recoverIDs(t, d, region)
 					wantIDs(t, what+", after a commit", recs, append(tc.want, 50)...)
 				}
@@ -900,7 +872,7 @@ func TestResealIsCrashSafe(t *testing.T) {
 // TestResealWithoutRoomLeavesTheLogAlone: when the salvaged records fit
 // neither the dead prefix nor the space after the damage, the region is not
 // touched — recovering again gives the same verdict — and nothing can be
-// appended behind the rot until a Truncate opens a new generation.
+// appended behind the rot until a reclaim cuts past it.
 func TestResealWithoutRoomLeavesTheLogAlone(t *testing.T) {
 	const region = 1 << 12
 	l, d := testLog(t, region)
@@ -925,15 +897,15 @@ func TestResealWithoutRoomLeavesTheLogAlone(t *testing.T) {
 		t.Fatal("a reseal with no room wrote to the region")
 	}
 	refused := []Record{{ObjectID: 9, Data: []byte("x")}}
-	if err := l.Commit(refused); !errors.Is(err, ErrFull) {
+	if err := l.Commit(0, refused); !errors.Is(err, ErrFull) {
 		t.Fatalf("commit behind unresealed rot: %v, want ErrFull", err)
 	}
-	if err := l.Truncate(); err != nil {
+	if err := l.ReclaimBefore(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Commit(refused); err != nil {
+	if err := l.Commit(1, refused); err != nil {
 		t.Fatal(err)
 	}
 	_, recs := recoverIDs(t, d, region)
-	wantIDs(t, "after the truncate", recs, 9)
+	wantIDs(t, "after the reclaim", recs, 9)
 }
