@@ -798,11 +798,6 @@ func BenchmarkSyscallParallel(b *testing.B) {
 		}(w)
 	}
 	ops.Wait()
-	b.StopTimer()
-	l1 := k.LabelL1Stats()
-	if l1.Hits+l1.Misses > 0 {
-		b.ReportMetric(100*float64(l1.Hits)/float64(l1.Hits+l1.Misses), "L1-hit-%")
-	}
 }
 
 // BenchmarkSyscallSerial is the same mixed workload from a single thread,

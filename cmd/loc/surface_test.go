@@ -45,7 +45,6 @@ var keep = map[string]string{
 	// Test plumbing.
 	"kernel.Kernel.ResetSyscallCounts": "test plumbing: the syscall-budget tests count from zero",
 	"kernel.ThreadCall.SyscallsIssued": "test plumbing: per-thread syscall budgets",
-	"label.Cache.Reset":                "test plumbing: cold-cache measurements",
 	"store.Store.Disk":                 "test plumbing: the library's crash tests cut power to the device under a booted system",
 }
 

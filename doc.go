@@ -7,14 +7,11 @@
 // the paper's Figure 12 and Figure 13 on simulated hardware.
 //
 // The label algebra (internal/label) keeps every label in an immutable
-// canonical form — a slice of category/level pairs sorted by category, with
-// the 64-bit fingerprint (and the fingerprint of the raised superscript-J
-// form) computed once at construction — so ⊑ and ⊔ are linear merges (⊑
-// allocation-free), access-check caching is a pair of stored
-// field reads, and hot labels are interned so that equal labels share one
-// backing array.  The kernel's comparison cache is sharded by
-// fingerprint bits with per-shard eviction, and the single-level store
-// persists labels in the same canonical serialized form.
+// canonical form — a slice of category/level pairs sorted by category — so ⊑
+// and ⊔ are linear merges.  Every access check is one such merge, with a
+// thread's label read as its superscript-J form on the fly, so a check
+// allocates nothing and the kernel memoizes none of them; the single-level
+// store persists labels in the same canonical serialized form.
 //
 // The single-level store (internal/store) makes labels first-class durable
 // state: every SyncObject log record carries the object's contents and
@@ -44,10 +41,9 @@
 // object carries its own RW lock, and multi-object syscalls acquire object
 // locks in ascending object-ID order (see the internal/kernel package
 // comment for the full discipline).  Read-mostly syscalls take only read
-// locks; each thread additionally fronts the shared comparison cache with a
-// small lock-free L1 keyed by both labels' fingerprints, so the hottest
-// canObserve checks touch no mutex.  Syscall statistics are striped atomic
-// counters indexed by a fixed syscall enum, merged on read.
+// locks, and a label check touches no shared state at all.  Syscall
+// statistics are striped atomic counters indexed by a fixed syscall enum,
+// merged on read.
 //
 // Batched submission rides on top of that discipline: a per-thread syscall
 // ring (kernel.Ring, an io_uring-style interface) queues segment and stat

@@ -204,7 +204,7 @@ func (tc *ThreadCall) pageFaultInner(ctx tctx, va uint64, write bool) (*segment,
 		return nil, 0, err
 	}
 	// The thread must be able to use its address space at all.
-	if !tc.k.canObserveT(ctx.t, ctx.lbl, as.lbl) {
+	if !label.CanObserve(ctx.lbl, as.lbl) {
 		return nil, 0, ErrLabel
 	}
 	// Find the covering mapping and copy it out; the syscall linearizes at

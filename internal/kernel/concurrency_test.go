@@ -170,9 +170,8 @@ func TestConcurrentSyscallStress(t *testing.T) {
 }
 
 // TestConcurrentLabelEnforcement churns a thread's label while other
-// threads hammer observation checks, verifying that the per-thread L1 in
-// front of the comparison cache never leaks a stale verdict: the secret
-// stays unreadable to unprivileged threads throughout.
+// threads hammer observation checks, verifying that no check sees a stale
+// label: the secret stays unreadable to unprivileged threads throughout.
 func TestConcurrentLabelEnforcement(t *testing.T) {
 	k := New(Config{Seed: 13})
 	boot, err := k.BootThread(label.New(label.L1), label.New(label.L2), "boot")
@@ -222,7 +221,7 @@ func TestConcurrentLabelEnforcement(t *testing.T) {
 					return
 				}
 				// Churn the snoop's own label (taint in a fresh category) so
-				// its L1 keys keep changing while checks stay correct.
+				// its label keeps changing while checks stay correct.
 				if i%16 == 0 {
 					lbl, err := tc.SelfLabel()
 					if err != nil {

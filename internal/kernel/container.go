@@ -113,7 +113,7 @@ func (tc *ThreadCall) Link(d ID, src CEnt) error {
 	}
 	// Non-thread labels are immutable, but thread labels are not; read under
 	// the object's lock either way.
-	if !tc.k.leq(h.lbl, ctx.clearance) {
+	if !h.lbl.Leq(ctx.clearance) {
 		return ErrClearance
 	}
 	if !h.fixedQuota {
@@ -203,7 +203,7 @@ func (tc *ThreadCall) QuotaMove(d ID, o ID, n int64) error {
 	if err != nil {
 		return err
 	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, cont.lbl) {
+	if !label.CanModify(ctx.lbl, cont.lbl) {
 		return ErrLabel
 	}
 	ls := lockOrdered(objLock{cont, true}, objLock{obj, true})
@@ -215,7 +215,7 @@ func (tc *ThreadCall) QuotaMove(d ID, o ID, n int64) error {
 		return ErrNoSuchObject
 	}
 	h := obj.hdr()
-	if !tc.k.leq(ctx.lbl, h.lbl) || !tc.k.leq(h.lbl, ctx.clearance) {
+	if !ctx.lbl.Leq(h.lbl) || !h.lbl.Leq(ctx.clearance) {
 		return ErrLabel
 	}
 	if h.fixedQuota {
@@ -230,7 +230,7 @@ func (tc *ThreadCall) QuotaMove(d ID, o ID, n int64) error {
 	}
 	// Shrinking: returns an error when o has fewer than |n| spare bytes,
 	// thereby conveying information about o to the caller.
-	if !tc.k.canObserveT(ctx.t, ctx.lbl, h.lbl) {
+	if !label.CanObserve(ctx.lbl, h.lbl) {
 		return ErrLabel
 	}
 	take := uint64(-n)
@@ -259,7 +259,7 @@ func (tc *ThreadCall) ObjectStat(ce CEnt) (Stat, error) {
 func (k *Kernel) objectStatLocked(ctx *tctx, obj object, st *Stat) error {
 	h := obj.hdr()
 	// Thread labels are not immutable; expose them only when LT'ᴶ ⊑ LTᴶ.
-	if h.objType == ObjThread && !k.leqRaised(h.lbl, ctx.lbl) {
+	if h.objType == ObjThread && !label.LeqRaised(h.lbl, ctx.lbl) {
 		return ErrLabel
 	}
 	*st = Stat{
@@ -292,7 +292,7 @@ func (tc *ThreadCall) openHeader(sc syscallID, ce CEnt, refuseImmutable bool) (*
 	h := obj.hdr()
 	if refuseImmutable && h.immutable {
 		err = ErrImmutable
-	} else if !tc.k.canModifyT(ctx.t, ctx.lbl, effectiveLabel(obj)) {
+	} else if !label.CanModify(ctx.lbl, effectiveLabel(obj)) {
 		err = ErrLabel
 	}
 	if err != nil {

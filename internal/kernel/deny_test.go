@@ -1,0 +1,209 @@
+package kernel
+
+import (
+	"errors"
+	"testing"
+
+	"histar/internal/label"
+)
+
+// Deny tests: one per label check that no other test refuses, each naming the
+// paper's rule it pins.  Every test first shows the owner of category c (the
+// boot thread, which made c) passing the same check, so the refusal is the
+// rule's and not some other failure on the path.
+
+// denyEnv boots a kernel whose boot thread owns a fresh category c, plus an
+// outsider thread labeled {1} with clearance {2} in the root container.
+func denyEnv(t *testing.T) (k *Kernel, owner, outsider *ThreadCall, c label.Category) {
+	t.Helper()
+	k, owner = boot(t)
+	c, err := owner.CategoryCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k, owner, spawnWorker(t, k, owner, "outsider"), c
+}
+
+// newThread creates a thread with the given label and clearance in the root
+// container and returns its entry and its syscall context.
+func newThread(t *testing.T, k *Kernel, creator *ThreadCall, lbl, clr label.Label) (CEnt, *ThreadCall) {
+	t.Helper()
+	id, err := creator.ThreadCreate(k.RootContainer(), ThreadSpec{Label: lbl, Clearance: clr, Descrip: "deny target"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc, err := k.ThreadCall(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return CEnt{k.RootContainer(), id}, tc
+}
+
+func wantLabelErr(t *testing.T, what string, err error) {
+	t.Helper()
+	if !errors.Is(err, ErrLabel) {
+		t.Errorf("%s: err = %v, want ErrLabel", what, err)
+	}
+}
+
+// quota_move: the thread must be able to write the container,
+// LT ⊑ LD ⊑ LTᴶ.  D is {c0, 1}: only an owner of c may write it.
+func TestDenyQuotaMoveUnwritableContainer(t *testing.T) {
+	k, owner, outsider, c := denyEnv(t)
+	d, err := owner.ContainerCreate(k.RootContainer(), label.New(label.L1, label.P(c, label.L0)), "c-protected", 0, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := owner.SegmentCreate(d, label.New(label.L1), "o", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.QuotaMove(d, o, 4096); err != nil {
+		t.Fatalf("owner's quota_move: %v", err)
+	}
+	wantLabelErr(t, "quota_move into a container the thread cannot write", outsider.QuotaMove(d, o, 4096))
+}
+
+// quota_move: the thread must be able to allocate at the
+// object's label, LT ⊑ LO ⊑ CT — in both halves of the rule.
+func TestDenyQuotaMoveObjectOutsideAllocationRange(t *testing.T) {
+	k, owner, outsider, c := denyEnv(t)
+	d, err := owner.ContainerCreate(k.RootContainer(), label.New(label.L1), "d", 0, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tt := range []struct {
+		name string
+		lbl  label.Label
+	}{
+		{"LT ⊑ LO fails: {c0, 1}", label.New(label.L1, label.P(c, label.L0))},
+		{"LO ⊑ CT fails: {c3, 1} above clearance {2}", label.New(label.L1, label.P(c, label.L3))},
+	} {
+		t.Run(tt.name, func(t *testing.T) {
+			o, err := owner.SegmentCreate(d, tt.lbl, "o", 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := owner.QuotaMove(d, o, 4096); err != nil {
+				t.Fatalf("owner's quota_move: %v", err)
+			}
+			wantLabelErr(t, "quota_move to an object the thread cannot allocate at", outsider.QuotaMove(d, o, 4096))
+		})
+	}
+}
+
+// quota_move: a shrink can fail for lack of spare bytes, which
+// conveys information about the object, so it additionally requires
+// LO ⊑ LTᴶ.  The reader holds clearance c3 but not c: it may grow an object
+// labeled {c3, 1} (LT ⊑ LO ⊑ CT holds) but not shrink it.
+func TestDenyQuotaMoveShrinkUnobservable(t *testing.T) {
+	k, owner, _, c := denyEnv(t)
+	d, err := owner.ContainerCreate(k.RootContainer(), label.New(label.L1), "d", 0, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := owner.SegmentCreate(d, label.New(label.L1, label.P(c, label.L3)), "secret", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, cleared := newThread(t, k, owner, label.New(label.L1), label.New(label.L2, label.P(c, label.L3)))
+	if err := cleared.QuotaMove(d, o, 4096); err != nil {
+		t.Fatalf("growing needs no observation: %v", err)
+	}
+	if err := owner.QuotaMove(d, o, -1024); err != nil {
+		t.Fatalf("owner's shrink: %v", err)
+	}
+	wantLabelErr(t, "shrinking an object the thread cannot observe", cleared.QuotaMove(d, o, -1024))
+}
+
+// obj_get_label on a thread: thread labels are mutable, so
+// reading another thread's requires LT′ᴶ ⊑ LTᴶ.  A thread owning c reads as
+// cᴶ, above the outsider's c1 — though {c⋆, 1} ⊑ {1} unraised.
+func TestDenyObjectStatOwnerThread(t *testing.T) {
+	k, owner, outsider, c := denyEnv(t)
+	target, _ := newThread(t, k, owner, label.New(label.L1, label.P(c, label.Star)), label.New(label.L2, label.P(c, label.L3)))
+	if st, err := owner.ObjectStat(target); err != nil || st.Type != ObjThread {
+		t.Fatalf("owner's stat of the thread = %+v, %v", st, err)
+	}
+	_, err := outsider.ObjectStat(target)
+	wantLabelErr(t, "stat of a thread owning a category the caller does not", err)
+}
+
+// The header-flag calls (obj_set_meta, obj_set_fixedquota,
+// obj_set_immutable) modify the object: LT ⊑ LO ⊑ LTᴶ.  The segment is
+// {c0, 1}.
+func TestDenyObjectSetMetadataUnwritable(t *testing.T) {
+	k, owner, outsider, c := denyEnv(t)
+	seg, err := owner.SegmentCreate(k.RootContainer(), label.New(label.L1, label.P(c, label.L0)), "c-protected", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ce := CEnt{k.RootContainer(), seg}
+	md := [MetadataSize]byte{1}
+	if err := owner.ObjectSetMetadata(ce, md); err != nil {
+		t.Fatalf("owner's set-metadata: %v", err)
+	}
+	wantLabelErr(t, "set-metadata on an object the thread cannot write", outsider.ObjectSetMetadata(ce, md))
+}
+
+// Page faults (Section 3.4): every access through an address space requires
+// LA ⊑ LTᴶ, checked at the fault, not only at self_set_as.  The thread
+// switches to a {c3, 1} address space while it owns c, then gives c up.
+func TestDenyPageFaultUnobservableAddressSpace(t *testing.T) {
+	k, owner, _, c := denyEnv(t)
+	root := k.RootContainer()
+	seg, err := owner.SegmentCreate(root, label.New(label.L1), "mapped", PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	as, err := owner.AddressSpaceCreate(root, label.New(label.L1, label.P(c, label.L3)), "c-secret as")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.AddressSpaceSet(CEnt{root, as}, []Mapping{{VA: 0x10000, Seg: CEnt{root, seg}, NPages: 1, Flags: MapRead}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.SelfSetAddressSpace(CEnt{root, as}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := owner.MemRead(0x10000, 4); err != nil {
+		t.Fatalf("read while owning c: %v", err)
+	}
+	if err := owner.SelfSetLabel(label.New(label.L1)); err != nil {
+		t.Fatal(err)
+	}
+	_, err = owner.MemRead(0x10000, 4)
+	wantLabelErr(t, "fault through an address space the thread cannot observe", err)
+}
+
+// thread_alert (Section 3.4): the sender must observe the target,
+// Ltarget ⊑ LTᴶ.  The target is tainted {c2, 1} and runs in a {1} address
+// space the outsider may write, so observation is the only rule it fails.
+func TestDenyThreadAlertUnobservableTarget(t *testing.T) {
+	k, owner, outsider, c := denyEnv(t)
+	root := k.RootContainer()
+	as, err := owner.AddressSpaceCreate(root, label.New(label.L1), "writable as")
+	if err != nil {
+		t.Fatal(err)
+	}
+	target, tainted := newThread(t, k, owner, label.New(label.L1, label.P(c, label.L2)), label.New(label.L2, label.P(c, label.L3)))
+	if err := tainted.SelfSetAddressSpace(CEnt{root, as}); err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.ThreadAlert(target, 1); err != nil {
+		t.Fatalf("owner's alert: %v", err)
+	}
+	wantLabelErr(t, "alert to a thread the sender cannot observe", outsider.ThreadAlert(target, 1))
+}
+
+// thread_alert (Section 3.4): with no address space to write, the sender must
+// be able to write the target thread itself, LT ⊑ Ltarget ⊑ LTᴶ.  The target
+// owns c: the outsider observes it (⋆ ≤ 1) but cannot write it (1 ≰ ⋆).
+func TestDenyThreadAlertUnwritableTarget(t *testing.T) {
+	k, owner, outsider, c := denyEnv(t)
+	target, _ := newThread(t, k, owner, label.New(label.L1, label.P(c, label.Star)), label.New(label.L2, label.P(c, label.L3)))
+	if err := owner.ThreadAlert(target, 1); err != nil {
+		t.Fatalf("owner's alert: %v", err)
+	}
+	wantLabelErr(t, "alert to a thread the sender cannot write", outsider.ThreadAlert(target, 1))
+}

@@ -51,17 +51,17 @@ func (tc *ThreadCall) GateCreate(d ID, spec GateSpec) (ID, error) {
 	// LG ⊑ CG conjunct cannot be meant literally; gate clearances are purely
 	// a bound on callers (LT ⊑ CG at invocation), which the remaining
 	// conjuncts preserve.
-	if !tc.k.leq(ctx.lbl, spec.Label) ||
-		!tc.k.leq(spec.Label.LowerStar(), ctx.clearance) ||
-		!tc.k.leq(spec.Clearance, ctx.clearance) {
+	if !ctx.lbl.Leq(spec.Label) ||
+		!spec.Label.LowerStar().Leq(ctx.clearance) ||
+		!spec.Clearance.Leq(ctx.clearance) {
 		return NilID, ErrLabel
 	}
 	// The externally visible object label strips ownership so that possession
 	// of the gate's container entry does not reveal what the gate can untaint.
 	return tc.k.create(cont, &gate{
 		header:       tc.k.newHeader(ObjGate, spec.Label.LowerStar(), 8*1024, spec.Descrip),
-		gateLabel:    label.Intern(spec.Label),
-		clearance:    label.Intern(spec.Clearance),
+		gateLabel:    spec.Label,
+		clearance:    spec.Clearance,
 		addressSpace: spec.AddressSpace,
 		entry:        spec.Entry,
 		closureArgs:  append([]byte(nil), spec.Closure...),
@@ -113,7 +113,7 @@ func (tc *ThreadCall) GateEnter(ce CEnt, req GateRequest) ([]byte, error) {
 // (immutable) gate, so they run under the thread's write lock, against the
 // label as it is now: a concurrent self_set_label or ownership grant must
 // either land before the checks or after the transfer, never be overwritten
-// by it.  The label cache is a leaf and may be consulted under the lock.
+// by it.
 func (tc *ThreadCall) gateEnterTransfer(t *thread, g *gate, req GateRequest) error {
 	if !label.ValidThreadLabel(req.Label) || !label.ValidClearance(req.Clearance) {
 		return ErrInvalid
@@ -124,12 +124,12 @@ func (tc *ThreadCall) gateEnterTransfer(t *thread, g *gate, req GateRequest) err
 			return ErrHalted
 		}
 		// LT ⊑ CG: the gate's clearance bounds who may call it.
-		if !tc.k.leq(t.lbl, g.clearance) {
+		if !t.lbl.Leq(g.clearance) {
 			return ErrClearance
 		}
 		// LT ⊑ LV: the verify label may only claim ownership the thread
 		// has.
-		if !tc.k.leq(t.lbl, req.Verify) {
+		if !t.lbl.Leq(req.Verify) {
 			return ErrLabel
 		}
 		// (LTᴶ ⊔ LGᴶ)⋆ ⊑ LR: the requested label must carry at least the
@@ -143,21 +143,21 @@ func (tc *ThreadCall) gateEnterTransfer(t *thread, g *gate, req GateRequest) err
 		// the common cases (a caller keeping its own clearance, or asking for
 		// the gate's) never materialize CT ⊔ CG; only the mixed case pays the
 		// join's allocation.
-		if !tc.k.leq(req.Label, req.Clearance) {
+		if !req.Label.Leq(req.Clearance) {
 			return ErrClearance
 		}
-		if !tc.k.leq(req.Clearance, t.clearance) && !tc.k.leq(req.Clearance, g.clearance) &&
-			!tc.k.leq(req.Clearance, t.clearance.Join(g.clearance)) {
+		if !req.Clearance.Leq(t.clearance) && !req.Clearance.Leq(g.clearance) &&
+			!req.Clearance.Leq(t.clearance.Join(g.clearance)) {
 			return ErrClearance
 		}
 		// Perform the transfer: the thread now runs with LR/CR in the
 		// gate's address space.
-		t.lbl = label.Intern(req.Label)
-		t.clearance = label.Intern(req.Clearance)
+		t.lbl = req.Label
+		t.clearance = req.Clearance
 		if g.addressSpace.Object != NilID {
 			t.addressSpace = g.addressSpace
 		}
-		t.localSegment.lbl = label.Intern(req.Label.LowerStar())
+		t.localSegment.lbl = req.Label.LowerStar()
 		return nil
 	}()
 	ls.unlock()

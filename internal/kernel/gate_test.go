@@ -7,10 +7,9 @@ import (
 	"histar/internal/label"
 )
 
-// gateBenchEnv builds a gate plus a pre-interned steady-state request, the
-// shape of a warm webd session call: the caller repeatedly enters the same
-// gate with identical labels, so every label the transfer installs is
-// already interned and every comparison is already cached.
+// gateBenchEnv builds a gate plus a steady-state request, the shape of a warm
+// webd session call: the caller repeatedly enters the same gate with
+// identical labels.
 func gateBenchEnv(tb testing.TB) (*ThreadCall, CEnt, GateRequest) {
 	tb.Helper()
 	k, tc := boot(tb)
@@ -29,16 +28,16 @@ func gateBenchEnv(tb testing.TB) (*ThreadCall, CEnt, GateRequest) {
 	lbl, _ := tc.SelfLabel()
 	clr, _ := tc.SelfClearance()
 	req := GateRequest{
-		Label:     label.Intern(lbl),
-		Clearance: label.Intern(clr),
-		Verify:    label.Intern(lbl),
+		Label:     lbl,
+		Clearance: clr,
+		Verify:    lbl,
 	}
 	return tc, CEnt{root, gateID}, req
 }
 
 func TestGateEnterZeroAlloc(t *testing.T) {
 	tc, gate, req := gateBenchEnv(t)
-	// Warm the label caches, intern table, and ctx pool.
+	// Warm the ctx pool.
 	if _, err := tc.GateEnter(gate, req); err != nil {
 		t.Fatal(err)
 	}

@@ -53,8 +53,8 @@
 //     deallocate); an object lock is never acquired while a shard lock is
 //     held.
 //  5. Futex-table shard locks nest inside object locks and never the other
-//     way around.  The label cache, interning table, and allocators are
-//     self-synchronized leaves, and so is doomedMu.
+//     way around.  The allocators are self-synchronized leaves, and so is
+//     doomedMu.
 //  6. The pager (the store: its locks lie below the kernel's and it never
 //     calls back) is called with at most one segment's lock held — with the
 //     naming container's shared lock, under open — for a push or a read's
@@ -115,14 +115,12 @@
 // Read-mostly syscalls (segment reads, resolution, stat, list) take only
 // read locks, so they proceed in parallel across — and within — shards.
 // Mutating syscalls take write locks only on the objects they mutate.
-// Threads own a small lock-free L1 in front of the sharded label-comparison
-// cache (the L1 is keyed by both labels' fingerprints, not by pointers, so
-// entries self-invalidate when the thread's label changes, whatever array
-// backs it); a hot canObserve check touches no mutex at all.
+// A label check is a direct call into the label package: one merge over two
+// sorted slices that touches no shared state and allocates nothing, so no
+// check is memoized.
 package kernel
 
 import (
-	"math/bits"
 	"sync"
 
 	"histar/internal/label"
@@ -140,9 +138,6 @@ const (
 	// shard-lock collisions negligible at any realistic GOMAXPROCS while
 	// staying cheap to iterate for ObjectCount.
 	objShards = 64
-	// labelCacheEntries bounds the cache memoizing comparisons between
-	// immutable labels (the Section 4 optimization).
-	labelCacheEntries = 65536
 )
 
 // objShard is one shard of the object table.
@@ -161,17 +156,12 @@ type Kernel struct {
 	ids  *label.Allocator
 	cats *label.Allocator
 
-	labelCache *label.Cache
-
 	futexes [futexShardCount]futexShard
 
 	syscalls syscallCounters
 
 	// ring tallies batched-submission activity (see ring.go).
 	ring ringCounters
-
-	// retired L1 counters of deallocated threads, folded in at teardown.
-	retired l1Retired
 
 	// snapMu guards the container-snapshot registry; snap tallies
 	// snapshot/clone activity (snapshot.go).
@@ -191,10 +181,9 @@ type Kernel struct {
 // header's one reference for good (Unref refuses it).
 func New(cfg Config) *Kernel {
 	k := &Kernel{
-		ids:        label.NewAllocator(cfg.Seed ^ 0x9e3779b97f4a7c15),
-		cats:       label.NewAllocator(cfg.Seed),
-		labelCache: label.NewCache(labelCacheEntries),
-		snapshots:  make(map[ID]*Snapshot),
+		ids:       label.NewAllocator(cfg.Seed ^ 0x9e3779b97f4a7c15),
+		cats:      label.NewAllocator(cfg.Seed),
+		snapshots: make(map[ID]*Snapshot),
 	}
 	for i := range k.shards {
 		k.shards[i].m = make(map[ID]object)
@@ -372,64 +361,6 @@ func verifyEntryLive(cont *container, obj object) error {
 }
 
 // ---------------------------------------------------------------------------
-// Label checks (cache + per-thread L1).
-// ---------------------------------------------------------------------------
-
-// leq applies the ⊑ check through the comparison cache.
-func (k *Kernel) leq(a, b label.Label) bool { return k.labelCache.Leq(a, b) }
-
-// leqRaised applies aᴶ ⊑ bᴶ; the cache keys on the precomputed raised
-// fingerprints so neither superscript-J form is materialized on a hit.
-func (k *Kernel) leqRaised(a, b label.Label) bool { return k.labelCache.LeqRaised(a, b) }
-
-func (k *Kernel) canObserve(thr, obj label.Label) bool { return k.labelCache.CanObserve(thr, obj) }
-
-func (k *Kernel) canModify(thr, obj label.Label) bool { return k.labelCache.CanModify(thr, obj) }
-
-// canObserveT is canObserve through the invoking thread's L1: a tiny
-// direct-mapped array of atomics in front of the sharded comparison cache,
-// so the hottest check on the syscall path acquires no mutex at all.  thr is
-// the snapshot of t's label taken at syscall entry.
-func (k *Kernel) canObserveT(t *thread, thr, obj label.Label) bool {
-	if t == nil {
-		return k.canObserve(thr, obj)
-	}
-	mix := l1Mix(thr.RaisedFingerprint(), obj.Fingerprint())
-	idx := (mix >> 40) & l1Mask
-	tag := mix &^ 1
-	if e := t.l1[idx].Load(); e != 0 && e&^1 == tag {
-		t.l1Hits.Add(1)
-		return e&1 != 0
-	}
-	t.l1Misses.Add(1)
-	v := k.labelCache.CanObserve(thr, obj)
-	e := tag
-	if v {
-		e |= 1
-	}
-	t.l1[idx].Store(e)
-	return v
-}
-
-// canModifyT is canModify with the observation half served from the L1.
-func (k *Kernel) canModifyT(t *thread, thr, obj label.Label) bool {
-	return k.leq(thr, obj) && k.canObserveT(t, thr, obj)
-}
-
-// l1Mix combines the two fingerprints of a CanObserve check into the L1 key.
-// Keying on both sides means a thread-label change simply stops matching old
-// entries — no flush, no generation counter.  The low bit of the mix is
-// sacrificed to store the result, which adds one bit to the (already
-// accepted) fingerprint-collision odds.
-func l1Mix(thrRaised, obj label.Fingerprint) uint64 {
-	return (uint64(obj) ^ bits.RotateLeft64(uint64(thrRaised), 31)) * 0x9e3779b97f4a7c15
-}
-
-// LabelCacheStats returns hit/miss/eviction counts of the immutable-label
-// comparison cache, totalled and per shard.
-func (k *Kernel) LabelCacheStats() label.CacheStats { return k.labelCache.Stats() }
-
-// ---------------------------------------------------------------------------
 // Syscall entry.
 // ---------------------------------------------------------------------------
 
@@ -521,7 +452,7 @@ func (k *Kernel) peek(ctx *tctx, ce CEnt) (*container, object, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if !k.canObserveT(ctx.t, ctx.lbl, cont.lbl) {
+	if !label.CanObserve(ctx.lbl, cont.lbl) {
 		return nil, nil, ErrLabel
 	}
 	if ce.Object == ce.Container {
@@ -587,7 +518,7 @@ func resolve[T object](k *Kernel, ctx *tctx, ce CEnt, acc access) (*container, T
 	}
 	if acc != accNone {
 		lbl := obj.hdr().lbl
-		if acc == accModify && !k.leq(ctx.lbl, lbl) || !k.canObserveT(ctx.t, ctx.lbl, lbl) {
+		if acc == accModify && !ctx.lbl.Leq(lbl) || !label.CanObserve(ctx.lbl, lbl) {
 			return nil, zero, ErrLabel
 		}
 	}
@@ -630,7 +561,7 @@ func (k *Kernel) admit(ctx *tctx, d ID, types TypeMask) (*container, error) {
 	if cont.avoidTypes&types != 0 {
 		return nil, ErrAvoidType
 	}
-	if ctx != nil && !k.canModifyT(ctx.t, ctx.lbl, cont.lbl) {
+	if ctx != nil && !label.CanModify(ctx.lbl, cont.lbl) {
 		return nil, ErrLabel
 	}
 	return cont, nil
@@ -645,7 +576,7 @@ func (k *Kernel) newHeader(typ ObjectType, l label.Label, quota uint64, descrip 
 	return header{
 		id:      k.newID(),
 		objType: typ,
-		lbl:     label.Intern(l),
+		lbl:     l,
 		quota:   quota,
 		descrip: descrip,
 		refs:    1,
@@ -692,7 +623,7 @@ func (k *Kernel) newThread(lbl, clearance label.Label, as CEnt, quota uint64, de
 	}
 	t := &thread{
 		header:       k.newHeader(ObjThread, lbl, quota, descrip),
-		clearance:    label.Intern(clearance),
+		clearance:    clearance,
 		addressSpace: as,
 		alertCh:      make(chan struct{}, 1),
 	}
@@ -782,8 +713,6 @@ func (k *Kernel) deallocLocked(o object) []ID {
 		v.order = nil
 	case *thread:
 		v.halted = true
-		k.retired.hits.Add(v.l1Hits.Load())
-		k.retired.misses.Add(v.l1Misses.Load())
 	case *segment:
 		if v.persistent {
 			// Clean for good: a Sync must push nothing after the Delete that
@@ -881,27 +810,11 @@ func (k *Kernel) each(fn func(object)) {
 	}
 }
 
-// L1Stats totals the per-thread canObserve L1 counters across live and
-// deallocated threads.
-type L1Stats struct {
-	Hits   uint64
-	Misses uint64
-}
+// LabelCacheStats returns zeros; it stays only until the benchmark drops its label.* cache rows (ROADMAP item 1).
+func (k *Kernel) LabelCacheStats() label.CacheStats { return label.CacheStats{} }
 
-// l1Retired accumulates L1 counters of threads that have been deallocated.
-type l1Retired struct {
-	hits   paddedUint64
-	misses paddedUint64
-}
+// L1Stats reads zeros; it stays only until the benchmark drops its label.* cache rows (ROADMAP item 1).
+type L1Stats struct{ Hits, Misses uint64 }
 
-// LabelL1Stats returns the per-thread L1 hit/miss totals.
-func (k *Kernel) LabelL1Stats() L1Stats {
-	st := L1Stats{Hits: k.retired.hits.Load(), Misses: k.retired.misses.Load()}
-	k.each(func(o object) {
-		if t, ok := o.(*thread); ok && !t.dead.Load() {
-			st.Hits += t.l1Hits.Load()
-			st.Misses += t.l1Misses.Load()
-		}
-	})
-	return st
-}
+// LabelL1Stats returns zeros; it stays only until the benchmark drops its label.* cache rows (ROADMAP item 1).
+func (k *Kernel) LabelL1Stats() L1Stats { return L1Stats{} }

@@ -190,13 +190,6 @@ func (c *container) list() []ID {
 	return out
 }
 
-// l1Entries sizes the per-thread canObserve L1; 256 direct-mapped slots
-// cover a thread's working set of object labels many times over.
-const (
-	l1Entries = 256
-	l1Mask    = l1Entries - 1
-)
-
 // thread is an executing thread.
 type thread struct {
 	header
@@ -212,16 +205,6 @@ type thread struct {
 
 	// scheduling/accounting
 	syscallCount atomic.Uint64
-
-	// l1 is the per-thread canObserve memo in front of the sharded label
-	// cache: each slot packs a 63-bit key mixed from both labels'
-	// fingerprints with the cached result in bit 0.  Entries are atomics so
-	// goroutines sharing a ThreadCall may race on it safely; keying on both
-	// fingerprints means entries for an old thread label simply stop
-	// matching, so label changes need no flush.
-	l1       [l1Entries]atomic.Uint64
-	l1Hits   atomic.Uint64
-	l1Misses atomic.Uint64
 }
 
 func (t *thread) hdr() *header      { return &t.header }

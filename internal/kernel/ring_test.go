@@ -44,9 +44,11 @@ func newRingEnv(t *testing.T, nSegs, segSize int) *ringTestEnv {
 // plain byte slices — the reference semantics the ring must match, since a
 // batch is its entries made as direct calls one after another.  The segments
 // in readOnly may be observed but not modified: a write, resize or sync of
-// one is ErrLabel.  It returns, for every segment an OpSync pushed (whatever
-// the commit answered), the bytes it held at its last such sync.
-func modelExec(entries []RingEntry, segs map[ID][]byte, quota map[ID]uint64, readOnly map[ID]bool, poison map[uint64]error) ([]RingCompletion, map[ID][]byte, map[ID][]byte) {
+// one is ErrLabel.  An OpObjectStat names a thread in threads, and is ErrLabel
+// where the thread maps to false (its label, read raised, is not below the
+// caller's).  It returns, for every segment an OpSync pushed (whatever the
+// commit answered), the bytes it held at its last such sync.
+func modelExec(entries []RingEntry, segs map[ID][]byte, quota map[ID]uint64, readOnly, threads map[ID]bool, poison map[uint64]error) ([]RingCompletion, map[ID][]byte, map[ID][]byte) {
 	synced := make(map[ID][]byte)
 	state := make(map[ID][]byte, len(segs))
 	for id, b := range segs {
@@ -62,6 +64,10 @@ func modelExec(entries []RingEntry, segs map[ID][]byte, quota map[ID]uint64, rea
 		data, ok := state[e.Seg.Object]
 		var err error
 		switch {
+		case e.Op == OpObjectStat:
+			if !threads[e.Seg.Object] {
+				err = ErrLabel
+			}
 		case !ok:
 			err = ErrNoSuchObject
 		case readOnly[e.Seg.Object] && (e.Op == OpSegmentWrite || e.Op == OpSegmentResize || e.Op == OpSync):
@@ -130,7 +136,9 @@ func modelExec(entries []RingEntry, segs map[ID][]byte, quota map[ID]uint64, rea
 // after them one segment the boot thread may observe but not modify, each
 // mapped read-write at mapVA(i) in the boot thread's address space, and all
 // persistent on the kernel's own fake pager (a clone is from birth; a plain
-// segment is marked).
+// segment is marked).  Two threads are there to be stat'ed: one labeled like
+// the boot thread, and one owning the category the boot thread gave up, whose
+// label the boot thread may not read (LT′ᴶ ⊑ LTᴶ fails).
 type propEnv struct {
 	k      *Kernel
 	tc     *ThreadCall
@@ -140,6 +148,8 @@ type propEnv struct {
 	golden []ID
 	ro     CEnt
 	segs   []CEnt // the writable segments, then ro
+	peer   CEnt   // a thread the boot thread may stat
+	owner  CEnt   // a thread it may not
 }
 
 const propSegs, propSegSize = 4, 256
@@ -174,6 +184,16 @@ func newPropEnv(t *testing.T, cloned bool) *propEnv {
 	env.ro = CEnt{root, ro}
 	if err := tc.SegmentWrite(env.ro, 0, bytes.Repeat([]byte{0x5A}, propSegSize)); err != nil {
 		t.Fatal(err)
+	}
+	for _, th := range []struct {
+		ce  *CEnt
+		lbl label.Label
+	}{{&env.peer, label.New(label.L1)}, {&env.owner, label.New(label.L1, label.P(w, label.Star))}} {
+		id, err := tc.ThreadCreate(root, ThreadSpec{Label: th.lbl, Clearance: label.New(label.L2, label.P(w, label.L3)), Descrip: "prop stat target"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		*th.ce = CEnt{root, id}
 	}
 	if err := tc.SegmentPersist(env.ro); err != nil {
 		t.Fatal(err)
@@ -287,6 +307,8 @@ func (env *propEnv) directExec(e RingEntry, c *RingCompletion) (err error) {
 		}
 	case OpSegmentResize:
 		err = env.tc.SegmentResize(e.Seg, e.Len)
+	case OpObjectStat:
+		c.Stat, err = env.tc.ObjectStat(e.Seg)
 	}
 	return err
 }
@@ -353,6 +375,7 @@ func ringPropertyVsSequential(t *testing.T, cloned bool) {
 	poisonErr := errors.New("poisoned sync")
 	ring := envs[0].tc.NewRing()
 	readOnly := map[ID]bool{envs[0].ro.Object: true}
+	threads := map[ID]bool{envs[0].peer.Object: true, envs[0].owner.Object: false}
 	denied := 0
 
 	for round := 0; round < 200; round++ {
@@ -383,7 +406,7 @@ func ringPropertyVsSequential(t *testing.T, cloned bool) {
 		entries := make([]RingEntry, n)
 		for i := range entries {
 			e := RingEntry{Seg: env.segs[rng.Intn(len(env.segs))], Chain: i > 0 && rng.Intn(3) == 0}
-			switch rng.Intn(6) {
+			switch rng.Intn(7) {
 			case 0:
 				e.Op = OpSegmentRead
 				e.Off, e.Len = rng.Intn(segSize), rng.Intn(2*segSize)
@@ -403,11 +426,16 @@ func ringPropertyVsSequential(t *testing.T, cloned bool) {
 				// chains, skips dependents).
 				e.Op = OpSegmentRead
 				e.Off = -1
+			case 6:
+				e.Op, e.Seg = OpObjectStat, env.peer
+				if rng.Intn(2) == 0 {
+					e.Seg = env.owner
+				}
 			}
 			entries[i] = e
 		}
 
-		wantComps, wantState, synced := modelExec(entries, segs, quota, readOnly, env.pager.poison)
+		wantComps, wantState, synced := modelExec(entries, segs, quota, readOnly, threads, env.pager.poison)
 		for _, c := range wantComps {
 			if errors.Is(c.Err, ErrLabel) {
 				denied++
@@ -427,6 +455,12 @@ func ringPropertyVsSequential(t *testing.T, cloned bool) {
 					if ce == entries[i].Seg {
 						mine[i].Seg = envs[p].segs[s]
 					}
+				}
+				switch entries[i].Seg {
+				case env.peer:
+					mine[i].Seg = envs[p].peer
+				case env.owner:
+					mine[i].Seg = envs[p].owner
 				}
 			}
 			exec := envs[p].directExec
@@ -448,6 +482,9 @@ func ringPropertyVsSequential(t *testing.T, cloned bool) {
 					t.Fatalf("round %d %s entry %d (%v): err=%v, model err=%v", round, paths[p], i, entries[i].Op, got.Err, want.Err)
 				}
 				if want.Err == nil && got.Err == nil {
+					if entries[i].Op == OpObjectStat && (got.Stat.Type != ObjThread || !got.Stat.Label.Equal(label.New(label.L1))) {
+						t.Fatalf("round %d %s entry %d: stat of the peer thread = %+v", round, paths[p], i, got.Stat)
+					}
 					if !bytes.Equal(got.Val, want.Val) || got.N != want.N {
 						t.Fatalf("round %d %s entry %d (%v): result N=%d Val=%q, model N=%d Val=%q",
 							round, paths[p], i, entries[i].Op, got.N, got.Val, want.N, want.Val)

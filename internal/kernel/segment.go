@@ -239,7 +239,7 @@ func (k *Kernel) execOp(ctx *tctx, obj object, e *RingEntry, c *RingCompletion) 
 	if !ok {
 		return ErrWrongType
 	}
-	if opWrites(e.Op) && !k.leq(ctx.lbl, seg.lbl) || !k.canObserveT(ctx.t, ctx.lbl, seg.lbl) {
+	if opWrites(e.Op) && !ctx.lbl.Leq(seg.lbl) || !label.CanObserve(ctx.lbl, seg.lbl) {
 		return ErrLabel
 	}
 	switch e.Op {

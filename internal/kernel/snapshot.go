@@ -314,7 +314,7 @@ func (tc *ThreadCall) ContainerSnapshot(ce CEnt, name string) (SnapshotInfo, err
 		// Labels of non-thread objects are immutable; the check needs no
 		// lock and failing it fails the snapshot — a subtree image with
 		// holes would clone incompletely and silently.
-		if !k.canObserveT(ctx.t, ctx.lbl, h.lbl) {
+		if !label.CanObserve(ctx.lbl, h.lbl) {
 			return SnapshotInfo{}, ErrLabel
 		}
 		img, err := k.capture(o)
@@ -359,8 +359,7 @@ func (tc *ThreadCall) ContainerSnapshot(ce CEnt, name string) (SnapshotInfo, err
 // remapLabel rewrites a label's categories through remap; ok is false when
 // two of the label's categories land on one, whose levels would merge into
 // whichever label.New keeps — {a3, b0} under {a→x, b→x} would become {x0}.
-// Pairs() returns a copy, so the source (possibly interned) label is never
-// mutated.
+// Pairs() returns a copy, so the source label is never mutated.
 func remapLabel(l label.Label, remap map[label.Category]label.Category) (label.Label, bool) {
 	if len(remap) == 0 || l.NumExplicit() == 0 {
 		return l, true
@@ -389,7 +388,7 @@ func (k *Kernel) relabel(ctx *tctx, o object, remap map[label.Category]label.Cat
 	if !label.CanAllocate(ctx.lbl, ctx.clearance, lbl) {
 		return ErrLabel
 	}
-	h.lbl = label.Intern(lbl)
+	h.lbl = lbl
 	g, isGate := o.(*gate)
 	if !isGate {
 		return nil
@@ -399,10 +398,10 @@ func (k *Kernel) relabel(ctx *tctx, o object, remap map[label.Category]label.Cat
 	switch {
 	case !ok || !ok2:
 		return ErrInvalid
-	case !k.leq(ctx.lbl, gl) || !k.leq(gl.LowerStar(), ctx.clearance) || !k.leq(clr, ctx.clearance):
+	case !ctx.lbl.Leq(gl) || !gl.LowerStar().Leq(ctx.clearance) || !clr.Leq(ctx.clearance):
 		return ErrLabel
 	}
-	g.gateLabel, g.clearance = label.Intern(gl), label.Intern(clr)
+	g.gateLabel, g.clearance = gl, clr
 	return nil
 }
 

@@ -16,8 +16,8 @@ func (tc *ThreadCall) CategoryCreate() (label.Category, error) {
 	c := tc.k.cats.Alloc()
 	t := ctx.t
 	t.mu.Lock()
-	t.lbl = label.Intern(t.lbl.With(c, label.Star))
-	t.clearance = label.Intern(t.clearance.With(c, label.L3))
+	t.lbl = t.lbl.With(c, label.Star)
+	t.clearance = t.clearance.With(c, label.L3)
 	t.mu.Unlock()
 	return c, nil
 }
@@ -68,11 +68,11 @@ func (tc *ThreadCall) SelfSetLabel(l label.Label) error {
 	ls := lockOrdered(objLock{t, true}, objLock{t.localSegment, true})
 	defer ls.unlock()
 	// Validate against the thread's label as it is now, under the lock.
-	if !tc.k.leq(t.lbl, l) || !tc.k.leq(l, t.clearance) {
+	if !t.lbl.Leq(l) || !l.Leq(t.clearance) {
 		return ErrLabel
 	}
-	t.lbl = label.Intern(l)
-	t.localSegment.lbl = label.Intern(l.LowerStar())
+	t.lbl = l
+	t.localSegment.lbl = l.LowerStar()
 	return nil
 }
 
@@ -91,10 +91,10 @@ func (tc *ThreadCall) SelfSetClearance(c label.Label) error {
 	t := ctx.t
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !tc.k.leq(t.lbl, c) || !tc.k.leq(c, t.clearance.Join(t.lbl.RaiseJ())) {
+	if !t.lbl.Leq(c) || !c.Leq(t.clearance.Join(t.lbl.RaiseJ())) {
 		return ErrLabel
 	}
-	t.clearance = label.Intern(c)
+	t.clearance = c
 	return nil
 }
 
@@ -160,7 +160,7 @@ func (tc *ThreadCall) ThreadCreate(d ID, spec ThreadSpec) (ID, error) {
 		return NilID, err
 	}
 	// LT ⊑ LT' ⊑ CT' ⊑ CT.
-	if !tc.k.leq(ctx.lbl, spec.Label) || !tc.k.leq(spec.Label, spec.Clearance) || !tc.k.leq(spec.Clearance, ctx.clearance) {
+	if !ctx.lbl.Leq(spec.Label) || !spec.Label.Leq(spec.Clearance) || !spec.Clearance.Leq(ctx.clearance) {
 		return NilID, ErrLabel
 	}
 	return tc.k.create(cont, tc.k.newThread(spec.Label, spec.Clearance, spec.AddressSpace, spec.Quota, spec.Descrip))
@@ -212,13 +212,13 @@ func (tc *ThreadCall) ThreadAlert(target CEnt, code uint64) error {
 // alertLocked applies ThreadAlert's label rule with the target's lock held,
 // which is what makes its label and address space readable.
 func (tc *ThreadCall) alertLocked(ctx tctx, victim *thread) error {
-	if !tc.k.canObserve(ctx.lbl, victim.lbl) {
+	if !label.CanObserve(ctx.lbl, victim.lbl) {
 		return ErrLabel
 	}
 	if victim.addressSpace.Object == NilID {
 		// No address space: fall back to requiring write permission on the
 		// thread object itself.
-		if !tc.k.canModify(ctx.lbl, victim.lbl) {
+		if !label.CanModify(ctx.lbl, victim.lbl) {
 			return ErrLabel
 		}
 		return nil
@@ -228,7 +228,7 @@ func (tc *ThreadCall) alertLocked(ctx tctx, victim *thread) error {
 	if err != nil {
 		return err
 	}
-	if !tc.k.canModifyT(ctx.t, ctx.lbl, as.lbl) {
+	if !label.CanModify(ctx.lbl, as.lbl) {
 		return ErrLabel
 	}
 	return nil
@@ -335,7 +335,7 @@ func (tc *ThreadCall) GrantOwnership(target ID, c label.Category) error {
 	if !liveLocked(vt) {
 		return ErrNoSuchObject
 	}
-	vt.lbl = label.Intern(vt.lbl.With(c, label.Star))
-	vt.clearance = label.Intern(vt.clearance.With(c, label.L3))
+	vt.lbl = vt.lbl.With(c, label.Star)
+	vt.clearance = vt.clearance.With(c, label.L3)
 	return nil
 }

@@ -2,18 +2,12 @@ package label
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 )
 
-// Benchmarks for the canonical label representation and the sharded
-// comparison cache.  These are the perf baseline future PRs compare against:
+// Benchmarks for the canonical label representation and its checks:
 //
 //	go test -bench=. -benchmem ./internal/label
-//
-// BenchmarkCacheParallel_Sharded vs BenchmarkCacheParallel_SingleLock shows
-// the scaling difference between the sharded design and the old global
-// RWMutex cache (kept here, in miniature, for exactly that comparison).
 
 func benchLabels(n int, allowStar bool) []Label {
 	r := rand.New(rand.NewSource(42))
@@ -34,40 +28,19 @@ func BenchmarkLeqDirect(b *testing.B) {
 	}
 }
 
-func BenchmarkLeqCachedHit(b *testing.B) {
-	c := NewCache(0)
-	a := New(L1, P(Category(1), L3), P(Category(2), L0))
-	m := New(L2, P(Category(1), L3))
-	c.Leq(a, m) // warm
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = c.Leq(a, m)
-	}
-}
-
-func BenchmarkLeqCachedMiss(b *testing.B) {
-	// Every lookup misses: labels rotate through a set larger than the cache.
-	c := NewCache(64)
-	labels := benchLabels(512, false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = c.Leq(labels[i%len(labels)], labels[(i*31+7)%len(labels)])
-	}
-}
-
-func BenchmarkCanObserveCachedHit(b *testing.B) {
-	c := NewCache(0)
-	thr := New(L1, P(Category(1), Star), P(Category(2), L3))
+func BenchmarkCanObserveOwner(b *testing.B) {
+	// The thread owns two categories, so the check reads it as its
+	// superscript-J form; it must still allocate nothing.
+	thr := New(L1, P(Category(1), Star), P(Category(2), L3), P(Category(4), Star))
 	obj := New(L1, P(Category(2), L3))
-	c.CanObserve(thr, obj) // warm
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = c.CanObserve(thr, obj)
+		benchSink = CanObserve(thr, obj)
 	}
 }
+
+var benchSink bool
 
 func BenchmarkJoin(b *testing.B) {
 	labels := benchLabels(64, false)
@@ -76,15 +49,6 @@ func BenchmarkJoin(b *testing.B) {
 		a := labels[i%len(labels)]
 		m := labels[(i*13+3)%len(labels)]
 		_ = a.Join(m)
-	}
-}
-
-func BenchmarkFingerprint(b *testing.B) {
-	// Fingerprint is a stored-field read on the canonical representation.
-	l := New(L1, P(Category(1), L3), P(Category(2), L0), P(Category(3), L2))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = l.Fingerprint()
 	}
 }
 
@@ -102,94 +66,4 @@ func BenchmarkNew(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		_ = New(L1, pairs...)
 	}
-}
-
-// singleLockCache replicates the pre-shard design: one RWMutex around one
-// map, cleared wholesale when full.  It exists only as the benchmark
-// baseline for the sharded cache.
-type singleLockCache struct {
-	mu  sync.RWMutex
-	m   map[cacheKey]bool
-	max int
-}
-
-func newSingleLockCache(max int) *singleLockCache {
-	return &singleLockCache{m: make(map[cacheKey]bool), max: max}
-}
-
-func (c *singleLockCache) Leq(l, m Label) bool {
-	k := cacheKey{l.Fingerprint(), m.Fingerprint()}
-	c.mu.RLock()
-	v, ok := c.m[k]
-	c.mu.RUnlock()
-	if ok {
-		return v
-	}
-	v = l.Leq(m)
-	c.mu.Lock()
-	if len(c.m) >= c.max {
-		c.m = make(map[cacheKey]bool)
-	}
-	c.m[k] = v
-	c.mu.Unlock()
-	return v
-}
-
-func benchParallelCache(b *testing.B, leq func(l, m Label) bool) {
-	labels := benchLabels(128, true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			a := labels[i%len(labels)]
-			m := labels[(i*31+7)%len(labels)]
-			_ = leq(a, m)
-			i++
-		}
-	})
-}
-
-func BenchmarkCacheParallel_Sharded(b *testing.B) {
-	c := NewCache(0)
-	benchParallelCache(b, c.Leq)
-}
-
-func BenchmarkCacheParallel_SingleLock(b *testing.B) {
-	c := newSingleLockCache(65536)
-	benchParallelCache(b, c.Leq)
-}
-
-// benchChurn models the kernel's workload: a small hot set (thread and
-// object labels compared on every access) interleaved with a long tail of
-// transient comparisons (gate calls, short-lived segments).  The cold
-// stream keeps filling the cache; the old design's global clear then
-// discarded the hot working set with it in one instant, where per-shard
-// eviction sheds only one shard's slice at a time (the deterministic
-// demonstration is TestShardedEvictionBoundsMissStorms).  Raw single-core
-// ns/op is similar for both designs — recomputing a Leq is cheap — so read
-// this benchmark together with the Parallel ones on a multicore machine,
-// where the single lock serializes and the shards do not.
-func benchChurn(b *testing.B, leq func(l, m Label) bool) {
-	hot := benchLabels(24, false)   // 576 hot pairs, a fraction of the bound
-	cold := benchLabels(256, false) // 65536 pairs: an effectively miss-only stream
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%2 == 0 {
-			_ = leq(hot[i%len(hot)], hot[(i/len(hot))%len(hot)])
-		} else {
-			_ = leq(cold[i%len(cold)], cold[(i*131+17)%len(cold)])
-		}
-	}
-}
-
-func BenchmarkCacheChurn_Sharded(b *testing.B) {
-	c := NewCache(4096)
-	benchChurn(b, c.Leq)
-}
-
-func BenchmarkCacheChurn_SingleLock(b *testing.B) {
-	c := newSingleLockCache(4096)
-	benchChurn(b, c.Leq)
 }

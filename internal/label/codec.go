@@ -9,8 +9,7 @@ import (
 // store to persist object labels.  The encoding is the canonical
 // representation itself — default level, entry count, then the sorted
 // category/level pairs — so decoding performs no sorting: the entries are
-// validated to be in strictly ascending category order and the fingerprints
-// are recomputed once as the label is constructed.
+// validated to be in strictly ascending category order.
 
 // AppendBinary appends the canonical encoding of l to dst and returns the
 // extended slice.
@@ -32,7 +31,7 @@ func (l Label) MarshalBinary() ([]byte, error) {
 // DecodeBinary decodes one label from the front of src, returning the label
 // and the remaining bytes.  The input must be in canonical form (strictly
 // ascending categories, no entry at the default level); anything else is
-// rejected, since a non-canonical label would carry a wrong fingerprint.
+// rejected, since Equal and the merges assume the canonical form.
 func DecodeBinary(src []byte) (Label, []byte, error) {
 	if len(src) < 2 {
 		return Label{}, src, fmt.Errorf("label: truncated encoding")

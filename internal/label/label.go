@@ -16,22 +16,20 @@
 // A Label is immutable and canonical: the explicit category/level pairs are
 // kept in a slice sorted by ascending category, with no duplicate categories
 // and no entry whose level equals the default.  Two labels denoting the same
-// function therefore have byte-identical canonical forms, and the 64-bit
-// Fingerprint of that form is computed exactly once, at construction, and
-// stored in the label.  The raised fingerprint (the fingerprint of the
-// superscript-J form Lᴶ) is precomputed alongside it, so the cached access
-// checks never hash, sort, or even materialize Lᴶ on a cache hit.
+// function therefore have identical canonical forms, so Equal is a
+// default-level comparison plus a pairwise slice comparison.
 //
 // Because the representation is canonical, Leq and Join are linear-time
 // merges over the two sorted slices: Leq allocates nothing, and Join
-// allocates only the single output slice.
+// allocates only the single output slice.  The raised checks (CanObserve,
+// CanModify, LeqRaised) run the same merge with one or both sides read as
+// their superscript-J form on the fly, so they never build Lᴶ and allocate
+// nothing either.  Every check is a comparison; nothing is memoized.
 //
 // The package provides the ⊑ partial order (Leq), the lattice join ⊔ (Join),
 // the superscript-J and superscript-⋆ operators that shift ownership between
 // its low and high readings, and the derived access checks used throughout
-// the kernel (CanObserve, CanModify, CanAllocate).  Hot labels can
-// additionally be interned (Intern) so that equal labels share one canonical
-// backing array and compare by pointer; see intern.go.
+// the kernel (CanObserve, CanModify, CanAllocate, LeqRaised).
 package label
 
 import (
@@ -84,18 +82,14 @@ func (l Level) Numeric() bool { return l >= L0 && l <= L3 }
 
 // Label is an immutable mapping from categories to levels with a default
 // level for all unlisted categories.  The explicit pairs are stored in
-// canonical form (sorted by category, levels differing from the default) and
-// the fingerprints of the label and of its superscript-J form are computed
-// once at construction.  The zero value denotes the empty ⋆-default label
-// and is used by callers as a "use the default label" sentinel; use New to
-// build meaningful labels.  Labels are value types: operations return new
-// labels and never mutate their receivers, so a Label may be shared freely
-// between goroutines.
+// canonical form (sorted by category, levels differing from the default).
+// The zero value denotes the empty ⋆-default label and is used by callers as
+// a "use the default label" sentinel; use New to build meaningful labels.
+// Labels are value types: operations return new labels and never mutate
+// their receivers, so a Label may be shared freely between goroutines.
 type Label struct {
 	def   Level
 	pairs []Pair // canonical: ascending category, no level == def
-	fp    Fingerprint
-	fpJ   Fingerprint // fingerprint of RaiseJ() form
 }
 
 // Pair is an explicit category/level entry used when constructing labels.
@@ -108,26 +102,19 @@ type Pair struct {
 func P(c Category, l Level) Pair { return Pair{Category: c, Level: l} }
 
 // newCanonical wraps an already-canonical pair slice (sorted by ascending
-// category, unique categories, no level equal to def) into a Label,
-// computing both fingerprints.  The slice is owned by the new label and must
-// not be mutated afterwards.
+// category, unique categories, no level equal to def) into a Label.  The
+// slice is owned by the new label and must not be mutated afterwards.
 func newCanonical(def Level, pairs []Pair) Label {
 	if len(pairs) == 0 {
 		pairs = nil
 	}
-	return Label{
-		def:   def,
-		pairs: pairs,
-		fp:    fingerprintCanonical(def, pairs, levelIdentity),
-		fpJ:   fingerprintCanonical(def, pairs, levelRaiseJ),
-	}
+	return Label{def: def, pairs: pairs}
 }
 
 // New returns a label with the given default level and explicit
 // category/level pairs.  Pairs whose level equals the default are elided and
 // duplicate categories keep the last occurrence, so that equal labels have
-// identical canonical representations.  Labels with no explicit pairs are
-// interned: New(L1) always returns the same backing representation.
+// identical canonical representations.
 func New(def Level, pairs ...Pair) Label {
 	if !def.Valid() || def == HiStar {
 		panic(fmt.Sprintf("label: invalid default level %v", def))
@@ -138,7 +125,7 @@ func New(def Level, pairs ...Pair) Label {
 		}
 	}
 	if len(pairs) == 0 {
-		return emptyLabel(def)
+		return Label{def: def}
 	}
 	buf := make([]Pair, len(pairs))
 	copy(buf, pairs)
@@ -153,9 +140,6 @@ func New(def Level, pairs ...Pair) Label {
 		if buf[i].Level != def {
 			out = append(out, buf[i])
 		}
-	}
-	if len(out) == 0 {
-		return emptyLabel(def)
 	}
 	return newCanonical(def, out)
 }
@@ -253,11 +237,8 @@ func (l Label) Without(c Category) Label {
 
 // Equal reports whether two labels denote the same function.  Because the
 // representation is canonical, this is a default-level comparison plus a
-// pairwise slice comparison; interned labels short-circuit via Same.
+// pairwise slice comparison.
 func (l Label) Equal(m Label) bool {
-	if Same(l, m) {
-		return true
-	}
 	if l.def != m.def || len(l.pairs) != len(m.pairs) {
 		return false
 	}
@@ -267,16 +248,6 @@ func (l Label) Equal(m Label) bool {
 		}
 	}
 	return true
-}
-
-// Same reports whether l and m share the identical canonical backing (the
-// pointer-comparable fast path for interned labels).  Same(l, m) implies
-// Equal(l, m); the converse holds only for interned labels.
-func Same(l, m Label) bool {
-	if l.def != m.def || len(l.pairs) != len(m.pairs) {
-		return false
-	}
-	return len(l.pairs) == 0 || &l.pairs[0] == &m.pairs[0]
 }
 
 // hasLevel reports whether any explicit entry carries level lv.
@@ -312,8 +283,6 @@ func (l Label) LowerStar() Label {
 	return l.mapLevels(levelLowerStar)
 }
 
-func levelIdentity(lv Level) Level { return lv }
-
 func levelRaiseJ(lv Level) Level {
 	if lv == Star {
 		return HiStar
@@ -342,11 +311,30 @@ func (l Label) mapLevels(f func(Level) Level) Label {
 	return newCanonical(def, out)
 }
 
-// Leq reports the ⊑ relation: l ⊑ m iff for every category c,
-// l(c) ≤ m(c) in the order ⋆ < 0 < 1 < 2 < 3 < J.  It is a single linear
-// merge over the two canonical slices and allocates nothing.
-func (l Label) Leq(m Label) bool {
-	if l.def > m.def {
+// reading is how a merge reads one side's levels: as stored, or as the
+// superscript-J form (⋆ read as J).  Looking each level up in it is what lets
+// a check compare against Lᴶ without building Lᴶ.  It spans every uint8, so
+// the lookup needs no bounds check.
+type reading [256]Level
+
+var asStored, asRaised = readings()
+
+func readings() (stored, raised reading) {
+	for i := range stored {
+		stored[i] = Level(i)
+	}
+	raised = stored
+	raised[Star] = HiStar
+	return stored, raised
+}
+
+// leq is the ⊑ merge over the two canonical slices with each side's levels
+// read through its reading.  An entry whose read level equals its side's read
+// default compares exactly as the default would, so the merge needs no
+// re-canonicalized copy.
+func leq(l Label, lr *reading, m Label, mr *reading) bool {
+	ldef, mdef := lr[l.def], mr[m.def]
+	if ldef > mdef {
 		return false
 	}
 	lp, mp := l.pairs, m.pairs
@@ -354,17 +342,17 @@ func (l Label) Leq(m Label) bool {
 	for i < len(lp) && j < len(mp) {
 		switch {
 		case lp[i].Category < mp[j].Category:
-			if lp[i].Level > m.def {
+			if lr[lp[i].Level] > mdef {
 				return false
 			}
 			i++
 		case lp[i].Category > mp[j].Category:
-			if l.def > mp[j].Level {
+			if ldef > mr[mp[j].Level] {
 				return false
 			}
 			j++
 		default:
-			if lp[i].Level > mp[j].Level {
+			if lr[lp[i].Level] > mr[mp[j].Level] {
 				return false
 			}
 			i++
@@ -372,17 +360,27 @@ func (l Label) Leq(m Label) bool {
 		}
 	}
 	for ; i < len(lp); i++ {
-		if lp[i].Level > m.def {
+		if lr[lp[i].Level] > mdef {
 			return false
 		}
 	}
 	for ; j < len(mp); j++ {
-		if l.def > mp[j].Level {
+		if ldef > mr[mp[j].Level] {
 			return false
 		}
 	}
 	return true
 }
+
+// Leq reports the ⊑ relation: l ⊑ m iff for every category c,
+// l(c) ≤ m(c) in the order ⋆ < 0 < 1 < 2 < 3 < J.  It is a single linear
+// merge over the two canonical slices and allocates nothing.
+func (l Label) Leq(m Label) bool { return leq(l, &asStored, m, &asStored) }
+
+// LeqRaised reports lᴶ ⊑ mᴶ, the rule under which a thread labeled m may
+// read the (mutable) label l of another thread, without building either
+// raised form.
+func LeqRaised(l, m Label) bool { return leq(l, &asRaised, m, &asRaised) }
 
 // Join returns the least upper bound l ⊔ m: pointwise maximum of levels.
 // It is one pass over the two sorted slices, allocating only the output.
@@ -461,16 +459,12 @@ func (l Label) Format(n Namer) string {
 
 // CanObserve reports whether a thread labeled thread may observe (read) an
 // object labeled obj: obj ⊑ threadᴶ ("no read up").
-func CanObserve(thread, obj Label) bool {
-	return obj.Leq(thread.RaiseJ())
-}
+func CanObserve(thread, obj Label) bool { return leq(obj, &asStored, thread, &asRaised) }
 
 // CanModify reports whether a thread labeled thread may modify an object
 // labeled obj, which in HiStar implies observing it:
 // thread ⊑ obj ⊑ threadᴶ ("no write down").
-func CanModify(thread, obj Label) bool {
-	return thread.Leq(obj) && obj.Leq(thread.RaiseJ())
-}
+func CanModify(thread, obj Label) bool { return thread.Leq(obj) && CanObserve(thread, obj) }
 
 // CanAllocate reports whether a thread with label thread and clearance clr
 // may create an object with label obj: thread ⊑ obj ⊑ clr.
@@ -567,3 +561,15 @@ func ValidClearance(c Label) bool {
 	}
 	return true
 }
+
+// CacheStats reads zeros; it stays only until the benchmark drops its label.* cache rows (ROADMAP item 1).
+type CacheStats struct{ Hits, Misses, Evictions uint64 }
+
+// InternStats reads zeros; it stays only until the benchmark drops its label.* cache rows (ROADMAP item 1).
+type InternStats struct {
+	Count     int
+	Evictions uint64
+}
+
+// InternStatsSnapshot returns zeros; it stays only until the benchmark drops its label.* cache rows (ROADMAP item 1).
+func InternStatsSnapshot() InternStats { return InternStats{} }

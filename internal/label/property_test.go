@@ -3,7 +3,6 @@ package label
 import (
 	"math/rand"
 	"reflect"
-	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -155,34 +154,6 @@ func TestPropModifyImpliesObserve(t *testing.T) {
 	}
 }
 
-func TestPropCacheMatchesDirect(t *testing.T) {
-	cache := NewCache(0)
-	f := func(a, b quickThreadLabel) bool {
-		return cache.Leq(a.L, b.L) == a.L.Leq(b.L) &&
-			cache.CanObserve(a.L, b.L) == CanObserve(a.L, b.L) &&
-			cache.CanModify(a.L, b.L) == CanModify(a.L, b.L)
-	}
-	if err := quick.Check(f, quickCfg); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestPropFingerprintEqualLabelsAgree(t *testing.T) {
-	f := func(a quickThreadLabel) bool {
-		// Rebuilding the same label from explicit pairs must fingerprint
-		// identically.
-		pairs := make([]Pair, 0, a.L.NumExplicit())
-		for _, c := range a.L.Explicit() {
-			pairs = append(pairs, P(c, a.L.Get(c)))
-		}
-		rebuilt := New(a.L.Default(), pairs...)
-		return rebuilt.Fingerprint() == a.L.Fingerprint()
-	}
-	if err := quick.Check(f, quickCfg); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPropParseRoundTrip(t *testing.T) {
 	f := func(a quickThreadLabel) bool {
 		parsed, err := Parse(a.L.String(), nil)
@@ -273,6 +244,67 @@ func TestRefModelLeqAgrees(t *testing.T) {
 	}
 }
 
+// refRaiseJ is the reference model's superscript-J form: every ⋆ read as J.
+func refRaiseJ(r refLabel) refLabel {
+	raise := func(lv Level) Level {
+		if lv == Star {
+			return HiStar
+		}
+		return lv
+	}
+	out := refLabel{def: raise(r.def), m: make(map[Category]Level)}
+	for c, lv := range r.m {
+		out.m[c] = raise(lv)
+	}
+	return out
+}
+
+// TestPropRaisedChecksMatchMaterialized pins the merge that reads a side as
+// its superscript-J form on the fly: CanObserve, CanModify and LeqRaised must
+// give what the materialized Lᴶ gives, and what the naive model gives.  No
+// valid thread label has a ⋆ default, but the merge reads defaults through
+// the same table as entries, so ⋆-default labels are checked too.
+func TestPropRaisedChecksMatchMaterialized(t *testing.T) {
+	check := func(thr, obj Label) bool {
+		rt, ro := refFrom(thr), refFrom(obj)
+		observe := obj.Leq(thr.RaiseJ())
+		modify := thr.Leq(obj) && observe
+		raised := obj.RaiseJ().Leq(thr.RaiseJ())
+		return CanObserve(thr, obj) == observe &&
+			observe == refLeq(ro, refRaiseJ(rt)) &&
+			CanModify(thr, obj) == modify &&
+			modify == (refLeq(rt, ro) && refLeq(ro, refRaiseJ(rt))) &&
+			LeqRaised(obj, thr) == raised &&
+			raised == refLeq(refRaiseJ(ro), refRaiseJ(rt))
+	}
+	f := func(thr, obj quickThreadLabel) bool {
+		starDef := New(Star, thr.L.Pairs()...)
+		return check(thr.L, obj.L) && check(starDef, obj.L) && check(obj.L, starDef)
+	}
+	if err := quick.Check(f, quickCfg); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestRaisedChecksZeroAlloc pins that a thread owning categories costs a
+// raised check no copy of its label.
+func TestRaisedChecksZeroAlloc(t *testing.T) {
+	thr := New(L1, P(3, Star), P(5, Star), P(6, L2))
+	obj := New(L1, P(3, L3), P(6, L2))
+	if !CanObserve(thr, obj) || !CanModify(thr, obj) || !LeqRaised(obj, thr) {
+		t.Fatal("expected every raised check to hold for this pair")
+	}
+	for name, f := range map[string]func(){
+		"CanObserve": func() { CanObserve(thr, obj) },
+		"CanModify":  func() { CanModify(thr, obj) },
+		"LeqRaised":  func() { LeqRaised(obj, thr) },
+	} {
+		if allocs := testing.AllocsPerRun(100, f); allocs != 0 {
+			t.Errorf("%s allocates %.1f times, want 0", name, allocs)
+		}
+	}
+}
+
 func TestRefModelJoinMeetAgree(t *testing.T) {
 	f := func(a, b quickThreadLabel) bool {
 		join := refCombine(refFrom(a.L), refFrom(b.L), maxLevel).toLabel()
@@ -337,23 +369,6 @@ func TestPropCanonicalSortedNoDefault(t *testing.T) {
 	}
 }
 
-func TestPropStoredFingerprintMatchesRecomputed(t *testing.T) {
-	f := func(a, b quickThreadLabel) bool {
-		for _, l := range []Label{a.L, a.L.Join(b.L), a.L.With(Category(3), L3)} {
-			if l.Fingerprint() != fingerprintCanonical(l.Default(), l.Pairs(), levelIdentity) {
-				return false
-			}
-			if l.RaisedFingerprint() != l.RaiseJ().Fingerprint() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, quickCfg); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestPropCodecRoundTrip(t *testing.T) {
 	f := func(a quickThreadLabel) bool {
 		enc, err := a.L.MarshalBinary()
@@ -364,107 +379,11 @@ func TestPropCodecRoundTrip(t *testing.T) {
 		if err := dec.UnmarshalBinary(enc); err != nil {
 			return false
 		}
-		return dec.Equal(a.L) &&
-			dec.Fingerprint() == a.L.Fingerprint() &&
-			dec.RaisedFingerprint() == a.L.RaisedFingerprint()
+		return dec.Equal(a.L)
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
 		t.Error(err)
 	}
-}
-
-func TestPropInternSame(t *testing.T) {
-	f := func(a quickThreadLabel) bool {
-		i1 := Intern(a.L)
-		rebuilt := New(a.L.Default(), a.L.Pairs()...)
-		i2 := Intern(rebuilt)
-		return Same(i1, i2) && i1.Equal(a.L)
-	}
-	if err := quick.Check(f, quickCfg); err != nil {
-		t.Error(err)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Concurrency: hammer the sharded cache and the interning table from many
-// goroutines (meaningful under -race).
-// ---------------------------------------------------------------------------
-
-func TestCacheShardedConcurrent(t *testing.T) {
-	// A small bound forces constant per-shard eviction while goroutines race
-	// on lookups; every cached answer must still agree with the direct one.
-	cache := NewCache(256)
-	r := rand.New(rand.NewSource(7))
-	labels := make([]Label, 64)
-	for i := range labels {
-		labels[i] = genLabel(r, true)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 16; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(seed))
-			for i := 0; i < 4000; i++ {
-				a := labels[r.Intn(len(labels))]
-				b := labels[r.Intn(len(labels))]
-				if cache.Leq(a, b) != a.Leq(b) {
-					t.Errorf("cached Leq disagreement for %v ⊑ %v", a, b)
-					return
-				}
-				if cache.CanObserve(a, b) != CanObserve(a, b) {
-					t.Errorf("cached CanObserve disagreement for %v / %v", a, b)
-					return
-				}
-				if cache.CanModify(a, b) != CanModify(a, b) {
-					t.Errorf("cached CanModify disagreement for %v / %v", a, b)
-					return
-				}
-				if cache.LeqRaised(a, b) != a.RaiseJ().Leq(b.RaiseJ()) {
-					t.Errorf("cached LeqRaised disagreement for %v / %v", a, b)
-					return
-				}
-			}
-		}(int64(w))
-	}
-	wg.Wait()
-	st := cache.Stats()
-	if st.Hits == 0 || st.Misses == 0 {
-		t.Errorf("expected both hits and misses, got %+v", st)
-	}
-	if cache.Len() > 256 {
-		t.Errorf("cache exceeded bound: %d entries", cache.Len())
-	}
-	if st.Evictions == 0 {
-		t.Error("small cache under churn should have evicted per shard")
-	}
-}
-
-func TestInternConcurrent(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	labels := make([]Label, 32)
-	for i := range labels {
-		labels[i] = genLabel(r, true)
-	}
-	canon := make([]Label, len(labels))
-	for i, l := range labels {
-		canon[i] = Intern(l)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 16; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i, l := range labels {
-				rebuilt := New(l.Default(), l.Pairs()...)
-				if got := Intern(rebuilt); !Same(got, canon[i]) {
-					t.Errorf("Intern returned a non-canonical instance for %v", l)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // TestPropGateMinLeqMatchesMaterialized checks the allocation-free gate

@@ -140,8 +140,8 @@ func New(sys *unixlib.System, opts Options) (*Daemon, error) {
 		return nil, err
 	}
 	// The network device: {nr3, nw0, taint2, 1}.
-	devLbl := label.Intern(label.New(label.L1,
-		label.P(d.Nr, label.L3), label.P(d.Nw, label.L0), label.P(d.Taint, label.L2)))
+	devLbl := label.New(label.L1,
+		label.P(d.Nr, label.L3), label.P(d.Nw, label.L0), label.P(d.Taint, label.L2))
 	devID, err := sys.Kern.DeviceCreate(sys.Kern.RootContainer(), devLbl, [6]byte{0x52, 0x54, 0, 0x12, 0x34, 0x56}, "eepro100")
 	if err != nil {
 		return nil, err
@@ -162,8 +162,8 @@ func New(sys *unixlib.System, opts Options) (*Daemon, error) {
 	// the scratch container below) are created before the daemon taints
 	// itself: once tainted, the daemon could no longer write its own
 	// untainted process container.
-	gateLbl := label.Intern(label.New(label.L1,
-		label.P(d.Nr, label.Star), label.P(d.Nw, label.Star), label.P(d.Taint, label.L2)))
+	gateLbl := label.New(label.L1,
+		label.P(d.Nr, label.Star), label.P(d.Nw, label.Star), label.P(d.Taint, label.L2))
 	gid, err := tc.GateCreate(proc.ProcCt, kernel.GateSpec{
 		Label:     gateLbl,
 		Clearance: label.New(label.L2),
@@ -477,8 +477,7 @@ func (d *Daemon) socketGateEntry(call *kernel.GateCallCtx) []byte {
 		}
 		// Both netd (refilling) and the client (consuming, clearing the
 		// count word) write the segment, so it carries only the taint.
-		// Interned: every fastpath segment shares one canonical taint label.
-		segLbl := label.Intern(label.New(label.L1, label.P(d.Taint, label.L2)))
+		segLbl := label.New(label.L1, label.P(d.Taint, label.L2))
 		segID, err := call.TC.SegmentCreate(d.Scratch, segLbl, "netd fastpath", fastDataOff+fastDataMax)
 		if err != nil {
 			return []byte{1}

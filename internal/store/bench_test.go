@@ -45,7 +45,7 @@ func BenchmarkSyncObjectLabeled(b *testing.B) {
 
 // BenchmarkRecovery measures Open on an image whose write-ahead log holds
 // labeled records for every object: superblock read, snapshot decode, log
-// replay with label restore, and fingerprint-index rebuild.
+// replay with label restore.
 func BenchmarkRecovery(b *testing.B) {
 	for _, n := range []int{100, 1000} {
 		b.Run(fmt.Sprintf("objects=%d", n), func(b *testing.B) {

@@ -18,6 +18,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"sort"
 	"testing"
 
@@ -557,6 +558,20 @@ func restampSuperblockCopy(t *testing.T, d disk.Device, off int64, version uint6
 	}
 }
 
+// legacyLabelDigest is the key the v≤4 fingerprint index sorted on: FNV-1a
+// over the default level, then each explicit pair's category (8 bytes,
+// little-endian) and level.
+func legacyLabelDigest(lbl label.Label) uint64 {
+	h := fnv.New64a()
+	buf := []byte{byte(lbl.Default())}
+	for _, p := range lbl.Pairs() {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(p.Category))
+		buf = append(buf, byte(p.Level))
+	}
+	h.Write(buf)
+	return h.Sum64()
+}
+
 // restampMetaArea rewrites the metadata area at areaOff as a well-formed
 // area of an older version, the way code speaking that version would have
 // written it: the sections tags names, the header's version, section count
@@ -582,7 +597,7 @@ func restampMetaArea(t *testing.T, d disk.Device, areaOff int64, version uint64,
 		if err != nil {
 			t.Fatal(err)
 		}
-		pairs, rest = append(pairs, [2]uint64{uint64(lbl.Fingerprint()), id}), tail
+		pairs, rest = append(pairs, [2]uint64{legacyLabelDigest(lbl), id}), tail
 	}
 	sort.Slice(pairs, func(i, j int) bool {
 		return pairs[i][0] < pairs[j][0] || pairs[i][0] == pairs[j][0] && pairs[i][1] < pairs[j][1]

@@ -103,9 +103,6 @@ func reopenAndCheck(t *testing.T, dev disk.Device, m *refModel, seed, step int) 
 		if ok != want.hasLabel || (ok && !lbl.Equal(want.lbl)) {
 			t.Fatalf("seed %d step %d: object %d label = %v, %v; want %v, %v", seed, step, id, lbl, ok, want.lbl, want.hasLabel)
 		}
-		if want.hasLabel && lbl.Fingerprint() != want.lbl.Fingerprint() {
-			t.Fatalf("seed %d step %d: object %d fingerprint drifted", seed, step, id)
-		}
 	}
 	return s
 }

@@ -507,9 +507,8 @@ func (s *Store) Put(id uint64, data []byte) error { return s.put(id, data, nil, 
 // PutLabeled is Put plus recording the object's information-flow label, and
 // the caller's word that only bytes [lo, hi) differ from its last put.
 // Labels are serialized in their canonical sorted form (into every SyncObject
-// log record, and into the metadata snapshot at checkpoint) and their
-// fingerprints are recomputed exactly once on load, so a restored system
-// resumes with warm comparison-cache keys.  Contents and label are installed
+// log record, and into the metadata snapshot at checkpoint) and decoded
+// without sorting on load.  Contents and label are installed
 // under one entry-lock hold, so a concurrent SyncObject can never seal the
 // new contents with the old (or no) label — the same atomicity the log
 // record format provides on disk.

@@ -339,7 +339,7 @@ func TestLabelPersistence(t *testing.T) {
 	}
 
 	// Reopen: labels must be restored from the checkpointed metadata in
-	// canonical form, with fingerprints recomputed on load.
+	// canonical form.
 	r, err := Open(d, Options{LogSize: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
@@ -348,13 +348,6 @@ func TestLabelPersistence(t *testing.T) {
 		got, ok := r.Label(id)
 		if !ok || !got.Equal(want) {
 			t.Errorf("Label(%d) = %v, %v; want %v", id, got, ok, want)
-			continue
-		}
-		if got.Fingerprint() != want.Fingerprint() {
-			t.Errorf("Label(%d) fingerprint = %x, want %x", id, got.Fingerprint(), want.Fingerprint())
-		}
-		if got.RaisedFingerprint() != want.RaisedFingerprint() {
-			t.Errorf("Label(%d) raised fingerprint mismatch", id)
 		}
 	}
 	data, err := r.Get(1)
@@ -396,9 +389,6 @@ func TestSyncObjectPersistsLabelAcrossCrash(t *testing.T) {
 	got, ok := s2.Label(9)
 	if !ok || !got.Equal(taint) {
 		t.Fatalf("label after crash = %v, %v; want %v", got, ok, taint)
-	}
-	if got.Fingerprint() != taint.Fingerprint() {
-		t.Error("fingerprint not rebuilt on replay")
 	}
 	data, err := s2.Get(9)
 	if err != nil || string(data) != "secret" {

@@ -20,9 +20,7 @@ func (p *Process) DefaultFileLabel() label.Label {
 	if p.User != nil {
 		l = l.With(p.User.Ur, label.L3).With(p.User.Uw, label.L0)
 	}
-	// Interning makes every file of the same user/taint share one label: equal
-	// labels share one backing array instead of holding a copy each.
-	return label.Intern(p.withThreadTaint(l))
+	return p.withThreadTaint(l)
 }
 
 // withThreadTaint raises l to cover every category in which the calling

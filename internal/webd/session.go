@@ -35,7 +35,7 @@ type session struct {
 	// user's secrecy, so only a thread holding ur (i.e. a lane that came
 	// through the gate) can read the response out of it.
 	reply kernel.CEnt
-	// reqLabel is the interned label a lane requests on gate entry: the
+	// reqLabel is the label a lane requests on gate entry: the
 	// lane's own base label plus ur⋆/uw⋆.  Precomputed once so steady-state
 	// gate calls do no label construction.
 	reqLabel label.Label
@@ -253,7 +253,7 @@ func (c *sessionCache) setup(sess *session, worker *unixlib.Process, password st
 	sess.worker = worker
 	sess.gate = kernel.CEnt{Container: worker.ProcCt, Object: gid}
 	sess.reply = reply
-	sess.reqLabel = label.Intern(srv.laneBase.With(u.Ur, label.Star).With(u.Uw, label.Star))
+	sess.reqLabel = srv.laneBase.With(u.Ur, label.Star).With(u.Uw, label.Star)
 	return nil
 }
 
