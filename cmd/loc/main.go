@@ -47,7 +47,7 @@ var trusted = map[string]bool{
 	"internal/wal": true, "internal/store": true,
 }
 
-const trustedBudget = 8515
+const trustedBudget = 8523
 
 func countLines(dir string) (code, tests int) {
 	filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {

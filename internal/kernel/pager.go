@@ -55,8 +55,8 @@ func (tc *ThreadCall) SegmentPersist(ce CEnt) error {
 }
 
 // push hands a dirty segment's bytes, changed range and label to the pager,
-// which copies them; the caller holds the segment's write lock, so no store
-// slips between the copy and the bit.  Only a persistent segment is dirty.
+// which copies the range; the caller holds the segment's write lock, so no
+// store slips between the copy and the bit.  Only a persistent segment is dirty.
 func (k *Kernel) push(s *segment) error {
 	if !s.dirty {
 		return nil

@@ -139,9 +139,10 @@ func (s *segment) word(off uint64) (uint64, error) {
 // by [lo, hi), or to the whole segment when the length changes, so no path to
 // a segment's bytes can change them behind the pager's back.  This is the
 // only place snapshot-shared bytes are duplicated, so the kernel-wide COW
-// counters live here.  Growth always moves to a fresh zeroed array (and so
-// breaks COW with that one copy); truncation keeps sharing a frozen array,
-// since shrinking changes no byte.
+// counters live here.  A frozen array grows into a fresh one (breaking COW
+// with that one copy), a private one by appending zeros, amortized, over
+// whatever a truncation left in its capacity; truncation keeps sharing a
+// frozen array, since shrinking changes no byte.
 func (s *segment) reshape(k *Kernel, n, lo, hi int) error {
 	if s.immutable {
 		return ErrImmutable
@@ -149,8 +150,8 @@ func (s *segment) reshape(k *Kernel, n, lo, hi int) error {
 	if n < 0 {
 		return ErrInvalid
 	}
-	fresh := n > len(s.data)
-	if fresh && uint64(n)+128 > s.quota {
+	grow := n > len(s.data)
+	if grow && uint64(n)+128 > s.quota {
 		return ErrQuota
 	}
 	if s.dirty = s.persistent; s.dirty && n != len(s.data) {
@@ -161,16 +162,16 @@ func (s *segment) reshape(k *Kernel, n, lo, hi int) error {
 		}
 		s.lo, s.hi = min(s.lo, lo), max(s.hi, hi)
 	}
-	if s.frozen && (fresh || lo < hi) {
+	if s.frozen && (grow || lo < hi) {
 		s.frozen = false
 		k.snap.cowBreaks.Add(1)
 		k.snap.copiedBytes.Add(uint64(len(s.data)))
-		fresh = true
-	}
-	if fresh {
 		data := make([]byte, max(n, len(s.data)))
 		copy(data, s.data)
 		s.data = data
+	}
+	if n > len(s.data) {
+		s.data = append(s.data, make([]byte, n-len(s.data))...)
 	}
 	s.data = s.data[:n]
 	s.usage = s.footprint()

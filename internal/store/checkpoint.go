@@ -53,7 +53,7 @@ func (s *Store) Checkpoint() error {
 type sealedEntry struct {
 	id   uint64
 	e    *objEntry
-	data []byte // aliases the COW contents slice sealed for this epoch
+	data []byte // aliases the contents slice sealed for this epoch (shared)
 	dead bool
 }
 
@@ -133,11 +133,10 @@ func (s *Store) sealCheckpoint() *sealedState {
 				e.deadSealed = true
 				ss.entries = append(ss.entries, sealedEntry{id: id, e: e, dead: true})
 			case e.dirty:
-				// Seal the COW contents slice and hand the entry to the body:
-				// ckpt keeps eviction and scrub off the only in-RAM copy
-				// until the body has written it home.
-				e.dirty = false
-				e.ckpt = true
+				// Seal the contents slice, shared so no put patches it, and
+				// hand the entry to the body: ckpt keeps eviction and scrub
+				// off the only in-RAM copy until the body has written it home.
+				e.dirty, e.ckpt, e.shared = false, true, true
 				ss.entries = append(ss.entries, sealedEntry{id: id, e: e, data: e.data})
 			case !e.cached && !e.hasLbl && !e.quar && !e.ckpt:
 				// Nothing worth remembering: prune the entry.  Quarantined
@@ -170,7 +169,7 @@ func (s *Store) restoreSealed(ss *sealedState) {
 			if !se.e.dead {
 				if !se.e.cached {
 					// Relocated, then evicted: the sealed slice is the copy.
-					se.e.data, se.e.cached = se.data, true
+					se.e.data, se.e.cached, se.e.shared = se.data, true, true
 				}
 				se.e.dirty = true
 			}

@@ -289,7 +289,7 @@ func (s *Store) sealSync(id uint64) (*syncTicket, error) {
 			rec.Label = e.lbl.AppendBinary(nil)
 		}
 		if gen := s.logGen.Load(); e.base != gen || e.lo <= 0 && e.hi >= len(e.data) {
-			e.base = gen
+			e.base, e.shared = gen, true // the record aliases e.data
 		} else {
 			rec.Data, rec.Range, base = encodeRangeBody(e.lo, e.data[e.lo:max(e.lo, e.hi)]), true, gen
 		}

@@ -7,6 +7,7 @@ package store
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -223,6 +224,118 @@ func TestRangeRecordAfterFailedCommit(t *testing.T) {
 			t.Fatalf("the overwrite sealed as %+v, %v; want the whole object again, too large for the log", tk, err)
 		}
 	})
+}
+
+// TestRangePutSparesCheckpointSeal: a put patches the resident copy in place,
+// but not while a checkpoint seal has captured it.  With the body held, an
+// unsynced range put to a sealed object must leave the sealed bytes to be
+// written home: after a crash the object reads back exactly them, verified.
+func TestRangePutSparesCheckpointSeal(t *testing.T) {
+	d := disk.New(disk.Params{Sectors: 1 << 16, WriteCache: true}, &vclock.Clock{})
+	opts := Options{LogSize: 1 << 20, MetaAreaSize: 1 << 20}
+	s, err := Format(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := bytes.Repeat([]byte("s"), 16<<10)
+	if err := s.PutLabeled(1, rotLabel(1), sealed, 0, whole); err != nil {
+		t.Fatal(err)
+	}
+	entered, release := make(chan struct{}), make(chan struct{})
+	s.ckptGate = func() {
+		close(entered)
+		<-release
+	}
+	done := make(chan error, 1)
+	go func() { done <- s.Checkpoint() }()
+	<-entered
+	patched := append([]byte(nil), sealed...)
+	copy(patched[4096:], "after the seal")
+	if err := s.PutLabeled(1, rotLabel(1), patched, 4096, 4096+14); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	if err := <-done; err != nil {
+		t.Fatalf("checkpoint: %v", err)
+	}
+	d.Crash()
+	s2, err := Open(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s2.Get(1); err != nil || !bytes.Equal(got, sealed) {
+		t.Fatalf("after the crash: %q at 4096, %v; want the sealed bytes", got[4096:min(len(got), 4096+14)], err)
+	}
+	if n := s2.IntegrityStats().QuarantinedNow; n != 0 {
+		t.Fatalf("%d objects quarantined, want none", n)
+	}
+}
+
+// TestRangePutSparesQueuedWholeRecord: a whole log record aliases the
+// resident copy until it commits.  A range put while the record waits in the
+// committer must not reach it: after a crash the object reads back the bytes
+// the sync sealed.
+func TestRangePutSparesQueuedWholeRecord(t *testing.T) {
+	s, d := testStore(t)
+	synced := bytes.Repeat([]byte("v"), 16<<10)
+	if err := s.PutLabeled(1, rotLabel(1), synced, 0, whole); err != nil {
+		t.Fatal(err)
+	}
+	s.holdGroupCommit()
+	done := make(chan error, 1)
+	go func() { done <- s.SyncObject(1) }()
+	deadline := time.Now().Add(10 * time.Second)
+	for s.groupQueueLen() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the sync never queued")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	patched := append([]byte(nil), synced...)
+	copy(patched[100:], "queued")
+	if err := s.PutLabeled(1, rotLabel(1), patched, 100, 106); err != nil {
+		t.Fatal(err)
+	}
+	s.releaseGroupCommit()
+	if err := <-done; err != nil {
+		t.Fatalf("sync: %v", err)
+	}
+	d.Crash()
+	s2, err := Open(d, Options{LogSize: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s2.Get(1); err != nil || !bytes.Equal(got, synced) {
+		t.Fatalf("after the crash: %q at 100, %v; want the synced bytes", got[100:min(len(got), 106)], err)
+	}
+}
+
+// TestRangePutAllocatesRange: sixteen 8 KiB range puts into a resident 4 MiB
+// object copy the ranges, not the object: well under 1 MiB allocated in all,
+// against 64 MiB for a fresh copy per put.
+func TestRangePutAllocatesRange(t *testing.T) {
+	s, _ := testStore(t)
+	lbl := rotLabel(1)
+	data := make([]byte, 4<<20)
+	if err := s.PutLabeled(1, lbl, data, 0, whole); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 16; i++ {
+		off := i * 8192
+		data[off] = byte(i + 1)
+		if err := s.PutLabeled(1, lbl, data, off, off+8192); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("16 range puts allocated %d KiB, want under 1024", got>>10)
+	}
+	if got, err := s.Get(1); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("Get after the range puts: %v, or the bytes differ", err)
+	}
 }
 
 // TestRangeRecordWithoutBaseQuarantines: replay lays a range record only over

@@ -10,11 +10,12 @@ import (
 // dead flags, and the recorded label.  All fields are guarded by mu, except
 // that holders of the store's ckptMu in write mode (Checkpoint) and
 // single-threaded construction (Format, Open) access them directly.
-// Contents are copy-on-write: data is replaced wholesale, never mutated, so
-// a sealed group-commit record may keep aliasing a superseded slice.
+// A put patches data in place unless shared says a sealed whole log record
+// or checkpoint capture still holds it; then data is replaced, never mutated.
 type objEntry struct {
 	mu     sync.Mutex
 	data   []byte
+	shared bool // a sealed record or checkpoint capture aliases data
 	cached bool // contents resident (the "page cache")
 	dirty  bool // modified since the last checkpoint seal
 	dead   bool // deleted since the last checkpoint seal

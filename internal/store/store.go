@@ -151,9 +151,9 @@
 //     ckptMu mode at all, serialized against other checkpoints by ckptRun.
 //  2. Each cached object has its own entry (objEntry) with a per-entry
 //     mutex guarding its contents, dirty/dead/ckpt flags, and label.
-//     Contents are copy-on-write: e.data is replaced, never mutated in
-//     place, so a sealed log record or a sealed checkpoint capture may
-//     alias it after the entry lock is released.
+//     A put patches e.data in place, by the range it changed, unless the
+//     entry's shared bit says a sealed whole log record or a checkpoint
+//     capture aliases it past the entry lock; then it installs a fresh copy.
 //  3. The entry table is sharded by object-ID bits.  Each shard's RWMutex
 //     guards its id→entry map and is never held while acquiring an entry
 //     lock — entry pointers are fetched under the shard read lock, which is
@@ -528,7 +528,8 @@ func (s *Store) put(id uint64, data []byte, lbl *label.Label, lo, hi int) error 
 	e := s.shardOf(id).getOrCreate(id)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.cached || len(data) != len(e.data) {
+	fresh := !e.cached || len(data) != len(e.data)
+	if fresh {
 		e.lo, e.hi = 0, len(data)
 	} else if lo, hi = max(lo, 0), min(hi, len(data)); lo < hi {
 		if e.lo >= e.hi {
@@ -536,9 +537,13 @@ func (s *Store) put(id uint64, data []byte, lbl *label.Label, lo, hi int) error 
 		}
 		e.lo, e.hi = min(e.lo, lo), max(e.hi, hi)
 	}
-	// Copy-on-write: replace, never mutate, so sealed log records may alias
-	// the old slice.
-	e.data = append([]byte(nil), data...)
+	// Patch [lo, hi) in place — the caller vouches for every other byte —
+	// unless a sealed record or checkpoint capture still holds the slice.
+	if fresh || e.shared {
+		e.data, e.shared = append([]byte(nil), data...), false
+	} else if lo < hi {
+		copy(e.data[lo:hi], data[lo:hi])
+	}
 	e.cached, e.dirty, e.dead = true, true, false
 	// New contents supersede a damaged home extent: lift the quarantine.
 	e.quar = false
@@ -594,10 +599,10 @@ func (s *Store) get(id uint64, want bool) ([]byte, error) {
 	return buf, err
 }
 
-// pageIn returns a copy of the object's contents (nil for resident contents
-// the caller does not want), reading and verifying the home extent (whose
-// record it also returns) when they are not resident.  The entry lock is
-// held across the read so concurrent misses do one disk read.
+// pageIn returns a copy of the object's contents (nil when the caller does
+// not want one), reading and verifying the home extent (whose record it also
+// returns) into the resident copy when they are not resident.  The entry lock
+// is held across the read so concurrent misses do one disk read.
 func (s *Store) pageIn(id uint64, e *objEntry, want bool) ([]byte, home, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -619,9 +624,11 @@ func (s *Store) pageIn(id uint64, e *objEntry, want bool) ([]byte, home, error) 
 	if err != nil {
 		return nil, h, err
 	}
-	e.data = append([]byte(nil), buf...)
-	e.cached = true
-	return buf, h, nil
+	e.data, e.cached, e.shared = buf, true, false
+	if !want {
+		return nil, h, nil
+	}
+	return append([]byte(nil), buf...), h, nil
 }
 
 // Label returns the stored label of an object, if one was recorded.
