@@ -841,9 +841,9 @@ func BenchmarkSyscallSerial(b *testing.B) {
 // Syscall ring: batched submission vs. the per-call loop.  Both variants run
 // the same ring-expressible read-heavy mix from 8 worker threads and claim
 // work in 16-op blocks; the Ring variant submits each block as one ring batch
-// (one thread snapshot per Wait, one lock round-trip per coalesced run of
-// adjacent same-object entries), the Serial variant issues the identical
-// block one syscall at a time.  The ratio isolates the batching win.
+// (one kernel entry and one thread snapshot per Wait, each entry opened on
+// its own), the Serial variant issues the identical block one syscall at a
+// time.  The ratio isolates the batching win.
 // ---------------------------------------------------------------------------
 
 const ringBenchBatch = 16
@@ -956,7 +956,6 @@ func benchSyscallRing(b *testing.B, useRing bool) {
 		rs := k.RingStats()
 		if rs.Entries > 0 {
 			b.ReportMetric(float64(rs.Entries)/float64(rs.Waits), "entries/wait")
-			b.ReportMetric(100*float64(rs.Coalesced)/float64(rs.Entries), "coalesced-%")
 		}
 	}
 }

@@ -119,23 +119,27 @@
 // There is one persistence path, and it is the kernel's (Sections 3 and 4:
 // the single-level store is the kernel's own, and a sync is a system call).
 // kernel.Pager (internal/kernel/pager.go) is the one interface through which
-// bytes and sync requests leave for the store; Kernel.SetPager attaches
-// *store.Store to it at boot, and nothing but the kernel calls it.  What a
+// bytes and sync requests leave for the store, and the one way they come
+// back; Kernel.SetPager attaches *store.Store to it at boot (its Get is the
+// page-in), and nothing but the kernel calls it.  What a
 // thread may ask, each behind the ordinary resolve-and-label check:
 // SegmentPersist marks a segment it can modify persistent (the library does
 // so where it creates a file's or a directory's segment); OpSync — fsync, a
 // ring of one entry per file — pushes each target it can modify and commits
 // the group through the write-ahead log; Sync — group sync, and fsync of a
-// directory — pushes every dirty segment and checkpoints; a read of a clean
-// persistent segment pages it in first, and damage comes back as ErrCorrupt
-// (EIO).  What the kernel decides alone: the one gate every mutation of a
-// segment passes (direct call, ring entry, compare-and-swap, store through a
-// mapping) marks it dirty, and the one place an object dies tells the store
-// to delete it.  A push copies the bytes under that segment's lock and no
-// other segment's; the group commit, the checkpoint and the delete run with
-// no kernel lock held; the lock order is kernel → store only.  The library
-// names the store in Boot alone, and keeps of it the one function
-// EvictFileCache needs.
+// directory — pushes every dirty segment and checkpoints.  What the kernel
+// decides alone: the one gate every mutation of a segment passes (direct
+// call, ring entry, compare-and-swap, store through a mapping) marks it
+// dirty, the one place an object dies tells the store to delete it, and
+// Kernel.Evict drops every clean persistent segment's bytes, which the
+// segment's next access of any kind pages back in, whole — damage comes back
+// as ErrCorrupt (EIO).  So a persistent byte is resident once: in the kernel
+// while clean, the store keeping its own copy only while it is dirty or
+// sealed into a checkpoint not yet committed (Section 4: memory is a cache of
+// the disk).  A push copies the bytes under that segment's lock and no other
+// segment's; the group commit, the checkpoint and the delete run with no
+// kernel lock held; the lock order is kernel → store only.  The library names
+// the store in Boot alone, and EvictFileCache is Kernel.Evict.
 //
 // The root package holds only the Figure 12/13 row benchmarks
 // (bench_test.go); the repository's benchmark is the bench/ program

@@ -207,3 +207,57 @@ func TestDenyThreadAlertUnwritableTarget(t *testing.T) {
 	}
 	wantLabelErr(t, "alert to a thread the sender cannot write", outsider.ThreadAlert(target, 1))
 }
+
+// Granting ownership: a category's ⋆ is privilege, and only a
+// thread that holds it can pass it on (Section 3.1: ownership moves only
+// from an owner, through a gate or thread creation; the direct call demands
+// c⋆ in LT).  The outsider's grant of c to itself must change nothing.
+func TestDenyGrantOwnershipByNonOwner(t *testing.T) {
+	k, owner, outsider, c := denyEnv(t)
+	target, _ := newThread(t, k, owner, label.New(label.L1), label.New(label.L2))
+	if err := owner.GrantOwnership(target.Object, c); err != nil {
+		t.Fatalf("owner's grant: %v", err)
+	}
+	wantLabelErr(t, "granting a category the thread does not own", outsider.GrantOwnership(outsider.ID(), c))
+	if lbl, err := outsider.SelfLabel(); err != nil || lbl.Owns(c) {
+		t.Errorf("after the refused grant the outsider's label is %v, %v", lbl, err)
+	}
+}
+
+// A clone creates its gates, so each remapped gate must satisfy
+// what gate creation demands of the cloner (Section 3.5:
+// LT′ ⊑ LG ⊑ CG ⊑ CT′).  LT′ ⊑ LG ⊑ CT′ is the allocation check on the
+// gate's object label, which is LG; what is left is CG ⊑ CT′.  c is the
+// template category a golden image is baked with, y the one the remap sends
+// it to: CG {c3, 2} becomes {y3, 2}, above a cloner whose clearance for y is
+// the default 2, and within one cleared to y3.
+func TestDenyCloneGateClearanceOutOfBounds(t *testing.T) {
+	k, owner, outsider, c := denyEnv(t)
+	root := k.RootContainer()
+	y, err := owner.CategoryCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sandbox, err := owner.ContainerCreate(root, label.New(label.L1), "golden", 0, QuotaInfinite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := owner.GateCreate(sandbox, GateSpec{
+		Label:     label.New(label.L1),
+		Clearance: label.New(label.L2, label.P(c, label.L3)),
+		Entry:     func(*GateCallCtx) []byte { return nil },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	info, err := owner.ContainerSnapshot(CEnt{root, sandbox}, "golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	remap := map[label.Category]label.Category{c: y}
+	_, cleared := newThread(t, k, owner, label.New(label.L1), label.New(label.L2, label.P(y, label.L3)))
+	if _, err := cleared.ContainerClone(info.ID, root, remap); err != nil {
+		t.Fatalf("clone by a thread cleared to y3: %v", err)
+	}
+	_, err = outsider.ContainerClone(info.ID, root, remap)
+	wantLabelErr(t, "clone whose remapped gate clearance is above the cloner's", err)
+}

@@ -50,7 +50,7 @@ func (tc *ThreadCall) FutexWait(seg CEnt, offset uint64, expected uint64) error 
 	if err != nil {
 		return err
 	}
-	if cur, err := s.word(offset); err != nil || cur != expected {
+	if cur, err := s.word(tc.k, offset); err != nil || cur != expected {
 		ls.unlock()
 		return err
 	}

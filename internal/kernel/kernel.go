@@ -57,9 +57,10 @@
 //     doomedMu.
 //  6. The pager (the store: its locks lie below the kernel's and it never
 //     calls back) is called with at most one segment's lock held — with the
-//     naming container's shared lock, under open — for a push or a read's
-//     page-in, and otherwise (group commit, checkpoint, alias) with none;
-//     Delete waits until a teardown has released its locks.
+//     naming container's shared lock, under open — for a push or a page-in
+//     (fault, which also holds that segment's faultMu, taken only there),
+//     and otherwise (group commit, checkpoint, alias) with none; Delete
+//     waits until a teardown has released its locks.
 //
 // Recursive deallocation (unreferencing a container subtree) never holds two
 // tree levels' locks at once: an object that drops to zero references is
@@ -74,14 +75,13 @@
 // every entry in submission order through the same open and execOp a direct
 // call uses, and returns per-entry completions in that order — a batch gets
 // the verdicts its entries would get as direct calls.  A chained entry (the
-// Chain flag) is skipped when its predecessor failed; adjacent entries on one
-// target share one lock acquisition.  A run — or an OpSync's push — holds at
-// most one lockOrdered set at a time and the group commit none, so the ring
-// introduces no new lock-order edges.
+// Chain flag) is skipped when its predecessor failed.  An entry — or an
+// OpSync's push — holds at most one lockOrdered set at a time and the group
+// commit none, so the ring introduces no new lock-order edges.
 // Wait records one ring_submit syscall per batch and each entry records its
 // own syscall (OpSync as ring_sync), so batched and direct traffic stay
-// distinguishable in SyscallCounts; RingStats aggregates depth, coalescing,
-// and sync-group fan-in.
+// distinguishable in SyscallCounts; RingStats aggregates depth and
+// sync-group fan-in.
 //
 // # Container snapshot and clone (golden images)
 //

@@ -148,10 +148,21 @@ type segment struct {
 	// guarded by the segment's lock.
 	persistent, dirty bool
 	lo, hi            int
+	// paged says Evict dropped data's plen bytes.  Readers under the shared
+	// lock may fault at once: faultMu admits one to the pager, and it
+	// installs data before clearing paged.
+	paged   atomic.Bool
+	plen    int
+	faultMu sync.Mutex
 }
 
-func (s *segment) hdr() *header      { return &s.header }
-func (s *segment) footprint() uint64 { return uint64(len(s.data)) + 128 }
+func (s *segment) hdr() *header { return &s.header }
+func (s *segment) footprint() uint64 {
+	if s.paged.Load() {
+		return uint64(s.plen) + 128
+	}
+	return uint64(len(s.data)) + 128
+}
 
 // container holds hard links to objects.
 type container struct {

@@ -5,11 +5,12 @@ import "histar/internal/label"
 // Pager is the kernel's one seam to the single-level store (Sections 3 and
 // 4: the store is the kernel's own, and a sync is a system call).  Only the
 // kernel calls it: behind resolve's label rule where a thread asked
-// (SegmentPersist, OpSync, a read's page-in, snapshot and clone), on objects
-// of its own choosing otherwise (Delete at deallocation, Sync's drain).  One
-// function, push, hands bytes to it, and the range of them that changed.
-// *store.Store satisfies it as it stands; tests substitute a fake.  The lock
-// rule is number 6 of the package comment; the store never calls back.
+// (SegmentPersist, OpSync, an access's page-in, snapshot and clone), on
+// objects of its own choosing otherwise (Delete at deallocation, Sync's
+// drain).  One function, push, hands bytes to it, and the range of them that
+// changed; one, fault, takes them back.  unixlib hands it a *store.Store;
+// tests substitute a fake.  The lock rule is number 6 of the package
+// comment; the store never calls back.
 type Pager interface {
 	// PutLabeled replaces the object's contents and label in the store's
 	// memory; every byte outside [lo, hi) is what the object's last push
@@ -18,8 +19,8 @@ type Pager interface {
 	PutLabeled(id uint64, lbl label.Label, data []byte, lo, hi int) error
 	SyncObjects(ids []uint64) []error
 	Checkpoint() error
-	// PageIn makes the object's contents resident; it fails only for damage.
-	PageIn(id uint64) error
+	// PageIn returns a private copy of what the object's last push held.
+	PageIn(id uint64) ([]byte, error)
 	Delete(id uint64) error
 	// Alias makes each dst[i], an id nothing holds yet, an object sharing
 	// src[i]'s checkpointed bytes under lbls[i], durably and without copying,
@@ -35,8 +36,10 @@ func (k *Kernel) SetPager(p Pager) { k.pager = p }
 
 // SegmentPersist marks the segment named by ce, which the invoking thread
 // must be able to modify, persistent: its bytes are a store object from now
-// on — pushed by OpSync and Sync, paged in before a read, deleted when the
-// segment dies.  It starts out wholly dirty; the mark itself moves no byte.
+// on — pushed by OpSync and Sync, paged in after Evict, deleted when the
+// segment dies.  It starts out wholly dirty; the mark itself moves no byte,
+// and marking a persistent segment again changes nothing (an evicted one has
+// no bytes to mark).
 func (tc *ThreadCall) SegmentPersist(ce CEnt) error {
 	ctx, err := tc.enter(scSegmentPersist)
 	if err != nil {
@@ -49,7 +52,9 @@ func (tc *ThreadCall) SegmentPersist(ce CEnt) error {
 	if err != nil {
 		return err
 	}
-	seg.persist()
+	if !seg.persistent {
+		seg.persist()
+	}
 	ls.unlock()
 	return nil
 }
@@ -82,13 +87,7 @@ func (tc *ThreadCall) Sync() error {
 	if k.pager == nil {
 		return ErrInvalid
 	}
-	var segs []*segment
-	k.each(func(o object) {
-		if s, ok := o.(*segment); ok {
-			segs = append(segs, s)
-		}
-	})
-	for _, s := range segs {
+	for _, s := range k.liveSegments() {
 		s.mu.Lock()
 		err := k.push(s)
 		s.mu.Unlock()
@@ -97,4 +96,28 @@ func (tc *ThreadCall) Sync() error {
 		}
 	}
 	return k.pager.Checkpoint()
+}
+
+// Evict drops the bytes, not the length, of every clean persistent segment:
+// the store holds them, and the segment's next access pages them back in,
+// private (fault).  Kernel memory is a cache of the store (Section 4).
+func (k *Kernel) Evict() {
+	for _, s := range k.liveSegments() {
+		s.mu.Lock()
+		if s.persistent && !s.dirty && !s.paged.Load() {
+			s.plen, s.data, s.frozen = len(s.data), nil, false
+			s.paged.Store(true)
+		}
+		s.mu.Unlock()
+	}
+}
+
+func (k *Kernel) liveSegments() []*segment {
+	var segs []*segment
+	k.each(func(o object) {
+		if s, ok := o.(*segment); ok {
+			segs = append(segs, s)
+		}
+	})
+	return segs
 }

@@ -62,11 +62,18 @@ func (f *fakePager) PutLabeled(id uint64, lbl label.Label, data []byte, lo, hi i
 	return nil
 }
 
-func (f *fakePager) PageIn(id uint64) error {
+func (f *fakePager) PageIn(id uint64) ([]byte, error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	f.pageIns++
-	return f.pageInErr
+	data, ok := f.data[id]
+	switch {
+	case f.pageInErr != nil:
+		return nil, f.pageInErr
+	case !ok:
+		return nil, fmt.Errorf("fake pager: no object %d", id)
+	}
+	return append([]byte(nil), data...), nil
 }
 
 func (f *fakePager) Delete(id uint64) error {
@@ -128,9 +135,9 @@ func (f *fakePager) Alias(src, dst []uint64, lbls []label.Label) []error {
 // TestPagerPushSyncDelete walks one segment through the whole seam: nothing
 // leaves the kernel before a sync, whatever path wrote the bytes; an OpSync
 // pushes exactly the dirty target and commits it; Sync drains what is left
-// and checkpoints; a clean segment is paged in before a read and a dirty one
-// is not; damage comes back as ErrCorrupt; and the pager hears of a death
-// once, after the unlink.
+// and checkpoints; no read of a resident segment, clean or dirty, asks the
+// pager, and one Evict dropped is paged in once; damage comes back as
+// ErrCorrupt; and the pager hears of a death once, after the unlink.
 func TestPagerPushSyncDelete(t *testing.T) {
 	env := newRingEnv(t, 3, 16)
 	fp := newFakePager()
@@ -177,9 +184,14 @@ func TestPagerPushSyncDelete(t *testing.T) {
 	if len(fp.groups) != 1 || len(fp.groups[0]) != 2 {
 		t.Errorf("sync groups %v, want one group of both targets", fp.groups)
 	}
-	if got, err := tc.SegmentRead(a, 0, 6); err != nil || string(got) != "direct" || fp.pageIns != 1 {
-		t.Errorf("read of a clean segment = %q, %v, %d page-ins; want one", got, err, fp.pageIns)
+	if got, err := tc.SegmentRead(a, 0, 6); err != nil || string(got) != "direct" || fp.pageIns != 0 {
+		t.Errorf("read of a clean resident segment = %q, %v, %d page-ins; want none", got, err, fp.pageIns)
 	}
+	k.Evict()
+	if got, err := tc.SegmentRead(a, 0, 6); err != nil || string(got) != "direct" || fp.pageIns != 1 {
+		t.Errorf("read of an evicted segment = %q, %v, %d page-ins; want one", got, err, fp.pageIns)
+	}
+	k.Evict()
 	fp.pageInErr = errors.New("extent crc mismatch")
 	if _, err := tc.SegmentRead(a, 0, 6); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("read of a damaged segment: %v, want ErrCorrupt", err)
@@ -262,5 +274,251 @@ func TestSyncAndPersistPassTheMonitor(t *testing.T) {
 	}
 	if len(fp.groups) != 1 || len(fp.groups[0]) != 1 || fp.groups[0][0] != uint64(env.segs[0].Object) {
 		t.Errorf("sync groups %v, want only [[%d]]", fp.groups, env.segs[0].Object)
+	}
+}
+
+// persistedSegment marks ce persistent, writes data into it and pushes it with
+// an OpSync, leaving it clean: the state Evict drops.
+func persistedSegment(t *testing.T, tc *ThreadCall, ce CEnt, data []byte) {
+	t.Helper()
+	if err := tc.SegmentPersist(ce); err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.SegmentWrite(ce, 0, data); err != nil {
+		t.Fatal(err)
+	}
+	r := tc.NewRing()
+	r.Submit(RingEntry{Op: OpSync, Seg: ce})
+	if comps, err := r.Wait(1); err != nil || comps[0].Err != nil {
+		t.Fatalf("OpSync: %v, %v", err, comps)
+	}
+}
+
+// TestEvictPagesInOnce: a resident segment is the only copy the kernel reads
+// — N clean reads of it, direct, through a ring or through a mapping, ask the
+// pager nothing.  After Evict the first access, by any of the three paths,
+// pages it in whole, and the rest find it resident: exactly one page-in.
+func TestEvictPagesInOnce(t *testing.T) {
+	const n = 50
+	k, tc := boot(t)
+	fp := newFakePager()
+	k.SetPager(fp)
+	_, id := setupAS(t, k, tc, label.New(label.L1), MapRead|MapWrite)
+	ce := CEnt{k.RootContainer(), id}
+	want := bytes.Repeat([]byte("paged once/"), 100)
+	persistedSegment(t, tc, ce, want)
+	r := tc.NewRing()
+	paths := map[string]func() ([]byte, error){
+		"direct": func() ([]byte, error) { return tc.SegmentRead(ce, 0, len(want)) },
+		"ring": func() ([]byte, error) {
+			r.Submit(RingEntry{Op: OpSegmentRead, Seg: ce, Len: len(want)})
+			comps, err := r.Wait(1)
+			if err != nil {
+				return nil, err
+			}
+			return comps[0].Val, comps[0].Err
+		},
+		"mapped": func() ([]byte, error) { return tc.MemRead(0x10000, len(want)) },
+	}
+	readN := func(path string, read func() ([]byte, error)) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if got, err := read(); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s read %d: %.16q, %v", path, i, got, err)
+			}
+		}
+	}
+	for path, read := range paths {
+		readN(path, read)
+	}
+	if fp.pageIns != 0 {
+		t.Fatalf("%d clean reads of a resident segment made %d page-ins, want 0", 3*n, fp.pageIns)
+	}
+	for path, read := range paths {
+		before := fp.pageIns
+		k.Evict()
+		readN(path, read)
+		if got := fp.pageIns - before; got != 1 {
+			t.Errorf("%d %s reads after Evict made %d page-ins, want 1", n, path, got)
+		}
+	}
+}
+
+// TestEvictKeepsLengthAndAccounting: eviction drops bytes, not length — a
+// segment's ObjectStat usage and QuotaMove verdicts read the same before and
+// after, with no page-in, and so does its length, which pages it in; an empty
+// segment included, whose contents and resident state differ in nothing but
+// the flag.  Marking an evicted segment persistent again leaves what the
+// next Sync pushes alone.  A page-in that comes back at another length is
+// damage.
+func TestEvictKeepsLengthAndAccounting(t *testing.T) {
+	k, tc := boot(t)
+	fp := newFakePager()
+	k.SetPager(fp)
+	root := k.RootContainer()
+	for _, size := range []int{3000, 0} {
+		id, err := tc.SegmentCreate(root, label.New(label.L1), "evicted", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ce := CEnt{root, id}
+		persistedSegment(t, tc, ce, make([]byte, size))
+		st, err := tc.ObjectStat(ce)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spare := int64(st.Quota - st.Usage)
+		if err := tc.QuotaMove(root, id, -(spare + 1)); !errors.Is(err, ErrQuota) {
+			t.Fatalf("size %d: shrinking past the spare quota: %v, want ErrQuota", size, err)
+		}
+		pageIns := fp.pageIns
+		k.Evict()
+		if got, err := tc.ObjectStat(ce); err != nil || got.Usage != st.Usage {
+			t.Errorf("size %d: usage after Evict %d, %v; want %d", size, got.Usage, err, st.Usage)
+		}
+		if err := tc.QuotaMove(root, id, -(spare + 1)); !errors.Is(err, ErrQuota) {
+			t.Errorf("size %d: shrinking past the spare quota after Evict: %v, want ErrQuota", size, err)
+		}
+		if err := tc.QuotaMove(root, id, -spare); err != nil {
+			t.Errorf("size %d: shrinking by the spare quota after Evict: %v", size, err)
+		}
+		if fp.pageIns != pageIns {
+			t.Errorf("size %d: stat and quota moves paged in %d times", size, fp.pageIns-pageIns)
+		}
+		if n, err := tc.SegmentLen(ce); err != nil || n != size || fp.pageIns != pageIns+1 {
+			t.Errorf("size %d: length after Evict %d, %v, with %d page-ins; want %d and 1", size, n, err, fp.pageIns-pageIns, size)
+		}
+		k.Evict()
+		if err := tc.SegmentPersist(ce); err != nil {
+			t.Fatal(err)
+		}
+		if err := tc.Sync(); err != nil || len(fp.data[uint64(id)]) != size {
+			t.Errorf("size %d: Sync after re-persisting an evicted segment: %v, the store holds %d bytes", size, err, len(fp.data[uint64(id)]))
+		}
+		fp.data[uint64(id)] = append(fp.data[uint64(id)], 0)
+		if _, err := tc.SegmentLen(ce); !errors.Is(err, ErrCorrupt) {
+			t.Errorf("size %d: a page-in one byte long: %v, want ErrCorrupt", size, err)
+		}
+	}
+}
+
+// TestEvictBesideReaders is a -race target: threads read one persistent
+// segment every way there is — direct, ring, mapped, length, stat, futex word
+// — while the boot thread evicts in a loop, so page-ins race each other under
+// the shared lock and race Evict's write lock; every read sees the bytes.
+func TestEvictBesideReaders(t *testing.T) {
+	const readers, iters = 4, 200
+	k, tc := boot(t)
+	fp := newFakePager()
+	k.SetPager(fp)
+	root := k.RootContainer()
+	as, id := setupAS(t, k, tc, label.New(label.L1), MapRead)
+	ce := CEnt{root, id}
+	want := bytes.Repeat([]byte{7}, 2*PageSize)
+	persistedSegment(t, tc, ce, want)
+	stat, err := tc.ObjectStat(ce)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, readers)
+	done := make(chan struct{})
+	for w := 0; w < readers; w++ {
+		rt := spawnWorker(t, k, tc, fmt.Sprintf("reader %d", w))
+		if err := rt.SelfSetAddressSpace(CEnt{root, as}); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(rt *ThreadCall) {
+			defer wg.Done()
+			r := rt.NewRing()
+			for i := 0; i < iters; i++ {
+				r.Submit(RingEntry{Op: OpSegmentRead, Seg: ce, Off: 64, Len: 64}, RingEntry{Op: OpSegmentLen, Seg: ce})
+				comps, err := r.Wait(2)
+				if err == nil {
+					err = errors.Join(comps[0].Err, comps[1].Err)
+				}
+				direct, derr := rt.SegmentRead(ce, 100, 8)
+				mapped, merr := rt.MemRead(0x10000+PageSize, 16)
+				st, serr := rt.ObjectStat(ce)
+				werr := rt.FutexWait(ce, 8, 0) // the word is not 0: returns at once
+				if err = errors.Join(err, derr, merr, serr, werr); err == nil &&
+					(!bytes.Equal(comps[0].Val, want[64:128]) || comps[1].N != len(want) ||
+						!bytes.Equal(direct, want[100:108]) || !bytes.Equal(mapped, want[:16]) || st.Usage != stat.Usage) {
+					err = fmt.Errorf("read %d saw other bytes, length or usage", i)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(rt)
+	}
+	go func() { wg.Wait(); close(done) }()
+	for evicting := true; evicting; {
+		select {
+		case <-done:
+			evicting = false
+		default:
+			k.Evict()
+		}
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if fp.pageIns == 0 {
+		t.Error("no read ever paged in: the readers never met an eviction")
+	}
+}
+
+// TestEvictedSegmentSnapshotCapturesBytes: a capture pages an evicted
+// segment in before freezing it, so the snapshot — and a clone of it, read
+// resident or paged in itself — holds the bytes, not the empty array Evict
+// left behind.  And what a page-in brings back is private: the master,
+// evicted after its capture, is written without a copy-on-write break.
+func TestEvictedSegmentSnapshotCapturesBytes(t *testing.T) {
+	k, tc := boot(t)
+	fp := newFakePager()
+	k.SetPager(fp)
+	root := k.RootContainer()
+	pub := label.New(label.L1)
+	sandbox, err := tc.ContainerCreate(root, pub, "sandbox", 0, QuotaInfinite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := tc.SegmentCreate(sandbox, pub, "blob", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte("captured after eviction")
+	persistedSegment(t, tc, CEnt{sandbox, id}, want)
+	k.Evict()
+	info, err := tc.ContainerSnapshot(CEnt{root, sandbox}, "evicted")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Bytes != uint64(len(want)) || fp.pageIns != 1 {
+		t.Errorf("snapshot of the evicted segment holds %d bytes after %d page-ins, want %d and 1", info.Bytes, fp.pageIns, len(want))
+	}
+	res, err := tc.ContainerClone(info.ID, root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := CEnt{res.Root, res.IDMap[id]}
+	for _, evict := range []bool{false, true} {
+		if evict {
+			k.Evict()
+		}
+		if got, err := tc.SegmentRead(clone, 0, 64); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("clone read (evicted first: %v) = %q, %v", evict, got, err)
+		}
+	}
+	breaks := k.SnapshotStats().CowBreaks
+	if err := tc.SegmentWrite(CEnt{sandbox, id}, 0, []byte("C")); err != nil {
+		t.Fatal(err)
+	}
+	if got := k.SnapshotStats().CowBreaks - breaks; got != 0 {
+		t.Errorf("a write to the paged-in master broke copy-on-write %d times, want 0", got)
 	}
 }

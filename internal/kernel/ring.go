@@ -27,11 +27,10 @@ import "sync/atomic"
 // before it, whatever their targets, and is checked against the label the
 // thread holds at its position.  What the ring saves stays inside that order:
 //
-//   - A run of adjacent entries on one target, none of them a gate entry or a
-//     sync, shares one open — one resolve, one lockOrdered acquisition, one
-//     liveness verification — while each entry's label check still happens on
-//     its own in execOp.  At most one run's locks are held at a time, so the
-//     ring adds no lock-order edge to the discipline in the package comment.
+//   - One kernel entry and one thread snapshot for the whole batch.  Each
+//     entry is opened on its own, as its direct call would be, and at most
+//     one entry's locks are held at a time, so the ring adds no lock-order
+//     edge to the discipline in the package comment.
 //   - An OpSync is opened (the thread must be able to modify the segment) and
 //     pushed to the pager where it stands, so it covers exactly the writes
 //     submitted before it.  The pushed syncs are committed, with no kernel
@@ -62,7 +61,7 @@ type Ring struct {
 
 	// Tallies of one Wait, flushed into the kernel-wide ring counters at its
 	// end, so threads never contend on shared cachelines per entry.
-	nRuns, nCoalesced, nSyncGroups, nSyncEntries, nGateCalls uint64
+	nSyncGroups, nSyncEntries, nGateCalls uint64
 }
 
 // RingOp selects the system call a ring entry performs.
@@ -167,19 +166,12 @@ func (r *Ring) Wait(minComplete int) ([]RingCompletion, error) {
 		switch e := &entries[i]; e.Op {
 		case OpGateEnter:
 			r.execGateEnter(&ctx, e, &comps[i])
-			i++
 		case OpSync:
 			r.push(ctx, entries, comps, i)
-			i++
 		default:
-			end := i + 1
-			for end < len(entries) && entries[end].Seg == e.Seg &&
-				entries[end].Op != OpGateEnter && entries[end].Op != OpSync {
-				end++
-			}
-			r.execRun(ctx, entries, comps, i, end)
-			i = end
+			r.exec(ctx, e, &comps[i])
 		}
+		i++
 	}
 	r.commit(entries, comps)
 	r.pending = entries[:0] // recycle the submission buffer
@@ -187,12 +179,10 @@ func (r *Ring) Wait(minComplete int) ([]RingCompletion, error) {
 	k := r.tc.k
 	k.ring.waits.Add(1)
 	k.ring.entries.Add(uint64(len(entries)))
-	k.ring.runs.Add(r.nRuns)
-	k.ring.coalesced.Add(r.nCoalesced)
 	k.ring.syncGroups.Add(r.nSyncGroups)
 	k.ring.syncEntries.Add(r.nSyncEntries)
 	k.ring.gateCalls.Add(r.nGateCalls)
-	r.nRuns, r.nCoalesced, r.nSyncGroups, r.nSyncEntries, r.nGateCalls = 0, 0, 0, 0, 0
+	r.nSyncGroups, r.nSyncEntries, r.nGateCalls = 0, 0, 0
 	return comps, nil
 }
 
@@ -232,37 +222,20 @@ func scFor(op RingOp) syscallID {
 	}
 }
 
-// execRun executes entries[i:end], adjacent entries on one target, under a
-// single open: one resolve, one lockOrdered acquisition, one liveness
-// verification.  Per-entry label checks still happen individually in execOp
-// (against immutable labels, so holding the lock is irrelevant to them), and
-// the chain rule still holds between the run's entries; their predecessors
-// are never syncs, so no commit happens under the run's locks.
-func (r *Ring) execRun(ctx tctx, entries []RingEntry, comps []RingCompletion, i, end int) {
+// exec opens one entry's target and executes it, exactly as its direct call
+// (ThreadCall.call) would, under the batch's thread snapshot.
+func (r *Ring) exec(ctx tctx, e *RingEntry, c *RingCompletion) {
 	k := r.tc.k
-	write := false
-	for j := i; j < end; j++ {
-		write = write || opWrites(entries[j].Op)
+	k.count(scFor(e.Op), ctx.t)
+	obj, ls, err := open[object](k, &ctx, e.Seg, accNone, opWrites(e.Op))
+	if err == nil {
+		err = k.execOp(&ctx, obj, e, c)
+		ls.unlock()
 	}
-	obj, ls, openErr := open[object](k, &ctx, entries[i].Seg, accNone, write)
-	if openErr == nil {
-		defer ls.unlock()
-	}
-	r.nRuns++
-	r.nCoalesced += uint64(end - i - 1)
-	for j := i; j < end; j++ {
-		if j > i && r.skipped(entries, comps, j) {
-			continue
-		}
-		k.count(scFor(entries[j].Op), ctx.t)
-		comps[j].Err = openErr
-		if openErr == nil {
-			comps[j].Err = k.execOp(&ctx, obj, &entries[j], &comps[j])
-		}
-	}
+	c.Err = err
 }
 
-// execGateEnter executes one OpGateEnter entry as its own run: resolve the
+// execGateEnter executes one OpGateEnter entry: resolve the
 // gate, run the Section 3.5 checks and transfer (which takes the thread and
 // thread-local segment write locks itself), then dispatch the entry point
 // with no kernel locks held.  On success the batch snapshot *ctx is
@@ -271,7 +244,6 @@ func (r *Ring) execRun(ctx tctx, entries []RingEntry, comps []RingCompletion, i,
 func (r *Ring) execGateEnter(ctx *tctx, e *RingEntry, c *RingCompletion) {
 	k := r.tc.k
 	k.count(scGateEnter, ctx.t)
-	r.nRuns++
 	r.nGateCalls++
 	var req GateRequest
 	if e.Gate != nil {
@@ -344,8 +316,6 @@ func (r *Ring) commit(entries []RingEntry, comps []RingCompletion) {
 type ringCounters struct {
 	entries     atomic.Uint64
 	waits       atomic.Uint64
-	runs        atomic.Uint64
-	coalesced   atomic.Uint64
 	syncGroups  atomic.Uint64
 	syncEntries atomic.Uint64
 	gateCalls   atomic.Uint64
@@ -357,12 +327,9 @@ type RingStats struct {
 	// that executed at least one entry (equals the ring_submit syscall count).
 	Entries uint64
 	Waits   uint64
-	// Runs is the number of lock acquisitions performed for entry execution
-	// (a gate entry is a run of its own); Coalesced is how many entries
-	// shared an adjacent predecessor's acquisition, so the coalesce rate is
-	// Coalesced / (Runs + Coalesced).
-	Runs      uint64
-	Coalesced uint64
+	// Runs and Coalesced are always 0: every entry opens on its own.  They
+	// stay only until the benchmark drops its coalesce-rate row (ROADMAP 1).
+	Runs, Coalesced uint64
 	// SyncGroups and SyncEntries count group commits to the pager and the
 	// OpSync entries they carried.
 	SyncGroups  uint64
@@ -376,8 +343,6 @@ func (k *Kernel) RingStats() RingStats {
 	return RingStats{
 		Entries:     k.ring.entries.Load(),
 		Waits:       k.ring.waits.Load(),
-		Runs:        k.ring.runs.Load(),
-		Coalesced:   k.ring.coalesced.Load(),
 		SyncGroups:  k.ring.syncGroups.Load(),
 		SyncEntries: k.ring.syncEntries.Load(),
 		GateCalls:   k.ring.gateCalls.Load(),

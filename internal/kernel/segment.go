@@ -85,13 +85,41 @@ func (tc *ThreadCall) SegmentCopy(src CEnt, d ID, l label.Label, descrip string)
 // replaces segment.data: the direct syscalls, ring entries, compare-and-swap,
 // the futex word read, loads and stores through a mapping, and the
 // thread-local segment calls all come through here, so a bounds, quota,
-// immutability or copy-on-write rule cannot be missing from one of them.
+// immutability, copy-on-write or page-in rule cannot be missing from one of
+// them.  (Evict, in pager.go, is the rest.)
 // ---------------------------------------------------------------------------
 
-// clamp bounds the n bytes at off to the segment: off must lie inside it (or
-// at its end) and the range is cut at the end, without ever computing off+n,
-// which could overflow int.
-func (s *segment) clamp(off, n int) (end int, err error) {
+// fault pages an evicted segment back in, whole (Section 7.1); the caller
+// holds its lock in either mode.  Bytes the store cannot produce, or produces
+// at another length, are ErrCorrupt, and the segment stays paged out.
+func (s *segment) fault(k *Kernel) error {
+	if !s.paged.Load() {
+		return nil
+	}
+	s.faultMu.Lock()
+	defer s.faultMu.Unlock()
+	if !s.paged.Load() {
+		return nil
+	}
+	data, err := k.pager.PageIn(uint64(s.id))
+	if err == nil && len(data) != s.plen {
+		err = fmt.Errorf("%d bytes, want %d", len(data), s.plen)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: paging in object %d: %w", ErrCorrupt, s.id, err)
+	}
+	s.data = data
+	s.paged.Store(false)
+	return nil
+}
+
+// clamp pages the segment in and bounds the n bytes at off to it: off must
+// lie inside it (or at its end) and the range is cut at the end, without ever
+// computing off+n, which could overflow int.
+func (s *segment) clamp(k *Kernel, off, n int) (end int, err error) {
+	if err := s.fault(k); err != nil {
+		return 0, err
+	}
 	if off < 0 || n < 0 || off > len(s.data) {
 		return 0, ErrInvalid
 	}
@@ -102,17 +130,11 @@ func (s *segment) clamp(off, n int) (end int, err error) {
 	return end, nil
 }
 
-// read copies out up to n bytes at off.  A clean persistent segment is paged
-// in first, whole (Section 7.1); a dirty one's only copy is the kernel's.
+// read copies out up to n bytes at off.
 func (s *segment) read(k *Kernel, off, n int) ([]byte, error) {
-	end, err := s.clamp(off, n)
+	end, err := s.clamp(k, off, n)
 	if err != nil {
 		return nil, err
-	}
-	if s.persistent && !s.dirty {
-		if err := k.pager.PageIn(uint64(s.id)); err != nil {
-			return nil, fmt.Errorf("%w: paging in object %d: %v", ErrCorrupt, s.id, err)
-		}
 	}
 	out := make([]byte, end-off)
 	copy(out, s.data[off:end])
@@ -121,11 +143,11 @@ func (s *segment) read(k *Kernel, off, n int) ([]byte, error) {
 
 // word loads the 8-byte little-endian word at off (futex and compare-and-swap
 // addresses), which must lie wholly inside the segment.
-func (s *segment) word(off uint64) (uint64, error) {
+func (s *segment) word(k *Kernel, off uint64) (uint64, error) {
 	if off > math.MaxInt {
 		return 0, ErrInvalid
 	}
-	if end, err := s.clamp(int(off), 8); err != nil || end-int(off) != 8 {
+	if end, err := s.clamp(k, int(off), 8); err != nil || end-int(off) != 8 {
 		return 0, ErrInvalid
 	}
 	return binary.LittleEndian.Uint64(s.data[off:]), nil
@@ -149,6 +171,9 @@ func (s *segment) reshape(k *Kernel, n, lo, hi int) error {
 	}
 	if n < 0 {
 		return ErrInvalid
+	}
+	if err := s.fault(k); err != nil {
+		return err
 	}
 	grow := n > len(s.data)
 	if grow && uint64(n)+128 > s.quota {
@@ -192,6 +217,9 @@ func (s *segment) write(k *Kernel, off int, data []byte) error {
 	case end < off: // int overflow; no quota could ever cover it
 		return ErrQuota
 	}
+	if err := s.fault(k); err != nil {
+		return err
+	}
 	if err := s.reshape(k, max(end, len(s.data)), off, end); err != nil {
 		return err
 	}
@@ -205,7 +233,7 @@ func (s *segment) compareSwap(k *Kernel, off, old, next uint64) (bool, error) {
 	if s.immutable {
 		return false, ErrImmutable
 	}
-	cur, err := s.word(off)
+	cur, err := s.word(k, off)
 	if err != nil || cur != old {
 		return false, err
 	}
@@ -215,10 +243,10 @@ func (s *segment) compareSwap(k *Kernel, off, old, next uint64) (bool, error) {
 }
 
 // ---------------------------------------------------------------------------
-// The coalescable calls: segment read, write, resize and length, and object
+// The ring-able calls: segment read, write, resize and length, and object
 // stat.  Each is one RingEntry whether it arrives alone (the methods below)
-// or in a ring batch (Ring.execRun): both open the entry and hand it to
-// execOp, the only statement of these calls' label rules and bodies.
+// or in a ring batch (Ring.exec): both open the entry and hand it to execOp,
+// the only statement of these calls' label rules and bodies.
 // ---------------------------------------------------------------------------
 
 // opWrites reports whether the op mutates its target (and so needs the
@@ -227,7 +255,7 @@ func opWrites(op RingOp) bool {
 	return op == OpSegmentWrite || op == OpSegmentResize
 }
 
-// execOp executes one coalescable entry against its opened target (locked in
+// execOp executes one ring-able entry against its opened target (locked in
 // the mode opWrites asks for, link and liveness verified), filling c.  The
 // label rule is applied here, per entry, against the segment's immutable
 // label: observe for the two reads, modify for the two writes; stat checks
@@ -248,7 +276,9 @@ func (k *Kernel) execOp(ctx *tctx, obj object, e *RingEntry, c *RingCompletion) 
 		c.Val, err = seg.read(k, e.Off, e.Len)
 		c.N = len(c.Val)
 	case OpSegmentLen:
-		c.N = len(seg.data)
+		if err = seg.fault(k); err == nil {
+			c.N = len(seg.data)
+		}
 	case OpSegmentWrite:
 		if err = seg.write(k, e.Off, e.Data); err == nil {
 			c.N = len(e.Data)
@@ -261,7 +291,7 @@ func (k *Kernel) execOp(ctx *tctx, obj object, e *RingEntry, c *RingCompletion) 
 	return err
 }
 
-// call executes one coalescable entry as a direct system call.  Entry and
+// call executes one ring-able entry as a direct system call.  Entry and
 // completion are the caller's locals, passed by pointer so that a call moves
 // neither.
 func (tc *ThreadCall) call(e *RingEntry, c *RingCompletion) error {

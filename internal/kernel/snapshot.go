@@ -251,9 +251,9 @@ func (k *Kernel) unalias(ids []uint64) {
 }
 
 // capture copies a live object under its own lock; nil means it has died.  A
-// segment is frozen first and, with a pager, made persistent and pushed: a
-// store object from now on, like any persistent segment, which the image
-// aliases and which dies with the segment.
+// segment is paged in and frozen first and, with a pager, made persistent and
+// pushed: a store object from now on, like any persistent segment, which the
+// image aliases and which dies with the segment.
 func (k *Kernel) capture(o object) (object, error) {
 	h := o.hdr()
 	h.mu.Lock()
@@ -262,6 +262,9 @@ func (k *Kernel) capture(o object) (object, error) {
 		return nil, nil
 	}
 	if s, ok := o.(*segment); ok {
+		if err := s.fault(k); err != nil {
+			return nil, err
+		}
 		s.frozen = true
 		if k.pager != nil {
 			if !s.persistent {
@@ -376,9 +379,10 @@ func remapLabel(l label.Label, remap map[label.Category]label.Category) (label.L
 
 // relabel rewrites a cloned object's labels through remap and checks them as
 // creating the object would: the invoking thread must be able to allocate at
-// its label, and a gate's label and clearance must stay within the bounds
-// GateCreate enforces.  A remap that merges two of a label's categories is
-// ErrInvalid.
+// its label, and a gate's clearance must stay within the bounds GateCreate
+// enforces.  (A gate's object label is its gate label, which holds no J, so
+// the allocation check is already GateCreate's LT ⊑ LG ⊑ CT.)  A remap that
+// merges two of a label's categories is ErrInvalid.
 func (k *Kernel) relabel(ctx *tctx, o object, remap map[label.Category]label.Category) error {
 	h := o.hdr()
 	lbl, ok := remapLabel(h.lbl, remap)
@@ -398,7 +402,7 @@ func (k *Kernel) relabel(ctx *tctx, o object, remap map[label.Category]label.Cat
 	switch {
 	case !ok || !ok2:
 		return ErrInvalid
-	case !ctx.lbl.Leq(gl) || !gl.LowerStar().Leq(ctx.clearance) || !clr.Leq(ctx.clearance):
+	case !clr.Leq(ctx.clearance):
 		return ErrLabel
 	}
 	g.gateLabel, g.clearance = gl, clr

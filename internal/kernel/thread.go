@@ -290,7 +290,7 @@ func (tc *ThreadCall) LocalSegmentWrite(off int, data []byte) error {
 	seg := ctx.t.localSegment
 	seg.mu.Lock()
 	defer seg.mu.Unlock()
-	if end, err := seg.clamp(off, len(data)); err != nil || end-off != len(data) {
+	if end, err := seg.clamp(tc.k, off, len(data)); err != nil || end-off != len(data) {
 		return ErrInvalid
 	}
 	return seg.write(tc.k, off, data)
@@ -306,7 +306,7 @@ func (tc *ThreadCall) LocalSegmentRead(off, n int) ([]byte, error) {
 	seg := ctx.t.localSegment
 	seg.mu.RLock()
 	defer seg.mu.RUnlock()
-	if end, err := seg.clamp(off, n); err != nil || end-off != n {
+	if end, err := seg.clamp(tc.k, off, n); err != nil || end-off != n {
 		return nil, ErrInvalid
 	}
 	return seg.read(tc.k, off, n)

@@ -79,7 +79,7 @@ func (s *Store) sealAlias(src, dst uint64, lbl label.Label) (*syncTicket, error)
 	e := s.shardOf(dst).getOrCreate(dst)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.cached || e.dirty {
+	if e.resident() {
 		return nil, fmt.Errorf("%w: object %d", ErrCloneExists, dst)
 	}
 	s.metaMu.Lock()
@@ -127,7 +127,7 @@ func (s *Store) replayAliasRecord(r wal.Record, extents map[int64]home) {
 		return
 	}
 	s.setHome(dst, h)
-	e.data, e.dead, e.quar, e.cached, e.dirty = nil, false, false, false, false
+	e.data, e.dead, e.quar, e.dirty = nil, false, false, false
 	if len(r.Label) == 0 {
 		e.lbl, e.hasLbl = label.Label{}, false
 	} else if lbl, rest, derr := label.DecodeBinary(r.Label); derr == nil && len(rest) == 0 {

@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"histar/internal/btree"
 	"histar/internal/disk"
 	"histar/internal/label"
 	"histar/internal/vclock"
@@ -900,11 +899,11 @@ func testSharedExtentRot(t *testing.T, firstTouch func(*Store)) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	off, ok := s2.objMap.Get(btree.K1(1))
+	h, ok := s2.homeOf(1)
 	if !ok {
 		t.Fatal("source has no home extent")
 	}
-	if err := fd.RotBits(disk.Region{Off: int64(off), Len: int64(len(data))}, 1, 21); err != nil {
+	if err := fd.RotBits(disk.Region{Off: h.off, Len: int64(len(data))}, 1, 21); err != nil {
 		t.Fatal(err)
 	}
 	// Detection must propagate to the source, the hold and every clone.

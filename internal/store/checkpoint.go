@@ -15,17 +15,18 @@ import (
 //
 //	SEAL    (ckptMu held exclusively, microseconds): take a fresh epoch,
 //	        capture the dirty and dead entries and every recorded label, and
-//	        clear the dirty flags (marking the entries ckpt so eviction and
-//	        scrub leave them alone).  Records synced after the seal go into
-//	        log frames stamped with the new epoch, so replay boundaries
-//	        equal seal boundaries.
+//	        clear the dirty flags (marking the entries ckpt, so they keep
+//	        their contents and condemn leaves them alone).  Records synced
+//	        after the seal go into log frames stamped with the new epoch, so
+//	        replay boundaries equal seal boundaries.
 //	BODY    (no store-wide lock; serialized by ckptRun): vacate deleted
 //	        objects' extents, stream the sealed contents into append-only
 //	        segments (dedicated extents for oversized objects), run the
 //	        segment cleaner, return deferred frees to the allocator,
 //	        serialize the metadata sections against the sealed epoch, and
-//	        flip the superblock.  Reads, writes, and SyncObject group
-//	        commits all proceed concurrently.
+//	        flip the superblock; only then release the sealed entries'
+//	        contents, now durable at home.  Reads, writes, and SyncObject
+//	        group commits all proceed concurrently.
 //	FINISH  reclaim log frames of epochs older than the previous committed
 //	        snapshot's (its own are kept for the metadata-fallback ladder
 //	        rung).
@@ -134,14 +135,14 @@ func (s *Store) sealCheckpoint() *sealedState {
 				ss.entries = append(ss.entries, sealedEntry{id: id, e: e, dead: true})
 			case e.dirty:
 				// Seal the contents slice, shared so no put patches it, and
-				// hand the entry to the body: ckpt keeps eviction and scrub
-				// off the only in-RAM copy until the body has written it home.
+				// hand the entry to the body: ckpt keeps the copy resident
+				// and condemn off it until the snapshot holding it commits.
 				e.dirty, e.ckpt, e.shared = false, true, true
 				ss.entries = append(ss.entries, sealedEntry{id: id, e: e, data: e.data})
-			case !e.cached && !e.hasLbl && !e.quar && !e.ckpt:
-				// Nothing worth remembering: prune the entry.  Quarantined
-				// entries are remembered so the damage verdict (and the
-				// QuarantinedObjects enumeration) survives cache turnover.
+			case !e.hasLbl && !e.quar:
+				// Clean, so nothing resident and nothing worth remembering:
+				// prune the entry.  A quarantined one keeps its verdict (and
+				// its place in QuarantinedObjects).
 				delete(sh.objs, id)
 			}
 		}
@@ -151,13 +152,13 @@ func (s *Store) sealCheckpoint() *sealedState {
 }
 
 // restoreSealed undoes a seal whose checkpoint failed: sealed-dirty entries
-// become dirty again — one the body already relocated too: its new home is
-// known only to the table in memory, so left clean it could be evicted and a
-// sync acknowledged with no I/O; the retry vacates that extent like any
-// superseded home — and sealed deletions lose their deadSealed mark (even
-// one the body already vacated in memory is still in the committed
-// snapshot), so no sealed state is lost and the next checkpoint retries
-// them.  Entries deleted or re-written concurrently keep their newer state.
+// become dirty again, their sealed copy still resident — one the body already
+// relocated too, since its new home is known only to the table in memory; the
+// retry vacates that extent like any superseded home — and sealed deletions
+// lose their deadSealed mark (even one the body already vacated in memory is
+// still in the committed snapshot), so no sealed state is lost and the next
+// checkpoint retries them.  Entries deleted or re-written concurrently keep
+// their newer state.
 func (s *Store) restoreSealed(ss *sealedState) {
 	for i := range ss.entries {
 		se := &ss.entries[i]
@@ -165,24 +166,34 @@ func (s *Store) restoreSealed(ss *sealedState) {
 		if se.dead {
 			se.e.deadSealed = false
 		} else {
-			se.e.ckpt = false
-			if !se.e.dead {
-				if !se.e.cached {
-					// Relocated, then evicted: the sealed slice is the copy.
-					se.e.data, se.e.cached, se.e.shared = se.data, true, true
-				}
-				se.e.dirty = true
-			}
+			se.e.ckpt, se.e.dirty = false, !se.e.dead
 		}
 		se.e.mu.Unlock()
 	}
 }
 
+// releaseSealed runs once the snapshot holding the sealed states has
+// committed: each sealed-dirty entry leaves ckpt and, unless a put dirtied it
+// again since the seal, drops its contents, which its home extent now holds
+// durably.  The fresh extent also supersedes any damage verdict on the old.
+func (s *Store) releaseSealed(ss *sealedState) {
+	for i := range ss.entries {
+		if e := ss.entries[i].e; !ss.entries[i].dead {
+			e.mu.Lock()
+			e.ckpt, e.quar = false, false
+			if !e.dirty {
+				e.data, e.shared = nil, false
+			}
+			e.mu.Unlock()
+		}
+	}
+}
+
 // checkpointBody is the BODY and FINISH of one checkpoint; the caller holds
-// ckptRun.
+// ckptRun.  A failure before the snapshot commits undoes the seal.
 func (s *Store) checkpointBody(ss *sealedState) (err error) {
 	defer func() {
-		if err != nil {
+		if err != nil && s.metaEpoch != ss.epoch {
 			s.restoreSealed(ss)
 		}
 	}()
@@ -204,6 +215,7 @@ func (s *Store) checkpointBody(ss *sealedState) (err error) {
 	if err := s.writeSnapshot(ss.epoch, ss.labels); err != nil {
 		return err
 	}
+	s.releaseSealed(ss)
 	// FINISH: log retention.  Frames older than the PREVIOUS snapshot's epoch
 	// can no longer serve any replay; that snapshot's own are retained so
 	// that, should the snapshot written above rot on disk, Open can fall back
@@ -251,14 +263,11 @@ func (s *Store) relocateSealed(ss *sealedState) error {
 			s.vacateExtent(old.off, old.size)
 		}
 		// The contents CRC travels with the extent in the metadata
-		// snapshot; reads and scrubs verify against it.
+		// snapshot; reads and scrubs verify against it.  The entry stays
+		// ckpt, and keeps its copy, until that snapshot commits: a sync
+		// before then must still log this state (releaseSealed).
 		s.setHome(se.id, home{off: newOff, size: int64(len(se.data)), crc: crc32c(se.data)})
 		s.metaMu.Unlock()
-		se.e.mu.Lock()
-		se.e.ckpt = false
-		// The fresh extent supersedes any damage verdict on the old one.
-		se.e.quar = false
-		se.e.mu.Unlock()
 		s.c.bytesHome.Add(uint64(len(se.data)))
 	}
 	return nil

@@ -900,3 +900,80 @@ func TestAcknowledgedPutSurvivesAFailedCheckpoint(t *testing.T) {
 		}
 	}
 }
+
+// cutDisk loses power at the first write into [from, to) once hook is set:
+// hook runs first, its own writes passing, and from then on every write and
+// flush fails and reaches nothing.
+type cutDisk struct {
+	disk.Device
+	from, to int64
+	hook     func()
+	cut      bool
+}
+
+func (c *cutDisk) WriteAt(p []byte, off int64) (int, error) {
+	if h := c.hook; h != nil && off >= c.from && off < c.to {
+		c.hook = nil
+		h()
+		c.cut = true
+	}
+	if c.cut {
+		return 0, disk.ErrFault
+	}
+	return c.Device.WriteAt(p, off)
+}
+
+func (c *cutDisk) Flush() error {
+	if c.cut {
+		return disk.ErrFault
+	}
+	return c.Device.Flush()
+}
+
+// TestCommitWindowSyncSurvivesCrash: a sync acknowledged while a checkpoint
+// has written the object home but not yet committed the snapshot naming that
+// home must come back after a crash there.  Until the superblock flips, the
+// home is known only to the table in memory, so the store must still hold the
+// sealed state (ckpt) and the sync must log it; a store that takes the
+// written extent for durable answers "on-disk copy current" — all the more
+// once the copy is evicted — and recovery brings back the older synced state.
+func TestCommitWindowSyncSurvivesCrash(t *testing.T) {
+	d := disk.New(disk.Params{Sectors: crashSectors, WriteCache: false}, &vclock.Clock{})
+	metaStart := logOffset + crashOpts.LogSize
+	cd := &cutDisk{Device: d, from: metaStart, to: metaStart + 2*crashOpts.MetaAreaSize}
+	s, err := Format(cd, crashOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, v2 := []byte("v1 synced"), []byte("v2 synced in the window")
+	if err := s.Put(1, v1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SyncObject(1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(1, v2); err != nil {
+		t.Fatal(err)
+	}
+	var syncErr error
+	cd.hook = func() {
+		s.EvictCache()
+		syncErr = s.SyncObject(1)
+	}
+	if err := s.Checkpoint(); !errors.Is(err, disk.ErrFault) {
+		t.Fatalf("checkpoint across the power cut: %v, want disk.ErrFault", err)
+	}
+	if cd.hook != nil {
+		t.Fatal("the checkpoint never wrote its metadata area")
+	}
+	if syncErr != nil {
+		t.Fatalf("sync in the commit window: %v", syncErr)
+	}
+	s2, err := Open(d, crashOpts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s2.Get(1); err != nil || !bytes.Equal(got, v2) {
+		t.Fatalf("after the crash: %q, %v; the sync acknowledged %q", got, err, v2)
+	}
+}

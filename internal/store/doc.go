@@ -30,8 +30,9 @@
 //     rebuilt from these sections at open.
 //   - Object extents: the object-map entry records a CRC32C of the
 //     object's contents, computed when the checkpoint writes it to its
-//     home (segment or dedicated extent) and verified on every uncached
-//     read and every scrub pass.  Bit 32 of the entry's CRC field flags
+//     home (segment or dedicated extent) and verified on every read of the
+//     extent (a Get of a clean object, the kernel's page-in) and every scrub
+//     pass.  Bit 32 of the entry's CRC field flags
 //     the checksum present; every entry written has it, and a decoded
 //     entry without it is corruption.
 //   - Write-ahead log: header, frame-descriptor, frame-payload and
@@ -110,28 +111,27 @@
 //
 // # Quarantine
 //
-// A home extent whose contents fail CRC verification — on an uncached Get,
-// during a scrub, or when the segment cleaner tries to copy it out —
-// reaches one verdict (condemn, in home.go), which quarantines exactly the
-// objects whose home is that extent — one object, or every alias sharing it:
-// accesses return a QuarantineError (errors.Is-matching both ErrQuarantined
-// and ErrCorrupt), SyncObject refuses to log the damaged bytes, Alias refuses
-// to share them, and the ID stays enumerable via QuarantinedObjects.  The
-// rest of the store serves normally
-// (the cleaner additionally leaves the damaged object's whole segment in
-// place — moving it would destroy the only, albeit damaged, copy).  A range
-// record whose whole record replay has not met (the store writes none)
-// quarantines its object the same way at Open, rather than lay its bytes
-// over a copy they were not written against.  A
-// quarantine verdict is lifted by anything that replaces the damaged extent
-// as the object's authority: a new Put, a Delete, a logged copy replayed at
-// open, or the checkpoint relocation of a sealed dirty entry — and is never
-// passed on an object whose dirty, dead or checkpoint-sealed in-memory state
-// already supersedes the extent.  Because scrub runs concurrently with
-// checkpoint bodies, a scrub mismatch is re-validated against the live home
-// table before the verdict — an extent the checkpoint has already
-// superseded is stale, not damaged.  Detection and quarantine events are
-// counted in IntegrityStats.
+// A home extent whose contents fail CRC verification — on a Get of a clean
+// object (the kernel's page-in), during a scrub, or when the segment cleaner
+// tries to copy it out — reaches one verdict (condemn, in home.go), which
+// quarantines exactly the objects whose home is that extent — one object, or
+// every alias sharing it: accesses return a QuarantineError
+// (errors.Is-matching both ErrQuarantined and ErrCorrupt), SyncObject refuses
+// to log the damaged bytes, Alias refuses to share them, and the ID stays
+// enumerable via QuarantinedObjects.  The rest of the store serves normally
+// (the cleaner additionally leaves the damaged object's whole segment in place
+// — moving it would destroy the only, albeit damaged, copy).  A range record
+// whose whole record replay has not met (the store writes none) quarantines
+// its object the same way at Open, rather than lay its bytes over a copy they
+// were not written against.  A quarantine verdict is lifted by anything that
+// replaces the damaged extent as the object's authority: a new Put, a Delete,
+// a logged copy replayed at open, or the commit of a checkpoint that relocated
+// a sealed dirty entry — and is never passed on an object whose dirty, dead or
+// checkpoint-sealed in-memory state already supersedes the extent.  Because
+// scrub runs concurrently with checkpoint bodies, a scrub mismatch is
+// re-validated against the live home table before the verdict — an extent the
+// checkpoint has already superseded is stale, not damaged.  Detection and
+// quarantine events are counted in IntegrityStats.
 //
 // The bit-rot harness in bitrot_test.go injects odd-weight flips into each
 // structure above — including objects packed inside sealed segments — and

@@ -215,10 +215,9 @@ func (r *sectionReader) home() home {
 func (s *Store) encodeMetadata(epoch uint64, labels []sealedLabel) []byte {
 	// Object map: (id, home record) entries, ascending id.
 	s.metaMu.RLock()
-	objs := appendU64(nil, uint64(s.objMap.Len()))
-	s.scanHomes(func(id uint64, h home) bool {
+	objs := appendU64(nil, uint64(len(s.homes)))
+	s.scanHomes(func(id uint64, h home) {
 		objs = appendHome(appendU64(objs, id), h)
-		return true
 	})
 	s.metaMu.RUnlock()
 	// Free list by offset, and the segment table (base, size, used), both

@@ -283,7 +283,7 @@ func (s *Store) sealSync(id uint64) (*syncTicket, error) {
 	switch {
 	case e.dead:
 		rec = wal.Record{ObjectID: id, Delete: true}
-	case e.cached:
+	case e.resident():
 		rec = wal.Record{ObjectID: id, Data: e.data}
 		if e.hasLbl {
 			rec.Label = e.lbl.AppendBinary(nil)

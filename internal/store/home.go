@@ -2,8 +2,7 @@ package store
 
 import (
 	"fmt"
-
-	"histar/internal/btree"
+	"slices"
 )
 
 // home is an object's committed home record: where its contents live in the
@@ -23,30 +22,32 @@ type homedObject struct {
 	home
 }
 
-// The home table is the paper's object map — a B+-tree from object ID to
-// disk location, which is what orders scans by ID — with each object's whole
-// home record beside it for point lookups.  homeOf, setHome, dropHome and
-// scanHomes are its only accessors; callers hold metaMu (shared for homeOf
-// and scanHomes), or run single-threaded (Open) or under the exclusive seal.
+// The home table is the paper's object map: object ID to home record.  The
+// paper keeps it in a B+-tree to scan it by ID; here a scan sorts the ids,
+// since the scans that need the order (the metadata image, the cleaner) run
+// once a checkpoint.  homeOf, setHome, dropHome and scanHomes are its only
+// accessors; callers hold metaMu (shared for homeOf and scanHomes), or run
+// single-threaded (Open) or under the exclusive seal.
 
 func (s *Store) homeOf(id uint64) (home, bool) {
 	h, ok := s.homes[id]
 	return h, ok
 }
 
-func (s *Store) setHome(id uint64, h home) {
-	s.objMap.Put(btree.K1(id), uint64(h.off))
-	s.homes[id] = h
-}
+func (s *Store) setHome(id uint64, h home) { s.homes[id] = h }
 
-func (s *Store) dropHome(id uint64) {
-	s.objMap.Delete(btree.K1(id))
-	delete(s.homes, id)
-}
+func (s *Store) dropHome(id uint64) { delete(s.homes, id) }
 
-// scanHomes visits every home in ascending ID order until fn returns false.
-func (s *Store) scanHomes(fn func(id uint64, h home) bool) {
-	s.objMap.Scan(func(k btree.Key, _ uint64) bool { return fn(k[0], s.homes[k[0]]) })
+// scanHomes visits every home in ascending ID order.
+func (s *Store) scanHomes(fn func(id uint64, h home)) {
+	ids := make([]uint64, 0, len(s.homes))
+	for id := range s.homes {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		fn(id, s.homes[id])
+	}
 }
 
 // lookupHome is homeOf for callers that do not hold metaMu.
@@ -87,11 +88,10 @@ func (s *Store) condemn(off int64) int {
 	s.integ.corruptions.Add(1)
 	var ids []uint64
 	s.metaMu.RLock()
-	s.scanHomes(func(id uint64, h home) bool {
+	s.scanHomes(func(id uint64, h home) {
 		if h.off == off {
 			ids = append(ids, id)
 		}
-		return true
 	})
 	s.metaMu.RUnlock()
 	fresh := 0

@@ -62,10 +62,9 @@ func Open(d disk.Device, opts Options) (*Store, error) {
 		s.report.WALRecordsReplayed++
 		if r.Clone {
 			if extents == nil {
-				extents = make(map[int64]home, s.objMap.Len())
-				s.scanHomes(func(_ uint64, h home) bool {
+				extents = make(map[int64]home, len(s.homes))
+				s.scanHomes(func(_ uint64, h home) {
 					extents[h.off] = h
-					return true
 				})
 			}
 			s.replayAliasRecord(r, extents)
@@ -78,21 +77,21 @@ func Open(d disk.Device, opts Options) (*Store, error) {
 		// and re-created since, with no tombstone ever logged).
 		e.lbl, e.hasLbl = label.Label{}, false
 		if r.Delete {
-			e.data, e.cached, e.dirty, e.dead = nil, false, false, true
+			e.data, e.dirty, e.dead = nil, false, true
 			e.quar = false
 			continue
 		}
 		if !r.Range {
 			e.data = append([]byte(nil), r.Data...)
-		} else if !e.cached || !applyRangeBody(e.data, r.Data) {
+		} else if !e.resident() || !applyRangeBody(e.data, r.Data) {
 			// Only a replayed whole record makes contents resident here, and
 			// without one the log does not say what lies beside these bytes.
 			s.noteCorruption(fmt.Errorf("%w: range record for object %d has no replayed whole record to patch", ErrCorrupt, r.ObjectID))
-			e.data, e.cached, e.dirty, e.dead = nil, false, false, false
+			e.data, e.dirty, e.dead = nil, false, false
 			s.quarantine(e)
 			continue
 		}
-		e.cached, e.dirty = true, true
+		e.dirty = true
 		// A logged re-create after a logged tombstone must clear the dead
 		// flag, or the next SyncObject would log a spurious deletion.
 		e.dead = false

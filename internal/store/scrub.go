@@ -153,10 +153,9 @@ func (s *Store) scrubMetaAreas(st *ScrubStats) {
 func (s *Store) scrubTargets() []homedObject {
 	s.metaMu.RLock()
 	defer s.metaMu.RUnlock()
-	targets := make([]homedObject, 0, s.objMap.Len())
-	s.scanHomes(func(id uint64, h home) bool {
+	targets := make([]homedObject, 0, len(s.homes))
+	s.scanHomes(func(id uint64, h home) {
 		targets = append(targets, homedObject{id, h})
-		return true
 	})
 	return targets
 }

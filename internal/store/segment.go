@@ -147,10 +147,9 @@ func (s *Store) recomputeSegLive() {
 		n    int64
 		size int64
 	}
-	refs := make(map[int64]ref, s.objMap.Len())
-	s.scanHomes(func(_ uint64, h home) bool {
+	refs := make(map[int64]ref, len(s.homes))
+	s.scanHomes(func(_ uint64, h home) {
 		refs[h.off] = ref{n: refs[h.off].n + 1, size: h.size}
-		return true
 	})
 	s.extRefs = make(map[int64]int64)
 	for off, r := range refs {
@@ -224,14 +223,13 @@ func (s *Store) cleanSegments() error {
 	// id, the deterministic order the segment writer needs).
 	byVictim := make(map[int64][]homedObject, len(victims))
 	s.metaMu.RLock()
-	s.scanHomes(func(id uint64, h home) bool {
+	s.scanHomes(func(id uint64, h home) {
 		for _, seg := range victims {
 			if h.off >= seg.base && h.off < seg.base+seg.size {
 				byVictim[seg.base] = append(byVictim[seg.base], homedObject{id, h})
 				break
 			}
 		}
-		return true
 	})
 	s.metaMu.RUnlock()
 	for _, seg := range victims {

@@ -6,17 +6,17 @@ import (
 	"histar/internal/label"
 )
 
-// objEntry is the in-memory state of one object: cached contents, dirty and
-// dead flags, and the recorded label.  All fields are guarded by mu, except
-// that holders of the store's ckptMu in write mode (Checkpoint) and
-// single-threaded construction (Format, Open) access them directly.
-// A put patches data in place unless shared says a sealed whole log record
-// or checkpoint capture still holds it; then data is replaced, never mutated.
+// objEntry is the in-memory state of one object: flags, the recorded label,
+// and the contents while no committed home holds them (resident).  All
+// fields are guarded by mu, except that holders of the store's ckptMu in
+// write mode (Checkpoint) and single-threaded construction (Format, Open)
+// access them directly.  A put patches data in place unless shared says a
+// sealed whole log record or checkpoint capture still holds it; then data is
+// replaced, never mutated.
 type objEntry struct {
 	mu     sync.Mutex
 	data   []byte
 	shared bool // a sealed record or checkpoint capture aliases data
-	cached bool // contents resident (the "page cache")
 	dirty  bool // modified since the last checkpoint seal
 	dead   bool // deleted since the last checkpoint seal
 	// deadSealed marks a dead entry a checkpoint seal has captured.  Only a
@@ -32,19 +32,22 @@ type objEntry struct {
 	// quar marks an object whose home-extent contents failed checksum
 	// verification: accesses that would read the damaged extent return
 	// ErrQuarantined instead of corrupt bytes, until a Put/Delete replaces
-	// the contents.  The flag never blocks a resident (cached) copy.
+	// the contents.  The flag never blocks a resident copy.
 	quar bool
 	// ckpt marks an entry sealed into the running incremental checkpoint:
-	// the seal cleared dirty, so until the checkpoint body writes the data
-	// to its new home extent, this in-memory copy is the only one — the
-	// flag keeps EvictCache from dropping it and scrub from judging the
-	// object by an extent the checkpoint is about to supersede.  Cleared by
-	// the body after relocation, or restored to dirty if the body fails.
+	// until the snapshot naming the sealed state's new home commits, no
+	// durable home holds that state, so the entry keeps its copy (a Get
+	// reads it, a sync logs it) and condemn leaves it alone.  Cleared by
+	// releaseSealed, or by restoreSealed if the checkpoint fails.
 	ckpt bool
 
 	lo, hi int    // [lo, hi) changed since the last log record (empty: lo >= hi)
 	base   uint64 // the log generation of the last whole record
 }
+
+// resident reports whether the entry holds the object's contents (data ==
+// nil cannot say: an empty object's contents are nil too).
+func (e *objEntry) resident() bool { return (e.dirty || e.ckpt) && !e.dead }
 
 // storeShard is one shard of the object-entry table, selected by object-ID
 // bits.  mu guards the id→entry map and is never held while an entry lock is

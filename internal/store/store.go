@@ -1,8 +1,9 @@
 // Package store implements the HiStar single-level store (Sections 3 and 4):
 // on bootup the entire system state is restored from the most recent on-disk
 // snapshot, and all kernel objects are periodically checkpointed to disk.
-// The layout follows the paper's description, inspired by XFS: a B+-tree
-// maps object IDs to their location on disk, two more B+-trees maintain the
+// The layout follows the paper's description, inspired by XFS: an object map
+// gives each object ID its location on disk (the paper's B+-tree; here a hash
+// map whose scans sort the ids, see home.go), two B+-trees maintain the
 // free-extent list (indexed by size, for allocation, and by location, for
 // coalescing).  Write-ahead logging provides atomicity and crash consistency,
 // and disk space allocation is delayed until an object is written to disk,
@@ -149,11 +150,13 @@
 //     read mode for its duration.  Only the checkpoint SEAL and Close hold
 //     it exclusively, and only briefly; the checkpoint body runs under no
 //     ckptMu mode at all, serialized against other checkpoints by ckptRun.
-//  2. Each cached object has its own entry (objEntry) with a per-entry
-//     mutex guarding its contents, dirty/dead/ckpt flags, and label.
-//     A put patches e.data in place, by the range it changed, unless the
-//     entry's shared bit says a sealed whole log record or a checkpoint
-//     capture aliases it past the entry lock; then it installs a fresh copy.
+//  2. Each object has its own entry (objEntry) with a per-entry mutex
+//     guarding its dirty/dead/ckpt flags, label, and contents — held only
+//     while dirty or sealed into a checkpoint not yet committed; a clean
+//     object's bytes are its home extent's and the kernel's.  A put patches
+//     e.data in place, by the range it changed, unless the entry's shared bit
+//     says a sealed whole log record or a checkpoint capture aliases it past
+//     the entry lock; then it installs a fresh copy.
 //  3. The entry table is sharded by object-ID bits.  Each shard's RWMutex
 //     guards its id→entry map and is never held while acquiring an entry
 //     lock — entry pointers are fetched under the shard read lock, which is
@@ -304,8 +307,7 @@ type Store struct {
 
 	// metaMu guards the home table (see home.go).
 	metaMu sync.RWMutex
-	objMap *btree.Tree     // object ID → extent offset, the paper's object map
-	homes  map[uint64]home // object ID → home record; same key set as objMap
+	homes  map[uint64]home // object ID → home record, the paper's object map
 
 	// allocMu guards the free-extent trees, the segment table, and the
 	// deferred-free list.
@@ -433,7 +435,6 @@ func Format(d disk.Device, opts Options) (*Store, error) {
 // resetTables (re)initializes every table a metadata image decodes into, so
 // a fallback area decodes into a clean store after a failed first attempt.
 func (s *Store) resetTables() {
-	s.objMap = &btree.Tree{}
 	s.homes = make(map[uint64]home)
 	s.freeBySize = &btree.Tree{}
 	s.freeByOff = &btree.Tree{}
@@ -472,8 +473,8 @@ func (s *Store) Stats() Stats {
 		SegsFreed:        s.c.segsFreed.Load(),
 	}
 	// Entry locks first, metaMu second: the entry→metaMu order matches
-	// Get's page-in path, so a pending metaMu writer can never wedge
-	// between the two.
+	// Get's home read, so a pending metaMu writer can never wedge between
+	// the two.
 	var dirtyIDs []uint64
 	for si := range s.shards {
 		for _, e := range s.shards[si].snapshot() {
@@ -486,7 +487,7 @@ func (s *Store) Stats() Stats {
 	}
 	st.DirtyObjects = len(dirtyIDs)
 	s.metaMu.RLock()
-	st.LiveObjects = s.objMap.Len()
+	st.LiveObjects = len(s.homes)
 	for _, id := range dirtyIDs {
 		if _, ok := s.homeOf(id); !ok {
 			st.LiveObjects++
@@ -528,7 +529,7 @@ func (s *Store) put(id uint64, data []byte, lbl *label.Label, lo, hi int) error 
 	e := s.shardOf(id).getOrCreate(id)
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	fresh := !e.cached || len(data) != len(e.data)
+	fresh := !e.resident() || len(data) != len(e.data)
 	if fresh {
 		e.lo, e.hi = 0, len(data)
 	} else if lo, hi = max(lo, 0), min(hi, len(data)); lo < hi {
@@ -544,7 +545,7 @@ func (s *Store) put(id uint64, data []byte, lbl *label.Label, lo, hi int) error 
 	} else if lo < hi {
 		copy(e.data[lo:hi], data[lo:hi])
 	}
-	e.cached, e.dirty, e.dead = true, true, false
+	e.dirty, e.dead = true, false
 	// New contents supersede a damaged home extent: lift the quarantine.
 	e.quar = false
 	s.c.puts.Add(1)
@@ -554,41 +555,17 @@ func (s *Store) put(id uint64, data []byte, lbl *label.Label, lo, hi int) error 
 	return nil
 }
 
-// Get returns the contents of an object, reading it from disk if it is not
-// cached.
-func (s *Store) Get(id uint64) ([]byte, error) { return s.get(id, true) }
-
-// PageIn makes the object's contents resident, paying the home extent's read
-// when they are not (Section 7.1: whole-object paging).  It fails only for
-// damage: the kernel goes on to read its own bytes, so an object the store
-// does not hold is no error, but a home extent that fails verification is
-// one a real kernel would refuse to page in.
-func (s *Store) PageIn(id uint64) error {
-	if _, err := s.get(id, false); errors.Is(err, ErrCorrupt) {
-		return err
-	}
-	return nil
-}
-
-// get is Get, or with want false PageIn: resident contents are not copied out.
-func (s *Store) get(id uint64, want bool) ([]byte, error) {
+// Get returns a copy of an object's contents: the resident copy, or else the
+// home extent, read and verified on every call and kept nowhere (the kernel's
+// page-in).  A home extent that fails verification condemns its objects.
+func (s *Store) Get(id uint64) ([]byte, error) {
 	s.ckptMu.RLock()
 	defer s.ckptMu.RUnlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
 	s.c.gets.Add(1)
-	sh := s.shardOf(id)
-	e := sh.lookup(id)
-	if e == nil {
-		// No in-memory state at all: the object exists only if it has a
-		// committed home.
-		if _, ok := s.lookupHome(id); !ok {
-			return nil, ErrNoSuchObject
-		}
-		e = sh.getOrCreate(id)
-	}
-	buf, h, err := s.pageIn(id, e, want)
+	buf, h, err := s.read(id)
 	var rot *CorruptError
 	if errors.As(err, &rot) {
 		// The verdict falls on every referent of the extent, this object
@@ -599,36 +576,27 @@ func (s *Store) get(id uint64, want bool) ([]byte, error) {
 	return buf, err
 }
 
-// pageIn returns a copy of the object's contents (nil when the caller does
-// not want one), reading and verifying the home extent (whose record it also
-// returns) into the resident copy when they are not resident.  The entry lock
-// is held across the read so concurrent misses do one disk read.
-func (s *Store) pageIn(id uint64, e *objEntry, want bool) ([]byte, home, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	switch {
-	case e.cached && !want:
-		return nil, home{}, nil
-	case e.cached:
-		return append([]byte(nil), e.data...), home{}, nil
-	case e.dead:
-		return nil, home{}, ErrNoSuchObject
-	case e.quar:
-		return nil, home{}, &QuarantineError{ID: id, Detail: "home extent failed verification"}
+// read is Get under ckptMu, also returning the home read, if any.  An entry's
+// lock is held across it, so no put or delete lands in between.
+func (s *Store) read(id uint64) ([]byte, home, error) {
+	if e := s.shardOf(id).lookup(id); e != nil {
+		e.mu.Lock()
+		defer e.mu.Unlock()
+		switch {
+		case e.dead:
+			return nil, home{}, ErrNoSuchObject
+		case e.resident():
+			return append([]byte(nil), e.data...), home{}, nil
+		case e.quar:
+			return nil, home{}, &QuarantineError{ID: id, Detail: "home extent failed verification"}
+		}
 	}
 	h, ok := s.lookupHome(id)
 	if !ok {
 		return nil, h, ErrNoSuchObject
 	}
 	buf, err := s.readVerified(h)
-	if err != nil {
-		return nil, h, err
-	}
-	e.data, e.cached, e.shared = buf, true, false
-	if !want {
-		return nil, h, nil
-	}
-	return append([]byte(nil), buf...), h, nil
+	return buf, h, err
 }
 
 // Label returns the stored label of an object, if one was recorded.
@@ -644,24 +612,10 @@ func (s *Store) Label(id uint64) (label.Label, bool) {
 	return e.lbl, e.hasLbl
 }
 
-// EvictCache drops all clean objects from the in-memory cache, forcing
-// subsequent Gets to hit the disk (used by the uncached read benchmarks).
-// Labels stay resident: only contents are evicted.
-func (s *Store) EvictCache() {
-	s.ckptMu.RLock()
-	defer s.ckptMu.RUnlock()
-	for si := range s.shards {
-		for _, se := range s.shards[si].snapshot() {
-			se.entry.mu.Lock()
-			// A checkpoint-sealed entry's resident copy is the only copy of
-			// its sealed state until the body writes it home: never evictable.
-			if se.entry.cached && !se.entry.dirty && !se.entry.ckpt {
-				se.entry.data, se.entry.cached = nil, false
-			}
-			se.entry.mu.Unlock()
-		}
-	}
-}
+// EvictCache does nothing: the store keeps no clean contents to drop, so a
+// Get of a clean object reads its home extent already.  It stays only until
+// the benchmark stops calling it (ROADMAP item 1).
+func (s *Store) EvictCache() {}
 
 // Delete removes an object.
 func (s *Store) Delete(id uint64) error {
@@ -673,7 +627,7 @@ func (s *Store) Delete(id uint64) error {
 	s.c.deletes.Add(1)
 	e := s.shardOf(id).getOrCreate(id)
 	e.mu.Lock()
-	e.data, e.cached, e.dirty, e.dead, e.deadSealed = nil, false, false, true, false
+	e.data, e.dirty, e.dead, e.deadSealed = nil, false, true, false
 	e.quar = false // deletion disposes of the damaged extent
 	e.lbl, e.hasLbl = label.Label{}, false
 	e.mu.Unlock()

@@ -161,6 +161,9 @@ func TestGroupSyncCheaperThanPerObjectSync(t *testing.T) {
 	}
 }
 
+// TestEvictCacheForcesDiskReads: once a checkpoint has committed, a Get of a
+// clean object reads its home extent, every time — the store keeps nothing it
+// read, and EvictCache has nothing left to drop.
 func TestEvictCacheForcesDiskReads(t *testing.T) {
 	s, d := testStore(t)
 	payload := bytes.Repeat([]byte("y"), 4096)
@@ -169,24 +172,71 @@ func TestEvictCacheForcesDiskReads(t *testing.T) {
 	}
 	s.Checkpoint()
 	s.EvictCache()
-	readsBefore := d.Stats().Reads
-	if err := s.PageIn(4); err != nil || d.Stats().Reads == readsBefore {
-		t.Errorf("PageIn of an evicted object: %v; it should have hit the disk", err)
+	for round := 0; round < 2; round++ {
+		readsBefore := d.Stats().Reads
+		if got, err := s.Get(3); err != nil || !bytes.Equal(got, payload) || d.Stats().Reads == readsBefore {
+			t.Errorf("Get %d of a clean object: %v; it should have read the disk", round, err)
+		}
 	}
-	readsBefore = d.Stats().Reads
-	got, err := s.Get(3)
-	if err != nil || !bytes.Equal(got, payload) {
-		t.Fatalf("Get after evict: %v", err)
+	if _, err := s.Get(999); !errors.Is(err, ErrNoSuchObject) {
+		t.Errorf("Get of an unknown object: %v, want ErrNoSuchObject", err)
 	}
-	if d.Stats().Reads == readsBefore {
-		t.Error("uncached Get should have hit the disk: object 3 should have been evicted")
+}
+
+// residentContents counts the entries holding contents and the content bytes
+// every entry holds, resident or not.
+func residentContents(s *Store) (entries, bytes int) {
+	for si := range s.shards {
+		for _, se := range s.shards[si].snapshot() {
+			se.entry.mu.Lock()
+			if se.entry.resident() {
+				entries++
+			}
+			bytes += len(se.entry.data)
+			se.entry.mu.Unlock()
+		}
 	}
-	readsBefore = d.Stats().Reads
-	if err := s.PageIn(3); err != nil || s.PageIn(4) != nil || s.PageIn(999) != nil {
-		t.Errorf("PageIn of resident and of unknown objects: %v; only damage is an error", err)
+	return entries, bytes
+}
+
+// TestCommitEvictsStoreCopies: the store holds an object's contents only while
+// no committed home does — dirty, or sealed into a checkpoint still running —
+// so once a checkpoint has committed with nothing dirty it holds no content
+// byte, an empty object included, and a put after that dirties only its own
+// object again.
+func TestCommitEvictsStoreCopies(t *testing.T) {
+	s, _ := testStore(t)
+	payload := bytes.Repeat([]byte("y"), 4096)
+	for i := uint64(0); i < 20; i++ {
+		s.Put(i, payload)
 	}
-	if d.Stats().Reads != readsBefore {
-		t.Error("Get and PageIn should repopulate the cache")
+	s.Put(20, nil)
+	if n, b := residentContents(s); n != 21 || b != 20*4096 {
+		t.Fatalf("before the checkpoint: %d entries hold %d bytes, want 21 and %d", n, b, 20*4096)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if n, b := residentContents(s); n != 0 || b != 0 {
+		t.Fatalf("after the checkpoint: %d entries hold %d bytes, want none", n, b)
+	}
+	if got, err := s.Get(20); err != nil || len(got) != 0 {
+		t.Errorf("the empty object after the checkpoint: %q, %v", got, err)
+	}
+	if err := s.Put(5, []byte("again")); err != nil {
+		t.Fatal(err)
+	}
+	if n, b := residentContents(s); n != 1 || b != 5 {
+		t.Errorf("after one put: %d entries hold %d bytes, want 1 and 5", n, b)
+	}
+	for i := uint64(0); i < 20; i++ {
+		want := payload
+		if i == 5 {
+			want = []byte("again")
+		}
+		if got, err := s.Get(i); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("object %d: %.8q, %v", i, got, err)
+		}
 	}
 }
 

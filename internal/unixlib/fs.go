@@ -84,7 +84,7 @@ func (sys *System) createFileIn(tc *kernel.ThreadCall, dir kernel.ID, name strin
 // what it made (a label allocated above its own) could not have written it
 // either, so the refusal is dropped and the segment stays unpaged.
 func (sys *System) markPersistent(tc *kernel.ThreadCall, seg kernel.CEnt) {
-	if sys.evictCache != nil {
+	if sys.persist {
 		_ = tc.SegmentPersist(seg)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"histar/internal/kernel"
 	"histar/internal/label"
 	"histar/internal/store"
+	"histar/internal/vclock"
 )
 
 // crashAndReopen drops the disk's unflushed writes and mounts the store again.
@@ -160,7 +161,7 @@ func TestGoldenMasterStoreObjectsDieWithTheirSegments(t *testing.T) {
 	if got := st.Stats().LiveObjects; got != before+3 {
 		t.Errorf("live store objects = %d, want %d: what there was before the bake and the live clone", got, before+3)
 	}
-	st.EvictCache()
+	sys.EvictFileCache()
 	for i, id := range master {
 		ce := kernel.CEnt{Container: res.Root, Object: res.IDMap[id]}
 		want := bytes.Repeat([]byte{byte('a' + i)}, 4096)
@@ -275,7 +276,6 @@ func TestSpawnFromRottedGoldenFailsTyped(t *testing.T) {
 	if _, err := d.WriteAt([]byte{marker[7] ^ 0x10}, at+7); err != nil {
 		t.Fatal(err)
 	}
-	st.EvictCache()
 	if sc, err := st.Scrub(); err != nil || sc.ObjectsQuarantined != 3 {
 		t.Fatalf("scrub = %+v, %v; want the extent's three referents quarantined", sc, err)
 	}
@@ -522,5 +522,90 @@ func TestPagerConcurrentWritersSurviveACrash(t *testing.T) {
 		} else if v < lo || v > hi {
 			t.Errorf("file %d came back at version %d, acknowledged %d, written %d", f, v, lo, hi)
 		}
+	}
+}
+
+// TestEvictedRotFailsEveryPath: a segment Evict dropped pages in at its next
+// access, whichever path makes it — a read, a ring read, a load through a
+// mapping, a write — and a home extent that has rotted meanwhile fails that
+// access with the kernel's ErrCorrupt and the store's typed error in one
+// chain, and quarantines the object.
+func TestEvictedRotFailsEveryPath(t *testing.T) {
+	const va = 1 << 30
+	pattern := bytes.Repeat([]byte("EVICTEDROT"), 400)
+	for _, path := range []struct {
+		name   string
+		access func(p *Process, seg kernel.CEnt) error
+	}{
+		{"SegmentRead", func(p *Process, seg kernel.CEnt) error {
+			_, err := p.TC.SegmentRead(seg, 0, 16)
+			return err
+		}},
+		{"ring read", func(p *Process, seg kernel.CEnt) error {
+			r := p.TC.NewRing()
+			r.Submit(kernel.RingEntry{Op: kernel.OpSegmentRead, Seg: seg, Len: 16})
+			comps, err := r.Wait(1)
+			if err != nil {
+				return err
+			}
+			return comps[0].Err
+		}},
+		{"MemRead", func(p *Process, _ kernel.CEnt) error {
+			_, err := p.TC.MemRead(va, 16)
+			return err
+		}},
+		{"SegmentWrite", func(p *Process, seg kernel.CEnt) error {
+			return p.TC.SegmentWrite(seg, 0, []byte("overwrite"))
+		}},
+	} {
+		t.Run(path.name, func(t *testing.T) {
+			d := disk.New(disk.Params{Sectors: 1 << 15, WriteCache: true}, &vclock.Clock{})
+			fdisk := disk.NewFaultDisk(d)
+			st, err := store.Format(fdisk, store.Options{LogSize: 256 << 10, MetaAreaSize: 256 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sys, err := Boot(BootOptions{Persist: st, KernelConfig: kernel.Config{Seed: 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			p, err := sys.NewInitProcess("alice")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := p.WriteFile("/tmp/victim", pattern, label.Label{}); err != nil {
+				t.Fatal(err)
+			}
+			fd, err := p.Open("/tmp/victim", OWrite)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, _ := p.getFD(fd)
+			if err := p.TC.AddressSpaceAddMapping(p.AS, kernel.Mapping{VA: va, Seg: f.File, NPages: 1, Flags: kernel.MapRead | kernel.MapWrite}); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.GroupSync(); err != nil {
+				t.Fatal(err)
+			}
+			sys.EvictFileCache()
+			img := make([]byte, fdisk.Size())
+			if _, err := fdisk.ReadAt(img, 0); err != nil {
+				t.Fatal(err)
+			}
+			off := int64(bytes.Index(img, pattern))
+			if off < 0 {
+				t.Fatal("the file's home extent is not on the device")
+			}
+			if err := fdisk.RotBits(disk.Region{Off: off, Len: int64(len(pattern))}, 1, 17); err != nil {
+				t.Fatal(err)
+			}
+			err = path.access(p, f.File)
+			if !errors.Is(err, kernel.ErrCorrupt) || !errors.Is(err, store.ErrQuarantined) {
+				t.Fatalf("%s of the evicted, rotted file: %v; want kernel.ErrCorrupt and store.ErrQuarantined", path.name, err)
+			}
+			if q := st.QuarantinedObjects(); len(q) != 1 || q[0] != uint64(f.File.Object) {
+				t.Errorf("quarantined %v, want [%d]", q, f.File.Object)
+			}
+		})
 	}
 }

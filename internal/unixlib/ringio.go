@@ -9,8 +9,8 @@ import (
 // Ring-driven multi-FD I/O, for a server flushing many dirty files: call by
 // call it would pay, per file, a write syscall and — the expensive part — one
 // write-ahead-log flush for the fsync.  Here all files' writes go through one
-// ring batch (adjacent same-file writes coalesce to one lock round-trip) and
-// syncFiles commits them as one group.
+// ring batch (one kernel entry for all of them) and syncFiles commits them as
+// one group.
 
 // syncFiles is the one fsync body, and states Section 7.1's two consistency
 // choices once.  Every distinct target that names a file segment becomes one
@@ -22,7 +22,7 @@ import (
 // explanation for the synchronous unlink numbers) — after the file syncs, so
 // it covers them too.  On a machine without a store there is nothing to do.
 func (p *Process) syncFiles(targets ...kernel.CEnt) error {
-	if p.sys.evictCache == nil {
+	if !p.sys.persist {
 		return nil
 	}
 	r := p.TC.NewRing()

@@ -7,13 +7,13 @@
 // that trigger it, never the kernel's information-flow guarantees.
 //
 // Persistence is the kernel's: Boot hands BootOptions.Persist to
-// Kernel.SetPager and the library never calls the store.  What it may ask is
-// what any thread may — mark a segment it can modify persistent where it
-// creates one (markPersistent, fs.go), fsync it as a ring of OpSync entries,
-// sync the whole system (syncFiles, ringio.go) — each call checked by the
-// kernel against the calling thread's label; which bytes changed, what to
-// page in before a read and what to delete when an object dies the kernel
-// knows for itself.
+// Kernel.SetPager, its Get answering the kernel's page-ins, and the library
+// never calls the store.  What it may ask is what any thread may — mark a
+// segment it can modify persistent where it creates one (markPersistent,
+// fs.go), fsync it as a ring of OpSync entries, sync the whole system
+// (syncFiles, ringio.go) — each call checked by the kernel against the
+// calling thread's label; which bytes changed, when to page in and what to
+// delete when an object dies the kernel knows for itself.
 package unixlib
 
 import (
@@ -48,11 +48,10 @@ type User struct {
 // they actually share.
 type System struct {
 	Kern *kernel.Kernel
-	// evictCache drops the store's clean cached contents (EvictFileCache).
-	// It is all the library keeps of the store Boot hands to the kernel, and
-	// nil on a machine booted without one, where nothing is marked
-	// persistent and a sync is a no-op.
-	evictCache func()
+	// persist says Boot handed the kernel a store; it is all the library
+	// keeps of it.  Without one nothing is marked persistent and a sync is a
+	// no-op.
+	persist bool
 
 	// RootDir is the container serving as the file system root "/".
 	RootDir kernel.ID
@@ -117,8 +116,8 @@ func Boot(opts BootOptions) (*System, error) {
 		sys.dirSegs[i].m = make(map[kernel.ID]kernel.ID)
 	}
 	if st := opts.Persist; st != nil {
-		k.SetPager(st)
-		sys.evictCache = st.EvictCache
+		k.SetPager(pager{st})
+		sys.persist = true
 	}
 	tc, err := k.BootThread(label.New(label.L1), label.New(label.L2), "unixlib init")
 	if err != nil {
@@ -145,13 +144,16 @@ func Boot(opts BootOptions) (*System, error) {
 // administrator's console plays on a real system).
 func (sys *System) InitThread() *kernel.ThreadCall { return sys.initTC }
 
-// EvictFileCache drops clean objects from the store's cache so subsequent
-// reads hit the simulated disk (benchmark plumbing for the uncached phases).
-func (sys *System) EvictFileCache() {
-	if sys.evictCache != nil {
-		sys.evictCache()
-	}
-}
+// pager is the store as the kernel's pager: a page-in is a Get.
+type pager struct{ *store.Store }
+
+func (p pager) PageIn(id uint64) ([]byte, error) { return p.Get(id) }
+
+// EvictFileCache drops every clean file and directory segment's bytes from
+// the kernel (Kernel.Evict), so each one's next access pages it in from the
+// simulated disk (benchmark plumbing for the uncached phases).  The store
+// keeps no clean copy, so nothing else holds them.
+func (sys *System) EvictFileCache() { sys.Kern.Evict() }
 
 // RegisterProgram makes a program available under the given path, creating
 // the corresponding file in the file system (its contents are the program
