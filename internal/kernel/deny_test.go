@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"histar/internal/label"
@@ -260,4 +261,119 @@ func TestDenyCloneGateClearanceOutOfBounds(t *testing.T) {
 	}
 	_, err = outsider.ContainerClone(info.ID, root, remap)
 	wantLabelErr(t, "clone whose remapped gate clearance is above the cloner's", err)
+}
+
+// The immutable flag (Section 3: obj_set_immutable irrevocably makes an object
+// read-only) refuses every modification, whatever the caller's labels
+// permit.  Each test below makes the same call succeed on the mutable object
+// first, so the refusal is the flag's.
+
+// immutableSegment creates a {1} segment of one page in the root container,
+// runs mutate on it while it is still mutable, then freezes it.
+func immutableSegment(t *testing.T, k *Kernel, tc *ThreadCall, mutate func(CEnt) error) CEnt {
+	t.Helper()
+	seg, err := tc.SegmentCreate(k.RootContainer(), label.New(label.L1), "frozen", PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ce := CEnt{k.RootContainer(), seg}
+	if err := mutate(ce); err != nil {
+		t.Fatalf("the same call on the mutable object: %v", err)
+	}
+	if err := tc.ObjectSetImmutable(ce); err != nil {
+		t.Fatal(err)
+	}
+	return ce
+}
+
+func wantImmutableErr(t *testing.T, what string, err error) {
+	t.Helper()
+	if !errors.Is(err, ErrImmutable) {
+		t.Errorf("%s: err = %v, want ErrImmutable", what, err)
+	}
+}
+
+// as_set on an immutable address space.
+func TestDenyAddressSpaceSetImmutable(t *testing.T) {
+	k, tc := boot(t)
+	root := k.RootContainer()
+	seg := immutableSegment(t, k, tc, func(CEnt) error { return nil })
+	as, err := tc.AddressSpaceCreate(root, label.New(label.L1), "frozen as")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ce := CEnt{root, as}
+	maps := []Mapping{{VA: 0x10000, Seg: seg, NPages: 1, Flags: MapRead}}
+	if err := tc.AddressSpaceSet(ce, maps); err != nil {
+		t.Fatalf("as_set on the mutable address space: %v", err)
+	}
+	if err := tc.ObjectSetImmutable(ce); err != nil {
+		t.Fatal(err)
+	}
+	wantImmutableErr(t, "as_set on an immutable address space", tc.AddressSpaceSet(ce, nil))
+}
+
+// A store through a writable mapping faults on an immutable segment: the
+// mapping's flags grant the write, the segment refuses it, and the refusal is
+// a page fault the address space's fault handler hears of.
+func TestDenyMappedStoreImmutable(t *testing.T) {
+	k, tc := boot(t)
+	root := k.RootContainer()
+	seg := immutableSegment(t, k, tc, func(CEnt) error { return nil })
+	as, err := tc.AddressSpaceCreate(root, label.New(label.L1), "writable as")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.AddressSpaceSet(CEnt{root, as}, []Mapping{{VA: 0x10000, Seg: seg, NPages: 1, Flags: MapRead | MapWrite}}); err != nil {
+		t.Fatal(err)
+	}
+	var faults []error
+	if err := tc.SetFaultHandler(CEnt{root, as}, func(_ uint64, _ bool, err error) { faults = append(faults, err) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.SelfSetAddressSpace(CEnt{root, as}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tc.MemRead(0x10000, 4); err != nil {
+		t.Fatalf("load through the mapping: %v", err)
+	}
+	wantImmutableErr(t, "store through a mapping into an immutable segment", tc.MemWrite(0x10000, []byte("x")))
+	if len(faults) != 1 || !errors.Is(faults[0], ErrImmutable) {
+		t.Errorf("fault handler heard %v, want one ErrImmutable", faults)
+	}
+}
+
+// futex_wake conveys information to the sleepers, so it is a modification
+// of the segment.
+func TestDenyFutexWakeImmutable(t *testing.T) {
+	k, tc := boot(t)
+	seg := immutableSegment(t, k, tc, func(ce CEnt) error {
+		_, err := tc.FutexWake(ce, 0, 1)
+		return err
+	})
+	_, err := tc.FutexWake(seg, 0, 1)
+	wantImmutableErr(t, "futex_wake on an immutable segment", err)
+}
+
+// Compare-and-swap is a store, even one whose comparison would fail: the word
+// is 1, and both a matching and a failing comparison are refused.
+func TestDenySegmentCompareSwapImmutable(t *testing.T) {
+	k, tc := boot(t)
+	seg := immutableSegment(t, k, tc, func(ce CEnt) error {
+		_, err := tc.SegmentCompareSwap(ce, 0, 0, 1)
+		return err
+	})
+	for _, old := range []uint64{1, 2} {
+		_, err := tc.SegmentCompareSwap(seg, 0, old, 3)
+		wantImmutableErr(t, fmt.Sprintf("compare-and-swap of %d on an immutable segment", old), err)
+	}
+}
+
+// obj_set_meta edits the object's header.
+func TestDenyObjectSetMetadataImmutable(t *testing.T) {
+	k, tc := boot(t)
+	md := [MetadataSize]byte{1}
+	seg := immutableSegment(t, k, tc, func(ce CEnt) error { return tc.ObjectSetMetadata(ce, md) })
+	md[0] = 2
+	wantImmutableErr(t, "set-metadata on an immutable object", tc.ObjectSetMetadata(seg, md))
 }

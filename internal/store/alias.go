@@ -57,52 +57,39 @@ func (s *Store) Alias(src, dst []uint64, lbls []label.Label) []error {
 	}
 }
 
-// sealAlias installs the alias and enqueues its WAL record; the caller holds
-// ckptMu in read mode and has found no checkpoint body open.
+// sealAlias installs the alias and enqueues its WAL record, all under one
+// hold of mu; the caller holds ckptMu in read mode and has found no
+// checkpoint body open.
 func (s *Store) sealAlias(src, dst uint64, lbl label.Label) (*syncTicket, error) {
-	// The source's entry lock is dropped before the destination's is taken
-	// (entry locks do not nest).  A Put or Delete that slips in between
-	// changes only memory: the alias is of what the source had committed.
-	if e := s.shardOf(src).lookup(src); e != nil {
-		e.mu.Lock()
-		quar, dead, open := e.quar, e.dead, e.dirty || e.ckpt
-		e.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e := s.objs[src]; e != nil {
 		switch {
-		case quar:
+		case e.quar:
 			return nil, &QuarantineError{ID: src, Detail: "cannot alias: home extent failed verification"}
-		case dead:
+		case e.dead:
 			return nil, fmt.Errorf("%w: object %d", ErrNoSuchObject, src)
-		case open:
+		case e.dirty || e.ckpt:
 			return nil, fmt.Errorf("%w: object %d", ErrNotCommitted, src)
 		}
 	}
-	e := s.shardOf(dst).getOrCreate(dst)
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	e := s.entry(dst)
 	if e.resident() {
 		return nil, fmt.Errorf("%w: object %d", ErrCloneExists, dst)
 	}
-	s.metaMu.Lock()
 	h, ok := s.homeOf(src)
-	_, taken := s.homeOf(dst)
-	if ok && !taken {
-		s.setHome(dst, h)
-		s.allocMu.Lock()
-		s.extRefs[h.off] = max(s.extRefs[h.off], 1) + 1 // an absent entry was the one ordinary owner
-		s.allocMu.Unlock()
-	}
-	s.metaMu.Unlock()
-	switch {
-	case !ok:
+	if !ok {
 		return nil, fmt.Errorf("%w: object %d has no committed home", ErrNoSuchObject, src)
-	case taken:
+	}
+	if _, taken := s.homeOf(dst); taken {
 		return nil, fmt.Errorf("%w: object %d", ErrCloneExists, dst)
 	}
+	s.setHome(dst, h)
+	s.extRefs[h.off] = max(s.extRefs[h.off], 1) + 1 // an absent entry was the one ordinary owner
 	e.dead, e.quar = false, false
 	e.lbl, e.hasLbl = lbl, true
-	// Enqueued under the entry lock (like every sealed record), so replay
-	// order for dst matches operation order.
-	return s.submit(wal.Record{ObjectID: dst, Data: encodeAliasBody(h), Label: lbl.AppendBinary(nil), Clone: true}, 0)
+	rec := wal.Record{ObjectID: dst, Data: encodeAliasBody(h), Label: lbl.AppendBinary(nil), Clone: true}
+	return s.submit(&syncTicket{rec: rec, done: make(chan struct{})})
 }
 
 // replayAliasRecord re-applies an alias from a WAL record during Open
@@ -112,7 +99,7 @@ func (s *Store) sealAlias(src, dst uint64, lbl label.Label) (*syncTicket, error)
 // quarantines the destination rather than serving bytes nothing vouches for.
 func (s *Store) replayAliasRecord(r wal.Record, extents map[int64]home) {
 	dst := r.ObjectID
-	e := s.shardOf(dst).getOrCreate(dst)
+	e := s.entry(dst)
 	if _, ok := s.homeOf(dst); ok && !e.dead {
 		// Placed already, and no replayed tombstone since: the record is stale.
 		return

@@ -21,12 +21,19 @@ import (
 // extentRefs reports how many object-map entries share the extent at off (1
 // for an ordinary owner) and how many extents are shared at all.
 func extentRefs(s *Store, off int64) (refs int64, shared int) {
-	s.allocMu.Lock()
-	defer s.allocMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if refs = s.extRefs[off]; refs == 0 {
 		refs = 1
 	}
 	return refs, len(s.extRefs)
+}
+
+// lockedHome reads id's home record under mu.
+func lockedHome(s *Store, id uint64) (home, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.homeOf(id)
 }
 
 func aliasPayload(id uint64, n int) []byte {
@@ -83,9 +90,9 @@ func TestBundleSnapshotCloneBasic(t *testing.T) {
 			st.BytesHome-home0, st.BytesLogged-logged0, s.WALStats().Commits-commits0, 8*aliasBodySize)
 	}
 	// The source, the hold and the clone are three names for one extent.
-	src, _ := s.lookupHome(1)
-	held, _ := s.lookupHome(51)
-	dst, _ := s.lookupHome(101)
+	src, _ := lockedHome(s, 1)
+	held, _ := lockedHome(s, 51)
+	dst, _ := lockedHome(s, 101)
 	if src != held || src != dst {
 		t.Fatalf("homes %+v, %+v, %+v: want one", src, held, dst)
 	}
@@ -111,7 +118,7 @@ func TestBundleSnapshotCloneBasic(t *testing.T) {
 			t.Fatalf("object %d changed by the clone's rewrite: %d bytes, %v", id, len(got), err)
 		}
 	}
-	if moved, _ := s.lookupHome(101); moved.off == src.off {
+	if moved, _ := lockedHome(s, 101); moved.off == src.off {
 		t.Fatal("rewritten clone still aliases the shared extent")
 	}
 	if refs, _ := extentRefs(s, src.off); refs != 2 {
@@ -366,7 +373,7 @@ func TestBundleSurvivesCrashViaWAL(t *testing.T) {
 	if lbl, has := s2.Label(3); !has || !lbl.Equal(over) {
 		t.Fatalf("alias 3 label after crash = %v, %v", lbl, has)
 	}
-	h, _ := s2.lookupHome(1)
+	h, _ := lockedHome(s2, 1)
 	if refs, _ := extentRefs(s2, h.off); refs != 3 {
 		t.Fatalf("replayed extent has %d referents, want 3", refs)
 	}
@@ -543,7 +550,7 @@ func TestAliasWaitsOutAnOpenBody(t *testing.T) {
 			t.Fatalf("Alias returned (%v) while a checkpoint body was open", err)
 		case <-time.After(20 * time.Millisecond):
 		}
-		if _, ok := s.lookupHome(2); ok {
+		if _, ok := lockedHome(s, 2); ok {
 			t.Fatal("the alias was installed while a checkpoint body was open")
 		}
 		if powerFails {
@@ -626,7 +633,7 @@ func TestCleanerLeavesSharedExtentsInPlace(t *testing.T) {
 	}
 	mustAlias(t, s, 1, 2, rotLabel(2))
 	mustAlias(t, s, 2, 3, rotLabel(3))
-	before, _ := s.lookupHome(1)
+	before, _ := lockedHome(s, 1)
 	// Kill the filler and roll the open segment over, so the first segment is
 	// sealed and far more than half dead.
 	for id := uint64(10); id < 25; id++ {
@@ -646,7 +653,7 @@ func TestCleanerLeavesSharedExtentsInPlace(t *testing.T) {
 	}
 	st := s.Stats()
 	for _, id := range []uint64{1, 2, 3} {
-		if h, _ := s.lookupHome(id); h != before {
+		if h, _ := lockedHome(s, id); h != before {
 			t.Fatalf("referent %d moved to %+v from %+v while the extent was shared", id, h, before)
 		}
 	}
@@ -671,7 +678,7 @@ func TestCleanerLeavesSharedExtentsInPlace(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if h, _ := s.lookupHome(3); h.off == before.off || s.Stats().BytesCleaned != uint64(len(shared)) {
+	if h, _ := lockedHome(s, 3); h.off == before.off || s.Stats().BytesCleaned != uint64(len(shared)) {
 		t.Fatalf("last referent at %+v, %d bytes cleaned; want it moved, once", h, s.Stats().BytesCleaned)
 	}
 	s.EvictCache()

@@ -4,7 +4,7 @@ import "histar/internal/btree"
 
 // Extent allocation: two B+-trees over the free extents of the data region,
 // one keyed by (size, offset) for best-fit allocation and one by offset for
-// coalescing, both guarded by allocMu.
+// coalescing, both guarded by the store's mu.
 
 type extent struct {
 	off  int64
@@ -19,33 +19,26 @@ func alignUp(n int64) int64 {
 }
 
 // allocate finds a free extent of at least size bytes using the
-// free-by-size tree, splitting the extent when it is larger than needed.
+// free-by-size tree, splitting the extent when it is larger than needed;
+// the caller holds mu.
 func (s *Store) allocate(size int64) (extent, error) {
-	s.allocMu.Lock()
-	defer s.allocMu.Unlock()
 	need := alignUp(size)
 	k, _, ok := s.freeBySize.Ceiling(btree.K2(uint64(need), 0))
 	if !ok {
 		return extent{}, ErrNoSpace
 	}
 	ext := extent{off: int64(k[1]), size: int64(k[0])}
-	s.removeFreeLocked(ext)
+	s.removeFree(ext)
 	if ext.size > need {
-		s.addFreeLocked(extent{off: ext.off + need, size: ext.size - need})
+		s.addFree(extent{off: ext.off + need, size: ext.size - need})
 		ext.size = need
 	}
 	return ext, nil
 }
 
 // addFree inserts an extent into both free trees, coalescing with adjacent
-// extents (the purpose of the offset-indexed tree).
+// extents (the purpose of the offset-indexed tree); the caller holds mu.
 func (s *Store) addFree(e extent) {
-	s.allocMu.Lock()
-	s.addFreeLocked(e)
-	s.allocMu.Unlock()
-}
-
-func (s *Store) addFreeLocked(e extent) {
 	if e.size <= 0 {
 		return
 	}
@@ -53,7 +46,7 @@ func (s *Store) addFreeLocked(e extent) {
 	if k, v, ok := s.freeByOff.Floor(btree.K1(uint64(e.off))); ok {
 		prev := extent{off: int64(k[0]), size: int64(v)}
 		if prev.off+prev.size == e.off {
-			s.removeFreeLocked(prev)
+			s.removeFree(prev)
 			e.off = prev.off
 			e.size += prev.size
 		}
@@ -62,7 +55,7 @@ func (s *Store) addFreeLocked(e extent) {
 	if k, v, ok := s.freeByOff.Ceiling(btree.K1(uint64(e.off + e.size))); ok {
 		next := extent{off: int64(k[0]), size: int64(v)}
 		if e.off+e.size == next.off {
-			s.removeFreeLocked(next)
+			s.removeFree(next)
 			e.size += next.size
 		}
 	}
@@ -70,7 +63,7 @@ func (s *Store) addFreeLocked(e extent) {
 	s.freeByOff.Put(btree.K1(uint64(e.off)), uint64(e.size))
 }
 
-func (s *Store) removeFreeLocked(e extent) {
+func (s *Store) removeFree(e extent) {
 	s.freeBySize.Delete(btree.K2(uint64(e.size), uint64(e.off)))
 	s.freeByOff.Delete(btree.K1(uint64(e.off)))
 }

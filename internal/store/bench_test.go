@@ -101,42 +101,31 @@ func BenchmarkRecovery(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------------
-// Store scaling: parallel SyncObject throughput over the sharded cache and
-// the group committer.  Eight workers over disjoint id ranges hammer
-// Put+SyncObject; the sharded store batches their log commits (assert: WAL
-// commits per sync < 1).  BenchmarkSyncSerial is the same op pair from one
-// goroutine, for the per-op baseline.
+// Store concurrency: parallel clients against the store's one lock.
+// BenchmarkSyncParallel runs Put+SyncObject from 1, 4 and 16 workers over
+// disjoint id ranges; the group committer batches their log commits
+// (commits/sync < 1 once workers overlap).  BenchmarkGetParallel runs clean
+// Gets, each a verified home-extent read under mu, from 16 workers.
+// BenchmarkSyncSerial is the op pair from one goroutine, for the per-op
+// baseline.
 // ---------------------------------------------------------------------------
 
-func BenchmarkSyncParallel(b *testing.B) {
-	d := disk.New(disk.Params{Sectors: 1 << 19, WriteCache: true}, &vclock.Clock{})
-	s, err := Format(d, Options{LogSize: 64 << 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	payload := make([]byte, 1024)
-	// Exactly 8 worker goroutines regardless of GOMAXPROCS, sharing b.N ops
-	// through one counter, so the result is measured at the same
-	// concurrency level on every host (the kernel's parallel syscall
-	// benchmark uses the same shape).
-	const nWorkers = 8
+// runWorkers shares b.N ops among exactly n goroutines through one counter,
+// regardless of GOMAXPROCS, so a case measures the same concurrency level on
+// every host (the kernel's parallel syscall benchmark uses the same shape).
+// op gets the worker and the op's sequence number.
+func runWorkers(b *testing.B, n int, op func(w int, i int64) error) {
 	var (
-		wg sync.WaitGroup
-		n  atomic.Int64
+		wg   sync.WaitGroup
+		next atomic.Int64
 	)
 	b.ResetTimer()
-	for w := 0; w < nWorkers; w++ {
+	for w := 0; w < n; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			base := uint64(w) << 32 // disjoint id ranges per worker
-			for i := n.Add(1); i <= int64(b.N); i = n.Add(1) {
-				id := base + uint64(i)%512
-				if err := s.Put(id, payload); err != nil {
-					b.Error(err)
-					return
-				}
-				if err := s.SyncObject(id); err != nil {
+			for i := next.Add(1); i <= int64(b.N); i = next.Add(1) {
+				if err := op(w, i); err != nil {
 					b.Error(err)
 					return
 				}
@@ -145,13 +134,46 @@ func BenchmarkSyncParallel(b *testing.B) {
 	}
 	wg.Wait()
 	b.StopTimer()
-	st := s.Stats()
-	if st.ObjectSyncs > 0 {
-		b.ReportMetric(float64(s.WALStats().Commits)/float64(st.ObjectSyncs), "commits/sync")
+}
+
+func BenchmarkSyncParallel(b *testing.B) {
+	for _, workers := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			s, _ := benchStore(b)
+			payload := make([]byte, 1024)
+			runWorkers(b, workers, func(w int, i int64) error {
+				id := uint64(w)<<32 + uint64(i)%512 // disjoint id ranges per worker
+				if err := s.Put(id, payload); err != nil {
+					return err
+				}
+				return s.SyncObject(id)
+			})
+			st := s.Stats()
+			if st.ObjectSyncs > 0 {
+				b.ReportMetric(float64(s.WALStats().Commits)/float64(st.ObjectSyncs), "commits/sync")
+			}
+			if commits := s.WALStats().Commits; commits > 0 {
+				b.ReportMetric(float64(s.GroupCommitStats().Records)/float64(commits), "recs/batch")
+			}
+		})
 	}
-	if commits := s.WALStats().Commits; commits > 0 {
-		b.ReportMetric(float64(s.GroupCommitStats().Records)/float64(commits), "recs/batch")
+}
+
+func BenchmarkGetParallel(b *testing.B) {
+	s, _ := benchStore(b)
+	payload := make([]byte, 1024)
+	for id := uint64(0); id < 512; id++ {
+		if err := s.Put(id, payload); err != nil {
+			b.Fatal(err)
+		}
 	}
+	if err := s.Checkpoint(); err != nil {
+		b.Fatal(err)
+	}
+	runWorkers(b, 16, func(_ int, i int64) error {
+		_, err := s.Get(uint64(i) % 512)
+		return err
+	})
 }
 
 func BenchmarkSyncSerial(b *testing.B) {

@@ -355,7 +355,7 @@ func TestBitRotDataExtentQuarantinesOnlyThatObject(t *testing.T) {
 		t.Fatal(err)
 	}
 	const victim = uint64(13)
-	h, ok := s2.lookupHome(victim)
+	h, ok := lockedHome(s2, victim)
 	if !ok {
 		t.Fatal("victim has no home extent")
 	}
@@ -500,7 +500,7 @@ func TestScrubDetectsRotAndQuarantines(t *testing.T) {
 		t.Fatal(err)
 	}
 	const victim = uint64(4)
-	h, _ := s2.lookupHome(victim)
+	h, _ := lockedHome(s2, victim)
 	if err := fd.RotBits(disk.Region{Off: h.off, Len: h.size}, 1, 3); err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,7 @@ package store
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"histar/internal/label"
@@ -13,13 +13,14 @@ import (
 // rewritten, the superblock flipped — without stopping the world.  Only the
 // SEAL is exclusive, and it does no I/O at all:
 //
-//	SEAL    (ckptMu held exclusively, microseconds): take a fresh epoch,
-//	        capture the dirty and dead entries and every recorded label, and
-//	        clear the dirty flags (marking the entries ckpt, so they keep
-//	        their contents and condemn leaves them alone).  Records synced
-//	        after the seal go into log frames stamped with the new epoch, so
-//	        replay boundaries equal seal boundaries.
-//	BODY    (no store-wide lock; serialized by ckptRun): vacate deleted
+//	SEAL    (ckptMu held exclusively, and mu; microseconds): take a fresh
+//	        epoch, capture the dirty and dead entries and every recorded
+//	        label, and clear the dirty flags (marking the entries ckpt, so
+//	        they keep their contents and condemn leaves them alone).  Records
+//	        synced after the seal go into log frames stamped with the new
+//	        epoch, so replay boundaries equal seal boundaries.
+//	BODY    (no ckptMu; serialized by ckptRun; mu only between device
+//	        writes, never across one): vacate deleted
 //	        objects' extents, stream the sealed contents into append-only
 //	        segments (dedicated extents for oversized objects), run the
 //	        segment cleaner, return deferred frees to the allocator,
@@ -70,7 +71,7 @@ type sealedLabel struct {
 // sealedState is everything the checkpoint body needs, captured under the
 // brief exclusive seal.
 type sealedState struct {
-	entries []sealedEntry // dirty and dead entries, ascending id per shard
+	entries []sealedEntry // dirty and dead entries, ascending id
 	labels  []sealedLabel // every recorded label, ascending id
 	epoch   uint64        // the snapshot epoch this checkpoint commits
 }
@@ -85,7 +86,9 @@ func (s *Store) checkpointRunLocked() error {
 		s.ckptMu.Unlock()
 		return ErrClosed
 	}
+	s.mu.Lock()
 	ss := s.sealCheckpoint()
+	s.mu.Unlock()
 	s.ckptMu.Unlock()
 	// The stall metrics; ckptRun serializes callers, so a plain load and
 	// store keep the maximum.
@@ -100,8 +103,8 @@ func (s *Store) checkpointRunLocked() error {
 	return s.checkpointBody(ss)
 }
 
-// sealCheckpoint is the SEAL phase; the caller holds ckptMu exclusively and
-// ckptRun.  The walk is in ascending ID order per shard, not map order:
+// sealCheckpoint is the SEAL phase; the caller holds ckptRun, ckptMu
+// exclusively, and mu.  The walk is in ascending ID order, not map order:
 // relocation order determines segment packing and the free-tree shape, and
 // a deterministic workload must produce a byte-deterministic image.
 func (s *Store) sealCheckpoint() *sealedState {
@@ -109,45 +112,40 @@ func (s *Store) sealCheckpoint() *sealedState {
 	// every frame committed from here on carries the new epoch.
 	ss := &sealedState{epoch: s.epoch.Add(1)}
 	s.logGen.Add(1) // a range record never reaches back past a seal (see sealSync)
-	for si := range s.shards {
-		sh := &s.shards[si]
-		ids := make([]uint64, 0, len(sh.objs))
-		for id := range sh.objs {
-			ids = append(ids, id)
+	ids := make([]uint64, 0, len(s.objs))
+	for id := range s.objs {
+		ids = append(ids, id)
+	}
+	slices.Sort(ids)
+	for _, id := range ids {
+		e := s.objs[id]
+		if e.hasLbl {
+			ss.labels = append(ss.labels, sealedLabel{id: id, lbl: e.lbl})
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		for _, id := range ids {
-			e := sh.objs[id]
-			if e.hasLbl {
-				ss.labels = append(ss.labels, sealedLabel{id: id, lbl: e.lbl})
-			}
-			switch {
-			case e.dead && e.deadSealed:
-				// An earlier checkpoint captured this deletion and committed
-				// (see objEntry.deadSealed): nothing on disk has the object.
-				delete(sh.objs, id)
-			case e.dead:
-				// The body vacates the home extent, if there is one; the
-				// entry stays in the shard, keeping the deletion visible to
-				// concurrent Gets and syncs, until the seal after this
-				// checkpoint commits.
-				e.deadSealed = true
-				ss.entries = append(ss.entries, sealedEntry{id: id, e: e, dead: true})
-			case e.dirty:
-				// Seal the contents slice, shared so no put patches it, and
-				// hand the entry to the body: ckpt keeps the copy resident
-				// and condemn off it until the snapshot holding it commits.
-				e.dirty, e.ckpt, e.shared = false, true, true
-				ss.entries = append(ss.entries, sealedEntry{id: id, e: e, data: e.data})
-			case !e.hasLbl && !e.quar:
-				// Clean, so nothing resident and nothing worth remembering:
-				// prune the entry.  A quarantined one keeps its verdict (and
-				// its place in QuarantinedObjects).
-				delete(sh.objs, id)
-			}
+		switch {
+		case e.dead && e.deadSealed:
+			// An earlier checkpoint captured this deletion and committed
+			// (see objEntry.deadSealed): nothing on disk has the object.
+			delete(s.objs, id)
+		case e.dead:
+			// The body vacates the home extent, if there is one; the entry
+			// stays in the table, keeping the deletion visible to concurrent
+			// Gets and syncs, until the seal after this checkpoint commits.
+			e.deadSealed = true
+			ss.entries = append(ss.entries, sealedEntry{id: id, e: e, dead: true})
+		case e.dirty:
+			// Seal the contents slice, shared so no put patches it, and
+			// hand the entry to the body: ckpt keeps the copy resident
+			// and condemn off it until the snapshot holding it commits.
+			e.dirty, e.ckpt, e.shared = false, true, true
+			ss.entries = append(ss.entries, sealedEntry{id: id, e: e, data: e.data})
+		case !e.hasLbl && !e.quar:
+			// Clean, so nothing resident and nothing worth remembering:
+			// prune the entry.  A quarantined one keeps its verdict (and
+			// its place in QuarantinedObjects).
+			delete(s.objs, id)
 		}
 	}
-	sort.Slice(ss.labels, func(i, j int) bool { return ss.labels[i].id < ss.labels[j].id })
 	return ss
 }
 
@@ -160,15 +158,14 @@ func (s *Store) sealCheckpoint() *sealedState {
 // checkpoint retries them.  Entries deleted or re-written concurrently keep
 // their newer state.
 func (s *Store) restoreSealed(ss *sealedState) {
-	for i := range ss.entries {
-		se := &ss.entries[i]
-		se.e.mu.Lock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, se := range ss.entries {
 		if se.dead {
 			se.e.deadSealed = false
 		} else {
 			se.e.ckpt, se.e.dirty = false, !se.e.dead
 		}
-		se.e.mu.Unlock()
 	}
 }
 
@@ -177,14 +174,14 @@ func (s *Store) restoreSealed(ss *sealedState) {
 // again since the seal, drops its contents, which its home extent now holds
 // durably.  The fresh extent also supersedes any damage verdict on the old.
 func (s *Store) releaseSealed(ss *sealedState) {
-	for i := range ss.entries {
-		if e := ss.entries[i].e; !ss.entries[i].dead {
-			e.mu.Lock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, se := range ss.entries {
+		if e := se.e; !se.dead {
 			e.ckpt, e.quar = false, false
 			if !e.dirty {
 				e.data, e.shared = nil, false
 			}
-			e.mu.Unlock()
 		}
 	}
 }
@@ -205,12 +202,12 @@ func (s *Store) checkpointBody(ss *sealedState) (err error) {
 	}
 	// All data writes issued; the vacated extents may now rejoin the free
 	// trees so the metadata snapshot below records them reusable.
-	s.allocMu.Lock()
+	s.mu.Lock()
 	for _, e := range s.deferredFree {
-		s.addFreeLocked(e)
+		s.addFree(e)
 	}
 	s.deferredFree = nil
-	s.allocMu.Unlock()
+	s.mu.Unlock()
 	prev := s.metaEpoch
 	if err := s.writeSnapshot(ss.epoch, ss.labels); err != nil {
 		return err
@@ -238,49 +235,48 @@ func (s *Store) checkpointBody(ss *sealedState) (err error) {
 
 // relocateSealed is the body's data phase: vacate the extents of sealed
 // deletions and write each sealed-dirty object to its new home — segment
-// appends for small objects, dedicated extents for oversized ones.  Device
-// writes are issued WITHOUT holding metaMu, so checkpoint I/O never blocks
-// metadata readers; the map/CRC updates after each write hold it only
-// briefly.
+// appends for small objects, dedicated extents for oversized ones.  Each
+// device write is issued without mu; mu is taken after it, briefly, to move
+// the object's home record.
 func (s *Store) relocateSealed(ss *sealedState) error {
-	for i := range ss.entries {
-		se := &ss.entries[i]
-		if se.dead {
-			s.metaMu.Lock()
-			if old, ok := s.homeOf(se.id); ok {
-				s.dropHome(se.id)
-				s.vacateExtent(old.off, old.size)
+	for _, se := range ss.entries {
+		var h home
+		if !se.dead {
+			off, err := s.writeObjectHome(se.data)
+			if err != nil {
+				return err
 			}
-			s.metaMu.Unlock()
-			continue
+			// The contents CRC travels with the extent in the metadata
+			// snapshot; reads and scrubs verify against it.  The entry stays
+			// ckpt, and keeps its copy, until that snapshot commits: a sync
+			// before then must still log this state (releaseSealed).
+			h = home{off: off, size: int64(len(se.data)), crc: crc32c(se.data)}
+			s.c.bytesHome.Add(uint64(len(se.data)))
 		}
-		newOff, err := s.writeObjectHome(se.data)
-		if err != nil {
-			return err
-		}
-		s.metaMu.Lock()
+		s.mu.Lock()
 		if old, ok := s.homeOf(se.id); ok {
 			s.vacateExtent(old.off, old.size)
 		}
-		// The contents CRC travels with the extent in the metadata
-		// snapshot; reads and scrubs verify against it.  The entry stays
-		// ckpt, and keeps its copy, until that snapshot commits: a sync
-		// before then must still log this state (releaseSealed).
-		s.setHome(se.id, home{off: newOff, size: int64(len(se.data)), crc: crc32c(se.data)})
-		s.metaMu.Unlock()
-		s.c.bytesHome.Add(uint64(len(se.data)))
+		if se.dead {
+			s.dropHome(se.id)
+		} else {
+			s.setHome(se.id, h)
+		}
+		s.mu.Unlock()
 	}
 	return nil
 }
 
 // writeObjectHome writes one object's sealed contents to a new home:
 // packed into the open append-only segment when it fits, or a dedicated
-// extent otherwise.  No lock is held across the device write.
+// extent otherwise.  mu is not held across the device write.
 func (s *Store) writeObjectHome(data []byte) (int64, error) {
 	if align512(int64(len(data))) <= s.segSize/2 {
 		return s.segAppend(data)
 	}
+	s.mu.Lock()
 	ext, err := s.allocate(int64(len(data)))
+	s.mu.Unlock()
 	if err != nil {
 		return 0, err
 	}
@@ -297,19 +293,20 @@ func (s *Store) writeObjectHome(data []byte) (int64, error) {
 // It runs in the checkpoint body (ckptRun serialized) or single-threaded
 // construction: sbMu fences the superblock/meta-area device I/O against a
 // concurrent scrub's reads of the same regions, and the committed
-// metaWhich/metaEpoch are published under metaMu so concurrent readers
-// (scrub) always see a (which, epoch) pair that matches the bytes on disk.
+// metaWhich/metaEpoch are published under sbMu and mu both, so a reader
+// holding either (scrub, committedEpoch) sees a (which, epoch) pair that
+// matches the bytes on disk.
 func (s *Store) writeSnapshot(epoch uint64, labels []sealedLabel) error {
+	s.mu.Lock()
 	meta := s.encodeMetadata(epoch, labels)
+	s.mu.Unlock()
 	if int64(len(meta)) > s.metaSize {
 		return fmt.Errorf("store: metadata (%d bytes) exceeds the metadata area", len(meta))
 	}
-	s.metaMu.RLock()
-	next := 1 - s.metaWhich
-	s.metaMu.RUnlock()
-	metaOff := logOffset + s.logSize + int64(next)*s.metaSize
 	s.sbMu.Lock()
 	defer s.sbMu.Unlock()
+	next := 1 - s.metaWhich
+	metaOff := s.metaAreaOff(next)
 	if _, err := s.d.WriteAt(meta, metaOff); err != nil {
 		return err
 	}
@@ -335,10 +332,9 @@ func (s *Store) writeSnapshot(epoch uint64, labels []sealedLabel) error {
 	if err := s.d.Flush(); err != nil {
 		return err
 	}
-	s.metaMu.Lock()
-	s.metaWhich = next
-	s.metaEpoch = epoch
-	s.metaMu.Unlock()
+	s.mu.Lock()
+	s.metaWhich, s.metaEpoch = next, epoch
+	s.mu.Unlock()
 	s.c.metaBytesWritten.Add(uint64(len(meta) + len(sb)))
 	return nil
 }

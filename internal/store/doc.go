@@ -55,7 +55,8 @@
 //     frames committed from then on carry E: exactly the syncs the epoch-E
 //     snapshot might miss.  A failed attempt burns its epoch; the retry
 //     takes the next.
-//  2. BODY (no ckptMu; serialized by ckptRun): write sealed objects into
+//  2. BODY (no ckptMu; serialized by ckptRun; mu taken only between device
+//     writes, to record where bytes went): write sealed objects into
 //     append-only segments (or dedicated extents) — never over live data;
 //     appends land beyond each segment's committed high-water mark, and
 //     extents vacated by relocation, deletion, or the segment cleaner are
@@ -64,7 +65,7 @@
 //     the allocator — so the epoch-E-1 snapshot's extents are never reused
 //     before epoch E commits.
 //  3. Serialize the metadata (object map and allocator state read under
-//     their locks; labels from the seal-time capture) into the area the
+//     mu; labels from the seal-time capture) into the area the
 //     superblock does NOT reference, flush, then rewrite both superblock
 //     copies referencing it at epoch E and flush again (all under sbMu, so
 //     a concurrent scrub never reads the areas mid-rewrite).

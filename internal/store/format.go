@@ -8,8 +8,8 @@ package store
 // the package comment and doc.go for the layouts in prose.
 //
 // Encoders run only in the checkpoint body (serialized by ckptRun), under
-// the entry lock of the object a log record describes, or during
-// single-threaded construction (Format); decoders run only in
+// the store's mu while a log record is sealed, or during single-threaded
+// construction (Format); decoders run only in
 // single-threaded Open and, for the verification half, in Scrub under sbMu.
 
 import (
@@ -205,24 +205,20 @@ func (r *sectionReader) home() home {
 
 // encodeMetadata serializes the metadata image: the header followed by four
 // individually checksummed sections (object map, free list, labels, segment
-// table).  The object map and free/segment state are read under their own
-// locks — by the time the body serializes, it has finished mutating them,
-// and no concurrent operation does (an alias waits the body out) — while the
-// label section comes from the seal-time capture, so the snapshot is
-// consistent with the sealed epoch even as concurrent PutLabeled calls
+// table); the caller holds mu.  The object map and free/segment state are
+// read live — by the time the body serializes, it has finished mutating
+// them, and no concurrent operation does (an alias waits the body out) —
+// while the label section comes from the seal-time capture, so the snapshot
+// is consistent with the sealed epoch even as concurrent PutLabeled calls
 // proceed.  Everything derivable from these four — extent refcounts,
 // per-segment live counts — is rebuilt at Open, not stored.
 func (s *Store) encodeMetadata(epoch uint64, labels []sealedLabel) []byte {
 	// Object map: (id, home record) entries, ascending id.
-	s.metaMu.RLock()
 	objs := appendU64(nil, uint64(len(s.homes)))
 	s.scanHomes(func(id uint64, h home) {
 		objs = appendHome(appendU64(objs, id), h)
 	})
-	s.metaMu.RUnlock()
-	// Free list by offset, and the segment table (base, size, used), both
-	// under allocMu.
-	s.allocMu.Lock()
+	// Free list by offset, and the segment table (base, size, used).
 	free := appendU64(nil, uint64(s.freeByOff.Len()))
 	s.freeByOff.Scan(func(k btree.Key, v uint64) bool {
 		free = appendU64(appendU64(free, k[0]), v)
@@ -234,7 +230,6 @@ func (s *Store) encodeMetadata(epoch uint64, labels []sealedLabel) []byte {
 		segsSec = appendU64(appendU64(appendU64(segsSec, uint64(seg.base)), uint64(seg.size)), uint64(seg.used))
 		return true
 	})
-	s.allocMu.Unlock()
 	// Object labels in canonical serialized form.
 	labelsSec := appendU64(nil, uint64(len(labels)))
 	for _, sl := range labels {
@@ -356,7 +351,7 @@ func (s *Store) decodeLabelSection(r *sectionReader) {
 			return
 		}
 		r.buf = rest
-		e := s.shardOf(id).getOrCreate(id)
+		e := s.entry(id)
 		e.lbl, e.hasLbl = lbl, true
 	}
 }

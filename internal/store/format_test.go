@@ -18,8 +18,9 @@ import (
 // leaves behind.  It pins every on-disk layout at once — superblock copies,
 // log header, frames and records, metadata header and sections, segment packing,
 // alias and range records — so a change that alters any of them must change
-// this constant, visibly.
-const formatImageSHA256 = "d10d6e745e3f4e0a95c4b77e1ad7670c1343059ec57857d27f2f8455d446936c"
+// this constant, visibly.  The checkpoint seal walks the object table in one
+// ascending id order, which fixes segment packing.
+const formatImageSHA256 = "f4b48cd2fdffa1ad53bcc14b0278240b6db50267e2d81be578d1de7c502ce11c"
 
 // formatImageWorkload drives one seeded, single-threaded pass over every
 // structure the store writes: plain and labelled puts, deletes, per-object

@@ -12,9 +12,9 @@ package store
 //
 // Crash-consistency invariants:
 //
-//   - A record is sealed and enqueued while holding the object's entry lock,
-//     so for one object, log order equals seal order: replay can never
-//     regress an object to an earlier sealed state.
+//   - A record is sealed and enqueued while holding the store's mu, so for
+//     one object, log order equals seal order: replay can never regress an
+//     object to an earlier sealed state.
 //   - logged holds ckptMu in read mode from first seal to last ticket
 //     resolution, so no checkpoint SEAL can intervene between sealing a state
 //     and committing it — a record's frame carries the epoch of the last seal
@@ -52,7 +52,7 @@ type syncTicket struct {
 }
 
 // committer is the leader/follower group-commit state.  mu is a leaf lock:
-// it is taken below entry locks (enqueue) and never while holding it does
+// it is taken below the store's mu (enqueue) and never while holding it does
 // the committer acquire any other store lock.
 type committer struct {
 	mu         sync.Mutex
@@ -74,27 +74,26 @@ type committer struct {
 	maxBatch     int
 }
 
-// enqueue registers a sealed record for the next batch.  Called with the
-// object's entry lock held, so per-object queue order matches seal order.
-func (c *committer) enqueue(rec wal.Record, base uint64) *syncTicket {
-	t := &syncTicket{rec: rec, base: base, done: make(chan struct{})}
+// enqueue registers a sealed record's ticket for the next batch.  Called with
+// the store's mu held, so per-object queue order matches seal order.
+func (c *committer) enqueue(t *syncTicket) {
 	c.mu.Lock()
 	c.queue = append(c.queue, t)
 	c.mu.Unlock()
-	return t
 }
 
-// submit hands one sealed record to the committer.  Called with the entry
-// lock of the object the record describes held, and ckptMu in read mode.
-func (s *Store) submit(rec wal.Record, base uint64) (*syncTicket, error) {
-	if s.l.TooLarge(rec) {
+// submit hands the sealed record in t to the committer.  Called with mu held,
+// and ckptMu in read mode.
+func (s *Store) submit(t *syncTicket) (*syncTicket, error) {
+	if s.l.TooLarge(t.rec) {
 		// The record can never be logged (it exceeds the log region or the
 		// format's label-length field); a checkpoint provides the same
 		// durability — contents, label and home table — in one sweep.
 		s.logGen.Add(1)
 		return nil, errRetryCheckpoint
 	}
-	return s.comm.enqueue(rec, base), nil
+	s.comm.enqueue(t)
+	return t, nil
 }
 
 // logged is the one body of every logged operation.  It runs seal n times —
@@ -109,6 +108,8 @@ func (s *Store) submit(rec wal.Record, base uint64) (*syncTicket, error) {
 // committing it, and the epoch read first is older than any seal that
 // captures those states.  A nil ticket means seal left nothing to await.
 func (s *Store) logged(n int, seal func(i int) (*syncTicket, error)) []error {
+	s.syncers.Add(1)
+	defer s.syncers.Add(-1)
 	errs := make([]error, n)
 	s.ckptMu.RLock()
 	if s.closed {
@@ -178,6 +179,15 @@ func (s *Store) awaitCommit(t *syncTicket) error {
 	c.mu.Lock()
 	if !c.held && !c.leaderBusy {
 		c.leaderBusy = true
+		if s.syncers.Load() > 1 {
+			// Other syncers are in flight, and the ones this goroutine woke
+			// (closing a batch's tickets, or unlocking mu) wait in its
+			// processor's run queue: let them seal first, so they join this
+			// batch instead of waiting out its commit.
+			c.mu.Unlock()
+			runtime.Gosched()
+			c.mu.Lock()
+		}
 		s.drainLocked()
 		c.leaderBusy = false
 	}
@@ -271,13 +281,16 @@ func (s *Store) SyncObject(id uint64) error { return s.SyncObjects([]uint64{id})
 // only (commitBatch), so replay meets its base in a frame of the same epoch.
 func (s *Store) sealSync(id uint64) (*syncTicket, error) {
 	s.c.objectSyncs.Add(1)
-	e := s.shardOf(id).lookup(id)
+	// The ticket is made before mu is taken: every operation takes mu, so it
+	// is held across no allocation it need not be.
+	t := &syncTicket{done: make(chan struct{})}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.objs[id]
 	if e == nil {
 		// Nothing in memory and not deleted: the on-disk copy is current.
 		return nil, nil
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	var rec wal.Record
 	var base uint64
 	switch {
@@ -301,8 +314,9 @@ func (s *Store) sealSync(id uint64) (*syncTicket, error) {
 	default:
 		return nil, nil
 	}
-	// Submitted under the entry lock: per-object log order = seal order.
-	return s.submit(rec, base)
+	// Submitted under mu: per-object log order = seal order.
+	t.rec, t.base = rec, base
+	return s.submit(t)
 }
 
 // SyncObjects durably records the current contents of many objects at once:
@@ -336,8 +350,8 @@ func (s *Store) checkpointSince(epoch uint64) error {
 
 // committedEpoch is the epoch of the snapshot the superblock references.
 func (s *Store) committedEpoch() uint64 {
-	s.metaMu.RLock()
-	defer s.metaMu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return s.metaEpoch
 }
 

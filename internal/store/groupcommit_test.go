@@ -505,7 +505,7 @@ func TestConcurrentStoreStress(t *testing.T) {
 
 // TestConcurrentSyncsSameObjectNeverRegress hammers a single object with
 // concurrent Put+Sync pairs: because records are sealed and enqueued under
-// the entry lock, per-object log order equals seal order, so recovery must
+// mu, per-object log order equals seal order, so recovery must
 // land on a state the object actually passed through — and once any syncer
 // has observed a successful commit, at least that state (or newer).
 func TestConcurrentSyncsSameObjectNeverRegress(t *testing.T) {

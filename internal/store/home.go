@@ -26,8 +26,7 @@ type homedObject struct {
 // paper keeps it in a B+-tree to scan it by ID; here a scan sorts the ids,
 // since the scans that need the order (the metadata image, the cleaner) run
 // once a checkpoint.  homeOf, setHome, dropHome and scanHomes are its only
-// accessors; callers hold metaMu (shared for homeOf and scanHomes), or run
-// single-threaded (Open) or under the exclusive seal.
+// accessors; callers hold mu, or run single-threaded (Format, Open).
 
 func (s *Store) homeOf(id uint64) (home, bool) {
 	h, ok := s.homes[id]
@@ -48,13 +47,6 @@ func (s *Store) scanHomes(fn func(id uint64, h home)) {
 	for _, id := range ids {
 		fn(id, s.homes[id])
 	}
-}
-
-// lookupHome is homeOf for callers that do not hold metaMu.
-func (s *Store) lookupHome(id uint64) (home, bool) {
-	s.metaMu.RLock()
-	defer s.metaMu.RUnlock()
-	return s.homeOf(id)
 }
 
 // readVerified reads the extent h names and checks the contents against
@@ -82,27 +74,19 @@ func (s *Store) readVerified(h home) ([]byte, error) {
 // typed instead of fanning the damage out.  An object whose in-memory state
 // is dirty, dead or sealed into the running checkpoint is left alone: that
 // state replaces the extent at the next relocation, so the damaged bytes are
-// already superseded.  Called with no entry lock, metaMu or allocMu held;
-// returns how many objects it newly quarantined.
+// already superseded.  The caller holds mu; condemn returns how many
+// objects it newly quarantined.
 func (s *Store) condemn(off int64) int {
 	s.integ.corruptions.Add(1)
-	var ids []uint64
-	s.metaMu.RLock()
-	s.scanHomes(func(id uint64, h home) {
-		if h.off == off {
-			ids = append(ids, id)
-		}
-	})
-	s.metaMu.RUnlock()
 	fresh := 0
-	for _, id := range ids {
-		e := s.shardOf(id).getOrCreate(id)
-		e.mu.Lock()
-		if !e.dirty && !e.dead && !e.ckpt && !e.quar {
+	s.scanHomes(func(id uint64, h home) {
+		if h.off != off {
+			return
+		}
+		if e := s.entry(id); !e.dirty && !e.dead && !e.ckpt && !e.quar {
 			s.quarantine(e)
 			fresh++
 		}
-		e.mu.Unlock()
-	}
+	})
 	return fresh
 }

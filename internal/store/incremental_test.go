@@ -2,17 +2,19 @@ package store
 
 // Directed tests for the incremental checkpoint protocol: syncs and reads
 // proceeding while a checkpoint body runs, scrub chunking bounding sync
-// latency, no device writes under metaMu, segment-cleaner behaviour, and
+// latency, no device writes under mu, segment-cleaner behaviour, and
 // the crash matrix over a cleaning checkpoint's write schedule.
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"histar/internal/disk"
+	"histar/internal/label"
 	"histar/internal/vclock"
 )
 
@@ -301,7 +303,8 @@ func TestScrubChunkingAllowsCheckpointAndSyncMidPass(t *testing.T) {
 	}
 }
 
-// lockCheckDevice wraps a Device and runs check before every WriteAt.
+// lockCheckDevice wraps a Device and runs check before every WriteAt and
+// Flush.
 type lockCheckDevice struct {
 	disk.Device
 	check func(off int64)
@@ -314,54 +317,70 @@ func (d *lockCheckDevice) WriteAt(p []byte, off int64) (int, error) {
 	return d.Device.WriteAt(p, off)
 }
 
-// TestNoDeviceWriteUnderMetaMuDuringCheckpoint is the satellite-3
-// assertion: no checkpoint device write (extent relocation, segment
-// append, snapshot, superblock) is issued while metaMu is held, so
-// metadata reads never stall behind checkpoint disk I/O.  The test is
+func (d *lockCheckDevice) Flush() error {
+	if d.check != nil {
+		d.check(-1)
+	}
+	return d.Device.Flush()
+}
+
+// TestNoDeviceWriteUnderMu pins the one rule the store's mu has: no device
+// write or flush is issued while it is held — not by a checkpoint (extent
+// relocation, segment append, the cleaner, snapshot, superblock), a
+// SyncObjects group commit, an Alias, or a Scrub — so no operation waits
+// behind disk I/O for the lock every operation takes.  The test is
 // single-threaded, so a failed TryLock during a write can only mean the
-// writing goroutine itself holds metaMu.
-func TestNoDeviceWriteUnderMetaMuDuringCheckpoint(t *testing.T) {
+// writing goroutine itself holds mu.
+func TestNoDeviceWriteUnderMu(t *testing.T) {
 	base := disk.New(disk.Params{Sectors: 1 << 16, WriteCache: true}, &vclock.Clock{})
 	ld := &lockCheckDevice{Device: base}
 	s, err := Format(ld, Options{LogSize: 1 << 20, MetaAreaSize: 512 << 10, SegmentSize: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id := uint64(0); id < 40; id++ {
-		if err := s.Put(id, bytes.Repeat([]byte{byte(id)}, 700)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	// Second round with deletions so the checkpoint also exercises the
-	// cleaner and dead-entry paths.
-	for id := uint64(0); id < 40; id += 2 {
-		if err := s.Delete(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for id := uint64(40); id < 60; id++ {
-		if err := s.Put(id, bytes.Repeat([]byte{byte(id)}, 900)); err != nil {
-			t.Fatal(err)
-		}
-	}
-
 	var violations []int64
 	ld.check = func(off int64) {
-		if s.metaMu.TryLock() {
-			s.metaMu.Unlock()
+		if s.mu.TryLock() {
+			s.mu.Unlock()
 		} else {
 			violations = append(violations, off)
 		}
 	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
+	step := func(name string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if len(violations) != 0 {
+			t.Fatalf("%s: %d device writes issued while holding mu (offsets %v; -1 is a flush)", name, len(violations), violations)
+		}
 	}
-	ld.check = nil
-	if len(violations) != 0 {
-		t.Fatalf("%d device writes issued while holding metaMu (offsets %v)", len(violations), violations)
+	ids := make([]uint64, 0, 60)
+	for id := uint64(0); id < 60; id++ {
+		step("put", s.Put(id, bytes.Repeat([]byte{byte(id)}, 700)))
+		ids = append(ids, id)
+	}
+	step("group commit", errors.Join(s.SyncObjects(ids)...))
+	step("checkpoint", s.Checkpoint())
+	// Second round: deletions leave the first segment three-quarters dead and
+	// new objects roll it over, so the checkpoint also exercises the
+	// dead-entry path and the cleaner; a large object takes a dedicated
+	// extent.
+	for id := uint64(0); id < 60; id++ {
+		if id%4 != 1 {
+			step("delete", s.Delete(id))
+		}
+	}
+	for id := uint64(100); id < 120; id++ {
+		step("put", s.Put(id, bytes.Repeat([]byte{byte(id)}, 900)))
+	}
+	step("put", s.Put(200, make([]byte, 40<<10)))
+	step("checkpoint", s.Checkpoint())
+	step("alias", errors.Join(s.Alias([]uint64{1, 5}, []uint64{1001, 1005}, []label.Label{rotLabel(1), rotLabel(5)})...))
+	_, err = s.Scrub()
+	step("scrub", err)
+	if s.Stats().SegsCleaned == 0 {
+		t.Fatal("the cleaner never ran: the test no longer covers it")
 	}
 }
 

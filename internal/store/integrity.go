@@ -3,8 +3,7 @@ package store
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
+	"slices"
 	"sync/atomic"
 )
 
@@ -92,9 +91,7 @@ type integrityCounters struct {
 	quarantines atomic.Uint64 // quarantine events (cumulative)
 	scrubPasses atomic.Uint64
 	scrubBytes  atomic.Uint64
-
-	mu        sync.Mutex
-	lastScrub ScrubStats
+	lastScrub   ScrubStats // guarded by the store's mu
 }
 
 // IntegrityStats is the store's corruption-accounting snapshot.
@@ -117,18 +114,15 @@ type IntegrityStats struct {
 
 // IntegrityStats returns the store's corruption accounting.
 func (s *Store) IntegrityStats() IntegrityStats {
-	s.ckptMu.RLock()
-	defer s.ckptMu.RUnlock()
-	s.integ.mu.Lock()
-	last := s.integ.lastScrub
-	s.integ.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return IntegrityStats{
 		CorruptionsDetected: s.integ.corruptions.Load(),
 		QuarantineEvents:    s.integ.quarantines.Load(),
-		QuarantinedNow:      len(s.quarantinedLocked()),
+		QuarantinedNow:      len(s.quarantined()),
 		ScrubPasses:         s.integ.scrubPasses.Load(),
 		ScrubBytesVerified:  s.integ.scrubBytes.Load(),
-		LastScrub:           last,
+		LastScrub:           s.integ.lastScrub,
 		Recovery:            s.report,
 	}
 }
@@ -136,31 +130,26 @@ func (s *Store) IntegrityStats() IntegrityStats {
 // QuarantinedObjects returns, in ascending order, the IDs of every object
 // currently in quarantine.
 func (s *Store) QuarantinedObjects() []uint64 {
-	s.ckptMu.RLock()
-	defer s.ckptMu.RUnlock()
-	return s.quarantinedLocked()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.quarantined()
 }
 
-// quarantinedLocked enumerates quarantined IDs; caller holds ckptMu (either
-// mode).
-func (s *Store) quarantinedLocked() []uint64 {
+// quarantined enumerates quarantined IDs in ascending order; the caller holds
+// mu.
+func (s *Store) quarantined() []uint64 {
 	var out []uint64
-	for si := range s.shards {
-		for _, se := range s.shards[si].snapshot() {
-			se.entry.mu.Lock()
-			q := se.entry.quar
-			se.entry.mu.Unlock()
-			if q {
-				out = append(out, se.id)
-			}
+	for id, e := range s.objs {
+		if e.quar {
+			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
-// quarantine marks an entry damaged and counts the event; caller holds the
-// entry's lock.
+// quarantine marks an entry damaged and counts the event; the caller holds
+// mu.
 func (s *Store) quarantine(e *objEntry) {
 	if !e.quar {
 		e.quar = true

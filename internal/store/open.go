@@ -70,7 +70,7 @@ func Open(d disk.Device, opts Options) (*Store, error) {
 			s.replayAliasRecord(r, extents)
 			continue
 		}
-		e := s.shardOf(r.ObjectID).getOrCreate(r.ObjectID)
+		e := s.entry(r.ObjectID)
 		// The record's label, or none, replaces whatever a checkpoint
 		// recorded: a tombstone drops it, and a label-less record asserts the
 		// object was unlabeled when it was synced (it may have been deleted

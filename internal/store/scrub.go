@@ -90,9 +90,9 @@ func (s *Store) Scrub() (ScrubStats, error) {
 	st.Duration = time.Since(start)
 	s.integ.scrubPasses.Add(1)
 	s.integ.scrubBytes.Add(uint64(st.BytesVerified))
-	s.integ.mu.Lock()
+	s.mu.Lock()
 	s.integ.lastScrub = st
-	s.integ.mu.Unlock()
+	s.mu.Unlock()
 	return st, nil
 }
 
@@ -148,11 +148,11 @@ func (s *Store) scrubMetaAreas(st *ScrubStats) {
 	}
 }
 
-// scrubTargets captures every home under metaMu, so the walk itself runs
-// lock-free.
+// scrubTargets captures every home under mu, so the walk itself reads the
+// device with mu free.
 func (s *Store) scrubTargets() []homedObject {
-	s.metaMu.RLock()
-	defer s.metaMu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	targets := make([]homedObject, 0, len(s.homes))
 	s.scanHomes(func(id uint64, h home) {
 		targets = append(targets, homedObject{id, h})
@@ -178,9 +178,10 @@ func (s *Store) scrubOneObject(t homedObject, st *ScrubStats) {
 	// checkpoint body may have relocated the object since then, making this
 	// target stale rather than damaged.  Only a mismatch the live home table
 	// still vouches for is a real verdict.
-	if cur, ok := s.lookupHome(t.id); !ok || cur != t.home {
-		return
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if cur, ok := s.homeOf(t.id); ok && cur == t.home {
+		st.CorruptionsFound++
+		st.ObjectsQuarantined += s.condemn(t.off)
 	}
-	st.CorruptionsFound++
-	st.ObjectsQuarantined += s.condemn(t.off)
 }

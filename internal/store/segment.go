@@ -27,7 +27,7 @@ import (
 // under a different SegmentSize option keep their old segments' geometry.
 // live is derived (recomputed from the object map at open); base, size, and
 // used are persisted in the metadata snapshot's segment section.  All
-// fields are guarded by allocMu.
+// fields are guarded by the store's mu.
 type segment struct {
 	base int64
 	size int64
@@ -38,9 +38,9 @@ type segment struct {
 // align512 is the packing granularity inside segments.
 func align512(n int64) int64 { return (n + 511) &^ 511 }
 
-// segContainingLocked returns the segment whose extent contains off, or
-// nil; the caller holds allocMu.
-func (s *Store) segContainingLocked(off int64) *segment {
+// segContaining returns the segment whose extent contains off, or nil; the
+// caller holds mu.
+func (s *Store) segContaining(off int64) *segment {
 	k, _, ok := s.segBases.Floor(btree.K1(uint64(off)))
 	if !ok {
 		return nil
@@ -52,9 +52,9 @@ func (s *Store) segContainingLocked(off int64) *segment {
 	return seg
 }
 
-// dropSegLocked forgets a segment; the caller holds allocMu and has already
-// queued (or is about to queue) its extent for release.
-func (s *Store) dropSegLocked(base int64) {
+// dropSeg forgets a segment; the caller holds mu and has already queued (or
+// is about to queue) its extent for release.
+func (s *Store) dropSeg(base int64) {
 	delete(s.segs, base)
 	s.segBases.Delete(btree.K1(uint64(base)))
 	if s.openSegBase == base {
@@ -70,11 +70,8 @@ func (s *Store) dropSegLocked(base int64) {
 // inside a segment decrements the segment's live count — the extent itself
 // is reclaimed when the segment empties (here) or by the cleaner — while a
 // dedicated extent joins the deferred-free list directly.  Called only by
-// the checkpoint body (ckptRun serializes); takes allocMu, so it may be
-// called with metaMu held (lock order metaMu → allocMu).
+// the checkpoint body (ckptRun serializes), holding mu.
 func (s *Store) vacateExtent(off, size int64) {
-	s.allocMu.Lock()
-	defer s.allocMu.Unlock()
 	if n, ok := s.extRefs[off]; ok {
 		if n <= 2 {
 			delete(s.extRefs, off) // back to a single owner
@@ -83,13 +80,13 @@ func (s *Store) vacateExtent(off, size int64) {
 		}
 		return
 	}
-	if seg := s.segContainingLocked(off); seg != nil {
+	if seg := s.segContaining(off); seg != nil {
 		seg.live -= align512(size)
 		if seg.live <= 0 {
 			seg.live = 0
 			if seg.base != s.openSegBase {
 				s.deferredFree = append(s.deferredFree, extent{off: seg.base, size: seg.size})
-				s.dropSegLocked(seg.base)
+				s.dropSeg(seg.base)
 				s.c.segsFreed.Add(1)
 			}
 		}
@@ -101,19 +98,18 @@ func (s *Store) vacateExtent(off, size int64) {
 // segAppend appends one object's contents to the open segment (rotating to
 // a freshly allocated one when it would overflow) and returns the object's
 // new home offset.  The device write is issued with no lock held; segment
-// bookkeeping is under allocMu.  Only the checkpoint body calls it (ckptRun
+// bookkeeping is under mu.  Only the checkpoint body calls it (ckptRun
 // serializes), so the open segment cannot rotate underneath the write.
 func (s *Store) segAppend(data []byte) (int64, error) {
 	sz := align512(int64(len(data)))
-	s.allocMu.Lock()
+	s.mu.Lock()
 	seg := s.segs[s.openSegBase]
 	if s.openSegBase == 0 || seg == nil || seg.used+sz > seg.size {
-		s.allocMu.Unlock()
 		ext, err := s.allocate(s.segSize)
 		if err != nil {
+			s.mu.Unlock()
 			return 0, err
 		}
-		s.allocMu.Lock()
 		seg = &segment{base: ext.off, size: ext.size}
 		s.segs[ext.off] = seg
 		s.segBases.Put(btree.K1(uint64(ext.off)), 0)
@@ -123,7 +119,7 @@ func (s *Store) segAppend(data []byte) (int64, error) {
 	off := seg.base + seg.used
 	seg.used += sz
 	seg.live += sz
-	s.allocMu.Unlock()
+	s.mu.Unlock()
 	if len(data) > 0 {
 		if _, err := s.d.WriteAt(data, off); err != nil {
 			return 0, err
@@ -164,7 +160,7 @@ func (s *Store) recomputeSegLive() {
 		seg.live = 0
 	}
 	for off, r := range refs {
-		if seg := s.segContainingLocked(off); seg != nil {
+		if seg := s.segContaining(off); seg != nil {
 			seg.live += align512(r.size)
 		}
 	}
@@ -192,10 +188,10 @@ func (s *Store) recomputeSegLive() {
 // extent counts toward live, so such a segment never looks empty either;
 // when the sharing ends it is an ordinary segment again.
 func (s *Store) cleanSegments() error {
-	s.allocMu.Lock()
+	s.mu.Lock()
 	shared := make(map[int64]bool)
 	for off := range s.extRefs {
-		if seg := s.segContainingLocked(off); seg != nil {
+		if seg := s.segContaining(off); seg != nil {
 			shared[seg.base] = true
 		}
 	}
@@ -206,7 +202,7 @@ func (s *Store) cleanSegments() error {
 		}
 		if seg.live == 0 {
 			s.deferredFree = append(s.deferredFree, extent{off: seg.base, size: seg.size})
-			s.dropSegLocked(base)
+			s.dropSeg(base)
 			s.c.segsFreed.Add(1)
 			continue
 		}
@@ -214,31 +210,30 @@ func (s *Store) cleanSegments() error {
 			victims = append(victims, seg)
 		}
 	}
-	s.allocMu.Unlock()
-	if len(victims) == 0 {
-		return nil
-	}
 	sortSegs(victims)
 	// One home-table scan collects every victim's live objects (ascending
 	// id, the deterministic order the segment writer needs).
 	byVictim := make(map[int64][]homedObject, len(victims))
-	s.metaMu.RLock()
-	s.scanHomes(func(id uint64, h home) {
-		for _, seg := range victims {
-			if h.off >= seg.base && h.off < seg.base+seg.size {
-				byVictim[seg.base] = append(byVictim[seg.base], homedObject{id, h})
-				break
+	if len(victims) > 0 {
+		s.scanHomes(func(id uint64, h home) {
+			for _, seg := range victims {
+				if h.off >= seg.base && h.off < seg.base+seg.size {
+					byVictim[seg.base] = append(byVictim[seg.base], homedObject{id, h})
+					break
+				}
 			}
-		}
-	})
-	s.metaMu.RUnlock()
+		})
+	}
+	s.mu.Unlock()
 	for _, seg := range victims {
 		damaged := false
 		for _, o := range byVictim[seg.base] {
 			buf, err := s.readVerified(o.home)
 			if err != nil {
 				if errors.Is(err, ErrCorrupt) {
+					s.mu.Lock()
 					s.condemn(o.off)
+					s.mu.Unlock()
 				}
 				damaged = true
 				break
@@ -247,12 +242,12 @@ func (s *Store) cleanSegments() error {
 			if err != nil {
 				return err
 			}
-			s.metaMu.Lock()
+			s.mu.Lock()
 			if cur, ok := s.homeOf(o.id); ok && cur.off == o.off {
 				s.setHome(o.id, home{off: newOff, size: o.size, crc: o.crc})
 				s.vacateExtent(o.off, o.size)
 			}
-			s.metaMu.Unlock()
+			s.mu.Unlock()
 			s.c.bytesCleaned.Add(uint64(o.size))
 		}
 		if !damaged {

@@ -141,46 +141,32 @@
 //
 // # Locking discipline
 //
-// The store admits concurrent operations with the same discipline the
-// kernel uses: no big lock, sharded tables, per-object state.  In order of
-// acquisition:
+// Five locks, in order of acquisition:
 //
-//  1. ckptMu, a store-wide RWMutex, is the checkpoint gate: every object
-//     operation (Put, Get, Delete, label ops, SyncObject, stats) holds it in
-//     read mode for its duration.  Only the checkpoint SEAL and Close hold
-//     it exclusively, and only briefly; the checkpoint body runs under no
-//     ckptMu mode at all, serialized against other checkpoints by ckptRun.
-//  2. Each object has its own entry (objEntry) with a per-entry mutex
-//     guarding its dirty/dead/ckpt flags, label, and contents — held only
-//     while dirty or sealed into a checkpoint not yet committed; a clean
-//     object's bytes are its home extent's and the kernel's.  A put patches
-//     e.data in place, by the range it changed, unless the entry's shared bit
-//     says a sealed whole log record or a checkpoint capture aliases it past
-//     the entry lock; then it installs a fresh copy.
-//  3. The entry table is sharded by object-ID bits.  Each shard's RWMutex
-//     guards its id→entry map and is never held while acquiring an entry
-//     lock — entry pointers are fetched under the shard read lock, which is
-//     released before the entry is locked.
-//  4. sbMu fences superblock and metadata-area device I/O: the checkpoint
-//     body holds it across the snapshot write + superblock flip, and scrub
+//  1. ckptRun serializes whole checkpoints, seal through finish: Checkpoint,
+//     Close and a sync's checkpoint fallback.
+//  2. ckptMu, a RWMutex, is the checkpoint gate: Put, Get, Delete, scrub
+//     chunks and every logged operation hold it in read mode, a logged one
+//     from its first seal to its last commit.  Only the checkpoint SEAL and
+//     Close hold it exclusively, and only briefly; the checkpoint body runs
+//     under no mode of it.
+//  3. sbMu fences superblock and metadata-area device I/O: the checkpoint
+//     body holds it across the snapshot write and superblock flip, and scrub
 //     holds it while verifying those same regions, so scrub never reads a
 //     torn in-progress image.
-//  5. metaMu (RWMutex) guards the home table — the object map and each
-//     object's home record, reached only through the accessors in home.go:
-//     Get's home lookups take it shared, checkpoint relocation and Alias
-//     take it exclusively per object — never across device I/O, which is
-//     staged outside the lock.
-//  6. allocMu guards the free-extent trees, the segment table, and the
-//     deferred-free list.  Reads never touch it, so lookups never contend
-//     with allocation.
-//  7. The committer's queue mutex (see groupcommit.go) is a leaf below the
-//     entry locks: records — syncs and aliases alike — are sealed and
-//     enqueued under the entry lock so per-object log order matches seal
-//     order.
+//  4. mu guards every in-memory table: the object entries (objEntry), the
+//     home table and the committed snapshot's place (metaWhich, metaEpoch),
+//     the extent refcounts, the free trees, the segment table, the
+//     deferred-free list and the last scrub's result.  It is never held
+//     across a device write or flush: the checkpoint body issues each write
+//     outside it and takes it to record where the bytes went.  Get holds it across a
+//     home read, so no put, delete or relocation lands between the lookup and
+//     the read.
+//  5. The committer's queue mutex (see groupcommit.go) is a leaf below mu:
+//     records — syncs and aliases alike — are sealed and enqueued under mu,
+//     so per-object log order matches seal order.
 //
-// Under ckptMu held exclusively (the seal; Format and Open are
-// single-threaded) entry locks are not required: entries are read and
-// written directly.
+// Format and Open are single-threaded: they touch the tables without mu.
 //
 // Recovery (Open, in open.go) loads the snapshot the superblock references
 // and replays the committed write-ahead log records of that snapshot's epoch
@@ -200,6 +186,57 @@ import (
 	"histar/internal/label"
 	"histar/internal/wal"
 )
+
+// objEntry is the in-memory state of one object: flags, the recorded label,
+// and the contents while no committed home holds them (resident).  Every
+// field is guarded by the store's mu.  A put patches data in place unless
+// shared says a sealed whole log record or checkpoint capture still holds it;
+// then data is replaced, never mutated.
+type objEntry struct {
+	data   []byte
+	shared bool // a sealed record or checkpoint capture aliases data
+	dirty  bool // modified since the last checkpoint seal
+	dead   bool // deleted since the last checkpoint seal
+	// deadSealed marks a dead entry a checkpoint seal has captured.  Only a
+	// later seal that still finds the mark drops the entry from the table:
+	// Delete clears it, and so does restoreSealed when the capturing
+	// checkpoint fails, so by then a committed snapshot no longer holds the
+	// object.  Until then SyncObject finds the entry and logs the tombstone,
+	// rather than taking the object's absence from memory for its absence
+	// from disk.
+	deadSealed bool
+	lbl        label.Label
+	hasLbl     bool
+	// quar marks an object whose home-extent contents failed checksum
+	// verification: accesses that would read the damaged extent return
+	// ErrQuarantined instead of corrupt bytes, until a Put/Delete replaces
+	// the contents.  The flag never blocks a resident copy.
+	quar bool
+	// ckpt marks an entry sealed into the running incremental checkpoint:
+	// until the snapshot naming the sealed state's new home commits, no
+	// durable home holds that state, so the entry keeps its copy (a Get
+	// reads it, a sync logs it) and condemn leaves it alone.  Cleared by
+	// releaseSealed, or by restoreSealed if the checkpoint fails.
+	ckpt bool
+
+	lo, hi int    // [lo, hi) changed since the last log record (empty: lo >= hi)
+	base   uint64 // the log generation of the last whole record
+}
+
+// resident reports whether the entry holds the object's contents (data ==
+// nil cannot say: an empty object's contents are nil too).
+func (e *objEntry) resident() bool { return (e.dirty || e.ckpt) && !e.dead }
+
+// entry returns id's entry, creating an empty one if there is none; the
+// caller holds mu.
+func (s *Store) entry(id uint64) *objEntry {
+	e := s.objs[id]
+	if e == nil {
+		e = &objEntry{}
+		s.objs[id] = e
+	}
+	return e
+}
 
 // Layout constants.
 const (
@@ -283,7 +320,7 @@ type Store struct {
 	logSize  int64
 	metaSize int64
 
-	// ckptMu is the checkpoint gate (discipline rule 1).  closed is guarded
+	// ckptMu is the checkpoint gate (discipline rule 2).  closed is guarded
 	// by it (read under R, written under W).
 	ckptMu sync.RWMutex
 	closed bool
@@ -302,16 +339,13 @@ type Store struct {
 
 	logGen atomic.Uint64 // the log generation (see sealSync)
 
-	// shards hold the in-memory object entries, partitioned by object-ID bits.
-	shards [storeShards]storeShard
+	syncers atomic.Int64 // goroutines inside logged (see awaitCommit)
 
-	// metaMu guards the home table (see home.go).
-	metaMu sync.RWMutex
-	homes  map[uint64]home // object ID → home record, the paper's object map
+	// mu guards all of the store's in-memory state (discipline rule 4).
+	mu    sync.Mutex
+	objs  map[uint64]*objEntry // object ID → in-memory entry
+	homes map[uint64]home      // object ID → home record, the paper's object map
 
-	// allocMu guards the free-extent trees, the segment table, and the
-	// deferred-free list.
-	allocMu    sync.Mutex
 	freeBySize *btree.Tree // (size, offset) → 0
 	freeByOff  *btree.Tree // (offset, 0) → size
 	// deferredFree holds extents vacated during a checkpoint (relocations,
@@ -329,7 +363,7 @@ type Store struct {
 	// The append-only data segments (see segment.go): segs maps base offset
 	// to segment, segBases indexes the bases for containment lookups, and
 	// openSegBase is the segment currently receiving appends (0 = none; the
-	// data region never starts at offset 0).  Guarded by allocMu.
+	// data region never starts at offset 0).
 	segs        map[int64]*segment
 	segBases    *btree.Tree
 	openSegBase int64
@@ -338,16 +372,15 @@ type Store struct {
 	comm committer
 
 	// sbMu fences superblock and metadata-area device I/O (discipline rule
-	// 4): the checkpoint body's snapshot write + superblock flip and scrub's
+	// 3): the checkpoint body's snapshot write + superblock flip and scrub's
 	// verification of those regions exclude each other.
 	sbMu sync.Mutex
 
 	metaWhich int // which metadata area (0 or 1) the superblock references
 	// metaEpoch is the checkpoint epoch recorded in the current superblock
-	// and metadata-area headers.  Written under metaMu by the checkpoint
-	// body (ckptRun-serialized); the body may read it without metaMu
-	// because the previous body's release of ckptRun happens-before this
-	// run's acquisition.
+	// and metadata-area headers.  The checkpoint body writes it and
+	// metaWhich holding both sbMu and mu, so either lock suffices to read
+	// them; the body itself reads them bare, since ckptRun serializes bodies.
 	metaEpoch uint64
 
 	// Test hooks, set before the store is shared: scrubGate runs between
@@ -391,10 +424,6 @@ const (
 	groupCommitBytes   = 1 << 20
 	groupCommitRecords = 128
 )
-
-// storeShards (a power of two) keeps shard-lock collisions negligible at
-// any realistic GOMAXPROCS while staying cheap to iterate for stats.
-const storeShards = 32
 
 // newStore builds the in-memory skeleton shared by Format and Open.
 func newStore(d disk.Device, opts Options) *Store {
@@ -442,9 +471,7 @@ func (s *Store) resetTables() {
 	s.segs = make(map[int64]*segment)
 	s.segBases = &btree.Tree{}
 	s.openSegBase = 0
-	for i := range s.shards {
-		s.shards[i].objs = make(map[uint64]*objEntry)
-	}
+	s.objs = make(map[uint64]*objEntry)
 }
 
 // Disk returns the underlying device.
@@ -452,8 +479,6 @@ func (s *Store) Disk() disk.Device { return s.d }
 
 // Stats returns a snapshot of store statistics.
 func (s *Store) Stats() Stats {
-	s.ckptMu.RLock()
-	defer s.ckptMu.RUnlock()
 	st := Stats{
 		Puts:             s.c.puts.Load(),
 		Gets:             s.c.gets.Load(),
@@ -472,28 +497,17 @@ func (s *Store) Stats() Stats {
 		SegsCleaned:      s.c.segsCleaned.Load(),
 		SegsFreed:        s.c.segsFreed.Load(),
 	}
-	// Entry locks first, metaMu second: the entry→metaMu order matches
-	// Get's home read, so a pending metaMu writer can never wedge between
-	// the two.
-	var dirtyIDs []uint64
-	for si := range s.shards {
-		for _, e := range s.shards[si].snapshot() {
-			e.entry.mu.Lock()
-			if e.entry.dirty {
-				dirtyIDs = append(dirtyIDs, e.id)
-			}
-			e.entry.mu.Unlock()
-		}
-	}
-	st.DirtyObjects = len(dirtyIDs)
-	s.metaMu.RLock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	st.LiveObjects = len(s.homes)
-	for _, id := range dirtyIDs {
-		if _, ok := s.homeOf(id); !ok {
-			st.LiveObjects++
+	for id, e := range s.objs {
+		if e.dirty {
+			st.DirtyObjects++
+			if _, ok := s.homeOf(id); !ok {
+				st.LiveObjects++
+			}
 		}
 	}
-	s.metaMu.RUnlock()
 	return st
 }
 
@@ -510,7 +524,7 @@ func (s *Store) Put(id uint64, data []byte) error { return s.put(id, data, nil, 
 // Labels are serialized in their canonical sorted form (into every SyncObject
 // log record, and into the metadata snapshot at checkpoint) and decoded
 // without sorting on load.  Contents and label are installed
-// under one entry-lock hold, so a concurrent SyncObject can never seal the
+// under one hold of mu, so a concurrent SyncObject can never seal the
 // new contents with the old (or no) label — the same atomicity the log
 // record format provides on disk.
 func (s *Store) PutLabeled(id uint64, lbl label.Label, data []byte, lo, hi int) error {
@@ -526,9 +540,16 @@ func (s *Store) put(id uint64, data []byte, lbl *label.Label, lo, hi int) error 
 	if s.closed {
 		return ErrClosed
 	}
-	e := s.shardOf(id).getOrCreate(id)
-	e.mu.Lock()
-	defer e.mu.Unlock()
+	s.c.puts.Add(1)
+	// A put of every byte copies them before taking mu, so that no other
+	// operation waits on the copy; a range put patches under mu.
+	var whole []byte
+	if lo <= 0 && hi >= len(data) {
+		whole = append([]byte(nil), data...)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.entry(id)
 	fresh := !e.resident() || len(data) != len(e.data)
 	if fresh {
 		e.lo, e.hi = 0, len(data)
@@ -540,7 +561,9 @@ func (s *Store) put(id uint64, data []byte, lbl *label.Label, lo, hi int) error 
 	}
 	// Patch [lo, hi) in place — the caller vouches for every other byte —
 	// unless a sealed record or checkpoint capture still holds the slice.
-	if fresh || e.shared {
+	if whole != nil {
+		e.data, e.shared = whole, false
+	} else if fresh || e.shared {
 		e.data, e.shared = append([]byte(nil), data...), false
 	} else if lo < hi {
 		copy(e.data[lo:hi], data[lo:hi])
@@ -548,7 +571,6 @@ func (s *Store) put(id uint64, data []byte, lbl *label.Label, lo, hi int) error 
 	e.dirty, e.dead = true, false
 	// New contents supersede a damaged home extent: lift the quarantine.
 	e.quar = false
-	s.c.puts.Add(1)
 	if lbl != nil {
 		e.lbl, e.hasLbl = *lbl, true
 	}
@@ -565,23 +587,22 @@ func (s *Store) Get(id uint64) ([]byte, error) {
 		return nil, ErrClosed
 	}
 	s.c.gets.Add(1)
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	buf, h, err := s.read(id)
 	var rot *CorruptError
 	if errors.As(err, &rot) {
 		// The verdict falls on every referent of the extent, this object
-		// included; condemn takes their entry locks one at a time.
+		// included.
 		s.condemn(h.off)
 		return nil, &QuarantineError{ID: id, Detail: rot.Error()}
 	}
 	return buf, err
 }
 
-// read is Get under ckptMu, also returning the home read, if any.  An entry's
-// lock is held across it, so no put or delete lands in between.
+// read is Get under ckptMu and mu, also returning the home read, if any.
 func (s *Store) read(id uint64) ([]byte, home, error) {
-	if e := s.shardOf(id).lookup(id); e != nil {
-		e.mu.Lock()
-		defer e.mu.Unlock()
+	if e := s.objs[id]; e != nil {
 		switch {
 		case e.dead:
 			return nil, home{}, ErrNoSuchObject
@@ -591,7 +612,7 @@ func (s *Store) read(id uint64) ([]byte, home, error) {
 			return nil, home{}, &QuarantineError{ID: id, Detail: "home extent failed verification"}
 		}
 	}
-	h, ok := s.lookupHome(id)
+	h, ok := s.homeOf(id)
 	if !ok {
 		return nil, h, ErrNoSuchObject
 	}
@@ -601,15 +622,12 @@ func (s *Store) read(id uint64) ([]byte, home, error) {
 
 // Label returns the stored label of an object, if one was recorded.
 func (s *Store) Label(id uint64) (label.Label, bool) {
-	s.ckptMu.RLock()
-	defer s.ckptMu.RUnlock()
-	e := s.shardOf(id).lookup(id)
-	if e == nil {
-		return label.Label{}, false
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e := s.objs[id]; e != nil {
+		return e.lbl, e.hasLbl
 	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.lbl, e.hasLbl
+	return label.Label{}, false
 }
 
 // EvictCache does nothing: the store keeps no clean contents to drop, so a
@@ -625,12 +643,12 @@ func (s *Store) Delete(id uint64) error {
 		return ErrClosed
 	}
 	s.c.deletes.Add(1)
-	e := s.shardOf(id).getOrCreate(id)
-	e.mu.Lock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	e := s.entry(id)
 	e.data, e.dirty, e.dead, e.deadSealed = nil, false, true, false
 	e.quar = false // deletion disposes of the damaged extent
 	e.lbl, e.hasLbl = label.Label{}, false
-	e.mu.Unlock()
 	return nil
 }
 
@@ -647,10 +665,8 @@ func (s *Store) Close() error {
 
 // FreeBytes returns the total free space in the data region.
 func (s *Store) FreeBytes() int64 {
-	s.ckptMu.RLock()
-	defer s.ckptMu.RUnlock()
-	s.allocMu.Lock()
-	defer s.allocMu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	var total int64
 	s.freeByOff.Scan(func(_ btree.Key, v uint64) bool {
 		total += int64(v)

@@ -186,15 +186,13 @@ func TestEvictCacheForcesDiskReads(t *testing.T) {
 // residentContents counts the entries holding contents and the content bytes
 // every entry holds, resident or not.
 func residentContents(s *Store) (entries, bytes int) {
-	for si := range s.shards {
-		for _, se := range s.shards[si].snapshot() {
-			se.entry.mu.Lock()
-			if se.entry.resident() {
-				entries++
-			}
-			bytes += len(se.entry.data)
-			se.entry.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, e := range s.objs {
+		if e.resident() {
+			entries++
 		}
+		bytes += len(e.data)
 	}
 	return entries, bytes
 }
@@ -621,4 +619,51 @@ func TestSyncAfterUnlabeledRecreateClearsCheckpointedLabel(t *testing.T) {
 	if lbl, ok := s2.Label(5); ok {
 		t.Errorf("stale checkpointed label resurrected: %v", lbl)
 	}
+}
+
+// TestSyncFallbackNoSpace fills a small store through per-object syncs until
+// the data region runs out.  The log fills first, so syncs fall back to
+// checkpoints, and the checkpoint that finds no free segment fails the sync
+// typed: that slot and the next Checkpoint both answer ErrNoSpace.  Nothing
+// acknowledged before it is lost across a crash.
+func TestSyncFallbackNoSpace(t *testing.T) {
+	d := disk.New(disk.Params{Sectors: 1 << 12, WriteCache: true}, &vclock.Clock{}) // 2 MiB
+	opts := Options{LogSize: 64 << 10, MetaAreaSize: 128 << 10, SegmentSize: 64 << 10}
+	s, err := Format(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload := func(id uint64) []byte { return bytes.Repeat([]byte{byte(id), byte(id >> 8)}, 4096) }
+	var acked []uint64
+	for id := uint64(1); ; id++ {
+		if id > 1000 {
+			t.Fatal("a 2 MiB store took 1000 objects of 8 KiB without running out of space")
+		}
+		if err := s.Put(id, payload(id)); err != nil {
+			t.Fatal(err)
+		}
+		err := s.SyncObjects([]uint64{id})[0]
+		if err == nil {
+			acked = append(acked, id)
+			continue
+		}
+		if !errors.Is(err, ErrNoSpace) {
+			t.Fatalf("sync of object %d: %v, want ErrNoSpace", id, err)
+		}
+		break
+	}
+	if err := s.Checkpoint(); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("checkpoint after the failed sync: %v, want ErrNoSpace", err)
+	}
+	d.Crash()
+	s2, err := Open(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range acked {
+		if got, err := s2.Get(id); err != nil || !bytes.Equal(got, payload(id)) {
+			t.Fatalf("acknowledged object %d after the crash: %d bytes, %v", id, len(got), err)
+		}
+	}
+	t.Logf("first sync refused at object %d; %d acknowledged objects read back", len(acked)+1, len(acked))
 }
