@@ -1,8 +1,8 @@
 package unixlib
 
-// Multi-process concurrency: with the kernel's sharded object table (PR 2)
-// and the store's sharded cache + group commit underneath, the library's
-// remaining serialization points are its own tables.  These tests race many
+// Multi-process concurrency: with the kernel's sharded object table and the
+// store's group commit underneath, the library's remaining serialization
+// points are its own tables and the store's one lock.  These tests race many
 // processes through file creation, I/O, fsync, spawn/wait, signals, shared
 // descriptors and mount tables; CI runs them under -race.
 
