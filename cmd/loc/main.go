@@ -20,7 +20,6 @@ import (
 var groups = map[string]string{
 	"internal/label":    "trusted kernel: label algebra",
 	"internal/kernel":   "trusted kernel: objects + system calls",
-	"internal/btree":    "trusted kernel: B+-trees",
 	"internal/wal":      "trusted kernel: write-ahead log",
 	"internal/store":    "trusted kernel: single-level store",
 	"internal/disk":     "simulated hardware: disk",
@@ -43,11 +42,11 @@ var groups = map[string]string{
 // lines.  Raising the constant is the visible, reviewable act of growing the
 // trusted base.
 var trusted = map[string]bool{
-	"internal/label": true, "internal/kernel": true, "internal/btree": true,
-	"internal/wal": true, "internal/store": true,
+	"internal/label": true, "internal/kernel": true, "internal/wal": true,
+	"internal/store": true,
 }
 
-const trustedBudget = 8391
+const trustedBudget = 8071
 
 func countLines(dir string) (code, tests int) {
 	filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {

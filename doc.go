@@ -18,23 +18,22 @@
 // canonical label in one atomic commit (see the internal/wal package
 // comment for the frame and record format), and checkpoints are
 // copy-on-write so a torn write can never corrupt the referenced snapshot.
-// The store runs concurrently under the same discipline as the kernel: the
-// object cache and label map are sharded by object-ID bits, each cached
-// object carries its own entry lock and dirty state, the allocator and
-// metadata trees sit behind narrow locks of their own, and a store-wide
-// RWMutex serves only as the checkpoint gate, held exclusively by nothing
-// but a checkpoint's seal, which raises the log epoch in memory and writes
-// nothing.  Concurrent SyncObject calls flow through a leader/follower group
-// committer — sealed records batch into one wal.Commit, which is one frame
-// written at the log's tail and one flush, stamped with the epoch, with
-// every syncer waiting on a commit ticket — so many
-// fsyncs share one log write and none of them seeks (see the internal/store
-// package comment for the locking discipline and the group-commit protocol's
-// crash-consistency invariants).  A crash-injection harness (disk.FaultDisk
-// plus the recovery tests in internal/store) replays every write-boundary
-// crash point of randomized workloads — serial and concurrent, including
-// mid-batch and partial-destage crashes — against a reference model to keep
-// those guarantees checkable.
+// The store's in-memory state — object entries, the object map, the free
+// list and the segment table — sits behind one mutex that is never held
+// across a device write, and a store-wide RWMutex serves only as the
+// checkpoint gate, held exclusively by nothing but a checkpoint's seal,
+// which raises the log epoch in memory and writes nothing.  Concurrent
+// SyncObject calls flow through a leader/follower group committer — sealed
+// records batch into one wal.Commit, which is one frame written at the
+// log's tail and one flush, stamped with the epoch, with every syncer
+// waiting on a commit ticket — so many fsyncs share one log write and none
+// of them seeks (see the internal/store package comment for the locking
+// discipline and the group-commit protocol's crash-consistency
+// invariants).  A crash-injection harness (disk.FaultDisk plus the recovery
+// tests in internal/store) replays every write-boundary crash point of
+// randomized workloads — serial and concurrent, including mid-batch and
+// partial-destage crashes — against a reference model to keep those
+// guarantees checkable.
 //
 // The kernel (internal/kernel) runs system calls with no global lock: the
 // object table is sharded by object-ID bits with a per-shard RWMutex, every
@@ -42,8 +41,7 @@
 // locks in ascending object-ID order (see the internal/kernel package
 // comment for the full discipline).  Read-mostly syscalls take only read
 // locks, and a label check touches no shared state at all.  Syscall
-// statistics are striped atomic counters indexed by a fixed syscall enum,
-// merged on read.
+// statistics are one atomic counter per syscall, indexed by a fixed enum.
 //
 // Batched submission rides on top of that discipline: a per-thread syscall
 // ring (kernel.Ring, an io_uring-style interface) queues segment and stat
@@ -54,15 +52,14 @@
 // Execution follows submission order, so a batch gets the verdicts and the
 // state its entries would get as direct calls one after another, each
 // checked against the label the thread holds at that entry (a gate entry
-// changes it for the entries after it).  Adjacent entries on one target share
-// a single resolve, lockOrdered acquisition, and liveness check, still
-// locking {container, object} in ascending-ID order, adding no new
-// lock-order edges.  Each OpSync pushes its segment where it stands, and the
-// batch's syncs are committed as one pre-formed SyncObjects group (earlier
-// only when a chained entry needs a sync's outcome), which the group
-// committer turns into dense log batches: ⌈N/128⌉ flushes for
-// N syncs instead of N.  The Unix library's multi-file writev/fsync fan-out
-// (Process.PwritevFsync, Process.FsyncMany) is built on the ring.
+// changes it for the entries after it).  Each entry is opened on its own, as
+// a direct call is, so the ring adds no lock-order edges.  Each OpSync
+// pushes its segment where it stands, and the batch's syncs are committed
+// as one pre-formed SyncObjects group (earlier only when a chained entry
+// needs a sync's outcome), which the group committer turns into dense log
+// batches: ⌈N/128⌉ flushes for N syncs instead of N.  The Unix library's
+// multi-file writev/fsync fan-out (Process.PwritevFsync, Process.FsyncMany)
+// is built on the ring.
 //
 // Container snapshots make sandbox creation O(metadata): the kernel
 // captures a container subtree as images — unpublished kernel objects under

@@ -348,9 +348,8 @@ func TestDeadlockSmokeLockOrdering(t *testing.T) {
 	}
 }
 
-// TestConcurrentFutexWakeAll checks the futex shard protocol has no lost
-// wakeups: every waiter blocked on the word is released once the word is
-// changed and woken.
+// TestConcurrentFutexWakeAll checks the futex table has no lost wakeups:
+// every waiter blocked on the word is released once it is woken.
 func TestConcurrentFutexWakeAll(t *testing.T) {
 	k := New(Config{Seed: 15})
 	boot, err := k.BootThread(label.New(label.L1), label.New(label.L2), "boot")
@@ -392,8 +391,72 @@ func TestConcurrentFutexWakeAll(t *testing.T) {
 	wg.Wait()
 }
 
-// TestConcurrentSyscallCounters checks the striped counters: per-syscall
-// counts merge to the total and each thread's own counter is exact.
+// TestFutexWakeOnlyItsAddress: a futex address is 〈segment, offset〉.  A wake
+// on 〈a, 0〉 releases neither a waiter on 〈a, 8〉 nor one on 〈b, 0〉, and each
+// of those still wakes on its own address.
+func TestFutexWakeOnlyItsAddress(t *testing.T) {
+	k := New(Config{Seed: 17})
+	boot, err := k.BootThread(label.New(label.L1), label.New(label.L2), "boot")
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := k.RootContainer()
+	var a, b CEnt
+	for _, ce := range []*CEnt{&a, &b} {
+		id, err := boot.SegmentCreate(root, label.New(label.L1), "futex", 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		*ce = CEnt{Container: root, Object: id}
+	}
+	queued := func() (n int) {
+		k.futexMu.Lock()
+		defer k.futexMu.Unlock()
+		for _, q := range k.futexes {
+			n += len(q.waiters)
+		}
+		return n
+	}
+	type addr struct {
+		ce  CEnt
+		off uint64
+	}
+	others := []addr{{a, 8}, {b, 0}}
+	done := make([]chan error, len(others))
+	for i, ad := range others {
+		tc := spawnWorker(t, k, boot, fmt.Sprintf("waiter%d", i))
+		done[i] = make(chan error, 1)
+		go func() { done[i] <- tc.FutexWait(ad.ce, ad.off, 0) }()
+	}
+	for deadline := time.Now().Add(time.Minute); queued() < len(others); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of %d waiters queued", queued(), len(others))
+		}
+	}
+	if n, err := boot.FutexWake(a, 0, 100); err != nil || n != 0 {
+		t.Fatalf("FutexWake(a, 0) = %d, %v; want 0 woken", n, err)
+	}
+	if got := queued(); got != len(others) {
+		t.Fatalf("%d waiters queued after a wake elsewhere, want %d", got, len(others))
+	}
+	for i, ad := range others {
+		if n, err := boot.FutexWake(ad.ce, ad.off, 100); err != nil || n != 1 {
+			t.Fatalf("FutexWake(〈%d, %d〉) = %d, %v; want 1 woken", ad.ce.Object, ad.off, n, err)
+		}
+		select {
+		case err := <-done[i]:
+			if err != nil {
+				t.Fatalf("waiter on 〈%d, %d〉: %v", ad.ce.Object, ad.off, err)
+			}
+		case <-time.After(time.Minute):
+			t.Fatalf("waiter on 〈%d, %d〉 not released by its own wake", ad.ce.Object, ad.off)
+		}
+	}
+}
+
+// TestConcurrentSyscallCounters checks the syscall counters under
+// concurrent callers: no add is lost, the per-syscall counts sum to the
+// total, and each thread's own counter is exact.
 func TestConcurrentSyscallCounters(t *testing.T) {
 	k := New(Config{Seed: 16})
 	boot, err := k.BootThread(label.New(label.L1), label.New(label.L2), "boot")

@@ -45,16 +45,16 @@
 //     mutation — and container membership and object liveness are
 //     re-verified under those locks before any mutation.  open (resolve,
 //     lockOrdered, verifyEntryLive) does this for every single-entry
-//     syscall and for a ring run; publish (live, immutable, charge, insert,
-//     link) is the only way a new object enters the table, run under the
-//     lock set of whichever creator called it.
+//     syscall, direct or a ring entry; publish (live, immutable, charge,
+//     insert, link) is the only way a new object enters the table, run
+//     under the lock set of whichever creator called it.
 //  4. Shard locks are only ever acquired with either no object locks held
 //     (lookup) or nested inside object locks (insert on create, delete on
 //     deallocate); an object lock is never acquired while a shard lock is
 //     held.
-//  5. Futex-table shard locks nest inside object locks and never the other
-//     way around.  The allocators are self-synchronized leaves, and so is
-//     doomedMu.
+//  5. The futex table's lock, futexMu, nests inside object locks and never
+//     the other way around.  The allocators are self-synchronized leaves,
+//     and so is doomedMu.
 //  6. The pager (the store: its locks lie below the kernel's and it never
 //     calls back) is called with at most one segment's lock held — with the
 //     naming container's shared lock, under open — for a push or a page-in
@@ -156,7 +156,9 @@ type Kernel struct {
 	ids  *label.Allocator
 	cats *label.Allocator
 
-	futexes [futexShardCount]futexShard
+	// futexMu guards futexes, the futex wait queues (futex.go).
+	futexMu sync.Mutex
+	futexes map[futexKey]*futexQueue
 
 	syscalls syscallCounters
 
@@ -184,12 +186,10 @@ func New(cfg Config) *Kernel {
 		ids:       label.NewAllocator(cfg.Seed ^ 0x9e3779b97f4a7c15),
 		cats:      label.NewAllocator(cfg.Seed),
 		snapshots: make(map[ID]*Snapshot),
+		futexes:   make(map[futexKey]*futexQueue),
 	}
 	for i := range k.shards {
 		k.shards[i].m = make(map[ID]object)
-	}
-	for i := range k.futexes {
-		k.futexes[i].m = make(map[futexKey]*futexQueue)
 	}
 	root := &container{
 		header:  k.newHeader(ObjContainer, label.New(label.L1), QuotaInfinite, "root container"),

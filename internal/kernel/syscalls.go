@@ -6,9 +6,7 @@ import "sync/atomic"
 // (e.g. 317 syscalls per fork/exec, 127 per spawn), and every syscall
 // records itself; a single mutex-guarded map here was a global serialization
 // point hit on every call.  Instead each syscall name has a fixed index into
-// an array of striped atomic counters: recording a call is one atomic add on
-// a stripe picked from the invoking thread's ID, so concurrent threads touch
-// different cache lines, and reads merge the stripes.
+// an array of atomic counters: recording a call is one atomic add.
 
 // syscallID indexes the per-syscall counter table.
 type syscallID int
@@ -128,67 +126,34 @@ var syscallNames = [numSyscalls]string{
 	scSync:                "sync",
 }
 
-// counterStripes is the number of stripes per counter; threads hash onto
-// stripes by ID, so it plays the role of a per-CPU slot.
-const counterStripes = 8
-
-// paddedUint64 is an atomic counter padded to its own cache line.
-type paddedUint64 struct {
-	atomic.Uint64
-	_ [56]byte
-}
-
-// stripedCounter spreads one logical counter over counterStripes cache
-// lines.
-type stripedCounter [counterStripes]paddedUint64
-
-func (c *stripedCounter) add(stripe int) { c[stripe].Add(1) }
-
-func (c *stripedCounter) load() uint64 {
-	var n uint64
-	for i := range c {
-		n += c[i].Load()
-	}
-	return n
-}
-
-func (c *stripedCounter) reset() {
-	for i := range c {
-		c[i].Store(0)
-	}
-}
-
 // syscallCounters is the full per-syscall statistics table.
-type syscallCounters [numSyscalls]stripedCounter
+type syscallCounters [numSyscalls]atomic.Uint64
 
 // count records a syscall invocation for the statistics the evaluation
-// reports.  One atomic add on the thread's stripe of the per-syscall
-// counter, one on the thread's own counter; no shared mutex.
+// reports.  One atomic add on the per-syscall counter, one on the thread's
+// own counter; no shared mutex.
 func (k *Kernel) count(sc syscallID, t *thread) {
-	stripe := 0
 	if t != nil {
-		stripe = int((uint64(t.id) * 0x9e3779b97f4a7c15) >> 61)
 		t.syscallCount.Add(1)
 	}
-	k.syscalls[sc].add(stripe)
+	k.syscalls[sc].Add(1)
 }
 
 // SyscallTotal returns the total number of system calls executed since boot.
 func (k *Kernel) SyscallTotal() uint64 {
 	var n uint64
 	for i := range k.syscalls {
-		n += k.syscalls[i].load()
+		n += k.syscalls[i].Load()
 	}
 	return n
 }
 
-// SyscallCounts returns a copy of the per-syscall invocation counts, merging
-// the stripes; syscalls never invoked are omitted, matching the previous
-// map-based semantics.
+// SyscallCounts returns a copy of the per-syscall invocation counts;
+// syscalls never invoked are omitted.
 func (k *Kernel) SyscallCounts() map[string]uint64 {
 	out := make(map[string]uint64)
 	for i := range k.syscalls {
-		if n := k.syscalls[i].load(); n > 0 {
+		if n := k.syscalls[i].Load(); n > 0 {
 			out[syscallNames[i]] = n
 		}
 	}
@@ -198,6 +163,6 @@ func (k *Kernel) SyscallCounts() map[string]uint64 {
 // ResetSyscallCounts zeroes the syscall statistics (benchmark plumbing).
 func (k *Kernel) ResetSyscallCounts() {
 	for i := range k.syscalls {
-		k.syscalls[i].reset()
+		k.syscalls[i].Store(0)
 	}
 }

@@ -1,10 +1,15 @@
 package store
 
-import "histar/internal/btree"
+import (
+	"cmp"
+	"slices"
+)
 
-// Extent allocation: two B+-trees over the free extents of the data region,
-// one keyed by (size, offset) for best-fit allocation and one by offset for
-// coalescing, both guarded by the store's mu.
+// Extent allocation: the free extents of the data region are one slice,
+// ascending by offset, with no two touching, guarded by the store's mu.  The
+// paper keeps two B+-trees here, by size for allocation and by location for
+// coalescing; the list is a handful of extents on every workload, so a scan
+// finds the best fit and a binary search finds the neighbours.
 
 type extent struct {
 	off  int64
@@ -18,52 +23,49 @@ func alignUp(n int64) int64 {
 	return (n + extentAlign - 1) / extentAlign * extentAlign
 }
 
-// allocate finds a free extent of at least size bytes using the
-// free-by-size tree, splitting the extent when it is larger than needed;
-// the caller holds mu.
+// allocate takes size bytes (rounded up to extentAlign) from the best-fitting
+// free extent: the smallest one large enough, the lowest-addressed among
+// equals.  The caller holds mu.
 func (s *Store) allocate(size int64) (extent, error) {
 	need := alignUp(size)
-	k, _, ok := s.freeBySize.Ceiling(btree.K2(uint64(need), 0))
-	if !ok {
+	best := -1
+	for i, e := range s.free {
+		if e.size >= need && (best < 0 || e.size < s.free[best].size) {
+			best = i
+		}
+	}
+	if best < 0 {
 		return extent{}, ErrNoSpace
 	}
-	ext := extent{off: int64(k[1]), size: int64(k[0])}
-	s.removeFree(ext)
-	if ext.size > need {
-		s.addFree(extent{off: ext.off + need, size: ext.size - need})
-		ext.size = need
+	ext := extent{off: s.free[best].off, size: need}
+	if s.free[best].size == need {
+		s.free = slices.Delete(s.free, best, best+1)
+	} else {
+		s.free[best].off += need
+		s.free[best].size -= need
 	}
 	return ext, nil
 }
 
-// addFree inserts an extent into both free trees, coalescing with adjacent
-// extents (the purpose of the offset-indexed tree); the caller holds mu.
+// addFree returns an extent to the free list, merging it with the free
+// extents it touches; the caller holds mu.
 func (s *Store) addFree(e extent) {
 	if e.size <= 0 {
 		return
 	}
-	// Coalesce with the preceding extent.
-	if k, v, ok := s.freeByOff.Floor(btree.K1(uint64(e.off))); ok {
-		prev := extent{off: int64(k[0]), size: int64(v)}
-		if prev.off+prev.size == e.off {
-			s.removeFree(prev)
-			e.off = prev.off
-			e.size += prev.size
-		}
+	i, _ := slices.BinarySearchFunc(s.free, e.off, func(f extent, off int64) int { return cmp.Compare(f.off, off) })
+	prev := i > 0 && s.free[i-1].off+s.free[i-1].size == e.off
+	next := i < len(s.free) && e.off+e.size == s.free[i].off
+	switch {
+	case prev && next:
+		s.free[i-1].size += e.size + s.free[i].size
+		s.free = slices.Delete(s.free, i, i+1)
+	case prev:
+		s.free[i-1].size += e.size
+	case next:
+		s.free[i].off = e.off
+		s.free[i].size += e.size
+	default:
+		s.free = slices.Insert(s.free, i, e)
 	}
-	// Coalesce with the following extent.
-	if k, v, ok := s.freeByOff.Ceiling(btree.K1(uint64(e.off + e.size))); ok {
-		next := extent{off: int64(k[0]), size: int64(v)}
-		if e.off+e.size == next.off {
-			s.removeFree(next)
-			e.size += next.size
-		}
-	}
-	s.freeBySize.Put(btree.K2(uint64(e.size), uint64(e.off)), 0)
-	s.freeByOff.Put(btree.K1(uint64(e.off)), uint64(e.size))
-}
-
-func (s *Store) removeFree(e extent) {
-	s.freeBySize.Delete(btree.K2(uint64(e.size), uint64(e.off)))
-	s.freeByOff.Delete(btree.K1(uint64(e.off)))
 }

@@ -1,0 +1,112 @@
+package store
+
+import (
+	"errors"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// TestFreeListMatchesModel pins the allocator's decision rule against a
+// brute-force model: a bitmap of extentAlign blocks whose best fit is the
+// shortest free run long enough, the lowest-addressed among equals.  A
+// seeded run of allocations and frees — whole extents and pieces of them —
+// must choose what the model chooses, keep the list ascending with no two
+// extents overlapping or touching, and report the model's free total.
+func TestFreeListMatchesModel(t *testing.T) {
+	const blocks = 96
+	const base = 5 * extentAlign // the data region never starts at 0
+	for seed := int64(0); seed < 8; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		s := newStore(nil, Options{})
+		s.addFree(extent{off: base, size: blocks * extentAlign})
+		model := make([]bool, blocks) // block i is free
+		for i := range model {
+			model[i] = true
+		}
+		mark := func(e extent, free bool) {
+			for b := (e.off - base) / extentAlign; b < (e.off-base+e.size)/extentAlign; b++ {
+				model[b] = free
+			}
+		}
+		var held []extent
+		for step := 0; step < 500; step++ {
+			if len(held) == 0 || r.Intn(2) == 0 {
+				size := 1 + r.Int63n(12*extentAlign)
+				got, err := s.allocate(size)
+				want, ok := modelBestFit(model, base, alignUp(size))
+				switch {
+				case !ok && !errors.Is(err, ErrNoSpace):
+					t.Fatalf("seed %d step %d: allocate(%d) = %+v, %v; the model has no room", seed, step, size, got, err)
+				case ok && (err != nil || got != want):
+					t.Fatalf("seed %d step %d: allocate(%d) = %+v, %v; the model picks %+v", seed, step, size, got, err, want)
+				case ok:
+					mark(got, false)
+					held = append(held, got)
+				}
+			} else {
+				i := r.Intn(len(held))
+				e := held[i]
+				if n := e.size / extentAlign; n > 1 && r.Intn(2) == 0 {
+					// Free the head or the tail and keep the rest held.
+					cut := (1 + r.Int63n(n-1)) * extentAlign
+					head, tail := extent{e.off, cut}, extent{e.off + cut, e.size - cut}
+					if r.Intn(2) == 0 {
+						head, tail = tail, head
+					}
+					e, held[i] = head, tail
+				} else {
+					held = slices.Delete(held, i, i+1)
+				}
+				s.addFree(e)
+				mark(e, true)
+			}
+			list := s.free
+			for j := 1; j < len(list); j++ {
+				if list[j-1].off+list[j-1].size >= list[j].off {
+					t.Fatalf("seed %d step %d: free list %+v is not ascending with gaps", seed, step, list)
+				}
+			}
+			runs := modelRuns(model, base)
+			if !slices.Equal(list, runs) {
+				t.Fatalf("seed %d step %d: free list %+v, the model's free runs %+v", seed, step, list, runs)
+			}
+			var total int64
+			for _, e := range runs {
+				total += e.size
+			}
+			if got := s.FreeBytes(); got != total {
+				t.Fatalf("seed %d step %d: FreeBytes = %d, the model has %d", seed, step, got, total)
+			}
+		}
+	}
+}
+
+// modelRuns returns the maximal runs of free blocks as extents.
+func modelRuns(model []bool, base int64) []extent {
+	var runs []extent
+	for b := 0; b < len(model); {
+		if !model[b] {
+			b++
+			continue
+		}
+		start := b
+		for b < len(model) && model[b] {
+			b++
+		}
+		runs = append(runs, extent{base + int64(start)*extentAlign, int64(b-start) * extentAlign})
+	}
+	return runs
+}
+
+// modelBestFit returns the first need bytes of the shortest free run that
+// holds them, the lowest-addressed among equals.
+func modelBestFit(model []bool, base, need int64) (extent, bool) {
+	var best extent
+	for _, run := range modelRuns(model, base) {
+		if run.size >= need && (best.size == 0 || run.size < best.size) {
+			best = run
+		}
+	}
+	return extent{best.off, need}, best.size != 0
+}

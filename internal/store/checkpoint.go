@@ -36,7 +36,7 @@ import (
 // an extent the on-disk snapshot still references — segment appends only
 // ever extend past the committed high-water mark, and vacated extents are
 // held on the deferred-free list until every data write of this checkpoint
-// has issued, then returned to the free trees just before the metadata is
+// has issued, then returned to the free list just before the metadata is
 // serialized.  Whichever superblock a crash leaves behind references only
 // intact data.
 //
@@ -105,7 +105,7 @@ func (s *Store) checkpointRunLocked() error {
 
 // sealCheckpoint is the SEAL phase; the caller holds ckptRun, ckptMu
 // exclusively, and mu.  The walk is in ascending ID order, not map order:
-// relocation order determines segment packing and the free-tree shape, and
+// relocation order determines segment packing and the free list, and
 // a deterministic workload must produce a byte-deterministic image.
 func (s *Store) sealCheckpoint() *sealedState {
 	// Syncs hold ckptMu in read mode from sealing a record to its commit, so
@@ -201,7 +201,7 @@ func (s *Store) checkpointBody(ss *sealedState) (err error) {
 		return err
 	}
 	// All data writes issued; the vacated extents may now rejoin the free
-	// trees so the metadata snapshot below records them reusable.
+	// list so the metadata snapshot below records them reusable.
 	s.mu.Lock()
 	for _, e := range s.deferredFree {
 		s.addFree(e)

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"hash/crc32"
 
-	"histar/internal/btree"
 	"histar/internal/label"
 )
 
@@ -219,17 +218,14 @@ func (s *Store) encodeMetadata(epoch uint64, labels []sealedLabel) []byte {
 		objs = appendHome(appendU64(objs, id), h)
 	})
 	// Free list by offset, and the segment table (base, size, used).
-	free := appendU64(nil, uint64(s.freeByOff.Len()))
-	s.freeByOff.Scan(func(k btree.Key, v uint64) bool {
-		free = appendU64(appendU64(free, k[0]), v)
-		return true
-	})
+	free := appendU64(nil, uint64(len(s.free)))
+	for _, e := range s.free {
+		free = appendU64(appendU64(free, uint64(e.off)), uint64(e.size))
+	}
 	segsSec := appendU64(nil, uint64(len(s.segs)))
-	s.segBases.Scan(func(k btree.Key, _ uint64) bool {
-		seg := s.segs[int64(k[0])]
+	for _, seg := range s.segs {
 		segsSec = appendU64(appendU64(appendU64(segsSec, uint64(seg.base)), uint64(seg.size)), uint64(seg.used))
-		return true
-	})
+	}
 	// Object labels in canonical serialized form.
 	labelsSec := appendU64(nil, uint64(len(labels)))
 	for _, sl := range labels {
@@ -316,7 +312,9 @@ func parseSections(payload []byte, base int64) (secs [secSegs + 1][]byte, err er
 }
 
 // The section decoders apply one verified payload to a store under
-// construction; a structural violation is left in r.err.
+// construction; a structural violation is left in r.err.  A free extent or
+// segment that starts before the one before it ends is one: an overlap
+// would let allocate hand out the same bytes twice.
 
 func (s *Store) decodeObjMapSection(r *sectionReader) {
 	for n := r.u64(); n > 0; n-- {
@@ -329,13 +327,17 @@ func (s *Store) decodeObjMapSection(r *sectionReader) {
 }
 
 func (s *Store) decodeFreeSection(r *sectionReader) {
+	var end uint64
 	for n := r.u64(); n > 0; n-- {
 		off, size := r.u64(), r.u64()
+		if r.err == nil && (size == 0 || off < end || off+size < off) {
+			r.fail("free extent at %d (size %d) is empty or overlaps the one before it", off, size)
+		}
 		if r.err != nil {
 			return
 		}
-		s.freeBySize.Put(btree.K2(size, off), 0)
-		s.freeByOff.Put(btree.K1(off), size)
+		s.free = append(s.free, extent{off: int64(off), size: int64(size)})
+		end = off + size
 	}
 }
 
@@ -357,16 +359,17 @@ func (s *Store) decodeLabelSection(r *sectionReader) {
 }
 
 func (s *Store) decodeSegsSection(r *sectionReader) {
+	var end uint64
 	for n := r.u64(); n > 0; n-- {
 		base, size, used := r.u64(), r.u64(), r.u64()
-		if r.err == nil && (size == 0 || used > size) {
-			r.fail("segment at %d has impossible geometry (size %d, used %d)", base, size, used)
+		if r.err == nil && (size == 0 || used > size || base < end || base+size < base) {
+			r.fail("segment at %d (size %d, used %d) has impossible geometry or overlaps the one before it", base, size, used)
 		}
 		if r.err != nil {
 			return
 		}
-		s.segs[int64(base)] = &segment{base: int64(base), size: int64(size), used: int64(used)}
-		s.segBases.Put(btree.K1(base), 0)
+		s.segs = append(s.segs, &segment{base: int64(base), size: int64(size), used: int64(used)})
+		end = base + size
 	}
 }
 

@@ -121,8 +121,11 @@ func TestOnDiskFormatUnchanged(t *testing.T) {
 // of a clone record — with its own encoder's output and two damaged variants:
 // cut short in the middle of a field, and with a count or length field that
 // claims more than the payload holds (an absurd count must also return at
-// once rather than loop).  The intact payload decodes; each damaged one
-// comes back as a CorruptError, never a panic or a half-reported success.
+// once rather than loop).  The free list and the segment table get a third:
+// an entry that starts inside the one before it, which would let the
+// allocator hand out the same bytes twice.  The intact payload decodes; each
+// damaged one comes back as a CorruptError, never a panic or a half-reported
+// success.
 func TestDecodersRefuseDamagedPayloads(t *testing.T) {
 	src, fd := rotStore(t)
 	populateGenerations(t, src)
@@ -143,18 +146,27 @@ func TestDecodersRefuseDamagedPayloads(t *testing.T) {
 		binary.LittleEndian.PutUint64(q[off:], v)
 		return q
 	}
+	// u64s encodes a section body: a count, then the fields.
+	u64s := func(count int, fields ...uint64) []byte {
+		b := appendU64(nil, uint64(count))
+		for _, f := range fields {
+			b = appendU64(b, f)
+		}
+		return b
+	}
 	cloneBody := encodeAliasBody(home{off: 8192, size: 10, crc: 7})
 	cases := []struct {
 		name    string
 		payload []byte
-		lenOff  int // offset of a count or length field to inflate
+		lenOff  int    // offset of a count or length field to inflate
+		overlap []byte // a payload whose second entry overlaps its first
 		decode  func(*Store, *sectionReader)
 	}{
-		{"objmap", section(secObjMap), 0, (*Store).decodeObjMapSection},
-		{"free", section(secFree), 0, (*Store).decodeFreeSection},
-		{"labels", section(secLabels), 0, (*Store).decodeLabelSection},
-		{"segments", section(secSegs), 0, (*Store).decodeSegsSection},
-		{"clone-body", cloneBody, -1, func(_ *Store, r *sectionReader) {
+		{"objmap", section(secObjMap), 0, nil, (*Store).decodeObjMapSection},
+		{"free", section(secFree), 0, u64s(2, 8192, 16384, 16384, 8192), (*Store).decodeFreeSection},
+		{"labels", section(secLabels), 0, nil, (*Store).decodeLabelSection},
+		{"segments", section(secSegs), 0, u64s(2, 1<<20, 1<<20, 0, 3<<19, 1<<20, 0), (*Store).decodeSegsSection},
+		{"clone-body", cloneBody, -1, nil, func(_ *Store, r *sectionReader) {
 			if _, err := decodeAliasBody(r.buf); err != nil {
 				r.err = err
 			}
@@ -176,6 +188,9 @@ func TestDecodersRefuseDamagedPayloads(t *testing.T) {
 				damaged["absurd-length"] = overrun(tc.payload, tc.lenOff, ^uint64(0))
 			} else {
 				damaged["overlong"] = append(append([]byte(nil), tc.payload...), 0)
+			}
+			if tc.overlap != nil {
+				damaged["overlapping"] = tc.overlap
 			}
 			for name, payload := range damaged {
 				var ce *CorruptError

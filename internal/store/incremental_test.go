@@ -423,7 +423,7 @@ func cleanerWorkload() []wlOp {
 // TestSegmentCleanerReclaimsAndPreservesData checks the cleaner end to end
 // on a healthy disk: the workload's deletions make it free and clean
 // segments, the survivors' contents stay exact across a remount, and the
-// vacated space returns to the free trees.
+// vacated space returns to the free list.
 func TestSegmentCleanerReclaimsAndPreservesData(t *testing.T) {
 	d := disk.New(disk.Params{Sectors: 1 << 16, WriteCache: true}, &vclock.Clock{})
 	s, err := Format(d, Options{LogSize: 1 << 20, MetaAreaSize: 512 << 10, SegmentSize: 64 << 10})

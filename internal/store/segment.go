@@ -2,8 +2,8 @@ package store
 
 import (
 	"errors"
-
-	"histar/internal/btree"
+	"slices"
+	"sort"
 )
 
 // The log-structured data region: checkpoint relocations append sealed
@@ -38,27 +38,29 @@ type segment struct {
 // align512 is the packing granularity inside segments.
 func align512(n int64) int64 { return (n + 511) &^ 511 }
 
+// segsUpTo returns how many segments have their base at or below off; the
+// caller holds mu.
+func (s *Store) segsUpTo(off int64) int {
+	return sort.Search(len(s.segs), func(i int) bool { return s.segs[i].base > off })
+}
+
 // segContaining returns the segment whose extent contains off, or nil; the
 // caller holds mu.
 func (s *Store) segContaining(off int64) *segment {
-	k, _, ok := s.segBases.Floor(btree.K1(uint64(off)))
-	if !ok {
+	i := s.segsUpTo(off) - 1
+	if i < 0 || off >= s.segs[i].base+s.segs[i].size {
 		return nil
 	}
-	seg := s.segs[int64(k[0])]
-	if seg == nil || off >= seg.base+seg.size {
-		return nil
-	}
-	return seg
+	return s.segs[i]
 }
 
 // dropSeg forgets a segment; the caller holds mu and has already queued (or
 // is about to queue) its extent for release.
-func (s *Store) dropSeg(base int64) {
-	delete(s.segs, base)
-	s.segBases.Delete(btree.K1(uint64(base)))
-	if s.openSegBase == base {
-		s.openSegBase = 0
+func (s *Store) dropSeg(seg *segment) {
+	i := s.segsUpTo(seg.base) - 1
+	s.segs = slices.Delete(s.segs, i, i+1)
+	if s.openSeg == seg {
+		s.openSeg = nil
 	}
 }
 
@@ -84,9 +86,9 @@ func (s *Store) vacateExtent(off, size int64) {
 		seg.live -= align512(size)
 		if seg.live <= 0 {
 			seg.live = 0
-			if seg.base != s.openSegBase {
+			if seg != s.openSeg {
 				s.deferredFree = append(s.deferredFree, extent{off: seg.base, size: seg.size})
-				s.dropSeg(seg.base)
+				s.dropSeg(seg)
 				s.c.segsFreed.Add(1)
 			}
 		}
@@ -103,17 +105,16 @@ func (s *Store) vacateExtent(off, size int64) {
 func (s *Store) segAppend(data []byte) (int64, error) {
 	sz := align512(int64(len(data)))
 	s.mu.Lock()
-	seg := s.segs[s.openSegBase]
-	if s.openSegBase == 0 || seg == nil || seg.used+sz > seg.size {
+	seg := s.openSeg
+	if seg == nil || seg.used+sz > seg.size {
 		ext, err := s.allocate(s.segSize)
 		if err != nil {
 			s.mu.Unlock()
 			return 0, err
 		}
 		seg = &segment{base: ext.off, size: ext.size}
-		s.segs[ext.off] = seg
-		s.segBases.Put(btree.K1(uint64(ext.off)), 0)
-		s.openSegBase = ext.off
+		s.segs = slices.Insert(s.segs, s.segsUpTo(ext.off), seg)
+		s.openSeg = seg
 		s.c.segsAllocated.Add(1)
 	}
 	off := seg.base + seg.used
@@ -164,10 +165,10 @@ func (s *Store) recomputeSegLive() {
 			seg.live += align512(r.size)
 		}
 	}
-	s.openSegBase = 0
-	for base, seg := range s.segs {
-		if seg.size == s.segSize && seg.used < seg.size && base > s.openSegBase {
-			s.openSegBase = base
+	s.openSeg = nil
+	for _, seg := range s.segs {
+		if seg.size == s.segSize && seg.used < seg.size {
+			s.openSeg = seg // ascending bases: the last one wins
 		}
 	}
 }
@@ -195,22 +196,24 @@ func (s *Store) cleanSegments() error {
 			shared[seg.base] = true
 		}
 	}
-	var victims []*segment
-	for base, seg := range s.segs {
-		if base == s.openSegBase || seg.used == 0 || shared[base] {
+	// Ascending bases, so the victims come out in the deterministic order
+	// cleaning needs; the dead are dropped only after the walk.
+	var dead, victims []*segment
+	for _, seg := range s.segs {
+		if seg == s.openSeg || seg.used == 0 || shared[seg.base] {
 			continue
 		}
 		if seg.live == 0 {
-			s.deferredFree = append(s.deferredFree, extent{off: seg.base, size: seg.size})
-			s.dropSeg(base)
-			s.c.segsFreed.Add(1)
-			continue
-		}
-		if seg.live*2 < seg.used {
+			dead = append(dead, seg)
+		} else if seg.live*2 < seg.used {
 			victims = append(victims, seg)
 		}
 	}
-	sortSegs(victims)
+	for _, seg := range dead {
+		s.deferredFree = append(s.deferredFree, extent{off: seg.base, size: seg.size})
+		s.dropSeg(seg)
+		s.c.segsFreed.Add(1)
+	}
 	// One home-table scan collects every victim's live objects (ascending
 	// id, the deterministic order the segment writer needs).
 	byVictim := make(map[int64][]homedObject, len(victims))
@@ -257,13 +260,4 @@ func (s *Store) cleanSegments() error {
 		}
 	}
 	return nil
-}
-
-// sortSegs orders segments by base offset for deterministic cleaning.
-func sortSegs(segs []*segment) {
-	for i := 1; i < len(segs); i++ {
-		for j := i; j > 0 && segs[j-1].base > segs[j].base; j-- {
-			segs[j-1], segs[j] = segs[j], segs[j-1]
-		}
-	}
 }

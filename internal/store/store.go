@@ -3,9 +3,10 @@
 // snapshot, and all kernel objects are periodically checkpointed to disk.
 // The layout follows the paper's description, inspired by XFS: an object map
 // gives each object ID its location on disk (the paper's B+-tree; here a hash
-// map whose scans sort the ids, see home.go), two B+-trees maintain the
-// free-extent list (indexed by size, for allocation, and by location, for
-// coalescing).  Write-ahead logging provides atomicity and crash consistency,
+// map whose scans sort the ids, see home.go), and a free-extent list tracks
+// the unused space (the paper's two B+-trees, by size and by location; here
+// one offset-ordered slice that a best-fit scan allocates from, see
+// alloc.go).  Write-ahead logging provides atomicity and crash consistency,
 // and disk space allocation is delayed until an object is written to disk,
 // making it easier to allocate contiguous extents.
 //
@@ -97,7 +98,7 @@
 // fully dead segments are freed without copying, and segments at least half
 // dead have their live objects appended out so the extent can be reclaimed.
 // Segments are never overwritten in place — appends land only beyond the
-// committed high-water mark, and vacated extents return to the free trees
+// committed high-water mark, and vacated extents return to the free list
 // only after every data write of the checkpoint has issued — preserving the
 // copy-on-write discipline that makes a crash at any write boundary leave
 // the previously referenced snapshot intact.  See segment.go.
@@ -112,7 +113,7 @@
 //     for the batch commit: concurrent syncers share one sequential write
 //     plus flush; it logs only the bytes that changed when it can (sealSync).
 //   - group sync: Checkpoint seals the dirty set, writes it to home
-//     segments, persists the metadata trees, and updates the superblock
+//     segments, persists the metadata snapshot, and updates the superblock
 //     once.
 //
 // # Incremental checkpoints
@@ -156,7 +157,7 @@
 //     torn in-progress image.
 //  4. mu guards every in-memory table: the object entries (objEntry), the
 //     home table and the committed snapshot's place (metaWhich, metaEpoch),
-//     the extent refcounts, the free trees, the segment table, the
+//     the extent refcounts, the free list, the segment table, the
 //     deferred-free list and the last scrub's result.  It is never held
 //     across a device write or flush: the checkpoint body issues each write
 //     outside it and takes it to record where the bytes went.  Get holds it across a
@@ -181,7 +182,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"histar/internal/btree"
 	"histar/internal/disk"
 	"histar/internal/label"
 	"histar/internal/wal"
@@ -293,7 +293,7 @@ type Stats struct {
 	MetaBytesWritten uint64
 	// SegsAllocated / SegsCleaned / SegsFreed count data-region segments
 	// created by the segment writer, compacted by the cleaner, and returned
-	// to the free trees.
+	// to the free list.
 	SegsAllocated uint64
 	SegsCleaned   uint64
 	SegsFreed     uint64
@@ -346,8 +346,7 @@ type Store struct {
 	objs  map[uint64]*objEntry // object ID → in-memory entry
 	homes map[uint64]home      // object ID → home record, the paper's object map
 
-	freeBySize *btree.Tree // (size, offset) → 0
-	freeByOff  *btree.Tree // (offset, 0) → size
+	free []extent // the free extents, ascending by offset (see alloc.go)
 	// deferredFree holds extents vacated during a checkpoint (relocations,
 	// deletions, emptied segments) until every data write of that checkpoint
 	// has issued; kept on the store, not the stack, so a failed checkpoint
@@ -360,14 +359,11 @@ type Store struct {
 	// Open.
 	extRefs map[int64]int64
 
-	// The append-only data segments (see segment.go): segs maps base offset
-	// to segment, segBases indexes the bases for containment lookups, and
-	// openSegBase is the segment currently receiving appends (0 = none; the
-	// data region never starts at offset 0).
-	segs        map[int64]*segment
-	segBases    *btree.Tree
-	openSegBase int64
-	segSize     int64
+	// The append-only data segments (see segment.go), ascending by base, and
+	// the one currently receiving appends (nil = none).
+	segs    []*segment
+	openSeg *segment
+	segSize int64
 
 	comm committer
 
@@ -465,12 +461,10 @@ func Format(d disk.Device, opts Options) (*Store, error) {
 // a fallback area decodes into a clean store after a failed first attempt.
 func (s *Store) resetTables() {
 	s.homes = make(map[uint64]home)
-	s.freeBySize = &btree.Tree{}
-	s.freeByOff = &btree.Tree{}
+	s.free = nil
 	s.extRefs = make(map[int64]int64)
-	s.segs = make(map[int64]*segment)
-	s.segBases = &btree.Tree{}
-	s.openSegBase = 0
+	s.segs = nil
+	s.openSeg = nil
 	s.objs = make(map[uint64]*objEntry)
 }
 
@@ -668,9 +662,8 @@ func (s *Store) FreeBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var total int64
-	s.freeByOff.Scan(func(_ btree.Key, v uint64) bool {
-		total += int64(v)
-		return true
-	})
+	for _, e := range s.free {
+		total += e.size
+	}
 	return total
 }
