@@ -76,8 +76,8 @@
 // committed together — a bake is a checkpoint plus one commit, a spawn one
 // commit), a clone's segments are aliases of those, and dropping a snapshot
 // deletes them.  A shared extent is
-// kept from the segment cleaner and the deferred-free path until its last
-// referent goes, a rotted one quarantines every referent — so a clone of it
+// kept from the segment cleaner, and out of the derived free list, until its
+// last referent goes, a rotted one quarantines every referent — so a clone of it
 // fails with a typed error rather than propagating silently — and a clone's
 // aliases die with its segments.
 // unixlib.BakeGolden/SpawnFromGolden package the pattern as

@@ -1,7 +1,7 @@
 package store
 
 // Tests for aliases: what Alias refuses, refcount accounting against the
-// cleaner and the deferred-free path, WAL and metadata-snapshot durability,
+// cleaner and the derived free list, WAL and metadata-snapshot durability,
 // and the crash and bit-rot matrices over snapshot/clone-shaped workloads (a
 // "snapshot" here is what the kernel makes of one: an alias somebody holds
 // on to; a "clone" is an alias of that).
@@ -277,7 +277,7 @@ func TestBundlePinsBlockReclaimUntilDelete(t *testing.T) {
 		mustAlias(t, s, i, 50+i, label.New(label.L1))
 	}
 	// Rewrite half the sources, then drop them all, and checkpoint repeatedly
-	// so the deferred-free path and the segment cleaner both get their chance
+	// so the derived free list and the segment cleaner both get their chance
 	// at the extents.
 	for i := uint64(1); i <= n; i++ {
 		if i%2 == 0 {
@@ -755,7 +755,7 @@ func runAliasWorkload(t *testing.T, s *Store, m *refModel) bool {
 	}
 	m.commit(101)
 	// Delete sources while their aliases live, then checkpoint twice: the
-	// cleaner and deferred-free path run against shared extents.
+	// cleaner and the free list's derivation run against shared extents.
 	for _, i := range []uint64{4, 5} {
 		if fault(s.Delete(i)) {
 			return true

@@ -2,14 +2,16 @@ package store
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 )
 
 // Extent allocation: the free extents of the data region are one slice,
-// ascending by offset, with no two touching, guarded by the store's mu.  The
-// paper keeps two B+-trees here, by size for allocation and by location for
-// coalescing; the list is a handful of extents on every workload, so a scan
-// finds the best fit and a binary search finds the neighbours.
+// ascending by offset, guarded by the store's mu.  deriveFree rebuilds it from
+// the committed tables at Format, Open and each commit; allocate only takes
+// from it in between, so nothing a committed snapshot names is reused, even
+// after a failed checkpoint.  (The paper's two B+-trees, by size and by
+// location, are here one list of a handful of extents and a best-fit scan.)
 
 type extent struct {
 	off  int64
@@ -17,9 +19,6 @@ type extent struct {
 }
 
 func alignUp(n int64) int64 {
-	if n <= 0 {
-		return extentAlign
-	}
 	return (n + extentAlign - 1) / extentAlign * extentAlign
 }
 
@@ -47,25 +46,47 @@ func (s *Store) allocate(size int64) (extent, error) {
 	return ext, nil
 }
 
-// addFree returns an extent to the free list, merging it with the free
-// extents it touches; the caller holds mu.
-func (s *Store) addFree(e extent) {
-	if e.size <= 0 {
-		return
+// deriveFree returns the data region less every segment and every home outside
+// one, refusing as a CorruptError (at areaOff) an extent outside the region
+// or two homes overlapping other than as one extent (an alias).  With loading
+// (a decoded snapshot) the homes inside segments are checked too, each below
+// its used mark; at a commit the store's own appends placed them.  The caller
+// holds mu, or runs single-threaded.
+func (s *Store) deriveFree(areaOff int64, loading bool) ([]extent, error) {
+	start, end := s.metaAreaOff(2), s.d.Size() // the data region follows area 1
+	// packed: homes inside segments, and each segment's unwritten tail.
+	var packed, taken []extent
+	for _, seg := range s.segs {
+		packed = append(packed, extent{seg.base + seg.used, seg.size - seg.used})
+		taken = append(taken, extent{seg.base, seg.size})
 	}
-	i, _ := slices.BinarySearchFunc(s.free, e.off, func(f extent, off int64) int { return cmp.Compare(f.off, off) })
-	prev := i > 0 && s.free[i-1].off+s.free[i-1].size == e.off
-	next := i < len(s.free) && e.off+e.size == s.free[i].off
-	switch {
-	case prev && next:
-		s.free[i-1].size += e.size + s.free[i].size
-		s.free = slices.Delete(s.free, i, i+1)
-	case prev:
-		s.free[i-1].size += e.size
-	case next:
-		s.free[i].off = e.off
-		s.free[i].size += e.size
-	default:
-		s.free = slices.Insert(s.free, i, e)
+	for _, h := range s.homes {
+		if s.segContaining(h.off) == nil {
+			taken = append(taken, extent{h.off, alignUp(h.size)})
+		} else if loading {
+			packed = append(packed, extent{h.off, h.size})
+		}
 	}
+	// Sorted, aliases folded, no extent may start before the last one ends;
+	// the gaps taken leaves are the free list.
+	var free []extent
+	for _, es := range [][]extent{packed, taken} {
+		slices.SortFunc(es, func(a, b extent) int { return cmp.Or(cmp.Compare(a.off, b.off), cmp.Compare(a.size, b.size)) })
+		free = nil
+		at := start
+		for _, e := range slices.Compact(es) {
+			if e.off < at || e.size < 0 || e.size > end-e.off {
+				return nil, &CorruptError{Area: "metadata", Offset: areaOff, Detail: fmt.Sprintf(
+					"extent at %d (size %d) overlaps a home, a segment or a segment's unwritten tail, or leaves the data region", e.off, e.size)}
+			}
+			if e.off > at {
+				free = append(free, extent{at, e.off - at})
+			}
+			at = e.off + e.size
+		}
+		if end > at {
+			free = append(free, extent{at, end - at})
+		}
+	}
+	return free, nil
 }

@@ -5,21 +5,32 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"histar/internal/disk"
+	"histar/internal/vclock"
 )
 
 // TestFreeListMatchesModel pins the allocator's decision rule against a
 // brute-force model: a bitmap of extentAlign blocks whose best fit is the
 // shortest free run long enough, the lowest-addressed among equals.  A
-// seeded run of allocations and frees — whole extents and pieces of them —
-// must choose what the model chooses, keep the list ascending with no two
-// extents overlapping or touching, and report the model's free total.
+// seeded run of allocations, each recorded as a dedicated home, and frees —
+// a home dropped, or cut to its head or tail, and the free list derived
+// again — must choose what the model chooses, keep the list ascending with no
+// two extents overlapping or touching, and report the model's free total.
 func TestFreeListMatchesModel(t *testing.T) {
 	const blocks = 96
-	const base = 5 * extentAlign // the data region never starts at 0
+	opts := Options{LogSize: 4096, MetaAreaSize: 2 * extentAlign} // the data region starts at 5 blocks
 	for seed := int64(0); seed < 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		s := newStore(nil, Options{})
-		s.addFree(extent{off: base, size: blocks * extentAlign})
+		base := int64(5 * extentAlign)
+		s := newStore(disk.New(disk.Params{Sectors: (base + blocks*extentAlign) / disk.SectorSize}, &vclock.Clock{}), opts)
+		derive := func() {
+			var err error
+			if s.free, err = s.deriveFree(0, true); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+		}
+		derive()
 		model := make([]bool, blocks) // block i is free
 		for i := range model {
 			model[i] = true
@@ -29,7 +40,11 @@ func TestFreeListMatchesModel(t *testing.T) {
 				model[b] = free
 			}
 		}
-		var held []extent
+		type hold struct {
+			id  uint64 // the home that holds it
+			ext extent
+		}
+		var held []hold
 		for step := 0; step < 500; step++ {
 			if len(held) == 0 || r.Intn(2) == 0 {
 				size := 1 + r.Int63n(12*extentAlign)
@@ -42,11 +57,12 @@ func TestFreeListMatchesModel(t *testing.T) {
 					t.Fatalf("seed %d step %d: allocate(%d) = %+v, %v; the model picks %+v", seed, step, size, got, err, want)
 				case ok:
 					mark(got, false)
-					held = append(held, got)
+					held = append(held, hold{uint64(step), got})
+					s.setHome(uint64(step), home{off: got.off, size: size})
 				}
 			} else {
 				i := r.Intn(len(held))
-				e := held[i]
+				id, e := held[i].id, held[i].ext
 				if n := e.size / extentAlign; n > 1 && r.Intn(2) == 0 {
 					// Free the head or the tail and keep the rest held.
 					cut := (1 + r.Int63n(n-1)) * extentAlign
@@ -54,11 +70,13 @@ func TestFreeListMatchesModel(t *testing.T) {
 					if r.Intn(2) == 0 {
 						head, tail = tail, head
 					}
-					e, held[i] = head, tail
+					e, held[i].ext = head, tail
+					s.setHome(id, home{off: tail.off, size: tail.size})
 				} else {
 					held = slices.Delete(held, i, i+1)
+					s.dropHome(id)
 				}
-				s.addFree(e)
+				derive()
 				mark(e, true)
 			}
 			list := s.free

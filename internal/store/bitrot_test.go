@@ -578,7 +578,8 @@ func legacyLabelDigest(lbl label.Label) uint64 {
 // and payload length to match, every CRC valid.  Versions up to 4 persisted
 // the label fingerprint index as section 4 — (fingerprint, id) pairs in
 // ascending order — which is rebuilt here from the area's own label section;
-// versions 3 to 5 a table of snapshot pins as section 6, empty here.
+// versions 3 to 5 a table of snapshot pins as section 6, and versions up to 6
+// the free-extent list as section 2, both empty here.
 func restampMetaArea(t *testing.T, d disk.Device, areaOff int64, version uint64, tags ...uint64) {
 	t.Helper()
 	section := func(tag uint64) []byte {
@@ -612,7 +613,7 @@ func restampMetaArea(t *testing.T, d disk.Device, areaOff int64, version uint64,
 		switch tag {
 		case 4:
 			body = index
-		case 6:
+		case 2, 6:
 			body = appendU64(nil, 0)
 		default:
 			body = section(tag)
@@ -674,6 +675,7 @@ func TestOtherFormatVersionsRefusedNotLoaded(t *testing.T) {
 	}{
 		{"v2", 2, []uint64{1, 2, 3, 4}}, {"v3", 3, []uint64{1, 2, 3, 4, 5}},
 		{"v4", 4, []uint64{1, 2, 3, 4, 5, 6}}, {"v5", 5, []uint64{1, 2, 3, 5, 6}},
+		{"v6", 6, []uint64{1, 2, 3, 5}},
 	}
 	for _, tc := range metas {
 		t.Run("metadata-"+tc.name, func(t *testing.T) {

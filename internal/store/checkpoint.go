@@ -23,22 +23,21 @@ import (
 //	        writes, never across one): vacate deleted
 //	        objects' extents, stream the sealed contents into append-only
 //	        segments (dedicated extents for oversized objects), run the
-//	        segment cleaner, return deferred frees to the allocator,
-//	        serialize the metadata sections against the sealed epoch, and
-//	        flip the superblock; only then release the sealed entries'
-//	        contents, now durable at home.  Reads, writes, and SyncObject
-//	        group commits all proceed concurrently.
+//	        segment cleaner, serialize the metadata sections against the
+//	        sealed epoch, and flip the superblock; only then install the
+//	        free list derived from the tables serialized and release the
+//	        sealed entries' contents, now durable at home.  Reads, writes, and SyncObject group commits all
+//	        proceed concurrently.
 //	FINISH  reclaim log frames of epochs older than the previous committed
 //	        snapshot's (its own are kept for the metadata-fallback ladder
 //	        rung).
 //
 // Checkpoints remain copy-on-write: a sealed object is never written over
 // an extent the on-disk snapshot still references — segment appends only
-// ever extend past the committed high-water mark, and vacated extents are
-// held on the deferred-free list until every data write of this checkpoint
-// has issued, then returned to the free list just before the metadata is
-// serialized.  Whichever superblock a crash leaves behind references only
-// intact data.
+// ever extend past the committed high-water mark, and a vacated extent is
+// free only once a snapshot not naming it has committed (alloc.go), so a
+// failed body frees nothing.  Whichever superblock a crash leaves behind
+// references only intact data.
 //
 // Every seal attempt takes a fresh epoch, so a failed body burns its own:
 // records synced between it and the retry carry an epoch the retry's
@@ -200,14 +199,6 @@ func (s *Store) checkpointBody(ss *sealedState) (err error) {
 	if err := s.cleanSegments(); err != nil {
 		return err
 	}
-	// All data writes issued; the vacated extents may now rejoin the free
-	// list so the metadata snapshot below records them reusable.
-	s.mu.Lock()
-	for _, e := range s.deferredFree {
-		s.addFree(e)
-	}
-	s.deferredFree = nil
-	s.mu.Unlock()
 	prev := s.metaEpoch
 	if err := s.writeSnapshot(ss.epoch, ss.labels); err != nil {
 		return err
@@ -289,24 +280,30 @@ func (s *Store) writeObjectHome(data []byte) (int64, error) {
 }
 
 // writeSnapshot serializes the metadata sections against the sealed epoch,
-// writes them to the alternate metadata area, and flips the superblock.
-// It runs in the checkpoint body (ckptRun serialized) or single-threaded
-// construction: sbMu fences the superblock/meta-area device I/O against a
+// writes them to the alternate metadata area, flips the superblock, and only
+// then installs the free list derived from the tables it serialized.  It runs
+// in the checkpoint body (ckptRun serialized) or single-threaded
+// construction, so nothing allocates in between.  sbMu fences the
+// superblock/meta-area device I/O against a
 // concurrent scrub's reads of the same regions, and the committed
 // metaWhich/metaEpoch are published under sbMu and mu both, so a reader
 // holding either (scrub, committedEpoch) sees a (which, epoch) pair that
 // matches the bytes on disk.
 func (s *Store) writeSnapshot(epoch uint64, labels []sealedLabel) error {
 	s.mu.Lock()
+	next := 1 - s.metaWhich
+	metaOff := s.metaAreaOff(next)
 	meta := s.encodeMetadata(epoch, labels)
+	free, err := s.deriveFree(metaOff, false)
 	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	if int64(len(meta)) > s.metaSize {
 		return fmt.Errorf("store: metadata (%d bytes) exceeds the metadata area", len(meta))
 	}
 	s.sbMu.Lock()
 	defer s.sbMu.Unlock()
-	next := 1 - s.metaWhich
-	metaOff := s.metaAreaOff(next)
 	if _, err := s.d.WriteAt(meta, metaOff); err != nil {
 		return err
 	}
@@ -333,7 +330,7 @@ func (s *Store) writeSnapshot(epoch uint64, labels []sealedLabel) error {
 		return err
 	}
 	s.mu.Lock()
-	s.metaWhich, s.metaEpoch = next, epoch
+	s.metaWhich, s.metaEpoch, s.free = next, epoch, free
 	s.mu.Unlock()
 	s.c.metaBytesWritten.Add(uint64(len(meta) + len(sb)))
 	return nil

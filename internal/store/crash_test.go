@@ -726,17 +726,26 @@ func crashMatrix(t *testing.T, name string, ops []wlOp, seedBase int64, stride i
 }
 
 // failedCheckpointWorkload is the shape of a checkpoint whose body fails and
-// is retried: syncs between the failed attempt and the retry go into the log
-// in the failed attempt's epoch, beside older and newer states of the same
-// objects, and a second failed attempt leaves its own records in the log for
-// the reopen to find.
+// is retried.  First an object too large for a segment is rewritten across a
+// failed attempt: the retry must not relocate it into the dedicated extent
+// the committed snapshot still names, or a crash before the retry commits
+// loses the committed state.  Then syncs between a failed attempt and its
+// retry go into the log in the failed attempt's epoch, beside older and newer
+// states of the same objects, and a second failed attempt leaves its own
+// records in the log for the reopen to find.
 func failedCheckpointWorkload() []wlOp {
 	r := rand.New(rand.NewSource(29))
 	put := func(id uint64) wlOp { return wlOp{kind: opPutLabeled, id: id, data: randPayload(r), lbl: randLabel(r)} }
+	big := func(id uint64) wlOp {
+		b := make([]byte, 40<<10)
+		r.Read(b)
+		return wlOp{kind: opPut, id: id, data: b}
+	}
 	sync := func(id uint64) wlOp { return wlOp{kind: opSync, id: id} }
 	fail := wlOp{kind: opFailCheckpoint}
 	ckpt := wlOp{kind: opCheckpoint}
 	return []wlOp{
+		big(5), ckpt, big(5), fail, ckpt,
 		put(1), put(2), put(3), put(4), sync(2), ckpt,
 		put(1), put(2), fail,
 		put(1), sync(1), put(1), // a synced state, then a newer one only the retry captures
@@ -975,5 +984,85 @@ func TestCommitWindowSyncSurvivesCrash(t *testing.T) {
 	}
 	if got, err := s2.Get(1); err != nil || !bytes.Equal(got, v2) {
 		t.Fatalf("after the crash: %q, %v; the sync acknowledged %q", got, err, v2)
+	}
+}
+
+// TestFailedCheckpointFreesNothing: a checkpoint that fails frees nothing.
+// Object 1 is too large for a segment, so its committed state v1 lives in a
+// dedicated extent.  A checkpoint of v2 writes v2 elsewhere and fails at its
+// metadata barrier; the retry must not relocate v2 by best fit into v1's
+// extent, which the committed snapshot still names, because power failing
+// before the retry's superblock is durable must leave v1 intact.
+func TestFailedCheckpointFreesNothing(t *testing.T) {
+	d := disk.New(disk.Params{Sectors: 4 << 20 / disk.SectorSize, WriteCache: true}, &vclock.Clock{})
+	fd := disk.NewFaultDisk(d)
+	opts := Options{LogSize: 64 << 10, MetaAreaSize: 128 << 10, SegmentSize: 64 << 10}
+	s, err := Format(fd, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, v2 := bytes.Repeat([]byte("v1"), 100<<10), bytes.Repeat([]byte("v2"), 100<<10)
+	if err := s.Put(1, v1); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(1, v2); err != nil {
+		t.Fatal(err)
+	}
+	d.FailNextFlush(errBarrier)
+	if err := s.Checkpoint(); !errors.Is(err, errBarrier) {
+		t.Fatalf("checkpoint across a failed barrier = %v", err)
+	}
+	fd.ArmFlush(2) // the retry's metadata barrier destages; its superblock flush loses power
+	if err := s.Checkpoint(); !errors.Is(err, disk.ErrFault) {
+		t.Fatalf("retry across the power cut = %v", err)
+	}
+	d.Crash()
+	s2, err := Open(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s2.Get(1); err != nil || !bytes.Equal(got, v1) {
+		t.Fatalf("after the crash object 1 reads %d bytes, %v; want the committed v1", len(got), err)
+	}
+}
+
+// TestFailedHomeWriteLeaksNothing: an extent allocated for a home write that
+// fails is free again once a checkpoint commits.  A one-shot fault fails the
+// first data-region write of a checkpoint, the object's 200 KiB dedicated
+// extent; the next checkpoint succeeds, and after a reopen the store has as
+// many free bytes as a run that never faulted.
+func TestFailedHomeWriteLeaksNothing(t *testing.T) {
+	run := func(fault bool) int64 {
+		d := disk.New(disk.Params{Sectors: crashSectors}, &vclock.Clock{})
+		dataStart := logOffset + crashOpts.LogSize + 2*crashOpts.MetaAreaSize
+		cd := &cutDisk{Device: d, from: dataStart, to: d.Size()}
+		s, err := Format(cd, crashOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put(1, make([]byte, 200<<10)); err != nil {
+			t.Fatal(err)
+		}
+		if fault {
+			cd.hook = func() {}
+			if err := s.Checkpoint(); !errors.Is(err, disk.ErrFault) {
+				t.Fatalf("checkpoint across the failed home write = %v", err)
+			}
+			cd.cut = false // the fault was one write, not a power cut
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		s2, err := Open(d, crashOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s2.FreeBytes()
+	}
+	if got, want := run(true), run(false); got != want {
+		t.Fatalf("after a failed home write and a good checkpoint, %d bytes free; a run without the fault has %d", got, want)
 	}
 }

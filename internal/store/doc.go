@@ -16,18 +16,19 @@
 //     "HIST", referenced metadata area (0 or 1), snapshot byte length, log
 //     region size, metadata area size, format version (2), checkpoint
 //     epoch.
-//   - Metadata area header (48 bytes): magic "HMET", version (6), checkpoint
-//     epoch, payload length, section count (4), CRC32C over the header's
+//   - Metadata area header (48 bytes): magic "HMET", version (7), checkpoint
+//     epoch, payload length, section count (3), CRC32C over the header's
 //     first 40 bytes.
 //   - Metadata sections: each framed [tag u64][length u64][CRC32C u64]
-//     [payload], the CRC covering the payload.  Tags: 1 object map, 2 free
-//     extents, 3 labels, 5 segment table (base, size, used triples for the
-//     append-only data segments); tags 4 and 6 are retired.
-//     Verification requires each of the four tags exactly once, in-bounds
-//     lengths, and no trailing bytes, so a flipped tag or length never
-//     silently reassigns bytes between sections.  Nothing derivable is
-//     stored: the extent refcounts and the per-segment live counts are
-//     rebuilt from these sections at open.
+//     [payload], the CRC covering the payload.  Tags: 1 object map, 3
+//     labels, 5 segment table (base, size, used triples for the append-only
+//     data segments); tags 2 (the free extents, until version 7), 4 and 6
+//     are retired.  Verification requires each of the three tags exactly
+//     once, in-bounds lengths, and no trailing bytes, so a flipped tag or
+//     length never silently reassigns bytes between sections.  Nothing
+//     derivable is stored: the free list, the extent refcounts and the
+//     per-segment live counts are rebuilt from these sections at open, and a
+//     layout that overlaps or leaves the data region is a CorruptError.
 //   - Object extents: the object-map entry records a CRC32C of the
 //     object's contents, computed when the checkpoint writes it to its
 //     home (segment or dedicated extent) and verified on every read of the
@@ -59,16 +60,14 @@
 //     writes, to record where bytes went): write sealed objects into
 //     append-only segments (or dedicated extents) — never over live data;
 //     appends land beyond each segment's committed high-water mark, and
-//     extents vacated by relocation, deletion, or the segment cleaner are
-//     queued on a deferred-free list.  Then run the cleaner, and only
-//     after every data write has issued return the deferred extents to
-//     the allocator — so the epoch-E-1 snapshot's extents are never reused
-//     before epoch E commits.
-//  3. Serialize the metadata (object map and allocator state read under
-//     mu; labels from the seal-time capture) into the area the
-//     superblock does NOT reference, flush, then rewrite both superblock
-//     copies referencing it at epoch E and flush again (all under sbMu, so
-//     a concurrent scrub never reads the areas mid-rewrite).
+//     allocation takes only from the free list derived when epoch E-1
+//     committed, so extents vacated by relocation, deletion, or the cleaner
+//     are never reused before epoch E commits.
+//  3. Serialize the metadata (object map and segment table read under mu;
+//     labels from the seal-time capture) into the area the superblock does
+//     NOT reference, flush, then rewrite both superblock copies referencing
+//     it at epoch E and flush again (all under sbMu, so a concurrent scrub
+//     never reads the areas mid-rewrite).  Then derive the free list anew.
 //  4. FINISH: reclaim the log frames of epochs below the previous committed
 //     snapshot's, P.  P's frames are retained so a later torn epoch-E area
 //     can fall back one snapshot and replay forward with zero

@@ -2,7 +2,7 @@ package store
 
 // The on-disk format, all of it: every layout constant and every encoder and
 // decoder for the superblock copies, the metadata-area header, the section
-// framing, the four metadata sections, and the alias and range bodies that
+// framing, the three metadata sections, and the alias and range bodies that
 // ride in write-ahead log records.  (The log's own record framing belongs to
 // package wal.)  No other file interprets or produces a persistent byte; see
 // the package comment and doc.go for the layouts in prose.
@@ -49,7 +49,7 @@ const (
 // section stream.
 const (
 	metaMagic      = 0x484d4554 // "HMET"
-	metaVersion    = 6
+	metaVersion    = 7
 	metaHeaderSize = 48
 	mhMagicOff     = 0
 	mhVersionOff   = 8
@@ -60,14 +60,14 @@ const (
 
 	// Section tags.  Each section is [tag u64][len u64][crc u64: low 32
 	// bits CRC32C of the payload][payload], and an image holds each tag
-	// exactly once.  Tags 4 and 6 are retired, never to be reused: metadata
-	// version 4 persisted an index derived from the label section under the
-	// one, version 5 a table of snapshot pins under the other.
+	// exactly once.  Tags 2, 4 and 6 are retired, never to be reused:
+	// metadata version 6 persisted the free-extent list under the first,
+	// version 4 an index derived from the label section under the second,
+	// version 5 a table of snapshot pins under the third.
 	secObjMap  = 1
-	secFree    = 2
 	secLabels  = 3
 	secSegs    = 5
-	numSecs    = 4
+	numSecs    = 3
 	secHdrSize = 24
 
 	// objCRCValid flags the CRC field of a home record as carrying a
@@ -79,10 +79,6 @@ const (
 	// home record.
 	aliasBodySize = 24
 )
-
-func knownSection(tag uint64) bool {
-	return tag >= secObjMap && tag <= secSegs && tag != 4
-}
 
 // superblockInfo is one parsed superblock copy.
 type superblockInfo struct {
@@ -202,26 +198,22 @@ func (r *sectionReader) home() home {
 	return home{off: int64(off), size: int64(size), crc: uint32(crcField)}
 }
 
-// encodeMetadata serializes the metadata image: the header followed by four
-// individually checksummed sections (object map, free list, labels, segment
-// table); the caller holds mu.  The object map and free/segment state are
-// read live — by the time the body serializes, it has finished mutating
-// them, and no concurrent operation does (an alias waits the body out) —
-// while the label section comes from the seal-time capture, so the snapshot
-// is consistent with the sealed epoch even as concurrent PutLabeled calls
-// proceed.  Everything derivable from these four — extent refcounts,
-// per-segment live counts — is rebuilt at Open, not stored.
+// encodeMetadata serializes the metadata image: the header followed by three
+// individually checksummed sections (object map, labels, segment table); the
+// caller holds mu.  The object map and segment table are read live — by the
+// time the body serializes, it has finished mutating them, and no concurrent
+// operation does (an alias waits the body out) — while the label section
+// comes from the seal-time capture, so the snapshot is consistent with the
+// sealed epoch even as concurrent PutLabeled calls proceed.  Everything
+// derivable from these three — the free list, extent refcounts, per-segment
+// live counts — is rebuilt at Open, not stored.
 func (s *Store) encodeMetadata(epoch uint64, labels []sealedLabel) []byte {
 	// Object map: (id, home record) entries, ascending id.
 	objs := appendU64(nil, uint64(len(s.homes)))
 	s.scanHomes(func(id uint64, h home) {
 		objs = appendHome(appendU64(objs, id), h)
 	})
-	// Free list by offset, and the segment table (base, size, used).
-	free := appendU64(nil, uint64(len(s.free)))
-	for _, e := range s.free {
-		free = appendU64(appendU64(free, uint64(e.off)), uint64(e.size))
-	}
+	// The segment table (base, size, used), ascending base.
 	segsSec := appendU64(nil, uint64(len(s.segs)))
 	for _, seg := range s.segs {
 		segsSec = appendU64(appendU64(appendU64(segsSec, uint64(seg.base)), uint64(seg.size)), uint64(seg.used))
@@ -236,7 +228,7 @@ func (s *Store) encodeMetadata(epoch uint64, labels []sealedLabel) []byte {
 	for _, sec := range []struct {
 		tag  uint64
 		body []byte
-	}{{secObjMap, objs}, {secFree, free}, {secLabels, labelsSec}, {secSegs, segsSec}} {
+	}{{secObjMap, objs}, {secLabels, labelsSec}, {secSegs, segsSec}} {
 		payload = appendU64(payload, sec.tag)
 		payload = appendU64(payload, uint64(len(sec.body)))
 		payload = appendU64(payload, uint64(crc32c(sec.body)))
@@ -295,7 +287,7 @@ func parseSections(payload []byte, base int64) (secs [secSegs + 1][]byte, err er
 		body := r.bytes(slen)
 		switch {
 		case r.err != nil:
-		case !knownSection(tag) || secs[tag] != nil:
+		case tag != secObjMap && tag != secLabels && tag != secSegs || secs[tag] != nil:
 			r.fail("bad section header: tag %d, length %d", tag, slen)
 		case uint64(crc32c(body)) != scrc:
 			r.off += secHdrSize
@@ -312,9 +304,10 @@ func parseSections(payload []byte, base int64) (secs [secSegs + 1][]byte, err er
 }
 
 // The section decoders apply one verified payload to a store under
-// construction; a structural violation is left in r.err.  A free extent or
-// segment that starts before the one before it ends is one: an overlap
-// would let allocate hand out the same bytes twice.
+// construction; a structural violation is left in r.err.  A segment that
+// starts before the one before it ends is one.  How homes and segments lie
+// against each other and the data region is checked once all three are
+// decoded, by deriveFree.
 
 func (s *Store) decodeObjMapSection(r *sectionReader) {
 	for n := r.u64(); n > 0; n-- {
@@ -323,21 +316,6 @@ func (s *Store) decodeObjMapSection(r *sectionReader) {
 			return
 		}
 		s.setHome(id, h)
-	}
-}
-
-func (s *Store) decodeFreeSection(r *sectionReader) {
-	var end uint64
-	for n := r.u64(); n > 0; n-- {
-		off, size := r.u64(), r.u64()
-		if r.err == nil && (size == 0 || off < end || off+size < off) {
-			r.fail("free extent at %d (size %d) is empty or overlaps the one before it", off, size)
-		}
-		if r.err != nil {
-			return
-		}
-		s.free = append(s.free, extent{off: int64(off), size: int64(size)})
-		end = off + size
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"histar/internal/disk"
@@ -20,7 +21,7 @@ import (
 // alias and range records — so a change that alters any of them must change
 // this constant, visibly.  The checkpoint seal walks the object table in one
 // ascending id order, which fixes segment packing.
-const formatImageSHA256 = "f4b48cd2fdffa1ad53bcc14b0278240b6db50267e2d81be578d1de7c502ce11c"
+const formatImageSHA256 = "fbe815a26d1f0ab54e20c49f6381d6eede3c061623a84cc0e9857c3a6f74415f"
 
 // formatImageWorkload drives one seeded, single-threaded pass over every
 // structure the store writes: plain and labelled puts, deletes, per-object
@@ -117,15 +118,22 @@ func TestOnDiskFormatUnchanged(t *testing.T) {
 }
 
 // TestDecodersRefuseDamagedPayloads drives every decoder that reads through
-// the sticky sectionReader — the four metadata sections and the alias body
+// the sticky sectionReader — the three metadata sections and the alias body
 // of a clone record — with its own encoder's output and two damaged variants:
 // cut short in the middle of a field, and with a count or length field that
 // claims more than the payload holds (an absurd count must also return at
-// once rather than loop).  The free list and the segment table get a third:
-// an entry that starts inside the one before it, which would let the
-// allocator hand out the same bytes twice.  The intact payload decodes; each
-// damaged one comes back as a CorruptError, never a panic or a half-reported
-// success.
+// once rather than loop).  The segment table gets a third: an entry that
+// starts inside the one before it.  The intact payload decodes; each damaged
+// one comes back as a CorruptError, never a panic or a half-reported success.
+//
+// Then the layout every section decodes on its own but no run of the store
+// could have written: a home overlapping another home that is not its alias,
+// a home outside the data region at either end, a home whose size field
+// reads negative, a home past its segment's used mark, and a dedicated home
+// overlapping a segment.  Each would let the allocator hand out bytes a home
+// still holds.  Deriving the free list refuses each with a CorruptError, and
+// an area holding one, every checksum intact, sends Open to the alternate
+// area with no committed sync lost.
 func TestDecodersRefuseDamagedPayloads(t *testing.T) {
 	src, fd := rotStore(t)
 	populateGenerations(t, src)
@@ -163,7 +171,6 @@ func TestDecodersRefuseDamagedPayloads(t *testing.T) {
 		decode  func(*Store, *sectionReader)
 	}{
 		{"objmap", section(secObjMap), 0, nil, (*Store).decodeObjMapSection},
-		{"free", section(secFree), 0, u64s(2, 8192, 16384, 16384, 8192), (*Store).decodeFreeSection},
 		{"labels", section(secLabels), 0, nil, (*Store).decodeLabelSection},
 		{"segments", section(secSegs), 0, u64s(2, 1<<20, 1<<20, 0, 3<<19, 1<<20, 0), (*Store).decodeSegsSection},
 		{"clone-body", cloneBody, -1, nil, func(_ *Store, r *sectionReader) {
@@ -198,6 +205,78 @@ func TestDecodersRefuseDamagedPayloads(t *testing.T) {
 					t.Errorf("%s: decode = %v; want a CorruptError", name, err)
 				}
 			}
+		})
+	}
+	layouts := []struct {
+		name   string
+		damage func(s *Store)
+	}{
+		{"home-overlaps-home", func(s *Store) {
+			s.homes[2] = home{off: s.homes[1].off, size: s.homes[1].size + 1}
+		}},
+		{"home-outside-data-region", func(s *Store) {
+			s.homes[1] = home{off: logOffset, size: s.homes[1].size}
+		}},
+		{"home-past-data-region-end", func(s *Store) {
+			s.homes[1] = home{off: s.d.Size() - 512, size: 1024}
+		}},
+		{"home-of-negative-size", func(s *Store) { // a size field of 2^64-512
+			s.homes[1] = home{off: s.homes[1].off, size: -512}
+		}},
+		{"home-past-segment-used", func(s *Store) {
+			// The segment's last home, so it overlaps no other.
+			seg, last := s.segContaining(s.homes[1].off), uint64(1)
+			for id, h := range s.homes {
+				if s.segContaining(h.off) == seg && h.off > s.homes[last].off {
+					last = id
+				}
+			}
+			h := s.homes[last]
+			s.homes[last] = home{off: h.off, size: seg.base + seg.used - h.off + 1}
+		}},
+		{"dedicated-home-overlaps-segment", func(s *Store) {
+			seg := &segment{base: s.homes[40].off + 512, size: 512}
+			s.segs = slices.Insert(s.segs, s.segsUpTo(seg.base), seg)
+		}},
+	}
+	for _, tc := range layouts {
+		t.Run(tc.name, func(t *testing.T) {
+			s, fd := rotStore(t)
+			want := populateGenerationsWith(t, s, func(gen int, want map[uint64]string) {
+				if gen == 1 { // a dedicated extent for the last case
+					big := string(make([]byte, 40<<10))
+					if err := s.Put(40, []byte(big)); err != nil {
+						t.Fatal(err)
+					}
+					if err := s.SyncObject(40); err != nil {
+						t.Fatal(err)
+					}
+					want[40] = big
+				}
+			})
+			if s.segContaining(s.homes[1].off) == nil || s.segContaining(s.homes[40].off) != nil {
+				t.Fatal("object 1 is not packed in a segment, or object 40 is")
+			}
+			s.mu.Lock()
+			tc.damage(s)
+			_, err := s.deriveFree(0, true)
+			img := s.encodeMetadata(s.metaEpoch, nil)
+			s.mu.Unlock()
+			var ce *CorruptError
+			if !errors.As(err, &ce) {
+				t.Fatalf("deriving the free list = %v; want a CorruptError", err)
+			}
+			if _, err := fd.WriteAt(img, s.metaAreaOff(s.metaWhich)); err != nil {
+				t.Fatal(err)
+			}
+			s2, err := Open(fd, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !s2.RecoveryReport().MetaFallback {
+				t.Fatalf("expected metadata fallback, got %+v", s2.RecoveryReport())
+			}
+			checkAll(t, s2, want)
 		})
 	}
 }

@@ -172,8 +172,9 @@ func (s *Store) loadMetadata(sb superblockInfo) error {
 	return nil
 }
 
-// loadMetaArea reads, verifies, and decodes metadata area which.  The
-// referenced area must carry exactly the epoch the superblock committed.
+// loadMetaArea reads, verifies, and decodes metadata area which, and derives
+// its free list.  The referenced area must carry exactly the epoch the
+// superblock committed.
 // The fallback area must carry a strictly older one: a crash after the
 // metadata write but before the superblock flip can leave the alternate area
 // holding a NEWER, never-committed snapshot, which must not be resurrected.
@@ -195,13 +196,15 @@ func (s *Store) loadMetaArea(which int, sbEpoch uint64, fallback bool) error {
 		tag    uint64
 		decode func(*sectionReader)
 	}{
-		{secObjMap, s.decodeObjMapSection}, {secFree, s.decodeFreeSection},
-		{secLabels, s.decodeLabelSection}, {secSegs, s.decodeSegsSection},
+		{secObjMap, s.decodeObjMapSection}, {secLabels, s.decodeLabelSection}, {secSegs, s.decodeSegsSection},
 	} {
 		r := &sectionReader{buf: img.secs[sec.tag], off: areaOff, area: "metadata"}
 		if sec.decode(r); r.err != nil {
 			return r.err
 		}
+	}
+	if s.free, err = s.deriveFree(areaOff, true); err != nil {
+		return err
 	}
 	s.recomputeSegLive()
 	s.metaEpoch = img.epoch

@@ -14,11 +14,10 @@ import (
 //
 // A segment's extent is never overwritten in place: appends only ever land
 // beyond the committed high-water mark (used), and space behind dead
-// objects is reclaimed by freeing the whole segment once it is empty, or by
-// the cleaner (cleanSegments) once at least half its written bytes are
-// dead.  Both routes go through the deferred-free list, so a snapshot that
-// is still referenced on disk never has a segment written over — the same
-// copy-on-write discipline dedicated extents always had.
+// objects is reclaimed by dropping the whole segment once it is empty, or by
+// the cleaner (cleanSegments) once at least half its written bytes are dead.
+// The extent is free only once a snapshot not naming it commits (alloc.go),
+// so a segment a snapshot on disk references is never written over.
 
 // segment is one append-only extent in the data region.  used is the append
 // high-water mark (512-aligned); live counts the 512-aligned bytes of
@@ -54,25 +53,22 @@ func (s *Store) segContaining(off int64) *segment {
 	return s.segs[i]
 }
 
-// dropSeg forgets a segment; the caller holds mu and has already queued (or
-// is about to queue) its extent for release.
+// dropSeg forgets a segment other than the open one, whose extent is free
+// from the next commit on; the caller holds mu.
 func (s *Store) dropSeg(seg *segment) {
 	i := s.segsUpTo(seg.base) - 1
 	s.segs = slices.Delete(s.segs, i, i+1)
-	if s.openSeg == seg {
-		s.openSeg = nil
-	}
+	s.c.segsFreed.Add(1)
 }
 
 // vacateExtent releases one reference to the home extent behind (off,
 // size).  A shared extent (aliases, counted in extRefs) just loses a
-// reference — no byte is reclaimable while any referent remains, which is
-// what keeps the cleaner and the deferred-free path off data an alias still
-// reads.  The sole (or last) referent's release does the real work: space
-// inside a segment decrements the segment's live count — the extent itself
-// is reclaimed when the segment empties (here) or by the cleaner — while a
-// dedicated extent joins the deferred-free list directly.  Called only by
-// the checkpoint body (ckptRun serializes), holding mu.
+// reference — no segment empties while any referent remains, which is what
+// keeps the cleaner off data an alias still reads.  The sole (or last)
+// referent's release decrements its segment's live count, dropping the
+// segment at zero; a dedicated extent needs nothing, as the next commit's
+// free list holds it.  Called only by the checkpoint body (ckptRun
+// serializes), holding mu.
 func (s *Store) vacateExtent(off, size int64) {
 	if n, ok := s.extRefs[off]; ok {
 		if n <= 2 {
@@ -87,14 +83,10 @@ func (s *Store) vacateExtent(off, size int64) {
 		if seg.live <= 0 {
 			seg.live = 0
 			if seg != s.openSeg {
-				s.deferredFree = append(s.deferredFree, extent{off: seg.base, size: seg.size})
 				s.dropSeg(seg)
-				s.c.segsFreed.Add(1)
 			}
 		}
-		return
 	}
-	s.deferredFree = append(s.deferredFree, extent{off: off, size: alignUp(size)})
 }
 
 // segAppend appends one object's contents to the open segment (rotating to
@@ -154,9 +146,6 @@ func (s *Store) recomputeSegLive() {
 			s.extRefs[off] = r.n
 		}
 	}
-	if len(s.segs) == 0 {
-		return
-	}
 	for _, seg := range s.segs {
 		seg.live = 0
 	}
@@ -210,9 +199,7 @@ func (s *Store) cleanSegments() error {
 		}
 	}
 	for _, seg := range dead {
-		s.deferredFree = append(s.deferredFree, extent{off: seg.base, size: seg.size})
 		s.dropSeg(seg)
-		s.c.segsFreed.Add(1)
 	}
 	// One home-table scan collects every victim's live objects (ascending
 	// id, the deterministic order the segment writer needs).

@@ -5,8 +5,8 @@
 // gives each object ID its location on disk (the paper's B+-tree; here a hash
 // map whose scans sort the ids, see home.go), and a free-extent list tracks
 // the unused space (the paper's two B+-trees, by size and by location; here
-// one offset-ordered slice that a best-fit scan allocates from, see
-// alloc.go).  Write-ahead logging provides atomicity and crash consistency,
+// one offset-ordered slice that a best-fit scan allocates from, derived from
+// the object map and the segment table rather than stored, see alloc.go).  Write-ahead logging provides atomicity and crash consistency,
 // and disk space allocation is delayed until an object is written to disk,
 // making it easier to allocate contiguous extents.
 //
@@ -30,18 +30,17 @@
 // both do), so a single rotted sector never loses the root of the store.
 //
 // Each metadata area starts with a 48-byte header — magic "HMET", version
-// (currently 6), checkpoint epoch, payload length, section count, and a
-// CRC32C over the header itself — followed by four tagged sections, each
+// (currently 7), checkpoint epoch, payload length, section count, and a
+// CRC32C over the header itself — followed by three tagged sections, each
 // framed as [tag u64] [length u64] [CRC32C u64] [payload]: the object map
 // (id plus home record — extent offset, size, contents CRC; the CRC, flagged
 // by bit 32 of its field, is what every read of a home extent verifies
-// against, and an entry without the flag is corruption); the free-extent
-// list (offset, size); object labels (id, canonical label.AppendBinary
-// bytes); and the segment table (base, size, used triples describing the
-// append-only data segments).  Two entries of the object map may name one
-// extent: that is all an alias is on disk.  Only primary facts are stored:
-// the extent refcounts and the per-segment live counts are derived from
-// these sections at open.
+// against, and an entry without the flag is corruption); object labels (id,
+// canonical label.AppendBinary bytes); and the segment table (base, size,
+// used triples describing the append-only data segments).  Two entries of
+// the object map may name one extent: that is all an alias is on disk.  Only
+// primary facts are stored: the free-extent list, the extent refcounts and
+// the per-segment live counts are derived from these sections at open.
 // format.go holds every one of these layouts and is the only file that
 // reads or writes them.  Checkpoints serialize into the area the superblock
 // does NOT reference, flush, then rewrite both superblock copies with the
@@ -67,10 +66,9 @@
 //
 // Sharing is tracked by extRefs, a refcount over extents with more than one
 // referent (an absent entry means the single ordinary owner).  vacateExtent
-// consults it first, so neither the deferred-free path nor the segment
-// cleaner can reclaim bytes while any referent lives, and the cleaner leaves
-// a segment holding a shared extent where it is rather than copy the extent
-// out once per referent (see cleanSegments).
+// consults it first, so no segment empties while any referent lives, and
+// the cleaner leaves a segment holding a shared extent where it is rather
+// than copy the extent out once per referent (see cleanSegments).
 //
 // Durability: an alias is acknowledged once a small self-contained WAL
 // record — destination ID, home record, label — has committed.  It rides the
@@ -98,10 +96,10 @@
 // fully dead segments are freed without copying, and segments at least half
 // dead have their live objects appended out so the extent can be reclaimed.
 // Segments are never overwritten in place — appends land only beyond the
-// committed high-water mark, and vacated extents return to the free list
-// only after every data write of the checkpoint has issued — preserving the
-// copy-on-write discipline that makes a crash at any write boundary leave
-// the previously referenced snapshot intact.  See segment.go.
+// committed high-water mark, and vacated extents are free only once the
+// checkpoint's snapshot commits — preserving the copy-on-write discipline
+// that makes a crash at any write boundary leave the previously referenced
+// snapshot intact.  See segment.go.
 //
 // Three durability modes mirror the evaluation's LFS variants:
 //
@@ -157,12 +155,11 @@
 //     torn in-progress image.
 //  4. mu guards every in-memory table: the object entries (objEntry), the
 //     home table and the committed snapshot's place (metaWhich, metaEpoch),
-//     the extent refcounts, the free list, the segment table, the
-//     deferred-free list and the last scrub's result.  It is never held
-//     across a device write or flush: the checkpoint body issues each write
-//     outside it and takes it to record where the bytes went.  Get holds it across a
-//     home read, so no put, delete or relocation lands between the lookup and
-//     the read.
+//     the extent refcounts, the free list, the segment table and the last
+//     scrub's result.  It is never held across a device write or flush: the
+//     checkpoint body issues each write outside it and takes it to record
+//     where the bytes went.  Get holds it across a home read, so no put,
+//     delete or relocation lands between the lookup and the read.
 //  5. The committer's queue mutex (see groupcommit.go) is a leaf below mu:
 //     records — syncs and aliases alike — are sealed and enqueued under mu,
 //     so per-object log order matches seal order.
@@ -347,11 +344,6 @@ type Store struct {
 	homes map[uint64]home      // object ID → home record, the paper's object map
 
 	free []extent // the free extents, ascending by offset (see alloc.go)
-	// deferredFree holds extents vacated during a checkpoint (relocations,
-	// deletions, emptied segments) until every data write of that checkpoint
-	// has issued; kept on the store, not the stack, so a failed checkpoint
-	// retains them for the next attempt instead of leaking the space.
-	deferredFree []extent
 	// extRefs counts the object-map entries naming each shared home extent
 	// (see Alias).  An absent entry means the ordinary single owner;
 	// vacateExtent decrements before freeing, so a shared extent is reclaimed
@@ -449,8 +441,6 @@ func Format(d disk.Device, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s.l = l
-	dataStart := logOffset + opts.LogSize + 2*s.metaSize
-	s.addFree(extent{off: dataStart, size: d.Size() - dataStart})
 	if err := s.writeSnapshot(s.epoch.Add(1), nil); err != nil {
 		return nil, err
 	}
