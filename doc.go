@@ -104,14 +104,21 @@
 // it tears down, and an auth login's session objects live in a container the
 // client supplies and die with the attempt.
 //
-// The library states each of its recurring jobs once.  A directory changes
-// only through editDir (internal/unixlib/dirseg.go: take the mutex word, one
-// read of the segment, write the entries back, release the mutex and publish
-// the count with one write, wake every sleeper), which create, mkdir, unlink
-// and both kinds of rename are closures over; a directory is read by readDir,
-// one read of the segment that is kept when its mutex word is clear and
-// otherwise repeated after a sleep on that word's futex.  A file's bytes move
-// through readAt and writeAt (read; write with the quota retry, mtime).
+// The library states each of its recurring jobs once.  A directory segment
+// holds its entries sorted by name hash in buckets, a bucket per 16 entries
+// rounded up to a power of two and derived from the count, with a table of
+// bucket fences after the header; its first word is a sequence lock, even
+// when free, odd during an edit.  A directory changes only through editDir
+// (internal/unixlib/dirseg.go: one read of the segment, compare-and-swap the
+// even word it saw to odd, write back the bytes that changed, publish the
+// count and the word two past the one it saw in one write, wake every
+// sleeper), which create, mkdir, unlink and both kinds of rename are closures
+// over.  A lookup reads a 256-byte prefix — all of a directory last seen
+// shorter than 2 KiB — and, when the directory is larger, its bucket's
+// fences, the bucket and the sequence word again; a listing is one read of
+// the segment.  Either sleeps on the word's futex while it is odd and reads
+// again when it moved.  A file's bytes move through readAt and writeAt
+// (read; write with the quota retry, mtime).
 //
 // There is one persistence path, and it is the kernel's (Sections 3 and 4:
 // the single-level store is the kernel's own, and a sync is a system call).

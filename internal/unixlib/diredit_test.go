@@ -3,6 +3,8 @@ package unixlib
 import (
 	"errors"
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,14 +18,18 @@ import (
 
 // TestDirEditSyscallBudget pins what the directory calls cost in kernel
 // calls, so a re-read or re-write of a word the caller already holds fails
-// here rather than in a benchmark.  One directory edit is 6 calls —
-// compare-and-swap, read, resize, the write of the bytes that changed, the
+// here rather than in a benchmark.  One directory edit is 6 calls — read,
+// compare-and-swap, resize, the write of the bytes that changed, the
 // one-write unlock that carries the count, wake — plus what the edit creates;
-// resolving one path component is one read of the directory's segment,
-// opening a descriptor is 3, and asking for the default label is 1.  With a
-// store the edit itself costs the same 6 (the kernel carries the directory
-// segment to the store, at the next sync); what is added is the one call that
-// marks a new file's or directory's segment persistent.
+// resolving one path component in a small directory is one read of the
+// directory's segment, opening a descriptor is 3, and asking for the default
+// label is 1.  With a store the edit itself costs the same 6 (the kernel
+// carries the directory segment to the store, at the next sync); what is
+// added is the one call that marks a new file's or directory's segment
+// persistent.  A directory of 60 entries is still one read; in one of 1,000
+// an edit is still 6 calls and resolving a component at most 4: the prefix,
+// the fences when the prefix does not hold them, the bucket, the sequence
+// word again.
 func TestDirEditSyscallBudget(t *testing.T) {
 	t.Run("no store", func(t *testing.T) { dirEditSyscallBudget(t, bootSys(t), 0) })
 	t.Run("store", func(t *testing.T) {
@@ -84,6 +90,48 @@ func dirEditSyscallBudget(t *testing.T, sys *System, persist uint64) {
 		if got := p.TC.SyscallsIssued() - before; got != c.want {
 			t.Errorf("%s issued %d kernel calls, want %d", c.name, got, c.want)
 		}
+	}
+
+	// Resolving every name of a directory, and one not bound: the calls the
+	// last component cost, by count.
+	resolveAll := func(dir string, n int) map[uint64]int {
+		hist := map[uint64]int{}
+		for i := 0; i <= n; i++ {
+			path := fmt.Sprintf("%s/f%05d", dir, i)
+			before := p.TC.SyscallsIssued()
+			_, _, entry, err := p.lookup(path)
+			if err != nil || (entry != nil) != (i < n) {
+				t.Fatalf("lookup(%s) = %v, %v", path, entry, err)
+			}
+			hist[p.TC.SyscallsIssued()-before-2]++ // "tmp" and the directory: one read each
+		}
+		return hist
+	}
+	// 60 entries, 1 KiB: the last edit saw the directory shorter than dsWhole,
+	// so a lookup reads it whole, in one call.
+	fillDir(t, p, "/tmp/mid", 60)
+	if hist := resolveAll("/tmp/mid", 60); hist[1] != 61 {
+		t.Errorf("kernel calls per component resolved in a 60-entry directory: %v, want 1 each", hist)
+	}
+	fillDir(t, p, "/tmp/big", 1000)
+	big, err := p.Stat("/tmp/big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	hist := resolveAll("/tmp/big", 1000)
+	if hist[1]+hist[2]+hist[3]+hist[4] != 1001 {
+		t.Errorf("kernel calls per component resolved in a 1,000-entry directory: %v, want 1 to 4 each", hist)
+	}
+	t.Logf("kernel calls per component resolved in a 1,000-entry directory: %v", hist)
+	before := p.TC.SyscallsIssued()
+	if err := sys.editDir(p.TC, big.ID, func(d *dirEdit) error {
+		d.add(DirEntry{Name: "added", ID: 1, Type: kernel.ObjSegment})
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.TC.SyscallsIssued() - before; got != edit {
+		t.Errorf("an edit of a 1,000-entry directory issued %d kernel calls, want %d", got, edit)
 	}
 }
 
@@ -172,7 +220,7 @@ func TestUnlinkDirectoryDeletesItsStoreObject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg, err := sys.dirSegCE(p.TC, fi.ID)
+	seg, _, err := sys.dirSeg(p.TC, fi.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,10 +430,11 @@ func TestReadDirWaitsForHeldWriter(t *testing.T) {
 		}()
 		return done
 	}
-	names := func(entries []DirEntry) (out []string) {
+	names := func(entries []DirEntry) (out []string) { // in name order: a listing's is by hash
 		for _, e := range entries {
 			out = append(out, e.Name)
 		}
+		sort.Strings(out)
 		return out
 	}
 	held, release := make(chan struct{}), make(chan struct{})
@@ -409,8 +458,8 @@ func TestReadDirWaitsForHeldWriter(t *testing.T) {
 		t.Fatalf("ReadDir returned %v (%v) while a writer held the directory", names(l.entries), l.err)
 	case <-time.After(300 * time.Millisecond):
 	}
-	// The queued writer's compare-and-swap fails and it enters the futex wait:
-	// two calls, after the reader's.
+	// The queued writer's read finds the word odd and it enters the futex
+	// wait: two calls, after the reader's.
 	calls := second.TC.SyscallsIssued()
 	queued := add(second, "c", func() {})
 	for deadline := time.Now().Add(10 * time.Second); second.TC.SyscallsIssued() < calls+2 && time.Now().Before(deadline); {
@@ -439,5 +488,128 @@ func TestReadDirWaitsForHeldWriter(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("the reader never finished after the unlock")
+	}
+}
+
+// TestLookupConsistentDuringRehash: a reader that may read a directory but
+// not write it resolves two names while the owner's edits carry the
+// directory across bucket boundaries and back — from one bucket, read whole,
+// to eight buckets read one at a time past the length a lookup reads whole —
+// so the fences and entries move under the lookup's reads.  A name bound
+// before the edits began and never touched must never be missed, and a name
+// never bound must never be found.
+func TestLookupConsistentDuringRehash(t *testing.T) {
+	sys := bootSys(t)
+	owner, err := sys.NewInitProcess("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	reader, err := sys.NewInitProcess("bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// World-readable, writable only with alice's uw.
+	if err := owner.Mkdir("/tmp/shared", label.New(label.L1, label.P(owner.User.Uw, label.L0))); err != nil {
+		t.Fatal(err)
+	}
+	if err := owner.WriteFile("/tmp/shared/stays", nil, label.New(label.L1)); err != nil {
+		t.Fatal(err)
+	}
+	stays, err := owner.Stat("/tmp/shared/stays")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := reader.Create("/tmp/shared/intruder", label.New(label.L1)); !errors.Is(err, ErrPermission) {
+		t.Fatalf("reader creating in the directory: %v, want ErrPermission", err)
+	}
+	// 80 names of 42 bytes: past 16 entries the directory has two buckets,
+	// past 32 four and past 64 eight, and from 38 on it is longer than a
+	// lookup reads whole.  Each round binds them all and removes them all.
+	const rounds, names = 12, 80
+	var done atomic.Bool
+	var wg sync.WaitGroup
+	wg.Add(1)
+	defer wg.Wait() // nobody must outlive the test
+	go func() {
+		defer wg.Done()
+		defer done.Store(true)
+		for i := 0; i < rounds*2*names && !t.Failed(); i++ {
+			path := fmt.Sprintf("/tmp/shared/toggled-name-%04d-%s", i%names, strings.Repeat("x", 24))
+			var err error
+			if i/names%2 == 0 {
+				err = owner.WriteFile(path, nil, label.New(label.L1))
+			} else {
+				err = owner.Unlink(path)
+			}
+			if err != nil {
+				t.Errorf("edit %d (%s): %v", i, path, err)
+				return
+			}
+		}
+	}()
+	lookups := 0
+	for ; !done.Load() && !t.Failed(); lookups++ {
+		if fi, err := reader.Stat("/tmp/shared/stays"); err != nil || fi.ID != stays.ID {
+			t.Fatalf("lookup %d of the name that stays = %v, %v; want object %v", lookups, fi.ID, err, stays.ID)
+		}
+		if fi, err := reader.Stat("/tmp/shared/never"); !errors.Is(err, ErrNotExist) {
+			t.Fatalf("lookup %d of a name never bound = %v, %v; want ErrNotExist", lookups, fi.ID, err)
+		}
+	}
+	t.Logf("%d lookups of each name against %d edits", lookups, rounds*2*names)
+}
+
+// TestDirSegCacheForgetsRemovedDirectories: the cache of directory-segment
+// bindings drops a directory's binding when Unlink removes it, or a rename
+// replaces it, so making and removing directories leaves it no larger.
+func TestDirSegCacheForgetsRemovedDirectories(t *testing.T) {
+	sys := bootSys(t)
+	p, err := sys.NewInitProcess("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := func() (n int) {
+		for i := range sys.dirSegs {
+			s := &sys.dirSegs[i]
+			s.mu.RLock()
+			n += len(s.m)
+			s.mu.RUnlock()
+		}
+		return n
+	}
+	if _, err := p.ReadDir("/tmp"); err != nil {
+		t.Fatal(err)
+	}
+	before := cached()
+	for i := 0; i < 1000; i++ {
+		if err := p.Mkdir("/tmp/d", label.Label{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.ReadDir("/tmp/d"); err != nil { // caches its binding
+			t.Fatal(err)
+		}
+		if err := p.Unlink("/tmp/d"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := cached(); got != before {
+		t.Errorf("%d cached directory bindings after 1,000 Mkdir/Unlink cycles, %d before", got, before)
+	}
+	for _, d := range []string{"/tmp/a", "/tmp/b"} {
+		if err := p.Mkdir(d, label.Label{}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.ReadDir(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Rename("/tmp/a", "/tmp/b"); err != nil { // replaces the directory b named
+		t.Fatal(err)
+	}
+	if err := p.Unlink("/tmp/b"); err != nil {
+		t.Fatal(err)
+	}
+	if got := cached(); got != before {
+		t.Errorf("%d cached directory bindings after a rename replaced a directory and an Unlink removed the other, %d before", got, before)
 	}
 }

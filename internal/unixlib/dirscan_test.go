@@ -5,8 +5,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -15,24 +17,109 @@ import (
 	"histar/internal/label"
 )
 
-// encodeDirEntries is the reference encoder — what every edit wrote, whole,
-// before edits worked on the segment's bytes in place — kept as the oracle:
-// the count word and the entries of a directory with exactly these bindings.
-// The mutex word is left zero, as an unlock leaves it.
-func encodeDirEntries(entries []DirEntry) []byte {
-	buf := make([]byte, dsDataOff)
-	binary.LittleEndian.PutUint64(buf[dsCountOff:], uint64(len(entries)))
+// dirOrder returns entries in the order a directory holds them: by refHash
+// of the name, then by name, entries of one name in their given order.
+func dirOrder(entries []DirEntry) []DirEntry {
+	hashes := make(map[string]uint64, len(entries))
 	for _, e := range entries {
-		var hdr [2]byte
-		binary.LittleEndian.PutUint16(hdr[:], uint16(len(e.Name)))
-		buf = append(buf, hdr[:]...)
+		hashes[e.Name] = refHash(e.Name)
+	}
+	out := append([]DirEntry(nil), entries...)
+	sort.SliceStable(out, func(i, j int) bool {
+		hi, hj := hashes[out[i].Name], hashes[out[j].Name]
+		return hi < hj || hi == hj && out[i].Name < out[j].Name
+	})
+	return out
+}
+
+// refHash is FNV-1a, by hash/fnv, then MurmurHash3's finalizer.
+func refHash(name string) uint64 {
+	f := fnv.New64a()
+	f.Write([]byte(name))
+	h := f.Sum64()
+	h = (h ^ h>>33) * 0xff51afd7ed558ccd
+	h = (h ^ h>>33) * 0xc4ceb9fe1a85ec53
+	return h ^ h>>33
+}
+
+// encodeDirEntries is the reference encoder, written apart from the edit
+// steps as their oracle: the count word, fences and entries of a directory
+// with exactly these bindings.  The entries go in dirOrder; past 16 of them
+// there is one bucket per 16, rounded up to a power of two, bucket k holding
+// the hashes whose top bits are k, and a fence after each bucket, an empty
+// one's where the bucket before it ends.  The sequence word is left zero, as
+// at creation.
+func encodeDirEntries(entries []DirEntry) []byte {
+	sorted := dirOrder(entries)
+	nb, shift := 1, 64
+	for len(sorted) > 16*nb {
+		nb, shift = nb*2, shift-1
+	}
+	buf := make([]byte, dsDataOff)
+	binary.LittleEndian.PutUint64(buf[dsCountOff:], uint64(len(sorted)))
+	if nb > 1 {
+		buf = append(buf, make([]byte, 4*nb)...)
+	}
+	ends := make([]int, nb)
+	for _, e := range sorted {
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(e.Name)))
 		buf = append(buf, e.Name...)
-		var tail [9]byte
-		binary.LittleEndian.PutUint64(tail[:8], uint64(e.ID))
-		tail[8] = byte(e.Type)
-		buf = append(buf, tail[:]...)
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.ID))
+		buf = append(buf, byte(e.Type))
+		ends[refHash(e.Name)>>shift] = len(buf)
+	}
+	if nb > 1 {
+		for k, end := 0, dsDataOff+4*nb; k < nb; k++ {
+			end = max(end, ends[k])
+			binary.LittleEndian.PutUint32(buf[dsDataOff+4*k:], uint32(end))
+		}
 	}
 	return buf
+}
+
+// bucketSearch is what a lookup must return, over the whole segment: the
+// first entry named name in a linear search of the bucket the fences on
+// either side of name's hash name — of the entries after the header, as many
+// as the count says, when the count calls for one bucket or those fences lie
+// past the bytes.  Fences out of order, or a bucket that starts inside the
+// fence table, hold nothing.
+func bucketSearch(buf []byte, name string) (DirEntry, bool) {
+	count := binary.LittleEndian.Uint64(buf[dsCountOff:])
+	nb, log := uint64(1), 0
+	for need := count/16 + min(count%16, 1); nb < need; nb, log = nb*2, log+1 {
+	}
+	lo, hi, limit := uint64(dsDataOff), uint64(len(buf)), count
+	fence := func(i uint64) (uint64, bool) {
+		if off := dsDataOff + 4*i; off+4 <= uint64(len(buf)) {
+			return uint64(binary.LittleEndian.Uint32(buf[off:])), true
+		}
+		return 0, false
+	}
+	if nb > 1 {
+		k := refHash(name) >> (64 - log)
+		start, okStart := dsDataOff+4*nb, true
+		if k > 0 {
+			start, okStart = fence(k - 1)
+		}
+		if end, okEnd := fence(k); okStart && okEnd {
+			if start < dsDataOff+4*nb || end < start {
+				return DirEntry{}, false
+			}
+			lo, hi, limit = start, min(end, hi), ^uint64(0)
+		}
+	}
+	for off := lo; limit > 0 && off+2 <= hi; limit-- {
+		n := uint64(binary.LittleEndian.Uint16(buf[off:]))
+		if off+2+n+entryTail > hi {
+			break
+		}
+		if got := string(buf[off+2 : off+2+n]); got == name {
+			t := buf[off+2+n:]
+			return DirEntry{Name: got, ID: kernel.ID(binary.LittleEndian.Uint64(t)), Type: kernel.ObjectType(t[8])}, true
+		}
+		off += 2 + n + entryTail
+	}
+	return DirEntry{}, false
 }
 
 // withCount returns buf with its count word replaced.
@@ -42,12 +129,32 @@ func withCount(buf []byte, count uint64) []byte {
 	return out
 }
 
+// withFence returns buf with fence k replaced.
+func withFence(buf []byte, k int, off uint32) []byte {
+	out := bytes.Clone(buf)
+	binary.LittleEndian.PutUint32(out[dsDataOff+4*k:], off)
+	return out
+}
+
+// genEntries makes n entries with names of several lengths.
+func genEntries(n int) []DirEntry {
+	entries := make([]DirEntry, n)
+	for i := range entries {
+		entries[i] = DirEntry{Name: fmt.Sprintf("e%d%s", i, strings.Repeat("-", i%13)), ID: kernel.ID(i + 1), Type: kernel.ObjSegment}
+	}
+	return entries
+}
+
 // FuzzDirScan feeds arbitrary bytes — what a hostile writer of a directory
-// can leave in its segment — to the in-place scan, the ReadDir decode and the
-// edit steps.  The buffer's capacity is cut to its length, so a slice past the
-// bytes that were read panics; the scan must find exactly the first entry the
-// decode lists under each name, and an add, a remove and a bind must leave
-// the bytes a decode, slice edit and re-encode would have.
+// can leave in its segment — to the lookup, the ReadDir decode and the edit
+// steps.  The lookup reads the bytes as the kernel serves them, a prefix and
+// then what it asks for; the buffer's capacity is cut to its length, so a
+// slice past the bytes that were read panics.  The lookup must find exactly
+// what a linear search of the bucket the fences name finds, with at most two
+// reads past the prefix, and, on a directory as the reference encoder lays it
+// out, what the decode lists first under each name; there, an add, a remove
+// and a bind must leave the bytes the reference encoding of the edited
+// entries has.  Anywhere, an edit must never write the header.
 func FuzzDirScan(f *testing.F) {
 	dir := encodeDirEntries([]DirEntry{
 		{Name: "a", ID: 7, Type: kernel.ObjSegment},
@@ -66,57 +173,78 @@ func FuzzDirScan(f *testing.F) {
 	f.Add(append(bytes.Clone(dir[:dsDataOff]), 0xff, 0xff, 'x'), "x") // name runs past the buffer
 	f.Add(dir[:dsCountOff], "a")
 	f.Add([]byte{}, "")
+	f.Add(withCount(dir, ^uint64(0)), "a")
+	// 40 entries in 4 buckets and 200 in 16, both longer than the prefix.
+	for _, n := range []int{40, 200} {
+		entries := genEntries(n)
+		big := encodeDirEntries(entries)
+		f.Add(big, entries[n/2].Name)
+		f.Add(big, "missing")
+		f.Add(withFence(big, 0, 0), entries[0].Name)          // bucket 0 ends inside the table
+		f.Add(withFence(big, 1, 0xffffffff), entries[1].Name) // a fence past the bytes
+		f.Add(withFence(big, 2, 20), entries[2].Name)         // fences out of order
+		f.Add(withCount(big, 1<<40), entries[3].Name)         // fences past the bytes
+		f.Add(withCount(big, 17), entries[4].Name)            // two buckets' fences over four's
+		f.Add(withCount(big, 3), entries[5].Name)             // one bucket over the fences
+		f.Add(big[:len(big)/2], entries[6].Name)
+	}
 	f.Fuzz(func(t *testing.T, raw []byte, name string) {
 		buf := bytes.Clone(raw)[:len(raw):len(raw)]
 		entries := decodeDirEntries(buf)
 		if len(entries) > 0 && len(entries) > (len(buf)-dsDataOff)/(2+entryTail) {
 			t.Fatalf("decoded %d entries from %d bytes", len(entries), len(buf))
 		}
+		if len(buf) < dsDataOff {
+			return // readDir refuses it before anything is decoded
+		}
+		canonical := bytes.Equal(buf[dsCountOff:], encodeDirEntries(entries)[dsCountOff:])
 		first := map[string]int{}
 		for i, e := range entries {
 			if _, ok := first[e.Name]; !ok {
 				first[e.Name] = i
 			}
 		}
-		want := encodeDirEntries(entries)
 		check := func(name string) {
-			at, _, _ := scanDir(buf, name, false)
-			whole, end, n := scanDir(buf, name, true)
-			if at != whole || n != uint64(len(entries)) || end != len(want) {
-				t.Fatalf("scan for %q: at %d / %d, %d entries ending at %d; decode has %d ending at %d", name, at, whole, n, end, len(entries), len(want))
-			}
-			i, ok := first[name]
-			if ok != (at >= 0) {
-				t.Fatalf("scan for %q: at %d, decode lists it: %v", name, at, ok)
-			}
-			if ok {
-				if got := entryOf(buf, at, name); got != entries[i] {
-					t.Fatalf("scan for %q found %+v, decode's first is %+v", name, got, entries[i])
+			reads := 0
+			r := dirReader{pre: buf[:min(len(buf), dsPrefix)], whole: len(buf) < dsPrefix, read: func(off, n int) ([]byte, error) {
+				reads++
+				if off > len(buf) {
+					return nil, kernel.ErrInvalid
 				}
+				return bytes.Clone(buf[off : off+min(n, len(buf)-off)]), nil
+			}}
+			got, found, err := r.find(name)
+			want, ok := bucketSearch(buf, name)
+			if err != nil || found != ok || got != want {
+				t.Fatalf("lookup of %q = %+v, %v, %v; the bucket's linear search finds %+v, %v", name, got, found, err, want, ok)
+			}
+			if reads > 2 || r.extra != (reads > 0) {
+				t.Fatalf("lookup of %q made %d reads past the prefix (extra %v)", name, reads, r.extra)
+			}
+			if i, listed := first[name]; canonical && (listed != found || found && got != entries[i]) {
+				t.Fatalf("lookup of %q in a canonical directory = %+v, %v; decode lists it: %v", name, got, found, listed)
 			}
 		}
 		check(name)
 		for n := range first {
 			check(n)
 		}
-		if len(entries) > 0 && !bytes.Equal(buf[dsDataOff:len(want)], want[dsDataOff:]) {
-			t.Fatalf("re-encoding the decoded entries does not give back the bytes they were decoded from")
-		}
 
-		// The edit steps against decode → slice edit → re-encode.
+		// The edit steps.  open keeps a canonical directory as it is.
 		edit := func() *dirEdit {
-			old := bytes.Clone(raw)
-			if len(old) < dsDataOff {
-				old = append(old, make([]byte, dsDataOff-len(old))...)
+			d := &dirEdit{buf: bytes.Clone(raw)}
+			d.open()
+			if canonical && (d.hi != 0 || !bytes.Equal(d.buf, raw)) {
+				t.Fatalf("open rewrote a canonical directory")
 			}
-			return &dirEdit{buf: old}
+			return d
 		}
 		same := func(step string, d *dirEdit, model []DirEntry) {
-			if want := encodeDirEntries(model); !bytes.Equal(d.buf[dsCountOff:], want[dsCountOff:]) {
-				t.Fatalf("%s %q: bytes differ from the re-encode of %v", step, name, model)
-			}
 			if d.hi > d.lo && (d.lo < dsDataOff || d.lo > len(d.buf)) {
 				t.Fatalf("%s %q: dirty range [%d,%d) of %d bytes", step, name, d.lo, d.hi, len(d.buf))
+			}
+			if want := encodeDirEntries(model); canonical && !bytes.Equal(d.buf[dsCountOff:], want[dsCountOff:]) {
+				t.Fatalf("%s %q: bytes differ from the reference encoding of %v", step, name, model)
 			}
 		}
 		i, present := first[name]
@@ -126,25 +254,26 @@ func FuzzDirScan(f *testing.F) {
 		}
 
 		d := edit()
-		if (d.find(name) >= 0) != present {
+		if at := d.find(name); canonical && (at >= 0) != present {
 			t.Fatalf("find %q disagrees with decode", name)
-		}
-		same("find", d, entries)
-		if !present {
+		} else if at < 0 {
 			d.add(added)
 			same("add", d, append(entries[:len(entries):len(entries)], added))
 		}
 
 		d = edit()
 		got, err := d.take(name)
+		taken := entries
 		if present {
-			if err != nil || got != entries[i] {
-				t.Fatalf("take %q = %+v, %v; want %+v", name, got, err, entries[i])
-			}
-			same("take", d, append(entries[:i:i], entries[i+1:]...))
-		} else if !errors.Is(err, ErrNotExist) {
+			taken = append(entries[:i:i], entries[i+1:]...)
+		}
+		switch {
+		case canonical && present && (err != nil || got != entries[i]):
+			t.Fatalf("take %q = %+v, %v; want %+v", name, got, err, entries[i])
+		case canonical && !present && !errors.Is(err, ErrNotExist):
 			t.Fatalf("take of absent %q: %v", name, err)
 		}
+		same("take", d, taken)
 
 		d = edit()
 		victim := d.bind(added)
@@ -153,11 +282,61 @@ func FuzzDirScan(f *testing.F) {
 			bound = append([]DirEntry(nil), entries...)
 			bound[i] = added
 		}
-		if present && victim != entries[i].ID || !present && victim != kernel.NilID {
-			t.Fatalf("bind %q displaced %d; decode lists it: %v", name, victim, present)
+		if canonical && (present && victim != entries[i] || !present && victim.ID != kernel.NilID) {
+			t.Fatalf("bind %q displaced %+v; decode lists it: %v", name, victim, present)
 		}
 		same("bind", d, bound)
 	})
+}
+
+// TestDirEditStepsMatchReference runs seeded adds, removes and binds through
+// the edit steps from an empty directory up past 200 entries and back, across
+// every bucket boundary on the way, and compares the bytes with the reference
+// encoding after each step; a lookup of every name bound must find it.
+func TestDirEditStepsMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pool := genEntries(300)
+	d := &dirEdit{buf: encodeDirEntries(nil)}
+	model := map[string]DirEntry{}
+	for step := 0; step < 3000; step++ {
+		// 600 steps bind random names, new ones by add or by bind; then a
+		// sweep of the pool removes every name.
+		grow := step%1000 < 600
+		e := pool[rng.Intn(len(pool))]
+		if !grow {
+			e = pool[step%len(pool)]
+		}
+		e.ID = kernel.ID(step + 1)
+		d.lo, d.hi = 0, 0
+		switch _, bound := model[e.Name]; {
+		case grow && !bound && rng.Intn(2) == 0:
+			d.add(e)
+			model[e.Name] = e
+		case grow:
+			d.bind(e)
+			model[e.Name] = e
+		case bound:
+			if _, err := d.take(e.Name); err != nil {
+				t.Fatalf("step %d: take %q: %v", step, e.Name, err)
+			}
+			delete(model, e.Name)
+		}
+		var entries []DirEntry
+		for _, e := range model {
+			entries = append(entries, e)
+		}
+		if want := encodeDirEntries(entries); !bytes.Equal(d.buf, want) {
+			t.Fatalf("step %d (%d entries): bytes differ from the reference encoding at %d", step, len(entries), firstDiff(d.buf, want))
+		}
+		if d.hi > d.lo && d.lo < dsDataOff {
+			t.Fatalf("step %d: dirty range [%d,%d) reaches the header", step, d.lo, d.hi)
+		}
+		for _, e := range entries {
+			if got, ok := bucketSearch(d.buf, e.Name); !ok || got != e {
+				t.Fatalf("step %d: lookup of %q = %+v, %v", step, e.Name, got, ok)
+			}
+		}
+	}
 }
 
 // TestHostileDirectoryCount: the count word of a directory is whatever its
@@ -182,7 +361,7 @@ func TestHostileDirectoryCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg, err := sys.dirSegCE(hostile.TC, tmp.ID)
+	seg, _, err := sys.dirSeg(hostile.TC, tmp.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,41 +447,78 @@ func TestUnlinkDirectoryChecksItsCount(t *testing.T) {
 	}
 }
 
+// fillDir makes dir hold n entries: n-1 written into its segment, which
+// resolution reads for their names alone and so needs no objects, then a
+// real file under the last name, which it returns the path of.
+func fillDir(tb testing.TB, p *Process, dir string, n int) string {
+	tb.Helper()
+	if err := p.Mkdir(dir, label.Label{}); err != nil {
+		tb.Fatal(err)
+	}
+	fi, err := p.Stat(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	seg, _, err := p.sys.dirSeg(p.TC, fi.ID)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	entries := make([]DirEntry, n-1)
+	for i := range entries {
+		entries[i] = DirEntry{Name: fmt.Sprintf("f%05d", i), ID: kernel.ID(i + 1), Type: kernel.ObjSegment}
+	}
+	if err := p.sys.segWrite(p.TC, seg, 0, encodeDirEntries(entries)); err != nil {
+		tb.Fatal(err)
+	}
+	last := fmt.Sprintf("%s/f%05d", dir, n-1)
+	if err := p.WriteFile(last, nil, label.Label{}); err != nil {
+		tb.Fatal(err)
+	}
+	return last
+}
+
 // TestStatAllocsIndependentOfDirectorySize is the property the lookup's gain
-// rests on: resolving a name allocates the same in a directory of 1,000
-// entries as in one of 10.
+// rests on: a Stat in a directory of 1,000 or 10,000 entries allocates what
+// it does in one of 10 entries, but for the bucket — at most three more
+// allocations (the fences, the bucket, the sequence word read again) and at
+// most twice the bytes, by runtime.MemStats.TotalAlloc.
 func TestStatAllocsIndependentOfDirectorySize(t *testing.T) {
 	sys := bootSys(t)
 	p, err := sys.NewInitProcess("alice")
 	if err != nil {
 		t.Fatal(err)
 	}
-	allocs := func(n int) float64 {
-		dir := fmt.Sprintf("/tmp/n%d", n)
-		if err := p.Mkdir(dir, label.Label{}); err != nil {
-			t.Fatal(err)
-		}
-		var last string
-		for i := 0; i < n; i++ {
-			last = fmt.Sprintf("%s/f%05d", dir, i)
-			if err := p.WriteFile(last, nil, label.Label{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return testing.AllocsPerRun(50, func() {
+	const runs = 50
+	cost := func(n int) (allocs, bytes float64) {
+		last := fillDir(t, p, fmt.Sprintf("/tmp/n%d", n), n)
+		stat := func() {
 			if _, err := p.Stat(last); err != nil {
 				t.Fatal(err)
 			}
-		})
+		}
+		allocs = testing.AllocsPerRun(runs, stat)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			stat()
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
 	}
-	if small, large := allocs(10), allocs(1000); small != large {
-		t.Errorf("Stat allocates %.0f times in a 10-entry directory and %.0f in a 1,000-entry one", small, large)
+	allocs, bytes := cost(10)
+	for _, n := range []int{1000, 10000} {
+		a, b := cost(n)
+		t.Logf("Stat in a %d-entry directory: %.0f allocations, %.0f B; in a 10-entry one: %.0f, %.0f B", n, a, b, allocs, bytes)
+		if a > allocs+3 || b > 2*bytes {
+			t.Errorf("Stat allocates %.0f times, %.0f B, in a %d-entry directory; %.0f times, %.0f B in a 10-entry one", a, b, n, allocs, bytes)
+		}
 	}
 }
 
 // BenchmarkResolve walks /tmp/<dir>/<last name> with 10, 1,000 and 10,000
-// entries in the directory.  What still grows with the directory is the
-// kernel's copy of the segment into the reader (B/op) and the scan over it.
+// entries in the directory.  Past the prefix a lookup reads first, it reads
+// one bucket, its fences and the sequence word: what grows with the directory
+// is the part of the prefix the directory fills.
 func BenchmarkResolve(b *testing.B) {
 	sys := bootSys(b)
 	p, err := sys.NewInitProcess("alice")
@@ -310,31 +526,11 @@ func BenchmarkResolve(b *testing.B) {
 		b.Fatal(err)
 	}
 	for _, n := range []int{10, 1000, 10000} {
-		dir := fmt.Sprintf("/tmp/n%d", n)
-		if err := p.Mkdir(dir, label.Label{}); err != nil {
-			b.Fatal(err)
-		}
-		fi, err := p.Stat(dir)
-		if err != nil {
-			b.Fatal(err)
-		}
-		seg, err := sys.dirSegCE(p.TC, fi.ID)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Resolution reads names, not objects: the entries need no files.
-		entries := make([]DirEntry, n)
-		for i := range entries {
-			entries[i] = DirEntry{Name: fmt.Sprintf("f%05d", i), ID: kernel.ID(i + 1), Type: kernel.ObjSegment}
-		}
-		if err := sys.segWrite(p.TC, seg, 0, encodeDirEntries(entries)); err != nil {
-			b.Fatal(err)
-		}
-		path := dir + "/" + entries[n-1].Name
+		path := fillDir(b, p, fmt.Sprintf("/tmp/n%d", n), n)
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, entry, err := p.lookup(path); err != nil || entry == nil || entry.ID != kernel.ID(n) {
+				if _, _, entry, err := p.lookup(path); err != nil || entry == nil || entry.Name != path[len(path)-6:] {
 					b.Fatalf("lookup(%s) = %v, %v", path, entry, err)
 				}
 			}
@@ -345,7 +541,11 @@ func BenchmarkResolve(b *testing.B) {
 // modelDir is what the model knows of one directory.
 type modelDir struct {
 	id      kernel.ID
-	entries []DirEntry // in the order the segment holds them
+	entries []DirEntry // in no particular order: dirOrder is the segment's
+	// bits is log2 of the directory's bucket count when last checked; ups
+	// and downs count the bucket boundaries its edits carried it across.
+	bits       uint
+	ups, downs int
 }
 
 func (d *modelDir) find(name string) int {
@@ -357,8 +557,8 @@ func (d *modelDir) find(name string) int {
 	return -1
 }
 
-// bind is the model's rename target: in place when the name is taken, at the
-// tail when it is not.  It reports whether another object was displaced.
+// bind is the model's rename target.  It reports whether another object was
+// displaced.
 func (d *modelDir) bind(e DirEntry) (displaced bool) {
 	if i := d.find(e.Name); i >= 0 {
 		displaced, d.entries[i] = d.entries[i].ID != e.ID, e
@@ -377,11 +577,33 @@ type dirModel struct {
 	seed int64
 	step int
 	dirs map[string]*modelDir
+	pool []string // the names the steps use
 }
 
 const modelRoot = "/tmp/model"
 
 var modelNames = []string{"a", "b", "cc", "ddd", "e.txt", "f", strings.Repeat("g", 200), "h-h"}
+
+// manyNames is a pool of 300 names of 4 to 73 bytes: enough for the
+// directories to cross bucket boundaries and to outgrow what a lookup reads
+// whole.
+var manyNames = func() []string {
+	names := make([]string, 300)
+	for i := range names {
+		names[i] = fmt.Sprintf("n%03d%s", i, strings.Repeat(".", i%70))
+	}
+	return names
+}()
+
+// The mixes of the model's steps, in percent: create a file, mkdir, unlink,
+// rename within a directory, rename across, create through a file, GroupSync.
+// A run over manyNames grows its directories for 300 steps, then shrinks them
+// for 300.
+var (
+	modelMix  = [7]int{30, 12, 23, 15, 14, 3, 3}
+	growMix   = [7]int{50, 4, 10, 12, 20, 2, 2}
+	shrinkMix = [7]int{0, 0, 60, 12, 24, 2, 2}
+)
 
 func (m *dirModel) fatalf(format string, args ...any) {
 	m.t.Helper()
@@ -477,16 +699,24 @@ func (m *dirModel) rename(srcDir, srcName, dstDir, dstName string) {
 }
 
 // check compares the directory at path with the model: its listing, in
-// order; its segment's bytes, which must be the reference encoder's for the
-// model's entries under a released header — exactly {mutex 0, count}; and
-// what every name of the pool resolves to.
+// dirOrder; its segment's bytes, which must be the reference encoder's for
+// the model's entries under a released header — an even sequence word, the
+// count; and what the names of the pool resolve to (with a pool of more than
+// 16, the names bound and eight others).
 func (m *dirModel) check(path string) {
 	d := m.dirs[path]
-	entries, err := m.p.ReadDir(path)
-	if err != nil || len(entries) != len(d.entries) || len(entries) > 0 && !reflect.DeepEqual(entries, d.entries) {
-		m.fatalf("ReadDir(%s) = %v, %v; model has %v", path, entries, err, d.entries)
+	if b := bucketBits(uint64(len(d.entries))); b > d.bits {
+		d.ups += int(b - d.bits)
+		d.bits = b
+	} else if b < d.bits {
+		d.downs += int(d.bits - b)
+		d.bits = b
 	}
-	seg, err := m.p.sys.dirSegCE(m.p.TC, d.id)
+	entries, err := m.p.ReadDir(path)
+	if want := dirOrder(d.entries); err != nil || len(entries) != len(want) || len(entries) > 0 && !reflect.DeepEqual(entries, want) {
+		m.fatalf("ReadDir(%s) = %v, %v; model has %v", path, entries, err, want)
+	}
+	seg, _, err := m.p.sys.dirSeg(m.p.TC, d.id)
 	if err != nil {
 		m.fatalf("directory segment of %s: %v", path, err)
 	}
@@ -495,11 +725,21 @@ func (m *dirModel) check(path string) {
 		m.fatalf("reading the directory segment of %s: %v", path, err)
 	}
 	want := encodeDirEntries(d.entries)
-	if !bytes.Equal(raw, want) {
+	if len(raw) < dsDataOff || raw[dsMutexOff]&1 != 0 || !bytes.Equal(raw[dsCountOff:], want[dsCountOff:]) {
 		m.fatalf("segment of %s differs from the reference encoding of %v at byte %d (%d bytes, want %d)\n got header % x\nwant header % x",
 			path, d.entries, firstDiff(raw, want), len(raw), len(want), raw[:min(len(raw), dsDataOff)], want[:dsDataOff])
 	}
-	for _, name := range modelNames {
+	probe := m.pool
+	if len(probe) > 16 {
+		probe = nil
+		for _, e := range d.entries {
+			probe = append(probe, e.Name)
+		}
+		for i := 0; i < 8; i++ {
+			probe = append(probe, m.pool[(m.step*8+i)%len(m.pool)])
+		}
+	}
+	for _, name := range probe {
 		fi, err := m.p.Stat(path + "/" + name)
 		if i := d.find(name); i < 0 {
 			m.expect("Stat of the absent "+path+"/"+name, err, ErrNotExist)
@@ -514,19 +754,28 @@ func (m *dirModel) check(path string) {
 // ones that must fail — over a handful of directories, and after every step
 // checks each directory the step touched (every directory, every 25 steps)
 // against the model.  A failure names the seed and step that reproduce it.
+// The run over 300 names carries its directories across bucket boundaries,
+// up and down, and fails unless the root crossed at least two each way.
 func TestDirModel(t *testing.T) {
-	t.Run("no store", func(t *testing.T) { dirModelRun(t, func() *System { return bootSys(t) }) })
+	t.Run("no store", func(t *testing.T) { dirModelRun(t, func() *System { return bootSys(t) }, modelNames) })
 	t.Run("store", func(t *testing.T) {
 		dirModelRun(t, func() *System {
 			sys, _, _ := bootSysPersist(t)
 			return sys
-		})
+		}, modelNames)
 	})
+	t.Run("many names", func(t *testing.T) { dirModelRun(t, func() *System { return bootSys(t) }, manyNames) })
 }
 
-func dirModelRun(t *testing.T, boot func() *System) {
+func dirModelRun(t *testing.T, boot func() *System, pool []string) {
+	many := len(pool) > len(modelNames)
 	steps := 800
-	if testing.Short() {
+	switch {
+	case many && testing.Short():
+		steps = 600
+	case many:
+		steps = 1200
+	case testing.Short():
 		steps = 200
 	}
 	for _, seed := range []int64{1, 2, 3} {
@@ -541,25 +790,46 @@ func dirModelRun(t *testing.T, boot func() *System) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := &dirModel{t: t, p: p, seed: seed, dirs: map[string]*modelDir{modelRoot: {id: fi.ID}}}
+		m := &dirModel{t: t, p: p, seed: seed, dirs: map[string]*modelDir{modelRoot: {id: fi.ID}}, pool: pool}
 		rng := rand.New(rand.NewSource(seed))
-		name := func() string { return modelNames[rng.Intn(len(modelNames))] }
+		name := func() string { return pool[rng.Intn(len(pool))] }
+		// bound is a name for a step that wants one bound in dir: with many
+		// names, most often one that is.
+		bound := func(dir string) string {
+			if d := m.dirs[dir]; many && len(d.entries) > 0 && rng.Intn(5) > 0 {
+				return d.entries[rng.Intn(len(d.entries))].Name
+			}
+			return name()
+		}
 		for m.step = 0; m.step < steps; m.step++ {
 			paths := m.paths()
 			dir := paths[rng.Intn(len(paths))]
 			other := paths[rng.Intn(len(paths))]
-			switch op := rng.Intn(100); {
-			case op < 30:
+			mix := modelMix
+			if many && m.step/300%2 == 0 {
+				mix = growMix
+			} else if many {
+				mix = shrinkMix
+			}
+			op, r := 0, rng.Intn(100)
+			for ; r >= mix[op]; op++ {
+				r -= mix[op]
+			}
+			if op == 1 && many && len(m.dirs) > 2 {
+				op = 0 // two subdirectories at most, so each grows
+			}
+			switch op {
+			case 0:
 				m.create(dir, name(), false)
-			case op < 42:
+			case 1:
 				m.create(modelRoot, name(), true)
-			case op < 65:
-				m.unlink(dir, name())
-			case op < 80:
-				m.rename(dir, name(), dir, name())
-			case op < 94:
-				m.rename(dir, name(), other, name())
-			case op < 97:
+			case 2:
+				m.unlink(dir, bound(dir))
+			case 3:
+				m.rename(dir, bound(dir), dir, name())
+			case 4:
+				m.rename(dir, bound(dir), other, name())
+			case 5:
 				// A path through a file: the walk, not the edit, refuses it.
 				if root := m.dirs[modelRoot]; len(root.entries) > 0 {
 					if e := root.entries[rng.Intn(len(root.entries))]; e.Type != kernel.ObjContainer {
@@ -575,6 +845,9 @@ func dirModelRun(t *testing.T, boot func() *System) {
 					m.check(path)
 				}
 			}
+		}
+		if root := m.dirs[modelRoot]; many && (root.ups < 2 || root.downs < 2) {
+			t.Errorf("seed %d: the root crossed %d bucket boundaries up and %d down, want at least 2 each way", seed, root.ups, root.downs)
 		}
 	}
 }

@@ -367,7 +367,11 @@ func (p *Process) ReadDir(path string) ([]DirEntry, error) {
 	if entry.Type != kernel.ObjContainer {
 		return nil, ErrNotDir
 	}
-	buf, err := p.sys.readDir(p.TC, entry.ID)
+	seg, _, err := p.sys.dirSeg(p.TC, entry.ID)
+	if err != nil {
+		return nil, err
+	}
+	buf, err := readDir(p.TC, seg, maxSegRead)
 	return decodeDirEntries(buf), err
 }
 
@@ -380,7 +384,7 @@ func (p *Process) Unlink(path string) error {
 	if entry.Type == kernel.ObjContainer {
 		// The count word of the directory just resolved says whether it is
 		// empty; one whose count cannot be read is not removed on a guess.
-		seg, err := p.sys.dirSegCE(p.TC, entry.ID)
+		seg, _, err := p.sys.dirSeg(p.TC, entry.ID)
 		if err != nil {
 			return err
 		}
@@ -394,6 +398,9 @@ func (p *Process) Unlink(path string) error {
 	}
 	if err := p.sys.removeEntry(p.TC, dir, entry.Name); err != nil {
 		return err
+	}
+	if entry.Type == kernel.ObjContainer {
+		p.sys.forgetDir(entry.ID)
 	}
 	return mapKernelErr(p.TC.Unref(dir, entry.ID))
 }

@@ -96,20 +96,6 @@ func truncName(s string) string {
 	return s
 }
 
-// lookupEntry finds name in a snapshot of dir's bytes, where it lies: what it
-// allocates does not depend on how many entries the directory holds.
-func (sys *System) lookupEntry(tc *kernel.ThreadCall, dir kernel.ID, name string) (DirEntry, error) {
-	buf, err := sys.readDir(tc, dir)
-	if err != nil {
-		return DirEntry{}, err
-	}
-	at, _, _ := scanDir(buf, name, false)
-	if at < 0 {
-		return DirEntry{}, ErrNotExist
-	}
-	return entryOf(buf, at, name), nil
-}
-
 // removeEntry removes a name binding from a directory (the object itself is
 // unreferenced by the caller).
 func (sys *System) removeEntry(tc *kernel.ThreadCall, dir kernel.ID, name string) error {
@@ -124,8 +110,11 @@ func (sys *System) removeEntry(tc *kernel.ThreadCall, dir kernel.ID, name string
 // semantics; what the store held for the victim dies with its last link, in
 // the kernel).  e's object must already be linked in dir.
 func (sys *System) bindEntry(tc *kernel.ThreadCall, dir kernel.ID, d *dirEdit, e DirEntry) {
-	if victim := d.bind(e); victim != kernel.NilID && victim != e.ID {
-		_ = tc.Unref(dir, victim)
+	if victim := d.bind(e); victim.ID != kernel.NilID && victim.ID != e.ID {
+		_ = tc.Unref(dir, victim.ID)
+		if victim.Type == kernel.ObjContainer {
+			sys.forgetDir(victim.ID)
+		}
 	}
 }
 

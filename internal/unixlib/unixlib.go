@@ -74,8 +74,9 @@ type System struct {
 	// dirSegs caches directory container → directory segment bindings,
 	// sharded by container-ID bits.  A binding is written once when the
 	// directory is created and never changes (kernel IDs are never reused),
-	// so cached entries need no invalidation: a deleted directory's entry
-	// just resolves to a kernel lookup failure, as the uncached path would.
+	// so a cached one is never wrong; Unlink, and a rename that replaces a
+	// directory, drop the removed directory's binding (forgetDir), so a
+	// directory made and removed leaves nothing behind.
 	dirSegs [dirSegShards]dirSegShard
 
 	// initTC is the bootstrap thread that owns all users' categories — and
@@ -90,7 +91,15 @@ const dirSegShards = 16
 
 type dirSegShard struct {
 	mu sync.RWMutex
-	m  map[kernel.ID]kernel.ID
+	m  map[kernel.ID]dirSeg
+}
+
+// dirSeg is what the dirSegs cache holds of a directory: its segment, and
+// the segment's length when an edit or a lookup last saw all of it (0 until
+// one has).
+type dirSeg struct {
+	id   kernel.ID
+	size int
 }
 
 // BootOptions configure Boot.
@@ -113,7 +122,7 @@ func Boot(opts BootOptions) (*System, error) {
 		users:    make(map[string]*User),
 	}
 	for i := range sys.dirSegs {
-		sys.dirSegs[i].m = make(map[kernel.ID]kernel.ID)
+		sys.dirSegs[i].m = make(map[kernel.ID]dirSeg)
 	}
 	if st := opts.Persist; st != nil {
 		k.SetPager(pager{st})
