@@ -58,6 +58,7 @@ func dirEditSyscallBudget(t *testing.T, sys *System, persist uint64) {
 		resolve = 3 // "/", "tmp", "a" or "b": one read each
 		openFD  = 3 // the thread's label, descriptor segment create + write
 		deflt   = 1 // the thread's label, for the default file label
+		write   = 3 // the bytes, the modification time's stat and set
 	)
 	var fd int
 	for _, c := range []struct {
@@ -70,9 +71,15 @@ func dirEditSyscallBudget(t *testing.T, sys *System, persist uint64) {
 			return err
 		}},
 		{"Close", 1, func() error { return p.Close(fd) }},
-		{"ReadFile", resolve + openFD + 1 + 1, func() error { // + one whole-segment read, close
+		{"ReadFile", resolve + 1, func() error { // + one whole-segment read
 			_, err := p.ReadFile("/tmp/a/f")
 			return err
+		}},
+		{"WriteFile new", deflt + resolve + edit + 1 + persist + write, func() error { // + the file segment
+			return p.WriteFile("/tmp/a/n", []byte("new"), label.Label{})
+		}},
+		{"WriteFile existing", resolve + 1 + write, func() error { // + the truncation
+			return p.WriteFile("/tmp/a/n", []byte("over"), label.Label{})
 		}},
 		{"Rename same directory", 2*resolve + edit, func() error { return p.Rename("/tmp/a/f", "/tmp/a/g") }},
 		// + fixed quota, link; a second edit for the old name; unref.

@@ -481,7 +481,8 @@ func fillDir(tb testing.TB, p *Process, dir string, n int) string {
 // rests on: a Stat in a directory of 1,000 or 10,000 entries allocates what
 // it does in one of 10 entries, but for the bucket — at most three more
 // allocations (the fences, the bucket, the sequence word read again) and at
-// most twice the bytes, by runtime.MemStats.TotalAlloc.
+// most 512 more bytes (the prefix past a small directory's, the fences, a
+// bucket of about 16 entries, the word), by runtime.MemStats.TotalAlloc.
 func TestStatAllocsIndependentOfDirectorySize(t *testing.T) {
 	sys := bootSys(t)
 	p, err := sys.NewInitProcess("alice")
@@ -509,7 +510,7 @@ func TestStatAllocsIndependentOfDirectorySize(t *testing.T) {
 	for _, n := range []int{1000, 10000} {
 		a, b := cost(n)
 		t.Logf("Stat in a %d-entry directory: %.0f allocations, %.0f B; in a 10-entry one: %.0f, %.0f B", n, a, b, allocs, bytes)
-		if a > allocs+3 || b > 2*bytes {
+		if a > allocs+3 || b > bytes+512 {
 			t.Errorf("Stat allocates %.0f times, %.0f B, in a %d-entry directory; %.0f times, %.0f B in a 10-entry one", a, b, n, allocs, bytes)
 		}
 	}

@@ -13,7 +13,9 @@ import (
 // numbers correspond to virtual addresses in the real library; here the
 // process keeps a table from descriptor number to the descriptor segment and
 // the object it refers to.  Multiple processes share a descriptor by mapping
-// the same segment.
+// the same segment.  A descriptor exists to be shared, so a call that shares
+// nothing opens none: ReadFile, WriteFile and FsyncPath resolve the path and
+// act on the file segment itself.
 
 // fdSegment layout.
 const (

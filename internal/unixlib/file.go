@@ -450,40 +450,51 @@ func (p *Process) Rename(oldPath, newPath string) error {
 	return nil
 }
 
-// ReadFile is a convenience that opens, reads fully, and closes a file.
+// ReadFile reads a whole file.  Like FsyncPath it opens no descriptor: a
+// descriptor exists to share a seek position, and a one-shot read shares
+// nothing.  The kernel checks the file's label at the read itself.
 func (p *Process) ReadFile(path string) ([]byte, error) {
-	fd, err := p.Open(path, ORead)
+	dir, entry, err := p.existing(path)
 	if err != nil {
 		return nil, err
 	}
-	defer p.Close(fd)
-	f, err := p.getFD(fd)
-	if err != nil {
-		return nil, err
+	if entry.Type == kernel.ObjContainer {
+		return nil, ErrIsDir
 	}
-	return p.readAt(f.File, 0, maxSegRead)
+	return p.readAt(kernel.CEnt{Container: dir, Object: entry.ID}, 0, maxSegRead)
 }
 
-// WriteFile is a convenience that creates (or truncates) a file and writes
-// data to it.
+// WriteFile creates a file (with lbl, or the process default for the zero
+// label) or truncates an existing one, and writes data to it, opening no
+// descriptor.  The kernel checks the file's label at the truncation, so a
+// refused overwrite changes nothing.
 func (p *Process) WriteFile(path string, data []byte, lbl label.Label) error {
-	fd, err := p.Create(path, lbl)
-	if err == ErrExist {
-		fd, err = p.Open(path, OWrite)
-		if err != nil {
-			return err
+	dir, leaf, entry, err := p.lookup(path)
+	if err == nil && entry == nil {
+		if lbl.IsZero() {
+			lbl = p.DefaultFileLabel()
 		}
-		f, _ := p.getFD(fd)
-		if err := p.sys.segResize(p.TC, f.File, 0); err != nil {
-			p.Close(fd)
-			return err
+		var file kernel.ID
+		if file, err = p.sys.createFileIn(p.TC, dir, leaf, lbl); err == nil {
+			return p.writeAt(kernel.CEnt{Container: dir, Object: file}, 0, data)
 		}
-	} else if err != nil {
+		if err == ErrExist { // a racer bound the name after the lookup: overwrite its file
+			var bound DirEntry
+			dir, bound, err = p.existing(path)
+			entry = &bound
+		}
+	}
+	switch {
+	case err != nil:
+		return err
+	case entry.Type == kernel.ObjContainer:
+		return ErrIsDir
+	}
+	file := kernel.CEnt{Container: dir, Object: entry.ID}
+	if err := p.sys.segResize(p.TC, file, 0); err != nil {
 		return err
 	}
-	defer p.Close(fd)
-	_, err = p.Write(fd, data)
-	return err
+	return p.writeAt(file, 0, data)
 }
 
 // Fsync makes a file durable: the file's segment is synchronously appended

@@ -3,6 +3,7 @@ package unixlib
 import (
 	"encoding/binary"
 	"errors"
+	"path"
 	"strings"
 	"sync"
 
@@ -153,29 +154,13 @@ func (sys *System) resolve(tc *kernel.ThreadCall, rootDir kernel.ID, path string
 	}
 }
 
+// cleanPath makes p absolute and lexically clean; path.Clean returns a path
+// already clean, as nearly every one the library resolves is, unallocated.
 func cleanPath(p string) string {
-	if p == "" {
-		return "/"
-	}
 	if !strings.HasPrefix(p, "/") {
 		p = "/" + p
 	}
-	// Collapse duplicate slashes; no ".." support (the library resolves
-	// parents through container_get_parent where needed).
-	var parts []string
-	for _, part := range strings.Split(p, "/") {
-		if part == "" || part == "." {
-			continue
-		}
-		if part == ".." {
-			if len(parts) > 0 {
-				parts = parts[:len(parts)-1]
-			}
-			continue
-		}
-		parts = append(parts, part)
-	}
-	return "/" + strings.Join(parts, "/")
+	return path.Clean(p)
 }
 
 // MountTable maps path prefixes onto containers, like Plan 9 namespaces: a
