@@ -33,7 +33,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fi, _ := alice.Stat("/home/alice/secret.txt")
-	fmt.Printf("alice's file label: %s\n", fi.Label.Format(sys.Kern.CategoryAllocator()))
+	fmt.Printf("alice's file label: %s\n", fi.Label.Format(sys))
 
 	// Mallory cannot read or overwrite it: the kernel, not the library,
 	// refuses.
@@ -46,7 +46,7 @@ func main() {
 
 	// A thread can taint itself to read more-tainted data, but then cannot
 	// write anything less tainted — information flows only upward.
-	c, _ := alice.TC.CategoryCreateNamed("project")
+	c, _ := alice.TC.CategoryCreate()
 	if err := alice.WriteFile("/tmp/tainted-notes", []byte("secret project"), label.New(label.L1, label.P(c, label.L2))); err != nil {
 		log.Fatal(err)
 	}

@@ -21,11 +21,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	inet, err := netd.New(sys, netd.Options{TaintName: "i"})
+	inet, err := netd.New(sys, netd.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	corp, err := netd.New(sys, netd.Options{TaintName: "v"})
+	corp, err := netd.New(sys, netd.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -214,7 +214,7 @@ func (svc *userAuthService) createSetupGate(s *Service) error {
 			if !ok {
 				return []byte("ERR bad setup arguments")
 			}
-			x, err := call.TC.CategoryCreateNamed("x")
+			x, err := call.TC.CategoryCreate()
 			if err != nil {
 				return []byte("ERR " + err.Error())
 			}
@@ -407,7 +407,7 @@ func (s *Service) Login(client *unixlib.Process, username, password string) erro
 		_ = tc.SelfSetClearance(clr)
 	}()
 	// pir protects the password during the check.
-	pir, err := tc.CategoryCreateNamed("pir")
+	pir, err := tc.CategoryCreate()
 	if err != nil {
 		return err
 	}

@@ -60,7 +60,7 @@ func Wrap(user *unixlib.Process, files []string, opts WrapOptions) (*WrapResult,
 
 	// Allocate the isolation category.  wrap — running with the user's
 	// privileges — is its only owner.
-	v, err := tc.CategoryCreateNamed("v")
+	v, err := tc.CategoryCreate()
 	if err != nil {
 		return nil, err
 	}

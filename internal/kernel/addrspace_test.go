@@ -237,7 +237,7 @@ func TestAlerts(t *testing.T) {
 func TestAlertRequiresAddressSpaceWritePermission(t *testing.T) {
 	k, tc := boot(t)
 	root := k.RootContainer()
-	pw, _ := tc.CategoryCreateNamed("pw")
+	pw, _ := tc.CategoryCreate()
 	// The victim's address space is protected by pw 0, like a HiStar
 	// process's objects; only pw owners can signal it.
 	as, _ := tc.AddressSpaceCreate(root, label.New(label.L1, label.P(pw, label.L0)), "private as")
@@ -307,9 +307,9 @@ func TestFutexWaitWake(t *testing.T) {
 func TestDeviceLabelDiscipline(t *testing.T) {
 	k, tc := boot(t)
 	root := k.RootContainer()
-	nr, _ := tc.CategoryCreateNamed("nr")
-	nw, _ := tc.CategoryCreateNamed("nw")
-	i, _ := tc.CategoryCreateNamed("i")
+	nr, _ := tc.CategoryCreate()
+	nw, _ := tc.CategoryCreate()
+	i, _ := tc.CategoryCreate()
 
 	devLabel := label.New(label.L1,
 		label.P(nr, label.L3), label.P(nw, label.L0), label.P(i, label.L2))

@@ -209,22 +209,6 @@ func TestDenyThreadAlertUnwritableTarget(t *testing.T) {
 	wantLabelErr(t, "alert to a thread the sender cannot write", outsider.ThreadAlert(target, 1))
 }
 
-// Granting ownership: a category's ⋆ is privilege, and only a
-// thread that holds it can pass it on (Section 3.1: ownership moves only
-// from an owner, through a gate or thread creation; the direct call demands
-// c⋆ in LT).  The outsider's grant of c to itself must change nothing.
-func TestDenyGrantOwnershipByNonOwner(t *testing.T) {
-	k, owner, outsider, c := denyEnv(t)
-	target, _ := newThread(t, k, owner, label.New(label.L1), label.New(label.L2))
-	if err := owner.GrantOwnership(target.Object, c); err != nil {
-		t.Fatalf("owner's grant: %v", err)
-	}
-	wantLabelErr(t, "granting a category the thread does not own", outsider.GrantOwnership(outsider.ID(), c))
-	if lbl, err := outsider.SelfLabel(); err != nil || lbl.Owns(c) {
-		t.Errorf("after the refused grant the outsider's label is %v, %v", lbl, err)
-	}
-}
-
 // A clone creates its gates, so each remapped gate must satisfy
 // what gate creation demands of the cloner (Section 3.5:
 // LT′ ⊑ LG ⊑ CG ⊑ CT′).  LT′ ⊑ LG ⊑ CT′ is the allocation check on the

@@ -111,9 +111,8 @@ func (tc *ThreadCall) GateEnter(ce CEnt, req GateRequest) ([]byte, error) {
 // pass, retargets thread t to the requested label/clearance and the gate's
 // address space.  The checks compare the thread's label against the
 // (immutable) gate, so they run under the thread's write lock, against the
-// label as it is now: a concurrent self_set_label or ownership grant must
-// either land before the checks or after the transfer, never be overwritten
-// by it.
+// label as it is now: a concurrent self_set_label must either land before
+// the checks or after the transfer, never be overwritten by it.
 func (tc *ThreadCall) gateEnterTransfer(t *thread, g *gate, req GateRequest) error {
 	if !label.ValidThreadLabel(req.Label) || !label.ValidClearance(req.Clearance) {
 		return ErrInvalid

@@ -14,7 +14,7 @@ func gateBenchEnv(tb testing.TB) (*ThreadCall, CEnt, GateRequest) {
 	tb.Helper()
 	k, tc := boot(tb)
 	root := k.RootContainer()
-	c, _ := tc.CategoryCreateNamed("sess")
+	c, _ := tc.CategoryCreate()
 	gateID, err := tc.GateCreate(root, GateSpec{
 		Label:     label.New(label.L1, label.P(c, label.Star)),
 		Clearance: label.New(label.L2),
@@ -158,7 +158,7 @@ func TestGateTransfersOwnership(t *testing.T) {
 	root := k.RootContainer()
 
 	// The boot thread owns a category and stores that privilege in a gate.
-	c, _ := tc.CategoryCreateNamed("priv")
+	c, _ := tc.CategoryCreate()
 	secret, _ := tc.SegmentCreate(root, label.New(label.L1, label.P(c, label.L3)), "secret", 4)
 	_ = tc.SegmentWrite(CEnt{root, secret}, 0, []byte("ssh!"))
 
@@ -251,7 +251,7 @@ func TestGateEnterRequestedLabelMustCoverTaint(t *testing.T) {
 func TestGateClearanceRestrictsCallers(t *testing.T) {
 	k, tc := boot(t)
 	root := k.RootContainer()
-	x, _ := tc.CategoryCreateNamed("x")
+	x, _ := tc.CategoryCreate()
 
 	// A gate whose clearance is {x0, 2} can only be invoked by threads that
 	// own x (any other thread has x at level 1 > 0).  This is exactly how the
@@ -398,8 +398,8 @@ func TestReturnGatePattern(t *testing.T) {
 	callerClr, _ := tc.SelfClearance()
 
 	// Allocate the return category r and the secrecy category tt.
-	r, _ := tc.CategoryCreateNamed("r")
-	tt, _ := tc.CategoryCreateNamed("t")
+	r, _ := tc.CategoryCreate()
+	tt, _ := tc.CategoryCreate()
 	callerLblOwned, _ := tc.SelfLabel()
 
 	var restored bool
@@ -463,6 +463,6 @@ func TestReturnGatePattern(t *testing.T) {
 	}
 	finalLbl, _ := tc.SelfLabel()
 	if !finalLbl.Owns(tt) || !finalLbl.Owns(r) {
-		t.Errorf("caller should end owning r and t again, got %v", finalLbl.Format(k.CategoryAllocator()))
+		t.Errorf("caller should end owning r and t again, got %v", finalLbl)
 	}
 }

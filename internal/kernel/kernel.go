@@ -204,10 +204,6 @@ func New(cfg Config) *Kernel {
 // RootContainer returns the object ID of the root container.
 func (k *Kernel) RootContainer() ID { return k.rootID }
 
-// CategoryAllocator exposes the kernel's category namer for formatting
-// labels in diagnostics; it does not grant any privilege.
-func (k *Kernel) CategoryAllocator() *label.Allocator { return k.cats }
-
 // newID allocates a fresh 61-bit object ID.
 func (k *Kernel) newID() ID { return ID(k.ids.Alloc()) }
 

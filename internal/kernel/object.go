@@ -103,7 +103,7 @@ func (ce CEnt) String() string {
 //
 // id, objType, and descrip are immutable after construction.  lbl is
 // immutable for every object type except threads (self_set_label, gate
-// entry, and ownership grants retarget a thread's label under mu).  The
+// entry and category_create retarget a thread's label under mu).  The
 // remaining fields are mutable and guarded by mu, the per-object lock of the
 // package's locking discipline (see the package comment), except dead, which
 // is atomic so lock-free table lookups can skip deallocated objects.

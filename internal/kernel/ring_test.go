@@ -906,7 +906,7 @@ func TestRingConcurrentOverlap(t *testing.T) {
 func TestRingGateEnterChainedReplyRead(t *testing.T) {
 	k, tc := boot(t)
 	root := k.RootContainer()
-	u, _ := tc.CategoryCreateNamed("u")
+	u, _ := tc.CategoryCreate()
 
 	reply, err := tc.SegmentCreate(root, label.New(label.L1, label.P(u, label.L3)), "reply", 64)
 	if err != nil {
@@ -1050,7 +1050,7 @@ func TestRingGateEnterMultipleSessions(t *testing.T) {
 	}
 	var sessions []sess
 	for i := 0; i < 2; i++ {
-		c, _ := tc.CategoryCreateNamed(fmt.Sprintf("u%d", i))
+		c, _ := tc.CategoryCreate()
 		reply, err := tc.SegmentCreate(root, label.New(label.L1, label.P(c, label.L3)), fmt.Sprintf("reply%d", i), 64)
 		if err != nil {
 			t.Fatal(err)

@@ -236,11 +236,11 @@ func TestMemWriteBreaksCOW(t *testing.T) {
 func TestSnapshotCategoryRemapAndThreadSkip(t *testing.T) {
 	k, tc := boot(t)
 	root := k.RootContainer()
-	cOld, err := tc.CategoryCreateNamed("tmpl")
+	cOld, err := tc.CategoryCreate()
 	if err != nil {
 		t.Fatalf("CategoryCreate: %v", err)
 	}
-	cNew, err := tc.CategoryCreateNamed("user")
+	cNew, err := tc.CategoryCreate()
 	if err != nil {
 		t.Fatalf("CategoryCreate: %v", err)
 	}

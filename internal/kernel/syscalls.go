@@ -33,7 +33,6 @@ const (
 	scThreadHalt
 	scThreadAlert
 	scAlertPoll
-	scGrantOwnership
 	scLocalSegmentWrite
 	scLocalSegmentRead
 	scSegmentCreate
@@ -92,7 +91,6 @@ var syscallNames = [numSyscalls]string{
 	scThreadHalt:          "thread_halt",
 	scThreadAlert:         "thread_alert",
 	scAlertPoll:           "alert_poll",
-	scGrantOwnership:      "grant_ownership",
 	scLocalSegmentWrite:   "local_segment_write",
 	scLocalSegmentRead:    "local_segment_read",
 	scSegmentCreate:       "segment_create",

@@ -22,17 +22,6 @@ func (tc *ThreadCall) CategoryCreate() (label.Category, error) {
 	return c, nil
 }
 
-// CategoryCreateNamed is CategoryCreate plus a human-readable display name
-// for the new category (diagnostics only; confers nothing).
-func (tc *ThreadCall) CategoryCreateNamed(name string) (label.Category, error) {
-	c, err := tc.CategoryCreate()
-	if err != nil {
-		return 0, err
-	}
-	tc.k.cats.SetName(c, name)
-	return c, nil
-}
-
 // SelfLabel returns the invoking thread's current label.
 func (tc *ThreadCall) SelfLabel() (label.Label, error) {
 	ctx, err := tc.enter(scSelfGetLabel)
@@ -310,32 +299,4 @@ func (tc *ThreadCall) LocalSegmentRead(off, n int) ([]byte, error) {
 		return nil, ErrInvalid
 	}
 	return seg.read(tc.k, off, n)
-}
-
-// GrantOwnership is a convenience used by trusted bootstrap and test code to
-// hand ownership of a category to a thread directly.  In the real system
-// ownership transfers only through gates or thread creation; the user-level
-// library uses those mechanisms, but tests need a way to set up initial
-// conditions (for instance, a user's login shell owning ur and uw).
-// The invoking thread must itself own the category.
-func (tc *ThreadCall) GrantOwnership(target ID, c label.Category) error {
-	ctx, err := tc.enter(scGrantOwnership)
-	if err != nil {
-		return err
-	}
-	if !ctx.lbl.Owns(c) {
-		return ErrLabel
-	}
-	vt, err := lookupAs[*thread](tc.k, target)
-	if err != nil {
-		return err
-	}
-	vt.mu.Lock()
-	defer vt.mu.Unlock()
-	if !liveLocked(vt) {
-		return ErrNoSuchObject
-	}
-	vt.lbl = vt.lbl.With(c, label.Star)
-	vt.clearance = vt.clearance.With(c, label.L3)
-	return nil
 }

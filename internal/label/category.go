@@ -37,15 +37,13 @@ type Allocator struct {
 	mu      sync.Mutex
 	counter uint64
 	keys    [4][32]byte
-
-	names map[Category]string
 }
 
 // NewAllocator returns an allocator whose permutation is keyed by seed.
 // Two allocators created with the same seed produce the same identifier
 // sequence, which keeps simulations deterministic.
 func NewAllocator(seed uint64) *Allocator {
-	a := &Allocator{names: make(map[Category]string)}
+	a := &Allocator{}
 	var s [8]byte
 	binary.LittleEndian.PutUint64(s[:], seed)
 	for i := range a.keys {
@@ -64,21 +62,6 @@ func (a *Allocator) Alloc() Category {
 	defer a.mu.Unlock()
 	a.counter++
 	return a.encrypt(a.counter)
-}
-
-// SetName records or replaces the display name of a category.
-func (a *Allocator) SetName(c Category, name string) {
-	a.mu.Lock()
-	a.names[c] = name
-	a.mu.Unlock()
-}
-
-// CategoryName implements Namer.
-func (a *Allocator) CategoryName(c Category) (string, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	s, ok := a.names[c]
-	return s, ok
 }
 
 // encrypt applies a 4-round unbalanced Feistel permutation over the 61-bit

@@ -79,22 +79,6 @@ func TestAllocatorConcurrent(t *testing.T) {
 	}
 }
 
-func TestAllocatorNames(t *testing.T) {
-	a := NewAllocator(5)
-	c := a.Alloc()
-	a.SetName(c, "br")
-	if name, ok := a.CategoryName(c); !ok || name != "br" {
-		t.Errorf("CategoryName = %q, %v", name, ok)
-	}
-	a.SetName(c, "bobr")
-	if name, _ := a.CategoryName(c); name != "bobr" {
-		t.Errorf("SetName not applied: %q", name)
-	}
-	if _, ok := a.CategoryName(Category(123456)); ok {
-		t.Error("unnamed category should not resolve")
-	}
-}
-
 func TestCategoryValid(t *testing.T) {
 	if !MaxCategory.Valid() {
 		t.Error("MaxCategory must be valid")

@@ -425,12 +425,13 @@ func maxLevel(a, b Level) Level {
 }
 
 // String renders the label in the paper's notation, e.g. {br*, v3, 1}.
-// Categories are printed as cN where N is the category identifier, unless a
-// name has been registered with the category allocator that produced them;
-// use Format with a Namer for symbolic output.
+// Categories are printed as cN where N is the category identifier; use Format
+// with a Namer for symbolic output.
 func (l Label) String() string { return l.Format(nil) }
 
-// Namer maps categories to human-readable names for display.
+// Namer maps categories to human-readable names for display.  The kernel
+// keeps no names (categories are numbers to it); untrusted code that
+// allocated a category may name it.
 type Namer interface {
 	CategoryName(Category) (string, bool)
 }

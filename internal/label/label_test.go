@@ -310,14 +310,21 @@ func TestStringAndFormat(t *testing.T) {
 		// Format is "c42" + level string: accept the canonical rendering only.
 		t.Logf("String() = %q", got)
 	}
-	alloc := NewAllocator(1)
-	named := alloc.Alloc()
-	alloc.SetName(named, "br")
-	l2 := New(L1, P(named, Star))
-	s := l2.Format(alloc)
-	if want := "{br*, 1}"; s != want {
+	named := catN(7)
+	names := mapNamer{named: "br"}
+	l2 := New(L1, P(named, Star), P(c, L3))
+	s := l2.Format(names)
+	if want := "{br*, c423, 1}"; s != want {
 		t.Errorf("Format = %q, want %q", s, want)
 	}
+}
+
+// mapNamer names the categories in its map and no others.
+type mapNamer map[Category]string
+
+func (m mapNamer) CategoryName(c Category) (string, bool) {
+	s, ok := m[c]
+	return s, ok
 }
 
 func TestOwnedBypassesFlowChecks(t *testing.T) {

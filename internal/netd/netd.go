@@ -45,15 +45,9 @@ const (
 
 // Options configure a network daemon instance.
 type Options struct {
-	// TaintName is the display name of the receive-taint category ("i" for
-	// the Internet stack, "v" for the VPN stack in Section 6.3).
-	TaintName string
 	// Link connects the device to the remote world; if nil a standalone
 	// link with PaperEthernet parameters and no clock is created.
 	Link *netsim.Link
-	// MountPath is where the daemon's control directory is mounted by
-	// convention (informational; clients hold a *Daemon handle directly).
-	MountPath string
 }
 
 // Daemon is one running network stack.
@@ -109,9 +103,6 @@ type conn struct {
 // {nr3, nw0, taint2, 1}, creates the socket service gate, and starts the
 // receive loop.
 func New(sys *unixlib.System, opts Options) (*Daemon, error) {
-	if opts.TaintName == "" {
-		opts.TaintName = "i"
-	}
 	proc, err := sys.NewInitProcess("")
 	if err != nil {
 		return nil, err
@@ -127,16 +118,16 @@ func New(sys *unixlib.System, opts Options) (*Daemon, error) {
 		d.link = netsim.NewLink(netsim.PaperEthernet(), nil)
 	}
 	tc := proc.TC
-	if d.Nr, err = tc.CategoryCreateNamed("nr"); err != nil {
+	if d.Nr, err = tc.CategoryCreate(); err != nil {
 		return nil, err
 	}
-	if d.Nw, err = tc.CategoryCreateNamed("nw"); err != nil {
+	if d.Nw, err = tc.CategoryCreate(); err != nil {
 		return nil, err
 	}
 	// The receive-taint category is owned by the machine's bootstrap (the
 	// administrator decides who may untaint network-derived data, e.g. after
 	// a virus scan) — not by netd, which deliberately cannot bypass it.
-	if d.Taint, err = sys.InitThread().CategoryCreateNamed(opts.TaintName); err != nil {
+	if d.Taint, err = sys.InitThread().CategoryCreate(); err != nil {
 		return nil, err
 	}
 	// The network device: {nr3, nw0, taint2, 1}.

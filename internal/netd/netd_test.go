@@ -84,7 +84,7 @@ func TestTaintedProcessCannotTransmit(t *testing.T) {
 	victim, _ := sys.NewInitProcess("alice")
 
 	// Taint the process in a fresh category v (as wrap does to the scanner).
-	v, err := victim.TC.CategoryCreateNamed("v")
+	v, err := victim.TC.CategoryCreate()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestSeparateStacksIsolateTaints(t *testing.T) {
 	// network's category and can no longer transmit on the other device —
 	// the Section 6.3 VPN isolation property.
 	sys, inet := bootNet(t)
-	vpn, err := New(sys, Options{TaintName: "v"})
+	vpn, err := New(sys, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

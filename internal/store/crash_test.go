@@ -939,6 +939,72 @@ func (c *cutDisk) Flush() error {
 	return c.Device.Flush()
 }
 
+// TestFailedHomeWriteChargesNoLive: a segment append whose device write
+// fails must not count toward its segment's live bytes.  Three objects fill
+// most of a 64 KiB segment and are checkpointed; a fourth's one home write
+// fails and the checkpoint is retried; then the first three are deleted.
+// The failed write's bytes name no home, so the first segment must empty and
+// go, leaving as many segments and free bytes as a run without the fault.  A
+// phantom live count keeps it forever: each checkpoint then picks it as a
+// cleaning victim with nothing to move.
+func TestFailedHomeWriteChargesNoLive(t *testing.T) {
+	type outcome struct {
+		free    int64
+		segs    int
+		cleaned uint64
+	}
+	run := func(fault bool) outcome {
+		d := disk.New(disk.Params{Sectors: crashSectors}, &vclock.Clock{})
+		dataStart := logOffset + crashOpts.LogSize + 2*crashOpts.MetaAreaSize
+		cd := &cutDisk{Device: d, from: dataStart, to: d.Size()}
+		s, err := Format(cd, crashOpts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id := uint64(1); id <= 3; id++ {
+			if err := s.Put(id, make([]byte, 16<<10)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Put(4, make([]byte, 16<<10)); err != nil {
+			t.Fatal(err)
+		}
+		if fault {
+			cd.hook = func() {}
+			if err := s.Checkpoint(); !errors.Is(err, disk.ErrFault) {
+				t.Fatalf("checkpoint across the failed home write = %v", err)
+			}
+			cd.cut = false // the fault was one write, not a power cut
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		for id := uint64(1); id <= 3; id++ {
+			if err := s.Delete(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cleaned := s.Stats().SegsCleaned
+		for i := 0; i < 3; i++ {
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return outcome{s.FreeBytes(), len(s.segs), s.Stats().SegsCleaned - cleaned}
+	}
+	got, want := run(true), run(false)
+	if got.free != want.free || got.segs != want.segs {
+		t.Errorf("after a failed home write: %d bytes free in %d segments; a run without the fault has %d in %d",
+			got.free, got.segs, want.free, want.segs)
+	}
+	if got.cleaned > want.cleaned {
+		t.Errorf("after a failed home write, three checkpoints cleaned %d segments; a run without the fault cleaned %d", got.cleaned, want.cleaned)
+	}
+}
+
 // TestCommitWindowSyncSurvivesCrash: a sync acknowledged while a checkpoint
 // has written the object home but not yet committed the snapshot naming that
 // home must come back after a crash there.  Until the superblock flips, the

@@ -93,7 +93,9 @@ func (s *Store) vacateExtent(off, size int64) {
 // a freshly allocated one when it would overflow) and returns the object's
 // new home offset.  The device write is issued with no lock held; segment
 // bookkeeping is under mu.  Only the checkpoint body calls it (ckptRun
-// serializes), so the open segment cannot rotate underneath the write.
+// serializes), so the open segment cannot rotate underneath the write.  The
+// bytes count as live only once the write succeeds: a failed write names no
+// home, so nothing would ever vacate them.
 func (s *Store) segAppend(data []byte) (int64, error) {
 	sz := align512(int64(len(data)))
 	s.mu.Lock()
@@ -111,13 +113,15 @@ func (s *Store) segAppend(data []byte) (int64, error) {
 	}
 	off := seg.base + seg.used
 	seg.used += sz
-	seg.live += sz
 	s.mu.Unlock()
 	if len(data) > 0 {
 		if _, err := s.d.WriteAt(data, off); err != nil {
 			return 0, err
 		}
 	}
+	s.mu.Lock()
+	seg.live += sz
+	s.mu.Unlock()
 	return off, nil
 }
 

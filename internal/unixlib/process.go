@@ -167,11 +167,11 @@ func (sys *System) NewInitProcess(userName string) (*Process, error) {
 func (sys *System) create(mu *sync.Mutex, creator *kernel.ThreadCall, u *User, cwd string, mounts *MountTable, taint []label.Pair, finish func(child *Process) error) (*Process, error) {
 	mu.Lock()
 	defer mu.Unlock()
-	pr, err := creator.CategoryCreateNamed("pr")
+	pr, err := creator.CategoryCreate()
 	if err != nil {
 		return nil, mapKernelErr(err)
 	}
-	pw, err := creator.CategoryCreateNamed("pw")
+	pw, err := creator.CategoryCreate()
 	if err != nil {
 		return nil, mapKernelErr(err)
 	}

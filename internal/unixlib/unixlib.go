@@ -211,11 +211,11 @@ func (sys *System) AddUser(name string) (*User, error) {
 		return nil, ErrExist
 	}
 
-	ur, err := sys.initTC.CategoryCreateNamed(name + "r")
+	ur, err := sys.initTC.CategoryCreate()
 	if err != nil {
 		return nil, err
 	}
-	uw, err := sys.initTC.CategoryCreateNamed(name + "w")
+	uw, err := sys.initTC.CategoryCreate()
 	if err != nil {
 		return nil, err
 	}
@@ -243,6 +243,22 @@ func (sys *System) LookupUser(name string) (*User, bool) {
 	defer sys.userMu.RUnlock()
 	u, ok := sys.users[name]
 	return u, ok
+}
+
+// CategoryName implements label.Namer for the categories AddUser allocates:
+// a user's ur and uw display as <name>r and <name>w.
+func (sys *System) CategoryName(c label.Category) (string, bool) {
+	sys.userMu.RLock()
+	defer sys.userMu.RUnlock()
+	for name, u := range sys.users {
+		switch c {
+		case u.Ur:
+			return name + "r", true
+		case u.Uw:
+			return name + "w", true
+		}
+	}
+	return "", false
 }
 
 func (sys *System) allocPID() int {

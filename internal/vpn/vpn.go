@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 
+	"histar/internal/kernel"
 	"histar/internal/label"
 	"histar/internal/netd"
 	"histar/internal/unixlib"
@@ -123,13 +124,41 @@ func (c *Client) SendOverTunnel(from *unixlib.Process, request []byte) ([]byte, 
 	return plain, nil
 }
 
-// GrantTaintOwnership is setup plumbing: the machine bootstrap (which owns
-// both stacks' taint categories) grants a process ownership of them so it
-// can run the tunnel client.  It stands in for the administrator's
-// configuration step in Section 6.3.
+// GrantTaintOwnership is the administrator's configuration step in Section
+// 6.3: the machine bootstrap, which owns both stacks' taint categories,
+// hands them to the process that will run the tunnel client.  Ownership
+// moves the only way the paper allows between running threads, through a
+// gate.  The bootstrap creates a one-shot grant gate labeled {i⋆, v⋆, 1}
+// whose clearance {pw0, i3, v3, 2} admits only the target process's
+// threads, the target's main thread enters it asking for its own label plus
+// i⋆ and v⋆, and the bootstrap then unreferences the gate.
 func GrantTaintOwnership(sys *unixlib.System, inet, vpnStack *netd.Daemon, to *unixlib.Process) error {
-	if err := sys.InitThread().GrantOwnership(to.TC.ID(), inet.Taint); err != nil {
+	i, v := inet.Taint, vpnStack.Taint
+	lbl, err := to.TC.SelfLabel()
+	if err != nil {
 		return err
 	}
-	return sys.InitThread().GrantOwnership(to.TC.ID(), vpnStack.Taint)
+	clr, err := to.TC.SelfClearance()
+	if err != nil {
+		return err
+	}
+	root, admin := sys.Kern.RootContainer(), sys.InitThread()
+	gid, err := admin.GateCreate(root, kernel.GateSpec{
+		Label:     label.New(label.L1, label.P(i, label.Star), label.P(v, label.Star)),
+		Clearance: label.New(label.L2, label.P(to.Pw, label.L0), label.P(i, label.L3), label.P(v, label.L3)),
+		Descrip:   "vpn taint grant gate",
+		Entry:     func(*kernel.GateCallCtx) []byte { return nil },
+	})
+	if err != nil {
+		return err
+	}
+	_, err = to.TC.GateEnter(kernel.CEnt{Container: root, Object: gid}, kernel.GateRequest{
+		Label:     lbl.With(i, label.Star).With(v, label.Star),
+		Clearance: clr.With(i, label.L3).With(v, label.L3),
+		Verify:    lbl,
+	})
+	if uerr := admin.Unref(root, gid); err == nil {
+		err = uerr
+	}
+	return err
 }

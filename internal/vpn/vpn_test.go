@@ -15,11 +15,11 @@ func bootVPN(t *testing.T) (*unixlib.System, *netd.Daemon, *netd.Daemon, *Client
 	if err != nil {
 		t.Fatal(err)
 	}
-	inet, err := netd.New(sys, netd.Options{TaintName: "i"})
+	inet, err := netd.New(sys, netd.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	vpnStack, err := netd.New(sys, netd.Options{TaintName: "v"})
+	vpnStack, err := netd.New(sys, netd.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,5 +86,46 @@ func TestInternetTaintedProcessCannotUseTunnel(t *testing.T) {
 	sock.Recv(64) // taints the browser i2
 	if _, err := client.SendOverTunnel(browser, []byte("exfiltrate")); err == nil {
 		t.Error("the tunnel must refuse data from an i-tainted process")
+	}
+}
+
+// The grant moves ownership through a one-shot gate: the client ends owning
+// both taints, the gate is gone again, and no other process gains anything.
+func TestTaintGrantLeavesNoGate(t *testing.T) {
+	sys, err := unixlib.Boot(unixlib.BootOptions{KernelConfig: kernel.Config{Seed: 13}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inet, err := netd.New(sys, netd.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vpnStack, err := netd.New(sys, netd.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clientProc, err := sys.NewInitProcess("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bystander, err := sys.NewInitProcess("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := sys.Kern.ObjectCount()
+	bystanderBefore, _ := bystander.TC.SelfLabel()
+
+	if err := GrantTaintOwnership(sys, inet, vpnStack, clientProc); err != nil {
+		t.Fatal(err)
+	}
+	lbl, _ := clientProc.TC.SelfLabel()
+	if !lbl.Owns(inet.Taint) || !lbl.Owns(vpnStack.Taint) {
+		t.Errorf("client label after the grant = %v; want it to own both taints", lbl)
+	}
+	if after := sys.Kern.ObjectCount(); after != before {
+		t.Errorf("object count %d -> %d; the grant gate should be gone", before, after)
+	}
+	if got, _ := bystander.TC.SelfLabel(); !got.Equal(bystanderBefore) {
+		t.Errorf("bystander label %v -> %v", bystanderBefore, got)
 	}
 }
