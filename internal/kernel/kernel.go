@@ -623,10 +623,8 @@ func (k *Kernel) newThread(lbl, clearance label.Label, as CEnt, quota uint64, de
 		addressSpace: as,
 		alertCh:      make(chan struct{}, 1),
 	}
-	t.localSegment = &segment{
-		header: k.newHeader(ObjSegment, lbl.LowerStar(), localSegmentSize, "thread-local segment"),
-		data:   make([]byte, localSegmentSize),
-	}
+	t.localSegment = &segment{header: k.newHeader(ObjSegment, lbl.LowerStar(), localSegmentSize, "thread-local segment")}
+	t.localSegment.data, t.localSegment.frozen = freshData(localSegmentSize)
 	t.localSegment.refs = 0 // reachable only through its thread, never linked
 	return t
 }

@@ -138,7 +138,8 @@ type segment struct {
 	header
 	data []byte
 	// frozen marks data as shared copy-on-write with a container snapshot
-	// or a clone of one: neither it nor the capacity past it may be written,
+	// or a clone of one, or with zeros (a fresh segment, segment.go):
+	// neither it nor the capacity past it may be written,
 	// so the first mutation or growth copies it and clears the flag (reshape).
 	// Guarded by the segment's lock like data.
 	frozen bool

@@ -12,6 +12,19 @@ import (
 // initial size, so small writes do not immediately require quota_move.
 const segmentSlack = 16 * 1024
 
+// zeros backs every fresh segment of up to 16 KiB, the most a process
+// starts with, as a frozen share: nothing ever writes it (reshape).
+var zeros [16 * 1024]byte
+
+// freshData returns n zero bytes for a new segment, and whether they are a
+// share of zeros, which the segment must hold frozen.
+func freshData(n int) ([]byte, bool) {
+	if 0 < n && n <= len(zeros) {
+		return zeros[:n:n], true
+	}
+	return make([]byte, n), false
+}
+
 // SegmentCreate creates a segment of initial size nbytes in container d.
 // The invoking thread must be able to write d and allocate at label l.
 func (tc *ThreadCall) SegmentCreate(d ID, l label.Label, descrip string, nbytes int) (ID, error) {
@@ -29,10 +42,9 @@ func (tc *ThreadCall) SegmentCreate(d ID, l label.Label, descrip string, nbytes 
 	if !label.CanAllocate(ctx.lbl, ctx.clearance, l) {
 		return NilID, ErrLabel
 	}
-	return tc.k.create(cont, &segment{
-		header: tc.k.newHeader(ObjSegment, l, uint64(nbytes)+segmentSlack, descrip),
-		data:   make([]byte, nbytes),
-	})
+	s := &segment{header: tc.k.newHeader(ObjSegment, l, uint64(nbytes)+segmentSlack, descrip)}
+	s.data, s.frozen = freshData(nbytes)
+	return tc.k.create(cont, s)
 }
 
 // SegmentCopy creates a copy of the segment named by src in container d with
@@ -86,7 +98,8 @@ func (tc *ThreadCall) SegmentCopy(src CEnt, d ID, l label.Label, descrip string)
 // the futex word read, loads and stores through a mapping, and the
 // thread-local segment calls all come through here, so a bounds, quota,
 // immutability, copy-on-write or page-in rule cannot be missing from one of
-// them.  (Evict, in pager.go, is the rest.)
+// them.  (Evict, in pager.go, is the rest.)  A fresh segment gets bytes of
+// its own at its first write, from the copy-on-write break.
 // ---------------------------------------------------------------------------
 
 // fault pages an evicted segment back in, whole (Section 7.1); the caller
@@ -161,10 +174,11 @@ func (s *segment) word(k *Kernel, off uint64) (uint64, error) {
 // by [lo, hi), or to the whole segment when the length changes, so no path to
 // a segment's bytes can change them behind the pager's back.  This is the
 // only place snapshot-shared bytes are duplicated, so the kernel-wide COW
-// counters live here.  A frozen array grows into a fresh one (breaking COW
-// with that one copy), a private one by appending zeros, amortized, over
-// whatever a truncation left in its capacity; truncation keeps sharing a
-// frozen array, since shrinking changes no byte.
+// counters live here (a break of a share of zeros is not one).  A frozen
+// array grows into a fresh one (breaking COW with that one copy), a private
+// one by appending zeros, amortized, over whatever a truncation left in its
+// capacity; truncation keeps sharing a frozen array, since shrinking changes
+// no byte.
 func (s *segment) reshape(k *Kernel, n, lo, hi int) error {
 	if s.immutable {
 		return ErrImmutable
@@ -189,8 +203,10 @@ func (s *segment) reshape(k *Kernel, n, lo, hi int) error {
 	}
 	if s.frozen && (grow || lo < hi) {
 		s.frozen = false
-		k.snap.cowBreaks.Add(1)
-		k.snap.copiedBytes.Add(uint64(len(s.data)))
+		if cap(s.data) == 0 || &s.data[:1][0] != &zeros[0] {
+			k.snap.cowBreaks.Add(1)
+			k.snap.copiedBytes.Add(uint64(len(s.data)))
+		}
 		data := make([]byte, max(n, len(s.data)))
 		copy(data, s.data)
 		s.data = data

@@ -3,6 +3,7 @@ package kernel
 import (
 	"bytes"
 	"errors"
+	"math"
 	"runtime"
 	"testing"
 
@@ -226,4 +227,196 @@ func TestSegmentGrowAmortized(t *testing.T) {
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 16<<20 {
 		t.Errorf("256 appends of 8 KiB allocated %d MiB, want under 16", got>>20)
 	}
+}
+
+// TestFreshSegmentsNeverAlias: fresh segments and thread-local segments all
+// start as frozen shares of one zero array.  Writing one of them through each
+// path to segment bytes — a direct write, a ring write, a mapped store,
+// compare-and-swap, a thread-local write, growth and shrinkage by resize, a
+// write to a snapshot's clone, and a write after persist, Sync, Evict and
+// page-in — must change that segment alone: every other fresh segment, every
+// untouched thread-local segment and a segment created afterwards still read
+// all zeros, and so does the array itself.
+func TestFreshSegmentsNeverAlias(t *testing.T) {
+	k, tc := boot(t)
+	k.SetPager(newFakePager())
+	root := k.RootContainer()
+	lbl := label.New(label.L1)
+	sizes := []int{1, 8, 100, PageSize, 2 * PageSize, len(zeros)}
+	var fresh []CEnt
+	var lens []int
+	newSeg := func(ct ID, n int) CEnt {
+		t.Helper()
+		id, err := tc.SegmentCreate(ct, lbl, "fresh", n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return CEnt{ct, id}
+	}
+	for i := 0; i < 40; i++ {
+		fresh, lens = append(fresh, newSeg(root, sizes[i%len(sizes)])), append(lens, sizes[i%len(sizes)])
+	}
+	var threads []*ThreadCall
+	for i := 0; i < 4; i++ {
+		tid, err := tc.ThreadCreate(root, ThreadSpec{Label: lbl, Clearance: label.New(label.L2), Descrip: "fresh"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		th, err := k.ThreadCall(tid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		threads = append(threads, th)
+	}
+	ones := bytes.Repeat([]byte{0xFF}, 64)
+	// take hands out an untouched fresh segment of n bytes, which the caller
+	// then writes, and forgets it.
+	take := func(n int) CEnt {
+		t.Helper()
+		for i, ce := range fresh {
+			if lens[i] == n {
+				fresh, lens = append(fresh[:i], fresh[i+1:]...), append(lens[:i], lens[i+1:]...)
+				return ce
+			}
+		}
+		t.Fatalf("no fresh segment of %d bytes left", n)
+		return CEnt{}
+	}
+	allZero := func(b []byte) bool { return bytes.Count(b, []byte{0}) == len(b) }
+	checkZeros := func(after string) {
+		t.Helper()
+		if !allZero(zeros[:]) {
+			t.Fatalf("after %s: the shared zero array was written", after)
+		}
+		for i, ce := range fresh {
+			if got, err := tc.SegmentRead(ce, 0, len(zeros)); err != nil || len(got) != lens[i] || !allZero(got) {
+				t.Fatalf("after %s: untouched segment %v reads %d bytes (%v), not %d zeros", after, ce.Object, len(got), err, lens[i])
+			}
+		}
+		for _, th := range threads {
+			if got, err := th.LocalSegmentRead(0, localSegmentSize); err != nil || !allZero(got) {
+				t.Fatalf("after %s: an untouched thread-local segment reads non-zero bytes (%v)", after, err)
+			}
+		}
+		ce := newSeg(root, len(zeros))
+		if got, err := tc.SegmentRead(ce, 0, len(zeros)); err != nil || len(got) != len(zeros) || !allZero(got) {
+			t.Fatalf("after %s: a new segment reads non-zero bytes (%v)", after, err)
+		}
+	}
+	// wrote checks that ce holds ones at off and zeros everywhere else.
+	wrote := func(how string, ce CEnt, off, n int) {
+		t.Helper()
+		got, err := tc.SegmentRead(ce, 0, 1<<20)
+		if err != nil {
+			t.Fatalf("%s: %v", how, err)
+		}
+		want := make([]byte, max(n, off+len(ones)))
+		copy(want[off:], ones)
+		want = want[:n]
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: the written segment reads %d bytes, not its write", how, len(got))
+		}
+		checkZeros(how)
+	}
+
+	ce := take(PageSize)
+	if err := tc.SegmentWrite(ce, 8, ones); err != nil {
+		t.Fatal(err)
+	}
+	wrote("a direct write", ce, 8, PageSize)
+
+	ce = take(PageSize)
+	r := tc.NewRing()
+	r.Submit(RingEntry{Op: OpSegmentWrite, Seg: ce, Off: 16, Data: ones})
+	if comps, err := r.Wait(1); err != nil || comps[0].Err != nil {
+		t.Fatalf("ring write: %v, %v", err, comps)
+	}
+	wrote("a ring write", ce, 16, PageSize)
+
+	ce = take(2 * PageSize)
+	as, err := tc.AddressSpaceCreate(root, lbl, "view")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const va = 0x10000
+	if err := tc.AddressSpaceSet(CEnt{root, as}, []Mapping{{VA: va, Seg: ce, NPages: 2, Flags: MapRead | MapWrite}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.SelfSetAddressSpace(CEnt{root, as}); err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.MemWrite(va+PageSize, ones); err != nil {
+		t.Fatal(err)
+	}
+	wrote("a mapped store", ce, PageSize, 2*PageSize)
+
+	ce = take(8)
+	if ok, err := tc.SegmentCompareSwap(ce, 0, 0, math.MaxUint64); !ok || err != nil {
+		t.Fatalf("compare-and-swap on a fresh segment: %v, %v", ok, err)
+	}
+	wrote("a compare-and-swap", ce, 0, 8)
+
+	th := threads[0]
+	threads = threads[1:]
+	if err := th.LocalSegmentWrite(32, ones); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := th.LocalSegmentRead(32, len(ones)); err != nil || !bytes.Equal(got, ones) {
+		t.Fatalf("thread-local write reads back %x, %v", got, err)
+	}
+	checkZeros("a thread-local write")
+
+	ce = take(PageSize)
+	if err := tc.SegmentResize(ce, PageSize+100); err != nil {
+		t.Fatal(err)
+	}
+	checkZeros("growth by resize")
+	if err := tc.SegmentWrite(ce, PageSize, ones); err != nil {
+		t.Fatal(err)
+	}
+	wrote("a write after growth by resize", ce, PageSize, PageSize+100)
+
+	ce = take(PageSize)
+	if err := tc.SegmentResize(ce, 100); err != nil {
+		t.Fatal(err)
+	}
+	checkZeros("shrinkage by resize")
+	if err := tc.SegmentWrite(ce, 0, ones); err != nil {
+		t.Fatal(err)
+	}
+	wrote("a write after shrinkage by resize", ce, 0, 100)
+
+	sandbox, err := tc.ContainerCreate(root, lbl, "sandbox", 0, QuotaInfinite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	master := newSeg(sandbox, PageSize)
+	fresh, lens = append(fresh, master), append(lens, PageSize)
+	info, err := tc.ContainerSnapshot(CEnt{root, sandbox}, "fresh")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tc.ContainerClone(info.ID, root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ce = CEnt{res.Root, res.IDMap[master.Object]}
+	if err := tc.SegmentWrite(ce, 0, ones); err != nil {
+		t.Fatal(err)
+	}
+	wrote("a write to a snapshot's clone", ce, 0, PageSize)
+
+	ce = take(PageSize)
+	if err := tc.SegmentPersist(ce); err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	k.Evict()
+	checkZeros("persist, Sync, Evict and page-in")
+	if err := tc.SegmentWrite(ce, 0, ones); err != nil {
+		t.Fatal(err)
+	}
+	wrote("a write after page-in", ce, 0, PageSize)
 }

@@ -99,7 +99,8 @@ type SnapshotStats struct {
 	// SharedBytes is the total segment data clones attached COW;
 	// CopiedBytes the data actually duplicated by first writes
 	// (CowBreaks counts those events).  SharedBytes/CopiedBytes is the
-	// sharing ratio the golden-spawn fast-path exists for.
+	// sharing ratio the golden-spawn fast-path exists for.  A break of a
+	// fresh segment's share of zeros (segment.go) counts in neither.
 	SharedBytes uint64
 	CopiedBytes uint64
 	CowBreaks   uint64

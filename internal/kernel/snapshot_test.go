@@ -963,3 +963,59 @@ func TestSnapshotCloneConcurrentStress(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapshotCountersSkipFreshSegments: snap_cow_breaks and
+// snap_copied_bytes count breaks of bytes a snapshot shares, nothing else.
+// The first write to a fresh segment or a thread-local segment, which breaks
+// only a share of the zero array, counts nothing; nor does a write to a clone
+// of a segment captured before its first write, whose bytes are that same
+// share.  A write to a clone of written bytes counts one break and its bytes.
+func TestSnapshotCountersSkipFreshSegments(t *testing.T) {
+	k, tc := boot(t)
+	root := k.RootContainer()
+	lbl := label.New(label.L1)
+	sandbox, err := tc.ContainerCreate(root, lbl, "sandbox", 0, QuotaInfinite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unwritten, err := tc.SegmentCreate(sandbox, lbl, "unwritten", PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	written, err := tc.SegmentCreate(sandbox, lbl, "written", PageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st0 := k.SnapshotStats()
+	if err := tc.SegmentWrite(CEnt{sandbox, written}, 0, []byte("first write")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.LocalSegmentWrite(0, []byte("first local write")); err != nil {
+		t.Fatal(err)
+	}
+	if st := k.SnapshotStats(); st.CowBreaks != st0.CowBreaks || st.CopiedBytes != st0.CopiedBytes {
+		t.Errorf("first writes to fresh segments counted: %+v → %+v", st0, st)
+	}
+	info, err := tc.ContainerSnapshot(CEnt{root, sandbox}, "counters")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := tc.ContainerClone(info.ID, root, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st1 := k.SnapshotStats()
+	if err := tc.SegmentWrite(CEnt{res.Root, res.IDMap[unwritten]}, 0, []byte("clone write")); err != nil {
+		t.Fatal(err)
+	}
+	if st := k.SnapshotStats(); st.CowBreaks != st1.CowBreaks || st.CopiedBytes != st1.CopiedBytes {
+		t.Errorf("a write to a clone of an unwritten segment counted: %+v → %+v", st1, st)
+	}
+	if err := tc.SegmentWrite(CEnt{res.Root, res.IDMap[written]}, 0, []byte("clone write")); err != nil {
+		t.Fatal(err)
+	}
+	if st := k.SnapshotStats(); st.CowBreaks != st1.CowBreaks+1 || st.CopiedBytes != st1.CopiedBytes+PageSize {
+		t.Errorf("a write to a clone of written bytes moved CowBreaks %d → %d and CopiedBytes %d → %d; want +1 and +%d",
+			st1.CowBreaks, st.CowBreaks, st1.CopiedBytes, st.CopiedBytes, PageSize)
+	}
+}

@@ -4,7 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"sync"
+	"math/bits"
+	"sync/atomic"
 )
 
 // Category is a 61-bit opaque category identifier.  The kernel generates
@@ -32,11 +33,11 @@ func (c Category) Valid() bool { return c <= MaxCategory }
 // 61-bit identifier space, so identifiers are unique (the permutation is a
 // bijection) yet reveal nothing about allocation order or volume.
 //
-// An Allocator is safe for concurrent use.
+// An Allocator is safe for concurrent use: the counter is one atomic word
+// and the permutation reads only keys fixed at construction.
 type Allocator struct {
-	mu      sync.Mutex
-	counter uint64
-	keys    [4][32]byte
+	counter atomic.Uint64
+	keys    [4][2]uint64 // one 128-bit SipHash key per Feistel round
 }
 
 // NewAllocator returns an allocator whose permutation is keyed by seed.
@@ -51,17 +52,15 @@ func NewAllocator(seed uint64) *Allocator {
 		h.Write([]byte("histar-category-key"))
 		h.Write(s[:])
 		h.Write([]byte{byte(i)})
-		copy(a.keys[i][:], h.Sum(nil))
+		sum := h.Sum(nil)
+		a.keys[i] = [2]uint64{binary.LittleEndian.Uint64(sum[:8]), binary.LittleEndian.Uint64(sum[8:16])}
 	}
 	return a
 }
 
 // Alloc returns a previously unused category identifier.
 func (a *Allocator) Alloc() Category {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.counter++
-	return a.encrypt(a.counter)
+	return a.encrypt(a.counter.Add(1))
 }
 
 // encrypt applies a 4-round unbalanced Feistel permutation over the 61-bit
@@ -89,12 +88,23 @@ func (a *Allocator) encrypt(v uint64) Category {
 	return Category(out & uint64(MaxCategory))
 }
 
+// roundFn is SipHash-2-4 of the half's four little-endian bytes under the
+// round's key, cut to 32 bits: a message that short is one final block, its
+// length in the top byte.
 func (a *Allocator) roundFn(round int, half uint32) uint32 {
-	var buf [4]byte
-	binary.LittleEndian.PutUint32(buf[:], half)
-	h := sha256.New()
-	h.Write(a.keys[round][:])
-	h.Write(buf[:])
-	sum := h.Sum(nil)
-	return binary.LittleEndian.Uint32(sum[:4])
+	k, m := a.keys[round], 4<<56|uint64(half)
+	v0, v1, v2, v3 := k[0]^0x736f6d6570736575, k[1]^0x646f72616e646f6d, k[0]^0x6c7967656e657261, k[1]^0x7465646279746573^m
+	v0, v1, v2, v3 = sipRound(sipRound(v0, v1, v2, v3))
+	v0, v2 = v0^m, v2^0xff
+	v0, v1, v2, v3 = sipRound(sipRound(sipRound(sipRound(v0, v1, v2, v3))))
+	return uint32(v0 ^ v1 ^ v2 ^ v3)
+}
+
+// sipRound is one SipRound, its two independent halves side by side.
+func sipRound(v0, v1, v2, v3 uint64) (uint64, uint64, uint64, uint64) {
+	v0, v2 = v0+v1, v2+v3
+	v1, v3 = bits.RotateLeft64(v1, 13)^v0, bits.RotateLeft64(v3, 16)^v2
+	v0, v2 = bits.RotateLeft64(v0, 32)+v3, v2+v1
+	v1, v3 = bits.RotateLeft64(v1, 17)^v2, bits.RotateLeft64(v3, 21)^v0
+	return v0, v1, bits.RotateLeft64(v2, 32), v3
 }

@@ -226,7 +226,7 @@ func (c *sessionCache) setup(sess *session, worker *unixlib.Process, password st
 	// user's secrecy the moment they are written, so even a demultiplexer
 	// bug cannot hand them to a lane that has not entered this user's gate.
 	replyLbl := label.New(label.L1, label.P(u.Ur, label.L3), label.P(u.Uw, label.L0))
-	rid, err := tc.SegmentCreate(worker.ProcCt, replyLbl, "webd reply "+sess.user, replySegSize)
+	rid, err := tc.SegmentCreate(worker.ProcCt, replyLbl, "webd reply "+sess.user, 0)
 	if err != nil {
 		return err
 	}
@@ -360,8 +360,11 @@ func (c *sessionCache) stats() SessionStats {
 
 // Reply segment framing: [4-byte little-endian payload length][1 status
 // byte][payload].  Status 0 is success, 1 an application error (payload is
-// the error text).  The segment is fixed-size so lanes read it with one
-// constant-length chained OpSegmentRead.
+// the error text).  A frame is at most replySegSize bytes.  The segment starts
+// empty and each reply is written at offset 0, so it is as long as the longest
+// reply yet; lanes read it with one chained OpSegmentRead of up to
+// replySegSize bytes, which copies that length, and decodeReply keeps the
+// header's count of them.
 const (
 	replySegSize    = 4096
 	replyHeaderSize = 5

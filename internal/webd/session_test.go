@@ -206,3 +206,74 @@ func TestConcurrentCrossUserIsolation(t *testing.T) {
 		t.Error(e)
 	}
 }
+
+// TestReplyLongThenShort: the reply segment starts empty and keeps the length
+// of the longest reply written into it, so a short reply after a long one
+// lies over the long one's tail; the lane must still decode exactly the short
+// body (and an application error after it), from the header's length.
+func TestReplyLongThenShort(t *testing.T) {
+	srv, _ := bootWebCfg(t, Config{})
+	long := strings.Repeat("L", 3000)
+	srv.app = func(_ *unixlib.Process, _, path string) (string, error) {
+		switch path {
+		case "/long":
+			return long, nil
+		case "/fail":
+			return "", errors.New("no such page")
+		}
+		return "short", nil
+	}
+	longest := 0
+	for _, c := range []struct{ path, want, err string }{
+		{"/short", "short", ""}, {"/long", long, ""}, {"/short", "short", ""}, {"/fail", "", "no such page"}, {"/short", "short", ""},
+	} {
+		got, err := srv.Serve(Request{User: "alice", Password: "wonderland", Path: c.path})
+		got = strings.TrimPrefix(got, "HTTP/1.0 200 OK\r\n\r\n")
+		if got != c.want || (err == nil) != (c.err == "") || err != nil && err.Error() != c.err {
+			t.Fatalf("%s: %d-byte body %.10q, err %v; want %d bytes, err %q", c.path, len(got), got, err, len(c.want), c.err)
+		}
+		longest = max(longest, len(c.want)+len(c.err))
+		if n := replyLen(t, srv); n != replyHeaderSize+longest {
+			t.Fatalf("after %s the reply segment is %d bytes, want %d: as long as the longest reply yet", c.path, n, replyHeaderSize+longest)
+		}
+	}
+}
+
+// replyLen returns the length of alice's reply segment, which is what a
+// lane's read of it copies.
+func replyLen(t *testing.T, srv *Server) int {
+	t.Helper()
+	sess, err := srv.sessions.acquire("alice", "wonderland")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.sessions.release(sess)
+	n, err := sess.worker.TC.SegmentLen(sess.reply)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return n
+}
+
+// TestReplyFullPayloadFitsQuota: the longest payload a frame carries, 4,091
+// bytes, fits the quota of a reply segment created at length 0 (the kernel's
+// 16 KiB slack), and a longer one is cut to it.
+func TestReplyFullPayloadFitsQuota(t *testing.T) {
+	srv, _ := bootWebCfg(t, Config{})
+	full := strings.Repeat("F", replySegSize-replyHeaderSize)
+	srv.app = func(_ *unixlib.Process, _, path string) (string, error) {
+		if path == "/over" {
+			return full + "past the frame", nil
+		}
+		return full, nil
+	}
+	for _, path := range []string{"/full", "/over"} {
+		got, err := srv.Serve(Request{User: "alice", Password: "wonderland", Path: path})
+		if got = strings.TrimPrefix(got, "HTTP/1.0 200 OK\r\n\r\n"); err != nil || got != full {
+			t.Fatalf("%s: %d-byte body, %v; want the %d-byte payload", path, len(got), err, len(full))
+		}
+	}
+	if n := replyLen(t, srv); n != replySegSize {
+		t.Errorf("reply segment is %d bytes, want one full frame, %d", n, replySegSize)
+	}
+}
