@@ -43,23 +43,16 @@
 // locks, and a label check touches no shared state at all.  Syscall
 // statistics are one atomic counter per syscall, indexed by a fixed enum.
 //
-// Batched submission rides on top of that discipline: a per-thread syscall
-// ring (kernel.Ring, an io_uring-style interface) queues segment and stat
-// operations plus OpSync durability requests, then executes the whole batch
-// under one thread snapshot per Wait.  Completions return in submission
-// order with per-entry errors; a Chain flag makes an entry depend on its
-// predecessor, with failure skipping the rest of the chain (ErrSkipped).
-// Execution follows submission order, so a batch gets the verdicts and the
-// state its entries would get as direct calls one after another, each
-// checked against the label the thread holds at that entry (a gate entry
-// changes it for the entries after it).  Each entry is opened on its own, as
-// a direct call is, so the ring adds no lock-order edges.  Each OpSync
-// pushes its segment where it stands, and the batch's syncs are committed
-// as one pre-formed SyncObjects group (earlier only when a chained entry
-// needs a sync's outcome), which the group committer turns into dense log
-// batches: ⌈N/128⌉ flushes for N syncs instead of N.  The Unix library's
-// multi-file writev/fsync fan-out (Process.PwritevFsync, Process.FsyncMany)
-// is built on the ring.
+// A gate entry is one GateEnter system call with the Section 3.5 checks,
+// and fsync is one SyncSegments call: each segment it names is opened (the
+// thread must be able to modify it) and pushed under its own lock, and the
+// ones that pushed are committed as one pre-formed SyncObjects group, which
+// the group committer turns into dense log batches: ⌈N/128⌉ flushes for N
+// syncs instead of N.  The Unix library's multi-file writev/fsync fan-out
+// (Process.PwritevFsync, Process.FsyncMany) is built on it, and webd's
+// lanes call GateEnter and SegmentRead directly.  What is left of the
+// syscall ring (kernel.Ring) queues segment and stat calls and makes each
+// as its direct call; it stays only for the benchmark's ring rows.
 //
 // Container snapshots make sandbox creation O(metadata): the kernel
 // captures a container subtree as images — unpublished kernel objects under
@@ -130,13 +123,12 @@
 // page-in), and nothing but the kernel calls it.  What a
 // thread may ask, each behind the ordinary resolve-and-label check:
 // SegmentPersist marks a segment it can modify persistent (the library does
-// so where it creates a file's or a directory's segment); OpSync — fsync, a
-// ring of one entry per file — pushes each target it can modify and commits
-// the group through the write-ahead log; Sync — group sync, and fsync of a
-// directory — pushes every dirty segment and checkpoints.  What the kernel
-// decides alone: the one gate every mutation of a segment passes (direct
-// call, ring entry, compare-and-swap, store through a mapping) marks it
-// dirty, the one place an object dies tells the store to delete it, and
+// so where it creates a file's or a directory's segment); SyncSegments —
+// fsync, one call for any number of files — pushes each target it can modify
+// and commits the group through the write-ahead log; Sync — group sync, and
+// fsync of a directory — pushes every dirty segment and checkpoints.  What
+// the kernel decides alone: the one gate every mutation of a segment passes
+// (direct call, compare-and-swap, store through a mapping) marks it dirty, the one place an object dies tells the store to delete it, and
 // Kernel.Evict drops every clean persistent segment's bytes, which the
 // segment's next access of any kind pages back in, whole — damage comes back
 // as ErrCorrupt (EIO).  So a persistent byte is resident once: in the kernel

@@ -249,9 +249,9 @@ func (tc *ThreadCall) QuotaMove(d ID, o ID, n int64) error {
 // a thread, its label.  Thread labels are mutable, so reading another
 // thread's label additionally requires LT′ᴶ ⊑ LTᴶ.
 func (tc *ThreadCall) ObjectStat(ce CEnt) (Stat, error) {
-	e, c := RingEntry{Op: OpObjectStat, Seg: ce}, RingCompletion{}
-	err := tc.call(&e, &c)
-	return c.Stat, err
+	c := sysCall{op: OpObjectStat, ce: ce}
+	err := tc.call(&c)
+	return c.stat, err
 }
 
 // objectStatLocked is ObjectStat's body once the object's lock is held (any

@@ -69,8 +69,4 @@ var (
 	// ErrRootContainer is returned when attempting to unreference or
 	// deallocate the root container.
 	ErrRootContainer = errors.New("kernel: the root container cannot be deallocated")
-
-	// ErrSkipped is the completion error of a ring entry whose chain
-	// predecessor failed: the entry was never executed.
-	ErrSkipped = errors.New("kernel: ring entry skipped after predecessor error")
 )

@@ -188,9 +188,13 @@ func TestGateTransfersOwnership(t *testing.T) {
 	if _, err := tc2.SegmentRead(CEnt{root, secret}, 0, 4); err == nil {
 		t.Fatal("client should not read the secret directly")
 	}
-	// ...but through the gate, requesting the gate's star, it can.
+	// A gate entry aimed at anything but a gate is refused.
 	lbl, _ := tc2.SelfLabel()
 	clr, _ := tc2.SelfClearance()
+	if _, err := tc2.GateEnter(CEnt{root, secret}, GateRequest{Label: lbl, Clearance: clr, Verify: lbl}); !errors.Is(err, ErrWrongType) {
+		t.Errorf("gate entry into a segment: %v, want ErrWrongType", err)
+	}
+	// ...but through the gate, requesting the gate's star, it can.
 	out, err := tc2.GateEnter(CEnt{root, gateID}, GateRequest{
 		Label:     lbl.With(c, label.Star),
 		Clearance: clr,
@@ -203,10 +207,14 @@ func TestGateTransfersOwnership(t *testing.T) {
 		t.Errorf("gate result = %q", out)
 	}
 	// The thread retains the ownership it acquired through the gate (until
-	// it re-enters another gate or resets its label).
+	// it re-enters another gate or resets its label), so its next call may
+	// read what only the post-entry label observes.
 	lblAfter, _ := tc2.SelfLabel()
 	if !lblAfter.Owns(c) {
 		t.Error("thread should own c after entering the gate")
+	}
+	if got, err := tc2.SegmentRead(CEnt{root, secret}, 0, 4); err != nil || string(got) != "ssh!" {
+		t.Errorf("read after the gate entry = %q, %v; want the secret", got, err)
 	}
 }
 
@@ -238,6 +246,9 @@ func TestGateEnterRequestedLabelMustCoverTaint(t *testing.T) {
 	})
 	if !errors.Is(err, ErrLabel) {
 		t.Errorf("shedding taint across a gate must fail: err=%v", err)
+	}
+	if lbl, _ := tc2.SelfLabel(); lbl.Get(v) != label.L2 {
+		t.Errorf("a refused gate entry changed the thread's label: %v", lbl)
 	}
 	// Carrying the taint through is fine.
 	out, err := tc2.GateEnter(CEnt{root, gateID}, GateRequest{

@@ -13,11 +13,7 @@
 //
 // Every system call is a method on ThreadCall, the per-thread syscall
 // context, so each call is checked against the invoking thread's label and
-// clearance.  Threads that issue many calls can batch them through a
-// syscall ring (NewRing): one kernel entry executes a whole submission
-// queue, including ring-native gate calls via OpGateEnter — the full
-// Section 3.5 transfer plus a chained read checked against the post-entry
-// label.  The ring's protocol and ordering rules are documented in ring.go.
+// clearance.
 //
 // # Locking discipline
 //
@@ -32,8 +28,7 @@
 //     releases it; all subsequent checks use the snapshot, so a syscall's
 //     label checks are evaluated against the thread's label as of syscall
 //     entry, exactly as in the real kernel.  thread.snapshot is the only
-//     builder of that snapshot (enter calls it; the ring re-calls it after
-//     a gate transfer).
+//     builder of that snapshot, and enter its only caller.
 //  2. Object resolution (shard map lookups and label checks against
 //     *immutable* object labels) happens with no object locks held.
 //     resolve names an existing entry 〈D,O〉 (peek, the type assertion and
@@ -45,9 +40,9 @@
 //     mutation — and container membership and object liveness are
 //     re-verified under those locks before any mutation.  open (resolve,
 //     lockOrdered, verifyEntryLive) does this for every single-entry
-//     syscall, direct or a ring entry; publish (live, immutable, charge,
-//     insert, link) is the only way a new object enters the table, run
-//     under the lock set of whichever creator called it.
+//     syscall; publish (live, immutable, charge, insert, link) is the only
+//     way a new object enters the table, run under the lock set of
+//     whichever creator called it.
 //  4. Shard locks are only ever acquired with either no object locks held
 //     (lookup) or nested inside object locks (insert on create, delete on
 //     deallocate); an object lock is never acquired while a shard lock is
@@ -70,18 +65,12 @@
 //
 // # Syscall ring
 //
-// Besides direct calls, a thread may batch system calls through a Ring
-// (ring.go): Submit queues entries, Wait snapshots the thread once, executes
-// every entry in submission order through the same open and execOp a direct
-// call uses, and returns per-entry completions in that order — a batch gets
-// the verdicts its entries would get as direct calls.  A chained entry (the
-// Chain flag) is skipped when its predecessor failed.  An entry — or an
-// OpSync's push — holds at most one lockOrdered set at a time and the group
-// commit none, so the ring introduces no new lock-order edges.
-// Wait records one ring_submit syscall per batch and each entry records its
-// own syscall (OpSync as ring_sync), so batched and direct traffic stay
-// distinguishable in SyscallCounts; RingStats aggregates depth and
-// sync-group fan-in.
+// A Ring (ring.go) queues segment and stat calls and makes each, at Wait, as
+// its direct call: it adds no lock-order edge, no snapshot and no verdict of
+// its own, and stays only for the benchmark's ring rows.  A gate entry is
+// always the one GateEnter call, and fsync the one SyncSegments call
+// (pager.go), which pushes each segment it names under that segment's own
+// open and commits them, with no kernel lock held, as one group.
 //
 // # Container snapshot and clone (golden images)
 //

@@ -5,7 +5,7 @@ import "histar/internal/label"
 // Pager is the kernel's one seam to the single-level store (Sections 3 and
 // 4: the store is the kernel's own, and a sync is a system call).  Only the
 // kernel calls it: behind resolve's label rule where a thread asked
-// (SegmentPersist, OpSync, an access's page-in, snapshot and clone), on
+// (SegmentPersist, SyncSegments, an access's page-in, snapshot and clone), on
 // objects of its own choosing otherwise (Delete at deallocation, Sync's
 // drain).  One function, push, hands bytes to it, and the range of them that
 // changed; one, fault, takes them back.  unixlib hands it a *store.Store;
@@ -31,12 +31,12 @@ type Pager interface {
 }
 
 // SetPager attaches the store; call once, before the kernel is shared.
-// Without one SegmentPersist, OpSync and Sync fail with ErrInvalid.
+// Without one SegmentPersist, SyncSegments and Sync fail with ErrInvalid.
 func (k *Kernel) SetPager(p Pager) { k.pager = p }
 
 // SegmentPersist marks the segment named by ce, which the invoking thread
 // must be able to modify, persistent: its bytes are a store object from now
-// on — pushed by OpSync and Sync, paged in after Evict, deleted when the
+// on — pushed by SyncSegments and Sync, paged in after Evict, deleted when the
 // segment dies.  It starts out wholly dirty; the mark itself moves no byte,
 // and marking a persistent segment again changes nothing (an evicted one has
 // no bytes to mark).
@@ -71,6 +71,50 @@ func (k *Kernel) push(s *segment) error {
 		return err
 	}
 	s.dirty, s.lo, s.hi = false, 0, 0
+	return nil
+}
+
+// SyncSegments is fsync (Sections 4 and 7.1): one kernel entry that makes
+// the segments named by ces durable as one group.  Each is opened like any
+// call's target — the thread must be able to modify it — and its dirty bytes
+// pushed to the pager; one that fails to open is never pushed, so a thread
+// can neither have an object it cannot name or modify synced nor learn from
+// the pager's answer what state it is in.  The segments that pushed are
+// committed, with no kernel lock held, as one SyncObjects group, which the
+// store turns into dense write-ahead-log batches: one flush per batch instead
+// of one per segment.  It returns the first error in argument order.
+func (tc *ThreadCall) SyncSegments(ces ...CEnt) error {
+	ctx, err := tc.enter(scSyncSegments)
+	if err != nil {
+		return err
+	}
+	k := tc.k
+	if k.pager == nil {
+		return ErrInvalid
+	}
+	errs := make([]error, len(ces))
+	var ids []uint64
+	var at []int // the argument position of each id
+	for i, ce := range ces {
+		seg, ls, err := open[*segment](k, &ctx, ce, accModify, true)
+		if err == nil {
+			err = k.push(seg)
+			ls.unlock()
+		}
+		if errs[i] = err; err == nil {
+			ids, at = append(ids, uint64(ce.Object)), append(at, i)
+		}
+	}
+	if len(ids) > 0 {
+		for j, err := range k.pager.SyncObjects(ids) {
+			errs[at[j]] = err
+		}
+	}
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -133,8 +134,8 @@ func (f *fakePager) Alias(src, dst []uint64, lbls []label.Label) []error {
 }
 
 // TestPagerPushSyncDelete walks one segment through the whole seam: nothing
-// leaves the kernel before a sync, whatever path wrote the bytes; an OpSync
-// pushes exactly the dirty target and commits it; Sync drains what is left
+// leaves the kernel before a sync, whatever path wrote the bytes;
+// SyncSegments pushes exactly the dirty target and commits it; Sync drains what is left
 // and checkpoints; no read of a resident segment, clean or dirty, asks the
 // pager, and one Evict dropped is paged in once; damage comes back as
 // ErrCorrupt; and the pager hears of a death once, after the unlink.
@@ -172,14 +173,11 @@ func TestPagerPushSyncDelete(t *testing.T) {
 		t.Fatalf("read of a dirty segment: %v, %d page-ins", err, fp.pageIns)
 	}
 
-	r := tc.NewRing()
-	r.Submit(RingEntry{Op: OpSync, Seg: a}, RingEntry{Op: OpSync, Seg: plain})
-	comps, err := r.Wait(2)
-	if err != nil || comps[0].Err != nil || comps[1].Err != nil {
-		t.Fatalf("OpSync: %v, %v", err, comps)
+	if err := tc.SyncSegments(a, plain); err != nil {
+		t.Fatalf("SyncSegments: %v", err)
 	}
 	if fp.puts != 1 || !bytes.HasPrefix(fp.data[uint64(a.Object)], []byte("direct")) {
-		t.Errorf("after OpSync: %d pushes, a = %q; want the one dirty target", fp.puts, fp.data[uint64(a.Object)])
+		t.Errorf("after SyncSegments: %d pushes, a = %q; want the one dirty target", fp.puts, fp.data[uint64(a.Object)])
 	}
 	if len(fp.groups) != 1 || len(fp.groups[0]) != 2 {
 		t.Errorf("sync groups %v, want one group of both targets", fp.groups)
@@ -230,9 +228,9 @@ func TestPagerPushSyncDelete(t *testing.T) {
 }
 
 // TestSyncAndPersistPassTheMonitor: a thread that can read a segment but not
-// modify it can neither mark it persistent nor have an OpSync push or commit
-// it — the ordinary label error, before the pager hears anything — while a
-// thread that may still can, in the same batch.
+// modify it can neither mark it persistent nor have SyncSegments push or
+// commit it — the ordinary label error, before the pager hears anything —
+// while the other segment of the same call still commits.
 func TestSyncAndPersistPassTheMonitor(t *testing.T) {
 	env := newRingEnv(t, 1, 16)
 	fp := newFakePager()
@@ -260,14 +258,8 @@ func TestSyncAndPersistPassTheMonitor(t *testing.T) {
 	if err := env.tc.SegmentPersist(env.segs[0]); err != nil {
 		t.Fatal(err)
 	}
-	r := reader.NewRing()
-	r.Submit(RingEntry{Op: OpSync, Seg: ce}, RingEntry{Op: OpSync, Seg: env.segs[0]})
-	comps, err := r.Wait(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(comps[0].Err, ErrLabel) || comps[1].Err != nil {
-		t.Errorf("OpSync = (%v, %v), want (ErrLabel, nil)", comps[0].Err, comps[1].Err)
+	if err := reader.SyncSegments(ce, env.segs[0]); !errors.Is(err, ErrLabel) {
+		t.Errorf("SyncSegments = %v, want ErrLabel", err)
 	}
 	if _, pushed := fp.data[uint64(guarded)]; pushed || fp.puts != 1 {
 		t.Errorf("the pager was handed the guarded segment (%d pushes)", fp.puts)
@@ -277,8 +269,111 @@ func TestSyncAndPersistPassTheMonitor(t *testing.T) {
 	}
 }
 
+// TestSyncSegmentsOneGroup: N dirty segments reach the pager in one
+// SyncObjects call, ids in argument order, each pushed once; the call returns
+// the first error in argument order, the pager's answer for a poisoned id
+// included; a clean persistent segment is committed again but not pushed
+// again; and without a pager the call is ErrInvalid.
+func TestSyncSegmentsOneGroup(t *testing.T) {
+	env := newRingEnv(t, 4, 64)
+	if err := env.tc.SyncSegments(env.segs...); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("SyncSegments without a pager: %v, want ErrInvalid", err)
+	}
+	fp := newFakePager()
+	env.k.SetPager(fp)
+	segs := []CEnt{env.segs[2], env.segs[0], env.segs[3], env.segs[1]}
+	var ids []uint64
+	for i, ce := range segs {
+		if err := env.tc.SegmentPersist(ce); err != nil {
+			t.Fatal(err)
+		}
+		if err := env.tc.SegmentWrite(ce, 0, []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, uint64(ce.Object))
+	}
+	bad := errors.New("bad disk")
+	fp.poison = map[uint64]error{ids[2]: bad}
+	if err := env.tc.SyncSegments(segs...); !errors.Is(err, bad) {
+		t.Errorf("SyncSegments = %v, want the poisoned segment's error", err)
+	}
+	if len(fp.groups) != 1 || !slices.Equal(fp.groups[0], ids) {
+		t.Fatalf("pager saw groups %v, want one group %v", fp.groups, ids)
+	}
+	if fp.puts != len(segs) {
+		t.Errorf("%d pushes, want one per dirty segment, %d", fp.puts, len(segs))
+	}
+	fp.poison = nil
+	if err := env.tc.SyncSegments(segs[0]); err != nil || fp.puts != len(segs) || len(fp.groups) != 2 {
+		t.Errorf("sync of a clean segment: %v, %d pushes, groups %v; want no push and one more group", err, fp.puts, fp.groups)
+	}
+}
+
+// TestSyncSegmentsResolvesEachEntry: each segment of a SyncSegments call is
+// resolved like any call's target before it joins the group.  One named
+// through a container the thread cannot read, or through one that does not
+// link it, or one the thread cannot modify, fails with the resolution or
+// label error and never reaches the pager — whose answer would otherwise
+// tell the thread whether an object it cannot name is, say, quarantined —
+// while the good one in the same call still commits, alone in its group.
+func TestSyncSegmentsResolvesEachEntry(t *testing.T) {
+	env := newRingEnv(t, 2, 64)
+	root := env.k.RootContainer()
+	c, err := env.tc.CategoryCreate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A container only the category's owner can read, holding one segment,
+	// and a segment anyone may read but only the owner modify.
+	secretLbl := label.New(label.L1, label.P(c, label.L3))
+	secretCt, err := env.tc.ContainerCreate(root, secretLbl, "secret", 0, QuotaInfinite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	secretSeg, err := env.tc.SegmentCreate(secretCt, secretLbl, "secret seg", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	guarded, err := env.tc.SegmentCreate(root, label.New(label.L1, label.P(c, label.L0)), "write-protected", 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fp := newFakePager()
+	fp.poison = map[uint64]error{uint64(secretSeg): errors.New("quarantined")}
+	env.k.SetPager(fp)
+	for _, ce := range []CEnt{{secretCt, secretSeg}, {root, guarded}, env.segs[1]} {
+		if err := env.tc.SegmentPersist(ce); err != nil {
+			t.Fatal(err)
+		}
+	}
+	outsider := spawnWorker(t, env.k, env.tc, "outsider")
+
+	for _, c := range []struct {
+		name string
+		ce   CEnt
+		want error
+	}{
+		{"through an unreadable container", CEnt{secretCt, secretSeg}, ErrLabel},
+		{"through a container that does not link it", CEnt{root, secretSeg}, ErrNoSuchObject},
+		{"that the thread cannot modify", CEnt{root, guarded}, ErrLabel},
+	} {
+		if err := outsider.SyncSegments(c.ce, env.segs[1]); !errors.Is(err, c.want) {
+			t.Errorf("sync of a segment %s = %v, want %v", c.name, err, c.want)
+		}
+	}
+	good := uint64(env.segs[1].Object)
+	for i, g := range fp.groups {
+		if len(g) != 1 || g[0] != good {
+			t.Errorf("pager group %d = %v, want only [%d]", i, g, good)
+		}
+	}
+	if len(fp.groups) != 3 || fp.puts != 1 || len(fp.data) != 1 {
+		t.Errorf("pager saw %d groups, %d pushes of %d objects; want 3 groups and the good segment pushed once", len(fp.groups), fp.puts, len(fp.data))
+	}
+}
+
 // persistedSegment marks ce persistent, writes data into it and pushes it with
-// an OpSync, leaving it clean: the state Evict drops.
+// SyncSegments, leaving it clean: the state Evict drops.
 func persistedSegment(t *testing.T, tc *ThreadCall, ce CEnt, data []byte) {
 	t.Helper()
 	if err := tc.SegmentPersist(ce); err != nil {
@@ -287,10 +382,8 @@ func persistedSegment(t *testing.T, tc *ThreadCall, ce CEnt, data []byte) {
 	if err := tc.SegmentWrite(ce, 0, data); err != nil {
 		t.Fatal(err)
 	}
-	r := tc.NewRing()
-	r.Submit(RingEntry{Op: OpSync, Seg: ce})
-	if comps, err := r.Wait(1); err != nil || comps[0].Err != nil {
-		t.Fatalf("OpSync: %v, %v", err, comps)
+	if err := tc.SyncSegments(ce); err != nil {
+		t.Fatalf("SyncSegments: %v", err)
 	}
 }
 

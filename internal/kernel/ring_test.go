@@ -13,11 +13,14 @@ import (
 )
 
 // Ring tests: a randomized property test against a sequential reference
-// model (including chain-flag skip semantics, error propagation and label
-// denials), the cases where running out of submission order would show, a
-// deterministic chain-semantics test, sync-group dispatch through a fake
-// pager (pager_test.go), stats accounting, and a -race stress test of many
-// threads submitting overlapping-object batches.
+// model (including error propagation and label denials), the case where
+// running out of submission order would show, stats accounting, and a -race
+// stress test of many threads submitting overlapping-object batches.
+
+// opSync stands, in a property-test batch, for an fsync of the entry's
+// segment: a SyncSegments call of its own between two ring Waits, since a
+// ring carries no sync.
+const opSync RingOp = -1
 
 // ringTestEnv is a booted kernel with a few segments to batch against.
 type ringTestEnv struct {
@@ -46,7 +49,7 @@ func newRingEnv(t *testing.T, nSegs, segSize int) *ringTestEnv {
 // in readOnly may be observed but not modified: a write, resize or sync of
 // one is ErrLabel.  An OpObjectStat names a thread in threads, and is ErrLabel
 // where the thread maps to false (its label, read raised, is not below the
-// caller's).  It returns, for every segment an OpSync pushed (whatever the
+// caller's).  It returns, for every segment an opSync pushed (whatever the
 // commit answered), the bytes it held at its last such sync.
 func modelExec(entries []RingEntry, segs map[ID][]byte, quota map[ID]uint64, readOnly, threads map[ID]bool, poison map[uint64]error) ([]RingCompletion, map[ID][]byte, map[ID][]byte) {
 	synced := make(map[ID][]byte)
@@ -57,10 +60,6 @@ func modelExec(entries []RingEntry, segs map[ID][]byte, quota map[ID]uint64, rea
 	comps := make([]RingCompletion, len(entries))
 	for i, e := range entries {
 		comps[i].Index = i
-		if i > 0 && e.Chain && comps[i-1].Err != nil {
-			comps[i].Err = ErrSkipped
-			continue
-		}
 		data, ok := state[e.Seg.Object]
 		var err error
 		switch {
@@ -70,7 +69,7 @@ func modelExec(entries []RingEntry, segs map[ID][]byte, quota map[ID]uint64, rea
 			}
 		case !ok:
 			err = ErrNoSuchObject
-		case readOnly[e.Seg.Object] && (e.Op == OpSegmentWrite || e.Op == OpSegmentResize || e.Op == OpSync):
+		case readOnly[e.Seg.Object] && (e.Op == OpSegmentWrite || e.Op == OpSegmentResize || e.Op == opSync):
 			err = ErrLabel
 		default:
 			switch e.Op {
@@ -121,7 +120,7 @@ func modelExec(entries []RingEntry, segs map[ID][]byte, quota map[ID]uint64, rea
 					copy(grown, data)
 					state[e.Seg.Object] = grown
 				}
-			case OpSync:
+			case opSync:
 				synced[e.Seg.Object] = append([]byte(nil), data...)
 				err = poison[uint64(e.Seg.Object)]
 			}
@@ -262,36 +261,49 @@ func (env *propEnv) fresh(t *testing.T) {
 	}
 }
 
-// replay executes entries one at a time in submission order with the ring's
-// chain-skip rule, each through exec, and returns what a ring would have
-// completed.  OpSync has no direct or memory form: each one that is not
-// skipped goes through sync, a ring of that one entry.
+// replay executes entries one at a time in submission order, each through
+// exec, and returns their completions.  An opSync has no direct or memory
+// form: each goes through sync, a SyncSegments call of that one segment.
 func replay(entries []RingEntry, sync func(CEnt) error, exec func(e RingEntry, c *RingCompletion) error) []RingCompletion {
 	comps := make([]RingCompletion, len(entries))
 	for i, e := range entries {
 		comps[i].Index = i
-		switch {
-		case i > 0 && e.Chain && comps[i-1].Err != nil:
-			comps[i].Err = ErrSkipped
-		case e.Op == OpSync:
+		if e.Op == opSync {
 			comps[i].Err = sync(e.Seg)
-		default:
+		} else {
 			comps[i].Err = exec(e, &comps[i])
 		}
 	}
 	return comps
 }
 
-// syncOne is an fsync of one segment: a ring of one OpSync entry.
-func (env *propEnv) syncOne(ce CEnt) error {
-	r := env.tc.NewRing()
-	r.Submit(RingEntry{Op: OpSync, Seg: ce})
-	comps, err := r.Wait(1)
-	if err != nil {
-		return err
+// ringExec executes entries through r, one Wait for each run of entries
+// between two opSyncs and each opSync through sync, and returns their
+// completions in submission order.
+func ringExec(r *Ring, entries []RingEntry, sync func(CEnt) error) ([]RingCompletion, error) {
+	comps := make([]RingCompletion, 0, len(entries))
+	for i := 0; i <= len(entries); i++ {
+		if i < len(entries) && entries[i].Op != opSync {
+			r.Submit(entries[i])
+			continue
+		}
+		done, err := r.Wait(0)
+		if err != nil {
+			return nil, err
+		}
+		for _, c := range done {
+			c.Index = len(comps)
+			comps = append(comps, c)
+		}
+		if i < len(entries) {
+			comps = append(comps, RingCompletion{Index: i, Err: sync(entries[i].Seg)})
+		}
 	}
-	return comps[0].Err
+	return comps, nil
 }
+
+// syncOne is an fsync of one segment.
+func (env *propEnv) syncOne(ce CEnt) error { return env.tc.SyncSegments(ce) }
 
 // directExec is one entry as the direct system call of the same name.
 func (env *propEnv) directExec(e RingEntry, c *RingCompletion) (err error) {
@@ -345,11 +357,11 @@ func (env *propEnv) memExec(e RingEntry, c *RingCompletion) (err error) {
 // once over frozen clones of a golden image, and checks every completion,
 // every final segment state and the COW counters of all three against the
 // sequential reference model: the same allow/deny verdict and the same
-// post-state on every path — and, for every segment an OpSync pushed, the
-// bytes it held at its last sync in the pager, from the same number of
-// pushes.  Chains may cross objects and follow a sync, and some entries aim
-// at a segment the thread can observe but not modify, where every write,
-// resize and sync is ErrLabel.  Every push on every path must
+// post-state on every path — and, for every segment a sync pushed, the bytes
+// it held at its last sync in the pager, from the same number of pushes.
+// Syncs fall between the ring's Waits, and some entries aim at a segment the
+// thread can observe but not modify, where every write, resize and sync is
+// ErrLabel.  Every push on every path must
 // also keep its range's promise (fakePager.outside): a byte outside the range
 // is the byte the previous push held, whichever mutation came between — a
 // direct, ring or mapped write, a resize, a compare-and-swap, a thread-local
@@ -405,7 +417,7 @@ func ringPropertyVsSequential(t *testing.T, cloned bool) {
 		n := 1 + rng.Intn(12)
 		entries := make([]RingEntry, n)
 		for i := range entries {
-			e := RingEntry{Seg: env.segs[rng.Intn(len(env.segs))], Chain: i > 0 && rng.Intn(3) == 0}
+			e := RingEntry{Seg: env.segs[rng.Intn(len(env.segs))]}
 			switch rng.Intn(7) {
 			case 0:
 				e.Op = OpSegmentRead
@@ -420,10 +432,9 @@ func ringPropertyVsSequential(t *testing.T, cloned bool) {
 				e.Op = OpSegmentResize
 				e.Len = rng.Intn(2 * segSize)
 			case 4:
-				e.Op = OpSync
+				e.Op = opSync
 			case 5:
-				// Error injector: invalid offset fails the entry (and, via
-				// chains, skips dependents).
+				// Error injector: an invalid offset fails the entry.
 				e.Op = OpSegmentRead
 				e.Off = -1
 			case 6:
@@ -442,9 +453,8 @@ func ringPropertyVsSequential(t *testing.T, cloned bool) {
 			}
 		}
 		var got [3][]RingCompletion
-		ring.Submit(entries...)
 		var err error
-		if got[0], err = ring.Wait(n); err != nil {
+		if got[0], err = ringExec(ring, entries, env.syncOne); err != nil {
 			t.Fatalf("round %d: Wait: %v", round, err)
 		}
 		for p := 1; p < 3; p++ {
@@ -539,18 +549,19 @@ func ringPropertyVsSequential(t *testing.T, cloned bool) {
 		t.Error("the cloned run broke no COW: it never wrote a frozen segment")
 	}
 	if envs[0].pager.puts == 0 {
-		t.Error("no OpSync ever pushed a segment")
+		t.Error("no sync ever pushed a segment")
 	}
 	if denied == 0 {
 		t.Error("no entry was ever refused by the labels")
 	}
 }
 
-// TestRingRunsInSubmissionOrder pins the three ways a batch run out of order
-// would differ from its entries as direct calls: a sync checked against a
-// label a later gate entry grants, a read checked against one — whichever of
-// the two objects has the lower id — and a sync that pushes a write
-// submitted after it.
+// TestRingRunsInSubmissionOrder pins that a ring entry is its direct call,
+// made where it stands among the thread's other calls: a read or a sync is
+// checked against the label the thread holds when it is made, not one a later
+// gate entry grants (whichever of the two objects has the lower id); a sync
+// covers exactly the writes made before it; and in a batch each read sees
+// exactly the writes and resizes submitted before it.
 func TestRingRunsInSubmissionOrder(t *testing.T) {
 	k, tc := boot(t)
 	root := k.RootContainer()
@@ -568,31 +579,34 @@ func TestRingRunsInSubmissionOrder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gate := CEnt{root, gateID}
-	enter := RingEntry{Op: OpGateEnter, Seg: gate, Gate: &GateRequest{
-		Label: uStar, Clearance: label.New(label.L2), Verify: label.New(label.L1),
-	}}
+	enter := func(client *ThreadCall) {
+		t.Helper()
+		if _, err := client.GateEnter(CEnt{root, gateID}, GateRequest{
+			Label: uStar, Clearance: label.New(label.L2), Verify: label.New(label.L1),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	t.Run("sync before the gate entry", func(t *testing.T) {
 		s, err := tc.SegmentCreate(root, label.New(label.L1, label.P(u, label.L0)), "modifiable under u", 16)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tc.SegmentPersist(CEnt{root, s}); err != nil {
+		ce := CEnt{root, s}
+		if err := tc.SegmentPersist(ce); err != nil {
 			t.Fatal(err)
 		}
 		client := spawnWorker(t, k, tc, "client")
-		r := client.NewRing()
-		r.Submit(RingEntry{Op: OpSync, Seg: CEnt{root, s}}, enter)
-		comps, err := r.Wait(2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !errors.Is(comps[0].Err, ErrLabel) || comps[1].Err != nil {
-			t.Errorf("[sync, gate entry] = (%v, %v), want (ErrLabel, nil)", comps[0].Err, comps[1].Err)
+		if err := client.SyncSegments(ce); !errors.Is(err, ErrLabel) {
+			t.Errorf("sync before the gate entry = %v, want ErrLabel", err)
 		}
 		if fp.puts != 0 || len(fp.groups) != 0 {
 			t.Errorf("the pager saw %d pushes and groups %v, want none", fp.puts, fp.groups)
+		}
+		enter(client)
+		if err := client.SyncSegments(ce); err != nil || fp.puts != 1 {
+			t.Errorf("sync after the gate entry = %v with %d pushes, want nil and 1", err, fp.puts)
 		}
 	})
 
@@ -616,14 +630,16 @@ func TestRingRunsInSubmissionOrder(t *testing.T) {
 		for _, reply := range []ID{below, above} {
 			client := spawnWorker(t, k, tc, "client")
 			r := client.NewRing()
-			r.Submit(RingEntry{Op: OpSegmentRead, Seg: CEnt{root, reply}, Len: 16}, enter)
-			comps, err := r.Wait(2)
-			if err != nil {
-				t.Fatal(err)
+			read := RingEntry{Op: OpSegmentRead, Seg: CEnt{root, reply}, Len: 16}
+			r.Submit(read)
+			comps, err := r.Wait(1)
+			if err != nil || !errors.Is(comps[0].Err, ErrLabel) {
+				t.Errorf("reply id %v, gate id %v: read before the gate entry = %v, %v; want ErrLabel", reply, gateID, err, comps[0].Err)
 			}
-			if !errors.Is(comps[0].Err, ErrLabel) || comps[1].Err != nil {
-				t.Errorf("reply id %v, gate id %v: [read, gate entry] = (%v, %v), want (ErrLabel, nil)",
-					reply, gateID, comps[0].Err, comps[1].Err)
+			enter(client)
+			r.Submit(read)
+			if comps, err = r.Wait(1); err != nil || comps[0].Err != nil {
+				t.Errorf("reply id %v, gate id %v: read after the gate entry = %v, %v", reply, gateID, err, comps[0].Err)
 			}
 		}
 	})
@@ -640,11 +656,13 @@ func TestRingRunsInSubmissionOrder(t *testing.T) {
 		if err := tc.SegmentWrite(ce, 0, []byte("before")); err != nil {
 			t.Fatal(err)
 		}
+		if err := tc.SyncSegments(ce); err != nil {
+			t.Fatal(err)
+		}
 		r := tc.NewRing()
-		r.Submit(RingEntry{Op: OpSync, Seg: ce}, RingEntry{Op: OpSegmentWrite, Seg: ce, Data: []byte("after!")})
-		comps, err := r.Wait(2)
-		if err != nil || comps[0].Err != nil || comps[1].Err != nil {
-			t.Fatalf("[sync, write]: %v, %v", err, comps)
+		r.Submit(RingEntry{Op: OpSegmentWrite, Seg: ce, Data: []byte("after!")})
+		if comps, err := r.Wait(1); err != nil || comps[0].Err != nil {
+			t.Fatalf("write after the sync: %v, %v", err, comps)
 		}
 		if got := fp.data[uint64(x)]; string(got) != "before" {
 			t.Errorf("the pager holds %q, want the bytes from before the write", got)
@@ -653,143 +671,47 @@ func TestRingRunsInSubmissionOrder(t *testing.T) {
 			t.Errorf("segment = %q, %v; want the write", got, err)
 		}
 	})
-}
 
-// TestRingChainSkip pins down chain semantics: an error skips every chained
-// dependent (cascading), and the next unchained entry starts fresh.
-func TestRingChainSkip(t *testing.T) {
-	env := newRingEnv(t, 1, 64)
-	seg := env.segs[0]
-	ring := env.tc.NewRing()
-	ring.Submit(
-		RingEntry{Op: OpSegmentWrite, Seg: seg, Off: 0, Data: []byte("ab")},
-		RingEntry{Op: OpSegmentRead, Seg: seg, Off: -1, Chain: true}, // fails: ErrInvalid
-		RingEntry{Op: OpSegmentRead, Seg: seg, Off: 0, Len: 2, Chain: true},
-		RingEntry{Op: OpSegmentLen, Seg: seg, Chain: true},
-		RingEntry{Op: OpSegmentRead, Seg: seg, Off: 0, Len: 2}, // unchained: runs
-	)
-	comps, err := ring.Wait(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comps[0].Err != nil {
-		t.Errorf("entry 0: %v", comps[0].Err)
-	}
-	if !errors.Is(comps[1].Err, ErrInvalid) {
-		t.Errorf("entry 1 err = %v, want ErrInvalid", comps[1].Err)
-	}
-	for i := 2; i <= 3; i++ {
-		if !errors.Is(comps[i].Err, ErrSkipped) {
-			t.Errorf("entry %d err = %v, want ErrSkipped", i, comps[i].Err)
+	t.Run("reads after writes in one batch", func(t *testing.T) {
+		var segs [2]CEnt
+		for i := range segs {
+			id, err := tc.SegmentCreate(root, label.New(label.L1), "batch target", 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			segs[i] = CEnt{root, id}
 		}
-	}
-	if comps[4].Err != nil || string(comps[4].Val) != "ab" {
-		t.Errorf("entry 4 = (%q, %v), want (\"ab\", nil)", comps[4].Val, comps[4].Err)
-	}
+		a, b := segs[1], segs[0]
+		r := tc.NewRing()
+		r.Submit(
+			RingEntry{Op: OpSegmentRead, Seg: a, Len: 8},
+			RingEntry{Op: OpSegmentWrite, Seg: a, Data: []byte("first")},
+			RingEntry{Op: OpSegmentRead, Seg: b, Len: 8},
+			RingEntry{Op: OpSegmentWrite, Seg: b, Data: []byte("second")},
+			RingEntry{Op: OpSegmentRead, Seg: a, Len: 8},
+			RingEntry{Op: OpSegmentResize, Seg: a, Len: 2},
+			RingEntry{Op: OpSegmentLen, Seg: a},
+			RingEntry{Op: OpSegmentRead, Seg: b, Len: 8},
+		)
+		comps, err := r.Wait(8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range []struct {
+			val string
+			n   int
+		}{{"", 0}, {"", 5}, {"", 0}, {"", 6}, {"first", 5}, {"", 0}, {"", 2}, {"second", 6}} {
+			if c := comps[i]; c.Err != nil || string(c.Val) != want.val || c.N != want.n {
+				t.Errorf("entry %d = (%q, %d, %v), want (%q, %d, nil)", i, c.Val, c.N, c.Err, want.val, want.n)
+			}
+		}
+	})
 }
 
-// TestRingSyncGroups checks that the OpSyncs pushed before a chained entry
-// reach the pager as a single group, committed early so the entry chained
-// after a failed sync is skipped.
-func TestRingSyncGroups(t *testing.T) {
-	env := newRingEnv(t, 3, 64)
-	rs := newFakePager()
-	rs.poison = map[uint64]error{uint64(env.segs[2].Object): errors.New("bad disk")}
-	env.k.SetPager(rs)
-	ring := env.tc.NewRing()
-	ring.Submit(
-		RingEntry{Op: OpSync, Seg: env.segs[0]},
-		RingEntry{Op: OpSync, Seg: env.segs[1]},
-		RingEntry{Op: OpSync, Seg: env.segs[2]},
-		RingEntry{Op: OpSegmentLen, Seg: env.segs[2], Chain: true}, // skipped: its sync failed
-	)
-	comps, err := ring.Wait(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comps[0].Err != nil || comps[1].Err != nil {
-		t.Errorf("healthy syncs failed: %v, %v", comps[0].Err, comps[1].Err)
-	}
-	if comps[2].Err == nil || !errors.Is(comps[3].Err, ErrSkipped) {
-		t.Errorf("poisoned sync chain = (%v, %v), want (error, ErrSkipped)", comps[2].Err, comps[3].Err)
-	}
-	if len(rs.groups) != 1 || len(rs.groups[0]) != 3 {
-		t.Fatalf("pager saw groups %v, want one group of 3", rs.groups)
-	}
-	st := env.k.RingStats()
-	if st.SyncGroups != 1 || st.SyncEntries != 3 {
-		t.Errorf("RingStats sync groups/entries = %d/%d, want 1/3", st.SyncGroups, st.SyncEntries)
-	}
-}
-
-// TestRingSyncResolvesItsEntry checks that an OpSync entry is resolved like
-// every other op before it joins the group: an entry naming an object through
-// a container the thread cannot read, or through one that does not link it,
-// completes with the resolution error, fails its chain and never reaches the
-// pager — whose answer would otherwise tell the thread whether an object it
-// cannot name is, say, quarantined — while a good entry in the same batch
-// still syncs.
-func TestRingSyncResolvesItsEntry(t *testing.T) {
-	env := newRingEnv(t, 2, 64)
-	root := env.k.RootContainer()
-	// A container only the category's owner can read, holding one segment.
-	c, err := env.tc.CategoryCreate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	secretLbl := label.New(label.L1, label.P(c, label.L3))
-	secretCt, err := env.tc.ContainerCreate(root, secretLbl, "secret", 0, QuotaInfinite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	secretSeg, err := env.tc.SegmentCreate(secretCt, secretLbl, "secret seg", 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tid, err := env.tc.ThreadCreate(root, ThreadSpec{Label: label.New(label.L1), Clearance: label.New(label.L2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	outsider, err := env.k.ThreadCall(tid)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	rs := newFakePager()
-	rs.poison = map[uint64]error{uint64(secretSeg): errors.New("quarantined")}
-	env.k.SetPager(rs)
-	ring := outsider.NewRing()
-	ring.Submit(
-		RingEntry{Op: OpSync, Seg: CEnt{secretCt, secretSeg}},      // unreadable container
-		RingEntry{Op: OpSegmentLen, Seg: env.segs[0], Chain: true}, // skipped with it
-		RingEntry{Op: OpSync, Seg: CEnt{root, secretSeg}},          // root does not link it
-		RingEntry{Op: OpSync, Seg: env.segs[1]},                    // good
-		RingEntry{Op: OpSegmentLen, Seg: env.segs[1], Chain: true}, // runs after its sync
-	)
-	comps, err := ring.Wait(5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(comps[0].Err, ErrLabel) || !errors.Is(comps[1].Err, ErrSkipped) {
-		t.Errorf("sync through an unreadable container = (%v, %v), want (ErrLabel, ErrSkipped)", comps[0].Err, comps[1].Err)
-	}
-	if !errors.Is(comps[2].Err, ErrNoSuchObject) {
-		t.Errorf("sync of an unlinked object = %v, want ErrNoSuchObject", comps[2].Err)
-	}
-	if comps[3].Err != nil || comps[4].Err != nil || comps[4].N != 64 {
-		t.Errorf("good sync chain = (%v, %v, len %d), want (nil, nil, 64)", comps[3].Err, comps[4].Err, comps[4].N)
-	}
-	if len(rs.groups) != 1 || len(rs.groups[0]) != 1 || rs.groups[0][0] != uint64(env.segs[1].Object) {
-		t.Errorf("pager saw groups %v, want exactly [[%d]]", rs.groups, env.segs[1].Object)
-	}
-	if st := env.k.RingStats(); st.SyncGroups != 1 || st.SyncEntries != 1 {
-		t.Errorf("RingStats sync groups/entries = %d/%d, want 1/1", st.SyncGroups, st.SyncEntries)
-	}
-}
-
-// TestRingCountsAndCoalescing checks the accounting: one ring_submit per
-// Wait, per-entry counts in the normal per-syscall counters, and no shared
-// open — a same-target run shares none, so Runs and Coalesced stay 0.
+// TestRingCountsAndCoalescing checks the accounting: a Wait of four entries
+// is four direct calls, each in its own per-syscall counter and no other,
+// and no shared open — a same-target run shares none, so Runs and Coalesced
+// stay 0.
 func TestRingCountsAndCoalescing(t *testing.T) {
 	env := newRingEnv(t, 2, 64)
 	env.k.ResetSyscallCounts()
@@ -811,11 +733,8 @@ func TestRingCountsAndCoalescing(t *testing.T) {
 		}
 	}
 	counts := env.k.SyscallCounts()
-	if counts["ring_submit"] != 1 {
-		t.Errorf("ring_submit = %d, want 1", counts["ring_submit"])
-	}
-	if counts["segment_read"] != 2 || counts["segment_len"] != 1 || counts["segment_write"] != 1 {
-		t.Errorf("per-entry counts = %v", counts)
+	if counts["segment_read"] != 2 || counts["segment_len"] != 1 || counts["segment_write"] != 1 || env.k.SyscallTotal() != 4 {
+		t.Errorf("per-entry counts = %v, want the four entries' calls and nothing else", counts)
 	}
 	st := env.k.RingStats()
 	if waits, entries := st.Waits-before.Waits, st.Entries-before.Entries; waits != 1 || entries != 4 {
@@ -823,18 +742,23 @@ func TestRingCountsAndCoalescing(t *testing.T) {
 	}
 	// Every entry opens on its own, three on one target or not: no run is
 	// shared, and the run counters stay 0.
-	if st.Runs != 0 || st.Coalesced != 0 {
-		t.Errorf("RingStats runs/coalesced = %d/%d, want 0/0", st.Runs, st.Coalesced)
+	if st.Runs != 0 || st.Coalesced != 0 || st.GateCalls != 0 {
+		t.Errorf("RingStats runs/coalesced/gate calls = %d/%d/%d, want 0/0/0", st.Runs, st.Coalesced, st.GateCalls)
 	}
 }
 
 // TestRingConcurrentOverlap is the -race stress: many threads submit
-// batches over overlapping objects, mixing chained writes, reads, resizes,
-// and syncs through the kernel's pager.
+// batches over overlapping objects, mixing writes, reads, lengths and stats,
+// and sync a segment through the kernel's pager after each batch.
 func TestRingConcurrentOverlap(t *testing.T) {
 	const nWorkers, nBatches = 8, 60
 	env := newRingEnv(t, 4, 256)
 	env.k.SetPager(newFakePager())
+	for _, ce := range env.segs {
+		if err := env.tc.SegmentPersist(ce); err != nil {
+			t.Fatal(err)
+		}
+	}
 	var wg sync.WaitGroup
 	errCh := make(chan error, nWorkers)
 	for w := 0; w < nWorkers; w++ {
@@ -844,12 +768,17 @@ func TestRingConcurrentOverlap(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(w)))
 			ring := tc.NewRing()
+			fail := func(err error) {
+				select {
+				case errCh <- fmt.Errorf("worker %d: %w", w, err):
+				default:
+				}
+			}
 			for b := 0; b < nBatches; b++ {
 				n := 1 + rng.Intn(8)
 				for i := 0; i < n; i++ {
-					ce := env.segs[rng.Intn(len(env.segs))]
-					e := RingEntry{Seg: ce, Chain: i > 0 && rng.Intn(4) == 0}
-					switch rng.Intn(5) {
+					e := RingEntry{Seg: env.segs[rng.Intn(len(env.segs))]}
+					switch rng.Intn(4) {
 					case 0:
 						e.Op = OpSegmentRead
 						e.Off, e.Len = rng.Intn(64), 64
@@ -861,27 +790,23 @@ func TestRingConcurrentOverlap(t *testing.T) {
 						e.Op = OpSegmentLen
 					case 3:
 						e.Op = OpObjectStat
-					case 4:
-						e.Op = OpSync
 					}
 					ring.Submit(e)
 				}
 				comps, err := ring.Wait(n)
 				if err != nil {
-					select {
-					case errCh <- fmt.Errorf("worker %d Wait: %w", w, err):
-					default:
-					}
+					fail(err)
 					return
 				}
 				for i := range comps {
-					if comps[i].Err != nil && !errors.Is(comps[i].Err, ErrSkipped) {
-						select {
-						case errCh <- fmt.Errorf("worker %d entry: %w", w, comps[i].Err):
-						default:
-						}
+					if comps[i].Err != nil {
+						fail(comps[i].Err)
 						return
 					}
+				}
+				if err := tc.SyncSegments(env.segs[rng.Intn(len(env.segs))]); err != nil {
+					fail(err)
+					return
 				}
 			}
 		}(w, tc)
@@ -895,211 +820,5 @@ func TestRingConcurrentOverlap(t *testing.T) {
 	st := env.k.RingStats()
 	if st.Waits == 0 || st.Entries == 0 {
 		t.Errorf("no ring activity recorded: %+v", st)
-	}
-}
-
-// TestRingGateEnterChainedReplyRead is the demux pattern OpGateEnter exists
-// for: the gate entry writes a reply into a segment only the post-entry
-// label may observe, and a chained OpSegmentRead in the same batch reads it
-// back — which only works because the ring refreshes its thread snapshot
-// after the gate transfer.
-func TestRingGateEnterChainedReplyRead(t *testing.T) {
-	k, tc := boot(t)
-	root := k.RootContainer()
-	u, _ := tc.CategoryCreate()
-
-	reply, err := tc.SegmentCreate(root, label.New(label.L1, label.P(u, label.L3)), "reply", 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gateID, err := tc.GateCreate(root, GateSpec{
-		Label:     label.New(label.L1, label.P(u, label.Star)),
-		Clearance: label.New(label.L2),
-		Descrip:   "session gate",
-		Entry: func(call *GateCallCtx) []byte {
-			if err := call.TC.SegmentWrite(CEnt{root, reply}, 0, append([]byte("re:"), call.Args...)); err != nil {
-				return []byte("write failed: " + err.Error())
-			}
-			return []byte("ok")
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// An unprivileged client cannot read the reply segment directly.
-	tid, _ := tc.ThreadCreate(root, ThreadSpec{Label: label.New(label.L1), Clearance: label.New(label.L2), Descrip: "client"})
-	tc2, _ := k.ThreadCall(tid)
-	if _, err := tc2.SegmentRead(CEnt{root, reply}, 0, 8); err == nil {
-		t.Fatal("client must not read the reply segment before the gate call")
-	}
-
-	ring := tc2.NewRing()
-	ring.Submit(
-		RingEntry{Op: OpGateEnter, Seg: CEnt{root, gateID}, Gate: &GateRequest{
-			Label:     label.New(label.L1, label.P(u, label.Star)),
-			Clearance: label.New(label.L2),
-			Verify:    label.New(label.L1),
-			Args:      []byte("req1"),
-		}},
-		RingEntry{Op: OpSegmentRead, Seg: CEnt{root, reply}, Off: 0, Len: 7, Chain: true},
-	)
-	comps, err := ring.Wait(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if comps[0].Err != nil || string(comps[0].Val) != "ok" {
-		t.Fatalf("gate completion: val=%q err=%v", comps[0].Val, comps[0].Err)
-	}
-	if comps[1].Err != nil || string(comps[1].Val) != "re:req1" {
-		t.Fatalf("chained reply read: val=%q err=%v", comps[1].Val, comps[1].Err)
-	}
-	if st := k.RingStats(); st.GateCalls != 1 {
-		t.Errorf("GateCalls = %d, want 1", st.GateCalls)
-	}
-	// The thread keeps the label it acquired, as after a direct GateEnter.
-	lbl, _ := tc2.SelfLabel()
-	if !lbl.Owns(u) {
-		t.Error("client should own u after the ring gate call")
-	}
-}
-
-// TestRingGateEnterFailureSkipsChain checks that a rejected gate request
-// fails its own chain (the reply read is skipped) without poisoning an
-// independent chain in the same batch.
-func TestRingGateEnterFailureSkipsChain(t *testing.T) {
-	k, tc := boot(t)
-	root := k.RootContainer()
-	v, _ := tc.CategoryCreate()
-
-	seg, _ := tc.SegmentCreate(root, label.New(label.L1), "plain", 8)
-	_ = tc.SegmentWrite(CEnt{root, seg}, 0, []byte("plain!"))
-	gateID, _ := tc.GateCreate(root, GateSpec{
-		Label:     label.New(label.L1),
-		Clearance: label.New(label.L2),
-		Entry:     func(call *GateCallCtx) []byte { return []byte("ok") },
-	})
-
-	// Client tainted v2 tries to shed the taint across the gate: ErrLabel.
-	tid, _ := tc.ThreadCreate(root, ThreadSpec{
-		Label:     label.New(label.L1, label.P(v, label.L2)),
-		Clearance: label.New(label.L2),
-	})
-	tc2, _ := k.ThreadCall(tid)
-	ring := tc2.NewRing()
-	ring.Submit(
-		RingEntry{Op: OpGateEnter, Seg: CEnt{root, gateID}, Gate: &GateRequest{
-			Label:     label.New(label.L1), // sheds v2: rejected
-			Clearance: label.New(label.L2),
-			Verify:    label.New(label.L1, label.P(v, label.L2)),
-		}},
-		RingEntry{Op: OpSegmentRead, Seg: CEnt{root, seg}, Off: 0, Len: 6, Chain: true},
-		// Independent chain: must execute despite the failure above.
-		RingEntry{Op: OpSegmentRead, Seg: CEnt{root, seg}, Off: 0, Len: 6},
-	)
-	comps, err := ring.Wait(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(comps[0].Err, ErrLabel) {
-		t.Errorf("gate completion err = %v, want ErrLabel", comps[0].Err)
-	}
-	if !errors.Is(comps[1].Err, ErrSkipped) {
-		t.Errorf("chained read err = %v, want ErrSkipped", comps[1].Err)
-	}
-	if comps[2].Err != nil || string(comps[2].Val) != "plain!" {
-		t.Errorf("independent read: val=%q err=%v", comps[2].Val, comps[2].Err)
-	}
-	// The failed transfer must not have changed the thread's label.
-	lbl, _ := tc2.SelfLabel()
-	if lbl.Get(v) != label.L2 {
-		t.Errorf("thread label changed by failed gate entry: %v", lbl)
-	}
-}
-
-// TestRingGateEnterWrongType rejects OpGateEnter aimed at a non-gate.
-func TestRingGateEnterWrongType(t *testing.T) {
-	env := newRingEnv(t, 1, 64)
-	ring := env.tc.NewRing()
-	ring.Submit(RingEntry{Op: OpGateEnter, Seg: env.segs[0], Gate: &GateRequest{
-		Label:     label.New(label.L1),
-		Clearance: label.New(label.L2),
-		Verify:    label.New(label.L1),
-	}})
-	comps, err := ring.Wait(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(comps[0].Err, ErrWrongType) {
-		t.Errorf("err = %v, want ErrWrongType", comps[0].Err)
-	}
-}
-
-// TestRingGateEnterMultipleSessions batches two independent
-// gate-call+reply-read chains — two "sessions" with disjoint categories —
-// in one Wait, verifying the snapshot refresh keeps each chain's read under
-// the right label and neither session's privilege leaks into the other's
-// transfer.
-func TestRingGateEnterMultipleSessions(t *testing.T) {
-	k, tc := boot(t)
-	root := k.RootContainer()
-
-	type sess struct {
-		gate, reply ID
-		cat         label.Category
-	}
-	var sessions []sess
-	for i := 0; i < 2; i++ {
-		c, _ := tc.CategoryCreate()
-		reply, err := tc.SegmentCreate(root, label.New(label.L1, label.P(c, label.L3)), fmt.Sprintf("reply%d", i), 64)
-		if err != nil {
-			t.Fatal(err)
-		}
-		msg := fmt.Sprintf("user%d-data", i)
-		gateID, err := tc.GateCreate(root, GateSpec{
-			Label:     label.New(label.L1, label.P(c, label.Star)),
-			Clearance: label.New(label.L2),
-			Entry: func(call *GateCallCtx) []byte {
-				if err := call.TC.SegmentWrite(CEnt{root, reply}, 0, []byte(msg)); err != nil {
-					return []byte("ERR")
-				}
-				return []byte("ok")
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sessions = append(sessions, sess{gate: gateID, reply: reply, cat: c})
-	}
-
-	tid, _ := tc.ThreadCreate(root, ThreadSpec{Label: label.New(label.L1), Clearance: label.New(label.L2), Descrip: "demux lane"})
-	lane, _ := k.ThreadCall(tid)
-	ring := lane.NewRing()
-	for _, s := range sessions {
-		ring.Submit(
-			RingEntry{Op: OpGateEnter, Seg: CEnt{root, s.gate}, Gate: &GateRequest{
-				Label:     label.New(label.L1, label.P(s.cat, label.Star)),
-				Clearance: label.New(label.L2),
-				Verify:    label.New(label.L1),
-			}},
-			RingEntry{Op: OpSegmentRead, Seg: CEnt{root, s.reply}, Off: 0, Len: 10, Chain: true},
-		)
-	}
-	comps, err := ring.Wait(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sessions {
-		gc, rc := comps[2*i], comps[2*i+1]
-		if gc.Err != nil || string(gc.Val) != "ok" {
-			t.Errorf("session %d gate: val=%q err=%v", i, gc.Val, gc.Err)
-		}
-		want := fmt.Sprintf("user%d-data", i)
-		if rc.Err != nil || string(rc.Val) != want {
-			t.Errorf("session %d reply = %q (err=%v), want %q", i, rc.Val, rc.Err, want)
-		}
-	}
-	if st := k.RingStats(); st.GateCalls != 2 {
-		t.Errorf("GateCalls = %d, want 2", st.GateCalls)
 	}
 }

@@ -94,11 +94,10 @@ func (tc *ThreadCall) SegmentCopy(src CEnt, d ID, l label.Label, descrip string)
 // ---------------------------------------------------------------------------
 // Segment bytes.  Everything below runs with the segment's lock held (write
 // mode for anything that mutates) and is the only code that indexes or
-// replaces segment.data: the direct syscalls, ring entries, compare-and-swap,
-// the futex word read, loads and stores through a mapping, and the
-// thread-local segment calls all come through here, so a bounds, quota,
-// immutability, copy-on-write or page-in rule cannot be missing from one of
-// them.  (Evict, in pager.go, is the rest.)  A fresh segment gets bytes of
+// replaces segment.data: the direct syscalls, compare-and-swap, the futex
+// word read, loads and stores through a mapping, and the thread-local
+// segment calls all come through here, so a bounds, quota, immutability,
+// copy-on-write or page-in rule cannot be missing from one of them.  (Evict, in pager.go, is the rest.)  A fresh segment gets bytes of
 // its own at its first write, from the copy-on-write break.
 // ---------------------------------------------------------------------------
 
@@ -259,11 +258,41 @@ func (s *segment) compareSwap(k *Kernel, off, old, next uint64) (bool, error) {
 }
 
 // ---------------------------------------------------------------------------
-// The ring-able calls: segment read, write, resize and length, and object
-// stat.  Each is one RingEntry whether it arrives alone (the methods below)
-// or in a ring batch (Ring.exec): both open the entry and hand it to execOp,
-// the only statement of these calls' label rules and bodies.
+// The single-entry calls: segment read, write, resize and length, and object
+// stat.  Each method below fills in one sysCall and makes it through call,
+// which opens the target and hands it to execOp, the only statement of these
+// calls' label rules and bodies.  (A Ring's Wait makes the same call per
+// entry.)
 // ---------------------------------------------------------------------------
+
+// sysCall is one single-entry call: what its method passes in, and what
+// execOp hands back.
+type sysCall struct {
+	op        RingOp
+	ce        CEnt
+	off, size int
+	data      []byte
+
+	val  []byte // OpSegmentRead
+	n    int    // bytes read or written, or the segment's length
+	stat Stat   // OpObjectStat
+}
+
+// scFor maps an op to the per-syscall counter it records.
+func scFor(op RingOp) syscallID {
+	switch op {
+	case OpSegmentRead:
+		return scSegmentRead
+	case OpSegmentWrite:
+		return scSegmentWrite
+	case OpSegmentResize:
+		return scSegmentResize
+	case OpSegmentLen:
+		return scSegmentLen
+	default:
+		return scObjectStat
+	}
+}
 
 // opWrites reports whether the op mutates its target (and so needs the
 // object's write lock).
@@ -271,84 +300,83 @@ func opWrites(op RingOp) bool {
 	return op == OpSegmentWrite || op == OpSegmentResize
 }
 
-// execOp executes one ring-able entry against its opened target (locked in
-// the mode opWrites asks for, link and liveness verified), filling c.  The
-// label rule is applied here, per entry, against the segment's immutable
-// label: observe for the two reads, modify for the two writes; stat checks
-// only what objectStatLocked does.
-func (k *Kernel) execOp(ctx *tctx, obj object, e *RingEntry, c *RingCompletion) (err error) {
-	if e.Op == OpObjectStat {
-		return k.objectStatLocked(ctx, obj, &c.Stat)
+// execOp executes one call against its opened target (locked in the mode
+// opWrites asks for, link and liveness verified), filling in its results.
+// The label rule is applied here against the segment's immutable label:
+// observe for the two reads, modify for the two writes; stat checks only
+// what objectStatLocked does.
+func (k *Kernel) execOp(ctx *tctx, obj object, c *sysCall) (err error) {
+	if c.op == OpObjectStat {
+		return k.objectStatLocked(ctx, obj, &c.stat)
 	}
 	seg, ok := obj.(*segment)
 	if !ok {
 		return ErrWrongType
 	}
-	if opWrites(e.Op) && !ctx.lbl.Leq(seg.lbl) || !label.CanObserve(ctx.lbl, seg.lbl) {
+	if opWrites(c.op) && !ctx.lbl.Leq(seg.lbl) || !label.CanObserve(ctx.lbl, seg.lbl) {
 		return ErrLabel
 	}
-	switch e.Op {
+	switch c.op {
 	case OpSegmentRead:
-		c.Val, err = seg.read(k, e.Off, e.Len)
-		c.N = len(c.Val)
+		c.val, err = seg.read(k, c.off, c.size)
+		c.n = len(c.val)
 	case OpSegmentLen:
 		if err = seg.fault(k); err == nil {
-			c.N = len(seg.data)
+			c.n = len(seg.data)
 		}
 	case OpSegmentWrite:
-		if err = seg.write(k, e.Off, e.Data); err == nil {
-			c.N = len(e.Data)
+		if err = seg.write(k, c.off, c.data); err == nil {
+			c.n = len(c.data)
 		}
 	case OpSegmentResize:
-		err = seg.reshape(k, e.Len, 0, 0)
+		err = seg.reshape(k, c.size, 0, 0)
 	default:
 		err = ErrInvalid
 	}
 	return err
 }
 
-// call executes one ring-able entry as a direct system call.  Entry and
-// completion are the caller's locals, passed by pointer so that a call moves
-// neither.
-func (tc *ThreadCall) call(e *RingEntry, c *RingCompletion) error {
-	ctx, err := tc.enter(scFor(e.Op))
+// call makes one single-entry call as a direct system call.  The call is
+// the caller's local, passed by pointer so that a call moves nothing.
+func (tc *ThreadCall) call(c *sysCall) error {
+	ctx, err := tc.enter(scFor(c.op))
 	if err != nil {
 		return err
 	}
-	obj, ls, err := open[object](tc.k, &ctx, e.Seg, accNone, opWrites(e.Op))
+	obj, ls, err := open[object](tc.k, &ctx, c.ce, accNone, opWrites(c.op))
 	if err != nil {
 		return err
 	}
 	defer ls.unlock()
-	return tc.k.execOp(&ctx, obj, e, c)
+	return tc.k.execOp(&ctx, obj, c)
 }
 
 // SegmentRead reads n bytes at offset off from the segment named by ce.
 func (tc *ThreadCall) SegmentRead(ce CEnt, off, n int) ([]byte, error) {
-	e, c := RingEntry{Op: OpSegmentRead, Seg: ce, Off: off, Len: n}, RingCompletion{}
-	err := tc.call(&e, &c)
-	return c.Val, err
+	c := sysCall{op: OpSegmentRead, ce: ce, off: off, size: n}
+	err := tc.call(&c)
+	return c.val, err
 }
 
 // SegmentWrite writes data at offset off in the segment named by ce,
 // extending the segment if necessary (subject to its quota).
 func (tc *ThreadCall) SegmentWrite(ce CEnt, off int, data []byte) error {
-	e, c := RingEntry{Op: OpSegmentWrite, Seg: ce, Off: off, Data: data}, RingCompletion{}
-	return tc.call(&e, &c)
+	c := sysCall{op: OpSegmentWrite, ce: ce, off: off, data: data}
+	return tc.call(&c)
 }
 
 // SegmentResize sets the segment's length to n bytes.  A file's length is
 // defined to be its segment's length (Section 5.1).
 func (tc *ThreadCall) SegmentResize(ce CEnt, n int) error {
-	e, c := RingEntry{Op: OpSegmentResize, Seg: ce, Len: n}, RingCompletion{}
-	return tc.call(&e, &c)
+	c := sysCall{op: OpSegmentResize, ce: ce, size: n}
+	return tc.call(&c)
 }
 
 // SegmentLen returns the length of the segment named by ce.
 func (tc *ThreadCall) SegmentLen(ce CEnt) (int, error) {
-	e, c := RingEntry{Op: OpSegmentLen, Seg: ce}, RingCompletion{}
-	err := tc.call(&e, &c)
-	return c.N, err
+	c := sysCall{op: OpSegmentLen, ce: ce}
+	err := tc.call(&c)
+	return c.n, err
 }
 
 // SegmentCompareSwap atomically replaces the 8-byte word at offset off with

@@ -58,12 +58,11 @@ const (
 	scNetTx
 	scNetRx
 	scNetWait
-	scRingSubmit
-	scRingSync
 	scContainerSnapshot
 	scContainerClone
 	scSegmentPersist
 	scSync
+	scSyncSegments
 
 	numSyscalls
 )
@@ -116,12 +115,11 @@ var syscallNames = [numSyscalls]string{
 	scNetTx:               "net_tx",
 	scNetRx:               "net_rx",
 	scNetWait:             "net_wait",
-	scRingSubmit:          "ring_submit",
-	scRingSync:            "ring_sync",
 	scContainerSnapshot:   "container_snapshot",
 	scContainerClone:      "container_clone",
 	scSegmentPersist:      "segment_persist",
 	scSync:                "sync",
+	scSyncSegments:        "sync_segments",
 }
 
 // syscallCounters is the full per-syscall statistics table.

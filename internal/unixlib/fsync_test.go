@@ -49,7 +49,7 @@ func TestPwritevFsyncFansOutAndGroupCommits(t *testing.T) {
 
 	// Two positional writes per file; the second overlaps the first so
 	// same-file op order is observable.  One write is larger than the
-	// segment slack to drive the quota_move fallback path.
+	// segment slack to drive writeAt's quota_move retry.
 	var ops []WriteOp
 	want := make(map[int][]byte)
 	big := bytes.Repeat([]byte("B"), 64<<10)
@@ -93,15 +93,11 @@ func TestPwritevFsyncFansOutAndGroupCommits(t *testing.T) {
 			t.Errorf("file %d contents = %d bytes, want %d (mismatch at %d)",
 				i, len(got), len(want[fd]), firstDiff(got, want[fd]))
 		}
-		// The ring's writes reached the store by the fan-out's own sync.
+		// The writes reached the store by the fan-out's own sync.
 		f, _ := p.getFD(fd)
 		if synced, err := st.Get(uint64(f.File.Object)); err != nil || !bytes.Equal(synced, want[fd]) {
 			t.Errorf("store contents of file %d = %d bytes, %v; want the %d written", i, len(synced), err, len(want[fd]))
 		}
-	}
-	rs := sys.Kern.RingStats()
-	if rs.SyncGroups == 0 || rs.SyncEntries < nFiles {
-		t.Errorf("ring sync stats = %+v, want one group covering %d files", rs, nFiles)
 	}
 }
 

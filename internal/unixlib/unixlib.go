@@ -10,8 +10,8 @@
 // Kernel.SetPager, its Get answering the kernel's page-ins, and the library
 // never calls the store.  What it may ask is what any thread may — mark a
 // segment it can modify persistent where it creates one (markPersistent,
-// fs.go), fsync it as a ring of OpSync entries, sync the whole system
-// (syncFiles, ringio.go) — each call checked by the kernel against the
+// fs.go), fsync it with one SyncSegments call, sync the whole system
+// (syncFiles, fsync.go) — each call checked by the kernel against the
 // calling thread's label; which bytes changed, when to page in and what to
 // delete when an object dies the kernel knows for itself.
 package unixlib

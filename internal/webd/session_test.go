@@ -138,13 +138,97 @@ func TestReplySegmentUnreadableOutsideGate(t *testing.T) {
 	}
 }
 
+// TestServeRetriesColdWhenTheGateIsGone: a cached session whose serve gate
+// is unreferenced after its request was acquired and queued, but before the
+// lane enters the gate, still gets its answer: the gate entry's
+// ErrNoSuchObject removes the stale session, and the retry logs in cold.  The
+// one lane is held in another user's request meanwhile, so the order is
+// fixed, and afterwards every demultiplexer thread is back at its base label.
+func TestServeRetriesColdWhenTheGateIsGone(t *testing.T) {
+	srv, sys := bootWebCfg(t, Config{Lanes: 1})
+	held, hold := make(chan struct{}), make(chan struct{})
+	srv.app = func(worker *unixlib.Process, user, path string) (string, error) {
+		if path == "/hold" {
+			close(held)
+			<-hold
+			return "held", nil
+		}
+		return ProfileApp(worker, user, path)
+	}
+	if _, err := srv.Serve(Request{User: "alice", Password: "wonderland", Path: "/profile/set/v1"}); err != nil {
+		t.Fatal(err)
+	}
+	srv.sessions.mu.Lock()
+	stale := srv.sessions.m["alice"]
+	srv.sessions.mu.Unlock()
+
+	bob := make(chan error, 1)
+	go func() {
+		_, err := srv.Serve(Request{User: "bob", Password: "builder", Path: "/hold"})
+		bob <- err
+	}()
+	<-held // the lane is inside bob's gate
+	type result struct {
+		resp string
+		err  error
+	}
+	alice := make(chan result, 1)
+	go func() {
+		resp, err := srv.Serve(Request{User: "alice", Password: "wonderland", Path: "/profile"})
+		alice <- result{resp, err}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); len(srv.reqCh) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("alice's request never reached the queue")
+		}
+	}
+	if err := stale.worker.TC.Unref(stale.worker.ProcCt, stale.gate.Object); err != nil {
+		t.Fatal(err)
+	}
+	close(hold)
+	if err := <-bob; err != nil {
+		t.Fatalf("bob: %v", err)
+	}
+	if r := <-alice; r.err != nil || r.resp != "HTTP/1.0 200 OK\r\n\r\nv1" {
+		t.Fatalf("alice = %q, %v; want 200 with her profile", r.resp, r.err)
+	}
+
+	srv.sessions.mu.Lock()
+	fresh := srv.sessions.m["alice"]
+	srv.sessions.mu.Unlock()
+	if fresh == nil || fresh == stale {
+		t.Error("the stale session is still cached")
+	}
+	if st := srv.SessionStats(); st.ColdLogins != 3 || st.Live != 2 {
+		t.Errorf("cold logins %d, live sessions %d; want 3 (alice twice, bob) and 2", st.ColdLogins, st.Live)
+	}
+	ids, err := srv.demux.TC.ContainerList(kernel.CEnt{Container: sys.Kern.RootContainer(), Object: srv.demux.ProcCt})
+	if err != nil {
+		t.Fatal(err)
+	}
+	threads := 0
+	for _, id := range ids {
+		tc, err := sys.Kern.ThreadCall(id) // refuses anything that is not a thread
+		if err != nil {
+			continue
+		}
+		threads++
+		if lbl, err := tc.SelfLabel(); err != nil || !lbl.Equal(srv.laneBase) {
+			t.Errorf("demultiplexer thread %v has label %v (%v), want its base %v", id, lbl, err, srv.laneBase)
+		}
+	}
+	if threads != 2 {
+		t.Errorf("found %d demultiplexer threads, want the launcher and one lane", threads)
+	}
+}
+
 // TestConcurrentCrossUserIsolation hammers the session cache from many
 // goroutines with a buggy handler that always tries to read the other
 // user's profile.  The kernel's label checks — not anything in webd — must
 // keep every response clean.  Run with -race this also exercises the
 // lane/session locking.
 func TestConcurrentCrossUserIsolation(t *testing.T) {
-	srv, _ := bootWebCfg(t, Config{MaxSessions: 2, Lanes: 2, MaxBatch: 4})
+	srv, _ := bootWebCfg(t, Config{MaxSessions: 2, Lanes: 2})
 	srv.app = func(worker *unixlib.Process, user, path string) (string, error) {
 		other := "alice"
 		if user == "alice" {

@@ -28,14 +28,13 @@
 //     not entered the user's gate can observe them.
 //
 //   - The demultiplexer is one process with several lane threads.  Each lane
-//     drains a batch of requests from the server's queue and drives its own
-//     syscall ring: per request, one OpGateEnter (which transfers the lane
-//     to the session's requested label — its own base plus that user's
-//     ur⋆/uw⋆) chained to one OpSegmentRead of the reply segment, checked
-//     against the post-entry label.  After the batch the lane resets itself
-//     to its base label, so user privileges never outlive the batch and
-//     never accumulate across users: each gate transfer replaces the label
-//     outright.
+//     drains a batch of requests from the server's queue and makes, per
+//     request, one GateEnter (which transfers the lane to the session's
+//     requested label — its own base plus that user's ur⋆/uw⋆) and, if it
+//     succeeded, one SegmentRead of the reply segment, checked against the
+//     post-entry label.  After the batch the lane resets itself to its base
+//     label, so user privileges never outlive the batch and never accumulate
+//     across users: each gate transfer replaces the label outright.
 //
 // The kernel enforces the isolation story — the lane holds exactly one
 // user's categories at a time, and the only path to a reply is through that
@@ -67,12 +66,9 @@ type Config struct {
 	// IdleTimeout evicts sessions unused for this long (default 5m; < 0
 	// disables idle eviction).
 	IdleTimeout time.Duration
-	// Lanes is the number of demultiplexer threads, each with its own ring
-	// (default 4).
+	// Lanes is the number of demultiplexer threads, each draining up to
+	// laneBatch requests at a time (default 4).
 	Lanes int
-	// MaxBatch caps how many requests one lane submits per ring Wait
-	// (default 16).
-	MaxBatch int
 	// Golden, when set, makes the cold-login path spawn the user's sandbox
 	// by cloning this golden image (O(metadata): template categories are
 	// remapped to the user's, all data is shared copy-on-write).  The
@@ -91,11 +87,12 @@ func (c Config) withDefaults() Config {
 	if c.Lanes <= 0 {
 		c.Lanes = 4
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = 16
-	}
 	return c
 }
+
+// laneBatch caps how many requests one lane drains from the queue before it
+// serves them and resets its label.
+const laneBatch = 16
 
 // Server is the web service: demultiplexer lanes + session-cached per-user
 // workers.
@@ -137,7 +134,7 @@ func NewWithConfig(sys *unixlib.System, authSvc *auth.Service, app Handler, cfg 
 		auth:  authSvc,
 		app:   app,
 		cfg:   cfg,
-		reqCh: make(chan *pending, cfg.Lanes*cfg.MaxBatch),
+		reqCh: make(chan *pending, cfg.Lanes*laneBatch),
 		quit:  make(chan struct{}),
 	}
 	s.sessions = newSessionCache(s, cfg.MaxSessions, cfg.IdleTimeout)
@@ -162,11 +159,10 @@ type pending struct {
 	err  error
 }
 
-// lane is one demultiplexer thread: its own syscall context, ring, and the
-// base label/clearance it returns to between batches.
+// lane is one demultiplexer thread: its own syscall context and the base
+// label/clearance it returns to between batches.
 type lane struct {
 	tc   *kernel.ThreadCall
-	ring *kernel.Ring
 	base label.Label
 	clr  label.Label
 }
@@ -195,7 +191,7 @@ func (s *Server) start() error {
 			}
 			base, _ := tc.SelfLabel()
 			clr, _ := tc.SelfClearance()
-			ln := &lane{tc: tc, ring: tc.NewRing(), base: base, clr: clr}
+			ln := &lane{tc: tc, base: base, clr: clr}
 			s.wg.Add(1)
 			go s.laneLoop(ln)
 		}
@@ -204,9 +200,8 @@ func (s *Server) start() error {
 }
 
 // Serve authenticates the request and runs the application handler in the
-// user's worker, returning the response.  The
-// warm path is: verifier check, enqueue to a lane, one batched gate call,
-// one chained reply read.
+// user's worker, returning the response.  The warm path is: verifier
+// check, enqueue to a lane, one gate call, one reply read.
 func (s *Server) Serve(req Request) (string, error) {
 	if err := s.start(); err != nil {
 		return "", err
@@ -221,9 +216,10 @@ func (s *Server) Serve(req Request) (string, error) {
 		<-p.done
 		s.sessions.release(sess)
 		if p.err != nil {
-			// A torn-down session (logout or eviction racing the enqueue)
-			// surfaces as a kernel error on the gate call; retry cold.
-			if errors.Is(p.err, kernel.ErrNoSuchObject) || errors.Is(p.err, kernel.ErrSkipped) {
+			// A torn-down session (its gate or reply segment gone before
+			// the lane reached it) surfaces as ErrNoSuchObject from the
+			// gate entry or the reply read; retry cold.
+			if errors.Is(p.err, kernel.ErrNoSuchObject) {
 				s.sessions.remove(sess)
 				continue
 			}
@@ -234,18 +230,17 @@ func (s *Server) Serve(req Request) (string, error) {
 	return "", errors.New("webd: session kept disappearing")
 }
 
-// laneLoop drains batches of pendings and drives them through the lane's
-// ring: per pending an OpGateEnter chained to an OpSegmentRead of the reply.
+// laneLoop drains batches of up to laneBatch pendings and serves each batch.
 func (s *Server) laneLoop(ln *lane) {
 	defer s.wg.Done()
-	batch := make([]*pending, 0, s.cfg.MaxBatch)
+	batch := make([]*pending, 0, laneBatch)
 	for {
 		select {
 		case <-s.quit:
 			return
 		case p := <-s.reqCh:
 			batch = append(batch[:0], p)
-			for len(batch) < s.cfg.MaxBatch {
+			for len(batch) < laneBatch {
 				select {
 				case q := <-s.reqCh:
 					batch = append(batch, q)
@@ -259,38 +254,33 @@ func (s *Server) laneLoop(ln *lane) {
 	}
 }
 
-// runBatch submits one chain per pending and completes them from the ring's
-// completion queue.  Each gate entry replaces the lane's label with that
-// session's requested label, and the chained read is checked against it; the
-// lane drops back to its base label before handing results back.
+// runBatch serves each pending with one gate entry and, if that succeeded,
+// one read of the reply.  Each gate entry replaces the lane's label with that
+// session's requested label, and the read is checked against it; the lane
+// drops back to its base label before handing results back.
 func (s *Server) runBatch(ln *lane, batch []*pending) {
 	for _, p := range batch {
-		ln.ring.Submit(
-			kernel.RingEntry{Op: kernel.OpGateEnter, Seg: p.sess.gate, Gate: &kernel.GateRequest{
-				Label:     p.sess.reqLabel,
-				Clearance: ln.clr,
-				Verify:    ln.base,
-				Args:      []byte(p.path),
-			}},
-			kernel.RingEntry{Op: kernel.OpSegmentRead, Seg: p.sess.reply, Len: replySegSize, Chain: true},
-		)
-	}
-	comps, err := ln.ring.Wait(0)
-	// Shed the last session's categories before anyone consumes results.
-	_ = ln.tc.SelfSetLabel(ln.base)
-	for i, p := range batch {
+		val, err := ln.tc.GateEnter(p.sess.gate, kernel.GateRequest{
+			Label:     p.sess.reqLabel,
+			Clearance: ln.clr,
+			Verify:    ln.base,
+			Args:      []byte(p.path),
+		})
 		switch {
 		case err != nil:
 			p.err = err
-		case comps[2*i].Err != nil:
-			p.err = comps[2*i].Err
-		case len(comps[2*i].Val) > 0:
-			p.err = errors.New("webd: " + string(comps[2*i].Val))
-		case comps[2*i+1].Err != nil:
-			p.err = comps[2*i+1].Err
+		case len(val) > 0:
+			p.err = errors.New("webd: " + string(val))
 		default:
-			p.body, p.err = decodeReply(comps[2*i+1].Val)
+			var frame []byte
+			if frame, p.err = ln.tc.SegmentRead(p.sess.reply, 0, replySegSize); p.err == nil {
+				p.body, p.err = decodeReply(frame)
+			}
 		}
+	}
+	// Shed the last session's categories before anyone consumes results.
+	_ = ln.tc.SelfSetLabel(ln.base)
+	for _, p := range batch {
 		close(p.done)
 	}
 }
