@@ -49,10 +49,12 @@
 // ones that pushed are committed as one pre-formed SyncObjects group, which
 // the group committer turns into dense log batches: ⌈N/128⌉ flushes for N
 // syncs instead of N.  The Unix library's multi-file writev/fsync fan-out
-// (Process.PwritevFsync, Process.FsyncMany) is built on it, and webd's
-// lanes call GateEnter and SegmentRead directly.  What is left of the
-// syscall ring (kernel.Ring) queues segment and stat calls and makes each
-// as its direct call; it stays only for the benchmark's ring rows.
+// (Process.PwritevFsync, Process.FsyncMany) is built on it.  A web request
+// runs on its caller's goroutine: it takes one of webd's pooled lane
+// threads, makes one GateEnter and one SegmentRead of the reply, and resets
+// the lane's label.  What is left of the syscall ring (kernel.Ring, one
+// file) queues segment and stat calls and makes each as the direct call its
+// op names; it stays only for the benchmark's ring rows.
 //
 // Container snapshots make sandbox creation O(metadata): the kernel
 // captures a container subtree as images — unpublished kernel objects under

@@ -249,20 +249,21 @@ func (tc *ThreadCall) QuotaMove(d ID, o ID, n int64) error {
 // a thread, its label.  Thread labels are mutable, so reading another
 // thread's label additionally requires LT′ᴶ ⊑ LTᴶ.
 func (tc *ThreadCall) ObjectStat(ce CEnt) (Stat, error) {
-	c := sysCall{op: OpObjectStat, ce: ce}
-	err := tc.call(&c)
-	return c.stat, err
-}
-
-// objectStatLocked is ObjectStat's body once the object's lock is held (any
-// mode) and liveness is verified.
-func (k *Kernel) objectStatLocked(ctx *tctx, obj object, st *Stat) error {
+	ctx, err := tc.enter(scObjectStat)
+	if err != nil {
+		return Stat{}, err
+	}
+	obj, ls, err := open[object](tc.k, &ctx, ce, accNone, false)
+	if err != nil {
+		return Stat{}, err
+	}
+	defer ls.unlock()
 	h := obj.hdr()
 	// Thread labels are not immutable; expose them only when LT'ᴶ ⊑ LTᴶ.
 	if h.objType == ObjThread && !label.LeqRaised(h.lbl, ctx.lbl) {
-		return ErrLabel
+		return Stat{}, ErrLabel
 	}
-	*st = Stat{
+	return Stat{
 		ID:         h.id,
 		Type:       h.objType,
 		Label:      h.lbl,
@@ -272,8 +273,7 @@ func (k *Kernel) objectStatLocked(ctx *tctx, obj object, st *Stat) error {
 		Immutable:  h.immutable,
 		Descrip:    h.descrip,
 		Metadata:   h.metadata,
-	}
-	return nil
+	}, nil
 }
 
 // openHeader is the shared front of the three header-flag calls below: enter,

@@ -52,9 +52,9 @@ func TestGateEnterZeroAlloc(t *testing.T) {
 }
 
 // TestSyscallAllocBudget pins the heap allocations of the hot single-object
-// calls at the values measured before they came to share one open/execOp
-// path, so a helper that starts to allocate (an escaping entry, a boxed
-// completion, a closure) shows up here rather than in web_warm or unix_build.
+// calls, each an enter, an open and its body, so a helper that starts to
+// allocate (an escaping entry, a boxed completion, a closure) shows up here
+// rather than in web_warm or unix_build.
 // A create allocates only its segment struct: ids are computed in place and a
 // fresh segment's bytes are a share of zeros.
 func TestSyscallAllocBudget(t *testing.T) {

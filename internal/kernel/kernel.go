@@ -40,9 +40,10 @@
 //     mutation — and container membership and object liveness are
 //     re-verified under those locks before any mutation.  open (resolve,
 //     lockOrdered, verifyEntryLive) does this for every single-entry
-//     syscall; publish (live, immutable, charge, insert, link) is the only
-//     way a new object enters the table, run under the lock set of
-//     whichever creator called it.
+//     syscall, each naming its own access rule and running its own body
+//     under the locks it returns; publish (live, immutable, charge, insert,
+//     link) is the only way a new object enters the table, run under the
+//     lock set of whichever creator called it.
 //  4. Shard locks are only ever acquired with either no object locks held
 //     (lookup) or nested inside object locks (insert on create, delete on
 //     deallocate); an object lock is never acquired while a shard lock is
@@ -65,12 +66,13 @@
 //
 // # Syscall ring
 //
-// A Ring (ring.go) queues segment and stat calls and makes each, at Wait, as
-// its direct call: it adds no lock-order edge, no snapshot and no verdict of
-// its own, and stays only for the benchmark's ring rows.  A gate entry is
-// always the one GateEnter call, and fsync the one SyncSegments call
-// (pager.go), which pushes each segment it names under that segment's own
-// open and commits them, with no kernel lock held, as one group.
+// A Ring (ring.go, which nothing else in the package uses) queues segment and
+// stat calls and, at Wait, makes each as the public call its op names: it
+// adds no lock-order edge, no snapshot and no verdict of its own, and stays
+// only for the benchmark's ring rows.  A gate entry is always the one
+// GateEnter call, and fsync the one SyncSegments call (pager.go), which
+// pushes each segment it names under that segment's own open and commits
+// them, with no kernel lock held, as one group.
 //
 // # Container snapshot and clone (golden images)
 //

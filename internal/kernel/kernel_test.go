@@ -334,9 +334,16 @@ func TestSegmentLabelEnforcement(t *testing.T) {
 	if _, err := tc2.SegmentRead(secretCE, 0, 4); !errors.Is(err, ErrLabel) {
 		t.Errorf("read secret: err=%v, want ErrLabel", err)
 	}
-	// Nor write the protected segment.
+	// Nor learn its length, which a write can change.
+	if _, err := tc2.SegmentLen(secretCE); !errors.Is(err, ErrLabel) {
+		t.Errorf("length of secret: err=%v, want ErrLabel", err)
+	}
+	// Nor write or resize the protected segment.
 	if err := tc2.SegmentWrite(protectedCE, 0, []byte("x")); !errors.Is(err, ErrLabel) {
 		t.Errorf("write protected: err=%v, want ErrLabel", err)
+	}
+	if err := tc2.SegmentResize(protectedCE, 0); !errors.Is(err, ErrLabel) {
+		t.Errorf("resize protected: err=%v, want ErrLabel", err)
 	}
 	// But it can read the protected segment (c0 only restricts writes).
 	if _, err := tc2.SegmentRead(protectedCE, 0, 4); err != nil {

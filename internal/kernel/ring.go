@@ -3,7 +3,7 @@ package kernel
 import "sync/atomic"
 
 // Ring is a per-thread queue of segment and stat calls: Submit queues
-// entries, and Wait makes each one as its direct call (tc.call), in
+// entries, and Wait makes each one as the direct call its op names, in
 // submission order, returning one completion per entry.  A batch is a
 // sequence of direct calls by construction — each entry enters the kernel,
 // is checked against the thread's label as it is then, and records its own
@@ -83,14 +83,31 @@ func (r *Ring) Wait(minComplete int) ([]RingCompletion, error) {
 		r.comps = make([]RingCompletion, len(entries))
 	}
 	comps := r.comps[:len(entries)]
+	tc := r.tc
 	for i, e := range entries {
-		c := sysCall{op: e.Op, ce: e.Seg, off: e.Off, size: e.Len, data: e.Data}
-		err := r.tc.call(&c)
-		comps[i] = RingCompletion{Index: i, Val: c.val, N: c.n, Stat: c.stat, Err: err}
+		c := RingCompletion{Index: i}
+		switch e.Op {
+		case OpSegmentRead:
+			c.Val, c.Err = tc.SegmentRead(e.Seg, e.Off, e.Len)
+			c.N = len(c.Val)
+		case OpSegmentWrite:
+			if c.Err = tc.SegmentWrite(e.Seg, e.Off, e.Data); c.Err == nil {
+				c.N = len(e.Data)
+			}
+		case OpSegmentResize:
+			c.Err = tc.SegmentResize(e.Seg, e.Len)
+		case OpSegmentLen:
+			c.N, c.Err = tc.SegmentLen(e.Seg)
+		case OpObjectStat:
+			c.Stat, c.Err = tc.ObjectStat(e.Seg)
+		default:
+			c.Err = ErrInvalid
+		}
+		comps[i] = c
 	}
 	r.comps, r.pending = comps, entries[:0] // recycle both buffers
 
-	k := r.tc.k
+	k := tc.k
 	k.ring.waits.Add(1)
 	k.ring.entries.Add(uint64(len(entries)))
 	return comps, nil

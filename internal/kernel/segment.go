@@ -258,125 +258,64 @@ func (s *segment) compareSwap(k *Kernel, off, old, next uint64) (bool, error) {
 }
 
 // ---------------------------------------------------------------------------
-// The single-entry calls: segment read, write, resize and length, and object
-// stat.  Each method below fills in one sysCall and makes it through call,
-// which opens the target and hands it to execOp, the only statement of these
-// calls' label rules and bodies.  (A Ring's Wait makes the same call per
-// entry.)
+// The single-segment calls.  Each one opens its segment through openSegment
+// under the label rule its access needs — observe for the two reads, modify
+// for the rest — and runs its body from the section above under that lock.
 // ---------------------------------------------------------------------------
 
-// sysCall is one single-entry call: what its method passes in, and what
-// execOp hands back.
-type sysCall struct {
-	op        RingOp
-	ce        CEnt
-	off, size int
-	data      []byte
-
-	val  []byte // OpSegmentRead
-	n    int    // bytes read or written, or the segment's length
-	stat Stat   // OpObjectStat
-}
-
-// scFor maps an op to the per-syscall counter it records.
-func scFor(op RingOp) syscallID {
-	switch op {
-	case OpSegmentRead:
-		return scSegmentRead
-	case OpSegmentWrite:
-		return scSegmentWrite
-	case OpSegmentResize:
-		return scSegmentResize
-	case OpSegmentLen:
-		return scSegmentLen
-	default:
-		return scObjectStat
-	}
-}
-
-// opWrites reports whether the op mutates its target (and so needs the
-// object's write lock).
-func opWrites(op RingOp) bool {
-	return op == OpSegmentWrite || op == OpSegmentResize
-}
-
-// execOp executes one call against its opened target (locked in the mode
-// opWrites asks for, link and liveness verified), filling in its results.
-// The label rule is applied here against the segment's immutable label:
-// observe for the two reads, modify for the two writes; stat checks only
-// what objectStatLocked does.
-func (k *Kernel) execOp(ctx *tctx, obj object, c *sysCall) (err error) {
-	if c.op == OpObjectStat {
-		return k.objectStatLocked(ctx, obj, &c.stat)
-	}
-	seg, ok := obj.(*segment)
-	if !ok {
-		return ErrWrongType
-	}
-	if opWrites(c.op) && !ctx.lbl.Leq(seg.lbl) || !label.CanObserve(ctx.lbl, seg.lbl) {
-		return ErrLabel
-	}
-	switch c.op {
-	case OpSegmentRead:
-		c.val, err = seg.read(k, c.off, c.size)
-		c.n = len(c.val)
-	case OpSegmentLen:
-		if err = seg.fault(k); err == nil {
-			c.n = len(seg.data)
-		}
-	case OpSegmentWrite:
-		if err = seg.write(k, c.off, c.data); err == nil {
-			c.n = len(c.data)
-		}
-	case OpSegmentResize:
-		err = seg.reshape(k, c.size, 0, 0)
-	default:
-		err = ErrInvalid
-	}
-	return err
-}
-
-// call makes one single-entry call as a direct system call.  The call is
-// the caller's local, passed by pointer so that a call moves nothing.
-func (tc *ThreadCall) call(c *sysCall) error {
-	ctx, err := tc.enter(scFor(c.op))
+// openSegment enters call sc and opens the segment ce names under acc,
+// locked for writing when acc is accModify.
+func (tc *ThreadCall) openSegment(sc syscallID, ce CEnt, acc access) (*segment, lockSet, error) {
+	ctx, err := tc.enter(sc)
 	if err != nil {
-		return err
+		return nil, lockSet{}, err
 	}
-	obj, ls, err := open[object](tc.k, &ctx, c.ce, accNone, opWrites(c.op))
-	if err != nil {
-		return err
-	}
-	defer ls.unlock()
-	return tc.k.execOp(&ctx, obj, c)
+	return open[*segment](tc.k, &ctx, ce, acc, acc == accModify)
 }
 
 // SegmentRead reads n bytes at offset off from the segment named by ce.
 func (tc *ThreadCall) SegmentRead(ce CEnt, off, n int) ([]byte, error) {
-	c := sysCall{op: OpSegmentRead, ce: ce, off: off, size: n}
-	err := tc.call(&c)
-	return c.val, err
+	seg, ls, err := tc.openSegment(scSegmentRead, ce, accObserve)
+	if err != nil {
+		return nil, err
+	}
+	defer ls.unlock()
+	return seg.read(tc.k, off, n)
 }
 
 // SegmentWrite writes data at offset off in the segment named by ce,
 // extending the segment if necessary (subject to its quota).
 func (tc *ThreadCall) SegmentWrite(ce CEnt, off int, data []byte) error {
-	c := sysCall{op: OpSegmentWrite, ce: ce, off: off, data: data}
-	return tc.call(&c)
+	seg, ls, err := tc.openSegment(scSegmentWrite, ce, accModify)
+	if err != nil {
+		return err
+	}
+	defer ls.unlock()
+	return seg.write(tc.k, off, data)
 }
 
 // SegmentResize sets the segment's length to n bytes.  A file's length is
 // defined to be its segment's length (Section 5.1).
 func (tc *ThreadCall) SegmentResize(ce CEnt, n int) error {
-	c := sysCall{op: OpSegmentResize, ce: ce, size: n}
-	return tc.call(&c)
+	seg, ls, err := tc.openSegment(scSegmentResize, ce, accModify)
+	if err != nil {
+		return err
+	}
+	defer ls.unlock()
+	return seg.reshape(tc.k, n, 0, 0)
 }
 
 // SegmentLen returns the length of the segment named by ce.
 func (tc *ThreadCall) SegmentLen(ce CEnt) (int, error) {
-	c := sysCall{op: OpSegmentLen, ce: ce}
-	err := tc.call(&c)
-	return c.n, err
+	seg, ls, err := tc.openSegment(scSegmentLen, ce, accObserve)
+	if err != nil {
+		return 0, err
+	}
+	defer ls.unlock()
+	if err := seg.fault(tc.k); err != nil {
+		return 0, err
+	}
+	return len(seg.data), nil
 }
 
 // SegmentCompareSwap atomically replaces the 8-byte word at offset off with
@@ -386,11 +325,7 @@ func (tc *ThreadCall) SegmentLen(ce CEnt) (int, error) {
 // library builds its directory and pipe mutexes on it together with the
 // futex.
 func (tc *ThreadCall) SegmentCompareSwap(ce CEnt, off uint64, old, next uint64) (bool, error) {
-	ctx, err := tc.enter(scSegmentCAS)
-	if err != nil {
-		return false, err
-	}
-	seg, ls, err := open[*segment](tc.k, &ctx, ce, accModify, true)
+	seg, ls, err := tc.openSegment(scSegmentCAS, ce, accModify)
 	if err != nil {
 		return false, err
 	}

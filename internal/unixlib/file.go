@@ -132,6 +132,16 @@ func (fd *FD) file() (kernel.CEnt, error) {
 	return fd.File, nil
 }
 
+// syncTarget returns what fsync of a descriptor syncs: its file segment, or
+// for a directory the zero CEnt, which syncFiles turns into a checkpoint.  A
+// pipe or socket has nothing to make durable, as in fsync(2).
+func (fd *FD) syncTarget() (kernel.CEnt, error) {
+	if fd.Pipe != nil || fd.Socket != nil {
+		return kernel.CEnt{}, ErrInvalid
+	}
+	return fd.File, nil
+}
+
 // readAt is the one body that reads a file's bytes: up to n bytes at off.
 // The kernel pages the whole segment in first (Section 7.1), and a home
 // extent the store finds damaged comes back as ErrIO.
@@ -504,7 +514,11 @@ func (p *Process) Fsync(num int) error {
 	if err != nil {
 		return err
 	}
-	return p.syncFiles(fd.File)
+	target, err := fd.syncTarget()
+	if err != nil {
+		return err
+	}
+	return p.syncFiles(target)
 }
 
 // FsyncPath is Fsync by path.

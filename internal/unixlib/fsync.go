@@ -85,13 +85,17 @@ func (p *Process) FsyncMany(nums []int) error {
 	var firstErr error
 	for _, num := range nums {
 		fd, err := p.getFD(num)
+		var target kernel.CEnt
+		if err == nil {
+			target, err = fd.syncTarget()
+		}
 		if err != nil {
 			if firstErr == nil {
 				firstErr = err
 			}
 			continue
 		}
-		targets = append(targets, fd.File)
+		targets = append(targets, target)
 	}
 	if err := p.syncFiles(targets...); err != nil && firstErr == nil {
 		firstErr = err

@@ -2,6 +2,7 @@ package unixlib
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"testing"
 
@@ -150,5 +151,58 @@ func TestFsyncManyGroupCommits(t *testing.T) {
 		if err != nil || !bytes.Equal(got, []byte(fmt.Sprintf("payload %d", i))) {
 			t.Errorf("store contents of file %d = (%q, %v)", i, got, err)
 		}
+	}
+}
+
+// TestFsyncOfAPipeSyncsNothing: a pipe end has no file segment, so Fsync and
+// FsyncMany refuse it with ErrInvalid and checkpoint nothing — its zero
+// File must not read as a directory's descriptor — while a directory's
+// descriptor still checkpoints and a file beside a pipe end is still synced.
+func TestFsyncOfAPipeSyncsNothing(t *testing.T) {
+	sys, st := bootSysGroup(t)
+	p, err := sys.NewInitProcess("root")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, w, err := p.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	file, err := p.Create("/tmp/beside-a-pipe", label.Label{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Write(file, []byte("kept")); err != nil {
+		t.Fatal(err)
+	}
+	ckpts := st.Stats().Checkpoints
+	for _, fd := range []int{r, w} {
+		if err := p.Fsync(fd); !errors.Is(err, ErrInvalid) {
+			t.Errorf("Fsync(pipe end %d) = %v, want ErrInvalid", fd, err)
+		}
+	}
+	if err := p.FsyncMany([]int{r, file, w}); !errors.Is(err, ErrInvalid) {
+		t.Errorf("FsyncMany(pipe ends and a file) = %v, want ErrInvalid", err)
+	}
+	if got := st.Stats().Checkpoints - ckpts; got != 0 {
+		t.Errorf("fsync of pipe ends ran %d checkpoints, want 0", got)
+	}
+	f, err := p.getFD(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := st.Get(uint64(f.File.Object)); err != nil || string(got) != "kept" {
+		t.Errorf("store contents of the file synced beside the pipe = (%q, %v), want kept", got, err)
+	}
+
+	dir, err := p.Open("/tmp", ORead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Fsync(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Stats().Checkpoints - ckpts; got != 1 {
+		t.Errorf("fsync of a directory ran %d checkpoints, want 1", got)
 	}
 }

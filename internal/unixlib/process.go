@@ -306,7 +306,7 @@ func (p *Process) build(creator *kernel.ThreadCall, taint []label.Pair) error {
 // NewThread creates an additional thread in the process, sharing its address
 // space and starting with the process's current label and clearance.  This is
 // how a multi-threaded daemon — the webd demultiplexer's lanes, Section 6.4 —
-// gets per-lane syscall contexts (each with its own ring) without new
+// gets per-lane syscall contexts, each with a label of its own, without new
 // processes.  The caller drives the returned ThreadCall from its own
 // goroutine; the thread is not scheduled independently in this simulation.
 func (p *Process) NewThread(descrip string) (*kernel.ThreadCall, error) {

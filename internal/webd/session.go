@@ -19,11 +19,11 @@ import (
 // that, requests reach the worker through its serve gate and the only
 // per-request authentication work is re-checking the presented credential.
 //
-// Locking: a client goroutine holds mu from acquire until its request's
-// completion arrives from the lane, so at most one request per session is in
-// flight and lane goroutines never lock sessions.  lastUsed is atomic so the
-// cache can sweep for idleness without touching mu.  elem is guarded by the
-// cache lock, dead by mu.
+// Locking: a client goroutine holds mu from acquire to release, across the
+// lane it takes and the gate entry and reply read it makes on it, so at most
+// one request per session is in flight.  lastUsed is atomic so the cache can
+// sweep for idleness without touching mu.  elem is guarded by the cache
+// lock, dead by mu.
 type session struct {
 	user   string
 	worker *unixlib.Process
@@ -362,9 +362,9 @@ func (c *sessionCache) stats() SessionStats {
 // byte][payload].  Status 0 is success, 1 an application error (payload is
 // the error text).  A frame is at most replySegSize bytes.  The segment starts
 // empty and each reply is written at offset 0, so it is as long as the longest
-// reply yet; lanes read it with one chained OpSegmentRead of up to
-// replySegSize bytes, which copies that length, and decodeReply keeps the
-// header's count of them.
+// reply yet; a lane reads it with one SegmentRead of up to replySegSize
+// bytes, which copies that length, and decodeReply keeps the header's count
+// of them.
 const (
 	replySegSize    = 4096
 	replyHeaderSize = 5

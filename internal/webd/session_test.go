@@ -139,8 +139,8 @@ func TestReplySegmentUnreadableOutsideGate(t *testing.T) {
 }
 
 // TestServeRetriesColdWhenTheGateIsGone: a cached session whose serve gate
-// is unreferenced after its request was acquired and queued, but before the
-// lane enters the gate, still gets its answer: the gate entry's
+// is unreferenced after its request acquired the session, but before it
+// takes a lane and enters the gate, still gets its answer: the gate entry's
 // ErrNoSuchObject removes the stale session, and the retry logs in cold.  The
 // one lane is held in another user's request meanwhile, so the order is
 // fixed, and afterwards every demultiplexer thread is back at its base label.
@@ -177,9 +177,11 @@ func TestServeRetriesColdWhenTheGateIsGone(t *testing.T) {
 		resp, err := srv.Serve(Request{User: "alice", Password: "wonderland", Path: "/profile"})
 		alice <- result{resp, err}
 	}()
-	for deadline := time.Now().Add(10 * time.Second); len(srv.reqCh) == 0; time.Sleep(time.Millisecond) {
+	// Alice has acquired her stale session (its mutex is held) and waits
+	// for the one lane, which bob's request still holds.
+	for deadline := time.Now().Add(10 * time.Second); !aliceWaitsForALane(srv, stale); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("alice's request never reached the queue")
+			t.Fatal("alice's request never reached the lane pool")
 		}
 	}
 	if err := stale.worker.TC.Unref(stale.worker.ProcCt, stale.gate.Object); err != nil {
@@ -220,6 +222,16 @@ func TestServeRetriesColdWhenTheGateIsGone(t *testing.T) {
 	if threads != 2 {
 		t.Errorf("found %d demultiplexer threads, want the launcher and one lane", threads)
 	}
+}
+
+// aliceWaitsForALane reports whether sess's mutex is held while the lane pool
+// is empty.  A TryLock that wins is undone at once.
+func aliceWaitsForALane(srv *Server, sess *session) bool {
+	if sess.mu.TryLock() {
+		sess.mu.Unlock()
+		return false
+	}
+	return len(srv.lanes) == 0
 }
 
 // TestConcurrentCrossUserIsolation hammers the session cache from many

@@ -27,13 +27,13 @@
 //     with the user's secrecy from the moment they exist: nothing that has
 //     not entered the user's gate can observe them.
 //
-//   - The demultiplexer is one process with several lane threads.  Each lane
-//     drains a batch of requests from the server's queue and makes, per
-//     request, one GateEnter (which transfers the lane to the session's
-//     requested label — its own base plus that user's ur⋆/uw⋆) and, if it
-//     succeeded, one SegmentRead of the reply segment, checked against the
-//     post-entry label.  After the batch the lane resets itself to its base
-//     label, so user privileges never outlive the batch and never accumulate
+//   - The demultiplexer is one process with a pool of lane threads.  A
+//     request runs on its caller's goroutine, holding its session: it takes
+//     a lane, makes one GateEnter (which transfers the lane to the session's
+//     requested label — its own base plus that user's ur⋆/uw⋆) and, if that
+//     succeeded, one SegmentRead of the reply, checked against the
+//     post-entry label, then resets the lane to its base label and returns
+//     it, so user privileges never outlive the request and never accumulate
 //     across users: each gate transfer replaces the label outright.
 //
 // The kernel enforces the isolation story — the lane holds exactly one
@@ -66,8 +66,8 @@ type Config struct {
 	// IdleTimeout evicts sessions unused for this long (default 5m; < 0
 	// disables idle eviction).
 	IdleTimeout time.Duration
-	// Lanes is the number of demultiplexer threads, each draining up to
-	// laneBatch requests at a time (default 4).
+	// Lanes is the number of demultiplexer threads, each serving one
+	// request at a time (default 4).
 	Lanes int
 	// Golden, when set, makes the cold-login path spawn the user's sandbox
 	// by cloning this golden image (O(metadata): template categories are
@@ -90,10 +90,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// laneBatch caps how many requests one lane drains from the queue before it
-// serves them and resets its label.
-const laneBatch = 16
-
 // Server is the web service: demultiplexer lanes + session-cached per-user
 // workers.
 type Server struct {
@@ -103,9 +99,7 @@ type Server struct {
 	cfg  Config
 
 	sessions *sessionCache
-	reqCh    chan *pending
-	quit     chan struct{}
-	wg       sync.WaitGroup
+	lanes    chan *lane // the idle demultiplexer threads
 
 	// laneBase is the demux process's base thread label; session request
 	// labels extend it with the user's categories.
@@ -134,8 +128,7 @@ func NewWithConfig(sys *unixlib.System, authSvc *auth.Service, app Handler, cfg 
 		auth:  authSvc,
 		app:   app,
 		cfg:   cfg,
-		reqCh: make(chan *pending, cfg.Lanes*laneBatch),
-		quit:  make(chan struct{}),
+		lanes: make(chan *lane, cfg.Lanes),
 	}
 	s.sessions = newSessionCache(s, cfg.MaxSessions, cfg.IdleTimeout)
 	return s
@@ -148,19 +141,8 @@ type Request struct {
 	Path     string
 }
 
-// pending is one request in flight between a client goroutine and a lane.
-// The client holds its session's mutex from enqueue to completion, so a lane
-// never sees two pendings for one session in a batch.
-type pending struct {
-	sess *session
-	path string
-	done chan struct{}
-	body string
-	err  error
-}
-
 // lane is one demultiplexer thread: its own syscall context and the base
-// label/clearance it returns to between batches.
+// label/clearance it returns to after every request.
 type lane struct {
 	tc   *kernel.ThreadCall
 	base label.Label
@@ -191,9 +173,7 @@ func (s *Server) start() error {
 			}
 			base, _ := tc.SelfLabel()
 			clr, _ := tc.SelfClearance()
-			ln := &lane{tc: tc, base: base, clr: clr}
-			s.wg.Add(1)
-			go s.laneLoop(ln)
+			s.lanes <- &lane{tc: tc, base: base, clr: clr}
 		}
 	})
 	return s.startErr
@@ -201,7 +181,7 @@ func (s *Server) start() error {
 
 // Serve authenticates the request and runs the application handler in the
 // user's worker, returning the response.  The warm path is: verifier
-// check, enqueue to a lane, one gate call, one reply read.
+// check, take a lane, one gate call, one reply read, one label reset.
 func (s *Server) Serve(req Request) (string, error) {
 	if err := s.start(); err != nil {
 		return "", err
@@ -211,78 +191,49 @@ func (s *Server) Serve(req Request) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		p := &pending{sess: sess, path: req.Path, done: make(chan struct{})}
-		s.reqCh <- p
-		<-p.done
+		ln := <-s.lanes
+		body, err := ln.serve(sess, req.Path)
+		s.lanes <- ln
 		s.sessions.release(sess)
-		if p.err != nil {
+		if err != nil {
 			// A torn-down session (its gate or reply segment gone before
 			// the lane reached it) surfaces as ErrNoSuchObject from the
 			// gate entry or the reply read; retry cold.
-			if errors.Is(p.err, kernel.ErrNoSuchObject) {
+			if errors.Is(err, kernel.ErrNoSuchObject) {
 				s.sessions.remove(sess)
 				continue
 			}
-			return "", p.err
+			return "", err
 		}
-		return "HTTP/1.0 200 OK\r\n\r\n" + p.body, nil
+		return "HTTP/1.0 200 OK\r\n\r\n" + body, nil
 	}
 	return "", errors.New("webd: session kept disappearing")
 }
 
-// laneLoop drains batches of up to laneBatch pendings and serves each batch.
-func (s *Server) laneLoop(ln *lane) {
-	defer s.wg.Done()
-	batch := make([]*pending, 0, laneBatch)
-	for {
-		select {
-		case <-s.quit:
-			return
-		case p := <-s.reqCh:
-			batch = append(batch[:0], p)
-			for len(batch) < laneBatch {
-				select {
-				case q := <-s.reqCh:
-					batch = append(batch, q)
-				default:
-					goto full
-				}
-			}
-		full:
-			s.runBatch(ln, batch)
+// serve makes one request on the lane: one gate entry, which replaces the
+// lane's label with the session's requested label, and, if that succeeded,
+// one read of the reply, checked against that label.  The lane drops back to
+// its base label before it returns, so it holds one user's categories for
+// one request and never carries them into the next.
+func (ln *lane) serve(sess *session, path string) (body string, err error) {
+	val, err := ln.tc.GateEnter(sess.gate, kernel.GateRequest{
+		Label:     sess.reqLabel,
+		Clearance: ln.clr,
+		Verify:    ln.base,
+		Args:      []byte(path),
+	})
+	switch {
+	case err != nil:
+	case len(val) > 0:
+		err = errors.New("webd: " + string(val))
+	default:
+		var frame []byte
+		if frame, err = ln.tc.SegmentRead(sess.reply, 0, replySegSize); err == nil {
+			body, err = decodeReply(frame)
 		}
 	}
-}
-
-// runBatch serves each pending with one gate entry and, if that succeeded,
-// one read of the reply.  Each gate entry replaces the lane's label with that
-// session's requested label, and the read is checked against it; the lane
-// drops back to its base label before handing results back.
-func (s *Server) runBatch(ln *lane, batch []*pending) {
-	for _, p := range batch {
-		val, err := ln.tc.GateEnter(p.sess.gate, kernel.GateRequest{
-			Label:     p.sess.reqLabel,
-			Clearance: ln.clr,
-			Verify:    ln.base,
-			Args:      []byte(p.path),
-		})
-		switch {
-		case err != nil:
-			p.err = err
-		case len(val) > 0:
-			p.err = errors.New("webd: " + string(val))
-		default:
-			var frame []byte
-			if frame, p.err = ln.tc.SegmentRead(p.sess.reply, 0, replySegSize); p.err == nil {
-				p.body, p.err = decodeReply(frame)
-			}
-		}
-	}
-	// Shed the last session's categories before anyone consumes results.
 	_ = ln.tc.SelfSetLabel(ln.base)
-	for _, p := range batch {
-		close(p.done)
-	}
+	return body, err
 }
 
 // Logout invalidates the user's cached session, reporting whether one
@@ -296,11 +247,9 @@ func (s *Server) SessionStats() SessionStats {
 	return s.sessions.stats()
 }
 
-// Close stops the lanes and tears down every cached session and the
-// demultiplexer process.  In-flight Serve calls must have drained first.
+// Close tears down every cached session and the demultiplexer process.
+// In-flight Serve calls must have drained first.
 func (s *Server) Close() {
-	close(s.quit)
-	s.wg.Wait()
 	s.sessions.close()
 	if s.demux != nil {
 		s.demux.ExitQuietly()
