@@ -3,8 +3,7 @@ package histar
 // The benchmark harness regenerates the paper's evaluation (Section 7):
 // every row of Figure 12 (microbenchmarks) and Figure 13 (application
 // benchmarks) has a benchmark here, for HiStar and — where the paper
-// compares — for the Linux-like baseline model, plus ablation benchmarks for
-// the design choices called out in DESIGN.md.  Disk- and network-bound rows
+// compares — for the Linux-like baseline model.  Disk- and network-bound rows
 // report *simulated* time (the latency model of internal/disk and
 // internal/netsim) via the sim-ms metric; CPU-bound rows report ordinary
 // wall-clock ns/op.  EXPERIMENTS.md records paper-vs-measured values.
@@ -631,19 +630,16 @@ func BenchmarkFig13_Wget100MB_HiStar(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := sock.AttachFastPath(); err != nil {
-			b.Fatal(err)
-		}
 		if err := sock.Send([]byte("GET /100mb")); err != nil {
 			b.Fatal(err)
 		}
 		got := 0
 		for got < fileSize {
-			chunk, err := sock.RecvFast()
+			chunk, err := sock.Recv(256 * 1024)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if chunk == nil {
+			if len(chunk) == 0 {
 				break
 			}
 			got += len(chunk)
@@ -983,57 +979,3 @@ func ringBenchEntry(m int64, hotCE, ownCE kernel.CEnt) kernel.RingEntry {
 // BenchmarkSyscallRingSerial is the identical workload as a per-call loop.
 func BenchmarkSyscallRing(b *testing.B)       { benchSyscallRing(b, true) }
 func BenchmarkSyscallRingSerial(b *testing.B) { benchSyscallRing(b, false) }
-
-// ---------------------------------------------------------------------------
-// Ablations (DESIGN.md Section 5).
-// ---------------------------------------------------------------------------
-
-// BenchmarkAblation_NetdFastpath compares the gate-call receive path against
-// the shared-memory/futex fast path (the Section 5.7 optimization).
-func ablationNetd(b *testing.B, fast bool) {
-	rig := newHiStarRig(b, false)
-	d, err := netd.New(rig.sys, netd.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	const respSize = 1 << 20
-	payload := make([]byte, respSize)
-	d.RegisterRemote("srv:80", func([]byte) []byte { return payload })
-	client := rig.p
-	b.SetBytes(respSize)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sock, err := netd.Dial(d, client, "srv:80")
-		if err != nil {
-			b.Fatal(err)
-		}
-		if fast {
-			if err := sock.AttachFastPath(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := sock.Send([]byte("go")); err != nil {
-			b.Fatal(err)
-		}
-		got := 0
-		for got < respSize {
-			var chunk []byte
-			if fast {
-				chunk, err = sock.RecvFast()
-			} else {
-				chunk, err = sock.Recv(64 * 1024)
-			}
-			if err != nil {
-				b.Fatal(err)
-			}
-			if chunk == nil {
-				break
-			}
-			got += len(chunk)
-		}
-		sock.Close()
-	}
-}
-
-func BenchmarkAblation_NetdFastpath_GateCalls(b *testing.B)    { ablationNetd(b, false) }
-func BenchmarkAblation_NetdFastpath_SharedMemory(b *testing.B) { ablationNetd(b, true) }

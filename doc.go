@@ -84,11 +84,10 @@
 //
 // The user-level Unix library (internal/unixlib) carries no big locks
 // either: program and user tables are read-mostly RWMutexes, PIDs are
-// atomic, directory-segment bindings come from a sharded cache, mount
-// tables are self-synchronizing, and each file descriptor owns a seek lock
-// shared across the processes that share the descriptor segment — so
-// multi-process workloads actually exploit the concurrent kernel and store
-// beneath them.  A descriptor exists to be shared, so the whole-file calls
+// atomic, directory-segment bindings come from a sharded cache, and each
+// file descriptor owns a seek lock shared across the processes that share
+// the descriptor segment — so multi-process workloads actually exploit the
+// concurrent kernel and store beneath them.  A descriptor exists to be shared, so the whole-file calls
 // (ReadFile, WriteFile, FsyncPath) open none: they resolve the path and act
 // on the file segment, where the kernel checks its label.  Process creation
 // is history-independent: whoever builds a process (a parent, the bootstrap

@@ -173,19 +173,6 @@ func (s *Service) Register(username, password string) (*unixlib.User, error) {
 	return u, nil
 }
 
-// Lookup is the directory service: it maps a username to the container entry
-// of that user's setup gate.  The directory is controlled by the
-// administrator but trusted only to resolve names.
-func (s *Service) Lookup(username string) (kernel.CEnt, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	svc, ok := s.users[username]
-	if !ok {
-		return kernel.CEnt{}, ErrNoSuchUser
-	}
-	return svc.setup, nil
-}
-
 // sessionState carries the per-login objects created by the setup gate
 // (Figure 10): the session category x, the retry-count segment, and the
 // check and grant gates.

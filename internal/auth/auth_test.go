@@ -104,9 +104,6 @@ func TestUnknownUser(t *testing.T) {
 	if err := svc.Login(client, "nobody", "x"); !errors.Is(err, ErrNoSuchUser) {
 		t.Errorf("unknown user: %v", err)
 	}
-	if _, err := svc.Lookup("nobody"); !errors.Is(err, ErrNoSuchUser) {
-		t.Errorf("lookup unknown: %v", err)
-	}
 }
 
 func TestCompromisedServiceLearnsOnlyHash(t *testing.T) {

@@ -188,8 +188,8 @@ func decodeArchive(data []byte) ([][]byte, bool) {
 	return members, true
 }
 
-// EncodeArchive builds the helper's archive framing (used by tests and the
-// example workload generator).
+// EncodeArchive builds the helper's archive framing (the tests build the
+// scanner's archive inputs with it).
 func EncodeArchive(members ...[]byte) []byte {
 	out := []byte("HARC")
 	for _, m := range members {

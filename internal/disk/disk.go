@@ -127,9 +127,6 @@ func New(params Params, clock *vclock.Clock) *Disk {
 // Size returns the device capacity in bytes.
 func (d *Disk) Size() int64 { return int64(len(d.data)) }
 
-// Clock returns the simulated clock the disk charges time to.
-func (d *Disk) Clock() *vclock.Clock { return d.clock }
-
 // Stats returns a snapshot of the cumulative statistics.
 func (d *Disk) Stats() Stats {
 	d.mu.Lock()

@@ -63,11 +63,6 @@ type Daemon struct {
 
 	// Gate is the socket service gate.
 	Gate kernel.CEnt
-	// Scratch is a container labeled {taint2, 1} hosted by the daemon, in
-	// which already-tainted clients can allocate shared-memory segments for
-	// the fast path (a tainted thread cannot write its own untainted process
-	// container).
-	Scratch kernel.ID
 
 	mu      sync.Mutex
 	remotes map[string]RemoteHandler
@@ -82,7 +77,6 @@ type Stats struct {
 	Dials, Sends, Recvs  uint64
 	BytesSent, BytesRecv uint64
 	GateCalls            uint64
-	FastpathReads        uint64
 }
 
 type conn struct {
@@ -92,10 +86,6 @@ type conn struct {
 	closed bool
 	eof    bool
 	cond   *sync.Cond
-	// fastSeg, when non-nil, is a shared-memory segment the daemon copies
-	// received data into so the client can read it without a gate call (the
-	// Section 5.7 optimization).
-	fastSeg *kernel.CEnt
 }
 
 // New starts a network daemon on sys.  The daemon allocates the nr/nw/taint
@@ -149,10 +139,9 @@ func New(sys *unixlib.System, opts Options) (*Daemon, error) {
 	// The socket service gate: label {nr⋆, nw⋆, taint2, 1}, so every caller
 	// acquires the stack's taint along with the (temporary) device
 	// privileges — talking to the network at all marks a process as carrying
-	// network-derived information, exactly as in Figure 11.  The gate (and
-	// the scratch container below) are created before the daemon taints
-	// itself: once tainted, the daemon could no longer write its own
-	// untainted process container.
+	// network-derived information, exactly as in Figure 11.  The gate is
+	// created before the daemon taints itself: once tainted, the daemon could
+	// no longer write its own untainted process container.
 	gateLbl := label.New(label.L1,
 		label.P(d.Nr, label.Star), label.P(d.Nw, label.Star), label.P(d.Taint, label.L2))
 	gid, err := tc.GateCreate(proc.ProcCt, kernel.GateSpec{
@@ -166,14 +155,6 @@ func New(sys *unixlib.System, opts Options) (*Daemon, error) {
 	}
 	d.Gate = kernel.CEnt{Container: proc.ProcCt, Object: gid}
 
-	// Scratch container for client-allocated shared segments.
-	scratch, err := tc.ContainerCreate(proc.ProcCt,
-		label.New(label.L1, label.P(d.Taint, label.L2)), "netd scratch", 0, kernel.QuotaInfinite)
-	if err != nil {
-		return nil, err
-	}
-	d.Scratch = scratch
-
 	// Taint the daemon's thread with {taint2} — it handles wire data — while
 	// keeping ownership of nr and nw.
 	lbl, _ := tc.SelfLabel()
@@ -185,10 +166,6 @@ func New(sys *unixlib.System, opts Options) (*Daemon, error) {
 	go d.rxLoop()
 	return d, nil
 }
-
-// Process returns the daemon's process (its container hosts the socket gate
-// and is what gets mounted at /netd).
-func (d *Daemon) Process() *unixlib.Process { return d.proc }
 
 // Stats returns a snapshot of daemon statistics.
 func (d *Daemon) Stats() Stats {
@@ -337,8 +314,6 @@ func (d *Daemon) handleInbound(frame []byte) {
 	}
 	c.cond.Broadcast()
 	c.cond.L.Unlock()
-	// Fast path: mirror received bytes into the shared segment, if any.
-	d.fillFastSegment(c)
 }
 
 // socket gate operations, encoded in the first byte of Args.
@@ -347,7 +322,6 @@ const (
 	opSend
 	opRecv
 	opClose
-	opAttachFast
 )
 
 // socketGateEntry runs on the calling thread, with the gate's nr/nw
@@ -421,7 +395,7 @@ func (d *Daemon) socketGateEntry(call *kernel.GateCallCtx) []byte {
 		c := d.conns[id]
 		d.stats.Recvs++
 		d.mu.Unlock()
-		if c == nil {
+		if c == nil || want < 0 {
 			return []byte{1}
 		}
 		c.cond.L.Lock()
@@ -452,96 +426,7 @@ func (d *Daemon) socketGateEntry(call *kernel.GateCallCtx) []byte {
 		}
 		d.mu.Unlock()
 		return []byte{0}
-	case opAttachFast:
-		// args: connID u32.  The entry code — running with the gate's nw
-		// ownership and taint — allocates the shared segment in the daemon's
-		// scratch container and returns its container entry to the caller.
-		if len(args) < 5 {
-			return []byte{1}
-		}
-		id := binary.LittleEndian.Uint32(args[1:5])
-		d.mu.Lock()
-		c := d.conns[id]
-		d.mu.Unlock()
-		if c == nil {
-			return []byte{1}
-		}
-		// Both netd (refilling) and the client (consuming, clearing the
-		// count word) write the segment, so it carries only the taint.
-		segLbl := label.New(label.L1, label.P(d.Taint, label.L2))
-		segID, err := call.TC.SegmentCreate(d.Scratch, segLbl, "netd fastpath", fastDataOff+fastDataMax)
-		if err != nil {
-			return []byte{1}
-		}
-		ce := kernel.CEnt{Container: d.Scratch, Object: segID}
-		c.cond.L.Lock()
-		c.fastSeg = &ce
-		c.cond.L.Unlock()
-		out := make([]byte, 17)
-		binary.LittleEndian.PutUint64(out[1:9], uint64(ce.Container))
-		binary.LittleEndian.PutUint64(out[9:17], uint64(ce.Object))
-		return out
 	default:
 		return []byte{1}
-	}
-}
-
-// fastSegment layout: word 0 = available byte count (futex word), word 1 =
-// EOF flag, data from offset 16.  The daemon refills it whenever it is empty
-// and data is pending.
-const (
-	fastCountOff = 0
-	fastEOFOff   = 8
-	fastDataOff  = 16
-	fastDataMax  = 256 * 1024
-)
-
-// fillFastSegment copies pending receive data into the connection's shared
-// segment using the daemon's own thread (which owns nw and carries the
-// taint), then wakes the client's futex wait.
-func (d *Daemon) fillFastSegment(c *conn) {
-	c.cond.L.Lock()
-	seg := c.fastSeg
-	if seg == nil {
-		c.cond.L.Unlock()
-		return
-	}
-	tc := d.proc.TC
-	countBuf, err := tc.SegmentRead(*seg, fastCountOff, 8)
-	if err != nil || binary.LittleEndian.Uint64(countBuf) != 0 {
-		c.cond.L.Unlock()
-		return
-	}
-	n := len(c.rxBuf)
-	if n > fastDataMax {
-		n = fastDataMax
-	}
-	if n > 0 {
-		if err := tc.SegmentWrite(*seg, fastDataOff, c.rxBuf[:n]); err != nil {
-			c.cond.L.Unlock()
-			return
-		}
-		c.rxBuf = c.rxBuf[n:]
-	}
-	if c.eof && len(c.rxBuf) == 0 {
-		var one [8]byte
-		binary.LittleEndian.PutUint64(one[:], 1)
-		_ = tc.SegmentWrite(*seg, fastEOFOff, one[:])
-	}
-	var cnt [8]byte
-	binary.LittleEndian.PutUint64(cnt[:], uint64(n))
-	_ = tc.SegmentWrite(*seg, fastCountOff, cnt[:])
-	c.cond.L.Unlock()
-	_, _ = tc.FutexWake(*seg, fastCountOff, 4)
-}
-
-// drainToFast is called by the client (via Socket.RecvFast) when the shared
-// segment is empty but connection data is pending.
-func (d *Daemon) drainToFast(id uint32) {
-	d.mu.Lock()
-	c := d.conns[id]
-	d.mu.Unlock()
-	if c != nil {
-		d.fillFastSegment(c)
 	}
 }

@@ -1,7 +1,6 @@
 package netd
 
 import (
-	"bytes"
 	"testing"
 
 	"histar/internal/kernel"
@@ -105,38 +104,35 @@ func TestTaintedProcessCannotTransmit(t *testing.T) {
 	}
 }
 
-func TestFastPathDeliversSameBytes(t *testing.T) {
+func TestRecvRejectsNegativeLength(t *testing.T) {
+	// The receive length is caller-supplied gate arguments: a hostile one
+	// gets the error reply, and the daemon goes on serving the connection.
 	sys, d := bootNet(t)
-	payload := bytes.Repeat([]byte("fastpath-data-"), 1000)
-	d.RegisterRemote("bulk:80", func(req []byte) []byte { return payload })
+	d.RegisterRemote("echo:7", func(req []byte) []byte { return req })
 	client, _ := sys.NewInitProcess("alice")
-	sock, err := Dial(d, client, "bulk:80")
+	sock, err := Dial(d, client, "echo:7")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sock.AttachFastPath(); err != nil {
+	if err := sock.Send([]byte("ping")); err != nil {
 		t.Fatal(err)
 	}
-	if err := sock.Send([]byte("get")); err != nil {
-		t.Fatal(err)
+	if _, err := sock.Recv(-1); err == nil {
+		t.Error("Recv(-1) succeeded, want the error reply")
 	}
 	var got []byte
-	for {
-		chunk, err := sock.RecvFast()
+	for len(got) < len("ping") {
+		chunk, err := sock.Recv(4096)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if chunk == nil {
+		if len(chunk) == 0 {
 			break
 		}
 		got = append(got, chunk...)
 	}
-	if !bytes.Equal(got, payload) {
-		t.Errorf("fast path delivered %d bytes, want %d", len(got), len(payload))
-	}
-	st := d.Stats()
-	if st.FastpathReads == 0 {
-		t.Error("fast path reads not counted")
+	if string(got) != "ping" {
+		t.Errorf("received %q after the refused Recv, want %q", got, "ping")
 	}
 }
 

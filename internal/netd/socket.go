@@ -20,9 +20,6 @@ type Socket struct {
 	d    *Daemon
 	id   uint32
 	proc *unixlib.Process
-
-	// fast is the shared receive segment when the fast path is attached.
-	fast *kernel.CEnt
 }
 
 // gateCall enters the daemon's socket gate with the conventional labels and
@@ -132,85 +129,4 @@ func (s *Socket) Close() error {
 	binary.LittleEndian.PutUint32(args[1:5], s.id)
 	_, err := gateCall(s.d, s.proc, args)
 	return err
-}
-
-// AttachFastPath sets up a shared-memory receive segment between the client
-// and netd (the Section 5.7 optimization): subsequent RecvFast calls read
-// directly from the segment and synchronize with futexes, avoiding the
-// overhead of a gate call per read.  The segment is allocated by the gate
-// entry (which holds the nw ownership needed to label it {nw0, taint2, 1})
-// in the daemon's scratch container.
-func (s *Socket) AttachFastPath() error {
-	args := make([]byte, 5)
-	args[0] = opAttachFast
-	binary.LittleEndian.PutUint32(args[1:5], s.id)
-	out, err := gateCall(s.d, s.proc, args)
-	if err != nil {
-		return err
-	}
-	if len(out) < 16 {
-		return ErrBadReply
-	}
-	ce := kernel.CEnt{
-		Container: kernel.ID(binary.LittleEndian.Uint64(out[:8])),
-		Object:    kernel.ID(binary.LittleEndian.Uint64(out[8:16])),
-	}
-	s.fast = &ce
-	return nil
-}
-
-// RecvFast reads response data through the shared segment.  The caller must
-// have attached the fast path and must be able to read the segment (it is
-// tainted with the stack's taint category, so reading taints the caller just
-// as a gate-call receive would).
-func (s *Socket) RecvFast() ([]byte, error) {
-	if s.fast == nil {
-		return nil, ErrBadReply
-	}
-	tc := s.proc.TC
-	// Reading the shared segment requires (and applies) the stack's taint;
-	// the kernel would refuse the read otherwise.
-	if err := ensureTaint(s.d, s.proc); err != nil {
-		return nil, err
-	}
-	for {
-		cntBuf, err := tc.SegmentRead(*s.fast, fastCountOff, 16)
-		if err != nil {
-			return nil, err
-		}
-		cnt := binary.LittleEndian.Uint64(cntBuf[:8])
-		eof := binary.LittleEndian.Uint64(cntBuf[8:16])
-		if cnt > 0 {
-			data, err := tc.SegmentRead(*s.fast, fastDataOff, int(cnt))
-			if err != nil {
-				return nil, err
-			}
-			var zero [8]byte
-			if err := tc.SegmentWrite(*s.fast, fastCountOff, zero[:]); err != nil {
-				return nil, err
-			}
-			s.d.mu.Lock()
-			s.d.stats.FastpathReads++
-			s.d.mu.Unlock()
-			// Ask the daemon to refill if more data is pending.
-			s.d.drainToFast(s.id)
-			return data, nil
-		}
-		if eof != 0 {
-			return nil, nil
-		}
-		// Nothing available: ask the daemon to refill, then sleep on the
-		// count word.
-		s.d.drainToFast(s.id)
-		cntBuf, err = tc.SegmentRead(*s.fast, fastCountOff, 8)
-		if err != nil {
-			return nil, err
-		}
-		if binary.LittleEndian.Uint64(cntBuf) != 0 {
-			continue
-		}
-		if err := tc.FutexWait(*s.fast, fastCountOff, 0); err != nil {
-			return nil, err
-		}
-	}
 }

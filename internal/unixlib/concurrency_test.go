@@ -245,48 +245,6 @@ func TestSharedDescriptorSeekIsAtomic(t *testing.T) {
 	}
 }
 
-// TestConcurrentMountTables races mount-table mutation in one process with
-// resolution through cloned tables in others.
-func TestConcurrentMountTables(t *testing.T) {
-	sys := bootSys(t)
-	p, err := sys.NewInitProcess("root")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Mkdir("/tmp/target", label.New(label.L1)); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.WriteFile("/tmp/target/inside", []byte("mounted"), label.New(label.L1)); err != nil {
-		t.Fatal(err)
-	}
-	fi, err := p.Stat("/tmp/target")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				prefix := fmt.Sprintf("/mnt%d", w)
-				p.Mounts().Mount(prefix, fi.ID)
-				if got, err := p.ReadFile(prefix + "/inside"); err != nil || string(got) != "mounted" {
-					t.Errorf("worker %d: read through mount: %q, %v", w, got, err)
-					return
-				}
-				clone := p.Mounts().Clone()
-				if _, ok := clone.Lookup(prefix); !ok {
-					t.Errorf("worker %d: clone lost the mount", w)
-					return
-				}
-				p.Mounts().Unmount(prefix)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
 // TestPipePingPongNoLostWakeup bounces a message between two goroutines over
 // a pair of pipes.  Every round trip has each side publish and wake while
 // its peer is between its emptiness check and its futex wait; a pipe that

@@ -38,11 +38,11 @@ func (p *Process) withThreadTaint(l label.Label) label.Label {
 	return l
 }
 
-// lookup resolves path — relative to the working directory, through the
-// mount table — to the directory holding its last component, that
-// component's name and, when the name is bound, its entry.
+// lookup resolves path — relative to the working directory — to the
+// directory holding its last component, that component's name and, when the
+// name is bound, its entry.
 func (p *Process) lookup(path string) (dir kernel.ID, leaf string, entry *DirEntry, err error) {
-	return p.sys.resolve(p.TC, p.sys.RootDir, p.abs(path), p.mounts)
+	return p.sys.resolve(p.TC, p.abs(path))
 }
 
 // existing is lookup for a path that must name something.

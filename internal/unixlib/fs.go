@@ -5,7 +5,6 @@ import (
 	"errors"
 	"path"
 	"strings"
-	"sync"
 
 	"histar/internal/kernel"
 	"histar/internal/label"
@@ -121,17 +120,10 @@ func (sys *System) bindEntry(tc *kernel.ThreadCall, dir kernel.ID, d *dirEdit, e
 
 // resolve walks an absolute or cwd-relative path to its final component.  It
 // returns the containing directory, the final component's name, and — if the
-// path names an existing entry — that entry.  The mounts table, when
-// non-nil, overlays mounted containers on path prefixes (Section 5.1's
-// per-process mount table, in the style of Plan 9).
-func (sys *System) resolve(tc *kernel.ThreadCall, rootDir kernel.ID, path string, mounts *MountTable) (dir kernel.ID, leaf string, entry *DirEntry, err error) {
-	cur, rest := rootDir, cleanPath(path)
-	if mounts != nil && rest != "/" { // longest-prefix mount match
-		if target, remainder, ok := mounts.match(rest); ok {
-			cur, rest = target, remainder
-		}
-	}
-	if rest = strings.Trim(rest, "/"); rest == "" {
+// path names an existing entry — that entry.
+func (sys *System) resolve(tc *kernel.ThreadCall, path string) (dir kernel.ID, leaf string, entry *DirEntry, err error) {
+	cur, rest := sys.RootDir, strings.Trim(cleanPath(path), "/")
+	if rest == "" {
 		return cur, ".", &DirEntry{Name: ".", ID: cur, Type: kernel.ObjContainer}, nil
 	}
 	// cleanPath left no empty or "." component: every part names an entry.
@@ -161,75 +153,6 @@ func cleanPath(p string) string {
 		p = "/" + p
 	}
 	return path.Clean(p)
-}
-
-// MountTable maps path prefixes onto containers, like Plan 9 namespaces: a
-// process may copy and modify its table, for example at user login or to
-// select which network stack /netd refers to (Section 6.3).  Tables are safe
-// for concurrent use: path resolution takes the read lock, so concurrent
-// lookups through a shared table never serialize on each other.
-type MountTable struct {
-	mu      sync.RWMutex
-	entries map[string]kernel.ID
-}
-
-// NewMountTable returns an empty mount table.
-func NewMountTable() *MountTable {
-	return &MountTable{entries: make(map[string]kernel.ID)}
-}
-
-// Clone returns a copy of the table (used across fork).
-func (m *MountTable) Clone() *MountTable {
-	n := NewMountTable()
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	for k, v := range m.entries {
-		n.entries[k] = v
-	}
-	return n
-}
-
-// Mount overlays container id on path prefix.
-func (m *MountTable) Mount(prefix string, id kernel.ID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.entries[cleanPath(prefix)] = id
-}
-
-// Unmount removes an overlay.
-func (m *MountTable) Unmount(prefix string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	delete(m.entries, cleanPath(prefix))
-}
-
-// Lookup returns the container mounted exactly at prefix.
-func (m *MountTable) Lookup(prefix string) (kernel.ID, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	id, ok := m.entries[cleanPath(prefix)]
-	return id, ok
-}
-
-// match finds the longest mount prefix of path and returns the mounted
-// container and the remaining path.
-func (m *MountTable) match(path string) (kernel.ID, string, bool) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	best := ""
-	var bestID kernel.ID
-	for prefix, id := range m.entries {
-		if path == prefix || strings.HasPrefix(path, prefix+"/") {
-			if len(prefix) > len(best) {
-				best = prefix
-				bestID = id
-			}
-		}
-	}
-	if best == "" {
-		return kernel.NilID, "", false
-	}
-	return bestID, strings.TrimPrefix(path, best), true
 }
 
 // withQuota is the library's automatic quota management: it runs op, and

@@ -80,15 +80,13 @@ type Process struct {
 
 	// No process-wide lock: the descriptor table has its own read-mostly
 	// RWMutex (per-descriptor state is additionally guarded by the FD's
-	// shared seek lock), the mount table locks itself, and the remaining
-	// mutable scraps (cwd, exit flag, signal handlers) sit behind two small
-	// leaf mutexes.
+	// shared seek lock), and the remaining mutable scraps (cwd, exit flag,
+	// signal handlers) sit behind two small leaf mutexes.
 	fdMu     sync.RWMutex
 	fds      map[int]*FD
 	mu       sync.Mutex // cwd, exited
 	cwd      string
 	exited   bool
-	mounts   *MountTable
 	sigMu    sync.Mutex
 	handlers map[int]func(sig int)
 	// halted is closed when Exit has made its last system call.
@@ -119,9 +117,6 @@ func (p *Process) Chdir(path string) error {
 	p.mu.Unlock()
 	return nil
 }
-
-// Mounts returns the process's mount table.
-func (p *Process) Mounts() *MountTable { return p.mounts }
 
 func (p *Process) abs(path string) string {
 	if len(path) > 0 && path[0] == '/' {
@@ -154,7 +149,7 @@ func (sys *System) NewInitProcess(userName string) (*Process, error) {
 			}
 		}
 	}
-	return sys.create(&sys.initMu, sys.initTC, u, "/", nil, nil, nil)
+	return sys.create(&sys.initMu, sys.initTC, u, "/", nil, nil)
 }
 
 // create runs steps 1–4 of the lifetime protocol on creator, under the
@@ -164,7 +159,7 @@ func (sys *System) NewInitProcess(userName string) (*Process, error) {
 // creator whatever the outcome.  A process that could not be finished is
 // unlinked again, so a failed creation leaves neither objects nor categories
 // behind.
-func (sys *System) create(mu *sync.Mutex, creator *kernel.ThreadCall, u *User, cwd string, mounts *MountTable, taint []label.Pair, finish func(child *Process) error) (*Process, error) {
+func (sys *System) create(mu *sync.Mutex, creator *kernel.ThreadCall, u *User, cwd string, taint []label.Pair, finish func(child *Process) error) (*Process, error) {
 	mu.Lock()
 	defer mu.Unlock()
 	pr, err := creator.CategoryCreate()
@@ -174,9 +169,6 @@ func (sys *System) create(mu *sync.Mutex, creator *kernel.ThreadCall, u *User, c
 	pw, err := creator.CategoryCreate()
 	if err != nil {
 		return nil, mapKernelErr(err)
-	}
-	if mounts == nil {
-		mounts = NewMountTable()
 	}
 	if len(taint) > 0 {
 		u = nil
@@ -189,7 +181,6 @@ func (sys *System) create(mu *sync.Mutex, creator *kernel.ThreadCall, u *User, c
 		User:     u,
 		fds:      make(map[int]*FD),
 		cwd:      cleanPath(cwd),
-		mounts:   mounts,
 		handlers: make(map[int]func(int)),
 		halted:   make(chan struct{}),
 	}
@@ -407,10 +398,10 @@ func (p *Process) setupMemorySegments(creator *kernel.ThreadCall, lbl label.Labe
 	}))
 }
 
-// child creates a process on p's main thread that inherits p's user, working
-// directory and a copy of its mount table.
+// child creates a process on p's main thread that inherits p's user and
+// working directory.
 func (p *Process) child(taint []label.Pair, finish func(child *Process) error) (*Process, error) {
-	return p.sys.create(&p.labelMu, p.TC, p.User, p.Cwd(), p.mounts.Clone(), taint, finish)
+	return p.sys.create(&p.labelMu, p.TC, p.User, p.Cwd(), taint, finish)
 }
 
 // NewChild builds a child process of p that runs no program of its own: the

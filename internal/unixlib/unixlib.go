@@ -1,10 +1,10 @@
 // Package unixlib is the HiStar user-level Unix emulation library
 // (Section 5).  Everything here — the file system, processes, file
-// descriptors, fork/exec/spawn, signals, pipes, users, and mount tables — is
-// built purely on the kernel interface of package kernel, with no special
-// privilege: it corresponds to the ~10,000-line library the paper layers
-// under uClibc.  A vulnerability in this code compromises only the threads
-// that trigger it, never the kernel's information-flow guarantees.
+// descriptors, fork/exec/spawn, signals, pipes and users — is built purely
+// on the kernel interface of package kernel, with no special privilege: it
+// corresponds to the ~10,000-line library the paper layers under uClibc.  A
+// vulnerability in this code compromises only the threads that trigger it,
+// never the kernel's information-flow guarantees.
 //
 // Persistence is the kernel's: Boot hands BootOptions.Persist to
 // Kernel.SetPager, its Get answering the kernel's page-ins, and the library
@@ -268,7 +268,7 @@ func (sys *System) allocPID() int {
 // lookupDir resolves an absolute path to a directory container using the
 // init thread (bootstrap-only plumbing; processes use their own resolution).
 func (sys *System) lookupDir(tc *kernel.ThreadCall, path string) (kernel.ID, error) {
-	_, _, entry, err := sys.resolve(tc, sys.RootDir, path, nil)
+	_, _, entry, err := sys.resolve(tc, path)
 	if err != nil {
 		return kernel.NilID, err
 	}

@@ -262,27 +262,6 @@ func TestUserFileProtection(t *testing.T) {
 	}
 }
 
-func TestMountTable(t *testing.T) {
-	sys := bootSys(t)
-	p, _ := sys.NewInitProcess("alice")
-	// Create a directory and mount it at /netd.
-	p.Mkdir("/tmp/fakenetd", label.Label{})
-	p.WriteFile("/tmp/fakenetd/ctl", []byte("socket gate"), label.Label{})
-	fi, err := p.Stat("/tmp/fakenetd")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p.Mounts().Mount("/netd", fi.ID)
-	data, err := p.ReadFile("/netd/ctl")
-	if err != nil || string(data) != "socket gate" {
-		t.Fatalf("read through mount: %q, %v", data, err)
-	}
-	p.Mounts().Unmount("/netd")
-	if _, err := p.ReadFile("/netd/ctl"); err == nil {
-		t.Error("unmounted path should no longer resolve")
-	}
-}
-
 func TestPipes(t *testing.T) {
 	sys := bootSys(t)
 	p, _ := sys.NewInitProcess("alice")

@@ -113,11 +113,6 @@ type Server struct {
 // ErrUnauthorized is returned for bad credentials.
 var ErrUnauthorized = errors.New("webd: unauthorized")
 
-// New builds a server with default configuration.
-func New(sys *unixlib.System, authSvc *auth.Service, app Handler) *Server {
-	return NewWithConfig(sys, authSvc, app, Config{})
-}
-
 // NewWithConfig builds a server around an authentication service and an
 // application handler.  The demultiplexer process and its lanes start
 // lazily, on the first request.

@@ -22,7 +22,7 @@ func bootWeb(t *testing.T) *Server {
 			t.Fatal(err)
 		}
 	}
-	return New(sys, authSvc, ProfileApp)
+	return NewWithConfig(sys, authSvc, ProfileApp, Config{})
 }
 
 func TestPerUserProfilesAreIsolated(t *testing.T) {
