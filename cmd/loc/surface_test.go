@@ -29,11 +29,9 @@ var keep = map[string]string{
 	"kernel.ThreadCall.LocalSegmentWrite":   "paper system call (thread-local segment, Section 3.4)",
 	"kernel.ThreadCall.MemRead":             "a load through the address space: the paper's page-fault path",
 	"kernel.ThreadCall.MemWrite":            "a store through the address space: the paper's page-fault path",
-	"kernel.ThreadCall.ObjectSetImmutable":  "paper system call (the immutable flag, Section 3)",
 	"kernel.ThreadCall.SelfAddressSpace":    "paper system call (self_get_as)",
 	"kernel.ThreadCall.SelfSetAddressSpace": "paper system call (self_set_as)",
 	"kernel.ThreadCall.SetFaultHandler":     "the user-level page-fault upcall of Section 3.4",
-	"kernel.Kernel.DropSnapshot":            "it deletes its images' store objects: the only way they go",
 
 	// The Unix calls of the paper's library that no daemon or example
 	// happens to make.

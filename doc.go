@@ -56,31 +56,24 @@
 // file) queues segment and stat calls and makes each as the direct call its
 // op names; it stays only for the benchmark's ring rows.
 //
-// Container snapshots make sandbox creation O(metadata): the kernel
-// captures a container subtree as images — unpublished kernel objects under
-// ids of their own, segment buffers frozen for copy-on-write — registered
-// under a fresh snapshot ID (every capture is a new snapshot), and
-// ContainerClone copies the images the same way and publishes them with
-// fresh object IDs, intra-subtree references moved with them, and per-user
-// categories remapped in every label (a remap that would merge two of one
-// label's categories is refused), sharing all segment data COW until first
-// write.  With a persistent store attached a snapshot is store objects like
-// any others: after a checkpoint each segment image's id names an alias of
-// its master (store.Alias: two object-map entries naming one refcounted
-// extent, durable through one small WAL record each, a call's records
-// committed together — a bake is a checkpoint plus one commit, a spawn one
-// commit), a clone's segments are aliases of those, and dropping a snapshot
-// deletes them.  A shared extent is
-// kept from the segment cleaner, and out of the derived free list, until its
-// last referent goes, a rotted one quarantines every referent — so a clone of it
-// fails with a typed error rather than propagating silently — and a clone's
-// aliases die with its segments.
-// unixlib.BakeGolden/SpawnFromGolden package the pattern as
-// golden-image spawning, and webd's session cache uses it to clone each
-// cold-login user's sandbox from a golden image in microseconds instead of
-// rebuilding it (examples/goldenspawn; the acceptance floors — clone ≥50x
-// faster than a from-scratch build, bytes copied ≤1% of bytes shared — are
-// asserted by internal/kernel's golden-image test).
+// Sandbox creation is O(metadata) through the kernel's one copy primitive,
+// as in the paper: SegmentCopy shares the source's array, frozen, until
+// either segment's first write breaks the share for that segment alone, and
+// passes the ordinary checks (observe the source, write the container,
+// allocate at the copy's label).  The kernel keeps no snapshot or clone of
+// its own.  unixlib.BakeGolden packages the pattern as golden-image
+// spawning: the bootstrap thread, owning the template user's categories,
+// copies a built sandbox's segments into a public, immutable image container
+// and keeps a manifest of the build; SpawnFromGolden re-creates the build for
+// one user, each segment a copy at the build's label with the template's
+// categories replaced by the user's.  With a persistent store the image's
+// segments are ordinary store objects, synced once at the bake, so an
+// evicted image pages in verified and a rotted one fails the spawn with a
+// typed error.  webd's session cache spawns each cold-login user's sandbox
+// from a golden image in microseconds instead of rebuilding it
+// (examples/goldenspawn; the acceptance floors — a spawn ≥50x faster than a
+// from-scratch build, bytes copied ≤1% of bytes shared — are asserted by
+// internal/kernel's golden-image test).
 //
 // The user-level Unix library (internal/unixlib) carries no big locks
 // either: program and user tables are read-mostly RWMutexes, PIDs are

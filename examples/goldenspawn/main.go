@@ -1,12 +1,14 @@
 // Example: golden-image sandbox spawning.  A 64 MiB per-user sandbox —
-// programs, data files, a scanner database — is baked once under a template
-// user's categories and captured as a container snapshot.  Spawning a
-// sandbox for a real user is then a ContainerClone: an O(metadata) walk
-// that remaps the template's categories to the user's and shares every data
-// byte copy-on-write.  The example bakes the image (writing every byte
-// once), spawns N sandboxes from it, prints the spawn latency against the
-// bake and the shared-vs-copied byte ledger, then has one user scribble on a
-// private copy to show the COW break leaving everyone else's bytes untouched.
+// programs, data files, a scanner database — is built once under a template
+// user's categories and baked into a golden image: a public, immutable
+// container of segment copies.  Spawning a sandbox for a real user is then a
+// container per built container and a SegmentCopy per segment, at the build's
+// labels with the template's categories replaced by the user's; every copy
+// shares the image's bytes copy-on-write.  The example bakes the image
+// (writing every byte once), spawns N sandboxes from it, prints the spawn
+// latency against the bake and the shared-vs-copied byte ledger, then has one
+// user scribble on a private copy to show the COW break leaving everyone
+// else's bytes untouched.
 package main
 
 import (
@@ -43,15 +45,15 @@ func main() {
 		log.Fatal(err)
 	}
 	bake := time.Since(t0)
-	fmt.Printf("baked golden image %q: %d objects, %d MiB, snapshot %v (%v)\n",
-		img.Name, img.Objects, img.Bytes>>20, img.Snapshot, bake.Round(time.Millisecond))
+	fmt.Printf("baked golden image %q: %d objects, %d MiB, image container %v (%v)\n",
+		img.Name, img.Objects, img.Bytes>>20, img.Root, bake.Round(time.Millisecond))
 
 	spawns, err := tc.ContainerCreate(root, label.New(label.L1), "spawns", 0, kernel.QuotaInfinite)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// Golden spawns: one clone per user, categories remapped to each user's.
+	// Golden spawns: one sandbox per user, at each user's labels.
 	var roots []kernel.ID
 	var users []*unixlib.User
 	t0 = time.Now()
@@ -60,11 +62,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := sys.SpawnFromGolden(tc, img, spawns, u)
+		sandbox, err := sys.SpawnFromGolden(tc, img, spawns, u)
 		if err != nil {
 			log.Fatal(err)
 		}
-		roots = append(roots, res.Root)
+		roots = append(roots, sandbox)
 		users = append(users, u)
 	}
 	spawnAll := time.Since(t0)
@@ -96,7 +98,7 @@ func main() {
 	fmt.Printf("after user0's first write: %d COW breaks, %d bytes copied (everyone else still shares)\n",
 		st.CowBreaks, st.CopiedBytes)
 
-	// The master image and user1's clone are untouched.
+	// The image and user1's sandbox are untouched.
 	for _, ct := range []kernel.ID{img.Root, roots[1]} {
 		kids, err := tc.ContainerList(kernel.Self(ct))
 		if err != nil {
@@ -115,5 +117,5 @@ func main() {
 			}
 		}
 	}
-	fmt.Printf("master image and user %q's sandbox unaffected by user0's write\n", users[1].Name)
+	fmt.Printf("the image and user %q's sandbox unaffected by user0's write\n", users[1].Name)
 }

@@ -30,7 +30,6 @@ package auth
 import (
 	"crypto/sha256"
 	"crypto/subtle"
-	"encoding"
 	"encoding/binary"
 	"encoding/hex"
 	"errors"
@@ -79,47 +78,7 @@ type userAuthService struct {
 	user     *unixlib.User
 	proc     *unixlib.Process
 	passHash [32]byte
-	verifier passVerifier
 	setup    kernel.CEnt
-}
-
-// passVerifier holds the SHA-256 midstate over the invariant hash prefix
-// "histar-auth\x00<user>\x00", computed once at registration.  Per-attempt
-// hashing then resumes from the midstate and absorbs only the password,
-// instead of re-hashing the domain separator and username every time — the
-// invariant work Login and Verify used to redo on every attempt.
-type passVerifier struct {
-	state []byte
-}
-
-func newPassVerifier(user string) passVerifier {
-	h := sha256.New()
-	h.Write([]byte("histar-auth\x00"))
-	h.Write([]byte(user))
-	h.Write([]byte{0})
-	st, err := h.(encoding.BinaryMarshaler).MarshalBinary()
-	if err != nil {
-		// crypto/sha256's marshaler cannot fail; fall back to nil state,
-		// which hash() handles by hashing from scratch.
-		return passVerifier{}
-	}
-	return passVerifier{state: st}
-}
-
-// hash returns the stored-verifier hash of password, resuming from the
-// precomputed midstate when available.
-func (v passVerifier) hash(user, password string) [32]byte {
-	if v.state == nil {
-		return hashPassword(user, password)
-	}
-	h := sha256.New()
-	if err := h.(encoding.BinaryUnmarshaler).UnmarshalBinary(v.state); err != nil {
-		return hashPassword(user, password)
-	}
-	h.Write([]byte(password))
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
 }
 
 // Service is the authentication facility: directory + per-user services +
@@ -161,7 +120,6 @@ func (s *Service) Register(username, password string) (*unixlib.User, error) {
 		user:     u,
 		proc:     proc,
 		passHash: hashPassword(username, password),
-		verifier: newPassVerifier(username),
 	}
 	if err := svc.createSetupGate(s); err != nil {
 		return nil, err
@@ -285,7 +243,7 @@ func (svc *userAuthService) checkEntry(s *Service, sess *sessionState) kernel.Ga
 		if err := call.TC.SegmentWrite(sess.retrySeg, 0, buf[:]); err != nil {
 			return verdict(false, "ERR retry update: "+err.Error())
 		}
-		h := svc.verifier.hash(svc.user.Name, string(call.Args))
+		h := hashPassword(svc.user.Name, string(call.Args))
 		if subtle.ConstantTimeCompare(h[:], svc.passHash[:]) == 1 {
 			return verdict(true, "OK")
 		}
@@ -482,7 +440,7 @@ func (s *Service) Verify(username, password string) error {
 	if svc == nil {
 		return ErrNoSuchUser
 	}
-	h := svc.verifier.hash(username, password)
+	h := hashPassword(username, password)
 	if subtle.ConstantTimeCompare(h[:], svc.passHash[:]) != 1 {
 		return ErrBadPassword
 	}

@@ -1,6 +1,7 @@
 package auth
 
 import (
+	"encoding/hex"
 	"errors"
 	"strings"
 	"testing"
@@ -156,18 +157,28 @@ func TestVerifyFastPath(t *testing.T) {
 }
 
 func TestVerifierMatchesHashPassword(t *testing.T) {
-	// The midstate-resumed hash must equal the from-scratch reference for
-	// arbitrary user/password combinations, including empty strings.
+	// The stored verifier is hashPassword's, and Verify accepts exactly the
+	// registered password, for passwords that are empty or hold a NUL.
+	_, svc := bootAuth(t)
 	cases := []struct{ user, pass string }{
 		{"alice", "wonderland"},
-		{"", ""},
+		{"erin", ""},
 		{"u", "p"},
-		{"name-with-\x00-byte", "pass\x00word"},
+		{"frank", "pass\x00word"},
 	}
 	for _, c := range cases {
-		v := newPassVerifier(c.user)
-		if got, want := v.hash(c.user, c.pass), hashPassword(c.user, c.pass); got != want {
-			t.Errorf("verifier hash mismatch for %q/%q", c.user, c.pass)
+		if _, err := svc.Register(c.user, c.pass); err != nil {
+			t.Fatal(err)
+		}
+		want := hashPassword(c.user, c.pass)
+		if got, err := svc.PasswordHashHex(c.user); err != nil || got != hex.EncodeToString(want[:]) {
+			t.Errorf("%s: stored verifier %s, %v; want hashPassword's", c.user, got, err)
+		}
+		if err := svc.Verify(c.user, c.pass); err != nil {
+			t.Errorf("%s: Verify of the registered password: %v", c.user, err)
+		}
+		if err := svc.Verify(c.user, c.pass+"\x00"); !errors.Is(err, ErrBadPassword) {
+			t.Errorf("%s: Verify of the password plus a NUL: %v, want ErrBadPassword", c.user, err)
 		}
 	}
 }

@@ -209,42 +209,37 @@ func TestDenyThreadAlertUnwritableTarget(t *testing.T) {
 	wantLabelErr(t, "alert to a thread the sender cannot write", outsider.ThreadAlert(target, 1))
 }
 
-// A clone creates its gates, so each remapped gate must satisfy
-// what gate creation demands of the cloner (Section 3.5:
-// LT′ ⊑ LG ⊑ CG ⊑ CT′).  LT′ ⊑ LG ⊑ CT′ is the allocation check on the
-// gate's object label, which is LG; what is left is CG ⊑ CT′.  c is the
-// template category a golden image is baked with, y the one the remap sends
-// it to: CG {c3, 2} becomes {y3, 2}, above a cloner whose clearance for y is
-// the default 2, and within one cleared to y3.
-func TestDenyCloneGateClearanceOutOfBounds(t *testing.T) {
-	k, owner, outsider, c := denyEnv(t)
+// segment_copy (Section 3: copies are how HiStar avoids re-labeling): the
+// thread must observe the source, LS ⊑ LTᴶ, whatever label it asks for the
+// copy.  The thief is {y⋆, 1}, cleared to y3 and owning nothing of c; it asks
+// for a {y3, 1} copy of a {c3, 1} segment — a label it may allocate, and one
+// it could read — which is the relabeling a clone's category remap {c→y}
+// once performed unchecked.  Its owner of c makes the same copy.
+func TestDenySegmentCopyUnobservableSource(t *testing.T) {
+	k, owner, _, c := denyEnv(t)
 	root := k.RootContainer()
 	y, err := owner.CategoryCreate()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sandbox, err := owner.ContainerCreate(root, label.New(label.L1), "golden", 0, QuotaInfinite)
+	src, err := owner.SegmentCreate(root, label.New(label.L1, label.P(c, label.L3)), "secret", 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := owner.GateCreate(sandbox, GateSpec{
-		Label:     label.New(label.L1),
-		Clearance: label.New(label.L2, label.P(c, label.L3)),
-		Entry:     func(*GateCallCtx) []byte { return nil },
-	}); err != nil {
+	if err := owner.SegmentWrite(CEnt{root, src}, 0, []byte{0, 1, 2, 3, 4, 5, 6, 7}); err != nil {
 		t.Fatal(err)
 	}
-	info, err := owner.ContainerSnapshot(CEnt{root, sandbox}, "golden")
-	if err != nil {
-		t.Fatal(err)
+	asked := label.New(label.L1, label.P(y, label.L3))
+	if _, err := owner.SegmentCopy(CEnt{root, src}, root, asked, "owner's copy"); err != nil {
+		t.Fatalf("owner's copy: %v", err)
 	}
-	remap := map[label.Category]label.Category{c: y}
-	_, cleared := newThread(t, k, owner, label.New(label.L1), label.New(label.L2, label.P(y, label.L3)))
-	if _, err := cleared.ContainerClone(info.ID, root, remap); err != nil {
-		t.Fatalf("clone by a thread cleared to y3: %v", err)
+	_, thief := newThread(t, k, owner, label.New(label.L1, label.P(y, label.Star)), label.New(label.L2, label.P(y, label.L3)))
+	objects := k.ObjectCount()
+	_, err = thief.SegmentCopy(CEnt{root, src}, root, asked, "stolen copy")
+	wantLabelErr(t, "copy of a segment the thread cannot observe", err)
+	if n := k.ObjectCount(); n != objects {
+		t.Errorf("the refused copy left %d objects", n-objects)
 	}
-	_, err = outsider.ContainerClone(info.ID, root, remap)
-	wantLabelErr(t, "clone whose remapped gate clearance is above the cloner's", err)
 }
 
 // The immutable flag (Section 3: obj_set_immutable irrevocably makes an object

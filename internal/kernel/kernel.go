@@ -55,7 +55,7 @@
 //     calls back) is called with at most one segment's lock held — with the
 //     naming container's shared lock, under open — for a push or a page-in
 //     (fault, which also holds that segment's faultMu, taken only there),
-//     and otherwise (group commit, checkpoint, alias) with none; Delete
+//     and otherwise (group commit, checkpoint) with none; Delete
 //     waits until a teardown has released its locks.
 //
 // Recursive deallocation (unreferencing a container subtree) never holds two
@@ -74,34 +74,17 @@
 // pushes each segment it names under that segment's own open and commits
 // them, with no kernel lock held, as one group.
 //
-// # Container snapshot and clone (golden images)
+// # Segment copies (golden images)
 //
-// ContainerSnapshot captures a container subtree — containers, segments,
-// gates, address spaces — as images, unpublished kernel objects under ids of
-// their own, registered under a fresh snapshot ID, freezing every captured
-// segment's buffer for copy-on-write (snapshot.go).  ContainerClone copies
-// the images the same way and publishes the copies under a destination
-// container in O(metadata), with these ID-remap rules: every copied object
-// gets a fresh object ID; intra-subtree references (container links, gate
-// address spaces, address-space segment mappings) move with it; references
-// that leave the subtree keep their original IDs; and a caller-supplied
-// category remap rewrites labels, gate labels and gate clearances
-// pair-by-pair — the golden-image pattern maps a template user's ur/uw
-// categories to the spawning user's, with CanAllocate enforced per remapped
-// label and a remap that merges two of one label's categories refused, so a
-// clone can never mint authority its creator could not hold.  Segment data
-// is never copied at clone time: clone and master share the frozen buffer
-// until either side's first write breaks COW for that segment alone.  When
-// a store is attached (Pager, pager.go), each segment image's id names an
-// alias of its master's store object and a clone's segments are aliases of
-// those that die with them, each set made in one Alias call; the store
-// refuses to alias rotted bytes, so restoring from a damaged image fails
-// typed instead of fanning them out.
-// The golden-spawn flow end to end:
-// unixlib.BakeGolden builds and snapshots a template sandbox once;
-// webd's session cache, on a cold login, issues one ContainerClone into
-// the worker's process container (sharing all read-only data COW) instead
-// of rebuilding the sandbox from scratch.
+// SegmentCopy is the one copy primitive, as in the paper (Section 3): the
+// copy shares its source's array, frozen, and the first write to either
+// segment breaks the share for that segment alone (segment.go), so a copy of
+// a 64 MiB segment moves no bytes.  The kernel keeps no other kind of copy:
+// a golden image is a library convention (unixlib.BakeGolden), a public
+// container of immutable segment copies, and a spawn creates its containers
+// and copies each segment at the user's labels through the ordinary observe
+// and allocate checks.  webd's session cache, on a cold login, spawns one
+// into the worker's process container instead of rebuilding the sandbox.
 //
 // Read-mostly syscalls (segment reads, resolution, stat, list) take only
 // read locks, so they proceed in parallel across — and within — shards.
@@ -156,11 +139,8 @@ type Kernel struct {
 	// ring tallies batched-submission activity (see ring.go).
 	ring ringCounters
 
-	// snapMu guards the container-snapshot registry; snap tallies
-	// snapshot/clone activity (snapshot.go).
-	snapMu    sync.Mutex
-	snapshots map[ID]*Snapshot
-	snap      snapCounters
+	// snap is the copy-on-write ledger (segment.go).
+	snap snapCounters
 
 	// pager is the store, if one is attached (pager.go); doomed, behind the
 	// leaf doomedMu, the dead persistent segments it has yet to be told of.
@@ -174,10 +154,9 @@ type Kernel struct {
 // header's one reference for good (Unref refuses it).
 func New(cfg Config) *Kernel {
 	k := &Kernel{
-		ids:       label.NewAllocator(cfg.Seed ^ 0x9e3779b97f4a7c15),
-		cats:      label.NewAllocator(cfg.Seed),
-		snapshots: make(map[ID]*Snapshot),
-		futexes:   make(map[futexKey]*futexQueue),
+		ids:     label.NewAllocator(cfg.Seed ^ 0x9e3779b97f4a7c15),
+		cats:    label.NewAllocator(cfg.Seed),
+		futexes: make(map[futexKey]*futexQueue),
 	}
 	for i := range k.shards {
 		k.shards[i].m = make(map[ID]object)
@@ -211,9 +190,8 @@ func (k *Kernel) shardFor(id ID) *objShard {
 }
 
 // insert adds a fully constructed, still unreachable object to the table; its
-// usage starts at its own footprint, on top of anything its builder charged
-// to it (a cloned container arrives carrying its children's quotas).  It may
-// be called with object locks held (shard locks nest inside object locks).
+// usage starts at its own footprint.  It may be called with object locks held
+// (shard locks nest inside object locks).
 func (k *Kernel) insert(o object) {
 	h := o.hdr()
 	h.usage += o.footprint()
@@ -570,11 +548,10 @@ func (k *Kernel) newHeader(typ ObjectType, l label.Label, quota uint64, descrip 
 	}
 }
 
-// publish makes o — and the unpublished subtree below it, for a clone —
-// visible: cont must still be live and mutable and is charged o's quota, then
-// every object enters the table and o is linked.  The caller holds cont's
+// publish makes o visible: cont must still be live and mutable and is charged
+// o's quota, then o enters the table and is linked.  The caller holds cont's
 // write lock; nothing is changed on error.
-func (k *Kernel) publish(cont *container, o object, subtree ...object) error {
+func (k *Kernel) publish(cont *container, o object) error {
 	if !liveLocked(cont) {
 		return ErrNoSuchObject
 	}
@@ -583,9 +560,6 @@ func (k *Kernel) publish(cont *container, o object, subtree ...object) error {
 	}
 	if err := k.charge(cont, o.hdr().quota); err != nil {
 		return err
-	}
-	for _, n := range subtree {
-		k.insert(n)
 	}
 	k.insert(o)
 	cont.link(o.hdr().id)

@@ -521,6 +521,11 @@ func TestQuotaEnforcement(t *testing.T) {
 	if _, err := tc.SegmentCreate(small, label.New(label.L1), "b", 20*1024); !errors.Is(err, ErrQuota) {
 		t.Errorf("expected quota failure, got %v", err)
 	}
+	// No finite container can hold an object of infinite quota, whatever
+	// room it has left: a golden spawn's containers need an infinite parent.
+	if _, err := tc.ContainerCreate(small, label.New(label.L1), "unbounded", 0, QuotaInfinite); !errors.Is(err, ErrQuota) {
+		t.Errorf("infinite quota in a finite container: got %v, want ErrQuota", err)
+	}
 }
 
 func TestQuotaMove(t *testing.T) {

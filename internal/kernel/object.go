@@ -137,16 +137,15 @@ type object interface {
 type segment struct {
 	header
 	data []byte
-	// frozen marks data as shared copy-on-write with a container snapshot
-	// or a clone of one, or with zeros (a fresh segment, segment.go):
-	// neither it nor the capacity past it may be written,
-	// so the first mutation or growth copies it and clears the flag (reshape).
-	// Guarded by the segment's lock like data.
+	// frozen marks data as shared copy-on-write with a segment copy
+	// (SegmentCopy) or with zeros (a fresh segment, segment.go): neither it
+	// nor the capacity past it may be written, so the first mutation or
+	// growth copies it and clears the flag (reshape).  Guarded by the
+	// segment's lock like data.
 	frozen bool
-	// persistent says the bytes are a store object (SegmentPersist, or a
-	// clone's alias); dirty, that the pager has not seen them since they
-	// last changed, and [lo, hi) which of them did (pager.go).  All are
-	// guarded by the segment's lock.
+	// persistent says the bytes are a store object (SegmentPersist); dirty,
+	// that the pager has not seen them since they last changed, and [lo, hi)
+	// which of them did (pager.go).  All are guarded by the segment's lock.
 	persistent, dirty bool
 	lo, hi            int
 	// paged says Evict dropped data's plen bytes.  Readers under the shared

@@ -5,7 +5,7 @@ import "histar/internal/label"
 // Pager is the kernel's one seam to the single-level store (Sections 3 and
 // 4: the store is the kernel's own, and a sync is a system call).  Only the
 // kernel calls it: behind resolve's label rule where a thread asked
-// (SegmentPersist, SyncSegments, an access's page-in, snapshot and clone), on
+// (SegmentPersist, SyncSegments, an access's page-in, a copy's), on
 // objects of its own choosing otherwise (Delete at deallocation, Sync's
 // drain).  One function, push, hands bytes to it, and the range of them that
 // changed; one, fault, takes them back.  unixlib hands it a *store.Store;
@@ -22,12 +22,6 @@ type Pager interface {
 	// PageIn returns a private copy of what the object's last push held.
 	PageIn(id uint64) ([]byte, error)
 	Delete(id uint64) error
-	// Alias makes each dst[i], an id nothing holds yet, an object sharing
-	// src[i]'s checkpointed bytes under lbls[i], durably and without copying,
-	// in one commit (one error slot per pair); either is then rewritten or
-	// deleted without the other noticing.  A pair fails typed once the bytes
-	// have rotted.  A capture and a clone make one call each (snapshot.go).
-	Alias(src, dst []uint64, lbls []label.Label) []error
 }
 
 // SetPager attaches the store; call once, before the kernel is shared.

@@ -13,11 +13,10 @@ import (
 
 // fakePager scripts the kernel's one seam to the store, so everything the
 // kernel asks of a store is testable without one: it keeps what was pushed,
-// records each sync group, fails the ids in poison, and aliases with
-// scripted failures.  It also holds every push to its range: a byte outside
-// it that differs from the object's previous push (or alias), or a partial
-// range with no previous push of that length, is a broken promise, noted in
-// outside.
+// records each sync group and fails the ids in poison.  It also holds every
+// push to its range: a byte outside it that differs from the object's
+// previous push, or a partial range with no previous push of that length, is
+// a broken promise, noted in outside.
 type fakePager struct {
 	mu     sync.Mutex
 	data   map[uint64][]byte // last pushed bytes, by object
@@ -32,11 +31,6 @@ type fakePager struct {
 	pageIns     int
 	pageInErr   error
 	checkpoints int
-
-	aliasSrcs []uint64 // the source of each pair Alias made, in order
-	aliasErr  error    // when set, Alias makes aliasOK more pairs and then fails each with it
-	aliasOK   int
-	onAlias   func() // runs once per pair inside every Alias call, no fake lock held
 }
 
 func newFakePager() *fakePager {
@@ -101,36 +95,6 @@ func (f *fakePager) Checkpoint() error {
 	defer f.mu.Unlock()
 	f.checkpoints++
 	return nil
-}
-
-// Alias makes the pairs one at a time under one hold of the lock, as the
-// store does under one commit; like the store it refuses a source it does not
-// hold, and like the store it leaves deleting what it made to the caller.
-func (f *fakePager) Alias(src, dst []uint64, lbls []label.Label) []error {
-	if f.onAlias != nil {
-		for range dst {
-			f.onAlias()
-		}
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	errs := make([]error, len(dst))
-	for i := range dst {
-		data, held := f.data[src[i]]
-		switch {
-		case !held:
-			errs[i] = fmt.Errorf("fake pager: no object %d to alias", src[i])
-		case f.aliasErr != nil && f.aliasOK == 0:
-			errs[i] = f.aliasErr
-		default:
-			if f.aliasErr != nil {
-				f.aliasOK--
-			}
-			f.data[dst[i]], f.labels[dst[i]] = data, lbls[i]
-			f.aliasSrcs = append(f.aliasSrcs, src[i])
-		}
-	}
-	return errs
 }
 
 // TestPagerPushSyncDelete walks one segment through the whole seam: nothing
@@ -562,56 +526,5 @@ func TestEvictBesideReaders(t *testing.T) {
 	}
 	if fp.pageIns == 0 {
 		t.Error("no read ever paged in: the readers never met an eviction")
-	}
-}
-
-// TestEvictedSegmentSnapshotCapturesBytes: a capture pages an evicted
-// segment in before freezing it, so the snapshot — and a clone of it, read
-// resident or paged in itself — holds the bytes, not the empty array Evict
-// left behind.  And what a page-in brings back is private: the master,
-// evicted after its capture, is written without a copy-on-write break.
-func TestEvictedSegmentSnapshotCapturesBytes(t *testing.T) {
-	k, tc := boot(t)
-	fp := newFakePager()
-	k.SetPager(fp)
-	root := k.RootContainer()
-	pub := label.New(label.L1)
-	sandbox, err := tc.ContainerCreate(root, pub, "sandbox", 0, QuotaInfinite)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, err := tc.SegmentCreate(sandbox, pub, "blob", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []byte("captured after eviction")
-	persistedSegment(t, tc, CEnt{sandbox, id}, want)
-	k.Evict()
-	info, err := tc.ContainerSnapshot(CEnt{root, sandbox}, "evicted")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Bytes != uint64(len(want)) || fp.pageIns != 1 {
-		t.Errorf("snapshot of the evicted segment holds %d bytes after %d page-ins, want %d and 1", info.Bytes, fp.pageIns, len(want))
-	}
-	res, err := tc.ContainerClone(info.ID, root, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clone := CEnt{res.Root, res.IDMap[id]}
-	for _, evict := range []bool{false, true} {
-		if evict {
-			k.Evict()
-		}
-		if got, err := tc.SegmentRead(clone, 0, 64); err != nil || !bytes.Equal(got, want) {
-			t.Errorf("clone read (evicted first: %v) = %q, %v", evict, got, err)
-		}
-	}
-	breaks := k.SnapshotStats().CowBreaks
-	if err := tc.SegmentWrite(CEnt{sandbox, id}, 0, []byte("C")); err != nil {
-		t.Fatal(err)
-	}
-	if got := k.SnapshotStats().CowBreaks - breaks; got != 0 {
-		t.Errorf("a write to the paged-in master broke copy-on-write %d times, want 0", got)
 	}
 }

@@ -131,11 +131,10 @@ func modelExec(entries []RingEntry, segs map[ID][]byte, quota map[ID]uint64, rea
 }
 
 // propEnv is one kernel of the three-path property test: propSegs segments —
-// created plain, or cloned from a golden snapshot so they start frozen — and
+// created plain, or copied from golden segments so they start frozen — and
 // after them one segment the boot thread may observe but not modify, each
 // mapped read-write at mapVA(i) in the boot thread's address space, and all
-// persistent on the kernel's own fake pager (a clone is from birth; a plain
-// segment is marked).  Two threads are there to be stat'ed: one labeled like
+// marked persistent on the kernel's own fake pager.  Two threads are there to be stat'ed: one labeled like
 // the boot thread, and one owning the category the boot thread gave up, whose
 // label the boot thread may not read (LT′ᴶ ⊑ LTᴶ fails).
 type propEnv struct {
@@ -143,7 +142,7 @@ type propEnv struct {
 	tc     *ThreadCall
 	pager  *fakePager
 	as     CEnt
-	snap   ID // 0: plain segments
+	master ID // the container of golden, or 0: plain segments
 	golden []ID
 	ro     CEnt
 	segs   []CEnt // the writable segments, then ro
@@ -215,41 +214,34 @@ func newPropEnv(t *testing.T, cloned bool) *propEnv {
 			}
 			env.golden = append(env.golden, id)
 		}
-		info, err := tc.ContainerSnapshot(CEnt{root, golden}, "prop golden")
-		if err != nil {
-			t.Fatal(err)
-		}
-		env.snap = info.ID
+		env.master = golden
 	}
 	env.fresh(t)
 	return env
 }
 
-// fresh gives the environment a new set of segments (for a cloned one, a new
-// clone: frozen, sharing the golden bytes) and maps them.
+// fresh gives the environment a new set of persistent segments (for a cloned
+// one, new copies of the golden segments: frozen, sharing their bytes) and
+// maps them.
 func (env *propEnv) fresh(t *testing.T) {
 	t.Helper()
 	root := env.k.RootContainer()
 	env.segs = env.segs[:0]
-	if env.snap == 0 {
-		for i := 0; i < propSegs; i++ {
-			id, err := env.tc.SegmentCreate(root, label.New(label.L1), "prop seg", propSegSize)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := env.tc.SegmentPersist(CEnt{root, id}); err != nil {
-				t.Fatal(err)
-			}
-			env.segs = append(env.segs, CEnt{root, id})
+	for i := 0; i < propSegs; i++ {
+		var id ID
+		var err error
+		if env.master == 0 {
+			id, err = env.tc.SegmentCreate(root, label.New(label.L1), "prop seg", propSegSize)
+		} else {
+			id, err = env.tc.SegmentCopy(CEnt{env.master, env.golden[i]}, root, label.New(label.L1), "prop copy")
 		}
-	} else {
-		res, err := env.tc.ContainerClone(env.snap, root, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, old := range env.golden {
-			env.segs = append(env.segs, CEnt{res.Root, res.IDMap[old]})
+		if err := env.tc.SegmentPersist(CEnt{root, id}); err != nil {
+			t.Fatal(err)
 		}
+		env.segs = append(env.segs, CEnt{root, id})
 	}
 	env.segs = append(env.segs, env.ro)
 	maps := make([]Mapping, len(env.segs))

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"histar/internal/label"
 )
@@ -52,7 +53,9 @@ func (tc *ThreadCall) SegmentCreate(d ID, l label.Label, descrip string, nbytes 
 // object labels are immutable after creation, but some objects allow
 // efficient copies to be made with different labels (Section 3).  The
 // invoking thread must be able to observe the source, write d, and allocate
-// at l.
+// at l.  The copy moves no bytes: the source is paged in and its array
+// shared, frozen, by both segments until either one's first write breaks
+// the share (reshape) — the one way two segments share bytes.
 func (tc *ThreadCall) SegmentCopy(src CEnt, d ID, l label.Label, descrip string) (ID, error) {
 	ctx, err := tc.enter(scSegmentCopy)
 	if err != nil {
@@ -61,34 +64,76 @@ func (tc *ThreadCall) SegmentCopy(src CEnt, d ID, l label.Label, descrip string)
 	if !label.ValidObjectLabel(l) {
 		return NilID, ErrInvalid
 	}
-	srcCont, seg, err := resolve[*segment](tc.k, &ctx, src, accObserve)
+	k := tc.k
+	srcCont, seg, err := resolve[*segment](k, &ctx, src, accObserve)
 	if err != nil {
 		return NilID, err
 	}
-	cont, err := tc.k.admit(&ctx, d, Mask(ObjSegment))
+	cont, err := k.admit(&ctx, d, Mask(ObjSegment))
 	if err != nil {
 		return NilID, err
 	}
 	if !label.CanAllocate(ctx.lbl, ctx.clearance, l) {
 		return NilID, ErrLabel
 	}
-	ls := lockOrdered(objLock{srcCont, false}, objLock{seg, false}, objLock{cont, true})
+	ls := lockOrdered(objLock{srcCont, false}, objLock{seg, true}, objLock{cont, true})
 	defer ls.unlock()
 	if err := verifyEntryLive(srcCont, seg); err != nil {
 		return NilID, err
 	}
-	data, err := seg.read(tc.k, 0, math.MaxInt)
-	if err != nil {
+	if err := seg.fault(k); err != nil {
 		return NilID, err
 	}
-	ns := &segment{
-		header: tc.k.newHeader(ObjSegment, l, uint64(len(data))+segmentSlack, descrip),
-		data:   data,
+	n := len(seg.data)
+	ns := &segment{header: k.newHeader(ObjSegment, l, uint64(n)+segmentSlack, descrip)}
+	if n > 0 {
+		ns.data, ns.frozen = seg.data, true
 	}
-	if err := tc.k.publish(cont, ns); err != nil {
+	if err := k.publish(cont, ns); err != nil {
 		return NilID, err
+	}
+	if n > 0 {
+		seg.frozen = true
+		if !zeroShare(seg.data) {
+			k.snap.clones.Add(1)
+			k.snap.sharedBytes.Add(uint64(n))
+		}
 	}
 	return ns.id, nil
+}
+
+// zeroShare reports whether b is a share of zeros, which counts in no ledger.
+func zeroShare(b []byte) bool { return cap(b) > 0 && &b[:1][0] == &zeros[0] }
+
+// snapCounters is the copy-on-write ledger.
+type snapCounters struct {
+	clones      atomic.Uint64
+	sharedBytes atomic.Uint64
+	copiedBytes atomic.Uint64
+	cowBreaks   atomic.Uint64
+}
+
+// SnapshotStats is the kernel-wide copy-on-write ledger.
+type SnapshotStats struct {
+	// Clones counts the segment copies that shared their source's bytes;
+	// SharedBytes is what they shared.
+	Clones      uint64
+	SharedBytes uint64
+	// CopiedBytes is the data first writes duplicated out of a share;
+	// CowBreaks counts those events.  A share of zeros (freshData) counts
+	// in neither half.
+	CopiedBytes uint64
+	CowBreaks   uint64
+}
+
+// SnapshotStats returns the copy-on-write ledger.
+func (k *Kernel) SnapshotStats() SnapshotStats {
+	return SnapshotStats{
+		Clones:      k.snap.clones.Load(),
+		SharedBytes: k.snap.sharedBytes.Load(),
+		CopiedBytes: k.snap.copiedBytes.Load(),
+		CowBreaks:   k.snap.cowBreaks.Load(),
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -167,12 +212,12 @@ func (s *segment) word(k *Kernel, off uint64) (uint64, error) {
 
 // reshape is the gate every mutation passes: it refuses an immutable segment
 // and a length the quota does not cover, makes the array private if it is
-// shared with a snapshot or clone and bytes [lo, hi) below the current length
-// are about to change, leaves the segment n bytes long, and accounts the
+// shared with a copy and bytes [lo, hi) below the current length are about
+// to change, leaves the segment n bytes long, and accounts the
 // change — and marks a persistent segment dirty, widening its changed range
 // by [lo, hi), or to the whole segment when the length changes, so no path to
 // a segment's bytes can change them behind the pager's back.  This is the
-// only place snapshot-shared bytes are duplicated, so the kernel-wide COW
+// only place shared bytes are duplicated, so the kernel-wide COW
 // counters live here (a break of a share of zeros is not one).  A frozen
 // array grows into a fresh one (breaking COW with that one copy), a private
 // one by appending zeros, amortized, over whatever a truncation left in its
@@ -202,7 +247,7 @@ func (s *segment) reshape(k *Kernel, n, lo, hi int) error {
 	}
 	if s.frozen && (grow || lo < hi) {
 		s.frozen = false
-		if cap(s.data) == 0 || &s.data[:1][0] != &zeros[0] {
+		if !zeroShare(s.data) {
 			k.snap.cowBreaks.Add(1)
 			k.snap.copiedBytes.Add(uint64(len(s.data)))
 		}

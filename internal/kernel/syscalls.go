@@ -58,8 +58,6 @@ const (
 	scNetTx
 	scNetRx
 	scNetWait
-	scContainerSnapshot
-	scContainerClone
 	scSegmentPersist
 	scSync
 	scSyncSegments
@@ -115,8 +113,6 @@ var syscallNames = [numSyscalls]string{
 	scNetTx:               "net_tx",
 	scNetRx:               "net_rx",
 	scNetWait:             "net_wait",
-	scContainerSnapshot:   "container_snapshot",
-	scContainerClone:      "container_clone",
 	scSegmentPersist:      "segment_persist",
 	scSync:                "sync",
 	scSyncSegments:        "sync_segments",

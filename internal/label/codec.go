@@ -23,11 +23,6 @@ func (l Label) AppendBinary(dst []byte) []byte {
 	return dst
 }
 
-// MarshalBinary implements encoding.BinaryMarshaler.
-func (l Label) MarshalBinary() ([]byte, error) {
-	return l.AppendBinary(make([]byte, 0, 2+9*len(l.pairs))), nil
-}
-
 // DecodeBinary decodes one label from the front of src, returning the label
 // and the remaining bytes.  The input must be in canonical form (strictly
 // ascending categories, no entry at the default level); anything else is
@@ -74,18 +69,4 @@ func DecodeBinary(src []byte) (Label, []byte, error) {
 		pairs[i] = P(c, lv)
 	}
 	return newCanonical(def, pairs), src, nil
-}
-
-// UnmarshalBinary implements encoding.BinaryUnmarshaler; trailing bytes are
-// an error.
-func (l *Label) UnmarshalBinary(data []byte) error {
-	dec, rest, err := DecodeBinary(data)
-	if err != nil {
-		return err
-	}
-	if len(rest) != 0 {
-		return fmt.Errorf("label: %d trailing bytes after encoding", len(rest))
-	}
-	*l = dec
-	return nil
 }

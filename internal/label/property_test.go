@@ -371,15 +371,8 @@ func TestPropCanonicalSortedNoDefault(t *testing.T) {
 
 func TestPropCodecRoundTrip(t *testing.T) {
 	f := func(a quickThreadLabel) bool {
-		enc, err := a.L.MarshalBinary()
-		if err != nil {
-			return false
-		}
-		var dec Label
-		if err := dec.UnmarshalBinary(enc); err != nil {
-			return false
-		}
-		return dec.Equal(a.L)
+		dec, rest, err := DecodeBinary(a.L.AppendBinary(nil))
+		return err == nil && len(rest) == 0 && dec.Equal(a.L)
 	}
 	if err := quick.Check(f, quickCfg); err != nil {
 		t.Error(err)

@@ -48,7 +48,7 @@ func (s *Store) allocate(size int64) (extent, error) {
 
 // deriveFree returns the data region less every segment and every home outside
 // one, refusing as a CorruptError (at areaOff) an extent outside the region
-// or two homes overlapping other than as one extent (an alias).  With loading
+// or two homes overlapping.  With loading
 // (a decoded snapshot) the homes inside segments are checked too, each below
 // its used mark; at a commit the store's own appends placed them.  The caller
 // holds mu, or runs single-threaded.
@@ -67,14 +67,14 @@ func (s *Store) deriveFree(areaOff int64, loading bool) ([]extent, error) {
 			packed = append(packed, extent{h.off, h.size})
 		}
 	}
-	// Sorted, aliases folded, no extent may start before the last one ends;
+	// Sorted, no extent may start before the last one ends;
 	// the gaps taken leaves are the free list.
 	var free []extent
 	for _, es := range [][]extent{packed, taken} {
 		slices.SortFunc(es, func(a, b extent) int { return cmp.Or(cmp.Compare(a.off, b.off), cmp.Compare(a.size, b.size)) })
 		free = nil
 		at := start
-		for _, e := range slices.Compact(es) {
+		for _, e := range es {
 			if e.off < at || e.size < 0 || e.size > end-e.off {
 				return nil, &CorruptError{Area: "metadata", Offset: areaOff, Detail: fmt.Sprintf(
 					"extent at %d (size %d) overlaps a home, a segment or a segment's unwritten tail, or leaves the data region", e.off, e.size)}

@@ -341,6 +341,13 @@ func TestBitRotBothMetaAreasRefused(t *testing.T) {
 	}
 }
 
+// lockedHome reads id's home record under mu.
+func lockedHome(s *Store, id uint64) (home, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.homeOf(id)
+}
+
 // TestBitRotDataExtentQuarantinesOnlyThatObject is acceptance criterion
 // (d): rot in one object's home extent quarantines exactly that object with
 // a typed error while every other object keeps serving.
@@ -579,7 +586,9 @@ func legacyLabelDigest(lbl label.Label) uint64 {
 // the label fingerprint index as section 4 — (fingerprint, id) pairs in
 // ascending order — which is rebuilt here from the area's own label section;
 // versions 3 to 5 a table of snapshot pins as section 6, and versions up to 6
-// the free-extent list as section 2, both empty here.
+// the free-extent list as section 2, both empty here.  Version 7 wrote
+// today's three sections, but its object map could name one extent twice
+// (a clone alias).
 func restampMetaArea(t *testing.T, d disk.Device, areaOff int64, version uint64, tags ...uint64) {
 	t.Helper()
 	section := func(tag uint64) []byte {
@@ -675,7 +684,7 @@ func TestOtherFormatVersionsRefusedNotLoaded(t *testing.T) {
 	}{
 		{"v2", 2, []uint64{1, 2, 3, 4}}, {"v3", 3, []uint64{1, 2, 3, 4, 5}},
 		{"v4", 4, []uint64{1, 2, 3, 4, 5, 6}}, {"v5", 5, []uint64{1, 2, 3, 5, 6}},
-		{"v6", 6, []uint64{1, 2, 3, 5}},
+		{"v6", 6, []uint64{1, 2, 3, 5}}, {"v7", 7, []uint64{1, 3, 5}},
 	}
 	for _, tc := range metas {
 		t.Run("metadata-"+tc.name, func(t *testing.T) {
@@ -698,8 +707,9 @@ func TestOtherFormatVersionsRefusedNotLoaded(t *testing.T) {
 	}
 	// The log has one version too, but no second copy to fall back on: an
 	// intact header stamped with a retired format refuses the mount, and the
-	// refusal leaves the region as it found it.
-	for _, v := range []byte{4, 5, 6} {
+	// refusal leaves the region as it found it.  Version 8 is the one that
+	// could hold clone-alias records.
+	for _, v := range []byte{4, 5, 6, 8} {
 		t.Run(fmt.Sprintf("wal-v%d", v), func(t *testing.T) {
 			s, fd := rotStore(t)
 			populateGenerations(t, s)

@@ -1,7 +1,7 @@
 package store
 
 // Crash-injection recovery harness: a randomized workload of Put /
-// PutLabeled / Delete / SyncObject / Alias / Checkpoint, partial overwrites
+// PutLabeled / Delete / SyncObject / Checkpoint, partial overwrites
 // each followed by its SyncObject, and checkpoints whose body fails at a
 // barrier the machine survives, runs on a write-through
 // disk wrapped in a disk.FaultDisk, which kills the device at an injected
@@ -44,7 +44,6 @@ const (
 	opPutLabeled
 	opDelete
 	opSync
-	opAlias
 	opCheckpoint
 	opPatch
 	opFailCheckpoint
@@ -54,8 +53,7 @@ const (
 type wlOp struct {
 	kind opKind
 	id   uint64
-	src  uint64 // opAlias: the object id becomes an alias of
-	off  int    // opPatch: where data goes in the object's bytes
+	off  int // opPatch: where data goes in the object's bytes
 	data []byte
 	lbl  label.Label
 }
@@ -141,94 +139,31 @@ func genWorkload(r *rand.Rand, n int) []wlOp {
 // concurrent harness gives each worker a disjoint range so every object has
 // exactly one writer and its reference history stays exact.
 func genWorkloadIn(r *rand.Rand, n int, base uint64, span int) []wlOp {
-	// A crude picture of each id as the ops will leave it, so that most alias
-	// ops name a source the store takes (checkpointed since its last Put) and
-	// a destination it can (absent, any deletion checkpointed).  Another
-	// worker's checkpoint only makes the picture pessimistic.
-	type picture struct{ exists, dirty, home bool }
-	pic := make([]picture, span)
-	pick := func(ok func(picture) bool) uint64 {
-		var fit []int
-		for i, p := range pic {
-			if ok(p) {
-				fit = append(fit, i)
-			}
-		}
-		if len(fit) == 0 {
-			return base + uint64(r.Intn(span)) // let the store refuse it
-		}
-		return base + uint64(fit[r.Intn(len(fit))])
-	}
 	var ops []wlOp
 	for i := 0; i < n; i++ {
 		id := base + uint64(r.Intn(span))
-		p := &pic[id-base]
 		switch k := opKind(r.Intn(int(numOpKinds))); k {
 		case opPut:
 			ops = append(ops, wlOp{kind: opPut, id: id, data: randPayload(r)})
-			p.exists, p.dirty = true, true
 		case opPutLabeled:
 			ops = append(ops, wlOp{kind: opPutLabeled, id: id, data: randPayload(r), lbl: randLabel(r)})
-			p.exists, p.dirty = true, true
 		case opDelete:
 			ops = append(ops, wlOp{kind: opDelete, id: id})
-			p.exists, p.dirty = false, false
 		case opSync:
 			ops = append(ops, wlOp{kind: opSync, id: id})
-		case opAlias:
-			// Source and destination in the same range: the destination is
-			// then rewritten, synced and deleted like any other object, and
-			// aliased again — of an alias, often enough.
-			src := pick(func(p picture) bool { return p.exists && !p.dirty && p.home })
-			dst := pick(func(p picture) bool { return !p.exists && !p.home })
-			ops = append(ops, wlOp{kind: opAlias, id: dst, src: src, lbl: randLabel(r)})
-			if s, d := pic[src-base], &pic[dst-base]; s.exists && !s.dirty && s.home && !d.exists && !d.home {
-				*d = s
-			}
 		case opCheckpoint:
 			ops = append(ops, wlOp{kind: opCheckpoint})
-			for i := range pic {
-				pic[i].dirty, pic[i].home = false, pic[i].exists
-			}
 		case opPatch:
 			// A partial overwrite and its fsync: a range record, when the
 			// store can build on a whole one.
 			data := randPayload(r)
 			ops = append(ops, wlOp{kind: opPatch, id: id, off: r.Intn(1500), data: data[:min(len(data), 64)], lbl: randLabel(r)},
 				wlOp{kind: opSync, id: id})
-			p.exists, p.dirty = true, true
 		case opFailCheckpoint:
 			ops = append(ops, wlOp{kind: opFailCheckpoint})
 		}
 	}
 	return ops
-}
-
-// applyAlias runs one opAlias and keeps m in step.  Whether the store takes
-// it depends on state the model does not track (is the source clean, has the
-// destination's deletion been checkpointed), so the store's typed refusals
-// are results, not failures: they change nothing.  An alias it does take is
-// of the source's latest state — a clean source has no other — and is
-// committed on return; one the fault interrupted may have reached the log all
-// the same (a torn frame whose payload landed whole replays), so it is a
-// state the destination may be found in, not one it must.  After a failed
-// checkpoint an alias first checkpoints, which makes every state durable.
-func applyAlias(s *Store, op wlOp, m *refModel) error {
-	q := epochNow(s)
-	err := alias1(s, op.src, op.id, op.lbl)
-	if s.committedEpoch() > q {
-		m.commitAll()
-	}
-	switch {
-	case errors.Is(err, ErrNotCommitted), errors.Is(err, ErrNoSuchObject), errors.Is(err, ErrCloneExists):
-		return nil
-	case err == nil, errors.Is(err, disk.ErrFault):
-		m.push(op.id, objState{exists: true, data: m.latest(op.src).data, lbl: op.lbl, hasLabel: true})
-		if err == nil {
-			m.commit(op.id)
-		}
-	}
-	return err
 }
 
 // errBarrier is the flush failure opFailCheckpoint injects.
@@ -352,10 +287,6 @@ func runWorkload(t *testing.T, s *Store, ops []wlOp, m *refModel) bool {
 				m.commitAll()
 			}
 			m.commit(op.id)
-		case opAlias:
-			if faulted(applyAlias(s, op, m)) {
-				return true
-			}
 		case opCheckpoint:
 			if faulted(s.Checkpoint()) {
 				return true
@@ -509,8 +440,6 @@ func runWorkloadConcurrent(t *testing.T, s *Store, workers [][]wlOp, models []*r
 					if err = s.SyncObject(op.id); err == nil {
 						m.commit(op.id)
 					}
-				case opAlias:
-					err = applyAlias(s, op, m)
 				case opCheckpoint, opFailCheckpoint:
 					// A successful checkpoint made at least this worker's own
 					// latest states durable (its ops are sequential, so none

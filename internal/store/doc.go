@@ -16,7 +16,7 @@
 //     "HIST", referenced metadata area (0 or 1), snapshot byte length, log
 //     region size, metadata area size, format version (2), checkpoint
 //     epoch.
-//   - Metadata area header (48 bytes): magic "HMET", version (7), checkpoint
+//   - Metadata area header (48 bytes): magic "HMET", version (8), checkpoint
 //     epoch, payload length, section count (3), CRC32C over the header's
 //     first 40 bytes.
 //   - Metadata sections: each framed [tag u64][length u64][CRC32C u64]
@@ -26,9 +26,9 @@
 //     are retired.  Verification requires each of the three tags exactly
 //     once, in-bounds lengths, and no trailing bytes, so a flipped tag or
 //     length never silently reassigns bytes between sections.  Nothing
-//     derivable is stored: the free list, the extent refcounts and the
-//     per-segment live counts are rebuilt from these sections at open, and a
-//     layout that overlaps or leaves the data region is a CorruptError.
+//     derivable is stored: the free list and the per-segment live counts
+//     are rebuilt from these sections at open, and a layout that overlaps
+//     or leaves the data region is a CorruptError.
 //   - Object extents: the object-map entry records a CRC32C of the
 //     object's contents, computed when the checkpoint writes it to its
 //     home (segment or dedicated extent) and verified on every read of the
@@ -37,7 +37,7 @@
 //     the checksum present; every entry written has it, and a decoded
 //     entry without it is corruption.
 //   - Write-ahead log: header, frame-descriptor, frame-payload and
-//     per-record CRCs, header version 8 (package wal); each frame's
+//     per-record CRCs, header version 9 (package wal); each frame's
 //     descriptor carries the epoch it was committed in.  A range record is
 //     a u64 offset and the bytes there, laid over the object's last whole one.
 //
@@ -114,10 +114,9 @@
 // A home extent whose contents fail CRC verification — on a Get of a clean
 // object (the kernel's page-in), during a scrub, or when the segment cleaner
 // tries to copy it out — reaches one verdict (condemn, in home.go), which
-// quarantines exactly the objects whose home is that extent — one object, or
-// every alias sharing it: accesses return a QuarantineError
-// (errors.Is-matching both ErrQuarantined and ErrCorrupt), SyncObject refuses
-// to log the damaged bytes, Alias refuses to share them, and the ID stays
+// quarantines the one object whose home is that extent: accesses return a
+// QuarantineError (errors.Is-matching both ErrQuarantined and ErrCorrupt),
+// SyncObject refuses to log the damaged bytes, and the ID stays
 // enumerable via QuarantinedObjects.  The rest of the store serves normally
 // (the cleaner additionally leaves the damaged object's whole segment in place
 // — moving it would destroy the only, albeit damaged, copy).  A range record

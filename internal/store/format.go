@@ -2,8 +2,8 @@ package store
 
 // The on-disk format, all of it: every layout constant and every encoder and
 // decoder for the superblock copies, the metadata-area header, the section
-// framing, the three metadata sections, and the alias and range bodies that
-// ride in write-ahead log records.  (The log's own record framing belongs to
+// framing, the three metadata sections, and the range body that rides in
+// write-ahead log records.  (The log's own record framing belongs to
 // package wal.)  No other file interprets or produces a persistent byte; see
 // the package comment and doc.go for the layouts in prose.
 //
@@ -49,7 +49,7 @@ const (
 // section stream.
 const (
 	metaMagic      = 0x484d4554 // "HMET"
-	metaVersion    = 7
+	metaVersion    = 8
 	metaHeaderSize = 48
 	mhMagicOff     = 0
 	mhVersionOff   = 8
@@ -74,10 +74,6 @@ const (
 	// contents checksum.  Every record written has it set; a decoded record
 	// without it is corruption.
 	objCRCValid = uint64(1) << 32
-
-	// aliasBodySize is the fixed payload of a WAL alias record: the aliased
-	// home record.
-	aliasBodySize = 24
 )
 
 // superblockInfo is one parsed superblock copy.
@@ -138,8 +134,8 @@ func appendU64(buf []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, v)
 }
 
-// appendHome writes one home record: offset, size, and the CRC field.  The
-// object map and alias bodies both record a home this way.
+// appendHome writes one object-map home record: offset, size, and the CRC
+// field.
 func appendHome(buf []byte, h home) []byte {
 	buf = appendU64(buf, uint64(h.off))
 	buf = appendU64(buf, uint64(h.size))
@@ -202,11 +198,10 @@ func (r *sectionReader) home() home {
 // individually checksummed sections (object map, labels, segment table); the
 // caller holds mu.  The object map and segment table are read live — by the
 // time the body serializes, it has finished mutating them, and no concurrent
-// operation does (an alias waits the body out) — while the label section
-// comes from the seal-time capture, so the snapshot is consistent with the
-// sealed epoch even as concurrent PutLabeled calls proceed.  Everything
-// derivable from these three — the free list, extent refcounts, per-segment
-// live counts — is rebuilt at Open, not stored.
+// operation does — while the label section comes from the seal-time capture,
+// so the snapshot is consistent with the sealed epoch even as concurrent
+// PutLabeled calls proceed.  Everything derivable from these three — the
+// free list, per-segment live counts — is rebuilt at Open, not stored.
 func (s *Store) encodeMetadata(epoch uint64, labels []sealedLabel) []byte {
 	// Object map: (id, home record) entries, ascending id.
 	objs := appendU64(nil, uint64(len(s.homes)))
@@ -349,22 +344,6 @@ func (s *Store) decodeSegsSection(r *sectionReader) {
 		s.segs = append(s.segs, &segment{base: int64(base), size: int64(size), used: int64(used)})
 		end = base + size
 	}
-}
-
-// encodeAliasBody is the payload of a WAL alias record: the home the
-// destination shares.
-func encodeAliasBody(h home) []byte {
-	return appendHome(make([]byte, 0, aliasBodySize), h)
-}
-
-// decodeAliasBody is encodeAliasBody's inverse.
-func decodeAliasBody(data []byte) (home, error) {
-	r := &sectionReader{buf: data, off: logOffset, area: "wal"}
-	if len(data) != aliasBodySize {
-		r.fail("alias record has a %d-byte payload, want %d", len(data), aliasBodySize)
-	}
-	h := r.home()
-	return h, r.err
 }
 
 // encodeRangeBody is the payload of a WAL range record: the u64 offset of

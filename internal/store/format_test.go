@@ -18,15 +18,14 @@ import (
 // formatImageSHA256 is the SHA-256 of the device image formatImageWorkload
 // leaves behind.  It pins every on-disk layout at once — superblock copies,
 // log header, frames and records, metadata header and sections, segment packing,
-// alias and range records — so a change that alters any of them must change
+// range records — so a change that alters any of them must change
 // this constant, visibly.  The checkpoint seal walks the object table in one
 // ascending id order, which fixes segment packing.
-const formatImageSHA256 = "fbe815a26d1f0ab54e20c49f6381d6eede3c061623a84cc0e9857c3a6f74415f"
+const formatImageSHA256 = "e575388f27825ff383f3736603f8eadee788b503456e248e9ae375081fb74c6b"
 
 // formatImageWorkload drives one seeded, single-threaded pass over every
 // structure the store writes: plain and labelled puts, deletes, per-object
-// and batched syncs, a snapshot's holds and clones of them, two checkpoints,
-// and a tail of log records after the last one, a range record among them.
+// and batched syncs, three checkpoints, and a tail of log records after the last one, a range record among them.
 func formatImageWorkload(t *testing.T, s *Store) {
 	t.Helper()
 	must := func(err error) {
@@ -58,18 +57,11 @@ func formatImageWorkload(t *testing.T, s *Store) {
 	must(s.SyncObject(9))
 	must(s.Checkpoint())
 
-	// A snapshot the way the kernel takes one — a checkpoint, then a hold on
-	// each of four objects — and a clone of two of those.
 	must(s.Checkpoint())
-	for id := uint64(3); id <= 6; id++ {
-		must(alias1(s, id, 60+id, rotLabel(id%5)))
-	}
-	must(alias1(s, 63, 100, rotLabel(3)))
-	must(alias1(s, 64, 101, rotLabel(6)))
 	for id := uint64(20); id <= 30; id++ {
 		must(s.PutLabeled(id, rotLabel(id%7), payload(), 0, whole))
 	}
-	must(s.Put(100, payload())) // copy-on-write break of the clone
+	must(s.Put(100, payload()))
 	for _, err := range s.SyncObjects([]uint64{20, 21, 22, 100}) {
 		must(err)
 	}
@@ -118,8 +110,8 @@ func TestOnDiskFormatUnchanged(t *testing.T) {
 }
 
 // TestDecodersRefuseDamagedPayloads drives every decoder that reads through
-// the sticky sectionReader — the three metadata sections and the alias body
-// of a clone record — with its own encoder's output and two damaged variants:
+// the sticky sectionReader — the three metadata sections — with its own
+// encoder's output and two damaged variants:
 // cut short in the middle of a field, and with a count or length field that
 // claims more than the payload holds (an absurd count must also return at
 // once rather than loop).  The segment table gets a third: an entry that
@@ -127,8 +119,8 @@ func TestOnDiskFormatUnchanged(t *testing.T) {
 // one comes back as a CorruptError, never a panic or a half-reported success.
 //
 // Then the layout every section decodes on its own but no run of the store
-// could have written: a home overlapping another home that is not its alias,
-// a home outside the data region at either end, a home whose size field
+// could have written: a home overlapping another home, two homes naming one
+// extent (an alias, which metadata version 7 allowed), a home outside the data region at either end, a home whose size field
 // reads negative, a home past its segment's used mark, and a dedicated home
 // overlapping a segment.  Each would let the allocator hand out bytes a home
 // still holds.  Deriving the free list refuses each with a CorruptError, and
@@ -162,7 +154,6 @@ func TestDecodersRefuseDamagedPayloads(t *testing.T) {
 		}
 		return b
 	}
-	cloneBody := encodeAliasBody(home{off: 8192, size: 10, crc: 7})
 	cases := []struct {
 		name    string
 		payload []byte
@@ -173,11 +164,6 @@ func TestDecodersRefuseDamagedPayloads(t *testing.T) {
 		{"objmap", section(secObjMap), 0, nil, (*Store).decodeObjMapSection},
 		{"labels", section(secLabels), 0, nil, (*Store).decodeLabelSection},
 		{"segments", section(secSegs), 0, u64s(2, 1<<20, 1<<20, 0, 3<<19, 1<<20, 0), (*Store).decodeSegsSection},
-		{"clone-body", cloneBody, -1, nil, func(_ *Store, r *sectionReader) {
-			if _, err := decodeAliasBody(r.buf); err != nil {
-				r.err = err
-			}
-		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -189,12 +175,10 @@ func TestDecodersRefuseDamagedPayloads(t *testing.T) {
 			if err := run(tc.payload); err != nil {
 				t.Fatalf("intact payload refused: %v", err)
 			}
-			damaged := map[string][]byte{"truncated-mid-field": tc.payload[:len(tc.payload)-3]}
-			if tc.lenOff >= 0 {
-				damaged["overrunning-length"] = overrun(tc.payload, tc.lenOff, binary.LittleEndian.Uint64(tc.payload[tc.lenOff:])+1)
-				damaged["absurd-length"] = overrun(tc.payload, tc.lenOff, ^uint64(0))
-			} else {
-				damaged["overlong"] = append(append([]byte(nil), tc.payload...), 0)
+			damaged := map[string][]byte{
+				"truncated-mid-field": tc.payload[:len(tc.payload)-3],
+				"overrunning-length":  overrun(tc.payload, tc.lenOff, binary.LittleEndian.Uint64(tc.payload[tc.lenOff:])+1),
+				"absurd-length":       overrun(tc.payload, tc.lenOff, ^uint64(0)),
 			}
 			if tc.overlap != nil {
 				damaged["overlapping"] = tc.overlap
@@ -214,6 +198,7 @@ func TestDecodersRefuseDamagedPayloads(t *testing.T) {
 		{"home-overlaps-home", func(s *Store) {
 			s.homes[2] = home{off: s.homes[1].off, size: s.homes[1].size + 1}
 		}},
+		{"homes-share-an-extent", func(s *Store) { s.homes[2] = s.homes[1] }},
 		{"home-outside-data-region", func(s *Store) {
 			s.homes[1] = home{off: logOffset, size: s.homes[1].size}
 		}},

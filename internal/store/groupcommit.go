@@ -2,8 +2,7 @@ package store
 
 // Group commit is the one way into the write-ahead log for every record the
 // store writes: SyncObject seals a record from the object's current state,
-// Alias one describing the alias it installed; each enqueues it with the
-// committer and waits on a commit ticket.  The first syncer to find the
+// enqueues it with the committer and waits on a commit ticket.  The first syncer to find the
 // committer idle becomes the leader: it drains the queue in bounded batches,
 // each batch one wal.Commit (one frame at the log's tail, one flush, stamped
 // with the current epoch), and resolves every ticket in the batch.  Followers

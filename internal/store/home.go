@@ -67,26 +67,18 @@ func (s *Store) readVerified(h home) ([]byte, error) {
 	return buf, nil
 }
 
-// condemn is the one verdict on a home extent whose contents failed
-// verification, whichever read path found it: the corruption is counted,
-// every object whose home is that extent — the one being read, and every
-// alias sharing it — is quarantined, so a further alias of any of them fails
-// typed instead of fanning the damage out.  An object whose in-memory state
-// is dirty, dead or sealed into the running checkpoint is left alone: that
-// state replaces the extent at the next relocation, so the damaged bytes are
-// already superseded.  The caller holds mu; condemn returns how many
-// objects it newly quarantined.
-func (s *Store) condemn(off int64) int {
+// condemn is the one verdict on an object whose home extent failed
+// verification, whichever read path found it: the corruption is counted and
+// the object quarantined.  An object whose in-memory state is dirty, dead or
+// sealed into the running checkpoint is left alone: that state replaces the
+// extent at the next relocation, so the damaged bytes are already
+// superseded.  The caller holds mu; condemn returns 1 if it newly
+// quarantined the object, else 0.
+func (s *Store) condemn(id uint64) int {
 	s.integ.corruptions.Add(1)
-	fresh := 0
-	s.scanHomes(func(id uint64, h home) {
-		if h.off != off {
-			return
-		}
-		if e := s.entry(id); !e.dirty && !e.dead && !e.ckpt && !e.quar {
-			s.quarantine(e)
-			fresh++
-		}
-	})
-	return fresh
+	if e := s.entry(id); !e.dirty && !e.dead && !e.ckpt && !e.quar {
+		s.quarantine(e)
+		return 1
+	}
+	return 0
 }

@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"histar/internal/disk"
-	"histar/internal/label"
 	"histar/internal/vclock"
 )
 
@@ -327,7 +326,7 @@ func (d *lockCheckDevice) Flush() error {
 // TestNoDeviceWriteUnderMu pins the one rule the store's mu has: no device
 // write or flush is issued while it is held — not by a checkpoint (extent
 // relocation, segment append, the cleaner, snapshot, superblock), a
-// SyncObjects group commit, an Alias, or a Scrub — so no operation waits
+// SyncObjects group commit, or a Scrub — so no operation waits
 // behind disk I/O for the lock every operation takes.  The test is
 // single-threaded, so a failed TryLock during a write can only mean the
 // writing goroutine itself holds mu.
@@ -376,7 +375,6 @@ func TestNoDeviceWriteUnderMu(t *testing.T) {
 	}
 	step("put", s.Put(200, make([]byte, 40<<10)))
 	step("checkpoint", s.Checkpoint())
-	step("alias", errors.Join(s.Alias([]uint64{1, 5}, []uint64{1001, 1005}, []label.Label{rotLabel(1), rotLabel(5)})...))
 	_, err = s.Scrub()
 	step("scrub", err)
 	if s.Stats().SegsCleaned == 0 {

@@ -53,23 +53,12 @@ func Open(d disk.Device, opts Options) (*Store, error) {
 	// seal takes an epoch above every recovered one, so no record synced
 	// before it is ever replayed over its snapshot.
 	top := s.metaEpoch
-	var extents map[int64]home // the loaded homes by offset, built for the first alias record
 	for _, r := range recs {
 		top = max(top, r.Epoch)
 		if r.Epoch < s.metaEpoch {
 			continue
 		}
 		s.report.WALRecordsReplayed++
-		if r.Clone {
-			if extents == nil {
-				extents = make(map[int64]home, len(s.homes))
-				s.scanHomes(func(_ uint64, h home) {
-					extents[h.off] = h
-				})
-			}
-			s.replayAliasRecord(r, extents)
-			continue
-		}
 		e := s.entry(r.ObjectID)
 		// The record's label, or none, replaces whatever a checkpoint
 		// recorded: a tombstone drops it, and a label-less record asserts the
@@ -104,10 +93,6 @@ func Open(d disk.Device, opts Options) (*Store, error) {
 			e.lbl, e.hasLbl = lbl, true
 		}
 	}
-	// Replayed alias records introduced references the loaded snapshot's
-	// derived state does not reflect: rebuild the extent refcounts and
-	// segment live totals once over the final table.
-	s.recomputeSegLive()
 	s.epoch.Store(top)
 	return s, nil
 }

@@ -15,7 +15,7 @@ type ScrubStats struct {
 	MetaAreasChecked int
 	MetaAreasOK      int
 	// ObjectsChecked counts home extents verified against their recorded
-	// contents CRC; ObjectsQuarantined counts extents newly quarantined by
+	// contents CRC; ObjectsQuarantined counts objects newly quarantined by
 	// this pass.
 	ObjectsChecked     int
 	ObjectsQuarantined int
@@ -182,6 +182,6 @@ func (s *Store) scrubOneObject(t homedObject, st *ScrubStats) {
 	defer s.mu.Unlock()
 	if cur, ok := s.homeOf(t.id); ok && cur == t.home {
 		st.CorruptionsFound++
-		st.ObjectsQuarantined += s.condemn(t.off)
+		st.ObjectsQuarantined += s.condemn(t.id)
 	}
 }

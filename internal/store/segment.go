@@ -61,23 +61,11 @@ func (s *Store) dropSeg(seg *segment) {
 	s.c.segsFreed.Add(1)
 }
 
-// vacateExtent releases one reference to the home extent behind (off,
-// size).  A shared extent (aliases, counted in extRefs) just loses a
-// reference — no segment empties while any referent remains, which is what
-// keeps the cleaner off data an alias still reads.  The sole (or last)
-// referent's release decrements its segment's live count, dropping the
-// segment at zero; a dedicated extent needs nothing, as the next commit's
-// free list holds it.  Called only by the checkpoint body (ckptRun
-// serializes), holding mu.
+// vacateExtent releases the home extent behind (off, size): it decrements
+// its segment's live count, dropping the segment at zero; a dedicated extent
+// needs nothing, as the next commit's free list holds it.  Called only by
+// the checkpoint body (ckptRun serializes), holding mu.
 func (s *Store) vacateExtent(off, size int64) {
-	if n, ok := s.extRefs[off]; ok {
-		if n <= 2 {
-			delete(s.extRefs, off) // back to a single owner
-		} else {
-			s.extRefs[off] = n - 1
-		}
-		return
-	}
 	if seg := s.segContaining(off); seg != nil {
 		seg.live -= align512(size)
 		if seg.live <= 0 {
@@ -125,37 +113,19 @@ func (s *Store) segAppend(data []byte) (int64, error) {
 	return off, nil
 }
 
-// recomputeSegLive derives the loaded image's reference state: the extent
-// refcounts (extRefs — how many object-map entries name each extent; not
-// persisted) and each segment's live count, with every unique extent
-// counted exactly once no matter how many referents share it.  It
-// also reopens the most recently allocated partially filled segment —
-// provided its geometry matches the current SegmentSize — so appends
-// continue where the committed snapshot left off.  Appending beyond a
-// committed used mark is crash-safe: no referenced snapshot addresses those
-// bytes.  Runs during Open, single-threaded, and is idempotent: Open calls
-// it again after WAL replay, which may have added aliases.
+// recomputeSegLive derives each segment's live count from the loaded home
+// table (it is not persisted).  It also reopens the most recently allocated
+// partially filled segment — provided its geometry matches the current
+// SegmentSize — so appends continue where the committed snapshot left off.
+// Appending beyond a committed used mark is crash-safe: no referenced
+// snapshot addresses those bytes.  Runs during Open, single-threaded.
 func (s *Store) recomputeSegLive() {
-	type ref struct {
-		n    int64
-		size int64
-	}
-	refs := make(map[int64]ref, len(s.homes))
-	s.scanHomes(func(_ uint64, h home) {
-		refs[h.off] = ref{n: refs[h.off].n + 1, size: h.size}
-	})
-	s.extRefs = make(map[int64]int64)
-	for off, r := range refs {
-		if r.n >= 2 {
-			s.extRefs[off] = r.n
-		}
-	}
 	for _, seg := range s.segs {
 		seg.live = 0
 	}
-	for off, r := range refs {
-		if seg := s.segContaining(off); seg != nil {
-			seg.live += align512(r.size)
+	for _, h := range s.homes {
+		if seg := s.segContaining(h.off); seg != nil {
+			seg.live += align512(h.size)
 		}
 	}
 	s.openSeg = nil
@@ -173,27 +143,13 @@ func (s *Store) recomputeSegLive() {
 // be reclaimed.  A live object that fails its contents CRC on the way out
 // is condemned and its segment left in place (moving would destroy the
 // only — damaged — copy).
-//
-// A segment holding a shared extent (one in extRefs) is left where it is,
-// however dead the rest of it: objects move one at a time, so copying a
-// shared extent out would write its bytes once per referent and end the
-// sharing.  The rule is exact: an alias is installed only while no body is
-// open (see Alias), so during this pass extRefs can only shrink.  A shared
-// extent counts toward live, so such a segment never looks empty either;
-// when the sharing ends it is an ordinary segment again.
 func (s *Store) cleanSegments() error {
 	s.mu.Lock()
-	shared := make(map[int64]bool)
-	for off := range s.extRefs {
-		if seg := s.segContaining(off); seg != nil {
-			shared[seg.base] = true
-		}
-	}
 	// Ascending bases, so the victims come out in the deterministic order
 	// cleaning needs; the dead are dropped only after the walk.
 	var dead, victims []*segment
 	for _, seg := range s.segs {
-		if seg == s.openSeg || seg.used == 0 || shared[seg.base] {
+		if seg == s.openSeg || seg.used == 0 {
 			continue
 		}
 		if seg.live == 0 {
@@ -226,7 +182,7 @@ func (s *Store) cleanSegments() error {
 			if err != nil {
 				if errors.Is(err, ErrCorrupt) {
 					s.mu.Lock()
-					s.condemn(o.off)
+					s.condemn(o.id)
 					s.mu.Unlock()
 				}
 				damaged = true

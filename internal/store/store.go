@@ -30,17 +30,17 @@
 // both do), so a single rotted sector never loses the root of the store.
 //
 // Each metadata area starts with a 48-byte header — magic "HMET", version
-// (currently 7), checkpoint epoch, payload length, section count, and a
+// (currently 8), checkpoint epoch, payload length, section count, and a
 // CRC32C over the header itself — followed by three tagged sections, each
 // framed as [tag u64] [length u64] [CRC32C u64] [payload]: the object map
 // (id plus home record — extent offset, size, contents CRC; the CRC, flagged
 // by bit 32 of its field, is what every read of a home extent verifies
 // against, and an entry without the flag is corruption); object labels (id,
 // canonical label.AppendBinary bytes); and the segment table (base, size,
-// used triples describing the append-only data segments).  Two entries of
-// the object map may name one extent: that is all an alias is on disk.  Only
-// primary facts are stored: the free-extent list, the extent refcounts and
-// the per-segment live counts are derived from these sections at open.
+// used triples describing the append-only data segments).  No two entries of
+// the object map name one extent.  Only primary facts are stored: the
+// free-extent list and the per-segment live counts are derived from these
+// sections at open.
 // format.go holds every one of these layouts and is the only file that
 // reads or writes them.  Checkpoints serialize into the area the superblock
 // does NOT reference, flush, then rewrite both superblock copies with the
@@ -52,38 +52,6 @@
 // See doc.go for the full integrity reference: the degradation ladder Open
 // walks when verification fails, and the quarantine semantics for damaged
 // object extents.
-//
-// # Aliases
-//
-// Alias (alias.go) is the one way two object IDs share bytes: the
-// destination becomes an ordinary object whose home is the source's
-// committed extent, in O(metadata) — no data is read or written — and from
-// then on the two are peers: either may be rewritten (the ordinary
-// dirty/relocate path gives it a private extent: copy-on-write at checkpoint
-// granularity) or deleted, and the other keeps reading the shared bytes.  A
-// snapshot, to the store, is nothing more than aliases somebody holds on to;
-// a clone is an alias of one of those; dropping either is Delete.
-//
-// Sharing is tracked by extRefs, a refcount over extents with more than one
-// referent (an absent entry means the single ordinary owner).  vacateExtent
-// consults it first, so no segment empties while any referent lives, and
-// the cleaner leaves a segment holding a shared extent where it is rather
-// than copy the extent out once per referent (see cleanSegments).
-//
-// Durability: an alias is acknowledged once a small self-contained WAL
-// record — destination ID, home record, label — has committed.  It rides the
-// group committer exactly as a sync record does (logged, in groupcommit.go)
-// and, when the log has no room, is made durable by a checkpoint instead,
-// which persists the installed home in the object map.  A record only ever
-// names an extent the committed snapshot holds — an alias asked for while a
-// checkpoint body is open waits the body out — and replay re-aliases it; a
-// record whose extent the loaded snapshot does not hold quarantines the
-// destination: a typed error, never silent bad bytes.
-//
-// Rot: a contents-CRC failure on a shared extent, whichever read path finds
-// it, falls on every referent (condemn, in home.go): all are quarantined, so
-// later aliases of any of them fail with a typed QuarantineError instead of
-// silently fanning damaged bytes out.
 //
 // # Data region: segments
 //
@@ -155,14 +123,14 @@
 //     torn in-progress image.
 //  4. mu guards every in-memory table: the object entries (objEntry), the
 //     home table and the committed snapshot's place (metaWhich, metaEpoch),
-//     the extent refcounts, the free list, the segment table and the last
+//     the free list, the segment table and the last
 //     scrub's result.  It is never held across a device write or flush: the
 //     checkpoint body issues each write outside it and takes it to record
 //     where the bytes went.  Get holds it across a home read, so no put,
 //     delete or relocation lands between the lookup and the read.
 //  5. The committer's queue mutex (see groupcommit.go) is a leaf below mu:
-//     records — syncs and aliases alike — are sealed and enqueued under mu,
-//     so per-object log order matches seal order.
+//     records are sealed and enqueued under mu, so per-object log order
+//     matches seal order.
 //
 // Format and Open are single-threaded: they touch the tables without mu.
 //
@@ -344,12 +312,6 @@ type Store struct {
 	homes map[uint64]home      // object ID → home record, the paper's object map
 
 	free []extent // the free extents, ascending by offset (see alloc.go)
-	// extRefs counts the object-map entries naming each shared home extent
-	// (see Alias).  An absent entry means the ordinary single owner;
-	// vacateExtent decrements before freeing, so a shared extent is reclaimed
-	// only when its last referent lets go.  Rebuilt from the object map at
-	// Open.
-	extRefs map[int64]int64
 
 	// The append-only data segments (see segment.go), ascending by base, and
 	// the one currently receiving appends (nil = none).
@@ -452,7 +414,6 @@ func Format(d disk.Device, opts Options) (*Store, error) {
 func (s *Store) resetTables() {
 	s.homes = make(map[uint64]home)
 	s.free = nil
-	s.extRefs = make(map[int64]int64)
 	s.segs = nil
 	s.openSeg = nil
 	s.objs = make(map[uint64]*objEntry)
@@ -573,35 +534,32 @@ func (s *Store) Get(id uint64) ([]byte, error) {
 	s.c.gets.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	buf, h, err := s.read(id)
+	buf, err := s.read(id)
 	var rot *CorruptError
 	if errors.As(err, &rot) {
-		// The verdict falls on every referent of the extent, this object
-		// included.
-		s.condemn(h.off)
+		s.condemn(id)
 		return nil, &QuarantineError{ID: id, Detail: rot.Error()}
 	}
 	return buf, err
 }
 
-// read is Get under ckptMu and mu, also returning the home read, if any.
-func (s *Store) read(id uint64) ([]byte, home, error) {
+// read is Get under ckptMu and mu.
+func (s *Store) read(id uint64) ([]byte, error) {
 	if e := s.objs[id]; e != nil {
 		switch {
 		case e.dead:
-			return nil, home{}, ErrNoSuchObject
+			return nil, ErrNoSuchObject
 		case e.resident():
-			return append([]byte(nil), e.data...), home{}, nil
+			return append([]byte(nil), e.data...), nil
 		case e.quar:
-			return nil, home{}, &QuarantineError{ID: id, Detail: "home extent failed verification"}
+			return nil, &QuarantineError{ID: id, Detail: "home extent failed verification"}
 		}
 	}
 	h, ok := s.homeOf(id)
 	if !ok {
-		return nil, h, ErrNoSuchObject
+		return nil, ErrNoSuchObject
 	}
-	buf, err := s.readVerified(h)
-	return buf, h, err
+	return s.readVerified(h)
 }
 
 // Label returns the stored label of an object, if one was recorded.

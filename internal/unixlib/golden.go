@@ -7,41 +7,44 @@ import (
 	"histar/internal/label"
 )
 
-// Golden-image spawn: the O(metadata) sandbox fast-path.
+// Golden-image spawn: the O(metadata) sandbox fast-path, built on the
+// kernel's one copy primitive, SegmentCopy.
 //
-// A golden image is a container snapshot of a pre-baked per-user sandbox —
-// programs, directory segments, a scanner database, whatever read-only state
-// every user's environment starts from — captured once with a template
-// user's categories.  SpawnFromGolden clones it for a real user in
-// O(metadata): the kernel remaps the template categories to the user's own
-// and shares every data byte copy-on-write, so spawning a 64 MiB sandbox
-// costs a subtree walk instead of a 64 MiB build.
-//
-// When the system booted with a persistent store, a golden image's segment
-// images are store objects of their own — aliases of the baked segments'
-// extents, made in one call at the bake — and a spawn's segments are aliases
-// of those, made in one call per spawn: the store never reclaims an extent a
-// referent still reads and refuses to alias one it has found rotted, so a
-// damaged image fails the spawn with a typed error instead of fanning bad
-// bytes out to every sandbox, and a sandbox's store objects die with it.
+// A golden image is a per-user sandbox (programs, directory segments, any
+// read-only state) built once at a template user's labels.  BakeGolden copies
+// each segment of the build into one immutable {1} image container and keeps
+// a manifest of the build.  Its init thread owns the template's categories,
+// so that copy is an explicit declassification by their owner: a golden image
+// is public by construction and must hold nothing a user may not read.
+// SpawnFromGolden re-creates the build for a user, each segment a copy of the
+// image's at the build's label with the template's categories replaced by
+// the user's: a few calls per object, all through the kernel's ordinary
+// checks, and no byte copied until a sandbox writes.  With a store, the bake
+// syncs the image's segments once, so an evicted image pages back in
+// verified and a rotted one fails the spawn typed.
 
 // GoldenImage describes one baked sandbox image.
 type GoldenImage struct {
-	// Name is the label the image was baked under; Snapshot identifies the
-	// kernel snapshot clones name.
-	Name     string
-	Snapshot kernel.ID
-	// Root is the baked template subtree's root container (still linked
-	// under the kernel root container; it is the master copy).
+	Name string
+	// Root is the image container under the kernel root: {1}, immutable,
+	// holding a copy of each segment of the build.  Unref drops the image.
 	Root kernel.ID
-	// Template is the user whose categories label the image's private data;
-	// SpawnFromGolden remaps them to the spawning user's.  A nil Template
-	// bakes a fully public image.
+	// Template is the user whose categories label the build (nil: public).
 	Template *User
-	// Objects and Bytes describe the image: captured object count and total
-	// segment data (shared, not copied, by each spawn).
+	// Objects and Bytes count the build's objects and segment bytes.
 	Objects int
 	Bytes   uint64
+	objs    []goldenObject // the manifest, parents first, the build's root first
+}
+
+// goldenObject is one container or segment of the build.
+type goldenObject struct {
+	parent  int // index of the containing entry; -1 for the root
+	typ     kernel.ObjectType
+	lbl     label.Label
+	descrip string
+	quota   uint64    // a container's
+	seg     kernel.ID // a segment's copy in the image
 }
 
 // sandboxLabel is the label sandbox data carries: private to the owning user
@@ -62,10 +65,7 @@ const goldenSegChunk = 8 << 20
 func populateSandbox(tc *kernel.ThreadCall, sandbox kernel.ID, owner *User, nbytes int) error {
 	lbl := sandboxLabel(owner)
 	for off, i := 0, 0; off < nbytes; i++ {
-		n := nbytes - off
-		if n > goldenSegChunk {
-			n = goldenSegChunk
-		}
+		n := min(nbytes-off, goldenSegChunk)
 		sid, err := tc.SegmentCreate(sandbox, lbl, fmt.Sprintf("sandbox data %d", i), n)
 		if err != nil {
 			return err
@@ -82,36 +82,92 @@ func populateSandbox(tc *kernel.ThreadCall, sandbox kernel.ID, owner *User, nbyt
 	return nil
 }
 
-// BakeGolden creates a sandbox container under the kernel root, runs build
-// to populate it, and captures it as a container snapshot.  The bootstrap
-// thread owns every user's categories, so it can bake images holding the
-// template user's private data.
+// BakeGolden creates a scratch sandbox container under the kernel root at
+// the template's label, runs build to populate it, copies what it built into
+// a new image and unreferences the scratch container.  Threads and devices in
+// the build are skipped; a gate or an address space fails the bake with
+// ErrInvalid, since a spawn could not re-create it.
 func (sys *System) BakeGolden(name string, tmpl *User, build func(tc *kernel.ThreadCall, sandbox kernel.ID) error) (*GoldenImage, error) {
-	tc := sys.initTC
-	root := sys.Kern.RootContainer()
+	tc, root := sys.initTC, sys.Kern.RootContainer()
 	sandbox, err := tc.ContainerCreate(root, sandboxLabel(tmpl), "golden "+name, 0, kernel.QuotaInfinite)
 	if err != nil {
 		return nil, err
 	}
+	defer func() { _ = tc.Unref(root, sandbox) }()
+	img := &GoldenImage{Name: name, Template: tmpl}
 	if build != nil {
-		if err := build(tc, sandbox); err != nil {
-			_ = tc.Unref(root, sandbox)
-			return nil, fmt.Errorf("baking golden image %q: %w", name, err)
+		err = build(tc, sandbox)
+	}
+	if err == nil {
+		img.Root, err = tc.ContainerCreate(root, label.New(label.L1), "golden image "+name, 0, kernel.QuotaInfinite)
+		if err == nil {
+			if err = sys.copyIn(img, root, sandbox); err != nil {
+				_ = tc.Unref(root, img.Root)
+			}
 		}
 	}
-	info, err := tc.ContainerSnapshot(kernel.CEnt{Container: root, Object: sandbox}, name)
 	if err != nil {
-		_ = tc.Unref(root, sandbox)
-		return nil, fmt.Errorf("snapshotting golden image %q: %w", name, err)
+		return nil, fmt.Errorf("baking golden image %q: %w", name, err)
 	}
-	return &GoldenImage{
-		Name:     name,
-		Snapshot: info.ID,
-		Root:     sandbox,
-		Template: tmpl,
-		Objects:  info.Objects,
-		Bytes:    info.Bytes,
-	}, nil
+	return img, nil
+}
+
+// copyIn walks the build breadth-first into the manifest, copying each
+// segment into the image; then, with a store, syncs the copies in one call,
+// and makes them and the image immutable.
+func (sys *System) copyIn(img *GoldenImage, root, sandbox kernel.ID) error {
+	tc := sys.initTC
+	type entry struct {
+		ce     kernel.CEnt
+		parent int
+	}
+	var copies []kernel.CEnt
+	for queue := []entry{{kernel.CEnt{Container: root, Object: sandbox}, -1}}; len(queue) > 0; queue = queue[1:] {
+		ce := queue[0].ce
+		st, err := tc.ObjectStat(ce)
+		if err != nil {
+			return err
+		}
+		o := goldenObject{parent: queue[0].parent, typ: st.Type, lbl: st.Label, descrip: st.Descrip, quota: st.Quota}
+		switch st.Type {
+		case kernel.ObjThread, kernel.ObjDevice:
+			continue
+		case kernel.ObjContainer:
+			kids, err := tc.ContainerList(kernel.Self(ce.Object))
+			if err != nil {
+				return err
+			}
+			for _, kid := range kids {
+				queue = append(queue, entry{kernel.CEnt{Container: ce.Object, Object: kid}, len(img.objs)})
+			}
+		case kernel.ObjSegment:
+			n, err := tc.SegmentLen(ce)
+			if err == nil {
+				o.seg, err = tc.SegmentCopy(ce, img.Root, label.New(label.L1), st.Descrip)
+			}
+			if err != nil {
+				return err
+			}
+			img.Bytes += uint64(n)
+			copies = append(copies, kernel.CEnt{Container: img.Root, Object: o.seg})
+			sys.markPersistent(tc, copies[len(copies)-1])
+		default:
+			return fmt.Errorf("%w: a %v in the sandbox", ErrInvalid, st.Type)
+		}
+		img.objs = append(img.objs, o)
+	}
+	img.Objects = len(img.objs)
+	if sys.persist && len(copies) > 0 {
+		if err := tc.SyncSegments(copies...); err != nil {
+			return err
+		}
+	}
+	for _, ce := range append(copies, kernel.Self(img.Root)) {
+		if err := tc.ObjectSetImmutable(ce); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // BakeGoldenData bakes a golden image holding nbytes of read-only sandbox
@@ -122,23 +178,48 @@ func (sys *System) BakeGoldenData(name string, tmpl *User, nbytes int) (*GoldenI
 	})
 }
 
-// SpawnFromGolden clones the golden image into dst for user u, remapping the
-// template user's categories to u's, and returns the kernel's clone result
-// (fresh sandbox root, object count, bytes shared COW).  The invoking thread
-// must hold u's categories — in the web server this is the worker thread
-// right after gate login.  Spawns are O(metadata): no segment byte is
-// copied until a clone first writes it.
-func (sys *System) SpawnFromGolden(tc *kernel.ThreadCall, img *GoldenImage, dst kernel.ID, u *User) (kernel.CloneResult, error) {
-	var remap map[label.Category]label.Category
-	if img.Template != nil && u != nil {
-		remap = map[label.Category]label.Category{
-			img.Template.Ur: u.Ur,
-			img.Template.Uw: u.Uw,
+// SpawnFromGolden builds user u's sandbox from the image in container dst
+// and returns its root: each container of the build re-created, each segment
+// copied out of the image, at the labels the build gave them with the
+// template's categories replaced by u's.  The invoking thread must be able
+// to write dst and allocate at those labels — in the web server, the worker
+// thread right after gate login.  A failed spawn leaves nothing behind.
+func (sys *System) SpawnFromGolden(tc *kernel.ThreadCall, img *GoldenImage, dst kernel.ID, u *User) (kernel.ID, error) {
+	ids := make([]kernel.ID, len(img.objs))
+	var err error
+	for i, o := range img.objs {
+		parent, lbl := dst, img.spawnLabel(o.lbl, u)
+		if o.parent >= 0 {
+			parent = ids[o.parent]
+		}
+		if o.typ == kernel.ObjContainer {
+			ids[i], err = tc.ContainerCreate(parent, lbl, o.descrip, 0, o.quota)
+		} else {
+			ids[i], err = tc.SegmentCopy(kernel.CEnt{Container: img.Root, Object: o.seg}, parent, lbl, o.descrip)
+		}
+		if err != nil {
+			if i > 0 {
+				_ = tc.Unref(dst, ids[0])
+			}
+			return kernel.NilID, fmt.Errorf("spawning from golden image %q: %w", img.Name, err)
 		}
 	}
-	res, err := tc.ContainerClone(img.Snapshot, dst, remap)
-	if err != nil {
-		return kernel.CloneResult{}, fmt.Errorf("spawning from golden image %q: %w", img.Name, err)
+	return ids[0], nil
+}
+
+// spawnLabel is l with the template's categories replaced by u's.
+func (img *GoldenImage) spawnLabel(l label.Label, u *User) label.Label {
+	if img.Template == nil || u == nil {
+		return l
 	}
-	return res, nil
+	pairs := l.Pairs()
+	for i, p := range pairs {
+		switch p.Category {
+		case img.Template.Ur:
+			pairs[i].Category = u.Ur
+		case img.Template.Uw:
+			pairs[i].Category = u.Uw
+		}
+	}
+	return label.New(l.Default(), pairs...)
 }

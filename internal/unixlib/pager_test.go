@@ -27,22 +27,16 @@ func crashAndReopen(t *testing.T, st *store.Store) *store.Store {
 	return st2
 }
 
-// TestStoreObjectsDieWithTheirSegments: a sandbox cloned from a golden image
-// is torn down by unreferencing its container, not by unlinking names, and
-// the store objects it had — the clone's aliases and the private copy of what
-// it wrote — must go with it.
-func TestStoreObjectsDieWithTheirSegments(t *testing.T) {
-	sys, st, _ := bootSysPersist(t)
-	tc := sys.InitThread()
-	root := sys.Kern.RootContainer()
-	pub := label.New(label.L1)
+// bakeBlobs bakes a public image of one segment per blob.
+func bakeBlobs(t *testing.T, sys *System, blobs ...[]byte) *GoldenImage {
+	t.Helper()
 	img, err := sys.BakeGolden("img", nil, func(tc *kernel.ThreadCall, sandbox kernel.ID) error {
-		for i := 0; i < 3; i++ {
-			id, err := tc.SegmentCreate(sandbox, pub, "blob", 4096)
+		for _, data := range blobs {
+			id, err := tc.SegmentCreate(sandbox, label.New(label.L1), "blob", len(data))
 			if err != nil {
 				return err
 			}
-			if err := tc.SegmentWrite(kernel.CEnt{Container: sandbox, Object: id}, 0, bytes.Repeat([]byte{byte('a' + i)}, 4096)); err != nil {
+			if err := tc.SegmentWrite(kernel.CEnt{Container: sandbox, Object: id}, 0, data); err != nil {
 				return err
 			}
 		}
@@ -51,25 +45,62 @@ func TestStoreObjectsDieWithTheirSegments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return img
+}
+
+// abc is three 4 KiB blobs of 'a', 'b' and 'c'.
+func abc() [][]byte {
+	return [][]byte{bytes.Repeat([]byte("a"), 4096), bytes.Repeat([]byte("b"), 4096), bytes.Repeat([]byte("c"), 4096)}
+}
+
+// spawnedSegments lists the segments of a spawned sandbox's root container.
+func spawnedSegments(t *testing.T, tc *kernel.ThreadCall, root kernel.ID) []kernel.CEnt {
+	t.Helper()
+	kids, err := tc.ContainerList(kernel.Self(root))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var segs []kernel.CEnt
+	for _, kid := range kids {
+		if st, err := tc.ObjectStat(kernel.CEnt{Container: root, Object: kid}); err == nil && st.Type == kernel.ObjSegment {
+			segs = append(segs, kernel.CEnt{Container: root, Object: kid})
+		}
+	}
+	return segs
+}
+
+// TestStoreObjectsDieWithTheirSegments: a sandbox spawned from a golden image
+// is torn down by unreferencing its container, not by unlinking names, and
+// the store objects it made persistent — with the private copy of what it
+// wrote — must go with it.
+func TestStoreObjectsDieWithTheirSegments(t *testing.T) {
+	sys, st, _ := bootSysPersist(t)
+	tc := sys.InitThread()
+	root := sys.Kern.RootContainer()
+	img := bakeBlobs(t, sys, abc()...)
 	if err := tc.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	before := st.Stats().LiveObjects
 
-	scratch, err := tc.ContainerCreate(root, pub, "scratch", 0, kernel.QuotaInfinite)
+	scratch, err := tc.ContainerCreate(root, label.New(label.L1), "scratch", 0, kernel.QuotaInfinite)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sys.SpawnFromGolden(tc, img, scratch, nil)
+	sandbox, err := sys.SpawnFromGolden(tc, img, scratch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	blobs, err := tc.ContainerList(kernel.Self(res.Root))
-	if err != nil || len(blobs) != 3 {
-		t.Fatalf("sandbox entries = %v, %v", blobs, err)
+	blobs := spawnedSegments(t, tc, sandbox)
+	if len(blobs) != 3 {
+		t.Fatalf("sandbox segments = %v", blobs)
 	}
-	written := kernel.CEnt{Container: res.Root, Object: blobs[0]}
-	if err := tc.SegmentWrite(written, 0, []byte("private")); err != nil {
+	for _, ce := range blobs {
+		if err := tc.SegmentPersist(ce); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tc.SegmentWrite(blobs[0], 0, []byte("private")); err != nil {
 		t.Fatal(err)
 	}
 	if err := tc.Sync(); err != nil {
@@ -78,7 +109,7 @@ func TestStoreObjectsDieWithTheirSegments(t *testing.T) {
 	if got := st.Stats().LiveObjects; got != before+3 {
 		t.Fatalf("live store objects with the sandbox = %d, want %d", got, before+3)
 	}
-	if got, err := st.Get(uint64(written.Object)); err != nil || !bytes.HasPrefix(got, []byte("private")) {
+	if got, err := st.Get(uint64(blobs[0].Object)); err != nil || !bytes.HasPrefix(got, []byte("private")) {
 		t.Fatalf("the sandbox's written blob in the store = %.8q, %v", got, err)
 	}
 
@@ -92,59 +123,38 @@ func TestStoreObjectsDieWithTheirSegments(t *testing.T) {
 		t.Errorf("live store objects after the teardown = %d, want %d as before the spawn", got, before)
 	}
 	st2 := crashAndReopen(t, st)
-	for _, id := range blobs {
-		if _, err := st2.Get(uint64(id)); !errors.Is(err, store.ErrNoSuchObject) {
-			t.Errorf("sandbox blob %d after crash and reopen: %v, want ErrNoSuchObject", id, err)
+	for _, ce := range blobs {
+		if _, err := st2.Get(uint64(ce.Object)); !errors.Is(err, store.ErrNoSuchObject) {
+			t.Errorf("sandbox blob %d after crash and reopen: %v, want ErrNoSuchObject", ce.Object, err)
 		}
 	}
 }
 
-// TestGoldenMasterStoreObjectsDieWithTheirSegments: a snapshot makes the
-// master's segments persistent, so once the snapshot is dropped and the
-// master unreferenced their store objects go like anyone else's — while a
-// sandbox cloned before the drop keeps reading what it shared.
+// TestGoldenMasterStoreObjectsDieWithTheirSegments: a bake makes the image's
+// segments store objects, and the build's scratch segments none, so once the
+// image container is unreferenced its store objects go like anyone else's —
+// while a sandbox spawned before keeps reading what it shared.
 func TestGoldenMasterStoreObjectsDieWithTheirSegments(t *testing.T) {
 	sys, st, _ := bootSysPersist(t)
 	tc := sys.InitThread()
 	root := sys.Kern.RootContainer()
-	pub := label.New(label.L1)
 	if err := tc.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	before, free := st.Stats().LiveObjects, st.FreeBytes()
-	var master []kernel.ID
-	img, err := sys.BakeGolden("img", nil, func(tc *kernel.ThreadCall, sandbox kernel.ID) error {
-		for i := 0; i < 3; i++ {
-			id, err := tc.SegmentCreate(sandbox, pub, "blob", 4096)
-			if err != nil {
-				return err
-			}
-			master = append(master, id)
-			if err := tc.SegmentWrite(kernel.CEnt{Container: sandbox, Object: id}, 0, bytes.Repeat([]byte{byte('a' + i)}, 4096)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	img := bakeBlobs(t, sys, abc()...)
+	if err := tc.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Stats().LiveObjects; got != before+3 {
+		t.Fatalf("live store objects with the image = %d, want %d", got, before+3)
+	}
+	scratch, err := tc.ContainerCreate(root, label.New(label.L1), "scratch", 0, kernel.QuotaInfinite)
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch, err := tc.ContainerCreate(root, pub, "scratch", 0, kernel.QuotaInfinite)
+	sandbox, err := sys.SpawnFromGolden(tc, img, scratch, nil)
 	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.SpawnFromGolden(tc, img, scratch, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Three apiece: the master's segments, the clone's, and the snapshot's
-	// segment images — aliases under ids of their own, store objects like
-	// the rest.
-	if got := st.Stats().LiveObjects; got != before+9 {
-		t.Fatalf("live store objects with master, snapshot and clone = %d, want %d", got, before+9)
-	}
-
-	if err := sys.Kern.DropSnapshot(img.Snapshot); err != nil {
 		t.Fatal(err)
 	}
 	if err := tc.Unref(root, img.Root); err != nil {
@@ -153,23 +163,13 @@ func TestGoldenMasterStoreObjectsDieWithTheirSegments(t *testing.T) {
 	if err := tc.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range master {
-		if _, err := st.Get(uint64(id)); !errors.Is(err, store.ErrNoSuchObject) {
-			t.Errorf("master segment %d after the drop and the unref: %v, want ErrNoSuchObject", id, err)
-		}
-	}
-	if got := st.Stats().LiveObjects; got != before+3 {
-		t.Errorf("live store objects = %d, want %d: what there was before the bake and the live clone", got, before+3)
+	if got := st.Stats().LiveObjects; got != before {
+		t.Errorf("live store objects after the image's unref = %d, want %d as before the bake", got, before)
 	}
 	sys.EvictFileCache()
-	for i, id := range master {
-		ce := kernel.CEnt{Container: res.Root, Object: res.IDMap[id]}
-		want := bytes.Repeat([]byte{byte('a' + i)}, 4096)
-		if got, err := tc.SegmentRead(ce, 0, 4096); err != nil || !bytes.Equal(got, want) {
-			t.Errorf("clone of blob %d reads %.4q, %v", i, got, err)
-		}
-		if got, err := st.Get(uint64(ce.Object)); err != nil || !bytes.Equal(got, want) {
-			t.Errorf("clone of blob %d in the store: %.4q, %v", i, got, err)
+	for i, ce := range spawnedSegments(t, tc, sandbox) {
+		if got, err := tc.SegmentRead(ce, 0, 4096); err != nil || len(got) != 4096 || bytes.Count(got, got[:1]) != 4096 {
+			t.Errorf("sandbox blob %d reads %.4q, %v", i, got, err)
 		}
 	}
 	if err := tc.Unref(root, scratch); err != nil {
@@ -178,77 +178,47 @@ func TestGoldenMasterStoreObjectsDieWithTheirSegments(t *testing.T) {
 	if err := tc.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if got := st.Stats().LiveObjects; got != before {
-		t.Errorf("live store objects after the clone's teardown = %d, want %d as before the bake", got, before)
-	}
 	if got := st.FreeBytes(); got != free {
-		t.Errorf("free bytes after the clone's teardown = %d, want %d as before the bake", got, free)
+		t.Errorf("free bytes after the sandbox's teardown = %d, want %d as before the bake", got, free)
 	}
 }
 
-// TestGoldenBakeAndSpawnCommits: a bake is one checkpoint and one alias
-// commit for all of its segments, and a spawn one commit — not one per
-// segment, every commit a flush.
+// TestGoldenBakeAndSpawnCommits: a bake is one WAL commit for all of its
+// segments and no checkpoint, and a spawn, which makes no store object,
+// neither — not one commit per segment, every commit a flush.
 func TestGoldenBakeAndSpawnCommits(t *testing.T) {
 	sys, st, _ := bootSysPersist(t)
 	tc := sys.InitThread()
-	root := sys.Kern.RootContainer()
-	pub := label.New(label.L1)
 	if err := tc.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	ckpts, commits := st.Stats().Checkpoints, st.WALStats().Commits
-	img, err := sys.BakeGolden("img", nil, func(tc *kernel.ThreadCall, sandbox kernel.ID) error {
-		for i := 0; i < 3; i++ {
-			id, err := tc.SegmentCreate(sandbox, pub, "blob", 4096)
-			if err != nil {
-				return err
-			}
-			if err := tc.SegmentWrite(kernel.CEnt{Container: sandbox, Object: id}, 0, bytes.Repeat([]byte{byte('a' + i)}, 4096)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	img := bakeBlobs(t, sys, abc()...)
+	if c, w := st.Stats().Checkpoints-ckpts, st.WALStats().Commits-commits; c != 0 || w != 1 {
+		t.Errorf("baking 3 segments: %d checkpoints and %d WAL commits, want 0 and 1", c, w)
+	}
+	ckpts, commits = st.Stats().Checkpoints, st.WALStats().Commits
+	if _, err := sys.SpawnFromGolden(tc, img, sys.Kern.RootContainer(), nil); err != nil {
 		t.Fatal(err)
 	}
-	if c, w := st.Stats().Checkpoints-ckpts, st.WALStats().Commits-commits; c != 1 || w != 1 {
-		t.Errorf("baking 3 segments: %d checkpoints and %d WAL commits, want 1 and 1 (one alias frame; the seal writes nothing)", c, w)
-	}
-	commits = st.WALStats().Commits
-	if _, err := sys.SpawnFromGolden(tc, img, root, nil); err != nil {
-		t.Fatal(err)
-	}
-	if w := st.WALStats().Commits - commits; w != 1 {
-		t.Errorf("a spawn of 3 segments: %d WAL commits, want 1", w)
+	if c, w := st.Stats().Checkpoints-ckpts, st.WALStats().Commits-commits; c != 0 || w != 0 {
+		t.Errorf("a spawn of 3 segments: %d checkpoints and %d WAL commits, want none", c, w)
 	}
 }
 
-// TestSpawnFromRottedGoldenFailsTyped: once the store has found a golden
-// image's shared bytes rotted, a spawn from it fails — with the kernel's
-// ErrCorrupt and the store's own typed error in one chain — and publishes
-// nothing; the image's undamaged siblings would still have spawned, but a
-// sandbox is all of its segments or none.
+// TestSpawnFromRottedGoldenFailsTyped: an evicted image pages in verified, so
+// once its bytes have rotted on the device a spawn from it fails — with the
+// kernel's ErrCorrupt and the store's own typed error in one chain — and
+// leaves nothing behind; the image's undamaged sibling would still have been
+// copied, but a sandbox is all of its segments or none.
 func TestSpawnFromRottedGoldenFailsTyped(t *testing.T) {
 	sys, st, _ := bootSysPersist(t)
 	tc := sys.InitThread()
 	root := sys.Kern.RootContainer()
 	pub := label.New(label.L1)
 	marker := bytes.Repeat([]byte("golden-blob-to-rot/"), 200)
-	img, err := sys.BakeGolden("img", nil, func(tc *kernel.ThreadCall, sandbox kernel.ID) error {
-		for _, data := range [][]byte{marker, []byte("an undamaged sibling")} {
-			id, err := tc.SegmentCreate(sandbox, pub, "blob", len(data))
-			if err != nil {
-				return err
-			}
-			if err := tc.SegmentWrite(kernel.CEnt{Container: sandbox, Object: id}, 0, data); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
+	img := bakeBlobs(t, sys, []byte("an undamaged sibling"), marker)
+	if err := tc.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	scratch, err := tc.ContainerCreate(root, pub, "scratch", 0, kernel.QuotaInfinite)
@@ -258,15 +228,14 @@ func TestSpawnFromRottedGoldenFailsTyped(t *testing.T) {
 	if _, err := sys.SpawnFromGolden(tc, img, scratch, nil); err != nil {
 		t.Fatalf("spawn from the healthy image: %v", err)
 	}
-	// Flip one bit of the blob where it lies on the device (one extent: the
-	// master, the snapshot's image and the first sandbox all name it), and let
-	// a scrub find it.
+	// Flip one bit of the blob's home extent — its last copy on the device;
+	// the log may hold an earlier one — and evict the image.
 	d := st.Disk()
 	chunk := make([]byte, 1<<20+len(marker))
 	at := int64(-1)
-	for off := int64(0); off < d.Size() && at < 0; off += 1 << 20 {
+	for off := int64(0); off < d.Size(); off += 1 << 20 {
 		n, _ := d.ReadAt(chunk[:min(int64(len(chunk)), d.Size()-off)], off)
-		if i := bytes.Index(chunk[:n], marker); i >= 0 {
+		if i := bytes.LastIndex(chunk[:n], marker); i >= 0 {
 			at = off + int64(i)
 		}
 	}
@@ -276,17 +245,12 @@ func TestSpawnFromRottedGoldenFailsTyped(t *testing.T) {
 	if _, err := d.WriteAt([]byte{marker[7] ^ 0x10}, at+7); err != nil {
 		t.Fatal(err)
 	}
-	if sc, err := st.Scrub(); err != nil || sc.ObjectsQuarantined != 3 {
-		t.Fatalf("scrub = %+v, %v; want the extent's three referents quarantined", sc, err)
-	}
+	sys.EvictFileCache()
 	second, err := tc.ContainerCreate(root, pub, "second", 0, kernel.QuotaInfinite)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tc.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	live := st.Stats().LiveObjects
+	objects, live := sys.Kern.ObjectCount(), st.Stats().LiveObjects
 	_, err = sys.SpawnFromGolden(tc, img, second, nil)
 	if !errors.Is(err, kernel.ErrCorrupt) || !errors.Is(err, store.ErrQuarantined) {
 		t.Fatalf("spawn from the rotted image: %v; want kernel.ErrCorrupt and store.ErrQuarantined", err)
@@ -294,11 +258,132 @@ func TestSpawnFromRottedGoldenFailsTyped(t *testing.T) {
 	if ents, err := tc.ContainerList(kernel.Self(second)); err != nil || len(ents) != 0 {
 		t.Errorf("the failed spawn published %v, %v", ents, err)
 	}
+	if got := sys.Kern.ObjectCount(); got != objects {
+		t.Errorf("the failed spawn left %d kernel objects behind", got-objects)
+	}
 	if err := tc.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if got := st.Stats().LiveObjects; got != live {
 		t.Errorf("the failed spawn left %d store objects behind", got-live)
+	}
+}
+
+// TestGoldenSpawnsAreIsolated: two sandboxes spawned from one image share its
+// bytes until one writes, and the write reaches neither the image nor the
+// other sandbox; the image itself refuses writes and new entries.
+func TestGoldenSpawnsAreIsolated(t *testing.T) {
+	sys := bootSys(t)
+	tc := sys.InitThread()
+	root := sys.Kern.RootContainer()
+	img := bakeBlobs(t, sys, abc()...)
+	if img.Objects != 4 || img.Bytes != 3*4096 {
+		t.Errorf("image of %d objects and %d bytes, want 4 and %d", img.Objects, img.Bytes, 3*4096)
+	}
+	var sandboxes [2][]kernel.CEnt
+	for i := range sandboxes {
+		sandbox, err := sys.SpawnFromGolden(tc, img, root, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sandboxes[i] = spawnedSegments(t, tc, sandbox)
+	}
+	if err := tc.SegmentWrite(sandboxes[0][0], 0, []byte("mine")); err != nil {
+		t.Fatal(err)
+	}
+	image := spawnedSegments(t, tc, img.Root)
+	for name, ce := range map[string]kernel.CEnt{"the image": image[0], "the other sandbox": sandboxes[1][0]} {
+		if got, err := tc.SegmentRead(ce, 0, 4); err != nil || string(got) == "mine" {
+			t.Errorf("%s reads %q, %v after a sandbox's write", name, got, err)
+		}
+	}
+	if err := tc.SegmentWrite(image[0], 0, []byte("x")); !errors.Is(err, kernel.ErrImmutable) {
+		t.Errorf("write to the image: %v, want ErrImmutable", err)
+	}
+	if _, err := tc.SegmentCreate(img.Root, label.New(label.L1), "extra", 8); !errors.Is(err, kernel.ErrImmutable) {
+		t.Errorf("a new segment in the image: %v, want ErrImmutable", err)
+	}
+}
+
+// TestGoldenSpawnCarriesTheUsersLabels: a spawn's containers and segments
+// carry the build's labels with the template's categories replaced by the
+// user's, so another user can neither read alice's sandbox nor write the
+// image they both spawn from.
+func TestGoldenSpawnCarriesTheUsersLabels(t *testing.T) {
+	sys := bootSys(t)
+	tmpl, err := sys.AddUser("template")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := sys.BakeGoldenData("img", tmpl, 4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	alice, err := sys.NewInitProcess("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bob, err := sys.NewInitProcess("bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sandbox, err := sys.SpawnFromGolden(alice.TC, img, alice.ProcCt, alice.User)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sandboxLabel(alice.User)
+	segs := spawnedSegments(t, alice.TC, sandbox)
+	for _, ce := range append(segs, kernel.CEnt{Container: alice.ProcCt, Object: sandbox}) {
+		if st, err := alice.TC.ObjectStat(ce); err != nil || !st.Label.Equal(want) {
+			t.Errorf("spawned object %v labeled %v, %v; want %v", ce.Object, st.Label, err, want)
+		}
+	}
+	if got, err := alice.TC.SegmentRead(segs[0], 0, 4); err != nil || len(got) != 4 {
+		t.Errorf("alice reads her sandbox: %q, %v", got, err)
+	}
+	if _, err := bob.TC.SegmentRead(segs[0], 0, 4); !errors.Is(err, kernel.ErrLabel) {
+		t.Errorf("bob reads alice's sandbox: %v, want ErrLabel", err)
+	}
+	image := spawnedSegments(t, bob.TC, img.Root)
+	if err := bob.TC.SegmentWrite(image[0], 0, []byte("bob")); !errors.Is(err, kernel.ErrImmutable) {
+		t.Errorf("bob writes the image: %v, want ErrImmutable", err)
+	}
+}
+
+// TestGoldenBakeSkipsThreadsAndRefusesGates: a spawn re-creates containers
+// and copies segments.  A thread in the build is passive state the image
+// leaves out; a gate it could not re-create, so a build that made one fails
+// the bake with ErrInvalid and leaves no object behind.
+func TestGoldenBakeSkipsThreadsAndRefusesGates(t *testing.T) {
+	sys := bootSys(t)
+	pub := label.New(label.L1)
+	img, err := sys.BakeGolden("threaded", nil, func(tc *kernel.ThreadCall, sandbox kernel.ID) error {
+		if _, err := tc.SegmentCreate(sandbox, pub, "blob", 8); err != nil {
+			return err
+		}
+		_, err := tc.ThreadCreate(sandbox, kernel.ThreadSpec{Label: pub, Clearance: label.New(label.L2), Descrip: "builder"})
+		return err
+	})
+	if err != nil || img.Objects != 2 {
+		t.Fatalf("bake with a thread: %v, %d objects; want the container and the segment", err, img.Objects)
+	}
+	objects := sys.Kern.ObjectCount()
+	_, err = sys.BakeGolden("gated", nil, func(tc *kernel.ThreadCall, sandbox kernel.ID) error {
+		if _, err := tc.SegmentCreate(sandbox, pub, "blob", 8); err != nil {
+			return err
+		}
+		_, err := tc.GateCreate(sandbox, kernel.GateSpec{
+			Label:     pub,
+			Clearance: label.New(label.L2),
+			Entry:     func(*kernel.GateCallCtx) []byte { return nil },
+		})
+		return err
+	})
+	if !errors.Is(err, ErrInvalid) {
+		t.Fatalf("bake with a gate: %v, want ErrInvalid", err)
+	}
+	if got := sys.Kern.ObjectCount(); got != objects {
+		t.Errorf("the refused bake left %d objects", got-objects)
 	}
 }
 

@@ -5,7 +5,7 @@
 // them that changed, or a tombstone — so recovery does not depend on the
 // physical layout chosen later by the extent allocator.
 //
-// # On-disk format (version 8)
+// # On-disk format (version 9)
 //
 // The log occupies a fixed region of the disk.  It starts with a 32-byte
 // header, written by New, ReclaimBefore, a compaction and a reseal — never by
@@ -13,7 +13,7 @@
 //
 //	off  size  field
 //	0    4     magic "HWLO" (0x48574c4f, little endian)
-//	4    1     format version (8)
+//	4    1     format version (9)
 //	5    3     reserved (zero)
 //	8    8     generation: 64 random bits; only frames stamped with them
 //	           belong to this log
@@ -52,14 +52,14 @@
 //	8    4     data length
 //	12   2     label length (0 when the object carries no label)
 //	14   1     flags: bit 0 = tombstone, bit 1 = label present,
-//	           bit 3 = clone alias, bit 5 = range (bits 2 and 4 are
-//	           retired: earlier versions flagged record kinds with them)
+//	           bit 5 = range (bits 2, 3 and 4 are retired: earlier
+//	           versions flagged record kinds with them, bit 3 the store's
+//	           clone aliases until version 8)
 //	15   4     CRC-32 (IEEE) of bytes 0..15 plus the label and data bytes
 //	19   ...   canonical serialized label (label.AppendBinary), then data
 //
-// Clone-alias and range records carry a store-defined payload (see Record),
-// opaque to the log; neither combines with a tombstone or the other, and a
-// range payload is at least 8 bytes.
+// A range record carries a store-defined payload (see Record), opaque to the
+// log; it is not a tombstone, and its payload is at least 8 bytes.
 //
 // The epoch is the caller's: the store stamps each frame with the checkpoint
 // generation it was committed in, and Recover hands it back on every record
@@ -118,10 +118,6 @@ type Record struct {
 	// or nil for an unlabeled object: opaque bytes under the record CRC.
 	Label  []byte
 	Delete bool
-	// Clone marks a clone-alias record: Data is the store's description of
-	// the committed extent the object aliases (not object contents), and
-	// Label is the clone's label.
-	Clone bool
 	// Range marks a range record: Data is the store's offset and bytes to
 	// lay over the object's last whole record, not its contents.
 	Range bool
@@ -154,7 +150,7 @@ const (
 	recHeaderSize = 8 + 4 + 2 + 1 + 4 // id, data len, label len, flags, crc
 	logHeaderSize = 32
 	logMagic      = 0x48574c4f // "HWLO"
-	logVersion    = 8
+	logVersion    = 9
 	descSize      = 40
 	frameMagic    = 0x48574652 // "HWFR"
 	frameOverhead = 3 * descSize
@@ -162,7 +158,6 @@ const (
 
 	flagDelete   = 1 << 0
 	flagHasLabel = 1 << 1
-	flagClone    = 1 << 3
 	flagRange    = 1 << 5
 )
 
@@ -297,9 +292,6 @@ func appendRecord(f []byte, r Record) []byte {
 	}
 	if len(r.Label) > 0 {
 		hdr[14] |= flagHasLabel
-	}
-	if r.Clone {
-		hdr[14] |= flagClone
 	}
 	if r.Range {
 		hdr[14] |= flagRange
@@ -667,12 +659,10 @@ func decodeRecords(buf []byte, epoch uint64) ([]Record, error) {
 		nl := int(le.Uint16(buf[12:]))
 		flags := buf[14]
 		switch {
-		case flags&^byte(flagDelete|flagHasLabel|flagClone|flagRange) != 0,
+		case flags&^byte(flagDelete|flagHasLabel|flagRange) != 0,
 			(flags&flagHasLabel != 0) != (nl > 0),
-			// A clone alias is not a tombstone.
-			flags&flagClone != 0 && flags&flagDelete != 0,
-			// A range is neither, and holds at least its offset.
-			flags&flagRange != 0 && (flags&(flagDelete|flagClone) != 0 || nd < 8),
+			// A range is not a tombstone, and holds at least its offset.
+			flags&flagRange != 0 && (flags&flagDelete != 0 || nd < 8),
 			nd < 0 || len(buf) < recHeaderSize+nl+nd:
 			return out, ErrCorrupt
 		}
@@ -683,7 +673,6 @@ func decodeRecords(buf []byte, epoch uint64) ([]Record, error) {
 		r := Record{
 			ObjectID: id,
 			Delete:   flags&flagDelete != 0,
-			Clone:    flags&flagClone != 0,
 			Range:    flags&flagRange != 0,
 			Epoch:    epoch,
 		}

@@ -200,9 +200,9 @@ func TestLabelRecordsRoundTrip(t *testing.T) {
 }
 
 // TestRangeRecordFlagRules: a range record comes back flagged as one, with
-// its frame's epoch, and decodeRecords refuses the flag beside a tombstone or
-// a clone, a range payload too short to hold its offset, and the retired
-// flag bits under an intact record CRC.
+// its frame's epoch, and decodeRecords refuses the flag beside a tombstone,
+// a range payload too short to hold its offset, and the retired flag bits
+// (bit 3 flagged a clone alias until version 8) under an intact record CRC.
 func TestRangeRecordFlagRules(t *testing.T) {
 	body := []byte("\x03\x00\x00\x00\x00\x00\x00\x00new")
 	good := Record{ObjectID: 1, Data: body, Label: []byte{2, 1, 17, 0, 0, 0, 0, 0, 0, 0, 3}, Range: true}
@@ -211,14 +211,13 @@ func TestRangeRecordFlagRules(t *testing.T) {
 	}
 	for name, r := range map[string]Record{
 		"tombstone":  {ObjectID: 1, Data: body, Range: true, Delete: true},
-		"clone":      {ObjectID: 1, Data: body, Range: true, Clone: true},
 		"short body": {ObjectID: 1, Data: body[:7], Range: true},
 	} {
 		if recs, err := decodeRecords(appendRecord(nil, r), 0); !errors.Is(err, ErrCorrupt) || len(recs) != 0 {
 			t.Errorf("range with %s: %+v, %v; want ErrCorrupt", name, recs, err)
 		}
 	}
-	for _, bit := range []byte{1 << 2, 1 << 4} {
+	for _, bit := range []byte{1 << 2, 1 << 3, 1 << 4} {
 		rec := appendRecord(nil, Record{ObjectID: 1})
 		rec[14] |= bit
 		binary.LittleEndian.PutUint32(rec[15:], recordCRC(rec))
@@ -300,9 +299,10 @@ func TestUnsupportedVersionRefusedWithoutErasure(t *testing.T) {
 		}
 		return img
 	}
-	// Every version but the current one — the retired 0, 2, 3, 4, 5 and 6 as
-	// much as a future 9 — is refused, and the refusal writes nothing.
-	for _, v := range []byte{0, 2, 3, 4, 5, 6, 9} {
+	// Every version but the current one — the retired 0, 2, 3, 4, 5, 6 and 8
+	// (which logged clone aliases) as much as a future 10 — is refused, and
+	// the refusal writes nothing.
+	for _, v := range []byte{0, 2, 3, 4, 5, 6, 8, 10} {
 		setVersion(v)
 		before := image()
 		if recs, err := Open(d, 0, region).Recover(); !errors.Is(err, ErrVersion) || len(recs) != 0 {
@@ -324,7 +324,7 @@ func TestFlippedVersionByteIsCorruptionNotFutureFormat(t *testing.T) {
 	// A bare version-byte flip (without a matching header CRC) is bit rot,
 	// not another format: the log must report ErrCorrupt rather than refuse
 	// the mount as ErrVersion — whatever the rotted byte happens to spell.
-	for _, v := range []byte{0, 2, 3, 4, 9} {
+	for _, v := range []byte{0, 2, 3, 4, 8, 10} {
 		l, d := testLog(t, 1<<16)
 		if err := l.Commit(0, []Record{{ObjectID: 1, Data: []byte("x")}}); err != nil {
 			t.Fatal(err)

@@ -40,7 +40,7 @@ type session struct {
 	// gate calls do no label construction.
 	reqLabel label.Label
 	// sandbox is the root of the user's per-session sandbox (a golden-image
-	// clone), linked in the worker's process container so teardown reclaims
+	// spawn), linked in the worker's process container so teardown reclaims
 	// it with the worker.  NilID when no golden image is configured.
 	sandbox kernel.ID
 
@@ -68,8 +68,8 @@ type SessionStats struct {
 	// Evictions counts capacity evictions, IdleEvictions idle-timeout ones,
 	// Logouts explicit invalidations.
 	Evictions, IdleEvictions, Logouts uint64
-	// GoldenSpawns counts cold logins whose sandbox came from a golden-image
-	// clone.
+	// GoldenSpawns counts cold logins whose sandbox came from a golden
+	// image.
 	GoldenSpawns uint64
 	// Live is the current number of cached sessions.
 	Live int
@@ -193,8 +193,8 @@ func (c *sessionCache) establish(sess *session, password string) error {
 
 // discard is the one way a worker leaves, whether its session was evicted,
 // logged out, closed or never established: the worker exits and the launcher
-// reaps it, which unlinks its process container and with it the sandbox
-// clone, the reply segment and the serve gate.
+// reaps it, which unlinks its process container and with it the sandbox,
+// the reply segment and the serve gate.
 func (c *sessionCache) discard(worker *unixlib.Process) {
 	worker.ExitQuietly()
 	_, _ = c.srv.demux.Wait(worker)
@@ -210,16 +210,16 @@ func (c *sessionCache) setup(sess *session, worker *unixlib.Process, password st
 	}
 	tc, u := worker.TC, worker.User
 	srv := c.srv
-	// Per-user sandbox: cloned from the golden image in O(metadata) (all
+	// Per-user sandbox: spawned from the golden image in O(metadata) (all
 	// read-only data — programs, dirsegs, scanner DB — shared COW until
 	// first write).  It lives in the worker's process container, so reaping
 	// the worker reclaims it.
 	if g := srv.cfg.Golden; g != nil {
-		res, err := srv.sys.SpawnFromGolden(tc, g, worker.ProcCt, u)
+		sandbox, err := srv.sys.SpawnFromGolden(tc, g, worker.ProcCt, u)
 		if err != nil {
 			return err
 		}
-		sess.sandbox = res.Root
+		sess.sandbox = sandbox
 		c.goldenSpawns.Add(1)
 	}
 	// Reply segment {ur3, uw0, 1}: response bytes are tainted with the

@@ -18,7 +18,7 @@
 //     cold login costs the same after a million sessions as after one.
 //     Every worker leaves through one discard step (sessionCache.discard):
 //     it exits and the launcher reaps it, which reclaims its process
-//     container, sandbox clone, reply segment and serve gate whether the
+//     container, sandbox, reply segment and serve gate whether the
 //     session was evicted, logged out, closed or never got past its login.
 //
 //   - Each cached worker exposes a serve gate (label {ur⋆, uw⋆, 1}) whose
@@ -70,10 +70,12 @@ type Config struct {
 	// request at a time (default 4).
 	Lanes int
 	// Golden, when set, makes the cold-login path spawn the user's sandbox
-	// by cloning this golden image (O(metadata): template categories are
-	// remapped to the user's, all data is shared copy-on-write).  The
-	// sandbox lives in the worker's process container, so session teardown
-	// reclaims it with the worker.
+	// from this golden image (O(metadata): the build's labels with the
+	// template's categories replaced by the user's, all data shared
+	// copy-on-write).  The image is public by construction — its baker
+	// declassified it to {1} — so it must hold nothing a user may not read.
+	// The sandbox lives in the worker's process container, so session
+	// teardown reclaims it with the worker.
 	Golden *unixlib.GoldenImage
 }
 
