@@ -46,10 +46,13 @@ var trusted = map[string]bool{
 	"internal/store": true,
 }
 
-const trustedBudget = 7074
+const trustedBudget = 7011
 
 func countLines(dir string) (code, tests int) {
 	filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+		if err == nil && info.IsDir() && info.Name() == "testdata" {
+			return filepath.SkipDir // test inputs, not code
+		}
 		if err != nil || info.IsDir() || !strings.HasSuffix(path, ".go") {
 			return nil
 		}

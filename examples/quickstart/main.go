@@ -33,7 +33,8 @@ func main() {
 		log.Fatal(err)
 	}
 	fi, _ := alice.Stat("/home/alice/secret.txt")
-	fmt.Printf("alice's file label: %s\n", fi.Label.Format(sys))
+	u, _ := sys.LookupUser("alice")
+	fmt.Printf("alice's file label: %s (alice_r is c%d, alice_w c%d)\n", fi.Label, uint64(u.Ur), uint64(u.Uw))
 
 	// Mallory cannot read or overwrite it: the kernel, not the library,
 	// refuses.

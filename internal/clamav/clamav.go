@@ -73,15 +73,14 @@ func ParseDatabase(data []byte) (Database, error) {
 
 // Result is the outcome of scanning one file.
 type Result struct {
-	Path     string
 	Infected bool
 	Virus    string
 	Bytes    int
 }
 
 // ScanBytes checks data against the database.
-func ScanBytes(db Database, path string, data []byte) Result {
-	r := Result{Path: path, Bytes: len(data)}
+func ScanBytes(db Database, data []byte) Result {
+	r := Result{Bytes: len(data)}
 	for _, sig := range db.Signatures {
 		if len(sig.Pattern) > 0 && bytes.Contains(data, sig.Pattern) {
 			r.Infected = true
@@ -138,7 +137,7 @@ func Scanner(p *unixlib.Process, args []string) int {
 			exit = 2
 			continue
 		}
-		res := scanWithHelpers(db, path, data)
+		res := scanWithHelpers(db, data)
 		if res.Infected {
 			fmt.Fprintf(&report, "%s: FOUND %s\n", path, res.Virus)
 			exit = 1
@@ -154,18 +153,18 @@ func Scanner(p *unixlib.Process, args []string) int {
 
 // scanWithHelpers models the scanner's helper programs: container formats
 // are "decoded" (here: a simple framing) and each member scanned.
-func scanWithHelpers(db Database, path string, data []byte) Result {
+func scanWithHelpers(db Database, data []byte) Result {
 	if members, ok := decodeArchive(data); ok {
-		for i, m := range members {
-			res := ScanBytes(db, fmt.Sprintf("%s!member%d", path, i), m)
+		for _, m := range members {
+			res := ScanBytes(db, m)
 			if res.Infected {
 				res.Bytes = len(data)
 				return res
 			}
 		}
-		return Result{Path: path, Bytes: len(data)}
+		return Result{Bytes: len(data)}
 	}
-	return ScanBytes(db, path, data)
+	return ScanBytes(db, data)
 }
 
 // Archive framing used by the simulated helper: "HARC" magic, then

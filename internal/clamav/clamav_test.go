@@ -46,10 +46,10 @@ func TestScanBytesAndDatabaseRoundTrip(t *testing.T) {
 	if len(parsed.Signatures) != len(db.Signatures) {
 		t.Fatalf("round trip lost signatures: %d vs %d", len(parsed.Signatures), len(db.Signatures))
 	}
-	if r := ScanBytes(parsed, "mem", []byte(eicar)); !r.Infected || r.Virus != "Eicar-Test-Signature" {
+	if r := ScanBytes(parsed, []byte(eicar)); !r.Infected || r.Virus != "Eicar-Test-Signature" {
 		t.Errorf("EICAR not detected: %+v", r)
 	}
-	if r := ScanBytes(parsed, "mem", []byte("perfectly clean data")); r.Infected {
+	if r := ScanBytes(parsed, []byte("perfectly clean data")); r.Infected {
 		t.Errorf("false positive: %+v", r)
 	}
 	if _, err := ParseDatabase([]byte("garbage line without colon")); err == nil {
@@ -60,12 +60,12 @@ func TestScanBytesAndDatabaseRoundTrip(t *testing.T) {
 func TestArchiveHelperScanning(t *testing.T) {
 	db := DefaultDatabase()
 	arc := EncodeArchive([]byte("clean member"), []byte(eicar))
-	r := scanWithHelpers(db, "bundle.harc", arc)
+	r := scanWithHelpers(db, arc)
 	if !r.Infected {
 		t.Error("infected archive member not detected")
 	}
 	clean := EncodeArchive([]byte("a"), []byte("b"))
-	if r := scanWithHelpers(db, "c.harc", clean); r.Infected {
+	if r := scanWithHelpers(db, clean); r.Infected {
 		t.Error("clean archive flagged")
 	}
 }

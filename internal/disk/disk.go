@@ -63,17 +63,15 @@ func PaperDisk() Params {
 	}
 }
 
-// Stats are cumulative operation counts and simulated time usage.
+// Stats are cumulative operation counts.
 type Stats struct {
-	Reads           uint64
-	Writes          uint64
-	Flushes         uint64
-	BytesRead       uint64
-	BytesWritten    uint64
-	Seeks           uint64
-	PrefetchHits    uint64
-	SimulatedTime   time.Duration
-	CacheFlushBytes uint64
+	Reads        uint64
+	Writes       uint64
+	Flushes      uint64
+	BytesRead    uint64
+	BytesWritten uint64
+	Seeks        uint64
+	PrefetchHits uint64
 }
 
 // Disk is a simulated block device.  All methods are safe for concurrent
@@ -164,7 +162,7 @@ func (d *Disk) position(off int64, n int64, isRead bool) {
 			// has seen the flush complete and sent this write, the sector
 			// after the last one written has gone by, and the platter must
 			// come round again — a full revolution, no seek.
-			d.charge(2 * d.params.RotationalLatency)
+			d.clock.Advance(2 * d.params.RotationalLatency)
 		}
 		return // sequential: no positioning cost
 	}
@@ -173,16 +171,11 @@ func (d *Disk) position(off int64, n int64, isRead bool) {
 		return // satisfied from the drive's look-ahead buffer
 	}
 	if gap := off - d.headPos; gap > 0 && gap <= skipThreshold {
-		d.charge(d.transferTime(gap))
+		d.clock.Advance(d.transferTime(gap))
 		return
 	}
 	d.stats.Seeks++
-	d.charge(d.params.SeekTime + d.params.RotationalLatency)
-}
-
-func (d *Disk) charge(t time.Duration) {
-	d.stats.SimulatedTime += t
-	d.clock.Advance(t)
+	d.clock.Advance(d.params.SeekTime + d.params.RotationalLatency)
 }
 
 // ReadAt reads len(p) bytes at byte offset off.
@@ -194,7 +187,7 @@ func (d *Disk) ReadAt(p []byte, off int64) (int, error) {
 		return 0, fmt.Errorf("%w: off=%d len=%d", ErrOutOfRange, off, n)
 	}
 	d.position(off, n, true)
-	d.charge(d.transferTime(n))
+	d.clock.Advance(d.transferTime(n))
 	copy(p, d.data[off:off+n])
 	// Serve cached (not yet flushed) writes so readers see latest data.
 	for woff, wdata := range d.dirty {
@@ -250,11 +243,11 @@ func (d *Disk) WriteAt(p []byte, off int64) (int, error) {
 	if d.params.WriteCache {
 		d.dirty[off] = append([]byte(nil), p...)
 		d.dirtyBytes += n
-		d.charge(d.transferTime(n))
+		d.clock.Advance(d.transferTime(n))
 		return int(n), nil
 	}
 	d.position(off, n, false)
-	d.charge(d.transferTime(n))
+	d.clock.Advance(d.transferTime(n))
 	copy(d.data[off:], p)
 	d.headPos = off + n
 	d.invalidatePrefetch(off, n)
@@ -307,7 +300,6 @@ func (d *Disk) Flush() error {
 					d.position(off, keep, false)
 					copy(d.data[off:], data[:keep])
 					d.headPos = off + keep
-					d.stats.CacheFlushBytes += uint64(keep)
 				}
 				break
 			}
@@ -316,7 +308,6 @@ func (d *Disk) Flush() error {
 		d.position(off, int64(len(data)), false)
 		copy(d.data[off:], data)
 		d.headPos = off + int64(len(data))
-		d.stats.CacheFlushBytes += uint64(len(data))
 	}
 	d.dirty = make(map[int64][]byte)
 	d.dirtyBytes = 0

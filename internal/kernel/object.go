@@ -94,11 +94,6 @@ type CEnt struct {
 // container contains itself).
 func Self(id ID) CEnt { return CEnt{Container: id, Object: id} }
 
-// String implements fmt.Stringer.
-func (ce CEnt) String() string {
-	return fmt.Sprintf("<%d,%d>", uint64(ce.Container), uint64(ce.Object))
-}
-
 // header carries the state common to all kernel objects.
 //
 // id, objType, and descrip are immutable after construction.  lbl is

@@ -53,13 +53,6 @@ const (
 	HiStar              // J: ownership treated as high; never stored in labels
 )
 
-// DefaultLevel is the conventional background taint level for objects.
-const DefaultLevel = L1
-
-// DefaultClearanceLevel is the conventional default clearance level for
-// threads ({2} in the paper).
-const DefaultClearanceLevel = L2
-
 // String renders a level the way the paper writes it.
 func (l Level) String() string {
 	switch l {
@@ -424,30 +417,13 @@ func maxLevel(a, b Level) Level {
 	return b
 }
 
-// String renders the label in the paper's notation, e.g. {br*, v3, 1}.
-// Categories are printed as cN where N is the category identifier; use Format
-// with a Namer for symbolic output.
-func (l Label) String() string { return l.Format(nil) }
-
-// Namer maps categories to human-readable names for display.  The kernel
-// keeps no names (categories are numbers to it); untrusted code that
-// allocated a category may name it.
-type Namer interface {
-	CategoryName(Category) (string, bool)
-}
-
-// Format renders the label using names from the (optional) Namer.
-func (l Label) Format(n Namer) string {
+// String renders the label in the paper's notation, e.g. {c7*, c423, 1}:
+// a category prints as cN, N its identifier, then its level.
+func (l Label) String() string {
 	var b strings.Builder
 	b.WriteByte('{')
 	for _, p := range l.pairs {
-		name := fmt.Sprintf("c%d", uint64(p.Category))
-		if n != nil {
-			if s, ok := n.CategoryName(p.Category); ok {
-				name = s
-			}
-		}
-		fmt.Fprintf(&b, "%s%s, ", name, p.Level.String())
+		fmt.Fprintf(&b, "c%d%s, ", uint64(p.Category), p.Level.String())
 	}
 	b.WriteString(l.def.String())
 	b.WriteByte('}')

@@ -303,28 +303,11 @@ func TestValidators(t *testing.T) {
 	}
 }
 
-func TestStringAndFormat(t *testing.T) {
-	c := catN(42)
-	l := New(L1, P(c, L3))
-	if got := l.String(); got != "{c42 3, 1}" && got != "{c423, 1}" {
-		// Format is "c42" + level string: accept the canonical rendering only.
-		t.Logf("String() = %q", got)
+func TestString(t *testing.T) {
+	l := New(L1, P(catN(7), Star), P(catN(42), L3))
+	if got, want := l.String(), "{c7*, c423, 1}"; got != want {
+		t.Errorf("String = %q, want %q", got, want)
 	}
-	named := catN(7)
-	names := mapNamer{named: "br"}
-	l2 := New(L1, P(named, Star), P(c, L3))
-	s := l2.Format(names)
-	if want := "{br*, c423, 1}"; s != want {
-		t.Errorf("Format = %q, want %q", s, want)
-	}
-}
-
-// mapNamer names the categories in its map and no others.
-type mapNamer map[Category]string
-
-func (m mapNamer) CategoryName(c Category) (string, bool) {
-	s, ok := m[c]
-	return s, ok
 }
 
 func TestOwnedBypassesFlowChecks(t *testing.T) {

@@ -26,7 +26,6 @@ import (
 // Errors.
 var (
 	ErrNoRoute  = errors.New("netd: no such remote host")
-	ErrClosed   = errors.New("netd: connection closed")
 	ErrBadReply = errors.New("netd: malformed daemon reply")
 )
 
@@ -69,14 +68,12 @@ type Daemon struct {
 	conns   map[uint32]*conn
 	nextID  uint32
 
-	stats Stats
-}
-
-// Stats counts daemon activity.
-type Stats struct {
-	Dials, Sends, Recvs  uint64
-	BytesSent, BytesRecv uint64
-	GateCalls            uint64
+	// remote is the remote world's side of each open connection: the
+	// request bytes it has received so far.
+	remote struct {
+		sync.Mutex
+		conns map[uint32]*remoteConnState
+	}
 }
 
 type conn struct {
@@ -104,6 +101,7 @@ func New(sys *unixlib.System, opts Options) (*Daemon, error) {
 		remotes: make(map[string]RemoteHandler),
 		conns:   make(map[uint32]*conn),
 	}
+	d.remote.conns = make(map[uint32]*remoteConnState)
 	if d.link == nil {
 		d.link = netsim.NewLink(netsim.PaperEthernet(), nil)
 	}
@@ -167,13 +165,6 @@ func New(sys *unixlib.System, opts Options) (*Daemon, error) {
 	return d, nil
 }
 
-// Stats returns a snapshot of daemon statistics.
-func (d *Daemon) Stats() Stats {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.stats
-}
-
 // RegisterRemote installs a simulated remote host reachable at addr.
 func (d *Daemon) RegisterRemote(addr string, handler RemoteHandler) {
 	d.mu.Lock()
@@ -190,11 +181,6 @@ type remoteConnState struct {
 	req  []byte
 }
 
-var remoteStates = struct {
-	sync.Mutex
-	m map[*Daemon]map[uint32]*remoteConnState
-}{m: make(map[*Daemon]map[uint32]*remoteConnState)}
-
 // remoteDeliver handles frames arriving at the remote side of the link.
 func (d *Daemon) remoteDeliver(frame []byte) {
 	if len(frame) < 5 {
@@ -204,31 +190,26 @@ func (d *Daemon) remoteDeliver(frame []byte) {
 	typ := frame[4]
 	payload := frame[5:]
 
-	remoteStates.Lock()
-	states := remoteStates.m[d]
-	if states == nil {
-		states = make(map[uint32]*remoteConnState)
-		remoteStates.m[d] = states
-	}
-	st := states[id]
+	d.remote.Lock()
+	st := d.remote.conns[id]
 	switch typ {
 	case frOpen:
-		states[id] = &remoteConnState{addr: string(payload)}
-		remoteStates.Unlock()
+		d.remote.conns[id] = &remoteConnState{addr: string(payload)}
+		d.remote.Unlock()
 		return
 	case frData:
 		if st != nil {
 			st.req = append(st.req, payload...)
 		}
-		remoteStates.Unlock()
+		d.remote.Unlock()
 		return
 	case frPush:
 		if st == nil {
-			remoteStates.Unlock()
+			d.remote.Unlock()
 			return
 		}
-		delete(states, id)
-		remoteStates.Unlock()
+		delete(d.remote.conns, id)
+		d.remote.Unlock()
 		d.mu.Lock()
 		handler := d.remotes[st.addr]
 		d.mu.Unlock()
@@ -239,7 +220,7 @@ func (d *Daemon) remoteDeliver(frame []byte) {
 		d.sendResponse(id, resp)
 		return
 	default:
-		remoteStates.Unlock()
+		d.remote.Unlock()
 	}
 }
 
@@ -306,9 +287,6 @@ func (d *Daemon) handleInbound(frame []byte) {
 	switch typ {
 	case frRespData:
 		c.rxBuf = append(c.rxBuf, payload...)
-		d.mu.Lock()
-		d.stats.BytesRecv += uint64(len(payload))
-		d.mu.Unlock()
 	case frRespEnd:
 		c.eof = true
 	}
@@ -327,9 +305,6 @@ const (
 // socketGateEntry runs on the calling thread, with the gate's nr/nw
 // ownership and taint.  The reply's first byte is 0 for success.
 func (d *Daemon) socketGateEntry(call *kernel.GateCallCtx) []byte {
-	d.mu.Lock()
-	d.stats.GateCalls++
-	d.mu.Unlock()
 	args := call.Args
 	if len(args) < 1 {
 		return []byte{1}
@@ -348,7 +323,6 @@ func (d *Daemon) socketGateEntry(call *kernel.GateCallCtx) []byte {
 		c := &conn{id: id, addr: addr}
 		c.cond = sync.NewCond(&sync.Mutex{})
 		d.conns[id] = c
-		d.stats.Dials++
 		d.mu.Unlock()
 		// Transmit the open frame through the device: this is where the
 		// kernel's label check blocks tainted callers.
@@ -380,10 +354,6 @@ func (d *Daemon) socketGateEntry(call *kernel.GateCallCtx) []byte {
 		if err := call.TC.DeviceTransmit(d.dev, encodeFrame(id, frPush, nil)); err != nil {
 			return []byte{1}
 		}
-		d.mu.Lock()
-		d.stats.Sends++
-		d.stats.BytesSent += uint64(len(data))
-		d.mu.Unlock()
 		return []byte{0}
 	case opRecv:
 		if len(args) < 13 {
@@ -393,7 +363,6 @@ func (d *Daemon) socketGateEntry(call *kernel.GateCallCtx) []byte {
 		want := int(binary.LittleEndian.Uint64(args[5:13]))
 		d.mu.Lock()
 		c := d.conns[id]
-		d.stats.Recvs++
 		d.mu.Unlock()
 		if c == nil || want < 0 {
 			return []byte{1}

@@ -1,7 +1,7 @@
 // Package netsim simulates the Ethernet segment the evaluation machines sit
-// on: a link with configurable bandwidth and latency connecting the HiStar
-// machine's network device to simulated remote hosts (the wget origin
-// server, the VPN peer, web clients).  Transfer time is charged to a
+// on: a link with configurable bandwidth connecting the HiStar machine's
+// network device to simulated remote hosts (the wget origin server, the VPN
+// peer, web clients).  Transfer time is charged to a
 // vclock.Clock so the "can HiStar saturate a 100 Mbps link" experiment
 // (Figure 13) runs in milliseconds of real time.
 package netsim
@@ -18,16 +18,13 @@ type LinkParams struct {
 	// BandwidthBitsPerSec is the link rate (default 100 Mbps, the paper's
 	// Ethernet).
 	BandwidthBitsPerSec float64
-	// Latency is the one-way propagation delay.
-	Latency time.Duration
 	// MTU is the maximum frame size (default 1500).
 	MTU int
 }
 
-// PaperEthernet returns the evaluation network: 100 Mbps switched Ethernet
-// with a small propagation delay.
+// PaperEthernet returns the evaluation network: 100 Mbps switched Ethernet.
 func PaperEthernet() LinkParams {
-	return LinkParams{BandwidthBitsPerSec: 100e6, Latency: 100 * time.Microsecond, MTU: 1500}
+	return LinkParams{BandwidthBitsPerSec: 100e6, MTU: 1500}
 }
 
 // Endpoint receives frames delivered over a link.
@@ -75,10 +72,9 @@ func (l *Link) Attach(a, b Endpoint) {
 func (l *Link) MTU() int { return l.params.MTU }
 
 func (l *Link) transferTime(n int) time.Duration {
-	// Propagation latency is not charged per frame: frames pipeline on the
-	// wire, so sustained transfers are bandwidth-limited (which is what the
-	// Figure 13 wget row measures); Latency is exposed for connection-setup
-	// accounting by higher layers.
+	// No propagation delay is charged: frames pipeline on the wire, so
+	// sustained transfers are bandwidth-limited (which is what the Figure 13
+	// wget row measures).
 	sec := float64(n*8) / l.params.BandwidthBitsPerSec
 	return time.Duration(sec * float64(time.Second))
 }

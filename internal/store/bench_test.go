@@ -38,9 +38,6 @@ func BenchmarkSyncObjectLabeled(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	st := s.Stats()
-	b.ReportMetric(float64(st.LabelBytesLogged)/float64(b.N), "lbl-bytes/op")
 }
 
 // BenchmarkPutRange measures one kernel push of an 8 KiB range into a
@@ -151,9 +148,6 @@ func BenchmarkSyncParallel(b *testing.B) {
 			st := s.Stats()
 			if st.ObjectSyncs > 0 {
 				b.ReportMetric(float64(s.WALStats().Commits)/float64(st.ObjectSyncs), "commits/sync")
-			}
-			if commits := s.WALStats().Commits; commits > 0 {
-				b.ReportMetric(float64(s.GroupCommitStats().Records)/float64(commits), "recs/batch")
 			}
 		})
 	}

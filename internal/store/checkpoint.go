@@ -89,10 +89,9 @@ func (s *Store) checkpointRunLocked() error {
 	ss := s.sealCheckpoint()
 	s.mu.Unlock()
 	s.ckptMu.Unlock()
-	// The stall metrics; ckptRun serializes callers, so a plain load and
+	// The stall metric; ckptRun serializes callers, so a plain load and
 	// store keep the maximum.
 	stall := time.Since(start).Nanoseconds()
-	s.c.sealStallTotalNs.Add(stall)
 	if stall > s.c.sealStallMaxNs.Load() {
 		s.c.sealStallMaxNs.Store(stall)
 	}
@@ -219,7 +218,6 @@ func (s *Store) checkpointBody(ss *sealedState) (err error) {
 			return err
 		}
 	}
-	s.c.logApplications.Add(1)
 	s.c.checkpoints.Add(1)
 	return nil
 }

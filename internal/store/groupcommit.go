@@ -65,12 +65,8 @@ type committer struct {
 	maxBytes int64
 	maxRecs  int
 
-	// Batch statistics, guarded by mu and counted only for batches whose
-	// commit succeeded — the committer is the single source of truth for
-	// batching stats (wal.Stats counts at the append layer, which also sees
-	// batches whose commit later fails).
-	batchRecords uint64
-	maxBatch     int
+	// maxBatch is the largest batch whose commit succeeded, guarded by mu.
+	maxBatch int
 }
 
 // enqueue registers a sealed record's ticket for the next batch.  Called with
@@ -163,13 +159,6 @@ func (c *committer) takeBatch() []*syncTicket {
 	return batch
 }
 
-// recordBatch folds one successfully committed batch into the statistics;
-// the caller holds c.mu.
-func (c *committer) recordBatch(n int) {
-	c.batchRecords += uint64(n)
-	c.maxBatch = max(c.maxBatch, n)
-}
-
 // awaitCommit resolves t: the calling syncer becomes the leader if the
 // committer is idle, otherwise waits for the active leader (or a test
 // release) to commit its batch.
@@ -214,7 +203,7 @@ func (s *Store) drainLocked() {
 		}
 		c.mu.Lock()
 		if err == nil {
-			c.recordBatch(len(batch))
+			c.maxBatch = max(c.maxBatch, len(batch))
 		}
 	}
 }
@@ -249,7 +238,6 @@ func (s *Store) commitBatch(batch []*syncTicket) error {
 	}
 	for _, r := range recs {
 		s.c.bytesLogged.Add(uint64(len(r.Data)))
-		s.c.labelBytesLogged.Add(uint64(len(r.Label)))
 	}
 	return nil
 }
@@ -319,7 +307,7 @@ func (s *Store) sealSync(id uint64) (*syncTicket, error) {
 }
 
 // SyncObjects durably records the current contents of many objects at once:
-// the batched form of SyncObject that the kernel's syscall ring dispatches.
+// the batched form of SyncObject, which the kernel's SyncSegments calls.
 // N syncs cost at most ⌈N/groupCommitRecords⌉ log flushes instead of N (see
 // logged).  The returned slice has one error slot per id (nil = durable); ids
 // that cannot go through the log share a single checkpoint fallback.
@@ -398,7 +386,6 @@ func (s *Store) groupQueueLen() int {
 // GroupCommitStats describes the committer's batching behaviour: the records
 // in committed batches, and the largest batch formed.
 type GroupCommitStats struct {
-	Records  uint64
 	MaxBatch int
 }
 
@@ -407,5 +394,5 @@ func (s *Store) GroupCommitStats() GroupCommitStats {
 	c := &s.comm
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return GroupCommitStats{Records: c.batchRecords, MaxBatch: c.maxBatch}
+	return GroupCommitStats{MaxBatch: c.maxBatch}
 }

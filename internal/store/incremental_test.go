@@ -432,11 +432,7 @@ func TestSegmentCleanerReclaimsAndPreservesData(t *testing.T) {
 	if runWorkload(t, s, cleanerWorkload(), m) {
 		t.Fatal("workload crashed with no fault armed")
 	}
-	st := s.Stats()
-	if st.SegsAllocated == 0 {
-		t.Fatal("no segments allocated: the relocation path is not using the segment writer")
-	}
-	if st.SegsFreed == 0 && st.SegsCleaned == 0 {
+	if st := s.Stats(); st.SegsCleaned == 0 {
 		t.Fatalf("cleaner never reclaimed a segment: %+v", st)
 	}
 	free := s.FreeBytes()
@@ -471,7 +467,7 @@ func TestCrashMidSegmentCleanEveryPoint(t *testing.T) {
 	if runWorkload(t, s, ops, newRefModel()) {
 		t.Fatal("workload crashed with no fault armed")
 	}
-	if st := s.Stats(); st.SegsFreed == 0 && st.SegsCleaned == 0 {
+	if st := s.Stats(); st.SegsCleaned == 0 {
 		t.Fatalf("workload did not exercise the segment cleaner: %+v", st)
 	}
 	stride := 1

@@ -58,7 +58,6 @@ func (s *Store) segContaining(off int64) *segment {
 func (s *Store) dropSeg(seg *segment) {
 	i := s.segsUpTo(seg.base) - 1
 	s.segs = slices.Delete(s.segs, i, i+1)
-	s.c.segsFreed.Add(1)
 }
 
 // vacateExtent releases the home extent behind (off, size): it decrements
@@ -97,7 +96,6 @@ func (s *Store) segAppend(data []byte) (int64, error) {
 		seg = &segment{base: ext.off, size: ext.size}
 		s.segs = slices.Insert(s.segs, s.segsUpTo(ext.off), seg)
 		s.openSeg = seg
-		s.c.segsAllocated.Add(1)
 	}
 	off := seg.base + seg.used
 	seg.used += sz

@@ -216,10 +216,10 @@ const (
 	// superblock, so a crash mid-checkpoint always leaves one intact copy.
 	defaultMetaAreaSize = 16 << 20
 
-	// extentAlign is the allocation granularity.  HiStar's allocator does
-	// not cluster small objects the way ext3's block groups do, which is the
-	// effect behind the uncached small-file read gap in Figure 12; aligning
-	// extents reproduces that dispersion.
+	// extentAlign is the granularity of the data region's extents: it
+	// rounds only segments and the dedicated extents of objects over half
+	// a segment, since smaller objects pack into segments at 512 bytes
+	// (segment.go).
 	extentAlign = 8192
 )
 
@@ -232,48 +232,31 @@ var (
 
 // Stats describes cumulative store activity.
 type Stats struct {
-	Puts            uint64
-	Gets            uint64
-	Deletes         uint64
-	ObjectSyncs     uint64
-	Checkpoints     uint64
-	LogApplications uint64
-	BytesLogged     uint64
-	BytesHome       uint64
-	// LabelBytesLogged counts canonical label bytes committed to the
-	// write-ahead log.
-	LabelBytesLogged uint64
-	DirtyObjects     int
-	LiveObjects      int
-	// SealStallTotalNs and SealStallMaxNs measure the only exclusive moment
-	// an incremental checkpoint has: the ckptMu write hold of the seal.
-	// This is the store's "stop-the-world" budget — everything else in a
-	// checkpoint runs concurrently with syncs and reads.
-	SealStallTotalNs int64
-	SealStallMaxNs   int64
+	ObjectSyncs uint64
+	Checkpoints uint64
+	BytesLogged uint64
+	BytesHome   uint64
+	LiveObjects int
+	// SealStallMaxNs measures the only exclusive moment an incremental
+	// checkpoint has: the ckptMu write hold of the seal.  This is the
+	// store's "stop-the-world" budget — everything else in a checkpoint
+	// runs concurrently with syncs and reads.
+	SealStallMaxNs int64
 	// BytesCleaned counts object bytes the segment cleaner copied out of
 	// half-dead segments; together with BytesHome and MetaBytesWritten it
 	// gives the checkpoint write-amplification picture.
 	BytesCleaned     uint64
 	MetaBytesWritten uint64
-	// SegsAllocated / SegsCleaned / SegsFreed count data-region segments
-	// created by the segment writer, compacted by the cleaner, and returned
-	// to the free list.
-	SegsAllocated uint64
-	SegsCleaned   uint64
-	SegsFreed     uint64
+	// SegsCleaned counts data-region segments the cleaner compacted.
+	SegsCleaned uint64
 }
 
 type counters struct {
-	puts, gets, deletes, objectSyncs atomic.Uint64
-	checkpoints, logApplications     atomic.Uint64
-	bytesLogged, bytesHome           atomic.Uint64
-	labelBytesLogged                 atomic.Uint64
-
-	sealStallTotalNs, sealStallMaxNs atomic.Int64
-	bytesCleaned, metaBytesWritten   atomic.Uint64
-	segsAllocated, segsCleaned       atomic.Uint64
-	segsFreed                        atomic.Uint64
+	objectSyncs, checkpoints       atomic.Uint64
+	bytesLogged, bytesHome         atomic.Uint64
+	sealStallMaxNs                 atomic.Int64
+	bytesCleaned, metaBytesWritten atomic.Uint64
+	segsCleaned                    atomic.Uint64
 }
 
 // Store is a single-level store on a simulated disk.  It is safe for
@@ -425,32 +408,28 @@ func (s *Store) Disk() disk.Device { return s.d }
 // Stats returns a snapshot of store statistics.
 func (s *Store) Stats() Stats {
 	st := Stats{
-		Puts:             s.c.puts.Load(),
-		Gets:             s.c.gets.Load(),
-		Deletes:          s.c.deletes.Load(),
 		ObjectSyncs:      s.c.objectSyncs.Load(),
 		Checkpoints:      s.c.checkpoints.Load(),
-		LogApplications:  s.c.logApplications.Load(),
 		BytesLogged:      s.c.bytesLogged.Load(),
 		BytesHome:        s.c.bytesHome.Load(),
-		LabelBytesLogged: s.c.labelBytesLogged.Load(),
-		SealStallTotalNs: s.c.sealStallTotalNs.Load(),
 		SealStallMaxNs:   s.c.sealStallMaxNs.Load(),
 		BytesCleaned:     s.c.bytesCleaned.Load(),
 		MetaBytesWritten: s.c.metaBytesWritten.Load(),
-		SegsAllocated:    s.c.segsAllocated.Load(),
 		SegsCleaned:      s.c.segsCleaned.Load(),
-		SegsFreed:        s.c.segsFreed.Load(),
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	// Live is what a Get finds: the homes, less the objects deleted since
+	// the last checkpoint, plus those written (or sealed into the running
+	// checkpoint) that have no home yet.
 	st.LiveObjects = len(s.homes)
 	for id, e := range s.objs {
-		if e.dirty {
-			st.DirtyObjects++
-			if _, ok := s.homeOf(id); !ok {
-				st.LiveObjects++
-			}
+		_, home := s.homeOf(id)
+		switch {
+		case e.dead && home:
+			st.LiveObjects--
+		case !e.dead && (e.dirty || e.ckpt) && !home:
+			st.LiveObjects++
 		}
 	}
 	return st
@@ -485,7 +464,6 @@ func (s *Store) put(id uint64, data []byte, lbl *label.Label, lo, hi int) error 
 	if s.closed {
 		return ErrClosed
 	}
-	s.c.puts.Add(1)
 	// A put of every byte copies them before taking mu, so that no other
 	// operation waits on the copy; a range put patches under mu.
 	var whole []byte
@@ -531,7 +509,6 @@ func (s *Store) Get(id uint64) ([]byte, error) {
 	if s.closed {
 		return nil, ErrClosed
 	}
-	s.c.gets.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	buf, err := s.read(id)
@@ -584,7 +561,6 @@ func (s *Store) Delete(id uint64) error {
 	if s.closed {
 		return ErrClosed
 	}
-	s.c.deletes.Add(1)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e := s.entry(id)

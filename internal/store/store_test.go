@@ -353,12 +353,53 @@ func TestStatsTracking(t *testing.T) {
 	s.SyncObject(1)
 	s.Checkpoint()
 	st := s.Stats()
-	if st.Puts != 1 || st.Gets != 1 || st.ObjectSyncs != 1 || st.Checkpoints != 1 {
+	if st.ObjectSyncs != 1 || st.Checkpoints != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 	if st.LiveObjects != 1 {
 		t.Errorf("live objects = %d", st.LiveObjects)
 	}
+}
+
+// LiveObjects counts what a Get finds: an object deleted since the last
+// checkpoint is gone though its home stays until the next one, and a new
+// object sealed into a running checkpoint is live before its home exists.
+func TestLiveObjectsCountsWhatGetFinds(t *testing.T) {
+	s, _ := testStore(t)
+	live := func(when string, want int) {
+		t.Helper()
+		if n := s.Stats().LiveObjects; n != want {
+			t.Errorf("%s: %d live objects, want %d", when, n, want)
+		}
+	}
+	for id := uint64(1); id <= 3; id++ {
+		if err := s.Put(id, []byte("x")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Delete(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Get(2); !errors.Is(err, ErrNoSuchObject) {
+		t.Fatalf("Get of the deleted object: %v, want ErrNoSuchObject", err)
+	}
+	live("after Delete", 2)
+	if err := s.SyncObject(2); err != nil {
+		t.Fatal(err)
+	}
+	live("after the tombstone's sync", 2)
+	if err := s.Put(4, []byte("y")); err != nil {
+		t.Fatal(err)
+	}
+	s.ckptGate = func() { live("between a checkpoint's seal and body", 3) }
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	s.ckptGate = nil
+	live("after the checkpoint", 3)
 }
 
 func TestLabelPersistence(t *testing.T) {

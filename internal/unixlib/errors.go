@@ -27,8 +27,6 @@ var (
 	// ErrPipeClosed is returned when writing to a pipe whose read end is
 	// gone (the library's SIGPIPE).
 	ErrPipeClosed = errors.New("unixlib: broken pipe")
-	// ErrNoUser is returned for operations on unknown user accounts.
-	ErrNoUser = errors.New("unixlib: no such user")
 	// ErrIO mirrors EIO: the object's persistent storage failed integrity
 	// verification (the store detected bit rot and quarantined it).
 	ErrIO = errors.New("unixlib: input/output error")

@@ -34,7 +34,6 @@ const (
 
 // FD is a process's handle on an open file, directory, pipe, or socket.
 type FD struct {
-	Num int
 	// seekMu serializes read-modify-write cycles on the seek position in the
 	// descriptor segment.  It is a pointer so that the FD struct copies made
 	// by fork/spawn (which share the descriptor segment) share the lock too —
@@ -42,18 +41,14 @@ type FD struct {
 	seekMu *sync.Mutex
 	// Seg is the file descriptor segment holding seek position and flags.
 	Seg kernel.CEnt
-	// File is the file segment (for regular files).
+	// File is the file segment (for regular files; zero for directories).
 	File kernel.CEnt
-	// Dir is the directory container (for directories).
-	Dir kernel.ID
 	// Pipe is non-nil for pipe descriptors.
 	Pipe *Pipe
 	// Socket is non-nil for network sockets (attached by package netd).
 	Socket interface{}
 	// WriteEnd marks the write side of a pipe.
 	WriteEnd bool
-	// Path is the path the descriptor was opened with (diagnostics).
-	Path string
 }
 
 // fdLabel returns the label protecting descriptor and pipe segments: the
@@ -125,7 +120,6 @@ func (p *Process) allocFD(fd *FD) int {
 		}
 		num++
 	}
-	fd.Num = num
 	p.fds[num] = fd
 	return num
 }
@@ -196,8 +190,8 @@ func (p *Process) Pipe() (int, int, error) {
 	if err != nil {
 		return -1, -1, err
 	}
-	r := p.allocFD(&FD{Seg: rseg, Pipe: pipe, Path: "pipe:r"})
-	w := p.allocFD(&FD{Seg: wseg, Pipe: pipe, WriteEnd: true, Path: "pipe:w"})
+	r := p.allocFD(&FD{Seg: rseg, Pipe: pipe})
+	w := p.allocFD(&FD{Seg: wseg, Pipe: pipe, WriteEnd: true})
 	return r, w, nil
 }
 

@@ -74,7 +74,7 @@ func (p *Process) Create(path string, lbl label.Label) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	return p.openEntry(path, dir, DirEntry{Name: leaf, ID: file, Type: kernel.ObjSegment}, ORead|OWrite)
+	return p.openEntry(dir, DirEntry{Name: leaf, ID: file, Type: kernel.ObjSegment}, ORead|OWrite)
 }
 
 // Open opens an existing file or directory.
@@ -86,18 +86,16 @@ func (p *Process) Open(path string, flags uint64) (int, error) {
 	if flags == 0 {
 		flags = ORead
 	}
-	return p.openEntry(path, dir, entry, flags)
+	return p.openEntry(dir, entry, flags)
 }
 
-func (p *Process) openEntry(path string, dir kernel.ID, entry DirEntry, flags uint64) (int, error) {
+func (p *Process) openEntry(dir kernel.ID, entry DirEntry, flags uint64) (int, error) {
 	fdSeg, err := p.newFDSegment(flags)
 	if err != nil {
 		return -1, err
 	}
-	fd := &FD{Seg: fdSeg, Path: p.abs(path)}
-	if entry.Type == kernel.ObjContainer {
-		fd.Dir = entry.ID
-	} else {
+	fd := &FD{Seg: fdSeg}
+	if entry.Type != kernel.ObjContainer {
 		fd.File = kernel.CEnt{Container: dir, Object: entry.ID}
 	}
 	return p.allocFD(fd), nil

@@ -245,22 +245,6 @@ func (sys *System) LookupUser(name string) (*User, bool) {
 	return u, ok
 }
 
-// CategoryName implements label.Namer for the categories AddUser allocates:
-// a user's ur and uw display as <name>r and <name>w.
-func (sys *System) CategoryName(c label.Category) (string, bool) {
-	sys.userMu.RLock()
-	defer sys.userMu.RUnlock()
-	for name, u := range sys.users {
-		switch c {
-		case u.Ur:
-			return name + "r", true
-		case u.Uw:
-			return name + "w", true
-		}
-	}
-	return "", false
-}
-
 func (sys *System) allocPID() int {
 	return int(sys.nextPID.Add(1))
 }

@@ -3,7 +3,6 @@ package unixlib
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 
 	"histar/internal/disk"
@@ -56,35 +55,6 @@ func TestBootCreatesStandardDirectories(t *testing.T) {
 	for name, seen := range want {
 		if !seen {
 			t.Errorf("missing /%s", name)
-		}
-	}
-}
-
-// The library, not the kernel, names the categories it allocates: a user's
-// ur and uw display as <name>r and <name>w, and anything else stays a number.
-func TestSystemNamesUserCategories(t *testing.T) {
-	sys := bootSys(t)
-	u, err := sys.AddUser("bob")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name, ok := sys.CategoryName(u.Ur); !ok || name != "bobr" {
-		t.Errorf("CategoryName(ur) = %q, %v; want bobr", name, ok)
-	}
-	if name, ok := sys.CategoryName(u.Uw); !ok || name != "bobw" {
-		t.Errorf("CategoryName(uw) = %q, %v; want bobw", name, ok)
-	}
-	c, err := sys.InitThread().CategoryCreate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if name, ok := sys.CategoryName(c); ok {
-		t.Errorf("CategoryName of a category the library did not make = %q, want none", name)
-	}
-	got := label.New(label.L1, label.P(u.Ur, label.L3), label.P(c, label.L2)).Format(sys)
-	for _, part := range []string{"bobr3", c.String() + "2"} {
-		if !strings.Contains(got, part) {
-			t.Errorf("Format = %q, want it to contain %q", got, part)
 		}
 	}
 }

@@ -31,8 +31,8 @@ var ErrNotOwner = errors.New("vpn: client process must own both network taint ca
 // vice versa), and to encrypt correctly.
 type Client struct {
 	proc *unixlib.Process
-	// Inet is the Internet-facing stack, VPN the tunnel-facing stack.
-	Inet, VPN *netd.Daemon
+	// Inet is the Internet-facing stack.
+	Inet *netd.Daemon
 	// PeerAddr is the remote VPN concentrator on the Internet stack.
 	PeerAddr string
 	aead     cipher.AEAD
@@ -57,7 +57,7 @@ func NewClient(proc *unixlib.Process, inet, vpnStack *netd.Daemon, peerAddr, pre
 	if err != nil {
 		return nil, err
 	}
-	return &Client{proc: proc, Inet: inet, VPN: vpnStack, PeerAddr: peerAddr, aead: aead}, nil
+	return &Client{proc: proc, Inet: inet, PeerAddr: peerAddr, aead: aead}, nil
 }
 
 // Encrypt seals plaintext for the tunnel.

@@ -6,16 +6,20 @@ import (
 
 	"histar/internal/kernel"
 	"histar/internal/netd"
+	"histar/internal/netsim"
 	"histar/internal/unixlib"
 )
 
-func bootVPN(t *testing.T) (*unixlib.System, *netd.Daemon, *netd.Daemon, *Client) {
+// bootVPN boots the two stacks and a tunnel client; the link it returns is
+// the Internet stack's, whose byte counts show what crossed the wire.
+func bootVPN(t *testing.T) (*unixlib.System, *netd.Daemon, *netd.Daemon, *Client, *netsim.Link) {
 	t.Helper()
 	sys, err := unixlib.Boot(unixlib.BootOptions{KernelConfig: kernel.Config{Seed: 13}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	inet, err := netd.New(sys, netd.Options{})
+	link := netsim.NewLink(netsim.PaperEthernet(), nil)
+	inet, err := netd.New(sys, netd.Options{Link: link})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +47,11 @@ func bootVPN(t *testing.T) (*unixlib.System, *netd.Daemon, *netd.Daemon, *Client
 		}
 		return client.Encrypt(append([]byte("peer saw: "), plain...))
 	})
-	return sys, inet, vpnStack, client
+	return sys, inet, vpnStack, client, link
 }
 
 func TestTunnelRoundTripIsEncrypted(t *testing.T) {
-	sys, inet, _, client := bootVPN(t)
+	sys, _, _, client, link := bootVPN(t)
 	corpProc, _ := sys.NewInitProcess("employee")
 	resp, err := client.SendOverTunnel(corpProc, []byte("GET /intranet"))
 	if err != nil {
@@ -57,8 +61,7 @@ func TestTunnelRoundTripIsEncrypted(t *testing.T) {
 		t.Errorf("tunnel response = %q", resp)
 	}
 	// The bytes on the Internet link were ciphertext, not the plaintext.
-	st := inet.Stats()
-	if st.BytesSent == 0 {
+	if sent, _, _, _ := link.Stats(); sent == 0 {
 		t.Fatal("nothing crossed the Internet link")
 	}
 	if bytes.Contains(client.Encrypt([]byte("GET /intranet")), []byte("GET /intranet")) {
@@ -67,7 +70,7 @@ func TestTunnelRoundTripIsEncrypted(t *testing.T) {
 }
 
 func TestClientRequiresOwnershipOfBothTaints(t *testing.T) {
-	sys, inet, vpnStack, _ := bootVPN(t)
+	sys, inet, vpnStack, _, _ := bootVPN(t)
 	plain, _ := sys.NewInitProcess("")
 	if _, err := NewClient(plain, inet, vpnStack, "vpn-peer:1194", "k"); err != ErrNotOwner {
 		t.Errorf("expected ErrNotOwner, got %v", err)
@@ -75,7 +78,7 @@ func TestClientRequiresOwnershipOfBothTaints(t *testing.T) {
 }
 
 func TestInternetTaintedProcessCannotUseTunnel(t *testing.T) {
-	sys, inet, _, client := bootVPN(t)
+	sys, inet, _, client, _ := bootVPN(t)
 	inet.RegisterRemote("www:80", func([]byte) []byte { return []byte("public page") })
 	browser, _ := sys.NewInitProcess("")
 	sock, err := netd.Dial(inet, browser, "www:80")

@@ -65,9 +65,8 @@ type SessionStats struct {
 	Hits, Misses, ColdLogins uint64
 	// BadPasswords counts rejected credentials (hit or cold path).
 	BadPasswords uint64
-	// Evictions counts capacity evictions, IdleEvictions idle-timeout ones,
-	// Logouts explicit invalidations.
-	Evictions, IdleEvictions, Logouts uint64
+	// Evictions counts capacity evictions, Logouts explicit invalidations.
+	Evictions, Logouts uint64
 	// GoldenSpawns counts cold logins whose sandbox came from a golden
 	// image.
 	GoldenSpawns uint64
@@ -86,7 +85,7 @@ type sessionCache struct {
 	lru *list.List // front = most recently used
 
 	hits, misses, coldLogins, badPasswords atomic.Uint64
-	evictions, idleEvictions, logouts      atomic.Uint64
+	evictions, logouts                     atomic.Uint64
 	goldenSpawns                           atomic.Uint64
 }
 
@@ -272,7 +271,6 @@ func (c *sessionCache) sweepLocked(now time.Time) []*session {
 		}
 		e = e.Prev()
 		c.detachLocked(v)
-		c.idleEvictions.Add(1)
 		victims = append(victims, v)
 	}
 	return victims
@@ -346,15 +344,14 @@ func (c *sessionCache) stats() SessionStats {
 	live := c.lru.Len()
 	c.mu.Unlock()
 	return SessionStats{
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		ColdLogins:    c.coldLogins.Load(),
-		BadPasswords:  c.badPasswords.Load(),
-		Evictions:     c.evictions.Load(),
-		IdleEvictions: c.idleEvictions.Load(),
-		Logouts:       c.logouts.Load(),
-		GoldenSpawns:  c.goldenSpawns.Load(),
-		Live:          live,
+		Hits:         c.hits.Load(),
+		Misses:       c.misses.Load(),
+		ColdLogins:   c.coldLogins.Load(),
+		BadPasswords: c.badPasswords.Load(),
+		Evictions:    c.evictions.Load(),
+		Logouts:      c.logouts.Load(),
+		GoldenSpawns: c.goldenSpawns.Load(),
+		Live:         live,
 	}
 }
 

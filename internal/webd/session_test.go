@@ -115,8 +115,8 @@ func TestSessionIdleEviction(t *testing.T) {
 	if _, err := srv.Serve(Request{User: "bob", Password: "builder", Path: "/profile/set/v"}); err != nil {
 		t.Fatal(err)
 	}
-	if st := srv.SessionStats(); st.IdleEvictions == 0 {
-		t.Error("idle session was not evicted")
+	if st := srv.SessionStats(); st.Live != 1 {
+		t.Errorf("%d live sessions after the sweep, want bob's alone: the idle one was not evicted", st.Live)
 	}
 }
 
