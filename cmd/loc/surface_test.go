@@ -30,6 +30,7 @@ var keep = map[string]string{
 	"kernel.ThreadCall.AlertWait":           "paper system call (alerts, Section 3.4)",
 	"kernel.ThreadCall.ContainerGetParent":  "paper system call (container_get_parent)",
 	"kernel.ThreadCall.DeviceMAC":           "paper system call (the network device's three calls, Section 4.1)",
+	"kernel.ThreadCall.DeviceWait":          "paper system call (net_wait); netd drains the device on the receiving caller's thread, since the simulated link delivers synchronously",
 	"kernel.ThreadCall.LocalSegmentRead":    "paper system call (thread-local segment, Section 3.4)",
 	"kernel.ThreadCall.LocalSegmentWrite":   "paper system call (thread-local segment, Section 3.4)",
 	"kernel.ThreadCall.MemRead":             "a load through the address space: the paper's page-fault path",

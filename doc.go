@@ -120,9 +120,13 @@
 // so where it creates a file's or a directory's segment); SyncSegments —
 // fsync, one call for any number of files — pushes each target it can modify
 // and commits the group through the write-ahead log; Sync — group sync, and
-// fsync of a directory — pushes every dirty segment and checkpoints.  What
-// the kernel decides alone: the one gate every mutation of a segment passes
-// (direct call, compare-and-swap, store through a mapping) marks it dirty, the one place an object dies tells the store to delete it, and
+// fsync of a directory — pushes every segment on the kernel's dirty list and
+// checkpoints, so it costs what changed since the last sync, not what exists,
+// and the store's seal likewise walks only the objects changed since the
+// last checkpoint.  What the kernel decides alone: the one gate every
+// mutation of a segment passes (direct call, compare-and-swap, store through
+// a mapping) marks it dirty and lists it, the one place an object dies takes
+// it off the list and tells the store to delete it, and
 // Kernel.Evict drops every clean persistent segment's bytes, which the
 // segment's next access of any kind pages back in, whole — damage comes back
 // as ErrCorrupt (EIO).  So a persistent byte is resident once: in the kernel

@@ -50,7 +50,7 @@
 //     held.
 //  5. The futex table's lock, futexMu, nests inside object locks and never
 //     the other way around.  The allocators are self-synchronized leaves,
-//     and so is doomedMu.
+//     and so are doomedMu and dirtyMu.
 //  6. The pager (the store: its locks lie below the kernel's and it never
 //     calls back) is called with at most one segment's lock held — with the
 //     naming container's shared lock, under open — for a push or a page-in
@@ -143,10 +143,13 @@ type Kernel struct {
 	snap snapCounters
 
 	// pager is the store, if one is attached (pager.go); doomed, behind the
-	// leaf doomedMu, the dead persistent segments it has yet to be told of.
+	// leaf doomedMu, the dead persistent segments it has yet to be told of;
+	// dirty, behind the leaf dirtyMu, the live ones Sync pushes (setDirty).
 	pager    Pager
 	doomedMu sync.Mutex
 	doomed   []uint64
+	dirtyMu  sync.Mutex
+	dirty    map[*segment]struct{}
 }
 
 // New boots a kernel: it creates the object table and the root container.
@@ -157,6 +160,7 @@ func New(cfg Config) *Kernel {
 		ids:     label.NewAllocator(cfg.Seed ^ 0x9e3779b97f4a7c15),
 		cats:    label.NewAllocator(cfg.Seed),
 		futexes: make(map[futexKey]*futexQueue),
+		dirty:   make(map[*segment]struct{}),
 	}
 	for i := range k.shards {
 		k.shards[i].m = make(map[ID]object)
@@ -676,7 +680,7 @@ func (k *Kernel) deallocLocked(o object) []ID {
 		if v.persistent {
 			// Clean for good: a Sync must push nothing after the Delete that
 			// releaseRefs sends once the teardown's locks are released.
-			v.dirty = false
+			k.setDirty(v, false)
 			k.doomedMu.Lock()
 			k.doomed = append(k.doomed, uint64(v.id))
 			k.doomedMu.Unlock()

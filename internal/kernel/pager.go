@@ -48,9 +48,25 @@ func (tc *ThreadCall) SegmentPersist(ce CEnt) error {
 	}
 	if !seg.persistent {
 		seg.persist()
+		tc.k.setDirty(seg, true)
 	}
 	ls.unlock()
 	return nil
+}
+
+// setDirty sets a segment's dirty bit, and keeps the kernel's dirty list to
+// the segments that have it on; the caller holds the segment's write lock.
+func (k *Kernel) setDirty(s *segment, on bool) {
+	if s.dirty != on {
+		s.dirty = on
+		k.dirtyMu.Lock()
+		if on {
+			k.dirty[s] = struct{}{}
+		} else {
+			delete(k.dirty, s)
+		}
+		k.dirtyMu.Unlock()
+	}
 }
 
 // push hands a dirty segment's bytes, changed range and label to the pager,
@@ -64,7 +80,8 @@ func (k *Kernel) push(s *segment) error {
 	if err := k.pager.PutLabeled(uint64(s.id), s.lbl, s.data, min(s.lo, n), min(s.hi, n)); err != nil {
 		return err
 	}
-	s.dirty, s.lo, s.hi = false, 0, 0
+	k.setDirty(s, false)
+	s.lo, s.hi = 0, 0
 	return nil
 }
 
@@ -113,10 +130,10 @@ func (tc *ThreadCall) SyncSegments(ces ...CEnt) error {
 }
 
 // Sync makes the whole system durable (the paper's group sync, and what
-// fsync of a directory means): every dirty segment is pushed, one at a time
-// under its own lock, and the pager checkpoints.  The kernel chooses the
-// objects, so no label is consulted; a segment dirtied behind the walk waits
-// for the next sync.
+// fsync of a directory means): every segment on the dirty list is pushed,
+// one at a time under its own lock, and the pager checkpoints.  The kernel
+// chooses the objects, so no label is consulted; a segment dirtied after the
+// list is read waits for the next sync, and one that dies leaves the list.
 func (tc *ThreadCall) Sync() error {
 	if _, err := tc.enter(scSync); err != nil {
 		return err
@@ -125,7 +142,13 @@ func (tc *ThreadCall) Sync() error {
 	if k.pager == nil {
 		return ErrInvalid
 	}
-	for _, s := range k.liveSegments() {
+	k.dirtyMu.Lock()
+	dirty := make([]*segment, 0, len(k.dirty))
+	for s := range k.dirty {
+		dirty = append(dirty, s)
+	}
+	k.dirtyMu.Unlock()
+	for _, s := range dirty {
 		s.mu.Lock()
 		err := k.push(s)
 		s.mu.Unlock()
@@ -140,7 +163,13 @@ func (tc *ThreadCall) Sync() error {
 // the store holds them, and the segment's next access pages them back in,
 // private (fault).  Kernel memory is a cache of the store (Section 4).
 func (k *Kernel) Evict() {
-	for _, s := range k.liveSegments() {
+	var segs []*segment
+	k.each(func(o object) {
+		if s, ok := o.(*segment); ok {
+			segs = append(segs, s)
+		}
+	})
+	for _, s := range segs {
 		s.mu.Lock()
 		if s.persistent && !s.dirty && !s.paged.Load() {
 			s.plen, s.data, s.frozen = len(s.data), nil, false
@@ -148,14 +177,4 @@ func (k *Kernel) Evict() {
 		}
 		s.mu.Unlock()
 	}
-}
-
-func (k *Kernel) liveSegments() []*segment {
-	var segs []*segment
-	k.each(func(o object) {
-		if s, ok := o.(*segment); ok {
-			segs = append(segs, s)
-		}
-	})
-	return segs
 }

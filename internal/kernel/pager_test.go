@@ -528,3 +528,56 @@ func TestEvictBesideReaders(t *testing.T) {
 		t.Error("no read ever paged in: the readers never met an eviction")
 	}
 }
+
+// TestSyncWalksTheDirtyList: Sync costs what changed, not what exists.  Of
+// 1,000 persistent segments, clean after a first Sync, the one written since
+// is the only push of the next; a segment that dies dirty leaves the dirty
+// list with its death, so the pager hears its Delete and never its bytes;
+// and every Sync leaves the list empty.
+func TestSyncWalksTheDirtyList(t *testing.T) {
+	k, tc := boot(t)
+	fp := newFakePager()
+	k.SetPager(fp)
+	root := k.RootContainer()
+	segs := make([]CEnt, 1000)
+	for i := range segs {
+		id, err := tc.SegmentCreate(root, label.New(label.L1), "persistent", 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs[i] = CEnt{root, id}
+		if err := tc.SegmentPersist(segs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	listed := func() int {
+		k.dirtyMu.Lock()
+		defer k.dirtyMu.Unlock()
+		return len(k.dirty)
+	}
+	if err := tc.Sync(); err != nil || fp.puts != len(segs) || listed() != 0 {
+		t.Fatalf("first Sync: %v, %d pushes of %d persisted segments, %d left listed", err, fp.puts, len(segs), listed())
+	}
+	if err := tc.SegmentWrite(segs[500], 3, []byte("one")); err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.Sync(); err != nil || fp.puts != len(segs)+1 || string(fp.data[uint64(segs[500].Object)][3:6]) != "one" || listed() != 0 {
+		t.Fatalf("Sync after one write: %v, %d pushes in all, %d left listed; want the written segment alone", err, fp.puts-len(segs), listed())
+	}
+	doomed := segs[7]
+	if err := tc.SegmentWrite(doomed, 0, []byte("never pushed")); err != nil {
+		t.Fatal(err)
+	}
+	if listed() != 1 {
+		t.Fatalf("%d segments listed after one write, want 1", listed())
+	}
+	if err := tc.Unref(root, doomed.Object); err != nil {
+		t.Fatal(err)
+	}
+	if listed() != 0 {
+		t.Fatal("a dead segment is still on the dirty list")
+	}
+	if err := tc.Sync(); err != nil || fp.puts != len(segs)+1 || !slices.Equal(fp.gone, []uint64{uint64(doomed.Object)}) {
+		t.Fatalf("Sync after a dirty death: %v, %d pushes, deletes %v; want no push and one delete", err, fp.puts-len(segs)-1, fp.gone)
+	}
+}

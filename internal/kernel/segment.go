@@ -237,7 +237,7 @@ func (s *segment) reshape(k *Kernel, n, lo, hi int) error {
 	if grow && uint64(n)+128 > s.quota {
 		return ErrQuota
 	}
-	if s.dirty = s.persistent; s.dirty && n != len(s.data) {
+	if k.setDirty(s, s.persistent); s.dirty && n != len(s.data) {
 		s.lo, s.hi = 0, math.MaxInt
 	} else if s.dirty && lo < hi {
 		if s.lo >= s.hi {
@@ -264,7 +264,7 @@ func (s *segment) reshape(k *Kernel, n, lo, hi int) error {
 }
 
 // persist marks the segment persistent and every byte of it changed.
-func (s *segment) persist() { s.persistent, s.dirty, s.lo, s.hi = true, true, 0, math.MaxInt }
+func (s *segment) persist() { s.persistent, s.lo, s.hi = true, 0, math.MaxInt }
 
 // write stores data at off, extending the segment if necessary.
 func (s *segment) write(k *Kernel, off int, data []byte) error {

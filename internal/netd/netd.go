@@ -87,8 +87,10 @@ type conn struct {
 
 // New starts a network daemon on sys.  The daemon allocates the nr/nw/taint
 // categories, creates the (simulated) network device labeled
-// {nr3, nw0, taint2, 1}, creates the socket service gate, and starts the
-// receive loop.
+// {nr3, nw0, taint2, 1} and creates the socket service gate.  It starts no
+// goroutine: the link delivers synchronously, so a reply's frames are in the
+// device's receive queue when the send that provoked it returns, and the
+// receive call drains them (opRecv).
 func New(sys *unixlib.System, opts Options) (*Daemon, error) {
 	proc, err := sys.NewInitProcess("")
 	if err != nil {
@@ -159,9 +161,6 @@ func New(sys *unixlib.System, opts Options) (*Daemon, error) {
 	if err := tc.SelfSetLabel(lbl.With(d.Taint, label.L2)); err != nil {
 		return nil, err
 	}
-
-	// Receive loop: drain the device and demultiplex into connections.
-	go d.rxLoop()
 	return d, nil
 }
 
@@ -249,24 +248,16 @@ func encodeFrame(id uint32, typ byte, payload []byte) []byte {
 // The daemon side: receive loop and socket gate.
 // ---------------------------------------------------------------------------
 
-// rxLoop runs on the daemon's own thread, draining the device receive queue
-// and demultiplexing frames into connection buffers.
-func (d *Daemon) rxLoop() {
-	tc := d.proc.TC
+// drain empties the device's receive queue on the calling thread, which
+// holds the socket gate's privileges and taint, demultiplexing the frames
+// into connection buffers.
+func (d *Daemon) drain(tc *kernel.ThreadCall) {
 	for {
-		if err := tc.DeviceWait(d.dev); err != nil {
+		frame, ok, err := tc.DeviceReceive(d.dev)
+		if err != nil || !ok {
 			return
 		}
-		for {
-			frame, ok, err := tc.DeviceReceive(d.dev)
-			if err != nil {
-				return
-			}
-			if !ok {
-				break
-			}
-			d.handleInbound(frame)
-		}
+		d.handleInbound(frame)
 	}
 }
 
@@ -367,6 +358,9 @@ func (d *Daemon) socketGateEntry(call *kernel.GateCallCtx) []byte {
 		if c == nil || want < 0 {
 			return []byte{1}
 		}
+		// Another caller's drain may hold this connection's frames: it
+		// appends them and wakes the wait below.
+		d.drain(call.TC)
 		c.cond.L.Lock()
 		for len(c.rxBuf) == 0 && !c.eof && !c.closed {
 			c.cond.Wait()

@@ -1,6 +1,7 @@
 package netd
 
 import (
+	"runtime"
 	"testing"
 
 	"histar/internal/kernel"
@@ -184,5 +185,35 @@ func TestSeparateStacksIsolateTaints(t *testing.T) {
 	}
 	if data, err := s2.Recv(16); err != nil || string(data) != "B" {
 		t.Errorf("VPN-side receive = %q, %v", data, err)
+	}
+}
+
+// TestDaemonsLeaveNoGoroutine boots five systems with a daemon each, drives a
+// request through one, and drops them all: the daemons start no goroutine,
+// so none is left behind blocked on a device nobody will touch again.
+func TestDaemonsLeaveNoGoroutine(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		sys, d := bootNet(t)
+		if i == 0 {
+			d.RegisterRemote("origin:80", func(req []byte) []byte { return req })
+			client, err := sys.NewInitProcess("alice")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sock, err := Dial(d, client, "origin:80")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sock.Send([]byte("ping")); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := sock.Recv(4096); err != nil || string(got) != "ping" {
+				t.Fatalf("Recv = %q, %v", got, err)
+			}
+		}
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines before five daemons, %d after", before, after)
 	}
 }

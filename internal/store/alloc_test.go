@@ -58,7 +58,7 @@ func TestFreeListMatchesModel(t *testing.T) {
 				case ok:
 					mark(got, false)
 					held = append(held, hold{uint64(step), got})
-					s.setHome(uint64(step), home{off: got.off, size: size})
+					putHome(s, uint64(step), home{off: got.off, size: size})
 				}
 			} else {
 				i := r.Intn(len(held))
@@ -71,10 +71,10 @@ func TestFreeListMatchesModel(t *testing.T) {
 						head, tail = tail, head
 					}
 					e, held[i].ext = head, tail
-					s.setHome(id, home{off: tail.off, size: tail.size})
+					putHome(s, id, home{off: tail.off, size: tail.size})
 				} else {
 					held = slices.Delete(held, i, i+1)
-					s.dropHome(id)
+					s.mergeHomes([]sealedEntry{{id: id, dead: true}})
 				}
 				derive()
 				mark(e, true)
@@ -127,4 +127,20 @@ func modelBestFit(model []bool, base, need int64) (extent, bool) {
 		}
 	}
 	return extent{best.off, need}, best.size != 0
+}
+
+// putHome sets id's home in the home table, keeping the ID order, without
+// the segment accounting a checkpoint's merge does.
+func putHome(s *Store, id uint64, h home) {
+	i, ok := s.homeAt(id)
+	if !ok {
+		s.homes = slices.Insert(s.homes, i, homedObject{id: id})
+	}
+	s.homes[i].home = h
+}
+
+// homeIn returns id's home, or the zero home.
+func homeIn(s *Store, id uint64) home {
+	h, _ := s.homeOf(id)
+	return h
 }

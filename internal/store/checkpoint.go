@@ -1,11 +1,10 @@
 package store
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"time"
-
-	"histar/internal/label"
 )
 
 // Checkpoint persists a whole-system snapshot — every object dirtied since
@@ -14,20 +13,21 @@ import (
 // SEAL is exclusive, and it does no I/O at all:
 //
 //	SEAL    (ckptMu held exclusively, and mu; microseconds): take a fresh
-//	        epoch, capture the dirty and dead entries and every recorded
-//	        label, and clear the dirty flags (marking the entries ckpt, so
-//	        they keep their contents and condemn leaves them alone).  Records
+//	        epoch, capture the dirty entries with their labels and the dead
+//	        ones, walking only those changed since the last seal, and clear
+//	        the dirty flags (marking the entries ckpt, so they keep their
+//	        contents and condemn leaves them alone).  Records
 //	        synced after the seal go into log frames stamped with the new
 //	        epoch, so replay boundaries equal seal boundaries.
 //	BODY    (no ckptMu; serialized by ckptRun; mu only between device
-//	        writes, never across one): vacate deleted
-//	        objects' extents, stream the sealed contents into append-only
-//	        segments (dedicated extents for oversized objects), run the
+//	        writes, never across one): stream the sealed contents into
+//	        append-only segments (dedicated extents for oversized objects),
+//	        merge their homes and the deletions into the object map, run the
 //	        segment cleaner, serialize the metadata sections against the
-//	        sealed epoch, and flip the superblock; only then install the
-//	        free list derived from the tables serialized and release the
-//	        sealed entries' contents, now durable at home.  Reads, writes, and SyncObject group commits all
-//	        proceed concurrently.
+//	        sealed epoch, and flip the superblock; only then install the free
+//	        list derived from the tables serialized and release the sealed
+//	        entries' contents, now durable at home.  Reads, writes, and
+//	        SyncObject group commits all proceed concurrently.
 //	FINISH  reclaim log frames of epochs older than the previous committed
 //	        snapshot's (its own are kept for the metadata-fallback ladder
 //	        rung).
@@ -55,23 +55,15 @@ type sealedEntry struct {
 	id   uint64
 	e    *objEntry
 	data []byte // aliases the contents slice sealed for this epoch (shared)
+	lbl  []byte // the label sealed with data, encoded (nil: none)
+	home        // where relocateSealed wrote data
 	dead bool
-}
-
-// sealedLabel is one (id, label) pair captured at seal time; the metadata
-// label section is serialized from this capture, not from the live tables,
-// so the snapshot is consistent with the sealed object map even while
-// concurrent PutLabeled calls proceed.
-type sealedLabel struct {
-	id  uint64
-	lbl label.Label
 }
 
 // sealedState is everything the checkpoint body needs, captured under the
 // brief exclusive seal.
 type sealedState struct {
 	entries []sealedEntry // dirty and dead entries, ascending id
-	labels  []sealedLabel // every recorded label, ascending id
 	epoch   uint64        // the snapshot epoch this checkpoint commits
 }
 
@@ -102,24 +94,20 @@ func (s *Store) checkpointRunLocked() error {
 }
 
 // sealCheckpoint is the SEAL phase; the caller holds ckptRun, ckptMu
-// exclusively, and mu.  The walk is in ascending ID order, not map order:
-// relocation order determines segment packing and the free list, and
-// a deterministic workload must produce a byte-deterministic image.
+// exclusively, and mu.  It walks the changed list in ascending ID order:
+// relocation order determines segment packing and the free list, and a
+// deterministic workload must produce a byte-deterministic image.
 func (s *Store) sealCheckpoint() *sealedState {
 	// Syncs hold ckptMu in read mode from sealing a record to its commit, so
 	// every frame committed from here on carries the new epoch.
 	ss := &sealedState{epoch: s.epoch.Add(1)}
 	s.logGen.Add(1) // a range record never reaches back past a seal (see sealSync)
-	ids := make([]uint64, 0, len(s.objs))
-	for id := range s.objs {
-		ids = append(ids, id)
-	}
+	ids := s.changed
+	s.changed = nil
 	slices.Sort(ids)
 	for _, id := range ids {
 		e := s.objs[id]
-		if e.hasLbl {
-			ss.labels = append(ss.labels, sealedLabel{id: id, lbl: e.lbl})
-		}
+		e.listed = false
 		switch {
 		case e.dead && e.deadSealed:
 			// An earlier checkpoint captured this deletion and committed
@@ -130,14 +118,15 @@ func (s *Store) sealCheckpoint() *sealedState {
 			// stays in the table, keeping the deletion visible to concurrent
 			// Gets and syncs, until the seal after this checkpoint commits.
 			e.deadSealed = true
+			s.touch(id, e)
 			ss.entries = append(ss.entries, sealedEntry{id: id, e: e, dead: true})
 		case e.dirty:
 			// Seal the contents slice, shared so no put patches it, and
 			// hand the entry to the body: ckpt keeps the copy resident
 			// and condemn off it until the snapshot holding it commits.
 			e.dirty, e.ckpt, e.shared = false, true, true
-			ss.entries = append(ss.entries, sealedEntry{id: id, e: e, data: e.data})
-		case !e.hasLbl && !e.quar:
+			ss.entries = append(ss.entries, sealedEntry{id: id, e: e, data: e.data, lbl: e.lbl})
+		case e.lbl == nil && !e.quar:
 			// Clean, so nothing resident and nothing worth remembering:
 			// prune the entry.  A quarantined one keeps its verdict (and
 			// its place in QuarantinedObjects).
@@ -163,14 +152,15 @@ func (s *Store) restoreSealed(ss *sealedState) {
 			se.e.deadSealed = false
 		} else {
 			se.e.ckpt, se.e.dirty = false, !se.e.dead
+			s.touch(se.id, se.e)
 		}
 	}
 }
 
 // releaseSealed runs once the snapshot holding the sealed states has
 // committed: each sealed-dirty entry leaves ckpt and, unless a put dirtied it
-// again since the seal, drops its contents, which its home extent now holds
-// durably.  The fresh extent also supersedes any damage verdict on the old.
+// again since the seal, drops its contents, now durable at home, or the entry
+// itself if nothing is left; the fresh extent supersedes any damage verdict.
 func (s *Store) releaseSealed(ss *sealedState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -179,27 +169,40 @@ func (s *Store) releaseSealed(ss *sealedState) {
 			e.ckpt, e.quar = false, false
 			if !e.dirty {
 				e.data, e.shared = nil, false
+				if !e.dead && e.lbl == nil && !e.listed {
+					delete(s.objs, se.id)
+				}
 			}
 		}
 	}
 }
 
 // checkpointBody is the BODY and FINISH of one checkpoint; the caller holds
-// ckptRun.  A failure before the snapshot commits undoes the seal.
+// ckptRun.  A failure before the snapshot commits undoes the seal.  Sealed
+// deletions free space only once a snapshot without them commits, so a
+// relocation that runs out of space commits them alone first, under the
+// committed epoch so replay restores every logged state, and retries once.
 func (s *Store) checkpointBody(ss *sealedState) (err error) {
 	defer func() {
 		if err != nil && s.metaEpoch != ss.epoch {
 			s.restoreSealed(ss)
 		}
 	}()
-	if err := s.relocateSealed(ss); err != nil {
+	homes := len(s.homes)
+	err = s.relocateSealed(ss)
+	if errors.Is(err, ErrNoSpace) && len(s.homes) < homes {
+		if err = s.writeSnapshot(s.metaEpoch); err == nil {
+			err = s.relocateSealed(ss)
+		}
+	}
+	if err != nil {
 		return err
 	}
 	if err := s.cleanSegments(); err != nil {
 		return err
 	}
 	prev := s.metaEpoch
-	if err := s.writeSnapshot(ss.epoch, ss.labels); err != nil {
+	if err := s.writeSnapshot(ss.epoch); err != nil {
 		return err
 	}
 	s.releaseSealed(ss)
@@ -222,46 +225,56 @@ func (s *Store) checkpointBody(ss *sealedState) (err error) {
 	return nil
 }
 
-// relocateSealed is the body's data phase: vacate the extents of sealed
-// deletions and write each sealed-dirty object to its new home — segment
-// appends for small objects, dedicated extents for oversized ones.  Each
-// device write is issued without mu; mu is taken after it, briefly, to move
-// the object's home record.
-func (s *Store) relocateSealed(ss *sealedState) error {
-	for _, se := range ss.entries {
-		var h home
-		if !se.dead {
-			off, err := s.writeObjectHome(se.data)
-			if err != nil {
-				return err
-			}
-			// The contents CRC travels with the extent in the metadata
-			// snapshot; reads and scrubs verify against it.  The entry stays
-			// ckpt, and keeps its copy, until that snapshot commits: a sync
-			// before then must still log this state (releaseSealed).
-			h = home{off: off, size: int64(len(se.data)), crc: crc32c(se.data)}
-			s.c.bytesHome.Add(uint64(len(se.data)))
-		}
-		s.mu.Lock()
-		if old, ok := s.homeOf(se.id); ok {
-			s.vacateExtent(old.off, old.size)
-		}
+// relocateSealed is the body's data phase: write each sealed-dirty object to
+// its new home — segment appends for small objects, dedicated extents for
+// oversized ones — each device write without mu, then merge the new homes
+// and the sealed deletions into the home table at once.  After a failed
+// write only the deletions merge, and the homes written are vacated again.
+func (s *Store) relocateSealed(ss *sealedState) (err error) {
+	written := len(ss.entries)
+	for i := range ss.entries {
+		se := &ss.entries[i]
 		if se.dead {
-			s.dropHome(se.id)
-		} else {
-			s.setHome(se.id, h)
+			continue
 		}
-		s.mu.Unlock()
+		var off int64
+		if off, err = s.writeObjectHome(se.data); err != nil {
+			written = i
+			break
+		}
+		// The contents CRC travels with the extent in the metadata snapshot;
+		// reads and scrubs verify against it.  The entry stays ckpt, and
+		// keeps its copy, until that snapshot commits: a sync before then
+		// must still log this state (releaseSealed).
+		se.home = home{off: off, size: int64(len(se.data)), crc: crc32c(se.data)}
+		s.c.bytesHome.Add(uint64(len(se.data)))
 	}
-	return nil
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delta := ss.entries
+	if err != nil {
+		delta = nil
+		for i, se := range ss.entries {
+			if se.dead {
+				delta = append(delta, se)
+			} else if i < written {
+				s.vacateExtent(se.off, se.size)
+			}
+		}
+	}
+	s.mergeHomes(delta)
+	return err
 }
 
-// writeObjectHome writes one object's sealed contents to a new home:
-// packed into the open append-only segment when it fits, or a dedicated
-// extent otherwise.  mu is not held across the device write.
+// writeObjectHome writes one object's sealed contents to a new home: packed
+// into the open append-only segment when it fits and a segment is free, or a
+// dedicated extent.  mu is not held across the device write.
 func (s *Store) writeObjectHome(data []byte) (int64, error) {
 	if align512(int64(len(data))) <= s.segSize/2 {
-		return s.segAppend(data)
+		off, err := s.segAppend(data)
+		if !errors.Is(err, ErrNoSpace) {
+			return off, err
+		}
 	}
 	s.mu.Lock()
 	ext, err := s.allocate(int64(len(data)))
@@ -287,11 +300,11 @@ func (s *Store) writeObjectHome(data []byte) (int64, error) {
 // metaWhich/metaEpoch are published under sbMu and mu both, so a reader
 // holding either (scrub, committedEpoch) sees a (which, epoch) pair that
 // matches the bytes on disk.
-func (s *Store) writeSnapshot(epoch uint64, labels []sealedLabel) error {
+func (s *Store) writeSnapshot(epoch uint64) error {
 	s.mu.Lock()
 	next := 1 - s.metaWhich
 	metaOff := s.metaAreaOff(next)
-	meta := s.encodeMetadata(epoch, labels)
+	meta := s.encodeMetadata(epoch)
 	free, err := s.deriveFree(metaOff, false)
 	s.mu.Unlock()
 	if err != nil {

@@ -60,14 +60,15 @@
 //     writes, to record where bytes went): write sealed objects into
 //     append-only segments (or dedicated extents) — never over live data;
 //     appends land beyond each segment's committed high-water mark, and
-//     allocation takes only from the free list derived when epoch E-1
-//     committed, so extents vacated by relocation, deletion, or the cleaner
-//     are never reused before epoch E commits.
-//  3. Serialize the metadata (object map and segment table read under mu;
-//     labels from the seal-time capture) into the area the superblock does
-//     NOT reference, flush, then rewrite both superblock copies referencing
-//     it at epoch E and flush again (all under sbMu, so a concurrent scrub
-//     never reads the areas mid-rewrite).  Then derive the free list anew.
+//     allocation takes only from the free list derived at the last commit,
+//     so vacated extents are never reused before a snapshot without them
+//     commits (out of space, the body first commits the sealed deletions
+//     alone, under the committed epoch).
+//  3. Serialize the metadata (read under mu; each home carries its sealed
+//     label) into the area the superblock does NOT reference, flush, then
+//     rewrite both superblock copies referencing it at epoch E and flush
+//     again (all under sbMu, so a concurrent scrub never reads the areas
+//     mid-rewrite).  Then derive the free list anew.
 //  4. FINISH: reclaim the log frames of epochs below the previous committed
 //     snapshot's, P.  P's frames are retained so a later torn epoch-E area
 //     can fall back one snapshot and replay forward with zero
@@ -91,8 +92,9 @@
 //  2. SuperblockFallback: the primary copy fails, the backup at offset 512
 //     verifies and is used.  Nothing else changes.
 //  3. MetaFallback: the referenced area fails; the alternate area is
-//     accepted only if it verifies at a strictly older epoch (an equal or
-//     newer epoch would mean an uncommitted checkpoint).  The write-ahead
+//     accepted only if it verifies at an epoch no newer (a newer epoch
+//     would mean an uncommitted checkpoint; the same one, the snapshot
+//     before a full store committed deletions alone).  The write-ahead
 //     log then replays the older epoch's records and later ones — FINISH
 //     keeps them, and a checkpoint's freed extents rejoin the allocator
 //     only after its snapshot commits, so falling back one snapshot loses no

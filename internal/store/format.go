@@ -196,48 +196,57 @@ func (r *sectionReader) home() home {
 
 // encodeMetadata serializes the metadata image: the header followed by three
 // individually checksummed sections (object map, labels, segment table); the
-// caller holds mu.  The object map and segment table are read live — by the
-// time the body serializes, it has finished mutating them, and no concurrent
-// operation does — while the label section comes from the seal-time capture,
-// so the snapshot is consistent with the sealed epoch even as concurrent
-// PutLabeled calls proceed.  Everything derivable from these three — the
-// free list, per-segment live counts — is rebuilt at Open, not stored.
-func (s *Store) encodeMetadata(epoch uint64, labels []sealedLabel) []byte {
+// caller holds mu.  The tables are read live — by the time the body
+// serializes, it has finished mutating them, and no concurrent operation
+// does — and each home carries the label sealed with its contents, so the
+// snapshot is consistent with the sealed epoch even as concurrent PutLabeled
+// calls proceed.  It is built in the last image's buffer, which the device
+// copied.  Everything derivable from these three — the free list, segment
+// live counts — is rebuilt at Open, not stored.
+func (s *Store) encodeMetadata(epoch uint64) []byte {
+	img := s.img[:0]
+	// section appends one section, its entries counted by add, and frames it.
+	section := func(tag uint64, add func() uint64) {
+		at := len(img)
+		img = append(img, make([]byte, secHdrSize+8)...)
+		n := add()
+		binary.LittleEndian.PutUint64(img[at+secHdrSize:], n)
+		binary.LittleEndian.PutUint64(img[at:], tag)
+		binary.LittleEndian.PutUint64(img[at+8:], uint64(len(img)-at-secHdrSize))
+		binary.LittleEndian.PutUint64(img[at+16:], uint64(crc32c(img[at+secHdrSize:])))
+	}
+	img = append(img, make([]byte, metaHeaderSize)...)
 	// Object map: (id, home record) entries, ascending id.
-	objs := appendU64(nil, uint64(len(s.homes)))
-	s.scanHomes(func(id uint64, h home) {
-		objs = appendHome(appendU64(objs, id), h)
+	section(secObjMap, func() uint64 {
+		for _, h := range s.homes {
+			img = appendHome(appendU64(img, h.id), h.home)
+		}
+		return uint64(len(s.homes))
+	})
+	// Object labels in canonical serialized form, ascending id.
+	section(secLabels, func() (n uint64) {
+		for _, h := range s.homes {
+			if h.lbl != nil {
+				img, n = append(appendU64(img, h.id), h.lbl...), n+1
+			}
+		}
+		return n
 	})
 	// The segment table (base, size, used), ascending base.
-	segsSec := appendU64(nil, uint64(len(s.segs)))
-	for _, seg := range s.segs {
-		segsSec = appendU64(appendU64(appendU64(segsSec, uint64(seg.base)), uint64(seg.size)), uint64(seg.used))
-	}
-	// Object labels in canonical serialized form.
-	labelsSec := appendU64(nil, uint64(len(labels)))
-	for _, sl := range labels {
-		labelsSec = sl.lbl.AppendBinary(appendU64(labelsSec, sl.id))
-	}
-
-	var payload []byte
-	for _, sec := range []struct {
-		tag  uint64
-		body []byte
-	}{{secObjMap, objs}, {secLabels, labelsSec}, {secSegs, segsSec}} {
-		payload = appendU64(payload, sec.tag)
-		payload = appendU64(payload, uint64(len(sec.body)))
-		payload = appendU64(payload, uint64(crc32c(sec.body)))
-		payload = append(payload, sec.body...)
-	}
-
-	hdr := make([]byte, metaHeaderSize, metaHeaderSize+len(payload))
-	binary.LittleEndian.PutUint64(hdr[mhMagicOff:], metaMagic)
-	binary.LittleEndian.PutUint64(hdr[mhVersionOff:], metaVersion)
-	binary.LittleEndian.PutUint64(hdr[mhEpochOff:], epoch)
-	binary.LittleEndian.PutUint64(hdr[mhPayloadOff:], uint64(len(payload)))
-	binary.LittleEndian.PutUint64(hdr[mhSectionsOff:], numSecs)
-	binary.LittleEndian.PutUint32(hdr[mhCRCOff:], crc32c(hdr[:mhCRCOff]))
-	return append(hdr, payload...)
+	section(secSegs, func() uint64 {
+		for _, seg := range s.segs {
+			img = appendU64(appendU64(appendU64(img, uint64(seg.base)), uint64(seg.size)), uint64(seg.used))
+		}
+		return uint64(len(s.segs))
+	})
+	binary.LittleEndian.PutUint64(img[mhMagicOff:], metaMagic)
+	binary.LittleEndian.PutUint64(img[mhVersionOff:], metaVersion)
+	binary.LittleEndian.PutUint64(img[mhEpochOff:], epoch)
+	binary.LittleEndian.PutUint64(img[mhPayloadOff:], uint64(len(img)-metaHeaderSize))
+	binary.LittleEndian.PutUint64(img[mhSectionsOff:], numSecs)
+	binary.LittleEndian.PutUint32(img[mhCRCOff:], crc32c(img[:mhCRCOff]))
+	s.img = img
+	return img
 }
 
 // parseMetaHeader validates the header of the metadata area at device offset
@@ -299,18 +308,21 @@ func parseSections(payload []byte, base int64) (secs [secSegs + 1][]byte, err er
 }
 
 // The section decoders apply one verified payload to a store under
-// construction; a structural violation is left in r.err.  A segment that
-// starts before the one before it ends is one.  How homes and segments lie
-// against each other and the data region is checked once all three are
-// decoded, by deriveFree.
+// construction; a structural violation is left in r.err.  An object whose ID
+// does not ascend is one, and so is a segment that starts before the one
+// before it ends.  How homes and segments lie against each other and the data
+// region is checked once all three are decoded, by deriveFree.
 
 func (s *Store) decodeObjMapSection(r *sectionReader) {
 	for n := r.u64(); n > 0; n-- {
 		id, h := r.u64(), r.home()
+		if r.err == nil && len(s.homes) > 0 && id <= s.homes[len(s.homes)-1].id {
+			r.fail("object %d out of ID order", id)
+		}
 		if r.err != nil {
 			return
 		}
-		s.setHome(id, h)
+		s.homes = append(s.homes, homedObject{id: id, home: h})
 	}
 }
 
@@ -320,14 +332,17 @@ func (s *Store) decodeLabelSection(r *sectionReader) {
 		if r.err != nil {
 			return
 		}
-		lbl, rest, err := label.DecodeBinary(r.buf)
+		_, rest, err := label.DecodeBinary(r.buf)
 		if err != nil {
 			r.fail("label of object %d does not decode: %v", id, err)
 			return
 		}
+		enc := r.buf[:len(r.buf)-len(rest)]
+		if i, ok := s.homeAt(id); ok {
+			s.homes[i].lbl = enc
+		}
 		r.buf = rest
-		e := s.entry(id)
-		e.lbl, e.hasLbl = lbl, true
+		s.entry(id).lbl = enc
 	}
 }
 

@@ -19,8 +19,9 @@ import (
 // leaves behind.  It pins every on-disk layout at once — superblock copies,
 // log header, frames and records, metadata header and sections, segment packing,
 // range records — so a change that alters any of them must change
-// this constant, visibly.  The checkpoint seal walks the object table in one
-// ascending id order, which fixes segment packing.
+// this constant, visibly.  The checkpoint seal walks the entries changed
+// since the last seal in ascending id order, which fixes segment packing, and
+// the object map and label section come from the id-ordered home table.
 const formatImageSHA256 = "e575388f27825ff383f3736603f8eadee788b503456e248e9ae375081fb74c6b"
 
 // formatImageWorkload drives one seeded, single-threaded pass over every
@@ -196,31 +197,31 @@ func TestDecodersRefuseDamagedPayloads(t *testing.T) {
 		damage func(s *Store)
 	}{
 		{"home-overlaps-home", func(s *Store) {
-			s.homes[2] = home{off: s.homes[1].off, size: s.homes[1].size + 1}
+			putHome(s, 2, home{off: homeIn(s, 1).off, size: homeIn(s, 1).size + 1})
 		}},
-		{"homes-share-an-extent", func(s *Store) { s.homes[2] = s.homes[1] }},
+		{"homes-share-an-extent", func(s *Store) { putHome(s, 2, homeIn(s, 1)) }},
 		{"home-outside-data-region", func(s *Store) {
-			s.homes[1] = home{off: logOffset, size: s.homes[1].size}
+			putHome(s, 1, home{off: logOffset, size: homeIn(s, 1).size})
 		}},
 		{"home-past-data-region-end", func(s *Store) {
-			s.homes[1] = home{off: s.d.Size() - 512, size: 1024}
+			putHome(s, 1, home{off: s.d.Size() - 512, size: 1024})
 		}},
 		{"home-of-negative-size", func(s *Store) { // a size field of 2^64-512
-			s.homes[1] = home{off: s.homes[1].off, size: -512}
+			putHome(s, 1, home{off: homeIn(s, 1).off, size: -512})
 		}},
 		{"home-past-segment-used", func(s *Store) {
 			// The segment's last home, so it overlaps no other.
-			seg, last := s.segContaining(s.homes[1].off), uint64(1)
-			for id, h := range s.homes {
-				if s.segContaining(h.off) == seg && h.off > s.homes[last].off {
-					last = id
+			seg, last := s.segContaining(homeIn(s, 1).off), uint64(1)
+			for _, h := range s.homes {
+				if s.segContaining(h.off) == seg && h.off > homeIn(s, last).off {
+					last = h.id
 				}
 			}
-			h := s.homes[last]
-			s.homes[last] = home{off: h.off, size: seg.base + seg.used - h.off + 1}
+			h := homeIn(s, last)
+			putHome(s, last, home{off: h.off, size: seg.base + seg.used - h.off + 1})
 		}},
 		{"dedicated-home-overlaps-segment", func(s *Store) {
-			seg := &segment{base: s.homes[40].off + 512, size: 512}
+			seg := &segment{base: homeIn(s, 40).off + 512, size: 512}
 			s.segs = slices.Insert(s.segs, s.segsUpTo(seg.base), seg)
 		}},
 	}
@@ -239,13 +240,13 @@ func TestDecodersRefuseDamagedPayloads(t *testing.T) {
 					want[40] = big
 				}
 			})
-			if s.segContaining(s.homes[1].off) == nil || s.segContaining(s.homes[40].off) != nil {
+			if s.segContaining(homeIn(s, 1).off) == nil || s.segContaining(homeIn(s, 40).off) != nil {
 				t.Fatal("object 1 is not packed in a segment, or object 40 is")
 			}
 			s.mu.Lock()
 			tc.damage(s)
 			_, err := s.deriveFree(0, true)
-			img := s.encodeMetadata(s.metaEpoch, nil)
+			img := s.encodeMetadata(s.metaEpoch)
 			s.mu.Unlock()
 			var ce *CorruptError
 			if !errors.As(err, &ce) {

@@ -284,10 +284,7 @@ func (s *Store) sealSync(id uint64) (*syncTicket, error) {
 	case e.dead:
 		rec = wal.Record{ObjectID: id, Delete: true}
 	case e.resident():
-		rec = wal.Record{ObjectID: id, Data: e.data}
-		if e.hasLbl {
-			rec.Label = e.lbl.AppendBinary(nil)
-		}
+		rec = wal.Record{ObjectID: id, Data: e.data, Label: e.lbl}
 		if gen := s.logGen.Load(); e.base != gen || e.lo <= 0 && e.hi >= len(e.data) {
 			e.base, e.shared = gen, true // the record aliases e.data
 		} else {

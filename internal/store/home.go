@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
@@ -16,37 +17,51 @@ type home struct {
 	crc  uint32
 }
 
-// homedObject is one entry of an ordered scan over the home table.
+// homedObject is one entry of the home table: an object ID, its home, and
+// the label its contents were sealed with, encoded (nil: none).
 type homedObject struct {
 	id uint64
 	home
+	lbl []byte
 }
 
-// The home table is the paper's object map: object ID to home record.  The
-// paper keeps it in a B+-tree to scan it by ID; here a scan sorts the ids,
-// since the scans that need the order (the metadata image, the cleaner) run
-// once a checkpoint.  homeOf, setHome, dropHome and scanHomes are its only
-// accessors; callers hold mu, or run single-threaded (Format, Open).
+// The home table is the paper's object map, ascending by ID as its B+-tree
+// is: a lookup is a binary search, the image, cleaner, deriveFree and scrub
+// walk it in order, a checkpoint merges into it once (mergeHomes) and the
+// cleaner moves homes in place.  Callers hold mu, or run single-threaded.
+
+// homeAt returns the index of id's home, or where it would go, and whether it is there.
+func (s *Store) homeAt(id uint64) (int, bool) {
+	return slices.BinarySearchFunc(s.homes, id, func(h homedObject, id uint64) int { return cmp.Compare(h.id, id) })
+}
 
 func (s *Store) homeOf(id uint64) (home, bool) {
-	h, ok := s.homes[id]
-	return h, ok
+	i, ok := s.homeAt(id)
+	if !ok {
+		return home{}, false
+	}
+	return s.homes[i].home, true
 }
 
-func (s *Store) setHome(id uint64, h home) { s.homes[id] = h }
-
-func (s *Store) dropHome(id uint64) { delete(s.homes, id) }
-
-// scanHomes visits every home in ascending ID order.
-func (s *Store) scanHomes(fn func(id uint64, h home)) {
-	ids := make([]uint64, 0, len(s.homes))
-	for id := range s.homes {
-		ids = append(ids, id)
+// mergeHomes merges sealed entries, ascending by ID, into the home table's
+// other buffer: each vacates the home it replaces and, unless dead, installs
+// its own.
+func (s *Store) mergeHomes(delta []sealedEntry) {
+	out := s.spare[:0]
+	i := 0
+	for _, se := range delta {
+		for ; i < len(s.homes) && s.homes[i].id < se.id; i++ {
+			out = append(out, s.homes[i])
+		}
+		if i < len(s.homes) && s.homes[i].id == se.id {
+			s.vacateExtent(s.homes[i].off, s.homes[i].size)
+			i++
+		}
+		if !se.dead {
+			out = append(out, homedObject{se.id, se.home, se.lbl})
+		}
 	}
-	slices.Sort(ids)
-	for _, id := range ids {
-		fn(id, s.homes[id])
-	}
+	s.spare, s.homes = s.homes, append(out, s.homes[i:]...)
 }
 
 // readVerified reads the extent h names and checks the contents against

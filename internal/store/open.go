@@ -64,7 +64,7 @@ func Open(d disk.Device, opts Options) (*Store, error) {
 		// recorded: a tombstone drops it, and a label-less record asserts the
 		// object was unlabeled when it was synced (it may have been deleted
 		// and re-created since, with no tombstone ever logged).
-		e.lbl, e.hasLbl = label.Label{}, false
+		e.lbl = nil
 		if r.Delete {
 			e.data, e.dirty, e.dead = nil, false, true
 			e.quar = false
@@ -86,11 +86,10 @@ func Open(d disk.Device, opts Options) (*Store, error) {
 		e.dead = false
 		e.quar = false
 		if len(r.Label) > 0 {
-			lbl, rest, derr := label.DecodeBinary(r.Label)
-			if derr != nil || len(rest) != 0 {
+			if _, rest, derr := label.DecodeBinary(r.Label); derr != nil || len(rest) != 0 {
 				return nil, s.noteCorruption(fmt.Errorf("%w: replaying label of object %d: %v", ErrCorrupt, r.ObjectID, derr))
 			}
-			e.lbl, e.hasLbl = lbl, true
+			e.lbl = r.Label
 		}
 	}
 	s.epoch.Store(top)
@@ -160,9 +159,10 @@ func (s *Store) loadMetadata(sb superblockInfo) error {
 // loadMetaArea reads, verifies, and decodes metadata area which, and derives
 // its free list.  The referenced area must carry exactly the epoch the
 // superblock committed.
-// The fallback area must carry a strictly older one: a crash after the
-// metadata write but before the superblock flip can leave the alternate area
-// holding a NEWER, never-committed snapshot, which must not be resurrected.
+// The fallback area must not carry a newer one: a crash after the metadata
+// write but before the superblock flip can leave the alternate area holding a
+// NEWER, never-committed snapshot, which must not be resurrected.  The same
+// one is the referenced snapshot before it committed deletions alone.
 func (s *Store) loadMetaArea(which int, sbEpoch uint64, fallback bool) error {
 	img, err := s.verifyMetaArea(which)
 	if err != nil {
@@ -173,9 +173,9 @@ func (s *Store) loadMetaArea(which int, sbEpoch uint64, fallback bool) error {
 	case !fallback && img.epoch != sbEpoch:
 		return &CorruptError{Area: "metadata", Offset: areaOff + mhEpochOff,
 			Detail: fmt.Sprintf("snapshot epoch %d does not match superblock epoch %d", img.epoch, sbEpoch)}
-	case fallback && img.epoch >= sbEpoch:
+	case fallback && img.epoch > sbEpoch:
 		return &CorruptError{Area: "metadata", Offset: areaOff + mhEpochOff,
-			Detail: fmt.Sprintf("alternate snapshot epoch %d not older than superblock epoch %d (uncommitted checkpoint)", img.epoch, sbEpoch)}
+			Detail: fmt.Sprintf("alternate snapshot epoch %d newer than superblock epoch %d (uncommitted checkpoint)", img.epoch, sbEpoch)}
 	}
 	for _, sec := range []struct {
 		tag    uint64

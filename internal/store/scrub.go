@@ -2,6 +2,7 @@ package store
 
 import (
 	"errors"
+	"slices"
 	"time"
 )
 
@@ -11,7 +12,7 @@ type ScrubStats struct {
 	// verification.
 	SuperblockCopiesOK int
 	// MetaAreasChecked / MetaAreasOK cover the referenced metadata area
-	// and, when it holds a committed older snapshot, the alternate one.
+	// and, when it holds a committed snapshot, the alternate one.
 	MetaAreasChecked int
 	MetaAreasOK      int
 	// ObjectsChecked counts home extents verified against their recorded
@@ -123,7 +124,7 @@ func (s *Store) scrubSuperblock(st *ScrubStats) {
 }
 
 // scrubMetaAreas verifies the referenced metadata area and, when it holds a
-// committed (strictly older epoch) snapshot, the alternate one — the copy a
+// committed (no newer epoch) snapshot, the alternate one — the copy a
 // future fallback would depend on.  The caller holds sbMu, which keeps
 // metaWhich and metaEpoch stable (the checkpoint body updates them under
 // sbMu) and excludes an in-progress area rewrite.
@@ -137,11 +138,11 @@ func (s *Store) scrubMetaAreas(st *ScrubStats) {
 		st.MetaAreasOK++
 		st.BytesVerified += img.length
 	}
-	// Alternate area: only meaningful once it holds a committed older
-	// snapshot (epoch strictly below the superblock's).  An unparseable
-	// header is indistinguishable from "never written", so it is skipped
-	// rather than counted.
-	if alt, err := s.verifyMetaArea(1 - s.metaWhich); err == nil && alt.epoch < s.metaEpoch {
+	// Alternate area: only meaningful once it holds a committed snapshot
+	// (epoch no newer than the superblock's).  An unparseable header is
+	// indistinguishable from "never written", so it is skipped rather than
+	// counted.
+	if alt, err := s.verifyMetaArea(1 - s.metaWhich); err == nil && alt.epoch <= s.metaEpoch {
 		st.MetaAreasChecked++
 		st.MetaAreasOK++
 		st.BytesVerified += alt.length
@@ -153,11 +154,7 @@ func (s *Store) scrubMetaAreas(st *ScrubStats) {
 func (s *Store) scrubTargets() []homedObject {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	targets := make([]homedObject, 0, len(s.homes))
-	s.scanHomes(func(id uint64, h home) {
-		targets = append(targets, homedObject{id, h})
-	})
-	return targets
+	return slices.Clone(s.homes)
 }
 
 // scrubOneObject verifies one captured home extent; the caller holds ckptMu

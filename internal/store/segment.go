@@ -159,18 +159,16 @@ func (s *Store) cleanSegments() error {
 	for _, seg := range dead {
 		s.dropSeg(seg)
 	}
-	// One home-table scan collects every victim's live objects (ascending
+	// One home-table walk collects every victim's live objects (ascending
 	// id, the deterministic order the segment writer needs).
 	byVictim := make(map[int64][]homedObject, len(victims))
-	if len(victims) > 0 {
-		s.scanHomes(func(id uint64, h home) {
-			for _, seg := range victims {
-				if h.off >= seg.base && h.off < seg.base+seg.size {
-					byVictim[seg.base] = append(byVictim[seg.base], homedObject{id, h})
-					break
-				}
+	for i := 0; i < len(s.homes) && len(victims) > 0; i++ {
+		for _, seg := range victims {
+			if h := s.homes[i]; h.off >= seg.base && h.off < seg.base+seg.size {
+				byVictim[seg.base] = append(byVictim[seg.base], h)
+				break
 			}
-		})
+		}
 	}
 	s.mu.Unlock()
 	for _, seg := range victims {
@@ -191,8 +189,8 @@ func (s *Store) cleanSegments() error {
 				return err
 			}
 			s.mu.Lock()
-			if cur, ok := s.homeOf(o.id); ok && cur.off == o.off {
-				s.setHome(o.id, home{off: newOff, size: o.size, crc: o.crc})
+			if i, ok := s.homeAt(o.id); ok && s.homes[i].off == o.off {
+				s.homes[i].off = newOff // in place: the ID order holds
 				s.vacateExtent(o.off, o.size)
 			}
 			s.mu.Unlock()

@@ -2,8 +2,8 @@
 // on bootup the entire system state is restored from the most recent on-disk
 // snapshot, and all kernel objects are periodically checkpointed to disk.
 // The layout follows the paper's description, inspired by XFS: an object map
-// gives each object ID its location on disk (the paper's B+-tree; here a hash
-// map whose scans sort the ids, see home.go), and a free-extent list tracks
+// gives each object ID its location on disk (the paper's B+-tree; here one
+// slice in ID order, see home.go), and a free-extent list tracks
 // the unused space (the paper's two B+-trees, by size and by location; here
 // one offset-ordered slice that a best-fit scan allocates from, derived from
 // the object map and the segment table rather than stored, see alloc.go).  Write-ahead logging provides atomicity and crash consistency,
@@ -88,10 +88,10 @@
 // phases (see checkpoint.go for the full invariant catalogue):
 //
 //   - SEAL, the only exclusive moment: a brief ckptMu write hold that takes
-//     a fresh epoch — the one later log frames are stamped with — captures
-//     the dirty set (clearing dirty, marking entries ckpt) and captures
-//     every label.  Seal duration is proportional to the number of entries,
-//     with no disk I/O at all.
+//     a fresh epoch — the one later log frames are stamped with — and
+//     captures the dirty set (clearing dirty, marking entries ckpt).  It
+//     walks only the entries changed since the last seal (Store.changed):
+//     its duration is proportional to them, with no disk I/O at all.
 //   - BODY, concurrent with everything: relocates the sealed entries into
 //     segments, runs the segment cleaner, and writes the metadata snapshot
 //     for the sealed epoch while reads, Puts, and SyncObject group commits
@@ -170,8 +170,7 @@ type objEntry struct {
 	// rather than taking the object's absence from memory for its absence
 	// from disk.
 	deadSealed bool
-	lbl        label.Label
-	hasLbl     bool
+	lbl        []byte // the label, encoded canonically (nil: none)
 	// quar marks an object whose home-extent contents failed checksum
 	// verification: accesses that would read the damaged extent return
 	// ErrQuarantined instead of corrupt bytes, until a Put/Delete replaces
@@ -182,7 +181,8 @@ type objEntry struct {
 	// durable home holds that state, so the entry keeps its copy (a Get
 	// reads it, a sync logs it) and condemn leaves it alone.  Cleared by
 	// releaseSealed, or by restoreSealed if the checkpoint fails.
-	ckpt bool
+	ckpt   bool
+	listed bool // on the changed list (touch)
 
 	lo, hi int    // [lo, hi) changed since the last log record (empty: lo >= hi)
 	base   uint64 // the log generation of the last whole record
@@ -199,8 +199,18 @@ func (s *Store) entry(id uint64) *objEntry {
 	if e == nil {
 		e = &objEntry{}
 		s.objs[id] = e
+		s.touch(id, e)
 	}
 	return e
+}
+
+// touch puts an entry on the changed list the next seal walks: every entry
+// created, made dirty or dead since the last seal is on it.  Caller holds mu.
+func (s *Store) touch(id uint64, e *objEntry) {
+	if !e.listed {
+		e.listed = true
+		s.changed = append(s.changed, id)
+	}
 }
 
 // Layout constants.
@@ -290,9 +300,12 @@ type Store struct {
 	syncers atomic.Int64 // goroutines inside logged (see awaitCommit)
 
 	// mu guards all of the store's in-memory state (discipline rule 4).
-	mu    sync.Mutex
-	objs  map[uint64]*objEntry // object ID → in-memory entry
-	homes map[uint64]home      // object ID → home record, the paper's object map
+	mu      sync.Mutex
+	objs    map[uint64]*objEntry // object ID → in-memory entry
+	changed []uint64             // the entries touched since the last seal
+	homes   []homedObject        // the paper's object map, ascending by ID (home.go)
+	img     []byte               // the last metadata image (encodeMetadata)
+	spare   []homedObject        // the home table's other buffer (mergeHomes)
 
 	free []extent // the free extents, ascending by offset (see alloc.go)
 
@@ -386,7 +399,7 @@ func Format(d disk.Device, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s.l = l
-	if err := s.writeSnapshot(s.epoch.Add(1), nil); err != nil {
+	if err := s.writeSnapshot(s.epoch.Add(1)); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -395,7 +408,7 @@ func Format(d disk.Device, opts Options) (*Store, error) {
 // resetTables (re)initializes every table a metadata image decodes into, so
 // a fallback area decodes into a clean store after a failed first attempt.
 func (s *Store) resetTables() {
-	s.homes = make(map[uint64]home)
+	s.homes, s.changed = nil, nil
 	s.free = nil
 	s.segs = nil
 	s.openSeg = nil
@@ -452,13 +465,13 @@ func (s *Store) Put(id uint64, data []byte) error { return s.put(id, data, nil, 
 // new contents with the old (or no) label — the same atomicity the log
 // record format provides on disk.
 func (s *Store) PutLabeled(id uint64, lbl label.Label, data []byte, lo, hi int) error {
-	return s.put(id, data, &lbl, lo, hi)
+	return s.put(id, data, lbl.AppendBinary(nil), lo, hi)
 }
 
-// put installs new contents and, when lbl is not nil, the label, and adds
-// [lo, hi) — all of it, when the length changed or nothing was resident — to
-// the bytes changed since the last log record.
-func (s *Store) put(id uint64, data []byte, lbl *label.Label, lo, hi int) error {
+// put installs new contents and, when lbl (encoded) is not nil, the label,
+// and adds [lo, hi) — all of it, when the length changed or nothing was
+// resident — to the bytes changed since the last log record.
+func (s *Store) put(id uint64, data []byte, lbl []byte, lo, hi int) error {
 	s.ckptMu.RLock()
 	defer s.ckptMu.RUnlock()
 	if s.closed {
@@ -492,10 +505,11 @@ func (s *Store) put(id uint64, data []byte, lbl *label.Label, lo, hi int) error 
 		copy(e.data[lo:hi], data[lo:hi])
 	}
 	e.dirty, e.dead = true, false
+	s.touch(id, e)
 	// New contents supersede a damaged home extent: lift the quarantine.
 	e.quar = false
 	if lbl != nil {
-		e.lbl, e.hasLbl = *lbl, true
+		e.lbl = lbl
 	}
 	return nil
 }
@@ -543,8 +557,9 @@ func (s *Store) read(id uint64) ([]byte, error) {
 func (s *Store) Label(id uint64) (label.Label, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e := s.objs[id]; e != nil {
-		return e.lbl, e.hasLbl
+	if e := s.objs[id]; e != nil && e.lbl != nil {
+		lbl, _, err := label.DecodeBinary(e.lbl)
+		return lbl, err == nil
 	}
 	return label.Label{}, false
 }
@@ -564,9 +579,10 @@ func (s *Store) Delete(id uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e := s.entry(id)
+	s.touch(id, e)
 	e.data, e.dirty, e.dead, e.deadSealed = nil, false, true, false
 	e.quar = false // deletion disposes of the damaged extent
-	e.lbl, e.hasLbl = label.Label{}, false
+	e.lbl = nil
 	return nil
 }
 

@@ -708,3 +708,202 @@ func TestSyncFallbackNoSpace(t *testing.T) {
 	}
 	t.Logf("first sync refused at object %d; %d acknowledged objects read back", len(acked)+1, len(acked))
 }
+
+// wedgePayload is object id's contents in the full-store tests.
+func wedgePayload(id uint64) []byte { return bytes.Repeat([]byte{byte(id), byte(id >> 8)}, 4096) }
+
+// wedgedStore formats a 2 MiB store on d and fills it one checkpointed 8 KiB
+// object at a time until a checkpoint finds no space, then deletes every odd
+// object below the one that did not fit, which stays dirty.  It returns the
+// store, that object's id and the free bytes before the deletes.
+func wedgedStore(t *testing.T, d disk.Device) (s *Store, full uint64, free int64) {
+	t.Helper()
+	s, err := Format(d, Options{LogSize: 64 << 10, MetaAreaSize: 128 << 10, SegmentSize: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := uint64(1); full == 0; id++ {
+		if id > 1000 {
+			t.Fatal("a 2 MiB store took 1000 objects of 8 KiB")
+		}
+		if err := s.Put(id, wedgePayload(id)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(); errors.Is(err, ErrNoSpace) {
+			full = id
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	free = s.FreeBytes()
+	for id := uint64(1); id < full; id += 2 {
+		if err := s.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s, full, free
+}
+
+// checkWedged checks what a wedged store holds: every even object below full
+// with its contents and, unless deletes may have been lost (a crash before
+// they committed), no odd one; an odd one that is there, and full, whole.
+func checkWedged(t *testing.T, s *Store, full uint64, deletesLost bool) {
+	t.Helper()
+	for id := uint64(1); id <= full; id++ {
+		got, err := s.Get(id)
+		switch {
+		case (id%2 == 1 && id < full || id == full && deletesLost) && errors.Is(err, ErrNoSuchObject):
+		case id%2 == 1 && id < full && !deletesLost:
+			t.Fatalf("deleted object %d: %d bytes, %v", id, len(got), err)
+		case err != nil || !bytes.Equal(got, wedgePayload(id)):
+			t.Fatalf("object %d: %d bytes, %v", id, len(got), err)
+		}
+	}
+}
+
+// TestCheckpointUnwedgesAfterDeletes: each deleted object's space is free
+// only once a snapshot without it commits, so after the deletes of
+// wedgedStore the next checkpoint must commit them before it needs the space
+// — rather than fail for good, as it did while it asked for a fresh segment
+// first.  Every surviving object reads back, across a crash too.
+func TestCheckpointUnwedgesAfterDeletes(t *testing.T) {
+	d := disk.New(disk.Params{Sectors: 1 << 12, WriteCache: true}, &vclock.Clock{}) // 2 MiB
+	s, full, before := wedgedStore(t, d)
+	for try := 0; ; try++ {
+		err := s.Checkpoint()
+		if err == nil {
+			break
+		}
+		if try == 4 {
+			t.Fatalf("object %d found no space; after deleting every odd object below it, five checkpoints failed, the last with %v (%d bytes free, %d before the deletes)",
+				full, err, s.FreeBytes(), before)
+		}
+	}
+	checkWedged(t, s, full, false)
+	d.Crash()
+	s2, err := Open(d, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkWedged(t, s2, full, false)
+	t.Logf("object %d found no space with %d bytes free; after the deletes the checkpoint left %d", full, before, s.FreeBytes())
+}
+
+// TestUnwedgingCheckpointCrashes crashes the checkpoint that unwedges a
+// wedgedStore at every write boundary and midway through each write — in its
+// deletions-only commit and in the relocation after it — and reopens: every
+// kept object is there, a deleted one is gone or whole, the object that did
+// not fit is absent or whole, and a checkpoint succeeds.  Where the
+// deletions-only commit is the referenced snapshot and the alternate area
+// still holds the one before it, at the same epoch, rot in the referenced
+// area falls back to the alternate with nothing lost.
+func TestUnwedgingCheckpointCrashes(t *testing.T) {
+	newDisk := func() (*disk.Disk, *disk.FaultDisk) {
+		d := disk.New(disk.Params{Sectors: 1 << 12, WriteCache: true}, &vclock.Clock{})
+		return d, disk.NewFaultDisk(d)
+	}
+	_, fd := newDisk()
+	s, full, _ := wedgedStore(t, fd)
+	epoch, which := s.metaEpoch, s.metaWhich
+	fd.Arm(-1, disk.FaultTorn) // counting: record every write's end
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	fallbacks := 0
+	for _, point := range crashPoints(fd.WriteBounds()) {
+		d, fd := newDisk()
+		s, _, _ := wedgedStore(t, fd)
+		fd.Arm(point, disk.FaultTorn)
+		_ = s.Checkpoint() // fails at the crash point, or commits before it
+		d.Crash()
+		fd2 := disk.NewFaultDisk(d)
+		s2, err := Open(fd2, Options{})
+		if err != nil {
+			t.Fatalf("crash at byte %d of the unwedging checkpoint: reopen: %v", point, err)
+		}
+		checkWedged(t, s2, full, true)
+		alt, altErr := s2.verifyMetaArea(1 - s2.metaWhich)
+		if s2.metaEpoch == epoch && s2.metaWhich != which && altErr == nil && alt.epoch == epoch {
+			fallbacks++
+			if err := fd2.RotBits(disk.Region{Off: s2.metaAreaOff(s2.metaWhich), Len: mhCRCOff}, 3, point); err != nil {
+				t.Fatal(err)
+			}
+			s3, err := Open(fd2, Options{})
+			if err != nil {
+				t.Fatalf("crash at byte %d, then rot in the deletions-only snapshot: reopen: %v", point, err)
+			}
+			if !s3.RecoveryReport().MetaFallback {
+				t.Fatalf("crash at byte %d, then rot in the deletions-only snapshot: %+v; want the fallback", point, s3.RecoveryReport())
+			}
+			checkWedged(t, s3, full, true)
+			s2 = s3
+		}
+		if err := s2.Checkpoint(); err != nil {
+			t.Fatalf("crash at byte %d of the unwedging checkpoint: the checkpoint after reopening: %v", point, err)
+		}
+	}
+	if fallbacks == 0 {
+		t.Fatal("no crash point left the deletions-only commit referenced")
+	}
+}
+
+// TestFailedRelocationVacatesWhatItWrote fills a store with 6 KiB objects,
+// which leave 4 KiB at the end of each 64 KiB segment, until a checkpoint
+// finds no space.  Then a 4 KiB object fits the open segment's tail and the
+// 8 KiB one sealed after it fits nowhere: the checkpoint fails, and the home
+// it wrote for the first object must not count as live, since no table names
+// it.  Both objects stay readable, and a checkpoint after two deletes
+// commits them.
+func TestFailedRelocationVacatesWhatItWrote(t *testing.T) {
+	d := disk.New(disk.Params{Sectors: 1 << 12, WriteCache: true}, &vclock.Clock{}) // 2 MiB
+	s, err := Format(d, Options{LogSize: 64 << 10, MetaAreaSize: 128 << 10, SegmentSize: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := uint64(1)
+	for ; ; id++ {
+		if err := s.Put(id, make([]byte, 6<<10)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(); errors.Is(err, ErrNoSpace) {
+			break
+		} else if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Delete(id); err != nil { // it never found a home
+		t.Fatal(err)
+	}
+	small, big := bytes.Repeat([]byte{1}, 4<<10), bytes.Repeat([]byte{2}, 8<<10)
+	if err := s.Put(id+1, small); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(id+2, big); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint(); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("checkpoint of an 8 KiB object with %d bytes free: %v, want ErrNoSpace", s.FreeBytes(), err)
+	}
+	s.mu.Lock()
+	msg := segLiveMismatch(s)
+	s.mu.Unlock()
+	if msg != "" {
+		t.Fatal(msg)
+	}
+	// The last objects that fitted took extents of their own, no segment
+	// being free, and the failed attempt used up the open segment's tail:
+	// deleting two of them frees room for both.
+	for _, id := range []uint64{id - 1, id - 2} {
+		if err := s.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint after the deletes: %v", err)
+	}
+	for want, id := range map[string]uint64{string(small): id + 1, string(big): id + 2} {
+		if got, err := s.Get(id); err != nil || string(got) != want {
+			t.Fatalf("object %d: %d bytes, %v", id, len(got), err)
+		}
+	}
+}
