@@ -94,18 +94,20 @@
 // client supplies and die with the attempt.
 //
 // The library states each of its recurring jobs once.  A directory segment
-// holds its entries sorted by name hash in buckets, a bucket per 16 entries
-// rounded up to a power of two and derived from the count, with a table of
-// bucket fences after the header; its first word is a sequence lock, even
-// when free, odd during an edit.  A directory changes only through editDir
-// (internal/unixlib/dirseg.go: one read of the segment, compare-and-swap the
-// even word it saw to odd, write back the bytes that changed, publish the
-// count and the word two past the one it saw in one write, wake every
-// sleeper), which create, mkdir, unlink and both kinds of rename are closures
-// over.  A lookup reads a 256-byte prefix — all of a directory last seen
-// shorter than 2 KiB — and, when the directory is larger, its bucket's
-// fences, the bucket and the sequence word again; a listing is one read of
-// the segment.  Either sleeps on the word's futex while it is odd and reads
+// holds its entries sorted by name hash in buckets — a bucket per 16 entries,
+// rounded up to a power of two, when it was last laid out — each in a region
+// with slack after its entries, and a table of fences after the header says
+// where each region starts; its first word is a sequence lock, even when
+// free, odd during an edit.  A directory changes only through editDir
+// (internal/unixlib/dirseg.go: read the header and fences, compare-and-swap
+// the even word it saw to odd, read and rewrite the one bucket the name
+// falls in — the whole directory, laid out anew, when the bucket's slack
+// runs out — publish the count and the word two past the one it saw in one
+// write, wake every sleeper), which create, mkdir, unlink and both kinds of
+// rename are closures over.  A lookup reads the header and fences — all of
+// a directory shorter than 2 KiB — and, when the directory is larger, its
+// bucket's fences if that read lacked them, the bucket and the sequence word
+// again; a listing is one read of the segment.  Either sleeps on the word's futex while it is odd and reads
 // again when it moved.  A file's bytes move through readAt and writeAt
 // (read; write with the quota retry, mtime).
 //

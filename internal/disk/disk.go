@@ -16,6 +16,7 @@ package disk
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -89,15 +90,25 @@ type Disk struct {
 	barrier    bool
 	prefetchLo int64 // [lo, hi) window considered prefetched
 	prefetchHi int64
-	dirty      map[int64][]byte // write-cache contents keyed by byte offset
-	dirtyBytes int64
-	stats      Stats
+	// dirty is the write cache: the bytes cached writes left, ascending by
+	// offset, no two overlapping — a write trims whatever cached bytes it
+	// covers, so a read and a Flush see the last writer's.
+	dirty []extent
+	stats Stats
 
 	// Fault injection for crash-consistency tests.
 	failNextSync     error // next Flush fails before destaging anything
 	partialFlushErr  error // next Flush destages only partialFlushLeft bytes
 	partialFlushLeft int64
 }
+
+// extent is a run of cached bytes: data, at byte offset off.
+type extent struct {
+	off  int64
+	data []byte
+}
+
+func (e extent) end() int64 { return e.off + int64(len(e.data)) }
 
 // ErrOutOfRange is returned for accesses beyond the device capacity.
 var ErrOutOfRange = errors.New("disk: access beyond device capacity")
@@ -118,7 +129,6 @@ func New(params Params, clock *vclock.Clock) *Disk {
 		params: params,
 		clock:  clock,
 		data:   make([]byte, params.Sectors*SectorSize),
-		dirty:  make(map[int64][]byte),
 	}
 }
 
@@ -190,8 +200,8 @@ func (d *Disk) ReadAt(p []byte, off int64) (int, error) {
 	d.clock.Advance(d.transferTime(n))
 	copy(p, d.data[off:off+n])
 	// Serve cached (not yet flushed) writes so readers see latest data.
-	for woff, wdata := range d.dirty {
-		overlayCopy(p, off, wdata, woff)
+	for i := d.cachedFrom(off); i < len(d.dirty) && d.dirty[i].off < off+n; i++ {
+		overlayCopy(p, off, d.dirty[i].data, d.dirty[i].off)
 	}
 	d.headPos = off + n
 	if d.params.ReadAhead > 0 {
@@ -241,8 +251,7 @@ func (d *Disk) WriteAt(p []byte, off int64) (int, error) {
 	d.stats.Writes++
 	d.stats.BytesWritten += uint64(n)
 	if d.params.WriteCache {
-		d.dirty[off] = append([]byte(nil), p...)
-		d.dirtyBytes += n
+		d.cache(off, p)
 		d.clock.Advance(d.transferTime(n))
 		return int(n), nil
 	}
@@ -252,6 +261,31 @@ func (d *Disk) WriteAt(p []byte, off int64) (int, error) {
 	d.headPos = off + n
 	d.invalidatePrefetch(off, n)
 	return int(n), nil
+}
+
+// cachedFrom is the index of the first cached extent that ends past off.
+func (d *Disk) cachedFrom(off int64) int {
+	return sort.Search(len(d.dirty), func(i int) bool { return d.dirty[i].end() > off })
+}
+
+// cache puts a copy of p at off into the write cache in place of the cached
+// bytes it covers: an extent it overlaps keeps only what lies outside it.
+func (d *Disk) cache(off int64, p []byte) {
+	end := off + int64(len(p))
+	i := d.cachedFrom(off)
+	j, keep := i, make([]extent, 0, 3)
+	for ; j < len(d.dirty) && d.dirty[j].off < end; j++ {
+		if e := d.dirty[j]; e.off < off {
+			keep = append(keep, extent{e.off, e.data[:off-e.off]})
+		}
+	}
+	keep = append(keep, extent{off, append([]byte(nil), p...)})
+	if j > i {
+		if e := d.dirty[j-1]; e.end() > end {
+			keep = append(keep, extent{end, e.data[end-e.off:]})
+		}
+	}
+	d.dirty = slices.Replace(d.dirty, i, j, keep...)
 }
 
 func (d *Disk) invalidatePrefetch(off, n int64) {
@@ -281,13 +315,8 @@ func (d *Disk) Flush() error {
 	}
 	// Destage in ascending offset order, as a real drive's cache scheduler
 	// would, so contiguous runs cost transfer time rather than seeks.
-	offsets := make([]int64, 0, len(d.dirty))
-	for off := range d.dirty {
-		offsets = append(offsets, off)
-	}
-	sort.Slice(offsets, func(i, j int) bool { return offsets[i] < offsets[j] })
-	for _, off := range offsets {
-		data := d.dirty[off]
+	for _, e := range d.dirty {
+		off, data := e.off, e.data
 		if budget >= 0 {
 			// Power died mid-destage: only whole sectors within the byte
 			// budget reach the platter; the rest of the cache is lost.
@@ -309,8 +338,8 @@ func (d *Disk) Flush() error {
 		copy(d.data[off:], data)
 		d.headPos = off + int64(len(data))
 	}
-	d.dirty = make(map[int64][]byte)
-	d.dirtyBytes = 0
+	clear(d.dirty) // drop the cached bytes, keep the slice
+	d.dirty = d.dirty[:0]
 	d.barrier = true
 	return partial
 }
@@ -340,8 +369,8 @@ func (d *Disk) FailFlushAfter(n int64, err error) {
 func (d *Disk) Crash() {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	d.dirty = make(map[int64][]byte)
-	d.dirtyBytes = 0
+	clear(d.dirty) // drop the cached bytes, keep the slice
+	d.dirty = d.dirty[:0]
 	d.prefetchLo, d.prefetchHi = 0, 0
 	d.headPos, d.barrier = 0, false
 }

@@ -229,8 +229,13 @@ func (s *Store) checkpointBody(ss *sealedState) (err error) {
 // its new home — segment appends for small objects, dedicated extents for
 // oversized ones — each device write without mu, then merge the new homes
 // and the sealed deletions into the home table at once.  After a failed
-// write only the deletions merge, and the homes written are vacated again.
+// write only the deletions merge, the homes written are vacated again, and
+// the open segment, if the attempt began in it, appends from where it did.
 func (s *Store) relocateSealed(ss *sealedState) (err error) {
+	open, used := s.openSeg, int64(0)
+	if open != nil {
+		used = open.used // only this body moves it: ckptRun is held
+	}
 	written := len(ss.entries)
 	for i := range ss.entries {
 		se := &ss.entries[i]
@@ -260,6 +265,9 @@ func (s *Store) relocateSealed(ss *sealedState) (err error) {
 			} else if i < written {
 				s.vacateExtent(se.off, se.size)
 			}
+		}
+		if open != nil && open == s.openSeg {
+			open.used = used
 		}
 	}
 	s.mergeHomes(delta)

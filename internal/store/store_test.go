@@ -852,8 +852,9 @@ func TestUnwedgingCheckpointCrashes(t *testing.T) {
 // finds no space.  Then a 4 KiB object fits the open segment's tail and the
 // 8 KiB one sealed after it fits nowhere: the checkpoint fails, and the home
 // it wrote for the first object must not count as live, since no table names
-// it.  Both objects stay readable, and a checkpoint after two deletes
-// commits them.
+// it, nor keep the tail, which no append could use again.  Both objects stay
+// readable, and a checkpoint after two deletes commits them, the 4 KiB one
+// appended into that tail, not in an extent of its own.
 func TestFailedRelocationVacatesWhatItWrote(t *testing.T) {
 	d := disk.New(disk.Params{Sectors: 1 << 12, WriteCache: true}, &vclock.Clock{}) // 2 MiB
 	s, err := Format(d, Options{LogSize: 64 << 10, MetaAreaSize: 128 << 10, SegmentSize: 64 << 10})
@@ -881,18 +882,23 @@ func TestFailedRelocationVacatesWhatItWrote(t *testing.T) {
 	if err := s.Put(id+2, big); err != nil {
 		t.Fatal(err)
 	}
+	s.mu.Lock()
+	tail := s.openSeg.base + s.openSeg.used
+	s.mu.Unlock()
 	if err := s.Checkpoint(); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("checkpoint of an 8 KiB object with %d bytes free: %v, want ErrNoSpace", s.FreeBytes(), err)
 	}
 	s.mu.Lock()
 	msg := segLiveMismatch(s)
+	if got := s.openSeg.base + s.openSeg.used; got != tail {
+		msg += fmt.Sprintf("; the failed attempt left the open segment's appends at %d, not %d", got, tail)
+	}
 	s.mu.Unlock()
 	if msg != "" {
 		t.Fatal(msg)
 	}
 	// The last objects that fitted took extents of their own, no segment
-	// being free, and the failed attempt used up the open segment's tail:
-	// deleting two of them frees room for both.
+	// being free: deleting two of them frees room for the 8 KiB object.
 	for _, id := range []uint64{id - 1, id - 2} {
 		if err := s.Delete(id); err != nil {
 			t.Fatal(err)
@@ -900,6 +906,9 @@ func TestFailedRelocationVacatesWhatItWrote(t *testing.T) {
 	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint after the deletes: %v", err)
+	}
+	if h, ok := s.homeOf(id + 1); !ok || h.off != tail {
+		t.Errorf("the 4 KiB object's home is at %d (%v), want the open segment's tail at %d", h.off, ok, tail)
 	}
 	for want, id := range map[string]uint64{string(small): id + 1, string(big): id + 2} {
 		if got, err := s.Get(id); err != nil || string(got) != want {

@@ -43,72 +43,81 @@ func refHash(name string) uint64 {
 }
 
 // encodeDirEntries is the reference encoder, written apart from the edit
-// steps as their oracle: the count word, fences and entries of a directory
-// with exactly these bindings.  The entries go in dirOrder; past 16 of them
-// there is one bucket per 16, rounded up to a power of two, bucket k holding
-// the hashes whose top bits are k, and a fence after each bucket, an empty
-// one's where the bucket before it ends.  The sequence word is left zero, as
-// at creation.
+// steps as their oracle: the bytes a rewrite lays out for a directory with
+// exactly these bindings.  The entries go in dirOrder; past 16 of them there
+// is one bucket per 16, rounded up to a power of two, bucket k holding the
+// hashes whose top bits are k.  After the header come nb+1 fences, the
+// offsets at which each bucket's region starts and the last one ends; a
+// region is a u32 of how many bytes of entries follow, those entries, then
+// zeros: a quarter as many bytes, at least 32.  The sequence word is left zero.
 func encodeDirEntries(entries []DirEntry) []byte {
 	sorted := dirOrder(entries)
 	nb, shift := 1, 64
 	for len(sorted) > 16*nb {
 		nb, shift = nb*2, shift-1
 	}
-	buf := make([]byte, dsDataOff)
-	binary.LittleEndian.PutUint64(buf[dsCountOff:], uint64(len(sorted)))
-	if nb > 1 {
-		buf = append(buf, make([]byte, 4*nb)...)
-	}
-	ends := make([]int, nb)
+	regions := make([][]byte, nb)
 	for _, e := range sorted {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(e.Name)))
-		buf = append(buf, e.Name...)
-		buf = binary.LittleEndian.AppendUint64(buf, uint64(e.ID))
-		buf = append(buf, byte(e.Type))
-		ends[refHash(e.Name)>>shift] = len(buf)
-	}
-	if nb > 1 {
-		for k, end := 0, dsDataOff+4*nb; k < nb; k++ {
-			end = max(end, ends[k])
-			binary.LittleEndian.PutUint32(buf[dsDataOff+4*k:], uint32(end))
+		k := 0
+		if nb > 1 {
+			k = int(refHash(e.Name) >> shift)
 		}
+		r := binary.LittleEndian.AppendUint16(regions[k], uint16(len(e.Name)))
+		r = append(r, e.Name...)
+		r = binary.LittleEndian.AppendUint64(r, uint64(e.ID))
+		regions[k] = append(r, byte(e.Type))
 	}
+	buf := make([]byte, dsDataOff+4*(nb+1))
+	binary.LittleEndian.PutUint64(buf[dsCountOff:], uint64(len(sorted)))
+	for k, ents := range regions {
+		binary.LittleEndian.PutUint32(buf[dsDataOff+4*k:], uint32(len(buf)))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(ents)))
+		buf = append(buf, ents...)
+		buf = append(buf, make([]byte, max(len(ents)/4, 32))...)
+	}
+	binary.LittleEndian.PutUint32(buf[dsDataOff+4*nb:], uint32(len(buf)))
 	return buf
 }
 
 // bucketSearch is what a lookup must return, over the whole segment: the
-// first entry named name in a linear search of the bucket the fences on
-// either side of name's hash name — of the entries after the header, as many
-// as the count says, when the count calls for one bucket or those fences lie
-// past the bytes.  Fences out of order, or a bucket that starts inside the
-// fence table, hold nothing.
+// first entry named name in a linear search of the entries of the bucket
+// name's hash names.  Fence 0 gives the bucket count nb when it is 16 +
+// 4(nb+1) for a power of two nb, and then bucket k's region runs from fence k
+// to fence k+1, cut at the segment's end; nothing is found when fence 0 names
+// no count, the fences lie past the bytes, or the region starts before fence
+// 0's value or leaves no room for its u32 count of used bytes.  The entries
+// are the used bytes after that count, cut at the region's end.
 func bucketSearch(buf []byte, name string) (DirEntry, bool) {
-	count := binary.LittleEndian.Uint64(buf[dsCountOff:])
-	nb, log := uint64(1), 0
-	for need := count/16 + min(count%16, 1); nb < need; nb, log = nb*2, log+1 {
-	}
-	lo, hi, limit := uint64(dsDataOff), uint64(len(buf)), count
 	fence := func(i uint64) (uint64, bool) {
 		if off := dsDataOff + 4*i; off+4 <= uint64(len(buf)) {
 			return uint64(binary.LittleEndian.Uint32(buf[off:])), true
 		}
 		return 0, false
 	}
-	if nb > 1 {
-		k := refHash(name) >> (64 - log)
-		start, okStart := dsDataOff+4*nb, true
-		if k > 0 {
-			start, okStart = fence(k - 1)
-		}
-		if end, okEnd := fence(k); okStart && okEnd {
-			if start < dsDataOff+4*nb || end < start {
-				return DirEntry{}, false
-			}
-			lo, hi, limit = start, min(end, hi), ^uint64(0)
-		}
+	f0, ok := fence(0)
+	if !ok || f0 < dsDataOff+8 || (f0-dsDataOff)%4 != 0 {
+		return DirEntry{}, false
 	}
-	for off := lo; limit > 0 && off+2 <= hi; limit-- {
+	nb, log := (f0-dsDataOff)/4-1, 0
+	for ; 1<<log < nb; log++ {
+	}
+	if 1<<log != nb {
+		return DirEntry{}, false
+	}
+	k := uint64(0)
+	if log > 0 {
+		k = refHash(name) >> (64 - log)
+	}
+	lo, okLo := fence(k)
+	hi, okHi := fence(k + 1)
+	if !okLo || !okHi || lo < f0 || hi < lo+4 {
+		return DirEntry{}, false
+	}
+	if hi = min(hi, uint64(len(buf))); lo+4 > hi {
+		return DirEntry{}, false
+	}
+	hi = min(hi, lo+4+uint64(binary.LittleEndian.Uint32(buf[lo:])))
+	for off := lo + 4; off+2 <= hi; {
 		n := uint64(binary.LittleEndian.Uint16(buf[off:]))
 		if off+2+n+entryTail > hi {
 			break
@@ -120,6 +129,78 @@ func bucketSearch(buf []byte, name string) (DirEntry, bool) {
 		off += 2 + n + entryTail
 	}
 	return DirEntry{}, false
+}
+
+// checkDirLayout is the full layout check, written apart from the edit
+// steps: nil when buf is a directory they may leave behind — the header
+// alone with a count of 0, or a fence 0 naming nb+1 fences for a power of
+// two nb, the fences ascending to the segment's end, each region holding its
+// u32 count of used bytes, those bytes whole entries, each in its region's
+// bucket and after the one before it in dirOrder, then only zeros, and as
+// many entries in all as the count says.
+func checkDirLayout(buf []byte) error {
+	if len(buf) < dsDataOff {
+		return fmt.Errorf("%d bytes: no header", len(buf))
+	}
+	count := binary.LittleEndian.Uint64(buf[dsCountOff:])
+	if len(buf) == dsDataOff {
+		if count != 0 {
+			return fmt.Errorf("the header alone says %d entries", count)
+		}
+		return nil
+	}
+	fence := func(k int) int { return int(binary.LittleEndian.Uint32(buf[dsDataOff+4*k:])) }
+	if len(buf) < dsDataOff+8 {
+		return fmt.Errorf("%d bytes: no fences", len(buf))
+	}
+	nb := (fence(0)-dsDataOff)/4 - 1
+	if fence(0) < dsDataOff+8 || (fence(0)-dsDataOff)%4 != 0 || nb&(nb-1) != 0 || fence(0) > len(buf) {
+		return fmt.Errorf("fence 0 is %d, of %d bytes", fence(0), len(buf))
+	}
+	log := 0
+	for 1<<log < nb {
+		log++
+	}
+	if fence(nb) != len(buf) {
+		return fmt.Errorf("the last fence is %d, of %d bytes", fence(nb), len(buf))
+	}
+	var n uint64
+	var prev string
+	for k := 0; k < nb; k++ {
+		lo, hi := fence(k), fence(k+1)
+		if hi < lo+4 || hi > len(buf) {
+			return fmt.Errorf("bucket %d: region [%d,%d)", k, lo, hi)
+		}
+		end := lo + 4 + int(binary.LittleEndian.Uint32(buf[lo:]))
+		if end > hi {
+			return fmt.Errorf("bucket %d: %d used bytes in region [%d,%d)", k, end-lo-4, lo, hi)
+		}
+		off := lo + 4
+		for ; off < end; n++ {
+			if off+2 > end {
+				return fmt.Errorf("bucket %d: entry at %d overruns the used bytes", k, off)
+			}
+			nl := int(binary.LittleEndian.Uint16(buf[off:]))
+			if off+2+nl+entryTail > end {
+				return fmt.Errorf("bucket %d: entry at %d overruns the used bytes", k, off)
+			}
+			name := string(buf[off+2 : off+2+nl])
+			if log > 0 && int(refHash(name)>>(64-log)) != k {
+				return fmt.Errorf("bucket %d holds %q, of bucket %d", k, name, refHash(name)>>(64-log))
+			}
+			if n > 0 && (refHash(name) < refHash(prev) || refHash(name) == refHash(prev) && name <= prev) {
+				return fmt.Errorf("bucket %d: %q after %q", k, name, prev)
+			}
+			prev, off = name, off+2+nl+entryTail
+		}
+		if i := bytes.IndexFunc(buf[end:hi], func(r rune) bool { return r != 0 }); i >= 0 {
+			return fmt.Errorf("bucket %d: slack byte at %d is not zero", k, end+i)
+		}
+	}
+	if n != count {
+		return fmt.Errorf("%d entries, the count says %d", n, count)
+	}
+	return nil
 }
 
 // withCount returns buf with its count word replaced.
@@ -136,6 +217,13 @@ func withFence(buf []byte, k int, off uint32) []byte {
 	return out
 }
 
+// withUsed returns buf with the used count of the region at off replaced.
+func withUsed(buf []byte, off int, used uint32) []byte {
+	out := bytes.Clone(buf)
+	binary.LittleEndian.PutUint32(out[off:], used)
+	return out
+}
+
 // genEntries makes n entries with names of several lengths.
 func genEntries(n int) []DirEntry {
 	entries := make([]DirEntry, n)
@@ -145,16 +233,53 @@ func genEntries(n int) []DirEntry {
 	return entries
 }
 
+// memEdit opens an edit on the directory bytes seg as editDir does after a
+// first read that asked for first bytes; later reads are served from seg as
+// the kernel serves them.
+func memEdit(seg []byte, first int) *dirEdit {
+	return openDirEdit(dirReader{pre: bytes.Clone(seg[:min(len(seg), first)]), whole: len(seg) < first, read: func(off, n int) ([]byte, error) {
+		if off > len(seg) {
+			return nil, kernel.ErrInvalid
+		}
+		return bytes.Clone(seg[off : off+min(n, len(seg)-off)]), nil
+	}})
+}
+
+// applyEdit returns seg as editDir leaves it after d: what d's flush wrote,
+// each write inside the segment and past its header, and the count the
+// unlock writes.  laid says the flush laid the directory out anew.
+func applyEdit(tb testing.TB, seg []byte, d *dirEdit) (out []byte, laid bool) {
+	tb.Helper()
+	out = bytes.Clone(seg)
+	buf, err := d.flush(func(n int) error {
+		out = append(out[:min(n, len(out))], make([]byte, max(n-len(out), 0))...)
+		return nil
+	}, func(off int, b []byte) error {
+		if off < dsDataOff || off+len(b) > len(out) {
+			tb.Fatalf("edit writes %d bytes at %d, in a segment of %d", len(b), off, len(out))
+		}
+		copy(out[off:], b)
+		return nil
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	binary.LittleEndian.PutUint64(out[dsCountOff:], d.count)
+	return out, buf != nil
+}
+
 // FuzzDirScan feeds arbitrary bytes — what a hostile writer of a directory
 // can leave in its segment — to the lookup, the ReadDir decode and the edit
 // steps.  The lookup reads the bytes as the kernel serves them, a prefix and
 // then what it asks for; the buffer's capacity is cut to its length, so a
 // slice past the bytes that were read panics.  The lookup must find exactly
 // what a linear search of the bucket the fences name finds, with at most two
-// reads past the prefix, and, on a directory as the reference encoder lays it
-// out, what the decode lists first under each name; there, an add, a remove
-// and a bind must leave the bytes the reference encoding of the edited
-// entries has.  Anywhere, an edit must never write the header.
+// reads past the prefix, and, on a directory that passes checkDirLayout, what
+// the decode lists first under each name.  There, open must keep the bytes
+// (but for the header alone, which the first edit lays out), and an add, a
+// remove and a bind must leave a directory that passes it and lists the
+// edited entries.  Anywhere, an edit must never write the header
+// and never write past the segment's end unless it resized it.
 func FuzzDirScan(f *testing.F) {
 	dir := encodeDirEntries([]DirEntry{
 		{Name: "a", ID: 7, Type: kernel.ObjSegment},
@@ -164,13 +289,18 @@ func FuzzDirScan(f *testing.F) {
 	})
 	f.Add(dir, "a")
 	f.Add(dir, "missing")
-	f.Add(withCount(dir, 1<<60), "long-name") // makeslice: cap out of range, before
-	f.Add(withCount(dir, 1<<32), "a")         // a 160 GB allocation, before
+	f.Add(withCount(dir, 1<<60), "long-name") // makeslice: cap out of range, once
+	f.Add(withCount(dir, 1<<32), "a")         // a 160 GB allocation, once
 	f.Add(withCount(dir[:dsDataOff], 1<<60), "a")
 	f.Add(withCount(dir, 2), "long-name")
-	f.Add(dir[:len(dir)-1], "long-name")                              // last entry cut short
-	f.Add(dir[:dsDataOff+1], "a")                                     // half a length word
-	f.Add(append(bytes.Clone(dir[:dsDataOff]), 0xff, 0xff, 'x'), "x") // name runs past the buffer
+	f.Add(dir[:len(dir)-1], "long-name")                              // the last region cut short
+	f.Add(dir[:dsDataOff+1], "a")                                     // half a fence
+	f.Add(withCount(dir[:dsDataOff], 0), "a")                         // the empty directory of a header alone
+	f.Add(withUsed(dir, dsDataOff+8, 0xffffffff), "a")                // used bytes past the region
+	f.Add(withUsed(dir, dsDataOff+8, 3), "a")                         // used bytes inside an entry
+	f.Add(withFence(dir, 0, 0xffffffff), "a")                         // a fence 0 that names no count
+	f.Add(withFence(dir, 0, dsDataOff+4*(1<<20+1)), "a")              // 2²⁰ buckets, fences past the bytes
+	f.Add(append(bytes.Clone(dir[:dsDataOff]), 0xff, 0xff, 'x'), "x") // fence runs past the buffer
 	f.Add(dir[:dsCountOff], "a")
 	f.Add([]byte{}, "")
 	f.Add(withCount(dir, ^uint64(0)), "a")
@@ -180,13 +310,15 @@ func FuzzDirScan(f *testing.F) {
 		big := encodeDirEntries(entries)
 		f.Add(big, entries[n/2].Name)
 		f.Add(big, "missing")
-		f.Add(withFence(big, 0, 0), entries[0].Name)          // bucket 0 ends inside the table
+		f.Add(withFence(big, 1, dsDataOff), entries[0].Name)  // bucket 1 starts inside the table
 		f.Add(withFence(big, 1, 0xffffffff), entries[1].Name) // a fence past the bytes
 		f.Add(withFence(big, 2, 20), entries[2].Name)         // fences out of order
-		f.Add(withCount(big, 1<<40), entries[3].Name)         // fences past the bytes
-		f.Add(withCount(big, 17), entries[4].Name)            // two buckets' fences over four's
-		f.Add(withCount(big, 3), entries[5].Name)             // one bucket over the fences
+		f.Add(withFence(big, 3, uint32(len(big))), entries[2].Name)
+		f.Add(withCount(big, 1<<40), entries[3].Name)
+		f.Add(withCount(big, 17), entries[4].Name)
+		f.Add(withCount(big, 3), entries[5].Name)
 		f.Add(big[:len(big)/2], entries[6].Name)
+		f.Add(withUsed(big, fenceAt(big, 1), 0), entries[7].Name)
 	}
 	f.Fuzz(func(t *testing.T, raw []byte, name string) {
 		buf := bytes.Clone(raw)[:len(raw):len(raw)]
@@ -197,7 +329,7 @@ func FuzzDirScan(f *testing.F) {
 		if len(buf) < dsDataOff {
 			return // readDir refuses it before anything is decoded
 		}
-		canonical := bytes.Equal(buf[dsCountOff:], encodeDirEntries(entries)[dsCountOff:])
+		valid := checkDirLayout(buf) == nil
 		first := map[string]int{}
 		for i, e := range entries {
 			if _, ok := first[e.Name]; !ok {
@@ -221,8 +353,8 @@ func FuzzDirScan(f *testing.F) {
 			if reads > 2 || r.extra != (reads > 0) {
 				t.Fatalf("lookup of %q made %d reads past the prefix (extra %v)", name, reads, r.extra)
 			}
-			if i, listed := first[name]; canonical && (listed != found || found && got != entries[i]) {
-				t.Fatalf("lookup of %q in a canonical directory = %+v, %v; decode lists it: %v", name, got, found, listed)
+			if i, listed := first[name]; valid && (listed != found || found && got != entries[i]) {
+				t.Fatalf("lookup of %q in a valid directory = %+v, %v; decode lists it: %v", name, got, found, listed)
 			}
 		}
 		check(name)
@@ -230,75 +362,87 @@ func FuzzDirScan(f *testing.F) {
 			check(n)
 		}
 
-		// The edit steps.  open keeps a canonical directory as it is.
-		edit := func() *dirEdit {
-			d := &dirEdit{buf: bytes.Clone(raw)}
-			d.open()
-			if canonical && (d.hi != 0 || !bytes.Equal(d.buf, raw)) {
-				t.Fatalf("open rewrote a canonical directory")
-			}
-			return d
-		}
-		same := func(step string, d *dirEdit, model []DirEntry) {
-			if d.hi > d.lo && (d.lo < dsDataOff || d.lo > len(d.buf)) {
-				t.Fatalf("%s %q: dirty range [%d,%d) of %d bytes", step, name, d.lo, d.hi, len(d.buf))
-			}
-			if want := encodeDirEntries(model); canonical && !bytes.Equal(d.buf[dsCountOff:], want[dsCountOff:]) {
-				t.Fatalf("%s %q: bytes differ from the reference encoding of %v", step, name, model)
-			}
-		}
-		i, present := first[name]
-		added := DirEntry{Name: name, ID: 42, Type: kernel.ObjContainer}
+		// The edit steps, after a first read of dsPrefix bytes and after one of
+		// the whole segment.
 		if len(name) > 0xffff {
 			return // no entry can carry it
 		}
-
-		d := edit()
-		if at := d.find(name); canonical && (at >= 0) != present {
-			t.Fatalf("find %q disagrees with decode", name)
-		} else if at < 0 {
-			d.add(added)
-			same("add", d, append(entries[:len(entries):len(entries)], added))
+		i, present := first[name]
+		added := DirEntry{Name: name, ID: 42, Type: kernel.ObjContainer}
+		for _, firstRead := range []int{dsPrefix, len(buf) + 1} {
+			step := func(what string, edit func(d *dirEdit), model []DirEntry) {
+				d := memEdit(buf, firstRead)
+				if valid && d.relay && len(buf) > dsDataOff { // the header alone is laid out at its first edit
+					t.Fatalf("open rewrote a valid directory")
+				}
+				edit(d)
+				out, _ := applyEdit(t, buf, d)
+				if !bytes.Equal(out[:dsCountOff], buf[:dsCountOff]) {
+					t.Fatalf("%s %q wrote the sequence word", what, name)
+				}
+				if !valid {
+					return
+				}
+				if err := checkDirLayout(out); err != nil {
+					t.Fatalf("%s %q: %v", what, name, err)
+				}
+				if got, want := decodeDirEntries(out), dirOrder(model); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+					t.Fatalf("%s %q: the directory lists %v, want %v", what, name, got, want)
+				}
+			}
+			if !present {
+				step("add", func(d *dirEdit) {
+					if d.has(name) && valid {
+						t.Fatalf("has %q disagrees with decode", name)
+					}
+					d.add(added)
+				}, append(entries[:len(entries):len(entries)], added))
+			}
+			taken := entries
+			if present {
+				taken = append(entries[:i:i], entries[i+1:]...)
+			}
+			step("take", func(d *dirEdit) {
+				got, err := d.take(name)
+				switch {
+				case valid && present && (err != nil || got != entries[i]):
+					t.Fatalf("take %q = %+v, %v; want %+v", name, got, err, entries[i])
+				case valid && !present && !errors.Is(err, ErrNotExist):
+					t.Fatalf("take of absent %q: %v", name, err)
+				}
+			}, taken)
+			bound := append(entries[:len(entries):len(entries)], added)
+			if present {
+				bound = append([]DirEntry(nil), entries...)
+				bound[i] = added
+			}
+			step("bind", func(d *dirEdit) {
+				victim := d.bind(added)
+				if valid && (present && victim != entries[i] || !present && victim.ID != kernel.NilID) {
+					t.Fatalf("bind %q displaced %+v; decode lists it: %v", name, victim, present)
+				}
+			}, bound)
 		}
-
-		d = edit()
-		got, err := d.take(name)
-		taken := entries
-		if present {
-			taken = append(entries[:i:i], entries[i+1:]...)
-		}
-		switch {
-		case canonical && present && (err != nil || got != entries[i]):
-			t.Fatalf("take %q = %+v, %v; want %+v", name, got, err, entries[i])
-		case canonical && !present && !errors.Is(err, ErrNotExist):
-			t.Fatalf("take of absent %q: %v", name, err)
-		}
-		same("take", d, taken)
-
-		d = edit()
-		victim := d.bind(added)
-		bound := append(entries[:len(entries):len(entries)], added)
-		if present {
-			bound = append([]DirEntry(nil), entries...)
-			bound[i] = added
-		}
-		if canonical && (present && victim != entries[i] || !present && victim.ID != kernel.NilID) {
-			t.Fatalf("bind %q displaced %+v; decode lists it: %v", name, victim, present)
-		}
-		same("bind", d, bound)
 	})
 }
 
 // TestDirEditStepsMatchReference runs seeded adds, removes and binds through
 // the edit steps from an empty directory up past 200 entries and back, across
-// every bucket boundary on the way, and compares the bytes with the reference
-// encoding after each step; a lookup of every name bound must find it.
+// every bucket boundary on the way, each step one edit of the bytes the step
+// before left — after a first read of the prefix or of the whole segment.
+// After each step the bytes must pass checkDirLayout and list the model's
+// entries, a step that laid the directory out anew must leave the reference
+// encoding of them, and a lookup of every name bound must find it.  Most
+// steps must change one bucket in place, and the bucket count must rise and
+// fall through rewrites.
 func TestDirEditStepsMatchReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	pool := genEntries(300)
-	d := &dirEdit{buf: encodeDirEntries(nil)}
+	seg := make([]byte, dsDataOff) // as mkDirContainer makes it
 	model := map[string]DirEntry{}
-	for step := 0; step < 3000; step++ {
+	rewrites, ups, downs, nb := 0, 0, 0, 0
+	const steps = 3000
+	for step := 0; step < steps; step++ {
 		// 600 steps bind random names, new ones by add or by bind; then a
 		// sweep of the pool removes every name.
 		grow := step%1000 < 600
@@ -307,7 +451,7 @@ func TestDirEditStepsMatchReference(t *testing.T) {
 			e = pool[step%len(pool)]
 		}
 		e.ID = kernel.ID(step + 1)
-		d.lo, d.hi = 0, 0
+		d := memEdit(seg, []int{dsPrefix, len(seg) + 1}[step%2])
 		switch _, bound := model[e.Name]; {
 		case grow && !bound && rng.Intn(2) == 0:
 			d.add(e)
@@ -321,21 +465,43 @@ func TestDirEditStepsMatchReference(t *testing.T) {
 			}
 			delete(model, e.Name)
 		}
+		var laid bool
+		seg, laid = applyEdit(t, seg, d)
 		var entries []DirEntry
 		for _, e := range model {
 			entries = append(entries, e)
 		}
-		if want := encodeDirEntries(entries); !bytes.Equal(d.buf, want) {
-			t.Fatalf("step %d (%d entries): bytes differ from the reference encoding at %d", step, len(entries), firstDiff(d.buf, want))
+		if err := checkDirLayout(seg); err != nil {
+			t.Fatalf("step %d (%d entries): %v", step, len(entries), err)
 		}
-		if d.hi > d.lo && d.lo < dsDataOff {
-			t.Fatalf("step %d: dirty range [%d,%d) reaches the header", step, d.lo, d.hi)
+		if got, want := decodeDirEntries(seg), dirOrder(entries); len(got)+len(want) > 0 && !reflect.DeepEqual(got, want) {
+			t.Fatalf("step %d: the directory lists %v, want %v", step, got, want)
+		}
+		if want := encodeDirEntries(entries); laid && !bytes.Equal(seg, want) {
+			t.Fatalf("step %d (%d entries): a rewrite differs from the reference encoding at %d", step, len(entries), firstDiff(seg, want))
 		}
 		for _, e := range entries {
-			if got, ok := bucketSearch(d.buf, e.Name); !ok || got != e {
+			if got, ok := bucketSearch(seg, e.Name); !ok || got != e {
 				t.Fatalf("step %d: lookup of %q = %+v, %v", step, e.Name, got, ok)
 			}
 		}
+		if laid {
+			rewrites++
+		}
+		switch b := (fenceAt(seg, 0)-dsDataOff)/fenceSize - 1; {
+		case b > nb && nb > 0:
+			ups++
+			nb = b
+		case b < nb:
+			downs++
+			nb = b
+		default:
+			nb = b
+		}
+	}
+	t.Logf("%d rewrites in %d steps; the bucket count rose %d times and fell %d", rewrites, steps, ups, downs)
+	if rewrites > steps/10 || ups < 3 || downs < 3 {
+		t.Errorf("%d rewrites in %d steps, the bucket count rising %d times and falling %d; want at most %d rewrites, 3 rises and 3 falls", rewrites, steps, ups, downs, steps/10)
 	}
 }
 
@@ -379,7 +545,28 @@ func TestHostileDirectoryCount(t *testing.T) {
 			t.Errorf("count %#x: ReadDir = %v, %v; want the one entry the bytes hold", count, entries, err)
 		}
 	}
-	// The next edit counts what it found.
+	// An edit that fails writes nothing, the count word included, even where
+	// the bytes it found do not check; the next edit that succeeds counts
+	// what it found.
+	fence0, err := victim.TC.SegmentRead(seg, dsDataOff, fenceSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range [][]byte{{0xff, 0xff, 0xff, 0xff}, fence0} {
+		if err := hostile.TC.SegmentWrite(seg, dsDataOff, f); err != nil {
+			t.Fatal(err)
+		}
+		refused := errors.New("refused")
+		if err := sys.editDir(victim.TC, tmp.ID, func(d *dirEdit) error {
+			d.has("real")
+			return refused
+		}); !errors.Is(err, refused) {
+			t.Fatalf("an edit that fails: %v", err)
+		}
+		if raw, err := victim.TC.SegmentRead(seg, dsCountOff, 8); err != nil || binary.LittleEndian.Uint64(raw) != ^uint64(0) {
+			t.Errorf("fence 0 % x: count word after a refused edit = %v, %v; want the %#x it found", f, raw, err, ^uint64(0))
+		}
+	}
 	if err := victim.WriteFile("/tmp/more", []byte("m"), label.Label{}); err != nil {
 		t.Fatal(err)
 	}
@@ -534,6 +721,140 @@ func BenchmarkResolve(b *testing.B) {
 				if _, _, entry, err := p.lookup(path); err != nil || entry == nil || entry.Name != path[len(path)-6:] {
 					b.Fatalf("lookup(%s) = %v, %v", path, entry, err)
 				}
+			}
+		})
+	}
+}
+
+// editPair is one WriteFile of a new file into dir and the Unlink of it: two
+// edits of dir, in the bucket the name falls in.
+func editPair(tb testing.TB, p *Process, dir string) {
+	path := dir + "/edited"
+	if err := p.WriteFile(path, nil, label.Label{}); err != nil {
+		tb.Fatal(err)
+	}
+	if err := p.Unlink(path); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestEditAllocsIndependentOfDirectorySize is the property the edit's gain
+// rests on: a create and an unlink in a directory of 10,000 entries allocate
+// at most twice the bytes they do in one of 10, by
+// runtime.MemStats.TotalAlloc — an edit reads its bucket, not the directory.
+func TestEditAllocsIndependentOfDirectorySize(t *testing.T) {
+	sys := bootSys(t)
+	p, err := sys.NewInitProcess("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 50
+	cost := func(n int) (allocs, bytes float64) {
+		dir := fmt.Sprintf("/tmp/n%d", n)
+		fillDir(t, p, dir, n)
+		allocs = testing.AllocsPerRun(runs, func() { editPair(t, p, dir) })
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			editPair(t, p, dir)
+		}
+		runtime.ReadMemStats(&after)
+		return allocs, float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	allocs, bytes := cost(10)
+	a, b := cost(10000)
+	t.Logf("create + unlink in a 10,000-entry directory: %.0f allocations, %.0f B; in a 10-entry one: %.0f, %.0f B", a, b, allocs, bytes)
+	if b > 2*bytes {
+		t.Errorf("create + unlink allocate %.0f B in a 10,000-entry directory, %.0f B in a 10-entry one", b, bytes)
+	}
+}
+
+// TestDirChurnKeepsItsSize: creates and unlinks of random names at a steady
+// 500 entries rewrite the directory now and then, when a bucket's slack runs
+// out, and never let it grow: its segment stays within 1.5 times the bytes
+// of its entries, plus its header and fences, and most edits change one
+// bucket in place.
+func TestDirChurnKeepsItsSize(t *testing.T) {
+	sys := bootSys(t)
+	p, err := sys.NewInitProcess("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dir, count, edits = "/tmp/churn", 500, 6000
+	if err := p.Mkdir(dir, label.Label{}); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := p.Stat(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg, _, err := sys.dirSeg(p.TC, fi.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := func(i int) string { return fmt.Sprintf("%s/c%05d", dir, i) } // 17-byte entries
+	rng := rand.New(rand.NewSource(1))
+	var live, free []int
+	for i := 0; i < 2*count; i++ {
+		free = append(free, i)
+	}
+	rng.Shuffle(len(free), func(i, j int) { free[i], free[j] = free[j], free[i] })
+	rewrites, length, most := 0, 0, 0
+	for step := 0; step < count+edits; step++ {
+		if step >= count { // unlink one, then create one
+			j := rng.Intn(len(live))
+			if err := p.Unlink(name(live[j])); err != nil {
+				t.Fatal(err)
+			}
+			free = append(free, live[j])
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+		j := rng.Intn(len(free))
+		if err := p.WriteFile(name(free[j]), nil, label.Label{}); err != nil {
+			t.Fatal(err)
+		}
+		live = append(live, free[j])
+		free[j] = free[len(free)-1]
+		free = free[:len(free)-1]
+		n, err := p.TC.SegmentLen(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n != length && step >= count {
+			rewrites++
+		}
+		length = n
+		if step >= count {
+			most = max(most, n)
+		}
+	}
+	fences := dsDataOff + fenceSize*(1<<bucketBits(count)+1)
+	t.Logf("%d rewrites in %d edits at %d entries; the segment reached %d bytes, for %d bytes of entries and %d of header and fences", rewrites, 2*edits, count, most, count*17, fences)
+	if limit := 3*count*17/2 + fences; most > limit {
+		t.Errorf("the segment reached %d bytes at a steady %d entries, past %d", most, count, limit)
+	}
+	if rewrites > edits/20 {
+		t.Errorf("%d of %d edits rewrote the directory", rewrites, 2*edits)
+	}
+}
+
+// BenchmarkEditDir creates and unlinks one file in /tmp/<dir> with 10, 1,000
+// and 10,000 entries in the directory: each edit reads and writes the bucket
+// the name falls in, so what it costs does not grow with the directory.
+func BenchmarkEditDir(b *testing.B) {
+	sys := bootSys(b)
+	p, err := sys.NewInitProcess("alice")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{10, 1000, 10000} {
+		dir := fmt.Sprintf("/tmp/n%d", n)
+		fillDir(b, p, dir, n)
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				editPair(b, p, dir)
 			}
 		})
 	}
@@ -700,10 +1021,10 @@ func (m *dirModel) rename(srcDir, srcName, dstDir, dstName string) {
 }
 
 // check compares the directory at path with the model: its listing, in
-// dirOrder; its segment's bytes, which must be the reference encoder's for
-// the model's entries under a released header — an even sequence word, the
-// count; and what the names of the pool resolve to (with a pool of more than
-// 16, the names bound and eight others).
+// dirOrder; its segment's bytes, which must pass checkDirLayout — which
+// checks the count — under an even sequence word; and what the names of the
+// pool resolve to (with a pool of more than 16, the names bound and eight
+// others).
 func (m *dirModel) check(path string) {
 	d := m.dirs[path]
 	if b := bucketBits(uint64(len(d.entries))); b > d.bits {
@@ -725,10 +1046,8 @@ func (m *dirModel) check(path string) {
 	if err != nil {
 		m.fatalf("reading the directory segment of %s: %v", path, err)
 	}
-	want := encodeDirEntries(d.entries)
-	if len(raw) < dsDataOff || raw[dsMutexOff]&1 != 0 || !bytes.Equal(raw[dsCountOff:], want[dsCountOff:]) {
-		m.fatalf("segment of %s differs from the reference encoding of %v at byte %d (%d bytes, want %d)\n got header % x\nwant header % x",
-			path, d.entries, firstDiff(raw, want), len(raw), len(want), raw[:min(len(raw), dsDataOff)], want[:dsDataOff])
+	if err := checkDirLayout(raw); err != nil || raw[dsMutexOff]&1 != 0 {
+		m.fatalf("segment of %s, holding %v: %v (sequence word % x)", path, d.entries, err, raw[:min(len(raw), 8)])
 	}
 	probe := m.pool
 	if len(probe) > 16 {

@@ -1,6 +1,7 @@
 package unixlib
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"path"
@@ -45,8 +46,8 @@ func (sys *System) mkDirContainer(tc *kernel.ThreadCall, parent kernel.ID, name 
 func (sys *System) addEntry(tc *kernel.ThreadCall, dir kernel.ID, name string, typ kernel.ObjectType, create func() (kernel.ID, error)) (kernel.ID, error) {
 	var id kernel.ID
 	err := sys.editDir(tc, dir, func(d *dirEdit) error {
-		if d.find(name) >= 0 {
-			return ErrExist
+		if d.has(name) || d.err != nil {
+			return cmp.Or(d.err, ErrExist)
 		}
 		var err error
 		if id, err = create(); err == nil {

@@ -95,11 +95,11 @@ type dirSegShard struct {
 }
 
 // dirSeg is what the dirSegs cache holds of a directory: its segment, and
-// the segment's length when an edit or a lookup last saw all of it (0 until
-// one has).
+// how many bytes the first read of a lookup or an edit asks for (firstRead),
+// as the last first read showed (0 until one has: dsPrefix).
 type dirSeg struct {
-	id   kernel.ID
-	size int
+	id    kernel.ID
+	first int
 }
 
 // BootOptions configure Boot.
