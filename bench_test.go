@@ -832,150 +832,3 @@ func BenchmarkSyscallSerial(b *testing.B) {
 		}
 	}
 }
-
-// ---------------------------------------------------------------------------
-// Syscall ring: batched submission vs. the per-call loop.  Both variants run
-// the same ring-expressible read-heavy mix from 8 worker threads and claim
-// work in 16-op blocks; the Ring variant submits each block as one ring batch
-// (one kernel entry and one thread snapshot per Wait, each entry opened on
-// its own), the Serial variant issues the identical block one syscall at a
-// time.  The ratio isolates the batching win.
-// ---------------------------------------------------------------------------
-
-const ringBenchBatch = 16
-
-func benchSyscallRing(b *testing.B, useRing bool) {
-	k := kernel.New(kernel.Config{Seed: 7})
-	boot, err := k.BootThread(label.New(label.L1), label.New(label.L2), "bench boot")
-	if err != nil {
-		b.Fatal(err)
-	}
-	root := k.RootContainer()
-	shared, err := boot.ContainerCreate(root, label.New(label.L1), "shared", 0, 256<<20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	hot, err := boot.SegmentCreate(shared, label.New(label.L1), "hot", 256)
-	if err != nil {
-		b.Fatal(err)
-	}
-	hotCE := kernel.CEnt{Container: shared, Object: hot}
-	const nWorkers = 8
-	var (
-		ops sync.WaitGroup
-		n   atomic.Int64
-	)
-	b.ResetTimer()
-	for w := 0; w < nWorkers; w++ {
-		ops.Add(1)
-		go func(w int) {
-			defer ops.Done()
-			tid, err := boot.ThreadCreate(root, kernel.ThreadSpec{
-				Label:     label.New(label.L1),
-				Clearance: label.New(label.L2),
-				Descrip:   fmt.Sprintf("ring bench worker %d", w),
-			})
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			tc, err := k.ThreadCall(tid)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			priv, err := tc.ContainerCreate(root, label.New(label.L1), "priv", 0, 64<<20)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			own, err := tc.SegmentCreate(priv, label.New(label.L1), "own", 256)
-			if err != nil {
-				b.Error(err)
-				return
-			}
-			ownCE := kernel.CEnt{Container: priv, Object: own}
-			r := tc.NewRing()
-			for {
-				start := n.Add(ringBenchBatch) - ringBenchBatch
-				if start >= int64(b.N) {
-					return
-				}
-				cnt := int64(ringBenchBatch)
-				if start+cnt > int64(b.N) {
-					cnt = int64(b.N) - start
-				}
-				if useRing {
-					for j := int64(0); j < cnt; j++ {
-						r.Submit(ringBenchEntry((start+j)%10, hotCE, ownCE))
-					}
-					comps, err := r.Wait(int(cnt))
-					if err != nil {
-						b.Error(err)
-						return
-					}
-					for i := range comps {
-						if comps[i].Err != nil {
-							b.Error(comps[i].Err)
-							return
-						}
-					}
-					continue
-				}
-				for j := int64(0); j < cnt; j++ {
-					var err error
-					switch (start + j) % 10 {
-					case 0, 1, 2:
-						_, err = tc.SegmentRead(hotCE, 0, 64)
-					case 3, 4, 8:
-						_, err = tc.SegmentRead(ownCE, 0, 64)
-					case 5:
-						_, err = tc.SegmentLen(hotCE)
-					case 6:
-						_, err = tc.ObjectStat(hotCE)
-					case 7:
-						err = tc.SegmentWrite(ownCE, 0, []byte("scratchdata"))
-					case 9:
-						_, err = tc.SegmentLen(ownCE)
-					}
-					if err != nil {
-						b.Error(err)
-						return
-					}
-				}
-			}
-		}(w)
-	}
-	ops.Wait()
-	b.StopTimer()
-	if useRing {
-		rs := k.RingStats()
-		if rs.Entries > 0 {
-			b.ReportMetric(float64(rs.Entries)/float64(rs.Waits), "entries/wait")
-		}
-	}
-}
-
-// ringBenchEntry is the ring form of the mixed workload above: the same op
-// for the same index, expressed as a submission entry.
-func ringBenchEntry(m int64, hotCE, ownCE kernel.CEnt) kernel.RingEntry {
-	switch m {
-	case 0, 1, 2:
-		return kernel.RingEntry{Op: kernel.OpSegmentRead, Seg: hotCE, Off: 0, Len: 64}
-	case 3, 4, 8:
-		return kernel.RingEntry{Op: kernel.OpSegmentRead, Seg: ownCE, Off: 0, Len: 64}
-	case 5:
-		return kernel.RingEntry{Op: kernel.OpSegmentLen, Seg: hotCE}
-	case 6:
-		return kernel.RingEntry{Op: kernel.OpObjectStat, Seg: hotCE}
-	case 7:
-		return kernel.RingEntry{Op: kernel.OpSegmentWrite, Seg: ownCE, Off: 0, Data: []byte("scratchdata")}
-	default: // 9
-		return kernel.RingEntry{Op: kernel.OpSegmentLen, Seg: ownCE}
-	}
-}
-
-// BenchmarkSyscallRing batches the mix through per-thread rings;
-// BenchmarkSyscallRingSerial is the identical workload as a per-call loop.
-func BenchmarkSyscallRing(b *testing.B)       { benchSyscallRing(b, true) }
-func BenchmarkSyscallRingSerial(b *testing.B) { benchSyscallRing(b, false) }

@@ -83,33 +83,23 @@ var keep = map[string]string{
 	"baseline.Pipe.Write":          "Linux baseline rows of the Figure 12/13 benchmarks",
 
 	// Operator integrity surface.
-	"store.Store.Close":                        "operator: the clean unmount (a last checkpoint, then ErrClosed for every call)",
-	"store.Store.Scrub":                        "integrity: the background checksum walk an operator schedules",
-	"store.ScrubStats.ObjectsChecked":          "integrity: what one scrub pass verified",
-	"store.ScrubStats.ObjectsQuarantined":      "integrity: what one scrub pass verified",
-	"store.ScrubStats.CorruptionsFound":        "integrity: what one scrub pass verified",
-	"store.ScrubStats.MetaAreasChecked":        "integrity: what one scrub pass verified",
-	"store.ScrubStats.MetaAreasOK":             "integrity: what one scrub pass verified",
-	"store.ScrubStats.SuperblockCopiesOK":      "integrity: what one scrub pass verified",
-	"store.ScrubStats.Duration":                "integrity: what one scrub pass verified",
-	"store.Store.QuarantinedObjects":           "integrity: enumerates what a damage verdict fell on",
-	"store.Store.IntegrityStats":               "integrity: corruption accounting",
-	"store.IntegrityStats.CorruptionsDetected": "integrity: corruption accounting",
-	"store.IntegrityStats.QuarantineEvents":    "integrity: corruption accounting",
-	"store.IntegrityStats.QuarantinedNow":      "integrity: corruption accounting",
-	"store.IntegrityStats.ScrubPasses":         "integrity: corruption accounting",
-	"store.IntegrityStats.ScrubBytesVerified":  "integrity: corruption accounting",
-	"store.IntegrityStats.LastScrub":           "integrity: corruption accounting",
-	"store.IntegrityStats.Recovery":            "integrity: how the last mount went",
-	"store.RecoveryReport.Degraded":            "integrity: whether the mount took a ladder rung",
-	"store.RecoveryReport.MetaEpoch":           "integrity: the checkpoint epoch the mount loaded",
-	"store.CorruptError.Is":                    "errors.Is protocol: a CorruptError matches ErrCorrupt",
-	"store.QuarantineError.Is":                 "errors.Is protocol: a QuarantineError matches ErrQuarantined and ErrCorrupt",
-
-	// The syscall ring stays for bench/ until ROADMAP item 1 cuts it.
-	"kernel.RingCompletion.Index": "the syscall ring's completion, until the ring goes (ROADMAP item 1)",
-	"kernel.RingCompletion.N":     "the syscall ring's completion, until the ring goes (ROADMAP item 1)",
-	"kernel.RingCompletion.Stat":  "the syscall ring's completion, until the ring goes (ROADMAP item 1)",
+	"store.Store.Close":                   "operator: the clean unmount (a last checkpoint, then ErrClosed for every call)",
+	"store.Store.Scrub":                   "integrity: the background checksum walk an operator schedules",
+	"store.ScrubStats.ObjectsChecked":     "integrity: what one scrub pass verified",
+	"store.ScrubStats.ObjectsQuarantined": "integrity: what one scrub pass verified",
+	"store.ScrubStats.CorruptionsFound":   "integrity: what one scrub pass verified",
+	"store.ScrubStats.MetaAreasChecked":   "integrity: what one scrub pass verified",
+	"store.ScrubStats.MetaAreasOK":        "integrity: what one scrub pass verified",
+	"store.ScrubStats.SuperblockCopiesOK": "integrity: what one scrub pass verified",
+	"store.ScrubStats.Duration":           "integrity: what one scrub pass verified",
+	"store.ScrubStats.BytesVerified":      "integrity: what one scrub pass verified",
+	"store.Store.QuarantinedObjects":      "integrity: enumerates what a damage verdict fell on",
+	"store.Stats.CorruptionsDetected":     "integrity: every checksum or structural failure the store detected",
+	"store.Stats.QuarantineEvents":        "integrity: every object a damage verdict quarantined",
+	"store.RecoveryReport.Degraded":       "integrity: whether the mount took a ladder rung",
+	"store.RecoveryReport.MetaEpoch":      "integrity: the checkpoint epoch the mount loaded",
+	"store.CorruptError.Is":               "errors.Is protocol: a CorruptError matches ErrCorrupt",
+	"store.QuarantineError.Is":            "errors.Is protocol: a QuarantineError matches ErrQuarantined and ErrCorrupt",
 
 	// Test plumbing.
 	"kernel.Kernel.ResetSyscallCounts": "test plumbing: the syscall-budget tests count from zero",

@@ -53,8 +53,8 @@
 // runs on its caller's goroutine: it takes one of webd's pooled lane
 // threads, makes one GateEnter and one SegmentRead of the reply, and resets
 // the lane's label.  What is left of the syscall ring (kernel.Ring, one
-// file) queues segment and stat calls and makes each as the direct call its
-// op names; it stays only for the benchmark's ring rows.
+// file) queues segment reads and makes each as a SegmentRead; it stays only
+// for the benchmark's ring rows.
 //
 // Sandbox creation is O(metadata) through the kernel's one copy primitive,
 // as in the paper: SegmentCopy shares the source's array, frozen, until

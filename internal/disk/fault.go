@@ -83,8 +83,7 @@ type FaultDisk struct {
 
 	// flipSeed makes FaultFlip's corruption deterministic and reproducible:
 	// the flipped byte offset and XOR mask within the final written sector
-	// are drawn from a PRNG seeded with it.  0 keeps the legacy behaviour
-	// (last prefix byte XOR 0xff), which is itself deterministic.
+	// are drawn from a PRNG seeded with it (0 is a seed like any other).
 	flipSeed int64
 
 	// rot, when armed, models silent media decay: before every subsequent
@@ -142,8 +141,7 @@ func (f *FaultDisk) ArmFlush(nth int) {
 
 // SetFlipSeed fixes the PRNG seed that FaultFlip draws its corrupted byte
 // offset and XOR mask from, so a bit-flip crash-test failure is reproducible
-// from the seed recorded in the failure output.  Seed 0 restores the legacy
-// deterministic behaviour (last prefix byte XOR 0xff).
+// from the seed recorded in the failure output.  A FaultDisk starts at seed 0.
 func (f *FaultDisk) SetFlipSeed(seed int64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -303,22 +301,14 @@ func (f *FaultDisk) WriteAt(p []byte, off int64) (int, error) {
 	if keep > 0 {
 		prefix := p[:keep]
 		if f.mode == FaultFlip {
+			// Corrupt a seeded byte of the final sector that reached the
+			// platter, with a seeded non-zero mask, so the exact damage is
+			// reproducible from the seed a failing test logs.
 			prefix = append([]byte(nil), prefix...)
-			if f.flipSeed == 0 {
-				prefix[keep-1] ^= 0xff // legacy: garble the last byte written
-			} else {
-				// Corrupt a seeded byte of the final sector that reached the
-				// platter, with a seeded non-zero mask, so the exact damage is
-				// reproducible from the seed a failing test logs.
-				rng := rand.New(rand.NewSource(f.flipSeed))
-				start := keep - SectorSize
-				if start < 0 {
-					start = 0
-				}
-				span := keep - start
-				mask := byte(1 + rng.Intn(255))
-				prefix[start+rng.Int63n(span)] ^= mask
-			}
+			rng := rand.New(rand.NewSource(f.flipSeed))
+			start := max(keep-SectorSize, 0)
+			mask := byte(1 + rng.Intn(255))
+			prefix[start+rng.Int63n(keep-start)] ^= mask
 		}
 		if _, err := f.d.WriteAt(prefix, off); err != nil {
 			return 0, err

@@ -66,11 +66,6 @@ func TestSyscallAllocBudget(t *testing.T) {
 	}
 	ce := CEnt{root, seg}
 	payload := []byte("sixteen byte msg")
-	ring := tc.NewRing()
-	pair := []RingEntry{
-		{Op: OpSegmentWrite, Seg: ce, Data: payload},
-		{Op: OpSegmentRead, Seg: ce, Len: len(payload)},
-	}
 	for _, c := range []struct {
 		name string
 		want float64
@@ -80,12 +75,11 @@ func TestSyscallAllocBudget(t *testing.T) {
 		{"SegmentLen", 0, func() error { _, err := tc.SegmentLen(ce); return err }},
 		{"ObjectStat", 0, func() error { _, err := tc.ObjectStat(ce); return err }},
 		{"SegmentRead", 1, func() error { _, err := tc.SegmentRead(ce, 0, 16); return err }},
-		{"ring write+read per Wait", 1, func() error {
-			ring.Submit(pair...)
-			comps, err := ring.Wait(2)
-			if err == nil {
-				err = errors.Join(comps[0].Err, comps[1].Err)
+		{"SegmentWrite+SegmentRead", 1, func() error {
+			if err := tc.SegmentWrite(ce, 0, payload); err != nil {
+				return err
 			}
+			_, err := tc.SegmentRead(ce, 0, len(payload))
 			return err
 		}},
 		{"SegmentCreate+Unref", 1, func() error {
@@ -96,7 +90,7 @@ func TestSyscallAllocBudget(t *testing.T) {
 			return tc.Unref(root, id)
 		}},
 	} {
-		if err := c.call(); err != nil { // warm caches and ring scratch
+		if err := c.call(); err != nil { // warm caches
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		got := testing.AllocsPerRun(100, func() {

@@ -66,10 +66,10 @@
 //
 // # Syscall ring
 //
-// A Ring (ring.go, which nothing else in the package uses) queues segment and
-// stat calls and, at Wait, makes each as the public call its op names: it
-// adds no lock-order edge, no snapshot and no verdict of its own, and stays
-// only for the benchmark's ring rows.  A gate entry is always the one
+// A Ring (ring.go, which nothing else in the package uses) queues segment
+// reads and, at Wait, makes each as a SegmentRead: it adds no lock-order
+// edge, no snapshot and no verdict of its own, and stays only for the
+// benchmark's ring rows.  A gate entry is always the one
 // GateEnter call, and fsync the one SyncSegments call (pager.go), which
 // pushes each segment it names under that segment's own open and commits
 // them, with no kernel lock held, as one group.
@@ -773,11 +773,11 @@ func (k *Kernel) each(fn func(object)) {
 	}
 }
 
-// LabelCacheStats returns zeros; it stays only until the benchmark drops its label.* cache rows (ROADMAP item 1).
+// LabelCacheStats returns zeros; it stays only until the benchmark drops its label.* cache rows (ROADMAP item 19).
 func (k *Kernel) LabelCacheStats() label.CacheStats { return label.CacheStats{} }
 
-// L1Stats reads zeros; it stays only until the benchmark drops its label.* cache rows (ROADMAP item 1).
+// L1Stats reads zeros; it stays only until the benchmark drops its label.* cache rows (ROADMAP item 19).
 type L1Stats struct{ Hits, Misses uint64 }
 
-// LabelL1Stats returns zeros; it stays only until the benchmark drops its label.* cache rows (ROADMAP item 1).
+// LabelL1Stats returns zeros; it stays only until the benchmark drops its label.* cache rows (ROADMAP item 19).
 func (k *Kernel) LabelL1Stats() L1Stats { return L1Stats{} }

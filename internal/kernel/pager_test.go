@@ -352,9 +352,9 @@ func persistedSegment(t *testing.T, tc *ThreadCall, ce CEnt, data []byte) {
 }
 
 // TestEvictPagesInOnce: a resident segment is the only copy the kernel reads
-// — N clean reads of it, direct, through a ring or through a mapping, ask the
-// pager nothing.  After Evict the first access, by any of the three paths,
-// pages it in whole, and the rest find it resident: exactly one page-in.
+// — N clean reads of it, direct or through a mapping, ask the pager nothing.
+// After Evict the first access, by either path, pages it in whole, and the
+// rest find it resident: exactly one page-in.
 func TestEvictPagesInOnce(t *testing.T) {
 	const n = 50
 	k, tc := boot(t)
@@ -364,17 +364,8 @@ func TestEvictPagesInOnce(t *testing.T) {
 	ce := CEnt{k.RootContainer(), id}
 	want := bytes.Repeat([]byte("paged once/"), 100)
 	persistedSegment(t, tc, ce, want)
-	r := tc.NewRing()
 	paths := map[string]func() ([]byte, error){
 		"direct": func() ([]byte, error) { return tc.SegmentRead(ce, 0, len(want)) },
-		"ring": func() ([]byte, error) {
-			r.Submit(RingEntry{Op: OpSegmentRead, Seg: ce, Len: len(want)})
-			comps, err := r.Wait(1)
-			if err != nil {
-				return nil, err
-			}
-			return comps[0].Val, comps[0].Err
-		},
 		"mapped": func() ([]byte, error) { return tc.MemRead(0x10000, len(want)) },
 	}
 	readN := func(path string, read func() ([]byte, error)) {
@@ -389,7 +380,7 @@ func TestEvictPagesInOnce(t *testing.T) {
 		readN(path, read)
 	}
 	if fp.pageIns != 0 {
-		t.Fatalf("%d clean reads of a resident segment made %d page-ins, want 0", 3*n, fp.pageIns)
+		t.Fatalf("%d clean reads of a resident segment made %d page-ins, want 0", len(paths)*n, fp.pageIns)
 	}
 	for path, read := range paths {
 		before := fp.pageIns
@@ -460,8 +451,8 @@ func TestEvictKeepsLengthAndAccounting(t *testing.T) {
 }
 
 // TestEvictBesideReaders is a -race target: threads read one persistent
-// segment every way there is — direct, ring, mapped, length, stat, futex word
-// — while the boot thread evicts in a loop, so page-ins race each other under
+// segment every way there is — direct, mapped, length, stat, futex word —
+// while the boot thread evicts in a loop, so page-ins race each other under
 // the shared lock and race Evict's write lock; every read sees the bytes.
 func TestEvictBesideReaders(t *testing.T) {
 	const readers, iters = 4, 200
@@ -488,19 +479,15 @@ func TestEvictBesideReaders(t *testing.T) {
 		wg.Add(1)
 		go func(rt *ThreadCall) {
 			defer wg.Done()
-			r := rt.NewRing()
 			for i := 0; i < iters; i++ {
-				r.Submit(RingEntry{Op: OpSegmentRead, Seg: ce, Off: 64, Len: 64}, RingEntry{Op: OpSegmentLen, Seg: ce})
-				comps, err := r.Wait(2)
-				if err == nil {
-					err = errors.Join(comps[0].Err, comps[1].Err)
-				}
+				span, err := rt.SegmentRead(ce, 64, 64)
+				n, nerr := rt.SegmentLen(ce)
 				direct, derr := rt.SegmentRead(ce, 100, 8)
 				mapped, merr := rt.MemRead(0x10000+PageSize, 16)
 				st, serr := rt.ObjectStat(ce)
 				werr := rt.FutexWait(ce, 8, 0) // the word is not 0: returns at once
-				if err = errors.Join(err, derr, merr, serr, werr); err == nil &&
-					(!bytes.Equal(comps[0].Val, want[64:128]) || comps[1].N != len(want) ||
+				if err = errors.Join(err, nerr, derr, merr, serr, werr); err == nil &&
+					(!bytes.Equal(span, want[64:128]) || n != len(want) ||
 						!bytes.Equal(direct, want[100:108]) || !bytes.Equal(mapped, want[:16]) || st.Usage != stat.Usage) {
 					err = fmt.Errorf("read %d saw other bytes, length or usage", i)
 				}

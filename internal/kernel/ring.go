@@ -2,57 +2,31 @@ package kernel
 
 import "sync/atomic"
 
-// Ring is a per-thread queue of segment and stat calls: Submit queues
-// entries, and Wait makes each one as the direct call its op names, in
-// submission order, returning one completion per entry.  A batch is a
+// Ring is a per-thread queue of segment reads: Submit queues entries, and
+// Wait makes each one as a SegmentRead, in submission order.  A batch is a
 // sequence of direct calls by construction — each entry enters the kernel,
 // is checked against the thread's label as it is then, and records its own
-// syscall — so it saves nothing and changes no verdict.  Ring, RingEntry and
-// RingStats stay only because the benchmark's ring probe and counters
-// (bench/probes.go, bench/rig.go) name them; they go together with those
-// rows (ROADMAP item 1(a)).  A Ring belongs to one thread and is not safe
-// for concurrent use.
+// syscall — so it saves nothing and changes no verdict.  No production code
+// uses it: Ring, RingEntry, OpSegmentRead and RingStats are what the
+// benchmark's ring probe and counters (bench/probes.go, bench/rig.go) name,
+// and they go with those rows (ROADMAP item 19).  A Ring belongs to one
+// thread and is not safe for concurrent use.
 type Ring struct {
 	tc      *ThreadCall
 	pending []RingEntry
-	// comps is the completion queue, reused across Waits so a steady-state
-	// batch allocates nothing beyond the data it reads.
-	comps []RingCompletion
 }
 
 // RingOp selects the system call a ring entry performs.
 type RingOp int
 
-const (
-	// OpSegmentRead reads Len bytes at Off from the segment Seg.
-	OpSegmentRead RingOp = iota
-	// OpSegmentWrite writes Data at Off in the segment Seg.
-	OpSegmentWrite
-	// OpSegmentResize sets the length of segment Seg to Len.
-	OpSegmentResize
-	// OpSegmentLen reports the length of segment Seg.
-	OpSegmentLen
-	// OpObjectStat stats the object Seg (any type).
-	OpObjectStat
-)
+// OpSegmentRead reads the first Len bytes of the segment Seg.
+const OpSegmentRead RingOp = 0
 
 // RingEntry is one submitted operation.
 type RingEntry struct {
-	Op   RingOp
-	Seg  CEnt // target object
-	Off  int
-	Len  int
-	Data []byte
-}
-
-// RingCompletion is one entry's result.  Completions are returned in
-// submission order; Index is the entry's position in that order.
-type RingCompletion struct {
-	Index int
-	Val   []byte // OpSegmentRead
-	N     int    // bytes read/written, or segment length
-	Stat  Stat   // OpObjectStat
-	Err   error
+	Op  RingOp
+	Seg CEnt // target segment
+	Len int
 }
 
 // NewRing creates an empty ring bound to the invoking thread.
@@ -64,14 +38,11 @@ func (r *Ring) Submit(entries ...RingEntry) int {
 	return len(entries)
 }
 
-// Wait makes every pending entry's call and returns their completions in
-// submission order.  minComplete must not exceed the pending count; Wait
-// always completes everything, so any legal minComplete is satisfied.
-//
-// The returned slice is the ring's completion queue: it is valid only until
-// the next Wait on this ring, which recycles it.  Copy completions that must
-// outlive that (the Val payloads are fresh per read and may be retained).
-func (r *Ring) Wait(minComplete int) ([]RingCompletion, error) {
+// Wait makes every pending entry's call and returns each one's error, in
+// submission order; the bytes read are discarded.  minComplete must not
+// exceed the pending count; Wait always completes everything, so any legal
+// minComplete is satisfied.
+func (r *Ring) Wait(minComplete int) ([]error, error) {
 	if minComplete < 0 || minComplete > len(r.pending) {
 		return nil, ErrInvalid
 	}
@@ -79,38 +50,20 @@ func (r *Ring) Wait(minComplete int) ([]RingCompletion, error) {
 		return nil, nil
 	}
 	entries := r.pending
-	if cap(r.comps) < len(entries) {
-		r.comps = make([]RingCompletion, len(entries))
-	}
-	comps := r.comps[:len(entries)]
-	tc := r.tc
+	errs := make([]error, len(entries))
 	for i, e := range entries {
-		c := RingCompletion{Index: i}
-		switch e.Op {
-		case OpSegmentRead:
-			c.Val, c.Err = tc.SegmentRead(e.Seg, e.Off, e.Len)
-			c.N = len(c.Val)
-		case OpSegmentWrite:
-			if c.Err = tc.SegmentWrite(e.Seg, e.Off, e.Data); c.Err == nil {
-				c.N = len(e.Data)
-			}
-		case OpSegmentResize:
-			c.Err = tc.SegmentResize(e.Seg, e.Len)
-		case OpSegmentLen:
-			c.N, c.Err = tc.SegmentLen(e.Seg)
-		case OpObjectStat:
-			c.Stat, c.Err = tc.ObjectStat(e.Seg)
-		default:
-			c.Err = ErrInvalid
+		if e.Op != OpSegmentRead {
+			errs[i] = ErrInvalid
+			continue
 		}
-		comps[i] = c
+		_, errs[i] = r.tc.SegmentRead(e.Seg, 0, e.Len)
 	}
-	r.comps, r.pending = comps, entries[:0] // recycle both buffers
+	r.pending = entries[:0]
 
-	k := tc.k
+	k := r.tc.k
 	k.ring.waits.Add(1)
 	k.ring.entries.Add(uint64(len(entries)))
-	return comps, nil
+	return errs, nil
 }
 
 // ringCounters is the kernel-wide tally of ring activity.
@@ -127,7 +80,7 @@ type RingStats struct {
 	Waits   uint64
 	// Runs, Coalesced and GateCalls are always 0: every entry is its own
 	// direct call, and a ring carries no gate entry.  They stay only until
-	// the benchmark drops its rows for them (ROADMAP item 1(a)).
+	// the benchmark drops its rows for them (ROADMAP item 19).
 	Runs, Coalesced, GateCalls uint64
 }
 

@@ -70,17 +70,11 @@ func TestSegmentGrowZeroesRegrownBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := tc.NewRing()
-		r.Submit(RingEntry{Op: OpSegmentRead, Seg: ce, Len: PageSize})
-		comps, err := r.Wait(1)
-		if err != nil || comps[0].Err != nil {
-			t.Fatalf("ring read: %v, %v", err, comps[0].Err)
-		}
 		mapped, err := tc.MemRead(va, PageSize)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for path, got := range map[string][]byte{"SegmentRead": direct, "ring read": comps[0].Val, "mapped load": mapped} {
+		for path, got := range map[string][]byte{"SegmentRead": direct, "mapped load": mapped} {
 			if !bytes.Equal(got, want) {
 				i := 0
 				for i < min(len(got), len(want)) && got[i] == want[i] {
@@ -319,14 +313,6 @@ func TestFreshSegmentsNeverAlias(t *testing.T) {
 		t.Fatal(err)
 	}
 	wrote("a direct write", ce, 8, PageSize)
-
-	ce = take(PageSize)
-	r := tc.NewRing()
-	r.Submit(RingEntry{Op: OpSegmentWrite, Seg: ce, Off: 16, Data: ones})
-	if comps, err := r.Wait(1); err != nil || comps[0].Err != nil {
-		t.Fatalf("ring write: %v, %v", err, comps)
-	}
-	wrote("a ring write", ce, 16, PageSize)
 
 	ce = take(2 * PageSize)
 	as, err := tc.AddressSpaceCreate(root, lbl, "view")

@@ -539,14 +539,14 @@ func ValidClearance(c Label) bool {
 	return true
 }
 
-// CacheStats reads zeros; it stays only until the benchmark drops its label.* cache rows (ROADMAP item 1).
+// CacheStats reads zeros; it stays only until the benchmark drops its label.* cache rows (ROADMAP item 19).
 type CacheStats struct{ Hits, Misses, Evictions uint64 }
 
-// InternStats reads zeros; it stays only until the benchmark drops its label.* cache rows (ROADMAP item 1).
+// InternStats reads zeros; it stays only until the benchmark drops its label.* cache rows (ROADMAP item 19).
 type InternStats struct {
 	Count     int
 	Evictions uint64
 }
 
-// InternStatsSnapshot returns zeros; it stays only until the benchmark drops its label.* cache rows (ROADMAP item 1).
+// InternStatsSnapshot returns zeros; it stays only until the benchmark drops its label.* cache rows (ROADMAP item 19).
 func InternStatsSnapshot() InternStats { return InternStats{} }

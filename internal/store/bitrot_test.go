@@ -239,9 +239,8 @@ func TestBitRotEveryCoveredFlipDetected(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: single flip in %s must stay mountable: %v", seed, tgt.name, err)
 				}
-				st := s2.IntegrityStats()
-				if st.CorruptionsDetected == 0 && !st.Recovery.Degraded() {
-					t.Fatalf("seed %d: flip in %s went undetected: %+v", seed, tgt.name, st.Recovery)
+				if rep := s2.RecoveryReport(); s2.Stats().CorruptionsDetected == 0 && !rep.Degraded() {
+					t.Fatalf("seed %d: flip in %s went undetected: %+v", seed, tgt.name, rep)
 				}
 				checkAll(t, s2, want)
 			}
@@ -393,9 +392,8 @@ func TestBitRotDataExtentQuarantinesOnlyThatObject(t *testing.T) {
 	if q := s2.QuarantinedObjects(); len(q) != 1 || q[0] != victim {
 		t.Fatalf("QuarantinedObjects = %v; want [%d]", q, victim)
 	}
-	st := s2.IntegrityStats()
-	if st.QuarantineEvents != 1 || st.QuarantinedNow != 1 || st.CorruptionsDetected == 0 {
-		t.Fatalf("integrity stats = %+v", st)
+	if st := s2.Stats(); st.QuarantineEvents != 1 || st.CorruptionsDetected == 0 {
+		t.Fatalf("integrity counters: %d quarantine events, %d corruptions", st.QuarantineEvents, st.CorruptionsDetected)
 	}
 	// Syncing the quarantined object must refuse rather than persist
 	// unverifiable bytes.
@@ -458,7 +456,7 @@ func TestBitRotWALTailReplaysValidPrefix(t *testing.T) {
 	if _, err := s2.Get(3); !errors.Is(err, ErrNoSuchObject) {
 		t.Fatalf("object in damaged suffix: %v (want ErrNoSuchObject)", err)
 	}
-	if s2.IntegrityStats().CorruptionsDetected == 0 {
+	if s2.Stats().CorruptionsDetected == 0 {
 		t.Fatal("WAL damage not counted")
 	}
 }
@@ -488,9 +486,8 @@ func TestScrubCleanStoreFindsNothing(t *testing.T) {
 	if st.BytesVerified == 0 {
 		t.Fatal("scrub verified zero bytes")
 	}
-	is := s.IntegrityStats()
-	if is.ScrubPasses != 1 || is.ScrubBytesVerified != uint64(st.BytesVerified) || is.LastScrub != st {
-		t.Fatalf("scrub accounting: %+v", is)
+	if n := s.Stats().CorruptionsDetected; n != 0 {
+		t.Fatalf("a clean scrub counted %d corruptions", n)
 	}
 }
 

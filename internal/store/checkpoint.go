@@ -301,13 +301,13 @@ func (s *Store) writeObjectHome(data []byte) (int64, error) {
 // writeSnapshot serializes the metadata sections against the sealed epoch,
 // writes them to the alternate metadata area, flips the superblock, and only
 // then installs the free list derived from the tables it serialized.  It runs
-// in the checkpoint body (ckptRun serialized) or single-threaded
-// construction, so nothing allocates in between.  sbMu fences the
-// superblock/meta-area device I/O against a
-// concurrent scrub's reads of the same regions, and the committed
-// metaWhich/metaEpoch are published under sbMu and mu both, so a reader
+// in the checkpoint body or single-threaded construction, so nothing
+// allocates in between; ckptRun, held in the body, also fences these device
+// writes against a scrub's reads of the same regions.  The committed
+// metaWhich/metaEpoch are published under mu with ckptRun held, so a reader
 // holding either (scrub, committedEpoch) sees a (which, epoch) pair that
-// matches the bytes on disk.
+// matches the bytes on disk.  An image larger than the metadata area is
+// ErrNoSpace, and changes nothing.
 func (s *Store) writeSnapshot(epoch uint64) error {
 	s.mu.Lock()
 	next := 1 - s.metaWhich
@@ -319,10 +319,8 @@ func (s *Store) writeSnapshot(epoch uint64) error {
 		return err
 	}
 	if int64(len(meta)) > s.metaSize {
-		return fmt.Errorf("store: metadata (%d bytes) exceeds the metadata area", len(meta))
+		return fmt.Errorf("%w: metadata (%d bytes) exceeds the metadata area (%d bytes)", ErrNoSpace, len(meta), s.metaSize)
 	}
-	s.sbMu.Lock()
-	defer s.sbMu.Unlock()
 	if _, err := s.d.WriteAt(meta, metaOff); err != nil {
 		return err
 	}

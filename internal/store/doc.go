@@ -67,8 +67,10 @@
 //  3. Serialize the metadata (read under mu; each home carries its sealed
 //     label) into the area the superblock does NOT reference, flush, then
 //     rewrite both superblock copies referencing it at epoch E and flush
-//     again (all under sbMu, so a concurrent scrub never reads the areas
-//     mid-rewrite).  Then derive the free list anew.
+//     again (all under ckptRun, which a scrub holds while it verifies these
+//     areas, so it never reads them mid-rewrite).  Then derive the free
+//     list anew.  An image larger than the area fails the checkpoint with
+//     ErrNoSpace before any of these writes.
 //  4. FINISH: reclaim the log frames of epochs below the previous committed
 //     snapshot's, P.  P's frames are retained so a later torn epoch-E area
 //     can fall back one snapshot and replay forward with zero
@@ -132,7 +134,8 @@
 // scrub runs concurrently with checkpoint bodies, a scrub mismatch is
 // re-validated against the live home table before the verdict — an extent the
 // checkpoint has already superseded is stale, not damaged.  Detection and
-// quarantine events are counted in IntegrityStats.
+// quarantine events are counted in Stats (CorruptionsDetected,
+// QuarantineEvents).
 //
 // The bit-rot harness in bitrot_test.go injects odd-weight flips into each
 // structure above — including objects packed inside sealed segments — and

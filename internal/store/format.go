@@ -10,7 +10,8 @@ package store
 // Encoders run only in the checkpoint body (serialized by ckptRun), under
 // the store's mu while a log record is sealed, or during single-threaded
 // construction (Format); decoders run only in
-// single-threaded Open and, for the verification half, in Scrub under sbMu.
+// single-threaded Open and, for the verification half, in Scrub under
+// ckptRun.
 
 import (
 	"encoding/binary"

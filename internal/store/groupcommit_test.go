@@ -349,7 +349,7 @@ func TestGroupCommitPartialDestage(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: recovery: %v", point, err)
 		}
-		if rep, n := s2.RecoveryReport(), s2.IntegrityStats().CorruptionsDetected; rep.WALDamaged || n != 0 {
+		if rep, n := s2.RecoveryReport(), s2.Stats().CorruptionsDetected; rep.WALDamaged || n != 0 {
 			t.Fatalf("%s: a torn, never-acknowledged batch reported as damage: %+v, %d corruptions", point, rep, n)
 		}
 		for _, id := range ids {

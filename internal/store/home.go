@@ -90,7 +90,7 @@ func (s *Store) readVerified(h home) ([]byte, error) {
 // superseded.  The caller holds mu; condemn returns 1 if it newly
 // quarantined the object, else 0.
 func (s *Store) condemn(id uint64) int {
-	s.integ.corruptions.Add(1)
+	s.c.corruptions.Add(1)
 	if e := s.entry(id); !e.dirty && !e.dead && !e.ckpt && !e.quar {
 		s.quarantine(e)
 		return 1

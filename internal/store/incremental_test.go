@@ -302,6 +302,68 @@ func TestScrubChunkingAllowsCheckpointAndSyncMidPass(t *testing.T) {
 	}
 }
 
+// TestScrubBesideCheckpoints: writers put and checkpoint in a loop while a
+// scrubber loops Scrub.  Every pass must find both metadata areas it checks
+// whole and nothing corrupt: its superblock and metadata phase holds ckptRun,
+// so no checkpoint rewrites an area or flips the superblock under it, and it
+// reads the committed (which, epoch) pair of the bytes it verifies.
+func TestScrubBesideCheckpoints(t *testing.T) {
+	const writers, rounds, perRound = 2, 100, 20
+	d := disk.New(disk.Params{Sectors: 1 << 16, WriteCache: true}, &vclock.Clock{})
+	s, err := Format(d, Options{LogSize: 1 << 20, MetaAreaSize: 512 << 10, SegmentSize: 64 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	scrubbed := make(chan int)
+	go func() {
+		passes := 0
+		defer func() { scrubbed <- passes }()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			st, err := s.Scrub()
+			if err != nil {
+				t.Errorf("scrub %d: %v", passes, err)
+				return
+			}
+			if st.MetaAreasOK != st.MetaAreasChecked || st.CorruptionsFound != 0 {
+				t.Errorf("scrub %d beside checkpoints: %d of %d metadata areas whole, %d corruptions", passes, st.MetaAreasOK, st.MetaAreasChecked, st.CorruptionsFound)
+				return
+			}
+			passes++
+		}
+	}()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for r := 0; r < rounds; r++ {
+				for i := 0; i < perRound; i++ {
+					id := uint64(w)<<32 | uint64(r*perRound+i)
+					if err := s.Put(id, []byte(fmt.Sprintf("writer %d round %d", w, r))); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if err := s.Checkpoint(); err != nil {
+					t.Errorf("writer %d round %d: checkpoint: %v", w, r, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(done)
+	if passes := <-scrubbed; passes == 0 && !t.Failed() {
+		t.Error("no scrub pass ran beside the checkpoints")
+	}
+}
+
 // lockCheckDevice wraps a Device and runs check before every WriteAt and
 // Flush.
 type lockCheckDevice struct {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync/atomic"
 )
 
 // Integrity errors.  Every corruption the store detects — superblock,
@@ -85,59 +84,11 @@ func (r RecoveryReport) Degraded() bool {
 // Open returns.
 func (s *Store) RecoveryReport() RecoveryReport { return s.report }
 
-// integrityCounters holds the store's corruption accounting.
-type integrityCounters struct {
-	corruptions atomic.Uint64 // checksum/structure failures detected
-	quarantines atomic.Uint64 // quarantine events (cumulative)
-	scrubPasses atomic.Uint64
-	scrubBytes  atomic.Uint64
-	lastScrub   ScrubStats // guarded by the store's mu
-}
-
-// IntegrityStats is the store's corruption-accounting snapshot.
-type IntegrityStats struct {
-	// CorruptionsDetected counts every checksum or structural failure the
-	// store has detected (at open, on access, or during scrubs).
-	CorruptionsDetected uint64
-	// QuarantineEvents counts objects placed in quarantine (cumulative);
-	// QuarantinedNow is how many are quarantined at this instant.
-	QuarantineEvents uint64
-	QuarantinedNow   int
-	// ScrubPasses and ScrubBytesVerified accumulate across Scrub calls;
-	// LastScrub is the most recent pass's full result.
-	ScrubPasses        uint64
-	ScrubBytesVerified uint64
-	LastScrub          ScrubStats
-	// Recovery is what Open had to do to mount this store.
-	Recovery RecoveryReport
-}
-
-// IntegrityStats returns the store's corruption accounting.
-func (s *Store) IntegrityStats() IntegrityStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return IntegrityStats{
-		CorruptionsDetected: s.integ.corruptions.Load(),
-		QuarantineEvents:    s.integ.quarantines.Load(),
-		QuarantinedNow:      len(s.quarantined()),
-		ScrubPasses:         s.integ.scrubPasses.Load(),
-		ScrubBytesVerified:  s.integ.scrubBytes.Load(),
-		LastScrub:           s.integ.lastScrub,
-		Recovery:            s.report,
-	}
-}
-
 // QuarantinedObjects returns, in ascending order, the IDs of every object
 // currently in quarantine.
 func (s *Store) QuarantinedObjects() []uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.quarantined()
-}
-
-// quarantined enumerates quarantined IDs in ascending order; the caller holds
-// mu.
-func (s *Store) quarantined() []uint64 {
 	var out []uint64
 	for id, e := range s.objs {
 		if e.quar {
@@ -153,13 +104,13 @@ func (s *Store) quarantined() []uint64 {
 func (s *Store) quarantine(e *objEntry) {
 	if !e.quar {
 		e.quar = true
-		s.integ.quarantines.Add(1)
+		s.c.quarantines.Add(1)
 	}
 }
 
 // noteCorruption counts a detected corruption and returns err unchanged, so
 // detection sites stay one-liners.
 func (s *Store) noteCorruption(err error) error {
-	s.integ.corruptions.Add(1)
+	s.c.corruptions.Add(1)
 	return err
 }

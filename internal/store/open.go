@@ -25,9 +25,6 @@ import (
 // superblock copies or both metadata areas are corrupt does Open refuse,
 // with an error matching ErrCorrupt.
 func Open(d disk.Device, opts Options) (*Store, error) {
-	if opts.LogSize == 0 {
-		opts.LogSize = defaultLogSize
-	}
 	s := newStore(d, opts)
 	if err := s.readSuperblock(); err != nil {
 		return nil, err

@@ -266,8 +266,8 @@ func TestRangePutSparesCheckpointSeal(t *testing.T) {
 	if got, err := s2.Get(1); err != nil || !bytes.Equal(got, sealed) {
 		t.Fatalf("after the crash: %q at 4096, %v; want the sealed bytes", got[4096:min(len(got), 4096+14)], err)
 	}
-	if n := s2.IntegrityStats().QuarantinedNow; n != 0 {
-		t.Fatalf("%d objects quarantined, want none", n)
+	if q := s2.QuarantinedObjects(); len(q) != 0 {
+		t.Fatalf("objects %v quarantined, want none", q)
 	}
 }
 
@@ -382,7 +382,7 @@ func TestRangeRecordWithoutBaseQuarantines(t *testing.T) {
 			t.Errorf("object %d = %q, %v; want a QuarantineError", id, got, err)
 		}
 	}
-	if st := s2.IntegrityStats(); st.QuarantinedNow != 3 || st.CorruptionsDetected < 3 {
-		t.Errorf("integrity stats = %+v; want three objects quarantined", st)
+	if q, n := s2.QuarantinedObjects(), s2.Stats().CorruptionsDetected; len(q) != 3 || n < 3 {
+		t.Errorf("objects %v quarantined with %d corruptions detected; want three", q, n)
 	}
 }

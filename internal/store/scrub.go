@@ -48,24 +48,26 @@ const scrubChunk = 64
 // concurrently, a mismatch is re-validated against the live object map
 // before any quarantine verdict: a target whose object has moved or been
 // re-checksummed since capture is simply stale, not damaged.  Superblock
-// and metadata-area verification runs under sbMu, which the checkpoint
-// body holds across its snapshot write and superblock flip, so scrub never
-// reads a torn in-progress image.
+// and metadata-area verification runs under ckptRun: only a checkpoint body
+// writes those regions, so scrub never reads a torn in-progress image, and
+// ckptRun is dropped before the object walk, so a checkpoint waits out only
+// this first phase.
 func (s *Store) Scrub() (ScrubStats, error) {
 	start := time.Now()
 	var st ScrubStats
 
+	s.ckptRun.Lock()
 	s.ckptMu.RLock()
 	if s.closed {
 		s.ckptMu.RUnlock()
+		s.ckptRun.Unlock()
 		return ScrubStats{}, ErrClosed
 	}
-	s.sbMu.Lock()
 	s.scrubSuperblock(&st)
 	s.scrubMetaAreas(&st)
-	s.sbMu.Unlock()
 	targets := s.scrubTargets()
 	s.ckptMu.RUnlock()
+	s.ckptRun.Unlock()
 
 	for len(targets) > 0 {
 		if s.scrubGate != nil {
@@ -89,21 +91,16 @@ func (s *Store) Scrub() (ScrubStats, error) {
 	}
 
 	st.Duration = time.Since(start)
-	s.integ.scrubPasses.Add(1)
-	s.integ.scrubBytes.Add(uint64(st.BytesVerified))
-	s.mu.Lock()
-	s.integ.lastScrub = st
-	s.mu.Unlock()
 	return st, nil
 }
 
 // scrubSuperblock verifies both superblock copies in place; the caller
-// holds sbMu.
+// holds ckptRun.
 func (s *Store) scrubSuperblock(st *ScrubStats) {
 	raw := make([]byte, sbBackupOff+sbCopySize)
 	if _, err := s.d.ReadAt(raw, superblockOffset); err != nil {
 		st.CorruptionsFound++
-		s.integ.corruptions.Add(1)
+		s.c.corruptions.Add(1)
 		return
 	}
 	_, perr := parseSuperblockCopy(raw[:sbCopySize], superblockOffset)
@@ -113,27 +110,27 @@ func (s *Store) scrubSuperblock(st *ScrubStats) {
 		st.SuperblockCopiesOK++
 	} else {
 		st.CorruptionsFound++
-		s.integ.corruptions.Add(1)
+		s.c.corruptions.Add(1)
 	}
 	if berr == nil {
 		st.SuperblockCopiesOK++
 	} else {
 		st.CorruptionsFound++
-		s.integ.corruptions.Add(1)
+		s.c.corruptions.Add(1)
 	}
 }
 
 // scrubMetaAreas verifies the referenced metadata area and, when it holds a
 // committed (no newer epoch) snapshot, the alternate one — the copy a
-// future fallback would depend on.  The caller holds sbMu, which keeps
-// metaWhich and metaEpoch stable (the checkpoint body updates them under
-// sbMu) and excludes an in-progress area rewrite.
+// future fallback would depend on.  The caller holds ckptRun, which keeps
+// metaWhich and metaEpoch stable (only a checkpoint body updates them) and
+// excludes an in-progress area rewrite.
 func (s *Store) scrubMetaAreas(st *ScrubStats) {
 	// Referenced area: must verify at the current epoch.
 	st.MetaAreasChecked++
 	if img, err := s.verifyMetaArea(s.metaWhich); err != nil || img.epoch != s.metaEpoch {
 		st.CorruptionsFound++
-		s.integ.corruptions.Add(1)
+		s.c.corruptions.Add(1)
 	} else {
 		st.MetaAreasOK++
 		st.BytesVerified += img.length
@@ -163,7 +160,7 @@ func (s *Store) scrubOneObject(t homedObject, st *ScrubStats) {
 	_, err := s.readVerified(t.home)
 	if err != nil && !errors.Is(err, ErrCorrupt) {
 		st.CorruptionsFound++
-		s.integ.corruptions.Add(1)
+		s.c.corruptions.Add(1)
 		return
 	}
 	st.ObjectsChecked++

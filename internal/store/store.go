@@ -108,27 +108,26 @@
 //
 // # Locking discipline
 //
-// Five locks, in order of acquisition:
+// Four locks, in order of acquisition:
 //
 //  1. ckptRun serializes whole checkpoints, seal through finish: Checkpoint,
-//     Close and a sync's checkpoint fallback.
+//     Close and a sync's checkpoint fallback.  It is also the fence on
+//     superblock and metadata-area device I/O: only a checkpoint body (and
+//     single-threaded Format) writes those regions, so Scrub holds ckptRun
+//     while it verifies them and never reads a torn in-progress image.
 //  2. ckptMu, a RWMutex, is the checkpoint gate: Put, Get, Delete, scrub
 //     chunks and every logged operation hold it in read mode, a logged one
 //     from its first seal to its last commit.  Only the checkpoint SEAL and
 //     Close hold it exclusively, and only briefly; the checkpoint body runs
 //     under no mode of it.
-//  3. sbMu fences superblock and metadata-area device I/O: the checkpoint
-//     body holds it across the snapshot write and superblock flip, and scrub
-//     holds it while verifying those same regions, so scrub never reads a
-//     torn in-progress image.
-//  4. mu guards every in-memory table: the object entries (objEntry), the
+//  3. mu guards every in-memory table: the object entries (objEntry), the
 //     home table and the committed snapshot's place (metaWhich, metaEpoch),
-//     the free list, the segment table and the last
-//     scrub's result.  It is never held across a device write or flush: the
-//     checkpoint body issues each write outside it and takes it to record
-//     where the bytes went.  Get holds it across a home read, so no put,
-//     delete or relocation lands between the lookup and the read.
-//  5. The committer's queue mutex (see groupcommit.go) is a leaf below mu:
+//     the free list and the segment table.  It is never held across a
+//     device write or flush: the checkpoint body issues each write outside
+//     it and takes it to record where the bytes went.  Get holds it across a
+//     home read, so no put, delete or relocation lands between the lookup
+//     and the read.
+//  4. The committer's queue mutex (see groupcommit.go) is a leaf below mu:
 //     records are sealed and enqueued under mu, so per-object log order
 //     matches seal order.
 //
@@ -259,6 +258,11 @@ type Stats struct {
 	MetaBytesWritten uint64
 	// SegsCleaned counts data-region segments the cleaner compacted.
 	SegsCleaned uint64
+	// CorruptionsDetected counts every checksum or structural failure the
+	// store has detected (at open, on access, or during scrubs);
+	// QuarantineEvents counts objects placed in quarantine.
+	CorruptionsDetected uint64
+	QuarantineEvents    uint64
 }
 
 type counters struct {
@@ -267,6 +271,7 @@ type counters struct {
 	sealStallMaxNs                 atomic.Int64
 	bytesCleaned, metaBytesWritten atomic.Uint64
 	segsCleaned                    atomic.Uint64
+	corruptions, quarantines       atomic.Uint64
 }
 
 // Store is a single-level store on a simulated disk.  It is safe for
@@ -285,7 +290,9 @@ type Store struct {
 
 	// ckptRun serializes checkpoint runs end to end (seal through finish);
 	// ckptMu write mode covers only the seal, so without ckptRun two
-	// concurrent Checkpoint calls could interleave their bodies.
+	// concurrent Checkpoint calls could interleave their bodies.  Scrub
+	// holds it to verify the regions only a checkpoint body writes
+	// (discipline rule 1).
 	ckptRun sync.Mutex
 
 	// epoch is the last seal attempt's epoch, which every log frame
@@ -299,7 +306,7 @@ type Store struct {
 
 	syncers atomic.Int64 // goroutines inside logged (see awaitCommit)
 
-	// mu guards all of the store's in-memory state (discipline rule 4).
+	// mu guards all of the store's in-memory state (discipline rule 3).
 	mu      sync.Mutex
 	objs    map[uint64]*objEntry // object ID → in-memory entry
 	changed []uint64             // the entries touched since the last seal
@@ -317,16 +324,11 @@ type Store struct {
 
 	comm committer
 
-	// sbMu fences superblock and metadata-area device I/O (discipline rule
-	// 3): the checkpoint body's snapshot write + superblock flip and scrub's
-	// verification of those regions exclude each other.
-	sbMu sync.Mutex
-
 	metaWhich int // which metadata area (0 or 1) the superblock references
 	// metaEpoch is the checkpoint epoch recorded in the current superblock
 	// and metadata-area headers.  The checkpoint body writes it and
-	// metaWhich holding both sbMu and mu, so either lock suffices to read
-	// them; the body itself reads them bare, since ckptRun serializes bodies.
+	// metaWhich under mu with ckptRun held, so either lock suffices to read
+	// them; the body itself reads them bare.
 	metaEpoch uint64
 
 	// Test hooks, set before the store is shared: scrubGate runs between
@@ -339,18 +341,16 @@ type Store struct {
 	// the store is published.
 	report RecoveryReport
 
-	integ integrityCounters
-
 	c counters
 }
 
-// Options configure Format and Open.
+// Options configure Format and Open.  Open reads only SegmentSize: the log
+// and metadata geometry come from the superblock Format wrote.
 type Options struct {
 	// LogSize is the size of the write-ahead log region (default 32 MB).
 	LogSize int64
 	// MetaAreaSize is the size of each of the two alternating metadata
-	// areas (default 16 MB).  Format records it in the superblock; Open
-	// reads it back, so the option only matters when formatting.
+	// areas (default 16 MB).
 	MetaAreaSize int64
 	// SegmentSize is the size of the append-only data segments checkpoint
 	// relocation packs small objects into (default 1 MB, rounded up to the
@@ -421,14 +421,16 @@ func (s *Store) Disk() disk.Device { return s.d }
 // Stats returns a snapshot of store statistics.
 func (s *Store) Stats() Stats {
 	st := Stats{
-		ObjectSyncs:      s.c.objectSyncs.Load(),
-		Checkpoints:      s.c.checkpoints.Load(),
-		BytesLogged:      s.c.bytesLogged.Load(),
-		BytesHome:        s.c.bytesHome.Load(),
-		SealStallMaxNs:   s.c.sealStallMaxNs.Load(),
-		BytesCleaned:     s.c.bytesCleaned.Load(),
-		MetaBytesWritten: s.c.metaBytesWritten.Load(),
-		SegsCleaned:      s.c.segsCleaned.Load(),
+		ObjectSyncs:         s.c.objectSyncs.Load(),
+		Checkpoints:         s.c.checkpoints.Load(),
+		BytesLogged:         s.c.bytesLogged.Load(),
+		BytesHome:           s.c.bytesHome.Load(),
+		SealStallMaxNs:      s.c.sealStallMaxNs.Load(),
+		BytesCleaned:        s.c.bytesCleaned.Load(),
+		MetaBytesWritten:    s.c.metaBytesWritten.Load(),
+		SegsCleaned:         s.c.segsCleaned.Load(),
+		CorruptionsDetected: s.c.corruptions.Load(),
+		QuarantineEvents:    s.c.quarantines.Load(),
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -566,7 +568,7 @@ func (s *Store) Label(id uint64) (label.Label, bool) {
 
 // EvictCache does nothing: the store keeps no clean contents to drop, so a
 // Get of a clean object reads its home extent already.  It stays only until
-// the benchmark stops calling it (ROADMAP item 1).
+// the benchmark stops calling it (ROADMAP item 19).
 func (s *Store) EvictCache() {}
 
 // Delete removes an object.

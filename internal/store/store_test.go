@@ -709,6 +709,74 @@ func TestSyncFallbackNoSpace(t *testing.T) {
 	t.Logf("first sync refused at object %d; %d acknowledged objects read back", len(acked)+1, len(acked))
 }
 
+// TestMetadataOverflowIsNoSpace: a snapshot too large for its metadata area
+// is refused as ErrNoSpace — by Checkpoint, and by the checkpoint a sync
+// falls back to — and the store comes back from a crash at its last committed
+// snapshot with every acknowledged object.
+func TestMetadataOverflowIsNoSpace(t *testing.T) {
+	d := disk.New(disk.Params{Sectors: 1 << 15, WriteCache: true}, &vclock.Clock{}) // 16 MiB
+	opts := Options{LogSize: 64 << 10, MetaAreaSize: 64 << 10, SegmentSize: 64 << 10}
+	s, err := Format(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	contents := func(id uint64) []byte { return []byte{byte(id)} }
+	var acked []uint64
+	var committed uint64
+	for next := uint64(1); ; {
+		if next > 10000 {
+			t.Fatal("a 64 KiB metadata area took 10,000 objects")
+		}
+		batch := make([]uint64, 100)
+		for i := range batch {
+			batch[i] = next
+			if err := s.Put(next, contents(next)); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+		if err := errors.Join(s.SyncObjects(batch)...); err != nil {
+			t.Fatalf("sync of objects %d–%d: %v", batch[0], batch[len(batch)-1], err)
+		}
+		acked = append(acked, batch...)
+		err := s.Checkpoint()
+		if err == nil {
+			committed = s.committedEpoch()
+			continue
+		}
+		if !errors.Is(err, ErrNoSpace) {
+			t.Fatalf("checkpoint of %d objects: %v, want ErrNoSpace", len(acked), err)
+		}
+		break
+	}
+	// A record larger than the log goes to the checkpoint fallback, which
+	// meets the same full area.
+	big := uint64(1 << 40)
+	if err := s.Put(big, make([]byte, 2*opts.LogSize)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SyncObject(big); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("sync through the checkpoint fallback: %v, want ErrNoSpace", err)
+	}
+	d.Crash()
+	s2, err := Open(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := s2.RecoveryReport().MetaEpoch; got != committed {
+		t.Errorf("reopened at snapshot epoch %d, want the last committed one, %d", got, committed)
+	}
+	for _, id := range acked {
+		if got, err := s2.Get(id); err != nil || !bytes.Equal(got, contents(id)) {
+			t.Fatalf("acknowledged object %d after the crash: %q, %v", id, got, err)
+		}
+	}
+	if _, err := s2.Get(big); !errors.Is(err, ErrNoSuchObject) {
+		t.Errorf("the refused object after the crash: %v, want ErrNoSuchObject", err)
+	}
+	t.Logf("the metadata area overflowed at %d objects", len(acked))
+}
+
 // wedgePayload is object id's contents in the full-store tests.
 func wedgePayload(id uint64) []byte { return bytes.Repeat([]byte{byte(id), byte(id >> 8)}, 4096) }
 

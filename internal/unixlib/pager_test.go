@@ -387,11 +387,11 @@ func TestGoldenBakeSkipsThreadsAndRefusesGates(t *testing.T) {
 	}
 }
 
-// TestMappedAndRingWritesReachACheckpoint: the kernel marks a segment dirty
+// TestMappedAndDirectWritesReachACheckpoint: the kernel marks a segment dirty
 // at the one gate every mutation passes, so a store through a mapping and a
-// bare ring write — neither of which comes through the library's writeAt —
+// bare SegmentWrite — neither of which comes through the library's writeAt —
 // are in the next checkpoint like any other.
-func TestMappedAndRingWritesReachACheckpoint(t *testing.T) {
+func TestMappedAndDirectWritesReachACheckpoint(t *testing.T) {
 	sys, st, _ := bootSysPersist(t)
 	p, err := sys.NewInitProcess("alice")
 	if err != nil {
@@ -415,16 +415,14 @@ func TestMappedAndRingWritesReachACheckpoint(t *testing.T) {
 	if err := p.TC.MemWrite(va+8, []byte("mapped")); err != nil {
 		t.Fatal(err)
 	}
-	r := p.TC.NewRing()
-	r.Submit(kernel.RingEntry{Op: kernel.OpSegmentWrite, Seg: f.File, Off: 32, Data: []byte("ring")})
-	if comps, err := r.Wait(1); err != nil || comps[0].Err != nil {
-		t.Fatalf("ring write: %v, %v", err, comps)
+	if err := p.TC.SegmentWrite(f.File, 32, []byte("bare")); err != nil {
+		t.Fatalf("direct write: %v", err)
 	}
 	if err := p.GroupSync(); err != nil {
 		t.Fatal(err)
 	}
 	got, err := crashAndReopen(t, st).Get(uint64(f.File.Object))
-	if err != nil || len(got) != 64 || string(got[8:14]) != "mapped" || string(got[32:36]) != "ring" {
+	if err != nil || len(got) != 64 || string(got[8:14]) != "mapped" || string(got[32:36]) != "bare" {
 		t.Errorf("file after crash and reopen = %q, %v; want both writes", got, err)
 	}
 }
@@ -611,8 +609,8 @@ func TestPagerConcurrentWritersSurviveACrash(t *testing.T) {
 }
 
 // TestEvictedRotFailsEveryPath: a segment Evict dropped pages in at its next
-// access, whichever path makes it — a read, a ring read, a load through a
-// mapping, a write — and a home extent that has rotted meanwhile fails that
+// access, whichever path makes it — a read, a load through a mapping, a
+// write — and a home extent that has rotted meanwhile fails that
 // access with the kernel's ErrCorrupt and the store's typed error in one
 // chain, and quarantines the object.
 func TestEvictedRotFailsEveryPath(t *testing.T) {
@@ -625,15 +623,6 @@ func TestEvictedRotFailsEveryPath(t *testing.T) {
 		{"SegmentRead", func(p *Process, seg kernel.CEnt) error {
 			_, err := p.TC.SegmentRead(seg, 0, 16)
 			return err
-		}},
-		{"ring read", func(p *Process, seg kernel.CEnt) error {
-			r := p.TC.NewRing()
-			r.Submit(kernel.RingEntry{Op: kernel.OpSegmentRead, Seg: seg, Len: 16})
-			comps, err := r.Wait(1)
-			if err != nil {
-				return err
-			}
-			return comps[0].Err
 		}},
 		{"MemRead", func(p *Process, _ kernel.CEnt) error {
 			_, err := p.TC.MemRead(va, 16)

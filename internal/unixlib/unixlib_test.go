@@ -604,7 +604,7 @@ func TestCorruptExtentSurfacesAsEIO(t *testing.T) {
 	if data, err := p.ReadFile("/tmp/bystander"); err != nil || string(data) != "healthy" {
 		t.Fatalf("bystander read = %q, %v", data, err)
 	}
-	if is := st.IntegrityStats(); is.QuarantinedNow != 1 || is.CorruptionsDetected == 0 {
-		t.Fatalf("store integrity stats = %+v", is)
+	if q, n := st.QuarantinedObjects(), st.Stats().CorruptionsDetected; len(q) != 1 || n == 0 {
+		t.Fatalf("store quarantined %v with %d corruptions detected; want one object", q, n)
 	}
 }
