@@ -81,7 +81,11 @@ type Disk struct {
 	mu     sync.Mutex
 	params Params
 	clock  *vclock.Clock
-	data   []byte
+	// data is the platter, every byte a flush or an uncached write left.
+	// It is mapped off the Go heap where the platform allows (mapSlab), so
+	// a large disk's untouched sectors cost no memory and no GC work; every
+	// access to it holds mu.
+	data []byte
 
 	headPos int64 // byte offset the head is positioned after the last op
 	// barrier is set by a Flush that destaged something and cleared by the
@@ -125,11 +129,9 @@ func New(params Params, clock *vclock.Clock) *Disk {
 	if params.BandwidthBytesPerSec <= 0 {
 		params.BandwidthBytesPerSec = 50 * 1000 * 1000
 	}
-	return &Disk{
-		params: params,
-		clock:  clock,
-		data:   make([]byte, params.Sectors*SectorSize),
-	}
+	d := &Disk{params: params, clock: clock}
+	d.mapSlab(params.Sectors * SectorSize)
+	return d
 }
 
 // Size returns the device capacity in bytes.

@@ -144,12 +144,13 @@ type Kernel struct {
 
 	// pager is the store, if one is attached (pager.go); doomed, behind the
 	// leaf doomedMu, the dead persistent segments it has yet to be told of;
-	// dirty, behind the leaf dirtyMu, the live ones Sync pushes (setDirty).
-	pager    Pager
-	doomedMu sync.Mutex
-	doomed   []uint64
-	dirtyMu  sync.Mutex
-	dirty    map[*segment]struct{}
+	// dirty, behind the leaf dirtyMu, the live ones Sync pushes by stamp (setDirty).
+	pager      Pager
+	doomedMu   sync.Mutex
+	doomed     []uint64
+	dirtyMu    sync.Mutex
+	dirty      map[*segment]uint64
+	dirtyStamp uint64
 }
 
 // New boots a kernel: it creates the object table and the root container.
@@ -160,7 +161,7 @@ func New(cfg Config) *Kernel {
 		ids:     label.NewAllocator(cfg.Seed ^ 0x9e3779b97f4a7c15),
 		cats:    label.NewAllocator(cfg.Seed),
 		futexes: make(map[futexKey]*futexQueue),
-		dirty:   make(map[*segment]struct{}),
+		dirty:   make(map[*segment]uint64),
 	}
 	for i := range k.shards {
 		k.shards[i].m = make(map[ID]object)

@@ -1,6 +1,11 @@
 package kernel
 
-import "histar/internal/label"
+import (
+	"cmp"
+	"slices"
+
+	"histar/internal/label"
+)
 
 // Pager is the kernel's one seam to the single-level store (Sections 3 and
 // 4: the store is the kernel's own, and a sync is a system call).  Only the
@@ -54,14 +59,15 @@ func (tc *ThreadCall) SegmentPersist(ce CEnt) error {
 	return nil
 }
 
-// setDirty sets a segment's dirty bit, and keeps the kernel's dirty list to
-// the segments that have it on; the caller holds the segment's write lock.
+// setDirty sets a segment's dirty bit, and keeps the dirty list, stamped in
+// order, to the segments that have it on; the caller holds its write lock.
 func (k *Kernel) setDirty(s *segment, on bool) {
 	if s.dirty != on {
 		s.dirty = on
 		k.dirtyMu.Lock()
 		if on {
-			k.dirty[s] = struct{}{}
+			k.dirtyStamp++
+			k.dirty[s] = k.dirtyStamp
 		} else {
 			delete(k.dirty, s)
 		}
@@ -131,9 +137,10 @@ func (tc *ThreadCall) SyncSegments(ces ...CEnt) error {
 
 // Sync makes the whole system durable (the paper's group sync, and what
 // fsync of a directory means): every segment on the dirty list is pushed,
-// one at a time under its own lock, and the pager checkpoints.  The kernel
-// chooses the objects, so no label is consulted; a segment dirtied after the
-// list is read waits for the next sync, and one that dies leaves the list.
+// one at a time under its own lock and in the order they were dirtied (the
+// store homes them so), and the pager checkpoints.  The kernel chooses the
+// objects, so no label is consulted; a segment dirtied after the list is
+// read waits for the next sync, and one that dies leaves the list.
 func (tc *ThreadCall) Sync() error {
 	if _, err := tc.enter(scSync); err != nil {
 		return err
@@ -147,6 +154,7 @@ func (tc *ThreadCall) Sync() error {
 	for s := range k.dirty {
 		dirty = append(dirty, s)
 	}
+	slices.SortFunc(dirty, func(a, b *segment) int { return cmp.Compare(k.dirty[a], k.dirty[b]) })
 	k.dirtyMu.Unlock()
 	for _, s := range dirty {
 		s.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"sync"
 	"testing"
@@ -21,7 +22,7 @@ type fakePager struct {
 	mu     sync.Mutex
 	data   map[uint64][]byte // last pushed bytes, by object
 	labels map[uint64]label.Label
-	puts   int
+	pushed []uint64 // every push's id, in order
 	gone   []uint64 // Delete calls, in order
 	groups [][]uint64
 	poison map[uint64]error
@@ -53,7 +54,7 @@ func (f *fakePager) PutLabeled(id uint64, lbl label.Label, data []byte, lo, hi i
 		f.outside = append(f.outside, fmt.Sprintf("object %d: bytes outside [%d, %d) changed", id, lo, hi))
 	}
 	f.data[id], f.labels[id] = append([]byte(nil), data...), lbl
-	f.puts++
+	f.pushed = append(f.pushed, id)
 	return nil
 }
 
@@ -129,8 +130,8 @@ func TestPagerPushSyncDelete(t *testing.T) {
 	if err := tc.SegmentWrite(plain, 0, []byte("never paged")); err != nil {
 		t.Fatal(err)
 	}
-	if fp.puts != 0 || fp.pageIns != 0 {
-		t.Fatalf("%d pushes, %d page-ins before any sync or read", fp.puts, fp.pageIns)
+	if len(fp.pushed) != 0 || fp.pageIns != 0 {
+		t.Fatalf("%d pushes, %d page-ins before any sync or read", len(fp.pushed), fp.pageIns)
 	}
 	// A dirty segment's only current copy is the kernel's: no page-in.
 	if _, err := tc.SegmentRead(a, 0, 6); err != nil || fp.pageIns != 0 {
@@ -140,8 +141,8 @@ func TestPagerPushSyncDelete(t *testing.T) {
 	if err := tc.SyncSegments(a, plain); err != nil {
 		t.Fatalf("SyncSegments: %v", err)
 	}
-	if fp.puts != 1 || !bytes.HasPrefix(fp.data[uint64(a.Object)], []byte("direct")) {
-		t.Errorf("after SyncSegments: %d pushes, a = %q; want the one dirty target", fp.puts, fp.data[uint64(a.Object)])
+	if len(fp.pushed) != 1 || !bytes.HasPrefix(fp.data[uint64(a.Object)], []byte("direct")) {
+		t.Errorf("after SyncSegments: %d pushes, a = %q; want the one dirty target", len(fp.pushed), fp.data[uint64(a.Object)])
 	}
 	if len(fp.groups) != 1 || len(fp.groups[0]) != 2 {
 		t.Errorf("sync groups %v, want one group of both targets", fp.groups)
@@ -163,11 +164,11 @@ func TestPagerPushSyncDelete(t *testing.T) {
 	if err := tc.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if fp.puts != 2 || fp.checkpoints != 1 || fp.data[uint64(b.Object)][8] != 0x42 {
-		t.Errorf("after Sync: %d pushes, %d checkpoints, b = %x", fp.puts, fp.checkpoints, fp.data[uint64(b.Object)])
+	if len(fp.pushed) != 2 || fp.checkpoints != 1 || fp.data[uint64(b.Object)][8] != 0x42 {
+		t.Errorf("after Sync: %d pushes, %d checkpoints, b = %x", len(fp.pushed), fp.checkpoints, fp.data[uint64(b.Object)])
 	}
-	if err := tc.Sync(); err != nil || fp.puts != 2 || fp.checkpoints != 2 {
-		t.Errorf("a second Sync pushed again: %v, %d pushes, %d checkpoints", err, fp.puts, fp.checkpoints)
+	if err := tc.Sync(); err != nil || len(fp.pushed) != 2 || fp.checkpoints != 2 {
+		t.Errorf("a second Sync pushed again: %v, %d pushes, %d checkpoints", err, len(fp.pushed), fp.checkpoints)
 	}
 	if _, ok := fp.data[uint64(plain.Object)]; ok || fp.labels[uint64(a.Object)].IsZero() {
 		t.Error("an unmarked segment was pushed, or a pushed one went without its label")
@@ -186,8 +187,8 @@ func TestPagerPushSyncDelete(t *testing.T) {
 	if err := tc.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if len(fp.gone) != 1 || fp.gone[0] != uint64(a.Object) || fp.puts != 2 {
-		t.Errorf("after the unlinks: deletes %v, %d pushes; want [%d] and no push of the dead", fp.gone, fp.puts, a.Object)
+	if len(fp.gone) != 1 || fp.gone[0] != uint64(a.Object) || len(fp.pushed) != 2 {
+		t.Errorf("after the unlinks: deletes %v, %d pushes; want [%d] and no push of the dead", fp.gone, len(fp.pushed), a.Object)
 	}
 }
 
@@ -225,8 +226,8 @@ func TestSyncAndPersistPassTheMonitor(t *testing.T) {
 	if err := reader.SyncSegments(ce, env.segs[0]); !errors.Is(err, ErrLabel) {
 		t.Errorf("SyncSegments = %v, want ErrLabel", err)
 	}
-	if _, pushed := fp.data[uint64(guarded)]; pushed || fp.puts != 1 {
-		t.Errorf("the pager was handed the guarded segment (%d pushes)", fp.puts)
+	if _, pushed := fp.data[uint64(guarded)]; pushed || len(fp.pushed) != 1 {
+		t.Errorf("the pager was handed the guarded segment (%d pushes)", len(fp.pushed))
 	}
 	if len(fp.groups) != 1 || len(fp.groups[0]) != 1 || fp.groups[0][0] != uint64(env.segs[0].Object) {
 		t.Errorf("sync groups %v, want only [[%d]]", fp.groups, env.segs[0].Object)
@@ -264,12 +265,12 @@ func TestSyncSegmentsOneGroup(t *testing.T) {
 	if len(fp.groups) != 1 || !slices.Equal(fp.groups[0], ids) {
 		t.Fatalf("pager saw groups %v, want one group %v", fp.groups, ids)
 	}
-	if fp.puts != len(segs) {
-		t.Errorf("%d pushes, want one per dirty segment, %d", fp.puts, len(segs))
+	if len(fp.pushed) != len(segs) {
+		t.Errorf("%d pushes, want one per dirty segment, %d", len(fp.pushed), len(segs))
 	}
 	fp.poison = nil
-	if err := env.tc.SyncSegments(segs[0]); err != nil || fp.puts != len(segs) || len(fp.groups) != 2 {
-		t.Errorf("sync of a clean segment: %v, %d pushes, groups %v; want no push and one more group", err, fp.puts, fp.groups)
+	if err := env.tc.SyncSegments(segs[0]); err != nil || len(fp.pushed) != len(segs) || len(fp.groups) != 2 {
+		t.Errorf("sync of a clean segment: %v, %d pushes, groups %v; want no push and one more group", err, len(fp.pushed), fp.groups)
 	}
 }
 
@@ -331,8 +332,8 @@ func TestSyncSegmentsResolvesEachEntry(t *testing.T) {
 			t.Errorf("pager group %d = %v, want only [%d]", i, g, good)
 		}
 	}
-	if len(fp.groups) != 3 || fp.puts != 1 || len(fp.data) != 1 {
-		t.Errorf("pager saw %d groups, %d pushes of %d objects; want 3 groups and the good segment pushed once", len(fp.groups), fp.puts, len(fp.data))
+	if len(fp.groups) != 3 || len(fp.pushed) != 1 || len(fp.data) != 1 {
+		t.Errorf("pager saw %d groups, %d pushes of %d objects; want 3 groups and the good segment pushed once", len(fp.groups), len(fp.pushed), len(fp.data))
 	}
 }
 
@@ -542,14 +543,14 @@ func TestSyncWalksTheDirtyList(t *testing.T) {
 		defer k.dirtyMu.Unlock()
 		return len(k.dirty)
 	}
-	if err := tc.Sync(); err != nil || fp.puts != len(segs) || listed() != 0 {
-		t.Fatalf("first Sync: %v, %d pushes of %d persisted segments, %d left listed", err, fp.puts, len(segs), listed())
+	if err := tc.Sync(); err != nil || len(fp.pushed) != len(segs) || listed() != 0 {
+		t.Fatalf("first Sync: %v, %d pushes of %d persisted segments, %d left listed", err, len(fp.pushed), len(segs), listed())
 	}
 	if err := tc.SegmentWrite(segs[500], 3, []byte("one")); err != nil {
 		t.Fatal(err)
 	}
-	if err := tc.Sync(); err != nil || fp.puts != len(segs)+1 || string(fp.data[uint64(segs[500].Object)][3:6]) != "one" || listed() != 0 {
-		t.Fatalf("Sync after one write: %v, %d pushes in all, %d left listed; want the written segment alone", err, fp.puts-len(segs), listed())
+	if err := tc.Sync(); err != nil || len(fp.pushed) != len(segs)+1 || string(fp.data[uint64(segs[500].Object)][3:6]) != "one" || listed() != 0 {
+		t.Fatalf("Sync after one write: %v, %d pushes in all, %d left listed; want the written segment alone", err, len(fp.pushed)-len(segs), listed())
 	}
 	doomed := segs[7]
 	if err := tc.SegmentWrite(doomed, 0, []byte("never pushed")); err != nil {
@@ -564,7 +565,89 @@ func TestSyncWalksTheDirtyList(t *testing.T) {
 	if listed() != 0 {
 		t.Fatal("a dead segment is still on the dirty list")
 	}
-	if err := tc.Sync(); err != nil || fp.puts != len(segs)+1 || !slices.Equal(fp.gone, []uint64{uint64(doomed.Object)}) {
-		t.Fatalf("Sync after a dirty death: %v, %d pushes, deletes %v; want no push and one delete", err, fp.puts-len(segs)-1, fp.gone)
+	if err := tc.Sync(); err != nil || len(fp.pushed) != len(segs)+1 || !slices.Equal(fp.gone, []uint64{uint64(doomed.Object)}) {
+		t.Fatalf("Sync after a dirty death: %v, %d pushes, deletes %v; want no push and one delete", err, len(fp.pushed)-len(segs)-1, fp.gone)
+	}
+}
+
+// TestSyncPushesInDirtiedOrder holds the order Sync hands the pager its
+// segments in, which is the order the store homes them on disk: the order
+// they were first dirtied since the last Sync, whatever their IDs.  1,000
+// persistent segments are marked, then written, each time in a shuffled
+// order; a segment written again keeps its first place, one that dies dirty
+// is never pushed, and one pushed by SyncSegments in between is pushed by
+// Sync again only from its next write.
+func TestSyncPushesInDirtiedOrder(t *testing.T) {
+	k, tc := boot(t)
+	fp := newFakePager()
+	k.SetPager(fp)
+	root := k.RootContainer()
+	segs := make([]CEnt, 1000)
+	for i := range segs {
+		id, err := tc.SegmentCreate(root, label.New(label.L1), "persistent", 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs[i] = CEnt{root, id}
+	}
+	rng := rand.New(rand.NewSource(1))
+	var want []uint64
+	for _, i := range rng.Perm(len(segs)) {
+		if err := tc.SegmentPersist(segs[i]); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, uint64(segs[i].Object))
+	}
+	if slices.IsSorted(want) {
+		t.Fatal("the marking order is the ID order; the test shows nothing")
+	}
+	if err := tc.Sync(); err != nil || !slices.Equal(fp.pushed, want) {
+		t.Fatalf("first Sync: %v; the %d pushes are not in the order the segments were marked", err, len(fp.pushed))
+	}
+
+	fp.pushed, want = nil, nil
+	doomed, early := map[int]bool{}, map[int]bool{}
+	order := rng.Perm(len(segs))
+	for n, i := range order {
+		if err := tc.SegmentWrite(segs[i], 0, []byte("first")); err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case n%97 == 0:
+			doomed[i] = true
+		case n%89 == 0:
+			early[i] = true
+		default:
+			want = append(want, uint64(segs[i].Object))
+		}
+	}
+	for _, i := range order[len(order)/2:] { // dirtied again: no new place
+		if err := tc.SegmentWrite(segs[i], 8, []byte("again")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range early { // pushed now, clean until it is written again
+		if err := tc.SyncSegments(segs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := range doomed {
+		if err := tc.Unref(root, segs[i].Object); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fp.pushed = nil
+	for i := range early {
+		if err := tc.SegmentWrite(segs[i], 0, []byte("later")); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, uint64(segs[i].Object))
+	}
+	if err := tc.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if len(doomed) == 0 || len(early) == 0 || !slices.Equal(fp.pushed, want) {
+		t.Fatalf("second Sync pushed %d segments, want %d in dirtied order (%d died dirty, %d pushed early)",
+			len(fp.pushed), len(want), len(doomed), len(early))
 	}
 }

@@ -450,7 +450,7 @@ func propertyVsSequential(t *testing.T, cloned bool) {
 		if a, b := envs[0].k.SnapshotStats(), envs[1].k.SnapshotStats(); a != b {
 			t.Fatalf("round %d: COW counters diverged: direct %+v, mem %+v", round, a, b)
 		}
-		if a, b := envs[0].pager.puts, envs[1].pager.puts; a != b {
+		if a, b := len(envs[0].pager.pushed), len(envs[1].pager.pushed); a != b {
 			t.Fatalf("round %d: the direct path has pushed %d times, mem %d", round, a, b)
 		}
 		// What the model does not carry, the same on every path's kernel: a
@@ -479,7 +479,7 @@ func propertyVsSequential(t *testing.T, cloned bool) {
 	if st := envs[0].k.SnapshotStats(); cloned && st.CowBreaks == 0 {
 		t.Error("the cloned run broke no COW: it never wrote a frozen segment")
 	}
-	if envs[0].pager.puts == 0 {
+	if len(envs[0].pager.pushed) == 0 {
 		t.Error("no sync ever pushed a segment")
 	}
 	if denied == 0 {

@@ -81,12 +81,12 @@ func TestRingRunsInSubmissionOrder(t *testing.T) {
 		if err := client.SyncSegments(ce); !errors.Is(err, ErrLabel) {
 			t.Errorf("sync before the gate entry = %v, want ErrLabel", err)
 		}
-		if fp.puts != 0 || len(fp.groups) != 0 {
-			t.Errorf("the pager saw %d pushes and groups %v, want none", fp.puts, fp.groups)
+		if len(fp.pushed) != 0 || len(fp.groups) != 0 {
+			t.Errorf("the pager saw %d pushes and groups %v, want none", len(fp.pushed), fp.groups)
 		}
 		enter(client)
-		if err := client.SyncSegments(ce); err != nil || fp.puts != 1 {
-			t.Errorf("sync after the gate entry = %v with %d pushes, want nil and 1", err, fp.puts)
+		if err := client.SyncSegments(ce); err != nil || len(fp.pushed) != 1 {
+			t.Errorf("sync after the gate entry = %v with %d pushes, want nil and 1", err, len(fp.pushed))
 		}
 	})
 

@@ -3,7 +3,6 @@ package store
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"time"
 )
 
@@ -63,7 +62,7 @@ type sealedEntry struct {
 // sealedState is everything the checkpoint body needs, captured under the
 // brief exclusive seal.
 type sealedState struct {
-	entries []sealedEntry // dirty and dead entries, ascending id
+	entries []sealedEntry // dirty and dead entries, in the order they changed
 	epoch   uint64        // the snapshot epoch this checkpoint commits
 }
 
@@ -94,9 +93,9 @@ func (s *Store) checkpointRunLocked() error {
 }
 
 // sealCheckpoint is the SEAL phase; the caller holds ckptRun, ckptMu
-// exclusively, and mu.  It walks the changed list in ascending ID order:
-// relocation order determines segment packing and the free list, and a
-// deterministic workload must produce a byte-deterministic image.
+// exclusively, and mu.  It walks the changed list in the order the entries
+// changed, which relocation keeps: objects written together are homed side
+// by side, and a deterministic workload produces a byte-deterministic image.
 func (s *Store) sealCheckpoint() *sealedState {
 	// Syncs hold ckptMu in read mode from sealing a record to its commit, so
 	// every frame committed from here on carries the new epoch.
@@ -104,7 +103,6 @@ func (s *Store) sealCheckpoint() *sealedState {
 	s.logGen.Add(1) // a range record never reaches back past a seal (see sealSync)
 	ids := s.changed
 	s.changed = nil
-	slices.Sort(ids)
 	for _, id := range ids {
 		e := s.objs[id]
 		e.listed = false
@@ -226,11 +224,11 @@ func (s *Store) checkpointBody(ss *sealedState) (err error) {
 }
 
 // relocateSealed is the body's data phase: write each sealed-dirty object to
-// its new home — segment appends for small objects, dedicated extents for
-// oversized ones — each device write without mu, then merge the new homes
-// and the sealed deletions into the home table at once.  After a failed
-// write only the deletions merge, the homes written are vacated again, and
-// the open segment, if the attempt began in it, appends from where it did.
+// its new home, in seal order — segment appends for small objects, dedicated
+// extents for oversized ones — each device write without mu, then merge the
+// new homes and the sealed deletions into the home table at once.  After a
+// failed write only the deletions merge, the homes written are vacated again,
+// and the open segment, if the attempt began in it, appends from where it did.
 func (s *Store) relocateSealed(ss *sealedState) (err error) {
 	open, used := s.openSeg, int64(0)
 	if open != nil {

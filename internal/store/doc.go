@@ -56,14 +56,14 @@
 //     frames committed from then on carry E: exactly the syncs the epoch-E
 //     snapshot might miss.  A failed attempt burns its epoch; the retry
 //     takes the next.
-//  2. BODY (no ckptMu; serialized by ckptRun; mu taken only between device
-//     writes, to record where bytes went): write sealed objects into
-//     append-only segments (or dedicated extents) — never over live data;
-//     appends land beyond each segment's committed high-water mark, and
-//     allocation takes only from the free list derived at the last commit,
-//     so vacated extents are never reused before a snapshot without them
-//     commits (out of space, the body first commits the sealed deletions
-//     alone, under the committed epoch).
+//  2. BODY (no ckptMu; serialized by ckptRun; mu only between device writes,
+//     to record where bytes went): write sealed objects, in the order they
+//     changed, into append-only segments (or dedicated extents), never over
+//     live data: appends land beyond each segment's committed high-water
+//     mark, and allocation takes only from the free list derived at the last
+//     commit, so vacated extents are never reused before a snapshot without
+//     them commits (out of space, the body first commits the sealed
+//     deletions alone, under the committed epoch).
 //  3. Serialize the metadata (read under mu; each home carries its sealed
 //     label) into the area the superblock does NOT reference, flush, then
 //     rewrite both superblock copies referencing it at epoch E and flush

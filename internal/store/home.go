@@ -43,10 +43,12 @@ func (s *Store) homeOf(id uint64) (home, bool) {
 	return s.homes[i].home, true
 }
 
-// mergeHomes merges sealed entries, ascending by ID, into the home table's
-// other buffer: each vacates the home it replaces and, unless dead, installs
-// its own.
+// mergeHomes merges sealed entries, a copy sorted by ID, into the home
+// table's other buffer: each vacates the home it replaces and, unless dead,
+// installs its own.  The seal's order stays, for a retry after a failure.
 func (s *Store) mergeHomes(delta []sealedEntry) {
+	delta = slices.Clone(delta)
+	slices.SortFunc(delta, func(a, b sealedEntry) int { return cmp.Compare(a.id, b.id) })
 	out := s.spare[:0]
 	i := 0
 	for _, se := range delta {

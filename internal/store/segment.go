@@ -1,6 +1,7 @@
 package store
 
 import (
+	"cmp"
 	"errors"
 	"slices"
 	"sort"
@@ -159,8 +160,7 @@ func (s *Store) cleanSegments() error {
 	for _, seg := range dead {
 		s.dropSeg(seg)
 	}
-	// One home-table walk collects every victim's live objects (ascending
-	// id, the deterministic order the segment writer needs).
+	// One home-table walk collects every victim's live objects.
 	byVictim := make(map[int64][]homedObject, len(victims))
 	for i := 0; i < len(s.homes) && len(victims) > 0; i++ {
 		for _, seg := range victims {
@@ -172,8 +172,11 @@ func (s *Store) cleanSegments() error {
 	}
 	s.mu.Unlock()
 	for _, seg := range victims {
-		damaged := false
-		for _, o := range byVictim[seg.base] {
+		// One sweep of the arm reads the victim's live objects in offset
+		// order, up to any that is damaged; then one stream appends them.
+		live, bufs := byVictim[seg.base], [][]byte(nil)
+		slices.SortFunc(live, func(a, b homedObject) int { return cmp.Compare(a.off, b.off) })
+		for _, o := range live {
 			buf, err := s.readVerified(o.home)
 			if err != nil {
 				if errors.Is(err, ErrCorrupt) {
@@ -181,9 +184,12 @@ func (s *Store) cleanSegments() error {
 					s.condemn(o.id)
 					s.mu.Unlock()
 				}
-				damaged = true
 				break
 			}
+			bufs = append(bufs, buf)
+		}
+		for n, buf := range bufs {
+			o := live[n]
 			newOff, err := s.segAppend(buf)
 			if err != nil {
 				return err
@@ -196,7 +202,7 @@ func (s *Store) cleanSegments() error {
 			s.mu.Unlock()
 			s.c.bytesCleaned.Add(uint64(o.size))
 		}
-		if !damaged {
+		if len(bufs) == len(live) {
 			// Every live object moved out; the final vacateExtent freed the
 			// segment when its live count reached zero.
 			s.c.segsCleaned.Add(1)

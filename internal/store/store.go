@@ -55,14 +55,14 @@
 //
 // # Data region: segments
 //
-// Checkpoint relocations append object contents into fixed-size append-only
-// segments (Options.SegmentSize, default 1 MB) at 512-byte granularity, so
-// one checkpoint's home writes are a few sequential streams rather than one
-// random extent per object; objects larger than half a segment keep the
-// original dedicated-extent path.  Space behind deleted or superseded
-// objects is reclaimed by a cleaner that runs inside the checkpoint body:
-// fully dead segments are freed without copying, and segments at least half
-// dead have their live objects appended out so the extent can be reclaimed.
+// Checkpoint relocations append object contents, in the order the objects
+// changed, into fixed-size append-only segments (Options.SegmentSize,
+// default 1 MB) at 512-byte granularity: a few sequential streams, with files
+// written together homed together; objects larger than half a segment take
+// a dedicated extent.  Space behind deleted or superseded objects is
+// reclaimed by a cleaner inside the checkpoint body: fully dead segments are
+// freed without copying, and each segment at least half dead has its live
+// objects read in one sweep, in offset order, then appended out.
 // Segments are never overwritten in place — appends land only beyond the
 // committed high-water mark, and vacated extents are free only once the
 // checkpoint's snapshot commits — preserving the copy-on-write discipline
