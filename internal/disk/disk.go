@@ -46,7 +46,9 @@ type Params struct {
 	// ReadAhead enables firmware read look-ahead: after a read, the
 	// following ReadAhead bytes are considered prefetched and a subsequent
 	// read within that window costs only transfer time.  The paper's
-	// uncached LFS small-file read phase is dominated by this effect.
+	// uncached LFS small-file read phase is dominated by this effect.  With
+	// it off, even a read that starts where the head stopped waits a full
+	// revolution (2 × RotationalLatency).
 	ReadAhead int64
 }
 
@@ -169,11 +171,12 @@ func (d *Disk) position(off int64, n int64, isRead bool) {
 	afterFlush := d.barrier
 	d.barrier = false
 	if off == d.headPos {
-		if afterFlush && !isRead {
-			// Sequential, but across a flush barrier: by the time the host
-			// has seen the flush complete and sent this write, the sector
-			// after the last one written has gone by, and the platter must
-			// come round again — a full revolution, no seek.
+		if afterFlush && !isRead || isRead && d.params.ReadAhead == 0 {
+			// Sequential, but the host sent this access only once the last
+			// one completed — a write after a flush barrier, or a read on a
+			// drive with no look-ahead to hold the sectors that followed —
+			// and the next sector has gone by: the platter must come round
+			// again, a full revolution, no seek.
 			d.clock.Advance(2 * d.params.RotationalLatency)
 		}
 		return // sequential: no positioning cost

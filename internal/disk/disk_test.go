@@ -302,3 +302,31 @@ func TestPaperDiskParams(t *testing.T) {
 		t.Errorf("capacity too small: %d", p.Sectors*SectorSize)
 	}
 }
+
+// TestSequentialReadWithoutLookAheadWaitsARevolution: a read that starts
+// where the last one stopped is free while the look-ahead buffer holds the
+// sectors that followed, but on a drive without look-ahead the host sends it
+// only once the last read completed, the next sector has gone by, and it
+// waits a full revolution — as a write after a flush barrier does.
+func TestSequentialReadWithoutLookAheadWaitsARevolution(t *testing.T) {
+	const rot = 4 * time.Millisecond
+	for _, ra := range []int64{0, 128 * 1024} {
+		d, clk := testDisk(Params{SeekTime: 8 * time.Millisecond, RotationalLatency: rot, ReadAhead: ra})
+		buf := make([]byte, 4096)
+		d.ReadAt(buf, 0)
+		before := clk.Now()
+		for i := int64(1); i <= 10; i++ {
+			d.ReadAt(buf, i*4096)
+		}
+		want := 10 * d.transferTime(4096)
+		if ra == 0 {
+			want += 10 * 2 * rot
+		}
+		if got := clk.Now() - before; got != want {
+			t.Errorf("look-ahead %d: ten sequential reads took %v, want %v", ra, got, want)
+		}
+		if s := d.Stats(); s.Seeks != 0 {
+			t.Errorf("look-ahead %d: %d seeks, want none", ra, s.Seeks)
+		}
+	}
+}

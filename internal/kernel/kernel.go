@@ -672,9 +672,8 @@ func (k *Kernel) deallocLocked(o object) []ID {
 	var children []ID
 	switch v := o.(type) {
 	case *container:
-		children = v.order
+		children = v.list()
 		v.entries = nil
-		v.order = nil
 	case *thread:
 		v.halted = true
 	case *segment:
@@ -706,17 +705,15 @@ func (k *Kernel) unlinkLocked(cont *container, o object) []ID {
 	return k.deallocLocked(o)
 }
 
-// releaseRefs drops one reference from each object in ids, deallocating any
-// that reach zero and queueing their children in turn.  It locks exactly one
-// object at a time, so it is deadlock-free regardless of tree shape, and
-// must be called with no object locks held — which also makes it the place
-// the pager learns of the persistent segments a teardown killed.
+// releaseRefs drops one reference from each object in ids, in order,
+// deallocating any that reach zero and queueing their children after them.
+// It locks exactly one object at a time, so it is deadlock-free regardless
+// of tree shape, and must be called with no object locks held — which also
+// makes it the place the pager learns of the persistent segments a teardown
+// killed.
 func (k *Kernel) releaseRefs(ids []ID) {
-	work := ids
-	for len(work) > 0 {
-		id := work[len(work)-1]
-		work = work[:len(work)-1]
-		o, err := k.lookup(id)
+	for work := ids; len(work) > 0; work = work[1:] {
+		o, err := k.lookup(work[0])
 		if err != nil {
 			continue
 		}

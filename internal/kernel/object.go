@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -159,40 +160,29 @@ func (s *segment) footprint() uint64 {
 	return uint64(len(s.data)) + 128
 }
 
-// container holds hard links to objects.
+// container holds hard links to objects: entries is the one record of them,
+// and a listing or a teardown sorts its keys, so both come in ascending ID
+// order.
 type container struct {
 	header
 	parent     ID
 	entries    map[ID]bool
-	order      []ID // insertion order, for deterministic iteration
 	avoidTypes TypeMask
 }
 
 func (c *container) hdr() *header      { return &c.header }
 func (c *container) footprint() uint64 { return uint64(len(c.entries))*16 + 256 }
 
-func (c *container) link(id ID) {
-	if !c.entries[id] {
-		c.entries[id] = true
-		c.order = append(c.order, id)
-	}
-}
+func (c *container) link(id ID)   { c.entries[id] = true }
+func (c *container) unlink(id ID) { delete(c.entries, id) }
 
-func (c *container) unlink(id ID) {
-	if c.entries[id] {
-		delete(c.entries, id)
-		for i, e := range c.order {
-			if e == id {
-				c.order = append(c.order[:i], c.order[i+1:]...)
-				break
-			}
-		}
-	}
-}
-
+// list returns the linked IDs, ascending.
 func (c *container) list() []ID {
-	out := make([]ID, len(c.order))
-	copy(out, c.order)
+	out := make([]ID, 0, len(c.entries))
+	for id := range c.entries {
+		out = append(out, id)
+	}
+	slices.Sort(out)
 	return out
 }
 

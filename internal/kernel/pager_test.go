@@ -651,3 +651,67 @@ func TestSyncPushesInDirtiedOrder(t *testing.T) {
 			len(fp.pushed), len(want), len(doomed), len(early))
 	}
 }
+
+// TestContainerListAndTeardownAscend pins the one record a container keeps of
+// its links: ContainerList answers in ascending ID order, whatever order the
+// links were made and unmade in, and a teardown releases the children in that
+// order too, so the pager hears of the persistent segments' deaths ascending.
+func TestContainerListAndTeardownAscend(t *testing.T) {
+	k, tc := boot(t)
+	fp := newFakePager()
+	k.SetPager(fp)
+	root := k.RootContainer()
+	ct, err := tc.ContainerCreate(root, label.New(label.L1), "parent", 0, QuotaInfinite)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var made []ID
+	for i := 0; i < 200; i++ {
+		id, err := tc.SegmentCreate(ct, label.New(label.L1), "persistent", 16)
+		if err == nil {
+			err = tc.SegmentPersist(CEnt{ct, id})
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		made = append(made, id)
+	}
+	if slices.IsSorted(made) {
+		t.Fatal("the creation order is the ID order; the test shows nothing")
+	}
+	live := map[ID]bool{}
+	for _, id := range made {
+		live[id] = true
+	}
+	rng := rand.New(rand.NewSource(1))
+	for _, i := range rng.Perm(len(made))[:50] {
+		if err := tc.Unref(ct, made[i]); err != nil {
+			t.Fatal(err)
+		}
+		delete(live, made[i])
+	}
+	var want []uint64
+	for id := range live {
+		want = append(want, uint64(id))
+	}
+	slices.Sort(want)
+	got, err := tc.ContainerList(Self(ct))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) || !slices.IsSorted(got) {
+		t.Fatalf("ContainerList: %d IDs, sorted %v; want the %d live ones ascending", len(got), slices.IsSorted(got), len(want))
+	}
+	for i := range got {
+		if uint64(got[i]) != want[i] {
+			t.Fatalf("ContainerList[%d] = %v, want o%d", i, got[i], want[i])
+		}
+	}
+	fp.gone = nil
+	if err := tc.Unref(root, ct); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(fp.gone, want) {
+		t.Fatalf("the teardown deleted %d segments, not the %d live ones in ascending order", len(fp.gone), len(want))
+	}
+}

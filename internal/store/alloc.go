@@ -18,15 +18,11 @@ type extent struct {
 	size int64
 }
 
-func alignUp(n int64) int64 {
-	return (n + extentAlign - 1) / extentAlign * extentAlign
-}
-
-// allocate takes size bytes (rounded up to extentAlign) from the best-fitting
+// allocate takes size bytes (rounded up to a sector) from the best-fitting
 // free extent: the smallest one large enough, the lowest-addressed among
 // equals.  The caller holds mu.
 func (s *Store) allocate(size int64) (extent, error) {
-	need := alignUp(size)
+	need := align512(size)
 	best := -1
 	for i, e := range s.free {
 		if e.size >= need && (best < 0 || e.size < s.free[best].size) {
@@ -46,47 +42,47 @@ func (s *Store) allocate(size int64) (extent, error) {
 	return ext, nil
 }
 
-// deriveFree returns the data region less every segment and every home outside
-// one, refusing as a CorruptError (at areaOff) an extent outside the region
-// or two homes overlapping.  With loading
-// (a decoded snapshot) the homes inside segments are checked too, each below
-// its used mark; at a commit the store's own appends placed them.  The caller
+// deriveFree returns the data region less every segment.  With loading (a
+// decoded snapshot) it is also the snapshot's structural check: each home
+// must lie in a segment, below its used mark, no two homes may overlap, and
+// no segment may leave the data region; each violation is a CorruptError (at
+// areaOff).  At a commit the store's own appends placed them.  The caller
 // holds mu, or runs single-threaded.
 func (s *Store) deriveFree(areaOff int64, loading bool) ([]extent, error) {
-	start, end := s.metaAreaOff(2), s.d.Size() // the data region follows area 1
-	// packed: homes inside segments, and each segment's unwritten tail.
-	var packed, taken []extent
-	for _, seg := range s.segs {
-		packed = append(packed, extent{seg.base + seg.used, seg.size - seg.used})
-		taken = append(taken, extent{seg.base, seg.size})
+	corrupt := func(format string, args ...any) error {
+		return &CorruptError{Area: "metadata", Offset: areaOff, Detail: fmt.Sprintf(format, args...)}
 	}
-	for _, h := range s.homes {
-		if s.segContaining(h.off) == nil {
-			taken = append(taken, extent{h.off, alignUp(h.size)})
-		} else if loading {
-			packed = append(packed, extent{h.off, h.size})
+	if loading {
+		homes := make([]extent, 0, len(s.homes))
+		for _, h := range s.homes {
+			e, seg := extent{h.off, align512(h.size)}, s.segContaining(h.off)
+			if seg == nil || h.size < 0 || e.size > seg.base+seg.used-e.off {
+				return nil, corrupt("home of object %d at %d (size %d) lies outside every segment's written bytes", h.id, h.off, h.size)
+			}
+			homes = append(homes, e)
+		}
+		slices.SortFunc(homes, func(a, b extent) int { return cmp.Compare(a.off, b.off) })
+		for i := 1; i < len(homes); i++ {
+			if homes[i].off < homes[i-1].off+homes[i-1].size {
+				return nil, corrupt("home at %d overlaps the one at %d", homes[i].off, homes[i-1].off)
+			}
 		}
 	}
-	// Sorted, no extent may start before the last one ends;
-	// the gaps taken leaves are the free list.
+	// The segments ascend by base, none overlapping (decodeSegsSection);
+	// the gaps they leave are the free list.
 	var free []extent
-	for _, es := range [][]extent{packed, taken} {
-		slices.SortFunc(es, func(a, b extent) int { return cmp.Or(cmp.Compare(a.off, b.off), cmp.Compare(a.size, b.size)) })
-		free = nil
-		at := start
-		for _, e := range es {
-			if e.off < at || e.size < 0 || e.size > end-e.off {
-				return nil, &CorruptError{Area: "metadata", Offset: areaOff, Detail: fmt.Sprintf(
-					"extent at %d (size %d) overlaps a home, a segment or a segment's unwritten tail, or leaves the data region", e.off, e.size)}
-			}
-			if e.off > at {
-				free = append(free, extent{at, e.off - at})
-			}
-			at = e.off + e.size
+	at, end := s.metaAreaOff(2), s.d.Size() // the data region follows area 1
+	for _, seg := range s.segs {
+		if seg.base < at || seg.size < 0 || seg.size > end-seg.base {
+			return nil, corrupt("segment at %d (size %d) leaves the data region", seg.base, seg.size)
 		}
-		if end > at {
-			free = append(free, extent{at, end - at})
+		if seg.base > at {
+			free = append(free, extent{at, seg.base - at})
 		}
+		at = seg.base + seg.size
+	}
+	if end > at {
+		free = append(free, extent{at, end - at})
 	}
 	return free, nil
 }

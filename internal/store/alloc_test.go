@@ -11,19 +11,20 @@ import (
 )
 
 // TestFreeListMatchesModel pins the allocator's decision rule against a
-// brute-force model: a bitmap of extentAlign blocks whose best fit is the
+// brute-force model: a bitmap of 512-byte blocks whose best fit is the
 // shortest free run long enough, the lowest-addressed among equals.  A
-// seeded run of allocations, each recorded as a dedicated home, and frees —
-// a home dropped, or cut to its head or tail, and the free list derived
-// again — must choose what the model chooses, keep the list ascending with no
-// two extents overlapping or touching, and report the model's free total.
+// seeded run of allocations, each recorded as a segment of its own holding
+// one home, and frees — a home dropped with its segment, or the segment and
+// its home cut to their head or tail, and the free list derived again — must
+// choose what the model chooses, keep the list ascending with no two extents
+// overlapping or touching, and report the model's free total.
 func TestFreeListMatchesModel(t *testing.T) {
-	const blocks = 96
-	opts := Options{LogSize: 4096, MetaAreaSize: 2 * extentAlign} // the data region starts at 5 blocks
+	const block, blocks = 512, 1536
+	opts := Options{LogSize: 4096, MetaAreaSize: 16 << 10} // the data region starts at 80 blocks
 	for seed := int64(0); seed < 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		base := int64(5 * extentAlign)
-		s := newStore(disk.New(disk.Params{Sectors: (base + blocks*extentAlign) / disk.SectorSize}, &vclock.Clock{}), opts)
+		base := int64(80 * block)
+		s := newStore(disk.New(disk.Params{Sectors: (base + blocks*block) / disk.SectorSize}, &vclock.Clock{}), opts)
 		derive := func() {
 			var err error
 			if s.free, err = s.deriveFree(0, true); err != nil {
@@ -36,20 +37,20 @@ func TestFreeListMatchesModel(t *testing.T) {
 			model[i] = true
 		}
 		mark := func(e extent, free bool) {
-			for b := (e.off - base) / extentAlign; b < (e.off-base+e.size)/extentAlign; b++ {
+			for b := (e.off - base) / block; b < (e.off-base+e.size)/block; b++ {
 				model[b] = free
 			}
 		}
 		type hold struct {
 			id  uint64 // the home that holds it
-			ext extent
+			seg *segment
 		}
 		var held []hold
 		for step := 0; step < 500; step++ {
 			if len(held) == 0 || r.Intn(2) == 0 {
-				size := 1 + r.Int63n(12*extentAlign)
+				size := 1 + r.Int63n(192*block)
 				got, err := s.allocate(size)
-				want, ok := modelBestFit(model, base, alignUp(size))
+				want, ok := modelBestFit(model, base, align512(size))
 				switch {
 				case !ok && !errors.Is(err, ErrNoSpace):
 					t.Fatalf("seed %d step %d: allocate(%d) = %+v, %v; the model has no room", seed, step, size, got, err)
@@ -57,20 +58,24 @@ func TestFreeListMatchesModel(t *testing.T) {
 					t.Fatalf("seed %d step %d: allocate(%d) = %+v, %v; the model picks %+v", seed, step, size, got, err, want)
 				case ok:
 					mark(got, false)
-					held = append(held, hold{uint64(step), got})
+					seg := &segment{base: got.off, size: got.size, used: got.size, live: got.size}
+					s.segs = slices.Insert(s.segs, s.segsUpTo(seg.base), seg)
+					held = append(held, hold{uint64(step), seg})
 					putHome(s, uint64(step), home{off: got.off, size: size})
 				}
 			} else {
 				i := r.Intn(len(held))
-				id, e := held[i].id, held[i].ext
-				if n := e.size / extentAlign; n > 1 && r.Intn(2) == 0 {
+				id, seg := held[i].id, held[i].seg
+				e := extent{seg.base, seg.size}
+				if n := e.size / block; n > 1 && r.Intn(2) == 0 {
 					// Free the head or the tail and keep the rest held.
-					cut := (1 + r.Int63n(n-1)) * extentAlign
+					cut := (1 + r.Int63n(n-1)) * block
 					head, tail := extent{e.off, cut}, extent{e.off + cut, e.size - cut}
 					if r.Intn(2) == 0 {
 						head, tail = tail, head
 					}
-					e, held[i].ext = head, tail
+					e = head
+					seg.base, seg.size, seg.used, seg.live = tail.off, tail.size, tail.size, tail.size
 					putHome(s, id, home{off: tail.off, size: tail.size})
 				} else {
 					held = slices.Delete(held, i, i+1)
@@ -97,6 +102,9 @@ func TestFreeListMatchesModel(t *testing.T) {
 				t.Fatalf("seed %d step %d: FreeBytes = %d, the model has %d", seed, step, got, total)
 			}
 		}
+		if len(s.segs) != len(held) {
+			t.Fatalf("seed %d: %d segments for %d held extents", seed, len(s.segs), len(held))
+		}
 	}
 }
 
@@ -112,7 +120,7 @@ func modelRuns(model []bool, base int64) []extent {
 		for b < len(model) && model[b] {
 			b++
 		}
-		runs = append(runs, extent{base + int64(start)*extentAlign, int64(b-start) * extentAlign})
+		runs = append(runs, extent{base + int64(start)*512, int64(b-start) * 512})
 	}
 	return runs
 }

@@ -579,13 +579,15 @@ func legacyLabelDigest(lbl label.Label) uint64 {
 // restampMetaArea rewrites the metadata area at areaOff as a well-formed
 // area of an older version, the way code speaking that version would have
 // written it: the sections tags names, the header's version, section count
-// and payload length to match, every CRC valid.  Versions up to 4 persisted
-// the label fingerprint index as section 4 — (fingerprint, id) pairs in
-// ascending order — which is rebuilt here from the area's own label section;
-// versions 3 to 5 a table of snapshot pins as section 6, and versions up to 6
-// the free-extent list as section 2, both empty here.  Version 7 wrote
-// today's three sections, but its object map could name one extent twice
-// (a clone alias).
+// and payload length to match, every CRC valid.  Every older version kept
+// the labels apart from the object map, whose records ended at the CRC
+// field: section 3 held (id, label) pairs, ascending by id, built here from
+// the labels the area's own records carry.  Versions up to 4 persisted the
+// label fingerprint index as section 4 — (fingerprint, id) pairs in
+// ascending order; versions 3 to 5 a table of snapshot pins as section 6,
+// and versions up to 6 the free-extent list as section 2, both empty here.
+// Versions 7 and 8 wrote sections 1, 3 and 5, but version 7's object map
+// could name one extent twice (a clone alias).
 func restampMetaArea(t *testing.T, d disk.Device, areaOff int64, version uint64, tags ...uint64) {
 	t.Helper()
 	section := func(tag uint64) []byte {
@@ -596,16 +598,26 @@ func restampMetaArea(t *testing.T, d disk.Device, areaOff int64, version uint64,
 		}
 		return body
 	}
-	labels := section(secLabels)
+	r := &sectionReader{buf: section(secObjMap), area: "metadata"}
+	n := r.u64()
+	objs, labels, labeled := appendU64(nil, n), []byte(nil), uint64(0)
 	var pairs [][2]uint64
-	for n, rest := binary.LittleEndian.Uint64(labels), labels[8:]; n > 0; n-- {
-		id := binary.LittleEndian.Uint64(rest)
-		lbl, tail, err := label.DecodeBinary(rest[8:])
-		if err != nil {
-			t.Fatal(err)
+	for ; n > 0; n-- {
+		h := r.home()
+		if r.err != nil {
+			t.Fatal(r.err)
 		}
-		pairs, rest = append(pairs, [2]uint64{legacyLabelDigest(lbl), id}), tail
+		objs = appendU64(appendU64(appendU64(appendU64(objs, h.id), uint64(h.off)), uint64(h.size)), objCRCValid|uint64(h.crc))
+		if h.lbl != nil {
+			lbl, _, err := label.DecodeBinary(h.lbl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			labels, labeled = append(appendU64(labels, h.id), h.lbl...), labeled+1
+			pairs = append(pairs, [2]uint64{legacyLabelDigest(lbl), h.id})
+		}
 	}
+	labels = append(appendU64(nil, labeled), labels...)
 	sort.Slice(pairs, func(i, j int) bool {
 		return pairs[i][0] < pairs[j][0] || pairs[i][0] == pairs[j][0] && pairs[i][1] < pairs[j][1]
 	})
@@ -617,6 +629,10 @@ func restampMetaArea(t *testing.T, d disk.Device, areaOff int64, version uint64,
 	for _, tag := range tags {
 		var body []byte
 		switch tag {
+		case 1:
+			body = objs
+		case 3:
+			body = labels
 		case 4:
 			body = index
 		case 2, 6:
@@ -682,6 +698,7 @@ func TestOtherFormatVersionsRefusedNotLoaded(t *testing.T) {
 		{"v2", 2, []uint64{1, 2, 3, 4}}, {"v3", 3, []uint64{1, 2, 3, 4, 5}},
 		{"v4", 4, []uint64{1, 2, 3, 4, 5, 6}}, {"v5", 5, []uint64{1, 2, 3, 5, 6}},
 		{"v6", 6, []uint64{1, 2, 3, 5}}, {"v7", 7, []uint64{1, 3, 5}},
+		{"v8", 8, []uint64{1, 3, 5}},
 	}
 	for _, tc := range metas {
 		t.Run("metadata-"+tc.name, func(t *testing.T) {

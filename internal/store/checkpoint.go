@@ -20,13 +20,13 @@ import (
 //	        epoch, so replay boundaries equal seal boundaries.
 //	BODY    (no ckptMu; serialized by ckptRun; mu only between device
 //	        writes, never across one): stream the sealed contents into
-//	        append-only segments (dedicated extents for oversized objects),
-//	        merge their homes and the deletions into the object map, run the
-//	        segment cleaner, serialize the metadata sections against the
-//	        sealed epoch, and flip the superblock; only then install the free
-//	        list derived from the tables serialized and release the sealed
-//	        entries' contents, now durable at home.  Reads, writes, and
-//	        SyncObject group commits all proceed concurrently.
+//	        append-only segments, merge their homes and the deletions into
+//	        the object map, run the segment cleaner, serialize the metadata
+//	        sections against the sealed epoch, and flip the superblock; only
+//	        then install the free list derived from the segment table
+//	        serialized and release the sealed entries, their state now the
+//	        snapshot's.  Reads, writes, and SyncObject group commits all
+//	        proceed concurrently.
 //	FINISH  reclaim log frames of epochs older than the previous committed
 //	        snapshot's (its own are kept for the metadata-fallback ladder
 //	        rung).
@@ -107,16 +107,10 @@ func (s *Store) sealCheckpoint() *sealedState {
 		e := s.objs[id]
 		e.listed = false
 		switch {
-		case e.dead && e.deadSealed:
-			// An earlier checkpoint captured this deletion and committed
-			// (see objEntry.deadSealed): nothing on disk has the object.
-			delete(s.objs, id)
 		case e.dead:
 			// The body vacates the home extent, if there is one; the entry
 			// stays in the table, keeping the deletion visible to concurrent
-			// Gets and syncs, until the seal after this checkpoint commits.
-			e.deadSealed = true
-			s.touch(id, e)
+			// Gets and syncs, until this checkpoint commits.
 			ss.entries = append(ss.entries, sealedEntry{id: id, e: e, dead: true})
 		case e.dirty:
 			// Seal the contents slice, shared so no put patches it, and
@@ -124,53 +118,45 @@ func (s *Store) sealCheckpoint() *sealedState {
 			// and condemn off it until the snapshot holding it commits.
 			e.dirty, e.ckpt, e.shared = false, true, true
 			ss.entries = append(ss.entries, sealedEntry{id: id, e: e, data: e.data, lbl: e.lbl})
-		case e.lbl == nil && !e.quar:
-			// Clean, so nothing resident and nothing worth remembering:
-			// prune the entry.  A quarantined one keeps its verdict (and
-			// its place in QuarantinedObjects).
-			delete(s.objs, id)
 		}
+		// Anything else on the list holds a quarantine verdict, which stays
+		// (and keeps its place in QuarantinedObjects).
 	}
 	return ss
 }
 
-// restoreSealed undoes a seal whose checkpoint failed: sealed-dirty entries
-// become dirty again, their sealed copy still resident — one the body already
-// relocated too, since its new home is known only to the table in memory; the
-// retry vacates that extent like any superseded home — and sealed deletions
-// lose their deadSealed mark (even one the body already vacated in memory is
-// still in the committed snapshot), so no sealed state is lost and the next
-// checkpoint retries them.  Entries deleted or re-written concurrently keep
-// their newer state.
+// restoreSealed undoes a seal whose checkpoint failed: every sealed entry
+// goes back on the changed list, a sealed-dirty one dirty again with its
+// sealed copy still resident — one the body already relocated too, since its
+// new home is known only to the table in memory; the retry vacates that
+// extent like any superseded home — and a sealed deletion as it was (even one
+// the body already vacated in memory is still in the committed snapshot), so
+// no sealed state is lost and the next checkpoint retries them.  Entries
+// deleted or re-written concurrently keep their newer state.
 func (s *Store) restoreSealed(ss *sealedState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, se := range ss.entries {
-		if se.dead {
-			se.e.deadSealed = false
-		} else {
+		if !se.dead {
 			se.e.ckpt, se.e.dirty = false, !se.e.dead
-			s.touch(se.id, se.e)
 		}
+		s.touch(se.id, se.e)
 	}
 }
 
 // releaseSealed runs once the snapshot holding the sealed states has
-// committed: each sealed-dirty entry leaves ckpt and, unless a put dirtied it
-// again since the seal, drops its contents, now durable at home, or the entry
-// itself if nothing is left; the fresh extent supersedes any damage verdict.
+// committed: a sealed entry not changed since the seal leaves the table, its
+// state — contents and label, or absence — now the snapshot's; one a put or
+// delete changed since leaves ckpt and keeps its newer state for the next
+// seal.  Either way the fresh extent supersedes any damage verdict.
 func (s *Store) releaseSealed(ss *sealedState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, se := range ss.entries {
-		if e := se.e; !se.dead {
-			e.ckpt, e.quar = false, false
-			if !e.dirty {
-				e.data, e.shared = nil, false
-				if !e.dead && e.lbl == nil && !e.listed {
-					delete(s.objs, se.id)
-				}
-			}
+		if se.e.listed {
+			se.e.ckpt = false
+		} else {
+			delete(s.objs, se.id)
 		}
 	}
 }
@@ -223,9 +209,8 @@ func (s *Store) checkpointBody(ss *sealedState) (err error) {
 	return nil
 }
 
-// relocateSealed is the body's data phase: write each sealed-dirty object to
-// its new home, in seal order — segment appends for small objects, dedicated
-// extents for oversized ones — each device write without mu, then merge the
+// relocateSealed is the body's data phase: append each sealed-dirty object to
+// a segment, in seal order, each device write without mu, then merge the
 // new homes and the sealed deletions into the home table at once.  After a
 // failed write only the deletions merge, the homes written are vacated again,
 // and the open segment, if the attempt began in it, appends from where it did.
@@ -241,7 +226,7 @@ func (s *Store) relocateSealed(ss *sealedState) (err error) {
 			continue
 		}
 		var off int64
-		if off, err = s.writeObjectHome(se.data); err != nil {
+		if off, err = s.segAppend(se.data); err != nil {
 			written = i
 			break
 		}
@@ -270,30 +255,6 @@ func (s *Store) relocateSealed(ss *sealedState) (err error) {
 	}
 	s.mergeHomes(delta)
 	return err
-}
-
-// writeObjectHome writes one object's sealed contents to a new home: packed
-// into the open append-only segment when it fits and a segment is free, or a
-// dedicated extent.  mu is not held across the device write.
-func (s *Store) writeObjectHome(data []byte) (int64, error) {
-	if align512(int64(len(data))) <= s.segSize/2 {
-		off, err := s.segAppend(data)
-		if !errors.Is(err, ErrNoSpace) {
-			return off, err
-		}
-	}
-	s.mu.Lock()
-	ext, err := s.allocate(int64(len(data)))
-	s.mu.Unlock()
-	if err != nil {
-		return 0, err
-	}
-	if len(data) > 0 {
-		if _, err := s.d.WriteAt(data, ext.off); err != nil {
-			return 0, err
-		}
-	}
-	return ext.off, nil
 }
 
 // writeSnapshot serializes the metadata sections against the sealed epoch,
@@ -326,8 +287,7 @@ func (s *Store) writeSnapshot(epoch uint64) error {
 	// it: without it, a write-back cache destaging in ascending offset
 	// order could persist the new superblock (offset 0) before the new
 	// metadata area behind it.  The same barrier also orders every data
-	// write of this checkpoint (segments, dedicated extents) before the
-	// superblock that references them.
+	// write of this checkpoint before the superblock that references them.
 	if err := s.d.Flush(); err != nil {
 		return err
 	}

@@ -656,7 +656,7 @@ func crashMatrix(t *testing.T, name string, ops []wlOp, seedBase int64, stride i
 
 // failedCheckpointWorkload is the shape of a checkpoint whose body fails and
 // is retried.  First an object too large for a segment is rewritten across a
-// failed attempt: the retry must not relocate it into the dedicated extent
+// failed attempt: the retry must not relocate it into the segment of its own
 // the committed snapshot still names, or a crash before the retry commits
 // loses the committed state.  Then syncs between a failed attempt and its
 // retry go into the log in the failed attempt's epoch, beside older and newer
@@ -983,8 +983,8 @@ func TestCommitWindowSyncSurvivesCrash(t *testing.T) {
 }
 
 // TestFailedCheckpointFreesNothing: a checkpoint that fails frees nothing.
-// Object 1 is too large for a segment, so its committed state v1 lives in a
-// dedicated extent.  A checkpoint of v2 writes v2 elsewhere and fails at its
+// Object 1 is too large to pack, so its committed state v1 lives in a
+// segment of its own.  A checkpoint of v2 writes v2 elsewhere and fails at its
 // metadata barrier; the retry must not relocate v2 by best fit into v1's
 // extent, which the committed snapshot still names, because power failing
 // before the retry's superblock is durable must leave v1 intact.
@@ -1026,8 +1026,8 @@ func TestFailedCheckpointFreesNothing(t *testing.T) {
 
 // TestFailedHomeWriteLeaksNothing: an extent allocated for a home write that
 // fails is free again once a checkpoint commits.  A one-shot fault fails the
-// first data-region write of a checkpoint, the object's 200 KiB dedicated
-// extent; the next checkpoint succeeds, and after a reopen the store has as
+// first data-region write of a checkpoint, into the object's 200 KiB segment
+// of its own; the next checkpoint succeeds, and after a reopen the store has as
 // many free bytes as a run that never faulted.
 func TestFailedHomeWriteLeaksNothing(t *testing.T) {
 	run := func(fault bool) int64 {

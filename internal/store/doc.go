@@ -16,26 +16,28 @@
 //     "HIST", referenced metadata area (0 or 1), snapshot byte length, log
 //     region size, metadata area size, format version (2), checkpoint
 //     epoch.
-//   - Metadata area header (48 bytes): magic "HMET", version (8), checkpoint
-//     epoch, payload length, section count (3), CRC32C over the header's
+//   - Metadata area header (48 bytes): magic "HMET", version (9), checkpoint
+//     epoch, payload length, section count (2), CRC32C over the header's
 //     first 40 bytes.
 //   - Metadata sections: each framed [tag u64][length u64][CRC32C u64]
-//     [payload], the CRC covering the payload.  Tags: 1 object map, 3
-//     labels, 5 segment table (base, size, used triples for the append-only
-//     data segments); tags 2 (the free extents, until version 7), 4 and 6
-//     are retired.  Verification requires each of the three tags exactly
-//     once, in-bounds lengths, and no trailing bytes, so a flipped tag or
-//     length never silently reassigns bytes between sections.  Nothing
-//     derivable is stored: the free list and the per-segment live counts
-//     are rebuilt from these sections at open, and a layout that overlaps
-//     or leaves the data region is a CorruptError.
-//   - Object extents: the object-map entry records a CRC32C of the
+//     [payload], the CRC covering the payload.  Tags: 1 object map (id,
+//     offset, size, CRC field, then the label when bit 33 of that field is
+//     set), 5 segment table (base, size, used triples for the append-only
+//     data segments); tags 2 (the free extents, until version 7), 3 (the
+//     labels, until version 8), 4 and 6 are retired.  Verification requires
+//     each of the two tags exactly once, in-bounds lengths, and no trailing
+//     bytes, so a flipped tag or length never silently reassigns bytes
+//     between sections.  Nothing derivable is stored: the free list and the
+//     per-segment live counts are rebuilt from these sections at open, and a
+//     layout with a home outside every segment's written bytes, two homes
+//     overlapping, or a segment leaving the data region is a CorruptError.
+//   - Object extents: the object-map record holds a CRC32C of the
 //     object's contents, computed when the checkpoint writes it to its
-//     home (segment or dedicated extent) and verified on every read of the
-//     extent (a Get of a clean object, the kernel's page-in) and every scrub
-//     pass.  Bit 32 of the entry's CRC field flags
-//     the checksum present; every entry written has it, and a decoded
-//     entry without it is corruption.
+//     home in a segment and verified on every read of the extent (a Get of
+//     a clean object, the kernel's page-in) and every scrub pass.  Bit 32 of
+//     the record's CRC field flags the checksum present; every record
+//     written has it, and a decoded record without it, or with a bit above
+//     33 set, is corruption.
 //   - Write-ahead log: header, frame-descriptor, frame-payload and
 //     per-record CRCs, header version 9 (package wal); each frame's
 //     descriptor carries the epoch it was committed in.  A range record is
@@ -58,7 +60,7 @@
 //     takes the next.
 //  2. BODY (no ckptMu; serialized by ckptRun; mu only between device writes,
 //     to record where bytes went): write sealed objects, in the order they
-//     changed, into append-only segments (or dedicated extents), never over
+//     changed, into append-only segments, never over
 //     live data: appends land beyond each segment's committed high-water
 //     mark, and allocation takes only from the free list derived at the last
 //     commit, so vacated extents are never reused before a snapshot without

@@ -2,7 +2,7 @@ package store
 
 // The on-disk format, all of it: every layout constant and every encoder and
 // decoder for the superblock copies, the metadata-area header, the section
-// framing, the three metadata sections, and the range body that rides in
+// framing, the two metadata sections, and the range body that rides in
 // write-ahead log records.  (The log's own record framing belongs to
 // package wal.)  No other file interprets or produces a persistent byte; see
 // the package comment and doc.go for the layouts in prose.
@@ -50,7 +50,7 @@ const (
 // section stream.
 const (
 	metaMagic      = 0x484d4554 // "HMET"
-	metaVersion    = 8
+	metaVersion    = 9
 	metaHeaderSize = 48
 	mhMagicOff     = 0
 	mhVersionOff   = 8
@@ -61,20 +61,23 @@ const (
 
 	// Section tags.  Each section is [tag u64][len u64][crc u64: low 32
 	// bits CRC32C of the payload][payload], and an image holds each tag
-	// exactly once.  Tags 2, 4 and 6 are retired, never to be reused:
-	// metadata version 6 persisted the free-extent list under the first,
-	// version 4 an index derived from the label section under the second,
-	// version 5 a table of snapshot pins under the third.
+	// exactly once.  Tags 2, 3, 4 and 6 are retired, never to be reused:
+	// metadata version 6 persisted the free-extent list under 2, version 8
+	// the labels under 3 (a home record carries its own since), version 4
+	// an index derived from the labels under 4, version 5 a table of
+	// snapshot pins under 6.
 	secObjMap  = 1
-	secLabels  = 3
 	secSegs    = 5
-	numSecs    = 3
+	numSecs    = 2
 	secHdrSize = 24
 
-	// objCRCValid flags the CRC field of a home record as carrying a
-	// contents checksum.  Every record written has it set; a decoded record
-	// without it is corruption.
+	// Flags in the CRC field of a home record, above the CRC's 32 bits.
+	// objCRCValid says the field carries a contents checksum: every record
+	// written has it, and a decoded record without it is corruption.
+	// objLabeled says the object's canonical label follows the record.  A
+	// record with any higher bit set is corruption.
 	objCRCValid = uint64(1) << 32
+	objLabeled  = uint64(1) << 33
 )
 
 // superblockInfo is one parsed superblock copy.
@@ -135,12 +138,15 @@ func appendU64(buf []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, v)
 }
 
-// appendHome writes one object-map home record: offset, size, and the CRC
-// field.
-func appendHome(buf []byte, h home) []byte {
-	buf = appendU64(buf, uint64(h.off))
-	buf = appendU64(buf, uint64(h.size))
-	return appendU64(buf, objCRCValid|uint64(h.crc))
+// appendHome writes one object-map record: id, offset, size and the CRC
+// field, then the label when there is one (lbl, encoded canonically).
+func appendHome(buf []byte, id uint64, h home, lbl []byte) []byte {
+	flags := objCRCValid
+	if lbl != nil {
+		flags |= objLabeled
+	}
+	buf = appendU64(appendU64(appendU64(buf, id), uint64(h.off)), uint64(h.size))
+	return append(appendU64(buf, flags|uint64(h.crc)), lbl...)
 }
 
 // sectionReader walks one verified payload.  Its error is sticky: the first
@@ -186,24 +192,38 @@ func (r *sectionReader) bytes(n uint64) []byte {
 	return b
 }
 
-// home consumes one home record (appendHome's inverse).
-func (r *sectionReader) home() home {
-	off, size, crcField := r.u64(), r.u64(), r.u64()
-	if r.err == nil && crcField&objCRCValid == 0 {
+// home consumes one object-map record (appendHome's inverse); its label
+// aliases the payload.
+func (r *sectionReader) home() homedObject {
+	id, off, size, crcField := r.u64(), r.u64(), r.u64(), r.u64()
+	switch {
+	case r.err != nil:
+	case crcField&objCRCValid == 0:
 		r.fail("extent at offset %d recorded without a contents checksum", off)
+	case crcField>>34 != 0:
+		r.fail("object %d recorded with unknown flags %#x", id, crcField>>32)
 	}
-	return home{off: int64(off), size: int64(size), crc: uint32(crcField)}
+	h := homedObject{id: id, home: home{off: int64(off), size: int64(size), crc: uint32(crcField)}}
+	if r.err == nil && crcField&objLabeled != 0 {
+		_, rest, err := label.DecodeBinary(r.buf)
+		if err != nil {
+			r.fail("label of object %d does not decode: %v", id, err)
+			return h
+		}
+		h.lbl, r.buf = r.buf[:len(r.buf)-len(rest)], rest
+	}
+	return h
 }
 
-// encodeMetadata serializes the metadata image: the header followed by three
-// individually checksummed sections (object map, labels, segment table); the
-// caller holds mu.  The tables are read live — by the time the body
-// serializes, it has finished mutating them, and no concurrent operation
-// does — and each home carries the label sealed with its contents, so the
-// snapshot is consistent with the sealed epoch even as concurrent PutLabeled
-// calls proceed.  It is built in the last image's buffer, which the device
-// copied.  Everything derivable from these three — the free list, segment
-// live counts — is rebuilt at Open, not stored.
+// encodeMetadata serializes the metadata image: the header followed by two
+// individually checksummed sections (object map, segment table); the caller
+// holds mu.  The tables are read live — by the time the body serializes, it
+// has finished mutating them, and no concurrent operation does — and each
+// home carries the label sealed with its contents, so the snapshot is
+// consistent with the sealed epoch even as concurrent PutLabeled calls
+// proceed.  It is built in the last image's buffer, which the device copied.
+// Everything derivable from these two — the free list, segment live counts —
+// is rebuilt at Open, not stored.
 func (s *Store) encodeMetadata(epoch uint64) []byte {
 	img := s.img[:0]
 	// section appends one section, its entries counted by add, and frames it.
@@ -217,21 +237,12 @@ func (s *Store) encodeMetadata(epoch uint64) []byte {
 		binary.LittleEndian.PutUint64(img[at+16:], uint64(crc32c(img[at+secHdrSize:])))
 	}
 	img = append(img, make([]byte, metaHeaderSize)...)
-	// Object map: (id, home record) entries, ascending id.
+	// Object map: one record per home, ascending id, each with its label.
 	section(secObjMap, func() uint64 {
 		for _, h := range s.homes {
-			img = appendHome(appendU64(img, h.id), h.home)
+			img = appendHome(img, h.id, h.home, h.lbl)
 		}
 		return uint64(len(s.homes))
-	})
-	// Object labels in canonical serialized form, ascending id.
-	section(secLabels, func() (n uint64) {
-		for _, h := range s.homes {
-			if h.lbl != nil {
-				img, n = append(appendU64(img, h.id), h.lbl...), n+1
-			}
-		}
-		return n
 	})
 	// The segment table (base, size, used), ascending base.
 	section(secSegs, func() uint64 {
@@ -292,7 +303,7 @@ func parseSections(payload []byte, base int64) (secs [secSegs + 1][]byte, err er
 		body := r.bytes(slen)
 		switch {
 		case r.err != nil:
-		case tag != secObjMap && tag != secLabels && tag != secSegs || secs[tag] != nil:
+		case tag != secObjMap && tag != secSegs || secs[tag] != nil:
 			r.fail("bad section header: tag %d, length %d", tag, slen)
 		case uint64(crc32c(body)) != scrc:
 			r.off += secHdrSize
@@ -312,38 +323,18 @@ func parseSections(payload []byte, base int64) (secs [secSegs + 1][]byte, err er
 // construction; a structural violation is left in r.err.  An object whose ID
 // does not ascend is one, and so is a segment that starts before the one
 // before it ends.  How homes and segments lie against each other and the data
-// region is checked once all three are decoded, by deriveFree.
+// region is checked once both are decoded, by deriveFree.
 
 func (s *Store) decodeObjMapSection(r *sectionReader) {
 	for n := r.u64(); n > 0; n-- {
-		id, h := r.u64(), r.home()
-		if r.err == nil && len(s.homes) > 0 && id <= s.homes[len(s.homes)-1].id {
-			r.fail("object %d out of ID order", id)
+		h := r.home()
+		if r.err == nil && len(s.homes) > 0 && h.id <= s.homes[len(s.homes)-1].id {
+			r.fail("object %d out of ID order", h.id)
 		}
 		if r.err != nil {
 			return
 		}
-		s.homes = append(s.homes, homedObject{id: id, home: h})
-	}
-}
-
-func (s *Store) decodeLabelSection(r *sectionReader) {
-	for n := r.u64(); n > 0; n-- {
-		id := r.u64()
-		if r.err != nil {
-			return
-		}
-		_, rest, err := label.DecodeBinary(r.buf)
-		if err != nil {
-			r.fail("label of object %d does not decode: %v", id, err)
-			return
-		}
-		enc := r.buf[:len(r.buf)-len(rest)]
-		if i, ok := s.homeAt(id); ok {
-			s.homes[i].lbl = enc
-		}
-		r.buf = rest
-		s.entry(id).lbl = enc
+		s.homes = append(s.homes, h)
 	}
 }
 

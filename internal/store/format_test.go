@@ -8,7 +8,6 @@ import (
 	"errors"
 	"io"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"histar/internal/disk"
@@ -20,9 +19,10 @@ import (
 // log header, frames and records, metadata header and sections, segment packing,
 // range records — so a change that alters any of them must change
 // this constant, visibly.  The checkpoint seal walks the entries changed
-// since the last seal in ascending id order, which fixes segment packing, and
-// the object map and label section come from the id-ordered home table.
-const formatImageSHA256 = "e575388f27825ff383f3736603f8eadee788b503456e248e9ae375081fb74c6b"
+// since the last seal in the order they changed, which fixes segment packing,
+// and the object map, each record with its label, comes from the id-ordered
+// home table.
+const formatImageSHA256 = "56097e4d1bb2e6a0852fbaa237410122fb10291d81fa30defe22cfb870dcf2c0"
 
 // formatImageWorkload drives one seeded, single-threaded pass over every
 // structure the store writes: plain and labelled puts, deletes, per-object
@@ -51,7 +51,7 @@ func formatImageWorkload(t *testing.T, s *Store) {
 			must(s.SyncObject(id))
 		}
 	}
-	must(s.Put(41, make([]byte, 100<<10))) // larger than half a segment: dedicated extent
+	must(s.Put(41, make([]byte, 100<<10))) // larger than half a segment: a segment of its own
 	for _, id := range []uint64{2, 9, 16} {
 		must(s.Delete(id))
 	}
@@ -111,20 +111,21 @@ func TestOnDiskFormatUnchanged(t *testing.T) {
 }
 
 // TestDecodersRefuseDamagedPayloads drives every decoder that reads through
-// the sticky sectionReader — the three metadata sections — with its own
-// encoder's output and two damaged variants:
-// cut short in the middle of a field, and with a count or length field that
-// claims more than the payload holds (an absurd count must also return at
-// once rather than loop).  The segment table gets a third: an entry that
-// starts inside the one before it.  The intact payload decodes; each damaged
-// one comes back as a CorruptError, never a panic or a half-reported success.
+// the sticky sectionReader — the two metadata sections — with its own
+// encoder's output and damaged variants: cut short in the middle of a field,
+// and with a count or length field that claims more than the payload holds
+// (an absurd count must also return at once rather than loop).  The object
+// map gets two more: a record whose label does not decode, and one with a
+// flag bit no version defines; the segment table one: an entry that starts
+// inside the one before it.  The intact payload decodes; each damaged one
+// comes back as a CorruptError, never a panic or a half-reported success.
 //
 // Then the layout every section decodes on its own but no run of the store
 // could have written: a home overlapping another home, two homes naming one
-// extent (an alias, which metadata version 7 allowed), a home outside the data region at either end, a home whose size field
-// reads negative, a home past its segment's used mark, and a dedicated home
-// overlapping a segment.  Each would let the allocator hand out bytes a home
-// still holds.  Deriving the free list refuses each with a CorruptError, and
+// extent (an alias, which metadata version 7 allowed), a home outside the
+// data region at either end, a home whose size field reads negative, a home
+// past its segment's used mark, and a home in no segment.  Each would let the
+// allocator hand out bytes a home still holds.  Deriving the free list refuses each with a CorruptError, and
 // an area holding one, every checksum intact, sends Open to the alternate
 // area with no committed sync lost.
 func TestDecodersRefuseDamagedPayloads(t *testing.T) {
@@ -155,16 +156,21 @@ func TestDecodersRefuseDamagedPayloads(t *testing.T) {
 		}
 		return b
 	}
+	h := homeIn(src, 1)
 	cases := []struct {
 		name    string
 		payload []byte
-		lenOff  int    // offset of a count or length field to inflate
-		overlap []byte // a payload whose second entry overlaps its first
+		lenOff  int               // offset of a count or length field to inflate
+		more    map[string][]byte // further damaged payloads
 		decode  func(*Store, *sectionReader)
 	}{
-		{"objmap", section(secObjMap), 0, nil, (*Store).decodeObjMapSection},
-		{"labels", section(secLabels), 0, nil, (*Store).decodeLabelSection},
-		{"segments", section(secSegs), 0, u64s(2, 1<<20, 1<<20, 0, 3<<19, 1<<20, 0), (*Store).decodeSegsSection},
+		{"objmap", section(secObjMap), 0, map[string][]byte{
+			"undecodable-label": appendHome(appendU64(nil, 1), 1, h, []byte{0xff, 0}),
+			"unknown-flag":      u64s(1, 1, uint64(h.off), uint64(h.size), objCRCValid|1<<34|uint64(h.crc)),
+		}, (*Store).decodeObjMapSection},
+		{"segments", section(secSegs), 0, map[string][]byte{
+			"overlapping": u64s(2, 1<<20, 1<<20, 0, 3<<19, 1<<20, 0),
+		}, (*Store).decodeSegsSection},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -181,8 +187,8 @@ func TestDecodersRefuseDamagedPayloads(t *testing.T) {
 				"overrunning-length":  overrun(tc.payload, tc.lenOff, binary.LittleEndian.Uint64(tc.payload[tc.lenOff:])+1),
 				"absurd-length":       overrun(tc.payload, tc.lenOff, ^uint64(0)),
 			}
-			if tc.overlap != nil {
-				damaged["overlapping"] = tc.overlap
+			for name, payload := range tc.more {
+				damaged[name] = payload
 			}
 			for name, payload := range damaged {
 				var ce *CorruptError
@@ -220,29 +226,14 @@ func TestDecodersRefuseDamagedPayloads(t *testing.T) {
 			h := homeIn(s, last)
 			putHome(s, last, home{off: h.off, size: seg.base + seg.used - h.off + 1})
 		}},
-		{"dedicated-home-overlaps-segment", func(s *Store) {
-			seg := &segment{base: homeIn(s, 40).off + 512, size: 512}
-			s.segs = slices.Insert(s.segs, s.segsUpTo(seg.base), seg)
+		{"home-in-no-segment", func(s *Store) {
+			putHome(s, 1, home{off: s.free[len(s.free)-1].off, size: homeIn(s, 1).size})
 		}},
 	}
 	for _, tc := range layouts {
 		t.Run(tc.name, func(t *testing.T) {
 			s, fd := rotStore(t)
-			want := populateGenerationsWith(t, s, func(gen int, want map[uint64]string) {
-				if gen == 1 { // a dedicated extent for the last case
-					big := string(make([]byte, 40<<10))
-					if err := s.Put(40, []byte(big)); err != nil {
-						t.Fatal(err)
-					}
-					if err := s.SyncObject(40); err != nil {
-						t.Fatal(err)
-					}
-					want[40] = big
-				}
-			})
-			if s.segContaining(homeIn(s, 1).off) == nil || s.segContaining(homeIn(s, 40).off) != nil {
-				t.Fatal("object 1 is not packed in a segment, or object 40 is")
-			}
+			want := populateGenerations(t, s)
 			s.mu.Lock()
 			tc.damage(s)
 			_, err := s.deriveFree(0, true)

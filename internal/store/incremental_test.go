@@ -425,8 +425,8 @@ func TestNoDeviceWriteUnderMu(t *testing.T) {
 	step("checkpoint", s.Checkpoint())
 	// Second round: deletions leave the first segment three-quarters dead and
 	// new objects roll it over, so the checkpoint also exercises the
-	// dead-entry path and the cleaner; a large object takes a dedicated
-	// extent.
+	// dead-entry path and the cleaner; a large object takes a segment of
+	// its own.
 	for id := uint64(0); id < 60; id++ {
 		if id%4 != 1 {
 			step("delete", s.Delete(id))
@@ -446,7 +446,7 @@ func TestNoDeviceWriteUnderMu(t *testing.T) {
 
 // cleanerPayload is a deterministic ~3 KB object body (big enough that a
 // few dozen objects span multiple 64 KB segments, small enough for the
-// segment path rather than a dedicated extent).
+// shared segments rather than one of its own).
 func cleanerPayload(id uint64) []byte {
 	b := make([]byte, 3000)
 	for i := range b {

@@ -178,7 +178,7 @@ func (s *Store) loadMetaArea(which int, sbEpoch uint64, fallback bool) error {
 		tag    uint64
 		decode func(*sectionReader)
 	}{
-		{secObjMap, s.decodeObjMapSection}, {secLabels, s.decodeLabelSection}, {secSegs, s.decodeSegsSection},
+		{secObjMap, s.decodeObjMapSection}, {secSegs, s.decodeSegsSection},
 	} {
 		r := &sectionReader{buf: img.secs[sec.tag], off: areaOff, area: "metadata"}
 		if sec.decode(r); r.err != nil {

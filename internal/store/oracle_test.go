@@ -15,33 +15,23 @@ import (
 )
 
 // encodeFromScratch is the metadata image a checkpoint would write if it
-// walked everything: every home sorted by ID, every label the sealed objects
-// carry encoded afresh and sorted by ID, and the segment table, each section
+// walked everything: every home sorted by ID, each followed by the label its
+// sealed object carries, encoded afresh, and the segment table, each section
 // built on its own and framed after.  It is the oracle for the seal's walk of
-// the changed entries, the home table's merges and the patched label section.
+// the changed entries and the home table's merges.
 func encodeFromScratch(epoch uint64, homes map[uint64]home, labels map[uint64]label.Label, segs []*segment) []byte {
-	sortedKeys := func(m map[uint64]struct{}) []uint64 {
-		ids := make([]uint64, 0, len(m))
-		for id := range m {
-			ids = append(ids, id)
-		}
-		slices.Sort(ids)
-		return ids
-	}
-	homeIDs, labelIDs := map[uint64]struct{}{}, map[uint64]struct{}{}
+	ids := make([]uint64, 0, len(homes))
 	for id := range homes {
-		homeIDs[id] = struct{}{}
+		ids = append(ids, id)
 	}
-	for id := range labels {
-		labelIDs[id] = struct{}{}
-	}
+	slices.Sort(ids)
 	objs := appendU64(nil, uint64(len(homes)))
-	for _, id := range sortedKeys(homeIDs) {
-		objs = appendHome(appendU64(objs, id), homes[id])
-	}
-	lbls := appendU64(nil, uint64(len(labels)))
-	for _, id := range sortedKeys(labelIDs) {
-		lbls = labels[id].AppendBinary(appendU64(lbls, id))
+	for _, id := range ids {
+		var enc []byte
+		if lbl, ok := labels[id]; ok {
+			enc = lbl.AppendBinary(nil)
+		}
+		objs = appendHome(objs, id, homes[id], enc)
 	}
 	segsSec := appendU64(nil, uint64(len(segs)))
 	for _, seg := range segs {
@@ -51,7 +41,7 @@ func encodeFromScratch(epoch uint64, homes map[uint64]home, labels map[uint64]la
 	for _, sec := range []struct {
 		tag  uint64
 		body []byte
-	}{{secObjMap, objs}, {secLabels, lbls}, {secSegs, segsSec}} {
+	}{{secObjMap, objs}, {secSegs, segsSec}} {
 		payload = appendU64(appendU64(appendU64(payload, sec.tag), uint64(len(sec.body))), uint64(crc32c(sec.body)))
 		payload = append(payload, sec.body...)
 	}
@@ -73,8 +63,8 @@ type oracleObject struct {
 // After every checkpoint that commits, the metadata image on disk must be
 // byte for byte the from-scratch encoding of what the model held at the
 // seal, every sealed object homed with its contents' size and CRC and no
-// other object homed, and no clean, unlabelled, unquarantined entry may
-// remain in the entry table.
+// other object homed, and no clean, unquarantined entry may remain in the
+// entry table.
 func TestCheckpointImageOracle(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { imageOracle(t, seed) })
@@ -185,7 +175,7 @@ func imageOracle(t *testing.T, seed int64) {
 
 // checkImage compares the committed metadata image with the from-scratch
 // encoding of the sealed model, and checks the entry table keeps nothing
-// clean, unlabelled and unquarantined.
+// clean and unquarantined.
 func checkImage(t *testing.T, s *Store, d disk.Device, sealed map[uint64]oracleObject, where string) {
 	t.Helper()
 	s.mu.Lock()
@@ -214,8 +204,8 @@ func checkImage(t *testing.T, s *Store, d disk.Device, sealed map[uint64]oracleO
 	}
 	for id, e := range s.objs {
 		switch {
-		case !e.dirty && !e.ckpt && !e.dead && e.lbl == nil && !e.quar:
-			t.Fatalf("%s: entry %d is clean, unlabelled and unquarantined, and still in the table", where, id)
+		case !e.dirty && !e.ckpt && !e.dead && !e.quar:
+			t.Fatalf("%s: entry %d is clean and unquarantined, and still in the table", where, id)
 		case (e.dirty || e.dead) && !e.listed:
 			t.Fatalf("%s: entry %d is dirty or dead and off the changed list", where, id)
 		}

@@ -10,8 +10,10 @@ import (
 // The log-structured data region: checkpoint relocations append sealed
 // object contents into fixed-size append-only segments at 512-byte
 // granularity, so one checkpoint's home writes are a handful of sequential
-// streams instead of one random extent per object.  Objects too large to
-// pack (more than half a segment) keep the original dedicated-extent path.
+// streams instead of one random extent per object.  Every home lies in a
+// segment.  An object too large to pack (more than half a segment), or any
+// object when no free extent holds a whole segment, gets a segment of its
+// own, sized to it, which never takes appends.
 //
 // A segment's extent is never overwritten in place: appends only ever land
 // beyond the committed high-water mark (used), and space behind dead
@@ -35,8 +37,10 @@ type segment struct {
 	live int64
 }
 
-// align512 is the packing granularity inside segments.
-func align512(n int64) int64 { return (n + 511) &^ 511 }
+// align512 is the data region's granularity: a home or a segment takes whole
+// sectors, at least one, so even an empty object's home keeps its segment
+// live.
+func align512(n int64) int64 { return (max(n, 1) + 511) &^ 511 }
 
 // segsUpTo returns how many segments have their base at or below off; the
 // caller holds mu.
@@ -62,41 +66,47 @@ func (s *Store) dropSeg(seg *segment) {
 }
 
 // vacateExtent releases the home extent behind (off, size): it decrements
-// its segment's live count, dropping the segment at zero; a dedicated extent
-// needs nothing, as the next commit's free list holds it.  Called only by
+// its segment's live count, dropping the segment at zero.  Called only by
 // the checkpoint body (ckptRun serializes), holding mu.
 func (s *Store) vacateExtent(off, size int64) {
-	if seg := s.segContaining(off); seg != nil {
-		seg.live -= align512(size)
-		if seg.live <= 0 {
-			seg.live = 0
-			if seg != s.openSeg {
-				s.dropSeg(seg)
-			}
+	seg := s.segContaining(off)
+	if seg.live -= align512(size); seg.live <= 0 {
+		seg.live = 0
+		if seg != s.openSeg {
+			s.dropSeg(seg)
 		}
 	}
 }
 
-// segAppend appends one object's contents to the open segment (rotating to
-// a freshly allocated one when it would overflow) and returns the object's
-// new home offset.  The device write is issued with no lock held; segment
-// bookkeeping is under mu.  Only the checkpoint body calls it (ckptRun
-// serializes), so the open segment cannot rotate underneath the write.  The
-// bytes count as live only once the write succeeds: a failed write names no
-// home, so nothing would ever vacate them.
+// segAppend appends one object's contents to the open segment, rotating to a
+// freshly allocated one when it would overflow, or to a segment of the
+// object's own (see above), and returns the object's new home offset.  The
+// device write is issued with no lock held; segment bookkeeping is under mu.
+// Only the checkpoint body calls it (ckptRun serializes), so the open segment
+// cannot rotate underneath the write.  The bytes count as live only once the
+// write succeeds: a failed write names no home, so nothing would ever vacate
+// them.
 func (s *Store) segAppend(data []byte) (int64, error) {
 	sz := align512(int64(len(data)))
 	s.mu.Lock()
 	seg := s.openSeg
-	if seg == nil || seg.used+sz > seg.size {
-		ext, err := s.allocate(s.segSize)
+	if own := sz > s.segSize/2; own || seg == nil || seg.used+sz > seg.size {
+		ext, err := extent{}, ErrNoSpace
+		if !own {
+			ext, err = s.allocate(s.segSize)
+		}
+		if own = err != nil; own { // too large to pack, or no whole segment free
+			ext, err = s.allocate(sz)
+		}
 		if err != nil {
 			s.mu.Unlock()
 			return 0, err
 		}
 		seg = &segment{base: ext.off, size: ext.size}
 		s.segs = slices.Insert(s.segs, s.segsUpTo(ext.off), seg)
-		s.openSeg = seg
+		if !own {
+			s.openSeg = seg
+		}
 	}
 	off := seg.base + seg.used
 	seg.used += sz
@@ -123,9 +133,7 @@ func (s *Store) recomputeSegLive() {
 		seg.live = 0
 	}
 	for _, h := range s.homes {
-		if seg := s.segContaining(h.off); seg != nil {
-			seg.live += align512(h.size)
-		}
+		s.segContaining(h.off).live += align512(h.size)
 	}
 	s.openSeg = nil
 	for _, seg := range s.segs {

@@ -18,7 +18,7 @@
 //	[4096, 4096+logSize)            write-ahead log (see package wal)
 //	[.., .. + metaSize)             metadata area 0
 //	[.., .. + metaSize)             metadata area 1
-//	[.., disk size)                 data region: segments + dedicated extents
+//	[.., disk size)                 data region: segments
 //
 // The superblock sector holds two identical 64-byte copies, at offsets 0
 // and 512, each independently protected by a CRC32C over its first 56
@@ -30,16 +30,17 @@
 // both do), so a single rotted sector never loses the root of the store.
 //
 // Each metadata area starts with a 48-byte header — magic "HMET", version
-// (currently 8), checkpoint epoch, payload length, section count, and a
-// CRC32C over the header itself — followed by three tagged sections, each
+// (currently 9), checkpoint epoch, payload length, section count, and a
+// CRC32C over the header itself — followed by two tagged sections, each
 // framed as [tag u64] [length u64] [CRC32C u64] [payload]: the object map
-// (id plus home record — extent offset, size, contents CRC; the CRC, flagged
-// by bit 32 of its field, is what every read of a home extent verifies
-// against, and an entry without the flag is corruption); object labels (id,
-// canonical label.AppendBinary bytes); and the segment table (base, size,
-// used triples describing the append-only data segments).  No two entries of
-// the object map name one extent.  Only primary facts are stored: the
-// free-extent list and the per-segment live counts are derived from these
+// (one record per object: id, extent offset, size and the CRC field, then,
+// when bit 33 of that field says so, the canonical label.AppendBinary bytes;
+// the CRC, flagged by bit 32, is what every read of a home extent verifies
+// against, and a record without the flag, or with any higher bit, is
+// corruption); and the segment table (base, size, used triples describing the
+// append-only data segments).  Every home lies in a segment, and no two
+// entries of the object map name one extent.  Only primary facts are stored:
+// the free-extent list and the per-segment live counts are derived from these
 // sections at open.
 // format.go holds every one of these layouts and is the only file that
 // reads or writes them.  Checkpoints serialize into the area the superblock
@@ -58,8 +59,9 @@
 // Checkpoint relocations append object contents, in the order the objects
 // changed, into fixed-size append-only segments (Options.SegmentSize,
 // default 1 MB) at 512-byte granularity: a few sequential streams, with files
-// written together homed together; objects larger than half a segment take
-// a dedicated extent.  Space behind deleted or superseded objects is
+// written together homed together.  An object larger than half a segment,
+// or any object once no free extent holds a whole segment, takes a segment of
+// its own, sized to it.  Space behind deleted or superseded objects is
 // reclaimed by a cleaner inside the checkpoint body: fully dead segments are
 // freed without copying, and each segment at least half dead has its live
 // objects read in one sweep, in offset order, then appended out.
@@ -152,24 +154,19 @@ import (
 )
 
 // objEntry is the in-memory state of one object: flags, the recorded label,
-// and the contents while no committed home holds them (resident).  Every
-// field is guarded by the store's mu.  A put patches data in place unless
+// and the contents while no committed home holds them (resident).  An object
+// has one only while it holds state the committed snapshot lacks — dirty,
+// dead, or sealed into a checkpoint that has not committed — or a quarantine
+// verdict; otherwise its home record is all there is to know.  Every field
+// is guarded by the store's mu.  A put patches data in place unless
 // shared says a sealed whole log record or checkpoint capture still holds it;
 // then data is replaced, never mutated.
 type objEntry struct {
 	data   []byte
-	shared bool // a sealed record or checkpoint capture aliases data
-	dirty  bool // modified since the last checkpoint seal
-	dead   bool // deleted since the last checkpoint seal
-	// deadSealed marks a dead entry a checkpoint seal has captured.  Only a
-	// later seal that still finds the mark drops the entry from the table:
-	// Delete clears it, and so does restoreSealed when the capturing
-	// checkpoint fails, so by then a committed snapshot no longer holds the
-	// object.  Until then SyncObject finds the entry and logs the tombstone,
-	// rather than taking the object's absence from memory for its absence
-	// from disk.
-	deadSealed bool
-	lbl        []byte // the label, encoded canonically (nil: none)
+	shared bool   // a sealed record or checkpoint capture aliases data
+	dirty  bool   // modified since the last checkpoint seal
+	dead   bool   // deleted since the last checkpoint seal
+	lbl    []byte // the label, encoded canonically (nil: none)
 	// quar marks an object whose home-extent contents failed checksum
 	// verification: accesses that would read the damaged extent return
 	// ErrQuarantined instead of corrupt bytes, until a Put/Delete replaces
@@ -191,12 +188,15 @@ type objEntry struct {
 // nil cannot say: an empty object's contents are nil too).
 func (e *objEntry) resident() bool { return (e.dirty || e.ckpt) && !e.dead }
 
-// entry returns id's entry, creating an empty one if there is none; the
-// caller holds mu.
+// entry returns id's entry, creating one if there is none, with the label
+// its home records; the caller holds mu.
 func (s *Store) entry(id uint64) *objEntry {
 	e := s.objs[id]
 	if e == nil {
 		e = &objEntry{}
+		if i, ok := s.homeAt(id); ok {
+			e.lbl = s.homes[i].lbl
+		}
 		s.objs[id] = e
 		s.touch(id, e)
 	}
@@ -224,12 +224,6 @@ const (
 	// area not referenced by the current superblock, then flip the
 	// superblock, so a crash mid-checkpoint always leaves one intact copy.
 	defaultMetaAreaSize = 16 << 20
-
-	// extentAlign is the granularity of the data region's extents: it
-	// rounds only segments and the dedicated extents of objects over half
-	// a segment, since smaller objects pack into segments at 512 bytes
-	// (segment.go).
-	extentAlign = 8192
 )
 
 // Errors.
@@ -353,8 +347,7 @@ type Options struct {
 	// areas (default 16 MB).
 	MetaAreaSize int64
 	// SegmentSize is the size of the append-only data segments checkpoint
-	// relocation packs small objects into (default 1 MB, rounded up to the
-	// extent alignment).  Runtime-only: each existing segment's geometry is
+	// relocation packs objects into (default 1 MB, rounded up to a sector).  Runtime-only: each existing segment's geometry is
 	// persisted in the metadata snapshot, so reopening under a different
 	// SegmentSize affects only newly allocated segments.
 	SegmentSize int64
@@ -377,7 +370,7 @@ func newStore(d disk.Device, opts Options) *Store {
 	if segSize <= 0 {
 		segSize = defaultSegmentSize
 	}
-	s := &Store{d: d, logSize: opts.LogSize, metaSize: opts.MetaAreaSize, segSize: alignUp(segSize)}
+	s := &Store{d: d, logSize: opts.LogSize, metaSize: opts.MetaAreaSize, segSize: align512(segSize)}
 	s.logGen.Store(1) // an entry's base 0 names no generation
 	s.resetTables()
 	s.comm.maxBytes, s.comm.maxRecs = groupCommitBytes, groupCommitRecords
@@ -555,15 +548,22 @@ func (s *Store) read(id uint64) ([]byte, error) {
 	return s.readVerified(h)
 }
 
-// Label returns the stored label of an object, if one was recorded.
+// Label returns the stored label of an object, if one was recorded: its
+// entry's, or else its home's.
 func (s *Store) Label(id uint64) (label.Label, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e := s.objs[id]; e != nil && e.lbl != nil {
-		lbl, _, err := label.DecodeBinary(e.lbl)
-		return lbl, err == nil
+	var enc []byte
+	if e := s.objs[id]; e != nil {
+		enc = e.lbl
+	} else if i, ok := s.homeAt(id); ok {
+		enc = s.homes[i].lbl
 	}
-	return label.Label{}, false
+	if enc == nil {
+		return label.Label{}, false
+	}
+	lbl, _, err := label.DecodeBinary(enc)
+	return lbl, err == nil
 }
 
 // EvictCache does nothing: the store keeps no clean contents to drop, so a
@@ -582,7 +582,7 @@ func (s *Store) Delete(id uint64) error {
 	defer s.mu.Unlock()
 	e := s.entry(id)
 	s.touch(id, e)
-	e.data, e.dirty, e.dead, e.deadSealed = nil, false, true, false
+	e.data, e.dirty, e.dead = nil, false, true
 	e.quar = false // deletion disposes of the damaged extent
 	e.lbl = nil
 	return nil

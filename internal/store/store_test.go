@@ -458,6 +458,67 @@ func TestLabelDroppedWithDelete(t *testing.T) {
 	}
 }
 
+// TestCleanEntriesLeaveTheStore: once a checkpoint commits, an object's
+// label lives in its home record and nowhere else, so the store keeps no
+// entry for a clean object, labelled or not, and a remount makes none.
+// Label still answers from the home, and a put or a sync without a label
+// keeps the one the home records, across a checkpoint and a crash.
+func TestCleanEntriesLeaveTheStore(t *testing.T) {
+	s, d := testStore(t)
+	for round := 0; round < 2; round++ {
+		for id := uint64(1); id <= 100; id++ {
+			if err := s.PutLabeled(id, rotLabel(id%5), []byte(fmt.Sprintf("round %d, object %d", round, id)), 0, whole); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check := func(s *Store, where string) {
+		t.Helper()
+		s.mu.Lock()
+		n := len(s.objs)
+		s.mu.Unlock()
+		if n != 0 {
+			t.Errorf("%s: the store keeps %d entries for clean objects; want none", where, n)
+		}
+		for id := uint64(1); id <= 100; id++ {
+			if got, ok := s.Label(id); !ok || !got.Equal(rotLabel(id%5)) {
+				t.Fatalf("%s: Label(%d) = %v, %v; want %v", where, id, got, ok, rotLabel(id%5))
+			}
+		}
+	}
+	check(s, "after the checkpoints")
+	s2, err := Open(d, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(s2, "after a remount")
+	if err := s2.Put(7, []byte("rewritten without a label")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Put(8, []byte("synced without a label")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.SyncObject(8); err != nil {
+		t.Fatal(err)
+	}
+	d.Crash()
+	s3, err := Open(d, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []uint64{7, 8} {
+		if got, ok := s3.Label(id); !ok || !got.Equal(rotLabel(id%5)) {
+			t.Errorf("Label(%d) after an unlabelled put = %v, %v; want %v", id, got, ok, rotLabel(id%5))
+		}
+	}
+}
+
 func TestSyncObjectPersistsLabelAcrossCrash(t *testing.T) {
 	// The motivating bug for the WAL label records: before labels rode in
 	// the log, a crash after SyncObject resurrected the object with no
@@ -982,5 +1043,102 @@ func TestFailedRelocationVacatesWhatItWrote(t *testing.T) {
 		if got, err := s.Get(id); err != nil || string(got) != want {
 			t.Fatalf("object %d: %d bytes, %v", id, len(got), err)
 		}
+	}
+}
+
+// TestEveryHomeLiesInASegment: an object over half a segment is homed in a
+// segment of its own, sized to it in whole sectors, and so is any object a
+// checkpoint homes once no free extent holds a whole segment; neither kind
+// ever takes appends.  An empty object takes a sector, so the segment around
+// it stays live when its neighbours die.  After every checkpoint every home
+// lies in a segment, below its used mark, and a remount, which refuses any
+// other layout, comes back clean with every object whole.
+func TestEveryHomeLiesInASegment(t *testing.T) {
+	const segSize = 64 << 10
+	d := disk.New(disk.Params{Sectors: 1 << 12, WriteCache: true}, &vclock.Clock{}) // 2 MiB
+	s, err := Format(d, Options{LogSize: 256 << 10, MetaAreaSize: 64 << 10, SegmentSize: segSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[uint64][]byte{}
+	put := func(id uint64, n int) {
+		t.Helper()
+		b := bytes.Repeat([]byte{byte(id), byte(id >> 8), 7}, n)[:n]
+		if err := s.Put(id, b); err != nil {
+			t.Fatal(err)
+		}
+		want[id] = b
+	}
+	// check returns how many small objects are homed in segments of their own.
+	check := func(where string) (fallbacks int) {
+		t.Helper()
+		s.mu.Lock()
+		if _, err := s.deriveFree(0, true); err != nil {
+			t.Fatalf("%s: %v", where, err)
+		}
+		for _, h := range s.homes {
+			seg := s.segContaining(h.off)
+			own := seg.base == h.off && seg.used == seg.size && seg.size == align512(h.size)
+			if h.size > segSize/2 && !own || own && seg == s.openSeg {
+				t.Fatalf("%s: object %d (%d bytes) is homed at %d in the segment at %d (size %d, used %d, open %v)",
+					where, h.id, h.size, h.off, seg.base, seg.size, seg.used, seg == s.openSeg)
+			}
+			if own && h.size <= segSize/2 {
+				fallbacks++
+			}
+		}
+		s.mu.Unlock()
+		s2, err := Open(d, Options{SegmentSize: segSize})
+		if err != nil {
+			t.Fatalf("%s: reopen: %v", where, err)
+		}
+		if s2.RecoveryReport().Degraded() {
+			t.Fatalf("%s: reopen degraded: %+v", where, s2.RecoveryReport())
+		}
+		for id, b := range want {
+			if got, err := s2.Get(id); err != nil || !bytes.Equal(got, b) {
+				t.Fatalf("%s: object %d after a reopen: %d bytes, %v; want %d", where, id, len(got), err, len(b))
+			}
+		}
+		return fallbacks
+	}
+	put(1, segSize/2+1)
+	put(2, segSize)
+	put(3, 3*segSize)
+	put(4, 0)
+	for id := uint64(10); id < 31; id++ { // the segment, but for a sector or three
+		put(id, 3000)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check("over half a segment")
+	// The superseded own segments come free; the empty object's segment,
+	// open no longer, loses every other object and must not be dropped
+	// under it.
+	put(1, segSize/2+512)
+	put(3, 2*segSize)
+	for id := uint64(10); id < 31; id++ {
+		delete(want, id)
+		if err := s.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := uint64(40); id < 60; id++ {
+		put(id, 3000)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	check("superseded")
+	fallbacks := 0
+	for id := uint64(100); fallbacks == 0; id += 8 {
+		for i := id; i < id+8; i++ {
+			put(i, 6000)
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatalf("the store filled up before a checkpoint homed an object in a segment of its own: %v", err)
+		}
+		fallbacks = check(fmt.Sprintf("objects %d to %d", id, id+7))
 	}
 }
