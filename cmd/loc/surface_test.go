@@ -96,7 +96,6 @@ var keep = map[string]string{
 	"store.Store.QuarantinedObjects":      "integrity: enumerates what a damage verdict fell on",
 	"store.Stats.CorruptionsDetected":     "integrity: every checksum or structural failure the store detected",
 	"store.Stats.QuarantineEvents":        "integrity: every object a damage verdict quarantined",
-	"store.RecoveryReport.Degraded":       "integrity: whether the mount took a ladder rung",
 	"store.RecoveryReport.MetaEpoch":      "integrity: the checkpoint epoch the mount loaded",
 	"store.CorruptError.Is":               "errors.Is protocol: a CorruptError matches ErrCorrupt",
 	"store.QuarantineError.Is":            "errors.Is protocol: a QuarantineError matches ErrQuarantined and ErrCorrupt",

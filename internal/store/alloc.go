@@ -2,16 +2,16 @@ package store
 
 import (
 	"cmp"
-	"fmt"
 	"slices"
 )
 
 // Extent allocation: the free extents of the data region are one slice,
-// ascending by offset, guarded by the store's mu.  deriveFree rebuilds it from
-// the committed tables at Format, Open and each commit; allocate only takes
-// from it in between, so nothing a committed snapshot names is reused, even
-// after a failed checkpoint.  (The paper's two B+-trees, by size and by
-// location, are here one list of a handful of extents and a best-fit scan.)
+// ascending by offset, guarded by mu (the paper's two B+-trees, by size and
+// by location).  deriveFree rebuilds it at Format, Open and each commit, and
+// allocate only takes from it in between, so nothing a committed snapshot
+// names is reused.  A segment a commit drops is held until the next one, so
+// nor is anything the snapshot before the last delta names: Open can fall
+// back one delta.
 
 type extent struct {
 	off  int64
@@ -42,47 +42,76 @@ func (s *Store) allocate(size int64) (extent, error) {
 	return ext, nil
 }
 
+// allocateTop takes size bytes, in whole sectors, from the end of the last
+// free extent large enough; the caller holds mu.  A full store's chain
+// records come from the top, so they do not split the room objects free.
+func (s *Store) allocateTop(size int64) (extent, error) {
+	need := align512(size)
+	for i := len(s.free) - 1; i >= 0; i-- {
+		if e := s.free[i]; e.size >= need {
+			if s.free[i].size -= need; e.size == need {
+				s.free = slices.Delete(s.free, i, i+1)
+			}
+			return extent{e.off + e.size - need, need}, nil
+		}
+	}
+	return extent{}, ErrNoSpace
+}
+
 // deriveFree returns the data region less every segment.  With loading (a
 // decoded snapshot) it is also the snapshot's structural check: each home
-// must lie in a segment, below its used mark, no two homes may overlap, and
-// no segment may leave the data region; each violation is a CorruptError (at
-// areaOff).  At a commit the store's own appends placed them.  The caller
+// and each chain record must lie in a segment, below its used mark, no two
+// homes may overlap, and no segment may leave the data region or overlap
+// another; each violation is a CorruptError (at areaOff).  At a commit the store's own appends placed them.  The caller
 // holds mu, or runs single-threaded.
 func (s *Store) deriveFree(areaOff int64, loading bool) ([]extent, error) {
-	corrupt := func(format string, args ...any) error {
-		return &CorruptError{Area: "metadata", Offset: areaOff, Detail: fmt.Sprintf(format, args...)}
-	}
+	bad := func(format string, args ...any) error { return corrupt("metadata", areaOff, format, args...) }
 	if loading {
 		homes := make([]extent, 0, len(s.homes))
 		for _, h := range s.homes {
 			e, seg := extent{h.off, align512(h.size)}, s.segContaining(h.off)
 			if seg == nil || h.size < 0 || e.size > seg.base+seg.used-e.off {
-				return nil, corrupt("home of object %d at %d (size %d) lies outside every segment's written bytes", h.id, h.off, h.size)
+				return nil, bad("home of object %d at %d (size %d) lies outside every segment's written bytes", h.id, h.off, h.size)
 			}
 			homes = append(homes, e)
+		}
+		for _, e := range append(slices.Clip(s.chain), s.prevChain...) {
+			if seg := s.segContaining(e.off); seg == nil || e.size <= 0 || e.size > seg.base+seg.used-e.off {
+				return nil, bad("chain record at %d (size %d) lies outside every segment's written bytes", e.off, e.size)
+			}
 		}
 		slices.SortFunc(homes, func(a, b extent) int { return cmp.Compare(a.off, b.off) })
 		for i := 1; i < len(homes); i++ {
 			if homes[i].off < homes[i-1].off+homes[i-1].size {
-				return nil, corrupt("home at %d overlaps the one at %d", homes[i].off, homes[i-1].off)
+				return nil, bad("home at %d overlaps the one at %d", homes[i].off, homes[i-1].off)
 			}
 		}
 	}
 	// The segments ascend by base, none overlapping (decodeSegsSection);
-	// the gaps they leave are the free list.
+	// the gaps they and the held extents leave are the free list.
 	var free []extent
 	at, end := s.metaAreaOff(2), s.d.Size() // the data region follows area 1
+	slices.SortFunc(s.held, func(a, b extent) int { return cmp.Compare(a.off, b.off) })
+	held := s.held
 	for _, seg := range s.segs {
-		if seg.base < at || seg.size < 0 || seg.size > end-seg.base {
-			return nil, corrupt("segment at %d (size %d) leaves the data region", seg.base, seg.size)
+		if seg.base < at || seg.size <= 0 || seg.size > end-seg.base {
+			return nil, bad("segment at %d (size %d) leaves the data region or overlaps another", seg.base, seg.size)
 		}
-		if seg.base > at {
-			free = append(free, extent{at, seg.base - at})
+		for ; len(held) > 0 && held[0].off < seg.base; held = held[1:] {
+			free, at = gap(free, at, held[0].off), held[0].off+held[0].size
 		}
-		at = seg.base + seg.size
+		free, at = gap(free, at, seg.base), seg.base+seg.size
 	}
-	if end > at {
-		free = append(free, extent{at, end - at})
+	for _, e := range held {
+		free, at = gap(free, at, e.off), e.off+e.size
 	}
-	return free, nil
+	return gap(free, at, end), nil
+}
+
+// gap appends [at, to) to free unless it is empty.
+func gap(free []extent, at, to int64) []extent {
+	if to > at {
+		free = append(free, extent{at, to - at})
+	}
+	return free
 }

@@ -27,6 +27,7 @@ func TestFreeListMatchesModel(t *testing.T) {
 		s := newStore(disk.New(disk.Params{Sectors: (base + blocks*block) / disk.SectorSize}, &vclock.Clock{}), opts)
 		derive := func() {
 			var err error
+			s.held = nil // a commit after the one that dropped them frees them
 			if s.free, err = s.deriveFree(0, true); err != nil {
 				t.Fatalf("seed %d: %v", seed, err)
 			}
@@ -151,4 +152,23 @@ func putHome(s *Store, id uint64, h home) {
 func homeIn(s *Store, id uint64) home {
 	h, _ := s.homeOf(id)
 	return h
+}
+
+// TestAllocateTopTakesTheHighestFit: allocateTop takes its sectors from the
+// end of the last free extent large enough, an exact fit removing it, and
+// refuses a size no extent holds.
+func TestAllocateTopTakesTheHighestFit(t *testing.T) {
+	s := newStore(nil, Options{})
+	s.free = []extent{{1024, 2048}, {8192, 1024}, {16384, 512}}
+	for _, want := range []extent{{16384, 512}, {8704, 512}, {8192, 512}, {2560, 512}} {
+		if got, err := s.allocateTop(100); err != nil || got != want {
+			t.Fatalf("allocateTop = %+v, %v; want %+v (free list now %+v)", got, err, want, s.free)
+		}
+	}
+	if _, err := s.allocateTop(4096); !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("allocateTop past every extent = %v; want ErrNoSpace", err)
+	}
+	if want := []extent{{1024, 1536}}; !slices.Equal(s.free, want) {
+		t.Fatalf("free list %+v; want %+v", s.free, want)
+	}
 }

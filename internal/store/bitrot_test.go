@@ -36,7 +36,7 @@ const (
 // rotStore formats a store on a FaultDisk-wrapped 8 MB device.  Small
 // segments put the checkpointed objects into the log-structured region, so
 // the ladder's object-extent rungs exercise rot inside sealed segments.
-func rotStore(t *testing.T) (*Store, *disk.FaultDisk) {
+func rotStore(t testing.TB) (*Store, *disk.FaultDisk) {
 	t.Helper()
 	base := disk.New(disk.Params{Sectors: 1 << 14, WriteCache: true}, &vclock.Clock{})
 	fd := disk.NewFaultDisk(base)
@@ -45,6 +45,15 @@ func rotStore(t *testing.T) (*Store, *disk.FaultDisk) {
 		t.Fatal(err)
 	}
 	return s, fd
+}
+
+// rebase runs a checkpoint that writes a base, whatever the chain holds.
+func rebase(t testing.TB, s *Store) {
+	t.Helper()
+	s.base.length = -1
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func rotLabel(cat uint64) label.Label {
@@ -284,14 +293,22 @@ func TestBitRotBothSuperblockCopiesRefused(t *testing.T) {
 }
 
 // TestBitRotMetaFallbackZeroCommittedSyncLoss is acceptance criterion (b):
-// when the referenced metadata area rots, Open falls back to the alternate
-// (previous-checkpoint) snapshot and replays the retained log generation
-// forward — every synced mutation from both generations survives, range
-// records included (rangeGenerations), on both sides of the seal.
+// when the referenced base rots, Open falls back to the alternate (previous)
+// base and follows its chain, which runs on into the referenced base's, to
+// the same snapshot, then replays the log forward — every synced mutation
+// from both generations survives, range records included
+// (rangeGenerations), on both sides of the seal.
 func TestBitRotMetaFallbackZeroCommittedSyncLoss(t *testing.T) {
 	s, fd := rotStore(t)
-	want := populateGenerationsWith(t, s, rangeGenerations(t, s))
+	ranges := rangeGenerations(t, s)
+	want := populateGenerationsWith(t, s, func(gen int, want map[uint64]string) {
+		ranges(gen, want)
+		s.base.length = -1 // the checkpoint sealing generation 1 writes a base
+	})
 	epoch := s.metaEpoch
+	if len(s.chain) != 1 || s.base.epoch != epoch {
+		t.Fatalf("the last checkpoint wrote no base (%d deltas since): the fallback would not need the older chain", len(s.chain)-1)
+	}
 	areaOff := s.metaAreaOff(s.metaWhich)
 	if err := fd.RotBits(disk.Region{Off: areaOff, Len: mhCRCOff}, 3, 7); err != nil {
 		t.Fatal(err)
@@ -304,16 +321,16 @@ func TestBitRotMetaFallbackZeroCommittedSyncLoss(t *testing.T) {
 	if !rep.MetaFallback {
 		t.Fatalf("expected metadata fallback, got %+v", rep)
 	}
-	if rep.MetaEpoch != epoch-1 {
-		t.Fatalf("fallback epoch = %d, want %d", rep.MetaEpoch, epoch-1)
+	if rep.MetaEpoch != epoch {
+		t.Fatalf("fallback epoch = %d, want %d", rep.MetaEpoch, epoch)
 	}
-	// Retained generation (11 + 4 records) plus the current one (5 + 6).
-	if rep.WALRecordsReplayed != 26 {
-		t.Fatalf("replayed %d records, want 26", rep.WALRecordsReplayed)
+	// The current generation (5 + 6 records).
+	if rep.WALRecordsReplayed != 11 {
+		t.Fatalf("replayed %d records, want 11", rep.WALRecordsReplayed)
 	}
 	checkAll(t, s2, want)
-	// The degraded mount must heal itself: the next checkpoint rewrites
-	// both the snapshot and the superblock, and a further reopen is clean.
+	// The degraded mount must heal itself: the next checkpoint writes a base
+	// and flips both superblock copies, and a further reopen is clean.
 	if err := s2.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -537,6 +554,129 @@ func TestScrubDetectsRotAndQuarantines(t *testing.T) {
 			t.Fatalf("bystander %d = %q, %v", id, got, err)
 		}
 	}
+	// Rot in the chain's last delta: the scrub that walks it counts it.
+	if err := s2.Put(999, []byte("a delta to rot")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s2.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if len(s2.chain) < 2 {
+		t.Fatal("no delta since the base for the scrub to find rotted")
+	}
+	if err := fd.RotBits(deltaRegion(s2, len(s2.chain)-1), 1, 9); err != nil {
+		t.Fatal(err)
+	}
+	detected := s2.Stats().CorruptionsDetected
+	st3, err := s2.Scrub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st3.CorruptionsFound != 2 || s2.Stats().CorruptionsDetected != detected+2 {
+		t.Fatalf("scrub after rot in the delta: %+v, %d corruptions counted (%d before)", st3, s2.Stats().CorruptionsDetected, detected)
+	}
+}
+
+// deltaRegion and runHeaderRegion are the device regions of the chain's k-th
+// delta (from 1) and of the run header before it; the caller holds no lock.
+func deltaRegion(s *Store, k int) disk.Region {
+	return disk.Region{Off: s.chain[k].off, Len: s.chain[k].size - runHeaderSize}
+}
+
+func runHeaderRegion(s *Store, k int) disk.Region {
+	prev := s.chain[k-1]
+	return disk.Region{Off: prev.off + prev.size - runHeaderSize, Len: rhCRCOff}
+}
+
+// chainStore builds a store whose snapshot is a base and a chain of three
+// deltas, every mutation synced, with a sync after the last delta.  It
+// returns the contents the syncs acknowledged and each delta's epoch.
+func chainStore(t testing.TB) (*Store, *disk.FaultDisk, map[uint64]string, []uint64) {
+	s, fd := rotStore(t)
+	want := make(map[uint64]string)
+	put := func(id uint64, v string) {
+		t.Helper()
+		if err := s.PutLabeled(id, rotLabel(id%7), []byte(v), 0, whole); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SyncObject(id); err != nil {
+			t.Fatal(err)
+		}
+		want[id] = v
+	}
+	for id := uint64(0); id < 300; id++ {
+		put(id, fmt.Sprintf("base-object-%d", id))
+	}
+	rebase(t, s)
+	epochs := []uint64{s.metaEpoch}
+	for g := uint64(1); g <= 3; g++ {
+		for i := uint64(0); i < 4; i++ {
+			put(1000*g+i, fmt.Sprintf("delta-%d-object-%d", g, i))
+		}
+		put(g, fmt.Sprintf("object %d overwritten in delta %d", g, g))
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		epochs = append(epochs, s.metaEpoch)
+	}
+	put(5000, "synced after the last delta")
+	if len(s.chain) != 4 {
+		t.Fatalf("%d deltas since the base, want 3", len(s.chain)-1)
+	}
+	return s, fd, want, epochs
+}
+
+// TestBitRotChain rots one record of a three-delta chain.  Rot in the last
+// delta is what a crash tearing it leaves: the chain ends a delta early and
+// the log replays from there, losing no committed sync.  Rot in the last run
+// header loses none either, and the mount names it, as it does rot in a
+// mid-chain run header, or in a mid-chain delta whose next run header still
+// verifies: the chain is cut there, never silently.
+func TestBitRotChain(t *testing.T) {
+	cases := []struct {
+		name   string
+		region func(*Store) disk.Region
+		links  int  // the deltas the mount keeps
+		named  bool // RecoveryReport.ChainTruncated
+		whole  bool // every acknowledged sync comes back
+	}{
+		{"last-delta", func(s *Store) disk.Region { return deltaRegion(s, 3) }, 2, false, true},
+		{"last-run-header", func(s *Store) disk.Region { return runHeaderRegion(s, 3) }, 2, true, true},
+		{"mid-delta", func(s *Store) disk.Region { return deltaRegion(s, 2) }, 1, true, false},
+		{"mid-run-header", func(s *Store) disk.Region { return runHeaderRegion(s, 2) }, 1, true, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 4; seed++ {
+				s, fd, want, epochs := chainStore(t)
+				if err := fd.RotBits(tc.region(s), 3, seed); err != nil {
+					t.Fatal(err)
+				}
+				s2, err := Open(fd, Options{})
+				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				rep := s2.RecoveryReport()
+				if len(s2.chain)-1 != tc.links || rep.MetaEpoch != epochs[tc.links] || rep.ChainTruncated != tc.named {
+					t.Fatalf("seed %d: %d deltas kept, %+v; want %d, epoch %d, ChainTruncated %v", seed, len(s2.chain)-1, rep, tc.links, epochs[tc.links], tc.named)
+				}
+				if tc.named && s2.Stats().CorruptionsDetected == 0 {
+					t.Fatalf("seed %d: the cut chain counted no corruption", seed)
+				}
+				if tc.whole {
+					checkAll(t, s2, want)
+				}
+				// The mount heals: a checkpoint, and the store reopens clean.
+				if err := s2.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				s3, err := Open(fd, Options{})
+				if err != nil || s3.RecoveryReport().Degraded() {
+					t.Fatalf("seed %d: reopen after a checkpoint: %v, %+v", seed, err, s3.RecoveryReport())
+				}
+			}
+		})
+	}
 }
 
 // restampSuperblockCopy rewrites the version field of the superblock copy at
@@ -587,7 +727,8 @@ func legacyLabelDigest(lbl label.Label) uint64 {
 // ascending order; versions 3 to 5 a table of snapshot pins as section 6,
 // and versions up to 6 the free-extent list as section 2, both empty here.
 // Versions 7 and 8 wrote sections 1, 3 and 5, but version 7's object map
-// could name one extent twice (a clone alias).
+// could name one extent twice (a clone alias); version 9 wrote sections 1 and
+// 5, a whole image at every checkpoint, with no chain.
 func restampMetaArea(t *testing.T, d disk.Device, areaOff int64, version uint64, tags ...uint64) {
 	t.Helper()
 	section := func(tag uint64) []byte {
@@ -666,7 +807,7 @@ func TestOtherFormatVersionsRefusedNotLoaded(t *testing.T) {
 		version  uint64
 		zeroTail bool
 	}{
-		{"v0", 0, false}, {"v1", 1, false}, {"v3", 3, false},
+		{"v0", 0, false}, {"v1", 1, false}, {"v2", 2, false}, {"v4", 4, false},
 		{"v0-unchecksummed", 0, true},
 	}
 	for _, tc := range superblocks {
@@ -698,7 +839,7 @@ func TestOtherFormatVersionsRefusedNotLoaded(t *testing.T) {
 		{"v2", 2, []uint64{1, 2, 3, 4}}, {"v3", 3, []uint64{1, 2, 3, 4, 5}},
 		{"v4", 4, []uint64{1, 2, 3, 4, 5, 6}}, {"v5", 5, []uint64{1, 2, 3, 5, 6}},
 		{"v6", 6, []uint64{1, 2, 3, 5}}, {"v7", 7, []uint64{1, 3, 5}},
-		{"v8", 8, []uint64{1, 3, 5}},
+		{"v8", 8, []uint64{1, 3, 5}}, {"v9", 9, []uint64{1, 5}},
 	}
 	for _, tc := range metas {
 		t.Run("metadata-"+tc.name, func(t *testing.T) {
@@ -758,6 +899,7 @@ func TestOtherFormatVersionsRefusedNotLoaded(t *testing.T) {
 	t.Run("objmap-entry-without-crc", func(t *testing.T) {
 		s, fd := rotStore(t)
 		want := populateGenerations(t, s)
+		rebase(t, s)
 		sec := findSection(t, fd, s.metaAreaOff(s.metaWhich), secObjMap)
 		body := make([]byte, sec.Len)
 		if _, err := fd.ReadAt(body, sec.Off); err != nil {

@@ -1,51 +1,57 @@
 package store
 
 import (
+	"cmp"
+	crand "crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 )
 
-// Checkpoint persists a whole-system snapshot — every object dirtied since
-// the last seal written to a new home location, the metadata sections
-// rewritten, the superblock flipped — without stopping the world.  Only the
-// SEAL is exclusive, and it does no I/O at all:
+// Checkpoint persists a whole-system snapshot without stopping the world.
+// Only the SEAL is exclusive, and it does no I/O at all:
 //
 //	SEAL    (ckptMu held exclusively, and mu; microseconds): take a fresh
-//	        epoch, capture the dirty entries with their labels and the dead
-//	        ones, walking only those changed since the last seal, and clear
-//	        the dirty flags (marking the entries ckpt, so they keep their
-//	        contents and condemn leaves them alone).  Records
-//	        synced after the seal go into log frames stamped with the new
-//	        epoch, so replay boundaries equal seal boundaries.
+//	        epoch, capture the entries changed since the last seal — dirty
+//	        ones with their labels, dead ones — and clear the dirty flags
+//	        (marking the entries ckpt, so they keep their contents and
+//	        condemn leaves them alone).  Log frames committed from then on
+//	        carry the new epoch, so replay boundaries equal seal boundaries.
 //	BODY    (no ckptMu; serialized by ckptRun; mu only between device
-//	        writes, never across one): stream the sealed contents into
-//	        append-only segments, merge their homes and the deletions into
-//	        the object map, run the segment cleaner, serialize the metadata
-//	        sections against the sealed epoch, and flip the superblock; only
-//	        then install the free list derived from the segment table
-//	        serialized and release the sealed entries, their state now the
-//	        snapshot's.  Reads, writes, and SyncObject group commits all
-//	        proceed concurrently.
+//	        writes): in memory, place the sealed contents in append-only
+//	        segments, merge their homes into the object map, let the cleaner
+//	        place its moves, and place after them the delta — the tables'
+//	        rows changed since the last commit.  Then write a run header at
+//	        the sector the last delta reserved, the data, flush, the delta,
+//	        flush: the commit.  Only then is the free list derived and the
+//	        sealed entries released; a failure puts every table back.  Once
+//	        the chain since the last base holds maxChainLinks deltas or more
+//	        bytes than half the base, the checkpoint also writes a new base
+//	        and flips the superblock to it.
 //	FINISH  reclaim log frames of epochs older than the previous committed
-//	        snapshot's (its own are kept for the metadata-fallback ladder
-//	        rung).
+//	        snapshot's, which a torn last delta falls back to.
 //
-// Checkpoints remain copy-on-write: a sealed object is never written over
-// an extent the on-disk snapshot still references — segment appends only
-// ever extend past the committed high-water mark, and a vacated extent is
-// free only once a snapshot not naming it has committed (alloc.go), so a
-// failed body frees nothing.  Whichever superblock a crash leaves behind
-// references only intact data.
-//
-// Every seal attempt takes a fresh epoch, so a failed body burns its own:
-// records synced between it and the retry carry an epoch the retry's
-// snapshot is newer than, and never replay over it.
+// Checkpoints remain copy-on-write: appends land only past a segment's
+// committed high-water mark, and a dropped segment is free only from the
+// commit after the one that drops it (alloc.go).  A delta that verifies
+// implies its data: the flush between them orders the two.  Every seal
+// attempt takes a fresh epoch, so a failed body burns its own: records
+// synced before the retry never replay over its snapshot.
 func (s *Store) Checkpoint() error {
 	s.ckptRun.Lock()
 	defer s.ckptRun.Unlock()
 	return s.checkpointRunLocked()
 }
+
+// A checkpoint writes a base once the chain holds maxChainLinks deltas, which
+// bounds what Open walks, or more bytes than half the base, counted as at
+// least minBase, since a small one costs its seeks, not its bytes.
+const (
+	maxChainLinks = 16
+	minBase       = 4 << 10
+)
 
 // sealedEntry is one entry captured by the seal: a dirty object whose
 // sealed contents must be written home, or a dead object whose extent must
@@ -55,7 +61,7 @@ type sealedEntry struct {
 	e    *objEntry
 	data []byte // aliases the contents slice sealed for this epoch (shared)
 	lbl  []byte // the label sealed with data, encoded (nil: none)
-	home        // where relocateSealed wrote data
+	home        // where commitDelta placed data
 	dead bool
 }
 
@@ -108,14 +114,11 @@ func (s *Store) sealCheckpoint() *sealedState {
 		e.listed = false
 		switch {
 		case e.dead:
-			// The body vacates the home extent, if there is one; the entry
-			// stays in the table, keeping the deletion visible to concurrent
-			// Gets and syncs, until this checkpoint commits.
+			// The entry stays, the deletion visible, until the delta commits.
 			ss.entries = append(ss.entries, sealedEntry{id: id, e: e, dead: true})
 		case e.dirty:
-			// Seal the contents slice, shared so no put patches it, and
-			// hand the entry to the body: ckpt keeps the copy resident
-			// and condemn off it until the snapshot holding it commits.
+			// Seal the contents, shared so no put patches them; ckpt keeps
+			// them resident until the delta commits.
 			e.dirty, e.ckpt, e.shared = false, true, true
 			ss.entries = append(ss.entries, sealedEntry{id: id, e: e, data: e.data, lbl: e.lbl})
 		}
@@ -127,12 +130,9 @@ func (s *Store) sealCheckpoint() *sealedState {
 
 // restoreSealed undoes a seal whose checkpoint failed: every sealed entry
 // goes back on the changed list, a sealed-dirty one dirty again with its
-// sealed copy still resident — one the body already relocated too, since its
-// new home is known only to the table in memory; the retry vacates that
-// extent like any superseded home — and a sealed deletion as it was (even one
-// the body already vacated in memory is still in the committed snapshot), so
-// no sealed state is lost and the next checkpoint retries them.  Entries
-// deleted or re-written concurrently keep their newer state.
+// sealed copy still resident, and a sealed deletion as it was, so the next
+// checkpoint retries them.  Entries deleted or re-written concurrently keep
+// their newer state.
 func (s *Store) restoreSealed(ss *sealedState) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -162,41 +162,46 @@ func (s *Store) releaseSealed(ss *sealedState) {
 }
 
 // checkpointBody is the BODY and FINISH of one checkpoint; the caller holds
-// ckptRun.  A failure before the snapshot commits undoes the seal.  Sealed
-// deletions free space only once a snapshot without them commits, so a
-// relocation that runs out of space commits them alone first, under the
-// committed epoch so replay restores every logged state, and retries once.
-func (s *Store) checkpointBody(ss *sealedState) (err error) {
-	defer func() {
-		if err != nil && s.metaEpoch != ss.epoch {
-			s.restoreSealed(ss)
-		}
-	}()
-	homes := len(s.homes)
-	err = s.relocateSealed(ss)
-	if errors.Is(err, ErrNoSpace) && len(s.homes) < homes {
-		if err = s.writeSnapshot(s.metaEpoch); err == nil {
-			err = s.relocateSealed(ss)
+// ckptRun.  A failure before the delta commits undoes the seal.  Out of
+// space, a body whose seal deletes homes commits the deletions alone, under
+// the committed epoch so replay restores every logged state, then an empty
+// delta, which frees what they dropped, and retries.
+func (s *Store) checkpointBody(ss *sealedState) error {
+	prev := s.metaEpoch
+	grown := int64(0)
+	for _, e := range s.chain {
+		grown += e.size
+	}
+	flip := len(s.chain) > maxChainLinks || 2*grown > max(s.base.length, minBase) || s.base.length < 0
+	err := s.commitDelta(ss.entries, ss.epoch, flip, true)
+	if errors.Is(err, ErrNoSpace) {
+		s.mu.Lock()
+		dead := slices.DeleteFunc(slices.Clone(ss.entries), func(se sealedEntry) bool {
+			_, homed := s.homeAt(se.id)
+			return !se.dead || !homed
+		})
+		s.mu.Unlock()
+		if len(dead) > 0 {
+			if err = s.commitDelta(dead, s.metaEpoch, false, false); err == nil {
+				err = s.commitDelta(nil, s.metaEpoch, false, false)
+			}
+			if err == nil {
+				err = s.commitDelta(ss.entries, ss.epoch, flip, true)
+			}
 		}
 	}
 	if err != nil {
-		return err
-	}
-	if err := s.cleanSegments(); err != nil {
-		return err
-	}
-	prev := s.metaEpoch
-	if err := s.writeSnapshot(ss.epoch); err != nil {
+		s.restoreSealed(ss)
 		return err
 	}
 	s.releaseSealed(ss)
-	// FINISH: log retention.  Frames older than the PREVIOUS snapshot's epoch
-	// can no longer serve any replay; that snapshot's own are retained so
-	// that, should the snapshot written above rot on disk, Open can fall back
-	// to the previous snapshot and replay forward from them — zero
-	// committed-sync loss.  When even those would keep the log more than half
-	// full, they are sacrificed too (degraded: the fallback rung loses its
-	// replay tail).
+	if flip {
+		if err := s.writeBase(ss.epoch, false); err != nil {
+			return err
+		}
+	}
+	// FINISH: frames below the previous snapshot's epoch serve no replay;
+	// its own go too when they would keep the log over half full.
 	if err := s.l.ReclaimBefore(prev); err != nil {
 		return err
 	}
@@ -209,95 +214,159 @@ func (s *Store) checkpointBody(ss *sealedState) (err error) {
 	return nil
 }
 
-// relocateSealed is the body's data phase: append each sealed-dirty object to
-// a segment, in seal order, each device write without mu, then merge the
-// new homes and the sealed deletions into the home table at once.  After a
-// failed write only the deletions merge, the homes written are vacated again,
-// and the open segment, if the attempt began in it, appends from where it did.
-func (s *Store) relocateSealed(ss *sealedState) (err error) {
-	open, used := s.openSeg, int64(0)
-	if open != nil {
-		used = open.used // only this body moves it: ckptRun is held
-	}
-	written := len(ss.entries)
-	for i := range ss.entries {
-		se := &ss.entries[i]
-		if se.dead {
-			continue
-		}
-		var off int64
-		if off, err = s.segAppend(se.data); err != nil {
-			written = i
-			break
-		}
-		// The contents CRC travels with the extent in the metadata snapshot;
-		// reads and scrubs verify against it.  The entry stays ckpt, and
-		// keeps its copy, until that snapshot commits: a sync before then
-		// must still log this state (releaseSealed).
-		se.home = home{off: off, size: int64(len(se.data)), crc: crc32c(se.data)}
-		s.c.bytesHome.Add(uint64(len(se.data)))
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delta := ss.entries
-	if err != nil {
-		delta = nil
-		for i, se := range ss.entries {
-			if se.dead {
-				delta = append(delta, se)
-			} else if i < written {
-				s.vacateExtent(se.off, se.size)
-			}
-		}
-		if open != nil && open == s.openSeg {
-			open.used = used
-		}
-	}
-	s.mergeHomes(delta)
-	return err
+// tables is what a body changes, as the last commit left it: the home table
+// (mergeHomes builds a new one), the segment table with a copy of each
+// segment, the open segment, the free list and what the commit dropped.
+type tables struct {
+	homes     []homedObject
+	segs, old []*segment
+	open      *segment
+	free      []extent
+	held      []extent
 }
 
-// writeSnapshot serializes the metadata sections against the sealed epoch,
-// writes them to the alternate metadata area, flips the superblock, and only
-// then installs the free list derived from the tables it serialized.  It runs
-// in the checkpoint body or single-threaded construction, so nothing
-// allocates in between; ckptRun, held in the body, also fences these device
-// writes against a scrub's reads of the same regions.  The committed
-// metaWhich/metaEpoch are published under mu with ckptRun held, so a reader
-// holding either (scrub, committedEpoch) sees a (which, epoch) pair that
-// matches the bytes on disk.  An image larger than the metadata area is
-// ErrNoSpace, and changes nothing.
-func (s *Store) writeSnapshot(epoch uint64) error {
+// saveTables and restoreTables keep and put back the committed tables around
+// a body that may fail; the caller holds mu.
+func (s *Store) saveTables() *tables {
+	t := &tables{homes: s.homes, segs: slices.Clone(s.segs), open: s.openSeg, free: slices.Clone(s.free), held: s.held}
+	for _, seg := range s.segs {
+		t.old = append(t.old, &segment{base: seg.base, size: seg.size, used: seg.used, live: seg.live})
+	}
+	return t
+}
+
+func (s *Store) restoreTables(t *tables) {
+	s.homes, s.segs, s.openSeg, s.free, s.held = t.homes, t.segs, t.open, t.free, t.held
+	s.spare = nil // a merge may have left it naming t.homes
+	for i, seg := range t.segs {
+		*seg = *t.old[i]
+	}
+}
+
+// pending is one write a body has placed but not yet issued.
+type pending struct {
+	off  int64
+	data []byte
+}
+
+// commitDelta places entries' contents (and, with clean, the cleaner's
+// moves), merges their homes, and places after them the delta, sized for
+// the one segment row its own placement can add (with flip, checking that a
+// base fits its area), then writes it all; a failure puts the tables back.
+func (s *Store) commitDelta(entries []sealedEntry, epoch uint64, flip, clean bool) error {
+	for i := range entries {
+		if se := &entries[i]; !se.dead {
+			se.home = home{size: int64(len(se.data)), crc: crc32c(se.data)}
+		}
+	}
 	s.mu.Lock()
-	next := 1 - s.metaWhich
-	metaOff := s.metaAreaOff(next)
-	meta := s.encodeMetadata(epoch)
-	free, err := s.deriveFree(metaOff, false)
+	was := s.saveTables()
+	s.held = nil // dropSeg collects this body's
+	fail := func(err error) error {
+		s.restoreTables(was)
+		s.mu.Unlock()
+		return err
+	}
+	var writes []pending
+	var homed int64
+	for i := range entries {
+		if se := &entries[i]; !se.dead {
+			off, err := s.place(se.size, s.allocate)
+			if err != nil {
+				return fail(err)
+			}
+			se.off, writes, homed = off, append(writes, pending{off, se.data}), homed+se.size
+		}
+	}
+	d := &delta{epoch: epoch, homes: s.mergeHomes(entries)}
 	s.mu.Unlock()
+	if clean {
+		cleaned, moved := s.cleanSegments()
+		writes, d.homes = append(writes, cleaned...), append(d.homes, moved...)
+		slices.SortFunc(d.homes, func(a, b homedObject) int { return cmp.Compare(a.id, b.id) })
+	}
+	s.mu.Lock()
+	d.segs = diffSegs(was.old, s.segs)
+	size := align512(int64(len(appendDelta(s.dbuf[:0], d, 0))) + 8 + 24)
+	off, err := s.place(size+runHeaderSize, s.allocateTop)
 	if err != nil {
-		return err
+		return fail(err)
 	}
-	if int64(len(meta)) > s.metaSize {
-		return fmt.Errorf("%w: metadata (%d bytes) exceeds the metadata area (%d bytes)", ErrNoSpace, len(meta), s.metaSize)
+	d.next, d.segs = off+size, diffSegs(was.old, s.segs)
+	if flip && int64(len(s.encodeMetadata(epoch, 0)))+16 > s.metaSize {
+		return fail(fmt.Errorf("%w: a base exceeds the metadata area (%d bytes)", ErrNoSpace, s.metaSize))
 	}
-	if _, err := s.d.WriteAt(meta, metaOff); err != nil {
-		return err
+	s.dbuf = appendDelta(s.dbuf[:0], d, size)
+	sum, _ := deltaSum(s.dbuf)
+	rh := runHeader{chain: s.chainID, link: s.link, epoch: epoch, off: off, len: size, sum: sum}
+	s.mu.Unlock()
+	if err := s.writeDelta(rh, writes, s.dbuf); err != nil {
+		s.mu.Lock()
+		return fail(err)
 	}
-	// Barrier between the metadata image and the superblock that references
-	// it: without it, a write-back cache destaging in ascending offset
-	// order could persist the new superblock (offset 0) before the new
-	// metadata area behind it.  The same barrier also orders every data
-	// write of this checkpoint before the superblock that references them.
+	s.mu.Lock()
+	s.chain = append(s.chain, extent{off, size + runHeaderSize})
+	s.nextRun, s.link, s.metaEpoch = d.next, rh.nextLink(), epoch
+	s.free, _ = s.deriveFree(0, false)
+	s.mu.Unlock()
+	s.c.bytesHome.Add(uint64(homed))
+	s.c.metaBytesWritten.Add(uint64(size + runHeaderSize))
+	return nil
+}
+
+// writeDelta is a delta checkpoint's device schedule: the run header, the
+// data, a flush, the delta, a flush.  Each write continues where the last
+// stopped, the first where the last checkpoint's did, so each flush costs a
+// revolution, not a seek.
+func (s *Store) writeDelta(rh runHeader, writes []pending, delta []byte) error {
+	for _, w := range append([]pending{{s.nextRun, encodeRunHeader(rh)}}, writes...) {
+		if len(w.data) == 0 {
+			continue
+		}
+		if _, err := s.d.WriteAt(w.data, w.off); err != nil {
+			return err
+		}
+	}
 	if err := s.d.Flush(); err != nil {
 		return err
 	}
-	copyBytes := encodeSuperblockCopy(superblockInfo{
-		which: next, metaLen: int64(len(meta)),
-		logSize: s.logSize, metaSize: s.metaSize, epoch: epoch,
-	})
-	sb := make([]byte, sbBackupOff+sbCopySize)
-	copy(sb[0:], copyBytes)
-	copy(sb[sbBackupOff:], copyBytes)
+	if _, err := s.d.WriteAt(delta, rh.off); err != nil {
+		return err
+	}
+	return s.d.Flush()
+}
+
+// writeBase writes the committed tables as a new base to the metadata area
+// the superblock does not reference (with both, to the two areas), flushes,
+// flips the superblock to it and flushes again (in the checkpoint body,
+// under ckptRun, which fences a scrub's reads, or in Format).  The new chain
+// starts at the sector the last delta reserved; the one the base ends stays
+// pinned, and the one before it is released.
+func (s *Store) writeBase(epoch uint64, both bool) error {
+	var b [8]byte
+	crand.Read(b[:]) // cannot fail: crypto/rand stops the program instead
+	chain := binary.LittleEndian.Uint64(b[:])
+	s.mu.Lock()
+	next := 1 - s.metaWhich
+	meta := s.encodeMetadata(epoch, chain)
+	s.mu.Unlock()
+	if int64(len(meta)) > s.metaSize {
+		return fmt.Errorf("%w: a base exceeds the metadata area (%d bytes)", ErrNoSpace, s.metaSize)
+	}
+	sb := encodeSuperblockCopy(superblockInfo{which: next, chain: chain, logSize: s.logSize, metaSize: s.metaSize, epoch: epoch})
+	sb = append(append(sb, make([]byte, sbBackupOff-sbCopySize)...), sb...)
+	for which := range 2 {
+		if which == next || both {
+			if _, err := s.d.WriteAt(meta, s.metaAreaOff(which)); err != nil {
+				return err
+			}
+		}
+	}
+	// The flush between base and superblock keeps a write-back cache, which
+	// destages in ascending order, from persisting the superblock first.
+	if err := s.d.Flush(); err != nil {
+		return err
+	}
 	if _, err := s.d.WriteAt(sb, superblockOffset); err != nil {
 		return err
 	}
@@ -305,7 +374,15 @@ func (s *Store) writeSnapshot(epoch uint64) error {
 		return err
 	}
 	s.mu.Lock()
-	s.metaWhich, s.metaEpoch, s.free = next, epoch, free
+	s.metaWhich, s.chainID, s.link = next, chain, chain
+	s.base = metaImage{epoch: epoch, chain: chain, run: s.nextRun, length: int64(len(meta))}
+	for _, e := range s.prevChain {
+		s.segContaining(e.off).live -= e.size // dropped by the next body's cleaner
+	}
+	s.prevChain, s.chain = s.chain, []extent{{s.nextRun, runHeaderSize}}
+	s.segContaining(s.nextRun).live += runHeaderSize
+	s.held = nil // no delta to fall back past
+	s.free, _ = s.deriveFree(0, false)
 	s.mu.Unlock()
 	s.c.metaBytesWritten.Add(uint64(len(meta) + len(sb)))
 	return nil

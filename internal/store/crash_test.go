@@ -94,6 +94,9 @@ func (a objState) equal(b objState) bool {
 type refModel struct {
 	history    map[uint64][]objState
 	durableIdx map[uint64]int
+	// deltas and bases count the checkpoints that committed as a delta
+	// alone and those that also wrote a base.
+	deltas, bases int
 }
 
 func newRefModel() *refModel {
@@ -292,6 +295,11 @@ func runWorkload(t *testing.T, s *Store, ops []wlOp, m *refModel) bool {
 				return true
 			}
 			m.commitAll()
+			if len(s.chain) == 1 {
+				m.bases++
+			} else {
+				m.deltas++
+			}
 		case opFailCheckpoint:
 			// The failed attempt made nothing durable.
 			switch err := failCheckpoint(s); {
@@ -614,6 +622,11 @@ func crashMatrix(t *testing.T, name string, ops []wlOp, seedBase int64, stride i
 	if runWorkload(t, s, ops, m) {
 		t.Fatalf("%s: fault-free pass crashed", name)
 	}
+	// Every write boundary of both kinds of checkpoint gets its rung.
+	if m.deltas == 0 || m.bases == 0 {
+		t.Fatalf("%s: %d checkpoints committed a delta alone and %d wrote a base; the matrix needs both", name, m.deltas, m.bases)
+	}
+	t.Logf("%s: %d delta checkpoints, %d with a base", name, m.deltas, m.bases)
 	verifyRecovery(t, fd.Inner(), m, name+" clean")
 	var points []int64
 	for i, pt := range crashPoints(fd.WriteBounds()) {
@@ -935,16 +948,18 @@ func TestFailedHomeWriteChargesNoLive(t *testing.T) {
 }
 
 // TestCommitWindowSyncSurvivesCrash: a sync acknowledged while a checkpoint
-// has written the object home but not yet committed the snapshot naming that
-// home must come back after a crash there.  Until the superblock flips, the
+// has written the object home but not yet committed the delta naming that
+// home must come back after a crash there.  Until the delta is written, the
 // home is known only to the table in memory, so the store must still hold the
 // sealed state (ckpt) and the sync must log it; a store that takes the
 // written extent for durable answers "on-disk copy current" — all the more
 // once the copy is evicted — and recovery brings back the older synced state.
+// The power cut comes at the delta: the first segment's second sector, after
+// the object's one.
 func TestCommitWindowSyncSurvivesCrash(t *testing.T) {
 	d := disk.New(disk.Params{Sectors: crashSectors, WriteCache: false}, &vclock.Clock{})
-	metaStart := logOffset + crashOpts.LogSize
-	cd := &cutDisk{Device: d, from: metaStart, to: metaStart + 2*crashOpts.MetaAreaSize}
+	dataStart := logOffset + crashOpts.LogSize + 2*crashOpts.MetaAreaSize
+	cd := &cutDisk{Device: d, from: dataStart + disk.SectorSize, to: dataStart + crashOpts.SegmentSize}
 	s, err := Format(cd, crashOpts)
 	if err != nil {
 		t.Fatal(err)
@@ -968,7 +983,7 @@ func TestCommitWindowSyncSurvivesCrash(t *testing.T) {
 		t.Fatalf("checkpoint across the power cut: %v, want disk.ErrFault", err)
 	}
 	if cd.hook != nil {
-		t.Fatal("the checkpoint never wrote its metadata area")
+		t.Fatal("the checkpoint never wrote its delta")
 	}
 	if syncErr != nil {
 		t.Fatalf("sync in the commit window: %v", syncErr)
@@ -1021,6 +1036,46 @@ func TestFailedCheckpointFreesNothing(t *testing.T) {
 	}
 	if got, err := s2.Get(1); err != nil || !bytes.Equal(got, v1) {
 		t.Fatalf("after the crash object 1 reads %d bytes, %v; want the committed v1", len(got), err)
+	}
+}
+
+// TestFailedCheckpointsKeepTheFreeList: a checkpoint that fails gives back
+// what its body took.  500 objects of 512 bytes are checkpointed, then all
+// rewritten; five checkpoints fail at their first flush, and after each the
+// free space is within a segment of what it was after the first.
+func TestFailedCheckpointsKeepTheFreeList(t *testing.T) {
+	const segSize = 64 << 10
+	d := disk.New(disk.Params{Sectors: 1 << 15, WriteCache: true}, &vclock.Clock{}) // 16 MiB
+	s, err := Format(d, Options{LogSize: 1 << 20, MetaAreaSize: 1 << 20, SegmentSize: segSize})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round := byte(0); round < 2; round++ {
+		for id := uint64(0); id < 500; id++ {
+			if err := s.Put(id, bytes.Repeat([]byte{round, byte(id)}, 256)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if round == 0 {
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var first int64
+	for i := 0; i < 5; i++ {
+		if err := failCheckpoint(s); !errors.Is(err, errBarrier) {
+			t.Fatalf("checkpoint %d across a failed flush: %v", i, err)
+		}
+		free := s.FreeBytes()
+		if i == 0 {
+			first = free
+		} else if free < first-segSize || free > first+segSize {
+			t.Fatalf("after %d failed checkpoints %d bytes are free; after the first, %d", i+1, free, first)
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
 	}
 }
 

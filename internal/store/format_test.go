@@ -8,6 +8,7 @@ import (
 	"errors"
 	"io"
 	"math/rand"
+	"runtime/metrics"
 	"testing"
 
 	"histar/internal/disk"
@@ -16,13 +17,14 @@ import (
 
 // formatImageSHA256 is the SHA-256 of the device image formatImageWorkload
 // leaves behind.  It pins every on-disk layout at once — superblock copies,
-// log header, frames and records, metadata header and sections, segment packing,
-// range records — so a change that alters any of them must change
-// this constant, visibly.  The checkpoint seal walks the entries changed
-// since the last seal in the order they changed, which fixes segment packing,
-// and the object map, each record with its label, comes from the id-ordered
-// home table.
-const formatImageSHA256 = "56097e4d1bb2e6a0852fbaa237410122fb10291d81fa30defe22cfb870dcf2c0"
+// log header, frames and records, base header and sections, run headers and
+// deltas, segment packing, range records — so a change that alters any of
+// them must change this constant, visibly.  The checkpoint seal walks the
+// entries changed since the last seal in the order they changed, which fixes
+// segment packing, and the object map, each record with its label, comes
+// from the id-ordered home table.  Chain ids come from crypto/rand as log
+// generations do, so every draw moves the ones after it.
+const formatImageSHA256 = "402f32067c2d62df74706ebd603810a4a320176640187e478ccdcedb76b12832"
 
 // formatImageWorkload drives one seeded, single-threaded pass over every
 // structure the store writes: plain and labelled puts, deletes, per-object
@@ -131,9 +133,7 @@ func TestOnDiskFormatUnchanged(t *testing.T) {
 func TestDecodersRefuseDamagedPayloads(t *testing.T) {
 	src, fd := rotStore(t)
 	populateGenerations(t, src)
-	if err := src.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
+	rebase(t, src)
 	section := func(tag uint64) []byte {
 		reg := findSection(t, fd, src.metaAreaOff(src.metaWhich), tag)
 		body := make([]byte, reg.Len)
@@ -234,10 +234,11 @@ func TestDecodersRefuseDamagedPayloads(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s, fd := rotStore(t)
 			want := populateGenerations(t, s)
+			rebase(t, s)
 			s.mu.Lock()
 			tc.damage(s)
 			_, err := s.deriveFree(0, true)
-			img := s.encodeMetadata(s.metaEpoch)
+			img := s.encodeMetadata(s.metaEpoch, s.base.chain)
 			s.mu.Unlock()
 			var ce *CorruptError
 			if !errors.As(err, &ce) {
@@ -256,4 +257,70 @@ func TestDecodersRefuseDamagedPayloads(t *testing.T) {
 			checkAll(t, s2, want)
 		})
 	}
+}
+
+// FuzzDecodeMetadata feeds every decoder of the base and the chain — the
+// section stream, the three section decoders, the base header, the run
+// header and the delta — the same bytes, seeded with a real base and the
+// records of a three-delta chain.  Each must decode or return a
+// CorruptError, never panic, and allocate no more than a small multiple of
+// its input.
+func FuzzDecodeMetadata(f *testing.F) {
+	s, fd, _, _ := chainStore(f)
+	read := func(off, n int64) []byte {
+		b := make([]byte, n)
+		if _, err := fd.ReadAt(b, off); err != nil {
+			f.Fatal(err)
+		}
+		return b
+	}
+	area := read(s.metaAreaOff(s.metaWhich), s.base.length)
+	f.Add(area)
+	f.Add(area[metaHeaderSize:])
+	for k := 1; k < len(s.chain); k++ {
+		f.Add(read(s.chain[k].off, s.chain[k].size-runHeaderSize))
+		f.Add(read(runHeaderRegion(s, k).Off, runHeaderSize))
+	}
+	link := s.base.chain
+	f.Fuzz(func(t *testing.T, b []byte) {
+		decodeAll := func() (errs []error) {
+			if len(b) >= metaHeaderSize {
+				_, err := parseMetaHeader(b, 0, 1<<30)
+				errs = append(errs, err)
+			}
+			secs, err := parseSections(b, 0)
+			errs = append(errs, err)
+			for _, decode := range []func(*Store, *sectionReader){(*Store).decodeObjMapSection, (*Store).decodeSegsSection, (*Store).decodePinsSection} {
+				for _, payload := range append(secs[:], b) {
+					r := &sectionReader{buf: payload, area: "metadata"}
+					decode(newStore(nil, Options{}), r)
+					errs = append(errs, r.err)
+				}
+			}
+			_, err = decodeDelta(b, 0)
+			parseRunHeader(b, link, link)
+			return append(errs, err)
+		}
+		for _, err := range decodeAll() {
+			var ce *CorruptError
+			if err != nil && !errors.As(err, &ce) {
+				t.Fatalf("a decoder returned %v, not a CorruptError", err)
+			}
+		}
+		// The heap counter is the process's, which the fuzzing engine
+		// shares: only a bound exceeded on every one of three tries counts.
+		allocs := []metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+		for try := 0; ; try++ {
+			metrics.Read(allocs)
+			before := allocs[0].Value.Uint64()
+			decodeAll()
+			metrics.Read(allocs)
+			grew := allocs[0].Value.Uint64() - before
+			if grew <= 64*uint64(len(b))+64<<10 {
+				break
+			} else if try == 2 {
+				t.Fatalf("decoding %d bytes allocated %d", len(b), grew)
+			}
+		}
+	})
 }

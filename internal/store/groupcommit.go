@@ -1,34 +1,24 @@
 package store
 
-// Group commit is the one way into the write-ahead log for every record the
-// store writes: SyncObject seals a record from the object's current state,
-// enqueues it with the committer and waits on a commit ticket.  The first syncer to find the
-// committer idle becomes the leader: it drains the queue in bounded batches,
-// each batch one wal.Commit (one frame at the log's tail, one flush, stamped
-// with the current epoch), and resolves every ticket in the batch.  Followers
-// just wait; their latency is bounded by at most one in-flight batch ahead of
-// theirs, and batch size is bounded by groupCommitBytes/groupCommitRecords.
+// Group commit is the one way into the write-ahead log: SyncObject seals a
+// record from the object's current state, enqueues it with the committer and
+// waits on a ticket.  The first syncer to find the committer idle leads: it
+// drains the queue in batches bounded by groupCommitBytes and
+// groupCommitRecords, each one wal.Commit (one frame, one flush, stamped with
+// the current epoch), and resolves their tickets.
 //
 // Crash-consistency invariants:
 //
-//   - A record is sealed and enqueued while holding the store's mu, so for
-//     one object, log order equals seal order: replay can never regress an
-//     object to an earlier sealed state.
-//   - logged holds ckptMu in read mode from first seal to last ticket
-//     resolution, so no checkpoint SEAL can intervene between sealing a state
-//     and committing it — a record's frame carries the epoch of the last seal
-//     before the record, so replay on the matching snapshot never regresses.
+//   - A record is sealed and enqueued under mu, so per object log order is
+//     seal order: replay never regresses an object.
+//   - logged holds ckptMu in read mode from first seal to last ticket, so no
+//     checkpoint SEAL falls between sealing a state and committing it.
 //   - A range record commits only in the log generation it was sealed in;
 //     one of an older generation takes the checkpoint fallback (sealSync).
-//   - When a batch cannot commit (log full, or a record that could never
-//     fit), the log keeps none of it and every affected syncer falls back to
-//     a checkpoint: the checkpoint makes a state at least as new as each
-//     sealed record durable, which satisfies the sync contract, and no later
-//     commit can regress objects below the checkpoint.  The epoch lets the
-//     fallback syncers share one checkpoint instead of each running their
-//     own: a syncer records it while still under ckptMu read mode, and any
-//     checkpoint sealed strictly after that (committed, so metaEpoch exceeds
-//     the recorded value) covered the syncer's state.
+//   - A batch that cannot commit leaves nothing in the log, and its syncers
+//     fall back to one shared checkpoint, which makes a state at least as
+//     new durable: any checkpoint sealed after the epoch a syncer recorded
+//     under ckptMu covers it.
 
 import (
 	"errors"
@@ -91,17 +81,13 @@ func (s *Store) submit(t *syncTicket) (*syncTicket, error) {
 	return t, nil
 }
 
-// logged is the one body of every logged operation.  It runs seal n times —
-// each call installs an operation's in-memory state and submits its record —
-// under the checkpoint gate, then waits for every record's batch to commit,
-// and gives the operations that cannot go through the log the same durability
-// by one shared checkpoint; the result has one error slot per seal.  Every
-// record is enqueued BEFORE any ticket is awaited, so the leader's takeBatch
-// sees the whole group and forms full batches even with no concurrent syncers.
-// ckptMu is held in read mode from the first seal to the last ticket
-// resolution, so no checkpoint SEAL can slip between sealing a state and
-// committing it, and the epoch read first is older than any seal that
-// captures those states.  A nil ticket means seal left nothing to await.
+// logged is the one body of every logged operation.  Under ckptMu in read
+// mode it runs seal n times — each installs an operation's state and submits
+// its record — then waits for every record's batch, and gives the operations
+// the log cannot take one shared checkpoint; the result has one error slot
+// per seal.  Every record is enqueued before any ticket is awaited, so the
+// leader forms full batches even with no concurrent syncers.  A nil ticket
+// means seal left nothing to await.
 func (s *Store) logged(n int, seal func(i int) (*syncTicket, error)) []error {
 	s.syncers.Add(1)
 	defer s.syncers.Add(-1)
@@ -242,16 +228,12 @@ func (s *Store) commitBatch(batch []*syncTicket) error {
 	return nil
 }
 
-// SyncObject durably records the current contents of one object — and, in
-// the same log record, its canonical serialized label — through the group
-// committer: the fast path for fsync of a single file's segment.  Because
-// contents and label commit atomically, a crash after SyncObject can never
-// resurrect the object with a stale or missing label.  When the record
-// cannot go through the log (the log is full, or the record could never
-// fit), the same durability is provided by a whole-system checkpoint.
-// Directory-level fsync (the kernel's Sync) is a Checkpoint, which is why
-// the paper's synchronous unlink phase is so much slower on HiStar than
-// Linux.
+// SyncObject durably records the current contents of one object, and in the
+// same log record its canonical label, so a crash never resurrects it with a
+// stale label: the fast path for fsync of one file.  A record the log cannot
+// take gets a checkpoint instead.  Directory-level fsync (the kernel's Sync)
+// is a Checkpoint, which is why the paper's synchronous unlink phase is so
+// much slower on HiStar than on Linux.
 func (s *Store) SyncObject(id uint64) error { return s.SyncObjects([]uint64{id})[0] }
 
 // sealSync seals one object's current state into a log record and enqueues
@@ -312,14 +294,9 @@ func (s *Store) SyncObjects(ids []uint64) []error {
 	return s.logged(len(ids), func(i int) (*syncTicket, error) { return s.sealSync(ids[i]) })
 }
 
-// checkpointSince provides a sync's checkpoint fallback: if a checkpoint
-// sealed strictly after the record was enqueued has already committed (the
-// committed epoch passed the epoch the syncer recorded under ckptMu read
-// mode), that checkpoint captured and made durable a state at least as new
-// and nothing more is needed; otherwise run one.  The check is repeated after
-// acquiring ckptRun, so when a whole failed batch lands here at once, the
-// first ticket-holder checkpoints and the rest observe its completion and
-// return without running their own.
+// checkpointSince is a sync's checkpoint fallback: nothing, if a checkpoint
+// sealed after the epoch the syncer recorded has committed, else one.  The
+// check repeats under ckptRun, so a whole failed batch shares one.
 func (s *Store) checkpointSince(epoch uint64) error {
 	if s.committedEpoch() > epoch {
 		return nil
@@ -332,52 +309,11 @@ func (s *Store) checkpointSince(epoch uint64) error {
 	return s.checkpointRunLocked()
 }
 
-// committedEpoch is the epoch of the snapshot the superblock references.
+// committedEpoch is the epoch of the committed snapshot.
 func (s *Store) committedEpoch() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.metaEpoch
-}
-
-// holdGroupCommit pauses the committer so a test can pile up concurrent
-// syncers deterministically: subsequent syncs enqueue and block on their
-// tickets.  It waits out any active leader first.
-func (s *Store) holdGroupCommit() {
-	c := &s.comm
-	for {
-		c.mu.Lock()
-		if !c.leaderBusy {
-			c.held = true
-			c.mu.Unlock()
-			return
-		}
-		c.mu.Unlock()
-		runtime.Gosched()
-	}
-}
-
-// releaseGroupCommit resumes the committer, draining everything queued while
-// it was held on the calling goroutine.
-func (s *Store) releaseGroupCommit() {
-	c := &s.comm
-	c.mu.Lock()
-	c.held = false
-	if !c.leaderBusy {
-		c.leaderBusy = true
-		s.drainLocked()
-		c.leaderBusy = false
-	}
-	c.mu.Unlock()
-}
-
-// groupQueueLen reports how many sealed records wait for the committer
-// (tests poll it while the committer is held).
-func (s *Store) groupQueueLen() int {
-	c := &s.comm
-	c.mu.Lock()
-	n := len(c.queue)
-	c.mu.Unlock()
-	return n
 }
 
 // GroupCommitStats describes the committer's batching behaviour: the records

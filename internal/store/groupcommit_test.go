@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -611,4 +612,45 @@ func TestPutLabeledSealsContentsAndLabelAtomically(t *testing.T) {
 	if !ok || !got.Equal(lbl) {
 		t.Fatalf("labeled contents recovered without their label: %v, %v", got, ok)
 	}
+}
+
+// holdGroupCommit pauses the committer so a test can pile up concurrent
+// syncers deterministically: subsequent syncs enqueue and block on their
+// tickets.  It waits out any active leader first.
+func (s *Store) holdGroupCommit() {
+	c := &s.comm
+	for {
+		c.mu.Lock()
+		if !c.leaderBusy {
+			c.held = true
+			c.mu.Unlock()
+			return
+		}
+		c.mu.Unlock()
+		runtime.Gosched()
+	}
+}
+
+// releaseGroupCommit resumes the committer, draining everything queued while
+// it was held on the calling goroutine.
+func (s *Store) releaseGroupCommit() {
+	c := &s.comm
+	c.mu.Lock()
+	c.held = false
+	if !c.leaderBusy {
+		c.leaderBusy = true
+		s.drainLocked()
+		c.leaderBusy = false
+	}
+	c.mu.Unlock()
+}
+
+// groupQueueLen reports how many sealed records wait for the committer
+// (tests poll it while the committer is held).
+func (s *Store) groupQueueLen() int {
+	c := &s.comm
+	c.mu.Lock()
+	n := len(c.queue)
+	c.mu.Unlock()
+	return n
 }

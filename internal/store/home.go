@@ -7,10 +7,8 @@ import (
 )
 
 // home is an object's committed home record: where its contents live in the
-// data region, how long they are, and the CRC32C they had when the
-// checkpoint wrote them there.  It is the one per-object fact the metadata
-// snapshot persists, and the unit every reader of a home extent (Get, scrub,
-// the cleaner) verifies against.
+// data region, how long they are, and their CRC32C, which every reader of
+// the extent verifies.
 type home struct {
 	off  int64
 	size int64
@@ -26,9 +24,8 @@ type homedObject struct {
 }
 
 // The home table is the paper's object map, ascending by ID as its B+-tree
-// is: a lookup is a binary search, the image, cleaner, deriveFree and scrub
-// walk it in order, a checkpoint merges into it once (mergeHomes) and the
-// cleaner moves homes in place.  Callers hold mu, or run single-threaded.
+// is; a checkpoint merges into it once (mergeHomes) and the cleaner moves
+// homes in place.  Callers hold mu, or run single-threaded.
 
 // homeAt returns the index of id's home, or where it would go, and whether it is there.
 func (s *Store) homeAt(id uint64) (int, bool) {
@@ -46,7 +43,8 @@ func (s *Store) homeOf(id uint64) (home, bool) {
 // mergeHomes merges sealed entries, a copy sorted by ID, into the home
 // table's other buffer: each vacates the home it replaces and, unless dead,
 // installs its own.  The seal's order stays, for a retry after a failure.
-func (s *Store) mergeHomes(delta []sealedEntry) {
+// It returns the rows that changed, ascending: a home that left is one at 0.
+func (s *Store) mergeHomes(delta []sealedEntry) (rows []homedObject) {
 	delta = slices.Clone(delta)
 	slices.SortFunc(delta, func(a, b sealedEntry) int { return cmp.Compare(a.id, b.id) })
 	out := s.spare[:0]
@@ -55,15 +53,20 @@ func (s *Store) mergeHomes(delta []sealedEntry) {
 		for ; i < len(s.homes) && s.homes[i].id < se.id; i++ {
 			out = append(out, s.homes[i])
 		}
-		if i < len(s.homes) && s.homes[i].id == se.id {
+		had := i < len(s.homes) && s.homes[i].id == se.id
+		if had {
 			s.vacateExtent(s.homes[i].off, s.homes[i].size)
 			i++
 		}
 		if !se.dead {
 			out = append(out, homedObject{se.id, se.home, se.lbl})
+			rows = append(rows, out[len(out)-1])
+		} else if had {
+			rows = append(rows, homedObject{id: se.id})
 		}
 	}
 	s.spare, s.homes = s.homes, append(out, s.homes[i:]...)
+	return rows
 }
 
 // readVerified reads the extent h names and checks the contents against
@@ -78,8 +81,7 @@ func (s *Store) readVerified(h home) ([]byte, error) {
 		}
 	}
 	if got := crc32c(buf); got != h.crc {
-		return nil, &CorruptError{Area: "object", Offset: h.off,
-			Detail: fmt.Sprintf("contents checksum mismatch: got %#x, want %#x", got, h.crc)}
+		return nil, corrupt("object", h.off, "contents checksum mismatch: got %#x, want %#x", got, h.crc)
 	}
 	return buf, nil
 }
@@ -99,3 +101,51 @@ func (s *Store) condemn(id uint64) int {
 	}
 	return 0
 }
+
+// diffSegs returns the segment rows that turn table was into now: each
+// segment of now new or changed, and one of size 0 for each that left.
+func diffSegs(was, now []*segment) (out []*segment) {
+	i := 0
+	for _, g := range now {
+		for ; i < len(was) && was[i].base < g.base; i++ {
+			out = append(out, &segment{base: was[i].base})
+		}
+		if i < len(was) && was[i].base == g.base {
+			if i++; was[i-1].size == g.size && was[i-1].used == g.used {
+				continue
+			}
+		}
+		out = append(out, g)
+	}
+	for ; i < len(was); i++ {
+		out = append(out, &segment{base: was[i].base})
+	}
+	return out
+}
+
+// mergeRows applies a delta's rows set to the table rows, both ascending by
+// key: a row replaces the one of its key or joins, or, isGone, removes it,
+// which must be there.  It returns the table and the rows removed.
+func mergeRows[T any](rows, set []T, key func(T) uint64, isGone func(T) bool) (out, removed []T, err error) {
+	for len(rows) > 0 || len(set) > 0 {
+		switch {
+		case len(set) == 0 || len(rows) > 0 && key(rows[0]) < key(set[0]):
+			out, rows = append(out, rows[0]), rows[1:]
+			continue
+		case len(rows) == 0 || key(set[0]) < key(rows[0]):
+			if isGone(set[0]) {
+				return nil, nil, fmt.Errorf("%d leaves a table it is not in", key(set[0]))
+			}
+			out = append(out, set[0])
+		case isGone(set[0]):
+			removed, rows = append(removed, rows[0]), rows[1:]
+		default:
+			out, rows = append(out, set[0]), rows[1:]
+		}
+		set = set[1:]
+	}
+	return out, removed, nil
+}
+
+func homeKey(h homedObject) uint64 { return h.id }
+func segKey(g *segment) uint64     { return uint64(g.base) }

@@ -386,8 +386,8 @@ func (d *lockCheckDevice) Flush() error {
 }
 
 // TestNoDeviceWriteUnderMu pins the one rule the store's mu has: no device
-// write or flush is issued while it is held — not by a checkpoint (extent
-// relocation, segment append, the cleaner, snapshot, superblock), a
+// write or flush is issued while it is held — not by a checkpoint (run
+// header, segment appends, the cleaner, delta, base, superblock), a
 // SyncObjects group commit, or a Scrub — so no operation waits
 // behind disk I/O for the lock every operation takes.  The test is
 // single-threaded, so a failed TryLock during a write can only mean the
@@ -437,6 +437,12 @@ func TestNoDeviceWriteUnderMu(t *testing.T) {
 	}
 	step("put", s.Put(200, make([]byte, 40<<10)))
 	step("checkpoint", s.Checkpoint())
+	// The first segment holds the first checkpoint's delta, which pins it
+	// until two new bases have been written: checkpoints with nothing to
+	// seal grow the chain until they do, and the cleaner takes the segment.
+	for i := 0; i < 8 && s.Stats().SegsCleaned == 0; i++ {
+		step("checkpoint", s.Checkpoint())
+	}
 	_, err = s.Scrub()
 	step("scrub", err)
 	if s.Stats().SegsCleaned == 0 {

@@ -7,7 +7,7 @@ import (
 )
 
 // Integrity errors.  Every corruption the store detects — superblock,
-// metadata area, object extent, or write-ahead log — is
+// metadata area, chain record, object extent, or write-ahead log — is
 // reported through an error that errors.Is-matches ErrCorrupt; no decode
 // path returns a bare fmt.Errorf or panics on damaged bytes.
 var (
@@ -23,8 +23,8 @@ var (
 // CorruptError describes where corruption was detected.  It matches
 // ErrCorrupt under errors.Is.
 type CorruptError struct {
-	// Area names the damaged structure: "superblock", "metadata", "object",
-	// or "wal".
+	// Area names the damaged structure: "superblock", "metadata", "chain",
+	// "object", or "wal".
 	Area string
 	// Offset is the byte offset on the device where the damage was detected.
 	Offset int64
@@ -38,6 +38,11 @@ func (e *CorruptError) Error() string {
 }
 
 func (e *CorruptError) Is(target error) bool { return target == ErrCorrupt }
+
+// corrupt reports damage to area found at device offset off.
+func corrupt(area string, off int64, format string, args ...any) error {
+	return &CorruptError{Area: area, Offset: off, Detail: fmt.Sprintf(format, args...)}
+}
 
 // QuarantineError identifies a quarantined object.  It matches both
 // ErrQuarantined and ErrCorrupt under errors.Is.
@@ -60,12 +65,14 @@ type RecoveryReport struct {
 	// SuperblockFallback: the primary superblock copy failed its checks and
 	// the backup copy at offset 512 was used.
 	SuperblockFallback bool
-	// MetaFallback: the superblock-referenced metadata area failed its
-	// checks; the alternate (previous-checkpoint) area was loaded and the
-	// write-ahead log replayed from the retained generation forward.
+	// MetaFallback: the superblock's base failed its checks; the other
+	// area's was loaded and its chain followed into the failed one's.
 	MetaFallback bool
-	// MetaEpoch is the checkpoint epoch of the metadata snapshot actually
-	// loaded.
+	// ChainTruncated: a run header, or a delta with the chain going on past
+	// it, failed its checks; the snapshot is the last delta before it.
+	ChainTruncated bool
+	// MetaEpoch is the checkpoint epoch of the snapshot actually loaded: the
+	// base's, or its chain's last delta's.
 	MetaEpoch uint64
 	// WALDamaged: the write-ahead log had a damaged record or header; the
 	// valid prefix was replayed and the log resealed.
@@ -77,7 +84,7 @@ type RecoveryReport struct {
 
 // Degraded reports whether any fallback rung fired.
 func (r RecoveryReport) Degraded() bool {
-	return r.SuperblockFallback || r.MetaFallback || r.WALDamaged
+	return r.SuperblockFallback || r.MetaFallback || r.ChainTruncated || r.WALDamaged
 }
 
 // RecoveryReport returns what the mounting Open had to do; immutable after

@@ -9,21 +9,14 @@ import (
 	"histar/internal/wal"
 )
 
-// Open mounts an existing store from d, replaying the write-ahead log if the
-// system crashed before the log was applied.  This is the "bootup restores
-// the entire system state from the most recent on-disk snapshot" path:
-// snapshot metadata is loaded first, then committed log records — each
-// carrying an object's contents and canonical label — are re-applied on top,
-// so a synced object always comes back with the taint it was synced with.
-//
-// Every structure is checksum-verified on the way in, and failures walk a
-// degradation ladder instead of failing the mount (see RecoveryReport): a
-// damaged primary superblock copy falls back to the backup copy; a damaged
-// referenced metadata area falls back to the alternate (previous-checkpoint)
-// area plus a replay of the log frames FINISH retains for it, losing no
-// committed sync; a damaged log yields its valid prefix.  Only when both
-// superblock copies or both metadata areas are corrupt does Open refuse,
-// with an error matching ErrCorrupt.
+// Open mounts an existing store from d: "bootup restores the entire system
+// state from the most recent on-disk snapshot".  It loads the base and its
+// chain, then re-applies the committed log records on top — each carrying an
+// object's contents and canonical label, so a synced object always comes
+// back with the taint it was synced with.  Every structure is verified on the
+// way in, and a failure walks the degradation ladder (doc.go) instead of
+// failing the mount; only when both superblock copies or both bases are
+// damaged does Open refuse, with an error matching ErrCorrupt.
 func Open(d disk.Device, opts Options) (*Store, error) {
 	s := newStore(d, opts)
 	if err := s.readSuperblock(); err != nil {
@@ -40,15 +33,11 @@ func Open(d disk.Device, opts Options) (*Store, error) {
 		s.report.WALDamaged = true
 		s.noteCorruption(err)
 	}
-	// Re-apply committed log records on top of the checkpointed state.  Open
-	// is single-threaded (the store is not yet published), so entries are
-	// written directly.  Replay takes the records of the loaded snapshot's
-	// epoch or later — synced after its seal — which subsumes the fallback
-	// case: a metadata fallback loads the previous snapshot, an older epoch,
-	// whose records FINISH retains, so replay covers everything the lost
-	// snapshot held plus what followed — zero committed-sync loss.  The next
-	// seal takes an epoch above every recovered one, so no record synced
-	// before it is ever replayed over its snapshot.
+	// Re-apply the committed log records of the snapshot's epoch or later,
+	// synced after its seal; a torn last delta leaves the snapshot before
+	// it, whose records FINISH keeps, so no committed sync is lost.  The next
+	// seal takes an epoch above every recovered one.  Open is
+	// single-threaded, so entries are written directly.
 	top := s.metaEpoch
 	for _, r := range recs {
 		top = max(top, r.Epoch)
@@ -58,9 +47,7 @@ func Open(d disk.Device, opts Options) (*Store, error) {
 		s.report.WALRecordsReplayed++
 		e := s.entry(r.ObjectID)
 		// The record's label, or none, replaces whatever a checkpoint
-		// recorded: a tombstone drops it, and a label-less record asserts the
-		// object was unlabeled when it was synced (it may have been deleted
-		// and re-created since, with no tombstone ever logged).
+		// recorded: a label-less record says the object had none.
 		e.lbl = nil
 		if r.Delete {
 			e.data, e.dirty, e.dead = nil, false, true
@@ -77,11 +64,8 @@ func Open(d disk.Device, opts Options) (*Store, error) {
 			s.quarantine(e)
 			continue
 		}
-		e.dirty = true
-		// A logged re-create after a logged tombstone must clear the dead
-		// flag, or the next SyncObject would log a spurious deletion.
-		e.dead = false
-		e.quar = false
+		// A logged re-create after a logged tombstone clears the dead flag.
+		e.dirty, e.dead, e.quar = true, false, false
 		if len(r.Label) > 0 {
 			if _, rest, derr := label.DecodeBinary(r.Label); derr != nil || len(rest) != 0 {
 				return nil, s.noteCorruption(fmt.Errorf("%w: replaying label of object %d: %v", ErrCorrupt, r.ObjectID, derr))
@@ -93,9 +77,8 @@ func Open(d disk.Device, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// readSuperblock mounts the superblock and metadata, walking the
-// degradation ladder on checksum failures; Open calls it before the store
-// is published, so no locks are taken.
+// readSuperblock mounts the superblock and the snapshot it names, walking
+// the degradation ladder on failures; Open calls it single-threaded.
 func (s *Store) readSuperblock() error {
 	raw := make([]byte, sbBackupOff+sbCopySize)
 	if _, err := s.d.ReadAt(raw, superblockOffset); err != nil {
@@ -129,68 +112,143 @@ func (s *Store) readSuperblock() error {
 	return s.loadMetadata(sb)
 }
 
-// loadMetadata loads the snapshot sb references, falling back to the
-// alternate area (plus the retained write-ahead log generation, which the
-// caller replays) when the referenced one fails verification.
+// loadMetadata loads the snapshot sb references — its base, then its chain
+// — or, when that base fails, the other area's, whose chain runs on into the
+// failed one's.  A mount that took any rung writes a new base at the next
+// checkpoint.
 func (s *Store) loadMetadata(sb superblockInfo) error {
-	err := s.loadMetaArea(sb.which, sb.epoch, false)
-	if err == nil {
-		return nil
+	err := s.loadMetaArea(sb.which, sb, false)
+	if err != nil && errors.Is(err, ErrCorrupt) {
+		s.noteCorruption(err)
+		// Reset whatever the failed decode half-applied.
+		s.resetTables()
+		s.report.ChainTruncated = false
+		alt := 1 - sb.which
+		if altErr := s.loadMetaArea(alt, sb, true); altErr != nil {
+			return s.noteCorruption(fmt.Errorf("both metadata areas unusable: %w (alternate: %v)", err, altErr))
+		}
+		s.report.MetaFallback = true
+		s.metaWhich, err = alt, nil
 	}
-	if !errors.Is(err, ErrCorrupt) {
-		return err
+	if s.report.Degraded() {
+		s.base.length = -1 // the next checkpoint writes a base, which heals the mount
 	}
-	s.noteCorruption(err)
-	// Referenced snapshot is damaged: reset whatever the failed decode
-	// half-applied and try the alternate (previous-checkpoint) area.
-	s.resetTables()
-	alt := 1 - sb.which
-	if altErr := s.loadMetaArea(alt, sb.epoch, true); altErr != nil {
-		return s.noteCorruption(fmt.Errorf("both metadata areas unusable: %w (alternate: %v)", err, altErr))
-	}
-	s.report.MetaFallback = true
-	s.metaWhich = alt
-	return nil
+	return err
 }
 
-// loadMetaArea reads, verifies, and decodes metadata area which, and derives
-// its free list.  The referenced area must carry exactly the epoch the
-// superblock committed.
-// The fallback area must not carry a newer one: a crash after the metadata
-// write but before the superblock flip can leave the alternate area holding a
-// NEWER, never-committed snapshot, which must not be resurrected.  The same
-// one is the referenced snapshot before it committed deletions alone.
-func (s *Store) loadMetaArea(which int, sbEpoch uint64, fallback bool) error {
+// loadMetaArea reads, verifies and decodes the base in area which, applies
+// its chain, and derives the free list.  The referenced base must carry the
+// superblock's epoch; the fallback one no newer (a crash before the flip can
+// leave a never-referenced newer base there), and its pinned extents, a
+// chain already released, are not loaded.
+func (s *Store) loadMetaArea(which int, sb superblockInfo, fallback bool) error {
 	img, err := s.verifyMetaArea(which)
 	if err != nil {
 		return err
 	}
 	areaOff := s.metaAreaOff(which)
 	switch {
-	case !fallback && img.epoch != sbEpoch:
-		return &CorruptError{Area: "metadata", Offset: areaOff + mhEpochOff,
-			Detail: fmt.Sprintf("snapshot epoch %d does not match superblock epoch %d", img.epoch, sbEpoch)}
-	case fallback && img.epoch > sbEpoch:
-		return &CorruptError{Area: "metadata", Offset: areaOff + mhEpochOff,
-			Detail: fmt.Sprintf("alternate snapshot epoch %d newer than superblock epoch %d (uncommitted checkpoint)", img.epoch, sbEpoch)}
+	case !fallback && img.epoch != sb.epoch:
+		return corrupt("metadata", areaOff+mhEpochOff, "snapshot epoch %d does not match superblock epoch %d", img.epoch, sb.epoch)
+	case fallback && img.epoch > sb.epoch:
+		return corrupt("metadata", areaOff+mhEpochOff, "alternate snapshot epoch %d newer than superblock epoch %d (uncommitted checkpoint)", img.epoch, sb.epoch)
 	}
 	for _, sec := range []struct {
 		tag    uint64
 		decode func(*sectionReader)
 	}{
-		{secObjMap, s.decodeObjMapSection}, {secSegs, s.decodeSegsSection},
+		{secObjMap, s.decodeObjMapSection}, {secSegs, s.decodeSegsSection}, {secPins, s.decodePinsSection},
 	} {
 		r := &sectionReader{buf: img.secs[sec.tag], off: areaOff, area: "metadata"}
 		if sec.decode(r); r.err != nil {
 			return r.err
 		}
 	}
+	if fallback {
+		s.prevChain = nil
+	}
+	s.base, s.chainID, s.metaEpoch = img, sb.chain, img.epoch
+	s.nextRun, s.link, s.chain = img.run, img.chain, []extent{{img.run, runHeaderSize}}
+	_, err = s.walkChain(img.run, img.chain, sb.chain, img.epoch, s.applyLink)
+	if errors.Is(err, ErrCorrupt) {
+		s.report.ChainTruncated = true
+		s.noteCorruption(err)
+	} else if err != nil {
+		return err
+	}
 	if s.free, err = s.deriveFree(areaOff, true); err != nil {
 		return err
 	}
 	s.recomputeSegLive()
-	s.metaEpoch = img.epoch
-	s.report.MetaEpoch = img.epoch
+	s.report.MetaEpoch = s.metaEpoch
+	return nil
+}
+
+// walkChain follows a chain from the run header at sector at, carrying link
+// (or the first of chain first) and no older than epoch, and hands each
+// verified delta to apply (nil: verify only); it returns how many.  It ends
+// quietly where no run header of the chain is, or at a delta its run
+// header's CRC shows torn; with a CorruptError at a damaged run header, or a
+// damaged delta with a run header verifying past it.  A delta's next sector
+// is read with it.
+func (s *Store) walkChain(at int64, link, first, epoch uint64, apply func(runHeader, []byte) error) (int, error) {
+	lo, hi := s.metaAreaOff(2), s.d.Size()
+	rhb := make([]byte, runHeaderSize)
+	if _, err := s.d.ReadAt(rhb, at); err != nil {
+		return 0, err
+	}
+	for n := 0; ; n++ {
+		rh, ok, damaged := parseRunHeader(rhb, link, first)
+		switch {
+		case damaged:
+			return n, corrupt("chain", at, "run header fails its checksum")
+		case !ok:
+			return n, nil
+		case rh.epoch < epoch || rh.off < lo || rh.off%runHeaderSize != 0 || rh.len <= 0 || rh.len%runHeaderSize != 0 || rh.len > hi-runHeaderSize-rh.off:
+			return n, corrupt("chain", at, "run header of epoch %d names a delta of %d bytes at %d", rh.epoch, rh.len, rh.off)
+		}
+		buf := make([]byte, rh.len+runHeaderSize)
+		if _, err := s.d.ReadAt(buf, rh.off); err != nil {
+			return n, err
+		}
+		d, next := buf[:rh.len], buf[rh.len:]
+		if sum, ok := deltaSum(d); !ok || sum != rh.sum {
+			if _, ok, _ := parseRunHeader(next, rh.nextLink(), first); ok {
+				return n, corrupt("chain", rh.off, "delta of epoch %d fails its checksum, and the chain goes on past it", rh.epoch)
+			}
+			return n, nil
+		}
+		if apply != nil {
+			if err := apply(rh, d); err != nil {
+				return n, err
+			}
+		}
+		at, link, epoch, rhb = rh.off+rh.len, rh.nextLink(), rh.epoch, next
+	}
+}
+
+// applyLink makes one verified delta the snapshot Open is building: its rows
+// replace, join or leave the tables'.  It changes nothing unless every row
+// applies and it agrees with its run header.
+func (s *Store) applyLink(rh runHeader, b []byte) error {
+	d, err := decodeDelta(b, rh.off)
+	if err != nil {
+		return err
+	}
+	homes, _, herr := mergeRows(s.homes, d.homes, homeKey, func(h homedObject) bool { return h.off == 0 })
+	segs, gone, serr := mergeRows(s.segs, d.segs, segKey, func(g *segment) bool { return g.size == 0 })
+	if err = errors.Join(herr, serr); err == nil && (d.epoch != rh.epoch || d.next != rh.off+rh.len) {
+		err = fmt.Errorf("delta of epoch %d, next %d, under a run header of epoch %d", d.epoch, d.next, rh.epoch)
+	}
+	if err != nil {
+		return corrupt("chain", rh.off, "%v", err)
+	}
+	s.held = s.held[:0]
+	for _, g := range gone {
+		s.held = append(s.held, extent{g.base, g.size})
+	}
+	s.homes, s.segs, s.metaEpoch, s.nextRun, s.link = homes, segs, rh.epoch, d.next, rh.nextLink()
+	s.chain = append(s.chain, extent{rh.off, rh.len + runHeaderSize})
 	return nil
 }
 
@@ -198,11 +256,14 @@ func (s *Store) metaAreaOff(which int) int64 {
 	return logOffset + s.logSize + int64(which)*s.metaSize
 }
 
-// metaImage is one verified, still undecoded metadata area.
+// metaImage is one verified, still undecoded base: its header's fields and
+// its sections by tag.
 type metaImage struct {
 	epoch  uint64
-	length int64 // header plus section stream, in bytes
-	secs   [secSegs + 1][]byte
+	chain  uint64 // the id its chain's run headers carry
+	run    int64  // the sector of its chain's first run header
+	length int64  // header plus section stream, in bytes
+	secs   [secPins + 1][]byte
 }
 
 // verifyMetaArea reads area which and checks its header and every section
@@ -215,14 +276,13 @@ func (s *Store) verifyMetaArea(which int) (img metaImage, err error) {
 	if _, err := s.d.ReadAt(hdr, areaOff); err != nil {
 		return img, err
 	}
-	epoch, payloadLen, err := parseMetaHeader(hdr, areaOff, s.metaSize-metaHeaderSize)
-	if err != nil {
+	if img, err = parseMetaHeader(hdr, areaOff, s.metaSize-metaHeaderSize); err != nil {
 		return img, err
 	}
-	payload := make([]byte, payloadLen)
+	payload := make([]byte, img.length-metaHeaderSize)
 	if _, err := s.d.ReadAt(payload, areaOff+metaHeaderSize); err != nil {
 		return img, err
 	}
-	secs, err := parseSections(payload, areaOff+metaHeaderSize)
-	return metaImage{epoch: epoch, length: metaHeaderSize + payloadLen, secs: secs}, err
+	img.secs, err = parseSections(payload, areaOff+metaHeaderSize)
+	return img, err
 }

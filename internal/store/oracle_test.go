@@ -14,12 +14,12 @@ import (
 	"histar/internal/vclock"
 )
 
-// encodeFromScratch is the metadata image a checkpoint would write if it
-// walked everything: every home sorted by ID, each followed by the label its
-// sealed object carries, encoded afresh, and the segment table, each section
-// built on its own and framed after.  It is the oracle for the seal's walk of
-// the changed entries and the home table's merges.
-func encodeFromScratch(epoch uint64, homes map[uint64]home, labels map[uint64]label.Label, segs []*segment) []byte {
+// encodeFromScratch is the base a checkpoint would write if it walked
+// everything: every home sorted by ID, each followed by the label its sealed
+// object carries, encoded afresh, the segment table and the pinned chain
+// extents, each section built on its own and framed after.  It is the oracle
+// for the seal's walk of the changed entries and the home table's merges.
+func encodeFromScratch(epoch, chain uint64, run int64, homes map[uint64]home, labels map[uint64]label.Label, segs []*segment, pins []extent) []byte {
 	ids := make([]uint64, 0, len(homes))
 	for id := range homes {
 		ids = append(ids, id)
@@ -37,15 +37,20 @@ func encodeFromScratch(epoch uint64, homes map[uint64]home, labels map[uint64]la
 	for _, seg := range segs {
 		segsSec = appendU64(appendU64(appendU64(segsSec, uint64(seg.base)), uint64(seg.size)), uint64(seg.used))
 	}
+	pinsSec := appendU64(nil, uint64(len(pins)))
+	for _, e := range pins {
+		pinsSec = appendU64(appendU64(pinsSec, uint64(e.off)), uint64(e.size))
+	}
 	var payload []byte
 	for _, sec := range []struct {
 		tag  uint64
 		body []byte
-	}{{secObjMap, objs}, {secSegs, segsSec}} {
+	}{{secObjMap, objs}, {secSegs, segsSec}, {secPins, pinsSec}} {
 		payload = appendU64(appendU64(appendU64(payload, sec.tag), uint64(len(sec.body))), uint64(crc32c(sec.body)))
 		payload = append(payload, sec.body...)
 	}
 	hdr := appendU64(appendU64(appendU64(appendU64(appendU64(nil, metaMagic), metaVersion), epoch), uint64(len(payload))), numSecs)
+	hdr = appendU64(appendU64(hdr, chain), uint64(run))
 	hdr = appendU64(hdr, uint64(crc32.Checksum(hdr, castagnoli)))
 	return append(hdr, payload...)
 }
@@ -59,12 +64,14 @@ type oracleObject struct {
 // TestCheckpointImageOracle drives seeded mixes of puts, labelled puts, range
 // puts, unlabelled re-creates of deleted objects, deletes, syncs and
 // checkpoints — some with a body that races puts, deletes and syncs started
-// from ckptGate, some failed at the metadata barrier — against a model.
-// After every checkpoint that commits, the metadata image on disk must be
+// from ckptGate, some failed at the first barrier — against a model.  After
+// every checkpoint that commits, every sealed object must be homed with its
+// contents' size and CRC and no other object homed; the base on disk plus
+// its chain, decoded, must be the store's tables, and a base just written
 // byte for byte the from-scratch encoding of what the model held at the
-// seal, every sealed object homed with its contents' size and CRC and no
-// other object homed, and no clean, unquarantined entry may remain in the
-// entry table.
+// seal; the free list must be the one derived from the tables, never
+// anything a body took; and no clean, unquarantined entry may remain in the
+// entry table.  A remount at the end must come back to the same tables.
 func TestCheckpointImageOracle(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { imageOracle(t, seed) })
@@ -147,7 +154,8 @@ func imageOracle(t *testing.T, seed int64) {
 			}(rand.New(rand.NewSource(rng.Int63())))
 		}
 	}
-	checkpoints := 0
+	checkpoints, bases := 0, 0
+	var committed map[uint64]oracleObject // the model at the last seal that committed
 	for step := 0; step < 1500; step++ {
 		if rng.Intn(40) != 0 {
 			op(rng, true)
@@ -166,16 +174,30 @@ func imageOracle(t *testing.T, seed int64) {
 		racers.Wait()
 		must(err)
 		checkpoints++
+		if len(s.chain) == 1 {
+			bases++
+		}
+		committed = sealed
 		checkImage(t, s, d, sealed, fmt.Sprintf("seed %d step %d", seed, step))
 	}
 	if checkpoints < 20 {
 		t.Fatalf("seed %d: only %d checkpoints committed", seed, checkpoints)
 	}
+	if bases < 2 || bases == checkpoints {
+		t.Fatalf("seed %d: %d of %d checkpoints wrote a base; the oracle needs both kinds", seed, bases, checkpoints)
+	}
+	s2, err := Open(d, Options{SegmentSize: 64 << 10})
+	must(err)
+	if got, want := tablesOf(s2), tablesOf(s); got != want {
+		t.Fatalf("seed %d: the remount's tables\n  %s\nare not the store's\n  %s", seed, got, want)
+	}
+	checkImage(t, s2, d, committed, fmt.Sprintf("seed %d remount", seed))
 }
 
-// checkImage compares the committed metadata image with the from-scratch
-// encoding of the sealed model, and checks the entry table keeps nothing
-// clean and unquarantined.
+// checkImage checks the committed tables against the sealed model and the
+// snapshot on disk — the base plus its chain, loaded as Open loads them, and
+// a base just written against the from-scratch encoding — and checks the
+// entry table keeps nothing clean and unquarantined.
 func checkImage(t *testing.T, s *Store, d disk.Device, sealed map[uint64]oracleObject, where string) {
 	t.Helper()
 	s.mu.Lock()
@@ -194,13 +216,25 @@ func checkImage(t *testing.T, s *Store, d disk.Device, sealed map[uint64]oracleO
 	if len(s.homes) != len(homes) {
 		t.Fatalf("%s: %d homes; the model sealed %d objects", where, len(s.homes), len(homes))
 	}
-	want := encodeFromScratch(s.metaEpoch, homes, labels, s.segs)
-	got := make([]byte, len(want))
-	if _, err := d.ReadAt(got, s.metaAreaOff(s.metaWhich)); err != nil {
-		t.Fatal(err)
+	if len(s.chain) == 1 {
+		want := encodeFromScratch(s.metaEpoch, s.chainID, s.nextRun, homes, labels, s.segs, s.prevChain)
+		got := make([]byte, len(want))
+		if _, err := d.ReadAt(got, s.metaAreaOff(s.metaWhich)); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: the base written differs from the from-scratch encoding (%d homes, %d labels)", where, len(homes), len(labels))
+		}
 	}
-	if !bytes.Equal(got, want) {
-		t.Fatalf("%s: the committed metadata image differs from the from-scratch encoding (%d homes, %d labels)", where, len(homes), len(labels))
+	loaded := newStore(d, Options{SegmentSize: s.segSize})
+	if err := loaded.readSuperblock(); err != nil {
+		t.Fatalf("%s: loading the snapshot on disk: %v", where, err)
+	}
+	if got, want := tablesOf(loaded), tablesOf(s); got != want {
+		t.Fatalf("%s: the base and chain on disk decode to\n  %s\nnot the store's tables\n  %s", where, got, want)
+	}
+	if free, err := s.deriveFree(0, false); err != nil || !slices.Equal(free, s.free) {
+		t.Fatalf("%s: the free list is %v; the tables derive %v (%v)", where, s.free, free, err)
 	}
 	for id, e := range s.objs {
 		switch {
@@ -215,13 +249,33 @@ func checkImage(t *testing.T, s *Store, d disk.Device, sealed map[uint64]oracleO
 	}
 }
 
+// tablesOf prints every table a snapshot decodes into, and what is derived
+// from them.
+func tablesOf(s *Store) string {
+	out := fmt.Sprintf("epoch %d, next run %d, chain %v, pinned %v, held %v, free %v, %d homes:", s.metaEpoch, s.nextRun, s.chain, s.prevChain, s.held, s.free, len(s.homes))
+	for _, h := range s.homes {
+		out += fmt.Sprintf(" %d@%+v/%x", h.id, h.home, h.lbl)
+	}
+	out += "; segments:"
+	for _, seg := range s.segs {
+		out += fmt.Sprintf(" %+v", *seg)
+	}
+	return out
+}
+
 // segLiveMismatch names a segment whose live count is not the bytes of the
-// homes inside it, as Open would derive it; the caller holds mu.
+// homes and chain records inside it, as Open would derive it; the caller
+// holds mu.
 func segLiveMismatch(s *Store) string {
 	live := map[*segment]int64{}
 	for _, h := range s.homes {
 		if seg := s.segContaining(h.off); seg != nil {
 			live[seg] += align512(h.size)
+		}
+	}
+	for _, e := range append(slices.Clip(s.chain), s.prevChain...) {
+		if seg := s.segContaining(e.off); seg != nil {
+			live[seg] += e.size
 		}
 	}
 	for _, seg := range s.segs {

@@ -21,7 +21,7 @@ type ScrubStats struct {
 	ObjectsChecked     int
 	ObjectsQuarantined int
 	// CorruptionsFound is every verification failure this pass detected
-	// (superblock copies, metadata areas, object extents).
+	// (superblock copies, metadata areas, the chain, object extents).
 	CorruptionsFound int
 	// BytesVerified is the volume of data read and checksummed.
 	BytesVerified int64
@@ -30,28 +30,18 @@ type ScrubStats struct {
 }
 
 // scrubChunk bounds how many object extents are verified per ckptMu read
-// hold.  The gate is reacquired between chunks, so a pending checkpoint
-// seal (a ckptMu writer) waits for at most one chunk of reads — not the
-// whole pass — and syncs queued behind that writer see bounded latency.
+// hold, so a checkpoint seal waits for at most one chunk, and the syncs
+// behind it see bounded latency.
 const scrubChunk = 64
 
-// Scrub verifies the store's on-disk state in the background of normal
-// operation: both superblock copies, the referenced (and, when present, the
-// alternate) metadata area, and every object home extent against its
-// recorded contents CRC.  Mismatched extents are quarantined exactly as an
-// access-time detection would.
-//
-// The object walk is chunked: each chunk of extents is verified under its
-// own ckptMu read hold, and the lock is dropped between chunks, so a
-// checkpoint seal never queues behind a full pass (and syncs never queue
-// behind the seal).  Because the checkpoint body relocates extents
-// concurrently, a mismatch is re-validated against the live object map
-// before any quarantine verdict: a target whose object has moved or been
-// re-checksummed since capture is simply stale, not damaged.  Superblock
-// and metadata-area verification runs under ckptRun: only a checkpoint body
-// writes those regions, so scrub never reads a torn in-progress image, and
-// ckptRun is dropped before the object walk, so a checkpoint waits out only
-// this first phase.
+// Scrub verifies the store's on-disk state in the background: both
+// superblock copies, the base (and the other area's, when no newer), every
+// run header and delta of the chain since the base, and every home extent
+// against its CRC, quarantining a mismatch as an access would.  The first
+// four run under ckptRun, which keeps a checkpoint body from writing them
+// meanwhile; the object walk runs in chunks, each under its own ckptMu read
+// hold, and re-checks a mismatch against the live home table before any
+// verdict, since the body may have moved the object since the walk began.
 func (s *Store) Scrub() (ScrubStats, error) {
 	start := time.Now()
 	var st ScrubStats
@@ -63,8 +53,7 @@ func (s *Store) Scrub() (ScrubStats, error) {
 		s.ckptRun.Unlock()
 		return ScrubStats{}, ErrClosed
 	}
-	s.scrubSuperblock(&st)
-	s.scrubMetaAreas(&st)
+	s.scrubMetadata(&st)
 	targets := s.scrubTargets()
 	s.ckptMu.RUnlock()
 	s.ckptRun.Unlock()
@@ -73,10 +62,7 @@ func (s *Store) Scrub() (ScrubStats, error) {
 		if s.scrubGate != nil {
 			s.scrubGate()
 		}
-		n := scrubChunk
-		if n > len(targets) {
-			n = len(targets)
-		}
+		n := min(scrubChunk, len(targets))
 		chunk := targets[:n]
 		targets = targets[n:]
 		s.ckptMu.RLock()
@@ -94,56 +80,39 @@ func (s *Store) Scrub() (ScrubStats, error) {
 	return st, nil
 }
 
-// scrubSuperblock verifies both superblock copies in place; the caller
-// holds ckptRun.
-func (s *Store) scrubSuperblock(st *ScrubStats) {
+// scrubMetadata verifies both superblock copies, the base, the other area's
+// base when it is no newer (the copy a fallback would need; an unparseable
+// one may never have been written, and is not counted), and the chain, as
+// Open would walk it; the caller holds ckptRun, which keeps them stable.
+func (s *Store) scrubMetadata(st *ScrubStats) {
+	found := func(ok bool, n int64) bool {
+		if !ok {
+			st.CorruptionsFound++
+			s.c.corruptions.Add(1)
+		}
+		st.BytesVerified += n
+		return ok
+	}
 	raw := make([]byte, sbBackupOff+sbCopySize)
-	if _, err := s.d.ReadAt(raw, superblockOffset); err != nil {
-		st.CorruptionsFound++
-		s.c.corruptions.Add(1)
+	if _, err := s.d.ReadAt(raw, superblockOffset); !found(err == nil, 0) {
 		return
 	}
-	_, perr := parseSuperblockCopy(raw[:sbCopySize], superblockOffset)
-	_, berr := parseSuperblockCopy(raw[sbBackupOff:], superblockOffset+sbBackupOff)
-	st.BytesVerified += 2 * sbCopySize
-	if perr == nil {
-		st.SuperblockCopiesOK++
-	} else {
-		st.CorruptionsFound++
-		s.c.corruptions.Add(1)
+	for _, off := range []int64{superblockOffset, superblockOffset + sbBackupOff} {
+		if _, err := parseSuperblockCopy(raw[off:], off); found(err == nil, sbCopySize) {
+			st.SuperblockCopiesOK++
+		}
 	}
-	if berr == nil {
-		st.SuperblockCopiesOK++
-	} else {
-		st.CorruptionsFound++
-		s.c.corruptions.Add(1)
-	}
-}
-
-// scrubMetaAreas verifies the referenced metadata area and, when it holds a
-// committed (no newer epoch) snapshot, the alternate one — the copy a
-// future fallback would depend on.  The caller holds ckptRun, which keeps
-// metaWhich and metaEpoch stable (only a checkpoint body updates them) and
-// excludes an in-progress area rewrite.
-func (s *Store) scrubMetaAreas(st *ScrubStats) {
-	// Referenced area: must verify at the current epoch.
 	st.MetaAreasChecked++
-	if img, err := s.verifyMetaArea(s.metaWhich); err != nil || img.epoch != s.metaEpoch {
-		st.CorruptionsFound++
-		s.c.corruptions.Add(1)
-	} else {
+	if img, err := s.verifyMetaArea(s.metaWhich); found(err == nil && img.epoch == s.base.epoch, img.length) {
 		st.MetaAreasOK++
-		st.BytesVerified += img.length
 	}
-	// Alternate area: only meaningful once it holds a committed snapshot
-	// (epoch no newer than the superblock's).  An unparseable header is
-	// indistinguishable from "never written", so it is skipped rather than
-	// counted.
-	if alt, err := s.verifyMetaArea(1 - s.metaWhich); err == nil && alt.epoch <= s.metaEpoch {
+	if alt, err := s.verifyMetaArea(1 - s.metaWhich); err == nil && alt.epoch <= s.base.epoch {
 		st.MetaAreasChecked++
 		st.MetaAreasOK++
 		st.BytesVerified += alt.length
 	}
+	n, err := s.walkChain(s.base.run, s.base.chain, s.chainID, s.base.epoch, nil)
+	found(err == nil && n == len(s.chain)-1, 0)
 }
 
 // scrubTargets captures every home under mu, so the walk itself reads the
@@ -155,7 +124,8 @@ func (s *Store) scrubTargets() []homedObject {
 }
 
 // scrubOneObject verifies one captured home extent; the caller holds ckptMu
-// in read mode.
+// in read mode.  Only a mismatch the live home table still vouches for is a
+// verdict: the body may have moved the object since the capture.
 func (s *Store) scrubOneObject(t homedObject, st *ScrubStats) {
 	_, err := s.readVerified(t.home)
 	if err != nil && !errors.Is(err, ErrCorrupt) {
@@ -168,10 +138,6 @@ func (s *Store) scrubOneObject(t homedObject, st *ScrubStats) {
 	if err == nil {
 		return
 	}
-	// The extent disagrees with the record captured at walk start — but the
-	// checkpoint body may have relocated the object since then, making this
-	// target stale rather than damaged.  Only a mismatch the live home table
-	// still vouches for is a real verdict.
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if cur, ok := s.homeOf(t.id); ok && cur == t.home {

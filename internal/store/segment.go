@@ -7,29 +7,18 @@ import (
 	"sort"
 )
 
-// The log-structured data region: checkpoint relocations append sealed
-// object contents into fixed-size append-only segments at 512-byte
-// granularity, so one checkpoint's home writes are a handful of sequential
-// streams instead of one random extent per object.  Every home lies in a
-// segment.  An object too large to pack (more than half a segment), or any
-// object when no free extent holds a whole segment, gets a segment of its
-// own, sized to it, which never takes appends.
-//
-// A segment's extent is never overwritten in place: appends only ever land
-// beyond the committed high-water mark (used), and space behind dead
-// objects is reclaimed by dropping the whole segment once it is empty, or by
-// the cleaner (cleanSegments) once at least half its written bytes are dead.
-// The extent is free only once a snapshot not naming it commits (alloc.go),
-// so a segment a snapshot on disk references is never written over.
+// The log-structured data region: a checkpoint appends sealed contents, its
+// chain records and the cleaner's moves into append-only segments at
+// 512-byte granularity, a few sequential streams.  Every home lies in a
+// segment; an object over half a segment, or any object when no free extent
+// holds a whole segment, gets one of its own, which never takes appends.  A
+// segment is never overwritten in place: appends land past its high-water
+// mark, and it is dropped once empty, or cleaned once half dead.
 
-// segment is one append-only extent in the data region.  used is the append
-// high-water mark (512-aligned); live counts the 512-aligned bytes of
-// objects the object map still references and drives the cleaner; size is
-// the extent length recorded when the segment was created, so images opened
-// under a different SegmentSize option keep their old segments' geometry.
-// live is derived (recomputed from the object map at open); base, size, and
-// used are persisted in the metadata snapshot's segment section.  All
-// fields are guarded by the store's mu.
+// segment is one append-only extent in the data region, guarded by mu: used
+// is the append high-water mark; live counts the 512-aligned bytes of the
+// homes and chain records in it (derived at Open) and drives the cleaner;
+// size keeps the geometry it was created with, whatever SegmentSize is now.
 type segment struct {
 	base int64
 	size int64
@@ -58,11 +47,12 @@ func (s *Store) segContaining(off int64) *segment {
 	return s.segs[i]
 }
 
-// dropSeg forgets a segment other than the open one, whose extent is free
-// from the next commit on; the caller holds mu.
+// dropSeg forgets a segment other than the open one; its extent is held by
+// the commit that drops it, free from the next.  The caller holds mu.
 func (s *Store) dropSeg(seg *segment) {
 	i := s.segsUpTo(seg.base) - 1
 	s.segs = slices.Delete(s.segs, i, i+1)
+	s.held = append(s.held, extent{seg.base, seg.size})
 }
 
 // vacateExtent releases the home extent behind (off, size): it decrements
@@ -78,28 +68,23 @@ func (s *Store) vacateExtent(off, size int64) {
 	}
 }
 
-// segAppend appends one object's contents to the open segment, rotating to a
-// freshly allocated one when it would overflow, or to a segment of the
-// object's own (see above), and returns the object's new home offset.  The
-// device write is issued with no lock held; segment bookkeeping is under mu.
-// Only the checkpoint body calls it (ckptRun serializes), so the open segment
-// cannot rotate underneath the write.  The bytes count as live only once the
-// write succeeds: a failed write names no home, so nothing would ever vacate
-// them.
-func (s *Store) segAppend(data []byte) (int64, error) {
-	sz := align512(int64(len(data)))
-	s.mu.Lock()
+// place reserves n bytes, in whole sectors, for a body's write and returns
+// their offset: at the open segment's high-water mark, in a fresh segment
+// when it would overflow, or in one of their own that alloc takes (none when
+// alloc is nil).  They count as live at once; a failed body puts the tables
+// back.  The caller holds mu and ckptRun.
+func (s *Store) place(n int64, alloc func(int64) (extent, error)) (int64, error) {
+	sz := align512(n)
 	seg := s.openSeg
 	if own := sz > s.segSize/2; own || seg == nil || seg.used+sz > seg.size {
 		ext, err := extent{}, ErrNoSpace
 		if !own {
 			ext, err = s.allocate(s.segSize)
 		}
-		if own = err != nil; own { // too large to pack, or no whole segment free
-			ext, err = s.allocate(sz)
+		if own = err != nil; own && alloc != nil { // too large to pack, or no whole segment free
+			ext, err = alloc(sz)
 		}
 		if err != nil {
-			s.mu.Unlock()
 			return 0, err
 		}
 		seg = &segment{base: ext.off, size: ext.size}
@@ -110,30 +95,22 @@ func (s *Store) segAppend(data []byte) (int64, error) {
 	}
 	off := seg.base + seg.used
 	seg.used += sz
-	s.mu.Unlock()
-	if len(data) > 0 {
-		if _, err := s.d.WriteAt(data, off); err != nil {
-			return 0, err
-		}
-	}
-	s.mu.Lock()
 	seg.live += sz
-	s.mu.Unlock()
 	return off, nil
 }
 
-// recomputeSegLive derives each segment's live count from the loaded home
-// table (it is not persisted).  It also reopens the most recently allocated
-// partially filled segment — provided its geometry matches the current
-// SegmentSize — so appends continue where the committed snapshot left off.
-// Appending beyond a committed used mark is crash-safe: no referenced
-// snapshot addresses those bytes.  Runs during Open, single-threaded.
+// recomputeSegLive derives each segment's live count from the loaded homes
+// and chain records, and reopens the last partly filled segment of the
+// current SegmentSize for appends.  Runs during Open, single-threaded.
 func (s *Store) recomputeSegLive() {
 	for _, seg := range s.segs {
 		seg.live = 0
 	}
 	for _, h := range s.homes {
 		s.segContaining(h.off).live += align512(h.size)
+	}
+	for _, e := range append(slices.Clip(s.chain), s.prevChain...) {
+		s.segContaining(e.off).live += e.size
 	}
 	s.openSeg = nil
 	for _, seg := range s.segs {
@@ -143,20 +120,25 @@ func (s *Store) recomputeSegLive() {
 	}
 }
 
-// cleanSegments is the data region's garbage collector, run by the
-// checkpoint body after relocation: fully dead segments are freed without
-// copying, and segments with at least half their written bytes dead have
-// their live objects appended to the open segment so the whole extent can
-// be reclaimed.  A live object that fails its contents CRC on the way out
-// is condemned and its segment left in place (moving would destroy the
-// only — damaged — copy).
-func (s *Store) cleanSegments() error {
+// cleanSegments is the data region's garbage collector, run by the body
+// after relocation: it drops dead segments, and places the live objects of
+// each half-dead one after the body's other writes — in the open segment or
+// a fresh one, never one of their own — and returns those writes, stopping
+// where it finds no room, with the rows of the homes it moved.  A segment
+// holding a chain record is neither dead nor cleaned until the chain is
+// released.  A live object that fails its CRC on the way out is condemned
+// and its segment left in place.
+func (s *Store) cleanSegments() (writes []pending, moved []homedObject) {
 	s.mu.Lock()
+	pinned := map[*segment]bool{}
+	for _, e := range append(slices.Clip(s.chain), s.prevChain...) {
+		pinned[s.segContaining(e.off)] = true
+	}
 	// Ascending bases, so the victims come out in the deterministic order
 	// cleaning needs; the dead are dropped only after the walk.
 	var dead, victims []*segment
 	for _, seg := range s.segs {
-		if seg == s.openSeg || seg.used == 0 {
+		if seg == s.openSeg || seg.used == 0 || pinned[seg] {
 			continue
 		}
 		if seg.live == 0 {
@@ -181,7 +163,7 @@ func (s *Store) cleanSegments() error {
 	s.mu.Unlock()
 	for _, seg := range victims {
 		// One sweep of the arm reads the victim's live objects in offset
-		// order, up to any that is damaged; then one stream appends them.
+		// order, up to any that is damaged; then they are placed in one run.
 		live, bufs := byVictim[seg.base], [][]byte(nil)
 		slices.SortFunc(live, func(a, b homedObject) int { return cmp.Compare(a.off, b.off) })
 		for _, o := range live {
@@ -196,25 +178,28 @@ func (s *Store) cleanSegments() error {
 			}
 			bufs = append(bufs, buf)
 		}
+		s.mu.Lock()
 		for n, buf := range bufs {
 			o := live[n]
-			newOff, err := s.segAppend(buf)
+			newOff, err := s.place(int64(len(buf)), nil)
 			if err != nil {
-				return err
+				// No whole segment to clean into: what moved stays moved,
+				// and the rest waits for a checkpoint with room.
+				s.mu.Unlock()
+				return writes, moved
 			}
-			s.mu.Lock()
-			if i, ok := s.homeAt(o.id); ok && s.homes[i].off == o.off {
-				s.homes[i].off = newOff // in place: the ID order holds
-				s.vacateExtent(o.off, o.size)
-			}
-			s.mu.Unlock()
+			i, _ := s.homeAt(o.id)
+			s.homes[i].off = newOff // in place: the ID order holds
+			s.vacateExtent(o.off, o.size)
+			writes, moved = append(writes, pending{newOff, buf}), append(moved, s.homes[i])
 			s.c.bytesCleaned.Add(uint64(o.size))
 		}
+		s.mu.Unlock()
 		if len(bufs) == len(live) {
 			// Every live object moved out; the final vacateExtent freed the
 			// segment when its live count reached zero.
 			s.c.segsCleaned.Add(1)
 		}
 	}
-	return nil
+	return writes, moved
 }

@@ -1,18 +1,13 @@
 // Package store implements the HiStar single-level store (Sections 3 and 4):
 // on bootup the entire system state is restored from the most recent on-disk
-// snapshot, and all kernel objects are periodically checkpointed to disk.
-// The layout follows the paper's description, inspired by XFS: an object map
-// gives each object ID its location on disk (the paper's B+-tree; here one
-// slice in ID order, see home.go), and a free-extent list tracks
-// the unused space (the paper's two B+-trees, by size and by location; here
-// one offset-ordered slice that a best-fit scan allocates from, derived from
-// the object map and the segment table rather than stored, see alloc.go).  Write-ahead logging provides atomicity and crash consistency,
-// and disk space allocation is delayed until an object is written to disk,
-// making it easier to allocate contiguous extents.
+// snapshot, and all kernel objects are periodically checkpointed to disk.  As
+// in the paper, an object map gives each object ID its location on disk (its
+// B+-tree is here one slice in ID order, home.go), a free-extent list tracks
+// unused space (derived from the segment table, not stored, alloc.go),
+// write-ahead logging provides atomicity and crash consistency, and disk
+// space is allocated only when an object is written to disk.
 //
 // # On-disk layout
-//
-// The disk is divided into four fixed regions followed by the data region:
 //
 //	[0, 4096)                       superblock (two checksummed copies)
 //	[4096, 4096+logSize)            write-ahead log (see package wal)
@@ -20,131 +15,61 @@
 //	[.., .. + metaSize)             metadata area 1
 //	[.., disk size)                 data region: segments
 //
-// The superblock sector holds two identical 64-byte copies, at offsets 0
-// and 512, each independently protected by a CRC32C over its first 56
-// bytes.  A copy's fields are little-endian u64s: the magic "HIST", which
-// metadata area the current snapshot lives in, the snapshot's byte length,
-// the log region size, the metadata area size, the format version
-// (currently 2), and the checkpoint epoch; the CRC32C sits in the final
-// u32.  Open uses whichever copy verifies (preferring the higher epoch if
-// both do), so a single rotted sector never loses the root of the store.
-//
-// Each metadata area starts with a 48-byte header — magic "HMET", version
-// (currently 9), checkpoint epoch, payload length, section count, and a
-// CRC32C over the header itself — followed by two tagged sections, each
-// framed as [tag u64] [length u64] [CRC32C u64] [payload]: the object map
-// (one record per object: id, extent offset, size and the CRC field, then,
-// when bit 33 of that field says so, the canonical label.AppendBinary bytes;
-// the CRC, flagged by bit 32, is what every read of a home extent verifies
-// against, and a record without the flag, or with any higher bit, is
-// corruption); and the segment table (base, size, used triples describing the
-// append-only data segments).  Every home lies in a segment, and no two
-// entries of the object map name one extent.  Only primary facts are stored:
-// the free-extent list and the per-segment live counts are derived from these
-// sections at open.
-// format.go holds every one of these layouts and is the only file that
-// reads or writes them.  Checkpoints serialize into the area the superblock
-// does NOT reference, flush, then rewrite both superblock copies with the
-// bumped epoch, so a crash mid-checkpoint always leaves one intact,
-// referenced snapshot.
-//
-// A superblock copy or metadata header that verifies but names any other
-// version is refused as corruption — nothing is ever loaded unverified.
-// See doc.go for the full integrity reference: the degradation ladder Open
-// walks when verification fails, and the quarantine semantics for damaged
-// object extents.
+// The superblock names the metadata area that holds the current base, the
+// base's epoch and its chain id.  A base is a whole snapshot: the object map
+// (per object its extent, size, contents CRC and label), the segment table,
+// and the extents of the chain before it.  Every checkpoint after a base
+// writes into the data region, beside its objects, a run header and a delta:
+// the object-map and segment rows it changed.  Each run header lies at the
+// sector the delta before it (or the base) reserved, so Open loads the base
+// and follows the chain.  Once the chain holds maxChainLinks deltas or more
+// bytes than half the base, a checkpoint writes a new base to the other area
+// and flips the superblock.  format.go holds every layout and is the only
+// file that reads or writes them; doc.go is the integrity reference.
 //
 // # Data region: segments
 //
-// Checkpoint relocations append object contents, in the order the objects
-// changed, into fixed-size append-only segments (Options.SegmentSize,
-// default 1 MB) at 512-byte granularity: a few sequential streams, with files
-// written together homed together.  An object larger than half a segment,
-// or any object once no free extent holds a whole segment, takes a segment of
-// its own, sized to it.  Space behind deleted or superseded objects is
-// reclaimed by a cleaner inside the checkpoint body: fully dead segments are
-// freed without copying, and each segment at least half dead has its live
-// objects read in one sweep, in offset order, then appended out.
-// Segments are never overwritten in place — appends land only beyond the
-// committed high-water mark, and vacated extents are free only once the
-// checkpoint's snapshot commits — preserving the copy-on-write discipline
-// that makes a crash at any write boundary leave the previously referenced
-// snapshot intact.  See segment.go.
+// Checkpoints append object contents, in the order the objects changed, into
+// append-only segments (Options.SegmentSize, default 1 MB) at 512-byte
+// granularity, so files written together are homed together.  An object
+// larger than half a segment, or any object once no free extent holds a
+// whole segment, takes a segment of its own.  A cleaner in the checkpoint
+// body drops dead segments and moves the live objects out of half-dead ones.
+// Nothing is overwritten in place, so a crash at any write boundary leaves
+// the committed snapshot intact (segment.go).
 //
-// Three durability modes mirror the evaluation's LFS variants:
-//
-//   - asynchronous: Put buffers in memory; nothing reaches disk until a
-//     checkpoint.
-//   - per-object sync: SyncObject appends the object — contents and label
-//     in one record, so a crash can never resurrect an object without its
-//     taint — to the write-ahead log through the group committer and waits
-//     for the batch commit: concurrent syncers share one sequential write
-//     plus flush; it logs only the bytes that changed when it can (sealSync).
-//   - group sync: Checkpoint seals the dirty set, writes it to home
-//     segments, persists the metadata snapshot, and updates the superblock
-//     once.
-//
-// # Incremental checkpoints
-//
-// Checkpoint is not a stop-the-world pause.  The protocol has three
-// phases (see checkpoint.go for the full invariant catalogue):
-//
-//   - SEAL, the only exclusive moment: a brief ckptMu write hold that takes
-//     a fresh epoch — the one later log frames are stamped with — and
-//     captures the dirty set (clearing dirty, marking entries ckpt).  It
-//     walks only the entries changed since the last seal (Store.changed):
-//     its duration is proportional to them, with no disk I/O at all.
-//   - BODY, concurrent with everything: relocates the sealed entries into
-//     segments, runs the segment cleaner, and writes the metadata snapshot
-//     for the sealed epoch while reads, Puts, and SyncObject group commits
-//     proceed under ckptMu read mode.
-//     Bodies of different checkpoints are serialized by ckptRun.
-//   - FINISH: reclaims write-ahead log frames of epochs older than the
-//     previous committed snapshot's (its own are retained so a torn
-//     metadata area can fall back one snapshot with zero committed-sync
-//     loss).
-//
-// Log records of the seal's epoch or later carry state the sealed snapshot
-// may not include, and replay on top of it at Open; records of older epochs
-// are reclaimable once the snapshot commits.
+// Three durability modes mirror the evaluation's LFS variants: Put buffers
+// in memory until a checkpoint; SyncObject appends the object, contents and
+// label in one record, to the write-ahead log through the group committer
+// (groupcommit.go); Checkpoint seals the dirty set and commits it as one
+// delta.  Checkpoints do not stop the world (checkpoint.go): log records of
+// the seal's epoch or later replay on top of its snapshot at Open (open.go).
 //
 // # Locking discipline
 //
 // Four locks, in order of acquisition:
 //
-//  1. ckptRun serializes whole checkpoints, seal through finish: Checkpoint,
-//     Close and a sync's checkpoint fallback.  It is also the fence on
-//     superblock and metadata-area device I/O: only a checkpoint body (and
-//     single-threaded Format) writes those regions, so Scrub holds ckptRun
-//     while it verifies them and never reads a torn in-progress image.
+//  1. ckptRun serializes whole checkpoints: Checkpoint, Close and a sync's
+//     checkpoint fallback.  Only a checkpoint body (and Format) writes the
+//     superblock, the metadata areas and the chain, so Scrub holds ckptRun
+//     while it verifies them.
 //  2. ckptMu, a RWMutex, is the checkpoint gate: Put, Get, Delete, scrub
 //     chunks and every logged operation hold it in read mode, a logged one
-//     from its first seal to its last commit.  Only the checkpoint SEAL and
-//     Close hold it exclusively, and only briefly; the checkpoint body runs
-//     under no mode of it.
-//  3. mu guards every in-memory table: the object entries (objEntry), the
-//     home table and the committed snapshot's place (metaWhich, metaEpoch),
-//     the free list and the segment table.  It is never held across a
-//     device write or flush: the checkpoint body issues each write outside
-//     it and takes it to record where the bytes went.  Get holds it across a
-//     home read, so no put, delete or relocation lands between the lookup
-//     and the read.
-//  4. The committer's queue mutex (see groupcommit.go) is a leaf below mu:
+//     from its first seal to its last commit; only the SEAL and Close hold
+//     it exclusively, and briefly.
+//  3. mu guards every in-memory table.  It is never held across a device
+//     write or flush; Get holds it across a home read, so no put, delete or
+//     relocation lands between the lookup and the read.
+//  4. The committer's queue mutex (groupcommit.go) is a leaf below mu:
 //     records are sealed and enqueued under mu, so per-object log order
 //     matches seal order.
 //
 // Format and Open are single-threaded: they touch the tables without mu.
-//
-// Recovery (Open, in open.go) loads the snapshot the superblock references
-// and replays the committed write-ahead log records of that snapshot's epoch
-// or later on top of it, restoring each logged object's label.  The crash-injection
-// harness in this package's tests replays every write-boundary crash point
-// of randomized workloads — concurrent ones included — to check exactly
-// this path.
 package store
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -153,30 +78,23 @@ import (
 	"histar/internal/wal"
 )
 
-// objEntry is the in-memory state of one object: flags, the recorded label,
-// and the contents while no committed home holds them (resident).  An object
-// has one only while it holds state the committed snapshot lacks — dirty,
-// dead, or sealed into a checkpoint that has not committed — or a quarantine
-// verdict; otherwise its home record is all there is to know.  Every field
-// is guarded by the store's mu.  A put patches data in place unless
-// shared says a sealed whole log record or checkpoint capture still holds it;
-// then data is replaced, never mutated.
+// objEntry is the in-memory state of one object, guarded by mu: flags, the
+// label, and the contents while no committed home holds them (resident).  An
+// object has one only while it holds state the committed snapshot lacks, or
+// a quarantine verdict.  A put patches data in place unless shared says a
+// sealed record or checkpoint capture holds it; then data is replaced.
 type objEntry struct {
 	data   []byte
 	shared bool   // a sealed record or checkpoint capture aliases data
 	dirty  bool   // modified since the last checkpoint seal
 	dead   bool   // deleted since the last checkpoint seal
 	lbl    []byte // the label, encoded canonically (nil: none)
-	// quar marks an object whose home-extent contents failed checksum
-	// verification: accesses that would read the damaged extent return
-	// ErrQuarantined instead of corrupt bytes, until a Put/Delete replaces
-	// the contents.  The flag never blocks a resident copy.
+	// quar marks an object whose home extent failed verification: reads of
+	// the extent return ErrQuarantined until a Put or Delete replaces it.
 	quar bool
-	// ckpt marks an entry sealed into the running incremental checkpoint:
-	// until the snapshot naming the sealed state's new home commits, no
-	// durable home holds that state, so the entry keeps its copy (a Get
-	// reads it, a sync logs it) and condemn leaves it alone.  Cleared by
-	// releaseSealed, or by restoreSealed if the checkpoint fails.
+	// ckpt marks an entry sealed into the running checkpoint: until its
+	// delta commits, the entry keeps its copy (a Get reads it, a sync logs
+	// it) and condemn leaves it alone.
 	ckpt   bool
 	listed bool // on the changed list (touch)
 
@@ -219,11 +137,7 @@ const (
 	logOffset        = superblockSize
 	defaultLogSize   = 32 << 20 // 32 MB log region
 
-	// defaultMetaAreaSize is the default size of each of the two alternating
-	// metadata areas; checkpoints write the serialized metadata into the
-	// area not referenced by the current superblock, then flip the
-	// superblock, so a crash mid-checkpoint always leaves one intact copy.
-	defaultMetaAreaSize = 16 << 20
+	defaultMetaAreaSize = 16 << 20 // each of the two areas a base alternates between
 )
 
 // Errors.
@@ -240,14 +154,12 @@ type Stats struct {
 	BytesLogged uint64
 	BytesHome   uint64
 	LiveObjects int
-	// SealStallMaxNs measures the only exclusive moment an incremental
-	// checkpoint has: the ckptMu write hold of the seal.  This is the
-	// store's "stop-the-world" budget — everything else in a checkpoint
-	// runs concurrently with syncs and reads.
+	// SealStallMaxNs is the longest ckptMu write hold of a seal: the only
+	// moment a checkpoint stops syncs and reads.
 	SealStallMaxNs int64
-	// BytesCleaned counts object bytes the segment cleaner copied out of
-	// half-dead segments; together with BytesHome and MetaBytesWritten it
-	// gives the checkpoint write-amplification picture.
+	// BytesCleaned counts bytes the cleaner copied out of half-dead
+	// segments; MetaBytesWritten those of bases, superblocks, run headers
+	// and deltas.
 	BytesCleaned     uint64
 	MetaBytesWritten uint64
 	// SegsCleaned counts data-region segments the cleaner compacted.
@@ -282,12 +194,7 @@ type Store struct {
 	ckptMu sync.RWMutex
 	closed bool
 
-	// ckptRun serializes checkpoint runs end to end (seal through finish);
-	// ckptMu write mode covers only the seal, so without ckptRun two
-	// concurrent Checkpoint calls could interleave their bodies.  Scrub
-	// holds it to verify the regions only a checkpoint body writes
-	// (discipline rule 1).
-	ckptRun sync.Mutex
+	ckptRun sync.Mutex // serializes checkpoints end to end (discipline rule 1)
 
 	// epoch is the last seal attempt's epoch, which every log frame
 	// committed since carries; each seal takes the next one.  A sync's
@@ -305,10 +212,12 @@ type Store struct {
 	objs    map[uint64]*objEntry // object ID → in-memory entry
 	changed []uint64             // the entries touched since the last seal
 	homes   []homedObject        // the paper's object map, ascending by ID (home.go)
-	img     []byte               // the last metadata image (encodeMetadata)
+	img     []byte               // the last base image (encodeMetadata)
 	spare   []homedObject        // the home table's other buffer (mergeHomes)
+	dbuf    []byte               // the last delta (commitDelta)
 
 	free []extent // the free extents, ascending by offset (see alloc.go)
+	held []extent // the segments the last commit dropped (alloc.go)
 
 	// The append-only data segments (see segment.go), ascending by base, and
 	// the one currently receiving appends (nil = none).
@@ -318,12 +227,21 @@ type Store struct {
 
 	comm committer
 
-	metaWhich int // which metadata area (0 or 1) the superblock references
-	// metaEpoch is the checkpoint epoch recorded in the current superblock
-	// and metadata-area headers.  The checkpoint body writes it and
-	// metaWhich under mu with ckptRun held, so either lock suffices to read
-	// them; the body itself reads them bare.
+	// The committed snapshot: the area of its base, its epoch (the base's,
+	// or its chain's last delta's), the base, the chain id run headers carry
+	// (the superblock's), the sector and link of the next run header, and
+	// the extents of the chain's records — the base's run sector, then each
+	// delta with the sector after it — and of the chain before, pinned until
+	// the next base.  The body writes them under mu with ckptRun held, so
+	// either lock suffices to read them.
+	metaWhich int
 	metaEpoch uint64
+	base      metaImage
+	chainID   uint64
+	nextRun   int64
+	link      uint64
+	chain     []extent
+	prevChain []extent
 
 	// Test hooks, set before the store is shared: scrubGate runs between
 	// scrub chunks (no locks held), ckptGate between a checkpoint's seal and
@@ -346,15 +264,11 @@ type Options struct {
 	// MetaAreaSize is the size of each of the two alternating metadata
 	// areas (default 16 MB).
 	MetaAreaSize int64
-	// SegmentSize is the size of the append-only data segments checkpoint
-	// relocation packs objects into (default 1 MB, rounded up to a sector).  Runtime-only: each existing segment's geometry is
-	// persisted in the metadata snapshot, so reopening under a different
-	// SegmentSize affects only newly allocated segments.
+	// SegmentSize is the size of the segments checkpoints pack objects into
+	// (default 1 MB, rounded up to a sector); it affects only new segments.
 	SegmentSize int64
 }
 
-// defaultSegmentSize balances sequential checkpoint writes against cleaner
-// copy granularity.
 const defaultSegmentSize = 1 << 20
 
 // One group-commit batch holds at most groupCommitBytes of encoded records
@@ -392,19 +306,29 @@ func Format(d disk.Device, opts Options) (*Store, error) {
 		return nil, err
 	}
 	s.l = l
-	if err := s.writeSnapshot(s.epoch.Add(1)); err != nil {
+	// The base reserves the sector of its chain's first run header, a
+	// segment of its own at the top of the data region, and goes to both
+	// areas, so either can carry a fallback.
+	s.free, _ = s.deriveFree(0, false)
+	run, err := s.allocateTop(runHeaderSize)
+	if err != nil {
+		return nil, err
+	}
+	s.segs = []*segment{{base: run.off, size: run.size, used: run.size, live: run.size}}
+	s.nextRun, s.chain = run.off, []extent{run}
+	if err := s.writeBase(s.epoch.Add(1), true); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// resetTables (re)initializes every table a metadata image decodes into, so
-// a fallback area decodes into a clean store after a failed first attempt.
+// resetTables (re)initializes every table a snapshot decodes into.
 func (s *Store) resetTables() {
 	s.homes, s.changed = nil, nil
 	s.free = nil
 	s.segs = nil
 	s.openSeg = nil
+	s.chain, s.prevChain, s.held = nil, nil, nil
 	s.objs = make(map[uint64]*objEntry)
 }
 
@@ -451,14 +375,11 @@ func (s *Store) WALStats() wal.Stats { return s.l.Stats() }
 // delayed allocation.
 func (s *Store) Put(id uint64, data []byte) error { return s.put(id, data, nil, 0, len(data)) }
 
-// PutLabeled is Put plus recording the object's information-flow label, and
-// the caller's word that only bytes [lo, hi) differ from its last put.
-// Labels are serialized in their canonical sorted form (into every SyncObject
-// log record, and into the metadata snapshot at checkpoint) and decoded
-// without sorting on load.  Contents and label are installed
-// under one hold of mu, so a concurrent SyncObject can never seal the
-// new contents with the old (or no) label — the same atomicity the log
-// record format provides on disk.
+// PutLabeled is Put plus recording the object's information-flow label, in
+// its canonical form, and the caller's word that only bytes [lo, hi) differ
+// from its last put.  Contents and label are installed under one hold of mu,
+// so a concurrent SyncObject never seals the new contents with the old
+// label.
 func (s *Store) PutLabeled(id uint64, lbl label.Label, data []byte, lo, hi int) error {
 	return s.put(id, data, lbl.AppendBinary(nil), lo, hi)
 }
@@ -599,12 +520,13 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// FreeBytes returns the total free space in the data region.
+// FreeBytes returns the total free space in the data region: the free list
+// and what the last commit dropped, which the next one makes allocatable.
 func (s *Store) FreeBytes() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var total int64
-	for _, e := range s.free {
+	for _, e := range append(slices.Clip(s.free), s.held...) {
 		total += e.size
 	}
 	return total

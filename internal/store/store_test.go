@@ -923,9 +923,8 @@ func TestCheckpointUnwedgesAfterDeletes(t *testing.T) {
 // deletions-only commit and in the relocation after it — and reopens: every
 // kept object is there, a deleted one is gone or whole, the object that did
 // not fit is absent or whole, and a checkpoint succeeds.  Where the
-// deletions-only commit is the referenced snapshot and the alternate area
-// still holds the one before it, at the same epoch, rot in the referenced
-// area falls back to the alternate with nothing lost.
+// deletions-only commit is the chain's last delta, at the committed epoch,
+// rot in it falls back one delta, to the same epoch, with nothing lost.
 func TestUnwedgingCheckpointCrashes(t *testing.T) {
 	newDisk := func() (*disk.Disk, *disk.FaultDisk) {
 		d := disk.New(disk.Params{Sectors: 1 << 12, WriteCache: true}, &vclock.Clock{})
@@ -933,7 +932,7 @@ func TestUnwedgingCheckpointCrashes(t *testing.T) {
 	}
 	_, fd := newDisk()
 	s, full, _ := wedgedStore(t, fd)
-	epoch, which := s.metaEpoch, s.metaWhich
+	epoch, links := s.metaEpoch, len(s.chain)-1
 	fd.Arm(-1, disk.FaultTorn) // counting: record every write's end
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -951,18 +950,18 @@ func TestUnwedgingCheckpointCrashes(t *testing.T) {
 			t.Fatalf("crash at byte %d of the unwedging checkpoint: reopen: %v", point, err)
 		}
 		checkWedged(t, s2, full, true)
-		alt, altErr := s2.verifyMetaArea(1 - s2.metaWhich)
-		if s2.metaEpoch == epoch && s2.metaWhich != which && altErr == nil && alt.epoch == epoch {
+		if s2.metaEpoch == epoch && len(s2.chain)-1 == links+1 {
 			fallbacks++
-			if err := fd2.RotBits(disk.Region{Off: s2.metaAreaOff(s2.metaWhich), Len: mhCRCOff}, 3, point); err != nil {
+			last := s2.chain[len(s2.chain)-1]
+			if err := fd2.RotBits(disk.Region{Off: last.off, Len: last.size - runHeaderSize}, 3, point); err != nil {
 				t.Fatal(err)
 			}
 			s3, err := Open(fd2, Options{})
 			if err != nil {
-				t.Fatalf("crash at byte %d, then rot in the deletions-only snapshot: reopen: %v", point, err)
+				t.Fatalf("crash at byte %d, then rot in the deletions-only delta: reopen: %v", point, err)
 			}
-			if !s3.RecoveryReport().MetaFallback {
-				t.Fatalf("crash at byte %d, then rot in the deletions-only snapshot: %+v; want the fallback", point, s3.RecoveryReport())
+			if s3.metaEpoch != epoch || len(s3.chain)-1 != links {
+				t.Fatalf("crash at byte %d, then rot in the deletions-only delta: %d deltas to epoch %d; want %d to %d", point, len(s3.chain)-1, s3.metaEpoch, links, epoch)
 			}
 			checkWedged(t, s3, full, true)
 			s2 = s3
@@ -972,18 +971,18 @@ func TestUnwedgingCheckpointCrashes(t *testing.T) {
 		}
 	}
 	if fallbacks == 0 {
-		t.Fatal("no crash point left the deletions-only commit referenced")
+		t.Fatal("no crash point left the deletions-only commit the last delta")
 	}
 }
 
-// TestFailedRelocationVacatesWhatItWrote fills a store with 6 KiB objects,
-// which leave 4 KiB at the end of each 64 KiB segment, until a checkpoint
-// finds no space.  Then a 4 KiB object fits the open segment's tail and the
-// 8 KiB one sealed after it fits nowhere: the checkpoint fails, and the home
-// it wrote for the first object must not count as live, since no table names
-// it, nor keep the tail, which no append could use again.  Both objects stay
-// readable, and a checkpoint after two deletes commits them, the 4 KiB one
-// appended into that tail, not in an extent of its own.
+// TestFailedRelocationVacatesWhatItWrote fills a store with 6 KiB objects
+// until a checkpoint finds no space.  Then a 4 KiB object finds room and the
+// 8 KiB one sealed after it none: the checkpoint fails, and the home it
+// placed for the first object must not count as live, since no table names
+// it, nor keep the room it took: the free list, the segment table, the open
+// segment's appends and every live count are as the last commit left them.
+// Both objects stay readable, and a checkpoint after two deletes commits
+// them.
 func TestFailedRelocationVacatesWhatItWrote(t *testing.T) {
 	d := disk.New(disk.Params{Sectors: 1 << 12, WriteCache: true}, &vclock.Clock{}) // 2 MiB
 	s, err := Format(d, Options{LogSize: 64 << 10, MetaAreaSize: 128 << 10, SegmentSize: 64 << 10})
@@ -1011,17 +1010,27 @@ func TestFailedRelocationVacatesWhatItWrote(t *testing.T) {
 	if err := s.Put(id+2, big); err != nil {
 		t.Fatal(err)
 	}
-	s.mu.Lock()
-	tail := s.openSeg.base + s.openSeg.used
-	s.mu.Unlock()
+	layout := func() string {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		out := fmt.Sprintf("free %v, open segment %+v;", s.free, *s.openSeg)
+		for _, seg := range s.segs {
+			out += fmt.Sprintf(" %+v", *seg)
+		}
+		return out
+	}
+	before := layout()
+	if s.FreeBytes() < int64(len(small)) {
+		t.Fatalf("%d bytes free: the 4 KiB object finds no room", s.FreeBytes())
+	}
 	if err := s.Checkpoint(); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("checkpoint of an 8 KiB object with %d bytes free: %v, want ErrNoSpace", s.FreeBytes(), err)
 	}
+	if after := layout(); after != before {
+		t.Fatalf("the failed checkpoint changed the allocator's tables:\n before %s\n after  %s", before, after)
+	}
 	s.mu.Lock()
 	msg := segLiveMismatch(s)
-	if got := s.openSeg.base + s.openSeg.used; got != tail {
-		msg += fmt.Sprintf("; the failed attempt left the open segment's appends at %d, not %d", got, tail)
-	}
 	s.mu.Unlock()
 	if msg != "" {
 		t.Fatal(msg)
@@ -1036,10 +1045,10 @@ func TestFailedRelocationVacatesWhatItWrote(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint after the deletes: %v", err)
 	}
-	if h, ok := s.homeOf(id + 1); !ok || h.off != tail {
-		t.Errorf("the 4 KiB object's home is at %d (%v), want the open segment's tail at %d", h.off, ok, tail)
-	}
 	for want, id := range map[string]uint64{string(small): id + 1, string(big): id + 2} {
+		if _, ok := s.homeOf(id); !ok {
+			t.Errorf("object %d has no home after the checkpoint", id)
+		}
 		if got, err := s.Get(id); err != nil || string(got) != want {
 			t.Fatalf("object %d: %d bytes, %v", id, len(got), err)
 		}
