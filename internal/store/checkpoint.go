@@ -165,7 +165,9 @@ func (s *Store) releaseSealed(ss *sealedState) {
 // ckptRun.  A failure before the delta commits undoes the seal.  Out of
 // space, a body whose seal deletes homes commits the deletions alone, under
 // the committed epoch so replay restores every logged state, then an empty
-// delta, which frees what they dropped, and retries.
+// delta, which frees what they dropped, and retries.  With no deletions, an
+// empty delta still frees what the last commit dropped (the cleaner's victims
+// among them), which no body may reuse until a commit follows it.
 func (s *Store) checkpointBody(ss *sealedState) error {
 	prev := s.metaEpoch
 	grown := int64(0)
@@ -180,9 +182,10 @@ func (s *Store) checkpointBody(ss *sealedState) error {
 			_, homed := s.homeAt(se.id)
 			return !se.dead || !homed
 		})
+		held := len(s.held) > 0
 		s.mu.Unlock()
-		if len(dead) > 0 {
-			if err = s.commitDelta(dead, s.metaEpoch, false, false); err == nil {
+		if len(dead) > 0 || held {
+			if err = s.commitDelta(dead, s.metaEpoch, false, false); err == nil && len(dead) > 0 {
 				err = s.commitDelta(nil, s.metaEpoch, false, false)
 			}
 			if err == nil {

@@ -54,7 +54,10 @@
 //
 //  1. A run header at the sector the last delta reserved, then the sealed
 //     objects and the cleaner's moves, appended past every segment's
-//     committed high-water mark into space no committed snapshot names.
+//     committed high-water mark into space no committed snapshot names.  The
+//     cleaner moves anything only once the packed segments fall under a
+//     third live or fewer than cleanReserve whole segments stay free, and
+//     reads its victims, the emptiest first, in one ascending sweep before.
 //  2. A flush, then the delta right after the data, then a flush: the
 //     commit.  Both writes continue where the head stopped.  Only now is the
 //     free list derived again; a segment the commit dropped stays out of it

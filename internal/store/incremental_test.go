@@ -423,10 +423,10 @@ func TestNoDeviceWriteUnderMu(t *testing.T) {
 	}
 	step("group commit", errors.Join(s.SyncObjects(ids)...))
 	step("checkpoint", s.Checkpoint())
-	// Second round: deletions leave the first segment three-quarters dead and
-	// new objects roll it over, so the checkpoint also exercises the
-	// dead-entry path and the cleaner; a large object takes a segment of
-	// its own.
+	// Second round: deletions leave the first segment three-quarters dead,
+	// under the cleaner's low mark of a third live, and new objects roll it
+	// over, so the checkpoints also exercise the dead-entry path and the
+	// cleaner; a large object takes a segment of its own.
 	for id := uint64(0); id < 60; id++ {
 		if id%4 != 1 {
 			step("delete", s.Delete(id))
@@ -462,9 +462,11 @@ func cleanerPayload(id uint64) []byte {
 }
 
 // cleanerWorkload fills segments with synced objects, checkpoints them
-// home, deletes two-thirds, and checkpoints again — driving the second
-// checkpoint's body through dead-segment frees and live-object copy-outs —
-// then dirties the survivors for one more round.
+// home, deletes three in four, and checkpoints again — driving the second
+// checkpoint's body through dead-segment frees and live-object copy-outs,
+// since the full segment is left below the cleaner's low mark of a third
+// live (two in three deleted would leave it exactly a third) — then dirties
+// the survivors for one more round.
 func cleanerWorkload() []wlOp {
 	var ops []wlOp
 	for id := uint64(0); id < 24; id++ {
@@ -473,12 +475,12 @@ func cleanerWorkload() []wlOp {
 	}
 	ops = append(ops, wlOp{kind: opCheckpoint})
 	for id := uint64(0); id < 24; id++ {
-		if id%3 != 0 {
+		if id%4 != 0 {
 			ops = append(ops, wlOp{kind: opDelete, id: id})
 		}
 	}
 	ops = append(ops, wlOp{kind: opCheckpoint})
-	for id := uint64(0); id < 24; id += 3 {
+	for id := uint64(0); id < 24; id += 4 {
 		ops = append(ops, wlOp{kind: opPut, id: id, data: cleanerPayload(id + 100)})
 		ops = append(ops, wlOp{kind: opSync, id: id})
 	}
@@ -511,7 +513,7 @@ func TestSegmentCleanerReclaimsAndPreservesData(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for id := uint64(0); id < 24; id += 3 {
+	for id := uint64(0); id < 24; id += 4 {
 		got, err := s2.Get(id)
 		if err != nil || !bytes.Equal(got, cleanerPayload(id+100)) {
 			t.Fatalf("survivor %d after remount: len=%d err=%v", id, len(got), err)

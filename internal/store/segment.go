@@ -13,7 +13,9 @@ import (
 // segment; an object over half a segment, or any object when no free extent
 // holds a whole segment, gets one of its own, which never takes appends.  A
 // segment is never overwritten in place: appends land past its high-water
-// mark, and it is dropped once empty, or cleaned once half dead.
+// mark, and it is dropped once empty.  Garbage waits until the packed
+// segments fall under a third live or free segments run short; then the
+// cleaner empties the segments with the least live first (cleanSegments).
 
 // segment is one append-only extent in the data region, guarded by mu: used
 // is the append high-water mark; live counts the 512-aligned bytes of the
@@ -120,53 +122,89 @@ func (s *Store) recomputeSegLive() {
 	}
 }
 
+// The cleaner's marks (Sprite LFS, SOSP '91, §3.4–3.6): it runs once the
+// packed segments fall under 1/cleanLow live, or the body's data leaves fewer
+// than cleanReserve whole segments free, and stops at 1/cleanHigh with the
+// reserve restored.  The reserve is the room the cleaner copies into, less
+// the segment it leaves free: the churn of TestCleanerSteadyStateCost ran
+// out of it at 81 % occupancy with 4, and first at 87 % with 6.
+const cleanLow, cleanHigh, cleanReserve = 3, 2, 6
+
+// freeSegs counts the whole segments the free list holds; the caller holds mu.
+func (s *Store) freeSegs() (n int64) {
+	for _, e := range s.free {
+		n += e.size / s.segSize
+	}
+	return n
+}
+
 // cleanSegments is the data region's garbage collector, run by the body
-// after relocation: it drops dead segments, and places the live objects of
-// each half-dead one after the body's other writes — in the open segment or
-// a fresh one, never one of their own — and returns those writes, stopping
-// where it finds no room, with the rows of the homes it moved.  A segment
-// holding a chain record is neither dead nor cleaned until the chain is
-// released.  A live object that fails its CRC on the way out is condemned
-// and its segment left in place.
+// after relocation: it drops dead segments and, when the marks call for it,
+// places the live objects of the packed segments least live first after the
+// body's other writes — in the open segment or a fresh one, never one of
+// their own, and never leaving less than a segment's worth free, which the
+// delta and the next commit's deletions need — and returns those writes,
+// stopping where it finds no room, with the rows of the homes it moved.  A segment holding a chain record is
+// neither dead nor cleaned until the chain is released.  A live object that
+// fails its CRC on the way out is condemned and its segment left in place.
 func (s *Store) cleanSegments() (writes []pending, moved []homedObject) {
 	s.mu.Lock()
 	pinned := map[*segment]bool{}
 	for _, e := range append(slices.Clip(s.chain), s.prevChain...) {
 		pinned[s.segContaining(e.off)] = true
 	}
-	// Ascending bases, so the victims come out in the deterministic order
-	// cleaning needs; the dead are dropped only after the walk.
 	var dead, victims []*segment
+	var live, used int64 // of the packed segments but the open one
 	for _, seg := range s.segs {
-		if seg == s.openSeg || seg.used == 0 || pinned[seg] {
+		switch {
+		case seg == s.openSeg || seg.used == 0:
 			continue
-		}
-		if seg.live == 0 {
+		case pinned[seg]:
+		case seg.live == 0:
 			dead = append(dead, seg)
-		} else if seg.live*2 < seg.used {
+			continue
+		case seg.live < seg.used:
 			victims = append(victims, seg)
+		case seg.size != s.segSize:
+			continue // one object's own, all live
 		}
+		live, used = live+seg.live, used+seg.used
 	}
 	for _, seg := range dead {
 		s.dropSeg(seg)
 	}
-	// One home-table walk collects every victim's live objects.
-	byVictim := make(map[int64][]homedObject, len(victims))
-	for i := 0; i < len(s.homes) && len(victims) > 0; i++ {
-		for _, seg := range victims {
-			if h := s.homes[i]; h.off >= seg.base && h.off < seg.base+seg.size {
-				byVictim[seg.base] = append(byVictim[seg.base], h)
-				break
-			}
+	// Greedy, the least live first, until the high mark and the reserve
+	// hold; then the batch is read in ascending base order, one sweep.
+	short, n := (cleanReserve-s.freeSegs())*s.segSize, 0
+	if short <= 0 && live*cleanLow >= used {
+		victims = nil // between the marks
+	}
+	slices.SortFunc(victims, func(a, b *segment) int {
+		return cmp.Or(cmp.Compare(a.live*b.used, b.live*a.used), cmp.Compare(a.base, b.base))
+	})
+	for ; n < len(victims) && (short > 0 || live*cleanHigh < used); n++ {
+		short -= victims[n].size - victims[n].live
+		used -= victims[n].used - victims[n].live
+	}
+	victims = victims[:n]
+	slices.SortFunc(victims, func(a, b *segment) int { return cmp.Compare(a.base, b.base) })
+	byVictim := make(map[*segment][]homedObject, n)
+	for _, seg := range victims {
+		byVictim[seg] = nil
+	}
+	for i := 0; i < len(s.homes) && n > 0; i++ { // one lookup a home
+		seg := s.segContaining(s.homes[i].off)
+		if objs, ok := byVictim[seg]; ok {
+			byVictim[seg] = append(objs, s.homes[i])
 		}
 	}
 	s.mu.Unlock()
 	for _, seg := range victims {
 		// One sweep of the arm reads the victim's live objects in offset
 		// order, up to any that is damaged; then they are placed in one run.
-		live, bufs := byVictim[seg.base], [][]byte(nil)
-		slices.SortFunc(live, func(a, b homedObject) int { return cmp.Compare(a.off, b.off) })
-		for _, o := range live {
+		objs, bufs := byVictim[seg], [][]byte(nil)
+		slices.SortFunc(objs, func(a, b homedObject) int { return cmp.Compare(a.off, b.off) })
+		for _, o := range objs {
 			buf, err := s.readVerified(o.home)
 			if err != nil {
 				if errors.Is(err, ErrCorrupt) {
@@ -179,12 +217,14 @@ func (s *Store) cleanSegments() (writes []pending, moved []homedObject) {
 			bufs = append(bufs, buf)
 		}
 		s.mu.Lock()
-		for n, buf := range bufs {
-			o := live[n]
-			newOff, err := s.place(int64(len(buf)), nil)
+		for k, buf := range bufs {
+			o, sz, newOff, err := objs[k], align512(int64(len(buf))), int64(0), ErrNoSpace
+			if free, open := s.freeSegs(), s.openSeg; free > 1 || free == 1 && open != nil && open.used+sz <= open.size {
+				newOff, err = s.place(sz, nil)
+			}
 			if err != nil {
-				// No whole segment to clean into: what moved stays moved,
-				// and the rest waits for a checkpoint with room.
+				// No room that leaves a segment's worth free: what moved
+				// stays moved, and the rest waits for a checkpoint with room.
 				s.mu.Unlock()
 				return writes, moved
 			}
@@ -195,7 +235,7 @@ func (s *Store) cleanSegments() (writes []pending, moved []homedObject) {
 			s.c.bytesCleaned.Add(uint64(o.size))
 		}
 		s.mu.Unlock()
-		if len(bufs) == len(live) {
+		if len(bufs) == len(objs) {
 			// Every live object moved out; the final vacateExtent freed the
 			// segment when its live count reached zero.
 			s.c.segsCleaned.Add(1)

@@ -34,7 +34,9 @@
 // granularity, so files written together are homed together.  An object
 // larger than half a segment, or any object once no free extent holds a
 // whole segment, takes a segment of its own.  A cleaner in the checkpoint
-// body drops dead segments and moves the live objects out of half-dead ones.
+// body drops dead segments and, once the packed segments fall under a third
+// live or free segments run short, moves the live objects out of the
+// emptiest ones.
 // Nothing is overwritten in place, so a crash at any write boundary leaves
 // the committed snapshot intact (segment.go).
 //
@@ -157,8 +159,8 @@ type Stats struct {
 	// SealStallMaxNs is the longest ckptMu write hold of a seal: the only
 	// moment a checkpoint stops syncs and reads.
 	SealStallMaxNs int64
-	// BytesCleaned counts bytes the cleaner copied out of half-dead
-	// segments; MetaBytesWritten those of bases, superblocks, run headers
+	// BytesCleaned counts bytes the cleaner copied out of the segments it
+	// cleaned; MetaBytesWritten those of bases, superblocks, run headers
 	// and deltas.
 	BytesCleaned     uint64
 	MetaBytesWritten uint64
