@@ -88,8 +88,8 @@ var keep = map[string]string{
 	"store.ScrubStats.ObjectsChecked":     "integrity: what one scrub pass verified",
 	"store.ScrubStats.ObjectsQuarantined": "integrity: what one scrub pass verified",
 	"store.ScrubStats.CorruptionsFound":   "integrity: what one scrub pass verified",
-	"store.ScrubStats.MetaAreasChecked":   "integrity: what one scrub pass verified",
-	"store.ScrubStats.MetaAreasOK":        "integrity: what one scrub pass verified",
+	"store.ScrubStats.BasesChecked":       "integrity: what one scrub pass verified",
+	"store.ScrubStats.BasesOK":            "integrity: what one scrub pass verified",
 	"store.ScrubStats.SuperblockCopiesOK": "integrity: what one scrub pass verified",
 	"store.ScrubStats.Duration":           "integrity: what one scrub pass verified",
 	"store.ScrubStats.BytesVerified":      "integrity: what one scrub pass verified",

@@ -62,10 +62,10 @@ func (s *Store) allocateTop(size int64) (extent, error) {
 // decoded snapshot) it is also the snapshot's structural check: each home
 // and each chain record must lie in a segment, below its used mark, no two
 // homes may overlap, and no segment may leave the data region or overlap
-// another; each violation is a CorruptError (at areaOff).  At a commit the store's own appends placed them.  The caller
-// holds mu, or runs single-threaded.
-func (s *Store) deriveFree(areaOff int64, loading bool) ([]extent, error) {
-	bad := func(format string, args ...any) error { return corrupt("metadata", areaOff, format, args...) }
+// another; each violation is a CorruptError (at at).  At a commit the store's
+// own appends placed them.  The caller holds mu, or runs single-threaded.
+func (s *Store) deriveFree(at int64, loading bool) ([]extent, error) {
+	bad := func(format string, args ...any) error { return corrupt("metadata", at, format, args...) }
 	if loading {
 		homes := make([]extent, 0, len(s.homes))
 		for _, h := range s.homes {
@@ -75,7 +75,7 @@ func (s *Store) deriveFree(areaOff int64, loading bool) ([]extent, error) {
 			}
 			homes = append(homes, e)
 		}
-		for _, e := range append(slices.Clip(s.chain), s.prevChain...) {
+		for _, e := range s.records() {
 			if seg := s.segContaining(e.off); seg == nil || e.size <= 0 || e.size > seg.base+seg.used-e.off {
 				return nil, bad("chain record at %d (size %d) lies outside every segment's written bytes", e.off, e.size)
 			}
@@ -90,7 +90,7 @@ func (s *Store) deriveFree(areaOff int64, loading bool) ([]extent, error) {
 	// The segments ascend by base, none overlapping (decodeSegsSection);
 	// the gaps they and the held extents leave are the free list.
 	var free []extent
-	at, end := s.metaAreaOff(2), s.d.Size() // the data region follows area 1
+	at, end := logOffset+s.logSize, s.d.Size() // the data region follows the log
 	slices.SortFunc(s.held, func(a, b extent) int { return cmp.Compare(a.off, b.off) })
 	held := s.held
 	for _, seg := range s.segs {

@@ -20,10 +20,10 @@ import (
 // overlapping or touching, and report the model's free total.
 func TestFreeListMatchesModel(t *testing.T) {
 	const block, blocks = 512, 1536
-	opts := Options{LogSize: 4096, MetaAreaSize: 16 << 10} // the data region starts at 80 blocks
+	opts := Options{LogSize: 4096}
 	for seed := int64(0); seed < 8; seed++ {
 		r := rand.New(rand.NewSource(seed))
-		base := int64(80 * block)
+		base := logOffset + opts.LogSize // the data region follows the log
 		s := newStore(disk.New(disk.Params{Sectors: (base + blocks*block) / disk.SectorSize}, &vclock.Clock{}), opts)
 		derive := func() {
 			var err error

@@ -28,10 +28,7 @@ import (
 	"histar/internal/wal"
 )
 
-const (
-	rotLogSize  = 128 << 10
-	rotMetaSize = 256 << 10
-)
+const rotLogSize = 128 << 10
 
 // rotStore formats a store on a FaultDisk-wrapped 8 MB device.  Small
 // segments put the checkpointed objects into the log-structured region, so
@@ -40,7 +37,7 @@ func rotStore(t testing.TB) (*Store, *disk.FaultDisk) {
 	t.Helper()
 	base := disk.New(disk.Params{Sectors: 1 << 14, WriteCache: true}, &vclock.Clock{})
 	fd := disk.NewFaultDisk(base)
-	s, err := Format(fd, Options{LogSize: rotLogSize, MetaAreaSize: rotMetaSize, SegmentSize: 64 << 10})
+	s, err := Format(fd, Options{LogSize: rotLogSize, SegmentSize: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,23 +174,24 @@ func checkAll(t *testing.T, s *Store, want map[uint64]string) {
 	}
 }
 
-// metaPayloadLen reads the payload length out of a metadata area header.
-func metaPayloadLen(t *testing.T, d disk.Device, areaOff int64) int64 {
+// metaPayloadLen reads the payload length out of the header of the base at
+// device offset at.
+func metaPayloadLen(t *testing.T, d disk.Device, at int64) int64 {
 	t.Helper()
 	hdr := make([]byte, metaHeaderSize)
-	if _, err := d.ReadAt(hdr, areaOff); err != nil {
+	if _, err := d.ReadAt(hdr, at); err != nil {
 		t.Fatal(err)
 	}
 	return int64(binary.LittleEndian.Uint64(hdr[mhPayloadOff:]))
 }
 
-// findSection walks a metadata area's section stream on disk and returns
-// the device region of one section's payload.
-func findSection(t *testing.T, d disk.Device, areaOff int64, wantTag uint64) disk.Region {
+// findSection walks the section stream of the base at device offset at and
+// returns the device region of one section's payload.
+func findSection(t *testing.T, d disk.Device, at int64, wantTag uint64) disk.Region {
 	t.Helper()
-	payloadLen := metaPayloadLen(t, d, areaOff)
+	payloadLen := metaPayloadLen(t, d, at)
 	payload := make([]byte, payloadLen)
-	if _, err := d.ReadAt(payload, areaOff+metaHeaderSize); err != nil {
+	if _, err := d.ReadAt(payload, at+metaHeaderSize); err != nil {
 		t.Fatal(err)
 	}
 	off := int64(0)
@@ -202,17 +200,17 @@ func findSection(t *testing.T, d disk.Device, areaOff int64, wantTag uint64) dis
 		slen := int64(binary.LittleEndian.Uint64(payload[off+8:]))
 		off += 24
 		if tag == wantTag {
-			return disk.Region{Off: areaOff + metaHeaderSize + off, Len: slen}
+			return disk.Region{Off: at + metaHeaderSize + off, Len: slen}
 		}
 		off += slen
 	}
-	t.Fatalf("section %d not found in metadata area at %d", wantTag, areaOff)
+	t.Fatalf("section %d not found in the base at %d", wantTag, at)
 	return disk.Region{}
 }
 
 // TestBitRotEveryCoveredFlipDetected is acceptance criterion (a): a single
-// silent bit flip anywhere in the superblock copies or the referenced
-// metadata area is always detected — the reopen either degrades (and still
+// silent bit flip anywhere in the superblock copies or the current base is
+// always detected — the reopen either degrades (and still
 // serves every committed object correctly) or counts the corruption; it
 // never serves wrong data silently.
 func TestBitRotEveryCoveredFlipDetected(t *testing.T) {
@@ -228,11 +226,10 @@ func TestBitRotEveryCoveredFlipDetected(t *testing.T) {
 			return disk.Region{Off: superblockOffset + sbBackupOff, Len: sbCopySize}
 		}},
 		{"meta-header", func(s *Store, _ *disk.FaultDisk) disk.Region {
-			return disk.Region{Off: s.metaAreaOff(s.metaWhich), Len: metaHeaderSize}
+			return disk.Region{Off: s.base.ext.off, Len: metaHeaderSize}
 		}},
 		{"meta-payload", func(s *Store, fd *disk.FaultDisk) disk.Region {
-			areaOff := s.metaAreaOff(s.metaWhich)
-			return disk.Region{Off: areaOff + metaHeaderSize, Len: metaPayloadLen(t, fd, areaOff)}
+			return disk.Region{Off: s.base.ext.off + metaHeaderSize, Len: metaPayloadLen(t, fd, s.base.ext.off)}
 		}},
 	}
 	for _, tgt := range targets {
@@ -293,10 +290,10 @@ func TestBitRotBothSuperblockCopiesRefused(t *testing.T) {
 }
 
 // TestBitRotMetaFallbackZeroCommittedSyncLoss is acceptance criterion (b):
-// when the referenced base rots, Open falls back to the alternate (previous)
-// base and follows its chain, which runs on into the referenced base's, to
-// the same snapshot, then replays the log forward — every synced mutation
-// from both generations survives, range records included
+// when the current base rots at its extent, Open falls back to the previous
+// base the superblock names and follows its chain, which runs on into the
+// current base's, to the same snapshot, then replays the log forward — every
+// synced mutation from both generations survives, range records included
 // (rangeGenerations), on both sides of the seal.
 func TestBitRotMetaFallbackZeroCommittedSyncLoss(t *testing.T) {
 	s, fd := rotStore(t)
@@ -309,8 +306,7 @@ func TestBitRotMetaFallbackZeroCommittedSyncLoss(t *testing.T) {
 	if len(s.chain) != 1 || s.base.epoch != epoch {
 		t.Fatalf("the last checkpoint wrote no base (%d deltas since): the fallback would not need the older chain", len(s.chain)-1)
 	}
-	areaOff := s.metaAreaOff(s.metaWhich)
-	if err := fd.RotBits(disk.Region{Off: areaOff, Len: mhCRCOff}, 3, 7); err != nil {
+	if err := fd.RotBits(disk.Region{Off: s.base.ext.off, Len: mhCRCOff}, 3, 7); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Open(fd, Options{})
@@ -329,6 +325,11 @@ func TestBitRotMetaFallbackZeroCommittedSyncLoss(t *testing.T) {
 		t.Fatalf("replayed %d records, want 11", rep.WALRecordsReplayed)
 	}
 	checkAll(t, s2, want)
+	// The mount pins the base it loaded and nothing before it: a scrub
+	// checks that one base, and it is whole.
+	if st, err := s2.Scrub(); err != nil || st.BasesChecked != 1 || st.BasesOK != 1 {
+		t.Fatalf("scrub of the fallback mount: %+v, %v; want 1 base checked and whole", st, err)
+	}
 	// The degraded mount must heal itself: the next checkpoint writes a base
 	// and flips both superblock copies, and a further reopen is clean.
 	if err := s2.Checkpoint(); err != nil {
@@ -344,16 +345,63 @@ func TestBitRotMetaFallbackZeroCommittedSyncLoss(t *testing.T) {
 	checkAll(t, s3, want)
 }
 
-func TestBitRotBothMetaAreasRefused(t *testing.T) {
+// TestBitRotBothBasesRefused: with the current base and the previous one
+// both rotted at the extents the superblock names, no intact copy remains,
+// and Open refuses.
+func TestBitRotBothBasesRefused(t *testing.T) {
 	s, fd := rotStore(t)
 	populateGenerations(t, s)
-	for which := 0; which < 2; which++ {
-		if err := fd.RotBits(disk.Region{Off: s.metaAreaOff(which), Len: mhCRCOff}, 3, int64(which+1)); err != nil {
+	for i, at := range []extent{s.base.ext, s.prevBase} {
+		if err := fd.RotBits(disk.Region{Off: at.off, Len: mhCRCOff}, 3, int64(i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if _, err := Open(fd, Options{}); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("open with both metadata areas rotted = %v; want ErrCorrupt", err)
+		t.Fatalf("open with both bases rotted = %v; want ErrCorrupt", err)
+	}
+}
+
+// TestSuperblockBaseExtentsChecked: the primary superblock copy, its
+// checksum re-sealed, names a base extent no base could have: in the log,
+// off a sector boundary, empty, or past the device.  The first three are
+// refused with the copy, and the backup carries the mount; a base past the
+// device is refused when Open reads it, and the previous base carries it.
+// Either way every synced object comes back.
+func TestSuperblockBaseExtentsChecked(t *testing.T) {
+	cases := []struct {
+		name   string
+		field  int
+		value  func(s *Store) uint64
+		sbRung bool // SuperblockFallback, else MetaFallback
+	}{
+		{"base-in-the-log", sbBaseOff, func(*Store) uint64 { return logOffset }, true},
+		{"base-off-a-sector", sbBaseOff, func(s *Store) uint64 { return uint64(s.base.ext.off + 8) }, true},
+		{"base-empty", sbBaseOff + 8, func(*Store) uint64 { return 0 }, true},
+		{"previous-in-the-log", sbPrevOff, func(*Store) uint64 { return logOffset }, true},
+		{"base-past-the-device", sbBaseOff, func(s *Store) uint64 { return uint64(s.d.Size()) }, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s, fd := rotStore(t)
+			want := populateGenerations(t, s)
+			b := make([]byte, sbCopySize)
+			if _, err := fd.ReadAt(b, superblockOffset); err != nil {
+				t.Fatal(err)
+			}
+			binary.LittleEndian.PutUint64(b[tc.field:], tc.value(s))
+			binary.LittleEndian.PutUint32(b[sbCRCOff:], crc32c(b[:sbCRCOff]))
+			if _, err := fd.WriteAt(b, superblockOffset); err != nil {
+				t.Fatal(err)
+			}
+			s2, err := Open(fd, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep := s2.RecoveryReport(); rep.SuperblockFallback != tc.sbRung || rep.MetaFallback == tc.sbRung {
+				t.Fatalf("%+v; want SuperblockFallback %v, MetaFallback %v", rep, tc.sbRung, !tc.sbRung)
+			}
+			checkAll(t, s2, want)
+		})
 	}
 }
 
@@ -494,8 +542,8 @@ func TestScrubCleanStoreFindsNothing(t *testing.T) {
 	if st.SuperblockCopiesOK != 2 {
 		t.Fatalf("superblock copies OK = %d, want 2", st.SuperblockCopiesOK)
 	}
-	if st.MetaAreasChecked != 2 || st.MetaAreasOK != 2 {
-		t.Fatalf("meta areas checked/OK = %d/%d, want 2/2", st.MetaAreasChecked, st.MetaAreasOK)
+	if st.BasesChecked != 2 || st.BasesOK != 2 {
+		t.Fatalf("bases checked/OK = %d/%d, want 2/2", st.BasesChecked, st.BasesOK)
 	}
 	if st.ObjectsChecked != len(want) {
 		t.Fatalf("objects checked = %d, want %d", st.ObjectsChecked, len(want))
@@ -631,7 +679,10 @@ func chainStore(t testing.TB) (*Store, *disk.FaultDisk, map[uint64]string, []uin
 // the log replays from there, losing no committed sync.  Rot in the last run
 // header loses none either, and the mount names it, as it does rot in a
 // mid-chain run header, or in a mid-chain delta whose next run header still
-// verifies: the chain is cut there, never silently.
+// verifies: the chain is cut there, never silently.  Rot in the base, at its
+// extent in the data region, sends the mount to the previous base, whose
+// chain runs on into this one's, to the same epoch; with both bases rotted,
+// Open refuses.
 func TestBitRotChain(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -677,6 +728,28 @@ func TestBitRotChain(t *testing.T) {
 			}
 		})
 	}
+	t.Run("base", func(t *testing.T) {
+		for seed := int64(1); seed <= 4; seed++ {
+			s, fd, want, epochs := chainStore(t)
+			if err := fd.RotBits(disk.Region{Off: s.base.ext.off, Len: mhCRCOff}, 3, seed); err != nil {
+				t.Fatal(err)
+			}
+			s2, err := Open(fd, Options{})
+			if err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			}
+			if rep := s2.RecoveryReport(); !rep.MetaFallback || rep.ChainTruncated || rep.MetaEpoch != epochs[3] {
+				t.Fatalf("seed %d: %+v; want MetaFallback at epoch %d", seed, rep, epochs[3])
+			}
+			checkAll(t, s2, want)
+			if err := fd.RotBits(disk.Region{Off: s.prevBase.off, Len: mhCRCOff}, 3, seed); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(fd, Options{}); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("seed %d: open with both bases rotted = %v; want ErrCorrupt", seed, err)
+			}
+		}
+	})
 }
 
 // restampSuperblockCopy rewrites the version field of the superblock copy at
@@ -716,23 +789,23 @@ func legacyLabelDigest(lbl label.Label) uint64 {
 	return h.Sum64()
 }
 
-// restampMetaArea rewrites the metadata area at areaOff as a well-formed
-// area of an older version, the way code speaking that version would have
-// written it: the sections tags names, the header's version, section count
+// restampBase rewrites the base at extent at as a well-formed base of an
+// older version, the way code speaking that version would have written it,
+// within the extent: the sections tags names, the header's version, section count
 // and payload length to match, every CRC valid.  Every older version kept
 // the labels apart from the object map, whose records ended at the CRC
 // field: section 3 held (id, label) pairs, ascending by id, built here from
-// the labels the area's own records carry.  Versions up to 4 persisted the
+// the labels the base's own records carry.  Versions up to 4 persisted the
 // label fingerprint index as section 4 — (fingerprint, id) pairs in
 // ascending order; versions 3 to 5 a table of snapshot pins as section 6,
 // and versions up to 6 the free-extent list as section 2, both empty here.
 // Versions 7 and 8 wrote sections 1, 3 and 5, but version 7's object map
 // could name one extent twice (a clone alias); version 9 wrote sections 1 and
 // 5, a whole image at every checkpoint, with no chain.
-func restampMetaArea(t *testing.T, d disk.Device, areaOff int64, version uint64, tags ...uint64) {
+func restampBase(t *testing.T, d disk.Device, at extent, version uint64, tags ...uint64) {
 	t.Helper()
 	section := func(tag uint64) []byte {
-		reg := findSection(t, d, areaOff, tag)
+		reg := findSection(t, d, at.off, tag)
 		body := make([]byte, reg.Len)
 		if _, err := d.ReadAt(body, reg.Off); err != nil {
 			t.Fatal(err)
@@ -766,7 +839,7 @@ func restampMetaArea(t *testing.T, d disk.Device, areaOff int64, version uint64,
 	for _, p := range pairs {
 		index = appendU64(appendU64(index, p[0]), p[1])
 	}
-	area := make([]byte, metaHeaderSize)
+	img := make([]byte, metaHeaderSize)
 	for _, tag := range tags {
 		var body []byte
 		switch tag {
@@ -781,23 +854,26 @@ func restampMetaArea(t *testing.T, d disk.Device, areaOff int64, version uint64,
 		default:
 			body = section(tag)
 		}
-		area = appendU64(appendU64(appendU64(area, tag), uint64(len(body))), uint64(crc32c(body)))
-		area = append(area, body...)
+		img = appendU64(appendU64(appendU64(img, tag), uint64(len(body))), uint64(crc32c(body)))
+		img = append(img, body...)
 	}
-	if _, err := d.ReadAt(area[:metaHeaderSize], areaOff); err != nil {
+	if _, err := d.ReadAt(img[:metaHeaderSize], at.off); err != nil {
 		t.Fatal(err)
 	}
-	binary.LittleEndian.PutUint64(area[mhVersionOff:], version)
-	binary.LittleEndian.PutUint64(area[mhPayloadOff:], uint64(len(area)-metaHeaderSize))
-	binary.LittleEndian.PutUint64(area[mhSectionsOff:], uint64(len(tags)))
-	binary.LittleEndian.PutUint32(area[mhCRCOff:], crc32c(area[:mhCRCOff]))
-	if _, err := d.WriteAt(area, areaOff); err != nil {
+	if int64(len(img)) > at.size {
+		t.Fatalf("a version %d base takes %d bytes, more than the %d of the extent", version, len(img), at.size)
+	}
+	binary.LittleEndian.PutUint64(img[mhVersionOff:], version)
+	binary.LittleEndian.PutUint64(img[mhPayloadOff:], uint64(len(img)-metaHeaderSize))
+	binary.LittleEndian.PutUint64(img[mhSectionsOff:], uint64(len(tags)))
+	binary.LittleEndian.PutUint32(img[mhCRCOff:], crc32c(img[:mhCRCOff]))
+	if _, err := d.WriteAt(img, at.off); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestOtherFormatVersionsRefusedNotLoaded: this code reads exactly one
-// version of each structure.  A superblock copy or metadata area that is
+// version of each structure.  A superblock copy or base that is
 // intact — valid checksums throughout — but stamped with any other version
 // is refused as corruption and handled by the ordinary ladder; nothing is
 // ever loaded unverified.
@@ -807,7 +883,7 @@ func TestOtherFormatVersionsRefusedNotLoaded(t *testing.T) {
 		version  uint64
 		zeroTail bool
 	}{
-		{"v0", 0, false}, {"v1", 1, false}, {"v2", 2, false}, {"v4", 4, false},
+		{"v0", 0, false}, {"v1", 1, false}, {"v2", 2, false}, {"v3", 3, false}, {"v5", 5, false},
 		{"v0-unchecksummed", 0, true},
 	}
 	for _, tc := range superblocks {
@@ -845,7 +921,7 @@ func TestOtherFormatVersionsRefusedNotLoaded(t *testing.T) {
 		t.Run("metadata-"+tc.name, func(t *testing.T) {
 			s, fd := rotStore(t)
 			want := populateGenerations(t, s)
-			restampMetaArea(t, fd, s.metaAreaOff(s.metaWhich), tc.version, tc.tags...)
+			restampBase(t, fd, s.base.ext, tc.version, tc.tags...)
 			s2, err := Open(fd, Options{})
 			if err != nil {
 				t.Fatal(err)
@@ -854,9 +930,9 @@ func TestOtherFormatVersionsRefusedNotLoaded(t *testing.T) {
 				t.Fatalf("expected metadata fallback, got %+v", s2.RecoveryReport())
 			}
 			checkAll(t, s2, want)
-			restampMetaArea(t, fd, s.metaAreaOff(1-s.metaWhich), tc.version, tc.tags...)
+			restampBase(t, fd, s.prevBase, tc.version, tc.tags...)
 			if _, err := Open(fd, Options{}); !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("open with both metadata areas stamped %s = %v; want ErrCorrupt", tc.name, err)
+				t.Fatalf("open with both bases stamped %s = %v; want ErrCorrupt", tc.name, err)
 			}
 		})
 	}
@@ -895,12 +971,12 @@ func TestOtherFormatVersionsRefusedNotLoaded(t *testing.T) {
 	}
 	// An object-map entry whose CRC field lacks the valid bit, inside a
 	// section whose own checksum is intact, would have to be read
-	// unverified: the area is refused instead.
+	// unverified: the base is refused instead.
 	t.Run("objmap-entry-without-crc", func(t *testing.T) {
 		s, fd := rotStore(t)
 		want := populateGenerations(t, s)
 		rebase(t, s)
-		sec := findSection(t, fd, s.metaAreaOff(s.metaWhich), secObjMap)
+		sec := findSection(t, fd, s.base.ext.off, secObjMap)
 		body := make([]byte, sec.Len)
 		if _, err := fd.ReadAt(body, sec.Off); err != nil {
 			t.Fatal(err)

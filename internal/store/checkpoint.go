@@ -5,7 +5,6 @@ import (
 	crand "crypto/rand"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"slices"
 	"time"
 )
@@ -175,7 +174,7 @@ func (s *Store) checkpointBody(ss *sealedState) error {
 		grown += e.size
 	}
 	flip := len(s.chain) > maxChainLinks || 2*grown > max(s.base.length, minBase) || s.base.length < 0
-	err := s.commitDelta(ss.entries, ss.epoch, flip, true)
+	err := s.commitDelta(ss.entries, ss.epoch, true)
 	if errors.Is(err, ErrNoSpace) {
 		s.mu.Lock()
 		dead := slices.DeleteFunc(slices.Clone(ss.entries), func(se sealedEntry) bool {
@@ -185,11 +184,11 @@ func (s *Store) checkpointBody(ss *sealedState) error {
 		held := len(s.held) > 0
 		s.mu.Unlock()
 		if len(dead) > 0 || held {
-			if err = s.commitDelta(dead, s.metaEpoch, false, false); err == nil && len(dead) > 0 {
-				err = s.commitDelta(nil, s.metaEpoch, false, false)
+			if err = s.commitDelta(dead, s.metaEpoch, false); err == nil && len(dead) > 0 {
+				err = s.commitDelta(nil, s.metaEpoch, false)
 			}
 			if err == nil {
-				err = s.commitDelta(ss.entries, ss.epoch, flip, true)
+				err = s.commitDelta(ss.entries, ss.epoch, true)
 			}
 		}
 	}
@@ -199,7 +198,9 @@ func (s *Store) checkpointBody(ss *sealedState) error {
 	}
 	s.releaseSealed(ss)
 	if flip {
-		if err := s.writeBase(ss.epoch, false); err != nil {
+		// A base that finds no room waits for a checkpoint that does; the
+		// chain goes on meanwhile.
+		if err := s.writeBase(ss.epoch); err != nil && !errors.Is(err, ErrNoSpace) {
 			return err
 		}
 	}
@@ -254,9 +255,9 @@ type pending struct {
 
 // commitDelta places entries' contents (and, with clean, the cleaner's
 // moves), merges their homes, and places after them the delta, sized for
-// the one segment row its own placement can add (with flip, checking that a
-// base fits its area), then writes it all; a failure puts the tables back.
-func (s *Store) commitDelta(entries []sealedEntry, epoch uint64, flip, clean bool) error {
+// the one segment row its own placement can add, then writes it all; a
+// failure puts the tables back.
+func (s *Store) commitDelta(entries []sealedEntry, epoch uint64, clean bool) error {
 	for i := range entries {
 		if se := &entries[i]; !se.dead {
 			se.home = home{size: int64(len(se.data)), crc: crc32c(se.data)}
@@ -290,20 +291,17 @@ func (s *Store) commitDelta(entries []sealedEntry, epoch uint64, flip, clean boo
 	}
 	s.mu.Lock()
 	d.segs = diffSegs(was.old, s.segs)
-	size := align512(int64(len(appendDelta(s.dbuf[:0], d, 0))) + 8 + 24)
+	size := align512(int64(len(appendDelta(s.dbuf[:0], d, 0))) + 8 + segRowSize)
 	off, err := s.place(size+runHeaderSize, s.allocateTop)
 	if err != nil {
 		return fail(err)
 	}
 	d.next, d.segs = off+size, diffSegs(was.old, s.segs)
-	if flip && int64(len(s.encodeMetadata(epoch, 0)))+16 > s.metaSize {
-		return fail(fmt.Errorf("%w: a base exceeds the metadata area (%d bytes)", ErrNoSpace, s.metaSize))
-	}
 	s.dbuf = appendDelta(s.dbuf[:0], d, size)
 	sum, _ := deltaSum(s.dbuf)
 	rh := runHeader{chain: s.chainID, link: s.link, epoch: epoch, off: off, len: size, sum: sum}
 	s.mu.Unlock()
-	if err := s.writeDelta(rh, writes, s.dbuf); err != nil {
+	if err := s.writeCommit(append([]pending{{s.nextRun, encodeRunHeader(rh)}}, writes...), pending{off, s.dbuf}); err != nil {
 		s.mu.Lock()
 		return fail(err)
 	}
@@ -317,12 +315,15 @@ func (s *Store) commitDelta(entries []sealedEntry, epoch uint64, flip, clean boo
 	return nil
 }
 
-// writeDelta is a delta checkpoint's device schedule: the run header, the
-// data, a flush, the delta, a flush.  Each write continues where the last
-// stopped, the first where the last checkpoint's did, so each flush costs a
-// revolution, not a seek.
-func (s *Store) writeDelta(rh runHeader, writes []pending, delta []byte) error {
-	for _, w := range append([]pending{{s.nextRun, encodeRunHeader(rh)}}, writes...) {
+// writeCommit is a commit's device schedule: the writes, a flush, the record
+// that commits them, a flush.  The flush between keeps a write-back cache,
+// which destages in ascending order, from persisting the record first.  For
+// a delta, the writes are its run header and the data, and each write
+// continues where the last stopped, the first where the last checkpoint's
+// did, so each flush costs a revolution, not a seek; for a base, the record
+// is the superblock.
+func (s *Store) writeCommit(writes []pending, record pending) error {
+	for _, w := range writes {
 		if len(w.data) == 0 {
 			continue
 		}
@@ -333,60 +334,65 @@ func (s *Store) writeDelta(rh runHeader, writes []pending, delta []byte) error {
 	if err := s.d.Flush(); err != nil {
 		return err
 	}
-	if _, err := s.d.WriteAt(delta, rh.off); err != nil {
+	if _, err := s.d.WriteAt(record.data, record.off); err != nil {
 		return err
 	}
 	return s.d.Flush()
 }
 
-// writeBase writes the committed tables as a new base to the metadata area
-// the superblock does not reference (with both, to the two areas), flushes,
-// flips the superblock to it and flushes again (in the checkpoint body,
-// under ckptRun, which fences a scrub's reads, or in Format).  The new chain
-// starts at the sector the last delta reserved; the one the base ends stays
-// pinned, and the one before it is released.
-func (s *Store) writeBase(epoch uint64, both bool) error {
+// writeBase writes the committed tables as a new base, placed like a delta
+// and sized for the one segment row its placement can add, and flips the
+// superblock to it and the base before (in the body, under ckptRun, which
+// fences a scrub's reads, or in Format).  The new chain starts at the sector
+// the last delta reserved, taken over from the chain the base ends, which
+// stays pinned with the base before; the ones before them are released.  A
+// failure puts the tables back.
+func (s *Store) writeBase(epoch uint64) error {
 	var b [8]byte
 	crand.Read(b[:]) // cannot fail: crypto/rand stops the program instead
 	chain := binary.LittleEndian.Uint64(b[:])
 	s.mu.Lock()
-	next := 1 - s.metaWhich
+	was := s.saveTables()
+	at := extent{size: align512(int64(len(s.encodeMetadata(epoch, chain))) + segRowSize)}
+	off, err := s.place(at.size, s.allocateTop)
+	if err != nil {
+		s.mu.Unlock()
+		return err
+	}
+	at.off = off
 	meta := s.encodeMetadata(epoch, chain)
+	n := int64(len(meta))
+	sb := encodeSuperblockCopy(superblockInfo{chain: chain, logSize: s.logSize, epoch: epoch, base: at, prev: s.base.ext})
 	s.mu.Unlock()
-	if int64(len(meta)) > s.metaSize {
-		return fmt.Errorf("%w: a base exceeds the metadata area (%d bytes)", ErrNoSpace, s.metaSize)
-	}
-	sb := encodeSuperblockCopy(superblockInfo{which: next, chain: chain, logSize: s.logSize, metaSize: s.metaSize, epoch: epoch})
 	sb = append(append(sb, make([]byte, sbBackupOff-sbCopySize)...), sb...)
-	for which := range 2 {
-		if which == next || both {
-			if _, err := s.d.WriteAt(meta, s.metaAreaOff(which)); err != nil {
-				return err
-			}
-		}
-	}
-	// The flush between base and superblock keeps a write-back cache, which
-	// destages in ascending order, from persisting the superblock first.
-	if err := s.d.Flush(); err != nil {
-		return err
-	}
-	if _, err := s.d.WriteAt(sb, superblockOffset); err != nil {
-		return err
-	}
-	if err := s.d.Flush(); err != nil {
+	if err := s.writeCommit([]pending{{off, append(meta, make([]byte, at.size-n)...)}}, pending{superblockOffset, sb}); err != nil {
+		s.mu.Lock()
+		s.restoreTables(was)
+		s.mu.Unlock()
 		return err
 	}
 	s.mu.Lock()
-	s.metaWhich, s.chainID, s.link = next, chain, chain
-	s.base = metaImage{epoch: epoch, chain: chain, run: s.nextRun, length: int64(len(meta))}
-	for _, e := range s.prevChain {
-		s.segContaining(e.off).live -= e.size // dropped by the next body's cleaner
+	s.chainID, s.link = chain, chain
+	for _, e := range append(slices.Clip(s.prevChain), s.prevBase) {
+		if e.size > 0 {
+			s.segContaining(e.off).live -= e.size // dropped by the next body's cleaner
+		}
 	}
-	s.prevChain, s.chain = s.chain, []extent{{s.nextRun, runHeaderSize}}
-	s.segContaining(s.nextRun).live += runHeaderSize
+	s.prevBase, s.prevChain = s.base.ext, s.ended()
+	s.base = metaImage{ext: at, epoch: epoch, chain: chain, run: s.nextRun, length: n}
+	s.chain = []extent{{s.nextRun, runHeaderSize}}
 	s.held = nil // no delta to fall back past
 	s.free, _ = s.deriveFree(0, false)
 	s.mu.Unlock()
-	s.c.metaBytesWritten.Add(uint64(len(meta) + len(sb)))
+	s.c.metaBytesWritten.Add(uint64(at.size) + uint64(len(sb)))
 	return nil
+}
+
+// ended is the chain a base written now ends, as that base pins it: less its
+// last sector, the new chain's first run header, which the new chain counts.
+// The caller holds mu.
+func (s *Store) ended() []extent {
+	pins := slices.Clone(s.chain)
+	pins[len(pins)-1].size -= runHeaderSize
+	return slices.DeleteFunc(pins, func(e extent) bool { return e.size == 0 })
 }

@@ -27,7 +27,7 @@ func cleanerObj(id uint64, gen int) []byte {
 func cleanerStore(t *testing.T, sectors int64) (*Store, *disk.Disk) {
 	t.Helper()
 	d := disk.New(disk.Params{Sectors: sectors, WriteCache: true}, &vclock.Clock{})
-	s, err := Format(d, Options{LogSize: 64 << 10, MetaAreaSize: 512 << 10, SegmentSize: 64 << 10})
+	s, err := Format(d, Options{LogSize: 64 << 10, SegmentSize: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func packedShare(s *Store) (live, used int64, half, n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	pinned := map[*segment]bool{}
-	for _, e := range append(append([]extent(nil), s.chain...), s.prevChain...) {
+	for _, e := range s.records() {
 		pinned[s.segContaining(e.off)] = true
 	}
 	for _, seg := range s.segs {
@@ -237,7 +237,7 @@ func TestCleanerMarks(t *testing.T) {
 // after a remount.
 func TestCleanerSteadyStateCost(t *testing.T) {
 	s, d := cleanerStore(t, 1<<15)
-	region := d.Size() - s.metaAreaOff(2)
+	region := d.Size() - logOffset - s.logSize
 	n := uint64(region * 80 / 100 / 4096)
 	want := map[uint64]int{}
 	for id := uint64(1); id <= n; id++ {
@@ -284,13 +284,13 @@ func TestCleanerSteadyStateCost(t *testing.T) {
 }
 
 // TestCheckpointFreesWhatTheLastCommitDropped: a segment a commit drops —
-// here eight whole ones, every object in them deleted — stays out of the free
-// list until the next commit, so a checkpoint whose data needs that room
-// finds no space.  With no deletions of its own to commit first, it must
-// commit an empty delta, which frees them, and retry, rather than fail at
-// every attempt; every object reads back after a remount.  (A base would free
-// them too: 600 small objects make one large enough that no checkpoint here
-// writes another.)
+// here eight, each the own segment of an object over half a segment, the
+// object deleted — stays out of the free list until the next commit, so a
+// checkpoint whose data needs that room finds no space.  With no deletions
+// of its own to commit first, it must commit an empty delta, which frees
+// them, and retry, rather than fail at every attempt; every object reads back
+// after a remount.  (A base would free them too: 600 small objects make one
+// large enough that no checkpoint here writes another.)
 func TestCheckpointFreesWhatTheLastCommitDropped(t *testing.T) {
 	s, d := cleanerStore(t, 1<<13)
 	want := map[uint64]int{}
@@ -301,8 +301,8 @@ func TestCheckpointFreesWhatTheLastCommitDropped(t *testing.T) {
 	}
 	rebase(t, s)
 	const dropped = 8
-	big := func(id uint64) []byte { return bytes.Repeat(cleanerObj(id, 0), 8) } // two a segment
-	for id := uint64(1); id <= 2*dropped; id++ {
+	big := func(id uint64) []byte { return bytes.Repeat(cleanerObj(id, 0), 9) } // a segment of its own
+	for id := uint64(1); id <= dropped; id++ {
 		if err := s.Put(id, big(id)); err != nil {
 			t.Fatal(err)
 		}
@@ -310,7 +310,7 @@ func TestCheckpointFreesWhatTheLastCommitDropped(t *testing.T) {
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	for id := uint64(1); id <= 2*dropped; id++ {
+	for id := uint64(1); id <= dropped; id++ {
 		if err := s.Delete(id); err != nil {
 			t.Fatal(err)
 		}

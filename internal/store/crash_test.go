@@ -218,15 +218,14 @@ func randLabel(r *rand.Rand) label.Label {
 }
 
 const (
-	crashLogSize  = 96 << 10
-	crashMetaSize = 192 << 10
-	crashSectors  = 1 << 14 // 8 MB write-through disk
+	crashLogSize = 96 << 10
+	crashSectors = 1 << 14 // 8 MB write-through disk
 )
 
 // crashOpts shrinks every region so the randomized workloads exercise log
 // reclamation, checkpoint fallbacks, and the segment cleaner: the 64 KB
 // segments fill and turn over within a handful of checkpoints.
-var crashOpts = Options{LogSize: crashLogSize, MetaAreaSize: crashMetaSize, SegmentSize: 64 << 10}
+var crashOpts = Options{LogSize: crashLogSize, SegmentSize: 64 << 10}
 
 // newCrashRig formats a store on a write-through disk behind a FaultDisk.
 // The fault is armed only after Format, so crash points cover the workload.
@@ -897,8 +896,7 @@ func TestFailedHomeWriteChargesNoLive(t *testing.T) {
 	}
 	run := func(fault bool) outcome {
 		d := disk.New(disk.Params{Sectors: crashSectors}, &vclock.Clock{})
-		dataStart := logOffset + crashOpts.LogSize + 2*crashOpts.MetaAreaSize
-		cd := &cutDisk{Device: d, from: dataStart, to: d.Size()}
+		cd := &cutDisk{Device: d, from: logOffset + crashOpts.LogSize, to: d.Size()}
 		s, err := Format(cd, crashOpts)
 		if err != nil {
 			t.Fatal(err)
@@ -958,7 +956,7 @@ func TestFailedHomeWriteChargesNoLive(t *testing.T) {
 // the object's one.
 func TestCommitWindowSyncSurvivesCrash(t *testing.T) {
 	d := disk.New(disk.Params{Sectors: crashSectors, WriteCache: false}, &vclock.Clock{})
-	dataStart := logOffset + crashOpts.LogSize + 2*crashOpts.MetaAreaSize
+	dataStart := logOffset + crashOpts.LogSize
 	cd := &cutDisk{Device: d, from: dataStart + disk.SectorSize, to: dataStart + crashOpts.SegmentSize}
 	s, err := Format(cd, crashOpts)
 	if err != nil {
@@ -1006,7 +1004,7 @@ func TestCommitWindowSyncSurvivesCrash(t *testing.T) {
 func TestFailedCheckpointFreesNothing(t *testing.T) {
 	d := disk.New(disk.Params{Sectors: 4 << 20 / disk.SectorSize, WriteCache: true}, &vclock.Clock{})
 	fd := disk.NewFaultDisk(d)
-	opts := Options{LogSize: 64 << 10, MetaAreaSize: 128 << 10, SegmentSize: 64 << 10}
+	opts := Options{LogSize: 64 << 10, SegmentSize: 64 << 10}
 	s, err := Format(fd, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -1046,7 +1044,7 @@ func TestFailedCheckpointFreesNothing(t *testing.T) {
 func TestFailedCheckpointsKeepTheFreeList(t *testing.T) {
 	const segSize = 64 << 10
 	d := disk.New(disk.Params{Sectors: 1 << 15, WriteCache: true}, &vclock.Clock{}) // 16 MiB
-	s, err := Format(d, Options{LogSize: 1 << 20, MetaAreaSize: 1 << 20, SegmentSize: segSize})
+	s, err := Format(d, Options{LogSize: 1 << 20, SegmentSize: segSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1087,8 +1085,7 @@ func TestFailedCheckpointsKeepTheFreeList(t *testing.T) {
 func TestFailedHomeWriteLeaksNothing(t *testing.T) {
 	run := func(fault bool) int64 {
 		d := disk.New(disk.Params{Sectors: crashSectors}, &vclock.Clock{})
-		dataStart := logOffset + crashOpts.LogSize + 2*crashOpts.MetaAreaSize
-		cd := &cutDisk{Device: d, from: dataStart, to: d.Size()}
+		cd := &cutDisk{Device: d, from: logOffset + crashOpts.LogSize, to: d.Size()}
 		s, err := Format(cd, crashOpts)
 		if err != nil {
 			t.Fatal(err)

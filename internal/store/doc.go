@@ -8,11 +8,12 @@
 // has a factor of x+1, so any odd-weight error burst within one checksummed
 // span is detected with certainty.
 //
-//   - Superblock: two 64-byte copies at offsets 0 and 512, each a CRC32C
-//     over bytes [0, 56) in its final u32.  Fields (LE u64): magic "HIST",
-//     metadata area of the base (0 or 1), the base's chain id, log region
-//     size, metadata area size, format version (3), the base's epoch.
-//   - Base header (64 bytes): magic "HMET", version (10), epoch, payload
+//   - Superblock: two 80-byte copies at offsets 0 and 512, each a CRC32C
+//     over bytes [0, 72) in its u32 after them.  Fields (LE u64): magic
+//     "HIST", the base's chain id, log region size, format version (4), the
+//     base's epoch, the base's extent (offset, length), the previous base's.
+//   - Base header (64 bytes, at the start of the base's extent, whole
+//     sectors of the data region): magic "HMET", version (10), epoch, payload
 //     length, section count (3), chain id, the sector of the chain's first
 //     run header, CRC32C over the first 56 bytes.
 //   - Base sections: each [tag u64][length u64][CRC32C u64][payload].  Tags:
@@ -62,10 +63,11 @@
 //     commit.  Both writes continue where the head stopped.  Only now is the
 //     free list derived again; a segment the commit dropped stays out of it
 //     until the next commit, so the snapshot before stays whole.
-//  3. Past the chain's bound: the whole tables as a new base, into the area
-//     the superblock does not name, a flush, both superblock copies naming
-//     it at epoch E with a fresh chain id, a flush.  The chain before the
-//     last base is released; the one this base ends stays pinned.
+//  3. Past the chain's bound: the whole tables as a new base, placed in the
+//     data region like a delta, a flush, both superblock copies naming it and
+//     the last base at epoch E with a fresh chain id, a flush.  The base and
+//     chain before the last base are released; the ones this base ends stay
+//     pinned.  A base that finds no room waits for a checkpoint that does.
 //  4. FINISH: reclaim log frames of epochs below the previous commit's, P.
 //
 // A crash before step 2's delta is whole recovers at P plus replay of the
@@ -82,9 +84,9 @@
 //     and so does one that rots, indistinguishably: the log replays from the
 //     delta before, which FINISH keeps, with no committed sync lost.
 //  2. SuperblockFallback: the primary copy fails; the backup is used.
-//  3. MetaFallback: the base fails; the other area's base, no newer, is
-//     loaded, and its chain, pinned, runs on into the failed base's: the
-//     same snapshot, nothing lost.
+//  3. MetaFallback: the base fails; the previous base the superblock names,
+//     no newer, is loaded, and its chain, pinned, runs on into the failed
+//     base's: the same snapshot, nothing lost.
 //  4. ChainTruncated: a run header, or a delta with a run header verifying
 //     past it, fails; the snapshot is the delta before it.
 //  5. WALDamaged: a rotted log frame or header truncates replay to the

@@ -21,29 +21,29 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 func crc32c(p []byte) uint32 { return crc32.Checksum(p, castagnoli) }
 
-// Superblock: the page at offset 0 holds two identical 64-byte checksummed
+// Superblock: the page at offset 0 holds two identical 80-byte checksummed
 // copies (primary at offset 0, backup at offset 512, each in its own
 // sector).  Field offsets within one copy (little-endian u64s unless noted).
 const (
-	sbCopySize   = 64
+	sbCopySize   = 80
 	sbBackupOff  = 512 // second copy sits in its own sector
 	sbMagicOff   = 0
-	sbWhichOff   = 8
-	sbChainOff   = 16 // the referenced base's chain id
-	sbLogSizeOff = 24
-	sbMetaSzOff  = 32
-	sbVersionOff = 40
-	sbEpochOff   = 48
-	sbCRCOff     = 56 // u32 CRC32C over bytes [0, 56)
+	sbChainOff   = 8 // the current base's chain id
+	sbLogSizeOff = 16
+	sbVersionOff = 24
+	sbEpochOff   = 32
+	sbBaseOff    = 40 // the current base's extent: offset, then length
+	sbPrevOff    = 56 // the previous base's extent
+	sbCRCOff     = 72 // u32 CRC32C over bytes [0, 72)
 
 	superMagic   = 0x48495354 // "HIST"
-	superVersion = 3
+	superVersion = 4
 )
 
-// Metadata area: a 64-byte checksummed, epoch-stamped header, then the
-// section stream.  An area holds a base: the whole image at its epoch, the
-// id of the chain of deltas that follows it, and the sector of that chain's
-// first run header.
+// Base: a 64-byte checksummed, epoch-stamped header, then the section
+// stream, in whole sectors of the data region: the whole image at its epoch,
+// the id of the chain of deltas that follows it, and the sector of that
+// chain's first run header.
 const (
 	metaMagic      = 0x484d4554 // "HMET"
 	metaVersion    = 10
@@ -67,6 +67,7 @@ const (
 	secPins    = 7
 	numSecs    = 3
 	secHdrSize = 24
+	segRowSize = 24 // a segment row: base, size, used
 
 	// Flags in the CRC field of a home record, above the CRC's 32 bits.
 	// objCRCValid says the field carries a contents checksum: every record
@@ -89,49 +90,42 @@ const (
 
 // superblockInfo is one parsed superblock copy.
 type superblockInfo struct {
-	which    int
-	chain    uint64
-	logSize  int64
-	metaSize int64
-	epoch    uint64
+	chain      uint64
+	logSize    int64
+	epoch      uint64
+	base, prev extent // the current base's extent and the previous one's
 }
 
-// encodeSuperblockCopy builds one 64-byte checksummed copy.
+// encodeSuperblockCopy builds one 80-byte checksummed copy.
 func encodeSuperblockCopy(info superblockInfo) []byte {
-	b := make([]byte, sbCopySize)
-	binary.LittleEndian.PutUint64(b[sbMagicOff:], superMagic)
-	binary.LittleEndian.PutUint64(b[sbWhichOff:], uint64(info.which))
-	binary.LittleEndian.PutUint64(b[sbChainOff:], info.chain)
-	binary.LittleEndian.PutUint64(b[sbLogSizeOff:], uint64(info.logSize))
-	binary.LittleEndian.PutUint64(b[sbMetaSzOff:], uint64(info.metaSize))
-	binary.LittleEndian.PutUint64(b[sbVersionOff:], superVersion)
-	binary.LittleEndian.PutUint64(b[sbEpochOff:], info.epoch)
-	binary.LittleEndian.PutUint32(b[sbCRCOff:], crc32c(b[:sbCRCOff]))
-	return b
+	b := make([]byte, 0, sbCopySize)
+	for _, v := range []uint64{superMagic, info.chain, uint64(info.logSize), superVersion, info.epoch,
+		uint64(info.base.off), uint64(info.base.size), uint64(info.prev.off), uint64(info.prev.size)} {
+		b = appendU64(b, v)
+	}
+	return binary.LittleEndian.AppendUint32(b, crc32c(b))[:sbCopySize]
 }
 
 // parseSuperblockCopy validates one copy at device offset off: magic, then
-// the CRC over every field, then the version — no field of a copy that fails
-// its CRC is interpreted.
-func parseSuperblockCopy(b []byte, off int64) (superblockInfo, error) {
-	var info superblockInfo
-	if got := binary.LittleEndian.Uint64(b[sbMagicOff:]); got != superMagic {
-		return info, corrupt("superblock", off+sbMagicOff, "bad magic: got %#x, want %#x", got, uint64(superMagic))
-	}
-	info.which = int(binary.LittleEndian.Uint64(b[sbWhichOff:]))
-	info.chain = binary.LittleEndian.Uint64(b[sbChainOff:])
-	info.logSize = int64(binary.LittleEndian.Uint64(b[sbLogSizeOff:]))
-	info.metaSize = int64(binary.LittleEndian.Uint64(b[sbMetaSzOff:]))
-	info.epoch = binary.LittleEndian.Uint64(b[sbEpochOff:])
+// the CRC over every field, then the version and the two bases' extents —
+// no field of a copy that fails its CRC is interpreted.
+func parseSuperblockCopy(b []byte, off int64) (info superblockInfo, err error) {
+	u64 := func(at int) uint64 { return binary.LittleEndian.Uint64(b[at:]) }
 	want := binary.LittleEndian.Uint32(b[sbCRCOff:])
-	if got := crc32c(b[:sbCRCOff]); got != want {
+	switch got := crc32c(b[:sbCRCOff]); {
+	case u64(sbMagicOff) != superMagic:
+		return info, corrupt("superblock", off+sbMagicOff, "bad magic: got %#x, want %#x", u64(sbMagicOff), uint64(superMagic))
+	case got != want:
 		return info, corrupt("superblock", off+sbCRCOff, "checksum mismatch: got %#x, want %#x", got, want)
+	case u64(sbVersionOff) != superVersion:
+		return info, corrupt("superblock", off+sbVersionOff, "unsupported superblock version %d", u64(sbVersionOff))
 	}
-	if v := binary.LittleEndian.Uint64(b[sbVersionOff:]); v != superVersion {
-		return info, corrupt("superblock", off+sbVersionOff, "unsupported superblock version %d", v)
-	}
-	if info.which != 0 && info.which != 1 {
-		return info, corrupt("superblock", off+sbWhichOff, "metadata area selector %d out of range", info.which)
+	info = superblockInfo{chain: u64(sbChainOff), logSize: int64(u64(sbLogSizeOff)), epoch: u64(sbEpochOff),
+		base: extent{int64(u64(sbBaseOff)), int64(u64(sbBaseOff + 8))}, prev: extent{int64(u64(sbPrevOff)), int64(u64(sbPrevOff + 8))}}
+	for i, e := range []extent{info.base, info.prev} {
+		if e.off < logOffset+max(info.logSize, 0) || e.off%runHeaderSize != 0 || e.size <= 0 || e.size%runHeaderSize != 0 {
+			return info, corrupt("superblock", off+sbBaseOff+16*int64(i), "base extent at %d (size %d) is not whole sectors past the log", e.off, e.size)
+		}
 	}
 	return info, nil
 }
@@ -248,10 +242,11 @@ func (s *Store) encodeMetadata(epoch, chain uint64) []byte {
 	})
 	// The chain this base ends stays pinned while this base is the newest.
 	section(secPins, func() uint64 {
-		for _, e := range s.chain {
+		pins := s.ended()
+		for _, e := range pins {
 			img = appendU64(appendU64(img, uint64(e.off)), uint64(e.size))
 		}
-		return uint64(len(s.chain))
+		return uint64(len(pins))
 	})
 	binary.LittleEndian.PutUint64(img[mhMagicOff:], metaMagic)
 	binary.LittleEndian.PutUint64(img[mhVersionOff:], metaVersion)
@@ -269,24 +264,24 @@ func appendSeg(buf []byte, seg *segment) []byte {
 	return appendU64(appendU64(appendU64(buf, uint64(seg.base)), uint64(seg.size)), uint64(seg.used))
 }
 
-// parseMetaHeader validates the base header of the area at device offset
-// areaOff — magic, CRC, version, geometry against the area's capacity — and
-// returns its fields as a metaImage with no sections yet.
-func parseMetaHeader(hdr []byte, areaOff, capacity int64) (img metaImage, err error) {
+// parseMetaHeader validates the header of the base at device offset at
+// — magic, CRC, version, geometry against the extent's capacity — and returns
+// its fields as a metaImage with no sections yet.
+func parseMetaHeader(hdr []byte, at, capacity int64) (img metaImage, err error) {
 	if got := binary.LittleEndian.Uint64(hdr[mhMagicOff:]); got != metaMagic {
-		return img, corrupt("metadata", areaOff, "bad area magic: got %#x, want %#x", got, uint64(metaMagic))
+		return img, corrupt("metadata", at, "bad base magic: got %#x, want %#x", got, uint64(metaMagic))
 	}
 	wantCRC := binary.LittleEndian.Uint32(hdr[mhCRCOff:])
 	if got := crc32c(hdr[:mhCRCOff]); got != wantCRC {
-		return img, corrupt("metadata", areaOff+mhCRCOff, "area header checksum mismatch: got %#x, want %#x", got, wantCRC)
+		return img, corrupt("metadata", at+mhCRCOff, "base header checksum mismatch: got %#x, want %#x", got, wantCRC)
 	}
 	if v := binary.LittleEndian.Uint64(hdr[mhVersionOff:]); v != metaVersion {
-		return img, corrupt("metadata", areaOff+mhVersionOff, "unsupported metadata version %d", v)
+		return img, corrupt("metadata", at+mhVersionOff, "unsupported metadata version %d", v)
 	}
 	payloadLen := int64(binary.LittleEndian.Uint64(hdr[mhPayloadOff:]))
 	nSecs := binary.LittleEndian.Uint64(hdr[mhSectionsOff:])
 	if payloadLen < 0 || payloadLen > capacity || nSecs != numSecs {
-		return img, corrupt("metadata", areaOff+mhPayloadOff, "implausible geometry: payload %d bytes, %d sections", payloadLen, nSecs)
+		return img, corrupt("metadata", at+mhPayloadOff, "implausible geometry: payload %d bytes, %d sections", payloadLen, nSecs)
 	}
 	return metaImage{
 		epoch:  binary.LittleEndian.Uint64(hdr[mhEpochOff:]),

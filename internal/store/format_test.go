@@ -24,7 +24,7 @@ import (
 // segment packing, and the object map, each record with its label, comes
 // from the id-ordered home table.  Chain ids come from crypto/rand as log
 // generations do, so every draw moves the ones after it.
-const formatImageSHA256 = "402f32067c2d62df74706ebd603810a4a320176640187e478ccdcedb76b12832"
+const formatImageSHA256 = "69cab38d3c4b6f9cfd76c7a40ed1cee27c6409ba555140d6a4e24dad78700234"
 
 // formatImageWorkload drives one seeded, single-threaded pass over every
 // structure the store writes: plain and labelled puts, deletes, per-object
@@ -89,7 +89,7 @@ func TestOnDiskFormatUnchanged(t *testing.T) {
 	defer func(r io.Reader) { crand.Reader = r }(crand.Reader)
 	crand.Reader = rand.New(rand.NewSource(20))
 	d := disk.New(disk.Params{Sectors: 1 << 14}, &vclock.Clock{})
-	s, err := Format(d, Options{LogSize: rotLogSize, MetaAreaSize: rotMetaSize, SegmentSize: 64 << 10})
+	s, err := Format(d, Options{LogSize: rotLogSize, SegmentSize: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,14 +128,14 @@ func TestOnDiskFormatUnchanged(t *testing.T) {
 // data region at either end, a home whose size field reads negative, a home
 // past its segment's used mark, and a home in no segment.  Each would let the
 // allocator hand out bytes a home still holds.  Deriving the free list refuses each with a CorruptError, and
-// an area holding one, every checksum intact, sends Open to the alternate
-// area with no committed sync lost.
+// a base holding one, every checksum intact, sends Open to the previous base
+// with no committed sync lost.
 func TestDecodersRefuseDamagedPayloads(t *testing.T) {
 	src, fd := rotStore(t)
 	populateGenerations(t, src)
 	rebase(t, src)
 	section := func(tag uint64) []byte {
-		reg := findSection(t, fd, src.metaAreaOff(src.metaWhich), tag)
+		reg := findSection(t, fd, src.base.ext.off, tag)
 		body := make([]byte, reg.Len)
 		if _, err := fd.ReadAt(body, reg.Off); err != nil {
 			t.Fatal(err)
@@ -244,7 +244,10 @@ func TestDecodersRefuseDamagedPayloads(t *testing.T) {
 			if !errors.As(err, &ce) {
 				t.Fatalf("deriving the free list = %v; want a CorruptError", err)
 			}
-			if _, err := fd.WriteAt(img, s.metaAreaOff(s.metaWhich)); err != nil {
+			if int64(len(img)) > s.base.ext.size {
+				t.Fatalf("the damaged base takes %d bytes, more than the %d of its extent", len(img), s.base.ext.size)
+			}
+			if _, err := fd.WriteAt(img, s.base.ext.off); err != nil {
 				t.Fatal(err)
 			}
 			s2, err := Open(fd, Options{})
@@ -259,12 +262,13 @@ func TestDecodersRefuseDamagedPayloads(t *testing.T) {
 	}
 }
 
-// FuzzDecodeMetadata feeds every decoder of the base and the chain — the
-// section stream, the three section decoders, the base header, the run
-// header and the delta — the same bytes, seeded with a real base and the
-// records of a three-delta chain.  Each must decode or return a
-// CorruptError, never panic, and allocate no more than a small multiple of
-// its input.
+// FuzzDecodeMetadata feeds every decoder of the superblock, the base and the
+// chain — a superblock copy, the section stream, the three section decoders,
+// the base header, the run header and the delta — the same bytes, seeded
+// with a real base, the records of a three-delta chain and a real superblock
+// copy.  Each must decode or return a CorruptError, never panic, and allocate
+// no more than a small multiple of its input; a superblock copy it accepts
+// names two bases in whole sectors past the log.
 func FuzzDecodeMetadata(f *testing.F) {
 	s, fd, _, _ := chainStore(f)
 	read := func(off, n int64) []byte {
@@ -274,16 +278,26 @@ func FuzzDecodeMetadata(f *testing.F) {
 		}
 		return b
 	}
-	area := read(s.metaAreaOff(s.metaWhich), s.base.length)
-	f.Add(area)
-	f.Add(area[metaHeaderSize:])
+	base := read(s.base.ext.off, s.base.length)
+	f.Add(base)
+	f.Add(base[metaHeaderSize:])
 	for k := 1; k < len(s.chain); k++ {
 		f.Add(read(s.chain[k].off, s.chain[k].size-runHeaderSize))
 		f.Add(read(runHeaderRegion(s, k).Off, runHeaderSize))
 	}
+	f.Add(read(superblockOffset, sbCopySize))
 	link := s.base.chain
 	f.Fuzz(func(t *testing.T, b []byte) {
 		decodeAll := func() (errs []error) {
+			if len(b) >= sbCopySize {
+				sb, err := parseSuperblockCopy(b, 0)
+				for _, e := range []extent{sb.base, sb.prev} {
+					if err == nil && (e.off < logOffset+sb.logSize || e.off%512 != 0 || e.size <= 0 || e.size%512 != 0) {
+						t.Fatalf("an accepted superblock copy names a base at %d (size %d), log size %d", e.off, e.size, sb.logSize)
+					}
+				}
+				errs = append(errs, err)
+			}
 			if len(b) >= metaHeaderSize {
 				_, err := parseMetaHeader(b, 0, 1<<30)
 				errs = append(errs, err)

@@ -392,7 +392,7 @@ func TestGroupCommitPartialDestage(t *testing.T) {
 // it under -race.
 func TestConcurrentStoreStress(t *testing.T) {
 	d := disk.New(disk.Params{Sectors: 1 << 18, WriteCache: true}, &vclock.Clock{})
-	s, err := Format(d, Options{LogSize: 1 << 20, MetaAreaSize: 1 << 20})
+	s, err := Format(d, Options{LogSize: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func withTimeout(t *testing.T, d time.Duration, what string, fn func()) {
 // every one of these would block until the checkpoint finished.
 func TestSyncAndReadProceedDuringCheckpointBody(t *testing.T) {
 	d := disk.New(disk.Params{Sectors: 1 << 16, WriteCache: true}, &vclock.Clock{})
-	s, err := Format(d, Options{LogSize: 1 << 20, MetaAreaSize: 512 << 10, SegmentSize: 64 << 10})
+	s, err := Format(d, Options{LogSize: 1 << 20, SegmentSize: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestSyncAndReadProceedDuringCheckpointBody(t *testing.T) {
 func TestCheckpointFullLogStaysConcurrent(t *testing.T) {
 	const logSize = 64 << 10
 	d := disk.New(disk.Params{Sectors: 1 << 16, WriteCache: true}, &vclock.Clock{})
-	opts := Options{LogSize: logSize, MetaAreaSize: 512 << 10, SegmentSize: 64 << 10}
+	opts := Options{LogSize: logSize, SegmentSize: 64 << 10}
 	s, err := Format(d, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -233,7 +233,7 @@ func TestCheckpointFullLogStaysConcurrent(t *testing.T) {
 // resumes over relocated extents and must not false-quarantine anything.
 func TestScrubChunkingAllowsCheckpointAndSyncMidPass(t *testing.T) {
 	d := disk.New(disk.Params{Sectors: 1 << 16, WriteCache: true}, &vclock.Clock{})
-	s, err := Format(d, Options{LogSize: 1 << 20, MetaAreaSize: 512 << 10, SegmentSize: 64 << 10})
+	s, err := Format(d, Options{LogSize: 1 << 20, SegmentSize: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,14 +303,14 @@ func TestScrubChunkingAllowsCheckpointAndSyncMidPass(t *testing.T) {
 }
 
 // TestScrubBesideCheckpoints: writers put and checkpoint in a loop while a
-// scrubber loops Scrub.  Every pass must find both metadata areas it checks
-// whole and nothing corrupt: its superblock and metadata phase holds ckptRun,
-// so no checkpoint rewrites an area or flips the superblock under it, and it
-// reads the committed (which, epoch) pair of the bytes it verifies.
+// scrubber loops Scrub.  Every pass must find both bases it checks whole and
+// nothing corrupt: its superblock and metadata phase holds ckptRun, so no
+// checkpoint writes a base or flips the superblock under it, and it reads the
+// committed base extents and epoch of the bytes it verifies.
 func TestScrubBesideCheckpoints(t *testing.T) {
 	const writers, rounds, perRound = 2, 100, 20
 	d := disk.New(disk.Params{Sectors: 1 << 16, WriteCache: true}, &vclock.Clock{})
-	s, err := Format(d, Options{LogSize: 1 << 20, MetaAreaSize: 512 << 10, SegmentSize: 64 << 10})
+	s, err := Format(d, Options{LogSize: 1 << 20, SegmentSize: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,8 +330,8 @@ func TestScrubBesideCheckpoints(t *testing.T) {
 				t.Errorf("scrub %d: %v", passes, err)
 				return
 			}
-			if st.MetaAreasOK != st.MetaAreasChecked || st.CorruptionsFound != 0 {
-				t.Errorf("scrub %d beside checkpoints: %d of %d metadata areas whole, %d corruptions", passes, st.MetaAreasOK, st.MetaAreasChecked, st.CorruptionsFound)
+			if st.BasesOK != st.BasesChecked || st.CorruptionsFound != 0 {
+				t.Errorf("scrub %d beside checkpoints: %d of %d bases whole, %d corruptions", passes, st.BasesOK, st.BasesChecked, st.CorruptionsFound)
 				return
 			}
 			passes++
@@ -395,7 +395,7 @@ func (d *lockCheckDevice) Flush() error {
 func TestNoDeviceWriteUnderMu(t *testing.T) {
 	base := disk.New(disk.Params{Sectors: 1 << 16, WriteCache: true}, &vclock.Clock{})
 	ld := &lockCheckDevice{Device: base}
-	s, err := Format(ld, Options{LogSize: 1 << 20, MetaAreaSize: 512 << 10, SegmentSize: 64 << 10})
+	s, err := Format(ld, Options{LogSize: 1 << 20, SegmentSize: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,7 +494,7 @@ func cleanerWorkload() []wlOp {
 // vacated space returns to the free list.
 func TestSegmentCleanerReclaimsAndPreservesData(t *testing.T) {
 	d := disk.New(disk.Params{Sectors: 1 << 16, WriteCache: true}, &vclock.Clock{})
-	s, err := Format(d, Options{LogSize: 1 << 20, MetaAreaSize: 512 << 10, SegmentSize: 64 << 10})
+	s, err := Format(d, Options{LogSize: 1 << 20, SegmentSize: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}

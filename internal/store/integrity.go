@@ -7,7 +7,7 @@ import (
 )
 
 // Integrity errors.  Every corruption the store detects — superblock,
-// metadata area, chain record, object extent, or write-ahead log — is
+// base, chain record, object extent, or write-ahead log — is
 // reported through an error that errors.Is-matches ErrCorrupt; no decode
 // path returns a bare fmt.Errorf or panics on damaged bytes.
 var (
@@ -65,8 +65,8 @@ type RecoveryReport struct {
 	// SuperblockFallback: the primary superblock copy failed its checks and
 	// the backup copy at offset 512 was used.
 	SuperblockFallback bool
-	// MetaFallback: the superblock's base failed its checks; the other
-	// area's was loaded and its chain followed into the failed one's.
+	// MetaFallback: the superblock's base failed its checks; the previous
+	// base it names was loaded and its chain followed into the failed one's.
 	MetaFallback bool
 	// ChainTruncated: a run header, or a delta with the chain going on past
 	// it, failed its checks; the snapshot is the last delta before it.

@@ -107,28 +107,24 @@ func (s *Store) readSuperblock() error {
 		return s.noteCorruption(fmt.Errorf("both superblock copies invalid: %w (backup: %v)", perr, berr))
 	}
 	s.logSize = sb.logSize
-	s.metaSize = sb.metaSize
-	s.metaWhich = sb.which
 	return s.loadMetadata(sb)
 }
 
 // loadMetadata loads the snapshot sb references — its base, then its chain
-// — or, when that base fails, the other area's, whose chain runs on into the
+// — or, when that base fails, the previous base, whose chain runs on into the
 // failed one's.  A mount that took any rung writes a new base at the next
 // checkpoint.
 func (s *Store) loadMetadata(sb superblockInfo) error {
-	err := s.loadMetaArea(sb.which, sb, false)
+	err := s.loadBase(sb.base, sb, false)
 	if err != nil && errors.Is(err, ErrCorrupt) {
 		s.noteCorruption(err)
 		// Reset whatever the failed decode half-applied.
 		s.resetTables()
 		s.report.ChainTruncated = false
-		alt := 1 - sb.which
-		if altErr := s.loadMetaArea(alt, sb, true); altErr != nil {
-			return s.noteCorruption(fmt.Errorf("both metadata areas unusable: %w (alternate: %v)", err, altErr))
+		if prevErr := s.loadBase(sb.prev, sb, true); prevErr != nil {
+			return s.noteCorruption(fmt.Errorf("both bases unusable: %w (previous: %v)", err, prevErr))
 		}
-		s.report.MetaFallback = true
-		s.metaWhich, err = alt, nil
+		s.report.MetaFallback, err = true, nil
 	}
 	if s.report.Degraded() {
 		s.base.length = -1 // the next checkpoint writes a base, which heals the mount
@@ -136,22 +132,21 @@ func (s *Store) loadMetadata(sb superblockInfo) error {
 	return err
 }
 
-// loadMetaArea reads, verifies and decodes the base in area which, applies
-// its chain, and derives the free list.  The referenced base must carry the
-// superblock's epoch; the fallback one no newer (a crash before the flip can
-// leave a never-referenced newer base there), and its pinned extents, a
-// chain already released, are not loaded.
-func (s *Store) loadMetaArea(which int, sb superblockInfo, fallback bool) error {
-	img, err := s.verifyMetaArea(which)
+// loadBase reads, verifies and decodes the base at extent at, applies its
+// chain, and derives the free list.  The current base must carry the
+// superblock's epoch, and pins the previous base and the chain that ends in
+// its own; the previous base, loaded in fallback, must be no newer, and its
+// pins, released, are not loaded.
+func (s *Store) loadBase(at extent, sb superblockInfo, fallback bool) error {
+	img, err := s.verifyBase(at)
 	if err != nil {
 		return err
 	}
-	areaOff := s.metaAreaOff(which)
 	switch {
 	case !fallback && img.epoch != sb.epoch:
-		return corrupt("metadata", areaOff+mhEpochOff, "snapshot epoch %d does not match superblock epoch %d", img.epoch, sb.epoch)
+		return corrupt("metadata", at.off+mhEpochOff, "snapshot epoch %d does not match superblock epoch %d", img.epoch, sb.epoch)
 	case fallback && img.epoch > sb.epoch:
-		return corrupt("metadata", areaOff+mhEpochOff, "alternate snapshot epoch %d newer than superblock epoch %d (uncommitted checkpoint)", img.epoch, sb.epoch)
+		return corrupt("metadata", at.off+mhEpochOff, "previous snapshot epoch %d newer than superblock epoch %d", img.epoch, sb.epoch)
 	}
 	for _, sec := range []struct {
 		tag    uint64
@@ -159,13 +154,14 @@ func (s *Store) loadMetaArea(which int, sb superblockInfo, fallback bool) error 
 	}{
 		{secObjMap, s.decodeObjMapSection}, {secSegs, s.decodeSegsSection}, {secPins, s.decodePinsSection},
 	} {
-		r := &sectionReader{buf: img.secs[sec.tag], off: areaOff, area: "metadata"}
+		r := &sectionReader{buf: img.secs[sec.tag], off: at.off, area: "metadata"}
 		if sec.decode(r); r.err != nil {
 			return r.err
 		}
 	}
+	s.prevBase = sb.prev
 	if fallback {
-		s.prevChain = nil
+		s.prevChain, s.prevBase = nil, extent{}
 	}
 	s.base, s.chainID, s.metaEpoch = img, sb.chain, img.epoch
 	s.nextRun, s.link, s.chain = img.run, img.chain, []extent{{img.run, runHeaderSize}}
@@ -176,7 +172,7 @@ func (s *Store) loadMetaArea(which int, sb superblockInfo, fallback bool) error 
 	} else if err != nil {
 		return err
 	}
-	if s.free, err = s.deriveFree(areaOff, true); err != nil {
+	if s.free, err = s.deriveFree(at.off, true); err != nil {
 		return err
 	}
 	s.recomputeSegLive()
@@ -192,7 +188,7 @@ func (s *Store) loadMetaArea(which int, sb superblockInfo, fallback bool) error 
 // damaged delta with a run header verifying past it.  A delta's next sector
 // is read with it.
 func (s *Store) walkChain(at int64, link, first, epoch uint64, apply func(runHeader, []byte) error) (int, error) {
-	lo, hi := s.metaAreaOff(2), s.d.Size()
+	lo, hi := logOffset+s.logSize, s.d.Size()
 	rhb := make([]byte, runHeaderSize)
 	if _, err := s.d.ReadAt(rhb, at); err != nil {
 		return 0, err
@@ -252,13 +248,10 @@ func (s *Store) applyLink(rh runHeader, b []byte) error {
 	return nil
 }
 
-func (s *Store) metaAreaOff(which int) int64 {
-	return logOffset + s.logSize + int64(which)*s.metaSize
-}
-
-// metaImage is one verified, still undecoded base: its header's fields and
-// its sections by tag.
+// metaImage is one verified, still undecoded base: its extent, its header's
+// fields and its sections by tag.
 type metaImage struct {
+	ext    extent
 	epoch  uint64
 	chain  uint64 // the id its chain's run headers carry
 	run    int64  // the sector of its chain's first run header
@@ -266,23 +259,26 @@ type metaImage struct {
 	secs   [secPins + 1][]byte
 }
 
-// verifyMetaArea reads area which and checks its header and every section
-// CRC, returning the raw section payloads by tag.  Nothing is decoded, so a
-// damaged area can never half-apply; Open decodes what this returns, Scrub
-// only counts it.
-func (s *Store) verifyMetaArea(which int) (img metaImage, err error) {
-	areaOff := s.metaAreaOff(which)
+// verifyBase reads the base at extent at and checks its header and every
+// section CRC, returning the raw section payloads by tag.  Nothing is
+// decoded, so a damaged base can never half-apply; Open decodes what this
+// returns, Scrub only counts it.
+func (s *Store) verifyBase(at extent) (img metaImage, err error) {
+	if at.size > s.d.Size()-at.off {
+		return img, corrupt("metadata", at.off, "a base of %d bytes runs past the device", at.size)
+	}
 	hdr := make([]byte, metaHeaderSize)
-	if _, err := s.d.ReadAt(hdr, areaOff); err != nil {
+	if _, err := s.d.ReadAt(hdr, at.off); err != nil {
 		return img, err
 	}
-	if img, err = parseMetaHeader(hdr, areaOff, s.metaSize-metaHeaderSize); err != nil {
+	if img, err = parseMetaHeader(hdr, at.off, at.size-metaHeaderSize); err != nil {
 		return img, err
 	}
 	payload := make([]byte, img.length-metaHeaderSize)
-	if _, err := s.d.ReadAt(payload, areaOff+metaHeaderSize); err != nil {
+	if _, err := s.d.ReadAt(payload, at.off+metaHeaderSize); err != nil {
 		return img, err
 	}
-	img.secs, err = parseSections(payload, areaOff+metaHeaderSize)
+	img.ext = at
+	img.secs, err = parseSections(payload, at.off+metaHeaderSize)
 	return img, err
 }

@@ -80,7 +80,7 @@ func TestCheckpointImageOracle(t *testing.T) {
 
 func imageOracle(t *testing.T, seed int64) {
 	d := disk.New(disk.Params{Sectors: 1 << 15, WriteCache: true}, &vclock.Clock{}) // 16 MiB
-	s, err := Format(disk.NewFaultDisk(d), Options{LogSize: 4 << 20, MetaAreaSize: 512 << 10, SegmentSize: 64 << 10})
+	s, err := Format(disk.NewFaultDisk(d), Options{LogSize: 4 << 20, SegmentSize: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +219,7 @@ func checkImage(t *testing.T, s *Store, d disk.Device, sealed map[uint64]oracleO
 	if len(s.chain) == 1 {
 		want := encodeFromScratch(s.metaEpoch, s.chainID, s.nextRun, homes, labels, s.segs, s.prevChain)
 		got := make([]byte, len(want))
-		if _, err := d.ReadAt(got, s.metaAreaOff(s.metaWhich)); err != nil {
+		if _, err := d.ReadAt(got, s.base.ext.off); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
@@ -264,8 +264,8 @@ func tablesOf(s *Store) string {
 }
 
 // segLiveMismatch names a segment whose live count is not the bytes of the
-// homes and chain records inside it, as Open would derive it; the caller
-// holds mu.
+// homes and chain records inside it, as Open would derive it, or exceeds its
+// used mark: each sector counts once.  The caller holds mu.
 func segLiveMismatch(s *Store) string {
 	live := map[*segment]int64{}
 	for _, h := range s.homes {
@@ -273,14 +273,17 @@ func segLiveMismatch(s *Store) string {
 			live[seg] += align512(h.size)
 		}
 	}
-	for _, e := range append(slices.Clip(s.chain), s.prevChain...) {
+	for _, e := range s.records() {
 		if seg := s.segContaining(e.off); seg != nil {
 			live[seg] += e.size
 		}
 	}
 	for _, seg := range s.segs {
 		if seg.live != live[seg] {
-			return fmt.Sprintf("segment at %d counts %d live bytes; its homes hold %d", seg.base, seg.live, live[seg])
+			return fmt.Sprintf("segment at %d counts %d live bytes; its homes and chain records hold %d", seg.base, seg.live, live[seg])
+		}
+		if seg.live > seg.used {
+			return fmt.Sprintf("segment at %d counts %d live bytes of %d used", seg.base, seg.live, seg.used)
 		}
 	}
 	return ""

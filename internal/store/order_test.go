@@ -17,7 +17,7 @@ func orderStore(t *testing.T, cache bool, segSize int64) (*Store, *disk.Disk) {
 	p := disk.PaperDisk()
 	p.Sectors, p.WriteCache = (32<<20)/disk.SectorSize, cache
 	d := disk.New(p, &vclock.Clock{})
-	s, err := Format(d, Options{LogSize: 1 << 20, MetaAreaSize: 1 << 20, SegmentSize: segSize})
+	s, err := Format(d, Options{LogSize: 1 << 20, SegmentSize: segSize})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,16 +89,17 @@ func TestCheckpointHomesFollowChangeOrder(t *testing.T) {
 }
 
 // TestCleanerReadsVictimInOffsetOrder holds the cleaner to one sweep of a
-// victim segment: 256 1-KiB objects, homed one checkpoint each in shuffled ID
-// order, fill a segment; deleting every other one (and one more) leaves it
-// under half live, and the checkpoint that then rotates to a fresh segment
-// cleans it.  Read in offset order, the look-ahead serves nearly every read,
-// so that checkpoint costs at most 3 seeks more than a checkpoint that
-// writes the same one object and cleans nothing, with the write cache off
-// too, because no append moves the head between the reads; read in ID order
-// it costs dozens more.  Every object reads back after a remount.
+// victim segment: 512 objects of 512 bytes, put in shuffled ID order, fill a
+// segment in that order at one checkpoint; deleting three of every four
+// leaves it a quarter live, under the cleaner's low mark, and the next
+// checkpoint cleans it.  Read in offset order, the look-ahead serves nearly
+// every read, so that checkpoint costs at most 3 seeks more than a
+// checkpoint that writes the same one object and cleans nothing, with the
+// write cache off too, because no append moves the head between the reads;
+// read in ID order it costs dozens more.  Every object reads back after a
+// remount.
 func TestCleanerReadsVictimInOffsetOrder(t *testing.T) {
-	const segSize, objSize, perSeg = 256 << 10, 1 << 10, 256
+	const segSize, objSize, perSeg = 256 << 10, 512, 512
 	for _, cache := range []bool{false, true} {
 		t.Run(fmt.Sprintf("cache=%v", cache), func(t *testing.T) {
 			s, d := orderStore(t, cache, segSize)
@@ -111,13 +112,13 @@ func TestCleanerReadsVictimInOffsetOrder(t *testing.T) {
 				if err := s.Put(id, orderPayload(id, objSize)); err != nil {
 					t.Fatal(err)
 				}
-				if err := s.Checkpoint(); err != nil {
-					t.Fatal(err)
-				}
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
 			}
 			live := map[uint64]bool{}
 			for i, id := range ids {
-				if i%2 == 0 || i == 1 {
+				if i%4 != 0 {
 					if err := s.Delete(id); err != nil {
 						t.Fatal(err)
 					}
@@ -125,9 +126,9 @@ func TestCleanerReadsVictimInOffsetOrder(t *testing.T) {
 					live[id] = true
 				}
 			}
-			// Two checkpoints of one new object each: the first rotates to
-			// a fresh segment and cleans the full one, the second cleans
-			// nothing, so the difference is the cleaner's.
+			// Two checkpoints of one new object each: the first cleans the
+			// full segment, the second nothing, so the difference is the
+			// cleaner's.
 			seeks := func(id uint64) uint64 {
 				before, cleaned := d.Stats().Seeks, s.Stats().SegsCleaned
 				if err := s.Put(id, orderPayload(id, objSize)); err != nil {

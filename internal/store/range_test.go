@@ -24,7 +24,7 @@ import (
 // exactly, label included.
 func TestRangeRecordLogsChangedBytes(t *testing.T) {
 	d := disk.New(disk.Params{Sectors: 1 << 16, WriteCache: true}, &vclock.Clock{})
-	opts := Options{LogSize: 1 << 20, MetaAreaSize: 1 << 20}
+	opts := Options{LogSize: 1 << 20}
 	s, err := Format(d, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -142,7 +142,7 @@ func TestRangeRecordAfterFailedCommit(t *testing.T) {
 		}
 	}
 	t.Run("sealed-after", func(t *testing.T) {
-		opts := Options{LogSize: 1 << 20, MetaAreaSize: 1 << 20}
+		opts := Options{LogSize: 1 << 20}
 		s, d := setup(t, opts)
 		d.FailNextFlush(errFlush)
 		if err := s.SyncObject(1); !errors.Is(err, errFlush) {
@@ -161,7 +161,7 @@ func TestRangeRecordAfterFailedCommit(t *testing.T) {
 		readsBack(t, d, opts)
 	})
 	t.Run("queued-behind", func(t *testing.T) {
-		opts := Options{LogSize: 1 << 20, MetaAreaSize: 1 << 20}
+		opts := Options{LogSize: 1 << 20}
 		s, d := setup(t, opts)
 		s.comm.maxRecs = 1
 		s.holdGroupCommit()
@@ -201,7 +201,7 @@ func TestRangeRecordAfterFailedCommit(t *testing.T) {
 	})
 	t.Run("too-large", func(t *testing.T) {
 		d := disk.New(disk.Params{Sectors: 1 << 16, WriteCache: true}, &vclock.Clock{})
-		s, err := Format(d, Options{LogSize: 64 << 10, MetaAreaSize: 1 << 20})
+		s, err := Format(d, Options{LogSize: 64 << 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -232,7 +232,7 @@ func TestRangeRecordAfterFailedCommit(t *testing.T) {
 // written home: after a crash the object reads back exactly them, verified.
 func TestRangePutSparesCheckpointSeal(t *testing.T) {
 	d := disk.New(disk.Params{Sectors: 1 << 16, WriteCache: true}, &vclock.Clock{})
-	opts := Options{LogSize: 1 << 20, MetaAreaSize: 1 << 20}
+	opts := Options{LogSize: 1 << 20}
 	s, err := Format(d, opts)
 	if err != nil {
 		t.Fatal(err)

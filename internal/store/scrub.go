@@ -11,17 +11,17 @@ type ScrubStats struct {
 	// SuperblockCopiesOK counts the superblock copies (of 2) that passed
 	// verification.
 	SuperblockCopiesOK int
-	// MetaAreasChecked / MetaAreasOK cover the referenced metadata area
-	// and, when it holds a committed snapshot, the alternate one.
-	MetaAreasChecked int
-	MetaAreasOK      int
+	// BasesChecked / BasesOK cover the current base and, while one is
+	// pinned, the previous one.
+	BasesChecked int
+	BasesOK      int
 	// ObjectsChecked counts home extents verified against their recorded
 	// contents CRC; ObjectsQuarantined counts objects newly quarantined by
 	// this pass.
 	ObjectsChecked     int
 	ObjectsQuarantined int
 	// CorruptionsFound is every verification failure this pass detected
-	// (superblock copies, metadata areas, the chain, object extents).
+	// (superblock copies, bases, the chain, object extents).
 	CorruptionsFound int
 	// BytesVerified is the volume of data read and checksummed.
 	BytesVerified int64
@@ -35,7 +35,7 @@ type ScrubStats struct {
 const scrubChunk = 64
 
 // Scrub verifies the store's on-disk state in the background: both
-// superblock copies, the base (and the other area's, when no newer), every
+// superblock copies, the base (and the previous one, while pinned), every
 // run header and delta of the chain since the base, and every home extent
 // against its CRC, quarantining a mismatch as an access would.  The first
 // four run under ckptRun, which keeps a checkpoint body from writing them
@@ -80,10 +80,9 @@ func (s *Store) Scrub() (ScrubStats, error) {
 	return st, nil
 }
 
-// scrubMetadata verifies both superblock copies, the base, the other area's
-// base when it is no newer (the copy a fallback would need; an unparseable
-// one may never have been written, and is not counted), and the chain, as
-// Open would walk it; the caller holds ckptRun, which keeps them stable.
+// scrubMetadata verifies both superblock copies, the base, the previous base
+// while it is pinned (the copy a fallback would need), and the chain, as Open
+// would walk it; the caller holds ckptRun, which keeps them stable.
 func (s *Store) scrubMetadata(st *ScrubStats) {
 	found := func(ok bool, n int64) bool {
 		if !ok {
@@ -102,14 +101,14 @@ func (s *Store) scrubMetadata(st *ScrubStats) {
 			st.SuperblockCopiesOK++
 		}
 	}
-	st.MetaAreasChecked++
-	if img, err := s.verifyMetaArea(s.metaWhich); found(err == nil && img.epoch == s.base.epoch, img.length) {
-		st.MetaAreasOK++
-	}
-	if alt, err := s.verifyMetaArea(1 - s.metaWhich); err == nil && alt.epoch <= s.base.epoch {
-		st.MetaAreasChecked++
-		st.MetaAreasOK++
-		st.BytesVerified += alt.length
+	for i, at := range []extent{s.base.ext, s.prevBase} {
+		if at.size > 0 { // a fallback mount pins no previous base
+			st.BasesChecked++
+			img, err := s.verifyBase(at)
+			if found(err == nil && (img.epoch == s.base.epoch || i > 0 && img.epoch < s.base.epoch), img.length) {
+				st.BasesOK++
+			}
+		}
 	}
 	n, err := s.walkChain(s.base.run, s.base.chain, s.chainID, s.base.epoch, nil)
 	found(err == nil && n == len(s.chain)-1, 0)

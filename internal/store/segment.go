@@ -101,6 +101,14 @@ func (s *Store) place(n int64, alloc func(int64) (extent, error)) (int64, error)
 	return off, nil
 }
 
+// records returns the extents of the chain records the store pins: the
+// current base and chain, and the previous ones while pinned (none before
+// the first base, or after a fallback mount); the caller holds mu.
+func (s *Store) records() []extent {
+	recs := append(append(slices.Clip(s.chain), s.prevChain...), s.base.ext, s.prevBase)
+	return slices.DeleteFunc(recs, func(e extent) bool { return e.size == 0 })
+}
+
 // recomputeSegLive derives each segment's live count from the loaded homes
 // and chain records, and reopens the last partly filled segment of the
 // current SegmentSize for appends.  Runs during Open, single-threaded.
@@ -111,7 +119,7 @@ func (s *Store) recomputeSegLive() {
 	for _, h := range s.homes {
 		s.segContaining(h.off).live += align512(h.size)
 	}
-	for _, e := range append(slices.Clip(s.chain), s.prevChain...) {
+	for _, e := range s.records() {
 		s.segContaining(e.off).live += e.size
 	}
 	s.openSeg = nil
@@ -150,7 +158,7 @@ func (s *Store) freeSegs() (n int64) {
 func (s *Store) cleanSegments() (writes []pending, moved []homedObject) {
 	s.mu.Lock()
 	pinned := map[*segment]bool{}
-	for _, e := range append(slices.Clip(s.chain), s.prevChain...) {
+	for _, e := range s.records() {
 		pinned[s.segContaining(e.off)] = true
 	}
 	var dead, victims []*segment

@@ -11,11 +11,9 @@
 //
 //	[0, 4096)                       superblock (two checksummed copies)
 //	[4096, 4096+logSize)            write-ahead log (see package wal)
-//	[.., .. + metaSize)             metadata area 0
-//	[.., .. + metaSize)             metadata area 1
-//	[.., disk size)                 data region: segments
+//	[4096+logSize, disk size)       data region: segments
 //
-// The superblock names the metadata area that holds the current base, the
+// The superblock names the current base's extent and the previous one's, the
 // base's epoch and its chain id.  A base is a whole snapshot: the object map
 // (per object its extent, size, contents CRC and label), the segment table,
 // and the extents of the chain before it.  Every checkpoint after a base
@@ -23,9 +21,10 @@
 // the object-map and segment rows it changed.  Each run header lies at the
 // sector the delta before it (or the base) reserved, so Open loads the base
 // and follows the chain.  Once the chain holds maxChainLinks deltas or more
-// bytes than half the base, a checkpoint writes a new base to the other area
-// and flips the superblock.  format.go holds every layout and is the only
-// file that reads or writes them; doc.go is the integrity reference.
+// bytes than half the base, a checkpoint writes a new base, one more chain
+// record placed like a delta, and flips the superblock.  format.go holds every
+// layout and is the only file that reads or writes them; doc.go is the
+// integrity reference.
 //
 // # Data region: segments
 //
@@ -53,8 +52,8 @@
 //
 //  1. ckptRun serializes whole checkpoints: Checkpoint, Close and a sync's
 //     checkpoint fallback.  Only a checkpoint body (and Format) writes the
-//     superblock, the metadata areas and the chain, so Scrub holds ckptRun
-//     while it verifies them.
+//     superblock, the bases and the chain, so Scrub holds ckptRun while it
+//     verifies them.
 //  2. ckptMu, a RWMutex, is the checkpoint gate: Put, Get, Delete, scrub
 //     chunks and every logged operation hold it in read mode, a logged one
 //     from its first seal to its last commit; only the SEAL and Close hold
@@ -138,8 +137,6 @@ const (
 	superblockSize   = 4096
 	logOffset        = superblockSize
 	defaultLogSize   = 32 << 20 // 32 MB log region
-
-	defaultMetaAreaSize = 16 << 20 // each of the two areas a base alternates between
 )
 
 // Errors.
@@ -188,8 +185,7 @@ type Store struct {
 	d disk.Device
 	l *wal.Log
 
-	logSize  int64
-	metaSize int64
+	logSize int64
 
 	// ckptMu is the checkpoint gate (discipline rule 2).  closed is guarded
 	// by it (read under R, written under W).
@@ -229,20 +225,20 @@ type Store struct {
 
 	comm committer
 
-	// The committed snapshot: the area of its base, its epoch (the base's,
-	// or its chain's last delta's), the base, the chain id run headers carry
-	// (the superblock's), the sector and link of the next run header, and
-	// the extents of the chain's records — the base's run sector, then each
-	// delta with the sector after it — and of the chain before, pinned until
-	// the next base.  The body writes them under mu with ckptRun held, so
-	// either lock suffices to read them.
-	metaWhich int
+	// The committed snapshot: its epoch (the base's, or its chain's last
+	// delta's), the base, the chain id run headers carry (the superblock's),
+	// the sector and link of the next run header, and the extents of the
+	// chain's records — the base's run sector, then each delta with the sector
+	// after it — and of the base and chain before, pinned until the next base.
+	// The body writes them under mu with ckptRun held, so either lock suffices
+	// to read them.
 	metaEpoch uint64
 	base      metaImage
 	chainID   uint64
 	nextRun   int64
 	link      uint64
 	chain     []extent
+	prevBase  extent
 	prevChain []extent
 
 	// Test hooks, set before the store is shared: scrubGate runs between
@@ -258,14 +254,11 @@ type Store struct {
 	c counters
 }
 
-// Options configure Format and Open.  Open reads only SegmentSize: the log
-// and metadata geometry come from the superblock Format wrote.
+// Options configure Format and Open.  Open reads only SegmentSize: the log's
+// size comes from the superblock Format wrote.
 type Options struct {
 	// LogSize is the size of the write-ahead log region (default 32 MB).
 	LogSize int64
-	// MetaAreaSize is the size of each of the two alternating metadata
-	// areas (default 16 MB).
-	MetaAreaSize int64
 	// SegmentSize is the size of the segments checkpoints pack objects into
 	// (default 1 MB, rounded up to a sector); it affects only new segments.
 	SegmentSize int64
@@ -286,7 +279,7 @@ func newStore(d disk.Device, opts Options) *Store {
 	if segSize <= 0 {
 		segSize = defaultSegmentSize
 	}
-	s := &Store{d: d, logSize: opts.LogSize, metaSize: opts.MetaAreaSize, segSize: align512(segSize)}
+	s := &Store{d: d, logSize: opts.LogSize, segSize: align512(segSize)}
 	s.logGen.Store(1) // an entry's base 0 names no generation
 	s.resetTables()
 	s.comm.maxBytes, s.comm.maxRecs = groupCommitBytes, groupCommitRecords
@@ -299,27 +292,28 @@ func Format(d disk.Device, opts Options) (*Store, error) {
 	if opts.LogSize == 0 {
 		opts.LogSize = defaultLogSize
 	}
-	if opts.MetaAreaSize == 0 {
-		opts.MetaAreaSize = defaultMetaAreaSize
-	}
 	s := newStore(d, opts)
 	l, err := wal.New(d, logOffset, opts.LogSize)
 	if err != nil {
 		return nil, err
 	}
 	s.l = l
-	// The base reserves the sector of its chain's first run header, a
-	// segment of its own at the top of the data region, and goes to both
-	// areas, so either can carry a fallback.
+	// The first chain's first run header and the first base, written twice,
+	// take a sector each of a segment of their own at the top of the data
+	// region.  The first copy stands as the previous base, so a rotted first
+	// base still falls back.
 	s.free, _ = s.deriveFree(0, false)
-	run, err := s.allocateTop(runHeaderSize)
+	top, err := s.allocateTop(3 * runHeaderSize)
 	if err != nil {
 		return nil, err
 	}
-	s.segs = []*segment{{base: run.off, size: run.size, used: run.size, live: run.size}}
-	s.nextRun, s.chain = run.off, []extent{run}
-	if err := s.writeBase(s.epoch.Add(1), true); err != nil {
-		return nil, err
+	s.openSeg = &segment{base: top.off, size: top.size, used: runHeaderSize, live: runHeaderSize}
+	s.segs, s.nextRun, s.chain = []*segment{s.openSeg}, top.off, []extent{{top.off, runHeaderSize}}
+	epoch := s.epoch.Add(1)
+	for range 2 {
+		if err := s.writeBase(epoch); err != nil {
+			return nil, err
+		}
 	}
 	return s, nil
 }

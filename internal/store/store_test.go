@@ -550,7 +550,7 @@ func TestOpenHonoursSuperblockGeometry(t *testing.T) {
 	// Format with non-default log and metadata sizes; Open with zero
 	// options must read the geometry back from the superblock.
 	d := disk.New(disk.Params{Sectors: 1 << 14, WriteCache: true}, &vclock.Clock{}) // 8 MB
-	s, err := Format(d, Options{LogSize: 128 << 10, MetaAreaSize: 256 << 10})
+	s, err := Format(d, Options{LogSize: 128 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -730,7 +730,7 @@ func TestSyncAfterUnlabeledRecreateClearsCheckpointedLabel(t *testing.T) {
 // acknowledged before it is lost across a crash.
 func TestSyncFallbackNoSpace(t *testing.T) {
 	d := disk.New(disk.Params{Sectors: 1 << 12, WriteCache: true}, &vclock.Clock{}) // 2 MiB
-	opts := Options{LogSize: 64 << 10, MetaAreaSize: 128 << 10, SegmentSize: 64 << 10}
+	opts := Options{LogSize: 64 << 10, SegmentSize: 64 << 10}
 	s, err := Format(d, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -770,13 +770,13 @@ func TestSyncFallbackNoSpace(t *testing.T) {
 	t.Logf("first sync refused at object %d; %d acknowledged objects read back", len(acked)+1, len(acked))
 }
 
-// TestMetadataOverflowIsNoSpace: a snapshot too large for its metadata area
-// is refused as ErrNoSpace — by Checkpoint, and by the checkpoint a sync
-// falls back to — and the store comes back from a crash at its last committed
-// snapshot with every acknowledged object.
-func TestMetadataOverflowIsNoSpace(t *testing.T) {
-	d := disk.New(disk.Params{Sectors: 1 << 15, WriteCache: true}, &vclock.Clock{}) // 16 MiB
-	opts := Options{LogSize: 64 << 10, MetaAreaSize: 64 << 10, SegmentSize: 64 << 10}
+// TestDataRegionFullIsNoSpace: a checkpoint that finds the data region full
+// is refused as ErrNoSpace — by Checkpoint, and by the checkpoint a sync falls
+// back to — and the store comes back from a crash at its last committed
+// snapshot with every acknowledged object and without the refused one.
+func TestDataRegionFullIsNoSpace(t *testing.T) {
+	d := disk.New(disk.Params{Sectors: 1 << 13, WriteCache: true}, &vclock.Clock{}) // 4 MiB
+	opts := Options{LogSize: 64 << 10, SegmentSize: 64 << 10}
 	s, err := Format(d, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -786,7 +786,7 @@ func TestMetadataOverflowIsNoSpace(t *testing.T) {
 	var committed uint64
 	for next := uint64(1); ; {
 		if next > 10000 {
-			t.Fatal("a 64 KiB metadata area took 10,000 objects")
+			t.Fatal("a 4 MiB store took 10,000 objects")
 		}
 		batch := make([]uint64, 100)
 		for i := range batch {
@@ -811,7 +811,7 @@ func TestMetadataOverflowIsNoSpace(t *testing.T) {
 		break
 	}
 	// A record larger than the log goes to the checkpoint fallback, which
-	// meets the same full area.
+	// meets the same full region.
 	big := uint64(1 << 40)
 	if err := s.Put(big, make([]byte, 2*opts.LogSize)); err != nil {
 		t.Fatal(err)
@@ -835,7 +835,61 @@ func TestMetadataOverflowIsNoSpace(t *testing.T) {
 	if _, err := s2.Get(big); !errors.Is(err, ErrNoSuchObject) {
 		t.Errorf("the refused object after the crash: %v, want ErrNoSuchObject", err)
 	}
-	t.Logf("the metadata area overflowed at %d objects", len(acked))
+	t.Logf("the data region filled at %d objects", len(acked))
+}
+
+// TestBaseLargerThanTheOldAreaRemounts: a base is placed in the data region
+// like any other chain record, so one over 16 MiB — the size of each of the
+// two fixed areas bases once alternated between — checkpoints, and the store
+// remounts from it with every object and label.  Labels of 500 categories
+// make each object-map record about 4.5 KiB, so a few thousand one-byte
+// objects make the base.
+func TestBaseLargerThanTheOldAreaRemounts(t *testing.T) {
+	d := disk.New(disk.Params{Sectors: (64 << 20) / disk.SectorSize}, &vclock.Clock{})
+	opts := Options{LogSize: 1 << 20}
+	s, err := Format(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs := make([]label.Pair, 500)
+	for i := range pairs {
+		pairs[i] = label.P(label.Category(i+1), label.L3)
+	}
+	lbl := label.New(label.L1, pairs...)
+	rec := len(appendHome(nil, 1, home{}, lbl.AppendBinary(nil)))
+	n := uint64((16<<20)/rec + 200)
+	for id := uint64(1); id <= n; id++ {
+		if err := s.PutLabeled(id, lbl, []byte{byte(id)}, 0, whole); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The first checkpoint commits the objects as a delta; the second finds
+	// the chain over half the base, and writes one.
+	for i := 0; i < 2; i++ {
+		if err := s.Checkpoint(); err != nil {
+			t.Fatalf("checkpoint %d of %d objects with %d-byte records: %v", i+1, n, rec, err)
+		}
+	}
+	if len(s.chain) != 1 || s.base.length <= 16<<20 {
+		t.Fatalf("the second checkpoint wrote no base over 16 MiB: %d bytes, %d deltas since", s.base.length, len(s.chain)-1)
+	}
+	d.Crash()
+	s2, err := Open(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep := s2.RecoveryReport(); rep.Degraded() || rep.MetaEpoch != s.committedEpoch() {
+		t.Fatalf("remount of a %d-byte base: %+v, want a clean mount at epoch %d", s.base.length, rep, s.committedEpoch())
+	}
+	for id := uint64(1); id <= n; id++ {
+		got, err := s2.Get(id)
+		if err != nil || len(got) != 1 || got[0] != byte(id) {
+			t.Fatalf("object %d after the remount: %q, %v", id, got, err)
+		}
+		if l, ok := s2.Label(id); !ok || !l.Equal(lbl) {
+			t.Fatalf("object %d's label after the remount: %v, %v", id, l, ok)
+		}
+	}
 }
 
 // wedgePayload is object id's contents in the full-store tests.
@@ -847,7 +901,7 @@ func wedgePayload(id uint64) []byte { return bytes.Repeat([]byte{byte(id), byte(
 // store, that object's id and the free bytes before the deletes.
 func wedgedStore(t *testing.T, d disk.Device) (s *Store, full uint64, free int64) {
 	t.Helper()
-	s, err := Format(d, Options{LogSize: 64 << 10, MetaAreaSize: 128 << 10, SegmentSize: 64 << 10})
+	s, err := Format(d, Options{LogSize: 64 << 10, SegmentSize: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -985,7 +1039,7 @@ func TestUnwedgingCheckpointCrashes(t *testing.T) {
 // them.
 func TestFailedRelocationVacatesWhatItWrote(t *testing.T) {
 	d := disk.New(disk.Params{Sectors: 1 << 12, WriteCache: true}, &vclock.Clock{}) // 2 MiB
-	s, err := Format(d, Options{LogSize: 64 << 10, MetaAreaSize: 128 << 10, SegmentSize: 64 << 10})
+	s, err := Format(d, Options{LogSize: 64 << 10, SegmentSize: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1065,7 +1119,7 @@ func TestFailedRelocationVacatesWhatItWrote(t *testing.T) {
 func TestEveryHomeLiesInASegment(t *testing.T) {
 	const segSize = 64 << 10
 	d := disk.New(disk.Params{Sectors: 1 << 12, WriteCache: true}, &vclock.Clock{}) // 2 MiB
-	s, err := Format(d, Options{LogSize: 256 << 10, MetaAreaSize: 64 << 10, SegmentSize: segSize})
+	s, err := Format(d, Options{LogSize: 256 << 10, SegmentSize: segSize})
 	if err != nil {
 		t.Fatal(err)
 	}

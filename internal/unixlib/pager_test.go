@@ -635,7 +635,7 @@ func TestEvictedRotFailsEveryPath(t *testing.T) {
 		t.Run(path.name, func(t *testing.T) {
 			d := disk.New(disk.Params{Sectors: 1 << 15, WriteCache: true}, &vclock.Clock{})
 			fdisk := disk.NewFaultDisk(d)
-			st, err := store.Format(fdisk, store.Options{LogSize: 256 << 10, MetaAreaSize: 256 << 10})
+			st, err := store.Format(fdisk, store.Options{LogSize: 256 << 10})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -552,7 +552,7 @@ func TestCorruptExtentSurfacesAsEIO(t *testing.T) {
 	clk := &vclock.Clock{}
 	d := disk.New(disk.Params{Sectors: 1 << 15, WriteCache: true}, clk) // 16 MB
 	fdisk := disk.NewFaultDisk(d)
-	st, err := store.Format(fdisk, store.Options{LogSize: 256 << 10, MetaAreaSize: 256 << 10})
+	st, err := store.Format(fdisk, store.Options{LogSize: 256 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
