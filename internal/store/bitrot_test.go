@@ -676,7 +676,8 @@ func chainStore(t testing.TB) (*Store, *disk.FaultDisk, map[uint64]string, []uin
 
 // TestBitRotChain rots one record of a three-delta chain.  Rot in the last
 // delta is what a crash tearing it leaves: the chain ends a delta early and
-// the log replays from there, losing no committed sync.  Rot in the last run
+// the log replays from there, losing no committed sync.  So is rot in a home
+// the last delta installs, which Open reads before it applies the delta.  Rot in the last run
 // header loses none either, and the mount names it, as it does rot in a
 // mid-chain run header, or in a mid-chain delta whose next run header still
 // verifies: the chain is cut there, never silently.  Rot in the base, at its
@@ -692,6 +693,7 @@ func TestBitRotChain(t *testing.T) {
 		whole  bool // every acknowledged sync comes back
 	}{
 		{"last-delta", func(s *Store) disk.Region { return deltaRegion(s, 3) }, 2, false, true},
+		{"last-data", func(s *Store) disk.Region { h, _ := s.homeOf(3002); return disk.Region{Off: h.off, Len: h.size} }, 2, false, true},
 		{"last-run-header", func(s *Store) disk.Region { return runHeaderRegion(s, 3) }, 2, true, true},
 		{"mid-delta", func(s *Store) disk.Region { return deltaRegion(s, 2) }, 1, true, false},
 		{"mid-run-header", func(s *Store) disk.Region { return runHeaderRegion(s, 2) }, 1, true, false},

@@ -23,19 +23,19 @@ import (
 //	        segments, merge their homes into the object map, let the cleaner
 //	        place its moves, and place after them the delta — the tables'
 //	        rows changed since the last commit.  Then write a run header at
-//	        the sector the last delta reserved, the data, flush, the delta,
-//	        flush: the commit.  Only then is the free list derived and the
-//	        sealed entries released; a failure puts every table back.  Once
-//	        the chain since the last base holds maxChainLinks deltas or more
-//	        bytes than half the base, the checkpoint also writes a new base
-//	        and flips the superblock to it.
+//	        the sector the last delta reserved, the data, the delta, and
+//	        flush once: the commit.  Only then is the free list derived and
+//	        the sealed entries released; a failure puts every table back.
+//	        Once the chain since the last base holds maxChainLinks deltas or
+//	        more bytes than half the base, the checkpoint also writes a new
+//	        base and flips the superblock to it.
 //	FINISH  reclaim log frames of epochs older than the previous committed
-//	        snapshot's, which a torn last delta falls back to.
+//	        snapshot's, which a torn last link falls back to.
 //
 // Checkpoints remain copy-on-write: appends land only past a segment's
 // committed high-water mark, and a dropped segment is free only from the
-// commit after the one that drops it (alloc.go).  A delta that verifies
-// implies its data: the flush between them orders the two.  Every seal
+// commit after the one that drops it (alloc.go).  No flush orders a delta
+// after its data: Open verifies the last link's homes (doc.go).  Every seal
 // attempt takes a fresh epoch, so a failed body burns its own: records
 // synced before the retry never replay over its snapshot.
 func (s *Store) Checkpoint() error {
@@ -46,11 +46,9 @@ func (s *Store) Checkpoint() error {
 
 // A checkpoint writes a base once the chain holds maxChainLinks deltas, which
 // bounds what Open walks, or more bytes than half the base, counted as at
-// least minBase, since a small one costs its seeks, not its bytes.
-const (
-	maxChainLinks = 16
-	minBase       = 4 << 10
-)
+// least a segment, since a small one costs its seeks, not its bytes: on
+// PaperDisk the superblock's two seeks take as long as ~1.5 MB of transfer.
+const maxChainLinks = 16
 
 // sealedEntry is one entry captured by the seal: a dirty object whose
 // sealed contents must be written home, or a dead object whose extent must
@@ -173,7 +171,7 @@ func (s *Store) checkpointBody(ss *sealedState) error {
 	for _, e := range s.chain {
 		grown += e.size
 	}
-	flip := len(s.chain) > maxChainLinks || 2*grown > max(s.base.length, minBase) || s.base.length < 0
+	flip := len(s.chain) > maxChainLinks || 2*grown > max(s.base.length, s.segSize) || s.base.length < 0
 	err := s.commitDelta(ss.entries, ss.epoch, true)
 	if errors.Is(err, ErrNoSpace) {
 		s.mu.Lock()
@@ -300,8 +298,13 @@ func (s *Store) commitDelta(entries []sealedEntry, epoch uint64, clean bool) err
 	s.dbuf = appendDelta(s.dbuf[:0], d, size)
 	sum, _ := deltaSum(s.dbuf)
 	rh := runHeader{chain: s.chainID, link: s.link, epoch: epoch, off: off, len: size, sum: sum}
+	run := pending{s.nextRun, encodeRunHeader(rh)}
 	s.mu.Unlock()
-	if err := s.writeCommit(append([]pending{{s.nextRun, encodeRunHeader(rh)}}, writes...), pending{off, s.dbuf}); err != nil {
+	if err := s.writeCommit(append(append([]pending{run}, writes...), pending{off, s.dbuf})...); err != nil {
+		// The cache may still hold the link: zeros over its run header keep
+		// a later flush from committing it once the tables are put back.
+		// The caller gets the commit's error whether or not this lands.
+		_, _ = s.d.WriteAt(make([]byte, runHeaderSize), run.off)
 		s.mu.Lock()
 		return fail(err)
 	}
@@ -315,14 +318,12 @@ func (s *Store) commitDelta(entries []sealedEntry, epoch uint64, clean bool) err
 	return nil
 }
 
-// writeCommit is a commit's device schedule: the writes, a flush, the record
-// that commits them, a flush.  The flush between keeps a write-back cache,
-// which destages in ascending order, from persisting the record first.  For
-// a delta, the writes are its run header and the data, and each write
-// continues where the last stopped, the first where the last checkpoint's
-// did, so each flush costs a revolution, not a seek; for a base, the record
-// is the superblock.
-func (s *Store) writeCommit(writes []pending, record pending) error {
+// writeCommit is a commit's device schedule: the writes, then one flush.
+// For a delta they are its run header, the data and the delta, each
+// continuing where the last stopped, the first where the last checkpoint's
+// did, so the flush costs a revolution, not a seek; a base is two commits,
+// the base and then the superblock.
+func (s *Store) writeCommit(writes ...pending) error {
 	for _, w := range writes {
 		if len(w.data) == 0 {
 			continue
@@ -330,12 +331,6 @@ func (s *Store) writeCommit(writes []pending, record pending) error {
 		if _, err := s.d.WriteAt(w.data, w.off); err != nil {
 			return err
 		}
-	}
-	if err := s.d.Flush(); err != nil {
-		return err
-	}
-	if _, err := s.d.WriteAt(record.data, record.off); err != nil {
-		return err
 	}
 	return s.d.Flush()
 }
@@ -365,7 +360,11 @@ func (s *Store) writeBase(epoch uint64) error {
 	sb := encodeSuperblockCopy(superblockInfo{chain: chain, logSize: s.logSize, epoch: epoch, base: at, prev: s.base.ext})
 	s.mu.Unlock()
 	sb = append(append(sb, make([]byte, sbBackupOff-sbCopySize)...), sb...)
-	if err := s.writeCommit([]pending{{off, append(meta, make([]byte, at.size-n)...)}}, pending{superblockOffset, sb}); err != nil {
+	err = s.writeCommit(pending{off, append(meta, make([]byte, at.size-n)...)})
+	if err == nil {
+		err = s.writeCommit(pending{superblockOffset, sb})
+	}
+	if err != nil {
 		s.mu.Lock()
 		s.restoreTables(was)
 		s.mu.Unlock()

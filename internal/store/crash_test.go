@@ -26,6 +26,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"sync"
@@ -596,12 +597,23 @@ func TestCrashRecoveryEveryPoint(t *testing.T) {
 		opsPerSeed = 50
 	}
 	for _, seed := range seeds {
-		ops := genWorkload(rand.New(rand.NewSource(seed)), opsPerSeed)
+		r := rand.New(rand.NewSource(seed))
+		ops := append(genWorkload(r, opsPerSeed), chainToBase(r, 12)...)
 		crashMatrix(t, fmt.Sprintf("seed %d", seed), ops, seed*1_000_000, 1, continueAfterRecovery)
 		if t.Failed() {
 			return
 		}
 	}
+}
+
+// chainToBase is maxChainLinks puts over ids objects, each checkpointed:
+// appended to a workload, it carries the chain past its bound, so that a
+// crash matrix covers a base's writes as well as a delta's.
+func chainToBase(r *rand.Rand, ids int) (ops []wlOp) {
+	for i := range maxChainLinks {
+		ops = append(ops, wlOp{kind: opPut, id: uint64(i % ids), data: randPayload(r)}, wlOp{kind: opCheckpoint})
+	}
+	return ops
 }
 
 // crashMatrix replays ops with a fault injected at every crash point (every
@@ -704,7 +716,7 @@ func failedCheckpointWorkload() []wlOp {
 // again: the first seal after Open must take an epoch above every recovered
 // record's, or a record synced before the reboot replays over its snapshot.
 func TestCrashRecoveryEpochsEveryPoint(t *testing.T) {
-	ops := failedCheckpointWorkload()
+	ops := append(failedCheckpointWorkload(), chainToBase(rand.New(rand.NewSource(30)), 5)...)
 	crashMatrix(t, "failed checkpoint", ops, 29_000_000, 1, func(t *testing.T, s *Store, m *refModel, contSeed int64, point string) {
 		var ids []uint64
 		for id := range m.history {
@@ -995,21 +1007,74 @@ func TestCommitWindowSyncSurvivesCrash(t *testing.T) {
 	}
 }
 
+// holdLast is a write-back disk that passes each write on only when the next
+// one comes; armed, its flush drops the write it holds — a commit's delta —
+// destages the rest, and loses power.
+type holdLast struct {
+	*disk.Disk
+	held  *pending
+	homed int64 // where the last write of homedLen bytes went
+	armed bool
+}
+
+// homedLen is the length of the write holdLast notes.
+const homedLen = 200 << 10
+
+var errTear = errors.New("power lost mid-destage")
+
+func (d *holdLast) release() error {
+	h := d.held
+	if d.held = nil; h == nil {
+		return nil
+	}
+	_, err := d.Disk.WriteAt(h.data, h.off)
+	return err
+}
+
+func (d *holdLast) WriteAt(p []byte, off int64) (int, error) {
+	if err := d.release(); err != nil {
+		return 0, err
+	}
+	if len(p) == homedLen {
+		d.homed = off
+	}
+	d.held = &pending{off, slices.Clone(p)}
+	return len(p), nil
+}
+
+func (d *holdLast) ReadAt(p []byte, off int64) (int, error) {
+	if err := d.release(); err != nil {
+		return 0, err
+	}
+	return d.Disk.ReadAt(p, off)
+}
+
+func (d *holdLast) Flush() error {
+	if d.armed {
+		d.held = nil
+		d.Disk.Flush()
+		return errTear
+	}
+	if err := d.release(); err != nil {
+		return err
+	}
+	return d.Disk.Flush()
+}
+
 // TestFailedCheckpointFreesNothing: a checkpoint that fails frees nothing.
 // Object 1 is too large to pack, so its committed state v1 lives in a
 // segment of its own.  A checkpoint of v2 writes v2 elsewhere and fails at its
-// metadata barrier; the retry must not relocate v2 by best fit into v1's
-// extent, which the committed snapshot still names, because power failing
-// before the retry's superblock is durable must leave v1 intact.
+// flush; the retry must not relocate v2 by best fit into v1's extent, which
+// the committed snapshot still names, because power failing once the
+// retry's data is on the platter but its delta is not must leave v1 intact.
 func TestFailedCheckpointFreesNothing(t *testing.T) {
-	d := disk.New(disk.Params{Sectors: 4 << 20 / disk.SectorSize, WriteCache: true}, &vclock.Clock{})
-	fd := disk.NewFaultDisk(d)
+	d := &holdLast{Disk: disk.New(disk.Params{Sectors: 4 << 20 / disk.SectorSize, WriteCache: true}, &vclock.Clock{})}
 	opts := Options{LogSize: 64 << 10, SegmentSize: 64 << 10}
-	s, err := Format(fd, opts)
+	s, err := Format(d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, v2 := bytes.Repeat([]byte("v1"), 100<<10), bytes.Repeat([]byte("v2"), 100<<10)
+	v1, v2 := bytes.Repeat([]byte("v1"), homedLen/2), bytes.Repeat([]byte("v2"), homedLen/2)
 	if err := s.Put(1, v1); err != nil {
 		t.Fatal(err)
 	}
@@ -1023,18 +1088,73 @@ func TestFailedCheckpointFreesNothing(t *testing.T) {
 	if err := s.Checkpoint(); !errors.Is(err, errBarrier) {
 		t.Fatalf("checkpoint across a failed barrier = %v", err)
 	}
-	fd.ArmFlush(2) // the retry's metadata barrier destages; its superblock flush loses power
-	if err := s.Checkpoint(); !errors.Is(err, disk.ErrFault) {
+	d.armed = true // the retry's data destages, and its delta does not
+	if err := s.Checkpoint(); !errors.Is(err, errTear) {
 		t.Fatalf("retry across the power cut = %v", err)
 	}
 	d.Crash()
-	s2, err := Open(d, opts)
+	got := make([]byte, homedLen)
+	if _, err := d.Disk.ReadAt(got, d.homed); err != nil || !bytes.Equal(got, v2) {
+		t.Fatal("the retry's v2 is not on the platter: the test no longer tears between the data and the delta")
+	}
+	s2, err := Open(d.Disk, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, err := s2.Get(1); err != nil || !bytes.Equal(got, v1) {
 		t.Fatalf("after the crash object 1 reads %d bytes, %v; want the committed v1", len(got), err)
 	}
+}
+
+// TestFailedCommitLeavesNoLinkForALaterFlush: a checkpoint whose one flush
+// fails leaves its run header, data and delta in the write cache, and the
+// next flush — here a log commit's — destages whatever the cache holds.  The
+// store has put its tables back, so after a crash the remount must come back
+// at the epoch the store kept, not at the failed link's, with every
+// acknowledged sync.
+func TestFailedCommitLeavesNoLinkForALaterFlush(t *testing.T) {
+	d := disk.New(disk.Params{Sectors: 4 << 20 / disk.SectorSize, WriteCache: true}, &vclock.Clock{})
+	opts := Options{LogSize: 64 << 10, SegmentSize: 64 << 10}
+	s, err := Format(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[uint64]string{}
+	for id := uint64(1); id <= 20; id++ {
+		want[id] = fmt.Sprintf("object %d, checkpointed", id)
+		if err := s.Put(id, []byte(want[id])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for id := uint64(1); id <= 5; id++ {
+		if err := s.Put(id, []byte("sealed into the failed checkpoint")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	d.FailNextFlush(errBarrier)
+	if err := s.Checkpoint(); !errors.Is(err, errBarrier) {
+		t.Fatalf("checkpoint across a failed flush = %v", err)
+	}
+	want[30] = "synced after the failed checkpoint"
+	if err := s.Put(30, []byte(want[30])); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SyncObject(30); err != nil {
+		t.Fatal(err)
+	}
+	kept := s.metaEpoch
+	d.Crash()
+	s2, err := Open(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.metaEpoch != kept {
+		t.Fatalf("the remount came back at epoch %d; the store was at %d", s2.metaEpoch, kept)
+	}
+	checkAll(t, s2, want)
 }
 
 // TestFailedCheckpointsKeepTheFreeList: a checkpoint that fails gives back
@@ -1111,5 +1231,132 @@ func TestFailedHomeWriteLeaksNothing(t *testing.T) {
 	}
 	if got, want := run(true), run(false); got != want {
 		t.Fatalf("after a failed home write and a good checkpoint, %d bytes free; a run without the fault has %d", got, want)
+	}
+}
+
+// TestOneFlushCommitTornAtEverySector tears a checkpoint's one flush at every
+// sector: the write-back cache destages in ascending order, and power fails
+// once n bytes are down.  In one layout the delta lies above its data; in the
+// other an object over half a segment is homed in a segment of its own above
+// the delta, so some tears keep the delta whole and lose data it names.
+// Every remount comes back at the epoch before the checkpoint or at its own,
+// never a mix: the image oracle finds the tables that epoch's model sealed,
+// every object reads back as it was sealed, and a delta on the platter whose
+// data is not brings the remount back at the epoch before.
+func TestOneFlushCommitTornAtEverySector(t *testing.T) {
+	opts := Options{LogSize: 64 << 10, SegmentSize: 64 << 10}
+	for _, above := range []bool{false, true} {
+		t.Run(fmt.Sprintf("data-above-delta=%v", above), func(t *testing.T) {
+			// build formats a store, commits the model's first state, seals
+			// the second, and returns them with the disk, the store and the
+			// sector of the second checkpoint's run header.
+			build := func() (*disk.Disk, *Store, [2]map[uint64]oracleObject, uint64) {
+				d := disk.New(disk.Params{Sectors: 4 << 20 / disk.SectorSize, WriteCache: true}, &vclock.Clock{})
+				s, err := Format(d, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := rand.New(rand.NewSource(58))
+				var models [2]map[uint64]oracleObject
+				model := map[uint64]oracleObject{}
+				put := func(id uint64, n int) {
+					b := make([]byte, n)
+					r.Read(b)
+					lbl := rotLabel(id % 5)
+					if err := s.PutLabeled(id, lbl, b, 0, whole); err != nil {
+						t.Fatal(err)
+					}
+					model[id] = oracleObject{b, &lbl}
+				}
+				for id := uint64(1); id <= 20; id++ {
+					put(id, 1+r.Intn(3000))
+				}
+				if err := s.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+				models[0] = maps.Clone(model)
+				for id := uint64(1); id <= 5; id++ {
+					put(id, 1+r.Intn(3000))
+				}
+				for id := uint64(21); id <= 25; id++ {
+					put(id, 1+r.Intn(3000))
+				}
+				if err := s.Delete(6); err != nil {
+					t.Fatal(err)
+				}
+				delete(model, 6)
+				if above {
+					put(30, 40<<10)
+				}
+				models[1] = model
+				return d, s, models, s.metaEpoch
+			}
+			// The fault-free commit: what it writes, and its delta.
+			d, s, _, _ := build()
+			written := d.Stats().BytesWritten
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			written = d.Stats().BytesWritten - written
+			end := int64(written) + disk.SectorSize
+			last := s.chain[len(s.chain)-1]
+			if len(s.chain) == 1 {
+				t.Fatal("the checkpoint wrote a base: the test tears one flush")
+			}
+			dataAbove := false
+			for _, id := range []uint64{1, 21, 30} {
+				if h, ok := s.homeOf(id); ok && h.off > last.off {
+					dataAbove = true
+				}
+			}
+			if dataAbove != above {
+				t.Fatalf("data above the delta: %v; the layout wants %v", dataAbove, above)
+			}
+			delta := make([]byte, last.size-runHeaderSize)
+			if _, err := d.ReadAt(delta, last.off); err != nil {
+				t.Fatal(err)
+			}
+			var outcomes [2]int
+			unwritten := 0 // tears that kept the delta and lost data it names
+			for n := int64(0); n <= end; n += disk.SectorSize {
+				d, s, models, before := build()
+				d.FailFlushAfter(n, errTear)
+				if err := s.Checkpoint(); !errors.Is(err, errTear) {
+					t.Fatalf("tear at %d: checkpoint = %v", n, err)
+				}
+				d.Crash()
+				onDisk := make([]byte, len(delta))
+				if _, err := d.ReadAt(onDisk, last.off); err != nil {
+					t.Fatal(err)
+				}
+				s2, err := Open(d, opts)
+				if err != nil {
+					t.Fatalf("tear at %d: %v", n, err)
+				}
+				k := 0
+				if s2.metaEpoch != before {
+					k = 1
+				}
+				if rep := s2.RecoveryReport(); rep.Degraded() {
+					t.Fatalf("tear at %d: the remount degraded: %+v", n, rep)
+				}
+				if k == 0 && bytes.Equal(onDisk, delta) {
+					unwritten++
+				}
+				outcomes[k]++
+				where := fmt.Sprintf("tear at %d, epoch %d", n, s2.metaEpoch)
+				checkImage(t, s2, d, models[k], where)
+				for id := uint64(1); id <= 30; id++ {
+					got, err := s2.Get(id)
+					if o, ok := models[k][id]; ok && (err != nil || !bytes.Equal(got, o.data)) || !ok && !errors.Is(err, ErrNoSuchObject) {
+						t.Fatalf("%s: object %d reads %d bytes, %v; the model sealed %v", where, id, len(got), err, ok)
+					}
+				}
+			}
+			t.Logf("%d bytes written; %d tears came back before the checkpoint, %d after it, %d with the delta whole and its data not", written, outcomes[0], outcomes[1], unwritten)
+			if outcomes[0] == 0 || outcomes[1] == 0 || above && unwritten == 0 {
+				t.Fatalf("outcomes %v, %d unwritten: the tears no longer cover both epochs and the unwritten link", outcomes, unwritten)
+			}
+		})
 	}
 }

@@ -59,20 +59,23 @@
 //     cleaner moves anything only once the packed segments fall under a
 //     third live or fewer than cleanReserve whole segments stay free, and
 //     reads its victims, the emptiest first, in one ascending sweep before.
-//  2. A flush, then the delta right after the data, then a flush: the
-//     commit.  Both writes continue where the head stopped.  Only now is the
-//     free list derived again; a segment the commit dropped stays out of it
-//     until the next commit, so the snapshot before stays whole.
-//  3. Past the chain's bound: the whole tables as a new base, placed in the
-//     data region like a delta, a flush, both superblock copies naming it and
-//     the last base at epoch E with a fresh chain id, a flush.  The base and
-//     chain before the last base are released; the ones this base ends stay
-//     pinned.  A base that finds no room waits for a checkpoint that does.
+//  2. The delta right after the data, then one flush: the commit.  Every
+//     write continues where the head stopped.  A failed commit writes zeros
+//     over its run header before it returns, so no later flush commits a
+//     link whose tables the store has put back.  Only now is the free list
+//     derived again; a segment the commit dropped stays out of it until the
+//     next commit, so the snapshot before stays whole.
+//  3. Past the chain's bound (checkpoint.go): the whole tables as a new
+//     base, placed like a delta, a flush, both superblock copies naming it
+//     and the last base at epoch E with a fresh chain id, a flush.  The base
+//     and chain before the last base are released; the ones this base ends
+//     stay pinned.  A base that finds no room waits for a checkpoint that does.
 //  4. FINISH: reclaim log frames of epochs below the previous commit's, P.
 //
-// A crash before step 2's delta is whole recovers at P plus replay of the
-// records of epoch P or later; after it, at E.  The crash matrices in
-// crash_test.go and incremental_test.go cover every write boundary.
+// A crash before step 2's flush has put the delta and every home it names
+// on the disk recovers at P plus replay of the records of epoch P or later;
+// after it, at E.  The crash tests cover every write boundary and every
+// sector of the flush.
 //
 // # Degradation ladder
 //
@@ -81,8 +84,11 @@
 //
 //  1. Clean: a superblock copy, its base at its epoch, and the chain verify;
 //     a last delta torn by a crash ends the chain, like a torn log frame,
-//     and so does one that rots, indistinguishably: the log replays from the
-//     delta before, which FINISH keeps, with no committed sync lost.
+//     and so does one that rots, indistinguishably, or a last link a home
+//     of which fails its CRC when Open reads them in one ascending sweep:
+//     the cache destages in ascending order, so a torn flush can keep a
+//     delta and lose data above it.  The log replays from the link before,
+//     which FINISH keeps, with no committed sync lost.
 //  2. SuperblockFallback: the primary copy fails; the backup is used.
 //  3. MetaFallback: the base fails; the previous base the superblock names,
 //     no newer, is loaded, and its chain, pinned, runs on into the failed

@@ -24,7 +24,7 @@ import (
 // segment packing, and the object map, each record with its label, comes
 // from the id-ordered home table.  Chain ids come from crypto/rand as log
 // generations do, so every draw moves the ones after it.
-const formatImageSHA256 = "69cab38d3c4b6f9cfd76c7a40ed1cee27c6409ba555140d6a4e24dad78700234"
+const formatImageSHA256 = "9881d585f7ff1ad640dac30706c2d3ac6fe5dbef6640a27489dc18ab51fc164e"
 
 // formatImageWorkload drives one seeded, single-threaded pass over every
 // structure the store writes: plain and labelled puts, deletes, per-object

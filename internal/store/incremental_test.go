@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -440,7 +441,7 @@ func TestNoDeviceWriteUnderMu(t *testing.T) {
 	// The first segment holds the first checkpoint's delta, which pins it
 	// until two new bases have been written: checkpoints with nothing to
 	// seal grow the chain until they do, and the cleaner takes the segment.
-	for i := 0; i < 8 && s.Stats().SegsCleaned == 0; i++ {
+	for i := 0; i < 3*maxChainLinks && s.Stats().SegsCleaned == 0; i++ {
 		step("checkpoint", s.Checkpoint())
 	}
 	_, err = s.Scrub()
@@ -532,7 +533,7 @@ func TestSegmentCleanerReclaimsAndPreservesData(t *testing.T) {
 // that follow — with recovery verified against the reference model every
 // time.
 func TestCrashMidSegmentCleanEveryPoint(t *testing.T) {
-	ops := cleanerWorkload()
+	ops := append(cleanerWorkload(), chainToBase(rand.New(rand.NewSource(77)), 24)...)
 	s, _ := newCrashRig(t)
 	if runWorkload(t, s, ops, newRefModel()) {
 		t.Fatal("workload crashed with no fault armed")

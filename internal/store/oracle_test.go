@@ -156,7 +156,7 @@ func imageOracle(t *testing.T, seed int64) {
 	}
 	checkpoints, bases := 0, 0
 	var committed map[uint64]oracleObject // the model at the last seal that committed
-	for step := 0; step < 1500; step++ {
+	for step := 0; step < 3000; step++ {
 		if rng.Intn(40) != 0 {
 			op(rng, true)
 			continue

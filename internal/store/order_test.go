@@ -167,3 +167,29 @@ func TestCleanerReadsVictimInOffsetOrder(t *testing.T) {
 		})
 	}
 }
+
+// TestOneObjectCheckpointsWriteFewBases: 256 checkpoints of one new 1 KiB
+// object each, on 256 KiB segments, write at most 16 bases.  A base costs
+// the superblock's seeks however small it is, so a small store's chain runs
+// until it holds maxChainLinks deltas or more bytes than half its base,
+// counted as at least a segment.  With a floor of 4 KiB the same run wrote
+// 75 bases, each a copy of the whole map in the data region.
+func TestOneObjectCheckpointsWriteFewBases(t *testing.T) {
+	s, _ := orderStore(t, true, 256<<10)
+	bases := 0
+	for id := uint64(1); id <= 256; id++ {
+		if err := s.Put(id, orderPayload(id, 1<<10)); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		if len(s.chain) == 1 {
+			bases++
+		}
+	}
+	t.Logf("%d bases, %d metadata bytes written", bases, s.Stats().MetaBytesWritten)
+	if bases > 16 {
+		t.Fatalf("256 one-object checkpoints wrote %d bases; want at most 16", bases)
+	}
+}

@@ -21,8 +21,9 @@
 // the object-map and segment rows it changed.  Each run header lies at the
 // sector the delta before it (or the base) reserved, so Open loads the base
 // and follows the chain.  Once the chain holds maxChainLinks deltas or more
-// bytes than half the base, a checkpoint writes a new base, one more chain
-// record placed like a delta, and flips the superblock.  format.go holds every
+// bytes than half the base, counted as at least a segment, a checkpoint
+// writes a new base, one more chain record placed like a delta, and flips
+// the superblock.  format.go holds every
 // layout and is the only file that reads or writes them; doc.go is the
 // integrity reference.
 //

@@ -1029,7 +1029,7 @@ func TestUnwedgingCheckpointCrashes(t *testing.T) {
 	}
 }
 
-// TestFailedRelocationVacatesWhatItWrote fills a store with 6 KiB objects
+// TestFailedRelocationVacatesWhatItWrote fills a store with 8 KiB objects
 // until a checkpoint finds no space.  Then a 4 KiB object finds room and the
 // 8 KiB one sealed after it none: the checkpoint fails, and the home it
 // placed for the first object must not count as live, since no table names
@@ -1045,7 +1045,7 @@ func TestFailedRelocationVacatesWhatItWrote(t *testing.T) {
 	}
 	id := uint64(1)
 	for ; ; id++ {
-		if err := s.Put(id, make([]byte, 6<<10)); err != nil {
+		if err := s.Put(id, make([]byte, 8<<10)); err != nil {
 			t.Fatal(err)
 		}
 		if err := s.Checkpoint(); errors.Is(err, ErrNoSpace) {
