@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strings"
 	"testing"
 
 	"histar/internal/disk"
@@ -625,6 +626,12 @@ func TestScrubDetectsRotAndQuarantines(t *testing.T) {
 	}
 }
 
+// homeRegion is the device region of object id's home.
+func homeRegion(s *Store, id uint64) disk.Region {
+	h, _ := s.homeOf(id)
+	return disk.Region{Off: h.off, Len: h.size}
+}
+
 // deltaRegion and runHeaderRegion are the device regions of the chain's k-th
 // delta (from 1) and of the run header before it; the caller holds no lock.
 func deltaRegion(s *Store, k int) disk.Region {
@@ -637,8 +644,10 @@ func runHeaderRegion(s *Store, k int) disk.Region {
 }
 
 // chainStore builds a store whose snapshot is a base and a chain of three
-// deltas, every mutation synced, with a sync after the last delta.  It
-// returns the contents the syncs acknowledged and each delta's epoch.
+// deltas, every mutation synced, with a sync after the last delta.  The last
+// delta also homes object 3999, over half a segment, in a segment of its own
+// above the delta.  It returns the contents the syncs acknowledged and each
+// delta's epoch.
 func chainStore(t testing.TB) (*Store, *disk.FaultDisk, map[uint64]string, []uint64) {
 	s, fd := rotStore(t)
 	want := make(map[uint64]string)
@@ -662,10 +671,16 @@ func chainStore(t testing.TB) (*Store, *disk.FaultDisk, map[uint64]string, []uin
 			put(1000*g+i, fmt.Sprintf("delta-%d-object-%d", g, i))
 		}
 		put(g, fmt.Sprintf("object %d overwritten in delta %d", g, g))
+		if g == 3 {
+			put(3999, strings.Repeat("homed above the last delta ", 2<<10))
+		}
 		if err := s.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
 		epochs = append(epochs, s.metaEpoch)
+	}
+	if h, _ := s.homeOf(3999); h.off < s.chain[3].off {
+		t.Fatalf("object 3999 homed at %d, below the last delta at %d", h.off, s.chain[3].off)
 	}
 	put(5000, "synced after the last delta")
 	if len(s.chain) != 4 {
@@ -677,13 +692,14 @@ func chainStore(t testing.TB) (*Store, *disk.FaultDisk, map[uint64]string, []uin
 // TestBitRotChain rots one record of a three-delta chain.  Rot in the last
 // delta is what a crash tearing it leaves: the chain ends a delta early and
 // the log replays from there, losing no committed sync.  So is rot in a home
-// the last delta installs, which Open reads before it applies the delta.  Rot in the last run
-// header loses none either, and the mount names it, as it does rot in a
-// mid-chain run header, or in a mid-chain delta whose next run header still
-// verifies: the chain is cut there, never silently.  Rot in the base, at its
-// extent in the data region, sends the mount to the previous base, whose
-// chain runs on into this one's, to the same epoch; with both bases rotted,
-// Open refuses.
+// the last delta installs above itself, which Open reads before it applies
+// the delta; rot in one below it, which no torn flush leaves, keeps the
+// delta, and a read of that object finds it.  Rot in the last run header
+// loses none either, and the mount names it, as it does rot in a mid-chain
+// run header, or in a mid-chain delta whose next run header still verifies:
+// the chain is cut there, never silently.  Rot in the base, at its extent in
+// the data region, sends the mount to the previous base, whose chain runs on
+// into this one's, to the same epoch; with both bases rotted, Open refuses.
 func TestBitRotChain(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -693,7 +709,8 @@ func TestBitRotChain(t *testing.T) {
 		whole  bool // every acknowledged sync comes back
 	}{
 		{"last-delta", func(s *Store) disk.Region { return deltaRegion(s, 3) }, 2, false, true},
-		{"last-data", func(s *Store) disk.Region { h, _ := s.homeOf(3002); return disk.Region{Off: h.off, Len: h.size} }, 2, false, true},
+		{"last-data", func(s *Store) disk.Region { return homeRegion(s, 3999) }, 2, false, true},
+		{"last-data-below", func(s *Store) disk.Region { return homeRegion(s, 3002) }, 3, false, false},
 		{"last-run-header", func(s *Store) disk.Region { return runHeaderRegion(s, 3) }, 2, true, true},
 		{"mid-delta", func(s *Store) disk.Region { return deltaRegion(s, 2) }, 1, true, false},
 		{"mid-run-header", func(s *Store) disk.Region { return runHeaderRegion(s, 2) }, 1, true, false},
@@ -752,6 +769,67 @@ func TestBitRotChain(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestBitRotBelowTheLastDeltaLosesOnlyThatObject: a checkpoint whose syncs
+// left the log over half full reclaims its own epoch's frames at FINISH, so
+// only its link holds what those syncs acknowledged.  Rot in a home the link
+// installs below its delta, where no torn flush leaves damage, must cost
+// that object alone, quarantined and counted: the remount comes back at the
+// checkpoint's epoch with every other acknowledged sync.  Dropping the link
+// instead lost 80 of the 100, silently.
+func TestBitRotBelowTheLastDeltaLosesOnlyThatObject(t *testing.T) {
+	s, fd := rotStore(t)
+	want := map[uint64]string{}
+	put := func(id uint64, v string) {
+		t.Helper()
+		if err := s.PutLabeled(id, rotLabel(id%7), []byte(v), 0, whole); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.SyncObject(id); err != nil {
+			t.Fatal(err)
+		}
+		want[id] = v
+	}
+	for id := uint64(0); id < 20; id++ {
+		put(id, fmt.Sprintf("base-object-%d", id))
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	for id := uint64(100); id < 180; id++ {
+		put(id, fmt.Sprintf("%01000d", id))
+	}
+	if s.l.LiveBytes() <= s.logSize/2 {
+		t.Fatalf("the syncs left %d of %d log bytes live: the test needs the log over half full", s.l.LiveBytes(), s.logSize)
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.l.LiveBytes(); n != 0 {
+		t.Fatalf("the checkpoint kept %d log bytes: the test needs its own frames reclaimed", n)
+	}
+	if h, _ := s.homeOf(150); h.off > s.chain[len(s.chain)-1].off {
+		t.Fatalf("object 150 homed at %d, above the last delta", h.off)
+	}
+	if err := fd.RotBits(homeRegion(s, 150), 3, 1); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(fd, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.metaEpoch != s.metaEpoch {
+		t.Fatalf("the remount came back at epoch %d; the last checkpoint committed %d", s2.metaEpoch, s.metaEpoch)
+	}
+	if _, err := s2.Get(150); !errors.Is(err, ErrQuarantined) {
+		t.Fatalf("the rotted object reads %v; want ErrQuarantined", err)
+	}
+	delete(want, 150)
+	checkAll(t, s2, want)
+	if s2.Stats().CorruptionsDetected == 0 {
+		t.Fatal("the rot counted no corruption")
+	}
 }
 
 // restampSuperblockCopy rewrites the version field of the superblock copy at

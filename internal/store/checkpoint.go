@@ -35,9 +35,9 @@ import (
 // Checkpoints remain copy-on-write: appends land only past a segment's
 // committed high-water mark, and a dropped segment is free only from the
 // commit after the one that drops it (alloc.go).  No flush orders a delta
-// after its data: Open verifies the last link's homes (doc.go).  Every seal
-// attempt takes a fresh epoch, so a failed body burns its own: records
-// synced before the retry never replay over its snapshot.
+// after its data: Open verifies the last link's homes above it (doc.go).
+// Every seal attempt takes a fresh epoch, so a failed body burns its own:
+// records synced before the retry never replay over its snapshot.
 func (s *Store) Checkpoint() error {
 	s.ckptRun.Lock()
 	defer s.ckptRun.Unlock()

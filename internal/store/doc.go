@@ -72,7 +72,7 @@
 //     stay pinned.  A base that finds no room waits for a checkpoint that does.
 //  4. FINISH: reclaim log frames of epochs below the previous commit's, P.
 //
-// A crash before step 2's flush has put the delta and every home it names
+// A crash before step 2's flush has put the delta and every home above it
 // on the disk recovers at P plus replay of the records of epoch P or later;
 // after it, at E.  The crash tests cover every write boundary and every
 // sector of the flush.
@@ -85,10 +85,11 @@
 //  1. Clean: a superblock copy, its base at its epoch, and the chain verify;
 //     a last delta torn by a crash ends the chain, like a torn log frame,
 //     and so does one that rots, indistinguishably, or a last link a home
-//     of which fails its CRC when Open reads them in one ascending sweep:
-//     the cache destages in ascending order, so a torn flush can keep a
-//     delta and lose data above it.  The log replays from the link before,
-//     which FINISH keeps, with no committed sync lost.
+//     of which above its delta fails its CRC when Open reads them in one
+//     ascending sweep: the cache destages in ascending order, so a torn
+//     flush can keep a delta and lose data above it, never below.  The log
+//     replays from the link before, whose frames FINISH keeps unless the
+//     log is over half full (then such rot loses the link's syncs).
 //  2. SuperblockFallback: the primary copy fails; the backup is used.
 //  3. MetaFallback: the base fails; the previous base the superblock names,
 //     no newer, is loaded, and its chain, pinned, runs on into the failed

@@ -230,8 +230,8 @@ func (s *Store) walkChain(at int64, link, first, epoch uint64, apply func(runHea
 // applyLink makes one verified delta the snapshot Open is building: its rows
 // replace, join or leave the tables'.  It changes nothing unless every row
 // applies and it agrees with its run header, nor, for the last link, unless
-// every home it installs holds the contents its CRC names, read in one
-// ascending sweep (doc.go, rung 1).
+// each home it installs above the delta, read in one ascending sweep, holds
+// what its CRC names: only those can a torn flush lose (doc.go, rung 1).
 func (s *Store) applyLink(rh runHeader, b []byte, last bool) error {
 	d, err := decodeDelta(b, rh.off)
 	if err != nil {
@@ -239,7 +239,7 @@ func (s *Store) applyLink(rh runHeader, b []byte, last bool) error {
 	}
 	if last {
 		homes := slices.DeleteFunc(slices.Clone(d.homes), func(h homedObject) bool {
-			return h.off < logOffset+s.logSize || h.size < 0 || h.size > s.d.Size()-h.off // left, or deriveFree's to refuse
+			return h.off < rh.off || h.size < 0 || h.size > s.d.Size()-h.off // below, left, or deriveFree's to refuse
 		})
 		slices.SortFunc(homes, func(a, b homedObject) int { return cmp.Compare(a.off, b.off) })
 		for _, h := range homes {
