@@ -111,6 +111,7 @@ var keep = map[string]string{
 	"auth.Service.PasswordHashHex":     "test plumbing: what an attacker who compromised the user's auth daemon could read",
 	"vclock.Clock.Reset":               "test plumbing: the Figure 12/13 benchmarks time each row from zero",
 	"disk.Stats.Reads":                 "test plumbing: the disk and store tests count device reads",
+	"wal.Log.LiveBytes":                "test plumbing: the log and store tests measure the frames a commit or reclaim leaves live",
 	"disk.Disk.ResetStats":             "test plumbing: the disk and baseline tests count from zero",
 	"disk.Disk.SetReadAhead":           "test plumbing: the LFS read benchmark runs with the disk's look-ahead off",
 	"disk.Disk.FailNextFlush":          "test plumbing: fault injection (a failed cache flush)",

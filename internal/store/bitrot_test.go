@@ -646,8 +646,8 @@ func runHeaderRegion(s *Store, k int) disk.Region {
 // chainStore builds a store whose snapshot is a base and a chain of three
 // deltas, every mutation synced, with a sync after the last delta.  The last
 // delta also homes object 3999, over half a segment, in a segment of its own
-// above the delta.  It returns the contents the syncs acknowledged and each
-// delta's epoch.
+// above the delta, which its commit flushes first.  It returns the contents
+// the syncs acknowledged and each delta's epoch.
 func chainStore(t testing.TB) (*Store, *disk.FaultDisk, map[uint64]string, []uint64) {
 	s, fd := rotStore(t)
 	want := make(map[uint64]string)
@@ -691,10 +691,10 @@ func chainStore(t testing.TB) (*Store, *disk.FaultDisk, map[uint64]string, []uin
 
 // TestBitRotChain rots one record of a three-delta chain.  Rot in the last
 // delta is what a crash tearing it leaves: the chain ends a delta early and
-// the log replays from there, losing no committed sync.  So is rot in a home
-// the last delta installs above itself, which Open reads before it applies
-// the delta; rot in one below it, which no torn flush leaves, keeps the
-// delta, and a read of that object finds it.  Rot in the last run header
+// the log replays from there, losing no committed sync.  Rot in a home the
+// last delta installs, above it or below, keeps the delta: a whole delta
+// implies its data, so the rot is the home's, and a read of that object
+// finds it.  Rot in the last run header
 // loses none either, and the mount names it, as it does rot in a mid-chain
 // run header, or in a mid-chain delta whose next run header still verifies:
 // the chain is cut there, never silently.  Rot in the base, at its extent in
@@ -709,8 +709,8 @@ func TestBitRotChain(t *testing.T) {
 		whole  bool // every acknowledged sync comes back
 	}{
 		{"last-delta", func(s *Store) disk.Region { return deltaRegion(s, 3) }, 2, false, true},
-		{"last-data", func(s *Store) disk.Region { return homeRegion(s, 3999) }, 2, false, true},
-		{"last-data-below", func(s *Store) disk.Region { return homeRegion(s, 3002) }, 3, false, false},
+		{"last-data", func(s *Store) disk.Region { return homeRegion(s, 3002) }, 3, false, false},
+		{"last-data-above", func(s *Store) disk.Region { return homeRegion(s, 3999) }, 3, false, false},
 		{"last-run-header", func(s *Store) disk.Region { return runHeaderRegion(s, 3) }, 2, true, true},
 		{"mid-delta", func(s *Store) disk.Region { return deltaRegion(s, 2) }, 1, true, false},
 		{"mid-run-header", func(s *Store) disk.Region { return runHeaderRegion(s, 2) }, 1, true, false},
@@ -771,64 +771,89 @@ func TestBitRotChain(t *testing.T) {
 	})
 }
 
-// TestBitRotBelowTheLastDeltaLosesOnlyThatObject: a checkpoint whose syncs
-// left the log over half full reclaims its own epoch's frames at FINISH, so
-// only its link holds what those syncs acknowledged.  Rot in a home the link
-// installs below its delta, where no torn flush leaves damage, must cost
-// that object alone, quarantined and counted: the remount comes back at the
-// checkpoint's epoch with every other acknowledged sync.  Dropping the link
-// instead lost 80 of the 100, silently.
-func TestBitRotBelowTheLastDeltaLosesOnlyThatObject(t *testing.T) {
-	s, fd := rotStore(t)
-	want := map[uint64]string{}
-	put := func(id uint64, v string) {
-		t.Helper()
-		if err := s.PutLabeled(id, rotLabel(id%7), []byte(v), 0, whole); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.SyncObject(id); err != nil {
-			t.Fatal(err)
-		}
-		want[id] = v
-	}
-	for id := uint64(0); id < 20; id++ {
-		put(id, fmt.Sprintf("base-object-%d", id))
-	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	for id := uint64(100); id < 180; id++ {
-		put(id, fmt.Sprintf("%01000d", id))
-	}
-	if s.l.LiveBytes() <= s.logSize/2 {
-		t.Fatalf("the syncs left %d of %d log bytes live: the test needs the log over half full", s.l.LiveBytes(), s.logSize)
-	}
-	if err := s.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if n := s.l.LiveBytes(); n != 0 {
-		t.Fatalf("the checkpoint kept %d log bytes: the test needs its own frames reclaimed", n)
-	}
-	if h, _ := s.homeOf(150); h.off > s.chain[len(s.chain)-1].off {
-		t.Fatalf("object 150 homed at %d, above the last delta", h.off)
-	}
-	if err := fd.RotBits(homeRegion(s, 150), 3, 1); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := Open(fd, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.metaEpoch != s.metaEpoch {
-		t.Fatalf("the remount came back at epoch %d; the last checkpoint committed %d", s2.metaEpoch, s.metaEpoch)
-	}
-	if _, err := s2.Get(150); !errors.Is(err, ErrQuarantined) {
-		t.Fatalf("the rotted object reads %v; want ErrQuarantined", err)
-	}
-	delete(want, 150)
-	checkAll(t, s2, want)
-	if s2.Stats().CorruptionsDetected == 0 {
-		t.Fatal("the rot counted no corruption")
+// TestBitRotLastLinkWithTheLogHalfFull: the syncs before a checkpoint left
+// the log over half full, and the checkpoint's FINISH keeps their frames all
+// the same.  Rot in a home the last link installs, below its delta or above
+// it, costs that object alone, quarantined and counted: the remount comes
+// back at the checkpoint's epoch with every other acknowledged sync.  Rot in
+// the last delta ends the chain at the link before, and the kept frames
+// bring every acknowledged sync back; object 3999, which the checkpoint
+// held and no sync did, goes with the link, as with a tear.
+func TestBitRotLastLinkWithTheLogHalfFull(t *testing.T) {
+	for _, rot := range []string{"home-below", "home-above", "delta"} {
+		t.Run(rot, func(t *testing.T) {
+			s, fd := rotStore(t)
+			want := map[uint64]string{}
+			put := func(id uint64, v string) {
+				t.Helper()
+				if err := s.PutLabeled(id, rotLabel(id%7), []byte(v), 0, whole); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.SyncObject(id); err != nil {
+					t.Fatal(err)
+				}
+				want[id] = v
+			}
+			for id := uint64(0); id < 20; id++ {
+				put(id, fmt.Sprintf("base-object-%d", id))
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			before := s.metaEpoch
+			for id := uint64(100); id < 180; id++ {
+				put(id, fmt.Sprintf("%01000d", id))
+			}
+			big := strings.Repeat("homed above the last delta ", 2<<10)
+			if err := s.Put(3999, []byte(big)); err != nil { // checkpointed, not synced
+				t.Fatal(err)
+			}
+			if s.l.LiveBytes() <= s.logSize/2 {
+				t.Fatalf("the syncs left %d of %d log bytes live: the test needs the log over half full", s.l.LiveBytes(), s.logSize)
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			last := s.chain[len(s.chain)-1]
+			if h, _ := s.homeOf(150); h.off > last.off {
+				t.Fatalf("object 150 homed at %d, above the last delta", h.off)
+			}
+			if h, _ := s.homeOf(3999); h.off < last.off {
+				t.Fatalf("object 3999 homed at %d, below the last delta", h.off)
+			}
+			if len(s.chain) != 3 {
+				t.Fatalf("%d deltas since the base; want 2", len(s.chain)-1)
+			}
+			want[3999] = big
+			region, lost, epoch := homeRegion(s, 150), uint64(150), s.metaEpoch
+			switch rot {
+			case "home-above":
+				region, lost = homeRegion(s, 3999), 3999
+			case "delta":
+				region, lost, epoch = deltaRegion(s, 2), 0, before
+				delete(want, 3999) // the checkpoint held it, and no sync
+			}
+			if err := fd.RotBits(region, 3, 1); err != nil {
+				t.Fatal(err)
+			}
+			s2, err := Open(fd, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep := s2.RecoveryReport(); rep.MetaEpoch != epoch || rep.Degraded() {
+				t.Fatalf("the remount came back %+v; want epoch %d, not degraded", rep, epoch)
+			}
+			if lost != 0 {
+				if _, err := s2.Get(lost); !errors.Is(err, ErrQuarantined) {
+					t.Fatalf("the rotted object reads %v; want ErrQuarantined", err)
+				}
+				if s2.Stats().CorruptionsDetected == 0 {
+					t.Fatal("the rot counted no corruption")
+				}
+				delete(want, lost)
+			}
+			checkAll(t, s2, want)
+		})
 	}
 }
 

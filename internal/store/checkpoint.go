@@ -24,20 +24,22 @@ import (
 //	        place its moves, and place after them the delta — the tables'
 //	        rows changed since the last commit.  Then write a run header at
 //	        the sector the last delta reserved, the data, the delta, and
-//	        flush once: the commit.  Only then is the free list derived and
-//	        the sealed entries released; a failure puts every table back.
-//	        Once the chain since the last base holds maxChainLinks deltas or
-//	        more bytes than half the base, the checkpoint also writes a new
-//	        base and flips the superblock to it.
+//	        flush once: the commit (twice, data first, when some lies above
+//	        the delta).  Only then is the free list derived and the sealed
+//	        entries released; a failure puts every table back.  Once the
+//	        chain since the last base holds maxChainLinks deltas or more bytes
+//	        than half the base, the checkpoint also writes a new base and
+//	        flips the superblock to it.
 //	FINISH  reclaim log frames of epochs older than the previous committed
-//	        snapshot's, which a torn last link falls back to.
+//	        snapshot's, which a lost last delta falls back to.
 //
 // Checkpoints remain copy-on-write: appends land only past a segment's
 // committed high-water mark, and a dropped segment is free only from the
-// commit after the one that drops it (alloc.go).  No flush orders a delta
-// after its data: Open verifies the last link's homes above it (doc.go).
-// Every seal attempt takes a fresh epoch, so a failed body burns its own:
-// records synced before the retry never replay over its snapshot.
+// commit after the one that drops it (alloc.go).  A delta that verifies
+// implies its data: the cache destages in ascending order, and data placed
+// above the delta is flushed before it.  Every seal attempt takes a fresh
+// epoch, so a failed body burns its own: records synced before the retry
+// never replay over its snapshot.
 func (s *Store) Checkpoint() error {
 	s.ckptRun.Lock()
 	defer s.ckptRun.Unlock()
@@ -202,15 +204,11 @@ func (s *Store) checkpointBody(ss *sealedState) error {
 			return err
 		}
 	}
-	// FINISH: frames below the previous snapshot's epoch serve no replay;
-	// its own go too when they would keep the log over half full.
+	// FINISH: frames below the previous snapshot's epoch serve no replay.
+	// Its own stay, for a last delta lost to rot, so a log the syncs filled
+	// drains at the checkpoint after the one they forced.
 	if err := s.l.ReclaimBefore(prev); err != nil {
 		return err
-	}
-	if s.l.LiveBytes() > s.logSize/2 {
-		if err := s.l.ReclaimBefore(ss.epoch); err != nil {
-			return err
-		}
 	}
 	s.c.checkpoints.Add(1)
 	return nil
@@ -300,10 +298,20 @@ func (s *Store) commitDelta(entries []sealedEntry, epoch uint64, clean bool) err
 	rh := runHeader{chain: s.chainID, link: s.link, epoch: epoch, off: off, len: size, sum: sum}
 	run := pending{s.nextRun, encodeRunHeader(rh)}
 	s.mu.Unlock()
-	if err := s.writeCommit(append(append([]pending{run}, writes...), pending{off, s.dbuf})...); err != nil {
-		// The cache may still hold the link: zeros over its run header keep
-		// a later flush from committing it once the tables are put back.
-		// The caller gets the commit's error whether or not this lands.
+	// The cache destages in ascending order, so a delta that verifies
+	// implies the data below it; data above it takes a flush of its own.
+	all := append(append([]pending{run}, writes...), pending{off, s.dbuf})
+	split := len(all)
+	if slices.ContainsFunc(writes, func(w pending) bool { return w.off > off }) {
+		split--
+	}
+	err = s.writeCommit(all[:split]...)
+	if err == nil && split < len(all) {
+		err = s.writeCommit(all[split:]...)
+	}
+	if err != nil {
+		// Zeros over the run header, best effort, keep a later flush from
+		// committing a link the cache may hold once the tables are put back.
 		_, _ = s.d.WriteAt(make([]byte, runHeaderSize), run.off)
 		s.mu.Lock()
 		return fail(err)
@@ -321,8 +329,9 @@ func (s *Store) commitDelta(entries []sealedEntry, epoch uint64, clean bool) err
 // writeCommit is a commit's device schedule: the writes, then one flush.
 // For a delta they are its run header, the data and the delta, each
 // continuing where the last stopped, the first where the last checkpoint's
-// did, so the flush costs a revolution, not a seek; a base is two commits,
-// the base and then the superblock.
+// did, so the flush costs a revolution, not a seek (data above the delta is
+// a commit of its own before it); a base is two commits, the base and then
+// the superblock.
 func (s *Store) writeCommit(writes ...pending) error {
 	for _, w := range writes {
 		if len(w.data) == 0 {
@@ -362,7 +371,11 @@ func (s *Store) writeBase(epoch uint64) error {
 	sb = append(append(sb, make([]byte, sbBackupOff-sbCopySize)...), sb...)
 	err = s.writeCommit(pending{off, append(meta, make([]byte, at.size-n)...)})
 	if err == nil {
-		err = s.writeCommit(pending{superblockOffset, sb})
+		if err = s.writeCommit(pending{superblockOffset, sb}); err != nil && s.sb != nil {
+			// As for a delta's run header: the copies the disk held go back
+			// over the cache's, so no later flush flips to this base.
+			_, _ = s.d.WriteAt(s.sb, superblockOffset)
+		}
 	}
 	if err != nil {
 		s.mu.Lock()
@@ -377,7 +390,7 @@ func (s *Store) writeBase(epoch uint64) error {
 			s.segContaining(e.off).live -= e.size // dropped by the next body's cleaner
 		}
 	}
-	s.prevBase, s.prevChain = s.base.ext, s.ended()
+	s.prevBase, s.prevChain, s.sb = s.base.ext, s.ended(), sb
 	s.base = metaImage{ext: at, epoch: epoch, chain: chain, run: s.nextRun, length: n}
 	s.chain = []extent{{s.nextRun, runHeaderSize}}
 	s.held = nil // no delta to fall back past

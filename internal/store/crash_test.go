@@ -1007,56 +1007,24 @@ func TestCommitWindowSyncSurvivesCrash(t *testing.T) {
 	}
 }
 
-// holdLast is a write-back disk that passes each write on only when the next
-// one comes; armed, its flush drops the write it holds — a commit's delta —
-// destages the rest, and loses power.
-type holdLast struct {
+// flushFault is a write-back disk that calls fault on its flush-th flush
+// from when the field is set, just before that flush runs.
+type flushFault struct {
 	*disk.Disk
-	held  *pending
-	homed int64 // where the last write of homedLen bytes went
-	armed bool
+	flush int
+	fault func(*disk.Disk)
 }
-
-// homedLen is the length of the write holdLast notes.
-const homedLen = 200 << 10
 
 var errTear = errors.New("power lost mid-destage")
 
-func (d *holdLast) release() error {
-	h := d.held
-	if d.held = nil; h == nil {
-		return nil
-	}
-	_, err := d.Disk.WriteAt(h.data, h.off)
-	return err
+// tear makes the k-th flush from now lose power once n bytes are down.
+func (d *flushFault) tear(k int, n int64) {
+	d.flush, d.fault = k, func(d *disk.Disk) { d.FailFlushAfter(n, errTear) }
 }
 
-func (d *holdLast) WriteAt(p []byte, off int64) (int, error) {
-	if err := d.release(); err != nil {
-		return 0, err
-	}
-	if len(p) == homedLen {
-		d.homed = off
-	}
-	d.held = &pending{off, slices.Clone(p)}
-	return len(p), nil
-}
-
-func (d *holdLast) ReadAt(p []byte, off int64) (int, error) {
-	if err := d.release(); err != nil {
-		return 0, err
-	}
-	return d.Disk.ReadAt(p, off)
-}
-
-func (d *holdLast) Flush() error {
-	if d.armed {
-		d.held = nil
-		d.Disk.Flush()
-		return errTear
-	}
-	if err := d.release(); err != nil {
-		return err
+func (d *flushFault) Flush() error {
+	if d.flush--; d.flush == 0 {
+		d.fault(d.Disk)
 	}
 	return d.Disk.Flush()
 }
@@ -1067,14 +1035,16 @@ func (d *holdLast) Flush() error {
 // flush; the retry must not relocate v2 by best fit into v1's extent, which
 // the committed snapshot still names, because power failing once the
 // retry's data is on the platter but its delta is not must leave v1 intact.
+// v2 lies above the retry's delta, so its data takes a flush of its own, and
+// the power fails at the start of the delta's.
 func TestFailedCheckpointFreesNothing(t *testing.T) {
-	d := &holdLast{Disk: disk.New(disk.Params{Sectors: 4 << 20 / disk.SectorSize, WriteCache: true}, &vclock.Clock{})}
+	d := &flushFault{Disk: disk.New(disk.Params{Sectors: 4 << 20 / disk.SectorSize, WriteCache: true}, &vclock.Clock{})}
 	opts := Options{LogSize: 64 << 10, SegmentSize: 64 << 10}
 	s, err := Format(d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1, v2 := bytes.Repeat([]byte("v1"), homedLen/2), bytes.Repeat([]byte("v2"), homedLen/2)
+	v1, v2 := bytes.Repeat([]byte("v1"), 100<<10), bytes.Repeat([]byte("v2"), 100<<10)
 	if err := s.Put(1, v1); err != nil {
 		t.Fatal(err)
 	}
@@ -1088,13 +1058,13 @@ func TestFailedCheckpointFreesNothing(t *testing.T) {
 	if err := s.Checkpoint(); !errors.Is(err, errBarrier) {
 		t.Fatalf("checkpoint across a failed barrier = %v", err)
 	}
-	d.armed = true // the retry's data destages, and its delta does not
+	d.tear(2, 0) // the retry's data destages, and its delta does not
 	if err := s.Checkpoint(); !errors.Is(err, errTear) {
 		t.Fatalf("retry across the power cut = %v", err)
 	}
 	d.Crash()
-	got := make([]byte, homedLen)
-	if _, err := d.Disk.ReadAt(got, d.homed); err != nil || !bytes.Equal(got, v2) {
+	platter := make([]byte, d.Size())
+	if _, err := d.ReadAt(platter, 0); err != nil || !bytes.Contains(platter, v2) {
 		t.Fatal("the retry's v2 is not on the platter: the test no longer tears between the data and the delta")
 	}
 	s2, err := Open(d.Disk, opts)
@@ -1153,6 +1123,67 @@ func TestFailedCommitLeavesNoLinkForALaterFlush(t *testing.T) {
 	}
 	if s2.metaEpoch != kept {
 		t.Fatalf("the remount came back at epoch %d; the store was at %d", s2.metaEpoch, kept)
+	}
+	checkAll(t, s2, want)
+}
+
+// TestFailedBaseFlipKeepsTheSuperblock: a base whose superblock flush fails
+// leaves the two new copies in the write cache, and the store puts its
+// tables back, the base's extent free again.  The next flush — here a log
+// commit's — must destage the copies the disk held, not ones naming a base
+// in free space and a chain id no later link carries.
+func TestFailedBaseFlipKeepsTheSuperblock(t *testing.T) {
+	d := &flushFault{Disk: disk.New(disk.Params{Sectors: 4 << 20 / disk.SectorSize, WriteCache: true}, &vclock.Clock{})}
+	opts := Options{LogSize: 64 << 10, SegmentSize: 64 << 10}
+	s, err := Format(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[uint64]string{}
+	put := func(id uint64, v string) {
+		t.Helper()
+		if err := s.Put(id, []byte(v)); err != nil {
+			t.Fatal(err)
+		}
+		want[id] = v
+	}
+	for id := uint64(1); id <= 20; id++ {
+		put(id, fmt.Sprintf("object %d, checkpointed", id))
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	held := make([]byte, sbBackupOff+sbCopySize)
+	if _, err := d.ReadAt(held, superblockOffset); err != nil {
+		t.Fatal(err)
+	}
+	for id := uint64(1); id <= 5; id++ {
+		put(id, fmt.Sprintf("object %d, in the delta before the failed base", id))
+	}
+	s.base.length = -1 // the next checkpoint writes a base
+	flushes := d.Stats().Flushes
+	d.flush, d.fault = 3, func(d *disk.Disk) { d.FailNextFlush(errBarrier) }
+	if err := s.Checkpoint(); !errors.Is(err, errBarrier) || d.Stats().Flushes-flushes != 3 {
+		t.Fatalf("checkpoint = %v in %d flushes; want the third, the superblock's, to fail", err, d.Stats().Flushes-flushes)
+	}
+	put(30, "synced after the failed base")
+	if err := s.SyncObject(30); err != nil {
+		t.Fatal(err)
+	}
+	d.Crash()
+	sb := make([]byte, len(held))
+	if _, err := d.ReadAt(sb, superblockOffset); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(sb, held) {
+		t.Fatal("a later flush destaged the failed base's superblock copies")
+	}
+	s2, err := Open(d.Disk, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s2.metaEpoch != s.metaEpoch {
+		t.Fatalf("the remount came back at epoch %d; the store was at %d", s2.metaEpoch, s.metaEpoch)
 	}
 	checkAll(t, s2, want)
 }
@@ -1234,24 +1265,24 @@ func TestFailedHomeWriteLeaksNothing(t *testing.T) {
 	}
 }
 
-// TestOneFlushCommitTornAtEverySector tears a checkpoint's one flush at every
-// sector: the write-back cache destages in ascending order, and power fails
-// once n bytes are down.  In one layout the delta lies above its data; in the
-// other an object over half a segment is homed in a segment of its own above
-// the delta, so some tears keep the delta whole and lose data it names.
-// Every remount comes back at the epoch before the checkpoint or at its own,
-// never a mix: the image oracle finds the tables that epoch's model sealed,
-// every object reads back as it was sealed, and a delta on the platter whose
-// data is not brings the remount back at the epoch before.
-func TestOneFlushCommitTornAtEverySector(t *testing.T) {
+// TestCommitTornAtEverySector tears each flush of a checkpoint's commit at
+// every sector: the write-back cache destages in ascending order, and power
+// fails once n bytes are down.  In one layout the delta lies above its data,
+// and the commit is one flush; in the other an object over half a segment is
+// homed in a segment of its own above the delta, and the data takes a flush
+// of its own before the delta's.  Every remount comes back at the epoch
+// before the checkpoint or at its own, never a mix: the image oracle finds
+// the tables that epoch's model sealed, and every object reads back as it
+// was sealed.
+func TestCommitTornAtEverySector(t *testing.T) {
 	opts := Options{LogSize: 64 << 10, SegmentSize: 64 << 10}
 	for _, above := range []bool{false, true} {
 		t.Run(fmt.Sprintf("data-above-delta=%v", above), func(t *testing.T) {
 			// build formats a store, commits the model's first state, seals
 			// the second, and returns them with the disk, the store and the
 			// sector of the second checkpoint's run header.
-			build := func() (*disk.Disk, *Store, [2]map[uint64]oracleObject, uint64) {
-				d := disk.New(disk.Params{Sectors: 4 << 20 / disk.SectorSize, WriteCache: true}, &vclock.Clock{})
+			build := func() (*flushFault, *Store, [2]map[uint64]oracleObject, uint64) {
+				d := &flushFault{Disk: disk.New(disk.Params{Sectors: 4 << 20 / disk.SectorSize, WriteCache: true}, &vclock.Clock{})}
 				s, err := Format(d, opts)
 				if err != nil {
 					t.Fatal(err)
@@ -1291,17 +1322,17 @@ func TestOneFlushCommitTornAtEverySector(t *testing.T) {
 				models[1] = model
 				return d, s, models, s.metaEpoch
 			}
-			// The fault-free commit: what it writes, and its delta.
+			// The fault-free commit: what it writes, and in how many flushes.
 			d, s, _, _ := build()
-			written := d.Stats().BytesWritten
+			written, flushes := d.Stats().BytesWritten, d.Stats().Flushes
 			if err := s.Checkpoint(); err != nil {
 				t.Fatal(err)
 			}
-			written = d.Stats().BytesWritten - written
+			written, flushes = d.Stats().BytesWritten-written, d.Stats().Flushes-flushes
 			end := int64(written) + disk.SectorSize
 			last := s.chain[len(s.chain)-1]
 			if len(s.chain) == 1 {
-				t.Fatal("the checkpoint wrote a base: the test tears one flush")
+				t.Fatal("the checkpoint wrote a base: the test tears a delta's commit")
 			}
 			dataAbove := false
 			for _, id := range []uint64{1, 21, 30} {
@@ -1309,53 +1340,43 @@ func TestOneFlushCommitTornAtEverySector(t *testing.T) {
 					dataAbove = true
 				}
 			}
-			if dataAbove != above {
-				t.Fatalf("data above the delta: %v; the layout wants %v", dataAbove, above)
-			}
-			delta := make([]byte, last.size-runHeaderSize)
-			if _, err := d.ReadAt(delta, last.off); err != nil {
-				t.Fatal(err)
+			if want := map[bool]uint64{false: 1, true: 2}[above]; dataAbove != above || flushes != want {
+				t.Fatalf("data above the delta: %v, in %d flushes; the layout wants %v, in %d", dataAbove, flushes, above, want)
 			}
 			var outcomes [2]int
-			unwritten := 0 // tears that kept the delta and lost data it names
-			for n := int64(0); n <= end; n += disk.SectorSize {
-				d, s, models, before := build()
-				d.FailFlushAfter(n, errTear)
-				if err := s.Checkpoint(); !errors.Is(err, errTear) {
-					t.Fatalf("tear at %d: checkpoint = %v", n, err)
-				}
-				d.Crash()
-				onDisk := make([]byte, len(delta))
-				if _, err := d.ReadAt(onDisk, last.off); err != nil {
-					t.Fatal(err)
-				}
-				s2, err := Open(d, opts)
-				if err != nil {
-					t.Fatalf("tear at %d: %v", n, err)
-				}
-				k := 0
-				if s2.metaEpoch != before {
-					k = 1
-				}
-				if rep := s2.RecoveryReport(); rep.Degraded() {
-					t.Fatalf("tear at %d: the remount degraded: %+v", n, rep)
-				}
-				if k == 0 && bytes.Equal(onDisk, delta) {
-					unwritten++
-				}
-				outcomes[k]++
-				where := fmt.Sprintf("tear at %d, epoch %d", n, s2.metaEpoch)
-				checkImage(t, s2, d, models[k], where)
-				for id := uint64(1); id <= 30; id++ {
-					got, err := s2.Get(id)
-					if o, ok := models[k][id]; ok && (err != nil || !bytes.Equal(got, o.data)) || !ok && !errors.Is(err, ErrNoSuchObject) {
-						t.Fatalf("%s: object %d reads %d bytes, %v; the model sealed %v", where, id, len(got), err, ok)
+			for k := 1; k <= int(flushes); k++ {
+				for n := int64(0); n <= end; n += disk.SectorSize {
+					d, s, models, before := build()
+					d.tear(k, n)
+					if err := s.Checkpoint(); !errors.Is(err, errTear) {
+						t.Fatalf("tear of flush %d at %d: checkpoint = %v", k, n, err)
+					}
+					d.Crash()
+					s2, err := Open(d.Disk, opts)
+					if err != nil {
+						t.Fatalf("tear of flush %d at %d: %v", k, n, err)
+					}
+					i := 0
+					if s2.metaEpoch != before {
+						i = 1
+					}
+					if rep := s2.RecoveryReport(); rep.Degraded() {
+						t.Fatalf("tear of flush %d at %d: the remount degraded: %+v", k, n, rep)
+					}
+					outcomes[i]++
+					where := fmt.Sprintf("tear of flush %d at %d, epoch %d", k, n, s2.metaEpoch)
+					checkImage(t, s2, d.Disk, models[i], where)
+					for id := uint64(1); id <= 30; id++ {
+						got, err := s2.Get(id)
+						if o, ok := models[i][id]; ok && (err != nil || !bytes.Equal(got, o.data)) || !ok && !errors.Is(err, ErrNoSuchObject) {
+							t.Fatalf("%s: object %d reads %d bytes, %v; the model sealed %v", where, id, len(got), err, ok)
+						}
 					}
 				}
 			}
-			t.Logf("%d bytes written; %d tears came back before the checkpoint, %d after it, %d with the delta whole and its data not", written, outcomes[0], outcomes[1], unwritten)
-			if outcomes[0] == 0 || outcomes[1] == 0 || above && unwritten == 0 {
-				t.Fatalf("outcomes %v, %d unwritten: the tears no longer cover both epochs and the unwritten link", outcomes, unwritten)
+			t.Logf("%d bytes in %d flushes; %d tears came back before the checkpoint, %d after it", written, flushes, outcomes[0], outcomes[1])
+			if outcomes[0] == 0 || outcomes[1] == 0 {
+				t.Fatalf("outcomes %v: the tears no longer cover both epochs", outcomes)
 			}
 		})
 	}

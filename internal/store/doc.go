@@ -59,23 +59,29 @@
 //     cleaner moves anything only once the packed segments fall under a
 //     third live or fewer than cleanReserve whole segments stay free, and
 //     reads its victims, the emptiest first, in one ascending sweep before.
-//  2. The delta right after the data, then one flush: the commit.  Every
-//     write continues where the head stopped.  A failed commit writes zeros
-//     over its run header before it returns, so no later flush commits a
-//     link whose tables the store has put back.  Only now is the free list
-//     derived again; a segment the commit dropped stays out of it until the
-//     next commit, so the snapshot before stays whole.
+//  2. The delta right after the data, then one flush: the commit.  The
+//     cache destages in ascending order, so a whole delta implies the data
+//     below it; data placed above the delta (an object in a segment of its
+//     own, a cleaner's move into a higher segment) makes it two flushes, the
+//     data's, then the delta's.  Every write continues where the head
+//     stopped.  A failed commit writes zeros over its run header before it
+//     returns, so no later flush commits a link whose tables the store has
+//     put back.  Only now is the free list derived again; a segment the
+//     commit dropped stays out of it until the next commit, so the snapshot
+//     before stays whole.
 //  3. Past the chain's bound (checkpoint.go): the whole tables as a new
 //     base, placed like a delta, a flush, both superblock copies naming it
-//     and the last base at epoch E with a fresh chain id, a flush.  The base
-//     and chain before the last base are released; the ones this base ends
-//     stay pinned.  A base that finds no room waits for a checkpoint that does.
-//  4. FINISH: reclaim log frames of epochs below the previous commit's, P.
+//     and the last base at epoch E with a fresh chain id, a flush.  If that
+//     flush fails, the copies the disk held go back over the cache's, as a
+//     failed delta's run header does.  The base and chain before the last
+//     base are released; the ones this base ends stay pinned.  A base that
+//     finds no room waits for a checkpoint that does.
+//  4. FINISH: reclaim log frames of epochs below the previous commit's, P;
+//     those of P stay, however full the log, until the next commit.
 //
-// A crash before step 2's flush has put the delta and every home above it
-// on the disk recovers at P plus replay of the records of epoch P or later;
-// after it, at E.  The crash tests cover every write boundary and every
-// sector of the flush.
+// A crash before step 2's delta is whole recovers at P plus replay of the
+// records of epoch P or later; after it, at E.  The crash tests cover every
+// write boundary and every sector of each flush.
 //
 // # Degradation ladder
 //
@@ -84,12 +90,8 @@
 //
 //  1. Clean: a superblock copy, its base at its epoch, and the chain verify;
 //     a last delta torn by a crash ends the chain, like a torn log frame,
-//     and so does one that rots, indistinguishably, or a last link a home
-//     of which above its delta fails its CRC when Open reads them in one
-//     ascending sweep: the cache destages in ascending order, so a torn
-//     flush can keep a delta and lose data above it, never below.  The log
-//     replays from the link before, whose frames FINISH keeps unless the
-//     log is over half full (then such rot loses the link's syncs).
+//     and so does one that rots, indistinguishably: the log replays from the
+//     delta before, whose frames FINISH keeps, with no committed sync lost.
 //  2. SuperblockFallback: the primary copy fails; the backup is used.
 //  3. MetaFallback: the base fails; the previous base the superblock names,
 //     no newer, is loaded, and its chain, pinned, runs on into the failed

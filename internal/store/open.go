@@ -1,10 +1,8 @@
 package store
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
-	"slices"
 
 	"histar/internal/disk"
 	"histar/internal/label"
@@ -108,7 +106,7 @@ func (s *Store) readSuperblock() error {
 		s.noteCorruption(berr)
 		return s.noteCorruption(fmt.Errorf("both superblock copies invalid: %w (backup: %v)", perr, berr))
 	}
-	s.logSize = sb.logSize
+	s.logSize, s.sb = sb.logSize, raw
 	return s.loadMetadata(sb)
 }
 
@@ -184,13 +182,12 @@ func (s *Store) loadBase(at extent, sb superblockInfo, fallback bool) error {
 
 // walkChain follows a chain from the run header at sector at, carrying link
 // (or the first of chain first) and no older than epoch, and hands each
-// verified delta to apply (nil: verify only), saying whether it is the last
-// link, the one whose next sector holds no run header of the chain; it
-// returns how many.  It ends quietly where no run header of the chain is, or
-// at a delta its run header's CRC shows torn; with a CorruptError at a
-// damaged run header, or a damaged delta with a run header verifying past
-// it.  A delta's next sector is read with it.
-func (s *Store) walkChain(at int64, link, first, epoch uint64, apply func(runHeader, []byte, bool) error) (int, error) {
+// verified delta to apply (nil: verify only); it returns how many.  It ends
+// quietly where no run header of the chain is, or at a delta its run
+// header's CRC shows torn; with a CorruptError at a damaged run header, or a
+// damaged delta with a run header verifying past it.  A delta's next sector
+// is read with it.
+func (s *Store) walkChain(at int64, link, first, epoch uint64, apply func(runHeader, []byte) error) (int, error) {
 	lo, hi := logOffset+s.logSize, s.d.Size()
 	rhb := make([]byte, runHeaderSize)
 	if _, err := s.d.ReadAt(rhb, at); err != nil {
@@ -211,15 +208,14 @@ func (s *Store) walkChain(at int64, link, first, epoch uint64, apply func(runHea
 			return n, err
 		}
 		d, next := buf[:rh.len], buf[rh.len:]
-		_, more, _ := parseRunHeader(next, rh.nextLink(), first)
 		if sum, ok := deltaSum(d); !ok || sum != rh.sum {
-			if more {
+			if _, ok, _ := parseRunHeader(next, rh.nextLink(), first); ok {
 				return n, corrupt("chain", rh.off, "delta of epoch %d fails its checksum, and the chain goes on past it", rh.epoch)
 			}
 			return n, nil
 		}
 		if apply != nil {
-			if err := apply(rh, d, !more); err != nil {
+			if err := apply(rh, d); err != nil {
 				return n, err
 			}
 		}
@@ -229,26 +225,11 @@ func (s *Store) walkChain(at int64, link, first, epoch uint64, apply func(runHea
 
 // applyLink makes one verified delta the snapshot Open is building: its rows
 // replace, join or leave the tables'.  It changes nothing unless every row
-// applies and it agrees with its run header, nor, for the last link, unless
-// each home it installs above the delta, read in one ascending sweep, holds
-// what its CRC names: only those can a torn flush lose (doc.go, rung 1).
-func (s *Store) applyLink(rh runHeader, b []byte, last bool) error {
+// applies and it agrees with its run header.
+func (s *Store) applyLink(rh runHeader, b []byte) error {
 	d, err := decodeDelta(b, rh.off)
 	if err != nil {
 		return err
-	}
-	if last {
-		homes := slices.DeleteFunc(slices.Clone(d.homes), func(h homedObject) bool {
-			return h.off < rh.off || h.size < 0 || h.size > s.d.Size()-h.off // below, left, or deriveFree's to refuse
-		})
-		slices.SortFunc(homes, func(a, b homedObject) int { return cmp.Compare(a.off, b.off) })
-		for _, h := range homes {
-			if _, err := s.readVerified(h.home); errors.Is(err, ErrCorrupt) {
-				return nil // the chain ends at the link before
-			} else if err != nil {
-				return err
-			}
-		}
 	}
 	homes, _, herr := mergeRows(s.homes, d.homes, homeKey, func(h homedObject) bool { return h.off == 0 })
 	segs, gone, serr := mergeRows(s.segs, d.segs, segKey, func(g *segment) bool { return g.size == 0 })

@@ -23,9 +23,8 @@
 // and follows the chain.  Once the chain holds maxChainLinks deltas or more
 // bytes than half the base, counted as at least a segment, a checkpoint
 // writes a new base, one more chain record placed like a delta, and flips
-// the superblock.  format.go holds every
-// layout and is the only file that reads or writes them; doc.go is the
-// integrity reference.
+// the superblock.  format.go holds every layout and is the only file that
+// reads or writes them; doc.go is the integrity reference.
 //
 // # Data region: segments
 //
@@ -241,6 +240,7 @@ type Store struct {
 	chain     []extent
 	prevBase  extent
 	prevChain []extent
+	sb        []byte // the superblock's two copies as last read or flipped
 
 	// Test hooks, set before the store is shared: scrubGate runs between
 	// scrub chunks (no locks held), ckptGate between a checkpoint's seal and

@@ -499,9 +499,8 @@ func (l *Log) compactLocked() error {
 	return nil
 }
 
-// LiveBytes returns the committed bytes recovery would replay — the frames
-// written less any reclaimed dead prefix — so the store can tell when
-// retaining a fallback generation would starve future commits.
+// LiveBytes returns the committed bytes recovery would replay: the frames
+// written less any reclaimed dead prefix.
 func (l *Log) LiveBytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
