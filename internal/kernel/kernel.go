@@ -86,6 +86,11 @@
 // and allocate checks.  webd's session cache, on a cold login, spawns one
 // into the worker's process container instead of rebuilding the sandbox.
 //
+// A push that covers a segment, or any push of one of at most a page, hands
+// the pager the array itself (pager.go), frozen as a copy's is: nobody writes
+// it again, and the segment's next write copies it (reshape), a copy the COW
+// ledger does not count.
+//
 // Read-mostly syscalls (segment reads, resolution, stat, list) take only
 // read locks, so they proceed in parallel across — and within — shards.
 // Mutating syscalls take write locks only on the objects they mutate.

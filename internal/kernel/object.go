@@ -134,11 +134,13 @@ type segment struct {
 	header
 	data []byte
 	// frozen marks data as shared copy-on-write with a segment copy
-	// (SegmentCopy) or with zeros (a fresh segment, segment.go): neither it
-	// nor the capacity past it may be written, so the first mutation or
-	// growth copies it and clears the flag (reshape).  Guarded by the
-	// segment's lock like data.
-	frozen bool
+	// (SegmentCopy), with zeros (a fresh segment, segment.go) or with the
+	// pager (a handed push, pager.go): neither it nor the capacity past it
+	// may be written, so the first mutation or growth copies it and clears
+	// the flag (reshape).  handed, read only while frozen, says the pager is
+	// all it is shared with, so the break is no copy's and counts in no
+	// ledger.  Both are guarded by the segment's lock like data.
+	frozen, handed bool
 	// persistent says the bytes are a store object (SegmentPersist); dirty,
 	// that the pager has not seen them since they last changed, and [lo, hi)
 	// which of them did (pager.go).  All are guarded by the segment's lock.

@@ -19,8 +19,12 @@ import (
 type Pager interface {
 	// PutLabeled replaces the object's contents and label in the store's
 	// memory; every byte outside [lo, hi) is what the object's last push
-	// held there.  SyncObjects makes the pushed states of a group durable
-	// (one error slot per id), Checkpoint every pushed state and deletion.
+	// held there.  When [lo, hi) covers data, or data is at most PageSize
+	// bytes, the push hands data over: the kernel has frozen it, the pager
+	// may keep it, and nobody writes it again.  Otherwise data stays the
+	// kernel's, and the pager copies what it keeps before returning.
+	// SyncObjects makes the pushed states of a group durable (one error
+	// slot per id), Checkpoint every pushed state and deletion.
 	PutLabeled(id uint64, lbl label.Label, data []byte, lo, hi int) error
 	SyncObjects(ids []uint64) []error
 	Checkpoint() error
@@ -75,15 +79,21 @@ func (k *Kernel) setDirty(s *segment, on bool) {
 	}
 }
 
-// push hands a dirty segment's bytes, changed range and label to the pager,
-// which copies the range; the caller holds the segment's write lock, so no
-// store slips between the copy and the bit.  Only a persistent segment is dirty.
+// push hands a dirty segment's bytes, changed range and label to the pager;
+// the caller holds the segment's write lock, so no store slips between the
+// push and the bit.  A push that hands the array over freezes it first; a
+// larger segment pushed by range keeps its array, which its next write would
+// otherwise copy whole.  Only a persistent segment is dirty.
 func (k *Kernel) push(s *segment) error {
 	if !s.dirty {
 		return nil
 	}
 	n := len(s.data)
-	if err := k.pager.PutLabeled(uint64(s.id), s.lbl, s.data, min(s.lo, n), min(s.hi, n)); err != nil {
+	lo, hi := min(s.lo, n), min(s.hi, n)
+	if (lo <= 0 && hi >= n || n <= PageSize) && !s.frozen {
+		s.frozen, s.handed = true, true
+	}
+	if err := k.pager.PutLabeled(uint64(s.id), s.lbl, s.data, lo, hi); err != nil {
 		return err
 	}
 	k.setDirty(s, false)

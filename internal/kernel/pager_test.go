@@ -17,17 +17,23 @@ import (
 // records each sync group and fails the ids in poison.  It also holds every
 // push to its range: a byte outside it that differs from the object's
 // previous push, or a partial range with no previous push of that length, is
-// a broken promise, noted in outside.
+// a broken promise, noted in outside.  A push the contract hands over it
+// keeps as the kernel's array itself, as the store does, with a copy beside
+// it; every call checks each kept array against its copy, and notes a change
+// in tampered.  Its sync and checkpoint read every kept array, so a kernel
+// write to one beside them is a race.
 type fakePager struct {
 	mu     sync.Mutex
 	data   map[uint64][]byte // last pushed bytes, by object
+	handed map[uint64][]byte // for a data entry that is a handed array, its bytes when pushed
 	labels map[uint64]label.Label
 	pushed []uint64 // every push's id, in order
 	gone   []uint64 // Delete calls, in order
 	groups [][]uint64
 	poison map[uint64]error
 
-	outside []string // one line per push that broke its range's promise
+	outside  []string // one line per push that broke its range's promise
+	tampered []string // one line per handed array found changed
 
 	pageIns     int
 	pageInErr   error
@@ -35,12 +41,31 @@ type fakePager struct {
 }
 
 func newFakePager() *fakePager {
-	return &fakePager{data: make(map[uint64][]byte), labels: make(map[uint64]label.Label)}
+	return &fakePager{data: make(map[uint64][]byte), handed: make(map[uint64][]byte), labels: make(map[uint64]label.Label)}
+}
+
+// audited audits and returns what the audits have found.
+func (f *fakePager) audited() []string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.audit()
+	return f.tampered
+}
+
+// audit compares every handed array with its bytes when pushed; the caller holds f.mu.
+func (f *fakePager) audit() {
+	for id, was := range f.handed {
+		if !bytes.Equal(f.data[id], was) {
+			f.tampered = append(f.tampered, fmt.Sprintf("object %d: handed array changed after its push", id))
+			f.handed[id] = append([]byte(nil), f.data[id]...)
+		}
+	}
 }
 
 func (f *fakePager) PutLabeled(id uint64, lbl label.Label, data []byte, lo, hi int) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.audit()
 	prev, ok := f.data[id]
 	switch {
 	case lo < 0 || hi > len(data):
@@ -54,6 +79,10 @@ func (f *fakePager) PutLabeled(id uint64, lbl label.Label, data []byte, lo, hi i
 		f.outside = append(f.outside, fmt.Sprintf("object %d: bytes outside [%d, %d) changed", id, lo, hi))
 	}
 	f.data[id], f.labels[id] = append([]byte(nil), data...), lbl
+	delete(f.handed, id)
+	if lo <= 0 && hi >= len(data) || len(data) <= PageSize {
+		f.data[id], f.handed[id] = data, f.data[id]
+	}
 	f.pushed = append(f.pushed, id)
 	return nil
 }
@@ -83,6 +112,7 @@ func (f *fakePager) Delete(id uint64) error {
 func (f *fakePager) SyncObjects(ids []uint64) []error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.audit()
 	f.groups = append(f.groups, append([]uint64(nil), ids...))
 	errs := make([]error, len(ids))
 	for i, id := range ids {
@@ -94,6 +124,7 @@ func (f *fakePager) SyncObjects(ids []uint64) []error {
 func (f *fakePager) Checkpoint() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	f.audit()
 	f.checkpoints++
 	return nil
 }
@@ -713,5 +744,168 @@ func TestContainerListAndTeardownAscend(t *testing.T) {
 	}
 	if !slices.Equal(fp.gone, want) {
 		t.Fatalf("the teardown deleted %d segments, not the %d live ones in ascending order", len(fp.gone), len(want))
+	}
+}
+
+// TestHandedPushStaysAsPushed: a push that covers its segment, or any push of
+// a segment of at most a page, hands the array to the pager, and every path
+// that writes a segment — a direct write, a compare-and-swap, a resize, a
+// store through a mapping — leaves the pager's bytes as pushed, writing a
+// copy.  A range push of a larger segment is no handover: the pager copies
+// the range, and the segment stays unfrozen, so its next write copies
+// nothing.  None of it counts in the copy-on-write ledger.
+func TestHandedPushStaysAsPushed(t *testing.T) {
+	k, tc := boot(t)
+	fp := newFakePager()
+	k.SetPager(fp)
+	root := k.RootContainer()
+	_, mapped := setupAS(t, k, tc, label.New(label.L1), MapRead|MapWrite)
+	smallID, err := tc.SegmentCreate(root, label.New(label.L1), "small", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, small := CEnt{root, mapped}, CEnt{root, smallID}
+	for _, ce := range []CEnt{big, small} {
+		if err := tc.SegmentPersist(ce); err != nil {
+			t.Fatal(err)
+		}
+	}
+	steps := []struct {
+		name   string
+		ce     CEnt
+		mutate func() error
+		handed bool
+	}{
+		{"the first, whole push", big, func() error { return nil }, true},
+		{"a direct write", small, func() error { return tc.SegmentWrite(small, 3, []byte("direct")) }, true},
+		{"a compare-and-swap", small, func() error {
+			_, err := tc.SegmentCompareSwap(small, 8, 0, 0x4242424242424242)
+			return err
+		}, true},
+		{"a resize", small, func() error { return tc.SegmentResize(small, 200) }, true},
+		{"a store through a mapping", big, func() error { return tc.MemWrite(0x10000+100, []byte("mapped")) }, false},
+		{"a resize of the larger segment", big, func() error { return tc.SegmentResize(big, 3*PageSize) }, true},
+		{"a store after the whole push", big, func() error { return tc.MemWrite(0x10000, []byte("again")) }, false},
+		{"a write before the second resize", small, func() error { return tc.SegmentWrite(small, 150, []byte("tail")) }, true},
+		{"a truncation", small, func() error { return tc.SegmentResize(small, 10) }, true},
+	}
+	for _, st := range steps {
+		if err := st.mutate(); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		if err := tc.SyncSegments(st.ce); err != nil {
+			t.Fatalf("%s: SyncSegments: %v", st.name, err)
+		}
+		want, err := tc.SegmentRead(st.ce, 0, 1<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg, err := lookupAs[*segment](k, st.ce.Object)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg.mu.RLock()
+		frozen := seg.frozen
+		seg.mu.RUnlock()
+		tampered := fp.audited()
+		got := fp.data[uint64(st.ce.Object)]
+		_, kept := fp.handed[uint64(st.ce.Object)]
+		if len(tampered) > 0 {
+			t.Fatalf("after %s: %s", st.name, tampered[0])
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("after %s: the pager holds other bytes than the segment", st.name)
+		}
+		if kept != st.handed || frozen != st.handed {
+			t.Errorf("after %s: handed over %v, segment frozen %v; want %v", st.name, kept, frozen, st.handed)
+		}
+	}
+	if err := errors.Join(tc.SegmentWrite(small, 0, []byte("unsynced")), tc.MemWrite(0x10000, []byte("unsynced"))); err != nil {
+		t.Fatal(err)
+	}
+	if tampered := fp.audited(); len(tampered) > 0 {
+		t.Fatalf("after the last writes: %s", tampered[0])
+	}
+	if st := k.SnapshotStats(); st != (SnapshotStats{}) {
+		t.Errorf("ledger %+v, want zero: no segment was copied", st)
+	}
+}
+
+// TestHandedSegmentsBesideSync is a -race target: threads write their own
+// persistent segments — small ones in place, larger ones grown so each push
+// is whole — while the boot thread syncs and checkpoints in a loop, and the
+// pager reads every array it was handed at each sync and checkpoint.  A
+// write to a handed array shows as a race, or as a changed array.
+func TestHandedSegmentsBesideSync(t *testing.T) {
+	const writers, iters = 4, 100
+	k, tc := boot(t)
+	fp := newFakePager()
+	k.SetPager(fp)
+	root := k.RootContainer()
+	var segs []CEnt
+	for i := 0; i < 2*writers; i++ {
+		id, err := tc.SegmentCreate(root, label.New(label.L1), "handed", 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segs = append(segs, CEnt{root, id})
+		if err := errors.Join(tc.SegmentPersist(segs[i]), tc.SegmentResize(segs[i], 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, writers)
+	done := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		wt := spawnWorker(t, k, tc, fmt.Sprintf("writer %d", w))
+		small, grown := segs[2*w], segs[2*w+1]
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				b := []byte{byte(i), byte(i >> 8)}
+				err := errors.Join(
+					wt.SegmentWrite(small, i%62, b),
+					wt.SegmentWrite(grown, i*64, bytes.Repeat(b, 32)),
+				)
+				if i%10 == 0 {
+					err = errors.Join(err, wt.SyncSegments(small, grown))
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	go func() { wg.Wait(); close(done) }()
+	for syncing := true; syncing; {
+		select {
+		case <-done:
+			syncing = false
+		default:
+			if err := tc.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if err := tc.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if tampered := fp.audited(); len(tampered) > 0 {
+		t.Fatalf("%d handed arrays changed after their push: %s", len(tampered), tampered[0])
+	}
+	if len(fp.handed) == 0 {
+		t.Fatal("no push was handed over")
+	}
+	for _, ce := range segs {
+		want, err := tc.SegmentRead(ce, 0, 1<<20)
+		if err != nil || !bytes.Equal(fp.data[uint64(ce.Object)], want) {
+			t.Errorf("segment %d: the pager holds other bytes after the last sync (%v)", ce.Object, err)
+		}
 	}
 }

@@ -316,7 +316,8 @@ func (env *propEnv) memExec(e propStep) (r propResult) {
 // ErrLabel.  Every push on every path must also keep its range's promise
 // (fakePager.outside): a byte outside the range is the byte the previous push
 // held, whichever mutation came between — a direct or mapped write, a resize,
-// a compare-and-swap, a thread-local write, a copy-on-write break.
+// a compare-and-swap, a thread-local write, a copy-on-write break — and none
+// of them may write an array a push handed over (fakePager.tampered).
 func TestPropertyVsSequential(t *testing.T) {
 	for _, v := range []struct {
 		name   string
@@ -473,6 +474,9 @@ func propertyVsSequential(t *testing.T, cloned bool) {
 			}
 			if len(e.pager.outside) > 0 {
 				t.Fatalf("round %d %s: a push broke its range's promise: %s", round, paths[p], e.pager.outside[0])
+			}
+			if tampered := e.pager.audited(); len(tampered) > 0 {
+				t.Fatalf("round %d %s: %s", round, paths[p], tampered[0])
 			}
 		}
 	}

@@ -93,7 +93,7 @@ func (tc *ThreadCall) SegmentCopy(src CEnt, d ID, l label.Label, descrip string)
 		return NilID, err
 	}
 	if n > 0 {
-		seg.frozen = true
+		seg.frozen, seg.handed = true, false
 		if !zeroShare(seg.data) {
 			k.snap.clones.Add(1)
 			k.snap.sharedBytes.Add(uint64(n))
@@ -217,12 +217,12 @@ func (s *segment) word(k *Kernel, off uint64) (uint64, error) {
 // change — and marks a persistent segment dirty, widening its changed range
 // by [lo, hi), or to the whole segment when the length changes, so no path to
 // a segment's bytes can change them behind the pager's back.  This is the
-// only place shared bytes are duplicated, so the kernel-wide COW
-// counters live here (a break of a share of zeros is not one).  A frozen
-// array grows into a fresh one (breaking COW with that one copy), a private
-// one by appending zeros, amortized, over whatever a truncation left in its
-// capacity; truncation keeps sharing a frozen array, since shrinking changes
-// no byte.
+// only place shared bytes are duplicated, so the kernel-wide COW counters
+// live here (a break of a share of zeros, or of an array only the pager
+// holds, is not one).  A frozen array grows into a fresh one (breaking COW
+// with that one copy), a private one by appending zeros, amortized, over
+// whatever a truncation left in its capacity; truncation keeps sharing a
+// frozen array, since shrinking changes no byte.
 func (s *segment) reshape(k *Kernel, n, lo, hi int) error {
 	if s.immutable {
 		return ErrImmutable
@@ -247,7 +247,7 @@ func (s *segment) reshape(k *Kernel, n, lo, hi int) error {
 	}
 	if s.frozen && (grow || lo < hi) {
 		s.frozen = false
-		if !zeroShare(s.data) {
+		if !s.handed && !zeroShare(s.data) {
 			k.snap.cowBreaks.Add(1)
 			k.snap.copiedBytes.Add(uint64(len(s.data)))
 		}

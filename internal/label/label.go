@@ -33,8 +33,9 @@
 package label
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -122,7 +123,7 @@ func New(def Level, pairs ...Pair) Label {
 	}
 	buf := make([]Pair, len(pairs))
 	copy(buf, pairs)
-	sort.SliceStable(buf, func(i, j int) bool { return buf[i].Category < buf[j].Category })
+	slices.SortStableFunc(buf, func(a, b Pair) int { return cmp.Compare(a.Category, b.Category) })
 	// Collapse duplicate categories (last occurrence wins, matching the old
 	// map semantics) and elide default-level entries.
 	out := buf[:0]

@@ -38,6 +38,26 @@ func TestNewElidesDefaultEntries(t *testing.T) {
 	}
 }
 
+// TestNewAllocatesOnce: New makes one allocation, its pairs, however many
+// it is given and in whatever order, and a later pair for a category still
+// wins over an earlier one.
+func TestNewAllocatesOnce(t *testing.T) {
+	a, b, c := catN(3), catN(1), catN(2)
+	for _, pairs := range [][]Pair{
+		{P(a, L3)},
+		{P(a, L3), P(b, L0), P(c, Star)},
+		{P(a, L3), P(b, L0), P(a, L2), P(c, Star), P(b, L1)},
+	} {
+		if n := testing.AllocsPerRun(100, func() { New(L1, pairs...) }); n != 1 {
+			t.Errorf("New of %d pairs made %v allocations, want 1", len(pairs), n)
+		}
+	}
+	l := New(L1, P(a, L3), P(b, L0), P(a, L2), P(c, Star), P(b, L1))
+	if l.Get(a) != L2 || l.Get(b) != L1 || l.Get(c) != Star || l.NumExplicit() != 2 {
+		t.Errorf("New with repeated categories = %v, want the later pairs: %v at L2, %v elided, %v at Star", l, a, b, c)
+	}
+}
+
 func TestGetDefault(t *testing.T) {
 	l := New(L2)
 	if got := l.Get(catN(99)); got != L2 {

@@ -120,5 +120,15 @@
 // extent; a scrub re-checks a mismatch against the live home table first.
 // Stats counts detections and quarantines.  bitrot_test.go injects flips into
 // each structure and checks that the matching rung, and only it, fires.
+//
+// # What an entry holds
+//
+// A resident entry's contents (objEntry, store.go) are the kernel's own
+// array, frozen, when the push covered the object or the object is at most
+// handPage bytes (the kernel.Pager contract); otherwise the store's copy,
+// which a range push patches in place unless a sealed log record or a
+// checkpoint capture aliases it; shared marks the arrays a put must replace,
+// not write.  Open copies each replayed record's contents and label out of
+// the log read, so no entry pins it.
 
 package store

@@ -70,7 +70,7 @@ func Open(d disk.Device, opts Options) (*Store, error) {
 			if _, rest, derr := label.DecodeBinary(r.Label); derr != nil || len(rest) != 0 {
 				return nil, s.noteCorruption(fmt.Errorf("%w: replaying label of object %d: %v", ErrCorrupt, r.ObjectID, derr))
 			}
-			e.lbl = r.Label
+			e.lbl = append([]byte(nil), r.Label...) // r's bytes alias the whole log read
 		}
 	}
 	s.epoch.Store(top)

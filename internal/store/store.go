@@ -82,11 +82,12 @@ import (
 // objEntry is the in-memory state of one object, guarded by mu: flags, the
 // label, and the contents while no committed home holds them (resident).  An
 // object has one only while it holds state the committed snapshot lacks, or
-// a quarantine verdict.  A put patches data in place unless shared says a
-// sealed record or checkpoint capture holds it; then data is replaced.
+// a quarantine verdict.  A put patches data in place unless shared says the
+// array is the kernel's, handed over frozen, or a sealed record or checkpoint
+// capture holds it; then data is replaced.
 type objEntry struct {
 	data   []byte
-	shared bool   // a sealed record or checkpoint capture aliases data
+	shared bool   // data is a handed array, or a sealed record or capture aliases it
 	dirty  bool   // modified since the last checkpoint seal
 	dead   bool   // deleted since the last checkpoint seal
 	lbl    []byte // the label, encoded canonically (nil: none)
@@ -369,14 +370,22 @@ func (s *Store) WALStats() wal.Stats { return s.l.Stats() }
 
 // Put stores (or replaces) the contents of an object in memory.  Nothing is
 // written to disk until SyncObject or a checkpoint, mirroring HiStar's
-// delayed allocation.
-func (s *Store) Put(id uint64, data []byte) error { return s.put(id, data, nil, 0, len(data)) }
+// delayed allocation.  The store keeps a copy; data stays the caller's.
+func (s *Store) Put(id uint64, data []byte) error {
+	return s.put(id, append([]byte(nil), data...), nil, 0, len(data))
+}
+
+// handPage is kernel.PageSize: an object of at most this many bytes is kept,
+// not copied, whatever range a put names (the kernel.Pager contract).
+const handPage = 4096
 
 // PutLabeled is Put plus recording the object's information-flow label, in
 // its canonical form, and the caller's word that only bytes [lo, hi) differ
 // from its last put.  Contents and label are installed under one hold of mu,
 // so a concurrent SyncObject never seals the new contents with the old
-// label.
+// label.  A put of every byte, or of at most handPage, keeps data itself —
+// the caller never writes it again — and a range put of a larger object
+// patches the store's own copy.
 func (s *Store) PutLabeled(id uint64, lbl label.Label, data []byte, lo, hi int) error {
 	return s.put(id, data, lbl.AppendBinary(nil), lo, hi)
 }
@@ -390,16 +399,11 @@ func (s *Store) put(id uint64, data []byte, lbl []byte, lo, hi int) error {
 	if s.closed {
 		return ErrClosed
 	}
-	// A put of every byte copies them before taking mu, so that no other
-	// operation waits on the copy; a range put patches under mu.
-	var whole []byte
-	if lo <= 0 && hi >= len(data) {
-		whole = append([]byte(nil), data...)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e := s.entry(id)
 	fresh := !e.resident() || len(data) != len(e.data)
+	keep := lo <= 0 && hi >= len(data) || len(data) <= handPage
 	if fresh {
 		e.lo, e.hi = 0, len(data)
 	} else if lo, hi = max(lo, 0), min(hi, len(data)); lo < hi {
@@ -408,13 +412,15 @@ func (s *Store) put(id uint64, data []byte, lbl []byte, lo, hi int) error {
 		}
 		e.lo, e.hi = min(e.lo, lo), max(e.hi, hi)
 	}
-	// Patch [lo, hi) in place — the caller vouches for every other byte —
-	// unless a sealed record or checkpoint capture still holds the slice.
-	if whole != nil {
-		e.data, e.shared = whole, false
-	} else if fresh || e.shared {
+	// Keep a handed array, shared so nothing patches it; patch [lo, hi) in
+	// place — the caller vouches for every other byte — unless a handed
+	// array, a sealed record or a checkpoint capture holds the slice.
+	switch {
+	case keep:
+		e.data, e.shared = data, true
+	case fresh || e.shared:
 		e.data, e.shared = append([]byte(nil), data...), false
-	} else if lo < hi {
+	case lo < hi:
 		copy(e.data[lo:hi], data[lo:hi])
 	}
 	e.dirty, e.dead = true, false

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"histar/internal/disk"
@@ -543,6 +544,52 @@ func TestSyncObjectPersistsLabelAcrossCrash(t *testing.T) {
 	data, err := s2.Get(9)
 	if err != nil || string(data) != "secret" {
 		t.Fatalf("contents after crash: %q, %v", data, err)
+	}
+}
+
+// TestReplayedLabelOwnsItsBytes: a replayed entry's label is its own, not a
+// slice of the log read its record came from, so the read is garbage once
+// Open returns.  Here a 900 KiB unlabeled object shares one log frame with a
+// labeled one, then is deleted: what the reopened store holds stays far
+// below the frame.
+func TestReplayedLabelOwnsItsBytes(t *testing.T) {
+	d := disk.New(disk.Params{Sectors: 1 << 16, WriteCache: true}, &vclock.Clock{})
+	opts := Options{LogSize: 4 << 20}
+	s, err := Format(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := errors.Join(
+		s.PutLabeled(1, rotLabel(1), []byte("labeled"), 0, whole),
+		s.Put(2, make([]byte, 900<<10)),
+	); err != nil {
+		t.Fatal(err)
+	}
+	commits := s.WALStats().Commits
+	if err := errors.Join(s.SyncObjects([]uint64{1, 2})...); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.WALStats().Commits - commits; n != 1 {
+		t.Fatalf("the two syncs took %d frames, want one", n)
+	}
+	if err := errors.Join(s.Delete(2), s.SyncObject(2)); err != nil {
+		t.Fatal(err)
+	}
+	d.Crash()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s2, err := Open(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if got := int64(after.HeapAlloc) - int64(before.HeapAlloc); got > 256<<10 {
+		t.Errorf("the reopened store holds %d KiB more heap, want under 256: a replayed label pins its log read", got>>10)
+	}
+	if lbl, ok := s2.Label(1); !ok || !lbl.Equal(rotLabel(1)) {
+		t.Fatalf("label after the crash = %v, %v", lbl, ok)
 	}
 }
 

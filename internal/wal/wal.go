@@ -175,7 +175,7 @@ type Log struct {
 	start int64
 	size  int64
 
-	scratch []byte // the last frame written, kept for its capacity
+	scratch []byte // the last frame of at most readChunk bytes, kept for its capacity
 	gen     uint64 // the header's generation
 	tail    int64  // body offset (bytes after the header) of the next frame
 	stats   Stats
@@ -345,8 +345,11 @@ func (l *Log) Commit(epoch uint64, recs []Record) error {
 		return ErrFull
 	}
 	at := l.tail
-	l.scratch = appendFrame(l.scratch[:0], recs, l.gen, epoch, at)
-	if err := l.writeThrough(l.scratch, l.pos(at)); err != nil {
+	frame := appendFrame(l.scratch[:0], recs, l.gen, epoch, at)
+	if n <= readChunk {
+		l.scratch = frame // a larger frame's own array is dropped after the write
+	}
+	if err := l.writeThrough(frame, l.pos(at)); err != nil {
 		return err
 	}
 	// The tail moves only now: a frame whose flush failed is never

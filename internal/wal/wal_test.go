@@ -649,6 +649,26 @@ func TestCommitAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestCommitKeepsNoLargeBuffer: a frame over readChunk is written from a
+// buffer of its own, dropped after the write, so one large record does not
+// leave the log holding its size; the smaller frames' buffer stays reused.
+func TestCommitKeepsNoLargeBuffer(t *testing.T) {
+	l, err := New(nullDev{1 << 30}, 0, 1<<30)
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := []Record{{ObjectID: 1, Data: make([]byte, 100)}}
+	if err := errors.Join(l.Commit(0, small), l.Commit(0, []Record{{ObjectID: 2, Data: make([]byte, 4<<20)}})); err != nil {
+		t.Fatal(err)
+	}
+	if cap(l.scratch) > readChunk {
+		t.Errorf("after a 4 MiB frame the log keeps a %d KiB buffer, want at most readChunk", cap(l.scratch)>>10)
+	}
+	if n := testing.AllocsPerRun(100, func() { l.Commit(0, small) }); n != 0 {
+		t.Errorf("a small frame after a large one allocates %v times, want its buffer reused", n)
+	}
+}
+
 // flaky fails one chosen Flush of the disk under it, after destaging budget
 // bytes of the cache: an error is returned, but the machine stays up and the
 // caller carries on — a failed barrier, not a power cut.
