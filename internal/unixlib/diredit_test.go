@@ -3,6 +3,7 @@ package unixlib
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -31,6 +32,8 @@ import (
 // an edit is 6 calls, the first read holding the header and the fences but
 // not the bucket, and resolving a component at most 4: the first read, the
 // fences when it does not hold them, the bucket, the sequence word again.
+// A component the process's name table remembers is one call too, whatever
+// the directory's size: a read of the directory's 16-byte header.
 func TestDirEditSyscallBudget(t *testing.T) {
 	t.Run("no store", func(t *testing.T) { dirEditSyscallBudget(t, bootSys(t), 0) })
 	t.Run("store", func(t *testing.T) {
@@ -100,6 +103,36 @@ func dirEditSyscallBudget(t *testing.T, sys *System, persist uint64) {
 		}
 	}
 
+	// A warm re-resolution: /tmp/a/n was resolved above, and every edit of
+	// /tmp/a since was this process's own, which moved the slot to the word
+	// the edit released with, so each component is one read of its
+	// directory's 16-byte header.  A kernel read returns a fresh copy of what
+	// it read and the walk allocates nothing else, so the bytes it allocates
+	// are the bytes it read.
+	warm := func() {
+		if _, _, e, err := p.lookup("/tmp/a/n"); err != nil || e.Name != "n" {
+			t.Fatalf("lookup(/tmp/a/n) = %v, %v", e, err)
+		}
+	}
+	before := p.TC.SyscallsIssued()
+	warm()
+	if got := p.TC.SyscallsIssued() - before; got != resolve {
+		t.Errorf("a warm re-resolution of /tmp/a/n issued %d kernel calls, want %d", got, resolve)
+	}
+	const runs = 100
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range runs {
+		warm()
+	}
+	runtime.ReadMemStats(&m1)
+	if bytes := (m1.TotalAlloc - m0.TotalAlloc) / runs; bytes != resolve*dsDataOff {
+		t.Errorf("a warm re-resolution of /tmp/a/n read %d bytes, want %d", bytes, resolve*dsDataOff)
+	}
+	if allocs := testing.AllocsPerRun(runs, warm); allocs != resolve {
+		t.Errorf("a warm re-resolution of /tmp/a/n allocated %.0f times, want %d: one read a component", allocs, resolve)
+	}
+
 	// Resolving every name of a directory, and one not bound: the calls the
 	// last component cost, by count.
 	resolveAll := func(dir string, n int) map[uint64]int {
@@ -108,7 +141,7 @@ func dirEditSyscallBudget(t *testing.T, sys *System, persist uint64) {
 			path := fmt.Sprintf("%s/f%05d", dir, i)
 			before := p.TC.SyscallsIssued()
 			_, _, entry, err := p.lookup(path)
-			if err != nil || (entry != nil) != (i < n) {
+			if err != nil || (entry.Name != "") != (i < n) {
 				t.Fatalf("lookup(%s) = %v, %v", path, entry, err)
 			}
 			hist[p.TC.SyscallsIssued()-before-2]++ // "tmp" and the directory: one read each
@@ -131,8 +164,8 @@ func dirEditSyscallBudget(t *testing.T, sys *System, persist uint64) {
 		t.Errorf("kernel calls per component resolved in a 1,000-entry directory: %v, want 1 to 4 each", hist)
 	}
 	t.Logf("kernel calls per component resolved in a 1,000-entry directory: %v", hist)
-	before := p.TC.SyscallsIssued()
-	if err := sys.editDir(p.TC, big.ID, func(d *dirEdit) error {
+	before = p.TC.SyscallsIssued()
+	if err := sys.editDir(p.TC, &p.names, big.ID, func(d *dirEdit) error {
 		d.add(DirEntry{Name: "added", ID: 1, Type: kernel.ObjSegment})
 		return nil
 	}); err != nil {
@@ -430,7 +463,7 @@ func TestReadDirWaitsForHeldWriter(t *testing.T) {
 	add := func(p *Process, name string, during func()) <-chan error {
 		done := make(chan error, 1)
 		go func() {
-			done <- sys.editDir(p.TC, dir.ID, func(d *dirEdit) error {
+			done <- sys.editDir(p.TC, &p.names, dir.ID, func(d *dirEdit) error {
 				during()
 				d.add(DirEntry{Name: name, ID: kernel.ID(len(name)), Type: kernel.ObjSegment})
 				return nil

@@ -557,7 +557,7 @@ func TestHostileDirectoryCount(t *testing.T) {
 			t.Fatal(err)
 		}
 		refused := errors.New("refused")
-		if err := sys.editDir(victim.TC, tmp.ID, func(d *dirEdit) error {
+		if err := sys.editDir(victim.TC, &victim.names, tmp.ID, func(d *dirEdit) error {
 			d.has("real")
 			return refused
 		}); !errors.Is(err, refused) {
@@ -718,7 +718,7 @@ func BenchmarkResolve(b *testing.B) {
 		b.Run(fmt.Sprint(n), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, entry, err := p.lookup(path); err != nil || entry == nil || entry.Name != path[len(path)-6:] {
+				if _, _, entry, err := p.lookup(path); err != nil || entry.Name != path[len(path)-6:] {
 					b.Fatalf("lookup(%s) = %v, %v", path, entry, err)
 				}
 			}

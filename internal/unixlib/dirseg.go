@@ -75,6 +75,18 @@ import (
 // that is still the even value the first read held.  ReadDir reads the
 // whole segment once.  Both sleep on the futex while the word is odd.
 //
+// A warm lookup reads less.  A process remembers, in its name table
+// (names.go), each binding it found and the even word it was read under; a
+// lookup of a remembered binding reads the directory's 16-byte header — the
+// word, and the count word, which only shows that the segment still holds a
+// header — and returns the binding when the word is unchanged, since every
+// edit moves it.  Otherwise it runs the lookup above.  The read is the
+// caller's, under its label at that moment, so the table answers nothing the
+// kernel would refuse.  A process's own edits keep its table current: an
+// edit that locked the word at s and released it at s+2 drops the names it
+// touched and moves the directory's other slots read under s to s+2, so
+// editing a directory does not make what the editor knows of it stale.
+//
 // The edit protocol, which editDir is the only code to run:
 //
 //  1. the same first read, sleeping on the futex while its sequence word s
@@ -90,9 +102,10 @@ import (
 //     resizes it and writes everything past the header in ONE write;
 //  4. unlock with ONE write of both header words — s+2, the new count — so
 //     no reader sees a released word beside a count its entries do not
-//     match, then wake every waiter: readers and writers sleep on the same
-//     word, so waking one could wake a reader and strand a writer.  An edit
-//     that changed nothing releases with the count it found.
+//     match, bring the editor's name table up to s+2, then wake every
+//     waiter: readers and writers sleep on the same word, so waking one
+//     could wake a reader and strand a writer.  An edit that changed nothing
+//     releases with the count it found.
 //
 // So an edit that fits its bucket reads and writes that bucket, not the
 // directory, in six calls — the first read, the compare-and-swap, the
@@ -419,7 +432,9 @@ type dirEdit struct {
 	seen  uint64 // entries in bkts, as they were read
 	relay bool   // flush lays the directory out anew
 	err   error
+	names []string     // the names whose bindings the edit changed
 	held  [2]dirBucket // room for bkts: an edit names one bucket, a rename two
+	heldN [2]string    // room for names
 }
 
 // dirBucket is a bucket an edit read: its region, which starts at off in the
@@ -445,7 +460,7 @@ func (b *dirBucket) setUsed(n int) {
 // alone among them — is laid out anew.
 func openDirEdit(r dirReader) *dirEdit {
 	d := &dirEdit{r: r, found: binary.LittleEndian.Uint64(r.pre[dsCountOff:])}
-	d.count, d.bkts = d.found, d.held[:0]
+	d.count, d.bkts, d.names = d.found, d.held[:0], d.heldN[:0]
 	ok := false
 	if f, _ := r.bytes(dsDataOff, dsDataOff+fenceSize); len(f) == fenceSize {
 		d.bits, ok = layoutBits(le32(f))
@@ -582,6 +597,7 @@ func (d *dirEdit) add(e DirEntry) {
 	appendEntry(b.reg[at:at], e) // in place: the region has room
 	b.setUsed(used + n)
 	d.count++
+	d.names = append(d.names, e.Name)
 }
 
 // take removes name's entry and returns what it was bound to.
@@ -601,6 +617,7 @@ func (d *dirEdit) take(name string) (DirEntry, error) {
 	clear(b.reg[usedSize+used-n : usedSize+used])
 	b.setUsed(used - n)
 	d.count--
+	d.names = append(d.names, name)
 	return e, nil
 }
 
@@ -622,6 +639,7 @@ func (d *dirEdit) bind(e DirEntry) DirEntry {
 	binary.LittleEndian.PutUint64(b.reg[t:], uint64(e.ID))
 	b.reg[t+8] = byte(e.Type)
 	b.dirty = true
+	d.names = append(d.names, e.Name)
 	return victim
 }
 
@@ -702,8 +720,10 @@ func (sys *System) forgetDir(dir kernel.ID) {
 // above around edit, which changes the directory's bytes through the dirEdit
 // it is handed.  When edit fails nothing is written and its error is
 // returned; it runs with the directory locked, so it may create or
-// unreference the objects the entries name but must not edit dir again.
-func (sys *System) editDir(tc *kernel.ThreadCall, dir kernel.ID, edit func(*dirEdit) error) error {
+// unreference the objects the entries name but must not edit dir again.  nt
+// is the editing process's name table (nil for none), which the edit keeps
+// current.
+func (sys *System) editDir(tc *kernel.ThreadCall, nt *nameTable, dir kernel.ID, edit func(*dirEdit) error) error {
 	seg, first, err := sys.dirSeg(tc, dir)
 	if err != nil {
 		return err
@@ -726,11 +746,12 @@ func (sys *System) editDir(tc *kernel.ThreadCall, dir kernel.ID, edit func(*dirE
 	r := segReader(tc, seg, pre, first)
 	next := firstRead(pre, r.whole)
 	d, count := openDirEdit(r), binary.LittleEndian.Uint64(pre[dsCountOff:])
+	kept := true                   // the directory at s+2 is the one at s but for d.names
 	if err = edit(d); err == nil { // step 3
 		var laid []byte
 		laid, err = d.flush(func(n int) error { return sys.segResize(tc, seg, n) },
 			func(off int, b []byte) error { return sys.segWrite(tc, seg, off, b) })
-		if err == nil {
+		if kept = err == nil; kept {
 			count = d.count
 			if laid != nil {
 				next = firstRead(laid, true)
@@ -744,6 +765,9 @@ func (sys *System) editDir(tc *kernel.ThreadCall, dir kernel.ID, edit func(*dirE
 	binary.LittleEndian.PutUint64(rel[dsMutexOff:], seq+2)
 	binary.LittleEndian.PutUint64(rel[dsCountOff:], count)
 	uerr := tc.SegmentWrite(seg, 0, rel[:])
+	if uerr == nil && kept {
+		nt.edited(dir, seq, d.names)
+	}
 	if uerr == nil {
 		_, uerr = tc.FutexWake(seg, dsMutexOff, math.MaxInt)
 	}
@@ -780,8 +804,20 @@ func readDir(tc *kernel.ThreadCall, seg kernel.CEnt, n int) ([]byte, error) {
 }
 
 // lookupEntry finds name in dir, reading what the layout above says a lookup
-// reads: what it reads and allocates does not grow with the directory.
-func (sys *System) lookupEntry(tc *kernel.ThreadCall, dir kernel.ID, name string) (DirEntry, error) {
+// reads: what it reads and allocates does not grow with the directory.  A
+// binding nt remembers costs one read of the header instead, and is returned
+// when the sequence word there is the one it was read under; the count word
+// beside it is read only to see that the segment still holds a header.
+func (sys *System) lookupEntry(tc *kernel.ThreadCall, nt *nameTable, dir kernel.ID, name string) (DirEntry, error) {
+	if s, ok := nt.get(dir, name); ok {
+		h, err := tc.SegmentRead(kernel.CEnt{Container: dir, Object: s.seg}, 0, dsDataOff)
+		if err != nil {
+			return DirEntry{}, mapKernelErr(err)
+		}
+		if len(h) == dsDataOff && binary.LittleEndian.Uint64(h[dsMutexOff:]) == s.seq {
+			return s.e, nil
+		}
+	}
 	seg, n, err := sys.dirSeg(tc, dir)
 	if err != nil {
 		return DirEntry{}, err
@@ -809,8 +845,10 @@ func (sys *System) lookupEntry(tc *kernel.ThreadCall, dir kernel.ID, name string
 		case err != nil:
 			return DirEntry{}, mapKernelErr(err)
 		case !found:
+			nt.drop(dir, name)
 			return DirEntry{}, ErrNotExist
 		}
+		nt.put(dir, seg.Object, binary.LittleEndian.Uint64(pre[dsMutexOff:]), e)
 		return e, nil
 	}
 }

@@ -39,22 +39,22 @@ func (p *Process) withThreadTaint(l label.Label) label.Label {
 }
 
 // lookup resolves path — relative to the working directory — to the
-// directory holding its last component, that component's name and, when the
-// name is bound, its entry.
-func (p *Process) lookup(path string) (dir kernel.ID, leaf string, entry *DirEntry, err error) {
-	return p.sys.resolve(p.TC, p.abs(path))
+// directory holding its last component, that component's name and its entry,
+// whose Name is empty when the name is not bound.
+func (p *Process) lookup(path string) (dir kernel.ID, leaf string, entry DirEntry, err error) {
+	return p.sys.resolve(p.TC, &p.names, p.abs(path))
 }
 
 // existing is lookup for a path that must name something.
 func (p *Process) existing(path string) (kernel.ID, DirEntry, error) {
 	dir, _, entry, err := p.lookup(path)
-	if err == nil && entry == nil {
+	if err == nil && entry.Name == "" {
 		err = ErrNotExist
 	}
 	if err != nil {
 		return kernel.NilID, DirEntry{}, err
 	}
-	return dir, *entry, nil
+	return dir, entry, nil
 }
 
 // Create creates a file with the given label and opens it for reading and
@@ -67,10 +67,10 @@ func (p *Process) Create(path string, lbl label.Label) (int, error) {
 	if err != nil {
 		return -1, err
 	}
-	if entry != nil {
+	if entry.Name != "" {
 		return -1, ErrExist
 	}
-	file, err := p.sys.createFileIn(p.TC, dir, leaf, lbl)
+	file, err := p.sys.createFileIn(p.TC, &p.names, dir, leaf, lbl)
 	if err != nil {
 		return -1, err
 	}
@@ -359,10 +359,10 @@ func (p *Process) Mkdir(path string, lbl label.Label) error {
 	if err != nil {
 		return err
 	}
-	if entry != nil {
+	if entry.Name != "" {
 		return ErrExist
 	}
-	_, err = p.sys.mkdirIn(p.TC, dir, leaf, lbl)
+	_, err = p.sys.mkdirIn(p.TC, &p.names, dir, leaf, lbl)
 	return err
 }
 
@@ -404,7 +404,7 @@ func (p *Process) Unlink(path string) error {
 			return ErrNotEmpty
 		}
 	}
-	if err := p.sys.removeEntry(p.TC, dir, entry.Name); err != nil {
+	if err := p.sys.removeEntry(p.TC, &p.names, dir, entry.Name); err != nil {
 		return err
 	}
 	if entry.Type == kernel.ObjContainer {
@@ -427,7 +427,7 @@ func (p *Process) Rename(oldPath, newPath string) error {
 		return err
 	}
 	if oldDir == newDir {
-		return p.sys.editDir(p.TC, oldDir, func(d *dirEdit) error {
+		return p.sys.editDir(p.TC, &p.names, oldDir, func(d *dirEdit) error {
 			src, err := d.take(oldEntry.Name)
 			if err == nil {
 				src.Name = newLeaf
@@ -444,14 +444,14 @@ func (p *Process) Rename(oldPath, newPath string) error {
 	if err := p.TC.Link(newDir, ce); err != nil && err != kernel.ErrExists {
 		return mapKernelErr(err)
 	}
-	err = p.sys.editDir(p.TC, newDir, func(d *dirEdit) error {
+	err = p.sys.editDir(p.TC, &p.names, newDir, func(d *dirEdit) error {
 		p.sys.bindEntry(p.TC, newDir, d, DirEntry{Name: newLeaf, ID: oldEntry.ID, Type: oldEntry.Type})
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	if err := p.sys.removeEntry(p.TC, oldDir, oldEntry.Name); err != nil {
+	if err := p.sys.removeEntry(p.TC, &p.names, oldDir, oldEntry.Name); err != nil {
 		return err
 	}
 	_ = p.TC.Unref(oldDir, oldEntry.ID)
@@ -478,18 +478,16 @@ func (p *Process) ReadFile(path string) ([]byte, error) {
 // refused overwrite changes nothing.
 func (p *Process) WriteFile(path string, data []byte, lbl label.Label) error {
 	dir, leaf, entry, err := p.lookup(path)
-	if err == nil && entry == nil {
+	if err == nil && entry.Name == "" {
 		if lbl.IsZero() {
 			lbl = p.DefaultFileLabel()
 		}
 		var file kernel.ID
-		if file, err = p.sys.createFileIn(p.TC, dir, leaf, lbl); err == nil {
+		if file, err = p.sys.createFileIn(p.TC, &p.names, dir, leaf, lbl); err == nil {
 			return p.writeAt(kernel.CEnt{Container: dir, Object: file}, 0, data)
 		}
 		if err == ErrExist { // a racer bound the name after the lookup: overwrite its file
-			var bound DirEntry
-			dir, bound, err = p.existing(path)
-			entry = &bound
+			dir, entry, err = p.existing(path)
 		}
 	}
 	switch {

@@ -42,10 +42,11 @@ func (sys *System) mkDirContainer(tc *kernel.ThreadCall, parent kernel.ID, name 
 }
 
 // addEntry binds name in dir to the object create makes, and fails with
-// ErrExist — before anything is created — when the name is taken.
-func (sys *System) addEntry(tc *kernel.ThreadCall, dir kernel.ID, name string, typ kernel.ObjectType, create func() (kernel.ID, error)) (kernel.ID, error) {
+// ErrExist — before anything is created — when the name is taken.  nt is the
+// calling process's name table, as for editDir.
+func (sys *System) addEntry(tc *kernel.ThreadCall, nt *nameTable, dir kernel.ID, name string, typ kernel.ObjectType, create func() (kernel.ID, error)) (kernel.ID, error) {
 	var id kernel.ID
-	err := sys.editDir(tc, dir, func(d *dirEdit) error {
+	err := sys.editDir(tc, nt, dir, func(d *dirEdit) error {
 		if d.has(name) || d.err != nil {
 			return cmp.Or(d.err, ErrExist)
 		}
@@ -60,16 +61,16 @@ func (sys *System) addEntry(tc *kernel.ThreadCall, dir kernel.ID, name string, t
 
 // mkdirIn creates a named subdirectory inside dir and records it in dir's
 // directory segment.
-func (sys *System) mkdirIn(tc *kernel.ThreadCall, dir kernel.ID, name string, lbl label.Label) (kernel.ID, error) {
-	return sys.addEntry(tc, dir, name, kernel.ObjContainer, func() (kernel.ID, error) {
+func (sys *System) mkdirIn(tc *kernel.ThreadCall, nt *nameTable, dir kernel.ID, name string, lbl label.Label) (kernel.ID, error) {
+	return sys.addEntry(tc, nt, dir, name, kernel.ObjContainer, func() (kernel.ID, error) {
 		return sys.mkDirContainer(tc, dir, name, lbl)
 	})
 }
 
 // createFileIn creates a file segment named name inside dir with the given
 // label.
-func (sys *System) createFileIn(tc *kernel.ThreadCall, dir kernel.ID, name string, lbl label.Label) (kernel.ID, error) {
-	return sys.addEntry(tc, dir, name, kernel.ObjSegment, func() (kernel.ID, error) {
+func (sys *System) createFileIn(tc *kernel.ThreadCall, nt *nameTable, dir kernel.ID, name string, lbl label.Label) (kernel.ID, error) {
+	return sys.addEntry(tc, nt, dir, name, kernel.ObjSegment, func() (kernel.ID, error) {
 		file, err := tc.SegmentCreate(dir, lbl, "file:"+truncName(name), 0)
 		if err != nil {
 			return kernel.NilID, mapKernelErr(err)
@@ -99,8 +100,8 @@ func truncName(s string) string {
 
 // removeEntry removes a name binding from a directory (the object itself is
 // unreferenced by the caller).
-func (sys *System) removeEntry(tc *kernel.ThreadCall, dir kernel.ID, name string) error {
-	return sys.editDir(tc, dir, func(d *dirEdit) error {
+func (sys *System) removeEntry(tc *kernel.ThreadCall, nt *nameTable, dir kernel.ID, name string) error {
+	return sys.editDir(tc, nt, dir, func(d *dirEdit) error {
 		_, err := d.take(name)
 		return err
 	})
@@ -119,29 +120,29 @@ func (sys *System) bindEntry(tc *kernel.ThreadCall, dir kernel.ID, d *dirEdit, e
 	}
 }
 
-// resolve walks an absolute or cwd-relative path to its final component.  It
-// returns the containing directory, the final component's name, and — if the
-// path names an existing entry — that entry.
-func (sys *System) resolve(tc *kernel.ThreadCall, path string) (dir kernel.ID, leaf string, entry *DirEntry, err error) {
+// resolve walks an absolute or cwd-relative path to its final component,
+// through the name table nt (nil for none).  It returns the containing
+// directory, the final component's name, and the entry the path names — the
+// zero DirEntry, whose Name is empty, when the name is not bound.
+func (sys *System) resolve(tc *kernel.ThreadCall, nt *nameTable, path string) (dir kernel.ID, leaf string, entry DirEntry, err error) {
 	cur, rest := sys.RootDir, strings.Trim(cleanPath(path), "/")
 	if rest == "" {
-		return cur, ".", &DirEntry{Name: ".", ID: cur, Type: kernel.ObjContainer}, nil
+		return cur, ".", DirEntry{Name: ".", ID: cur, Type: kernel.ObjContainer}, nil
 	}
 	// cleanPath left no empty or "." component: every part names an entry.
 	for {
 		var more bool
 		leaf, rest, more = strings.Cut(rest, "/")
-		e, err := sys.lookupEntry(tc, cur, leaf)
+		e, err := sys.lookupEntry(tc, nt, cur, leaf)
 		switch {
 		case !more && errors.Is(err, ErrNotExist):
-			return cur, leaf, nil, nil
+			return cur, leaf, DirEntry{}, nil
 		case err != nil:
-			return kernel.NilID, "", nil, err
+			return kernel.NilID, "", DirEntry{}, err
 		case !more:
-			found := e // only the leaf's entry escapes
-			return cur, leaf, &found, nil
+			return cur, leaf, e, nil
 		case e.Type != kernel.ObjContainer:
-			return kernel.NilID, "", nil, ErrNotDir
+			return kernel.NilID, "", DirEntry{}, ErrNotDir
 		}
 		cur = e.ID
 	}

@@ -56,7 +56,13 @@ const (
 	exitSegSize   = 16
 )
 
-// Process is one Unix-style process.
+// Process is one Unix-style process.  It resolves paths on its own thread,
+// under its own label, and keeps its name table (names.go): the bindings it
+// found lately and the sequence word each was read under.  So a path it
+// resolved before costs one 16-byte read of each directory's header —
+// checked by the kernel against its label at that moment — rather than a
+// read of each directory.  The table is the process's alone, kept current
+// by its own edits, and starts empty.
 type Process struct {
 	sys *System
 	PID int
@@ -80,8 +86,9 @@ type Process struct {
 
 	// No process-wide lock: the descriptor table has its own read-mostly
 	// RWMutex (per-descriptor state is additionally guarded by the FD's
-	// shared seek lock), and the remaining mutable scraps (cwd, exit flag,
-	// signal handlers) sit behind two small leaf mutexes.
+	// shared seek lock), the remaining mutable scraps (cwd, exit flag,
+	// signal handlers) sit behind two small leaf mutexes, and the name table
+	// has its own.
 	fdMu     sync.RWMutex
 	fds      map[int]*FD
 	mu       sync.Mutex // cwd, exited
@@ -91,6 +98,7 @@ type Process struct {
 	handlers map[int]func(sig int)
 	// halted is closed when Exit has made its last system call.
 	halted chan struct{}
+	names  nameTable
 	// labelMu serialises the sequences that grow TC's label and shrink it
 	// again: creating a child (allocate … shed) and Kill.
 	labelMu sync.Mutex
@@ -109,7 +117,7 @@ func (p *Process) Chdir(path string) error {
 	if err != nil {
 		return err
 	}
-	if entry == nil || entry.Type != kernel.ObjContainer {
+	if entry.Name == "" || entry.Type != kernel.ObjContainer {
 		return ErrNotDir
 	}
 	p.mu.Lock()

@@ -141,7 +141,7 @@ func Boot(opts BootOptions) (*System, error) {
 	}
 	sys.RootDir = rootDir
 	for _, d := range []string{"tmp", "bin", "etc", "home", "dev"} {
-		if _, err := sys.mkdirIn(tc, rootDir, d, label.New(label.L1)); err != nil {
+		if _, err := sys.mkdirIn(tc, nil, rootDir, d, label.New(label.L1)); err != nil {
 			return nil, fmt.Errorf("creating /%s: %w", d, err)
 		}
 	}
@@ -227,7 +227,7 @@ func (sys *System) AddUser(name string) (*User, error) {
 	if err != nil {
 		return nil, err
 	}
-	if _, err := sys.mkdirIn(sys.initTC, home, name, homeLabel); err != nil && err != ErrExist {
+	if _, err := sys.mkdirIn(sys.initTC, nil, home, name, homeLabel); err != nil && err != ErrExist {
 		return nil, err
 	}
 
@@ -252,11 +252,11 @@ func (sys *System) allocPID() int {
 // lookupDir resolves an absolute path to a directory container using the
 // init thread (bootstrap-only plumbing; processes use their own resolution).
 func (sys *System) lookupDir(tc *kernel.ThreadCall, path string) (kernel.ID, error) {
-	_, _, entry, err := sys.resolve(tc, path)
+	_, _, entry, err := sys.resolve(tc, nil, path)
 	if err != nil {
 		return kernel.NilID, err
 	}
-	if entry == nil {
+	if entry.Name == "" {
 		return kernel.NilID, ErrNotExist
 	}
 	if entry.Type != kernel.ObjContainer {
