@@ -664,12 +664,24 @@ func fillDir(tb testing.TB, p *Process, dir string, n int) string {
 	return last
 }
 
-// TestStatAllocsIndependentOfDirectorySize is the property the lookup's gain
-// rests on: a Stat in a directory of 1,000 or 10,000 entries allocates what
-// it does in one of 10 entries, but for the bucket — at most three more
+// forget empties p's name table in place, so that p's next lookup of every
+// component reads its directory as a cold one does.
+func forget(p *Process) {
+	p.names.mu.Lock()
+	if p.names.sets != nil {
+		*p.names.sets = [nameSets][nameWays]nameSlot{}
+	}
+	p.names.mu.Unlock()
+}
+
+// TestStatAllocsIndependentOfDirectorySize is the property the cold lookup's
+// gain rests on: a Stat in a directory of 1,000 or 10,000 entries allocates
+// what it does in one of 10 entries, but for the bucket — at most three more
 // allocations (the fences, the bucket, the sequence word read again) and at
 // most 512 more bytes (the prefix past a small directory's, the fences, a
 // bucket of about 16 entries, the word), by runtime.MemStats.TotalAlloc.
+// Every Stat measured starts from an empty name table: a remembered binding
+// would be answered from the directory's header alone.
 func TestStatAllocsIndependentOfDirectorySize(t *testing.T) {
 	sys := bootSys(t)
 	p, err := sys.NewInitProcess("alice")
@@ -680,6 +692,7 @@ func TestStatAllocsIndependentOfDirectorySize(t *testing.T) {
 	cost := func(n int) (allocs, bytes float64) {
 		last := fillDir(t, p, fmt.Sprintf("/tmp/n%d", n), n)
 		stat := func() {
+			forget(p)
 			if _, err := p.Stat(last); err != nil {
 				t.Fatal(err)
 			}
@@ -704,9 +717,11 @@ func TestStatAllocsIndependentOfDirectorySize(t *testing.T) {
 }
 
 // BenchmarkResolve walks /tmp/<dir>/<last name> with 10, 1,000 and 10,000
-// entries in the directory.  Past the prefix a lookup reads first, it reads
-// one bucket, its fences and the sequence word: what grows with the directory
-// is the part of the prefix the directory fills.
+// entries in the directory, with no name table.  Past the prefix a lookup
+// reads first, it reads one bucket, its fences and the sequence word: what
+// grows with the directory is the part of the prefix the directory fills.
+// The warm cases walk with the process's table, which holds every component
+// after the first walk: one read of each directory's 16-byte header.
 func BenchmarkResolve(b *testing.B) {
 	sys := bootSys(b)
 	p, err := sys.NewInitProcess("alice")
@@ -715,14 +730,19 @@ func BenchmarkResolve(b *testing.B) {
 	}
 	for _, n := range []int{10, 1000, 10000} {
 		path := fillDir(b, p, fmt.Sprintf("/tmp/n%d", n), n)
-		b.Run(fmt.Sprint(n), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, entry, err := p.lookup(path); err != nil || entry.Name != path[len(path)-6:] {
-					b.Fatalf("lookup(%s) = %v, %v", path, entry, err)
+		for _, c := range []struct {
+			name string
+			nt   *nameTable
+		}{{fmt.Sprint(n), nil}, {fmt.Sprint(n, "-warm"), &p.names}} {
+			b.Run(c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, entry, err := p.sys.resolve(p.TC, c.nt, path); err != nil || entry.Name != path[len(path)-6:] {
+						b.Fatalf("resolve(%s) = %v, %v", path, entry, err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -306,6 +307,72 @@ func TestNameTableFollowsOwnEdits(t *testing.T) {
 	}
 	if got := statID(t, p, "/a/c/z"); got != ids["z"] {
 		t.Errorf("Stat of the moved name = %v, want %v", got, ids["z"])
+	}
+}
+
+// TestNameTableKeepsWordAfterFailedFlush: an edit whose flush fails may have
+// written some of the directory before the write that failed, so the
+// directory it releases at s+2 need not be the one at s but for the names it
+// meant to change.  The editor's slots read under s must stay at s, and its
+// next lookup of each read the directory again.  Here the flush fails at its
+// resize: renaming to a name no bucket's slack holds lays the directory out
+// anew, and the segment's fixed quota refuses the growth.
+func TestNameTableKeepsWordAfterFailedFlush(t *testing.T) {
+	sys := bootSys(t)
+	p, err := sys.NewInitProcess("alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Mkdir("/a", label.Label{}); err != nil {
+		t.Fatal(err)
+	}
+	a := statID(t, p, "/a")
+	seg, _, err := sys.dirSeg(p.TC, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.TC.ObjectSetFixedQuota(seg); err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"x", "y"}
+	ids := map[string]kernel.ID{}
+	for _, n := range names {
+		if err := p.WriteFile("/a/"+n, nil, label.Label{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range names {
+		ids[n] = statID(t, p, "/a/"+n)
+	}
+	was := seqWord(t, p, "/a")
+	for _, n := range names {
+		if s, ok := p.names.get(a, n); !ok || s.seq != was {
+			t.Fatalf("before the edit the table holds %+v, %v for %s; want it under the word %d", s, ok, n, was)
+		}
+	}
+
+	if err := p.Rename("/a/y", "/a/"+strings.Repeat("z", 20000)); err == nil {
+		t.Fatal("a rename that outgrows the directory's fixed quota succeeded")
+	}
+	if now := seqWord(t, p, "/a"); now != was+2 {
+		t.Fatalf("the failed edit released the word at %d, want %d", now, was+2)
+	}
+	for _, n := range names {
+		if s, ok := p.names.get(a, n); !ok || s.seq != was {
+			t.Errorf("after a failed flush the table holds %+v, %v for %s; want it under the word %d the edit locked from", s, ok, n, was)
+		}
+	}
+	for _, n := range names {
+		before := p.TC.SyscallsIssued()
+		if got := statID(t, p, "/a/"+n); got != ids[n] {
+			t.Errorf("Stat(/a/%s) = %v, want %v", n, got, ids[n])
+		}
+		// Stat is the walk's two calls, the length and the stat, and one
+		// more: /a's slot, no longer current, costs the header read, then
+		// the directory's first read.
+		if calls := p.TC.SyscallsIssued() - before; calls != 5 {
+			t.Errorf("Stat(/a/%s) after a failed flush issued %d kernel calls, want 5", n, calls)
+		}
 	}
 }
 
