@@ -87,7 +87,7 @@ func (s *Store) deriveFree(at int64, loading bool) ([]extent, error) {
 			}
 		}
 	}
-	// The segments ascend by base, none overlapping (decodeSegsSection);
+	// The segments ascend by base, none overlapping (rowReader.segs);
 	// the gaps they and the held extents leave are the free list.
 	var free []extent
 	at, end := logOffset+s.logSize, s.d.Size() // the data region follows the log

@@ -1,11 +1,11 @@
 package store
 
 // The bit-rot injection harness: silent single- and multi-bit corruption is
-// injected into every on-disk structure (superblock copies, metadata header
-// and sections, object extents, write-ahead log) and the tests assert the
-// right rung of the degradation ladder fires — detection everywhere, backup
-// superblock fallback, previous-snapshot-plus-retained-log fallback with
-// zero committed-sync loss, and per-object quarantine.
+// injected into every on-disk structure (superblock copies, bases, the
+// chain's run headers and deltas, object extents, write-ahead log) and the
+// tests assert the right rung of the degradation ladder fires — detection
+// everywhere, backup superblock fallback, previous-snapshot-plus-retained-log
+// fallback with zero committed-sync loss, and per-object quarantine.
 //
 // Injections use odd bit counts: CRC32C's generator polynomial has a factor
 // of x+1, so every odd-weight error burst inside one checksummed span is
@@ -48,7 +48,7 @@ func rotStore(t testing.TB) (*Store, *disk.FaultDisk) {
 // rebase runs a checkpoint that writes a base, whatever the chain holds.
 func rebase(t testing.TB, s *Store) {
 	t.Helper()
-	s.base.length = -1
+	s.base.renew = true
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
@@ -175,39 +175,27 @@ func checkAll(t *testing.T, s *Store, want map[uint64]string) {
 	}
 }
 
-// metaPayloadLen reads the payload length out of the header of the base at
-// device offset at.
-func metaPayloadLen(t *testing.T, d disk.Device, at int64) int64 {
+// readRecord reads and decodes the chain record, a base or a delta, at
+// extent at, failing the test unless its CRC holds and it decodes.
+func readRecord(t *testing.T, d disk.Device, at extent) record {
 	t.Helper()
-	hdr := make([]byte, metaHeaderSize)
-	if _, err := d.ReadAt(hdr, at); err != nil {
+	b := make([]byte, at.size)
+	if _, err := d.ReadAt(b, at.off); err != nil {
 		t.Fatal(err)
 	}
-	return int64(binary.LittleEndian.Uint64(hdr[mhPayloadOff:]))
+	if _, ok := recordSum(b); !ok {
+		t.Fatalf("the record at %d fails its checksum", at.off)
+	}
+	r, err := decodeRecord(b, at.off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
-// findSection walks the section stream of the base at device offset at and
-// returns the device region of one section's payload.
-func findSection(t *testing.T, d disk.Device, at int64, wantTag uint64) disk.Region {
-	t.Helper()
-	payloadLen := metaPayloadLen(t, d, at)
-	payload := make([]byte, payloadLen)
-	if _, err := d.ReadAt(payload, at+metaHeaderSize); err != nil {
-		t.Fatal(err)
-	}
-	off := int64(0)
-	for off < payloadLen {
-		tag := binary.LittleEndian.Uint64(payload[off:])
-		slen := int64(binary.LittleEndian.Uint64(payload[off+8:]))
-		off += 24
-		if tag == wantTag {
-			return disk.Region{Off: at + metaHeaderSize + off, Len: slen}
-		}
-		off += slen
-	}
-	t.Fatalf("section %d not found in the base at %d", wantTag, at)
-	return disk.Region{}
-}
+// recordHeaderSize is the record's fixed fields: epoch, chain id, next run
+// header's sector.
+const recordHeaderSize = 24
 
 // TestBitRotEveryCoveredFlipDetected is acceptance criterion (a): a single
 // silent bit flip anywhere in the superblock copies or the current base is
@@ -227,10 +215,10 @@ func TestBitRotEveryCoveredFlipDetected(t *testing.T) {
 			return disk.Region{Off: superblockOffset + sbBackupOff, Len: sbCopySize}
 		}},
 		{"meta-header", func(s *Store, _ *disk.FaultDisk) disk.Region {
-			return disk.Region{Off: s.base.ext.off, Len: metaHeaderSize}
+			return disk.Region{Off: s.base.ext.off, Len: recordHeaderSize}
 		}},
-		{"meta-payload", func(s *Store, fd *disk.FaultDisk) disk.Region {
-			return disk.Region{Off: s.base.ext.off + metaHeaderSize, Len: metaPayloadLen(t, fd, s.base.ext.off)}
+		{"meta-payload", func(s *Store, _ *disk.FaultDisk) disk.Region {
+			return disk.Region{Off: s.base.ext.off + recordHeaderSize, Len: s.base.ext.size - recordHeaderSize}
 		}},
 	}
 	for _, tgt := range targets {
@@ -301,13 +289,13 @@ func TestBitRotMetaFallbackZeroCommittedSyncLoss(t *testing.T) {
 	ranges := rangeGenerations(t, s)
 	want := populateGenerationsWith(t, s, func(gen int, want map[uint64]string) {
 		ranges(gen, want)
-		s.base.length = -1 // the checkpoint sealing generation 1 writes a base
+		s.base.renew = true // the checkpoint sealing generation 1 writes a base
 	})
 	epoch := s.metaEpoch
 	if len(s.chain) != 1 || s.base.epoch != epoch {
 		t.Fatalf("the last checkpoint wrote no base (%d deltas since): the fallback would not need the older chain", len(s.chain)-1)
 	}
-	if err := fd.RotBits(disk.Region{Off: s.base.ext.off, Len: mhCRCOff}, 3, 7); err != nil {
+	if err := fd.RotBits(disk.Region{Off: s.base.ext.off, Len: s.base.ext.size}, 3, 7); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Open(fd, Options{})
@@ -353,7 +341,7 @@ func TestBitRotBothBasesRefused(t *testing.T) {
 	s, fd := rotStore(t)
 	populateGenerations(t, s)
 	for i, at := range []extent{s.base.ext, s.prevBase} {
-		if err := fd.RotBits(disk.Region{Off: at.off, Len: mhCRCOff}, 3, int64(i+1)); err != nil {
+		if err := fd.RotBits(disk.Region{Off: at.off, Len: at.size}, 3, int64(i+1)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -750,7 +738,7 @@ func TestBitRotChain(t *testing.T) {
 	t.Run("base", func(t *testing.T) {
 		for seed := int64(1); seed <= 4; seed++ {
 			s, fd, want, epochs := chainStore(t)
-			if err := fd.RotBits(disk.Region{Off: s.base.ext.off, Len: mhCRCOff}, 3, seed); err != nil {
+			if err := fd.RotBits(disk.Region{Off: s.base.ext.off, Len: s.base.ext.size}, 3, seed); err != nil {
 				t.Fatal(err)
 			}
 			s2, err := Open(fd, Options{})
@@ -761,13 +749,83 @@ func TestBitRotChain(t *testing.T) {
 				t.Fatalf("seed %d: %+v; want MetaFallback at epoch %d", seed, rep, epochs[3])
 			}
 			checkAll(t, s2, want)
-			if err := fd.RotBits(disk.Region{Off: s.prevBase.off, Len: mhCRCOff}, 3, seed); err != nil {
+			if err := fd.RotBits(disk.Region{Off: s.prevBase.off, Len: s.prevBase.size}, 3, seed); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := Open(fd, Options{}); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("seed %d: open with both bases rotted = %v; want ErrCorrupt", seed, err)
 			}
 		}
+	})
+}
+
+// TestRecordsRefuseRowsOfTheOtherKind: a base and a delta are one record
+// format, and each kind refuses what only the other may hold, every checksum
+// intact.  A base is applied to empty tables, so a row of it that leaves — a
+// home at offset 0, a segment of size 0 — is corruption, and Open falls back
+// to the previous base, whose chain runs on to the same epoch.  A delta
+// pins nothing, so one that does ends the chain at the link before, and the
+// log replays from there.  Either way every acknowledged sync comes back.
+func TestRecordsRefuseRowsOfTheOtherKind(t *testing.T) {
+	// rewrite re-encodes the record at extent at, changed, in place, and
+	// returns its new CRC.
+	rewrite := func(t *testing.T, fd *disk.FaultDisk, at extent, change func(*record)) uint32 {
+		t.Helper()
+		r := readRecord(t, fd, at)
+		change(&r)
+		b := appendRecord(nil, &r, at.size)
+		if _, err := fd.WriteAt(b, at.off); err != nil {
+			t.Fatal(err)
+		}
+		sum, _ := recordSum(b)
+		return sum
+	}
+	for _, tc := range []struct {
+		name   string
+		change func(*record)
+	}{
+		{"base-home-leaves", func(r *record) { r.homes[len(r.homes)/2].off = 0 }},
+		{"base-segment-leaves", func(r *record) { *r.segs[len(r.segs)-1] = segment{base: r.segs[len(r.segs)-1].base} }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, fd, want, epochs := chainStore(t)
+			rewrite(t, fd, s.base.ext, tc.change)
+			if _, err := s.readBase(s.base.ext); err != nil {
+				t.Fatalf("the changed base does not verify and decode: %v", err)
+			}
+			s2, err := Open(fd, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep := s2.RecoveryReport(); !rep.MetaFallback || rep.ChainTruncated || rep.MetaEpoch != epochs[3] || s2.Stats().CorruptionsDetected == 0 {
+				t.Fatalf("%+v, %d corruptions; want MetaFallback at epoch %d, counted", rep, s2.Stats().CorruptionsDetected, epochs[3])
+			}
+			checkAll(t, s2, want)
+		})
+	}
+	t.Run("delta-pins", func(t *testing.T) {
+		s, fd, want, epochs := chainStore(t)
+		reg := deltaRegion(s, 3)
+		sum := rewrite(t, fd, extent{reg.Off, reg.Len}, func(r *record) { r.pins = []extent{s.prevBase} })
+		// The run header before it vouches for the new bytes.
+		rhAt := runHeaderRegion(s, 3).Off
+		b := make([]byte, runHeaderSize)
+		if _, err := fd.ReadAt(b, rhAt); err != nil {
+			t.Fatal(err)
+		}
+		rh, _, _ := parseRunHeader(b, 0, 0)
+		rh.sum = sum
+		if _, err := fd.WriteAt(encodeRunHeader(rh), rhAt); err != nil {
+			t.Fatal(err)
+		}
+		s2, err := Open(fd, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep := s2.RecoveryReport(); !rep.ChainTruncated || rep.MetaFallback || len(s2.chain)-1 != 2 || rep.MetaEpoch != epochs[2] {
+			t.Fatalf("%+v, %d deltas kept; want the chain cut before the third, at epoch %d", rep, len(s2.chain)-1, epochs[2])
+		}
+		checkAll(t, s2, want)
 	})
 }
 
@@ -896,35 +954,30 @@ func legacyLabelDigest(lbl label.Label) uint64 {
 
 // restampBase rewrites the base at extent at as a well-formed base of an
 // older version, the way code speaking that version would have written it,
-// within the extent: the sections tags names, the header's version, section count
-// and payload length to match, every CRC valid.  Every older version kept
-// the labels apart from the object map, whose records ended at the CRC
-// field: section 3 held (id, label) pairs, ascending by id, built here from
-// the labels the base's own records carry.  Versions up to 4 persisted the
+// over the start of the extent: a 64-byte header — magic "HMET", version,
+// epoch, payload length, section count, chain id, the sector of the chain's
+// first run header, a CRC32C over the first 56 bytes — then the sections tags
+// names, each [tag][length][CRC32C][payload], every CRC valid.  Versions up
+// to 9 kept the labels apart from the object map, whose records ended at the
+// CRC field: section 3 held (id, label) pairs, ascending by id, built here
+// from the labels the base's own rows carry.  Versions up to 4 persisted the
 // label fingerprint index as section 4 — (fingerprint, id) pairs in
 // ascending order; versions 3 to 5 a table of snapshot pins as section 6,
 // and versions up to 6 the free-extent list as section 2, both empty here.
 // Versions 7 and 8 wrote sections 1, 3 and 5, but version 7's object map
 // could name one extent twice (a clone alias); version 9 wrote sections 1 and
-// 5, a whole image at every checkpoint, with no chain.
+// 5, a whole image at every checkpoint, with no chain.  Version 10, the last
+// before a base became a record like a delta, wrote the rows as this one
+// does, each home with its label, in sections 1 and 5, and the pins in 7.
 func restampBase(t *testing.T, d disk.Device, at extent, version uint64, tags ...uint64) {
 	t.Helper()
-	section := func(tag uint64) []byte {
-		reg := findSection(t, d, at.off, tag)
-		body := make([]byte, reg.Len)
-		if _, err := d.ReadAt(body, reg.Off); err != nil {
-			t.Fatal(err)
-		}
-		return body
-	}
-	r := &sectionReader{buf: section(secObjMap), area: "metadata"}
-	n := r.u64()
-	objs, labels, labeled := appendU64(nil, n), []byte(nil), uint64(0)
+	base := readRecord(t, d, at)
+	objs, labels, labeled := appendU64(nil, uint64(len(base.homes))), []byte(nil), uint64(0)
 	var pairs [][2]uint64
-	for ; n > 0; n-- {
-		h := r.home()
-		if r.err != nil {
-			t.Fatal(r.err)
+	for _, h := range base.homes {
+		if version >= 10 {
+			objs = appendHome(objs, h.id, h.home, h.lbl)
+			continue
 		}
 		objs = appendU64(appendU64(appendU64(appendU64(objs, h.id), uint64(h.off)), uint64(h.size)), objCRCValid|uint64(h.crc))
 		if h.lbl != nil {
@@ -944,51 +997,43 @@ func restampBase(t *testing.T, d disk.Device, at extent, version uint64, tags ..
 	for _, p := range pairs {
 		index = appendU64(appendU64(index, p[0]), p[1])
 	}
-	img := make([]byte, metaHeaderSize)
+	segs := appendU64(nil, uint64(len(base.segs)))
+	for _, seg := range base.segs {
+		segs = appendSeg(segs, seg)
+	}
+	pins := appendU64(nil, uint64(len(base.pins)))
+	for _, e := range base.pins {
+		pins = appendU64(appendU64(pins, uint64(e.off)), uint64(e.size))
+	}
+	var payload []byte
 	for _, tag := range tags {
-		var body []byte
-		switch tag {
-		case 1:
-			body = objs
-		case 3:
-			body = labels
-		case 4:
-			body = index
-		case 2, 6:
-			body = appendU64(nil, 0)
-		default:
-			body = section(tag)
-		}
-		img = appendU64(appendU64(appendU64(img, tag), uint64(len(body))), uint64(crc32c(body)))
-		img = append(img, body...)
+		body := map[uint64][]byte{1: objs, 2: appendU64(nil, 0), 3: labels, 4: index, 5: segs, 6: appendU64(nil, 0), 7: pins}[tag]
+		payload = append(appendU64(appendU64(appendU64(payload, tag), uint64(len(body))), uint64(crc32c(body))), body...)
 	}
-	if _, err := d.ReadAt(img[:metaHeaderSize], at.off); err != nil {
-		t.Fatal(err)
-	}
+	const legacyMagic = 0x484d4554 // "HMET"
+	img := appendU64(appendU64(appendU64(nil, legacyMagic), version), base.epoch)
+	img = appendU64(appendU64(appendU64(appendU64(img, uint64(len(payload))), uint64(len(tags))), base.chain), uint64(base.next))
+	img = append(appendU64(img, uint64(crc32c(img))), payload...)
 	if int64(len(img)) > at.size {
 		t.Fatalf("a version %d base takes %d bytes, more than the %d of the extent", version, len(img), at.size)
 	}
-	binary.LittleEndian.PutUint64(img[mhVersionOff:], version)
-	binary.LittleEndian.PutUint64(img[mhPayloadOff:], uint64(len(img)-metaHeaderSize))
-	binary.LittleEndian.PutUint64(img[mhSectionsOff:], uint64(len(tags)))
-	binary.LittleEndian.PutUint32(img[mhCRCOff:], crc32c(img[:mhCRCOff]))
 	if _, err := d.WriteAt(img, at.off); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestOtherFormatVersionsRefusedNotLoaded: this code reads exactly one
-// version of each structure.  A superblock copy or base that is
-// intact — valid checksums throughout — but stamped with any other version
-// is refused as corruption and handled by the ordinary ladder; nothing is
-// ever loaded unverified.
+// version of each structure.  A superblock copy stamped with any other
+// version, or a base written as an older version wrote it, each intact in
+// its own layout's checksums, is refused as corruption and handled by the
+// ordinary ladder; nothing is ever loaded unverified.
 func TestOtherFormatVersionsRefusedNotLoaded(t *testing.T) {
 	superblocks := []struct {
 		name     string
 		version  uint64
 		zeroTail bool
 	}{
-		{"v0", 0, false}, {"v1", 1, false}, {"v2", 2, false}, {"v3", 3, false}, {"v5", 5, false},
+		{"v0", 0, false}, {"v1", 1, false}, {"v2", 2, false}, {"v3", 3, false}, {"v4", 4, false},
 		{"v0-unchecksummed", 0, true},
 	}
 	for _, tc := range superblocks {
@@ -1021,6 +1066,7 @@ func TestOtherFormatVersionsRefusedNotLoaded(t *testing.T) {
 		{"v4", 4, []uint64{1, 2, 3, 4, 5, 6}}, {"v5", 5, []uint64{1, 2, 3, 5, 6}},
 		{"v6", 6, []uint64{1, 2, 3, 5}}, {"v7", 7, []uint64{1, 3, 5}},
 		{"v8", 8, []uint64{1, 3, 5}}, {"v9", 9, []uint64{1, 5}},
+		{"v10", 10, []uint64{1, 5, 7}},
 	}
 	for _, tc := range metas {
 		t.Run("metadata-"+tc.name, func(t *testing.T) {
@@ -1074,25 +1120,23 @@ func TestOtherFormatVersionsRefusedNotLoaded(t *testing.T) {
 			}
 		})
 	}
-	// An object-map entry whose CRC field lacks the valid bit, inside a
-	// section whose own checksum is intact, would have to be read
-	// unverified: the base is refused instead.
+	// A home row whose CRC field lacks the valid bit, in a base whose own
+	// checksum is intact, would have to be read unverified: the base is
+	// refused instead.
 	t.Run("objmap-entry-without-crc", func(t *testing.T) {
 		s, fd := rotStore(t)
 		want := populateGenerations(t, s)
 		rebase(t, s)
-		sec := findSection(t, fd, s.base.ext.off, secObjMap)
-		body := make([]byte, sec.Len)
-		if _, err := fd.ReadAt(body, sec.Off); err != nil {
+		b := make([]byte, s.base.ext.size)
+		if _, err := fd.ReadAt(b, s.base.ext.off); err != nil {
 			t.Fatal(err)
 		}
-		// [count] then (id, off, size, crcField) quads: clear the first
-		// entry's CRC field and re-seal the section header's checksum.
-		binary.LittleEndian.PutUint64(body[8+24:], 0)
-		if _, err := fd.WriteAt(body, sec.Off); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := fd.WriteAt(appendU64(nil, uint64(crc32c(body))), sec.Off-8); err != nil {
+		// The fixed fields and the home count, then (id, off, size,
+		// crcField) quads: clear the first row's CRC field and re-seal the
+		// record's checksum.
+		binary.LittleEndian.PutUint64(b[recordHeaderSize+8+24:], 0)
+		binary.LittleEndian.PutUint64(b[len(b)-8:], uint64(crc32c(b[:len(b)-8])))
+		if _, err := fd.WriteAt(b, s.base.ext.off); err != nil {
 			t.Fatal(err)
 		}
 		s2, err := Open(fd, Options{})

@@ -173,7 +173,7 @@ func (s *Store) checkpointBody(ss *sealedState) error {
 	for _, e := range s.chain {
 		grown += e.size
 	}
-	flip := len(s.chain) > maxChainLinks || 2*grown > max(s.base.length, s.segSize) || s.base.length < 0
+	flip := len(s.chain) > maxChainLinks || 2*grown > max(s.base.ext.size, s.segSize) || s.base.renew
 	err := s.commitDelta(ss.entries, ss.epoch, true)
 	if errors.Is(err, ErrNoSpace) {
 		s.mu.Lock()
@@ -278,7 +278,7 @@ func (s *Store) commitDelta(entries []sealedEntry, epoch uint64, clean bool) err
 			se.off, writes, homed = off, append(writes, pending{off, se.data}), homed+se.size
 		}
 	}
-	d := &delta{epoch: epoch, homes: s.mergeHomes(entries)}
+	d := &record{epoch: epoch, chain: s.chainID, homes: s.mergeHomes(entries)}
 	s.mu.Unlock()
 	if clean {
 		cleaned, moved := s.cleanSegments()
@@ -287,20 +287,20 @@ func (s *Store) commitDelta(entries []sealedEntry, epoch uint64, clean bool) err
 	}
 	s.mu.Lock()
 	d.segs = diffSegs(was.old, s.segs)
-	size := align512(int64(len(appendDelta(s.dbuf[:0], d, 0))) + 8 + segRowSize)
+	size := recordSize(s.rbuf, d)
 	off, err := s.place(size+runHeaderSize, s.allocateTop)
 	if err != nil {
 		return fail(err)
 	}
 	d.next, d.segs = off+size, diffSegs(was.old, s.segs)
-	s.dbuf = appendDelta(s.dbuf[:0], d, size)
-	sum, _ := deltaSum(s.dbuf)
+	s.rbuf = appendRecord(s.rbuf[:0], d, size)
+	sum, _ := recordSum(s.rbuf)
 	rh := runHeader{chain: s.chainID, link: s.link, epoch: epoch, off: off, len: size, sum: sum}
 	run := pending{s.nextRun, encodeRunHeader(rh)}
 	s.mu.Unlock()
 	// The cache destages in ascending order, so a delta that verifies
 	// implies the data below it; data above it takes a flush of its own.
-	all := append(append([]pending{run}, writes...), pending{off, s.dbuf})
+	all := append(append([]pending{run}, writes...), pending{off, s.rbuf})
 	split := len(all)
 	if slices.ContainsFunc(writes, func(w pending) bool { return w.off > off }) {
 		split--
@@ -354,22 +354,22 @@ func (s *Store) writeCommit(writes ...pending) error {
 func (s *Store) writeBase(epoch uint64) error {
 	var b [8]byte
 	crand.Read(b[:]) // cannot fail: crypto/rand stops the program instead
-	chain := binary.LittleEndian.Uint64(b[:])
+	r := &record{epoch: epoch, chain: binary.LittleEndian.Uint64(b[:])}
 	s.mu.Lock()
 	was := s.saveTables()
-	at := extent{size: align512(int64(len(s.encodeMetadata(epoch, chain))) + segRowSize)}
+	r.next, r.homes, r.segs, r.pins = s.nextRun, s.homes, s.segs, s.ended()
+	at := extent{size: recordSize(s.rbuf, r)}
 	off, err := s.place(at.size, s.allocateTop)
 	if err != nil {
 		s.mu.Unlock()
 		return err
 	}
-	at.off = off
-	meta := s.encodeMetadata(epoch, chain)
-	n := int64(len(meta))
-	sb := encodeSuperblockCopy(superblockInfo{chain: chain, logSize: s.logSize, epoch: epoch, base: at, prev: s.base.ext})
+	at.off, r.segs = off, s.segs
+	s.rbuf = appendRecord(s.rbuf[:0], r, at.size)
+	sb := encodeSuperblockCopy(superblockInfo{chain: r.chain, logSize: s.logSize, epoch: epoch, base: at, prev: s.base.ext})
 	s.mu.Unlock()
 	sb = append(append(sb, make([]byte, sbBackupOff-sbCopySize)...), sb...)
-	err = s.writeCommit(pending{off, append(meta, make([]byte, at.size-n)...)})
+	err = s.writeCommit(pending{off, s.rbuf})
 	if err == nil {
 		if err = s.writeCommit(pending{superblockOffset, sb}); err != nil && s.sb != nil {
 			// As for a delta's run header: the copies the disk held go back
@@ -384,14 +384,14 @@ func (s *Store) writeBase(epoch uint64) error {
 		return err
 	}
 	s.mu.Lock()
-	s.chainID, s.link = chain, chain
+	s.chainID, s.link = r.chain, r.chain
 	for _, e := range append(slices.Clip(s.prevChain), s.prevBase) {
 		if e.size > 0 {
 			s.segContaining(e.off).live -= e.size // dropped by the next body's cleaner
 		}
 	}
-	s.prevBase, s.prevChain, s.sb = s.base.ext, s.ended(), sb
-	s.base = metaImage{ext: at, epoch: epoch, chain: chain, run: s.nextRun, length: n}
+	s.prevBase, s.prevChain, s.sb = s.base.ext, r.pins, sb
+	s.base = baseRef{ext: at, epoch: epoch, chain: r.chain, run: s.nextRun}
 	s.chain = []extent{{s.nextRun, runHeaderSize}}
 	s.held = nil // no delta to fall back past
 	s.free, _ = s.deriveFree(0, false)

@@ -1160,7 +1160,7 @@ func TestFailedBaseFlipKeepsTheSuperblock(t *testing.T) {
 	for id := uint64(1); id <= 5; id++ {
 		put(id, fmt.Sprintf("object %d, in the delta before the failed base", id))
 	}
-	s.base.length = -1 // the next checkpoint writes a base
+	s.base.renew = true // the next checkpoint writes a base
 	flushes := d.Stats().Flushes
 	d.flush, d.fault = 3, func(d *disk.Disk) { d.FailNextFlush(errBarrier) }
 	if err := s.Checkpoint(); !errors.Is(err, errBarrier) || d.Stats().Flushes-flushes != 3 {

@@ -10,31 +10,28 @@
 //
 //   - Superblock: two 80-byte copies at offsets 0 and 512, each a CRC32C
 //     over bytes [0, 72) in its u32 after them.  Fields (LE u64): magic
-//     "HIST", the base's chain id, log region size, format version (4), the
+//     "HIST", the base's chain id, log region size, format version (5), the
 //     base's epoch, the base's extent (offset, length), the previous base's.
-//   - Base header (64 bytes, at the start of the base's extent, whole
-//     sectors of the data region): magic "HMET", version (10), epoch, payload
-//     length, section count (3), chain id, the sector of the chain's first
-//     run header, CRC32C over the first 56 bytes.
-//   - Base sections: each [tag u64][length u64][CRC32C u64][payload].  Tags:
-//     1 object map (id, offset, size, CRC field, then the label when bit 33
-//     of that field is set), 5 segment table (base, size, used), 7 the
-//     previous chain's extents (offset, length); 2, 3, 4 and 6 are retired.
-//     Each tag appears exactly once, with no trailing bytes.
+//   - Chain record, a base or a delta (whole sectors of the data region):
+//     epoch, chain id and the sector of the run header after it, then three
+//     counted tables — home rows (id, offset, size, CRC field, then the
+//     label when bit 33 of that field is set), segment rows (base, size,
+//     used) and pins (offset, length) — zeros, and a CRC32C of all before it
+//     in the last 8 bytes.  A base holds every home and segment row, the
+//     sector of its chain's first run header, and pins the chain it ends.  A
+//     delta holds the rows its checkpoint changed, a home at offset 0 or a
+//     segment of size 0 being one that left, and no pins.  Open applies a
+//     base to empty tables, so a row of it that leaves is corruption, as is
+//     a pin in a delta.
 //   - Run header (one sector): chain id, link, epoch, and the delta's
 //     offset, length and CRC32C, then a CRC32C over those 48 bytes.  The
 //     link is the base's chain id for a chain's first run header, else one
 //     the run header before it derives from its own fields, so no sector the
 //     chain has not yet reached passes for the next run header.
-//   - Delta (whole sectors): magic "HDLT", epoch, the next run header's
-//     sector (the one after the delta), the object-map rows and the segment
-//     rows the checkpoint changed — a home at offset 0 or a segment of size
-//     0 being one that left — zeros, and its CRC32C in the last 8 bytes.
-//   - Object extents: the object-map record holds a CRC32C of the
-//     contents, verified on every read of the extent (a Get of a clean
-//     object, the kernel's page-in) and every scrub.  Bit 32 of the CRC
-//     field flags it present; a record without it, or with a bit above 33,
-//     is corruption.
+//   - Object extents: the home row holds a CRC32C of the contents,
+//     verified on every read of the extent (a Get of a clean object, the
+//     kernel's page-in) and every scrub.  Bit 32 of the CRC field flags it
+//     present; a row without it, or with a bit above 33, is corruption.
 //   - Write-ahead log: header, frame-descriptor, frame-payload and
 //     per-record CRCs, version 9 (package wal); each frame carries the
 //     epoch it was committed in.  A range record is a u64 offset and the
@@ -44,9 +41,10 @@
 // are rebuilt at Open, and a home or chain record outside every segment's
 // written bytes, two homes overlapping, or a segment leaving the data
 // region or overlapping another is a CorruptError.  Each structure has
-// exactly one version: a superblock copy or base that verifies but names any
-// other is a CorruptError, which the ladder treats like any other damage; a
-// log header that does is wal.ErrVersion, and Open refuses the mount.
+// exactly one version: a superblock copy that verifies but names any other
+// is a CorruptError, which the ladder treats like any other damage, and the
+// chain records it names are in its version's format; a log header that
+// names another is wal.ErrVersion, and Open refuses the mount.
 //
 // # Checkpoint write schedule
 //
@@ -69,8 +67,8 @@
 //     put back.  Only now is the free list derived again; a segment the
 //     commit dropped stays out of it until the next commit, so the snapshot
 //     before stays whole.
-//  3. Past the chain's bound (checkpoint.go): the whole tables as a new
-//     base, placed like a delta, a flush, both superblock copies naming it
+//  3. Past the chain's bound (checkpoint.go): a new base, the record of
+//     every row, placed like a delta, a flush, both superblock copies naming it
 //     and the last base at epoch E with a fresh chain id, a flush.  If that
 //     flush fails, the copies the disk held go back over the cache's, as a
 //     failed delta's run header does.  The base and chain before the last

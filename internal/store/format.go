@@ -1,11 +1,13 @@
 package store
 
 // The on-disk format, all of it: every layout constant, encoder and decoder
-// of the superblock, the bases, the chain's run headers and deltas, and the
-// range body that rides in write-ahead log records (whose framing belongs to
-// package wal); doc.go has the layouts in prose.  Encoders run in the
-// checkpoint body, under mu while a log record is sealed, or in Format;
-// decoders in Open and, to verify, in Scrub under ckptRun.
+// of the superblock, the chain's run headers and records — a base is a
+// record of every row, a delta one of the rows that changed, and one codec
+// writes and reads both — and the range body that rides in write-ahead log
+// records (whose framing belongs to package wal); doc.go has the layouts in
+// prose.  Encoders run in the checkpoint body, under mu while a log record is
+// sealed, or in Format; decoders in Open and, to verify, in Scrub under
+// ckptRun.
 
 import (
 	"bytes"
@@ -37,55 +39,28 @@ const (
 	sbCRCOff     = 72 // u32 CRC32C over bytes [0, 72)
 
 	superMagic   = 0x48495354 // "HIST"
-	superVersion = 4
+	superVersion = 5
 )
 
-// Base: a 64-byte checksummed, epoch-stamped header, then the section
-// stream, in whole sectors of the data region: the whole image at its epoch,
-// the id of the chain of deltas that follows it, and the sector of that
-// chain's first run header.
+// Flags in the CRC field of a home row, above the CRC's 32 bits.  objCRCValid
+// says the field carries a contents checksum: every row written has it, and
+// a decoded row without it is corruption.  objLabeled says the object's
+// canonical label follows the row.  A row with any higher bit set is
+// corruption.
 const (
-	metaMagic      = 0x484d4554 // "HMET"
-	metaVersion    = 10
-	metaHeaderSize = 64
-	mhMagicOff     = 0
-	mhVersionOff   = 8
-	mhEpochOff     = 16
-	mhPayloadOff   = 24 // payload byte length (sections, after this header)
-	mhSectionsOff  = 32 // section count
-	mhChainOff     = 40 // the chain id, random per base
-	mhRunOff       = 48 // the sector of the chain's first run header
-	mhCRCOff       = 56 // u32 CRC32C over bytes [0, 56)
-
-	// Section tags.  Each section is [tag u64][len u64][crc u64: low 32
-	// bits CRC32C of the payload][payload], and an image holds each tag
-	// exactly once.  Retired, never to be reused: 2 (the free extents, to
-	// version 6), 3 (the labels, to version 8), 4 (a label index, to
-	// version 4) and 6 (snapshot pins, to version 5).
-	secObjMap  = 1
-	secSegs    = 5
-	secPins    = 7
-	numSecs    = 3
-	secHdrSize = 24
-	segRowSize = 24 // a segment row: base, size, used
-
-	// Flags in the CRC field of a home record, above the CRC's 32 bits.
-	// objCRCValid says the field carries a contents checksum: every record
-	// written has it, and a decoded record without it is corruption.
-	// objLabeled says the object's canonical label follows the record.  A
-	// record with any higher bit set is corruption.
 	objCRCValid = uint64(1) << 32
 	objLabeled  = uint64(1) << 33
 )
 
 // The chain: a run header is one sector of u64s — chain id, link, epoch,
-// the delta's offset, length and CRC — and a u32 CRC32C over those 48 bytes.
-// A delta is its magic, epoch and the next run header's sector, the counted
-// home and segment rows it changed, zeros, and a u64 CRC, in whole sectors.
+// the record's offset, length and CRC — and a u32 CRC32C over those 48
+// bytes.  A chain record, base or delta, is its epoch, its chain id and the
+// sector of the run header after it, the counted home, segment and pin rows,
+// zeros, and a u64 CRC32C over all before it, in whole sectors.
 const (
-	deltaMagic    = 0x48444c54 // "HDLT"
 	runHeaderSize = 512
 	rhCRCOff      = 48
+	segRowSize    = 24 // a segment row: base, size, used
 )
 
 // superblockInfo is one parsed superblock copy.
@@ -135,8 +110,8 @@ func appendU64(buf []byte, v uint64) []byte {
 	return binary.LittleEndian.AppendUint64(buf, v)
 }
 
-// appendHome writes one object-map record: id, offset, size and the CRC
-// field, then the label when there is one (lbl, encoded canonically).
+// appendHome writes one home row: id, offset, size and the CRC field, then
+// the label when there is one (lbl, encoded canonically).
 func appendHome(buf []byte, id uint64, h home, lbl []byte) []byte {
 	flags := objCRCValid
 	if lbl != nil {
@@ -146,23 +121,27 @@ func appendHome(buf []byte, id uint64, h home, lbl []byte) []byte {
 	return append(appendU64(buf, flags|uint64(h.crc)), lbl...)
 }
 
-// sectionReader walks one payload.  Its error is sticky: the first violation
-// is kept as a CorruptError at off, and every read after it returns zero, so
-// a decoder checks err once per entry and a damaged count cannot spin.
-type sectionReader struct {
-	buf  []byte
-	off  int64 // device offset the payload was read from, for error reports
-	area string
-	err  error
+// appendSeg writes one segment row: base, size, used.
+func appendSeg(buf []byte, seg *segment) []byte {
+	return appendU64(appendU64(appendU64(buf, uint64(seg.base)), uint64(seg.size)), uint64(seg.used))
 }
 
-func (r *sectionReader) fail(format string, args ...interface{}) {
+// rowReader walks one record.  Its error is sticky: the first violation is
+// kept as a CorruptError at off, and every read after it returns zero, so a
+// decoder checks err once per row and a damaged count cannot spin.
+type rowReader struct {
+	buf []byte
+	off int64 // device offset the record was read from, for error reports
+	err error
+}
+
+func (r *rowReader) fail(format string, args ...interface{}) {
 	if r.err == nil {
-		r.err = corrupt(r.area, r.off, format, args...)
+		r.err = corrupt("chain", r.off, format, args...)
 	}
 }
 
-func (r *sectionReader) u64() uint64 {
+func (r *rowReader) u64() uint64 {
 	if len(r.buf) < 8 {
 		r.fail("truncated: %d bytes left where a u64 is due", len(r.buf))
 	}
@@ -174,22 +153,9 @@ func (r *sectionReader) u64() uint64 {
 	return v
 }
 
-// bytes consumes the next n bytes (aliasing the payload).
-func (r *sectionReader) bytes(n uint64) []byte {
-	if n > uint64(len(r.buf)) {
-		r.fail("length %d overruns the %d bytes left", n, len(r.buf))
-	}
-	if r.err != nil {
-		return nil
-	}
-	b := r.buf[:n]
-	r.buf = r.buf[n:]
-	return b
-}
-
-// home consumes one object-map record (appendHome's inverse); its label
-// aliases the payload.
-func (r *sectionReader) home() homedObject {
+// home consumes one home row (appendHome's inverse); its label aliases the
+// record.
+func (r *rowReader) home() homedObject {
 	id, off, size, crcField := r.u64(), r.u64(), r.u64(), r.u64()
 	switch {
 	case r.err != nil:
@@ -210,136 +176,8 @@ func (r *sectionReader) home() homedObject {
 	return h
 }
 
-// encodeMetadata serializes a base, whose chain id is chain and whose chain
-// starts at the sector nextRun, into the last image's buffer, which the
-// device copied; the caller holds mu.  Each home carries the label sealed
-// with its contents, so the image is the sealed epoch's even as concurrent
-// puts proceed.
-func (s *Store) encodeMetadata(epoch, chain uint64) []byte {
-	img := s.img[:0]
-	// section appends one section, its entries counted by add, and frames it.
-	section := func(tag uint64, add func() uint64) {
-		at := len(img)
-		img = append(img, make([]byte, secHdrSize+8)...)
-		n := add()
-		binary.LittleEndian.PutUint64(img[at+secHdrSize:], n)
-		binary.LittleEndian.PutUint64(img[at:], tag)
-		binary.LittleEndian.PutUint64(img[at+8:], uint64(len(img)-at-secHdrSize))
-		binary.LittleEndian.PutUint64(img[at+16:], uint64(crc32c(img[at+secHdrSize:])))
-	}
-	img = append(img, make([]byte, metaHeaderSize)...)
-	section(secObjMap, func() uint64 {
-		for _, h := range s.homes {
-			img = appendHome(img, h.id, h.home, h.lbl)
-		}
-		return uint64(len(s.homes))
-	})
-	section(secSegs, func() uint64 {
-		for _, seg := range s.segs {
-			img = appendSeg(img, seg)
-		}
-		return uint64(len(s.segs))
-	})
-	// The chain this base ends stays pinned while this base is the newest.
-	section(secPins, func() uint64 {
-		pins := s.ended()
-		for _, e := range pins {
-			img = appendU64(appendU64(img, uint64(e.off)), uint64(e.size))
-		}
-		return uint64(len(pins))
-	})
-	binary.LittleEndian.PutUint64(img[mhMagicOff:], metaMagic)
-	binary.LittleEndian.PutUint64(img[mhVersionOff:], metaVersion)
-	binary.LittleEndian.PutUint64(img[mhEpochOff:], epoch)
-	binary.LittleEndian.PutUint64(img[mhPayloadOff:], uint64(len(img)-metaHeaderSize))
-	binary.LittleEndian.PutUint64(img[mhSectionsOff:], numSecs)
-	binary.LittleEndian.PutUint64(img[mhChainOff:], chain)
-	binary.LittleEndian.PutUint64(img[mhRunOff:], uint64(s.nextRun))
-	binary.LittleEndian.PutUint32(img[mhCRCOff:], crc32c(img[:mhCRCOff]))
-	s.img = img
-	return img
-}
-
-func appendSeg(buf []byte, seg *segment) []byte {
-	return appendU64(appendU64(appendU64(buf, uint64(seg.base)), uint64(seg.size)), uint64(seg.used))
-}
-
-// parseMetaHeader validates the header of the base at device offset at
-// — magic, CRC, version, geometry against the extent's capacity — and returns
-// its fields as a metaImage with no sections yet.
-func parseMetaHeader(hdr []byte, at, capacity int64) (img metaImage, err error) {
-	if got := binary.LittleEndian.Uint64(hdr[mhMagicOff:]); got != metaMagic {
-		return img, corrupt("metadata", at, "bad base magic: got %#x, want %#x", got, uint64(metaMagic))
-	}
-	wantCRC := binary.LittleEndian.Uint32(hdr[mhCRCOff:])
-	if got := crc32c(hdr[:mhCRCOff]); got != wantCRC {
-		return img, corrupt("metadata", at+mhCRCOff, "base header checksum mismatch: got %#x, want %#x", got, wantCRC)
-	}
-	if v := binary.LittleEndian.Uint64(hdr[mhVersionOff:]); v != metaVersion {
-		return img, corrupt("metadata", at+mhVersionOff, "unsupported metadata version %d", v)
-	}
-	payloadLen := int64(binary.LittleEndian.Uint64(hdr[mhPayloadOff:]))
-	nSecs := binary.LittleEndian.Uint64(hdr[mhSectionsOff:])
-	if payloadLen < 0 || payloadLen > capacity || nSecs != numSecs {
-		return img, corrupt("metadata", at+mhPayloadOff, "implausible geometry: payload %d bytes, %d sections", payloadLen, nSecs)
-	}
-	return metaImage{
-		epoch:  binary.LittleEndian.Uint64(hdr[mhEpochOff:]),
-		chain:  binary.LittleEndian.Uint64(hdr[mhChainOff:]),
-		run:    int64(binary.LittleEndian.Uint64(hdr[mhRunOff:])),
-		length: metaHeaderSize + payloadLen,
-	}, nil
-}
-
-// parseSections walks the section stream read from device offset base and
-// returns the section payloads by tag, each verified against its CRC.  Every
-// known tag must appear exactly once with an in-bounds length and nothing may
-// trail the last section, so a flipped tag or length never silently
-// reassigns bytes between sections.  No payload is decoded here —
-// verification is complete before any byte is interpreted.
-func parseSections(payload []byte, base int64) (secs [secPins + 1][]byte, err error) {
-	r := &sectionReader{buf: payload, area: "metadata"}
-	seen := 0
-	for ; len(r.buf) > 0 && r.err == nil; seen++ {
-		r.off = base + int64(len(payload)-len(r.buf))
-		tag, slen, scrc := r.u64(), r.u64(), r.u64()
-		body := r.bytes(slen)
-		switch {
-		case r.err != nil:
-		case tag != secObjMap && tag != secSegs && tag != secPins || secs[tag] != nil:
-			r.fail("bad section header: tag %d, length %d", tag, slen)
-		case uint64(crc32c(body)) != scrc:
-			r.off += secHdrSize
-			r.fail("section %d checksum mismatch: got %#x, want %#x", tag, crc32c(body), scrc)
-		default:
-			secs[tag] = body
-		}
-	}
-	if r.err == nil && seen != numSecs {
-		r.off = base
-		r.fail("expected %d sections, found %d", numSecs, seen)
-	}
-	return secs, r.err
-}
-
-// The section decoders fill a store under construction from one verified
-// payload, leaving a structural violation in r.err; how the records lie
-// against each other and the data region is deriveFree's check.
-
-func (s *Store) decodeObjMapSection(r *sectionReader) { s.homes = r.homes() }
-
-func (s *Store) decodeSegsSection(r *sectionReader) { s.segs = r.segs() }
-
-func (s *Store) decodePinsSection(r *sectionReader) {
-	for n := r.u64(); n > 0 && r.err == nil; n-- {
-		if e := (extent{int64(r.u64()), int64(r.u64())}); r.err == nil {
-			s.prevChain = append(s.prevChain, e)
-		}
-	}
-}
-
-// homes consumes a count and that many home records, ascending by ID.
-func (r *sectionReader) homes() (out []homedObject) {
+// homes consumes a count and that many home rows, ascending by ID.
+func (r *rowReader) homes() (out []homedObject) {
 	for n := r.u64(); n > 0 && r.err == nil; n-- {
 		if h := r.home(); r.err == nil && len(out) > 0 && h.id <= out[len(out)-1].id {
 			r.fail("object %d out of ID order", h.id)
@@ -350,9 +188,9 @@ func (r *sectionReader) homes() (out []homedObject) {
 	return out
 }
 
-// segs consumes a count and that many segment records, each of a possible
+// segs consumes a count and that many segment rows, each of a possible
 // geometry and starting past the end of the one before it.
-func (r *sectionReader) segs() (out []*segment) {
+func (r *rowReader) segs() (out []*segment) {
 	var end uint64
 	for n := r.u64(); n > 0 && r.err == nil; n-- {
 		base, size, used := r.u64(), r.u64(), r.u64()
@@ -392,7 +230,7 @@ func parseRunHeader(b []byte, link, first uint64) (rh runHeader, ok, damaged boo
 	if len(b) < runHeaderSize {
 		return rh, false, false
 	}
-	r := &sectionReader{buf: b}
+	r := &rowReader{buf: b}
 	rh = runHeader{chain: r.u64(), link: r.u64(), epoch: r.u64(), off: int64(r.u64()), len: int64(r.u64()), sum: uint32(r.u64())}
 	if (rh.link == link || rh.link == first && rh.chain == first) && crc32c(b[:rhCRCOff]) == binary.LittleEndian.Uint32(b[rhCRCOff:]) {
 		return rh, true, false
@@ -400,26 +238,35 @@ func parseRunHeader(b []byte, link, first uint64) (rh runHeader, ok, damaged boo
 	return rh, false, bits.OnesCount64(rh.link^link) <= 8 || bits.OnesCount64(rh.link^first) <= 8
 }
 
-// delta is one chain delta: the home and segment rows its checkpoint
-// changed, ascending; a home at offset 0 or a segment of size 0 has left.
-type delta struct {
-	epoch uint64
-	next  int64
-	homes []homedObject
-	segs  []*segment
+// record is one chain record.  A base holds every home and segment row of
+// its snapshot and pins the chain it ends; a delta holds the rows its
+// checkpoint changed, ascending, where a home at offset 0 or a segment of
+// size 0 has left, and no pins.  chain and next name the run header after
+// the record: for a base, its chain's first.
+type record struct {
+	epoch, chain uint64
+	next         int64
+	homes        []homedObject
+	segs         []*segment
+	pins         []extent
 }
 
-// appendDelta appends d to buf, padded to size bytes with its CRC last
-// (size 0: just the rows, to measure them).
-func appendDelta(buf []byte, d *delta, size int64) []byte {
+// appendRecord appends r to buf, padded to size bytes with its CRC last
+// (size 0: just the rows, to measure them).  Each home carries the label
+// sealed with its contents, so a base is its epoch's even as puts proceed.
+func appendRecord(buf []byte, r *record, size int64) []byte {
 	start := len(buf)
-	buf = appendU64(appendU64(appendU64(appendU64(buf, deltaMagic), d.epoch), uint64(d.next)), uint64(len(d.homes)))
-	for _, h := range d.homes {
+	buf = appendU64(appendU64(appendU64(appendU64(buf, r.epoch), r.chain), uint64(r.next)), uint64(len(r.homes)))
+	for _, h := range r.homes {
 		buf = appendHome(buf, h.id, h.home, h.lbl)
 	}
-	buf = appendU64(buf, uint64(len(d.segs)))
-	for _, seg := range d.segs {
+	buf = appendU64(buf, uint64(len(r.segs)))
+	for _, seg := range r.segs {
 		buf = appendSeg(buf, seg)
+	}
+	buf = appendU64(buf, uint64(len(r.pins)))
+	for _, e := range r.pins {
+		buf = appendU64(appendU64(buf, uint64(e.off)), uint64(e.size))
 	}
 	if size == 0 {
 		return buf
@@ -428,8 +275,15 @@ func appendDelta(buf []byte, d *delta, size int64) []byte {
 	return appendU64(buf, uint64(crc32c(buf[start:])))
 }
 
-// deltaSum returns the CRC in a delta's last 8 bytes, and whether it holds.
-func deltaSum(b []byte) (uint32, bool) {
+// recordSize is the extent a record of r's rows takes, measured in buf:
+// whole sectors, with room for its CRC and the one segment row its own
+// placement can add.
+func recordSize(buf []byte, r *record) int64 {
+	return align512(int64(len(appendRecord(buf[:0], r, 0))) + 8 + segRowSize)
+}
+
+// recordSum returns the CRC in a record's last 8 bytes, and whether it holds.
+func recordSum(b []byte) (uint32, bool) {
 	if len(b) < 8 {
 		return 0, false
 	}
@@ -437,19 +291,22 @@ func deltaSum(b []byte) (uint32, bool) {
 	return uint32(sum), sum == uint64(crc32c(b[:len(b)-8]))
 }
 
-// decodeDelta decodes a delta read from device offset off; whatever follows
-// its rows must be zeros.
-func decodeDelta(b []byte, off int64) (d delta, err error) {
-	r := &sectionReader{buf: b[:max(len(b)-8, 0)], off: off, area: "chain"}
-	if r.u64() != deltaMagic {
-		r.fail("no delta here")
+// decodeRecord decodes a record read from device offset off, whose CRC the
+// caller verified; whatever follows its rows must be zeros.  How the rows lie
+// against the tables and the data region is the caller's check.
+func decodeRecord(b []byte, off int64) (r record, err error) {
+	rd := &rowReader{buf: b[:max(len(b)-8, 0)], off: off}
+	r.epoch, r.chain, r.next = rd.u64(), rd.u64(), int64(rd.u64())
+	r.homes, r.segs = rd.homes(), rd.segs()
+	for n := rd.u64(); n > 0 && rd.err == nil; n-- {
+		if e := (extent{int64(rd.u64()), int64(rd.u64())}); rd.err == nil {
+			r.pins = append(r.pins, e)
+		}
 	}
-	d.epoch, d.next = r.u64(), int64(r.u64())
-	d.homes, d.segs = r.homes(), r.segs()
-	if r.err == nil && len(bytes.TrimLeft(r.buf, "\x00")) != 0 {
-		r.fail("%d bytes after the delta's rows are not padding", len(r.buf))
+	if rd.err == nil && len(bytes.TrimLeft(rd.buf, "\x00")) != 0 {
+		rd.fail("%d bytes after the record's rows are not padding", len(rd.buf))
 	}
-	return d, r.err
+	return r, rd.err
 }
 
 // encodeRangeBody is the payload of a WAL range record: the u64 offset of

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	crand "crypto/rand"
 	"crypto/sha256"
 	"encoding/binary"
@@ -17,14 +18,14 @@ import (
 
 // formatImageSHA256 is the SHA-256 of the device image formatImageWorkload
 // leaves behind.  It pins every on-disk layout at once — superblock copies,
-// log header, frames and records, base header and sections, run headers and
-// deltas, segment packing, range records — so a change that alters any of
-// them must change this constant, visibly.  The checkpoint seal walks the
-// entries changed since the last seal in the order they changed, which fixes
-// segment packing, and the object map, each record with its label, comes
-// from the id-ordered home table.  Chain ids come from crypto/rand as log
+// log header, frames and records, run headers, the chain records that are
+// bases and deltas, segment packing, range records — so a change that alters
+// any of them must change this constant, visibly.  The checkpoint seal walks
+// the entries changed since the last seal in the order they changed, which
+// fixes segment packing, and the home rows, each with its label, come from
+// the id-ordered home table.  Chain ids come from crypto/rand as log
 // generations do, so every draw moves the ones after it.
-const formatImageSHA256 = "9881d585f7ff1ad640dac30706c2d3ac6fe5dbef6640a27489dc18ab51fc164e"
+const formatImageSHA256 = "4e1eb0bc4cc366108fc73b604b025ecd0c88f624fdc58c193cfd3be53cb4e7f5"
 
 // formatImageWorkload drives one seeded, single-threaded pass over every
 // structure the store writes: plain and labelled puts, deletes, per-object
@@ -112,87 +113,73 @@ func TestOnDiskFormatUnchanged(t *testing.T) {
 	}
 }
 
-// TestDecodersRefuseDamagedPayloads drives every decoder that reads through
-// the sticky sectionReader — the two metadata sections — with its own
-// encoder's output and damaged variants: cut short in the middle of a field,
-// and with a count or length field that claims more than the payload holds
-// (an absurd count must also return at once rather than loop).  The object
-// map gets two more: a record whose label does not decode, and one with a
-// flag bit no version defines; the segment table one: an entry that starts
-// inside the one before it.  The intact payload decodes; each damaged one
-// comes back as a CorruptError, never a panic or a half-reported success.
+// TestDecodersRefuseDamagedPayloads drives the record decoder, which reads
+// through the sticky rowReader, with its own encoder's output and damaged
+// variants — a record of home rows, and one of segment rows: cut short in
+// the middle of a field, and with a count that claims more rows than the
+// record holds (an absurd count must also return at once rather than loop).
+// The home rows get two more: a row whose label does not decode, and one
+// with a flag bit no version defines; the segment rows one: a row that
+// starts inside the one before it.  The intact record decodes; each damaged
+// one comes back as a CorruptError, never a panic or a half-reported
+// success.
 //
-// Then the layout every section decodes on its own but no run of the store
-// could have written: a home overlapping another home, two homes naming one
+// Then the layout every row decodes on its own but no run of the store could
+// have written: a home overlapping another home, two homes naming one
 // extent (an alias, which metadata version 7 allowed), a home outside the
 // data region at either end, a home whose size field reads negative, a home
-// past its segment's used mark, and a home in no segment.  Each would let the
-// allocator hand out bytes a home still holds.  Deriving the free list refuses each with a CorruptError, and
-// a base holding one, every checksum intact, sends Open to the previous base
-// with no committed sync lost.
+// past its segment's used mark, and a home in no segment.  Each would let
+// the allocator hand out bytes a home still holds.  Deriving the free list
+// refuses each with a CorruptError, and a base holding one, its checksum
+// intact, sends Open to the previous base with no committed sync lost.
 func TestDecodersRefuseDamagedPayloads(t *testing.T) {
 	src, fd := rotStore(t)
 	populateGenerations(t, src)
 	rebase(t, src)
-	section := func(tag uint64) []byte {
-		reg := findSection(t, fd, src.base.ext.off, tag)
-		body := make([]byte, reg.Len)
-		if _, err := fd.ReadAt(body, reg.Off); err != nil {
-			t.Fatal(err)
-		}
-		return body
-	}
+	base := readRecord(t, fd, src.base.ext)
+	// encode is a record of r's rows with an empty CRC slot, as the decoder
+	// takes it.
+	encode := func(r *record) []byte { return append(appendRecord(nil, r, 0), make([]byte, 8)...) }
 	// overrun returns p with the u64 at off replaced by v.
 	overrun := func(p []byte, off int, v uint64) []byte {
 		q := append([]byte(nil), p...)
 		binary.LittleEndian.PutUint64(q[off:], v)
 		return q
 	}
-	// u64s encodes a section body: a count, then the fields.
-	u64s := func(count int, fields ...uint64) []byte {
-		b := appendU64(nil, uint64(count))
-		for _, f := range fields {
-			b = appendU64(b, f)
-		}
-		return b
-	}
 	h := homeIn(src, 1)
+	const homesAt, segsAt = recordHeaderSize, recordHeaderSize + 8 // the counts, in a record of only those rows
+	flagged := encode(&record{homes: []homedObject{{id: 1, home: h}}})
+	binary.LittleEndian.PutUint64(flagged[homesAt+8+24:], objCRCValid|1<<34|uint64(h.crc))
 	cases := []struct {
-		name    string
-		payload []byte
-		lenOff  int               // offset of a count or length field to inflate
-		more    map[string][]byte // further damaged payloads
-		decode  func(*Store, *sectionReader)
+		name   string
+		record []byte
+		lenOff int               // offset of the count to inflate
+		more   map[string][]byte // further damaged records
 	}{
-		{"objmap", section(secObjMap), 0, map[string][]byte{
-			"undecodable-label": appendHome(appendU64(nil, 1), 1, h, []byte{0xff, 0}),
-			"unknown-flag":      u64s(1, 1, uint64(h.off), uint64(h.size), objCRCValid|1<<34|uint64(h.crc)),
-		}, (*Store).decodeObjMapSection},
-		{"segments", section(secSegs), 0, map[string][]byte{
-			"overlapping": u64s(2, 1<<20, 1<<20, 0, 3<<19, 1<<20, 0),
-		}, (*Store).decodeSegsSection},
+		{"objmap", encode(&record{homes: base.homes}), homesAt, map[string][]byte{
+			"undecodable-label": encode(&record{homes: []homedObject{{id: 1, home: h, lbl: []byte{0xff, 0}}}}),
+			"unknown-flag":      flagged,
+		}},
+		{"segments", encode(&record{segs: base.segs}), segsAt, map[string][]byte{
+			"overlapping": encode(&record{segs: []*segment{{base: 1 << 20, size: 1 << 20}, {base: 3 << 19, size: 1 << 20}}}),
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			run := func(payload []byte) error {
-				r := &sectionReader{buf: payload, area: "metadata"}
-				tc.decode(newStore(nil, Options{}), r)
-				return r.err
-			}
-			if err := run(tc.payload); err != nil {
-				t.Fatalf("intact payload refused: %v", err)
+			if _, err := decodeRecord(tc.record, 0); err != nil {
+				t.Fatalf("intact record refused: %v", err)
 			}
 			damaged := map[string][]byte{
-				"truncated-mid-field": tc.payload[:len(tc.payload)-3],
-				"overrunning-length":  overrun(tc.payload, tc.lenOff, binary.LittleEndian.Uint64(tc.payload[tc.lenOff:])+1),
-				"absurd-length":       overrun(tc.payload, tc.lenOff, ^uint64(0)),
+				"truncated-mid-field": tc.record[:len(tc.record)-3],
+				"overrunning-length":  overrun(tc.record, tc.lenOff, binary.LittleEndian.Uint64(tc.record[tc.lenOff:])+1),
+				"absurd-length":       overrun(tc.record, tc.lenOff, ^uint64(0)),
 			}
-			for name, payload := range tc.more {
-				damaged[name] = payload
+			for name, b := range tc.more {
+				damaged[name] = b
 			}
-			for name, payload := range damaged {
+			for name, b := range damaged {
 				var ce *CorruptError
-				if err := run(payload); !errors.As(err, &ce) {
+				if _, err := decodeRecord(b, 0); !errors.As(err, &ce) {
 					t.Errorf("%s: decode = %v; want a CorruptError", name, err)
 				}
 			}
@@ -238,14 +225,19 @@ func TestDecodersRefuseDamagedPayloads(t *testing.T) {
 			s.mu.Lock()
 			tc.damage(s)
 			_, err := s.deriveFree(0, true)
-			img := s.encodeMetadata(s.metaEpoch, s.base.chain)
+			r := &record{epoch: s.base.epoch, chain: s.base.chain, next: s.base.run, homes: s.homes, segs: s.segs, pins: s.prevChain}
+			size := recordSize(nil, r)
+			var img []byte
+			if size <= s.base.ext.size {
+				img = appendRecord(nil, r, s.base.ext.size)
+			}
 			s.mu.Unlock()
 			var ce *CorruptError
 			if !errors.As(err, &ce) {
 				t.Fatalf("deriving the free list = %v; want a CorruptError", err)
 			}
-			if int64(len(img)) > s.base.ext.size {
-				t.Fatalf("the damaged base takes %d bytes, more than the %d of its extent", len(img), s.base.ext.size)
+			if img == nil {
+				t.Fatalf("the damaged base takes %d bytes, more than the %d of its extent", size, s.base.ext.size)
 			}
 			if _, err := fd.WriteAt(img, s.base.ext.off); err != nil {
 				t.Fatal(err)
@@ -262,13 +254,15 @@ func TestDecodersRefuseDamagedPayloads(t *testing.T) {
 	}
 }
 
-// FuzzDecodeMetadata feeds every decoder of the superblock, the base and the
-// chain — a superblock copy, the section stream, the three section decoders,
-// the base header, the run header and the delta — the same bytes, seeded
-// with a real base, the records of a three-delta chain and a real superblock
-// copy.  Each must decode or return a CorruptError, never panic, and allocate
-// no more than a small multiple of its input; a superblock copy it accepts
-// names two bases in whole sectors past the log.
+// FuzzDecodeMetadata feeds every decoder of the superblock and the chain — a
+// superblock copy, the run header and the one record decoder, which reads
+// bases and deltas alike — the same bytes, seeded with a base and a delta
+// from the one encoder, the base and the records of a three-delta chain as
+// written, and a real superblock copy.  Each must decode or return a
+// CorruptError, never panic, and allocate no more than a small multiple of
+// its input; a superblock copy it accepts names two bases in whole sectors
+// past the log, and a record it accepts encodes back to the bytes it came
+// from, zeros to the CRC slot.
 func FuzzDecodeMetadata(f *testing.F) {
 	s, fd, _, _ := chainStore(f)
 	read := func(off, n int64) []byte {
@@ -278,9 +272,14 @@ func FuzzDecodeMetadata(f *testing.F) {
 		}
 		return b
 	}
-	base := read(s.base.ext.off, s.base.length)
-	f.Add(base)
-	f.Add(base[metaHeaderSize:])
+	s.mu.Lock()
+	base := &record{epoch: s.base.epoch, chain: s.base.chain, next: s.base.run, homes: s.homes, segs: s.segs, pins: s.prevChain}
+	delta := &record{epoch: s.metaEpoch, chain: s.chainID, next: s.nextRun, homes: []homedObject{s.homes[0], {id: 1 << 40}},
+		segs: []*segment{s.segs[0], {base: 1 << 30}}}
+	f.Add(appendRecord(nil, base, recordSize(nil, base)))
+	f.Add(appendRecord(nil, delta, recordSize(nil, delta)))
+	s.mu.Unlock()
+	f.Add(read(s.base.ext.off, s.base.ext.size))
 	for k := 1; k < len(s.chain); k++ {
 		f.Add(read(s.chain[k].off, s.chain[k].size-runHeaderSize))
 		f.Add(read(runHeaderRegion(s, k).Off, runHeaderSize))
@@ -298,20 +297,11 @@ func FuzzDecodeMetadata(f *testing.F) {
 				}
 				errs = append(errs, err)
 			}
-			if len(b) >= metaHeaderSize {
-				_, err := parseMetaHeader(b, 0, 1<<30)
-				errs = append(errs, err)
+			r, err := decodeRecord(b, 0)
+			if rows := appendRecord(nil, &r, 0); err == nil && (!bytes.HasPrefix(b, rows) || len(bytes.TrimLeft(b[len(rows):len(b)-8], "\x00")) != 0) {
+				t.Fatalf("a record decoded from %x encodes back to %x", b, rows)
 			}
-			secs, err := parseSections(b, 0)
-			errs = append(errs, err)
-			for _, decode := range []func(*Store, *sectionReader){(*Store).decodeObjMapSection, (*Store).decodeSegsSection, (*Store).decodePinsSection} {
-				for _, payload := range append(secs[:], b) {
-					r := &sectionReader{buf: payload, area: "metadata"}
-					decode(newStore(nil, Options{}), r)
-					errs = append(errs, r.err)
-				}
-			}
-			_, err = decodeDelta(b, 0)
+			recordSum(b)
 			parseRunHeader(b, link, link)
 			return append(errs, err)
 		}

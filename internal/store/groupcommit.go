@@ -166,6 +166,7 @@ func (s *Store) awaitCommit(t *syncTicket) error {
 		c.leaderBusy = false
 	}
 	c.mu.Unlock()
+	// A follower waits on its own ticket, not on a commit lock, so it leaves as soon as its batch commits.
 	<-t.done
 	return t.err
 }

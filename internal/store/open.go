@@ -127,45 +127,36 @@ func (s *Store) loadMetadata(sb superblockInfo) error {
 		s.report.MetaFallback, err = true, nil
 	}
 	if s.report.Degraded() {
-		s.base.length = -1 // the next checkpoint writes a base, which heals the mount
+		s.base.renew = true // the next checkpoint writes a base, which heals the mount
 	}
 	return err
 }
 
-// loadBase reads, verifies and decodes the base at extent at, applies its
-// chain, and derives the free list.  The current base must carry the
+// loadBase reads the base at extent at, applies it to empty tables, walks
+// its chain, and derives the free list.  The current base must carry the
 // superblock's epoch, and pins the previous base and the chain that ends in
 // its own; the previous base, loaded in fallback, must be no newer, and its
 // pins, released, are not loaded.
 func (s *Store) loadBase(at extent, sb superblockInfo, fallback bool) error {
-	img, err := s.verifyBase(at)
-	if err != nil {
+	r, err := s.readBase(at)
+	switch {
+	case err != nil:
+		return err
+	case !fallback && r.epoch != sb.epoch:
+		return corrupt("chain", at.off, "base of epoch %d under a superblock of epoch %d", r.epoch, sb.epoch)
+	case fallback && r.epoch > sb.epoch:
+		return corrupt("chain", at.off, "previous base of epoch %d newer than its superblock's %d", r.epoch, sb.epoch)
+	}
+	if err := s.applyRows(r, at.off); err != nil {
 		return err
 	}
-	switch {
-	case !fallback && img.epoch != sb.epoch:
-		return corrupt("metadata", at.off+mhEpochOff, "snapshot epoch %d does not match superblock epoch %d", img.epoch, sb.epoch)
-	case fallback && img.epoch > sb.epoch:
-		return corrupt("metadata", at.off+mhEpochOff, "previous snapshot epoch %d newer than superblock epoch %d", img.epoch, sb.epoch)
-	}
-	for _, sec := range []struct {
-		tag    uint64
-		decode func(*sectionReader)
-	}{
-		{secObjMap, s.decodeObjMapSection}, {secSegs, s.decodeSegsSection}, {secPins, s.decodePinsSection},
-	} {
-		r := &sectionReader{buf: img.secs[sec.tag], off: at.off, area: "metadata"}
-		if sec.decode(r); r.err != nil {
-			return r.err
-		}
-	}
-	s.prevBase = sb.prev
+	s.prevBase, s.prevChain = sb.prev, r.pins
 	if fallback {
 		s.prevChain, s.prevBase = nil, extent{}
 	}
-	s.base, s.chainID, s.metaEpoch = img, sb.chain, img.epoch
-	s.nextRun, s.link, s.chain = img.run, img.chain, []extent{{img.run, runHeaderSize}}
-	_, err = s.walkChain(img.run, img.chain, sb.chain, img.epoch, s.applyLink)
+	s.base, s.chainID, s.metaEpoch = baseRef{ext: at, epoch: r.epoch, chain: r.chain, run: r.next}, sb.chain, r.epoch
+	s.nextRun, s.link, s.chain = r.next, r.chain, []extent{{r.next, runHeaderSize}}
+	_, err = s.walkChain(r.next, r.chain, sb.chain, r.epoch, s.applyLink)
 	if errors.Is(err, ErrCorrupt) {
 		s.report.ChainTruncated = true
 		s.noteCorruption(err)
@@ -178,6 +169,22 @@ func (s *Store) loadBase(at extent, sb superblockInfo, fallback bool) error {
 	s.recomputeSegLive()
 	s.report.MetaEpoch = s.metaEpoch
 	return nil
+}
+
+// readBase reads the base at extent at in one device read, checks its CRC
+// and decodes it (Open, and Scrub under ckptRun).
+func (s *Store) readBase(at extent) (record, error) {
+	if at.size > s.d.Size()-at.off {
+		return record{}, corrupt("chain", at.off, "a base of %d bytes runs past the device", at.size)
+	}
+	b := make([]byte, at.size)
+	if _, err := s.d.ReadAt(b, at.off); err != nil {
+		return record{}, err
+	}
+	if _, ok := recordSum(b); !ok {
+		return record{}, corrupt("chain", at.off, "base fails its checksum")
+	}
+	return decodeRecord(b, at.off)
 }
 
 // walkChain follows a chain from the run header at sector at, carrying link
@@ -208,7 +215,7 @@ func (s *Store) walkChain(at int64, link, first, epoch uint64, apply func(runHea
 			return n, err
 		}
 		d, next := buf[:rh.len], buf[rh.len:]
-		if sum, ok := deltaSum(d); !ok || sum != rh.sum {
+		if sum, ok := recordSum(d); !ok || sum != rh.sum {
 			if _, ok, _ := parseRunHeader(next, rh.nextLink(), first); ok {
 				return n, corrupt("chain", rh.off, "delta of epoch %d fails its checksum, and the chain goes on past it", rh.epoch)
 			}
@@ -223,62 +230,38 @@ func (s *Store) walkChain(at int64, link, first, epoch uint64, apply func(runHea
 	}
 }
 
-// applyLink makes one verified delta the snapshot Open is building: its rows
-// replace, join or leave the tables'.  It changes nothing unless every row
-// applies and it agrees with its run header.
+// applyLink makes one verified delta the snapshot Open is building, if it
+// agrees with its run header and pins nothing.
 func (s *Store) applyLink(rh runHeader, b []byte) error {
-	d, err := decodeDelta(b, rh.off)
-	if err != nil {
+	d, err := decodeRecord(b, rh.off)
+	switch {
+	case err != nil:
+		return err
+	case d.epoch != rh.epoch || d.chain != rh.chain || d.next != rh.off+rh.len || len(d.pins) > 0:
+		return corrupt("chain", rh.off, "delta of epoch %d, chain %#x, next %d, %d pins, under a run header of epoch %d", d.epoch, d.chain, d.next, len(d.pins), rh.epoch)
+	}
+	if err := s.applyRows(d, rh.off); err != nil {
 		return err
 	}
-	homes, _, herr := mergeRows(s.homes, d.homes, homeKey, func(h homedObject) bool { return h.off == 0 })
-	segs, gone, serr := mergeRows(s.segs, d.segs, segKey, func(g *segment) bool { return g.size == 0 })
-	if err = errors.Join(herr, serr); err == nil && (d.epoch != rh.epoch || d.next != rh.off+rh.len) {
-		err = fmt.Errorf("delta of epoch %d, next %d, under a run header of epoch %d", d.epoch, d.next, rh.epoch)
-	}
-	if err != nil {
-		return corrupt("chain", rh.off, "%v", err)
+	s.metaEpoch, s.nextRun, s.link = rh.epoch, d.next, rh.nextLink()
+	s.chain = append(s.chain, extent{rh.off, rh.len + runHeaderSize})
+	return nil
+}
+
+// applyRows applies a record's rows to the tables: each replaces, joins or
+// leaves the row of its key, and one that leaves must be there, so a base,
+// applied to empty tables, holds none.  It changes nothing unless every row
+// applies; the segments that left are held until the next commit.
+func (s *Store) applyRows(r record, at int64) error {
+	homes, _, herr := mergeRows(s.homes, r.homes, homeKey, func(h homedObject) bool { return h.off == 0 })
+	segs, gone, serr := mergeRows(s.segs, r.segs, segKey, func(g *segment) bool { return g.size == 0 })
+	if err := errors.Join(herr, serr); err != nil {
+		return corrupt("chain", at, "%v", err)
 	}
 	s.held = s.held[:0]
 	for _, g := range gone {
 		s.held = append(s.held, extent{g.base, g.size})
 	}
-	s.homes, s.segs, s.metaEpoch, s.nextRun, s.link = homes, segs, rh.epoch, d.next, rh.nextLink()
-	s.chain = append(s.chain, extent{rh.off, rh.len + runHeaderSize})
+	s.homes, s.segs = homes, segs
 	return nil
-}
-
-// metaImage is one verified, still undecoded base: its extent, its header's
-// fields and its sections by tag.
-type metaImage struct {
-	ext    extent
-	epoch  uint64
-	chain  uint64 // the id its chain's run headers carry
-	run    int64  // the sector of its chain's first run header
-	length int64  // header plus section stream, in bytes
-	secs   [secPins + 1][]byte
-}
-
-// verifyBase reads the base at extent at and checks its header and every
-// section CRC, returning the raw section payloads by tag.  Nothing is
-// decoded, so a damaged base can never half-apply; Open decodes what this
-// returns, Scrub only counts it.
-func (s *Store) verifyBase(at extent) (img metaImage, err error) {
-	if at.size > s.d.Size()-at.off {
-		return img, corrupt("metadata", at.off, "a base of %d bytes runs past the device", at.size)
-	}
-	hdr := make([]byte, metaHeaderSize)
-	if _, err := s.d.ReadAt(hdr, at.off); err != nil {
-		return img, err
-	}
-	if img, err = parseMetaHeader(hdr, at.off, at.size-metaHeaderSize); err != nil {
-		return img, err
-	}
-	payload := make([]byte, img.length-metaHeaderSize)
-	if _, err := s.d.ReadAt(payload, at.off+metaHeaderSize); err != nil {
-		return img, err
-	}
-	img.ext = at
-	img.secs, err = parseSections(payload, at.off+metaHeaderSize)
-	return img, err
 }

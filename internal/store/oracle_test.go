@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
@@ -15,44 +16,49 @@ import (
 )
 
 // encodeFromScratch is the base a checkpoint would write if it walked
-// everything: every home sorted by ID, each followed by the label its sealed
-// object carries, encoded afresh, the segment table and the pinned chain
-// extents, each section built on its own and framed after.  It is the oracle
-// for the seal's walk of the changed entries and the home table's merges.
+// everything, built here on the format's own terms and with none of the
+// store's encoders: little-endian u64s — the epoch, the chain id, the sector
+// of the chain's first run header — then each home sorted by ID (id, offset,
+// size, and a CRC field of the contents CRC with bit 32 set and, when the
+// sealed object has a label, bit 33 and the label encoded afresh after it),
+// each segment (base, size, used) and each pinned chain extent (offset,
+// length), every table after its count; then zeros to whole sectors, with
+// room for a CRC and one more segment row, and a CRC32C of all before it in
+// the last 8 bytes.  It is the oracle for the seal's walk of the changed
+// entries, the home table's merges and the record codec.
 func encodeFromScratch(epoch, chain uint64, run int64, homes map[uint64]home, labels map[uint64]label.Label, segs []*segment, pins []extent) []byte {
+	le := binary.LittleEndian
 	ids := make([]uint64, 0, len(homes))
 	for id := range homes {
 		ids = append(ids, id)
 	}
 	slices.Sort(ids)
-	objs := appendU64(nil, uint64(len(homes)))
+	b := le.AppendUint64(le.AppendUint64(le.AppendUint64(nil, epoch), chain), uint64(run))
+	b = le.AppendUint64(b, uint64(len(ids)))
 	for _, id := range ids {
-		var enc []byte
-		if lbl, ok := labels[id]; ok {
-			enc = lbl.AppendBinary(nil)
+		h := homes[id]
+		b = le.AppendUint64(le.AppendUint64(le.AppendUint64(b, id), uint64(h.off)), uint64(h.size))
+		lbl, labeled := labels[id]
+		field := uint64(1)<<32 | uint64(h.crc)
+		if labeled {
+			field |= 1 << 33
 		}
-		objs = appendHome(objs, id, homes[id], enc)
+		b = le.AppendUint64(b, field)
+		if labeled {
+			b = lbl.AppendBinary(b)
+		}
 	}
-	segsSec := appendU64(nil, uint64(len(segs)))
+	b = le.AppendUint64(b, uint64(len(segs)))
 	for _, seg := range segs {
-		segsSec = appendU64(appendU64(appendU64(segsSec, uint64(seg.base)), uint64(seg.size)), uint64(seg.used))
+		b = le.AppendUint64(le.AppendUint64(le.AppendUint64(b, uint64(seg.base)), uint64(seg.size)), uint64(seg.used))
 	}
-	pinsSec := appendU64(nil, uint64(len(pins)))
+	b = le.AppendUint64(b, uint64(len(pins)))
 	for _, e := range pins {
-		pinsSec = appendU64(appendU64(pinsSec, uint64(e.off)), uint64(e.size))
+		b = le.AppendUint64(le.AppendUint64(b, uint64(e.off)), uint64(e.size))
 	}
-	var payload []byte
-	for _, sec := range []struct {
-		tag  uint64
-		body []byte
-	}{{secObjMap, objs}, {secSegs, segsSec}, {secPins, pinsSec}} {
-		payload = appendU64(appendU64(appendU64(payload, sec.tag), uint64(len(sec.body))), uint64(crc32c(sec.body)))
-		payload = append(payload, sec.body...)
-	}
-	hdr := appendU64(appendU64(appendU64(appendU64(appendU64(nil, metaMagic), metaVersion), epoch), uint64(len(payload))), numSecs)
-	hdr = appendU64(appendU64(hdr, chain), uint64(run))
-	hdr = appendU64(hdr, uint64(crc32.Checksum(hdr, castagnoli)))
-	return append(hdr, payload...)
+	size := (len(b) + 8 + 24 + 511) / 512 * 512
+	b = append(b, make([]byte, size-8-len(b))...)
+	return le.AppendUint64(b, uint64(crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli))))
 }
 
 // oracleObject is what the model says one live object holds.
@@ -218,12 +224,12 @@ func checkImage(t *testing.T, s *Store, d disk.Device, sealed map[uint64]oracleO
 	}
 	if len(s.chain) == 1 {
 		want := encodeFromScratch(s.metaEpoch, s.chainID, s.nextRun, homes, labels, s.segs, s.prevChain)
-		got := make([]byte, len(want))
+		got := make([]byte, s.base.ext.size)
 		if _, err := d.ReadAt(got, s.base.ext.off); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: the base written differs from the from-scratch encoding (%d homes, %d labels)", where, len(homes), len(labels))
+			t.Fatalf("%s: the base written (%d bytes) differs from the from-scratch encoding (%d bytes, %d homes, %d labels)", where, len(got), len(want), len(homes), len(labels))
 		}
 	}
 	loaded := newStore(d, Options{SegmentSize: s.segSize})

@@ -104,8 +104,8 @@ func (s *Store) scrubMetadata(st *ScrubStats) {
 	for i, at := range []extent{s.base.ext, s.prevBase} {
 		if at.size > 0 { // a fallback mount pins no previous base
 			st.BasesChecked++
-			img, err := s.verifyBase(at)
-			if found(err == nil && (img.epoch == s.base.epoch || i > 0 && img.epoch < s.base.epoch), img.length) {
+			r, err := s.readBase(at)
+			if found(err == nil && (r.epoch == s.base.epoch || i > 0 && r.epoch < s.base.epoch), at.size) {
 				st.BasesOK++
 			}
 		}

@@ -14,17 +14,18 @@
 //	[4096+logSize, disk size)       data region: segments
 //
 // The superblock names the current base's extent and the previous one's, the
-// base's epoch and its chain id.  A base is a whole snapshot: the object map
-// (per object its extent, size, contents CRC and label), the segment table,
-// and the extents of the chain before it.  Every checkpoint after a base
-// writes into the data region, beside its objects, a run header and a delta:
-// the object-map and segment rows it changed.  Each run header lies at the
-// sector the delta before it (or the base) reserved, so Open loads the base
-// and follows the chain.  Once the chain holds maxChainLinks deltas or more
-// bytes than half the base, counted as at least a segment, a checkpoint
-// writes a new base, one more chain record placed like a delta, and flips
-// the superblock.  format.go holds every layout and is the only file that
-// reads or writes them; doc.go is the integrity reference.
+// base's epoch and its chain id.  A base is a whole snapshot: a chain record
+// of every row — per object its extent, size, contents CRC and label, and
+// per segment its extent and used mark — that pins the chain before it.
+// Every checkpoint after a base writes into the data region, beside its
+// objects, a run header and a delta: a record of the same format holding the
+// rows it changed.  Each run header lies at the sector the record before it
+// reserved, so Open applies the base to empty tables and each delta after
+// it.  Once the chain holds maxChainLinks deltas or more bytes than half the
+// base, counted as at least a segment, a checkpoint writes a new base, placed
+// like a delta, and flips the superblock.  format.go holds every layout and
+// is the only file that reads or writes them; doc.go is the integrity
+// reference.
 //
 // # Data region: segments
 //
@@ -211,9 +212,8 @@ type Store struct {
 	objs    map[uint64]*objEntry // object ID → in-memory entry
 	changed []uint64             // the entries touched since the last seal
 	homes   []homedObject        // the paper's object map, ascending by ID (home.go)
-	img     []byte               // the last base image (encodeMetadata)
 	spare   []homedObject        // the home table's other buffer (mergeHomes)
-	dbuf    []byte               // the last delta (commitDelta)
+	rbuf    []byte               // the last chain record written (appendRecord)
 
 	free []extent // the free extents, ascending by offset (see alloc.go)
 	held []extent // the segments the last commit dropped (alloc.go)
@@ -234,7 +234,7 @@ type Store struct {
 	// The body writes them under mu with ckptRun held, so either lock suffices
 	// to read them.
 	metaEpoch uint64
-	base      metaImage
+	base      baseRef
 	chainID   uint64
 	nextRun   int64
 	link      uint64
@@ -254,6 +254,15 @@ type Store struct {
 	report RecoveryReport
 
 	c counters
+}
+
+// baseRef is the committed base: its extent, and the epoch, chain id and
+// first run header's sector its record holds.
+type baseRef struct {
+	ext          extent
+	epoch, chain uint64
+	run          int64
+	renew        bool // the next checkpoint writes a base: a degraded mount loaded this one
 }
 
 // Options configure Format and Open.  Open reads only SegmentSize: the log's

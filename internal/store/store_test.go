@@ -888,9 +888,9 @@ func TestDataRegionFullIsNoSpace(t *testing.T) {
 // TestBaseLargerThanTheOldAreaRemounts: a base is placed in the data region
 // like any other chain record, so one over 16 MiB — the size of each of the
 // two fixed areas bases once alternated between — checkpoints, and the store
-// remounts from it with every object and label.  Labels of 500 categories
-// make each object-map record about 4.5 KiB, so a few thousand one-byte
-// objects make the base.
+// remounts from it with every object and label, reading the base in one
+// device read.  Labels of 500 categories make each home row about 4.5 KiB,
+// so a few thousand one-byte objects make the base.
 func TestBaseLargerThanTheOldAreaRemounts(t *testing.T) {
 	d := disk.New(disk.Params{Sectors: (64 << 20) / disk.SectorSize}, &vclock.Clock{})
 	opts := Options{LogSize: 1 << 20}
@@ -917,16 +917,20 @@ func TestBaseLargerThanTheOldAreaRemounts(t *testing.T) {
 			t.Fatalf("checkpoint %d of %d objects with %d-byte records: %v", i+1, n, rec, err)
 		}
 	}
-	if len(s.chain) != 1 || s.base.length <= 16<<20 {
-		t.Fatalf("the second checkpoint wrote no base over 16 MiB: %d bytes, %d deltas since", s.base.length, len(s.chain)-1)
+	if len(s.chain) != 1 || s.base.ext.size <= 16<<20 {
+		t.Fatalf("the second checkpoint wrote no base over 16 MiB: %d bytes, %d deltas since", s.base.ext.size, len(s.chain)-1)
 	}
 	d.Crash()
+	reads := d.Stats().Reads
+	if _, err := s.readBase(s.base.ext); err != nil || d.Stats().Reads-reads != 1 {
+		t.Fatalf("reading the %d-byte base took %d device reads (%v); want one", s.base.ext.size, d.Stats().Reads-reads, err)
+	}
 	s2, err := Open(d, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rep := s2.RecoveryReport(); rep.Degraded() || rep.MetaEpoch != s.committedEpoch() {
-		t.Fatalf("remount of a %d-byte base: %+v, want a clean mount at epoch %d", s.base.length, rep, s.committedEpoch())
+		t.Fatalf("remount of a %d-byte base: %+v, want a clean mount at epoch %d", s.base.ext.size, rep, s.committedEpoch())
 	}
 	for id := uint64(1); id <= n; id++ {
 		got, err := s2.Get(id)
