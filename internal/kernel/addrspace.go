@@ -181,31 +181,32 @@ func (tc *ThreadCall) MemWrite(va uint64, data []byte) error {
 // see the error); the handler runs with no kernel locks held, so it may issue
 // system calls.
 func (tc *ThreadCall) pageFault(ctx tctx, va uint64, write bool) (*segment, int, error) {
-	seg, off, err := tc.pageFaultInner(ctx, va, write)
-	if err != nil {
-		if as, lerr := lookupAs[*addressSpace](tc.k, ctx.as.Object); lerr == nil {
-			as.mu.RLock()
-			h := as.faultHandler
-			as.mu.RUnlock()
-			if h != nil {
-				h(va, write, err)
-			}
+	as, seg, off, err := tc.pageFaultInner(ctx, va, write)
+	if err != nil && as != nil {
+		as.mu.RLock()
+		h := as.faultHandler
+		as.mu.RUnlock()
+		if h != nil {
+			h(va, write, err)
 		}
 	}
 	return seg, off, err
 }
 
-func (tc *ThreadCall) pageFaultInner(ctx tctx, va uint64, write bool) (*segment, int, error) {
+// pageFaultInner is pageFault's resolution; it returns the thread's address
+// space once it is found, so that a failure after that point reaches the
+// space's fault handler.
+func (tc *ThreadCall) pageFaultInner(ctx tctx, va uint64, write bool) (*addressSpace, *segment, int, error) {
 	if ctx.as.Object == NilID {
-		return nil, 0, ErrNoMapping
+		return nil, nil, 0, ErrNoMapping
 	}
 	as, err := lookupAs[*addressSpace](tc.k, ctx.as.Object)
 	if err != nil {
-		return nil, 0, err
+		return nil, nil, 0, err
 	}
 	// The thread must be able to use its address space at all.
 	if !label.CanObserve(ctx.lbl, as.lbl) {
-		return nil, 0, ErrLabel
+		return as, nil, 0, ErrLabel
 	}
 	// Find the covering mapping and copy it out; the syscall linearizes at
 	// this point, so a concurrent remapping simply lands before or after it.
@@ -221,24 +222,24 @@ func (tc *ThreadCall) pageFaultInner(ctx tctx, va uint64, write bool) (*segment,
 	}
 	as.mu.RUnlock()
 	if !found {
-		return nil, 0, ErrNoMapping
+		return as, nil, 0, ErrNoMapping
 	}
 	need, acc := MapRead, accObserve
 	if write {
 		need, acc = MapWrite, accModify
 	}
 	if m.Flags&need == 0 {
-		return nil, 0, ErrAccess
+		return as, nil, 0, ErrAccess
 	}
 	// Thread-local segment mapping: always accessible to its owner.
 	if m.Flags&MapThreadLocal != 0 {
-		return ctx.t.localSegment, int(va - m.VA), nil
+		return as, tc.t.localSegment, int(va - m.VA), nil
 	}
 	// Page-fault label checks: read the mapping's container and segment, plus
 	// modify the segment for a store — the same resolve a direct call makes.
 	_, seg, err := resolve[*segment](tc.k, &ctx, m.Seg, acc)
 	if err != nil {
-		return nil, 0, err
+		return as, nil, 0, err
 	}
 	if write {
 		// Reported here so the fault handler hears of it; the store itself
@@ -247,8 +248,8 @@ func (tc *ThreadCall) pageFaultInner(ctx tctx, va uint64, write bool) (*segment,
 		immutable := seg.immutable
 		seg.mu.RUnlock()
 		if immutable {
-			return nil, 0, ErrImmutable
+			return as, nil, 0, ErrImmutable
 		}
 	}
-	return seg, int(va - m.VA + m.Offset), nil
+	return as, seg, int(va - m.VA + m.Offset), nil
 }

@@ -101,22 +101,23 @@ func (tc *ThreadCall) GateEnter(ce CEnt, req GateRequest) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := tc.gateEnterTransfer(ctx.t, g, req); err != nil {
+	if err := tc.gateEnterTransfer(g, req); err != nil {
 		return nil, err
 	}
 	return tc.gateDispatch(g, req), nil
 }
 
 // gateEnterTransfer performs the label checks of Section 3.5 and, if they
-// pass, retargets thread t to the requested label/clearance and the gate's
-// address space.  The checks compare the thread's label against the
+// pass, retargets the invoking thread to the requested label/clearance and
+// the gate's address space.  The checks compare the thread's label against the
 // (immutable) gate, so they run under the thread's write lock, against the
 // label as it is now: a concurrent self_set_label must either land before
 // the checks or after the transfer, never be overwritten by it.
-func (tc *ThreadCall) gateEnterTransfer(t *thread, g *gate, req GateRequest) error {
+func (tc *ThreadCall) gateEnterTransfer(g *gate, req GateRequest) error {
 	if !label.ValidThreadLabel(req.Label) || !label.ValidClearance(req.Clearance) {
 		return ErrInvalid
 	}
+	t := tc.t
 	ls := lockOrdered(objLock{t, true}, objLock{t.localSegment, true})
 	gerr := func() error {
 		if t.halted {

@@ -27,8 +27,9 @@
 //     clearance, address space, liveness) under the thread's read lock and
 //     releases it; all subsequent checks use the snapshot, so a syscall's
 //     label checks are evaluated against the thread's label as of syscall
-//     entry, exactly as in the real kernel.  thread.snapshot is the only
-//     builder of that snapshot, and enter its only caller.
+//     entry, exactly as in the real kernel.  The thread is the one the
+//     ThreadCall holds, never looked up again by ID, and enter alone takes
+//     the snapshot.
 //  2. Object resolution (shard map lookups and label checks against
 //     *immutable* object labels) happens with no object locks held.
 //     resolve names an existing entry 〈D,O〉 (peek, the type assertion and
@@ -343,7 +344,6 @@ func verifyEntryLive(cont *container, obj object) error {
 // label check in the call uses it, so checks see the thread's label as of
 // entry even if another goroutine concurrently retargets the thread.
 type tctx struct {
-	t         *thread
 	lbl       label.Label
 	clearance label.Label
 	as        CEnt
@@ -351,49 +351,45 @@ type tctx struct {
 
 // ThreadCall is the per-thread system-call context.  All system calls are
 // methods on ThreadCall so that every operation is attributed to, and
-// checked against, a specific thread.
+// checked against, a specific thread.  A context holds its thread itself,
+// not the thread's ID: object IDs are never reused, so the thread a context
+// was made for is the only one it can ever name, and a call enters through
+// it with no table lookup.  A context pins its thread's memory until the
+// context is dropped; once the thread is halted or deallocated, every call
+// through it returns ErrHalted.
 type ThreadCall struct {
-	k   *Kernel
-	tid ID
+	k *Kernel
+	t *thread
 }
 
-// ThreadCall returns the syscall context for an existing thread.  In real
-// HiStar the binding of executing code to its thread object is enforced by
-// the hardware; in this simulation the caller that created the thread is
-// trusted to hand the context only to that thread's code.
+// ThreadCall returns the syscall context for an existing thread; it is the
+// only place a thread is looked up by ID, and the context pins the thread it
+// finds (IDs are never reused).  In real HiStar the binding of executing
+// code to its thread object is enforced by the hardware; in this simulation
+// the caller that created the thread is trusted to hand the context only to
+// that thread's code.
 func (k *Kernel) ThreadCall(tid ID) (*ThreadCall, error) {
-	if _, err := lookupAs[*thread](k, tid); err != nil {
+	t, err := lookupAs[*thread](k, tid)
+	if err != nil {
 		return nil, err
 	}
-	return &ThreadCall{k: k, tid: tid}, nil
+	return &ThreadCall{k: k, t: t}, nil
 }
 
 // ID returns the invoking thread's object ID.
-func (tc *ThreadCall) ID() ID { return tc.tid }
+func (tc *ThreadCall) ID() ID { return tc.t.id }
 
-// snapshot fills ctx with the thread's label, clearance and address space,
-// read under its read lock (rule 1 of the locking discipline), and reports
-// whether the thread is halted.
-func (t *thread) snapshot(ctx *tctx) (halted bool) {
+// enter snapshots the invoking thread under its read lock (rule 1 of the
+// locking discipline) and records the call in the statistics.  It fails with
+// ErrHalted, counting nothing, if the thread is halted or deallocated
+// (deallocLocked halts a thread under its write lock).
+func (tc *ThreadCall) enter(sc syscallID) (tctx, error) {
+	t := tc.t
 	t.mu.RLock()
-	ctx.t = t
-	ctx.lbl = t.lbl
-	ctx.clearance = t.clearance
-	ctx.as = t.addressSpace
-	halted = t.halted
+	ctx := tctx{lbl: t.lbl, clearance: t.clearance, as: t.addressSpace}
+	halted := t.halted
 	t.mu.RUnlock()
-	return halted
-}
-
-// enter snapshots the invoking thread at syscall entry and records the call
-// in the statistics.  It fails with ErrHalted if the thread is halted or
-// deallocated.
-func (tc *ThreadCall) enter(sc syscallID) (ctx tctx, err error) {
-	t, err := lookupAs[*thread](tc.k, tc.tid)
-	if err == ErrWrongType {
-		return ctx, err
-	}
-	if err != nil || t.snapshot(&ctx) {
+	if halted {
 		return tctx{}, ErrHalted
 	}
 	tc.k.count(sc, t)
@@ -401,13 +397,7 @@ func (tc *ThreadCall) enter(sc syscallID) (ctx tctx, err error) {
 }
 
 // SyscallsIssued returns how many system calls this thread has issued.
-func (tc *ThreadCall) SyscallsIssued() uint64 {
-	t, err := lookupAs[*thread](tc.k, tc.tid)
-	if err != nil {
-		return 0
-	}
-	return t.syscallCount.Load()
-}
+func (tc *ThreadCall) SyscallsIssued() uint64 { return tc.t.syscallCount.Load() }
 
 // ---------------------------------------------------------------------------
 // Resolution.
@@ -619,11 +609,11 @@ func (k *Kernel) BootThread(lbl, clearance label.Label, descrip string) (*Thread
 	if err != nil {
 		return nil, err
 	}
-	tid, err := k.create(root, k.newThread(lbl, clearance, CEnt{}, 0, descrip))
-	if err != nil {
+	t := k.newThread(lbl, clearance, CEnt{}, 0, descrip)
+	if _, err := k.create(root, t); err != nil {
 		return nil, err
 	}
-	return &ThreadCall{k: k, tid: tid}, nil
+	return &ThreadCall{k: k, t: t}, nil
 }
 
 // localSegmentSize is one page, as in the paper.
@@ -680,7 +670,7 @@ func (k *Kernel) deallocLocked(o object) []ID {
 		children = v.list()
 		v.entries = nil
 	case *thread:
-		v.halted = true
+		v.halt()
 	case *segment:
 		if v.persistent {
 			// Clean for good: a Sync must push nothing after the Delete that

@@ -33,6 +33,7 @@ const (
 	scThreadHalt
 	scThreadAlert
 	scAlertPoll
+	scAlertWait
 	scLocalSegmentWrite
 	scLocalSegmentRead
 	scSegmentCreate
@@ -88,6 +89,7 @@ var syscallNames = [numSyscalls]string{
 	scThreadHalt:          "thread_halt",
 	scThreadAlert:         "thread_alert",
 	scAlertPoll:           "alert_poll",
+	scAlertWait:           "alert_wait",
 	scLocalSegmentWrite:   "local_segment_write",
 	scLocalSegmentRead:    "local_segment_read",
 	scSegmentCreate:       "segment_create",
@@ -125,9 +127,7 @@ type syscallCounters [numSyscalls]atomic.Uint64
 // reports.  One atomic add on the per-syscall counter, one on the thread's
 // own counter; no shared mutex.
 func (k *Kernel) count(sc syscallID, t *thread) {
-	if t != nil {
-		t.syscallCount.Add(1)
-	}
+	t.syscallCount.Add(1)
 	k.syscalls[sc].Add(1)
 }
 

@@ -9,12 +9,11 @@ import (
 // clearance gains c 3.  Labels are egalitarian — any thread may allocate
 // arbitrarily many categories.
 func (tc *ThreadCall) CategoryCreate() (label.Category, error) {
-	ctx, err := tc.enter(scCategoryCreate)
-	if err != nil {
+	if _, err := tc.enter(scCategoryCreate); err != nil {
 		return 0, err
 	}
 	c := tc.k.cats.Alloc()
-	t := ctx.t
+	t := tc.t
 	t.mu.Lock()
 	t.lbl = t.lbl.With(c, label.Star)
 	t.clearance = t.clearance.With(c, label.L3)
@@ -44,14 +43,13 @@ func (tc *ThreadCall) SelfClearance() (label.Label, error) {
 // LT ⊑ l ⊑ CT (int self_set_label).  A thread can therefore taint itself to
 // read more tainted objects, but can never shed taint it does not own.
 func (tc *ThreadCall) SelfSetLabel(l label.Label) error {
-	ctx, err := tc.enter(scSelfSetLabel)
-	if err != nil {
+	if _, err := tc.enter(scSelfSetLabel); err != nil {
 		return err
 	}
 	if !label.ValidThreadLabel(l) {
 		return ErrInvalid
 	}
-	t := ctx.t
+	t := tc.t
 	// The thread-local segment follows the thread's taint so the thread can
 	// always write its own scratch space.
 	ls := lockOrdered(objLock{t, true}, objLock{t.localSegment, true})
@@ -70,14 +68,13 @@ func (tc *ThreadCall) SelfSetLabel(l label.Label) error {
 // lower its clearance in any category (not below its label) and may raise
 // clearance only in categories it owns.
 func (tc *ThreadCall) SelfSetClearance(c label.Label) error {
-	ctx, err := tc.enter(scSelfSetClearance)
-	if err != nil {
+	if _, err := tc.enter(scSelfSetClearance); err != nil {
 		return err
 	}
 	if !label.ValidClearance(c) {
 		return ErrInvalid
 	}
-	t := ctx.t
+	t := tc.t
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if !t.lbl.Leq(c) || !c.Leq(t.clearance.Join(t.lbl.RaiseJ())) {
@@ -108,7 +105,7 @@ func (tc *ThreadCall) SelfSetAddressSpace(as CEnt) error {
 	if _, _, err := resolve[*addressSpace](tc.k, &ctx, as, accObserve); err != nil {
 		return err
 	}
-	t := ctx.t
+	t := tc.t
 	t.mu.Lock()
 	t.addressSpace = as
 	t.mu.Unlock()
@@ -158,15 +155,23 @@ func (tc *ThreadCall) ThreadCreate(d ID, spec ThreadSpec) (ID, error) {
 // ThreadHalt halts the invoking thread.  Further system calls through its
 // context return ErrHalted.
 func (tc *ThreadCall) ThreadHalt() error {
-	ctx, err := tc.enter(scThreadHalt)
-	if err != nil {
+	if _, err := tc.enter(scThreadHalt); err != nil {
 		return err
 	}
-	t := ctx.t
-	t.mu.Lock()
-	t.halted = true
-	t.mu.Unlock()
+	tc.t.mu.Lock()
+	tc.t.halt()
+	tc.t.mu.Unlock()
 	return nil
+}
+
+// halt marks t halted and wakes an AlertWait, which then returns ErrHalted;
+// the caller holds t's write lock.
+func (t *thread) halt() {
+	t.halted = true
+	select {
+	case t.alertCh <- struct{}{}:
+	default:
+	}
 }
 
 // ThreadAlert sends an alert (HiStar's low-level signal) to the thread named
@@ -225,11 +230,10 @@ func (tc *ThreadCall) alertLocked(ctx tctx, victim *thread) error {
 
 // AlertPoll removes and returns a pending alert, if any.
 func (tc *ThreadCall) AlertPoll() (uint64, bool, error) {
-	ctx, err := tc.enter(scAlertPoll)
-	if err != nil {
+	if _, err := tc.enter(scAlertPoll); err != nil {
 		return 0, false, err
 	}
-	t := ctx.t
+	t := tc.t
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.alertQueue) == 0 {
@@ -241,16 +245,13 @@ func (tc *ThreadCall) AlertPoll() (uint64, bool, error) {
 }
 
 // AlertWait blocks until an alert is delivered to the invoking thread, then
-// returns its code.
+// returns its code, or ErrHalted once the thread is halted or deallocated.
 func (tc *ThreadCall) AlertWait() (uint64, error) {
+	if _, err := tc.enter(scAlertWait); err != nil {
+		return 0, err
+	}
+	t := tc.t
 	for {
-		t, err := lookupAs[*thread](tc.k, tc.tid)
-		if err == ErrWrongType {
-			return 0, err
-		}
-		if err != nil {
-			return 0, ErrHalted
-		}
 		t.mu.Lock()
 		if t.halted {
 			t.mu.Unlock()
@@ -262,9 +263,8 @@ func (tc *ThreadCall) AlertWait() (uint64, error) {
 			t.mu.Unlock()
 			return code, nil
 		}
-		ch := t.alertCh
 		t.mu.Unlock()
-		<-ch
+		<-t.alertCh
 	}
 }
 
@@ -272,11 +272,10 @@ func (tc *ThreadCall) AlertWait() (uint64, error) {
 // segment, which is always writable by the current thread regardless of its
 // label.  The page never grows: the range must lie wholly inside it.
 func (tc *ThreadCall) LocalSegmentWrite(off int, data []byte) error {
-	ctx, err := tc.enter(scLocalSegmentWrite)
-	if err != nil {
+	if _, err := tc.enter(scLocalSegmentWrite); err != nil {
 		return err
 	}
-	seg := ctx.t.localSegment
+	seg := tc.t.localSegment
 	seg.mu.Lock()
 	defer seg.mu.Unlock()
 	if end, err := seg.clamp(tc.k, off, len(data)); err != nil || end-off != len(data) {
@@ -288,11 +287,10 @@ func (tc *ThreadCall) LocalSegmentWrite(off int, data []byte) error {
 // LocalSegmentRead reads from the invoking thread's thread-local segment; the
 // range must lie wholly inside it.
 func (tc *ThreadCall) LocalSegmentRead(off, n int) ([]byte, error) {
-	ctx, err := tc.enter(scLocalSegmentRead)
-	if err != nil {
+	if _, err := tc.enter(scLocalSegmentRead); err != nil {
 		return nil, err
 	}
-	seg := ctx.t.localSegment
+	seg := tc.t.localSegment
 	seg.mu.RLock()
 	defer seg.mu.RUnlock()
 	if end, err := seg.clamp(tc.k, off, n); err != nil || end-off != n {
