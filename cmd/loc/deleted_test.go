@@ -62,6 +62,8 @@ var deleted = []struct {
 		[]string{"MetaAreaSize", "defaultMetaAreaSize", "metaAreaOff", "metaWhich", "sbWhichOff", "sbMetaSzOff"}},
 	{"the base's own header and tagged sections, which one record format for bases and deltas replaced",
 		[]string{"parseMetaHeader", "parseSections", "decodeObjMapSection", "decodeSegsSection", "decodePinsSection", "secObjMap", "secSegs", "secPins", "secHdrSize", "numSecs", "metaHeaderSize", "metaMagic", "metaVersion"}},
+	{"the scrub's chunks and the hand-rolled min and max helpers",
+		[]string{"scrubChunk", "maxLevel", "maxTaint", "max64", "min64"}},
 }
 
 // isWord reports whether b is a word byte in grep -w's sense.

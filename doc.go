@@ -21,8 +21,10 @@
 // The store's in-memory state — object entries, the object map, the free
 // list and the segment table — sits behind one mutex that is never held
 // across a device write, and a store-wide RWMutex serves only as the
-// checkpoint gate, held exclusively by nothing but a checkpoint's seal,
-// which raises the log epoch in memory and writes nothing.  Concurrent
+// checkpoint gate: a sync holds it shared from sealing its records to
+// their commit, and a checkpoint's seal, which raises the log epoch in
+// memory and writes nothing, holds it exclusively (as Close does); puts,
+// reads, deletes and scrubs never take it.  Concurrent
 // SyncObject calls flow through a leader/follower group committer — sealed
 // records batch into one wal.Commit, which is one frame written at the
 // log's tail and one flush, stamped with the epoch, with every syncer

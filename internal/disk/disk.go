@@ -221,26 +221,12 @@ func (d *Disk) ReadAt(p []byte, off int64) (int, error) {
 // overlayCopy copies the overlap of src (at absolute offset srcOff) onto dst
 // (at absolute offset dstOff).
 func overlayCopy(dst []byte, dstOff int64, src []byte, srcOff int64) {
-	lo := max64(dstOff, srcOff)
-	hi := min64(dstOff+int64(len(dst)), srcOff+int64(len(src)))
+	lo := max(dstOff, srcOff)
+	hi := min(dstOff+int64(len(dst)), srcOff+int64(len(src)))
 	if lo >= hi {
 		return
 	}
 	copy(dst[lo-dstOff:hi-dstOff], src[lo-srcOff:hi-srcOff])
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // WriteAt writes len(p) bytes at byte offset off.  With the write cache

@@ -379,7 +379,7 @@ func LeqRaised(l, m Label) bool { return leq(l, &asRaised, m, &asRaised) }
 // Join returns the least upper bound l ⊔ m: pointwise maximum of levels.
 // It is one pass over the two sorted slices, allocating only the output.
 func (l Label) Join(m Label) Label {
-	def := maxLevel(l.def, m.def)
+	def := max(l.def, m.def)
 	lp, mp := l.pairs, m.pairs
 	out := make([]Pair, 0, len(lp)+len(mp))
 	emit := func(c Category, lv Level) {
@@ -391,31 +391,24 @@ func (l Label) Join(m Label) Label {
 	for i < len(lp) && j < len(mp) {
 		switch {
 		case lp[i].Category < mp[j].Category:
-			emit(lp[i].Category, maxLevel(lp[i].Level, m.def))
+			emit(lp[i].Category, max(lp[i].Level, m.def))
 			i++
 		case lp[i].Category > mp[j].Category:
-			emit(mp[j].Category, maxLevel(l.def, mp[j].Level))
+			emit(mp[j].Category, max(l.def, mp[j].Level))
 			j++
 		default:
-			emit(lp[i].Category, maxLevel(lp[i].Level, mp[j].Level))
+			emit(lp[i].Category, max(lp[i].Level, mp[j].Level))
 			i++
 			j++
 		}
 	}
 	for ; i < len(lp); i++ {
-		emit(lp[i].Category, maxLevel(lp[i].Level, m.def))
+		emit(lp[i].Category, max(lp[i].Level, m.def))
 	}
 	for ; j < len(mp); j++ {
-		emit(mp[j].Category, maxLevel(l.def, mp[j].Level))
+		emit(mp[j].Category, max(l.def, mp[j].Level))
 	}
 	return newCanonical(def, out)
-}
-
-func maxLevel(a, b Level) Level {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // String renders the label in the paper's notation, e.g. {c7*, c423, 1}:
@@ -455,7 +448,7 @@ func CanAllocate(thread, clr, obj Label) bool {
 // gate label: ownership on either side survives as ⋆, otherwise the levels
 // combine as a plain max.
 func gateMinLevel(lt, lg Level) Level {
-	return levelLowerStar(maxLevel(levelRaiseJ(lt), levelRaiseJ(lg)))
+	return levelLowerStar(max(levelRaiseJ(lt), levelRaiseJ(lg)))
 }
 
 // GateMinLeq reports whether (lᴶ ⊔ gᴶ)⋆ ⊑ r, the minimum-label check of

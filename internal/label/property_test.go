@@ -307,7 +307,7 @@ func TestRaisedChecksZeroAlloc(t *testing.T) {
 
 func TestRefModelJoinMeetAgree(t *testing.T) {
 	f := func(a, b quickThreadLabel) bool {
-		join := refCombine(refFrom(a.L), refFrom(b.L), maxLevel).toLabel()
+		join := refCombine(refFrom(a.L), refFrom(b.L), func(x, y Level) Level { return max(x, y) }).toLabel()
 		return a.L.Join(b.L).Equal(join)
 	}
 	if err := quick.Check(f, quickCfg); err != nil {

@@ -34,7 +34,7 @@ func gateCall(d *Daemon, p *unixlib.Process, args []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	taintLevel := maxTaint(lbl.Get(d.Taint), label.L2)
+	taintLevel := max(lbl.Get(d.Taint), label.L2)
 	if lbl.Owns(d.Taint) {
 		// A category owner (e.g. the VPN client, for i) is never forced to
 		// taint itself: ownership means the kernel ignores the category.
@@ -60,13 +60,6 @@ func gateCall(d *Daemon, p *unixlib.Process, args []byte) ([]byte, error) {
 		return nil, ErrNoRoute
 	}
 	return out[1:], nil
-}
-
-func maxTaint(a, b label.Level) label.Level {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // ensureTaint raises the calling process's label to the stack's taint level

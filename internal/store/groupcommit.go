@@ -11,8 +11,8 @@ package store
 //
 //   - A record is sealed and enqueued under mu, so per object log order is
 //     seal order: replay never regresses an object.
-//   - logged holds ckptMu in read mode from first seal to last ticket, so no
-//     checkpoint SEAL falls between sealing a state and committing it.
+//   - SyncObjects holds ckptMu in read mode from first seal to last ticket,
+//     so no checkpoint SEAL falls between sealing a state and committing it.
 //   - A range record commits only in the log generation it was sealed in;
 //     one of an older generation takes the checkpoint fallback (sealSync).
 //   - A batch that cannot commit leaves nothing in the log, and its syncers
@@ -65,63 +65,6 @@ func (c *committer) enqueue(t *syncTicket) {
 	c.mu.Lock()
 	c.queue = append(c.queue, t)
 	c.mu.Unlock()
-}
-
-// submit hands the sealed record in t to the committer.  Called with mu held,
-// and ckptMu in read mode.
-func (s *Store) submit(t *syncTicket) (*syncTicket, error) {
-	if s.l.TooLarge(t.rec) {
-		// The record can never be logged (it exceeds the log region or the
-		// format's label-length field); a checkpoint provides the same
-		// durability — contents, label and home table — in one sweep.
-		s.logGen.Add(1)
-		return nil, errRetryCheckpoint
-	}
-	s.comm.enqueue(t)
-	return t, nil
-}
-
-// logged is the one body of every logged operation.  Under ckptMu in read
-// mode it runs seal n times — each installs an operation's state and submits
-// its record — then waits for every record's batch, and gives the operations
-// the log cannot take one shared checkpoint; the result has one error slot
-// per seal.  Every record is enqueued before any ticket is awaited, so the
-// leader forms full batches even with no concurrent syncers.  A nil ticket
-// means seal left nothing to await.
-func (s *Store) logged(n int, seal func(i int) (*syncTicket, error)) []error {
-	s.syncers.Add(1)
-	defer s.syncers.Add(-1)
-	errs := make([]error, n)
-	s.ckptMu.RLock()
-	if s.closed {
-		s.ckptMu.RUnlock()
-		for i := range errs {
-			errs[i] = ErrClosed
-		}
-		return errs
-	}
-	epoch := s.epoch.Load()
-	tickets := make([]*syncTicket, n)
-	for i := range tickets {
-		tickets[i], errs[i] = seal(i)
-	}
-	retry := false
-	for i, t := range tickets {
-		if t != nil {
-			errs[i] = s.awaitCommit(t)
-		}
-		retry = retry || errors.Is(errs[i], errRetryCheckpoint)
-	}
-	s.ckptMu.RUnlock()
-	if retry {
-		ckErr := s.checkpointSince(epoch)
-		for i := range errs {
-			if errors.Is(errs[i], errRetryCheckpoint) {
-				errs[i] = ckErr
-			}
-		}
-	}
-	return errs
 }
 
 // takeBatch pops the next bounded batch off the queue; the caller holds
@@ -281,18 +224,61 @@ func (s *Store) sealSync(id uint64) (*syncTicket, error) {
 	default:
 		return nil, nil
 	}
-	// Submitted under mu: per-object log order = seal order.
 	t.rec, t.base = rec, base
-	return s.submit(t)
+	if s.l.TooLarge(rec) {
+		// The log can never take the record (it exceeds the log region or
+		// the format's label-length field): a checkpoint syncs it instead.
+		s.logGen.Add(1)
+		return nil, errRetryCheckpoint
+	}
+	// Enqueued under mu: per-object log order = seal order.
+	s.comm.enqueue(t)
+	return t, nil
 }
 
 // SyncObjects durably records the current contents of many objects at once:
-// the batched form of SyncObject, which the kernel's SyncSegments calls.
-// N syncs cost at most ⌈N/groupCommitRecords⌉ log flushes instead of N (see
-// logged).  The returned slice has one error slot per id (nil = durable); ids
-// that cannot go through the log share a single checkpoint fallback.
+// the batched form of SyncObject, which the kernel's SyncSegments calls, and
+// the one body of every sync.  Under ckptMu in read mode it seals every id's
+// record, then waits for every record's batch: every record is enqueued
+// before any ticket is awaited, so the leader forms full batches even with
+// no concurrent syncers, and N syncs cost at most ⌈N/groupCommitRecords⌉ log
+// flushes instead of N.  The returned slice has one error slot per id (nil =
+// durable); ids that cannot go through the log share a single checkpoint
+// fallback.
 func (s *Store) SyncObjects(ids []uint64) []error {
-	return s.logged(len(ids), func(i int) (*syncTicket, error) { return s.sealSync(ids[i]) })
+	s.syncers.Add(1)
+	defer s.syncers.Add(-1)
+	errs := make([]error, len(ids))
+	s.ckptMu.RLock()
+	if s.closed {
+		s.ckptMu.RUnlock()
+		for i := range errs {
+			errs[i] = ErrClosed
+		}
+		return errs
+	}
+	epoch := s.epoch.Load()
+	tickets := make([]*syncTicket, len(ids))
+	for i, id := range ids {
+		tickets[i], errs[i] = s.sealSync(id)
+	}
+	retry := false
+	for i, t := range tickets {
+		if t != nil {
+			errs[i] = s.awaitCommit(t)
+		}
+		retry = retry || errors.Is(errs[i], errRetryCheckpoint)
+	}
+	s.ckptMu.RUnlock()
+	if retry {
+		ckErr := s.checkpointSince(epoch)
+		for i := range errs {
+			if errors.Is(errs[i], errRetryCheckpoint) {
+				errs[i] = ckErr
+			}
+		}
+	}
+	return errs
 }
 
 // checkpointSince is a sync's checkpoint fallback: nothing, if a checkpoint

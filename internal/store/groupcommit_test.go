@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -612,6 +613,72 @@ func TestPutLabeledSealsContentsAndLabelAtomically(t *testing.T) {
 	if !ok || !got.Equal(lbl) {
 		t.Fatalf("labeled contents recovered without their label: %v, %v", got, ok)
 	}
+}
+
+// TestNoStoreAccessWaitsOnAPendingSeal: a checkpoint's seal waits out every
+// sync in flight, since a sync holds the gate from seal to commit; while it
+// waits, a put, a page-in and a delete still run.  One sync is held in the
+// committer, a Checkpoint waits on the gate behind it, and Put, Get and
+// Delete must return all the same; then the sync and the checkpoint finish.
+func TestNoStoreAccessWaitsOnAPendingSeal(t *testing.T) {
+	s, _ := testStore(t)
+	for id := uint64(1); id <= 3; id++ {
+		if err := s.Put(id, []byte(fmt.Sprintf("object %d", id))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put(1, []byte("object 1, synced")); err != nil {
+		t.Fatal(err)
+	}
+	s.holdGroupCommit()
+	var release sync.Once
+	defer release.Do(s.releaseGroupCommit)
+	wg, errs := launchHeldSyncs(t, s, []uint64{1})
+	ckpt := make(chan error, 1)
+	go func() { ckpt <- s.Checkpoint() }()
+	deadline := time.Now().Add(10 * time.Second)
+	for !sealWaitsOnGate() {
+		if time.Now().After(deadline) {
+			t.Fatal("the checkpoint never waited on the gate behind the held sync")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+
+	withTimeout(t, 2*time.Second, "Put, Get and Delete behind a pending seal", func() {
+		if err := s.Put(4, []byte("object 4")); err != nil {
+			t.Errorf("Put: %v", err)
+		}
+		if got, err := s.Get(2); err != nil || string(got) != "object 2" {
+			t.Errorf("Get = %q, %v", got, err)
+		}
+		if err := s.Delete(3); err != nil {
+			t.Errorf("Delete: %v", err)
+		}
+	})
+
+	release.Do(s.releaseGroupCommit)
+	wg.Wait()
+	if errs[0] != nil {
+		t.Errorf("the held sync: %v", errs[0])
+	}
+	if err := <-ckpt; err != nil {
+		t.Errorf("the waiting checkpoint: %v", err)
+	}
+}
+
+// sealWaitsOnGate reports whether some goroutine is parked in
+// checkpointRunLocked on the gate's write lock.
+func sealWaitsOnGate() bool {
+	buf := make([]byte, 1<<20)
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "[sync.RWMutex.Lock") && strings.Contains(g, ").checkpointRunLocked(") {
+			return true
+		}
+	}
+	return false
 }
 
 // holdGroupCommit pauses the committer so a test can pile up concurrent

@@ -225,23 +225,49 @@ func TestCheckpointFullLogStaysConcurrent(t *testing.T) {
 	}
 }
 
-// TestScrubChunkingAllowsCheckpointAndSyncMidPass is the satellite-1
-// regression test: with a scrub pass paused between chunks (via the
-// scrubGate hook, which runs with no locks held), a full Checkpoint and a
-// SyncObject both complete.  Under the old whole-pass ckptMu.RLock hold,
-// the checkpoint writer would queue behind the scrub and the sync behind
-// the writer — both would hang until the scrub released.  The scrub then
-// resumes over relocated extents and must not false-quarantine anything.
-func TestScrubChunkingAllowsCheckpointAndSyncMidPass(t *testing.T) {
-	d := disk.New(disk.Params{Sectors: 1 << 16, WriteCache: true}, &vclock.Clock{})
-	s, err := Format(d, Options{LogSize: 1 << 20, SegmentSize: 64 << 10})
+// pausedScrub starts a Scrub that pauses before the first object of its walk
+// (the scrubGate hook, which runs with no locks held) and returns once it
+// has; resume lets it go on and returns its result.
+func pausedScrub(t *testing.T, s *Store) (resume func() ScrubStats) {
+	t.Helper()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	s.scrubGate = func() {
+		once.Do(func() {
+			close(entered)
+			<-release
+		})
+	}
+	done := make(chan ScrubStats, 1)
+	go func() {
+		st, err := s.Scrub()
+		if err != nil {
+			t.Errorf("scrub: %v", err)
+		}
+		done <- st
+	}()
+	<-entered
+	return func() ScrubStats {
+		close(release)
+		return <-done
+	}
+}
+
+// TestScrubPausedMidWalk: a scrub paused in its object walk holds up no
+// other operation.  A full Checkpoint and a SyncObject both complete
+// meanwhile, and the walk then resumes over relocated extents without
+// quarantining anything.  A Close that overtakes the paused walk lets the
+// scrub return, and the scrub passes no quarantine verdict on the closed
+// store, even on an extent that rotted.
+func TestScrubPausedMidWalk(t *testing.T) {
+	base := disk.New(disk.Params{Sectors: 1 << 16, WriteCache: true}, &vclock.Clock{})
+	fd := disk.NewFaultDisk(base)
+	s, err := Format(fd, Options{LogSize: 1 << 20, SegmentSize: 64 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Several chunks' worth of checkpointed objects, so the pass has
-	// multiple gate visits and live targets to revisit after relocation.
-	nObjs := scrubChunk*3 + 7
-	for id := uint64(0); id < uint64(nObjs); id++ {
+	const nObjs = 200
+	for id := uint64(0); id < nObjs; id++ {
 		if err := s.Put(id, []byte(fmt.Sprintf("scrub-object-%d", id))); err != nil {
 			t.Fatal(err)
 		}
@@ -251,56 +277,73 @@ func TestScrubChunkingAllowsCheckpointAndSyncMidPass(t *testing.T) {
 	}
 	// Dirty a swath so the mid-scrub checkpoint genuinely relocates extents
 	// the scrub already captured as targets.
-	for id := uint64(0); id < uint64(nObjs); id += 2 {
+	for id := uint64(0); id < nObjs; id += 2 {
 		if err := s.Put(id, []byte(fmt.Sprintf("scrub-object-%d-v2", id))); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	var once sync.Once
-	s.scrubGate = func() {
-		once.Do(func() {
-			close(entered)
-			<-release
+	t.Run("checkpoint and sync finish", func(t *testing.T) {
+		resume := pausedScrub(t, s)
+		withTimeout(t, 30*time.Second, "checkpoint+sync during paused scrub", func() {
+			if err := s.Checkpoint(); err != nil {
+				t.Errorf("checkpoint during scrub: %v", err)
+			}
+			if err := s.Put(5000, []byte("synced during scrub")); err != nil {
+				t.Errorf("put during scrub: %v", err)
+			}
+			if err := s.SyncObject(5000); err != nil {
+				t.Errorf("sync during scrub: %v", err)
+			}
 		})
-	}
-	scrubDone := make(chan ScrubStats, 1)
-	go func() {
-		st, err := s.Scrub()
-		if err != nil {
-			t.Errorf("scrub: %v", err)
+		// The checkpoint relocated half the targets out from under the
+		// scrub; re-validation against the live object map must classify
+		// those as stale, never as damage.
+		if st := resume(); st.ObjectsQuarantined != 0 || st.CorruptionsFound != 0 {
+			t.Fatalf("scrub over concurrent checkpoint reported damage: %+v", st)
 		}
-		scrubDone <- st
-	}()
-	<-entered
-
-	// Scrub is paused mid-pass.  A checkpoint (a ckptMu writer) and a sync
-	// (a reader behind that writer under the old scheme) must both finish.
-	withTimeout(t, 30*time.Second, "checkpoint+sync during paused scrub", func() {
-		if err := s.Checkpoint(); err != nil {
-			t.Errorf("checkpoint during scrub: %v", err)
-		}
-		if err := s.Put(5000, []byte("synced during scrub")); err != nil {
-			t.Errorf("put during scrub: %v", err)
-		}
-		if err := s.SyncObject(5000); err != nil {
-			t.Errorf("sync during scrub: %v", err)
+		if len(s.QuarantinedObjects()) != 0 {
+			t.Fatalf("objects quarantined: %v", s.QuarantinedObjects())
 		}
 	})
 
-	close(release)
-	st := <-scrubDone
-	// The checkpoint relocated half the targets out from under the scrub;
-	// re-validation against the live object map must classify those as
-	// stale, never as damage.
-	if st.ObjectsQuarantined != 0 || st.CorruptionsFound != 0 {
-		t.Fatalf("scrub over concurrent checkpoint reported damage: %+v", st)
-	}
-	if len(s.QuarantinedObjects()) != 0 {
-		t.Fatalf("objects quarantined: %v", s.QuarantinedObjects())
-	}
+	t.Run("a close overtakes it", func(t *testing.T) {
+		captured := map[uint64]home{}
+		for id := uint64(0); id < nObjs; id++ {
+			captured[id], _ = lockedHome(s, id)
+		}
+		resume := pausedScrub(t, s)
+		withTimeout(t, 30*time.Second, "close during paused scrub", func() {
+			if err := s.Close(); err != nil {
+				t.Errorf("close during scrub: %v", err)
+			}
+		})
+		// Rot an extent the walk has yet to read and the close's checkpoint
+		// left where the scrub captured it.
+		victim := uint64(nObjs)
+		for id := uint64(0); id < nObjs && victim == nObjs; id++ {
+			if h, ok := lockedHome(s, id); ok && h == captured[id] {
+				victim = id
+			}
+		}
+		if victim == nObjs {
+			t.Fatal("the close's checkpoint moved every captured object")
+		}
+		if err := fd.RotBits(homeRegion(s, victim), 1, 7); err != nil {
+			t.Fatal(err)
+		}
+		if st := resume(); st.ObjectsQuarantined != 0 || s.Stats().QuarantineEvents != 0 {
+			t.Fatalf("a scrub overtaken by Close passed a verdict: %+v, %d quarantine events", st, s.Stats().QuarantineEvents)
+		}
+		// The rot is real: a scrub of the store reopened finds it.
+		s2, err := Open(fd, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err := s2.Scrub(); err != nil || st.ObjectsQuarantined != 1 {
+			t.Fatalf("scrub after reopening: %+v, %v; want the victim quarantined", st, err)
+		}
+	})
 }
 
 // TestScrubBesideCheckpoints: writers put and checkpoint in a loop while a

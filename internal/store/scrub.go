@@ -29,51 +29,33 @@ type ScrubStats struct {
 	Duration time.Duration
 }
 
-// scrubChunk bounds how many object extents are verified per ckptMu read
-// hold, so a checkpoint seal waits for at most one chunk, and the syncs
-// behind it see bounded latency.
-const scrubChunk = 64
-
 // Scrub verifies the store's on-disk state in the background: both
 // superblock copies, the base (and the previous one, while pinned), every
 // run header and delta of the chain since the base, and every home extent
 // against its CRC, quarantining a mismatch as an access would.  The first
 // four run under ckptRun, which keeps a checkpoint body from writing them
-// meanwhile; the object walk runs in chunks, each under its own ckptMu read
-// hold, and re-checks a mismatch against the live home table before any
-// verdict, since the body may have moved the object since the walk began.
+// meanwhile; the object walk takes no lock but mu, and that only for a
+// mismatch, which it re-checks against the live home table before any
+// verdict, since a body may have moved the object since the walk began.
 func (s *Store) Scrub() (ScrubStats, error) {
 	start := time.Now()
 	var st ScrubStats
 
 	s.ckptRun.Lock()
-	s.ckptMu.RLock()
-	if s.closed {
-		s.ckptMu.RUnlock()
-		s.ckptRun.Unlock()
-		return ScrubStats{}, ErrClosed
+	targets, err := s.scrubTargets()
+	if err == nil {
+		s.scrubMetadata(&st)
 	}
-	s.scrubMetadata(&st)
-	targets := s.scrubTargets()
-	s.ckptMu.RUnlock()
 	s.ckptRun.Unlock()
+	if err != nil {
+		return ScrubStats{}, err
+	}
 
-	for len(targets) > 0 {
+	for _, t := range targets {
 		if s.scrubGate != nil {
 			s.scrubGate()
 		}
-		n := min(scrubChunk, len(targets))
-		chunk := targets[:n]
-		targets = targets[n:]
-		s.ckptMu.RLock()
-		if s.closed {
-			s.ckptMu.RUnlock()
-			break
-		}
-		for _, t := range chunk {
-			s.scrubOneObject(t, &st)
-		}
-		s.ckptMu.RUnlock()
+		s.scrubOneObject(t, &st)
 	}
 
 	st.Duration = time.Since(start)
@@ -115,16 +97,20 @@ func (s *Store) scrubMetadata(st *ScrubStats) {
 }
 
 // scrubTargets captures every home under mu, so the walk itself reads the
-// device with mu free.
-func (s *Store) scrubTargets() []homedObject {
+// device with mu free; a closed store has none to give.
+func (s *Store) scrubTargets() ([]homedObject, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return slices.Clone(s.homes)
+	if s.closed {
+		return nil, ErrClosed
+	}
+	return slices.Clone(s.homes), nil
 }
 
-// scrubOneObject verifies one captured home extent; the caller holds ckptMu
-// in read mode.  Only a mismatch the live home table still vouches for is a
-// verdict: the body may have moved the object since the capture.
+// scrubOneObject verifies one captured home extent.  Only a mismatch the
+// live home table of an open store still vouches for is a verdict: a body
+// may have moved the object since the capture, and a Close may have
+// overtaken the walk.
 func (s *Store) scrubOneObject(t homedObject, st *ScrubStats) {
 	_, err := s.readVerified(t.home)
 	if err != nil && !errors.Is(err, ErrCorrupt) {
@@ -139,7 +125,7 @@ func (s *Store) scrubOneObject(t homedObject, st *ScrubStats) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cur, ok := s.homeOf(t.id); ok && cur == t.home {
+	if cur, ok := s.homeOf(t.id); ok && cur == t.home && !s.closed {
 		st.CorruptionsFound++
 		st.ObjectsQuarantined += s.condemn(t.id)
 	}

@@ -55,10 +55,12 @@
 //     checkpoint fallback.  Only a checkpoint body (and Format) writes the
 //     superblock, the bases and the chain, so Scrub holds ckptRun while it
 //     verifies them.
-//  2. ckptMu, a RWMutex, is the checkpoint gate: Put, Get, Delete, scrub
-//     chunks and every logged operation hold it in read mode, a logged one
-//     from its first seal to its last commit; only the SEAL and Close hold
-//     it exclusively, and briefly.
+//  2. ckptMu, a RWMutex, is the checkpoint gate, and only three take it:
+//     SyncObjects in read mode, from its first seal to its last ticket, so
+//     no SEAL falls between sealing a record and committing it; the SEAL
+//     and Close exclusively, and briefly.  Put, Get, Delete and Scrub meet
+//     the seal under mu alone, so none of them queues behind a seal that
+//     waits out a sync's flush.
 //  3. mu guards every in-memory table.  It is never held across a device
 //     write or flush; Get holds it across a home read, so no put, delete or
 //     relocation lands between the lookup and the read.
@@ -189,8 +191,8 @@ type Store struct {
 
 	logSize int64
 
-	// ckptMu is the checkpoint gate (discipline rule 2).  closed is guarded
-	// by it (read under R, written under W).
+	// ckptMu is the checkpoint gate (discipline rule 2).  Close sets closed
+	// holding ckptMu and mu, so either lock may read it.
 	ckptMu sync.RWMutex
 	closed bool
 
@@ -205,7 +207,7 @@ type Store struct {
 
 	logGen atomic.Uint64 // the log generation (see sealSync)
 
-	syncers atomic.Int64 // goroutines inside logged (see awaitCommit)
+	syncers atomic.Int64 // goroutines inside SyncObjects (see awaitCommit)
 
 	// mu guards all of the store's in-memory state (discipline rule 3).
 	mu      sync.Mutex
@@ -243,9 +245,9 @@ type Store struct {
 	prevChain []extent
 	sb        []byte // the superblock's two copies as last read or flipped
 
-	// Test hooks, set before the store is shared: scrubGate runs between
-	// scrub chunks (no locks held), ckptGate between a checkpoint's seal and
-	// body.
+	// Test hooks, set before the store is shared: scrubGate runs before
+	// each object of a scrub's walk (no locks held), ckptGate between a
+	// checkpoint's seal and body.
 	scrubGate func()
 	ckptGate  func()
 
@@ -403,13 +405,11 @@ func (s *Store) PutLabeled(id uint64, lbl label.Label, data []byte, lo, hi int) 
 // and adds [lo, hi) — all of it, when the length changed or nothing was
 // resident — to the bytes changed since the last log record.
 func (s *Store) put(id uint64, data []byte, lbl []byte, lo, hi int) error {
-	s.ckptMu.RLock()
-	defer s.ckptMu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	e := s.entry(id)
 	fresh := !e.resident() || len(data) != len(e.data)
 	keep := lo <= 0 && hi >= len(data) || len(data) <= handPage
@@ -446,13 +446,11 @@ func (s *Store) put(id uint64, data []byte, lbl []byte, lo, hi int) error {
 // home extent, read and verified on every call and kept nowhere (the kernel's
 // page-in).  A home extent that fails verification condemns its objects.
 func (s *Store) Get(id uint64) ([]byte, error) {
-	s.ckptMu.RLock()
-	defer s.ckptMu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
 		return nil, ErrClosed
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	buf, err := s.read(id)
 	var rot *CorruptError
 	if errors.As(err, &rot) {
@@ -462,7 +460,7 @@ func (s *Store) Get(id uint64) ([]byte, error) {
 	return buf, err
 }
 
-// read is Get under ckptMu and mu.
+// read is Get under mu.
 func (s *Store) read(id uint64) ([]byte, error) {
 	if e := s.objs[id]; e != nil {
 		switch {
@@ -506,13 +504,11 @@ func (s *Store) EvictCache() {}
 
 // Delete removes an object.
 func (s *Store) Delete(id uint64) error {
-	s.ckptMu.RLock()
-	defer s.ckptMu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.closed {
 		return ErrClosed
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	e := s.entry(id)
 	s.touch(id, e)
 	e.data, e.dirty, e.dead = nil, false, true
@@ -527,7 +523,9 @@ func (s *Store) Close() error {
 		return err
 	}
 	s.ckptMu.Lock()
+	s.mu.Lock()
 	s.closed = true
+	s.mu.Unlock()
 	s.ckptMu.Unlock()
 	return nil
 }

@@ -326,6 +326,8 @@ func TestFreeSpaceReclaimedOnDelete(t *testing.T) {
 	}
 }
 
+// TestCloseRejectsFurtherUse: every entry point that reads or changes the
+// store answers ErrClosed once it is closed, a second Close included.
 func TestCloseRejectsFurtherUse(t *testing.T) {
 	s, _ := testStore(t)
 	s.Put(1, []byte("x"))
@@ -335,8 +337,35 @@ func TestCloseRejectsFurtherUse(t *testing.T) {
 	if err := s.Put(2, []byte("y")); !errors.Is(err, ErrClosed) {
 		t.Errorf("Put after close: %v", err)
 	}
+	if err := s.PutLabeled(2, label.New(label.L1), []byte("y"), 0, whole); !errors.Is(err, ErrClosed) {
+		t.Errorf("PutLabeled after close: %v", err)
+	}
 	if _, err := s.Get(1); !errors.Is(err, ErrClosed) {
 		t.Errorf("Get after close: %v", err)
+	}
+	if err := s.Delete(1); !errors.Is(err, ErrClosed) {
+		t.Errorf("Delete after close: %v", err)
+	}
+	if err := s.SyncObject(1); !errors.Is(err, ErrClosed) {
+		t.Errorf("SyncObject after close: %v", err)
+	}
+	errs := s.SyncObjects([]uint64{1, 2, 3})
+	if len(errs) != 3 {
+		t.Errorf("SyncObjects after close: %d error slots for 3 ids", len(errs))
+	}
+	for i, err := range errs {
+		if !errors.Is(err, ErrClosed) {
+			t.Errorf("SyncObjects after close, slot %d: %v", i, err)
+		}
+	}
+	if err := s.Checkpoint(); !errors.Is(err, ErrClosed) {
+		t.Errorf("Checkpoint after close: %v", err)
+	}
+	if _, err := s.Scrub(); !errors.Is(err, ErrClosed) {
+		t.Errorf("Scrub after close: %v", err)
+	}
+	if err := s.Close(); !errors.Is(err, ErrClosed) {
+		t.Errorf("a second Close: %v", err)
 	}
 }
 
