@@ -64,6 +64,8 @@ var deleted = []struct {
 		[]string{"parseMetaHeader", "parseSections", "decodeObjMapSection", "decodeSegsSection", "decodePinsSection", "secObjMap", "secSegs", "secPins", "secHdrSize", "numSecs", "metaHeaderSize", "metaMagic", "metaVersion"}},
 	{"the scrub's chunks and the hand-rolled min and max helpers",
 		[]string{"scrubChunk", "maxLevel", "maxTaint", "max64", "min64"}},
+	{"the log's start offset, its compaction and its reseal, which a restart replaced",
+		[]string{"reclaimOff", "noteFrame", "compactLocked", "reseal", "adopt", "writeHeader"}},
 }
 
 // isWord reports whether b is a word byte in grep -w's sense.

@@ -46,7 +46,7 @@ var trusted = map[string]bool{
 	"internal/store": true,
 }
 
-const trustedBudget = 6964
+const trustedBudget = 6875
 
 func countLines(dir string) (code, tests int) {
 	filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {

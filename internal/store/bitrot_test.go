@@ -1090,8 +1090,9 @@ func TestOtherFormatVersionsRefusedNotLoaded(t *testing.T) {
 	// The log has one version too, but no second copy to fall back on: an
 	// intact header stamped with a retired format refuses the mount, and the
 	// refusal leaves the region as it found it.  Version 8 is the one that
-	// could hold clone-alias records.
-	for _, v := range []byte{4, 5, 6, 8} {
+	// could hold clone-alias records, and 9 the last whose header held a
+	// start offset.
+	for _, v := range []byte{4, 5, 6, 8, 9} {
 		t.Run(fmt.Sprintf("wal-v%d", v), func(t *testing.T) {
 			s, fd := rotStore(t)
 			populateGenerations(t, s)

@@ -30,8 +30,9 @@ import (
 //	        chain since the last base holds maxChainLinks deltas or more bytes
 //	        than half the base, the checkpoint also writes a new base and
 //	        flips the superblock to it.
-//	FINISH  reclaim log frames of epochs older than the previous committed
-//	        snapshot's, which a lost last delta falls back to.
+//	FINISH  restart the log when every frame is of an epoch older than the
+//	        previous committed snapshot's, which a lost last delta falls
+//	        back to; otherwise leave it whole.
 //
 // Checkpoints remain copy-on-write: appends land only past a segment's
 // committed high-water mark, and a dropped segment is free only from the
@@ -43,7 +44,7 @@ import (
 func (s *Store) Checkpoint() error {
 	s.ckptRun.Lock()
 	defer s.ckptRun.Unlock()
-	return s.checkpointRunLocked()
+	return s.checkpointRunLocked(false)
 }
 
 // A checkpoint writes a base once the chain holds maxChainLinks deltas, which
@@ -73,8 +74,9 @@ type sealedState struct {
 
 // checkpointRunLocked runs one seal→body→finish cycle; the caller holds
 // ckptRun, which serializes whole checkpoints (Checkpoint itself, Close,
-// and the sync fallback in checkpointSince).
-func (s *Store) checkpointRunLocked() error {
+// and the sync fallback in checkpointSince).  Close's seal also closes the
+// store, and a failed body opens it again.
+func (s *Store) checkpointRunLocked(closing bool) error {
 	start := time.Now()
 	s.ckptMu.Lock()
 	if s.closed {
@@ -83,6 +85,7 @@ func (s *Store) checkpointRunLocked() error {
 	}
 	s.mu.Lock()
 	ss := s.sealCheckpoint()
+	s.closed = closing
 	s.mu.Unlock()
 	s.ckptMu.Unlock()
 	// The stall metric; ckptRun serializes callers, so a plain load and
@@ -94,7 +97,15 @@ func (s *Store) checkpointRunLocked() error {
 	if gate := s.ckptGate; gate != nil {
 		gate()
 	}
-	return s.checkpointBody(ss)
+	err := s.checkpointBody(ss)
+	if err != nil && closing {
+		s.ckptMu.Lock()
+		s.mu.Lock()
+		s.closed = false
+		s.mu.Unlock()
+		s.ckptMu.Unlock()
+	}
+	return err
 }
 
 // sealCheckpoint is the SEAL phase; the caller holds ckptRun, ckptMu
@@ -204,8 +215,9 @@ func (s *Store) checkpointBody(ss *sealedState) error {
 			return err
 		}
 	}
-	// FINISH: frames below the previous snapshot's epoch serve no replay.
-	// Its own stay, for a last delta lost to rot, so a log the syncs filled
+	// FINISH: frames below the previous snapshot's epoch serve no replay,
+	// and once they are all the log holds it restarts.  That snapshot's own
+	// frames stay, for a last delta lost to rot, so a log the syncs filled
 	// drains at the checkpoint after the one they forced.
 	if err := s.l.ReclaimBefore(prev); err != nil {
 		return err

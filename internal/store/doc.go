@@ -33,7 +33,7 @@
 //     kernel's page-in) and every scrub.  Bit 32 of the CRC field flags it
 //     present; a row without it, or with a bit above 33, is corruption.
 //   - Write-ahead log: header, frame-descriptor, frame-payload and
-//     per-record CRCs, version 9 (package wal); each frame carries the
+//     per-record CRCs, version 10 (package wal); each frame carries the
 //     epoch it was committed in.  A range record is a u64 offset and the
 //     bytes there, laid over the object's last whole one.
 //
@@ -74,8 +74,9 @@
 //     failed delta's run header does.  The base and chain before the last
 //     base are released; the ones this base ends stay pinned.  A base that
 //     finds no room waits for a checkpoint that does.
-//  4. FINISH: reclaim log frames of epochs below the previous commit's, P;
-//     those of P stay, however full the log, until the next commit.
+//  4. FINISH: restart the log (one header write) when every frame in it is
+//     of an epoch below the previous commit's, P; a frame of P keeps the
+//     whole log, however full, until the next commit.
 //
 // A crash before step 2's delta is whole recovers at P plus replay of the
 // records of epoch P or later; after it, at E.  The crash tests cover every
@@ -96,8 +97,10 @@
 //     base's: the same snapshot, nothing lost.
 //  4. ChainTruncated: a run header, or a delta with a run header verifying
 //     past it, fails; the snapshot is the delta before it.
-//  5. WALDamaged: a rotted log frame or header truncates replay to the
-//     valid prefix.
+//  5. WALDamaged: a rotted log frame truncates replay to the valid prefix,
+//     and the log refuses syncs, which checkpoints carry instead, until a
+//     FINISH restarts it; a rotted log header is rewritten empty, and
+//     nothing replays.
 //  6. Refusal: both superblock copies, or both bases, are damaged; Open
 //     returns an error wrapping ErrCorrupt.
 //

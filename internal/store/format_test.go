@@ -25,7 +25,7 @@ import (
 // fixes segment packing, and the home rows, each with its label, come from
 // the id-ordered home table.  Chain ids come from crypto/rand as log
 // generations do, so every draw moves the ones after it.
-const formatImageSHA256 = "4e1eb0bc4cc366108fc73b604b025ecd0c88f624fdc58c193cfd3be53cb4e7f5"
+const formatImageSHA256 = "28b6882660fa9bd42210f18210993ea24941464bc5500b0e994d83f87ac3bf88"
 
 // formatImageWorkload drives one seeded, single-threaded pass over every
 // structure the store writes: plain and labelled puts, deletes, per-object

@@ -293,7 +293,7 @@ func (s *Store) checkpointSince(epoch uint64) error {
 	if s.committedEpoch() > epoch {
 		return nil
 	}
-	return s.checkpointRunLocked()
+	return s.checkpointRunLocked(false)
 }
 
 // committedEpoch is the epoch of the committed snapshot.

@@ -3,7 +3,7 @@ package store
 // Group-commit tests: deterministic batching (N concurrent syncs → at most
 // ⌈N/batch⌉ write-ahead log commits, proven by wal.Stats counters), batch
 // atomicity across crash points between the batch append and the header
-// commit, partial-destage reseal on a write-cached disk, and a -race stress
+// commit, a partially destaged batch on a write-cached disk, and a -race stress
 // mix of every store operation.  The hold/release test hook pauses the
 // committer so concurrent syncers pile up deterministically instead of
 // depending on scheduler timing.
@@ -16,6 +16,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -373,7 +374,7 @@ func TestGroupCommitPartialDestage(t *testing.T) {
 			t.Fatal(err)
 		}
 		if err := s2.SyncObject(ids[0]); err != nil {
-			t.Fatalf("%s: sync after reseal: %v", point, err)
+			t.Fatalf("%s: sync after the torn frame: %v", point, err)
 		}
 		d.Crash()
 		s3, err := Open(d, crashOpts)
@@ -381,7 +382,7 @@ func TestGroupCommitPartialDestage(t *testing.T) {
 			t.Fatalf("%s: second recovery: %v", point, err)
 		}
 		if got, err := s3.Get(ids[0]); err != nil || !bytes.Equal(got, final) {
-			t.Fatalf("%s: post-reseal sync not durable: %v", point, err)
+			t.Fatalf("%s: the sync after the torn frame is not durable: %v", point, err)
 		}
 	}
 }
@@ -720,4 +721,93 @@ func (s *Store) groupQueueLen() int {
 	n := len(c.queue)
 	c.mu.Unlock()
 	return n
+}
+
+// TestFullLogDrainsByRestart: the log is never compacted, only restarted
+// when every frame is older than the previous checkpoint, so a log the syncs
+// fill drains through checkpoints.  One syncer fsyncs small objects in a loop
+// into a 64 KiB log while another goroutine checkpoints every k syncs; the
+// syncer waits for that checkpoint's seal, so that no seal falls between a
+// put and its sync and a sync's record always reaches the committer, and the
+// body runs beside the syncs that follow.  Every sync succeeds.  A sync the
+// log refused (ErrFull: its commit count did not rise) forces a checkpoint.
+// At most two pass before a sync is logged again, and only after the log
+// restarted; a due background checkpoint waits for that, so that it cannot
+// be the one that drains the log.  After a crash every acknowledged sync
+// reads back.
+func TestFullLogDrainsByRestart(t *testing.T) {
+	const syncs, k, nObjs = 3000, 500, 8
+	d := disk.New(disk.Params{Sectors: 1 << 16, WriteCache: true}, &vclock.Clock{})
+	opts := Options{LogSize: 64 << 10, SegmentSize: 64 << 10}
+	s, err := Format(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sealed atomic.Pointer[chan struct{}] // set while the syncer waits for a seal
+	s.ckptGate = func() {
+		if ch := sealed.Swap(nil); ch != nil {
+			close(*ch)
+		}
+	}
+	tick := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for range tick {
+			if err := s.Checkpoint(); err != nil {
+				t.Errorf("background checkpoint: %v", err)
+			}
+		}
+	}()
+	acked := map[uint64]string{}
+	refused, drained, due := 0, 0, false
+	var reclaims uint64 // the log's restarts before the first refused sync
+	for i := 0; i < syncs; i++ {
+		id := uint64(i % nObjs)
+		val := fmt.Sprintf("object %d, version %06d", id, i)
+		if err := s.Put(id, []byte(val)); err != nil {
+			t.Fatal(err)
+		}
+		before := s.WALStats()
+		if err := s.SyncObject(id); err != nil {
+			t.Fatalf("sync %d: %v", i, err)
+		}
+		acked[id] = val
+		after := s.WALStats()
+		switch {
+		case after.Commits == before.Commits:
+			if refused == 0 {
+				reclaims = before.Reclaims
+			}
+			refused++
+		case refused > 0:
+			if refused > 2 || after.Reclaims == reclaims {
+				t.Fatalf("sync %d logged after %d refused syncs, each forcing a checkpoint, and %d restarts", i, refused, after.Reclaims-reclaims)
+			}
+			refused, drained = 0, drained+1
+		}
+		if due = due || i%k == k-1; due && refused == 0 {
+			ch := make(chan struct{})
+			sealed.Store(&ch)
+			tick <- struct{}{}
+			<-ch
+			due = false
+		}
+	}
+	close(tick)
+	wg.Wait()
+	if drained == 0 {
+		t.Fatalf("the log never refused a sync and drained: %+v", s.WALStats())
+	}
+	d.Crash()
+	s2, err := Open(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, want := range acked {
+		if got, err := s2.Get(id); err != nil || string(got) != want {
+			t.Fatalf("object %d after the crash: %q, %v; want %q", id, got, err, want)
+		}
+	}
 }

@@ -228,7 +228,7 @@ func TestCheckpointFullLogStaysConcurrent(t *testing.T) {
 // pausedScrub starts a Scrub that pauses before the first object of its walk
 // (the scrubGate hook, which runs with no locks held) and returns once it
 // has; resume lets it go on and returns its result.
-func pausedScrub(t *testing.T, s *Store) (resume func() ScrubStats) {
+func pausedScrub(t *testing.T, s *Store) (resume func() (ScrubStats, error)) {
 	t.Helper()
 	entered, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
@@ -238,27 +238,30 @@ func pausedScrub(t *testing.T, s *Store) (resume func() ScrubStats) {
 			<-release
 		})
 	}
-	done := make(chan ScrubStats, 1)
+	type result struct {
+		st  ScrubStats
+		err error
+	}
+	done := make(chan result, 1)
 	go func() {
 		st, err := s.Scrub()
-		if err != nil {
-			t.Errorf("scrub: %v", err)
-		}
-		done <- st
+		done <- result{st, err}
 	}()
 	<-entered
-	return func() ScrubStats {
+	return func() (ScrubStats, error) {
 		close(release)
-		return <-done
+		r := <-done
+		return r.st, r.err
 	}
 }
 
 // TestScrubPausedMidWalk: a scrub paused in its object walk holds up no
 // other operation.  A full Checkpoint and a SyncObject both complete
 // meanwhile, and the walk then resumes over relocated extents without
-// quarantining anything.  A Close that overtakes the paused walk lets the
-// scrub return, and the scrub passes no quarantine verdict on the closed
-// store, even on an extent that rotted.
+// quarantining anything.  A Close that overtakes the paused walk stops it:
+// the scrub returns ErrClosed with what it verified before, reads no object
+// after, and passes no quarantine verdict on the closed store, even on an
+// extent that rotted.
 func TestScrubPausedMidWalk(t *testing.T) {
 	base := disk.New(disk.Params{Sectors: 1 << 16, WriteCache: true}, &vclock.Clock{})
 	fd := disk.NewFaultDisk(base)
@@ -299,8 +302,8 @@ func TestScrubPausedMidWalk(t *testing.T) {
 		// The checkpoint relocated half the targets out from under the
 		// scrub; re-validation against the live object map must classify
 		// those as stale, never as damage.
-		if st := resume(); st.ObjectsQuarantined != 0 || st.CorruptionsFound != 0 {
-			t.Fatalf("scrub over concurrent checkpoint reported damage: %+v", st)
+		if st, err := resume(); err != nil || st.ObjectsQuarantined != 0 || st.CorruptionsFound != 0 {
+			t.Fatalf("scrub over concurrent checkpoint reported damage: %+v, %v", st, err)
 		}
 		if len(s.QuarantinedObjects()) != 0 {
 			t.Fatalf("objects quarantined: %v", s.QuarantinedObjects())
@@ -332,7 +335,11 @@ func TestScrubPausedMidWalk(t *testing.T) {
 		if err := fd.RotBits(homeRegion(s, victim), 1, 7); err != nil {
 			t.Fatal(err)
 		}
-		if st := resume(); st.ObjectsQuarantined != 0 || s.Stats().QuarantineEvents != 0 {
+		st, err := resume()
+		if !errors.Is(err, ErrClosed) || st.ObjectsChecked >= nObjs {
+			t.Fatalf("a scrub overtaken by Close: %+v, %v; want ErrClosed and the walk stopped", st, err)
+		}
+		if st.ObjectsQuarantined != 0 || s.Stats().QuarantineEvents != 0 {
 			t.Fatalf("a scrub overtaken by Close passed a verdict: %+v, %d quarantine events", st, s.Stats().QuarantineEvents)
 		}
 		// The rot is real: a scrub of the store reopened finds it.

@@ -75,7 +75,8 @@ type RecoveryReport struct {
 	// base's, or its chain's last delta's.
 	MetaEpoch uint64
 	// WALDamaged: the write-ahead log had a damaged record or header; the
-	// valid prefix was replayed and the log resealed.
+	// valid prefix was replayed, and the log refuses syncs until a
+	// checkpoint restarts it (a damaged header was rewritten empty).
 	WALDamaged bool
 	// WALRecordsReplayed counts the log records applied on top of the
 	// loaded snapshot.

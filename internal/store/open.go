@@ -28,8 +28,9 @@ func Open(d disk.Device, opts Options) (*Store, error) {
 		if !errors.Is(err, wal.ErrCorrupt) {
 			return nil, err
 		}
-		// Damaged record or header: the valid prefix was recovered and the
-		// log resealed.  Mount degraded rather than refusing.
+		// Damaged record or header: the valid prefix was recovered, and the
+		// log refuses commits until a checkpoint restarts it (a damaged
+		// header was rewritten empty).  Mount degraded rather than refusing.
 		s.report.WALDamaged = true
 		s.noteCorruption(err)
 	}

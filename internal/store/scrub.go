@@ -34,9 +34,10 @@ type ScrubStats struct {
 // run header and delta of the chain since the base, and every home extent
 // against its CRC, quarantining a mismatch as an access would.  The first
 // four run under ckptRun, which keeps a checkpoint body from writing them
-// meanwhile; the object walk takes no lock but mu, and that only for a
-// mismatch, which it re-checks against the live home table before any
-// verdict, since a body may have moved the object since the walk began.
+// meanwhile; the object walk takes no lock but mu: before each object, to
+// stop with ErrClosed and what it verified once a Close has overtaken it,
+// and for a mismatch, which it re-checks against the live home table before
+// any verdict, since a body may have moved the object since the walk began.
 func (s *Store) Scrub() (ScrubStats, error) {
 	start := time.Now()
 	var st ScrubStats
@@ -55,11 +56,18 @@ func (s *Store) Scrub() (ScrubStats, error) {
 		if s.scrubGate != nil {
 			s.scrubGate()
 		}
+		s.mu.Lock()
+		closed := s.closed
+		s.mu.Unlock()
+		if closed {
+			err = ErrClosed
+			break
+		}
 		s.scrubOneObject(t, &st)
 	}
 
 	st.Duration = time.Since(start)
-	return st, nil
+	return st, err
 }
 
 // scrubMetadata verifies both superblock copies, the base, the previous base

@@ -191,8 +191,8 @@ type Store struct {
 
 	logSize int64
 
-	// ckptMu is the checkpoint gate (discipline rule 2).  Close sets closed
-	// holding ckptMu and mu, so either lock may read it.
+	// ckptMu is the checkpoint gate (discipline rule 2).  Close's seal sets
+	// closed holding ckptMu and mu, so either lock may read it.
 	ckptMu sync.RWMutex
 	closed bool
 
@@ -517,17 +517,13 @@ func (s *Store) Delete(id uint64) error {
 	return nil
 }
 
-// Close checkpoints and marks the store closed.
+// Close checkpoints and marks the store closed, in the checkpoint's seal: no
+// put can land after the snapshot it writes.  When the checkpoint fails the
+// store is open again and the error is returned.
 func (s *Store) Close() error {
-	if err := s.Checkpoint(); err != nil {
-		return err
-	}
-	s.ckptMu.Lock()
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
-	s.ckptMu.Unlock()
-	return nil
+	s.ckptRun.Lock()
+	defer s.ckptRun.Unlock()
+	return s.checkpointRunLocked(true)
 }
 
 // FreeBytes returns the total free space in the data region: the free list

@@ -369,6 +369,61 @@ func TestCloseRejectsFurtherUse(t *testing.T) {
 	}
 }
 
+// TestPutDuringCloseIsNotLost: a put made while Close's checkpoint is
+// between its seal and its body is refused, or is in the snapshot Close
+// writes.  A Close whose checkpoint fails leaves the store open.
+func TestPutDuringCloseIsNotLost(t *testing.T) {
+	s, d := testStore(t)
+	entered, release := make(chan struct{}), make(chan struct{})
+	s.ckptGate = func() {
+		close(entered)
+		<-release
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	<-entered
+	err := s.Put(99, []byte("put during close"))
+	close(release)
+	if cerr := <-closed; cerr != nil {
+		t.Fatal(cerr)
+	}
+	if !errors.Is(err, ErrClosed) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2, err := Open(d, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, err := s2.Get(99); err != nil || string(got) != "put during close" {
+			t.Fatalf("a put acknowledged during Close was lost: %q, %v", got, err)
+		}
+	}
+
+	s, d = testStore(t)
+	s.Put(1, []byte("x"))
+	errFlush := errors.New("flush failed")
+	d.FailFlushAfter(0, errFlush)
+	if err := s.Close(); !errors.Is(err, errFlush) {
+		t.Fatalf("Close across a failed flush: %v", err)
+	}
+	if err := s.Put(2, []byte("y")); err != nil {
+		t.Fatalf("Put after a failed Close: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(d, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id, want := range map[uint64]string{1: "x", 2: "y"} {
+		if got, err := s2.Get(id); err != nil || string(got) != want {
+			t.Fatalf("object %d after a retried Close: %q, %v", id, got, err)
+		}
+	}
+}
+
 func TestOpenRejectsUnformattedDisk(t *testing.T) {
 	d := disk.New(disk.Params{Sectors: 1 << 16}, &vclock.Clock{})
 	if _, err := Open(d, Options{}); err == nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"histar/internal/disk"
@@ -51,11 +52,11 @@ func regionImage(tb testing.TB, d *disk.Disk) []byte {
 }
 
 // FuzzRecover feeds arbitrary bytes to the log region and enforces the
-// documented recovery contract: Recover never panics, returns only ErrCorrupt
-// (or nil) for any byte-level damage, and whatever records it does return
-// survive a reseal — recovering again after the implicit reseal yields the
-// same records with no error (with the same error, if the reseal had no room
-// to write in).
+// documented recovery contract: Recover never panics, and returns only
+// ErrCorrupt (or nil) for any byte-level damage.  Recovering again yields the
+// same records and the same verdict — cleanly only if the first recovery
+// rewrote a header it could not read, which leaves an empty log — until a
+// restart, after which recovery is empty and clean.
 func FuzzRecover(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(validImage(f, []Record{{ObjectID: 1, Data: []byte("object one")}}))
@@ -116,13 +117,16 @@ func FuzzRecover(f *testing.F) {
 	img = validImage(f, two...)
 	clear(img[logHeaderSize : logHeaderSize+2*descSize])
 	f.Add(img)
-	// A reclaimed prefix: the start offset at the first frame of epoch 3.
+	// A restart over frames of three epochs, one shorter commit since.
 	d = logImage(validImage(f, append(two, []Record{{ObjectID: 8, Data: []byte("after"), Epoch: 4}})...))
 	l = Open(d, 0, fuzzRegion)
 	if _, err := l.Recover(); err != nil {
 		f.Fatal(err)
 	}
-	if err := l.ReclaimBefore(3); err != nil {
+	if err := l.ReclaimBefore(5); err != nil {
+		f.Fatal(err)
+	}
+	if err := l.Commit(5, []Record{{ObjectID: 9, Data: []byte("n")}}); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(regionImage(f, d))
@@ -145,23 +149,36 @@ func FuzzRecover(f *testing.F) {
 		if err != nil && !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("Recover returned a non-corruption error: %v", err)
 		}
-		// Recovery reseals the log to the valid prefix; a second recovery
-		// must reproduce exactly the same records, cleanly — or, when the
-		// reseal found no room and left the region alone (the log then reads
-		// as full), with the same complaint.
-		recs2, err2 := Open(d, 0, fuzzRegion).Recover()
-		if noRoom := err != nil && l.tail == l.capacity(); err2 != nil && !(noRoom && errors.Is(err2, ErrCorrupt)) {
-			t.Fatalf("second recovery after reseal failed: %v (first: %v)", err2, err)
+		// A header the first recovery could not read it rewrote, empty (the
+		// tail at 0); any other damage it left alone, the log reading as full.
+		rewritten := err != nil && l.tail == 0
+		if rewritten && len(recs) != 0 {
+			t.Fatalf("records returned from an unreadable header: %d", len(recs))
+		}
+		l2 := Open(d, 0, fuzzRegion)
+		recs2, err2 := l2.Recover()
+		if (err == nil || rewritten) && err2 != nil || err != nil && !rewritten && !errors.Is(err2, ErrCorrupt) {
+			t.Fatalf("second recovery: %v (first: %v)", err2, err)
 		}
 		if len(recs2) != len(recs) {
-			t.Fatalf("reseal changed the record count: %d -> %d", len(recs), len(recs2))
+			t.Fatalf("a second recovery changed the record count: %d -> %d", len(recs), len(recs2))
 		}
 		for i := range recs {
 			a, b := recs[i], recs2[i]
 			if a.ObjectID != b.ObjectID || a.Delete != b.Delete || a.Range != b.Range || a.Epoch != b.Epoch ||
 				!bytes.Equal(a.Data, b.Data) || !bytes.Equal(a.Label, b.Label) {
-				t.Fatalf("record %d changed across reseal: %+v -> %+v", i, a, b)
+				t.Fatalf("record %d changed across recoveries: %+v -> %+v", i, a, b)
 			}
+		}
+		// A restart past every frame's epoch empties the log.
+		if l2.last == math.MaxUint64 {
+			return
+		}
+		if err := l2.ReclaimBefore(l2.last + 1); err != nil {
+			t.Fatal(err)
+		}
+		if recs3, err3 := Open(d, 0, fuzzRegion).Recover(); err3 != nil || len(recs3) != 0 {
+			t.Fatalf("recovery after a restart: %d records, %v", len(recs3), err3)
 		}
 	})
 }
@@ -172,9 +189,9 @@ func FuzzRecover(f *testing.F) {
 // then, on a log whose frames span sectors, every whole sector; it asserts
 // the documented contract exactly: the records returned, epochs included, are
 // always a prefix of what was committed, and any shortfall is reported as
-// ErrCorrupt.  Two directed cases follow: the reseal after a rotted frame
-// keeps each salvaged record's epoch, and the resealed log refuses a commit
-// in an epoch lower than its last frame's.
+// ErrCorrupt.  A directed case follows: recovery after a rotted frame keeps
+// each record's epoch, the log then refuses a commit in an epoch lower than
+// its last frame's and reads as full, and a restart past that epoch empties it.
 func TestRecoverCorruptionPrefixContract(t *testing.T) {
 	small := [][]Record{
 		{{ObjectID: 1, Data: []byte("first record"), Epoch: 2}},
@@ -251,33 +268,44 @@ func TestRecoverCorruptionPrefixContract(t *testing.T) {
 	}
 
 	// The last frame's second record rots, after frames of epochs 2 and 4:
-	// the salvage — its first record too — is resealed one frame per epoch,
-	// and a second recovery reads it cleanly, every record in the epoch it
-	// was committed in.
+	// every recovery returns its first record too, each record in the epoch
+	// it was committed in, with ErrCorrupt.
 	starts, _ = frames(small)
 	img := validImage(t, small...)
 	img[starts[2]+2*descSize+recHeaderSize+3] ^= 0x20
 	d := logImage(img)
-	if recs, err := Open(d, 0, fuzzRegion).Recover(); !errors.Is(err, ErrCorrupt) || len(recs) != 4 {
-		t.Fatalf("rotted last frame: %d records, %v; want 4 and ErrCorrupt", len(recs), err)
-	}
-	l := Open(d, 0, fuzzRegion)
-	recs, err := l.Recover()
-	if err != nil {
-		t.Fatalf("recovery after the reseal: %v", err)
-	}
-	for i, want := range []uint64{2, 4, 4, 5} {
-		if len(recs) != 4 || recs[i].ObjectID != uint64(i+1) || recs[i].Epoch != want {
-			t.Fatalf("after the reseal: %+v; want objects 1 to 4 in epochs 2, 4, 4, 5", recs)
+	var l *Log
+	for round := 0; round < 2; round++ {
+		l = Open(d, 0, fuzzRegion)
+		recs, err := l.Recover()
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("recovery %d of the rotted last frame: %v, want ErrCorrupt", round, err)
+		}
+		for i, want := range []uint64{2, 4, 4, 5} {
+			if len(recs) != 4 || recs[i].ObjectID != uint64(i+1) || recs[i].Epoch != want {
+				t.Fatalf("recovery %d: %+v; want objects 1 to 4 in epochs 2, 4, 4, 5", round, recs)
+			}
 		}
 	}
 	// Epochs never decrease in log order: a commit in epoch 4 after the
-	// frame of epoch 5 is refused, and writes nothing.
+	// frame of epoch 5 is refused, and writes nothing; one in epoch 5 finds
+	// the log full, and so does one after a reclaim the frames of epoch 5
+	// survive.
 	live := l.LiveBytes()
 	if err := l.Commit(4, []Record{{ObjectID: 9, Data: []byte("too old")}}); !errors.Is(err, ErrInvalid) || l.LiveBytes() != live {
 		t.Fatalf("commit in a lower epoch: %v, %d live bytes (was %d); want ErrInvalid and nothing written", err, l.LiveBytes(), live)
 	}
-	if err := l.Commit(5, []Record{{ObjectID: 9, Data: []byte("same epoch")}}); err != nil {
+	if err := errors.Join(l.ReclaimBefore(5), l.Commit(5, []Record{{ObjectID: 9, Data: []byte("same epoch")}})); !errors.Is(err, ErrFull) {
+		t.Fatalf("commit behind the rot: %v, want ErrFull", err)
+	}
+	if err := l.ReclaimBefore(6); err != nil {
 		t.Fatal(err)
+	}
+	if err := l.Commit(6, []Record{{ObjectID: 9, Data: []byte("after the restart")}}); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := Open(d, 0, fuzzRegion).Recover()
+	if err != nil || len(recs) != 1 || recs[0].ObjectID != 9 || recs[0].Epoch != 6 {
+		t.Fatalf("after the restart: %+v, %v; want object 9 in epoch 6", recs, err)
 	}
 }

@@ -5,22 +5,20 @@
 // them that changed, or a tombstone — so recovery does not depend on the
 // physical layout chosen later by the extent allocator.
 //
-// # On-disk format (version 9)
+// # On-disk format (version 10)
 //
 // The log occupies a fixed region of the disk.  It starts with a 32-byte
-// header, written by New, ReclaimBefore, a compaction and a reseal — never by
-// a commit:
+// header, written by New, by a restart (see ReclaimBefore) and by a Recover
+// that found it unreadable — never by a commit:
 //
 //	off  size  field
 //	0    4     magic "HWLO" (0x48574c4f, little endian)
-//	4    1     format version (9)
+//	4    1     format version (10)
 //	5    3     reserved (zero)
 //	8    8     generation: 64 random bits; only frames stamped with them
 //	           belong to this log
 //	16   4     CRC-32C of header bytes 0..15
-//	20   8     start offset: bytes after the header where the first live
-//	           frame begins (those before it were reclaimed)
-//	28   4     CRC-32C of header bytes 20..27
+//	20   12    reserved (zero)
 //
 // An all-zero header is a fresh region; anything else that fails its checks
 // is ErrCorrupt — never silently treated as empty — and any other version
@@ -63,19 +61,18 @@
 //
 // The epoch is the caller's: the store stamps each frame with the checkpoint
 // generation it was committed in, and Recover hands it back on every record
-// (Record.Epoch).  ReclaimBefore drops the frames of lower epochs by advancing
-// the start offset past them — one crash-atomic header write, no frame moves —
-// and compacts the region only when the live suffix fits the dead prefix.  A
-// compaction (which re-stamps the frames it moves, epochs kept), a New and a
-// reseal each open a new header generation (see adopt): nothing written under
-// an earlier one, or under this one at another offset, is taken for a frame
-// again, nor are record contents left lying past the tail, whoever wrote them
-// — a generation cannot be guessed.
+// (Record.Epoch).  The log is never cut in part.  ReclaimBefore restarts it
+// when every frame is of a lower epoch than the one it is given, and does
+// nothing otherwise.  A restart is one crash-atomic header write under a new
+// generation, and so are a New and the rewrite of a header Recover cannot
+// read: nothing written under an earlier generation is taken for a frame
+// again, nor are record contents left lying past the tail, whoever wrote
+// them — a generation cannot be guessed.
 //
 // # Recovery
 //
-// Recover reads the header and walks frames forward from the start offset,
-// in bounded sequential reads, until neither leading descriptor verifies for
+// Recover reads the header and walks frames forward from the first, in
+// bounded sequential reads, until neither leading descriptor verifies for
 // this generation at this offset.  A frame with a leading descriptor that
 // does verify gets one of three verdicts:
 //
@@ -83,7 +80,7 @@
 //	checks out  (not consulted)      verified: its records replay
 //	fails       equals the leading   rotted — it was written whole and has decayed:
 //	                                 ErrCorrupt, with the records before the damage;
-//	                                 the log is resealed to them, a new generation
+//	                                 the log reads as full until a restart
 //	fails       anything else        torn by a crash, never acknowledged: the end of
 //	                                 the log, no error
 //
@@ -92,7 +89,10 @@
 // behind leading descriptors that rotted (the twins share a sector): rotted,
 // as above.  Otherwise this is the end of the log, no error — which is also
 // what a last frame that lost payload and trailer together looks like.
-// Recover never panics on arbitrary log bytes (FuzzRecover holds it to that).
+// Rot is never written over: nothing is appended behind it, and every
+// recovery returns the same records with the same error until a restart
+// empties the log.  Recover never panics on arbitrary log bytes (FuzzRecover
+// holds it to that).
 package wal
 
 import (
@@ -150,7 +150,7 @@ const (
 	recHeaderSize = 8 + 4 + 2 + 1 + 4 // id, data len, label len, flags, crc
 	logHeaderSize = 32
 	logMagic      = 0x48574c4f // "HWLO"
-	logVersion    = 9
+	logVersion    = 10
 	descSize      = 40
 	frameMagic    = 0x48574652 // "HWFR"
 	frameOverhead = 3 * descSize
@@ -177,21 +177,11 @@ type Log struct {
 
 	scratch []byte // the last frame of at most readChunk bytes, kept for its capacity
 	gen     uint64 // the header's generation
-	tail    int64  // body offset (bytes after the header) of the next frame
-	stats   Stats
-
-	// reclaimOff is the body offset where the live frames begin (the
-	// header's start offset): what lies before it is reclaimed, not yet compacted.
-	reclaimOff int64
-	// runs holds, for each run of live frames of one epoch, in log order, the
-	// epoch and the body offset of its first frame: where ReclaimBefore cuts.
-	runs []run
-}
-
-// run is where a run of frames of one epoch begins.
-type run struct {
-	epoch uint64
-	off   int64
+	// tail is the body offset (bytes after the header) of the next frame;
+	// capacity while the log refuses commits (rot, or a header in doubt).
+	tail  int64
+	last  uint64 // the last frame's epoch: no commit goes lower, and a restart needs every frame older
+	stats Stats
 }
 
 // New creates a log over the region [start, start+size) of d and writes a
@@ -233,45 +223,25 @@ func (l *Log) writeThrough(b []byte, at int64) error {
 	return l.d.Flush()
 }
 
-// adopt makes frames, stamped gen for body offset at onwards, the whole log
-// (none: an empty log).  It writes them where the caller has made sure the
-// on-disk header references nothing, then the header that names them, and
-// only when that has succeeded adopts them in memory: a crash leaves the old
-// log or the new, and no commit is ever stamped with a generation the
-// platter may not hold.  The caller holds l.mu and brings the runs along.
-func (l *Log) adopt(gen uint64, frames []byte, at int64) error {
-	if len(frames) > 0 {
-		if err := l.writeThrough(frames, l.pos(at)); err != nil {
-			return err
-		}
-	}
-	if err := l.writeHeader(gen, at); err != nil {
-		// Which header the platter holds is now unknown; nothing more is
-		// acknowledged (the log reads as full) until one is written.
-		l.tail = l.capacity()
-		return err
-	}
-	l.gen, l.tail, l.reclaimOff = gen, at+int64(len(frames)), at
-	return nil
-}
-
-// writeHeader writes the header for generation gen with its first frame at
-// body offset start, and changes nothing in memory.
-func (l *Log) writeHeader(gen uint64, start int64) error {
+// restart empties the log: it writes the header of a new generation, and
+// only when that has succeeded adopts it in memory.  A crash leaves the old
+// log or the empty one, and no commit is ever stamped with a generation the
+// platter may not hold.  The caller holds l.mu.
+func (l *Log) restart() error {
+	gen := newGeneration()
 	var hdr [logHeaderSize]byte
 	le.PutUint32(hdr[0:], logMagic)
 	hdr[4] = logVersion
 	le.PutUint64(hdr[8:], gen)
 	le.PutUint32(hdr[16:], crc32c(hdr[:16]))
-	le.PutUint64(hdr[20:], uint64(start))
-	le.PutUint32(hdr[28:], crc32c(hdr[20:28]))
-	return l.writeThrough(hdr[:], l.start)
-}
-
-// restart opens an empty log under a new generation; the caller holds l.mu.
-func (l *Log) restart() error {
-	l.runs = l.runs[:0]
-	return l.adopt(newGeneration(), nil, 0)
+	if err := l.writeThrough(hdr[:], l.start); err != nil {
+		// Which header the platter holds is now unknown; nothing more is
+		// acknowledged (the log reads as full) until a restart succeeds.
+		l.tail = l.capacity()
+		return err
+	}
+	l.gen, l.tail, l.last = gen, 0, 0
+	return nil
 }
 
 // TooLarge reports whether r could never commit even in an empty log region
@@ -325,7 +295,7 @@ func (l *Log) Commit(epoch uint64, recs []Record) error {
 	if len(recs) == 0 {
 		return nil
 	}
-	if n := len(l.runs); n > 0 && epoch < l.runs[n-1].epoch {
+	if epoch < l.last {
 		return ErrInvalid
 	}
 	for _, r := range recs {
@@ -334,13 +304,6 @@ func (l *Log) Commit(epoch uint64, recs []Record) error {
 		}
 	}
 	n := frameSize(recs)
-	if l.tail+n > l.capacity() {
-		// A reclaimed-but-uncompacted prefix may be holding the space this
-		// commit needs; compact it away before giving up.
-		if err := l.compactLocked(); err != nil {
-			return err
-		}
-	}
 	if l.tail+n > l.capacity() {
 		return ErrFull
 	}
@@ -354,18 +317,9 @@ func (l *Log) Commit(epoch uint64, recs []Record) error {
 	}
 	// The tail moves only now: a frame whose flush failed is never
 	// acknowledged, and the next one is written over it.
-	l.tail += n
-	l.noteFrame(epoch, at)
+	l.tail, l.last = l.tail+n, epoch
 	l.stats.Commits++
 	return nil
-}
-
-// noteFrame records that a frame of epoch begins at body offset off, the
-// tail's frame; the caller holds l.mu.
-func (l *Log) noteFrame(epoch uint64, off int64) {
-	if n := len(l.runs); n == 0 || l.runs[n-1].epoch != epoch {
-		l.runs = append(l.runs, run{epoch, off})
-	}
 }
 
 // frameSize is the on-disk size of the frame holding recs.
@@ -439,75 +393,30 @@ func leading(b []byte, gen uint64, off int64) (descriptor, bool) {
 	return descriptor{}, false
 }
 
-// ReclaimBefore drops every frame of an epoch lower than epoch: a single
-// crash-atomic header write advances the start offset to the first frame of
-// epoch or higher (to the tail when there is none), then the region is
-// compacted if the live suffix fits inside the dead prefix.
+// ReclaimBefore restarts the log — one header write, every frame dropped —
+// when every frame is of an epoch lower than epoch, and otherwise does
+// nothing: a log is never cut in part.  A log that refuses commits, after
+// rot or a failed header write, is emptied the same way.
 func (l *Log) ReclaimBefore(epoch uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	i := 0
-	for i < len(l.runs) && l.runs[i].epoch < epoch {
-		i++
-	}
-	off := l.tail
-	if i < len(l.runs) {
-		off = l.runs[i].off
-	}
-	if off > l.reclaimOff {
-		if err := l.writeHeader(l.gen, off); err != nil {
-			return err
-		}
-		l.reclaimOff = off
-		l.runs = slices.Delete(l.runs, 0, i)
-		l.stats.Reclaims++
-	}
-	return l.compactLocked()
-}
-
-// compactLocked removes the reclaimed dead prefix by copying the live frames
-// to the front of the region, re-stamped for their new offsets under a new
-// generation, but only when the two do not overlap: the copy then lands in
-// bytes the on-disk header no longer references (see adopt).  Holds l.mu.
-func (l *Log) compactLocked() error {
-	live := l.tail - l.reclaimOff
-	if l.reclaimOff == 0 || live > l.reclaimOff {
+	if l.tail == 0 || l.last >= epoch {
 		return nil
 	}
-	buf, err := l.read(l.reclaimOff, live)
-	if err != nil {
+	if err := l.restart(); err != nil {
 		return err
 	}
-	gen := newGeneration()
-	for p := int64(0); p < live; {
-		if live-p < frameOverhead {
-			return nil
-		}
-		d, ok := leading(buf[p:], l.gen, l.reclaimOff+p)
-		if !ok || d.n > live-p-frameOverhead {
-			return nil // rot in the live frames: leave them for Recover to judge
-		}
-		d.gen, d.off = gen, p
-		d.stamp(buf[p:])
-		p += frameOverhead + d.n
-	}
-	moved := l.reclaimOff
-	if err := l.adopt(gen, buf, 0); err != nil {
-		return err
-	}
-	for i := range l.runs {
-		l.runs[i].off -= moved
-	}
+	l.stats.Reclaims++
 	l.stats.Compactions++
 	return nil
 }
 
-// LiveBytes returns the committed bytes recovery would replay: the frames
-// written less any reclaimed dead prefix.
+// LiveBytes returns the body bytes the log holds: those recovery would read
+// (the whole region while it refuses commits).
 func (l *Log) LiveBytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.tail - l.reclaimOff
+	return l.tail
 }
 
 // read returns the n bytes at body offset off, in device reads of at most readChunk each.
@@ -522,8 +431,8 @@ func (l *Log) read(off, n int64) ([]byte, error) {
 }
 
 // Recover reads the committed records back from the log region (after a
-// crash or restart), judging each frame by the package comment's table.
-// When it reports rot it has resealed the log to the records it returns.
+// crash or restart), judging each frame by the package comment's table.  A
+// header it cannot read is rewritten as an empty log.
 func (l *Log) Recover() ([]Record, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -531,28 +440,24 @@ func (l *Log) Recover() ([]Record, error) {
 	if _, err := l.d.ReadAt(hdr[:], l.start); err != nil {
 		return nil, err
 	}
-	startOff := int64(le.Uint64(hdr[20:]))
 	switch {
 	case hdr == [logHeaderSize]byte{}:
 		// Fresh region.  Commits do not write the header: it goes down now.
 		return nil, l.restart()
 	case le.Uint32(hdr[0:]) != logMagic:
 		// Non-zero but wrong magic is damage, not a fresh region: the log
-		// is resealed empty, and not silently.
-		return l.reseal(nil, 0, "bad magic in the log header")
+		// is rewritten empty, and not silently.
+		return l.unreadable("bad magic in the log header")
 	case crc32c(hdr[:16]) != le.Uint32(hdr[16:]):
 		// Checked before trusting any header field, the version byte
 		// included: a mismatch means rot, whatever version it spells.
-		return l.reseal(nil, 0, "log header checksum mismatch")
+		return l.unreadable("log header checksum mismatch")
 	case hdr[4] != logVersion:
 		// An intact header for a format this code does not speak: leave the
 		// region untouched, so the code that wrote it can still recover.
 		return nil, fmt.Errorf("%w %d", ErrVersion, hdr[4])
-	case crc32c(hdr[20:28]) != le.Uint32(hdr[28:]), startOff < 0 || startOff > l.capacity():
-		return l.reseal(nil, 0, "bad start offset in the log header")
 	}
-	l.gen, l.tail, l.reclaimOff = le.Uint64(hdr[8:]), startOff, startOff
-	l.runs = l.runs[:0]
+	l.gen, l.tail, l.last = le.Uint64(hdr[8:]), 0, 0
 	var recs []Record
 	for l.tail+frameOverhead <= l.capacity() {
 		lead, err := l.read(l.tail, 2*descSize)
@@ -572,12 +477,11 @@ func (l *Log) Recover() ([]Record, error) {
 			if t, ok := parse(body[d.n:]); !ok || t != d {
 				break // torn, never acknowledged: the log ends before it
 			}
-			what := fmt.Sprintf("frame at log offset %d rotted after record %d of %d", l.tail, len(frs), d.count)
-			return l.reseal(append(recs, frs...), l.tail+frameOverhead+d.n, what)
+			l.last = d.epoch
+			return l.rotted(append(recs, frs...), fmt.Sprintf("frame at log offset %d rotted after record %d of %d", l.tail, len(frs), d.count))
 		}
 		recs = append(recs, frs...)
-		l.noteFrame(d.epoch, l.tail)
-		l.tail += frameOverhead + d.n
+		l.tail, l.last = l.tail+frameOverhead+d.n, d.epoch
 	}
 	// The walk ended without complaint; look one read further for frames
 	// that rotted leading descriptors at the tail would be hiding.
@@ -587,58 +491,39 @@ func (l *Log) Recover() ([]Record, error) {
 	}
 	for p := 2 * descSize; p+descSize <= len(ahead); p++ {
 		if d, ok := parse(ahead[p:]); ok && d.gen == l.gen && d.off >= l.tail {
-			what := fmt.Sprintf("frame at log offset %d lost its leading descriptors", l.tail)
-			return l.reseal(recs, l.tail+int64(p+descSize), what)
+			return l.rotted(recs, fmt.Sprintf("frame at log offset %d lost its leading descriptors", l.tail))
 		}
 	}
 	return recs, nil
 }
 
-// reseal makes recs — what Recover could read before the rot that what
-// describes — the log's contents, one frame per run of records of one epoch,
-// under a new generation, and returns them with ErrCorrupt.  The frames go
-// where running this recovery again would read nothing: the dead prefix if
-// they fit there, otherwise from end on (see adopt).  When they fit nowhere
-// the region is left as it is, to be judged the same way again, and the log
-// reads as full, so that nothing is appended behind the rot before
-// ReclaimBefore cuts past it.  The caller holds l.mu.
-func (l *Log) reseal(recs []Record, end int64, what string) ([]Record, error) {
-	var groups [][]Record // recs cut into runs of one epoch
-	n := int64(0)
-	for rest := recs; len(rest) > 0; {
-		k := 1
-		for k < len(rest) && rest[k].Epoch == rest[0].Epoch {
-			k++
-		}
-		groups, n, rest = append(groups, rest[:k]), n+frameSize(rest[:k]), rest[k:]
+// unreadable rewrites a header Recover cannot read as an empty log and
+// reports the damage that what describes; the caller holds l.mu.
+func (l *Log) unreadable(what string) ([]Record, error) {
+	if err := l.restart(); err != nil {
+		return nil, err
 	}
-	at := end
-	if n <= l.reclaimOff {
-		at = 0
-	} else if at+n > l.capacity() {
-		l.tail, l.reclaimOff = l.capacity(), 0
-		return recs, fmt.Errorf("%w: %s", ErrCorrupt, what)
-	}
-	gen := newGeneration()
-	var frames []byte
-	var runs []run
-	for _, g := range groups {
-		off := at + int64(len(frames))
-		runs = append(runs, run{g[0].Epoch, off})
-		frames = appendFrame(frames, g, gen, g[0].Epoch, off)
-	}
-	if err := l.adopt(gen, frames, at); err != nil {
-		return recs, err
-	}
-	l.runs = runs
+	return nil, fmt.Errorf("%w: %s", ErrCorrupt, what)
+}
+
+// rotted ends a recovery that met rot, which what describes, with recs, the
+// records before it.  The log then reads as full: nothing is appended behind
+// the rot, and every recovery returns the same until ReclaimBefore restarts
+// the log.  The caller holds l.mu.
+func (l *Log) rotted(recs []Record, what string) ([]Record, error) {
+	l.tail = l.capacity()
 	return recs, fmt.Errorf("%w: %s", ErrCorrupt, what)
 }
 
 // Stats describes cumulative log activity.
 type Stats struct {
-	Commits     uint64 // successful commits (each one frame write + flush)
-	Reclaims    uint64 // ReclaimBefore calls that advanced the start offset
-	Compactions uint64 // dead-prefix compactions (there or in a would-be-full Commit)
+	Commits uint64 // successful commits (each one frame write + flush)
+	// Reclaims and Compactions both count the restarts ReclaimBefore made:
+	// a restart drops the dead frames and frees their room at once.
+	// Compactions stays only until the benchmark stops reading it (ROADMAP
+	// item 19).
+	Reclaims    uint64
+	Compactions uint64
 }
 
 // Stats returns the cumulative counts.

@@ -122,6 +122,9 @@ func TestCorruptRecordDetected(t *testing.T) {
 	}
 }
 
+// TestCorruptRecoverySealsValidPrefix: rot seals the log at the valid
+// prefix.  Every recovery returns that prefix with ErrCorrupt, and the log
+// refuses commits, until a restart empties it; a commit is then the whole log.
 func TestCorruptRecoverySealsValidPrefix(t *testing.T) {
 	l, d := testLog(t, 1<<20)
 	if err := l.Commit(0, []Record{
@@ -133,22 +136,27 @@ func TestCorruptRecoverySealsValidPrefix(t *testing.T) {
 	if _, err := d.WriteAt([]byte{0xff}, logHeaderSize+2*descSize+19+7+19+2); err != nil {
 		t.Fatal(err)
 	}
-	l2 := Open(d, 0, 1<<20)
-	if _, err := l2.Recover(); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("expected ErrCorrupt, got %v", err)
+	after := []Record{{ObjectID: 3, Data: []byte("after the restart")}}
+	var l2 *Log
+	for round := 0; round < 2; round++ {
+		l2 = Open(d, 0, 1<<20)
+		if recs, err := l2.Recover(); !errors.Is(err, ErrCorrupt) || len(recs) != 1 || recs[0].ObjectID != 1 {
+			t.Fatalf("recovery %d: %+v, %v; want object 1 and ErrCorrupt", round, recs, err)
+		}
+		if err := l2.Commit(0, after); !errors.Is(err, ErrFull) {
+			t.Fatalf("recovery %d: commit behind the rot: %v, want ErrFull", round, err)
+		}
 	}
-	// The log was resealed to the valid prefix: new commits append after it
-	// and a fresh recovery sees prefix + new records with no error.
-	if err := l2.Commit(0, []Record{{ObjectID: 3, Data: []byte("after reseal")}}); err != nil {
+	if err := l2.ReclaimBefore(1); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := Open(d, 0, 1<<20).Recover()
-	if err != nil {
-		t.Fatalf("recovery after reseal: %v", err)
+	_, recs := recoverIDs(t, d, 1<<20)
+	wantIDs(t, "after the restart", recs)
+	if err := l2.Commit(1, after); err != nil {
+		t.Fatal(err)
 	}
-	if len(recs) != 2 || recs[0].ObjectID != 1 || recs[1].ObjectID != 3 {
-		t.Errorf("recovered %+v", recs)
-	}
+	_, recs = recoverIDs(t, d, 1<<20)
+	wantIDs(t, "after the restart and a commit", recs, 3)
 }
 
 func TestCorruptGenerationRejected(t *testing.T) {
@@ -299,10 +307,10 @@ func TestUnsupportedVersionRefusedWithoutErasure(t *testing.T) {
 		}
 		return img
 	}
-	// Every version but the current one — the retired 0, 2, 3, 4, 5, 6 and 8
-	// (which logged clone aliases) as much as a future 10 — is refused, and
-	// the refusal writes nothing.
-	for _, v := range []byte{0, 2, 3, 4, 5, 6, 8, 10} {
+	// Every version but the current one — the retired 0, 2, 3, 4, 5, 6, 8
+	// (which logged clone aliases) and 9 (whose header held a start offset)
+	// as much as a future one — is refused, and the refusal writes nothing.
+	for _, v := range []byte{0, 2, 3, 4, 5, 6, 8, 9, logVersion + 1} {
 		setVersion(v)
 		before := image()
 		if recs, err := Open(d, 0, region).Recover(); !errors.Is(err, ErrVersion) || len(recs) != 0 {
@@ -324,7 +332,7 @@ func TestFlippedVersionByteIsCorruptionNotFutureFormat(t *testing.T) {
 	// A bare version-byte flip (without a matching header CRC) is bit rot,
 	// not another format: the log must report ErrCorrupt rather than refuse
 	// the mount as ErrVersion — whatever the rotted byte happens to spell.
-	for _, v := range []byte{0, 2, 3, 4, 8, 10} {
+	for _, v := range []byte{0, 2, 3, 4, 8, 9, logVersion + 1} {
 		l, d := testLog(t, 1<<16)
 		if err := l.Commit(0, []Record{{ObjectID: 1, Data: []byte("x")}}); err != nil {
 			t.Fatal(err)
@@ -350,10 +358,10 @@ func TestDamagedMagicIsCorruptionNotFresh(t *testing.T) {
 	if !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("rotted magic must be ErrCorrupt, got %v (recs=%d)", err, len(recs))
 	}
-	// The reseal leaves a mountable empty log.
+	// The header was rewritten: a mountable empty log.
 	recs, err = Open(d, 0, 1<<16).Recover()
 	if err != nil || len(recs) != 0 {
-		t.Fatalf("after reseal: %d recs, %v", len(recs), err)
+		t.Fatalf("after the rewrite: %d recs, %v", len(recs), err)
 	}
 }
 
@@ -438,7 +446,7 @@ func commitAt(t *testing.T, l *Log, epoch, id uint64, frameLen int) {
 
 // TestStaleGenerationNeverReplays lines new frames up exactly on the
 // boundaries of frames a new log over the region (truncating it) or a
-// compaction left behind — the stale bytes verify in every respect but their
+// restart left behind — the stale bytes verify in every respect but their
 // generation — and checks that recovery stops where the new log ends.
 func TestStaleGenerationNeverReplays(t *testing.T) {
 	const (
@@ -458,6 +466,7 @@ func TestStaleGenerationNeverReplays(t *testing.T) {
 		_, recs := recoverIDs(t, d, region)
 		wantIDs(t, "after truncate", recs, 99)
 	})
+	// A restart is the reclaim and the compaction in one.
 	t.Run("reclaim-and-compact", func(t *testing.T) {
 		l, d := testLog(t, region)
 		for id := uint64(1); id <= 20; id++ {
@@ -465,26 +474,30 @@ func TestStaleGenerationNeverReplays(t *testing.T) {
 		}
 		commitAt(t, l, 7, 21, frameLen)
 		commitAt(t, l, 7, 22, frameLen)
+		// Frames of epoch 7 are live: the log is not cut in part.
 		if err := l.ReclaimBefore(7); err != nil {
 			t.Fatal(err)
 		}
-		if st := l.Stats(); st.Reclaims != 1 || st.Compactions != 1 {
-			t.Fatalf("expected one reclaim and one compaction: %+v", st)
+		if st := l.Stats(); st.Reclaims != 0 || st.Compactions != 0 || l.LiveBytes() != 22*frameLen {
+			t.Fatalf("a reclaim with live frames changed the log: %+v, %d live bytes", st, l.LiveBytes())
 		}
-		// The moved frames come back from their new offsets, epochs kept.
+		if err := l.ReclaimBefore(8); err != nil {
+			t.Fatal(err)
+		}
+		if st := l.Stats(); st.Reclaims != 1 || st.Compactions != 1 || l.LiveBytes() != 0 {
+			t.Fatalf("expected one restart: %+v, %d live bytes", st, l.LiveBytes())
+		}
 		_, recs := recoverIDs(t, d, region)
-		wantIDs(t, "after compaction", recs, 21, 22)
-		if recs[0].Epoch != 7 || recs[1].Epoch != 7 {
-			t.Fatalf("epochs after compaction: %d, %d; want 7, 7", recs[0].Epoch, recs[1].Epoch)
-		}
-		// One more frame brings the tail to 3×frameLen, where frame 4 of the
-		// old generation still lies.
+		wantIDs(t, "after the restart", recs)
+		// Two frames bring the tail to 2×frameLen, where frame 3 of the old
+		// generation still lies.
 		commitAt(t, l, 8, 23, frameLen)
-		if l.LiveBytes() != 3*frameLen {
-			t.Fatalf("tail at %d, want %d", l.LiveBytes(), 3*frameLen)
-		}
+		commitAt(t, l, 8, 24, frameLen)
 		_, recs = recoverIDs(t, d, region)
-		wantIDs(t, "after compaction and a commit", recs, 21, 22, 23)
+		wantIDs(t, "after the restart and two commits", recs, 23, 24)
+		if recs[0].Epoch != 8 || recs[1].Epoch != 8 {
+			t.Fatalf("epochs after the restart: %d, %d; want 8, 8", recs[0].Epoch, recs[1].Epoch)
+		}
 	})
 }
 
@@ -690,110 +703,95 @@ func (f *flaky) Flush() error {
 }
 
 // TestFailedHeaderWriteLosesNothing: a commit never rewrites the header, so
-// nothing heals a header write that failed.  Whichever one does —
-// ReclaimBefore's, or either barrier of a compaction — and whether the disk
-// dropped the write or made it durable before reporting the failure, what is
-// acknowledged afterwards must be found after a crash.  Where the header on
-// the platter has become unknown that means acknowledging nothing (ErrFull)
-// until a header is written.
+// nothing heals a header write that failed.  Whichever one does — a
+// restart's, or the rewrite of a header Recover could not read — and whether
+// the disk dropped the write or made it durable before reporting the
+// failure, what is acknowledged afterwards must be found after a crash.  The
+// header on the platter has become unknown, so that means acknowledging
+// nothing (ErrFull) until a restart succeeds.
 func TestFailedHeaderWriteLosesNothing(t *testing.T) {
 	const region = 1 << 16
-	old := []uint64{1, 2, 3, 4, 5, 6, 7, 8}
-	// build commits the old frames in epoch 6 and live ones in epoch 7.
-	build := func(fd *flaky, live int) *Log {
+	// build commits frames in epochs 6 and 7: a reclaim before 8 restarts.
+	build := func(fd *flaky) *Log {
 		l, err := New(fd, 0, region)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, id := range old {
-			commitAt(t, l, 6, id, 300)
-		}
-		for i := 0; i < live; i++ {
-			commitAt(t, l, 7, uint64(21+i), 300)
+		for id := uint64(1); id <= 8; id++ {
+			commitAt(t, l, 6+id/5, id, 300)
 		}
 		return l
 	}
-	for _, tc := range []struct {
-		name    string
-		live    int // 300-byte frames of epoch 7: more than 8 and nothing compacts
-		failAt  int
-		refuses bool // the header is in doubt: no commit until the retry
-		// The earlier frames recovery still returns, by what became of the write.
-		dropped, written []uint64
-	}{
-		{"reclaim-header", 9, 1, false, old, nil},
-		{"compaction-frames", 2, 2, false, nil, nil},
-		{"compaction-header", 2, 3, true, nil, nil},
-	} {
-		for _, budget := range []int64{0, region} {
-			what, before := tc.name+"/dropped", tc.dropped
-			if budget > 0 {
-				what, before = tc.name+"/written", tc.written
-			}
-			d := disk.New(disk.Params{Sectors: 1 << 12, WriteCache: true}, &vclock.Clock{})
-			fd := &flaky{Disk: d, budget: budget}
-			l := build(fd, tc.live)
-			want := slices.Clone(before)
-			for i := 0; i < tc.live; i++ {
-				want = append(want, uint64(21+i))
-			}
-			fd.failAt = tc.failAt
-			if err := l.ReclaimBefore(7); !errors.Is(err, errFlaky) {
-				t.Fatalf("%s: reclaim across a failed flush: %v", what, err)
-			}
-			switch err := l.Commit(7, []Record{{ObjectID: 99, Data: make([]byte, 100)}}); {
-			case tc.refuses && !errors.Is(err, ErrFull):
-				t.Fatalf("%s: commit with the header in doubt: %v, want ErrFull", what, err)
-			case !tc.refuses && err != nil:
-				t.Fatalf("%s: commit after the failure: %v", what, err)
-			case !tc.refuses:
-				want = append(want, 99)
-			}
-			d.Crash()
-			l2, recs := recoverIDs(t, d, region)
-			wantIDs(t, what+": after the failure, a commit and a crash", recs, want...)
-			// And the operation works when retried.
-			if err := l2.ReclaimBefore(7); err != nil {
-				t.Fatalf("%s: retry: %v", what, err)
-			}
-			want = want[slices.Index(want, 21):]
-			commitAt(t, l2, 7, 100, 200)
-			d.Crash()
-			_, recs = recoverIDs(t, d, region)
-			wantIDs(t, what+": after the retry", recs, append(want, 100)...)
+	refused := []Record{{ObjectID: 99, Data: []byte("refused once")}}
+	for _, budget := range []int64{0, region} {
+		// The old frames recovery returns, by what became of the write.
+		what, want := "dropped", []uint64{1, 2, 3, 4, 5, 6, 7, 8}
+		if budget > 0 {
+			what, want = "written", nil
 		}
+		d := disk.New(disk.Params{Sectors: 1 << 12, WriteCache: true}, &vclock.Clock{})
+		fd := &flaky{Disk: d, budget: budget}
+		l := build(fd)
+		fd.failAt = 1
+		if err := l.ReclaimBefore(8); !errors.Is(err, errFlaky) {
+			t.Fatalf("%s: restart across a failed flush: %v", what, err)
+		}
+		if err := l.Commit(8, refused); !errors.Is(err, ErrFull) {
+			t.Fatalf("%s: commit with the header in doubt: %v, want ErrFull", what, err)
+		}
+		d.Crash()
+		l2, recs := recoverIDs(t, d, region)
+		wantIDs(t, what+": after the failure, a commit and a crash", recs, want...)
+		// The restart works when retried, whichever log the platter holds.
+		if err := l2.ReclaimBefore(8); err != nil {
+			t.Fatalf("%s: retry: %v", what, err)
+		}
+		commitAt(t, l2, 8, 100, 200)
+		d.Crash()
+		_, recs = recoverIDs(t, d, region)
+		wantIDs(t, what+": after the retry", recs, 100)
 	}
-	// Without a reboot in between: a reclaim past every frame — the store's
-	// next checkpoint makes one — writes a header the log can be sure of, and
-	// the records that were refused commit when handed over again.
-	d := disk.New(disk.Params{Sectors: 1 << 12, WriteCache: true}, &vclock.Clock{})
-	fd := &flaky{Disk: d}
-	l := build(fd, 2)
-	fd.failAt = 3
-	if err := l.ReclaimBefore(7); !errors.Is(err, errFlaky) {
-		t.Fatal(err)
+	// Without a reboot in between: the next restart — the store's next
+	// checkpoint makes one — writes a header the log can be sure of, and the
+	// records that were refused commit when handed over again.  The same
+	// holds for a header Recover found unreadable and failed to rewrite.
+	for _, what := range []string{"restart", "unreadable header"} {
+		d := disk.New(disk.Params{Sectors: 1 << 12, WriteCache: true}, &vclock.Clock{})
+		fd := &flaky{Disk: d}
+		l := build(fd)
+		fd.failAt = 1
+		var err error
+		if what == "restart" {
+			err = l.ReclaimBefore(8)
+		} else {
+			d.WriteAt([]byte{0xde}, 1) // the magic rots
+			l = Open(fd, 0, region)
+			_, err = l.Recover()
+		}
+		if !errors.Is(err, errFlaky) {
+			t.Fatalf("%s: %v, want the failed flush", what, err)
+		}
+		if err := l.Commit(8, refused); !errors.Is(err, ErrFull) {
+			t.Fatalf("%s: commit with the header in doubt: %v, want ErrFull", what, err)
+		}
+		if err := l.ReclaimBefore(8); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Commit(8, refused); err != nil {
+			t.Fatal(err)
+		}
+		d.Crash()
+		_, recs := recoverIDs(t, d, region)
+		wantIDs(t, what+": after the restart", recs, 99)
 	}
-	refused := []Record{{ObjectID: 5, Data: []byte("refused once")}}
-	if err := l.Commit(8, refused); !errors.Is(err, ErrFull) {
-		t.Fatalf("commit with the header in doubt: %v, want ErrFull", err)
-	}
-	if err := l.ReclaimBefore(8); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Commit(8, refused); err != nil {
-		t.Fatal(err)
-	}
-	d.Crash()
-	_, recs := recoverIDs(t, d, region)
-	wantIDs(t, "after the reclaim past every frame", recs, 5)
 }
 
-// TestResealIsCrashSafe cuts the power at every sector the reseal after rot
-// writes — the salvaged frame, then the header that adopts it — and reboots:
-// the second recovery returns what the first did, either cleanly (the
-// reseal had completed) or with ErrCorrupt again (the old log, judged the
-// same way), and never fewer records without saying so.  The salvage is one
-// frame per epoch, so every record keeps the epoch it was committed in.
+// TestResealIsCrashSafe: a recovery that meets rot writes nothing, and what
+// clears the rot is a restart, one header write.  The power is cut at every
+// byte of that write, torn or dropped, and the machine reboots: recovery
+// finds the old log, the same records in their epochs with ErrCorrupt
+// again, or the new one, empty and clean — never fewer records without
+// saying so — and either way the log takes commits after the next restart.
 func TestResealIsCrashSafe(t *testing.T) {
 	const region = 1 << 14
 	const frameLen = 700
@@ -810,11 +808,12 @@ func TestResealIsCrashSafe(t *testing.T) {
 			commitAt(t, l, 7, id, frameLen)
 		}
 		if reclaim {
+			// The frames of epoch 6 are dead, those of 7 not: nothing is cut.
 			if err := l.ReclaimBefore(7); err != nil {
 				t.Fatal(err)
 			}
-			if st := l.Stats(); st.Reclaims != 1 || st.Compactions != 0 {
-				t.Fatalf("want a reclaimed, uncompacted prefix: %+v", st)
+			if st := l.Stats(); st.Reclaims != 0 || st.Compactions != 0 {
+				t.Fatalf("a reclaim with live frames restarted the log: %+v", st)
 			}
 		}
 		return d
@@ -828,10 +827,9 @@ func TestResealIsCrashSafe(t *testing.T) {
 		damage  func(img []byte)
 		want    []uint64
 	}{
-		// Salvage does not fit the dead prefix (there is none): it goes after the rotted frame.
 		{"rotted-payload", false, func(img []byte) { img[frame(2)+2*descSize+recHeaderSize+5] ^= 0x10 }, []uint64{1, 2, 3, 4, 5, 6}},
-		// Salvage fits the dead prefix: it goes to the front of the region.
-		{"rotted-payload-dead-prefix", true, func(img []byte) { img[frame(1)+2*descSize+recHeaderSize+5] ^= 0x10 }, []uint64{5}},
+		// The dead prefix a reclaim could not cut is returned with the rest.
+		{"rotted-payload-dead-prefix", true, func(img []byte) { img[frame(1)+2*descSize+recHeaderSize+5] ^= 0x10 }, []uint64{1, 2, 3, 4, 5}},
 		// Both leading descriptors gone: the frames behind them are found one read on.
 		{"lost-leading-pair", false, func(img []byte) { clear(img[frame(3) : frame(3)+2*descSize]) }, []uint64{1, 2, 3, 4, 5, 6, 7}},
 	} {
@@ -846,53 +844,68 @@ func TestResealIsCrashSafe(t *testing.T) {
 				d.WriteAt(img, 0)
 				return d
 			}
-			// Once without a fault, to learn what the reseal writes.
-			count := disk.NewFaultDisk(boot())
-			recs, err := Open(count, 0, region).Recover()
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("first recovery: %v", err)
+			// oldOrNew recovers after a reboot and returns the log, which
+			// must be the damaged one or an empty one.
+			oldOrNew := func(what string, d *disk.Disk) *Log {
+				l := Open(d, 0, region)
+				recs, err := l.Recover()
+				if err == nil && len(recs) == 0 {
+					return l
+				}
+				if !errors.Is(err, ErrCorrupt) {
+					t.Fatalf("%s: recovery: %v", what, err)
+				}
+				wantIDs(t, what, recs, tc.want...)
+				for _, r := range recs {
+					if want := 6 + r.ObjectID/5; r.Epoch != want {
+						t.Fatalf("%s: object %d recovered in epoch %d, want %d", what, r.ObjectID, r.Epoch, want)
+					}
+				}
+				return l
 			}
-			wantIDs(t, "first recovery", recs, tc.want...)
+			// Once without a fault, to learn what the restart writes.
+			count := disk.NewFaultDisk(boot())
+			l := Open(count, 0, region)
+			for i := 0; i < 2; i++ {
+				if recs, err := l.Recover(); !errors.Is(err, ErrCorrupt) || count.BytesWritten() != 0 {
+					t.Fatalf("recovery %d: %v, %d bytes written; want ErrCorrupt and nothing written", i, err, count.BytesWritten())
+				} else {
+					wantIDs(t, fmt.Sprintf("recovery %d", i), recs, tc.want...)
+				}
+			}
+			if err := l.ReclaimBefore(8); err != nil {
+				t.Fatal(err)
+			}
 			total := count.BytesWritten()
-			if total < frameLen {
-				t.Fatalf("reseal wrote only %d bytes", total)
+			if total != logHeaderSize {
+				t.Fatalf("the restart wrote %d bytes, want one header", total)
 			}
 			for _, mode := range []disk.FaultMode{disk.FaultTorn, disk.FaultOmit} {
-				for limit := int64(0); limit <= total; limit += disk.SectorSize / 4 {
+				for limit := int64(0); limit <= total; limit += 4 {
 					d := boot()
 					fd := disk.NewFaultDisk(d)
+					l := Open(fd, 0, region)
+					l.Recover()
 					fd.Arm(limit, mode)
-					Open(fd, 0, region).Recover() // dies somewhere in the reseal
+					l.ReclaimBefore(8) // dies somewhere in the restart
 					what := fmt.Sprintf("%v after %d of %d bytes", mode, limit, total)
-					recs, err := Open(d, 0, region).Recover()
-					if err != nil && !errors.Is(err, ErrCorrupt) {
-						t.Fatalf("%s: second recovery: %v", what, err)
+					l3 := oldOrNew(what+", after the reboot", d)
+					if err := l3.ReclaimBefore(8); err != nil {
+						t.Fatalf("%s: restart after the reboot: %v", what, err)
 					}
-					wantIDs(t, what+", second recovery", recs, tc.want...)
-					l3, recs := recoverIDs(t, d, region)
-					wantIDs(t, what+", third recovery", recs, tc.want...)
-					for _, r := range recs {
-						want := uint64(6)
-						if r.ObjectID >= 5 {
-							want = 7
-						}
-						if r.Epoch != want {
-							t.Fatalf("%s: object %d recovered in epoch %d, want %d", what, r.ObjectID, r.Epoch, want)
-						}
-					}
-					commitAt(t, l3, 7, 50, 200)
-					_, recs = recoverIDs(t, d, region)
-					wantIDs(t, what+", after a commit", recs, append(tc.want, 50)...)
+					commitAt(t, l3, 8, 50, 200)
+					_, recs := recoverIDs(t, d, region)
+					wantIDs(t, what+", after a restart and a commit", recs, 50)
 				}
 			}
 		})
 	}
 }
 
-// TestResealWithoutRoomLeavesTheLogAlone: when the salvaged records fit
-// neither the dead prefix nor the space after the damage, the region is not
-// touched — recovering again gives the same verdict — and nothing can be
-// appended behind the rot until a reclaim cuts past it.
+// TestResealWithoutRoomLeavesTheLogAlone: a recovery that meets rot does
+// not touch the region, however much room is left — recovering again gives
+// the same verdict — and nothing can be appended behind the rot until a
+// restart empties the log.
 func TestResealWithoutRoomLeavesTheLogAlone(t *testing.T) {
 	const region = 1 << 12
 	l, d := testLog(t, region)
@@ -914,18 +927,20 @@ func TestResealWithoutRoomLeavesTheLogAlone(t *testing.T) {
 	after := make([]byte, region)
 	d.ReadAt(after, 0)
 	if !bytes.Equal(img, after) {
-		t.Fatal("a reseal with no room wrote to the region")
+		t.Fatal("a recovery that met rot wrote to the region")
 	}
 	refused := []Record{{ObjectID: 9, Data: []byte("x")}}
 	if err := l.Commit(0, refused); !errors.Is(err, ErrFull) {
-		t.Fatalf("commit behind unresealed rot: %v, want ErrFull", err)
+		t.Fatalf("commit behind the rot: %v, want ErrFull", err)
 	}
 	if err := l.ReclaimBefore(1); err != nil {
 		t.Fatal(err)
 	}
+	_, recs := recoverIDs(t, d, region)
+	wantIDs(t, "after the restart", recs)
 	if err := l.Commit(1, refused); err != nil {
 		t.Fatal(err)
 	}
-	_, recs := recoverIDs(t, d, region)
-	wantIDs(t, "after the reclaim", recs, 9)
+	_, recs = recoverIDs(t, d, region)
+	wantIDs(t, "after the restart and a commit", recs, 9)
 }
