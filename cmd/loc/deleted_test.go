@@ -66,6 +66,8 @@ var deleted = []struct {
 		[]string{"scrubChunk", "maxLevel", "maxTaint", "max64", "min64"}},
 	{"the log's start offset, its compaction and its reseal, which a restart replaced",
 		[]string{"reclaimOff", "noteFrame", "compactLocked", "reseal", "adopt", "writeHeader"}},
+	{"the per-mapping address-space calls, which setting the whole image replaced",
+		[]string{"AddressSpaceAddMapping", "AddressSpaceRemoveMapping", "scASAddMapping", "scASRemoveMapping"}},
 }
 
 // isWord reports whether b is a word byte in grep -w's sense.

@@ -57,19 +57,19 @@ func (tc *ThreadCall) openAS(sc syscallID, ce CEnt) (*addressSpace, lockSet, err
 }
 
 // AddressSpaceSet replaces the mappings of the address space named by ce.
+// It is the only call that changes them, and a refused set changes nothing.
 func (tc *ThreadCall) AddressSpaceSet(ce CEnt, maps []Mapping) error {
 	a, ls, err := tc.openAS(scASSet, ce)
 	if err != nil {
 		return err
 	}
 	defer ls.unlock()
-	a.mappings = a.mappings[:0]
 	for _, m := range maps {
 		if m.VA%PageSize != 0 {
 			return ErrInvalid
 		}
-		a.mappings = append(a.mappings, m)
 	}
+	a.mappings = append(a.mappings[:0], maps...)
 	return nil
 }
 
@@ -86,36 +86,6 @@ func (tc *ThreadCall) AddressSpaceGet(ce CEnt) ([]Mapping, error) {
 	}
 	defer ls.unlock()
 	return append(make([]Mapping, 0, len(a.mappings)), a.mappings...), nil
-}
-
-// AddressSpaceAddMapping appends one mapping without replacing the rest.
-func (tc *ThreadCall) AddressSpaceAddMapping(ce CEnt, m Mapping) error {
-	a, ls, err := tc.openAS(scASAddMapping, ce)
-	if err != nil {
-		return err
-	}
-	defer ls.unlock()
-	if m.VA%PageSize != 0 {
-		return ErrInvalid
-	}
-	a.mappings = append(a.mappings, m)
-	return nil
-}
-
-// AddressSpaceRemoveMapping removes the mapping that starts at va.
-func (tc *ThreadCall) AddressSpaceRemoveMapping(ce CEnt, va uint64) error {
-	a, ls, err := tc.openAS(scASRemoveMapping, ce)
-	if err != nil {
-		return err
-	}
-	defer ls.unlock()
-	for i, m := range a.mappings {
-		if m.VA == va {
-			a.mappings = append(a.mappings[:i], a.mappings[i+1:]...)
-			return nil
-		}
-	}
-	return ErrNoMapping
 }
 
 // SetFaultHandler registers a user-mode page-fault handler on the address

@@ -174,28 +174,31 @@ func TestThreadLocalSegment(t *testing.T) {
 	}
 }
 
-func TestAddressSpaceAddRemoveMapping(t *testing.T) {
+// A set refused at any of its mappings leaves the address space as it was.
+func TestAddressSpaceSetIsWholeOrNothing(t *testing.T) {
 	k, tc := boot(t)
 	root := k.RootContainer()
 	seg, _ := tc.SegmentCreate(root, label.New(label.L1), "s", PageSize)
 	as, _ := tc.AddressSpaceCreate(root, label.New(label.L1), "as")
 	ce := CEnt{root, as}
-	if err := tc.AddressSpaceAddMapping(ce, Mapping{VA: 0x1000, Seg: CEnt{root, seg}, NPages: 1, Flags: MapRead}); err != nil {
+	first := Mapping{VA: 0x1000, Seg: CEnt{root, seg}, NPages: 1, Flags: MapRead}
+	if err := tc.AddressSpaceSet(ce, []Mapping{first}); err != nil {
 		t.Fatal(err)
 	}
-	maps, _ := tc.AddressSpaceGet(ce)
-	if len(maps) != 1 {
-		t.Fatalf("mappings = %d", len(maps))
+	// The second mapping's VA is unaligned.
+	bad := []Mapping{
+		{VA: 0x2000, Seg: CEnt{root, seg}, NPages: 1, Flags: MapRead},
+		{VA: 0x3001, Seg: CEnt{root, seg}, NPages: 1, Flags: MapRead},
 	}
-	// Unaligned VA rejected.
-	if err := tc.AddressSpaceAddMapping(ce, Mapping{VA: 0x1001, Seg: CEnt{root, seg}, NPages: 1}); !errors.Is(err, ErrInvalid) {
-		t.Errorf("unaligned mapping: err=%v", err)
+	if err := tc.AddressSpaceSet(ce, bad); !errors.Is(err, ErrInvalid) {
+		t.Errorf("set with an unaligned mapping: err=%v", err)
 	}
-	if err := tc.AddressSpaceRemoveMapping(ce, 0x1000); err != nil {
+	maps, err := tc.AddressSpaceGet(ce)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tc.AddressSpaceRemoveMapping(ce, 0x1000); !errors.Is(err, ErrNoMapping) {
-		t.Errorf("removing missing mapping: err=%v", err)
+	if len(maps) != 1 || maps[0] != first {
+		t.Errorf("after a refused set the mappings are %+v, want [%+v]", maps, first)
 	}
 }
 

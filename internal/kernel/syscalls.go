@@ -50,8 +50,6 @@ const (
 	scASCreate
 	scASSet
 	scASGet
-	scASAddMapping
-	scASRemoveMapping
 	scASSetFaultHandler
 	scMemRead
 	scMemWrite
@@ -106,8 +104,6 @@ var syscallNames = [numSyscalls]string{
 	scASCreate:            "as_create",
 	scASSet:               "as_set",
 	scASGet:               "as_get",
-	scASAddMapping:        "as_add_mapping",
-	scASRemoveMapping:     "as_remove_mapping",
 	scASSetFaultHandler:   "as_set_fault_handler",
 	scMemRead:             "mem_read",
 	scMemWrite:            "mem_write",

@@ -387,6 +387,16 @@ func TestGoldenBakeSkipsThreadsAndRefusesGates(t *testing.T) {
 	}
 }
 
+// mapFile maps the first page of seg read-write at va in p's address space,
+// keeping the mappings it has: the kernel sets an address space only whole.
+func mapFile(p *Process, va uint64, seg kernel.CEnt) error {
+	maps, err := p.TC.AddressSpaceGet(p.AS)
+	if err != nil {
+		return err
+	}
+	return p.TC.AddressSpaceSet(p.AS, append(maps, kernel.Mapping{VA: va, Seg: seg, NPages: 1, Flags: kernel.MapRead | kernel.MapWrite}))
+}
+
 // TestMappedAndDirectWritesReachACheckpoint: the kernel marks a segment dirty
 // at the one gate every mutation passes, so a store through a mapping and a
 // bare SegmentWrite — neither of which comes through the library's writeAt —
@@ -409,7 +419,7 @@ func TestMappedAndDirectWritesReachACheckpoint(t *testing.T) {
 	}
 	f, _ := p.getFD(fd)
 	const va = 1 << 30
-	if err := p.TC.AddressSpaceAddMapping(p.AS, kernel.Mapping{VA: va, Seg: f.File, NPages: 1, Flags: kernel.MapRead | kernel.MapWrite}); err != nil {
+	if err := mapFile(p, va, f.File); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.TC.MemWrite(va+8, []byte("mapped")); err != nil {
@@ -655,7 +665,7 @@ func TestEvictedRotFailsEveryPath(t *testing.T) {
 				t.Fatal(err)
 			}
 			f, _ := p.getFD(fd)
-			if err := p.TC.AddressSpaceAddMapping(p.AS, kernel.Mapping{VA: va, Seg: f.File, NPages: 1, Flags: kernel.MapRead | kernel.MapWrite}); err != nil {
+			if err := mapFile(p, va, f.File); err != nil {
 				t.Fatal(err)
 			}
 			if err := p.GroupSync(); err != nil {

@@ -192,7 +192,7 @@ func (sys *System) create(mu *sync.Mutex, creator *kernel.ThreadCall, u *User, c
 		handlers: make(map[int]func(int)),
 		halted:   make(chan struct{}),
 	}
-	err = p.build(creator, taint)
+	err = p.build(creator, taint, finish == nil)
 	if err == nil && finish != nil {
 		err = finish(p)
 	}
@@ -227,8 +227,9 @@ func shed(tc *kernel.ThreadCall, pr, pw label.Category) error {
 // build creates the kernel objects of Figure 6 for p on behalf of creator,
 // which owns p.Pr and p.Pw.  taint additionally taints the process in the
 // given categories (both its thread label and every process object), which
-// is how wrap launches the virus scanner tainted v3 (Section 6.1).
-func (p *Process) build(creator *kernel.ThreadCall, taint []label.Pair) error {
+// is how wrap launches the virus scanner tainted v3 (Section 6.1).  Without
+// image it maps no memory: a fork sets a copy of its parent's instead.
+func (p *Process) build(creator *kernel.ThreadCall, taint []label.Pair, image bool) error {
 	sys, pr, pw, u := p.sys, p.Pr, p.Pw, p.User
 	withTaint := func(l label.Label) label.Label {
 		for _, t := range taint {
@@ -295,6 +296,9 @@ func (p *Process) build(creator *kernel.ThreadCall, taint []label.Pair) error {
 	}
 	if err := p.createSignalGate(creator); err != nil {
 		return err
+	}
+	if !image {
+		return nil
 	}
 	// Conventional stack, heap and text segments inside the internal
 	// container, mapped into the address space (they carry no file contents
@@ -371,7 +375,8 @@ func (p *Process) createSignalGate(creator *kernel.ThreadCall) error {
 }
 
 // setupMemorySegments creates the conventional text/data/heap/stack segments
-// and maps them into the process address space.
+// and sets them, with the thread-local mapping, as the process address
+// space's whole image.
 func (p *Process) setupMemorySegments(creator *kernel.ThreadCall, lbl label.Label) error {
 	layout := []struct {
 		name string
@@ -383,27 +388,22 @@ func (p *Process) setupMemorySegments(creator *kernel.ThreadCall, lbl label.Labe
 		{"heap", 0x800000, 4 * kernel.PageSize},
 		{"stack", 0x7ff000000000, 4 * kernel.PageSize},
 	}
+	maps := make([]kernel.Mapping, 0, len(layout)+1)
 	for _, seg := range layout {
 		id, err := creator.SegmentCreate(p.IntCt, lbl, seg.name, seg.size)
 		if err != nil {
 			return mapKernelErr(err)
 		}
-		err = creator.AddressSpaceAddMapping(p.AS, kernel.Mapping{
+		maps = append(maps, kernel.Mapping{
 			VA:     seg.va,
 			Seg:    kernel.CEnt{Container: p.IntCt, Object: id},
 			NPages: uint64(seg.size / kernel.PageSize),
 			Flags:  kernel.MapRead | kernel.MapWrite,
 		})
-		if err != nil {
-			return mapKernelErr(err)
-		}
 	}
 	// The thread-local segment mapping.
-	return mapKernelErr(creator.AddressSpaceAddMapping(p.AS, kernel.Mapping{
-		VA:     0x7fe000000000,
-		NPages: 1,
-		Flags:  kernel.MapRead | kernel.MapWrite | kernel.MapThreadLocal,
-	}))
+	maps = append(maps, kernel.Mapping{VA: 0x7fe000000000, NPages: 1, Flags: kernel.MapRead | kernel.MapWrite | kernel.MapThreadLocal})
+	return mapKernelErr(creator.AddressSpaceSet(p.AS, maps))
 }
 
 // child creates a process on p's main thread that inherits p's user and
@@ -534,18 +534,16 @@ func (p *Process) Exec(path string, args []string) error {
 	if !ok {
 		return ErrNoProgram
 	}
-	// Tear down the copied mappings and build a fresh text/data/heap/stack,
-	// as exec discards the inherited image.
+	// Drop the copied segments and set a fresh text/data/heap/stack in
+	// their place, as exec discards the inherited image.
 	maps, err := p.TC.AddressSpaceGet(p.AS)
 	if err != nil {
 		return mapKernelErr(err)
 	}
 	for _, m := range maps {
-		if m.Flags&kernel.MapThreadLocal != 0 {
-			continue
+		if m.Flags&kernel.MapThreadLocal == 0 {
+			_ = p.TC.Unref(m.Seg.Container, m.Seg.Object)
 		}
-		_ = p.TC.AddressSpaceRemoveMapping(p.AS, m.VA)
-		_ = p.TC.Unref(m.Seg.Container, m.Seg.Object)
 	}
 	intLbl := label.New(label.L1, label.P(p.Pr, label.L3), label.P(p.Pw, label.L0))
 	if err := p.setupMemorySegments(p.TC, intLbl); err != nil {

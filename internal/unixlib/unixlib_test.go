@@ -3,6 +3,7 @@ package unixlib
 import (
 	"bytes"
 	"errors"
+	"maps"
 	"testing"
 
 	"histar/internal/disk"
@@ -396,6 +397,8 @@ func TestForkExecWait(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	forkCalls := sys.Kern.SyscallTotal() - before
+	before = sys.Kern.SyscallTotal()
 	if err := child.Exec("/bin/true", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -403,14 +406,51 @@ func TestForkExecWait(t *testing.T) {
 	if err != nil || status != 0 {
 		t.Fatalf("fork/exec/wait = %d, %v", status, err)
 	}
-	forkExecCalls := sys.Kern.SyscallTotal() - before
+	execCalls := sys.Kern.SyscallTotal() - before
 
 	before = sys.Kern.SyscallTotal()
 	child2, _ := p.Spawn("/bin/true", nil)
 	p.Wait(child2)
 	spawnCalls := sys.Kern.SyscallTotal() - before
-	if forkExecCalls <= spawnCalls {
-		t.Errorf("fork/exec (%d syscalls) should cost more than spawn (%d)", forkExecCalls, spawnCalls)
+	// Fork: 2 category creates, build's 6, as_get, 4 segment copies, as_set, shed's 4.
+	// Exec: as_get, 4 unrefs, 4 segment creates, as_set; exit and wait 3 each.
+	// Spawn: 2 category creates, build's 6, 4 segment creates, as_set, shed's 4,
+	// and exit and wait 3 each.
+	if forkCalls != 18 || execCalls != 16 || spawnCalls != 23 {
+		t.Errorf("fork, exec+wait, spawn+wait made %d, %d and %d syscalls; want 18, 16 and 23", forkCalls, execCalls, spawnCalls)
+	}
+}
+
+// A forked child's internal container links its address space and the
+// copies its image maps, and nothing else: the child builds no image of its
+// own for the copies to replace.
+func TestForkedChildLinksOnlyItsImage(t *testing.T) {
+	sys := bootSys(t)
+	p, _ := sys.NewInitProcess("alice")
+	child, err := p.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	image, err := child.TC.AddressSpaceGet(child.AS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[kernel.ID]bool{child.AS.Object: true}
+	for _, m := range image {
+		if m.Flags&kernel.MapThreadLocal == 0 {
+			want[m.Seg.Object] = true
+		}
+	}
+	ids, err := child.TC.ContainerList(kernel.Self(child.IntCt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[kernel.ID]bool{}
+	for _, id := range ids {
+		got[id] = true
+	}
+	if !maps.Equal(got, want) {
+		t.Errorf("the child's internal container links %d objects %v; want its address space and the %d segments it maps, %v", len(ids), ids, len(want)-1, want)
 	}
 }
 
